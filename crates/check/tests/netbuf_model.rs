@@ -1,0 +1,300 @@
+//! `NetBuf` against a flat-bytes model, and faulty delivery against the
+//! frame it was given.
+//!
+//! The buffer keeps its headers in an inline headroom that spills to the
+//! heap, its payload in a chain whose length is cached, and parses fixed
+//! headers into stack arrays — all host-side representation. None of it
+//! may be observable: for any op sequence the wire bytes are `header ++
+//! payload` of a two-`Vec<u8>` model, and the ledger moves by exactly the
+//! closed-form charge of each op (header bytes for pushes and pulls, one
+//! logical copy per attach/share/replace, one payload copy per physical
+//! copy, nothing for peeks, takes and reservations). A `share()`/`clone()`
+//! forks the model too: mutating one side must never show on the other.
+
+use check::gen::*;
+use check::{prop_assert, prop_assert_eq, property, Failed, PropResult};
+use netbuf::buf::HEADROOM;
+use netbuf::{BufPool, CopyLedger, LedgerSnapshot, NetBuf, Segment};
+use servers::stack::deliver_faulty;
+use sim::{FaultKind, FaultLink, FaultPlan, FaultSpec};
+
+/// One buffer and the flat bytes it must serialize to.
+struct Side {
+    buf: NetBuf,
+    header: Vec<u8>,
+    payload: Vec<u8>,
+}
+
+impl Side {
+    fn check(&self) -> PropResult {
+        let mut wire = self.header.clone();
+        wire.extend_from_slice(&self.payload);
+        prop_assert_eq!(self.buf.to_wire(), wire, "wire bytes");
+        prop_assert_eq!(self.buf.header(), &self.header[..], "header bytes");
+        prop_assert_eq!(self.buf.header_len(), self.header.len());
+        prop_assert_eq!(self.buf.payload_len(), self.payload.len());
+        prop_assert_eq!(self.buf.total_len(), wire.len());
+        prop_assert_eq!(self.buf.is_empty(), wire.is_empty());
+        let chain: Vec<u8> = self
+            .buf
+            .segments()
+            .flat_map(|s| s.as_slice().iter().copied())
+            .collect();
+        prop_assert_eq!(chain, self.payload.clone(), "chain bytes");
+        prop_assert_eq!(self.buf.segments().count(), self.buf.segment_count());
+        Ok(())
+    }
+}
+
+/// Distinct bytes per op, so a misplaced run shows.
+fn fill(tag: u32, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (tag as usize * 31 + i) as u8).collect()
+}
+
+/// `pull_array`/`peek_array` at one of the workspace's header sizes,
+/// checked against the model bytes.
+fn array_op(side: &mut Side, pick: u32, off: usize, pull: bool) -> Result<usize, Failed> {
+    macro_rules! at {
+        ($n:literal) => {{
+            if off + $n > side.payload.len() {
+                return Ok(0);
+            }
+            if pull {
+                prop_assert_eq!(side.buf.pull_array::<$n>()[..], side.payload[..$n]);
+                side.payload.drain(..$n);
+            } else {
+                prop_assert_eq!(
+                    side.buf.peek_array::<$n>(off)[..],
+                    side.payload[off..off + $n]
+                );
+            }
+            Ok($n)
+        }};
+    }
+    match pick % 6 {
+        0 => at!(1),
+        1 => at!(4),
+        2 => at!(14),
+        3 => at!(20),
+        4 => at!(24),
+        _ => at!(48),
+    }
+}
+
+property! {
+    #![cases(96)]
+
+    fn prop_netbuf_matches_the_flat_model(
+        ops in vec_of((ints(0u8..12), any_u32(), any_u32()), 1..64),
+    ) {
+        let ledger = CopyLedger::new();
+        let pool = BufPool::slab_only();
+        let mut expect = LedgerSnapshot::default();
+        let mut sides = vec![Side {
+            buf: NetBuf::new(&ledger),
+            header: Vec::new(),
+            payload: Vec::new(),
+        }];
+        expect.allocations += 1;
+        let mut active = 0usize;
+        for (tag, (kind, a, b)) in ops.into_iter().enumerate() {
+            let tag = tag as u32;
+            let forked = sides.len() > 1;
+            let side = &mut sides[active];
+            match kind {
+                // A protocol-sized header, or one large enough to exhaust
+                // the headroom and regrow the spill.
+                0 | 1 => {
+                    let len = if kind == 0 { a as usize % 64 } else { a as usize % (3 * HEADROOM) };
+                    let bytes = fill(tag, len);
+                    side.buf.push_header(&bytes);
+                    side.header.splice(0..0, bytes);
+                    expect.header_bytes += len as u64;
+                }
+                2 => {
+                    let bytes = fill(tag, a as usize % 300);
+                    side.buf.append_segment(Segment::from_vec(bytes.clone()));
+                    side.payload.extend_from_slice(&bytes);
+                    expect.logical_copies += 1;
+                }
+                3 => {
+                    let bytes = fill(tag, a as usize % 300);
+                    match b % 4 {
+                        0 => side.buf.append_bytes(&bytes),
+                        1 => side.buf.append_vec(bytes.clone()),
+                        2 => side.buf.append_pooled(&pool, &bytes),
+                        _ => side.buf.append_filled(&pool, bytes.len(), |out| out.copy_from_slice(&bytes)),
+                    }
+                    side.payload.extend_from_slice(&bytes);
+                    expect.payload_copies += 1;
+                    expect.payload_bytes_copied += bytes.len() as u64;
+                }
+                4 => {
+                    let n = a as usize % (side.payload.len() + 1);
+                    prop_assert_eq!(side.buf.pull(n), side.payload[..n].to_vec(), "pull");
+                    side.payload.drain(..n);
+                    expect.header_bytes += n as u64;
+                }
+                5 => {
+                    expect.header_bytes += array_op(side, a, 0, true)? as u64;
+                }
+                6 => {
+                    let off = a as usize % (side.payload.len() + 1);
+                    let len = b as usize % (side.payload.len() - off + 1);
+                    prop_assert_eq!(side.buf.peek(off, len), side.payload[off..off + len].to_vec(), "peek");
+                }
+                7 => {
+                    let off = b as usize % (side.payload.len() + 1);
+                    array_op(side, a, off, false)?;
+                }
+                // Pointer surgery: take the chain, rearrange it, put it back.
+                8 => {
+                    let mut segs = side.buf.take_payload();
+                    prop_assert_eq!(side.buf.payload_len(), 0);
+                    prop_assert_eq!(side.buf.segment_count(), 0);
+                    match b % 3 {
+                        0 => {}
+                        1 => segs.reverse(),
+                        _ => segs = segs.iter().map(|s| s.slice(0, s.len() / 2)).collect(),
+                    }
+                    side.payload = segs.iter().flat_map(|s| s.as_slice().iter().copied()).collect();
+                    side.buf.replace_payload(segs);
+                    expect.logical_copies += 1;
+                }
+                // Fork once (share or clone), then alternate sides.
+                9 => {
+                    if !forked {
+                        let twin = if b & 1 == 1 {
+                            expect.logical_copies += 1;
+                            side.buf.share()
+                        } else {
+                            side.buf.clone()
+                        };
+                        let (header, payload) = (side.header.clone(), side.payload.clone());
+                        sides.push(Side { buf: twin, header, payload });
+                    }
+                    active = (active + 1) % sides.len();
+                }
+                10 => {
+                    if b & 1 == 1 {
+                        prop_assert_eq!(side.buf.copy_payload_to_vec(), side.payload.clone());
+                    } else {
+                        let seg = side.buf.copy_payload_to_pooled(&pool);
+                        prop_assert_eq!(seg.as_slice(), &side.payload[..]);
+                    }
+                    expect.payload_copies += 1;
+                    expect.payload_bytes_copied += side.payload.len() as u64;
+                }
+                _ => {
+                    side.buf.reserve_segments(a as usize % 32);
+                    if b & 1 == 1 {
+                        side.buf.inherit_csum();
+                        expect.csum_inherited += 1;
+                    } else {
+                        side.buf.compute_csum();
+                        expect.csum_bytes += side.payload.len() as u64;
+                    }
+                }
+            }
+            for side in &sides {
+                side.check()?;
+            }
+            prop_assert_eq!(ledger.snapshot(), expect, "ledger after op {} (kind {})", tag, kind);
+        }
+    }
+}
+
+/// A frame whose header either fits the headroom, spilled past it, or is
+/// absent, over a two-segment payload; plus pristine copies of the payload
+/// storage.
+fn frame(header_len: usize) -> (NetBuf, [Segment; 2], [Vec<u8>; 2]) {
+    let bytes = [fill(1, 700), fill(2, 900)];
+    let segs = [
+        Segment::from_vec(bytes[0].clone()),
+        Segment::from_vec(bytes[1].clone()),
+    ];
+    let mut pkt = NetBuf::new(&CopyLedger::new());
+    for seg in &segs {
+        pkt.append_segment(seg.clone());
+    }
+    if header_len > 0 {
+        pkt.push_header(&fill(3, header_len));
+    }
+    (pkt, segs, bytes)
+}
+
+property! {
+    #![cases(48)]
+
+    /// Corrupt deliveries differ from the sent frame in exactly one bit,
+    /// and that bit is in receiver-private memory: the sender's payload
+    /// storage still reads as it did, for headers in the headroom, spilled
+    /// headers and headerless frames (whose first segment is copied before
+    /// the flip).
+    fn prop_corruption_never_mutates_shared_payload(
+        seed in any_u64(),
+        header_len in one_of(vec![boxed(just(0usize)), boxed(just(42)), boxed(just(3 * HEADROOM))]),
+    ) {
+        let (pkt, segs, pristine) = frame(header_len);
+        let spec = FaultSpec { corrupt: 1.0, ..FaultSpec::default() };
+        let mut plan = FaultPlan::new(&spec, seed);
+        let rx_ledger = CopyLedger::new();
+        let mut corrupted = 0;
+        for _ in 0..8 {
+            let (rx, kind) = deliver_faulty(&pkt, &rx_ledger, &mut plan, FaultLink::ClientServer);
+            let rx = rx.expect("corruption still delivers");
+            let (sent, got) = (pkt.to_wire(), rx.to_wire());
+            prop_assert_eq!(got.len(), sent.len());
+            let flipped: u32 = sent.iter().zip(&got).map(|(a, b)| (a ^ b).count_ones()).sum();
+            if matches!(kind, Some(FaultKind::Corrupt { .. })) {
+                corrupted += 1;
+                prop_assert_eq!(flipped, 1, "exactly one bit flips");
+                let first_diff = sent.iter().zip(&got).position(|(a, b)| a != b).expect("one bit");
+                let private = if header_len > 0 { header_len } else { segs[0].len() };
+                prop_assert!(first_diff < private, "flip at {} is outside the private copy", first_diff);
+            } else {
+                prop_assert_eq!(flipped, 0);
+            }
+            for (seg, bytes) in segs.iter().zip(&pristine) {
+                prop_assert_eq!(seg.as_slice(), &bytes[..], "shared storage pristine");
+            }
+            // The untouched payload still rides by reference.
+            prop_assert!(rx.segments().any(|s| s.same_storage(&segs[1])));
+        }
+        prop_assert!(corrupted > 0, "rate-1.0 corruption fired");
+    }
+
+    /// Truncated deliveries are a prefix of the sent frame, clipped by
+    /// slicing: every surviving payload segment still shares the sender's
+    /// storage, which still reads as it did.
+    fn prop_truncation_clips_without_mutating_storage(
+        seed in any_u64(),
+        header_len in one_of(vec![boxed(just(0usize)), boxed(just(42)), boxed(just(3 * HEADROOM))]),
+    ) {
+        let (pkt, segs, pristine) = frame(header_len);
+        let spec = FaultSpec { truncate: 1.0, ..FaultSpec::default() };
+        let mut plan = FaultPlan::new(&spec, seed);
+        let rx_ledger = CopyLedger::new();
+        let mut truncated = 0;
+        for _ in 0..8 {
+            let (rx, kind) = deliver_faulty(&pkt, &rx_ledger, &mut plan, FaultLink::InitiatorTarget);
+            let rx = rx.expect("truncation still delivers");
+            let (sent, got) = (pkt.to_wire(), rx.to_wire());
+            prop_assert_eq!(&got[..], &sent[..got.len()], "a prefix arrives");
+            if matches!(kind, Some(FaultKind::Truncate { .. })) {
+                truncated += 1;
+                prop_assert!(got.len() < sent.len());
+            } else {
+                prop_assert_eq!(got.len(), sent.len());
+            }
+            let header_segs = usize::from(header_len > 0 && !got.is_empty());
+            for (i, s) in rx.segments().skip(header_segs).enumerate() {
+                prop_assert!(s.same_storage(&segs[i]), "payload segment {} is a slice, not a copy", i);
+            }
+            for (seg, bytes) in segs.iter().zip(&pristine) {
+                prop_assert_eq!(seg.as_slice(), &bytes[..], "shared storage pristine");
+            }
+        }
+        prop_assert!(truncated > 0, "rate-1.0 truncation fired");
+    }
+}

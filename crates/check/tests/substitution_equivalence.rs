@@ -1,0 +1,214 @@
+//! In-place substitution against a reference written from `lookup` +
+//! clipping.
+//!
+//! `substitute_payload` resolves every stamp straight into the outgoing
+//! chain (`resolve_into` → `lookup_into` → `share_segments_into`, clipped
+//! to the placeholder's length). The reference below does it the long way
+//! — one `lookup` per candidate key, a segment vector per chunk, a second
+//! pass to clip — on a twin cache fed the identical history. The two must
+//! agree on everything observable: the spliced segments (same storage,
+//! same offset, same length), the report, the ledger, the cache counters,
+//! the ghost tail, and the LRU order every later eviction follows.
+
+use check::gen::*;
+use check::{prop_assert, prop_assert_eq, property, PropResult};
+use ncache::{substitute_payload, NetCacheShards, SubstitutionReport};
+use netbuf::key::{CacheKey, Fho, FileHandle, KeyStamp, Lbn};
+use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
+use sim::SplitMix64;
+
+const CHUNK: usize = 4096;
+/// Pool capacity in chunks: 4 dirty FHO chunks stay pinned, the other 8
+/// slots turn over.
+const RESIDENT: u64 = 12;
+const LBNS: u64 = 16;
+const FHOS: u64 = 4;
+
+fn fho(i: u64) -> Fho {
+    Fho::new(FileHandle(7), i * CHUNK as u64)
+}
+
+/// A chunk's wire segments: `CHUNK` bytes cut at arbitrary points (MTU-ish
+/// fragments, one-byte runts, or a single slab).
+fn chunk_segments(rng: &mut SplitMix64, tag: u8) -> Vec<Segment> {
+    let whole = Segment::from_vec((0..CHUNK).map(|i| tag ^ (i as u8)).collect());
+    let mut cuts: Vec<usize> = (0..rng.next_below(4))
+        .map(|_| 1 + rng.next_below(CHUNK as u64 - 1) as usize)
+        .collect();
+    cuts.push(CHUNK);
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut at = 0;
+    cuts.into_iter()
+        .map(|cut| {
+            let seg = whole.slice(at, cut - at);
+            at = cut;
+            seg
+        })
+        .collect()
+}
+
+/// Fills `cache` with the fixed history both twins share: the dirty FHO
+/// chunks, then every LBN in order — so the oldest LBNs are evicted into
+/// the ghost tail. `chunks[k]` is key `k`'s segment list and payload
+/// length (some chunks carry trailing slack past a short payload).
+fn populate(cache: &NetCacheShards, chunks: &[(Vec<Segment>, usize)]) {
+    cache.enable_ghost(6);
+    for i in 0..FHOS {
+        let (segs, len) = &chunks[(LBNS + i) as usize];
+        cache
+            .insert_fho(fho(i), segs.clone(), *len)
+            .expect("dirty set fits");
+    }
+    for l in 0..LBNS {
+        let (segs, len) = &chunks[l as usize];
+        cache
+            .insert_lbn(Lbn(l), segs.clone(), *len, false)
+            .expect("clean chunks evict");
+    }
+}
+
+/// Substitution written from the public `lookup` plus an explicit clip.
+fn reference_substitute(
+    buf: &mut NetBuf,
+    cache: &NetCacheShards,
+    lbn_first: bool,
+) -> SubstitutionReport {
+    let mut report = SubstitutionReport::default();
+    let mut new = Vec::new();
+    for seg in buf.take_payload() {
+        let stamp = (seg.len() >= KeyStamp::LEN)
+            .then(|| KeyStamp::decode(seg.as_slice()))
+            .flatten()
+            .filter(KeyStamp::is_keyed);
+        let Some(stamp) = stamp else {
+            report.passed_through += 1;
+            new.push(seg);
+            continue;
+        };
+        let fho_key = stamp.fho.map(CacheKey::Fho);
+        let lbn_key = stamp.lbn.map(CacheKey::Lbn);
+        let order = if lbn_first {
+            [lbn_key, fho_key]
+        } else {
+            [fho_key, lbn_key]
+        };
+        match order
+            .into_iter()
+            .flatten()
+            .find_map(|key| cache.lookup(key))
+        {
+            Some(cached) => {
+                report.substituted += 1;
+                let mut remaining = seg.len();
+                for c in cached {
+                    if remaining == 0 {
+                        break;
+                    }
+                    let take = c.len().min(remaining);
+                    new.push(c.slice(0, take));
+                    remaining -= take;
+                }
+            }
+            None => {
+                report.missing += 1;
+                new.push(seg);
+            }
+        }
+    }
+    buf.replace_payload(new);
+    report
+}
+
+/// Same view of the same storage.
+fn same_view(a: &Segment, b: &Segment) -> bool {
+    a.same_storage(b) && a.len() == b.len() && a.as_slice().as_ptr() == b.as_slice().as_ptr()
+}
+
+fn resident(cache: &NetCacheShards) -> Vec<bool> {
+    (0..LBNS)
+        .map(|l| cache.contains(Lbn(l).into()))
+        .chain((0..FHOS).map(|i| cache.contains(fho(i).into())))
+        .collect()
+}
+
+fn caches_agree(subject: &NetCacheShards, reference: &NetCacheShards) -> PropResult {
+    prop_assert_eq!(subject.stats(), reference.stats(), "cache counters");
+    prop_assert_eq!(subject.ghost_stats(), reference.ghost_stats(), "ghost tail");
+    prop_assert_eq!(subject.clean_keys(), reference.clean_keys(), "LRU order");
+    prop_assert_eq!(resident(subject), resident(reference), "residency");
+    Ok(())
+}
+
+property! {
+    #![cases(64)]
+
+    fn prop_in_place_substitution_matches_the_lookup_and_clip_reference(
+        seed in any_u64(),
+        shards in ints(1usize..4),
+        lbn_first in any_bool(),
+        blocks in vec_of((ints(0u8..6), ints(0u64..24), ints(0usize..CHUNK + 1), any_bool()), 1..14),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let chunks: Vec<(Vec<Segment>, usize)> = (0..LBNS + FHOS)
+            .map(|k| {
+                let len = if rng.next_below(4) == 0 { 1 + rng.next_below(CHUNK as u64) as usize } else { CHUNK };
+                (chunk_segments(&mut rng, k as u8), len)
+            })
+            .collect();
+        let new_cache = || {
+            let c = NetCacheShards::new(BufPool::new(RESIDENT * CHUNK as u64), 0, shards);
+            populate(&c, &chunks);
+            c.set_resolve_lbn_first(lbn_first);
+            c
+        };
+        let (subject, reference) = (new_cache(), new_cache());
+        caches_agree(&subject, &reference)?;
+
+        // One reply: plain data, and placeholders of every stamp shape —
+        // resident, evicted (a ghost hit), never inserted, FHO over a
+        // stale LBN copy — at full and short-tail lengths.
+        let (subject_ledger, reference_ledger) = (CopyLedger::new(), CopyLedger::new());
+        let mut pkt = NetBuf::new(&subject_ledger);
+        let mut twin = NetBuf::new(&reference_ledger);
+        for (kind, key, len, full) in blocks {
+            let len = if full { CHUNK } else { len.max(KeyStamp::LEN) };
+            let stamp = match kind {
+                0 => None,
+                1 => Some(KeyStamp::new().with_lbn(Lbn(key))),
+                2 => Some(KeyStamp::new().with_fho(fho(key % 6))),
+                3 => Some(KeyStamp::new().with_fho(fho(key % 6)).with_lbn(Lbn(key))),
+                4 => Some(KeyStamp::new().with_lbn(Lbn(1000 + key))),
+                _ => Some(KeyStamp::new()), // a stamp with no key passes through
+            };
+            let mut bytes = vec![b'x'; len];
+            if let Some(stamp) = stamp {
+                stamp.encode_into(&mut bytes);
+            }
+            let seg = Segment::from_vec(bytes);
+            pkt.append_segment(seg.clone());
+            twin.append_segment(seg);
+        }
+
+        let got = substitute_payload(&mut pkt, &subject);
+        let want = reference_substitute(&mut twin, &reference, lbn_first);
+        prop_assert_eq!(got, want, "report");
+        prop_assert_eq!(pkt.segment_count(), twin.segment_count(), "chain length");
+        for (i, (a, b)) in pkt.segments().zip(twin.segments()).enumerate() {
+            prop_assert!(same_view(a, b), "segment {}: {:?} vs {:?}", i, a, b);
+        }
+        prop_assert_eq!(pkt.payload_len(), twin.payload_len());
+        prop_assert_eq!(subject_ledger.snapshot(), reference_ledger.snapshot(), "ledger");
+        caches_agree(&subject, &reference)?;
+
+        // The promotions must have landed identically: under pressure both
+        // twins pick the same victim, eviction after eviction.
+        for round in 0..RESIDENT {
+            for c in [&subject, &reference] {
+                let segs = vec![Segment::from_vec(vec![0xEE; CHUNK])];
+                c.insert_lbn(Lbn(5000 + round), segs, CHUNK, false).expect("clean chunks evict");
+            }
+            caches_agree(&subject, &reference)?;
+        }
+    }
+}

@@ -206,6 +206,21 @@ impl StatsCells {
     }
 }
 
+/// The keys a stamp resolves through, in order: FHO before LBN (§3.4)
+/// unless the ablation knob flips it.
+pub(crate) fn resolution_order(
+    stamp: &netbuf::key::KeyStamp,
+    fho_first: bool,
+) -> [Option<CacheKey>; 2] {
+    let fho_key = stamp.fho.map(CacheKey::Fho);
+    let lbn_key = stamp.lbn.map(CacheKey::Lbn);
+    if fho_first {
+        [fho_key, lbn_key]
+    } else {
+        [lbn_key, fho_key]
+    }
+}
+
 /// The network-centric cache.
 ///
 /// # Examples
@@ -397,13 +412,24 @@ impl NetCache {
     /// lock, so concurrent hit lookups never serialize against each
     /// other.
     pub fn lookup(&self, key: CacheKey) -> Option<Vec<Segment>> {
+        let mut out = Vec::new();
+        self.lookup_into(key, usize::MAX, &mut out).then_some(out)
+    }
+
+    /// [`NetCache::lookup`] sharing the hit's payload straight into `out`
+    /// (appended, clipped to `limit` bytes) instead of a fresh vector —
+    /// packet substitution resolves every placeholder of a reply into one
+    /// outgoing chain this way, with no allocation per chunk. Returns
+    /// whether `key` was resident; a miss leaves `out` untouched.
+    pub fn lookup_into(&self, key: CacheKey, limit: usize, out: &mut Vec<Segment>) -> bool {
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
         crate::epoch::bump_tally();
         if let Some(entry) = self.map.get(&key) {
             let fresh = self.seq.next();
             entry.seq.fetch_max(fresh, Ordering::Relaxed);
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            Some(entry.chunk.share_segments())
+            entry.chunk.share_segments_into(limit, out);
+            true
         } else {
             // A miss consults the ghost tail: a hit there is a request a
             // larger NCache quota would have served. Observation only —
@@ -411,7 +437,7 @@ impl NetCache {
             if let Some(g) = &self.ghost {
                 g.lock().expect("ghost poisoned").probe(ghost_key(key));
             }
-            None
+            false
         }
     }
 
@@ -420,19 +446,24 @@ impl NetCache {
     /// [`NetCache::set_resolve_lbn_first`] flips the order to exhibit the
     /// staleness bug the paper's ordering prevents.)
     pub fn resolve(&self, stamp: &netbuf::key::KeyStamp) -> Option<(CacheKey, Vec<Segment>)> {
-        let fho_key = stamp.fho.map(CacheKey::Fho);
-        let lbn_key = stamp.lbn.map(CacheKey::Lbn);
-        let (first, second) = if self.fho_first {
-            (fho_key, lbn_key)
-        } else {
-            (lbn_key, fho_key)
-        };
-        for key in [first, second].into_iter().flatten() {
-            if let Some(segs) = self.lookup(key) {
-                return Some((key, segs));
-            }
-        }
-        None
+        let mut out = Vec::new();
+        self.resolve_into(stamp, usize::MAX, &mut out)
+            .map(|key| (key, out))
+    }
+
+    /// [`NetCache::resolve`] through [`NetCache::lookup_into`]: the
+    /// winning key's payload is appended to `out`, clipped to `limit`
+    /// bytes.
+    pub fn resolve_into(
+        &self,
+        stamp: &netbuf::key::KeyStamp,
+        limit: usize,
+        out: &mut Vec<Segment>,
+    ) -> Option<CacheKey> {
+        resolution_order(stamp, self.fho_first)
+            .into_iter()
+            .flatten()
+            .find(|&key| self.lookup_into(key, limit, out))
     }
 
     /// Remaps an FHO entry to an LBN key when the file system flushes the

@@ -74,11 +74,12 @@ impl Chunk {
         self.csum = Some(csum);
     }
 
-    /// Shares the payload segments (logical copy), clipped to the payload
-    /// length.
-    pub fn share_segments(&self) -> Vec<Segment> {
-        let mut out = Vec::with_capacity(self.segs.len());
-        let mut remaining = self.len;
+    /// Shares the payload segments (logical copy) straight into `out`,
+    /// clipped to the payload length and to `limit` bytes — the length of
+    /// the placeholder being substituted (a reply's tail block may be
+    /// shorter than the chunk).
+    pub fn share_segments_into(&self, limit: usize, out: &mut Vec<Segment>) {
+        let mut remaining = self.len.min(limit);
         for seg in &self.segs {
             if remaining == 0 {
                 break;
@@ -87,6 +88,13 @@ impl Chunk {
             out.push(seg.slice(0, take));
             remaining -= take;
         }
+    }
+
+    /// Shares the payload segments (logical copy), clipped to the payload
+    /// length.
+    pub fn share_segments(&self) -> Vec<Segment> {
+        let mut out = Vec::with_capacity(self.segs.len());
+        self.share_segments_into(usize::MAX, &mut out);
         out
     }
 
@@ -125,6 +133,26 @@ mod tests {
         assert_eq!(c.to_bytes().len(), 1500);
         assert_eq!(c.len(), 1500);
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn share_into_clips_to_the_smaller_of_len_and_limit() {
+        let pool = BufPool::new(1 << 20);
+        let segs = vec![
+            Segment::from_vec(vec![1; 1000]),
+            Segment::from_vec(vec![2; 1000]),
+        ];
+        let c = Chunk::new(segs, 1500, false, pin(&pool, 4096));
+        let lens = |limit: usize| {
+            let mut out = vec![Segment::from_vec(vec![9])]; // appended to, not cleared
+            c.share_segments_into(limit, &mut out);
+            out[1..].iter().map(Segment::len).collect::<Vec<_>>()
+        };
+        assert_eq!(lens(0), Vec::<usize>::new());
+        assert_eq!(lens(100), vec![100]);
+        assert_eq!(lens(1000), vec![1000]);
+        assert_eq!(lens(1200), vec![1000, 200]);
+        assert_eq!(lens(usize::MAX), vec![1000, 500]);
     }
 
     #[test]

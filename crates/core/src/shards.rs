@@ -48,7 +48,9 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, Segment};
 
-use crate::cache::{CacheFull, NetCache, NetCacheStats, SeqSource, WritebackChunk};
+use crate::cache::{
+    resolution_order, CacheFull, NetCache, NetCacheStats, SeqSource, WritebackChunk,
+};
 
 pub(crate) fn mix64(mut x: u64) -> u64 {
     // splitmix64 finalizer — the workspace's standard seed/hash mixer.
@@ -322,26 +324,39 @@ impl NetCacheShards {
     /// Looks `key` up in its shard, promoting it to globally
     /// most-recently-used and returning its payload segments.
     pub fn lookup(&self, key: CacheKey) -> Option<Vec<Segment>> {
-        self.read(self.shard(key)).lookup(key)
+        let mut out = Vec::new();
+        self.lookup_into(key, usize::MAX, &mut out).then_some(out)
+    }
+
+    /// [`NetCacheShards::lookup`] sharing the hit's payload straight into
+    /// `out` under the shard's read lock (see [`NetCache::lookup_into`]).
+    pub fn lookup_into(&self, key: CacheKey, limit: usize, out: &mut Vec<Segment>) -> bool {
+        self.read(self.shard(key)).lookup_into(key, limit, out)
     }
 
     /// Resolves a key stamp FHO-first (§3.4), across shards: the FHO and
     /// LBN copies of a block may live in different shards.
     pub fn resolve(&self, stamp: &netbuf::key::KeyStamp) -> Option<(CacheKey, Vec<Segment>)> {
-        let fho_key = stamp.fho.map(CacheKey::Fho);
-        let lbn_key = stamp.lbn.map(CacheKey::Lbn);
+        let mut out = Vec::new();
+        self.resolve_into(stamp, usize::MAX, &mut out)
+            .map(|key| (key, out))
+    }
+
+    /// [`NetCacheShards::resolve`] through
+    /// [`NetCacheShards::lookup_into`]: the winning key's payload is
+    /// appended to `out`, clipped to `limit` bytes — how packet
+    /// substitution fills the outgoing chain.
+    pub fn resolve_into(
+        &self,
+        stamp: &netbuf::key::KeyStamp,
+        limit: usize,
+        out: &mut Vec<Segment>,
+    ) -> Option<CacheKey> {
         let fho_first = self.fho_first.load(std::sync::atomic::Ordering::Relaxed);
-        let (first, second) = if fho_first {
-            (fho_key, lbn_key)
-        } else {
-            (lbn_key, fho_key)
-        };
-        for key in [first, second].into_iter().flatten() {
-            if let Some(segs) = self.lookup(key) {
-                return Some((key, segs));
-            }
-        }
-        None
+        resolution_order(stamp, fho_first)
+            .into_iter()
+            .flatten()
+            .find(|&key| self.lookup_into(key, limit, out))
     }
 
     /// Remaps an FHO entry to an LBN key on file-system flush, moving the

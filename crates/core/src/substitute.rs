@@ -10,7 +10,7 @@
 //! packet, not per byte.
 
 use netbuf::key::KeyStamp;
-use netbuf::{NetBuf, Segment};
+use netbuf::NetBuf;
 
 use crate::shards::NetCacheShards;
 
@@ -34,25 +34,6 @@ impl SubstitutionReport {
         self.passed_through += other.passed_through;
         self.missing += other.missing;
     }
-}
-
-/// Clips a shared segment list to exactly `len` bytes.
-pub(crate) fn clip_segments(segs: Vec<Segment>, len: usize) -> Vec<Segment> {
-    let mut out = Vec::with_capacity(segs.len());
-    let mut remaining = len;
-    for seg in segs {
-        if remaining == 0 {
-            break;
-        }
-        let take = seg.len().min(remaining);
-        out.push(if take == seg.len() {
-            seg
-        } else {
-            seg.slice(0, take)
-        });
-        remaining -= take;
-    }
-    out
 }
 
 /// Substitutes every stamped placeholder segment in `buf`'s payload with
@@ -92,16 +73,16 @@ pub fn substitute_payload(buf: &mut NetBuf, cache: &NetCacheShards) -> Substitut
             None
         };
         match stamp {
-            Some(stamp) if stamp.is_keyed() => match cache.resolve(&stamp) {
-                Some((_, cached)) => {
+            // A hit lands in the outgoing chain directly, clipped to the
+            // placeholder's length (a reply's tail block may be short).
+            Some(stamp) if stamp.is_keyed() => {
+                if cache.resolve_into(&stamp, seg.len(), &mut new).is_some() {
                     report.substituted += 1;
-                    new.extend(clip_segments(cached, seg.len()));
-                }
-                None => {
+                } else {
                     report.missing += 1;
                     new.push(seg);
                 }
-            },
+            }
             _ => {
                 report.passed_through += 1;
                 new.push(seg);
@@ -116,7 +97,7 @@ pub fn substitute_payload(buf: &mut NetBuf, cache: &NetCacheShards) -> Substitut
 mod tests {
     use super::*;
     use netbuf::key::{Fho, FileHandle, Lbn};
-    use netbuf::{BufPool, CopyLedger};
+    use netbuf::{BufPool, CopyLedger, Segment};
 
     fn cache() -> NetCacheShards {
         // Multi-shard on purpose: every substitution test doubles as a
@@ -264,12 +245,25 @@ mod tests {
     }
 
     #[test]
-    fn clip_segments_edge_cases() {
-        let segs = vec![Segment::from_vec(vec![1; 10]), Segment::from_vec(vec![2; 10])];
-        assert_eq!(clip_segments(segs.clone(), 0).len(), 0);
-        let c = clip_segments(segs.clone(), 15);
-        assert_eq!(c.iter().map(Segment::len).sum::<usize>(), 15);
-        let c = clip_segments(segs, 20);
-        assert_eq!(c.iter().map(Segment::len).sum::<usize>(), 20);
+    fn multi_segment_chunks_splice_in_whole_and_clipped() {
+        let c = cache();
+        let chunk = vec![
+            Segment::from_vec(vec![1; 1448]),
+            Segment::from_vec(vec![2; 1448]),
+            Segment::from_vec(vec![3; 1200]),
+        ];
+        c.insert_lbn(Lbn(1), chunk.clone(), 4096, false).expect("fits");
+        let ledger = CopyLedger::new();
+        let mut pkt = NetBuf::new(&ledger);
+        pkt.append_segment(placeholder(KeyStamp::new().with_lbn(Lbn(1)), 4096));
+        pkt.append_segment(placeholder(KeyStamp::new().with_lbn(Lbn(1)), 2000));
+        let r = substitute_payload(&mut pkt, &c);
+        assert_eq!(r.substituted, 2);
+        let lens: Vec<usize> = pkt.segments().map(Segment::len).collect();
+        assert_eq!(lens, vec![1448, 1448, 1200, 1448, 552]);
+        for (got, want) in pkt.segments().zip(chunk.iter().chain(&chunk)) {
+            assert!(got.same_storage(want), "spliced, not copied");
+        }
+        assert_eq!(pkt.payload_len(), 4096 + 2000);
     }
 }

@@ -32,6 +32,66 @@ pub enum CsumState {
     Offloaded,
 }
 
+/// Bytes of inline headroom every [`NetBuf`] carries for the headers the
+/// send path prepends — the sk_buff headroom. Sized for the largest
+/// fixed-size header stack in the workspace (RPC reply + NFS `diropres` +
+/// UDP/IPv4/Ethernet = 170 bytes); anything larger spills to the heap.
+pub const HEADROOM: usize = 192;
+
+/// The linear header area: headers are prepended *downwards* into a fixed
+/// inline headroom, so a `push_header` is one `memcpy` of the new bytes.
+/// A header stack that outgrows the headroom (long HTTP headers, READDIR
+/// listings, replayed duplicate-request-cache replies) moves to a heap
+/// buffer with the same grow-downwards layout. The area is owned, never
+/// shared: cloning a buffer copies it.
+#[derive(Clone)]
+struct HeaderArea {
+    inline: [u8; HEADROOM],
+    /// Heap store, live (non-empty) only once the inline headroom
+    /// overflowed.
+    spill: Vec<u8>,
+    /// The header occupies `[start..]` of the live store.
+    start: usize,
+}
+
+impl HeaderArea {
+    fn new() -> Self {
+        HeaderArea {
+            inline: [0u8; HEADROOM],
+            spill: Vec::new(),
+            start: HEADROOM,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        if self.spill.is_empty() {
+            &self.inline[self.start..]
+        } else {
+            &self.spill[self.start..]
+        }
+    }
+
+    fn prepend(&mut self, bytes: &[u8]) {
+        if bytes.len() > self.start {
+            // Out of room: move to a heap store with as much free room
+            // again in front, so repeated large pushes stay amortized.
+            let old = self.bytes();
+            let cap = 2 * (old.len() + bytes.len());
+            let mut grown = vec![0u8; cap];
+            grown[cap - old.len()..].copy_from_slice(old);
+            self.start = cap - old.len();
+            self.spill = grown;
+        }
+        let store = if self.spill.is_empty() {
+            &mut self.inline[..]
+        } else {
+            &mut self.spill[..]
+        };
+        self.start -= bytes.len();
+        store[self.start..self.start + bytes.len()].copy_from_slice(bytes);
+    }
+}
+
 /// A network buffer: linear header area + chained payload segments.
 ///
 /// # Examples
@@ -49,8 +109,11 @@ pub enum CsumState {
 #[derive(Clone)]
 pub struct NetBuf {
     ledger: CopyLedger,
-    header: Vec<u8>,
+    header: HeaderArea,
     segs: VecDeque<Segment>,
+    /// Sum of the segment lengths, maintained by every operation that
+    /// changes the chain (host-only bookkeeping; never charged).
+    payload_len: usize,
     csum: CsumState,
 }
 
@@ -60,8 +123,9 @@ impl NetBuf {
         ledger.charge_allocation();
         NetBuf {
             ledger: ledger.clone(),
-            header: Vec::new(),
+            header: HeaderArea::new(),
             segs: VecDeque::new(),
+            payload_len: 0,
             csum: CsumState::None,
         }
     }
@@ -69,15 +133,21 @@ impl NetBuf {
     /// Wraps a frame the NIC DMA'd into memory. Not a CPU copy: the bytes
     /// were placed by the device, as in the paper's receive path.
     pub fn from_wire(ledger: &CopyLedger, frame: Vec<u8>) -> Self {
-        ledger.charge_allocation();
-        let mut segs = VecDeque::new();
-        segs.push_back(Segment::from_vec(frame));
-        NetBuf {
-            ledger: ledger.clone(),
-            header: Vec::new(),
-            segs,
-            csum: CsumState::None,
-        }
+        let mut b = NetBuf::new(ledger);
+        b.push_segment(Segment::from_vec(frame));
+        b
+    }
+
+    /// Sizes the segment chain for `additional` more segments, so a packet
+    /// whose segment count is known up front allocates its chain once
+    /// (host-only; never charged).
+    pub fn reserve_segments(&mut self, additional: usize) {
+        self.segs.reserve(additional);
+    }
+
+    fn push_segment(&mut self, seg: Segment) {
+        self.payload_len += seg.len();
+        self.segs.push_back(seg);
     }
 
     /// The ledger this buffer charges.
@@ -87,22 +157,22 @@ impl NetBuf {
 
     /// The (already-built) header bytes, outermost first.
     pub fn header(&self) -> &[u8] {
-        &self.header
+        self.header.bytes()
     }
 
     /// Header length in bytes.
     pub fn header_len(&self) -> usize {
-        self.header.len()
+        self.header.bytes().len()
     }
 
     /// Payload length in bytes (sum of all segments).
     pub fn payload_len(&self) -> usize {
-        self.segs.iter().map(Segment::len).sum()
+        self.payload_len
     }
 
     /// Header + payload length.
     pub fn total_len(&self) -> usize {
-        self.header.len() + self.payload_len()
+        self.header_len() + self.payload_len
     }
 
     /// Whether the buffer carries neither header nor payload.
@@ -121,38 +191,88 @@ impl NetBuf {
     /// of physically copying them is not significant", §1).
     pub fn push_header(&mut self, bytes: &[u8]) {
         self.ledger.charge_header_bytes(bytes.len() as u64);
-        let mut new = Vec::with_capacity(bytes.len() + self.header.len());
-        new.extend_from_slice(bytes);
-        new.extend_from_slice(&self.header);
-        self.header = new;
+        self.header.prepend(bytes);
+    }
+
+    /// Strips the first `n` payload bytes, handing them to `sink` run by
+    /// run, and charges them as header-byte movement.
+    fn consume(&mut self, n: usize, mut sink: impl FnMut(&[u8])) {
+        assert!(
+            n <= self.payload_len,
+            "pull of {n} bytes exceeds payload of {} bytes",
+            self.payload_len
+        );
+        self.ledger.charge_header_bytes(n as u64);
+        self.payload_len -= n;
+        let mut need = n;
+        while need > 0 {
+            let front = self.segs.front_mut().expect("payload length checked");
+            if front.len() <= need {
+                sink(front.as_slice());
+                need -= front.len();
+                self.segs.pop_front();
+            } else {
+                sink(&front.as_slice()[..need]);
+                front.advance(need);
+                need = 0;
+            }
+        }
+    }
+
+    /// Hands payload bytes `[off, off+len)` to `sink` run by run, without
+    /// consuming or charging.
+    fn walk(&self, off: usize, len: usize, mut sink: impl FnMut(&[u8])) {
+        assert!(
+            off + len <= self.payload_len,
+            "peek [{off}, {}) exceeds payload of {} bytes",
+            off + len,
+            self.payload_len
+        );
+        let mut skip = off;
+        let mut left = len;
+        for seg in &self.segs {
+            if left == 0 {
+                break;
+            }
+            let s = seg.as_slice();
+            if skip >= s.len() {
+                skip -= s.len();
+                continue;
+            }
+            let take = (s.len() - skip).min(left);
+            sink(&s[skip..skip + take]);
+            skip = 0;
+            left -= take;
+        }
     }
 
     /// Strips and returns the first `n` bytes of *payload* (receive-side
     /// header parsing: the stripped bytes are protocol metadata). Charged
-    /// as header-byte movement.
+    /// as header-byte movement. For variable-length bodies; fixed-size
+    /// headers parse from the stack with [`NetBuf::pull_array`].
     ///
     /// # Panics
     ///
     /// Panics if fewer than `n` payload bytes remain.
     pub fn pull(&mut self, n: usize) -> Vec<u8> {
-        assert!(
-            n <= self.payload_len(),
-            "pull of {n} bytes exceeds payload of {} bytes",
-            self.payload_len()
-        );
-        self.ledger.charge_header_bytes(n as u64);
         let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let need = n - out.len();
-            let front = self.segs.pop_front().expect("payload length checked");
-            if front.len() <= need {
-                out.extend_from_slice(front.as_slice());
-            } else {
-                let (head, tail) = front.split_at(need);
-                out.extend_from_slice(head.as_slice());
-                self.segs.push_front(tail);
-            }
-        }
+        self.consume(n, |run| out.extend_from_slice(run));
+        out
+    }
+
+    /// [`NetBuf::pull`] of a fixed-size header into a stack array: same
+    /// charge, no heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `N` payload bytes remain.
+    pub fn pull_array<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0u8; N];
+        let mut at = 0;
+        self.consume(N, |run| {
+            out[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        });
         out
     }
 
@@ -165,28 +285,23 @@ impl NetBuf {
     ///
     /// Panics if the range exceeds the payload.
     pub fn peek(&self, off: usize, len: usize) -> Vec<u8> {
-        assert!(
-            off + len <= self.payload_len(),
-            "peek [{off}, {}) exceeds payload of {} bytes",
-            off + len,
-            self.payload_len()
-        );
         let mut out = Vec::with_capacity(len);
-        let mut skip = off;
-        for seg in &self.segs {
-            if out.len() == len {
-                break;
-            }
-            let s = seg.as_slice();
-            if skip >= s.len() {
-                skip -= s.len();
-                continue;
-            }
-            let avail = &s[skip..];
-            skip = 0;
-            let take = avail.len().min(len - out.len());
-            out.extend_from_slice(&avail[..take]);
-        }
+        self.walk(off, len, |run| out.extend_from_slice(run));
+        out
+    }
+
+    /// [`NetBuf::peek`] of `N` bytes at `off` into a stack array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the payload.
+    pub fn peek_array<const N: usize>(&self, off: usize) -> [u8; N] {
+        let mut out = [0u8; N];
+        let mut at = 0;
+        self.walk(off, N, |run| {
+            out[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        });
         out
     }
 
@@ -194,14 +309,14 @@ impl NetBuf {
     /// payload bytes move.
     pub fn append_segment(&mut self, seg: Segment) {
         self.ledger.charge_logical_copy();
-        self.segs.push_back(seg);
+        self.push_segment(seg);
     }
 
     /// Copies `bytes` into a fresh payload segment — a **physical copy**,
     /// charged to the ledger.
     pub fn append_bytes(&mut self, bytes: &[u8]) {
         self.ledger.charge_payload_copy(bytes.len() as u64);
-        self.segs.push_back(Segment::from_vec(bytes.to_vec()));
+        self.push_segment(Segment::from_vec(bytes.to_vec()));
     }
 
     /// Moves an owned `bytes` vector in as a payload segment. Charged
@@ -211,7 +326,7 @@ impl NetBuf {
     /// the buffer skip one memcpy.
     pub fn append_vec(&mut self, bytes: Vec<u8>) {
         self.ledger.charge_payload_copy(bytes.len() as u64);
-        self.segs.push_back(Segment::from_vec(bytes));
+        self.push_segment(Segment::from_vec(bytes));
     }
 
     /// Copies `bytes` into a recycled slab from `pool` — same ledger charge
@@ -219,7 +334,7 @@ impl NetBuf {
     /// returns to) the pool's free list instead of the host allocator.
     pub fn append_pooled(&mut self, pool: &crate::BufPool, bytes: &[u8]) {
         self.ledger.charge_payload_copy(bytes.len() as u64);
-        self.segs.push_back(pool.seg_from_slice(bytes));
+        self.push_segment(pool.seg_from_slice(bytes));
     }
 
     /// Builds a `len`-byte payload segment in place on a recycled slab:
@@ -234,7 +349,7 @@ impl NetBuf {
         fill: impl FnOnce(&mut [u8]),
     ) {
         self.ledger.charge_payload_copy(len as u64);
-        self.segs.push_back(pool.seg_filled(len, fill));
+        self.push_segment(pool.seg_filled(len, fill));
     }
 
     /// Logical copy of the whole buffer: shares every segment. Charged as a
@@ -242,6 +357,16 @@ impl NetBuf {
     pub fn share(&self) -> NetBuf {
         self.ledger.charge_logical_copy();
         self.clone()
+    }
+
+    /// Copies every payload segment into `out`, back to back (uncharged
+    /// helper; callers charge).
+    fn gather_into(&self, out: &mut [u8]) {
+        let mut at = 0;
+        for seg in &self.segs {
+            out[at..at + seg.len()].copy_from_slice(seg.as_slice());
+            at += seg.len();
+        }
     }
 
     /// Physically copies the entire payload into `out` — charged.
@@ -252,21 +377,21 @@ impl NetBuf {
     pub fn copy_payload_into(&self, out: &mut [u8]) {
         assert_eq!(
             out.len(),
-            self.payload_len(),
+            self.payload_len,
             "destination must match payload length"
         );
         self.ledger.charge_payload_copy(out.len() as u64);
-        let mut at = 0;
-        for seg in &self.segs {
-            out[at..at + seg.len()].copy_from_slice(seg.as_slice());
-            at += seg.len();
-        }
+        self.gather_into(out);
     }
 
-    /// Physically copies the payload into a fresh vector — charged.
+    /// Physically copies the payload into a fresh vector — charged as one
+    /// payload copy, and one pass on the host (no zero-fill first).
     pub fn copy_payload_to_vec(&self) -> Vec<u8> {
-        let mut v = vec![0u8; self.payload_len()];
-        self.copy_payload_into(&mut v);
+        self.ledger.charge_payload_copy(self.payload_len as u64);
+        let mut v = Vec::with_capacity(self.payload_len);
+        for seg in &self.segs {
+            v.extend_from_slice(seg.as_slice());
+        }
         v
     }
 
@@ -275,33 +400,34 @@ impl NetBuf {
     /// copy of the full length), with the destination drawn from `pool`'s
     /// slab free list.
     pub fn copy_payload_to_pooled(&self, pool: &crate::BufPool) -> Segment {
-        let len = self.payload_len();
-        self.ledger.charge_payload_copy(len as u64);
-        pool.seg_filled(len, |out| {
-            let mut at = 0;
-            for seg in &self.segs {
-                out[at..at + seg.len()].copy_from_slice(seg.as_slice());
-                at += seg.len();
-            }
-        })
+        self.ledger.charge_payload_copy(self.payload_len as u64);
+        pool.seg_filled(self.payload_len, |out| self.gather_into(out))
     }
 
     /// Removes and returns all payload segments (pointer manipulation; the
     /// substitution engine uses this to splice cached payload into an
-    /// outgoing packet).
+    /// outgoing packet). The chain's own storage is handed over, not
+    /// copied.
     pub fn take_payload(&mut self) -> Vec<Segment> {
-        self.segs.drain(..).collect()
+        self.payload_len = 0;
+        Vec::from(std::mem::take(&mut self.segs))
     }
 
     /// Replaces the payload with `segs` (logical; charged as one logical
     /// copy — this is NCache packet substitution).
     pub fn replace_payload(&mut self, segs: Vec<Segment>) {
         self.ledger.charge_logical_copy();
+        self.payload_len = segs.iter().map(Segment::len).sum();
         self.segs = segs.into();
     }
 
     /// Iterates over payload segments.
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
+        debug_assert_eq!(
+            self.payload_len,
+            self.segs.iter().map(Segment::len).sum::<usize>(),
+            "cached payload length drifted from the chain"
+        );
         self.segs.iter()
     }
 
@@ -314,7 +440,7 @@ impl NetBuf {
     /// marks the buffer [`CsumState::Computed`]. Returns the 16-bit Internet
     /// checksum of the payload.
     pub fn compute_csum(&mut self) -> u16 {
-        self.ledger.charge_csum(self.payload_len() as u64);
+        self.ledger.charge_csum(self.payload_len as u64);
         // A 64-bit accumulator cannot overflow below 2^48 payload bytes.
         let mut sum: u64 = 0;
         let mut odd: Option<u8> = None;
@@ -352,7 +478,7 @@ impl NetBuf {
     /// gathering the chain by DMA, so it is *not* charged as a CPU copy.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.total_len());
-        v.extend_from_slice(&self.header);
+        v.extend_from_slice(self.header());
         for seg in &self.segs {
             v.extend_from_slice(seg.as_slice());
         }
@@ -363,8 +489,8 @@ impl NetBuf {
 impl fmt::Debug for NetBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetBuf")
-            .field("header_len", &self.header.len())
-            .field("payload_len", &self.payload_len())
+            .field("header_len", &self.header_len())
+            .field("payload_len", &self.payload_len)
             .field("segments", &self.segs.len())
             .field("csum", &self.csum)
             .finish()
@@ -458,6 +584,74 @@ mod tests {
         let l = ledger();
         let b = NetBuf::from_wire(&l, vec![1, 2]);
         b.peek(1, 2);
+    }
+
+    #[test]
+    fn pull_and_peek_arrays_match_the_vec_forms() {
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        b.append_segment(Segment::from_vec(vec![1, 2]));
+        b.append_segment(Segment::from_vec(vec![3, 4, 5]));
+        let before = l.snapshot();
+        assert_eq!(b.peek_array::<3>(1), [2, 3, 4]);
+        assert_eq!(l.snapshot(), before, "peek_array must not charge the ledger");
+        assert_eq!(b.pull_array::<3>(), [1, 2, 3]);
+        assert_eq!(l.snapshot().delta_since(&before).header_bytes, 3);
+        assert_eq!(b.payload_len(), 2);
+        assert_eq!(b.segment_count(), 1, "the emptied front segment is gone");
+        assert_eq!(b.pull_array::<0>(), [0u8; 0]);
+        assert_eq!(b.copy_payload_to_vec(), vec![4, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds payload")]
+    fn pull_array_too_much_panics() {
+        let l = ledger();
+        let mut b = NetBuf::from_wire(&l, vec![1, 2, 3]);
+        b.pull_array::<4>();
+    }
+
+    #[test]
+    fn headers_larger_than_the_headroom_spill_and_keep_order() {
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        let inner: Vec<u8> = (0..HEADROOM as u32).map(|i| i as u8).collect();
+        b.push_header(&inner); // exactly fills the headroom
+        assert_eq!(b.header(), &inner[..]);
+        b.push_header(&[0xEE; 5]); // spills
+        let big = vec![0xDD; 3 * HEADROOM];
+        b.push_header(&big); // regrows the spill
+        b.push_header(&[0xCC]);
+        let mut want = vec![0xCC];
+        want.extend_from_slice(&big);
+        want.extend_from_slice(&[0xEE; 5]);
+        want.extend_from_slice(&inner);
+        assert_eq!(b.header(), &want[..]);
+        assert_eq!(b.header_len(), want.len());
+        assert_eq!(l.snapshot().header_bytes, want.len() as u64);
+    }
+
+    #[test]
+    fn clones_own_their_headroom() {
+        let l = ledger();
+        let mut a = NetBuf::new(&l);
+        a.push_header(&[2, 3]);
+        let mut b = a.share();
+        a.push_header(&[1]);
+        b.push_header(&[9, 9]);
+        assert_eq!(a.header(), &[1, 2, 3]);
+        assert_eq!(b.header(), &[9, 9, 2, 3]);
+    }
+
+    #[test]
+    fn reserve_segments_is_host_only() {
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        let before = l.snapshot();
+        b.reserve_segments(9);
+        assert_eq!(l.snapshot(), before);
+        assert_eq!(b.segment_count(), 0);
+        assert!(b.is_empty());
     }
 
     #[test]

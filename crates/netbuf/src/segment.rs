@@ -128,6 +128,23 @@ impl Segment {
         }
     }
 
+    /// Drops the first `n` bytes from this view in place (the receive
+    /// path pulling a header off the front of a frame). No bytes move and
+    /// no reference is taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the view length.
+    pub fn advance(&mut self, n: usize) {
+        assert!(
+            n <= self.len,
+            "advance by {n} out of bounds of segment of {} bytes",
+            self.len
+        );
+        self.off += n;
+        self.len -= n;
+    }
+
     /// Splits the view at `at`, returning `(front, back)`. Shares storage.
     ///
     /// # Panics
@@ -229,6 +246,17 @@ mod tests {
         let inner = b.slice(1, 2);
         assert_eq!(inner.as_slice(), &[5, 6]);
         assert!(inner.same_storage(&s));
+    }
+
+    #[test]
+    fn advance_trims_the_front_in_place() {
+        let s = Segment::from_vec((0..10).collect());
+        let mut t = s.slice(2, 6);
+        t.advance(2);
+        assert_eq!(t.as_slice(), &[4, 5, 6, 7]);
+        t.advance(4);
+        assert!(t.is_empty());
+        assert_eq!(s.refcount(), 2, "advance takes no reference");
     }
 
     #[test]

@@ -77,6 +77,43 @@ fn put_u32(b: &mut Vec<u8>, v: u32) {
     b.extend_from_slice(&v.to_be_bytes());
 }
 
+fn set_u32(b: &mut [u8], at: usize, v: u32) {
+    b[at..at + 4].copy_from_slice(&v.to_be_bytes());
+}
+
+/// Writes a handle into the first 8 of its [`FH_LEN`] bytes at `at`; the
+/// opaque remainder stays as the caller zeroed it.
+fn set_fh(b: &mut [u8], at: usize, fh: u64) {
+    b[at..at + 8].copy_from_slice(&fh.to_be_bytes());
+}
+
+/// An encoded header on the stack: the first `len` of `N` bytes. Replies
+/// whose error form is just the status word are shorter than their
+/// success form, so the fixed-size encoders return this instead of a bare
+/// array; it dereferences to the encoded bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Encoded<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Encoded<N> {
+    /// A status-only (error) reply body.
+    fn status_only(status: u32) -> Self {
+        let mut buf = [0u8; N];
+        set_u32(&mut buf, 0, status);
+        Encoded { buf, len: 4 }
+    }
+}
+
+impl<const N: usize> std::ops::Deref for Encoded<N> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
 fn get_u32(b: &[u8], at: usize) -> u32 {
     u32::from_be_bytes(b[at..at + 4].try_into().expect("4 bytes"))
 }
@@ -105,25 +142,30 @@ pub struct Fattr {
 }
 
 impl Fattr {
-    /// Encodes the 68-byte fattr.
+    /// Writes the fattr into the zeroed [`FATTR_LEN`] bytes at `b[at..]`.
+    /// uid, gid, rdev, fsid, atime and the usec halves encode as zero.
+    fn put(&self, b: &mut [u8], at: usize) {
+        set_u32(b, at, self.ftype.to_u32());
+        set_u32(b, at + 4, 0o644); // mode
+        set_u32(b, at + 8, 1); // nlink
+        set_u32(b, at + 20, self.size);
+        set_u32(b, at + 24, 4096); // blocksize
+        set_u32(b, at + 32, self.size.div_ceil(4096)); // blocks
+        set_u32(b, at + 40, self.fileid);
+        set_u32(b, at + 52, self.mtime);
+        set_u32(b, at + 60, self.mtime); // ctime
+    }
+
+    /// Encodes the 68-byte fattr on the stack.
+    pub fn encode_array(&self) -> [u8; FATTR_LEN] {
+        let mut b = [0u8; FATTR_LEN];
+        self.put(&mut b, 0);
+        b
+    }
+
+    /// Appends the 68-byte fattr to `b`.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
-        put_u32(b, self.ftype.to_u32());
-        put_u32(b, 0o644); // mode
-        put_u32(b, 1); // nlink
-        put_u32(b, 0); // uid
-        put_u32(b, 0); // gid
-        put_u32(b, self.size);
-        put_u32(b, 4096); // blocksize
-        put_u32(b, 0); // rdev
-        put_u32(b, self.size.div_ceil(4096)); // blocks
-        put_u32(b, 0); // fsid
-        put_u32(b, self.fileid);
-        put_u32(b, 0); // atime sec
-        put_u32(b, 0); // atime usec
-        put_u32(b, self.mtime);
-        put_u32(b, 0); // mtime usec
-        put_u32(b, self.mtime);
-        put_u32(b, 0); // ctime usec
+        b.extend_from_slice(&self.encode_array());
     }
 
     /// Decodes a 68-byte fattr from `b[at..]`.
@@ -151,11 +193,19 @@ pub struct GetattrArgs {
 }
 
 impl GetattrArgs {
-    /// Encodes the body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(FH_LEN);
-        put_fh(&mut b, self.fh);
+    /// Encoded length.
+    pub const LEN: usize = FH_LEN;
+
+    /// Encodes the body on the stack.
+    pub fn encode_array(&self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        set_fh(&mut b, 0, self.fh);
         b
+    }
+
+    /// [`GetattrArgs::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes the body.
@@ -164,7 +214,7 @@ impl GetattrArgs {
     ///
     /// [`DecodeError::Truncated`] on short input.
     pub fn decode(b: &[u8]) -> Result<GetattrArgs> {
-        need(b, FH_LEN)?;
+        need(b, Self::LEN)?;
         Ok(GetattrArgs { fh: get_fh(b, 0) })
     }
 }
@@ -223,15 +273,24 @@ pub struct LookupReply {
 }
 
 impl LookupReply {
-    /// Encodes the body (error replies carry only the status word).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.status);
+    /// Encoded length of a success body.
+    pub const OK_LEN: usize = 4 + FH_LEN + FATTR_LEN;
+
+    /// Encodes the body on the stack (error replies carry only the status
+    /// word).
+    pub fn encode_array(&self) -> Encoded<{ LookupReply::OK_LEN }> {
+        let mut e = Encoded::status_only(self.status);
         if self.status == NFS_OK {
-            put_fh(&mut b, self.fh);
-            self.attrs.encode_into(&mut b);
+            set_fh(&mut e.buf, 4, self.fh);
+            self.attrs.put(&mut e.buf, 4 + FH_LEN);
+            e.len = Self::OK_LEN;
         }
-        b
+        e
+    }
+
+    /// [`LookupReply::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes the body.
@@ -248,7 +307,7 @@ impl LookupReply {
                 ..LookupReply::default()
             });
         }
-        need(b, 4 + FH_LEN + FATTR_LEN)?;
+        need(b, Self::OK_LEN)?;
         Ok(LookupReply {
             status,
             fh: get_fh(b, 4),
@@ -269,14 +328,22 @@ pub struct ReadArgs {
 }
 
 impl ReadArgs {
-    /// Encodes the body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(FH_LEN + 12);
-        put_fh(&mut b, self.fh);
-        put_u32(&mut b, self.offset);
-        put_u32(&mut b, self.count);
-        put_u32(&mut b, self.count); // totalcount (unused, RFC 1094)
+    /// Encoded length.
+    pub const LEN: usize = FH_LEN + 12;
+
+    /// Encodes the body on the stack.
+    pub fn encode_array(&self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        set_fh(&mut b, 0, self.fh);
+        set_u32(&mut b, FH_LEN, self.offset);
+        set_u32(&mut b, FH_LEN + 4, self.count);
+        set_u32(&mut b, FH_LEN + 8, self.count); // totalcount (unused, RFC 1094)
         b
+    }
+
+    /// [`ReadArgs::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes the body.
@@ -285,7 +352,7 @@ impl ReadArgs {
     ///
     /// [`DecodeError::Truncated`] on short input.
     pub fn decode(b: &[u8]) -> Result<ReadArgs> {
-        need(b, FH_LEN + 12)?;
+        need(b, Self::LEN)?;
         Ok(ReadArgs {
             fh: get_fh(b, 0),
             offset: get_u32(b, FH_LEN),
@@ -310,15 +377,21 @@ impl ReadReplyHeader {
     /// Encoded length of a success header.
     pub const OK_LEN: usize = 4 + FATTR_LEN + 4;
 
-    /// Encodes the header (error replies carry only the status word).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.status);
+    /// Encodes the header on the stack (error replies carry only the
+    /// status word).
+    pub fn encode_array(&self) -> Encoded<{ ReadReplyHeader::OK_LEN }> {
+        let mut e = Encoded::status_only(self.status);
         if self.status == NFS_OK {
-            self.attrs.encode_into(&mut b);
-            put_u32(&mut b, self.count);
+            self.attrs.put(&mut e.buf, 4);
+            set_u32(&mut e.buf, 4 + FATTR_LEN, self.count);
+            e.len = Self::OK_LEN;
         }
-        b
+        e
+    }
+
+    /// [`ReadReplyHeader::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes the header.
@@ -359,15 +432,19 @@ impl WriteArgsHeader {
     /// Encoded length.
     pub const LEN: usize = FH_LEN + 16;
 
-    /// Encodes the header.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::LEN);
-        put_fh(&mut b, self.fh);
-        put_u32(&mut b, 0); // beginoffset (unused, RFC 1094)
-        put_u32(&mut b, self.offset);
-        put_u32(&mut b, 0); // totalcount (unused)
-        put_u32(&mut b, self.count);
+    /// Encodes the header on the stack (beginoffset and totalcount are
+    /// unused, RFC 1094, and encode as zero).
+    pub fn encode_array(&self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        set_fh(&mut b, 0, self.fh);
+        set_u32(&mut b, FH_LEN + 4, self.offset);
+        set_u32(&mut b, FH_LEN + 12, self.count);
         b
+    }
+
+    /// [`WriteArgsHeader::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes the header.
@@ -385,7 +462,7 @@ impl WriteArgsHeader {
     }
 }
 
-/// WRITE reply body: status + attributes.
+/// WRITE reply body: status + attributes (RFC 1094's `attrstat`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct WriteReply {
     /// NFS status.
@@ -395,14 +472,23 @@ pub struct WriteReply {
 }
 
 impl WriteReply {
-    /// Encodes the body (error replies carry only the status word).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.status);
+    /// Encoded length of a success body.
+    pub const OK_LEN: usize = 4 + FATTR_LEN;
+
+    /// Encodes the body on the stack (error replies carry only the status
+    /// word).
+    pub fn encode_array(&self) -> Encoded<{ WriteReply::OK_LEN }> {
+        let mut e = Encoded::status_only(self.status);
         if self.status == NFS_OK {
-            self.attrs.encode_into(&mut b);
+            self.attrs.put(&mut e.buf, 4);
+            e.len = Self::OK_LEN;
         }
-        b
+        e
+    }
+
+    /// [`WriteReply::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes the body.
@@ -425,6 +511,9 @@ impl WriteReply {
         })
     }
 }
+
+/// GETATTR replies are `attrstat`, the same shape as [`WriteReply`].
+pub type GetattrReply = WriteReply;
 
 /// CREATE request body: directory handle + name + (ignored) sattr.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -514,13 +603,18 @@ impl ReaddirArgs {
     /// Encoded length.
     pub const LEN: usize = FH_LEN + 8;
 
-    /// Encodes the body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::LEN);
-        put_fh(&mut b, self.fh);
-        put_u32(&mut b, self.cookie);
-        put_u32(&mut b, self.count);
+    /// Encodes the body on the stack.
+    pub fn encode_array(&self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        set_fh(&mut b, 0, self.fh);
+        set_u32(&mut b, FH_LEN, self.cookie);
+        set_u32(&mut b, FH_LEN + 4, self.count);
         b
+    }
+
+    /// [`ReaddirArgs::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes the body.
@@ -812,6 +906,40 @@ mod tests {
         assert_eq!(ReaddirReply::decode(&err.encode()), Ok(err));
     }
 
+    /// The field-by-field XDR layout the stack encoders must reproduce,
+    /// written the slow way: every word appended in wire order.
+    fn fattr_reference(a: &Fattr, b: &mut Vec<u8>) {
+        for w in [
+            a.ftype.to_u32(),
+            0o644, // mode
+            1,     // nlink
+            0,     // uid
+            0,     // gid
+            a.size,
+            4096, // blocksize
+            0,    // rdev
+            a.size.div_ceil(4096),
+            0, // fsid
+            a.fileid,
+            0, // atime sec
+            0, // atime usec
+            a.mtime,
+            0, // mtime usec
+            a.mtime,
+            0, // ctime usec
+        ] {
+            put_u32(b, w);
+        }
+    }
+
+    #[test]
+    fn error_replies_encode_as_the_status_word_only() {
+        let st = NFSERR_JUKEBOX.to_be_bytes();
+        assert_eq!(&*ReadReplyHeader { status: NFSERR_JUKEBOX, ..Default::default() }.encode_array(), &st);
+        assert_eq!(&*WriteReply { status: NFSERR_JUKEBOX, ..Default::default() }.encode_array(), &st);
+        assert_eq!(&*LookupReply { status: NFSERR_JUKEBOX, ..Default::default() }.encode_array(), &st);
+    }
+
     property! {
         fn prop_readdir_reply_round_trip(
             names in vec_of((string_of(ALNUM_LOWER, 1..21), any_u32()), 0..20),
@@ -826,6 +954,52 @@ mod tests {
                 eof,
             };
             prop_assert_eq!(ReaddirReply::decode(&r.encode()), Ok(r.clone()));
+        }
+
+        fn prop_stack_encoders_match_the_wire_order_reference(
+            fh in any_u64(),
+            words in (any_u32(), any_u32(), any_u32(), any_u32(), any_u32()),
+            dir in any_bool(),
+        ) {
+            let (size, fileid, mtime, offset, count) = words;
+            let ftype = if dir { FileType::Directory } else { FileType::Regular };
+            let attrs = Fattr { ftype, size, fileid, mtime };
+            let mut want_attrs = Vec::new();
+            fattr_reference(&attrs, &mut want_attrs);
+            prop_assert_eq!(attrs.encode_array().to_vec(), want_attrs.clone());
+
+            let mut fh_bytes = Vec::new();
+            put_fh(&mut fh_bytes, fh);
+            prop_assert_eq!(GetattrArgs { fh }.encode(), fh_bytes.clone());
+
+            let mut want = fh_bytes.clone();
+            for w in [offset, count, count] {
+                put_u32(&mut want, w);
+            }
+            prop_assert_eq!(ReadArgs { fh, offset, count }.encode(), want);
+
+            let mut want = fh_bytes.clone();
+            for w in [0, offset, 0, count] {
+                put_u32(&mut want, w);
+            }
+            prop_assert_eq!(WriteArgsHeader { fh, offset, count }.encode(), want);
+
+            let mut want = fh_bytes.clone();
+            for w in [offset, count] {
+                put_u32(&mut want, w);
+            }
+            prop_assert_eq!(ReaddirArgs { fh, cookie: offset, count }.encode(), want);
+
+            let mut want = NFS_OK.to_be_bytes().to_vec();
+            want.extend_from_slice(&want_attrs);
+            prop_assert_eq!(WriteReply { status: NFS_OK, attrs }.encode(), want.clone());
+            put_u32(&mut want, count);
+            prop_assert_eq!(ReadReplyHeader { status: NFS_OK, attrs, count }.encode(), want);
+
+            let mut want = NFS_OK.to_be_bytes().to_vec();
+            want.extend_from_slice(&fh_bytes);
+            want.extend_from_slice(&want_attrs);
+            prop_assert_eq!(LookupReply { status: NFS_OK, fh, attrs }.encode(), want);
         }
 
         fn prop_read_args_round_trip(fh in any_u64(), off in any_u32(), cnt in any_u32()) {

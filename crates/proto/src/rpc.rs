@@ -21,8 +21,8 @@ const MSG_CALL: u32 = 0;
 const MSG_REPLY: u32 = 1;
 const RPC_VERSION: u32 = 2;
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
+fn set_u32(buf: &mut [u8], at: usize, v: u32) {
+    buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
 }
 
 fn get_u32(buf: &[u8], at: usize) -> u32 {
@@ -53,20 +53,22 @@ impl RpcCall {
         }
     }
 
-    /// Encodes to the 40-byte wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(CALL_LEN);
-        put_u32(&mut b, self.xid);
-        put_u32(&mut b, MSG_CALL);
-        put_u32(&mut b, RPC_VERSION);
-        put_u32(&mut b, self.prog);
-        put_u32(&mut b, self.vers);
-        put_u32(&mut b, self.proc);
-        put_u32(&mut b, 0); // cred flavor AUTH_NONE
-        put_u32(&mut b, 0); // cred length
-        put_u32(&mut b, 0); // verf flavor
-        put_u32(&mut b, 0); // verf length
+    /// Encodes to the 40-byte wire form on the stack.
+    pub fn encode_array(&self) -> [u8; CALL_LEN] {
+        // Credentials and verifier (AUTH_NONE, zero length) stay zero.
+        let mut b = [0u8; CALL_LEN];
+        set_u32(&mut b, 0, self.xid);
+        set_u32(&mut b, 4, MSG_CALL);
+        set_u32(&mut b, 8, RPC_VERSION);
+        set_u32(&mut b, 12, self.prog);
+        set_u32(&mut b, 16, self.vers);
+        set_u32(&mut b, 20, self.proc);
         b
+    }
+
+    /// [`RpcCall::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes from the head of `buf`.
@@ -118,16 +120,18 @@ impl RpcReply {
         RpcReply { xid }
     }
 
-    /// Encodes to the 24-byte wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(REPLY_LEN);
-        put_u32(&mut b, self.xid);
-        put_u32(&mut b, MSG_REPLY);
-        put_u32(&mut b, 0); // MSG_ACCEPTED
-        put_u32(&mut b, 0); // verf flavor
-        put_u32(&mut b, 0); // verf length
-        put_u32(&mut b, 0); // SUCCESS
+    /// Encodes to the 24-byte wire form on the stack.
+    pub fn encode_array(&self) -> [u8; REPLY_LEN] {
+        // MSG_ACCEPTED, the AUTH_NONE verifier and SUCCESS are all zero.
+        let mut b = [0u8; REPLY_LEN];
+        set_u32(&mut b, 0, self.xid);
+        set_u32(&mut b, 4, MSG_REPLY);
         b
+    }
+
+    /// [`RpcReply::encode_array`] as an owned vector.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_array().to_vec()
     }
 
     /// Decodes from the head of `buf`.
@@ -207,6 +211,17 @@ mod tests {
         assert!(RpcCall::decode(&[0; 39]).is_err());
         assert!(RpcReply::decode(&[0; 23]).is_err());
         assert!(RpcCall::peek_proc(&[0; 23]).is_err());
+    }
+
+    #[test]
+    fn encoders_lay_fields_out_in_wire_order() {
+        let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_be_bytes()).collect::<Vec<u8>>();
+        let c = RpcCall { xid: 7, prog: PROG_NFS, vers: NFS_VERS, proc: 6 };
+        assert_eq!(
+            c.encode(),
+            words(&[7, MSG_CALL, RPC_VERSION, PROG_NFS, NFS_VERS, 6, 0, 0, 0, 0])
+        );
+        assert_eq!(RpcReply::new(9).encode(), words(&[9, MSG_REPLY, 0, 0, 0, 0]));
     }
 
     property! {

@@ -196,6 +196,7 @@ impl IscsiInitiator {
         self.stats.blocks_written += 1;
         self.stats.zero_copy_writes += 1;
         let mut pdu = NetBuf::new(&self.ledger);
+        pdu.reserve_segments(segs.len());
         for seg in segs {
             pdu.append_segment(seg);
         }
@@ -291,7 +292,7 @@ impl IscsiInitiator {
             }
             let mut rx = rx.expect("non-drop faults still deliver");
             if rx.payload_len() >= BHS_LEN {
-                let hdr = rx.pull(BHS_LEN);
+                let hdr = rx.pull_array::<BHS_LEN>();
                 if let Ok(IscsiPdu::DataIn(d)) = IscsiPdu::decode(&hdr) {
                     if d.itt == itt && d.lbn == lbn && rx.payload_len() == BLOCK_SIZE {
                         return rx;
@@ -319,6 +320,7 @@ impl IscsiInitiator {
             // storage, no copies) under a fresh ITT, exactly like a real
             // initiator retransmitting a write burst.
             let mut pdu = NetBuf::new(&self.ledger);
+            pdu.reserve_segments(payload_pdu.segment_count());
             for seg in payload_pdu.segments() {
                 pdu.append_segment(seg.clone());
             }
@@ -400,7 +402,9 @@ impl BlockStore for IscsiInitiator {
         if self.mode == ServerMode::NCache && class == BlockClass::Data {
             let module = self.module.clone().expect("NCache mode has a module");
             let mut m = module.borrow_mut();
-            if m.cache_mut().lookup(Lbn(lbn).into()).is_some() {
+            // A limit of zero shares no payload: the probe counts and
+            // promotes like any lookup but builds no segment list.
+            if m.cache_mut().lookup_into(Lbn(lbn).into(), 0, &mut Vec::new()) {
                 self.stats.second_level_hits += 1;
                 drop(m);
                 self.recorder.emit(obs::EventKind::CacheAccess {
@@ -475,6 +479,7 @@ impl BlockStore for IscsiInitiator {
                 match segs {
                     Some(segs) => {
                         self.stats.zero_copy_writes += 1;
+                        pdu.reserve_segments(segs.len());
                         for seg in segs {
                             pdu.append_segment(seg);
                         }

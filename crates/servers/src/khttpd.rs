@@ -239,6 +239,7 @@ impl KhttpdServer {
                             .expect("page readable");
                         if self.placeholders_resolvable(&blocks) {
                             let mut n = 0;
+                            response.reserve_segments(blocks.len());
                             for b in &blocks {
                                 response.append_segment(b.seg.slice(0, b.valid_len));
                                 n += b.valid_len;
@@ -454,9 +455,12 @@ impl HttpClient {
     /// Panics on malformed responses (test infrastructure).
     pub fn parse_response(&self, response: &NetBuf) -> (HttpResponseHeader, Vec<u8>) {
         let rx = crate::stack::deliver(response, &self.ledger);
-        let stream = rx.copy_payload_to_vec();
+        let mut stream = rx.copy_payload_to_vec();
         let (header, body_at) = HttpResponseHeader::decode(&stream).expect("response header");
-        (header, stream[body_at..].to_vec())
+        // The stream buffer becomes the body: drop the header prefix in
+        // place instead of copying the body out a second time.
+        stream.drain(..body_at);
+        (header, stream)
     }
 
     /// Non-panicking [`HttpClient::parse_response`] for faulty links:
@@ -465,13 +469,13 @@ impl HttpClient {
     /// retry the request.
     pub fn try_parse_response(&self, response: &NetBuf) -> Option<(HttpResponseHeader, Vec<u8>)> {
         let rx = crate::stack::deliver(response, &self.ledger);
-        let stream = rx.copy_payload_to_vec();
+        let mut stream = rx.copy_payload_to_vec();
         let (header, body_at) = HttpResponseHeader::decode(&stream).ok()?;
-        let body = stream.get(body_at..)?.to_vec();
-        if body.len() != header.content_length as usize {
+        if stream.len().checked_sub(body_at)? != header.content_length as usize {
             return None;
         }
-        Some((header, body))
+        stream.drain(..body_at);
+        Some((header, stream))
     }
 }
 

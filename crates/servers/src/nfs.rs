@@ -16,18 +16,18 @@ use ncache::NcacheModule;
 use netbuf::key::{Fho, FileHandle, KeyStamp};
 use netbuf::{CopyLedger, NetBuf};
 use proto::nfs::{
-    self, CreateArgs, Fattr, FileType as NfsFileType, GetattrArgs, LookupArgs, LookupReply,
-    ReadArgs, ReadReplyHeader, ReaddirArgs, ReaddirReply, RemoveReply, WriteArgsHeader,
-    WriteReply, NFSERR_IO, NFSERR_JUKEBOX, NFSERR_NOENT, NFS_OK,
+    self, CreateArgs, Fattr, FileType as NfsFileType, GetattrArgs, GetattrReply, LookupArgs,
+    LookupReply, ReadArgs, ReadReplyHeader, ReaddirArgs, ReaddirReply, RemoveReply,
+    WriteArgsHeader, WriteReply, NFSERR_IO, NFSERR_JUKEBOX, NFSERR_NOENT, NFS_OK,
 };
-use proto::rpc::{RpcCall, RpcReply, CALL_LEN};
+use proto::rpc::{RpcCall, RpcReply, CALL_LEN, REPLY_LEN};
 use simfs::inode::FileType;
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
-use crate::util::split_segments;
+use crate::util::{segments_len, split_segments};
 
 const BLOCK: usize = simfs::BLOCK_SIZE;
 
@@ -352,7 +352,7 @@ impl NfsServer {
     pub fn handle_message(&mut self, mut req: NetBuf) -> NetBuf {
         self.stats.requests.add(1);
         let req_bytes = req.payload_len() as u64;
-        let call = take(&mut req, CALL_LEN).and_then(|h| RpcCall::decode(&h).ok());
+        let call = take_array::<CALL_LEN>(&mut req).and_then(|h| RpcCall::decode(&h).ok());
         let Some(call) = call else {
             // Malformed RPC: a production server drops these; replying
             // with an error keeps closed-loop clients alive and never
@@ -360,7 +360,7 @@ impl NfsServer {
             //
             // The parser examined these bytes before rejecting them, so
             // charge the header movement exactly like a successful parse
-            // does (datagrams >= CALL_LEN were already pulled by `take`).
+            // does (datagrams >= CALL_LEN were already pulled above).
             if req.payload_len() > 0 && req.payload_len() < CALL_LEN {
                 let n = req.payload_len();
                 let _ = req.pull(n);
@@ -371,7 +371,7 @@ impl NfsServer {
             self.stats.errors.add(1);
             let mut r = NetBuf::new(&self.ledger);
             r.push_header(&NFSERR_IO.to_be_bytes());
-            r.push_header(&RpcReply::new(0).encode());
+            r.push_header(&RpcReply::new(0).encode_array());
             self.recorder.end_span(span);
             return r;
         };
@@ -385,7 +385,7 @@ impl NfsServer {
             if let Some((_, bytes)) = self.drc.iter().find(|(xid, _)| *xid == call.xid) {
                 self.stats.drc_hits.add(1);
                 let mut r = NetBuf::new(&self.ledger);
-                r.push_header(&bytes.clone());
+                r.push_header(bytes);
                 self.recorder.add_counter("fault.drc_hits", 1);
                 self.recorder.end_span(span);
                 return r;
@@ -404,7 +404,7 @@ impl NfsServer {
             if let Decision::RetryLater { after_ns } = decision {
                 self.recorder.add_counter("control.rejected", 1);
                 let mut r = self.retry_later_reply(call.proc, after_ns);
-                r.push_header(&RpcReply::new(call.xid).encode());
+                r.push_header(&RpcReply::new(call.xid).encode_array());
                 self.recorder.end_span(span);
                 return r;
             }
@@ -424,7 +424,7 @@ impl NfsServer {
                 r
             }
         };
-        reply.push_header(&RpcReply::new(call.xid).encode());
+        reply.push_header(&RpcReply::new(call.xid).encode_array());
         if self.fault_recovery && non_idempotent(call.proc) {
             // WRITE/CREATE/REMOVE replies are header-only, so the header
             // region is the complete reply.
@@ -469,7 +469,7 @@ impl NfsServer {
                         fh,
                         attrs: fattr_of(fh, &inode),
                     }
-                    .encode(),
+                    .encode_array(),
                 );
             }
             Err(e) => {
@@ -479,7 +479,7 @@ impl NfsServer {
                         status: status_of(e),
                         ..LookupReply::default()
                     }
-                    .encode(),
+                    .encode_array(),
                 );
             }
         }
@@ -543,7 +543,8 @@ impl NfsServer {
 
     fn do_readdir(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.metadata_ops.add(1);
-        let Some(args) = take(req, ReaddirArgs::LEN).and_then(|b| ReaddirArgs::decode(&b).ok())
+        let Some(args) = take_array::<{ ReaddirArgs::LEN }>(req)
+            .and_then(|b| ReaddirArgs::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
@@ -758,14 +759,14 @@ impl NfsServer {
                     status: NFSERR_JUKEBOX,
                     ..WriteReply::default()
                 }
-                .encode(),
+                .encode_array(),
             ),
             nfs::proc::LOOKUP | nfs::proc::CREATE => r.push_header(
                 &LookupReply {
                     status: NFSERR_JUKEBOX,
                     ..LookupReply::default()
                 }
-                .encode(),
+                .encode_array(),
             ),
             nfs::proc::REMOVE => r.push_header(
                 &RemoveReply {
@@ -785,7 +786,7 @@ impl NfsServer {
                     status: NFSERR_JUKEBOX,
                     ..ReadReplyHeader::default()
                 }
-                .encode(),
+                .encode_array(),
             ),
             _ => r.push_header(&NFSERR_JUKEBOX.to_be_bytes()),
         }
@@ -803,17 +804,20 @@ impl NfsServer {
 
     fn do_getattr(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.metadata_ops.add(1);
-        let Some(args) = take(req, nfs::FH_LEN).and_then(|b| GetattrArgs::decode(&b).ok())
+        let Some(args) = take_array::<{ GetattrArgs::LEN }>(req)
+            .and_then(|b| GetattrArgs::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
         let mut r = NetBuf::new(&self.ledger);
         match self.fs.getattr(fh_to_ino(args.fh)) {
-            Ok(inode) => {
-                let mut body = NFS_OK.to_be_bytes().to_vec();
-                fattr_of(args.fh, &inode).encode_into(&mut body);
-                r.push_header(&body);
-            }
+            Ok(inode) => r.push_header(
+                &GetattrReply {
+                    status: NFS_OK,
+                    attrs: fattr_of(args.fh, &inode),
+                }
+                .encode_array(),
+            ),
             Err(e) => {
                 self.stats.errors.add(1);
                 r.push_header(&status_of(e).to_be_bytes());
@@ -842,7 +846,7 @@ impl NfsServer {
                         fh,
                         attrs: fattr_of(fh, &inode),
                     }
-                    .encode(),
+                    .encode_array(),
                 );
             }
             Err(e) => {
@@ -852,7 +856,7 @@ impl NfsServer {
                         status: status_of(e),
                         ..LookupReply::default()
                     }
-                    .encode(),
+                    .encode_array(),
                 );
             }
         }
@@ -861,7 +865,8 @@ impl NfsServer {
 
     fn do_read(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.reads.add(1);
-        let Some(args) = take(req, nfs::FH_LEN + 12).and_then(|b| ReadArgs::decode(&b).ok())
+        let Some(args) = take_array::<{ ReadArgs::LEN }>(req)
+            .and_then(|b| ReadArgs::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
@@ -909,6 +914,7 @@ impl NfsServer {
                             });
                         }
                         let mut n = 0;
+                        reply.reserve_segments(blocks.len());
                         for b in &blocks {
                             reply.append_segment(b.seg.slice(0, b.valid_len));
                             n += b.valid_len;
@@ -951,7 +957,7 @@ impl NfsServer {
                         attrs,
                         count: n as u32,
                     }
-                    .encode(),
+                    .encode_array(),
                 );
             }
             Err(e) => {
@@ -962,7 +968,7 @@ impl NfsServer {
                         status: status_of(e),
                         ..ReadReplyHeader::default()
                     }
-                    .encode(),
+                    .encode_array(),
                 );
                 return r;
             }
@@ -1020,14 +1026,14 @@ impl NfsServer {
     pub fn handle_read_fast(&self, mut req: NetBuf) -> NetBuf {
         self.stats.requests.add(1);
         let req_bytes = req.payload_len() as u64;
-        let call = take(&mut req, CALL_LEN)
+        let call = take_array::<CALL_LEN>(&mut req)
             .and_then(|h| RpcCall::decode(&h).ok())
             .expect("fast path requires a well-formed call");
         let span = self
             .recorder
             .begin_span(proc_name(call.proc), self.mode.label(), req_bytes);
         self.stats.reads.add(1);
-        let args = take(&mut req, nfs::FH_LEN + 12)
+        let args = take_array::<{ ReadArgs::LEN }>(&mut req)
             .and_then(|b| ReadArgs::decode(&b).ok())
             .expect("fast path requires well-formed READ args");
         let ino = fh_to_ino(args.fh);
@@ -1036,6 +1042,7 @@ impl NfsServer {
             .fs
             .read_logical_shared(ino, u64::from(args.offset), args.count as usize);
         let mut n = 0;
+        reply.reserve_segments(blocks.len());
         for b in &blocks {
             reply.append_segment(b.seg.slice(0, b.valid_len));
             n += b.valid_len;
@@ -1048,17 +1055,17 @@ impl NfsServer {
                 attrs: fattr_of(args.fh, &attrs),
                 count: n as u32,
             }
-            .encode(),
+            .encode_array(),
         );
-        reply.push_header(&RpcReply::new(call.xid).encode());
+        reply.push_header(&RpcReply::new(call.xid).encode_array());
         self.recorder.end_span(span);
         reply
     }
 
     fn do_write(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.writes.add(1);
-        let Some(hdr) =
-            take(req, WriteArgsHeader::LEN).and_then(|b| WriteArgsHeader::decode(&b).ok())
+        let Some(hdr) = take_array::<{ WriteArgsHeader::LEN }>(req)
+            .and_then(|b| WriteArgsHeader::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
@@ -1100,13 +1107,13 @@ impl NfsServer {
                     let groups = split_segments(&segs, BLOCK);
                     let mut stamps = Vec::with_capacity(groups.len());
                     let mut admitted = !bypass;
-                    for (i, group) in groups.iter().enumerate() {
+                    for (i, group) in groups.into_iter().enumerate() {
                         if !admitted {
                             break;
                         }
-                        let len: usize = group.iter().map(netbuf::Segment::len).sum();
+                        let len = segments_len(&group);
                         let fho = Fho::new(FileHandle(hdr.fh), offset + (i * BLOCK) as u64);
-                        match module.borrow_mut().on_nfs_write(fho, group.clone(), len) {
+                        match module.borrow_mut().on_nfs_write(fho, group, len) {
                             Ok(stamp) => stamps.push(stamp),
                             Err(_) => {
                                 admitted = false;
@@ -1118,12 +1125,10 @@ impl NfsServer {
                         self.fs.write_logical(ino, offset, count, &stamps)
                     } else {
                         // Cache full: fall back to the copying path. The
-                        // wire segments are still shared by `groups`.
+                        // wire segments are still held by `segs`.
                         let mut data = Vec::with_capacity(count);
-                        for group in &groups {
-                            for seg in group {
-                                data.extend_from_slice(seg.as_slice());
-                            }
+                        for seg in &segs {
+                            data.extend_from_slice(seg.as_slice());
                         }
                         data.truncate(count);
                         self.fs.write(ino, offset, &data)
@@ -1160,7 +1165,7 @@ impl NfsServer {
                         status: NFS_OK,
                         attrs: fattr_of(hdr.fh, &inode),
                     }
-                    .encode(),
+                    .encode_array(),
                 );
             }
             Err(e) => {
@@ -1170,7 +1175,7 @@ impl NfsServer {
                         status: status_of(e),
                         ..WriteReply::default()
                     }
-                    .encode(),
+                    .encode_array(),
                 );
             }
         }
@@ -1192,9 +1197,21 @@ fn proc_name(proc: u32) -> &'static str {
     }
 }
 
-/// Pulls `n` payload bytes if available.
-fn take(req: &mut NetBuf, n: usize) -> Option<Vec<u8>> {
-    (req.payload_len() >= n).then(|| req.pull(n))
+/// Pulls an `N`-byte fixed-size header off the payload if available.
+fn take_array<const N: usize>(req: &mut NetBuf) -> Option<[u8; N]> {
+    (req.payload_len() >= N).then(|| req.pull_array::<N>())
+}
+
+/// Pulls the whole remaining reply body and decodes it: from a stack array
+/// when the body is exactly the `N`-byte success form (every healthy
+/// reply), from the heap otherwise (status-only errors, damaged frames).
+/// Either way the pull charges the full remaining length.
+fn with_body<const N: usize, T>(rx: &mut NetBuf, decode: impl FnOnce(&[u8]) -> T) -> T {
+    if rx.payload_len() == N {
+        decode(&rx.pull_array::<N>())
+    } else {
+        decode(&rx.pull(rx.payload_len()))
+    }
 }
 
 /// Maps a file system error to an NFS status code.
@@ -1273,8 +1290,8 @@ impl NfsClient {
     /// Builds a READ request message.
     pub fn read_request(&mut self, fh: u64, offset: u32, count: u32) -> NetBuf {
         let mut b = NetBuf::new(&self.ledger);
-        b.push_header(&ReadArgs { fh, offset, count }.encode());
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::READ).encode());
+        b.push_header(&ReadArgs { fh, offset, count }.encode_array());
+        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::READ).encode_array());
         b
     }
 
@@ -1288,17 +1305,17 @@ impl NfsClient {
                 offset,
                 count: data.len() as u32,
             }
-            .encode(),
+            .encode_array(),
         );
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::WRITE).encode());
+        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::WRITE).encode_array());
         b
     }
 
     /// Builds a GETATTR request message.
     pub fn getattr_request(&mut self, fh: u64) -> NetBuf {
         let mut b = NetBuf::new(&self.ledger);
-        b.push_header(&GetattrArgs { fh }.encode());
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::GETATTR).encode());
+        b.push_header(&GetattrArgs { fh }.encode_array());
+        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::GETATTR).encode_array());
         b
     }
 
@@ -1312,7 +1329,7 @@ impl NfsClient {
             }
             .encode(),
         );
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::LOOKUP).encode());
+        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::LOOKUP).encode_array());
         b
     }
 
@@ -1326,7 +1343,7 @@ impl NfsClient {
             }
             .encode(),
         );
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::CREATE).encode());
+        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::CREATE).encode_array());
         b
     }
 
@@ -1340,15 +1357,15 @@ impl NfsClient {
             }
             .encode(),
         );
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::REMOVE).encode());
+        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::REMOVE).encode_array());
         b
     }
 
     /// Builds a READDIR request message.
     pub fn readdir_request(&mut self, fh: u64, cookie: u32, count: u32) -> NetBuf {
         let mut b = NetBuf::new(&self.ledger);
-        b.push_header(&ReaddirArgs { fh, cookie, count }.encode());
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::READDIR).encode());
+        b.push_header(&ReaddirArgs { fh, cookie, count }.encode_array());
+        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::READDIR).encode_array());
         b
     }
 
@@ -1368,7 +1385,7 @@ impl NfsClient {
     /// Panics on malformed replies.
     pub fn parse_remove_reply(&self, reply: &NetBuf) -> RemoveReply {
         let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).expect("RPC reply");
+        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
         let body = rx.pull(rx.payload_len());
         RemoveReply::decode(&body).expect("remove reply")
     }
@@ -1380,7 +1397,7 @@ impl NfsClient {
     /// Panics on malformed replies.
     pub fn parse_readdir_reply(&self, reply: &NetBuf) -> ReaddirReply {
         let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).expect("RPC reply");
+        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
         let body = rx.pull(rx.payload_len());
         ReaddirReply::decode(&body).expect("readdir reply")
     }
@@ -1393,14 +1410,14 @@ impl NfsClient {
     /// Panics on malformed replies (test infrastructure).
     pub fn parse_read_reply(&self, reply: &NetBuf) -> (ReadReplyHeader, Vec<u8>) {
         let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).expect("RPC reply");
-        let status = u32::from_be_bytes(rx.peek(0, 4).try_into().expect("4 bytes"));
+        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
+        let status = u32::from_be_bytes(rx.peek_array::<4>(0));
         if status != NFS_OK {
-            let hdr = ReadReplyHeader::decode(&rx.pull(4)).expect("error header");
+            let hdr = ReadReplyHeader::decode(&rx.pull_array::<4>()).expect("error header");
             return (hdr, Vec::new());
         }
-        let hdr =
-            ReadReplyHeader::decode(&rx.pull(ReadReplyHeader::OK_LEN)).expect("reply header");
+        let hdr = ReadReplyHeader::decode(&rx.pull_array::<{ ReadReplyHeader::OK_LEN }>())
+            .expect("reply header");
         let data = rx.copy_payload_to_vec();
         (hdr, data)
     }
@@ -1412,9 +1429,8 @@ impl NfsClient {
     /// Panics on malformed replies.
     pub fn parse_write_reply(&self, reply: &NetBuf) -> WriteReply {
         let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).expect("RPC reply");
-        let body = rx.pull(rx.payload_len());
-        WriteReply::decode(&body).expect("write reply")
+        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
+        with_body::<{ WriteReply::OK_LEN }, _>(&mut rx, WriteReply::decode).expect("write reply")
     }
 
     /// Parses a LOOKUP reply.
@@ -1424,9 +1440,9 @@ impl NfsClient {
     /// Panics on malformed replies.
     pub fn parse_lookup_reply(&self, reply: &NetBuf) -> LookupReply {
         let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).expect("RPC reply");
-        let body = rx.pull(rx.payload_len());
-        LookupReply::decode(&body).expect("lookup reply")
+        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
+        with_body::<{ LookupReply::OK_LEN }, _>(&mut rx, LookupReply::decode)
+            .expect("lookup reply")
     }
 
     /// Parses a GETATTR reply into (status, attributes).
@@ -1436,14 +1452,10 @@ impl NfsClient {
     /// Panics on malformed replies.
     pub fn parse_getattr_reply(&self, reply: &NetBuf) -> (u32, Option<Fattr>) {
         let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).expect("RPC reply");
-        let body = rx.pull(rx.payload_len());
-        let status = u32::from_be_bytes(body[0..4].try_into().expect("4 bytes"));
-        if status == NFS_OK {
-            (status, Some(Fattr::decode(&body, 4).expect("attrs")))
-        } else {
-            (status, None)
-        }
+        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
+        let r = with_body::<{ GetattrReply::OK_LEN }, _>(&mut rx, GetattrReply::decode)
+            .expect("getattr reply");
+        (r.status, (r.status == NFS_OK).then_some(r.attrs))
     }
 
     // --- Fault-aware parsers -------------------------------------------
@@ -1457,10 +1469,10 @@ impl NfsClient {
     /// Takes delivery and peels the RPC reply header, validating lengths.
     fn try_open(&self, reply: &NetBuf) -> Option<(u32, NetBuf)> {
         let mut rx = crate::stack::deliver(reply, &self.ledger);
-        if rx.payload_len() < proto::rpc::REPLY_LEN {
+        if rx.payload_len() < REPLY_LEN {
             return None;
         }
-        let rpc = RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).ok()?;
+        let rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).ok()?;
         Some((rpc.xid, rx))
     }
 
@@ -1472,15 +1484,16 @@ impl NfsClient {
         if rx.payload_len() < 4 {
             return None;
         }
-        let status = u32::from_be_bytes(rx.peek(0, 4).try_into().ok()?);
+        let status = u32::from_be_bytes(rx.peek_array::<4>(0));
         if status != NFS_OK {
-            let hdr = ReadReplyHeader::decode(&rx.pull(4)).ok()?;
+            let hdr = ReadReplyHeader::decode(&rx.pull_array::<4>()).ok()?;
             return Some((xid, hdr, Vec::new()));
         }
         if rx.payload_len() < ReadReplyHeader::OK_LEN {
             return None;
         }
-        let hdr = ReadReplyHeader::decode(&rx.pull(ReadReplyHeader::OK_LEN)).ok()?;
+        let hdr =
+            ReadReplyHeader::decode(&rx.pull_array::<{ ReadReplyHeader::OK_LEN }>()).ok()?;
         let data = rx.copy_payload_to_vec();
         if data.len() != hdr.count as usize {
             return None;
@@ -1491,15 +1504,15 @@ impl NfsClient {
     /// Fault-aware [`NfsClient::parse_write_reply`].
     pub fn try_parse_write_reply(&self, reply: &NetBuf) -> Option<(u32, WriteReply)> {
         let (xid, mut rx) = self.try_open(reply)?;
-        let body = rx.pull(rx.payload_len());
-        Some((xid, WriteReply::decode(&body).ok()?))
+        let r = with_body::<{ WriteReply::OK_LEN }, _>(&mut rx, WriteReply::decode).ok()?;
+        Some((xid, r))
     }
 
     /// Fault-aware [`NfsClient::parse_lookup_reply`] (also CREATE).
     pub fn try_parse_lookup_reply(&self, reply: &NetBuf) -> Option<(u32, LookupReply)> {
         let (xid, mut rx) = self.try_open(reply)?;
-        let body = rx.pull(rx.payload_len());
-        Some((xid, LookupReply::decode(&body).ok()?))
+        let r = with_body::<{ LookupReply::OK_LEN }, _>(&mut rx, LookupReply::decode).ok()?;
+        Some((xid, r))
     }
 
     /// Fault-aware [`NfsClient::parse_remove_reply`].
@@ -1515,13 +1528,8 @@ impl NfsClient {
         if rx.payload_len() < 4 {
             return None;
         }
-        let body = rx.pull(rx.payload_len());
-        let status = u32::from_be_bytes(body[0..4].try_into().ok()?);
-        if status == NFS_OK {
-            Some((xid, status, Some(Fattr::decode(&body, 4).ok()?)))
-        } else {
-            Some((xid, status, None))
-        }
+        let r = with_body::<{ GetattrReply::OK_LEN }, _>(&mut rx, GetattrReply::decode).ok()?;
+        Some((xid, r.status, (r.status == NFS_OK).then_some(r.attrs)))
     }
 }
 
@@ -1610,7 +1618,7 @@ mod tests {
         let xid = proto::rpc::RpcCall::decode(req.header()).expect("call").xid;
         let reply = roundtrip(&mut srv, req);
         let mut rx = crate::stack::deliver(&reply, &CopyLedger::new());
-        let rpc = proto::rpc::RpcReply::decode(&rx.pull(proto::rpc::REPLY_LEN)).expect("reply");
+        let rpc = proto::rpc::RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("reply");
         assert_eq!(rpc.xid, xid);
     }
 

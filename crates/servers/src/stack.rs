@@ -66,15 +66,15 @@ pub fn udp_encap(
 ///
 /// Any header that fails to parse or verify.
 pub fn udp_decap(buf: &mut NetBuf) -> Result<UdpInfo, DecodeError> {
-    let eth = EthernetHeader::decode(&buf.pull(ethernet::HEADER_LEN))?;
+    let eth = EthernetHeader::decode(&buf.pull_array::<{ ethernet::HEADER_LEN }>())?;
     if eth.ethertype != ethernet::ETHERTYPE_IPV4 {
         return Err(DecodeError::BadField("ethertype"));
     }
-    let ip = Ipv4Header::decode(&buf.pull(ipv4::HEADER_LEN))?;
+    let ip = Ipv4Header::decode(&buf.pull_array::<{ ipv4::HEADER_LEN }>())?;
     if ip.protocol != PROTO_UDP {
         return Err(DecodeError::BadField("ip protocol"));
     }
-    let udp = UdpHeader::decode(&buf.pull(UDP_LEN))?;
+    let udp = UdpHeader::decode(&buf.pull_array::<UDP_LEN>())?;
     Ok(UdpInfo {
         src: ip.src,
         dst: ip.dst,
@@ -107,15 +107,15 @@ pub fn tcp_encap(
 ///
 /// Any header that fails to parse or verify.
 pub fn tcp_decap(buf: &mut NetBuf) -> Result<TcpInfo, DecodeError> {
-    let eth = EthernetHeader::decode(&buf.pull(ethernet::HEADER_LEN))?;
+    let eth = EthernetHeader::decode(&buf.pull_array::<{ ethernet::HEADER_LEN }>())?;
     if eth.ethertype != ethernet::ETHERTYPE_IPV4 {
         return Err(DecodeError::BadField("ethertype"));
     }
-    let ip = Ipv4Header::decode(&buf.pull(ipv4::HEADER_LEN))?;
+    let ip = Ipv4Header::decode(&buf.pull_array::<{ ipv4::HEADER_LEN }>())?;
     if ip.protocol != PROTO_TCP {
         return Err(DecodeError::BadField("ip protocol"));
     }
-    let tcp = TcpHeader::decode(&buf.pull(TCP_LEN))?;
+    let tcp = TcpHeader::decode(&buf.pull_array::<TCP_LEN>())?;
     Ok(TcpInfo {
         src: ip.src,
         dst: ip.dst,
@@ -131,6 +131,7 @@ pub fn tcp_decap(buf: &mut NetBuf) -> Result<TcpInfo, DecodeError> {
 /// shared storage; nothing is physically copied (NIC DMA).
 pub fn deliver(sent: &NetBuf, receiver: &CopyLedger) -> NetBuf {
     let mut rx = NetBuf::new(receiver);
+    rx.reserve_segments(sent.segment_count() + 1);
     if sent.header_len() > 0 {
         rx.append_segment(Segment::from_vec(sent.header().to_vec()));
     }

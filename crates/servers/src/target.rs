@@ -243,7 +243,7 @@ impl IscsiTarget {
             if pdu.total_len() < BHS_LEN {
                 return Err("Data-Out truncated below a BHS".into());
             }
-            let hdr = pdu.pull(BHS_LEN);
+            let hdr = pdu.pull_array::<BHS_LEN>();
             let decoded = match IscsiPdu::decode(&hdr) {
                 Ok(p) => p,
                 Err(e) => return Err(format!("undecodable Data-Out header: {e:?}")),

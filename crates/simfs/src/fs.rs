@@ -534,6 +534,8 @@ impl<S: BlockStore> Filesystem<S> {
             return Ok(0);
         }
         let len = len.min((inode.size - offset) as usize);
+        // One segment per block touched: size the chain once.
+        out.reserve_segments(((offset % BLOCK_SIZE as u64) as usize + len).div_ceil(BLOCK_SIZE));
         let mut done = 0usize;
         while done < len {
             let pos = offset + done as u64;

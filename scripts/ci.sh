@@ -3,7 +3,8 @@
 # no external dependencies (see DESIGN.md §3), so a bare toolchain and this
 # checkout are all that is needed.
 #
-#   scripts/ci.sh          # build + test + lint, whole workspace
+#   scripts/ci.sh          # build + test + lint, whole workspace, plus the
+#                          # benchmark workspace's own gate
 #   BENCH=1 scripts/ci.sh  # additionally run the bench harness once
 #                          # (emits BENCH_dataplane.json / BENCH_figures.json)
 set -euo pipefail
@@ -17,6 +18,14 @@ cargo test -q --offline --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== benchmark workspace gate (benchmark/check.sh) =="
+# hostbench is its own workspace and drives the crates' public API only;
+# every item it pins is listed in benchmark/src/seams.rs. Building,
+# linting and smoke-running it here (all seven workloads timed + traced,
+# verification on, plus the selftest) turns signature drift into a CI
+# failure instead of a broken benchmark pipeline.
+benchmark/check.sh
 
 echo "== observability smoke (repro --table2 --metrics --trace) =="
 TRACE_DIR="$(mktemp -d)"

@@ -1,0 +1,128 @@
+//! Heap allocations per request, pinned exactly.
+//!
+//! The paper's bargain is per-byte work traded for per-packet pointer
+//! surgery, so the per-packet cost has to stay small on the host too. One
+//! warmed request through `*_request → stack::deliver → handle_message →
+//! parse_*_reply` (the rigs' `read`/`write`/`getattr`/`get` are exactly
+//! that chain) makes a deterministic number of heap allocations on a
+//! single thread; this binary counts them with its own global allocator
+//! and pins the numbers. It holds a single `#[test]` so no other test
+//! thread allocates while a request is being counted.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ncache_repro::servers::ServerMode;
+use ncache_repro::testbed::khttpd_rig::{KhttpdRig, KhttpdRigParams};
+use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
+
+/// The system allocator with a call counter in front of it.
+struct Counting;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's layout obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` came from `System`; `new_size` is the
+        // caller's obligation and passes through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocator calls (`alloc` + `alloc_zeroed` + `realloc`) made by `f`.
+fn allocs<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    let n = CALLS.load(Ordering::Relaxed) - before;
+    drop(out);
+    n
+}
+
+const READ: u32 = 32 << 10;
+
+/// A rig with a warmed 1 MiB file: every block resident in the buffer
+/// cache (and, under NCache, its chunk in the network-centric cache).
+fn warmed_nfs(mode: ServerMode) -> (NfsRig, u64) {
+    let mut rig = NfsRig::new(mode, NfsRigParams::default());
+    let fh = rig.create_file("f", 1 << 20);
+    rig.getattr(fh);
+    for off in (0..1 << 20).step_by(READ as usize) {
+        rig.read(fh, off, READ);
+    }
+    (rig, fh)
+}
+
+/// The all-hit 32 KiB READ of `nfs_hit`, one request.
+fn read_allocs(mode: ServerMode) -> u64 {
+    let (mut rig, fh) = warmed_nfs(mode);
+    let want = NfsRig::pattern(fh, u64::from(READ), READ as usize);
+    let mut got = Vec::new();
+    let n = allocs(|| got = rig.read(fh, READ, READ));
+    if mode != ServerMode::Baseline {
+        assert_eq!(
+            got, want,
+            "{mode}: the counted request returned the file's bytes"
+        );
+    }
+    // The count repeats to the digit.
+    assert_eq!(allocs(|| rig.read(fh, 2 * READ, READ)), n, "{mode}");
+    n
+}
+
+#[test]
+fn allocations_per_request_are_pinned() {
+    let ncache = read_allocs(ServerMode::NCache);
+    let original = read_allocs(ServerMode::Original);
+    let baseline = read_allocs(ServerMode::Baseline);
+    assert_eq!(
+        (ncache, original, baseline),
+        (10, 10, 9),
+        "all-hit 32 KiB READ (ncache, original, baseline)"
+    );
+    assert!(ncache <= 16, "NCache READ budget");
+    assert!(
+        ncache <= original,
+        "pointer surgery must not out-allocate copying"
+    );
+
+    let (mut rig, fh) = warmed_nfs(ServerMode::NCache);
+    assert_eq!(allocs(|| rig.getattr(fh)), 6, "GETATTR");
+    let data = vec![0xA5u8; READ as usize];
+    rig.write(fh, 0, &data); // the measured write overwrites, like the first
+    assert_eq!(
+        allocs(|| rig.write(fh, 0, &data)),
+        38,
+        "aligned 32 KiB WRITE"
+    );
+
+    let mut web = KhttpdRig::new(ServerMode::NCache, KhttpdRigParams::default());
+    web.publish("page", u64::from(READ));
+    web.get("/page");
+    // (Debug builds make one more: `track`'s `debug_assert_eq!` builds its
+    // expected disposition list.)
+    let get = 26 + u64::from(cfg!(debug_assertions));
+    assert_eq!(allocs(|| web.get("/page")), get, "kHTTPd all-hit GET");
+}
