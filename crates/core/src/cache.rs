@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, Segment};
+use sim::LaneCounters;
 
 use crate::adaptive::{GhostLru, GhostStats};
 use crate::chunk::Chunk;
@@ -179,32 +180,21 @@ pub(crate) struct Entry {
     order_seq: u64,
 }
 
-/// Interior-mutable operation counters, so hit lookups can count through
-/// a shared reference. Plain relaxed adds: each field is an independent
-/// event count, and [`NetCache::stats`] snapshots are only compared at
-/// quiescent points (all six loads then read a settled value).
-#[derive(Default)]
-struct StatsCells {
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    insertions: AtomicU64,
-    remaps: AtomicU64,
-    evicted_clean: AtomicU64,
-    evicted_dirty: AtomicU64,
-}
+// Counter indices into a cache's [`LaneCounters`], one per
+// [`NetCacheStats`] field.
+const LOOKUPS: usize = 0;
+const HITS: usize = 1;
+const INSERTIONS: usize = 2;
+const REMAPS: usize = 3;
+const EVICTED_CLEAN: usize = 4;
+const EVICTED_DIRTY: usize = 5;
 
-impl StatsCells {
-    fn snapshot(&self) -> NetCacheStats {
-        NetCacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            remaps: self.remaps.load(Ordering::Relaxed),
-            evicted_clean: self.evicted_clean.load(Ordering::Relaxed),
-            evicted_dirty: self.evicted_dirty.load(Ordering::Relaxed),
-        }
-    }
-}
+/// Interior-mutable operation counters, so hit lookups can count through
+/// a shared reference — lane-striped, so concurrent hit lookups of one
+/// shard count on their own cache lines. Relaxed adds: each field is an
+/// independent event count, and [`NetCache::stats`] snapshots are only
+/// compared at quiescent points (every load then reads a settled value).
+type StatsCells = LaneCounters<6>;
 
 /// The keys a stamp resolves through, in order: FHO before LBN (§3.4)
 /// unless the ablation knob flips it.
@@ -324,7 +314,15 @@ impl NetCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> NetCacheStats {
-        self.stats.snapshot()
+        let t = self.stats.totals();
+        NetCacheStats {
+            lookups: t[LOOKUPS],
+            hits: t[HITS],
+            insertions: t[INSERTIONS],
+            remaps: t[REMAPS],
+            evicted_clean: t[EVICTED_CLEAN],
+            evicted_dirty: t[EVICTED_DIRTY],
+        }
     }
 
     /// Whether `key` is resident (no LRU promotion, no counter change).
@@ -374,7 +372,7 @@ impl NetCache {
         len: usize,
         dirty: bool,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
-        self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(INSERTIONS, 1);
         crate::epoch::bump_tally();
         // Replace any existing entry under this key first (its pin frees).
         self.remove_entry(key);
@@ -422,12 +420,13 @@ impl NetCache {
     /// outgoing chain this way, with no allocation per chunk. Returns
     /// whether `key` was resident; a miss leaves `out` untouched.
     pub fn lookup_into(&self, key: CacheKey, limit: usize, out: &mut Vec<Segment>) -> bool {
-        self.stats.lookups.fetch_add(1, Ordering::Relaxed);
+        let counts = self.stats.lane();
+        counts.add(LOOKUPS, 1);
         crate::epoch::bump_tally();
         if let Some(entry) = self.map.get(&key) {
             let fresh = self.seq.next();
             entry.seq.fetch_max(fresh, Ordering::Relaxed);
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            counts.add(HITS, 1);
             entry.chunk.share_segments_into(limit, out);
             true
         } else {
@@ -471,7 +470,7 @@ impl NetCache {
     /// Returns the (still dirty) payload for the outgoing iSCSI write, or
     /// `None` if the FHO entry is absent.
     pub fn remap(&mut self, fho: Fho, lbn: Lbn) -> Option<Vec<Segment>> {
-        self.stats.remaps.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(REMAPS, 1);
         crate::epoch::bump_tally();
         let entry = self.remove_entry(CacheKey::Fho(fho))?;
         // Overwrite any stale LBN copy — "data in the FHO cache is always
@@ -547,14 +546,14 @@ impl NetCache {
     /// shard before running the global reclaim loop, exactly as
     /// [`NetCache::insert`] charges itself).
     pub(crate) fn note_insertion(&mut self) {
-        self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(INSERTIONS, 1);
         crate::epoch::bump_tally();
     }
 
     /// Counts a remap (the shard set charges the shard the FHO entry
     /// lives in when the move crosses shards).
     pub(crate) fn note_remap(&mut self) {
-        self.stats.remaps.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(REMAPS, 1);
         crate::epoch::bump_tally();
     }
 
@@ -657,7 +656,7 @@ impl NetCache {
         }
         let entry = self.remove_entry(key).expect("victim is resident");
         if entry.chunk.is_dirty() {
-            self.stats.evicted_dirty.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(EVICTED_DIRTY, 1);
             let lbn = match key {
                 CacheKey::Lbn(l) => l,
                 CacheKey::Fho(_) => unreachable!("dirty FHO chunks are never victims"),
@@ -668,7 +667,7 @@ impl NetCache {
                 len: entry.chunk.len(),
             }))
         } else {
-            self.stats.evicted_clean.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(EVICTED_CLEAN, 1);
             Ok(None)
         }
     }
@@ -687,7 +686,7 @@ impl NetCache {
         }
         let entry = self.remove_entry(key).expect("victim is resident");
         debug_assert!(!entry.chunk.is_dirty(), "clean victim selection");
-        self.stats.evicted_clean.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(EVICTED_CLEAN, 1);
         true
     }
 }

@@ -72,6 +72,9 @@ pub struct NcacheModule {
     cache: NetCacheShards,
     config: NcacheConfig,
     ledger: CopyLedger,
+    /// Slab recycler for Data-In placeholder blocks (nothing is pinned
+    /// from it; cache residency pins from the cache's own pool).
+    slabs: BufPool,
     pending_writebacks: Vec<WritebackChunk>,
     substitution_totals: SubstitutionReport,
     recorder: Option<obs::Recorder>,
@@ -86,6 +89,7 @@ impl NcacheModule {
             cache: NetCacheShards::new(pool, config.per_chunk_overhead, config.shards.max(1)),
             config,
             ledger: ledger.clone(),
+            slabs: BufPool::slab_only(),
             pending_writebacks: Vec::new(),
             substitution_totals: SubstitutionReport::default(),
             recorder: None,
@@ -105,13 +109,26 @@ impl NcacheModule {
         }
     }
 
+    /// The recorder, when one is attached *and* recording — the only case
+    /// in which the hooks take their before/after stats snapshots.
+    fn live_recorder(&self) -> Option<&obs::Recorder> {
+        self.recorder.as_ref().filter(|rec| rec.is_enabled())
+    }
+
+    /// Merged stats before an insert, taken only when a recorder is live:
+    /// merging costs a lock acquisition and six loads per shard, inside
+    /// the exclusive write section, and nobody reads it otherwise.
+    fn eviction_baseline(&self) -> Option<NetCacheStats> {
+        self.live_recorder().map(|_| self.cache.stats())
+    }
+
     /// Emits one [`obs::EventKind::Eviction`] per chunk the cache
     /// reclaimed since `before` (inserts evict silently inside the cache;
     /// the stats delta recovers them).
-    fn emit_eviction_delta(&self, before: NetCacheStats) {
-        if self.recorder.is_none() {
+    fn emit_eviction_delta(&self, before: Option<NetCacheStats>) {
+        let Some(before) = before else {
             return;
-        }
+        };
         let after = self.cache.stats();
         for _ in before.evicted_clean..after.evicted_clean {
             self.emit(obs::EventKind::Eviction {
@@ -132,12 +149,9 @@ impl NcacheModule {
     /// Snapshot of per-shard stats, taken only when a recorder is live
     /// (so the fault-free untraced path pays nothing for it).
     fn shard_baseline(&self) -> Option<Vec<NetCacheStats>> {
-        match &self.recorder {
-            Some(rec) if rec.is_enabled() && self.cache.shard_count() > 1 => {
-                Some(self.cache.per_shard_stats())
-            }
-            _ => None,
-        }
+        self.live_recorder()
+            .filter(|_| self.cache.shard_count() > 1)
+            .map(|_| self.cache.per_shard_stats())
     }
 
     /// Emits `shard.<i>.<counter>` deltas for every shard counter that
@@ -299,7 +313,15 @@ impl NcacheModule {
                 missing: report.missing,
             });
         }
-        self.substitution_totals.absorb(report);
+        self.absorb_substitution_totals(report);
+    }
+
+    /// Adds substitutions performed (and already reported to the recorder)
+    /// outside the module to its totals: the lane-parallel engine sums
+    /// each lane's reports privately and hands the sum over once, after
+    /// the lanes have joined.
+    pub fn absorb_substitution_totals(&mut self, totals: SubstitutionReport) {
+        self.substitution_totals.absorb(totals);
     }
 
     /// Advances the cache's shared recency clock past `stamp` (see
@@ -346,7 +368,7 @@ impl NcacheModule {
         segs: Vec<Segment>,
         len: usize,
     ) -> Result<Segment, CacheFull> {
-        let before = self.cache.stats();
+        let before = self.eviction_baseline();
         let shard_before = self.shard_baseline();
         let wbs = self.cache.insert_lbn(lbn, segs, len, false)?;
         self.emit_eviction_delta(before);
@@ -372,7 +394,7 @@ impl NcacheModule {
         segs: Vec<Segment>,
         len: usize,
     ) -> Result<KeyStamp, CacheFull> {
-        let before = self.cache.stats();
+        let before = self.eviction_baseline();
         let shard_before = self.shard_baseline();
         let wbs = self.cache.insert_fho(fho, segs, len)?;
         self.emit_eviction_delta(before);
@@ -454,12 +476,12 @@ impl NcacheModule {
         std::mem::take(&mut self.pending_writebacks)
     }
 
-    /// Builds a key-stamped placeholder block (junk + stamp).
+    /// Builds a key-stamped placeholder block (junk + stamp) on a
+    /// recycled, scrubbed slab.
     fn placeholder(&self, stamp: KeyStamp) -> Segment {
-        let mut junk = vec![0u8; CHUNK_PAYLOAD];
-        stamp.encode_into(&mut junk);
         self.ledger.charge_header_bytes(KeyStamp::LEN as u64);
-        Segment::from_vec(junk)
+        self.slabs
+            .seg_filled(CHUNK_PAYLOAD, |junk| stamp.encode_into(junk))
     }
 }
 
@@ -639,6 +661,52 @@ mod tests {
         m.on_data_in(Lbn(3), block_segs(3), CHUNK_PAYLOAD).expect("evicts");
         assert_eq!(rec.counter("cache.ncache.evicted_clean"), 1);
         assert_eq!(rec.counter("cache.ncache-lbn.insertions"), 3);
+    }
+
+    #[test]
+    fn untraced_inserts_take_only_the_locks_insert_needs() {
+        // Eight shards, room to spare: an insert write-locks its target
+        // shard twice (count + displace, then file the chunk) and reads
+        // nothing. Merging all-shard stats "before" for a recorder that is
+        // absent — or attached but not recording, as in every untraced
+        // rig — used to add a read acquisition per shard.
+        let ledger = CopyLedger::new();
+        let config = NcacheConfig::with_capacity(1 << 20).with_shards(8);
+        let mut m = NcacheModule::new(config, &ledger);
+        let locks = |m: &NcacheModule| m.cache_handle().lock_counters();
+        m.on_data_in(Lbn(1), block_segs(1), CHUNK_PAYLOAD).expect("fits");
+        assert_eq!((locks(&m).reads, locks(&m).writes), (0, 2));
+        m.set_recorder(obs::Recorder::new());
+        let fho = Fho::new(FileHandle(1), 0);
+        m.on_nfs_write(fho, block_segs(2), CHUNK_PAYLOAD).expect("fits");
+        assert_eq!((locks(&m).reads, locks(&m).writes), (0, 4));
+        // A live recorder does pay for its eviction and shard deltas.
+        let rec = obs::Recorder::new();
+        rec.enable(obs::TraceConfig::default());
+        m.set_recorder(rec);
+        m.on_data_in(Lbn(2), block_segs(3), CHUNK_PAYLOAD).expect("fits");
+        assert!(locks(&m).reads >= 16, "before + after, merged per shard");
+    }
+
+    #[test]
+    fn placeholders_ride_recycled_slabs() {
+        let (mut m, ledger) = module(1 << 20);
+        let before = ledger.snapshot();
+        let ph = m.on_data_in(Lbn(3), block_segs(7), CHUNK_PAYLOAD).expect("fits");
+        assert!(ph.is_pooled());
+        assert_eq!(
+            ledger.snapshot().delta_since(&before).header_bytes,
+            KeyStamp::LEN as u64
+        );
+        // Past the stamp the block is scrubbed junk, also on a slab that
+        // held another placeholder before.
+        assert!(ph.as_slice()[KeyStamp::LEN..].iter().all(|&b| b == 0));
+        drop(ph);
+        let again = m.on_data_in(Lbn(4), block_segs(8), CHUNK_PAYLOAD).expect("fits");
+        let stamp = KeyStamp::decode(again.as_slice()).expect("stamped");
+        assert_eq!((stamp.lbn, stamp.fho), (Some(Lbn(4)), None));
+        assert!(again.as_slice()[KeyStamp::LEN..].iter().all(|&b| b == 0));
+        assert_eq!(m.slabs.slab_stats().recycles, 1);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!
 //! Since the concurrent-data-plane refactor the shard set is an
 //! internally locked **handle**: each shard sits behind its own
-//! `RwLock`, the handle is `Clone + Send + Sync`, and every method takes
-//! `&self`. Lane worker threads clone the handle and touch only the lock
-//! of the shard a key hashes to. **Lookups and resolves take the shard's
-//! read lock**: hit promotion is an atomic `fetch_max` on the entry's
-//! recency stamp and the counters are atomics, so concurrent cache-hit
+//! spin-then-block [`LaneLock`], the handle is `Clone + Send + Sync`, and
+//! every method takes `&self`. Lane worker threads clone the handle and
+//! touch only the lock of the shard a key hashes to. **Lookups and
+//! resolves take the shard's read lock**: hit promotion is an atomic
+//! `fetch_max` on the entry's recency stamp and the counters are
+//! lane-private ([`sim::LaneCounters`]), so concurrent cache-hit
 //! reads of one shard proceed fully in parallel (the LRU order index is
 //! lazy; mutators normalize it against the true stamps before picking
 //! victims — see [`NetCache::lookup`]). Mutations (insert, remap,
@@ -43,10 +44,11 @@
 //! sequences as the single-shard oracle.
 
 use std::fmt;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, Segment};
+use sim::sync::{LaneLock, LaneReadGuard, LaneWriteGuard, LockCounters};
 
 use crate::cache::{
     resolution_order, CacheFull, NetCache, NetCacheStats, SeqSource, WritebackChunk,
@@ -91,7 +93,7 @@ pub fn shard_of(key: CacheKey, shards: usize) -> usize {
 /// ```
 #[derive(Clone)]
 pub struct NetCacheShards {
-    shards: Arc<Vec<RwLock<NetCache>>>,
+    shards: Arc<Vec<LaneLock<NetCache>>>,
     pool: BufPool,
     fho_first: Arc<std::sync::atomic::AtomicBool>,
     seq: SeqSource,
@@ -106,7 +108,7 @@ impl NetCacheShards {
         let seq = SeqSource::default();
         let parts = (0..shards)
             .map(|_| {
-                RwLock::new(NetCache::with_seq_source(
+                LaneLock::new(NetCache::with_seq_source(
                     pool.clone(),
                     per_chunk_overhead,
                     seq.clone(),
@@ -125,14 +127,14 @@ impl NetCacheShards {
     /// inspection run under this guard, so cache-hit reads in different
     /// lanes never serialize against each other (only against a mutation
     /// of the same shard).
-    fn read(&self, shard: usize) -> RwLockReadGuard<'_, NetCache> {
-        self.shards[shard].read().expect("cache shard poisoned")
+    fn read(&self, shard: usize) -> LaneReadGuard<'_, NetCache> {
+        self.shards[shard].read()
     }
 
     /// Exclusive access to one shard: inserts, remaps, reclaims, and
     /// metadata mutation.
-    fn write(&self, shard: usize) -> RwLockWriteGuard<'_, NetCache> {
-        self.shards[shard].write().expect("cache shard poisoned")
+    fn write(&self, shard: usize) -> LaneWriteGuard<'_, NetCache> {
+        self.shards[shard].write()
     }
 
     /// Number of shards.
@@ -223,6 +225,19 @@ impl NetCacheShards {
             merged.merge(&self.read(i).stats());
         }
         merged
+    }
+
+    /// Acquisition counts of every shard lock, summed.
+    pub fn lock_counters(&self) -> LockCounters {
+        let mut sum = LockCounters::default();
+        for shard in self.shards.iter() {
+            let c = shard.counters();
+            sum.reads += c.reads;
+            sum.reads_waited += c.reads_waited;
+            sum.writes += c.writes;
+            sum.writes_waited += c.writes_waited;
+        }
+        sum
     }
 
     /// Per-shard counter snapshots, indexed by shard.

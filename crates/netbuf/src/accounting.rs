@@ -6,9 +6,13 @@
 //! checksum pass and header movement flows through a [`CopyLedger`], and the
 //! testbed's CPU model converts the counted operations into simulated time.
 //!
-//! Since the concurrent-data-plane refactor the counters are plain
-//! atomics (a per-charge mutex would serialize the read fast path right
-//! back into a global lock), and the ledger additionally supports
+//! Since the concurrent-data-plane refactor the counters are atomics (a
+//! per-charge mutex would serialize the read fast path right back into a
+//! global lock), striped lane-major ([`sim::LaneCounters`]): a charge adds
+//! to the charging thread's own padded stripe — a plain load and store,
+//! since no other thread writes it — so two lanes charging one ledger
+//! never write the same cache line, and [`CopyLedger::snapshot`] sums the
+//! stripes. The ledger additionally supports
 //! *per-thread observation windows*
 //! ([`CopyLedger::begin_window`]/[`CopyLedger::end_window`]): a window
 //! accumulates only the charges made by the calling thread, which is
@@ -19,8 +23,10 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+use sim::LaneCounters;
 
 /// A point-in-time copy of the ledger's counters.
 ///
@@ -115,21 +121,27 @@ impl fmt::Display for LedgerSnapshot {
     }
 }
 
-/// The shared counter cells. Plain relaxed atomics: each field is an
-/// independent monotone event count, and whole-snapshot reads are only
-/// compared at quiescent points (sequential code, or after the lane
-/// threads have joined), where every load reads a settled value.
+// Counter indices into the ledger's [`LaneCounters`], one per
+// [`LedgerSnapshot`] field.
+const PAYLOAD_COPIES: usize = 0;
+const PAYLOAD_BYTES_COPIED: usize = 1;
+const META_COPIES: usize = 2;
+const META_BYTES_COPIED: usize = 3;
+const LOGICAL_COPIES: usize = 4;
+const HEADER_BYTES: usize = 5;
+const CSUM_BYTES: usize = 6;
+const CSUM_INHERITED: usize = 7;
+const ALLOCATIONS: usize = 8;
+const FIELDS: usize = 9;
+
+/// The shared state behind every clone of a ledger handle. The counters
+/// are relaxed lane-striped sums: each field is an independent monotone
+/// event count, and whole-snapshot reads are only compared at quiescent
+/// points (sequential code, or after the lane threads have joined), where
+/// every load reads a settled value.
 #[derive(Debug, Default)]
 struct Shared {
-    payload_copies: AtomicU64,
-    payload_bytes_copied: AtomicU64,
-    meta_copies: AtomicU64,
-    meta_bytes_copied: AtomicU64,
-    logical_copies: AtomicU64,
-    header_bytes: AtomicU64,
-    csum_bytes: AtomicU64,
-    csum_inherited: AtomicU64,
-    allocations: AtomicU64,
+    counts: LaneCounters<FIELDS>,
     /// Cheap gate in front of the recorder mutex: charges skip the lock
     /// entirely until a recorder is attached.
     has_recorder: AtomicBool,
@@ -234,10 +246,9 @@ impl CopyLedger {
 
     /// Records one physical copy of `bytes` payload bytes.
     pub fn charge_payload_copy(&self, bytes: u64) {
-        self.shared.payload_copies.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .payload_bytes_copied
-            .fetch_add(bytes, Ordering::Relaxed);
+        let lane = self.shared.counts.lane();
+        lane.add(PAYLOAD_COPIES, 1);
+        lane.add(PAYLOAD_BYTES_COPIED, bytes);
         self.tally_windows(|s| {
             s.payload_copies += 1;
             s.payload_bytes_copied += bytes;
@@ -247,10 +258,9 @@ impl CopyLedger {
 
     /// Records one physical copy of `bytes` metadata bytes.
     pub fn charge_meta_copy(&self, bytes: u64) {
-        self.shared.meta_copies.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .meta_bytes_copied
-            .fetch_add(bytes, Ordering::Relaxed);
+        let lane = self.shared.counts.lane();
+        lane.add(META_COPIES, 1);
+        lane.add(META_BYTES_COPIED, bytes);
         self.tally_windows(|s| {
             s.meta_copies += 1;
             s.meta_bytes_copied += bytes;
@@ -260,21 +270,21 @@ impl CopyLedger {
 
     /// Records one logical copy (a key or pointer moved instead of data).
     pub fn charge_logical_copy(&self) {
-        self.shared.logical_copies.fetch_add(1, Ordering::Relaxed);
+        self.shared.counts.add(LOGICAL_COPIES, 1);
         self.tally_windows(|s| s.logical_copies += 1);
         self.emit("logical", 0);
     }
 
     /// Records `bytes` of protocol header construction or movement.
     pub fn charge_header_bytes(&self, bytes: u64) {
-        self.shared.header_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.shared.counts.add(HEADER_BYTES, bytes);
         self.tally_windows(|s| s.header_bytes += bytes);
         self.emit("header", bytes);
     }
 
     /// Records a software checksum pass over `bytes` bytes.
     pub fn charge_csum(&self, bytes: u64) {
-        self.shared.csum_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.shared.counts.add(CSUM_BYTES, bytes);
         self.tally_windows(|s| s.csum_bytes += bytes);
         self.emit("csum", bytes);
     }
@@ -282,46 +292,37 @@ impl CopyLedger {
     /// Records a checksum pass that was *avoided* by inheriting or reusing
     /// a stored checksum.
     pub fn charge_csum_inherited(&self) {
-        self.shared.csum_inherited.fetch_add(1, Ordering::Relaxed);
+        self.shared.counts.add(CSUM_INHERITED, 1);
         self.tally_windows(|s| s.csum_inherited += 1);
         self.emit("csum_inherited", 0);
     }
 
     /// Records a buffer allocation.
     pub fn charge_allocation(&self) {
-        self.shared.allocations.fetch_add(1, Ordering::Relaxed);
+        self.shared.counts.add(ALLOCATIONS, 1);
         self.tally_windows(|s| s.allocations += 1);
         self.emit("alloc", 0);
     }
 
-    /// Current counter values.
+    /// Current counter values, summed across lanes.
     pub fn snapshot(&self) -> LedgerSnapshot {
-        let s = &self.shared;
+        let t = self.shared.counts.totals();
         LedgerSnapshot {
-            payload_copies: s.payload_copies.load(Ordering::Relaxed),
-            payload_bytes_copied: s.payload_bytes_copied.load(Ordering::Relaxed),
-            meta_copies: s.meta_copies.load(Ordering::Relaxed),
-            meta_bytes_copied: s.meta_bytes_copied.load(Ordering::Relaxed),
-            logical_copies: s.logical_copies.load(Ordering::Relaxed),
-            header_bytes: s.header_bytes.load(Ordering::Relaxed),
-            csum_bytes: s.csum_bytes.load(Ordering::Relaxed),
-            csum_inherited: s.csum_inherited.load(Ordering::Relaxed),
-            allocations: s.allocations.load(Ordering::Relaxed),
+            payload_copies: t[PAYLOAD_COPIES],
+            payload_bytes_copied: t[PAYLOAD_BYTES_COPIED],
+            meta_copies: t[META_COPIES],
+            meta_bytes_copied: t[META_BYTES_COPIED],
+            logical_copies: t[LOGICAL_COPIES],
+            header_bytes: t[HEADER_BYTES],
+            csum_bytes: t[CSUM_BYTES],
+            csum_inherited: t[CSUM_INHERITED],
+            allocations: t[ALLOCATIONS],
         }
     }
 
     /// Resets all counters to zero.
     pub fn reset(&self) {
-        let s = &self.shared;
-        s.payload_copies.store(0, Ordering::Relaxed);
-        s.payload_bytes_copied.store(0, Ordering::Relaxed);
-        s.meta_copies.store(0, Ordering::Relaxed);
-        s.meta_bytes_copied.store(0, Ordering::Relaxed);
-        s.logical_copies.store(0, Ordering::Relaxed);
-        s.header_bytes.store(0, Ordering::Relaxed);
-        s.csum_bytes.store(0, Ordering::Relaxed);
-        s.csum_inherited.store(0, Ordering::Relaxed);
-        s.allocations.store(0, Ordering::Relaxed);
+        self.shared.counts.reset();
     }
 
     /// Whether two handles share the same underlying counters.

@@ -85,13 +85,28 @@ pub(crate) struct SlabHome {
 
 impl SlabHome {
     pub(crate) fn recycle(&self, mut buf: Box<[u8]>) {
-        if let Some(inner) = self.inner.upgrade() {
-            let mut g = inner.lock().expect("buf pool poisoned");
-            if g.free.len() < FREE_LIMIT {
-                buf.fill(0);
-                g.free.push(buf);
-                g.slab_returns += 1;
+        let Some(inner) = self.inner.upgrade() else {
+            return;
+        };
+        // The scrub touches 4 KiB of usually cold memory; every lane and
+        // every `Pinned` drop contend for the pool mutex, so it runs
+        // between two short holds instead of under one long one.
+        if inner.lock().expect("buf pool poisoned").free.len() >= FREE_LIMIT {
+            return;
+        }
+        buf.fill(0);
+        let mut g = inner.lock().expect("buf pool poisoned");
+        // The list may have filled meanwhile; the scrubbed slab then just
+        // goes back to the host allocator.
+        if g.free.len() < FREE_LIMIT {
+            if g.free.capacity() == 0 {
+                // One allocation for the list's whole life (64 KiB), made
+                // by the first slab to come home — not a regrowth every
+                // time the steady state is a little deeper than before.
+                g.free.reserve_exact(FREE_LIMIT);
             }
+            g.free.push(buf);
+            g.slab_returns += 1;
         }
     }
 }

@@ -10,7 +10,6 @@
 //! headers — travels the ordinary copying path in every build.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ncache::NcacheModule;
 use netbuf::key::{Fho, FileHandle, KeyStamp};
@@ -22,6 +21,7 @@ use proto::nfs::{
 };
 use proto::rpc::{RpcCall, RpcReply, CALL_LEN, REPLY_LEN};
 use simfs::inode::FileType;
+use sim::LaneCounters;
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
@@ -80,54 +80,25 @@ impl obs::StatsSnapshot for NfsServerStats {
     }
 }
 
-/// One server counter, shared-path friendly: the concurrent read fast
-/// path bumps counters through `&self`, so each cell is an atomic with
-/// relaxed ordering (pure commutative sums; snapshots are taken at
-/// quiescent points).
-#[derive(Debug, Default)]
-struct StatsCell(AtomicU64);
-
-impl StatsCell {
-    fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+// Counter indices into the server's [`LaneCounters`], one per
+// [`NfsServerStats`] field.
+const REQUESTS: usize = 0;
+const READS: usize = 1;
+const WRITES: usize = 2;
+const METADATA_OPS: usize = 3;
+const BYTES_READ: usize = 4;
+const BYTES_WRITTEN: usize = 5;
+const ERRORS: usize = 6;
+const DRC_HITS: usize = 7;
+const DRC_INSERTS: usize = 8;
+const DRC_EVICTIONS: usize = 9;
 
 /// The server's live counters (see [`NfsServerStats`] for the snapshot).
-#[derive(Debug, Default)]
-struct StatsCells {
-    requests: StatsCell,
-    reads: StatsCell,
-    writes: StatsCell,
-    metadata_ops: StatsCell,
-    bytes_read: StatsCell,
-    bytes_written: StatsCell,
-    errors: StatsCell,
-    drc_hits: StatsCell,
-    drc_inserts: StatsCell,
-    drc_evictions: StatsCell,
-}
-
-impl StatsCells {
-    fn snapshot(&self) -> NfsServerStats {
-        NfsServerStats {
-            requests: self.requests.get(),
-            reads: self.reads.get(),
-            writes: self.writes.get(),
-            metadata_ops: self.metadata_ops.get(),
-            bytes_read: self.bytes_read.get(),
-            bytes_written: self.bytes_written.get(),
-            errors: self.errors.get(),
-            drc_hits: self.drc_hits.get(),
-            drc_inserts: self.drc_inserts.get(),
-            drc_evictions: self.drc_evictions.get(),
-        }
-    }
-}
+/// The concurrent read fast path bumps them through `&self`, so they are
+/// relaxed atomics (pure commutative sums; snapshots are taken at
+/// quiescent points), lane-striped so concurrent lanes count on their own
+/// cache lines.
+type StatsCells = LaneCounters<10>;
 
 /// The NFS server.
 ///
@@ -328,7 +299,19 @@ impl NfsServer {
 
     /// Counter snapshot.
     pub fn stats(&self) -> NfsServerStats {
-        self.stats.snapshot()
+        let t = self.stats.totals();
+        NfsServerStats {
+            requests: t[REQUESTS],
+            reads: t[READS],
+            writes: t[WRITES],
+            metadata_ops: t[METADATA_OPS],
+            bytes_read: t[BYTES_READ],
+            bytes_written: t[BYTES_WRITTEN],
+            errors: t[ERRORS],
+            drc_hits: t[DRC_HITS],
+            drc_inserts: t[DRC_INSERTS],
+            drc_evictions: t[DRC_EVICTIONS],
+        }
     }
 
     /// The file system (for test setup: creating files, syncing).
@@ -350,7 +333,7 @@ impl NfsServer {
     /// reply message, already passed through the driver-level NCache hook
     /// (substitution) when that build is running.
     pub fn handle_message(&mut self, mut req: NetBuf) -> NetBuf {
-        self.stats.requests.add(1);
+        self.stats.add(REQUESTS, 1);
         let req_bytes = req.payload_len() as u64;
         let call = take_array::<CALL_LEN>(&mut req).and_then(|h| RpcCall::decode(&h).ok());
         let Some(call) = call else {
@@ -368,7 +351,7 @@ impl NfsServer {
             let span = self
                 .recorder
                 .begin_span("malformed", self.mode.label(), req_bytes);
-            self.stats.errors.add(1);
+            self.stats.add(ERRORS, 1);
             let mut r = NetBuf::new(&self.ledger);
             r.push_header(&NFSERR_IO.to_be_bytes());
             r.push_header(&RpcReply::new(0).encode_array());
@@ -383,7 +366,7 @@ impl NfsServer {
         // original reply bytes, never re-executed.
         if self.fault_recovery && non_idempotent(call.proc) {
             if let Some((_, bytes)) = self.drc.iter().find(|(xid, _)| *xid == call.xid) {
-                self.stats.drc_hits.add(1);
+                self.stats.add(DRC_HITS, 1);
                 let mut r = NetBuf::new(&self.ledger);
                 r.push_header(bytes);
                 self.recorder.add_counter("fault.drc_hits", 1);
@@ -418,7 +401,7 @@ impl NfsServer {
             nfs::proc::REMOVE => self.do_remove(&mut req),
             nfs::proc::READDIR => self.do_readdir(&mut req),
             _ => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 let mut r = NetBuf::new(&self.ledger);
                 r.push_header(&NFSERR_IO.to_be_bytes());
                 r
@@ -431,11 +414,11 @@ impl NfsServer {
             debug_assert_eq!(reply.payload_len(), 0);
             if self.drc.len() >= self.drc_capacity {
                 self.drc.pop_front();
-                self.stats.drc_evictions.add(1);
+                self.stats.add(DRC_EVICTIONS, 1);
                 self.recorder.add_counter("nfs.drc_evictions", 1);
             }
             self.drc.push_back((call.xid, reply.header().to_vec()));
-            self.stats.drc_inserts.add(1);
+            self.stats.add(DRC_INSERTS, 1);
         }
         // Driver-boundary hook: substitution happens after the whole stack
         // has built the packet.
@@ -450,7 +433,7 @@ impl NfsServer {
     }
 
     fn do_create(&mut self, req: &mut NetBuf) -> NetBuf {
-        self.stats.metadata_ops.add(1);
+        self.stats.add(METADATA_OPS, 1);
         let body = req.pull(req.payload_len());
         let Some(args) = CreateArgs::decode(&body).ok() else {
             return self.garbage_reply();
@@ -473,7 +456,7 @@ impl NfsServer {
                 );
             }
             Err(e) => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 r.push_header(
                     &LookupReply {
                         status: status_of(e),
@@ -487,7 +470,7 @@ impl NfsServer {
     }
 
     fn do_remove(&mut self, req: &mut NetBuf) -> NetBuf {
-        self.stats.metadata_ops.add(1);
+        self.stats.add(METADATA_OPS, 1);
         let body = req.pull(req.payload_len());
         let Some(args) = LookupArgs::decode(&body).ok() else {
             return self.garbage_reply();
@@ -505,7 +488,7 @@ impl NfsServer {
         let status = match self.fs.remove(fh_to_ino(args.dir_fh), &args.name) {
             Ok(()) => NFS_OK,
             Err(e) => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 status_of(e)
             }
         };
@@ -542,7 +525,7 @@ impl NfsServer {
     }
 
     fn do_readdir(&mut self, req: &mut NetBuf) -> NetBuf {
-        self.stats.metadata_ops.add(1);
+        self.stats.add(METADATA_OPS, 1);
         let Some(args) = take_array::<{ ReaddirArgs::LEN }>(req)
             .and_then(|b| ReaddirArgs::decode(&b).ok())
         else {
@@ -579,7 +562,7 @@ impl NfsServer {
                 );
             }
             Err(e) => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 r.push_header(
                     &ReaddirReply {
                         status: status_of(e),
@@ -739,7 +722,7 @@ impl NfsServer {
 
     /// Error reply for requests whose body fails to parse.
     fn garbage_reply(&mut self) -> NetBuf {
-        self.stats.errors.add(1);
+        self.stats.add(ERRORS, 1);
         let mut r = NetBuf::new(&self.ledger);
         r.push_header(&NFSERR_IO.to_be_bytes());
         r
@@ -803,7 +786,7 @@ impl NfsServer {
     }
 
     fn do_getattr(&mut self, req: &mut NetBuf) -> NetBuf {
-        self.stats.metadata_ops.add(1);
+        self.stats.add(METADATA_OPS, 1);
         let Some(args) = take_array::<{ GetattrArgs::LEN }>(req)
             .and_then(|b| GetattrArgs::decode(&b).ok())
         else {
@@ -819,7 +802,7 @@ impl NfsServer {
                 .encode_array(),
             ),
             Err(e) => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 r.push_header(&status_of(e).to_be_bytes());
             }
         }
@@ -827,7 +810,7 @@ impl NfsServer {
     }
 
     fn do_lookup(&mut self, req: &mut NetBuf) -> NetBuf {
-        self.stats.metadata_ops.add(1);
+        self.stats.add(METADATA_OPS, 1);
         let body = req.pull(req.payload_len());
         let Some(args) = LookupArgs::decode(&body).ok() else {
             return self.garbage_reply();
@@ -850,7 +833,7 @@ impl NfsServer {
                 );
             }
             Err(e) => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 r.push_header(
                     &LookupReply {
                         status: status_of(e),
@@ -864,7 +847,7 @@ impl NfsServer {
     }
 
     fn do_read(&mut self, req: &mut NetBuf) -> NetBuf {
-        self.stats.reads.add(1);
+        self.stats.add(READS, 1);
         let Some(args) = take_array::<{ ReadArgs::LEN }>(req)
             .and_then(|b| ReadArgs::decode(&b).ok())
         else {
@@ -950,7 +933,7 @@ impl NfsServer {
 
         match outcome {
             Ok((n, attrs)) => {
-                self.stats.bytes_read.add(n as u64);
+                self.stats.add(BYTES_READ, n as u64);
                 reply.push_header(
                     &ReadReplyHeader {
                         status: NFS_OK,
@@ -961,7 +944,7 @@ impl NfsServer {
                 );
             }
             Err(e) => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 let mut r = NetBuf::new(&self.ledger);
                 r.push_header(
                     &ReadReplyHeader {
@@ -996,19 +979,17 @@ impl NfsServer {
         if !offset.is_multiple_of(BLOCK as u64) {
             return false;
         }
-        let Some(blocks) = self.fs.probe_read(fh_to_ino(fh), offset, count) else {
-            return false;
-        };
         let Some(cache) = &self.cache_handle else {
             return false;
         };
-        blocks.iter().all(|b| match KeyStamp::decode(b.seg.as_slice()) {
-            Some(stamp) if stamp.is_keyed() => {
-                stamp.fho.is_some_and(|f| cache.contains(f.into()))
-                    || stamp.lbn.is_some_and(|l| cache.contains(l.into()))
-            }
-            _ => true,
-        })
+        self.fs
+            .probe_read(fh_to_ino(fh), offset, count, |block| match KeyStamp::decode(block) {
+                Some(stamp) if stamp.is_keyed() => {
+                    stamp.fho.is_some_and(|f| cache.contains(f.into()))
+                        || stamp.lbn.is_some_and(|l| cache.contains(l.into()))
+                }
+                _ => true,
+            })
     }
 
     /// The concurrent read fast path: a cache-hit READ served end-to-end
@@ -1024,7 +1005,8 @@ impl NfsServer {
     /// write-back drain is skipped (a pure hit displaces nothing, and the
     /// drain is a silent no-op on an empty queue).
     pub fn handle_read_fast(&self, mut req: NetBuf) -> NetBuf {
-        self.stats.requests.add(1);
+        let counts = self.stats.lane();
+        counts.add(REQUESTS, 1);
         let req_bytes = req.payload_len() as u64;
         let call = take_array::<CALL_LEN>(&mut req)
             .and_then(|h| RpcCall::decode(&h).ok())
@@ -1032,7 +1014,7 @@ impl NfsServer {
         let span = self
             .recorder
             .begin_span(proc_name(call.proc), self.mode.label(), req_bytes);
-        self.stats.reads.add(1);
+        counts.add(READS, 1);
         let args = take_array::<{ ReadArgs::LEN }>(&mut req)
             .and_then(|b| ReadArgs::decode(&b).ok())
             .expect("fast path requires well-formed READ args");
@@ -1048,7 +1030,7 @@ impl NfsServer {
             n += b.valid_len;
         }
         let attrs = self.fs.getattr_shared(ino);
-        self.stats.bytes_read.add(n as u64);
+        counts.add(BYTES_READ, n as u64);
         reply.push_header(
             &ReadReplyHeader {
                 status: NFS_OK,
@@ -1063,7 +1045,7 @@ impl NfsServer {
     }
 
     fn do_write(&mut self, req: &mut NetBuf) -> NetBuf {
-        self.stats.writes.add(1);
+        self.stats.add(WRITES, 1);
         let Some(hdr) = take_array::<{ WriteArgsHeader::LEN }>(req)
             .and_then(|b| WriteArgsHeader::decode(&b).ok())
         else {
@@ -1159,7 +1141,7 @@ impl NfsServer {
         let mut r = NetBuf::new(&self.ledger);
         match outcome.and_then(|()| self.fs.getattr(ino)) {
             Ok(inode) => {
-                self.stats.bytes_written.add(count as u64);
+                self.stats.add(BYTES_WRITTEN, count as u64);
                 r.push_header(
                     &WriteReply {
                         status: NFS_OK,
@@ -1169,7 +1151,7 @@ impl NfsServer {
                 );
             }
             Err(e) => {
-                self.stats.errors.add(1);
+                self.stats.add(ERRORS, 1);
                 r.push_header(
                     &WriteReply {
                         status: status_of(e),
@@ -1778,7 +1760,7 @@ mod tests {
         // must stay `Send` so the lane-parallel engine can serve requests
         // from worker threads behind one lock — and `Sync`, because the
         // read fast path serves concurrent READs through a shared
-        // `&NfsServer` under the core `RwLock`'s read guard.
+        // `&NfsServer` under the core lock's read guard.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<NfsServer>();
         let (mut srv, mut client) = server(ServerMode::NCache);

@@ -51,5 +51,5 @@ pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
 pub use resource::Resource;
 pub use rng::SplitMix64;
-pub use sync::Shared;
+pub use sync::{LaneCounters, LaneLock, Shared};
 pub use time::{Duration, SimTime};

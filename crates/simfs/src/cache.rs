@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netbuf::Segment;
+use sim::LaneCounters;
 
 use crate::store::BlockClass;
 
@@ -125,40 +126,17 @@ impl Clone for Entry {
     }
 }
 
-/// Interior-mutable counters so hits/misses can count through `&self`.
-#[derive(Debug, Default)]
-struct StatsCells {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evicted_clean: AtomicU64,
-    evicted_dirty: AtomicU64,
-}
+// Counter indices into the cache's [`LaneCounters`], one per
+// [`CacheStats`] field.
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const INSERTIONS: usize = 2;
+const EVICTED_CLEAN: usize = 3;
+const EVICTED_DIRTY: usize = 4;
 
-impl StatsCells {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evicted_clean: self.evicted_clean.load(Ordering::Relaxed),
-            evicted_dirty: self.evicted_dirty.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Clone for StatsCells {
-    fn clone(&self) -> Self {
-        let s = self.snapshot();
-        StatsCells {
-            hits: AtomicU64::new(s.hits),
-            misses: AtomicU64::new(s.misses),
-            insertions: AtomicU64::new(s.insertions),
-            evicted_clean: AtomicU64::new(s.evicted_clean),
-            evicted_dirty: AtomicU64::new(s.evicted_dirty),
-        }
-    }
-}
+/// Interior-mutable counters so hits/misses can count through `&self`,
+/// lane-striped so concurrent fast-path reads count on their own lines.
+type StatsCells = LaneCounters<5>;
 
 /// Pops the least-recently-used *settled* entry of one class order map,
 /// re-filing any entry whose index stamp trails its true stamp. Stamps
@@ -316,7 +294,14 @@ impl BufferCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        let t = self.stats.totals();
+        CacheStats {
+            hits: t[HITS],
+            misses: t[MISSES],
+            insertions: t[INSERTIONS],
+            evicted_clean: t[EVICTED_CLEAN],
+            evicted_dirty: t[EVICTED_DIRTY],
+        }
     }
 
     /// Whether `lbn` is resident (does not touch LRU order or counters).
@@ -329,16 +314,31 @@ impl BufferCache {
         self.map.get(&lbn).is_some_and(|e| e.dirty)
     }
 
-    /// The contents of a resident block, *without* promotion, counters,
-    /// or events — a side-effect-free probe. The READ fast path uses this
-    /// to establish residency before committing to the counted access
-    /// sequence.
-    pub fn peek(&self, lbn: u64) -> Option<Segment> {
-        self.map.get(&lbn).map(|e| e.seg.clone())
+    /// Reads a resident block in place, *without* promotion, counters, or
+    /// events — a side-effect-free probe. The READ fast path uses this to
+    /// establish residency (and validate placeholder stamps) before
+    /// committing to the counted access sequence. `None` if `lbn` is not
+    /// resident.
+    pub fn peek_with<R>(&self, lbn: u64, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.map.get(&lbn).map(|e| read(e.seg.as_slice()))
     }
 
     /// Looks up a block, promoting it to most-recently-used. The returned
     /// segment shares storage with the cached copy (a logical copy).
+    pub fn get(&self, lbn: u64) -> Option<Segment> {
+        self.access(lbn).map(|e| e.seg.clone())
+    }
+
+    /// [`BufferCache::get`] reading the block in place instead of sharing
+    /// it out: the same tally, stamp draw, promotion, counters and event,
+    /// but no reference-count traffic on the block's storage — which for
+    /// an inode or indirect block is a cache line every lane would write.
+    pub fn get_with<R>(&self, lbn: u64, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.access(lbn).map(|e| read(e.seg.as_slice()))
+    }
+
+    /// The counted access behind [`BufferCache::get`] and
+    /// [`BufferCache::get_with`].
     ///
     /// Takes `&self`: the stamp draw is a `fetch_add`, the promotion a
     /// `fetch_max` on the entry's atomic stamp, and the counters are
@@ -346,30 +346,26 @@ impl BufferCache {
     /// flush normalize them. Sequentially this draws the same stamps and
     /// counts the same events as the old exclusive version, byte for
     /// byte.
-    pub fn get(&self, lbn: u64) -> Option<Segment> {
+    fn access(&self, lbn: u64) -> Option<&Entry> {
         bump_op_tally();
-        if let Some(entry) = self.map.get(&lbn) {
+        let entry = self.map.get(&lbn);
+        if let Some(entry) = entry {
             let fresh = self.draw_seq();
             entry.seq.fetch_max(fresh, Ordering::Relaxed);
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(obs::EventKind::CacheAccess {
-                tier: "fs",
-                hit: true,
-            });
-            Some(entry.seg.clone())
+            self.stats.add(HITS, 1);
         } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(MISSES, 1);
             // A miss consults the ghost tail: a hit there is a block a
             // larger FS quota would have kept. Observation only.
             if let Some(g) = &self.ghost {
                 g.lock().expect("ghost poisoned").probe(lbn);
             }
-            self.emit(obs::EventKind::CacheAccess {
-                tier: "fs",
-                hit: false,
-            });
-            None
         }
+        self.emit(obs::EventKind::CacheAccess {
+            tier: "fs",
+            hit: entry.is_some(),
+        });
+        entry
     }
 
     /// Inserts (or replaces) a block, returning any dirty blocks that had
@@ -382,7 +378,7 @@ impl BufferCache {
         class: BlockClass,
         dirty: bool,
     ) -> Vec<Writeback> {
-        self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(INSERTIONS, 1);
         bump_op_tally();
         self.emit(obs::EventKind::CacheInsert { tier: "fs", dirty });
         if let Some(old) = self.remove_entry(lbn) {
@@ -560,7 +556,7 @@ impl BufferCache {
                 self.clean_data_order.remove(&seq);
                 self.map.remove(&lbn);
                 self.record_ghost(lbn, seq);
-                self.stats.evicted_clean.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(EVICTED_CLEAN, 1);
                 self.emit(obs::EventKind::Eviction {
                     tier: "fs",
                     class: "data",
@@ -571,7 +567,7 @@ impl BufferCache {
                 self.clean_meta_order.remove(&seq);
                 self.map.remove(&lbn);
                 self.record_ghost(lbn, seq);
-                self.stats.evicted_clean.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(EVICTED_CLEAN, 1);
                 self.emit(obs::EventKind::Eviction {
                     tier: "fs",
                     class: "meta",
@@ -581,7 +577,7 @@ impl BufferCache {
                 self.dirty_order.remove(&seq);
                 let entry = self.map.remove(&lbn).expect("order points at entry");
                 self.record_ghost(lbn, seq);
-                self.stats.evicted_dirty.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(EVICTED_DIRTY, 1);
                 self.emit(obs::EventKind::Eviction {
                     tier: "fs",
                     class: if entry.class == BlockClass::Meta {

@@ -605,38 +605,38 @@ impl<S: BlockStore> Filesystem<S> {
     }
 
     /// Residency probe for the concurrent read fast path: decides —
-    /// without counting a cache access or charging the ledger — whether a
-    /// block-aligned [`Filesystem::read_logical`] would be served entirely
-    /// from resident cache blocks (inode table, indirect and data blocks
-    /// all cached, no holes). Returns the blocks it would attach, so the
-    /// caller can validate placeholder stamps, or `None` if any part of
-    /// the walk would miss — the caller then takes the ordinary exclusive
-    /// path, which can fetch.
-    pub fn probe_read(&self, ino: Ino, offset: u64, len: usize) -> Option<Vec<LogicalBlock>> {
+    /// without counting a cache access, charging the ledger, or taking a
+    /// reference on any block — whether a block-aligned
+    /// [`Filesystem::read_logical`] would be served entirely from
+    /// resident cache blocks (inode table, indirect and data blocks all
+    /// cached, no holes) that each pass `accept`. `accept` sees every data
+    /// block's bytes in place, so the caller can validate placeholder
+    /// stamps. On `false` the caller takes the ordinary exclusive path,
+    /// which can fetch.
+    pub fn probe_read(
+        &self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        mut accept: impl FnMut(&[u8]) -> bool,
+    ) -> bool {
         if !offset.is_multiple_of(BLOCK_SIZE as u64) {
-            return None;
+            return false;
         }
-        let inode = self.peek_inode(ino)?;
+        let Some(inode) = self.peek_inode(ino) else {
+            return false;
+        };
         if inode.ftype != FileType::Regular || offset >= inode.size {
-            return None;
+            return false;
         }
         let len = len.min((inode.size - offset) as usize);
         let first = offset / BLOCK_SIZE as u64;
         let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
-        let mut out = Vec::with_capacity(nblocks as usize);
-        for i in 0..nblocks {
-            let blk = first + i;
-            let valid = (len - (i as usize * BLOCK_SIZE)).min(BLOCK_SIZE);
-            let lbn = self.peek_map_block(&inode, blk)?;
-            let seg = self.cache.peek(lbn)?;
-            out.push(LogicalBlock {
-                file_index: blk,
-                lbn: Some(lbn),
-                seg,
-                valid_len: valid,
-            });
-        }
-        Some(out)
+        (first..first + nblocks).all(|blk| {
+            self.peek_map_block(&inode, blk)
+                .and_then(|lbn| self.cache.peek_with(lbn, &mut accept))
+                .unwrap_or(false)
+        })
     }
 
     /// The committed counterpart of [`Filesystem::probe_read`]: performs
@@ -700,55 +700,48 @@ impl<S: BlockStore> Filesystem<S> {
         if u64::from(ino.0) >= u64::from(self.sb.inode_count) {
             return None;
         }
-        let seg = self.cache.peek(self.inode_lbn(ino))?;
-        let at = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
-        Inode::decode(&seg.as_slice()[at..at + INODE_SIZE]).ok()
+        self.cache
+            .peek_with(self.inode_lbn(ino), |block| decode_inode(block, ino).ok())?
     }
 
     /// Uncounted block mapping: `None` for holes *and* for unresident
     /// indirect blocks (the probe cannot fetch).
     fn peek_map_block(&self, inode: &Inode, blk: u64) -> Option<u64> {
-        match block_path(blk).ok()? {
-            BlockPath::Direct { slot } => nonzero(inode.direct[slot]),
-            BlockPath::Single { slot } => {
-                let ind = nonzero(inode.single)?;
-                let seg = self.cache.peek(ind)?;
-                nonzero(ptr_at(seg.as_slice(), slot))
-            }
-            BlockPath::Double {
-                which,
-                outer,
-                inner,
-            } => {
-                let root = nonzero(inode.double[which])?;
-                let seg = self.cache.peek(root)?;
-                let mid = nonzero(ptr_at(seg.as_slice(), outer))?;
-                let seg = self.cache.peek(mid)?;
-                nonzero(ptr_at(seg.as_slice(), inner))
-            }
-        }
+        self.walk_block_path(block_path(blk).ok()?, inode, |lbn, slot| {
+            self.cache.peek_with(lbn, |block| ptr_at(block, slot))
+        })
     }
 
     /// Counted block mapping through `&self`, mirroring
     /// [`Filesystem::map_block_mut`]'s access order on the all-hit walk.
     fn map_block_shared(&self, inode: &Inode, blk: u64) -> Option<u64> {
-        match block_path(blk).expect("probed block path is valid") {
+        let path = block_path(blk).expect("probed block path is valid");
+        self.walk_block_path(path, inode, |lbn, slot| {
+            Some(self.read_resident(lbn, |block| ptr_at(block, slot)))
+        })
+    }
+
+    /// Follows `path` from `inode` to the data block's address, reading
+    /// each indirect pointer through `ptr(indirect_lbn, slot)` — in place,
+    /// so a walk never takes a reference on an indirect block. `None` for
+    /// a hole, or when `ptr` cannot read a block.
+    fn walk_block_path(
+        &self,
+        path: BlockPath,
+        inode: &Inode,
+        ptr: impl Fn(u64, usize) -> Option<u64>,
+    ) -> Option<u64> {
+        match path {
             BlockPath::Direct { slot } => nonzero(inode.direct[slot]),
-            BlockPath::Single { slot } => {
-                let ind = nonzero(inode.single)?;
-                let seg = self.get_resident(ind);
-                nonzero(ptr_at(seg.as_slice(), slot))
-            }
+            BlockPath::Single { slot } => nonzero(ptr(nonzero(inode.single)?, slot)?),
             BlockPath::Double {
                 which,
                 outer,
                 inner,
             } => {
                 let root = nonzero(inode.double[which])?;
-                let seg = self.get_resident(root);
-                let mid = nonzero(ptr_at(seg.as_slice(), outer))?;
-                let seg = self.get_resident(mid);
-                nonzero(ptr_at(seg.as_slice(), inner))
+                let mid = nonzero(ptr(root, outer)?)?;
+                nonzero(ptr(mid, inner)?)
             }
         }
     }
@@ -760,10 +753,17 @@ impl<S: BlockStore> Filesystem<S> {
             .expect("fast-path block resident under the read guard")
     }
 
+    /// Counted in-place read ([`BufferCache::get_with`]) of a block the
+    /// probe saw resident.
+    fn read_resident<R>(&self, lbn: u64, read: impl FnOnce(&[u8]) -> R) -> R {
+        self.cache
+            .get_with(lbn, read)
+            .expect("fast-path block resident under the read guard")
+    }
+
     fn load_inode_shared(&self, ino: Ino) -> Inode {
-        let seg = self.get_resident(self.inode_lbn(ino));
-        let at = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
-        Inode::decode(&seg.as_slice()[at..at + INODE_SIZE]).expect("probed inode decodes")
+        self.read_resident(self.inode_lbn(ino), |block| decode_inode(block, ino))
+            .expect("probed inode decodes")
     }
 
     /// Writes placeholder blocks carrying `stamps` instead of payload —
@@ -931,8 +931,7 @@ impl<S: BlockStore> Filesystem<S> {
         }
         let lbn = self.inode_lbn(ino);
         let seg = self.read_block_cached(lbn, BlockClass::Meta);
-        let at = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
-        Inode::decode(&seg.as_slice()[at..at + INODE_SIZE]).map_err(|_| FsError::NotFound)
+        decode_inode(seg.as_slice(), ino).map_err(|_| FsError::NotFound)
     }
 
     fn store_inode(&mut self, ino: Ino, inode: &Inode) -> Result<(), FsError> {
@@ -1252,6 +1251,12 @@ impl<S: BlockStore> Filesystem<S> {
     }
 }
 
+/// Decodes `ino`'s slot of its inode-table block.
+fn decode_inode(block: &[u8], ino: Ino) -> Result<Inode, FsError> {
+    let at = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
+    Inode::decode(&block[at..at + INODE_SIZE])
+}
+
 fn nonzero(lbn: u64) -> Option<u64> {
     (lbn != NO_BLOCK).then_some(lbn)
 }
@@ -1495,19 +1500,29 @@ mod tests {
         fs.write(f, 0, &vec![7u8; size]).expect("write");
         let before = (fs.ledger().snapshot(), fs.cache_stats());
         let _ = take_op_tally();
-        assert!(fs.probe_read(f, 0, size).is_some(), "warm file probes ready");
-        assert!(fs.probe_read(f, 4096, 8192).is_some());
-        assert!(fs.probe_read(f, 1, 4096).is_none(), "unaligned");
-        assert!(fs.probe_read(f, size as u64, 4096).is_none(), "past EOF");
-        assert!(fs.probe_read(Ino(999_999), 0, 1).is_none(), "bad inode");
+        let any = |_: &[u8]| true;
+        assert!(fs.probe_read(f, 0, size, any), "warm file probes ready");
+        assert!(fs.probe_read(f, 4096, 8192, any));
+        assert!(!fs.probe_read(f, 1, 4096, any), "unaligned");
+        assert!(!fs.probe_read(f, size as u64, 4096, any), "past EOF");
+        assert!(!fs.probe_read(Ino(999_999), 0, 1, any), "bad inode");
+        // The validator sees every covered data block in place, and one
+        // rejection fails the probe.
+        let mut seen = 0;
+        assert!(fs.probe_read(f, 0, size, |block| {
+            seen += 1;
+            block == [7u8; BLOCK_SIZE]
+        }));
+        assert_eq!(seen, 40);
+        assert!(!fs.probe_read(f, 0, size, |_| false), "rejected block bails");
         assert_eq!(fs.ledger().snapshot(), before.0, "probe charges nothing");
         assert_eq!(fs.cache_stats(), before.1, "probe counts nothing");
         assert_eq!(take_op_tally(), 0, "probe leaves no op tally");
         // Dropping one covered block from the cache fails the probe.
         let lbn = fs.block_lbn(f, 2).expect("mapped").expect("allocated");
         fs.discard_cached(lbn);
-        assert!(fs.probe_read(f, 0, size).is_none(), "cold block bails");
-        assert!(fs.probe_read(f, 0, 2 * BLOCK_SIZE).is_some(), "range before it still probes");
+        assert!(!fs.probe_read(f, 0, size, any), "cold block bails");
+        assert!(fs.probe_read(f, 0, 2 * BLOCK_SIZE, any), "range before it still probes");
     }
 
     #[test]

@@ -1091,11 +1091,11 @@ mod tests {
         // shared target/module handles, ledgers) must stay `Send` so the
         // lane-parallel engine can drive one rig from worker threads —
         // and `Sync`, because the engine shares the rig across lanes as
-        // `&RwLock<NfsRig>` and the read fast path serves concurrent
+        // `&LaneLock<NfsRig>` and the read fast path serves concurrent
         // READs under the read guard.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<NfsRig>();
-        assert_send_sync::<std::sync::RwLock<NfsRig>>();
+        assert_send_sync::<sim::LaneLock<NfsRig>>();
         let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
         let fh = rig.create_file("x", 16 << 10);
         let data = std::thread::spawn(move || rig.read(fh, 0, 8 << 10))

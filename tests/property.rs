@@ -253,6 +253,51 @@ property! {
         }
     }
 
+    /// The same, with two threads churning one pool: a slab is scrubbed
+    /// outside the pool's mutex (between the capacity check and the
+    /// push), so a take on one thread can interleave with a recycle on
+    /// the other — and must still never see a byte the other left behind.
+    /// A barrier starts every round together, so the threads really
+    /// overlap on the free list.
+    fn prop_recycled_slabs_never_leak_stale_bytes_across_threads(
+        rounds in vec_of((ints(1usize..4096), ints(0usize..4096), any_u8()), 1..24),
+    ) {
+        let pool = BufPool::slab_only();
+        let start = std::sync::Barrier::new(2);
+        let leaks: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2u8)
+                .map(|t| {
+                    let (pool, start, rounds) = (&pool, &start, &rounds);
+                    s.spawn(move || {
+                        let mut leaks = 0;
+                        for &(len, filled, fill) in rounds {
+                            let (filled, fill) = (filled.min(len), fill ^ (t << 7));
+                            start.wait();
+                            for _ in 0..8 {
+                                drop(pool.seg_filled(4096, |b| b.fill(fill.wrapping_add(1))));
+                                let seg = pool.seg_filled(len, |b| b[..filled].fill(fill));
+                                let bytes = seg.as_slice();
+                                let clean = bytes.len() == len
+                                    && bytes[..filled].iter().all(|&b| b == fill)
+                                    && bytes[filled..].iter().all(|&b| b == 0);
+                                leaks += usize::from(!clean);
+                            }
+                        }
+                        leaks
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        prop_assert_eq!(leaks, vec![0, 0], "stale bytes leaked through the free list");
+        let stats = pool.slab_stats();
+        prop_assert_eq!(stats.allocs + stats.recycles, rounds.len() as u64 * 2 * 8 * 2);
+        prop_assert_eq!(stats.returns, stats.allocs + stats.recycles, "every slab came home");
+    }
+
     /// Pooling is invisible to copy accounting: the same appends through
     /// the heap path and the pooled path charge byte-identical ledgers and
     /// carry byte-identical payloads.
