@@ -123,7 +123,7 @@ property! {
                         0 => side.buf.append_bytes(&bytes),
                         1 => side.buf.append_vec(bytes.clone()),
                         2 => side.buf.append_pooled(&pool, &bytes),
-                        _ => side.buf.append_filled(&pool, bytes.len(), |out| out.copy_from_slice(&bytes)),
+                        _ => side.buf.append_written(&pool, bytes.len(), |w| w.put(&bytes)),
                     }
                     side.payload.extend_from_slice(&bytes);
                     expect.payload_copies += 1;

@@ -26,7 +26,9 @@
 //!   blind to phase changes late in a run) and its quota arithmetic is
 //!   integer-exact, with `fs + ncache == total` conserved at every step.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use sim::MixMap;
 
 /// Quota granularity: one FS block / one NCache payload chunk (4 KiB).
 /// Mirrors `blockdev::BLOCK_SIZE` without taking the dependency.
@@ -79,7 +81,7 @@ impl GhostStats {
 #[derive(Clone, Debug)]
 pub struct GhostLru {
     cap: usize,
-    by_key: HashMap<u64, u64>,
+    by_key: MixMap<u64, u64>,
     by_stamp: BTreeMap<u64, u64>,
     stats: GhostStats,
 }
@@ -89,7 +91,7 @@ impl GhostLru {
     pub fn new(cap: usize) -> GhostLru {
         GhostLru {
             cap,
-            by_key: HashMap::new(),
+            by_key: MixMap::default(),
             by_stamp: BTreeMap::new(),
             stats: GhostStats::default(),
         }

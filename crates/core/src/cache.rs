@@ -15,14 +15,14 @@
 //!   LBN entry ("data in the FHO cache is always more up-to-date");
 //! * `resolve` consults FHO before LBN so clients always see fresh data.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, Segment};
-use sim::LaneCounters;
+use sim::{mix64, LaneCounters, MixMap};
 
 use crate::adaptive::{GhostLru, GhostStats};
 use crate::chunk::Chunk;
@@ -35,7 +35,7 @@ fn ghost_key(key: CacheKey) -> u64 {
     match key {
         CacheKey::Lbn(Lbn(block)) => block << 1,
         CacheKey::Fho(Fho { fh, offset }) => {
-            (crate::shards::mix64(crate::shards::mix64(fh.0) ^ offset) << 1) | 1
+            (mix64(mix64(fh.0) ^ offset) << 1) | 1
         }
     }
 }
@@ -226,7 +226,7 @@ pub(crate) fn resolution_order(
 /// # Ok::<(), ncache::CacheFull>(())
 /// ```
 pub struct NetCache {
-    map: HashMap<CacheKey, Entry>,
+    map: MixMap<CacheKey, Entry>,
     order: BTreeMap<u64, CacheKey>,
     seq: SeqSource,
     pool: BufPool,
@@ -255,7 +255,7 @@ impl NetCache {
     /// and LRU age are global properties of the shard set.
     pub(crate) fn with_seq_source(pool: BufPool, per_chunk_overhead: u64, seq: SeqSource) -> Self {
         NetCache {
-            map: HashMap::new(),
+            map: MixMap::default(),
             order: BTreeMap::new(),
             seq,
             pool,
@@ -602,14 +602,14 @@ impl NetCache {
         }
     }
 
-    /// The sequence number of this cache's least-recently-used
-    /// *reclaimable* chunk (clean, or dirty LBN), or `None` when every
-    /// resident chunk is a pinned dirty FHO entry. The shard set uses this
-    /// to pick the globally oldest victim across shards. Takes `&mut`
-    /// because it normalizes the lazy order index (see
-    /// [`NetCache::lru_victim_normalized`]).
-    pub(crate) fn reclaimable_head_seq(&mut self) -> Option<u64> {
-        self.lru_victim_normalized(false).map(|(seq, _)| seq)
+    /// This cache's least-recently-used *reclaimable* chunk (clean, or
+    /// dirty LBN) as `(sequence number, key)`, or `None` when every
+    /// resident chunk is a pinned dirty FHO entry. The shard set takes the
+    /// minimum across shards as the global victim and hands it back to
+    /// [`NetCache::reclaim_victim`]. Takes `&mut` because it normalizes
+    /// the lazy order index (see [`NetCache::lru_victim_normalized`]).
+    pub(crate) fn reclaimable_head(&mut self) -> Option<(u64, CacheKey)> {
+        self.lru_victim_normalized(false)
     }
 
     /// The sequence number of this cache's least-recently-used *clean*
@@ -648,9 +648,30 @@ impl NetCache {
     /// [`CacheFull`] when every resident chunk is an unremapped dirty FHO
     /// entry.
     pub(crate) fn reclaim_one(&mut self) -> Result<Option<WritebackChunk>, CacheFull> {
-        let Some((seq, key)) = self.lru_victim_normalized(false) else {
-            return Err(CacheFull);
-        };
+        let (seq, key) = self.lru_victim_normalized(false).ok_or(CacheFull)?;
+        Ok(self.evict(seq, key))
+    }
+
+    /// Reclaims the chunk a [`NetCache::reclaimable_head`] scan returned,
+    /// without searching for it again: `Some` is what
+    /// [`NetCache::reclaim_one`] would have produced. `None` means the
+    /// scan's answer expired before the lock came back — a racing lane
+    /// removed, replaced or promoted the chunk — and the caller rescans.
+    /// (On one thread it never does.)
+    pub(crate) fn reclaim_victim(
+        &mut self,
+        seq: u64,
+        key: CacheKey,
+    ) -> Option<Option<WritebackChunk>> {
+        let entry = self.map.get(&key)?;
+        let settled = entry.order_seq == seq && entry.seq.load(Ordering::Relaxed) == seq;
+        let reclaimable = matches!(key, CacheKey::Lbn(_)) || !entry.chunk.is_dirty();
+        (settled && reclaimable).then(|| self.evict(seq, key))
+    }
+
+    /// Removes the victim `key`, settled at `seq`: ghost record, counters,
+    /// and the writeback if it was a dirty LBN chunk.
+    fn evict(&mut self, seq: u64, key: CacheKey) -> Option<WritebackChunk> {
         if let Some(g) = &self.ghost {
             g.lock().expect("ghost poisoned").record(ghost_key(key), seq);
         }
@@ -661,14 +682,14 @@ impl NetCache {
                 CacheKey::Lbn(l) => l,
                 CacheKey::Fho(_) => unreachable!("dirty FHO chunks are never victims"),
             };
-            Ok(Some(WritebackChunk {
+            Some(WritebackChunk {
                 lbn,
                 segs: entry.chunk.share_segments(),
                 len: entry.chunk.len(),
-            }))
+            })
         } else {
             self.stats.add(EVICTED_CLEAN, 1);
-            Ok(None)
+            None
         }
     }
 
@@ -681,12 +702,8 @@ impl NetCache {
         let Some((seq, key)) = self.lru_victim_normalized(true) else {
             return false;
         };
-        if let Some(g) = &self.ghost {
-            g.lock().expect("ghost poisoned").record(ghost_key(key), seq);
-        }
-        let entry = self.remove_entry(key).expect("victim is resident");
-        debug_assert!(!entry.chunk.is_dirty(), "clean victim selection");
-        self.stats.add(EVICTED_CLEAN, 1);
+        let writeback = self.evict(seq, key);
+        debug_assert!(writeback.is_none(), "clean victim selection");
         true
     }
 }

@@ -75,7 +75,7 @@ pub fn stamp_base(epoch: u64, tie: u64) -> u64 {
 /// shuffle which lane wins ties.
 pub fn tie_ranks(seed: u64, lanes: usize) -> Vec<u64> {
     let mut order: Vec<usize> = (0..lanes).collect();
-    order.sort_unstable_by_key(|&lane| (crate::shards::mix64(seed ^ lane as u64), lane));
+    order.sort_unstable_by_key(|&lane| (sim::mix64(seed ^ lane as u64), lane));
     let mut ranks = vec![0u64; lanes];
     for (rank, lane) in order.into_iter().enumerate() {
         ranks[lane] = rank as u64;

@@ -69,7 +69,7 @@ pub use adaptive::{
 };
 pub use cache::{CacheFull, NetCache, NetCacheStats, WritebackChunk};
 pub use chunk::Chunk;
-pub use module::{NcacheConfig, NcacheModule};
+pub use module::{placeholder_block, NcacheConfig, NcacheModule};
 pub use shards::{shard_of, NetCacheShards};
 pub use substitute::{substitute_payload, SubstitutionReport};
 pub use tracker::{HttpTxTracker, TxDisposition};

@@ -378,7 +378,11 @@ impl NcacheModule {
             dirty: false,
         });
         self.pending_writebacks.extend(wbs);
-        Ok(self.placeholder(KeyStamp::new().with_lbn(lbn)))
+        Ok(placeholder_block(
+            &self.ledger,
+            &self.slabs,
+            KeyStamp::new().with_lbn(lbn),
+        ))
     }
 
     /// Hook 2: an NFS write request's payload arrived. Caches the wire
@@ -475,14 +479,16 @@ impl NcacheModule {
     pub fn take_writebacks(&mut self) -> Vec<WritebackChunk> {
         std::mem::take(&mut self.pending_writebacks)
     }
+}
 
-    /// Builds a key-stamped placeholder block (junk + stamp) on a
-    /// recycled, scrubbed slab.
-    fn placeholder(&self, stamp: KeyStamp) -> Segment {
-        self.ledger.charge_header_bytes(KeyStamp::LEN as u64);
-        self.slabs
-            .seg_filled(CHUNK_PAYLOAD, |junk| stamp.encode_into(junk))
-    }
+/// Builds the placeholder block the file system caches in place of a
+/// chunk's payload: `stamp` at the head of [`CHUNK_PAYLOAD`] bytes of
+/// zeros, on a slab recycled through `pool`. Writing the stamp is the
+/// server's only per-block byte work under NCache, and it is charged to
+/// `ledger` as header bytes.
+pub fn placeholder_block(ledger: &CopyLedger, pool: &BufPool, stamp: KeyStamp) -> Segment {
+    ledger.charge_header_bytes(KeyStamp::LEN as u64);
+    pool.seg_written(CHUNK_PAYLOAD, |w| w.put(&stamp.encode()))
 }
 
 #[cfg(test)]

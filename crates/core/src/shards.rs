@@ -48,19 +48,12 @@ use std::sync::Arc;
 
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, Segment};
+use sim::mix64;
 use sim::sync::{LaneLock, LaneReadGuard, LaneWriteGuard, LockCounters};
 
 use crate::cache::{
     resolution_order, CacheFull, NetCache, NetCacheStats, SeqSource, WritebackChunk,
 };
-
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    // splitmix64 finalizer — the workspace's standard seed/hash mixer.
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The shard a key lives in, for a set of `shards` shards. Deterministic
 /// across runs and platforms (no `RandomState`): the same key always maps
@@ -315,18 +308,18 @@ impl NetCacheShards {
             match self.pool.pin(need) {
                 Ok(p) => break p,
                 Err(_) => {
-                    let victim_shard = (0..self.shards.len())
-                        .filter_map(|i| self.write(i).reclaimable_head_seq().map(|seq| (seq, i)))
-                        .min()
-                        .map(|(_, i)| i)
+                    let (seq, key, shard) = (0..self.shards.len())
+                        .filter_map(|i| {
+                            let (seq, key) = self.write(i).reclaimable_head()?;
+                            Some((seq, key, i))
+                        })
+                        .min_by_key(|&(seq, ..)| seq)
                         .ok_or(CacheFull)?;
-                    match self.write(victim_shard).reclaim_one() {
-                        Ok(Some(wb)) => writebacks.push(wb),
-                        Ok(None) => {}
-                        // A racing lane drained this shard between the
-                        // scan and the lock; rescan. (Unreachable on one
-                        // thread: the scan just saw a reclaimable chunk.)
-                        Err(CacheFull) => {}
+                    // `None`: a racing lane got to the victim between the
+                    // scan and the lock; rescan. (Unreachable on one
+                    // thread: the scan just saw it.)
+                    if let Some(Some(wb)) = self.write(shard).reclaim_victim(seq, key) {
+                        writebacks.push(wb);
                     }
                 }
             }
@@ -527,6 +520,29 @@ mod tests {
         }
         // One shard degenerates to the single cache's routing.
         assert_eq!(shard_of(CacheKey::Lbn(Lbn(123)), 1), 0);
+    }
+
+    #[test]
+    fn shard_of_is_pinned() {
+        // Per-shard counters in committed traces and the oracle suites
+        // assume a key's shard never moves. Expected values computed from
+        // the splitmix64 definition outside this workspace.
+        let lbn = |b: u64| CacheKey::Lbn(Lbn(b));
+        let pins = [
+            (lbn(0), 7, 1),
+            (lbn(1), 1, 2),
+            (lbn(7), 7, 0),
+            (lbn(4096), 7, 1),
+            (lbn(123_456_789), 1, 2),
+            (lbn(u64::MAX), 0, 2),
+            (CacheKey::Fho(fho(1, 0)), 6, 2),
+            (CacheKey::Fho(fho(1, 4096)), 0, 1),
+            (CacheKey::Fho(fho(0xBEEF, 81920)), 7, 2),
+            (CacheKey::Fho(fho(42, 1 << 40)), 6, 2),
+        ];
+        for (key, of_8, of_3) in pins {
+            assert_eq!((shard_of(key, 8), shard_of(key, 3)), (of_8, of_3), "{key}");
+        }
     }
 
     #[test]

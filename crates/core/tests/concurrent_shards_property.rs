@@ -22,17 +22,10 @@ use ncache::epoch::{enter_window, stamp_base};
 use ncache::NetCacheShards;
 use netbuf::key::{CacheKey, Fho, FileHandle, Lbn};
 use netbuf::{BufPool, Segment};
+use sim::mix64 as mix;
 
 const PAYLOAD: usize = 1024;
 const WARM_LBNS: u64 = 16;
-
-fn mix(mut x: u64) -> u64 {
-    // splitmix64 finalizer — the workspace's standard seed mixer.
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 fn seg(tag: u8) -> Vec<Segment> {
     vec![Segment::from_vec(vec![tag; PAYLOAD])]

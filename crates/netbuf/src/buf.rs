@@ -338,18 +338,19 @@ impl NetBuf {
     }
 
     /// Builds a `len`-byte payload segment in place on a recycled slab:
-    /// `fill` receives a zero-initialized buffer. Charged exactly like
+    /// `write` appends the payload through the slab's write cursor (see
+    /// [`crate::BufPool::seg_written`]). Charged exactly like
     /// [`NetBuf::append_bytes`] of `len` bytes (the producer still moves
     /// the payload into the network buffer; only the host-side scratch
     /// vector disappears).
-    pub fn append_filled(
+    pub fn append_written(
         &mut self,
         pool: &crate::BufPool,
         len: usize,
-        fill: impl FnOnce(&mut [u8]),
+        write: impl FnOnce(&mut crate::pool::SlabWriter<'_>),
     ) {
         self.ledger.charge_payload_copy(len as u64);
-        self.push_segment(pool.seg_filled(len, fill));
+        self.push_segment(pool.seg_written(len, write));
     }
 
     /// Logical copy of the whole buffer: shares every segment. Charged as a
@@ -401,7 +402,11 @@ impl NetBuf {
     /// slab free list.
     pub fn copy_payload_to_pooled(&self, pool: &crate::BufPool) -> Segment {
         self.ledger.charge_payload_copy(self.payload_len as u64);
-        pool.seg_filled(self.payload_len, |out| self.gather_into(out))
+        pool.seg_written(self.payload_len, |w| {
+            for seg in &self.segs {
+                w.put(seg.as_slice());
+            }
+        })
     }
 
     /// Removes and returns all payload segments (pointer manipulation; the
@@ -765,7 +770,7 @@ mod tests {
 
         let l_fill = ledger();
         let mut d = NetBuf::new(&l_fill);
-        d.append_filled(&pool, 4096, |out| out.fill(0x42));
+        d.append_written(&pool, 4096, |w| w.put(&data));
 
         let reference = l_ref.snapshot();
         assert_eq!(l_vec.snapshot(), reference);

@@ -145,6 +145,18 @@ impl KeyStamp {
         self.fho.is_some() || self.lbn.is_some()
     }
 
+    /// The stamp's wire form.
+    pub fn encode(&self) -> [u8; Self::LEN] {
+        let mut out = [0u8; Self::LEN];
+        out[0..4].copy_from_slice(&Self::MAGIC);
+        out[4] = u8::from(self.fho.is_some()) | u8::from(self.lbn.is_some()) << 1;
+        let fho = self.fho.unwrap_or_default();
+        out[5..13].copy_from_slice(&fho.fh.0.to_le_bytes());
+        out[13..21].copy_from_slice(&fho.offset.to_le_bytes());
+        out[21..29].copy_from_slice(&self.lbn.unwrap_or_default().0.to_le_bytes());
+        out
+    }
+
     /// Writes the stamp into the head of `block`.
     ///
     /// # Panics
@@ -157,19 +169,7 @@ impl KeyStamp {
             block.len(),
             Self::LEN
         );
-        block[0..4].copy_from_slice(&Self::MAGIC);
-        let mut flags = 0u8;
-        if self.fho.is_some() {
-            flags |= 1;
-        }
-        if self.lbn.is_some() {
-            flags |= 2;
-        }
-        block[4] = flags;
-        let fho = self.fho.unwrap_or_default();
-        block[5..13].copy_from_slice(&fho.fh.0.to_le_bytes());
-        block[13..21].copy_from_slice(&fho.offset.to_le_bytes());
-        block[21..29].copy_from_slice(&self.lbn.unwrap_or_default().0.to_le_bytes());
+        block[..Self::LEN].copy_from_slice(&self.encode());
     }
 
     /// Parses a stamp from the head of `block`. Returns `None` when the

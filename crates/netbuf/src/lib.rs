@@ -54,5 +54,5 @@ pub use accounting::{CopyLedger, LedgerSnapshot};
 pub use buf::NetBuf;
 pub use mbuf::MbufChain;
 pub use key::{CacheKey, FileHandle, Fho, Lbn};
-pub use pool::{BufPool, SlabStats, SLAB_SIZE};
+pub use pool::{BufPool, SlabStats, SlabWriter, SLAB_SIZE};
 pub use segment::Segment;

@@ -6,21 +6,29 @@
 //! page cache (paper §4.1). [`BufPool`] models that: it has a fixed byte
 //! capacity; pinned allocations ([`BufPool::pin`]) succeed until the
 //! capacity is exhausted, and the testbed sizes the FS buffer cache from
-//! what remains of the machine's RAM.
+//! what remains of the machine's RAM. The three accounting words are
+//! atomics: pinning, releasing and reading them never take a lock.
 //!
 //! The pool also recycles fixed-capacity segment buffers ("slabs") through
 //! a free list, mirroring the kernel's `skb` slab caches: the data plane
 //! builds one segment per packet, and allocating/freeing a `Vec` for each
-//! dominates the hot path. [`BufPool::seg_from_slice`] and
-//! [`BufPool::seg_filled`] hand out [`Segment`]s whose storage returns to
-//! the free list when the last reference drops. Recycled buffers are
-//! scrubbed (zero-filled) before reuse, so a recycled segment can never
-//! leak a previous packet's bytes. Slab recycling is pure host-allocator
-//! mechanics: it charges nothing to the copy ledgers and does not count
-//! against the pinned-byte capacity.
+//! dominates the hot path. [`BufPool::seg_written`], [`BufPool::seg_filled`]
+//! and [`BufPool::seg_from_slice`] hand out [`Segment`]s whose storage
+//! returns to the free list when the last reference drops.
+//!
+//! A recycled slab can never leak a previous packet's bytes, and nobody
+//! zeroes a byte that is about to be overwritten. Each slab travels with
+//! its *dirty extent*: every byte at or past it is zero. Recycling scrubs
+//! nothing; it files `(slab, extent)`. The next constructor overwrites a
+//! prefix and zeroes only what the previous owner dirtied beyond that
+//! prefix — nothing at all when a whole-block payload follows a
+//! whole-block payload, or a key stamp follows a key stamp. Slab recycling
+//! is pure host-allocator mechanics: it charges nothing to the copy
+//! ledgers and does not count against the pinned-byte capacity.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use crate::segment::Segment;
 
@@ -52,15 +60,38 @@ impl fmt::Display for PoolExhausted {
 
 impl std::error::Error for PoolExhausted {}
 
+/// What the pool's clones share. The accounting words guard no memory — a
+/// [`Pinned`] is a number, and the chunk it travels with is published by
+/// its cache shard's lock — so every access to them is `Relaxed`; each is
+/// still one totally ordered location, so the `fetch_update` in
+/// [`BufPool::pin`] can never admit past the capacity.
 #[derive(Debug)]
-struct Inner {
-    capacity: u64,
-    pinned: u64,
-    peak: u64,
-    free: Vec<Box<[u8]>>,
-    slab_allocs: u64,
-    slab_recycles: u64,
-    slab_returns: u64,
+struct Shared {
+    capacity: AtomicU64,
+    pinned: AtomicU64,
+    peak: AtomicU64,
+    /// Bytes zeroed by constructors so far (a statistic).
+    scrubbed_bytes: AtomicU64,
+    slabs: Mutex<Slabs>,
+}
+
+impl Shared {
+    fn slabs(&self) -> MutexGuard<'_, Slabs> {
+        let mut g = self.slabs.lock().expect("buf pool poisoned");
+        g.lock_trips += 1;
+        g
+    }
+}
+
+/// The free list and its counters, behind the pool's only lock.
+#[derive(Debug, Default)]
+struct Slabs {
+    /// `(slab, dirty extent)`: every byte at or past the extent is zero.
+    free: Vec<(Box<[u8]>, usize)>,
+    allocs: u64,
+    recycles: u64,
+    returns: u64,
+    lock_trips: u64,
 }
 
 /// Slab free-list counters (diagnostic; tests prove recycling happens).
@@ -74,40 +105,60 @@ pub struct SlabStats {
     pub returns: u64,
     /// Slabs currently sitting in the free list.
     pub free: u64,
+    /// Bytes constructors zeroed because a previous owner had dirtied them
+    /// and the new one did not overwrite them.
+    pub scrubbed_bytes: u64,
+    /// Acquisitions of the free-list mutex by takes and recycles.
+    pub lock_trips: u64,
 }
 
 /// Where a pool-backed segment's buffer goes when its last reference
-/// drops: back into the owning pool's free list, scrubbed. Holds a weak
+/// drops: back into the owning pool's free list, as it is. Holds a weak
 /// reference so in-flight segments never keep a dropped pool alive.
 pub(crate) struct SlabHome {
-    inner: Weak<Mutex<Inner>>,
+    shared: Weak<Shared>,
 }
 
 impl SlabHome {
-    pub(crate) fn recycle(&self, mut buf: Box<[u8]>) {
-        let Some(inner) = self.inner.upgrade() else {
+    /// Files `buf` with the extent its owner could have written; the next
+    /// taker scrubs what it does not overwrite.
+    pub(crate) fn recycle(&self, buf: Box<[u8]>, dirty: usize) {
+        let Some(shared) = self.shared.upgrade() else {
             return;
         };
-        // The scrub touches 4 KiB of usually cold memory; every lane and
-        // every `Pinned` drop contend for the pool mutex, so it runs
-        // between two short holds instead of under one long one.
-        if inner.lock().expect("buf pool poisoned").free.len() >= FREE_LIMIT {
-            return;
-        }
-        buf.fill(0);
-        let mut g = inner.lock().expect("buf pool poisoned");
-        // The list may have filled meanwhile; the scrubbed slab then just
-        // goes back to the host allocator.
+        let mut g = shared.slabs();
         if g.free.len() < FREE_LIMIT {
             if g.free.capacity() == 0 {
-                // One allocation for the list's whole life (64 KiB), made
+                // One allocation for the list's whole life (96 KiB), made
                 // by the first slab to come home — not a regrowth every
                 // time the steady state is a little deeper than before.
                 g.free.reserve_exact(FREE_LIMIT);
             }
-            g.free.push(buf);
-            g.slab_returns += 1;
+            g.free.push((buf, dirty));
+            g.returns += 1;
         }
+    }
+}
+
+/// A write-only cursor over the slab a [`BufPool::seg_written`] segment is
+/// being built on. Bytes go in front to back, so what the closure wrote is
+/// exactly the prefix before the cursor — the range the pool may leave
+/// unscrubbed.
+pub struct SlabWriter<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl SlabWriter<'_> {
+    /// Appends `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` overruns the segment being built.
+    #[inline]
+    pub fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
     }
 }
 
@@ -126,22 +177,20 @@ impl SlabHome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BufPool {
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Shared>,
 }
 
 impl BufPool {
     /// A pool that can pin up to `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         BufPool {
-            inner: Arc::new(Mutex::new(Inner {
-                capacity,
-                pinned: 0,
-                peak: 0,
-                free: Vec::new(),
-                slab_allocs: 0,
-                slab_recycles: 0,
-                slab_returns: 0,
-            })),
+            shared: Arc::new(Shared {
+                capacity: AtomicU64::new(capacity),
+                pinned: AtomicU64::new(0),
+                peak: AtomicU64::new(0),
+                scrubbed_bytes: AtomicU64::new(0),
+                slabs: Mutex::default(),
+            }),
         }
     }
 
@@ -161,52 +210,94 @@ impl BufPool {
         if bytes.len() > SLAB_SIZE {
             return Segment::from_vec(bytes.to_vec());
         }
-        let mut slab = self.take_slab();
-        slab[..bytes.len()].copy_from_slice(bytes);
-        Segment::from_boxed(slab, bytes.len(), Some(self.home()))
+        self.seg_written(bytes.len(), |w| w.put(bytes))
+    }
+
+    /// A pooled segment of `len` bytes whose front `write` appends through
+    /// a [`SlabWriter`]; whatever it leaves unwritten reads as zero. The
+    /// written prefix is never scrubbed first — a whole-block payload
+    /// touches each byte once, a 29-byte key stamp on a block of junk
+    /// touches 29 — and the rest is scrubbed only as far as the slab's
+    /// previous owner dirtied it. Falls back to a plain heap segment past
+    /// [`SLAB_SIZE`]. Not ledger-charged; see [`BufPool::seg_from_slice`].
+    pub fn seg_written(&self, len: usize, write: impl FnOnce(&mut SlabWriter<'_>)) -> Segment {
+        if len > SLAB_SIZE {
+            let mut buf = vec![0u8; len];
+            write(&mut SlabWriter {
+                buf: &mut buf,
+                at: 0,
+            });
+            return Segment::from_vec(buf);
+        }
+        let (mut slab, dirty) = self.take_slab();
+        let mut w = SlabWriter {
+            buf: &mut slab[..len],
+            at: 0,
+        };
+        write(&mut w);
+        let written = w.at;
+        self.scrub(&mut slab, written, dirty);
+        Segment::from_boxed(slab, len, written, Some(self.home()))
     }
 
     /// A pooled segment of `len` bytes built in place: `fill` receives a
-    /// zero-initialized buffer (fresh or scrubbed) and writes whatever
-    /// prefix it needs. Falls back to a plain heap segment past
-    /// [`SLAB_SIZE`]. Not ledger-charged; see [`BufPool::seg_from_slice`].
+    /// zero-initialized buffer (fresh, or scrubbed over the previous
+    /// owner's whole extent) and writes wherever it likes. Falls back to a
+    /// plain heap segment past [`SLAB_SIZE`]. Not ledger-charged; see
+    /// [`BufPool::seg_from_slice`].
     pub fn seg_filled(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Segment {
         if len > SLAB_SIZE {
             let mut buf = vec![0u8; len];
             fill(&mut buf);
             return Segment::from_vec(buf);
         }
-        let mut slab = self.take_slab();
+        let (mut slab, dirty) = self.take_slab();
+        self.scrub(&mut slab, 0, dirty);
         fill(&mut slab[..len]);
-        Segment::from_boxed(slab, len, Some(self.home()))
+        Segment::from_boxed(slab, len, len, Some(self.home()))
     }
 
     /// Slab free-list counters.
     pub fn slab_stats(&self) -> SlabStats {
-        let g = self.lock();
+        // Not through `Shared::slabs`: reading the count is not a trip.
+        let g = self.shared.slabs.lock().expect("buf pool poisoned");
         SlabStats {
-            allocs: g.slab_allocs,
-            recycles: g.slab_recycles,
-            returns: g.slab_returns,
+            allocs: g.allocs,
+            recycles: g.recycles,
+            returns: g.returns,
             free: g.free.len() as u64,
+            scrubbed_bytes: self.shared.scrubbed_bytes.load(Ordering::Relaxed),
+            lock_trips: g.lock_trips,
         }
     }
 
-    fn take_slab(&self) -> Box<[u8]> {
-        let mut g = self.lock();
-        if let Some(slab) = g.free.pop() {
-            g.slab_recycles += 1;
-            slab
+    /// A slab and its dirty extent (zero for a fresh one).
+    fn take_slab(&self) -> (Box<[u8]>, usize) {
+        let mut g = self.shared.slabs();
+        if let Some(recycled) = g.free.pop() {
+            g.recycles += 1;
+            recycled
         } else {
-            g.slab_allocs += 1;
+            g.allocs += 1;
             drop(g);
-            vec![0u8; SLAB_SIZE].into_boxed_slice()
+            (vec![0u8; SLAB_SIZE].into_boxed_slice(), 0)
+        }
+    }
+
+    /// Zeroes `slab[from..dirty]` — the bytes a previous owner dirtied that
+    /// the new one did not overwrite — outside the free-list lock.
+    fn scrub(&self, slab: &mut [u8], from: usize, dirty: usize) {
+        if from < dirty {
+            slab[from..dirty].fill(0);
+            self.shared
+                .scrubbed_bytes
+                .fetch_add((dirty - from) as u64, Ordering::Relaxed);
         }
     }
 
     fn home(&self) -> SlabHome {
         SlabHome {
-            inner: Arc::downgrade(&self.inner),
+            shared: Arc::downgrade(&self.shared),
         }
     }
 
@@ -217,25 +308,31 @@ impl BufPool {
     /// Returns [`PoolExhausted`] when fewer than `bytes` remain free;
     /// nothing is pinned in that case.
     pub fn pin(&self, bytes: u64) -> Result<Pinned, PoolExhausted> {
-        let mut g = self.lock();
-        let available = g.capacity.saturating_sub(g.pinned);
-        if bytes > available {
-            return Err(PoolExhausted {
+        let shared = &*self.shared;
+        let capacity = self.capacity();
+        let grown =
+            |pinned: u64| (bytes <= capacity.saturating_sub(pinned)).then(|| pinned + bytes);
+        match shared
+            .pinned
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, grown)
+        {
+            Ok(before) => {
+                shared.peak.fetch_max(before + bytes, Ordering::Relaxed);
+                Ok(Pinned {
+                    pool: self.clone(),
+                    bytes,
+                })
+            }
+            Err(pinned) => Err(PoolExhausted {
                 requested: bytes,
-                available,
-            });
+                available: capacity.saturating_sub(pinned),
+            }),
         }
-        g.pinned += bytes;
-        g.peak = g.peak.max(g.pinned);
-        Ok(Pinned {
-            pool: self.clone(),
-            bytes,
-        })
     }
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.lock().capacity
+        self.shared.capacity.load(Ordering::Relaxed)
     }
 
     /// Resizes the pool's capacity. Shrinking below the currently pinned
@@ -244,33 +341,27 @@ impl BufPool {
     /// split controller relies on this lazy-drain semantics: a quota cut
     /// never invalidates in-flight chunks).
     pub fn set_capacity(&self, capacity: u64) {
-        self.lock().capacity = capacity;
+        self.shared.capacity.store(capacity, Ordering::Relaxed);
     }
 
     /// Bytes currently pinned.
     pub fn pinned(&self) -> u64 {
-        self.lock().pinned
+        self.shared.pinned.load(Ordering::Relaxed)
     }
 
     /// Bytes currently free (zero while shrunk below the pinned bytes).
     pub fn available(&self) -> u64 {
-        let g = self.lock();
-        g.capacity.saturating_sub(g.pinned)
+        self.capacity().saturating_sub(self.pinned())
     }
 
     /// High-water mark of pinned bytes.
     pub fn peak_pinned(&self) -> u64 {
-        self.lock().peak
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("buf pool poisoned")
+        self.shared.peak.load(Ordering::Relaxed)
     }
 
     fn release(&self, bytes: u64) {
-        let mut g = self.lock();
-        debug_assert!(g.pinned >= bytes, "double release");
-        g.pinned = g.pinned.saturating_sub(bytes);
+        let before = self.shared.pinned.fetch_sub(bytes, Ordering::Relaxed);
+        debug_assert!(before >= bytes, "double release");
     }
 }
 
@@ -420,6 +511,120 @@ mod tests {
         let s = p.seg_filled(SLAB_SIZE, |_| {});
         assert_eq!(p.slab_stats().recycles, 1);
         assert!(s.as_slice().iter().all(|&b| b == 0), "stale bytes leaked");
+    }
+
+    #[test]
+    fn constructors_scrub_only_what_the_previous_owner_dirtied_and_they_leave() {
+        use crate::key::{KeyStamp, Lbn};
+        let stamp = KeyStamp::new().with_lbn(Lbn(7)).encode();
+        let block = [0xEEu8; SLAB_SIZE];
+        let p = BufPool::slab_only();
+        let scrubbed = |p: &BufPool| p.slab_stats().scrubbed_bytes;
+        let placeholder = |p: &BufPool| p.seg_written(SLAB_SIZE, |w| w.put(&stamp));
+        let is_placeholder = |s: &Segment| {
+            s.len() == SLAB_SIZE
+                && s.as_slice()[..KeyStamp::LEN] == stamp
+                && s.as_slice()[KeyStamp::LEN..].iter().all(|&b| b == 0)
+        };
+
+        // Placeholder after placeholder: the stamp overwrites the stamp.
+        drop(placeholder(&p));
+        let s = placeholder(&p);
+        assert!(is_placeholder(&s));
+        assert_eq!(scrubbed(&p), 0);
+        drop(s);
+        // A recycled placeholder slab is dirty for exactly one stamp: a
+        // zero-initialised build on it scrubs KeyStamp::LEN bytes, not 4096.
+        let z = p.seg_filled(SLAB_SIZE, |_| {});
+        assert!(z.as_slice().iter().all(|&b| b == 0));
+        assert_eq!(scrubbed(&p), KeyStamp::LEN as u64);
+        drop(z);
+
+        // Data-In after Data-In (through either whole-block constructor)
+        // and Data-In after a placeholder scrub nothing...
+        let p = BufPool::slab_only();
+        drop(placeholder(&p));
+        drop(p.seg_from_slice(&block));
+        let d = p.seg_written(SLAB_SIZE, |w| w.put(&block));
+        assert_eq!(d.as_slice(), &block);
+        assert_eq!(scrubbed(&p), 0);
+        drop(d);
+        // ...and a placeholder after Data-In scrubs the block's tail.
+        let s = placeholder(&p);
+        assert!(is_placeholder(&s));
+        assert_eq!(scrubbed(&p), (SLAB_SIZE - KeyStamp::LEN) as u64);
+        // One slab served all of it.
+        assert_eq!(p.slab_stats().allocs, 1);
+    }
+
+    #[test]
+    fn short_writes_scrub_down_to_what_they_wrote() {
+        let p = BufPool::slab_only();
+        drop(p.seg_from_slice(&[0xFF; 100]));
+        // The view is longer than the write and shorter than the dirt.
+        let s = p.seg_written(60, |w| w.put(&[1; 10]));
+        assert_eq!(s.as_slice()[..10], [1; 10]);
+        assert!(s.as_slice()[10..].iter().all(|&b| b == 0));
+        assert_eq!(p.slab_stats().scrubbed_bytes, 90);
+        drop(s);
+        // The slab came home dirty for 10 bytes, not 60 and not 100.
+        let z = p.seg_filled(SLAB_SIZE, |_| {});
+        assert!(z.as_slice().iter().all(|&b| b == 0));
+        assert_eq!(p.slab_stats().scrubbed_bytes, 100);
+    }
+
+    #[test]
+    #[should_panic]
+    fn writing_past_the_segment_panics() {
+        BufPool::slab_only().seg_written(8, |w| w.put(&[0; 9]));
+    }
+
+    #[test]
+    fn pin_accounting_never_takes_the_free_list_lock() {
+        let p = BufPool::new(100);
+        // Holding the free-list mutex would deadlock any accounting call
+        // that took it; the trip counter proves none tried.
+        let held = p.shared.slabs.lock().expect("unpoisoned");
+        let a = p.pin(60).expect("fits");
+        assert!(p.pin(50).is_err());
+        assert_eq!((p.pinned(), p.available(), p.capacity()), (60, 40, 100));
+        p.set_capacity(80);
+        drop(a);
+        assert_eq!((p.pinned(), p.peak_pinned()), (0, 60));
+        assert_eq!(held.lock_trips, 0);
+        drop(held);
+        // The slab path takes it exactly once per take and once per
+        // recycle.
+        let seg = p.seg_from_slice(&[1, 2, 3]);
+        assert_eq!(p.slab_stats().lock_trips, 1);
+        drop(seg);
+        assert_eq!(p.slab_stats().lock_trips, 2);
+        assert_eq!(p.slab_stats().lock_trips, 2, "reading is not a trip");
+    }
+
+    #[test]
+    fn racing_pins_never_overshoot_the_capacity() {
+        let p = BufPool::new(1000);
+        let start = std::sync::Barrier::new(4);
+        let held: Vec<Vec<Pinned>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..200).filter_map(|_| p.pin(3).ok()).collect()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("pinner panicked"))
+                .collect()
+        });
+        // 800 attempts at 3 bytes against 1000: exactly 333 fit.
+        assert_eq!(held.iter().map(Vec::len).sum::<usize>(), 333);
+        assert_eq!((p.pinned(), p.peak_pinned()), (999, 999));
+        drop(held);
+        assert_eq!(p.pinned(), 0);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! Storage is a boxed slice behind an [`std::sync::Arc`], optionally owned
 //! by a [`crate::pool::BufPool`] slab free list: when the last reference to
-//! a pool-backed segment drops, its buffer returns to the pool (scrubbed)
-//! instead of hitting the allocator — the driver-context buffer recycling
-//! the Linux prototype gets from `skb` slab caches.
+//! a pool-backed segment drops, its buffer returns to the pool (with the
+//! extent its constructor dirtied) instead of hitting the allocator — the
+//! driver-context buffer recycling the Linux prototype gets from `skb`
+//! slab caches.
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,16 +24,13 @@ pub(crate) struct SegStore {
     buf: Option<Box<[u8]>>,
     /// The slab free list this buffer recycles into, if pool-backed.
     home: Option<SlabHome>,
+    /// Every byte of `buf` at or past this offset is zero (segments are
+    /// immutable, so what the constructor could write is all that is
+    /// dirty). Travels home with the slab.
+    dirty: usize,
 }
 
 impl SegStore {
-    pub(crate) fn new(buf: Box<[u8]>, home: Option<SlabHome>) -> Self {
-        SegStore {
-            buf: Some(buf),
-            home,
-        }
-    }
-
     fn bytes(&self) -> &[u8] {
         self.buf.as_deref().expect("storage live until drop")
     }
@@ -41,7 +39,7 @@ impl SegStore {
 impl Drop for SegStore {
     fn drop(&mut self) {
         if let (Some(home), Some(buf)) = (self.home.take(), self.buf.take()) {
-            home.recycle(buf);
+            home.recycle(buf, self.dirty);
         }
     }
 }
@@ -70,18 +68,32 @@ impl Segment {
     pub fn from_vec(data: Vec<u8>) -> Self {
         let len = data.len();
         Segment {
-            store: Arc::new(SegStore::new(data.into_boxed_slice(), None)),
+            store: Arc::new(SegStore {
+                buf: Some(data.into_boxed_slice()),
+                home: None,
+                dirty: len,
+            }),
             off: 0,
             len,
         }
     }
 
     /// Wraps a boxed buffer, viewing its first `len` bytes; the buffer
-    /// recycles into `home` when the last reference drops.
-    pub(crate) fn from_boxed(buf: Box<[u8]>, len: usize, home: Option<SlabHome>) -> Self {
-        debug_assert!(len <= buf.len());
+    /// recycles into `home` when the last reference drops, along with
+    /// `dirty`, the offset from which it is all zeros.
+    pub(crate) fn from_boxed(
+        buf: Box<[u8]>,
+        len: usize,
+        dirty: usize,
+        home: Option<SlabHome>,
+    ) -> Self {
+        debug_assert!(dirty <= len && len <= buf.len());
         Segment {
-            store: Arc::new(SegStore::new(buf, home)),
+            store: Arc::new(SegStore {
+                buf: Some(buf),
+                home,
+                dirty,
+            }),
             off: 0,
             len,
         }

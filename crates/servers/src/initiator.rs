@@ -15,7 +15,7 @@
 
 
 use ncache::NcacheModule;
-use netbuf::key::Lbn;
+use netbuf::key::{KeyStamp, Lbn};
 use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
 use proto::iscsi::{DataOut, IscsiPdu, ScsiCommand, ScsiOp, BHS_LEN, BLOCK_SIZE};
 use simfs::{BlockClass, BlockStore};
@@ -383,16 +383,6 @@ impl IscsiInitiator {
     }
 }
 
-/// Builds a key-stamped placeholder block for a second-level cache hit.
-/// The block is junk plus a stamp, so it rides a recycled (zero-scrubbed)
-/// slab instead of a fresh allocation.
-fn placeholder_for(ledger: &CopyLedger, pool: &BufPool, lbn: Lbn) -> Segment {
-    ledger.charge_header_bytes(netbuf::key::KeyStamp::LEN as u64);
-    pool.seg_filled(BLOCK_SIZE, |junk| {
-        netbuf::key::KeyStamp::new().with_lbn(lbn).encode_into(junk);
-    })
-}
-
 impl BlockStore for IscsiInitiator {
     fn read_block(&mut self, lbn: u64, class: BlockClass) -> Segment {
         // Second-level cache (§3.4): a file-system cache miss that hits the
@@ -411,7 +401,11 @@ impl BlockStore for IscsiInitiator {
                     tier: "ncache",
                     hit: true,
                 });
-                return placeholder_for(&self.ledger, &self.pool, Lbn(lbn));
+                return ncache::placeholder_block(
+                    &self.ledger,
+                    &self.pool,
+                    KeyStamp::new().with_lbn(Lbn(lbn)),
+                );
             }
         }
         self.io_log.push(IoRecord {
@@ -445,8 +439,9 @@ impl BlockStore for IscsiInitiator {
             }
             (ServerMode::Baseline, BlockClass::Data) => {
                 // The ideal bound: the receive copy is simply removed; the
-                // file system gets junk.
-                Segment::zeroed(BLOCK_SIZE)
+                // file system gets junk — a block nobody writes, so a
+                // recycled slab of it comes back with nothing to scrub.
+                self.pool.seg_written(BLOCK_SIZE, |_| {})
             }
             (_, BlockClass::Meta) => {
                 // Metadata under every build: physically copied, but not a

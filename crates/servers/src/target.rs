@@ -7,13 +7,12 @@
 //! every read copies disk buffer → PDU and every write copies PDU → disk
 //! buffer, charged to the storage server's own ledger.
 
-use std::collections::HashMap;
-
 use netbuf::{BufPool, CopyLedger, NetBuf};
 use proto::iscsi::{
     DataIn, IscsiPdu, ReadyToTransfer, ScsiCommand, ScsiOp, ScsiResponse, BHS_LEN, BLOCK_SIZE,
 };
-use simfs::store::{synthetic_block, synthetic_block_into};
+use sim::MixMap;
+use simfs::store::{synthetic_block, synthetic_words};
 
 /// SCSI status signalling a transient device error (retry the command).
 pub const STATUS_IO_ERROR: u8 = 1;
@@ -76,7 +75,7 @@ impl obs::StatsSnapshot for TargetStats {
 /// ```
 #[derive(Debug)]
 pub struct IscsiTarget {
-    image: HashMap<u64, Vec<u8>>,
+    image: MixMap<u64, Vec<u8>>,
     block_count: u64,
     ledger: CopyLedger,
     stats: TargetStats,
@@ -94,7 +93,7 @@ impl IscsiTarget {
     /// A target exporting `block_count` blocks, charging `ledger`.
     pub fn new(block_count: u64, ledger: &CopyLedger) -> Self {
         IscsiTarget {
-            image: HashMap::new(),
+            image: MixMap::default(),
             block_count,
             ledger: ledger.clone(),
             stats: TargetStats::default(),
@@ -195,8 +194,8 @@ impl IscsiTarget {
                     // server's copy, charged to its CPU.
                     match self.image.get(&lbn) {
                         Some(block) => pdu.append_pooled(&self.pool, block),
-                        None => pdu.append_filled(&self.pool, BLOCK_SIZE, |out| {
-                            synthetic_block_into(lbn, out);
+                        None => pdu.append_written(&self.pool, BLOCK_SIZE, |w| {
+                            synthetic_words(lbn).for_each(|word| w.put(&word));
                         }),
                     }
                     pdu.push_header(

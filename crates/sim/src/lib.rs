@@ -40,6 +40,7 @@
 pub mod costs;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -49,6 +50,7 @@ pub mod time;
 pub use costs::CostModel;
 pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
+pub use hash::{mix64, MixMap};
 pub use resource::Resource;
 pub use rng::SplitMix64;
 pub use sync::{LaneCounters, LaneLock, Shared};

@@ -36,11 +36,11 @@ impl SplitMix64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
+        // `mix64` adds the stream's increment before it finalizes, so the
+        // output that goes with the advanced state is the mix of the old.
+        let out = crate::hash::mix64(self.state);
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        out
     }
 
     /// Uniform value in `[0, bound)`.

@@ -20,11 +20,11 @@
 //! exactly because stamps are unique and only ever grow.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netbuf::Segment;
-use sim::LaneCounters;
+use sim::{LaneCounters, MixMap};
 
 use crate::store::BlockClass;
 
@@ -145,7 +145,7 @@ type StatsCells = LaneCounters<5>;
 /// yielded.
 fn settle_head(
     order: &mut BTreeMap<u64, u64>,
-    map: &mut HashMap<u64, Entry>,
+    map: &mut MixMap<u64, Entry>,
 ) -> Option<(u64, u64)> {
     loop {
         let (&oseq, &lbn) = order.iter().next()?;
@@ -178,7 +178,7 @@ fn settle_head(
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
-    map: HashMap<u64, Entry>,
+    map: MixMap<u64, Entry>,
     clean_data_order: BTreeMap<u64, u64>,
     clean_meta_order: BTreeMap<u64, u64>,
     dirty_order: BTreeMap<u64, u64>,
@@ -215,7 +215,7 @@ impl BufferCache {
     pub fn new(capacity: usize) -> Self {
         BufferCache {
             capacity,
-            map: HashMap::new(),
+            map: MixMap::default(),
             clean_data_order: BTreeMap::new(),
             clean_meta_order: BTreeMap::new(),
             dirty_order: BTreeMap::new(),

@@ -8,10 +8,10 @@
 //! needs (§3.3: "the page data structure associated with iSCSI requests
 //! contains the inode type information").
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use netbuf::Segment;
+use sim::MixMap;
 
 use crate::BLOCK_SIZE;
 
@@ -63,13 +63,22 @@ pub fn synthetic_block(lbn: u64) -> Vec<u8> {
 /// Panics if `out` is not exactly [`BLOCK_SIZE`] bytes.
 pub fn synthetic_block_into(lbn: u64, out: &mut [u8]) {
     assert_eq!(out.len(), BLOCK_SIZE, "synthetic blocks are whole blocks");
+    for (chunk, word) in out.chunks_exact_mut(8).zip(synthetic_words(lbn)) {
+        chunk.copy_from_slice(&word);
+    }
+}
+
+/// The [`BLOCK_SIZE`]` / 8` little-endian words of [`synthetic_block`], in
+/// order: an xorshift chain seeded by the LBN. Producers that append into
+/// a write cursor take the stream instead of a scratch block.
+pub fn synthetic_words(lbn: u64) -> impl Iterator<Item = [u8; 8]> {
     let mut x = lbn.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    for chunk in out.chunks_exact_mut(8) {
+    (0..BLOCK_SIZE / 8).map(move |_| {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        chunk.copy_from_slice(&x.to_le_bytes());
-    }
+        x.to_le_bytes()
+    })
 }
 
 /// An in-memory, sparse block store: written blocks are kept; unwritten
@@ -87,7 +96,7 @@ pub fn synthetic_block_into(lbn: u64, out: &mut [u8]) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemStore {
-    blocks: Arc<Mutex<HashMap<u64, Vec<u8>>>>,
+    blocks: Arc<Mutex<MixMap<u64, Vec<u8>>>>,
     count: u64,
 }
 
@@ -95,7 +104,7 @@ impl MemStore {
     /// A store of `count` blocks, all initially synthetic.
     pub fn new(count: u64) -> Self {
         MemStore {
-            blocks: Arc::new(Mutex::new(HashMap::new())),
+            blocks: Arc::default(),
             count,
         }
     }

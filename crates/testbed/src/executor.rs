@@ -41,12 +41,7 @@ pub fn thread_count(explicit: Option<usize>) -> usize {
 /// so cells are decorrelated yet depend only on their index — never on
 /// which worker runs them or in what order.
 pub fn derive_seed(root: u64, cell: u64) -> u64 {
-    let mut z = root
-        .wrapping_add(cell.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    sim::mix64(root.wrapping_add(cell.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
 /// Runs `cells` independent cells on up to `threads` scoped workers and

@@ -19,6 +19,25 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== hasher lint (request-path maps hash with sim::MixMap, not SipHash) =="
+# The block- and chunk-keyed maps of the cache crates and the target pay
+# one mix64 per probe (sim::hash); a std HashMap<u64 | CacheKey, _> there
+# costs ~20 ns more per probe, several probes per missed block. Key types
+# are usually inferred, so the rung flags every non-test mention of the
+# std type in those files; a map that really wants SipHash opts out with
+# a trailing `// siphash-ok: <reason>` on its line.
+SIPHASH="$(for f in crates/core/src/*.rs crates/simfs/src/*.rs \
+    crates/netbuf/src/*.rs crates/servers/src/target.rs; do
+    awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /HashMap/ && !/siphash-ok:/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$SIPHASH" ]]; then
+    echo "std HashMap on the request path (use sim::MixMap):" >&2
+    echo "$SIPHASH" >&2
+    exit 1
+fi
+echo "no std HashMap outside tests in core, simfs, netbuf, servers/target.rs"
+
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;
 # every item it pins is listed in benchmark/src/seams.rs. Building,

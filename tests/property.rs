@@ -228,6 +228,47 @@ property! {
     }
 }
 
+/// One way to build a pooled segment: `len` bytes viewed, of which the
+/// constructor writes `written` bytes of `fill`.
+#[derive(Clone, Copy, Debug)]
+enum SlabBuild {
+    /// `seg_from_slice` of `len` bytes.
+    FromSlice { len: usize, fill: u8 },
+    /// `seg_filled` writing a prefix of its zeroed buffer.
+    Filled { len: usize, written: usize, fill: u8 },
+    /// `seg_written` writing the whole view (a Data-In payload).
+    Whole { len: usize, fill: u8 },
+    /// `seg_written` writing only a prefix (a placeholder's key stamp).
+    Prefix { len: usize, written: usize, fill: u8 },
+}
+
+impl SlabBuild {
+    fn run(self, pool: &BufPool) -> Segment {
+        match self {
+            SlabBuild::FromSlice { len, fill } => pool.seg_from_slice(&vec![fill; len]),
+            SlabBuild::Filled { len, written, fill } => {
+                pool.seg_filled(len, |b| b[..written].fill(fill))
+            }
+            SlabBuild::Whole { len, fill } => pool.seg_written(len, |w| w.put(&vec![fill; len])),
+            SlabBuild::Prefix { len, written, fill } => {
+                pool.seg_written(len, |w| w.put(&vec![fill; written]))
+            }
+        }
+    }
+}
+
+fn slab_build() -> impl Gen<Value = SlabBuild> {
+    // Neither 0x00 nor the 0xFF the slabs are pre-dirtied with.
+    let fill = || ints(1u8..0xFF);
+    let sized = || (ints(1usize..4097), ints(0usize..4097)).map(|(len, w)| (len, w.min(len)));
+    check::one_of![
+        (ints(0usize..4097), fill()).map(|(len, fill)| SlabBuild::FromSlice { len, fill }),
+        (sized(), fill()).map(|((len, written), fill)| SlabBuild::Filled { len, written, fill }),
+        (ints(1usize..4097), fill()).map(|(len, fill)| SlabBuild::Whole { len, fill }),
+        (sized(), fill()).map(|((len, written), fill)| SlabBuild::Prefix { len, written, fill }),
+    ]
+}
+
 property! {
     #![cases(16)]
 
@@ -295,6 +336,65 @@ property! {
         prop_assert_eq!(leaks, vec![0, 0], "stale bytes leaked through the free list");
         let stats = pool.slab_stats();
         prop_assert_eq!(stats.allocs + stats.recycles, rounds.len() as u64 * 2 * 8 * 2);
+        prop_assert_eq!(stats.returns, stats.allocs + stats.recycles, "every slab came home");
+    }
+
+    /// The dirty-extent bookkeeping, constructor against constructor: any
+    /// interleaving of the four ways to build on a slab — over slabs whose
+    /// previous owner was one of the others, or a block of `0xFF` end to
+    /// end — yields views byte-identical to the same build on a slab
+    /// fresh from the allocator.
+    fn prop_every_constructor_builds_on_recycled_slabs_as_on_fresh_ones(
+        steps in vec_of((slab_build(), any_bool()), 1..60),
+    ) {
+        let pool = BufPool::slab_only();
+        for (build, redirty) in steps {
+            if redirty {
+                drop(pool.seg_from_slice(&[0xFF; 4096]));
+            }
+            prop_assert!(
+                build.run(&pool) == build.run(&BufPool::slab_only()),
+                "{:?} on a recycled slab differs from a fresh one", build
+            );
+        }
+        let stats = pool.slab_stats();
+        prop_assert_eq!(stats.allocs, 1, "one slab served every build");
+    }
+
+    /// The same with two threads building on one pool, so a slab's extent
+    /// crosses threads with it. A barrier starts every step together.
+    fn prop_every_constructor_builds_on_recycled_slabs_as_on_fresh_ones_across_threads(
+        steps in vec_of((slab_build(), any_bool()), 1..24),
+    ) {
+        let pool = BufPool::slab_only();
+        let start = std::sync::Barrier::new(2);
+        let leaks: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (pool, start, steps) = (&pool, &start, &steps);
+                    s.spawn(move || {
+                        let mut leaks = 0;
+                        for &(build, redirty) in steps {
+                            let want = build.run(&BufPool::slab_only());
+                            start.wait();
+                            for _ in 0..8 {
+                                if redirty {
+                                    drop(pool.seg_from_slice(&[0xFF; 4096]));
+                                }
+                                leaks += usize::from(build.run(pool) != want);
+                            }
+                        }
+                        leaks
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        prop_assert_eq!(leaks, vec![0, 0], "a recycled slab differed from a fresh one");
+        let stats = pool.slab_stats();
         prop_assert_eq!(stats.returns, stats.allocs + stats.recycles, "every slab came home");
     }
 
