@@ -259,7 +259,7 @@ fn main() {
     // (copies, cache activity, substitutions) next to the timings.
     let rec = obs::Recorder::new();
     rec.enable(obs::TraceConfig::default());
-    experiments::table2_traced(&rec);
+    experiments::table2_with(Some(&rec), threads);
     for (name, value) in rec.counters() {
         h.metric(format!("table2.{name}"), value as f64);
     }

@@ -25,6 +25,24 @@ use testbed::ablations;
 use testbed::executor;
 use testbed::experiments::{self, render_table2};
 
+/// Every experiment selector, as spelled after `--`. Anything else on the
+/// command line that is not an option is an error: a misspelt selector
+/// must not run nothing and exit 0.
+const SELECTORS: [&str; 12] = [
+    "table1",
+    "table2",
+    "fig4",
+    "fig5",
+    "fig6a",
+    "fig6b",
+    "fig7",
+    "ablations",
+    "faults-sweep",
+    "clients-sweep",
+    "overload-sweep",
+    "adaptive-sweep",
+];
+
 fn validate(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -241,7 +259,26 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            other => selectors.push(other.trim_start_matches("--").to_string()),
+            other => match other.strip_prefix("--").filter(|name| SELECTORS.contains(name)) {
+                Some(name) => selectors.push(name.to_string()),
+                None => {
+                    eprintln!(
+                        "error: unknown argument {other}; the selectors are --{}",
+                        SELECTORS.join(" --")
+                    );
+                    return ExitCode::FAILURE;
+                }
+            },
+        }
+    }
+    for (flag, given, selector) in [
+        ("--protected", protected, "overload-sweep"),
+        ("--parallel-lanes", parallel_lanes, "clients-sweep"),
+        ("--lane-oracle", lane_oracle, "clients-sweep"),
+    ] {
+        if given && !selectors.iter().any(|s| s == selector) {
+            eprintln!("error: {flag} modifies --{selector}, which is not selected");
+            return ExitCode::FAILURE;
         }
     }
     let scale = scale_from_arg(paper.then_some("--paper"));

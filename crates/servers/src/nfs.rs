@@ -859,19 +859,7 @@ impl NfsServer {
         let mut reply = NetBuf::new(&self.ledger);
 
         let outcome: Result<(usize, Fattr), FsError> = match self.mode {
-            ServerMode::Original => {
-                // Copy 1: buffer cache → daemon buffer; copy 2: daemon
-                // buffer → network stack. The daemon buffer is handed off
-                // whole (append_vec), so the host does not duplicate it a
-                // third time.
-                let mut buf = vec![0u8; count];
-                self.fs.read(ino, offset, &mut buf).map(|n| {
-                    buf.truncate(n);
-                    reply.append_vec(buf);
-                    let attrs = self.fs.getattr(ino).expect("read target exists");
-                    (n, fattr_of(args.fh, &attrs))
-                })
-            }
+            ServerMode::Original => self.read_copying(&mut reply, args.fh, offset, count),
             ServerMode::NCache | ServerMode::Baseline => {
                 // Logical copy: attach the (placeholder) cache blocks by
                 // reference; the daemon never touches the payload.
@@ -887,21 +875,9 @@ impl NfsServer {
                                     self.fs.discard_cached(l);
                                 }
                             }
-                            let mut buf = vec![0u8; count];
-                            return self.fs.read(ino, offset, &mut buf).map(|n| {
-                                buf.truncate(n);
-                                reply.append_vec(buf);
-                                let attrs =
-                                    self.fs.getattr(ino).expect("read target exists");
-                                (n, fattr_of(args.fh, &attrs))
-                            });
+                            return self.read_copying(&mut reply, args.fh, offset, count);
                         }
-                        let mut n = 0;
-                        reply.reserve_segments(blocks.len());
-                        for b in &blocks {
-                            reply.append_segment(b.seg.slice(0, b.valid_len));
-                            n += b.valid_len;
-                        }
+                        let n = attach_blocks(&mut reply, &blocks);
                         let attrs = self.fs.getattr(ino).expect("read target exists");
                         Ok((n, fattr_of(args.fh, &attrs)))
                     })
@@ -920,13 +896,7 @@ impl NfsServer {
                     })
                 } else {
                     // The baseline ships junk; the copying path suffices.
-                    let mut buf = vec![0u8; count];
-                    self.fs.read(ino, offset, &mut buf).map(|n| {
-                        buf.truncate(n);
-                        reply.append_vec(buf);
-                        let attrs = self.fs.getattr(ino).expect("read target exists");
-                        (n, fattr_of(args.fh, &attrs))
-                    })
+                    self.read_copying(&mut reply, args.fh, offset, count)
                 }
             }
         };
@@ -957,6 +927,25 @@ impl NfsServer {
             }
         }
         reply
+    }
+
+    /// The copying READ path. Copy 1: buffer cache → daemon buffer; copy 2:
+    /// daemon buffer → network stack. The daemon buffer is handed off whole
+    /// (`append_vec`), so the host does not duplicate it a third time.
+    fn read_copying(
+        &mut self,
+        reply: &mut NetBuf,
+        fh: u64,
+        offset: u64,
+        count: usize,
+    ) -> Result<(usize, Fattr), FsError> {
+        let ino = fh_to_ino(fh);
+        let mut buf = vec![0u8; count];
+        let n = self.fs.read(ino, offset, &mut buf)?;
+        buf.truncate(n);
+        reply.append_vec(buf);
+        let attrs = self.fs.getattr(ino).expect("read target exists");
+        Ok((n, fattr_of(fh, &attrs)))
     }
 
     /// Whether `handle_read_fast` can serve this READ through `&self`
@@ -1023,12 +1012,7 @@ impl NfsServer {
         let blocks = self
             .fs
             .read_logical_shared(ino, u64::from(args.offset), args.count as usize);
-        let mut n = 0;
-        reply.reserve_segments(blocks.len());
-        for b in &blocks {
-            reply.append_segment(b.seg.slice(0, b.valid_len));
-            n += b.valid_len;
-        }
+        let n = attach_blocks(&mut reply, &blocks);
         let attrs = self.fs.getattr_shared(ino);
         counts.add(BYTES_READ, n as u64);
         reply.push_header(
@@ -1215,6 +1199,19 @@ pub fn ino_to_fh(ino: Ino) -> u64 {
 /// Inverse of [`ino_to_fh`].
 pub fn fh_to_ino(fh: u64) -> Ino {
     Ino(fh as u32)
+}
+
+/// The logical-copy READ path: attaches the (placeholder) cache blocks to
+/// `reply` by reference — the daemon never touches the payload — and
+/// returns the bytes attached.
+fn attach_blocks(reply: &mut NetBuf, blocks: &[simfs::fs::LogicalBlock]) -> usize {
+    reply.reserve_segments(blocks.len());
+    let mut n = 0;
+    for b in blocks {
+        reply.append_segment(b.seg.slice(0, b.valid_len));
+        n += b.valid_len;
+    }
+    n
 }
 
 fn fattr_of(fh: u64, inode: &simfs::inode::Inode) -> Fattr {

@@ -152,11 +152,6 @@ pub fn fig4(scale: &Scale) -> (SeriesTable, SeriesTable) {
     fig4_with(scale, None, executor::thread_count(None))
 }
 
-/// As [`fig4`], with every rig reporting into `rec`.
-pub fn fig4_traced(scale: &Scale, rec: &obs::Recorder) -> (SeriesTable, SeriesTable) {
-    fig4_with(scale, Some(rec), executor::thread_count(None))
-}
-
 /// [`fig4`] on an explicit worker count; one cell per `(mode, size)`.
 pub fn fig4_with(
     scale: &Scale,
@@ -211,11 +206,6 @@ pub fn fig4_with(
 /// (link-bound); `(b)` throughput with two NICs (CPU-bound).
 pub fn fig5(scale: &Scale) -> (SeriesTable, SeriesTable) {
     fig5_with(scale, None, executor::thread_count(None))
-}
-
-/// As [`fig5`], with every rig reporting into `rec`.
-pub fn fig5_traced(scale: &Scale, rec: &obs::Recorder) -> (SeriesTable, SeriesTable) {
-    fig5_with(scale, Some(rec), executor::thread_count(None))
 }
 
 /// [`fig5`] on an explicit worker count; one cell per `(NIC count, mode,
@@ -307,11 +297,6 @@ pub fn fig6a(scale: &Scale) -> SeriesTable {
     fig6a_with(scale, None, executor::thread_count(None))
 }
 
-/// As [`fig6a`], with every rig reporting into `rec`.
-pub fn fig6a_traced(scale: &Scale, rec: &obs::Recorder) -> SeriesTable {
-    fig6a_with(scale, Some(rec), executor::thread_count(None))
-}
-
 /// [`fig6a`] on an explicit worker count; one cell per `(mode, working
 /// set)`.
 pub fn fig6a_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) -> SeriesTable {
@@ -374,11 +359,6 @@ pub fn fig6b(scale: &Scale) -> SeriesTable {
     fig6b_with(scale, None, executor::thread_count(None))
 }
 
-/// As [`fig6b`], with every rig reporting into `rec`.
-pub fn fig6b_traced(scale: &Scale, rec: &obs::Recorder) -> SeriesTable {
-    fig6b_with(scale, Some(rec), executor::thread_count(None))
-}
-
 /// [`fig6b`] on an explicit worker count; one cell per `(mode, size)`.
 pub fn fig6b_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) -> SeriesTable {
     let mut thr = SeriesTable::new(
@@ -427,11 +407,6 @@ pub fn fig6b_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) ->
 /// regular-data operations.
 pub fn fig7(scale: &Scale) -> SeriesTable {
     fig7_with(scale, None, executor::thread_count(None))
-}
-
-/// As [`fig7`], with every rig reporting into `rec`.
-pub fn fig7_traced(scale: &Scale, rec: &obs::Recorder) -> SeriesTable {
-    fig7_with(scale, Some(rec), executor::thread_count(None))
 }
 
 /// [`fig7`] on an explicit worker count; one cell per `(mode, data-op %)`.
@@ -550,16 +525,6 @@ pub fn fault_sweep(spec: &FaultSpec, seed: u64) -> (SeriesTable, SeriesTable) {
     fault_sweep_with(spec, seed, None, executor::thread_count(None))
 }
 
-/// As [`fault_sweep`], with every rig reporting into `rec` (fault spans
-/// and `fault.*` counters land in the trace).
-pub fn fault_sweep_traced(
-    spec: &FaultSpec,
-    seed: u64,
-    rec: &obs::Recorder,
-) -> (SeriesTable, SeriesTable) {
-    fault_sweep_with(spec, seed, Some(rec), executor::thread_count(None))
-}
-
 /// [`fault_sweep`] on an explicit worker count; one cell per `(mode,
 /// loss rate)`, each seeded via `derive_seed` so results are identical at
 /// any thread count.
@@ -674,11 +639,6 @@ pub const CLIENTS_SWEEP_POINTS: [usize; 5] = [1, 4, 16, 64, 256];
 /// tables over the client axis.
 pub fn clients_sweep(scale: &Scale) -> (SeriesTable, SeriesTable) {
     clients_sweep_with(scale, None, executor::thread_count(None), 1)
-}
-
-/// As [`clients_sweep`], traced into `rec`.
-pub fn clients_sweep_traced(scale: &Scale, rec: &obs::Recorder) -> (SeriesTable, SeriesTable) {
-    clients_sweep_with(scale, rec.is_enabled().then_some(rec), executor::thread_count(None), 1)
 }
 
 /// [`clients_sweep`] on explicit worker and NCache shard counts. One cell
@@ -883,15 +843,6 @@ pub const OVERLOAD_SWEEP_SEED: u64 = 29;
 /// names the stage the tail migrates into past saturation.
 pub fn overload_sweep(scale: &Scale) -> (SeriesTable, SeriesTable, SeriesTable) {
     overload_sweep_with(scale, None, executor::thread_count(None), 1)
-}
-
-/// As [`overload_sweep`], traced into `rec` (per-request spans, latency
-/// and stage histograms land in the recorder for the attribution report).
-pub fn overload_sweep_traced(
-    scale: &Scale,
-    rec: &obs::Recorder,
-) -> (SeriesTable, SeriesTable, SeriesTable) {
-    overload_sweep_with(scale, Some(rec), executor::thread_count(None), 1)
 }
 
 /// [`overload_sweep`] on explicit worker and NCache shard counts. One
@@ -1316,12 +1267,6 @@ pub struct CopyCountRow {
 /// write 1/2; kHTTPd 1/2); the zero-copy builds measure 0 on regular data.
 pub fn table2() -> Vec<CopyCountRow> {
     table2_with(None, executor::thread_count(None))
-}
-
-/// As [`table2`], with every rig (and its copy ledgers) reporting into
-/// `rec`, so each measured copy also appears as a trace event.
-pub fn table2_traced(rec: &obs::Recorder) -> Vec<CopyCountRow> {
-    table2_with(Some(rec), executor::thread_count(None))
 }
 
 /// [`table2`] on an explicit worker count; one cell per server build.

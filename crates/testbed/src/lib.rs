@@ -10,18 +10,24 @@
 //!    and (in the NCache build) the real cache module. A client read
 //!    returns exactly the stored bytes; every physical copy is counted in
 //!    per-node ledgers.
-//! 2. **The timing layer** ([`timing`], [`runner`]) — a discrete-event
-//!    simulation of the paper's hardware (PIII 1 GHz nodes, Gigabit links,
-//!    a RAID-0 IDE array). Each request's *measured* operation counts
-//!    (copies, packets, cache ops, storage bursts) become service demands
-//!    at FIFO resources; throughput and utilization fall out of whichever
-//!    resource saturates — exactly the mechanics behind Figures 4-7.
+//! 2. **The timing layer** ([`timing`] and one private engine) — a
+//!    discrete-event simulation of the paper's hardware (PIII 1 GHz nodes,
+//!    Gigabit links, a RAID-0 IDE array). Each request's *measured*
+//!    operation counts (copies, packets, cache ops, storage bursts) become
+//!    service demands at FIFO resources; throughput and utilization fall
+//!    out of whichever resource saturates — exactly the mechanics behind
+//!    Figures 4-7. The engine is one chain-walker over one hardware model;
+//!    the public entry points select its arrival process: [`runner::run`]
+//!    (closed loop over a shared queue, Figs 4-7),
+//!    [`sessions::run_sessions`] (one closed loop per client session) and
+//!    [`openloop::run_open_loop`] (arrivals on an absolute schedule).
 //!
 //! [`experiments`] packages the whole evaluation: one function per figure
 //! and table, each returning a [`sim::stats::SeriesTable`] that prints the
 //! same rows the paper plots.
 
 pub mod ablations;
+mod engine;
 pub mod executor;
 pub mod experiments;
 pub mod khttpd_rig;

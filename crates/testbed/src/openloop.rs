@@ -10,8 +10,9 @@
 //! the behaviour the overload sweep plots: goodput flattening at
 //! capacity while p99/p999 latency departs from the mean.
 //!
-//! Timing uses exactly the stage chains and FIFO resources of the
-//! closed-loop engines; every foreground request accumulates the same
+//! Timing is the one engine in [`crate::engine`] — the closed loops' stage
+//! chains and FIFO resources, fed by an absolute-schedule arrival process
+//! instead of completions; every foreground request accumulates the same
 //! per-stage queue/service breakdown ([`obs::StageNs`]), telescoping to
 //! its end-to-end latency, and lands in the same [`obs::Recorder`]
 //! histograms the latency-attribution report renders. The run is a pure
@@ -20,17 +21,14 @@
 
 use std::collections::BTreeMap;
 
-use blockdev::{DiskModel, Raid0};
 use sim::costs::CostModel;
-use sim::engine::{Engine, Scheduler};
-use sim::stats::Throughput;
 use sim::time::SimTime;
-use sim::{Resource, SplitMix64};
+use sim::SplitMix64;
 use workload::arrivals::{poisson_arrivals, BurstConfig};
 use workload::zipf::Zipf;
 
-use crate::runner::{classify_path, op_label, stage_chains, DriverOp, Res, RigDriver, Stage};
-use crate::timing::derive;
+use crate::engine::{Arrivals, Flight, Res, Sink, Walker, STAGE_NAMES};
+use crate::runner::{DriverOp, RigDriver};
 
 /// Open-loop driver configuration.
 #[derive(Clone, Debug)]
@@ -127,374 +125,114 @@ pub struct OpenLoopResult {
     pub max_attempts: u64,
 }
 
-/// The slot a resource's busy intervals accumulate under; order matches
-/// the stage order the attribution report renders.
-fn slot(res: &Res) -> usize {
-    match res {
-        Res::AppRx => 0,
-        Res::AppCpu => 1,
-        Res::AppTx => 2,
-        Res::StorRx => 3,
-        Res::StorCpu => 4,
-        Res::StorTx => 5,
-        Res::Disk { .. } => 6,
-    }
-}
-
-/// Stage names by slot.
-const SLOT_NAMES: [&str; 7] = [
-    "app-rx",
-    "app-cpu",
-    "app-tx",
-    "storage-rx",
-    "storage-cpu",
-    "storage-tx",
-    "disk",
-];
-
-/// A foreground request in flight: identity, arrival instant, and the
-/// stage breakdown accumulated so far (telescoping to its latency).
-struct Flight {
-    payload: u64,
-    start: SimTime,
-    label: &'static str,
-    path: &'static str,
-    stages: Vec<obs::StageNs>,
-    /// The server admitted (some attempt of) the request; `false` means
-    /// every transmission so far was rejected.
-    delivered: bool,
-    /// Arrival index — keys the retry policy's backoff stream.
-    idx: u64,
-    /// Transmissions performed so far (1 = the initial send).
-    attempts: u64,
-    /// The operation, retained for retransmission after a rejection.
-    op: DriverOp,
-}
-
-struct World<R> {
-    rig: R,
-    pending: Vec<Option<DriverOp>>,
-    costs: CostModel,
+/// The open-loop completion sink: a quantile-queryable latency histogram
+/// and per-stage totals over every admitted request, deadline accounting,
+/// each resource's busy intervals (for the utilization timelines) and the
+/// `openloop.*` recorder counters.
+#[derive(Default)]
+struct OpenLoopSink {
     rec: obs::Recorder,
-    app_cpu: Resource,
-    app_tx: Resource,
-    app_rx: Resource,
-    stor_cpu: Resource,
-    stor_tx: Resource,
-    stor_rx: Resource,
-    array: Raid0,
-    meter: Throughput,
     latency: obs::Histogram,
     stage_totals: BTreeMap<&'static str, (u64, u64)>,
     busy: [Vec<(u64, u64)>; 7],
-    inflight: u64,
-    peak_inflight: u64,
-    /// Admitted requests still in flight — the depth the server's
-    /// admission gate sees. Rejected/backing-off flights occupy the
-    /// client, not the server, so they are excluded (counting them
-    /// would turn every rejection into more rejections).
-    server_inflight: u64,
-    end: SimTime,
-    deadline_ns: u64,
-    retry: Option<servers::RetryPolicy>,
     deadline_exceeded: u64,
     late_bytes: u64,
-    shed: u64,
-    retries: u64,
-    max_attempts: u64,
 }
 
-impl<R: RigDriver> World<R> {
-    /// Occupies the stage's resource; logs the busy interval for the
-    /// utilization timelines and returns `(started, done)`.
-    fn serve(&mut self, now: SimTime, stage: &Stage) -> (SimTime, SimTime) {
-        let (started, done) = match stage.res {
-            Res::AppRx => self.app_rx.serve_timed(now, stage.demand),
-            Res::AppCpu => self.app_cpu.serve_timed(now, stage.demand),
-            Res::AppTx => self.app_tx.serve_timed(now, stage.demand),
-            Res::StorRx => self.stor_rx.serve_timed(now, stage.demand),
-            Res::StorCpu => self.stor_cpu.serve_timed(now, stage.demand),
-            Res::StorTx => self.stor_tx.serve_timed(now, stage.demand),
-            // The open-loop engine keeps the flat array: tiering is a
-            // closed-loop ablation concern.
-            Res::Disk { lbn, blocks, .. } => self.array.io_timed(now, lbn, blocks),
-        };
-        if done > started {
-            self.busy[slot(&stage.res)].push((started.as_nanos(), done.as_nanos()));
+impl Sink for OpenLoopSink {
+    fn delivered(&mut self, _sid: usize, now: SimTime, flight: &Flight, late: bool) {
+        if late {
+            self.deadline_exceeded += 1;
+            self.late_bytes += flight.payload;
+            self.rec.add_counter("openloop.deadline_exceeded", 1);
         }
-        (started, done)
-    }
-}
-
-/// Fires arrival `k`: opens the request's flight and performs its first
-/// transmission. Events fire in schedule order, so functional state
-/// evolves deterministically.
-fn arrive<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>, k: usize) {
-    let op = w.pending[k].take().expect("arrival fired twice");
-    let now = s.now();
-    w.inflight += 1;
-    w.peak_inflight = w.peak_inflight.max(w.inflight);
-    let fg = Flight {
-        payload: 0,
-        start: now,
-        label: op_label(&op),
-        path: "shed",
-        stages: Vec::new(),
-        delivered: false,
-        idx: k as u64,
-        attempts: 0,
-        op,
-    };
-    transmit(w, s, fg);
-}
-
-/// One transmission of a flight's operation, executed functionally at the
-/// current instant. An admitted attempt fixes the flight's payload and
-/// path; a rejected one leaves it undelivered (the retry decision happens
-/// when the rejection reply reaches the client — see [`step`]). Either
-/// way the attempt's stage chain is scheduled, so rejection round trips
-/// consume the same simulated resources real ones do.
-fn transmit<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>, mut fg: Flight) {
-    let now = s.now();
-    w.rec.set_now(now.as_nanos());
-    // The gate sees the depth of admitted requests currently in flight;
-    // rejected/backing-off flights occupy the client, not the server
-    // (counting them would turn every rejection into more rejections).
-    w.rig.set_load(now.as_nanos(), w.server_inflight);
-    let (obs, payload) = w.rig.run_op(&fg.op);
-    fg.attempts += 1;
-    if fg.attempts > 1 {
-        w.retries += 1;
-    }
-    w.max_attempts = w.max_attempts.max(fg.attempts);
-    // A gate rejection turns the request around before filesystem and
-    // cache processing; only transport and decode work remains, so it
-    // costs a quarter of the fixed per-request CPU. That is what makes
-    // shedding cheaper than serving — the whole point of the gate.
-    let per_request_ns = if obs.rejected {
-        w.rig.per_request_ns(&w.costs) / 4
-    } else {
-        w.rig.per_request_ns(&w.costs)
-    };
-    let demands = derive(&w.costs, w.rig.transport(), per_request_ns, &obs);
-    let (stages, background) = stage_chains(&w.costs, &demands);
-    for bg in background {
-        s.schedule_at(now, move |w, s| step(w, s, bg, 0, None));
-    }
-    if !obs.rejected {
-        fg.delivered = true;
-        fg.payload = payload;
-        fg.path = classify_path(&obs);
-        w.server_inflight += 1;
-    }
-    s.schedule_at(now, move |w, s| step(w, s, stages, 0, Some(fg)));
-}
-
-/// Walks one stage of a chain, accumulating the foreground breakdown;
-/// an exhausted foreground chain records the completed request.
-fn step<R: RigDriver + 'static>(
-    w: &mut World<R>,
-    s: &mut Scheduler<World<R>>,
-    stages: Vec<Stage>,
-    cursor: usize,
-    mut foreground: Option<Flight>,
-) {
-    let now = s.now();
-    if cursor == stages.len() {
-        w.end = w.end.max(now);
-        if let Some(mut fg) = foreground {
-            if !fg.delivered {
-                // The rejection reply just reached the client: back off
-                // and retransmit if the budget allows. The backoff is a
-                // pure client-side delay, recorded as a stage so the
-                // breakdown still telescopes to end-to-end latency.
-                if let Some(policy) = w.retry {
-                    // A retransmission that would resume past the
-                    // request's deadline cannot deliver useful work, so
-                    // the client sheds instead of adding load — the
-                    // graceful half of graceful shedding.
-                    let resume_ns = |backoff: u64| now.since(fg.start).as_nanos() + backoff;
-                    if fg.attempts <= u64::from(policy.budget) {
-                        let backoff = policy.backoff_ns(fg.idx, fg.attempts as u32);
-                        if w.deadline_ns == 0 || resume_ns(backoff) <= w.deadline_ns {
-                            fg.stages.push(obs::StageNs {
-                                stage: "client-backoff",
-                                queue_ns: 0,
-                                service_ns: backoff,
-                            });
-                            let at = now + sim::time::Duration::from_nanos(backoff);
-                            s.schedule_at(at, move |w, s| transmit(w, s, fg));
-                            return;
-                        }
-                    }
-                }
-            }
-            w.inflight -= 1;
-            if fg.delivered {
-                w.server_inflight -= 1;
-            }
-            let latency_ns = now.since(fg.start).as_nanos();
-            if !fg.delivered {
-                // Shed: every transmission was rejected. The request
-                // consumed client time and rejection round trips, but
-                // delivered nothing — it counts as a client-visible
-                // error, not goodput, and its (zero-latency-value)
-                // outcome stays out of the latency histogram.
-                w.shed += 1;
-                w.rec.add_counter("openloop.shed", 1);
-            } else if w.deadline_ns > 0 && latency_ns > w.deadline_ns {
-                // Late: the work was done, but past the client's
-                // deadline — the bytes are real yet worthless to the
-                // caller, so they count separately from goodput.
-                w.deadline_exceeded += 1;
-                w.late_bytes += fg.payload;
-                w.rec.add_counter("openloop.deadline_exceeded", 1);
-                w.latency.record(latency_ns);
-                for st in &fg.stages {
-                    let t = w.stage_totals.entry(st.stage).or_insert((0, 0));
-                    t.0 += st.queue_ns;
-                    t.1 += st.service_ns;
-                }
-            } else {
-                w.meter.record(fg.payload);
-                w.latency.record(latency_ns);
-                for st in &fg.stages {
-                    let t = w.stage_totals.entry(st.stage).or_insert((0, 0));
-                    t.0 += st.queue_ns;
-                    t.1 += st.service_ns;
-                }
-            }
-            w.rec.set_now(now.as_nanos());
-            w.rec.emit(obs::EventKind::Request {
-                op: fg.label,
-                path: fg.path,
-                start_ns: fg.start.as_nanos(),
-                end_ns: now.as_nanos(),
-                stages: fg.stages,
-            });
+        self.latency.record(now.since(flight.start).as_nanos());
+        for st in &flight.stages {
+            let t = self.stage_totals.entry(st.stage).or_insert((0, 0));
+            t.0 += st.queue_ns;
+            t.1 += st.service_ns;
         }
-        return;
     }
-    let stage = stages[cursor];
-    let (started, done) = w.serve(now, &stage);
-    if let Some(fg) = foreground.as_mut() {
-        fg.stages.push(obs::StageNs {
-            stage: stage.res.name(),
-            queue_ns: started.since(now).as_nanos(),
-            service_ns: done.since(started).as_nanos(),
-        });
+
+    fn shed(&mut self) {
+        self.rec.add_counter("openloop.shed", 1);
     }
-    s.schedule_at(done, move |w, s| step(w, s, stages, cursor + 1, foreground));
+
+    fn busy(&mut self, res: Res, begin: SimTime, done: SimTime) {
+        self.busy[res.slot()].push((begin.as_nanos(), done.as_nanos()));
+    }
 }
 
 /// Runs `ops` open-loop against `rig`, arrival `k` firing at
-/// `schedule[k]`. The schedule must be as long as `ops` and
-/// non-decreasing (the Poisson draws from [`workload::arrivals`] are).
+/// `schedule[k]` whatever has completed by then (the schedule arrival
+/// process of [`crate::engine`]; the array stays flat — tiering is a
+/// closed-loop ablation concern). The schedule must be as long as `ops`
+/// and non-decreasing (the Poisson draws from [`workload::arrivals`]
+/// are).
 ///
 /// # Panics
 ///
 /// Panics if `schedule` and `ops` differ in length.
 pub fn run_open_loop_at<R: RigDriver + 'static>(
-    rig: R,
+    mut rig: R,
     ops: Vec<DriverOp>,
     schedule: &[SimTime],
     opts: &OpenLoopOptions,
 ) -> (R, OpenLoopResult) {
     assert_eq!(schedule.len(), ops.len(), "one arrival instant per op");
-    let rec = rig.recorder();
     let n = ops.len();
-    let mut app_cpu = Resource::new("app-cpu", 1);
-    let mut app_tx = Resource::new("app-tx", opts.nics.max(1));
-    let mut app_rx = Resource::new("app-rx", opts.nics.max(1));
-    let mut stor_cpu = Resource::new("storage-cpu", 1);
-    let mut stor_tx = Resource::new("storage-tx", 1);
-    let mut stor_rx = Resource::new("storage-rx", 1);
-    if rec.is_enabled() {
-        app_cpu.set_recorder(rec.clone());
-        app_tx.set_recorder(rec.clone());
-        app_rx.set_recorder(rec.clone());
-        stor_cpu.set_recorder(rec.clone());
-        stor_tx.set_recorder(rec.clone());
-        stor_rx.set_recorder(rec.clone());
-    }
-    let world = World {
-        rig,
-        pending: ops.into_iter().map(Some).collect(),
-        costs: opts.costs.clone(),
-        rec,
-        app_cpu,
-        app_tx,
-        app_rx,
-        stor_cpu,
-        stor_tx,
-        stor_rx,
-        array: Raid0::new(DiskModel::dtla_307075(), 4, 16),
-        meter: Throughput::new(),
-        latency: obs::Histogram::new(),
-        stage_totals: BTreeMap::new(),
-        busy: Default::default(),
-        inflight: 0,
-        peak_inflight: 0,
-        server_inflight: 0,
-        end: SimTime::ZERO,
-        deadline_ns: opts.deadline_ns,
-        retry: opts.retry,
-        deadline_exceeded: 0,
-        late_bytes: 0,
-        shed: 0,
-        retries: 0,
-        max_attempts: 0,
-    };
-    let mut engine = Engine::new(world);
-    for (k, &at) in schedule.iter().enumerate() {
-        engine.schedule_at(at, move |w, s| arrive(w, s, k));
-    }
-    engine.run();
-    let w = engine.into_world();
-    let elapsed = w.end;
     let span = schedule.last().map_or(SimTime::ZERO, |&t| t);
-    let offered = if span > SimTime::ZERO {
-        n as f64 / span.as_secs_f64()
-    } else {
-        0.0
-    };
-    let mut stages: Vec<obs::StageNs> = SLOT_NAMES
-        .iter()
-        .filter_map(|&name| {
-            w.stage_totals.get(name).map(|&(q, sv)| obs::StageNs {
-                stage: name,
-                queue_ns: q,
-                service_ns: sv,
+    let result = {
+        let sink = OpenLoopSink {
+            rec: rig.recorder(),
+            ..OpenLoopSink::default()
+        };
+        let mut w = Walker::new(&mut rig, Arrivals::Schedule, sink, opts.nics, None, &opts.costs);
+        w.retry = opts.retry;
+        w.deadline_ns = opts.deadline_ns;
+        for (k, (op, &at)) in ops.into_iter().zip(schedule).enumerate() {
+            w.schedule_arrival(at, k as u64, op);
+        }
+        w.run();
+        let elapsed = w.totals.end;
+        let totals = &w.sink.stage_totals;
+        let stages = STAGE_NAMES
+            .iter()
+            .chain(&["client-backoff"])
+            .filter_map(|&stage| {
+                totals.get(stage).map(|&(queue_ns, service_ns)| obs::StageNs {
+                    stage,
+                    queue_ns,
+                    service_ns,
+                })
             })
-        })
-        .collect();
-    if let Some(&(q, sv)) = w.stage_totals.get("client-backoff") {
-        stages.push(obs::StageNs {
-            stage: "client-backoff",
-            queue_ns: q,
-            service_ns: sv,
-        });
-    }
-    let (window_ns, timelines) = build_timelines(&w.busy, opts.nics, &w.array, elapsed);
-    let result = OpenLoopResult {
-        offered_ops_per_sec: offered,
-        goodput_mbs: w.meter.megabytes_per_sec(elapsed),
-        ops_per_sec: w.meter.ops_per_sec(elapsed),
-        ops: w.meter.ops(),
-        payload_bytes: w.meter.bytes(),
-        elapsed,
-        peak_inflight: w.peak_inflight,
-        latency: w.latency.snapshot(),
-        stages,
-        window_ns,
-        timelines,
-        deadline_exceeded: w.deadline_exceeded,
-        late_bytes: w.late_bytes,
-        shed: w.shed,
-        retries: w.retries,
-        max_attempts: w.max_attempts,
+            .collect();
+        let disks = w.hw.array.disk_count();
+        let (window_ns, timelines) = build_timelines(&w.sink.busy, opts.nics, disks, elapsed);
+        OpenLoopResult {
+            offered_ops_per_sec: if span > SimTime::ZERO {
+                n as f64 / span.as_secs_f64()
+            } else {
+                0.0
+            },
+            goodput_mbs: w.totals.meter.megabytes_per_sec(elapsed),
+            ops_per_sec: w.totals.meter.ops_per_sec(elapsed),
+            ops: w.totals.meter.ops(),
+            payload_bytes: w.totals.meter.bytes(),
+            elapsed,
+            peak_inflight: w.totals.peak_inflight,
+            latency: w.sink.latency.snapshot(),
+            stages,
+            window_ns,
+            timelines,
+            deadline_exceeded: w.sink.deadline_exceeded,
+            late_bytes: w.sink.late_bytes,
+            shed: w.totals.shed,
+            retries: w.totals.retries,
+            max_attempts: w.totals.max_attempts,
+        }
     };
-    (w.rig, result)
+    (rig, result)
 }
 
 /// [`run_open_loop_at`] over a seeded Poisson schedule drawn from the
@@ -534,7 +272,7 @@ pub fn zipf_reads(seed: u64, fh: u64, n: usize, file_bytes: u64, span: u32, alph
 fn build_timelines(
     busy: &[Vec<(u64, u64)>; 7],
     nics: usize,
-    array: &Raid0,
+    disks: usize,
     elapsed: SimTime,
 ) -> (u64, Vec<ResourceTimeline>) {
     let elapsed_ns = elapsed.as_nanos();
@@ -543,13 +281,13 @@ fn build_timelines(
     }
     let width = elapsed_ns.div_ceil(32).max(1);
     let windows = elapsed_ns.div_ceil(width) as usize;
-    let timelines = SLOT_NAMES
+    let timelines = STAGE_NAMES
         .iter()
         .enumerate()
         .map(|(i, &name)| {
             let servers = match i {
                 0 | 2 => nics.max(1) as u64,
-                6 => array.disk_count() as u64,
+                6 => disks as u64,
                 _ => 1,
             };
             let util = (0..windows)

@@ -9,18 +9,15 @@
 //! FIFO service demands, and throughput/utilization emerge from whichever
 //! resource saturates.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use blockdev::{DiskModel, Raid0, TierConfig, TierStats, TieredArray};
+use blockdev::{TierConfig, TierStats};
 use sim::costs::CostModel;
-use sim::stats::{LatencyHistogram, Throughput};
+use sim::stats::LatencyHistogram;
 use sim::time::{Duration, SimTime};
-use sim::Resource;
 
+use crate::engine::{Arrivals, Flight, Sink, Walker};
 use crate::khttpd_rig::KhttpdRig;
 use crate::nfs_rig::NfsRig;
-use crate::timing::{coalesce, derive, Observation, Transport};
+use crate::timing::{coalesce, Observation, Transport};
 
 /// One operation the runner can replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,17 +55,6 @@ pub enum DriverOp {
         /// Page path.
         path: String,
     },
-}
-
-/// What one functional execution produced.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExecOutcome {
-    /// Client→server message bytes.
-    pub request_bytes: u64,
-    /// Server→client message bytes.
-    pub reply_bytes: u64,
-    /// Application payload delivered (throughput numerator).
-    pub payload_bytes: u64,
 }
 
 /// A rig the runner can drive.
@@ -382,381 +368,47 @@ fn build_timeline(samples: &[(u64, u64)], elapsed_ns: u64) -> Vec<TimelineSample
     out
 }
 
-/// A FIFO resource a request stage occupies. Shared with the
-/// multi-session engine in [`crate::sessions`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Res {
-    AppRx,
-    AppCpu,
-    AppTx,
-    StorRx,
-    StorCpu,
-    StorTx,
-    Disk { lbn: u64, blocks: u64, write: bool },
+/// The shared-queue completion sink: request latency plus the raw
+/// completion samples `(t_ns, payload)` the timeline is bucketed from.
+#[derive(Default)]
+struct RunSink {
+    latency: LatencyHistogram,
+    samples: Vec<(u64, u64)>,
 }
 
-impl Res {
-    /// The stage name latency attribution files this resource under
-    /// (matches the recorder's closed stage-histogram key set).
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Res::AppRx => "app-rx",
-            Res::AppCpu => "app-cpu",
-            Res::AppTx => "app-tx",
-            Res::StorRx => "storage-rx",
-            Res::StorCpu => "storage-cpu",
-            Res::StorTx => "storage-tx",
-            Res::Disk { .. } => "disk",
-        }
+impl Sink for RunSink {
+    fn delivered(&mut self, _sid: usize, now: SimTime, flight: &Flight, _late: bool) {
+        self.latency.record(now.since(flight.start));
+        self.samples.push((now.as_nanos(), flight.payload));
     }
 }
 
-/// The storage backend behind the iSCSI target: the paper's flat RAID-0
-/// array, or the tiered fast-device-plus-array variant (DESIGN.md §16).
-/// `Flat` takes the exact pre-tier timing path byte for byte.
-#[derive(Clone, Debug)]
-pub(crate) enum Backend {
-    Flat(Raid0),
-    Tiered(Box<TieredArray>),
-}
-
-/// Timing of one backend I/O, with the tier facts the engines turn into
-/// stages and counters.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ServeOutcome {
-    pub(crate) begin: SimTime,
-    pub(crate) done: SimTime,
-    /// Completion of a promotion copy chained onto this read, if any.
-    pub(crate) promote_done: Option<SimTime>,
-    /// Whether a fast read faulted and fell back to the slow array.
-    pub(crate) fault_fallback: bool,
-}
-
-impl Backend {
-    pub(crate) fn new(tier: Option<TierConfig>) -> Backend {
-        let array = Raid0::new(DiskModel::dtla_307075(), 4, 16);
-        match tier {
-            None => Backend::Flat(array),
-            Some(cfg) => Backend::Tiered(Box::new(TieredArray::new(cfg, array))),
-        }
-    }
-
-    pub(crate) fn serve(&mut self, now: SimTime, lbn: u64, blocks: u64, write: bool) -> ServeOutcome {
-        match self {
-            Backend::Flat(array) => {
-                let (begin, done) = array.io_timed(now, lbn, blocks);
-                ServeOutcome {
-                    begin,
-                    done,
-                    promote_done: None,
-                    fault_fallback: false,
-                }
-            }
-            Backend::Tiered(t) => {
-                let o = if write {
-                    t.write_timed(now, lbn, blocks)
-                } else {
-                    t.read_timed(now, lbn, blocks)
-                };
-                ServeOutcome {
-                    begin: o.begin,
-                    done: o.done,
-                    promote_done: o.promote_done,
-                    fault_fallback: o.fault_fallback,
-                }
-            }
-        }
-    }
-
-    pub(crate) fn utilization(&self, elapsed_until: SimTime) -> f64 {
-        match self {
-            Backend::Flat(array) => array.utilization(elapsed_until),
-            Backend::Tiered(t) => t.utilization(elapsed_until),
-        }
-    }
-
-    pub(crate) fn tier_stats(&self) -> Option<TierStats> {
-        match self {
-            Backend::Flat(_) => None,
-            Backend::Tiered(t) => Some(t.stats()),
-        }
-    }
-}
-
-/// The data path a request took, judged from its observation: any
-/// foreground read burst puts the disk on the critical path; otherwise a
-/// substituted reply was served zero-copy from the network-centric
-/// cache; otherwise it was a plain cache hit. (Write-behind bursts are
-/// background work and do not change the request's path.)
-pub(crate) fn classify_path(obs: &Observation) -> &'static str {
-    if obs.bursts.iter().any(|b| !b.is_write) {
-        "disk"
-    } else if obs.substituted_pkts > 0 {
-        "substitution"
-    } else {
-        "hit"
-    }
-}
-
-/// One stage of a request's resource chain.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Stage {
-    pub(crate) res: Res,
-    pub(crate) demand: Duration,
-}
-
-/// Builds the foreground stage chain plus any background write-behind
-/// chains for one executed request. Read bursts ride the foreground chain
-/// (the reply waits for them); write bursts flush on their own chains —
-/// they occupy the link, the storage CPU and the array but do not extend
-/// the request's latency.
-pub(crate) fn stage_chains(
-    costs: &CostModel,
-    demands: &crate::timing::RequestDemands,
-) -> (Vec<Stage>, Vec<Vec<Stage>>) {
-    let mut stages = Vec::with_capacity(4 + 5 * demands.bursts.len());
-    let mut background = Vec::new();
-    stages.push(Stage {
-        res: Res::AppRx,
-        demand: costs.link_tx_time(demands.request_bytes),
-    });
-    stages.push(Stage {
-        res: Res::AppCpu,
-        demand: demands.app_cpu,
-    });
-    for (b, cpu) in &demands.bursts {
-        let data_time = costs.link_tx_time(b.bytes());
-        if b.is_write {
-            background.push(vec![
-                Stage {
-                    res: Res::AppTx,
-                    demand: data_time,
-                },
-                Stage {
-                    res: Res::StorRx,
-                    demand: data_time,
-                },
-                Stage {
-                    res: Res::StorCpu,
-                    demand: *cpu,
-                },
-                Stage {
-                    res: Res::Disk {
-                        lbn: b.lbn,
-                        blocks: b.blocks,
-                        write: true,
-                    },
-                    demand: Duration::ZERO,
-                },
-            ]);
-        } else {
-            stages.push(Stage {
-                res: Res::StorRx,
-                demand: costs.link_tx_time(96),
-            });
-            stages.push(Stage {
-                res: Res::StorCpu,
-                demand: *cpu,
-            });
-            stages.push(Stage {
-                res: Res::Disk {
-                    lbn: b.lbn,
-                    blocks: b.blocks,
-                    write: false,
-                },
-                demand: Duration::ZERO,
-            });
-            stages.push(Stage {
-                res: Res::StorTx,
-                demand: data_time,
-            });
-            stages.push(Stage {
-                res: Res::AppRx,
-                demand: data_time,
-            });
-        }
-    }
-    stages.push(Stage {
-        res: Res::AppTx,
-        demand: costs.link_tx_time(demands.reply_bytes),
-    });
-    (stages, background)
-}
-
-/// Runs `ops` against `rig` under `opts`. Operations execute functionally
-/// in issue order; timing is an exact FIFO simulation.
+/// Runs `ops` against `rig` under `opts`: a closed loop of
+/// `opts.concurrency` outstanding requests over one shared queue (see
+/// [`crate::engine`]). Operations execute functionally in issue order;
+/// timing is an exact FIFO simulation. A request the rig's admission
+/// gate rejects is shed: it frees its slot but stays out of `ops`,
+/// `payload_bytes` and the latency figures.
 pub fn run<R: RigDriver>(
     rig: &mut R,
     ops: impl IntoIterator<Item = DriverOp>,
     opts: &RunOptions,
 ) -> RunResult {
-    let costs = &opts.costs;
-    let mut ops = ops.into_iter();
     let rec = rig.recorder();
-
-    let mut app_cpu = Resource::new("app-cpu", 1);
-    let mut app_tx = Resource::new("app-tx", opts.nics.max(1));
-    let mut app_rx = Resource::new("app-rx", opts.nics.max(1));
-    let mut stor_cpu = Resource::new("storage-cpu", 1);
-    let mut stor_tx = Resource::new("storage-tx", 1);
-    let mut stor_rx = Resource::new("storage-rx", 1);
-    let mut array = Backend::new(opts.tier);
-    if rec.is_enabled() {
-        app_cpu.set_recorder(rec.clone());
-        app_tx.set_recorder(rec.clone());
-        app_rx.set_recorder(rec.clone());
-        stor_cpu.set_recorder(rec.clone());
-        stor_tx.set_recorder(rec.clone());
-        stor_rx.set_recorder(rec.clone());
-    }
-
-    let mut meter = Throughput::new();
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // In-flight requests: stage lists, cursors and the accumulated
-    // per-stage latency breakdown, keyed by seq.
-    type Flight = (Vec<Stage>, usize, Option<u64>, Vec<obs::StageNs>);
-    let mut inflight: std::collections::HashMap<u64, Flight> = std::collections::HashMap::new();
-    let mut issued_at: std::collections::HashMap<u64, (SimTime, &'static str, &'static str)> =
-        std::collections::HashMap::new();
-    let mut latency = LatencyHistogram::new();
-    let mut end = SimTime::ZERO;
-    // Raw completion samples (t_ns, payload) for the timeline.
-    let mut samples: Vec<(u64, u64)> = Vec::new();
-
-    // `payload = None` marks a background write-behind job: it consumes
-    // resources but completes silently (no throughput record, no refill).
-    // Returns the issued request's id and data-path label so the caller
-    // can timestamp and attribute it.
-    let issue = |rig: &mut R,
-                     op: DriverOp,
-                     now: SimTime,
-                     seq: &mut u64,
-                     heap: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
-                     inflight: &mut std::collections::HashMap<u64, Flight>| {
-        // Stamp the functional execution with its simulated issue time so
-        // every data-plane event lands at the right spot on the timeline.
-        rec.set_now(now.as_nanos());
-        let (obs, payload) = rig.run_op(&op);
-        let path = classify_path(&obs);
-        let demands = derive(costs, rig.transport(), rig.per_request_ns(costs), &obs);
-        let (stages, background) = stage_chains(costs, &demands);
-        for bg in background {
-            let id = *seq;
-            *seq += 1;
-            inflight.insert(id, (bg, 0, None, Vec::new()));
-            heap.push(Reverse((now, id)));
-        }
-        let id = *seq;
-        *seq += 1;
-        inflight.insert(id, (stages, 0, Some(payload), Vec::new()));
-        heap.push(Reverse((now, id)));
-        (id, path)
-    };
-
-    // Controller epochs are op-count boundaries: tick after every
-    // `epoch` functional executions, never mid-request.
-    let epoch = rig.adaptive_epoch();
-    let mut executed = 0u64;
-
+    let mut ops = ops.into_iter();
+    let arrivals = Arrivals::Shared(&mut ops);
+    let sink = RunSink::default();
+    let mut w = Walker::new(rig, arrivals, sink, opts.nics, opts.tier, &opts.costs);
     // Prime the closed loop.
     for _ in 0..opts.concurrency.max(1) {
-        match ops.next() {
-            Some(op) => {
-                let label = op_label(&op);
-                let (id, path) = issue(rig, op, SimTime::ZERO, &mut seq, &mut heap, &mut inflight);
-                issued_at.insert(id, (SimTime::ZERO, label, path));
-                executed += 1;
-                if epoch.is_some_and(|l| executed.is_multiple_of(l)) {
-                    rig.adaptive_tick();
-                }
-            }
-            None => break,
+        if !w.issue(SimTime::ZERO, 0) {
+            break;
         }
     }
+    w.run();
 
-    while let Some(Reverse((now, id))) = heap.pop() {
-        let entry = inflight.get(&id).expect("in flight");
-        let cursor = entry.1;
-        if cursor == entry.0.len() {
-            let (_, _, payload, stage_log) = inflight.remove(&id).expect("in flight");
-            end = end.max(now);
-            if let Some(payload) = payload {
-                // A client request completed: record and refill the slot.
-                meter.record(payload);
-                samples.push((now.as_nanos(), payload));
-                if let Some((start, label, path)) = issued_at.remove(&id) {
-                    latency.record(now.since(start));
-                    rec.emit(obs::EventKind::Request {
-                        op: label,
-                        path,
-                        start_ns: start.as_nanos(),
-                        end_ns: now.as_nanos(),
-                        stages: stage_log,
-                    });
-                }
-                if let Some(op) = ops.next() {
-                    let label = op_label(&op);
-                    let (next, path) = issue(rig, op, now, &mut seq, &mut heap, &mut inflight);
-                    issued_at.insert(next, (now, label, path));
-                    executed += 1;
-                    if epoch.is_some_and(|l| executed.is_multiple_of(l)) {
-                        rig.adaptive_tick();
-                    }
-                }
-            }
-            continue;
-        }
-        let stage = entry.0[cursor];
-        let mut promote_done = None;
-        let (started, done) = match stage.res {
-            Res::AppRx => app_rx.serve_timed(now, stage.demand),
-            Res::AppCpu => app_cpu.serve_timed(now, stage.demand),
-            Res::AppTx => app_tx.serve_timed(now, stage.demand),
-            Res::StorRx => stor_rx.serve_timed(now, stage.demand),
-            Res::StorCpu => stor_cpu.serve_timed(now, stage.demand),
-            Res::StorTx => stor_tx.serve_timed(now, stage.demand),
-            Res::Disk { lbn, blocks, write } => {
-                let o = array.serve(now, lbn, blocks, write);
-                if o.fault_fallback {
-                    rec.add_counter("fault.tier_fallback", 1);
-                }
-                if o.promote_done.is_some() {
-                    rec.add_counter("tier.promote", 1);
-                }
-                promote_done = o.promote_done;
-                (o.begin, o.done)
-            }
-        };
-        let entry = inflight.get_mut(&id).expect("in flight");
-        entry.1 = cursor + 1;
-        // Stage arrival is exactly `now` (the previous stage's completion
-        // or the issue instant), so queue + service telescopes across the
-        // chain to end-to-end latency, exactly, in integer nanoseconds.
-        entry.3.push(obs::StageNs {
-            stage: stage.res.name(),
-            queue_ns: started.since(now).as_nanos(),
-            service_ns: done.since(started).as_nanos(),
-        });
-        // A promotion copy chains onto the read it was triggered by: the
-        // stage starts exactly at `done` (queue 0), so the chain still
-        // telescopes to end-to-end latency.
-        let next_at = match promote_done {
-            Some(p) => {
-                entry.3.push(obs::StageNs {
-                    stage: "tier-promote",
-                    queue_ns: 0,
-                    service_ns: p.since(done).as_nanos(),
-                });
-                p
-            }
-            None => done,
-        };
-        heap.push(Reverse((next_at, id)));
-    }
-
-    let elapsed = end;
-    let timeline = build_timeline(&samples, elapsed.as_nanos());
+    let elapsed = w.totals.end;
+    let timeline = build_timeline(&w.sink.samples, elapsed.as_nanos());
     for s in &timeline {
         rec.set_now(s.t_ns);
         rec.emit(obs::EventKind::Gauge {
@@ -765,19 +417,19 @@ pub fn run<R: RigDriver>(
         });
     }
     RunResult {
-        throughput_mbs: meter.megabytes_per_sec(elapsed),
-        ops_per_sec: meter.ops_per_sec(elapsed),
-        app_cpu_util: app_cpu.utilization(elapsed),
-        storage_cpu_util: stor_cpu.utilization(elapsed),
-        app_tx_util: app_tx.utilization(elapsed),
-        disk_util: array.utilization(elapsed),
+        throughput_mbs: w.totals.meter.megabytes_per_sec(elapsed),
+        ops_per_sec: w.totals.meter.ops_per_sec(elapsed),
+        app_cpu_util: w.hw.app_cpu.utilization(elapsed),
+        storage_cpu_util: w.hw.stor_cpu.utilization(elapsed),
+        app_tx_util: w.hw.app_tx.utilization(elapsed),
+        disk_util: w.hw.array.utilization(elapsed),
         elapsed,
-        ops: meter.ops(),
-        payload_bytes: meter.bytes(),
-        mean_latency: latency.mean(),
-        p99_latency: latency.quantile(0.99),
+        ops: w.totals.meter.ops(),
+        payload_bytes: w.totals.meter.bytes(),
+        mean_latency: w.sink.latency.mean(),
+        p99_latency: w.sink.latency.quantile(0.99),
         timeline,
-        tier: array.tier_stats(),
+        tier: w.hw.array.tier_stats(),
     }
 }
 
@@ -984,6 +636,37 @@ mod tests {
         assert_eq!(plain.elapsed, traced.elapsed);
         assert_eq!(plain.payload_bytes, traced.payload_bytes);
         assert!((plain.throughput_mbs - traced.throughput_mbs).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_gate_sees_the_closed_loops_depth_and_rejections_are_shed() {
+        let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
+        let fh = rig.create_file("hot", 1 << 20);
+        for op in seq_reads(fh, 1 << 20, 16 << 10) {
+            rig.run_op(&op);
+        }
+        rig.enable_control(servers::ControlConfig {
+            max_inflight: 4,
+            queue_hi: 3,
+            queue_lo: 2,
+            token_cost_ns: 0,
+            token_burst: 0,
+            ..servers::ControlConfig::protective()
+        });
+        // Sixteen outstanding requests against an admission bound of four:
+        // the gate must see the real depth, and what it turns away must
+        // not be booked as completed work.
+        let opts = RunOptions {
+            concurrency: 16,
+            ..RunOptions::default()
+        };
+        let r = run(&mut rig, seq_reads(fh, 1 << 20, 16 << 10), &opts);
+        let stats = rig.control_stats().expect("control installed");
+        assert_eq!(stats.offered, 64, "every op is offered exactly once (no retry policy)");
+        assert!(stats.rejected > 0, "a depth of 16 must trip a bound of 4");
+        assert_eq!(r.ops, stats.admitted, "rejected requests stay out of ops");
+        assert_eq!(r.payload_bytes, stats.admitted * (16 << 10));
+        assert_eq!(r.timeline.iter().map(|s| s.ops).sum::<u64>(), r.ops);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The interleaved multi-session engine.
 //!
-//! [`run_sessions`] drives M client sessions against one rig over the
-//! discrete-event engine in [`sim::engine`]. Each session holds exactly
-//! one outstanding request (a closed loop per client, as the paper's
-//! client-scaling runs); its request, storage and reply stages are the
-//! same FIFO chains the single-stream [`crate::runner`] builds, but every
-//! event is tagged with the session's lane, so events at the same instant
-//! fire in `(time, session, seq)` order. The interleaving is therefore a
-//! pure function of the workload — byte-identical at any host thread
-//! count and any NCache shard count, which the determinism gates in CI
-//! compare directly.
+//! [`run_sessions`] drives M client sessions against one rig through the
+//! per-session arrival process of the timing engine ([`crate::engine`]).
+//! Each session holds exactly one outstanding request (a closed loop per
+//! client, as the paper's client-scaling runs); its request, storage and
+//! reply stages are the same FIFO chains the single-stream
+//! [`crate::runner`] walks, but every event is tagged with the session's
+//! lane, so events at the same instant fire in `(time, session, seq)`
+//! order. The interleaving is therefore a pure function of the workload
+//! — byte-identical at any host thread count and any NCache shard count,
+//! which the determinism gates in CI compare directly.
 //!
 //! NFS sessions each carry their own [`NfsClient`] on a disjoint xid
 //! base: the server's duplicate-request cache is keyed by xid alone, so
@@ -25,23 +25,20 @@ use netbuf::{CopyLedger, NetBuf};
 use servers::initiator::IoRecord;
 use servers::nfs::NfsClient;
 use sim::costs::CostModel;
-use sim::engine::{Engine, Scheduler};
-use sim::stats::{LatencyHistogram, Throughput};
+use sim::stats::LatencyHistogram;
 use sim::sync::{LaneLock, LockCounters};
 use sim::time::{Duration, SimTime};
-use sim::{FaultPlan, FaultSpec, Resource, SplitMix64};
+use sim::{FaultPlan, FaultSpec, SplitMix64};
 
 pub use crate::openloop::{
     run_open_loop, run_open_loop_at, OpenLoopOptions, OpenLoopResult,
 };
 
+use crate::engine::{Arrivals, Flight, Sink, Walker};
 use crate::executor::{derive_seed, run_cells};
 use crate::nfs_rig::{faulted_exchange_with, FaultChannel, FaultCounters, NfsRig};
-use crate::runner::{
-    classify_path, op_label, stage_chains, Backend, DriverOp, Res, RigDriver, ServeOutcome, Stage,
-    FRAME_OVERHEAD,
-};
-use crate::timing::{coalesce, derive, Observation, Transport};
+use crate::runner::{DriverOp, RigDriver, FRAME_OVERHEAD};
+use crate::timing::{coalesce, Observation, Transport};
 
 /// Called with the rig and the session index immediately before *and*
 /// immediately after every functional execution. A swap-based hook (see
@@ -105,296 +102,18 @@ pub struct SessionsResult {
     pub tier: Option<TierStats>,
 }
 
-/// The engine's world: the rig, the shared hardware, and per-session
-/// bookkeeping. Owned by the [`Engine`], mutated by events.
-struct World<R> {
-    rig: R,
-    hook: Option<SessionHook<R>>,
-    queues: Vec<VecDeque<DriverOp>>,
-    costs: CostModel,
-    rec: obs::Recorder,
-    app_cpu: Resource,
-    app_tx: Resource,
-    app_rx: Resource,
-    stor_cpu: Resource,
-    stor_tx: Resource,
-    stor_rx: Resource,
-    array: Backend,
-    meter: Throughput,
+/// The per-session completion sink: request latency and how many
+/// operations each session got through.
+struct SessionSink {
     latency: LatencyHistogram,
     per_session_ops: Vec<u64>,
-    end: SimTime,
-    retry: Option<servers::RetryPolicy>,
-    /// Requests issued so far — keys the per-request backoff draw.
-    issued: u64,
-    /// Sessions with a request outstanding (delivered or not).
-    inflight: u64,
-    /// Admitted requests still in flight — the depth the admission gate
-    /// sees.
-    server_inflight: u64,
-    shed: u64,
-    retries: u64,
-    /// Adaptive-split epoch length in op rounds (`None` = no controller).
-    epoch: Option<u64>,
-    /// First-attempt functional executions per session (retransmissions
-    /// re-execute an op but do not advance its round).
-    executed: Vec<u64>,
-    /// Total operations per session, to tell finished sessions apart
-    /// from slow ones in the round count.
-    total_ops: Vec<u64>,
-    ticks_done: u64,
 }
 
-impl<R: RigDriver> World<R> {
-    /// Occupies the stage's resource and returns its timing: `begin - now`
-    /// is the stage's queue wait, `done - begin` its service interval (see
-    /// [`sim::Resource::serve_timed`]); disk stages may carry a chained
-    /// promotion copy on a tiered backend.
-    fn serve(&mut self, now: SimTime, stage: &Stage) -> ServeOutcome {
-        let (begin, done) = match stage.res {
-            Res::AppRx => self.app_rx.serve_timed(now, stage.demand),
-            Res::AppCpu => self.app_cpu.serve_timed(now, stage.demand),
-            Res::AppTx => self.app_tx.serve_timed(now, stage.demand),
-            Res::StorRx => self.stor_rx.serve_timed(now, stage.demand),
-            Res::StorCpu => self.stor_cpu.serve_timed(now, stage.demand),
-            Res::StorTx => self.stor_tx.serve_timed(now, stage.demand),
-            Res::Disk { lbn, blocks, write } => {
-                let o = self.array.serve(now, lbn, blocks, write);
-                if o.fault_fallback {
-                    self.rec.add_counter("fault.tier_fallback", 1);
-                }
-                if o.promote_done.is_some() {
-                    self.rec.add_counter("tier.promote", 1);
-                }
-                return o;
-            }
-        };
-        ServeOutcome {
-            begin,
-            done,
-            promote_done: None,
-            fault_fallback: false,
-        }
+impl Sink for SessionSink {
+    fn delivered(&mut self, sid: usize, now: SimTime, flight: &Flight, _late: bool) {
+        self.latency.record(now.since(flight.start));
+        self.per_session_ops[sid] += 1;
     }
-
-    /// Fires any controller ticks whose op-round boundary has been
-    /// crossed. The round count is the slowest unfinished session's
-    /// first-attempt execution count (every session has executed at
-    /// least that many rounds), so the tick lands on the same op-count
-    /// boundary the round-synchronized parallel engine barriers on —
-    /// deterministic, and never mid-request.
-    fn maybe_tick(&mut self) {
-        let Some(l) = self.epoch.filter(|&l| l > 0) else {
-            return;
-        };
-        let rounds = self
-            .executed
-            .iter()
-            .zip(&self.total_ops)
-            .filter(|(e, t)| e < t)
-            .map(|(e, _)| *e)
-            .min()
-            .unwrap_or_else(|| self.executed.iter().copied().max().unwrap_or(0));
-        while (self.ticks_done + 1) * l <= rounds {
-            self.rig.adaptive_tick();
-            self.ticks_done += 1;
-        }
-    }
-}
-
-/// Foreground request state threaded through its stage chain: identity,
-/// start instant, and the per-stage latency breakdown accumulated so far.
-/// Each stage's arrival is the previous stage's completion (the chain is
-/// rescheduled at `done`), so the queue + service entries telescope to
-/// exactly the request's end-to-end latency.
-struct Foreground {
-    payload: u64,
-    start: SimTime,
-    label: &'static str,
-    path: &'static str,
-    stages: Vec<obs::StageNs>,
-    /// The server admitted (some attempt of) the request; `false` means
-    /// every transmission so far was rejected.
-    delivered: bool,
-    /// Issue index — keys the retry policy's backoff stream.
-    idx: u64,
-    /// Transmissions performed so far (1 = the initial send).
-    attempts: u64,
-    /// The operation, retained for retransmission after a rejection.
-    op: DriverOp,
-}
-
-/// The obs lane a session's events land on. Lane 0 is the single-session
-/// default, so sessions are 1-based.
-fn lane(sid: usize) -> u64 {
-    sid as u64 + 1
-}
-
-/// Issues the next queued operation for session `sid`: executes it
-/// functionally at the current instant (with the session's lane stamped
-/// into the recorder, so its spans land in the session's timeline lane),
-/// then schedules its stage chains.
-fn issue<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>, sid: usize) {
-    let Some(op) = w.queues[sid].pop_front() else {
-        return;
-    };
-    let now = s.now();
-    w.inflight += 1;
-    let fg = Foreground {
-        payload: 0,
-        start: now,
-        label: op_label(&op),
-        path: "shed",
-        stages: Vec::new(),
-        delivered: false,
-        idx: w.issued,
-        attempts: 0,
-        op,
-    };
-    w.issued += 1;
-    transmit(w, s, sid, fg);
-}
-
-/// One transmission of a session's operation, executed functionally at
-/// the current instant with the session's lane stamped into the
-/// recorder. An admitted attempt fixes the foreground's payload and
-/// path; a rejected one leaves it undelivered (the retry decision
-/// happens when the rejection reply reaches the session — see [`step`]).
-fn transmit<R: RigDriver + 'static>(
-    w: &mut World<R>,
-    s: &mut Scheduler<World<R>>,
-    sid: usize,
-    mut fg: Foreground,
-) {
-    let now = s.now();
-    w.rec.set_now(now.as_nanos());
-    w.rec.set_lane(lane(sid));
-    // The gate sees the depth of admitted requests currently in flight;
-    // rejected/backing-off sessions occupy the client, not the server.
-    w.rig.set_load(now.as_nanos(), w.server_inflight);
-    if let Some(hook) = w.hook.as_mut() {
-        hook(&mut w.rig, sid);
-    }
-    let (obs, payload) = w.rig.run_op(&fg.op);
-    if let Some(hook) = w.hook.as_mut() {
-        hook(&mut w.rig, sid);
-    }
-    w.rec.set_lane(0);
-    fg.attempts += 1;
-    if fg.attempts > 1 {
-        w.retries += 1;
-    } else {
-        // First attempt: this op's round has executed. Fire any epoch
-        // tick whose boundary the slowest session just crossed.
-        w.executed[sid] += 1;
-        w.maybe_tick();
-    }
-    // A gate rejection turns the request around before filesystem and
-    // cache processing; only transport and decode work remains.
-    let per_request_ns = if obs.rejected {
-        w.rig.per_request_ns(&w.costs) / 4
-    } else {
-        w.rig.per_request_ns(&w.costs)
-    };
-    let demands = derive(&w.costs, w.rig.transport(), per_request_ns, &obs);
-    let (stages, background) = stage_chains(&w.costs, &demands);
-    for bg in background {
-        s.schedule_at_lane(now, lane(sid), move |w, s| step(w, s, sid, bg, 0, None));
-    }
-    if !obs.rejected {
-        fg.delivered = true;
-        fg.payload = payload;
-        fg.path = classify_path(&obs);
-        w.server_inflight += 1;
-    }
-    s.schedule_at_lane(now, lane(sid), move |w, s| step(w, s, sid, stages, 0, Some(fg)));
-}
-
-/// Walks one stage of a chain: occupies the stage's FIFO resource and
-/// schedules the next stage at the completion instant, on the session's
-/// lane. An exhausted foreground chain records the completed request and
-/// refills the session's slot (the closed loop).
-fn step<R: RigDriver + 'static>(
-    w: &mut World<R>,
-    s: &mut Scheduler<World<R>>,
-    sid: usize,
-    stages: Vec<Stage>,
-    cursor: usize,
-    mut foreground: Option<Foreground>,
-) {
-    let now = s.now();
-    if cursor == stages.len() {
-        w.end = w.end.max(now);
-        if let Some(mut fg) = foreground {
-            if !fg.delivered {
-                // The rejection reply just reached the session: back off
-                // and retransmit if the budget allows. The backoff is a
-                // pure client-side delay, recorded as a stage so the
-                // breakdown still telescopes to end-to-end latency.
-                if let Some(policy) = w.retry {
-                    if fg.attempts <= u64::from(policy.budget) {
-                        let backoff = policy.backoff_ns(fg.idx, fg.attempts as u32);
-                        fg.stages.push(obs::StageNs {
-                            stage: "client-backoff",
-                            queue_ns: 0,
-                            service_ns: backoff,
-                        });
-                        let at = now + Duration::from_nanos(backoff);
-                        s.schedule_at_lane(at, lane(sid), move |w, s| transmit(w, s, sid, fg));
-                        return;
-                    }
-                }
-            }
-            w.inflight -= 1;
-            if fg.delivered {
-                w.server_inflight -= 1;
-                w.meter.record(fg.payload);
-                w.latency.record(now.since(fg.start));
-                w.per_session_ops[sid] += 1;
-            } else {
-                // Shed: nothing was delivered, so the request stays out
-                // of the throughput meter and the latency histogram —
-                // but the closed loop still refills the session's slot.
-                w.shed += 1;
-            }
-            w.rec.set_now(now.as_nanos());
-            w.rec.set_lane(lane(sid));
-            w.rec.emit(obs::EventKind::Request {
-                op: fg.label,
-                path: fg.path,
-                start_ns: fg.start.as_nanos(),
-                end_ns: now.as_nanos(),
-                stages: fg.stages,
-            });
-            w.rec.set_lane(0);
-            issue(w, s, sid);
-        }
-        return;
-    }
-    let stage = stages[cursor];
-    let o = w.serve(now, &stage);
-    let (started, done) = (o.begin, o.done);
-    if let Some(fg) = foreground.as_mut() {
-        fg.stages.push(obs::StageNs {
-            stage: stage.res.name(),
-            queue_ns: started.since(now).as_nanos(),
-            service_ns: done.since(started).as_nanos(),
-        });
-        // A promotion copy chains onto the read that triggered it,
-        // starting exactly at `done` (queue 0): the breakdown still
-        // telescopes to end-to-end latency.
-        if let Some(p) = o.promote_done {
-            fg.stages.push(obs::StageNs {
-                stage: "tier-promote",
-                queue_ns: 0,
-                service_ns: p.since(done).as_nanos(),
-            });
-        }
-    }
-    let next_at = o.promote_done.unwrap_or(done);
-    s.schedule_at_lane(next_at, lane(sid), move |w, s| {
-        step(w, s, sid, stages, cursor + 1, foreground)
-    });
 }
 
 /// Runs `sessions` (one operation stream per session) against `rig`.
@@ -403,80 +122,45 @@ fn step<R: RigDriver + 'static>(
 ///
 /// Sessions are primed in session order at time zero; from then on each
 /// completion immediately issues the session's next operation, so every
-/// session keeps exactly one request outstanding until its stream drains.
+/// session keeps exactly one request outstanding until its stream drains
+/// (the per-session arrival process of [`crate::engine`]). A request shed
+/// after exhausting its retry budget still refills its session's slot.
 pub fn run_sessions<R: RigDriver + 'static>(
-    rig: R,
+    mut rig: R,
     sessions: Vec<Vec<DriverOp>>,
     opts: &SessionsOptions,
     hook: Option<SessionHook<R>>,
 ) -> (R, SessionsResult) {
-    let rec = rig.recorder();
     let n = sessions.len();
-    let epoch = rig.adaptive_epoch();
-    let total_ops: Vec<u64> = sessions.iter().map(|s| s.len() as u64).collect();
-    let mut app_cpu = Resource::new("app-cpu", 1);
-    let mut app_tx = Resource::new("app-tx", opts.nics.max(1));
-    let mut app_rx = Resource::new("app-rx", opts.nics.max(1));
-    let mut stor_cpu = Resource::new("storage-cpu", 1);
-    let mut stor_tx = Resource::new("storage-tx", 1);
-    let mut stor_rx = Resource::new("storage-rx", 1);
-    if rec.is_enabled() {
-        app_cpu.set_recorder(rec.clone());
-        app_tx.set_recorder(rec.clone());
-        app_rx.set_recorder(rec.clone());
-        stor_cpu.set_recorder(rec.clone());
-        stor_tx.set_recorder(rec.clone());
-        stor_rx.set_recorder(rec.clone());
-    }
-    let world = World {
-        rig,
-        hook,
-        queues: sessions.into_iter().map(VecDeque::from).collect(),
-        costs: opts.costs.clone(),
-        rec,
-        app_cpu,
-        app_tx,
-        app_rx,
-        stor_cpu,
-        stor_tx,
-        stor_rx,
-        array: Backend::new(opts.tier),
-        meter: Throughput::new(),
-        latency: LatencyHistogram::new(),
-        per_session_ops: vec![0; n],
-        end: SimTime::ZERO,
-        retry: opts.retry,
-        issued: 0,
-        inflight: 0,
-        server_inflight: 0,
-        shed: 0,
-        retries: 0,
-        epoch,
-        executed: vec![0; n],
-        total_ops,
-        ticks_done: 0,
+    let result = {
+        let sink = SessionSink {
+            latency: LatencyHistogram::new(),
+            per_session_ops: vec![0; n],
+        };
+        let arrivals = Arrivals::per_session(sessions);
+        let mut w = Walker::new(&mut rig, arrivals, sink, opts.nics, opts.tier, &opts.costs);
+        w.hook = hook;
+        w.retry = opts.retry;
+        for sid in 0..n {
+            w.issue(SimTime::ZERO, sid);
+        }
+        w.run();
+        let elapsed = w.totals.end;
+        SessionsResult {
+            throughput_mbs: w.totals.meter.megabytes_per_sec(elapsed),
+            ops_per_sec: w.totals.meter.ops_per_sec(elapsed),
+            elapsed,
+            ops: w.totals.meter.ops(),
+            payload_bytes: w.totals.meter.bytes(),
+            per_session_ops: w.sink.per_session_ops,
+            mean_latency: w.sink.latency.mean(),
+            p99_latency: w.sink.latency.quantile(0.99),
+            shed: w.totals.shed,
+            retries: w.totals.retries,
+            tier: w.hw.array.tier_stats(),
+        }
     };
-    let mut engine = Engine::new(world);
-    for sid in 0..n {
-        engine.schedule(Duration::ZERO, move |w, s| issue(w, s, sid));
-    }
-    engine.run();
-    let w = engine.into_world();
-    let elapsed = w.end;
-    let result = SessionsResult {
-        throughput_mbs: w.meter.megabytes_per_sec(elapsed),
-        ops_per_sec: w.meter.ops_per_sec(elapsed),
-        elapsed,
-        ops: w.meter.ops(),
-        payload_bytes: w.meter.bytes(),
-        per_session_ops: w.per_session_ops,
-        mean_latency: w.latency.mean(),
-        p99_latency: w.latency.quantile(0.99),
-        shed: w.shed,
-        retries: w.retries,
-        tier: w.array.tier_stats(),
-    };
-    (w.rig, result)
+    (rig, result)
 }
 
 /// Builds one [`NfsClient`] per session — session `i` on xid base

@@ -46,46 +46,54 @@ echo "== benchmark workspace gate (benchmark/check.sh) =="
 # failure instead of a broken benchmark pipeline.
 benchmark/check.sh
 
-echo "== observability smoke (repro --table2 --metrics --trace) =="
+# Every experiment below goes through the one release binary.
+repro() {
+    cargo run --release --offline -q -p ncache-bench --bin repro -- "$@"
+}
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --table2 --metrics --trace "$TRACE_DIR/table2.json" > "$TRACE_DIR/stdout.txt"
-grep -q "Unified metrics summary" "$TRACE_DIR/stdout.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --validate-trace "$TRACE_DIR/table2.json"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --validate-trace "$TRACE_DIR/table2.jsonl"
-
-echo "== executor smoke (repro --table2, 1 vs N threads, identical stdout) =="
 # At least 4 workers so the multi-worker path is exercised even on small
 # machines (the executor oversubscribes harmlessly).
 NT="$(nproc 2>/dev/null || echo 4)"
 if [[ "$NT" -lt 4 ]]; then NT=4; fi
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --table2 --threads 1 2>/dev/null > "$TRACE_DIR/table2_t1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --table2 --threads "$NT" 2>/dev/null > "$TRACE_DIR/table2_tN.txt"
-cmp "$TRACE_DIR/table2_t1.txt" "$TRACE_DIR/table2_tN.txt"
+
+# diff_matrix LABEL SELECTOR-ARGS...: the determinism gate. Runs the
+# selector at --threads 1 --shards 1 (the reference, kept as
+# $TRACE_DIR/LABEL.txt and required to have printed something, so a
+# selector that ran nothing cannot pass) and at every other cell of
+# threads {1,$NT} x shards {1,8}; each must reproduce the reference's
+# stdout byte for byte. Selectors that ignore --shards just run twice more.
+diff_matrix() {
+    local label="$1" t s
+    shift
+    repro "$@" --threads 1 --shards 1 2>/dev/null > "$TRACE_DIR/$label.txt"
+    test -s "$TRACE_DIR/$label.txt"
+    for t in 1 "$NT"; do
+        for s in 1 8; do
+            if [[ "$t" == 1 && "$s" == 1 ]]; then continue; fi
+            repro "$@" --threads "$t" --shards "$s" 2>/dev/null > "$TRACE_DIR/${label}_cell.txt"
+            cmp "$TRACE_DIR/$label.txt" "$TRACE_DIR/${label}_cell.txt"
+        done
+    done
+}
+
+echo "== observability smoke (repro --table2 --metrics --trace) =="
+repro --table2 --metrics --trace "$TRACE_DIR/table2.json" > "$TRACE_DIR/stdout.txt"
+grep -q "Unified metrics summary" "$TRACE_DIR/stdout.txt"
+repro --validate-trace "$TRACE_DIR/table2.json"
+repro --validate-trace "$TRACE_DIR/table2.jsonl"
+
+echo "== executor smoke (repro --table2, 1 vs N threads, identical stdout) =="
+diff_matrix table2 --table2
 echo "table2 identical at 1 and $NT threads"
 
 echo "== fault smoke (repro --table2 --faults, same-seed determinism) =="
 # The same seed + spec must replay byte-identically at any thread count.
 # (The faulted counts may exceed the fault-free table: a retransmitted
 # request really does the work twice, and the ledgers count it honestly.)
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --table2 --faults loss=0.05 --seed 7 --threads 1 \
-    2>/dev/null > "$TRACE_DIR/table2_f1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --table2 --faults loss=0.05 --seed 7 --threads "$NT" \
-    2>/dev/null > "$TRACE_DIR/table2_fN.txt"
-cmp "$TRACE_DIR/table2_f1.txt" "$TRACE_DIR/table2_fN.txt"
+diff_matrix table2_faulted --table2 --faults loss=0.05 --seed 7
 echo "faulted table2 identical at 1 and $NT threads"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --faults-sweep --threads 1 2>/dev/null > "$TRACE_DIR/sweep_1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --faults-sweep --threads "$NT" 2>/dev/null > "$TRACE_DIR/sweep_N.txt"
-cmp "$TRACE_DIR/sweep_1.txt" "$TRACE_DIR/sweep_N.txt"
+diff_matrix faults_sweep --faults-sweep
 echo "fault sweep identical at 1 and $NT threads"
 # Multi-session correctness under loss rides the same smoke: 16
 # interleaved client sessions, overlapping writes, every build config.
@@ -98,17 +106,7 @@ echo "== shard determinism (repro --clients-sweep, shards x threads) =="
 # Sharding the cache and threading the executor must both be
 # unobservable: the client-scaling tables are byte-identical across
 # shard counts 1 vs 8 and thread counts 1 vs N.
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --clients-sweep --shards 1 --threads 1 \
-    2>/dev/null > "$TRACE_DIR/clients_s1_t1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --clients-sweep --shards 8 --threads 1 \
-    2>/dev/null > "$TRACE_DIR/clients_s8_t1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --clients-sweep --shards 8 --threads "$NT" \
-    2>/dev/null > "$TRACE_DIR/clients_s8_tN.txt"
-cmp "$TRACE_DIR/clients_s1_t1.txt" "$TRACE_DIR/clients_s8_t1.txt"
-cmp "$TRACE_DIR/clients_s1_t1.txt" "$TRACE_DIR/clients_s8_tN.txt"
+diff_matrix clients --clients-sweep
 echo "clients sweep identical at shards {1,8} and threads {1,$NT}"
 
 echo "== overload observatory (repro --overload-sweep --latency-report) =="
@@ -116,19 +114,9 @@ echo "== overload observatory (repro --overload-sweep --latency-report) =="
 # merged recorder histograms whose shard absorb is exact, so stdout —
 # goodput, tail quantiles, stage shares AND the rendered report — must
 # be byte-identical across thread and shard counts.
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --overload-sweep --latency-report --threads 1 --shards 1 \
-    2>/dev/null > "$TRACE_DIR/overload_t1_s1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --overload-sweep --latency-report --threads "$NT" --shards 1 \
-    2>/dev/null > "$TRACE_DIR/overload_tN_s1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --overload-sweep --latency-report --threads "$NT" --shards 8 \
-    2>/dev/null > "$TRACE_DIR/overload_tN_s8.txt"
-cmp "$TRACE_DIR/overload_t1_s1.txt" "$TRACE_DIR/overload_tN_s1.txt"
-cmp "$TRACE_DIR/overload_t1_s1.txt" "$TRACE_DIR/overload_tN_s8.txt"
-grep -q "Latency attribution report" "$TRACE_DIR/overload_t1_s1.txt"
-grep -q "bottleneck" "$TRACE_DIR/overload_t1_s1.txt"
+diff_matrix overload --overload-sweep --latency-report
+grep -q "Latency attribution report" "$TRACE_DIR/overload.txt"
+grep -q "bottleneck" "$TRACE_DIR/overload.txt"
 echo "overload sweep + latency report identical at threads {1,$NT} and shards {1,8}"
 
 echo "== overload control plane (repro --overload-sweep --protected) =="
@@ -136,17 +124,7 @@ echo "== overload control plane (repro --overload-sweep --protected) =="
 # offered schedules; admission decisions, retry backoffs, and shedding
 # are all seed-derived, so its stdout must also be byte-identical across
 # thread and shard counts.
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --overload-sweep --protected --threads 1 --shards 1 \
-    2>/dev/null > "$TRACE_DIR/ablation_t1_s1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --overload-sweep --protected --threads "$NT" --shards 1 \
-    2>/dev/null > "$TRACE_DIR/ablation_tN_s1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --overload-sweep --protected --threads "$NT" --shards 8 \
-    2>/dev/null > "$TRACE_DIR/ablation_tN_s8.txt"
-cmp "$TRACE_DIR/ablation_t1_s1.txt" "$TRACE_DIR/ablation_tN_s1.txt"
-cmp "$TRACE_DIR/ablation_t1_s1.txt" "$TRACE_DIR/ablation_tN_s8.txt"
+diff_matrix ablation --overload-sweep --protected
 echo "overload ablation identical at threads {1,$NT} and shards {1,8}"
 # The robustness gate: at 2x capacity the protected server must deliver
 # at least the unprotected goodput (the control plane's reason to
@@ -158,7 +136,7 @@ t && $1 == "2.0" {
     exit !($3 >= $2)
 }
 END { if (!found) { print "no 2.0x goodput row found" > "/dev/stderr"; exit 2 } }' \
-    "$TRACE_DIR/ablation_t1_s1.txt"
+    "$TRACE_DIR/ablation.txt"
 echo "protected goodput at 2x capacity >= unprotected"
 
 echo "== adaptive cache split (repro --adaptive-sweep) =="
@@ -166,17 +144,7 @@ echo "== adaptive cache split (repro --adaptive-sweep) =="
 # Zipf workload on the tiered backend. Controller ticks are epoch-
 # aligned to op rounds and ghost stamps are schedule-invariant, so the
 # sweep's stdout must be byte-identical across thread and shard counts.
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --adaptive-sweep --threads 1 --shards 1 \
-    2>/dev/null > "$TRACE_DIR/adaptive_t1_s1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --adaptive-sweep --threads "$NT" --shards 1 \
-    2>/dev/null > "$TRACE_DIR/adaptive_tN_s1.txt"
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --adaptive-sweep --threads "$NT" --shards 8 \
-    2>/dev/null > "$TRACE_DIR/adaptive_tN_s8.txt"
-cmp "$TRACE_DIR/adaptive_t1_s1.txt" "$TRACE_DIR/adaptive_tN_s1.txt"
-cmp "$TRACE_DIR/adaptive_t1_s1.txt" "$TRACE_DIR/adaptive_tN_s8.txt"
+diff_matrix adaptive --adaptive-sweep
 echo "adaptive sweep identical at threads {1,$NT} and shards {1,8}"
 # The adaptation gate: on every post-phase-shift segment (4-6) the
 # adaptive split must deliver at least the static split's goodput (the
@@ -191,7 +159,7 @@ t && $1 + 0 >= 4 {
 END {
     if (rows < 3) { print "missing post-shift goodput rows" > "/dev/stderr"; exit 2 }
     exit bad
-}' "$TRACE_DIR/adaptive_t1_s1.txt"
+}' "$TRACE_DIR/adaptive.txt"
 echo "adaptive goodput >= static on every post-shift segment"
 
 echo "== concurrent data plane (parallel vs sequential, identical stdout) =="
@@ -204,15 +172,13 @@ lanes_run() { # lanes_run OUT THREADS SHARDS [extra args...]
     local out="$1" t="$2" s="$3"; shift 3
     local t0 t1
     t0="$(date +%s%N)"
-    cargo run --release --offline -q -p ncache-bench --bin repro -- \
-        --clients-sweep --parallel-lanes --threads "$t" --shards "$s" "$@" \
+    repro --clients-sweep --parallel-lanes --threads "$t" --shards "$s" "$@" \
         2>/dev/null > "$out"
     t1="$(date +%s%N)"
     echo "parallel lanes threads=$t shards=$s $*: $(( (t1 - t0) / 1000000 )) ms" >&2
 }
-cargo run --release --offline -q -p ncache-bench --bin repro -- \
-    --clients-sweep --lane-oracle \
-    2>/dev/null > "$TRACE_DIR/lanes_oracle.txt"
+repro --clients-sweep --lane-oracle 2>/dev/null > "$TRACE_DIR/lanes_oracle.txt"
+test -s "$TRACE_DIR/lanes_oracle.txt"
 for S in 1 8; do
     for T in 1 2 "$NT"; do
         lanes_run "$TRACE_DIR/lanes_t${T}_s${S}.txt" "$T" "$S"

@@ -33,7 +33,8 @@ fn scale() -> Scale {
 fn traced_fig4() -> (String, String) {
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
-    experiments::fig4_traced(&scale(), &rec);
+    let threads = ncache_repro::testbed::executor::thread_count(None);
+    experiments::fig4_with(&scale(), Some(&rec), threads);
     let events = rec.events();
     assert_eq!(rec.dropped(), 0, "ring buffer must not drop at this scale");
     (export_chrome_trace(&events), export_jsonl(&events))
@@ -91,7 +92,7 @@ fn copy_events_reconcile_with_the_ledger_for_table2_flows() {
     // The recorder must see every copy: unsampled spans still aggregate
     // counters, so sampling does not affect this reconciliation.
     rec.enable(TraceConfig::default());
-    experiments::table2_traced(&rec);
+    experiments::table2_with(Some(&rec), ncache_repro::testbed::executor::thread_count(None));
 
     // Sum the trace's copy events by ledger category.
     let mut payload_ops = 0u64;
@@ -124,7 +125,7 @@ fn copy_events_reconcile_with_the_ledger_for_table2_flows() {
         }
     }
 
-    // `table2_traced` attaches the recorder to every rig before any
+    // `table2_with` attaches the recorder to every rig before any
     // traffic, so the event totals must equal the combined ledgers of all
     // six rigs (three NFS + three kHTTPd) exactly. The recorder's own
     // counters are derived the same way — check both against each other.
