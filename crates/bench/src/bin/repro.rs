@@ -379,26 +379,7 @@ fn main() -> ExitCode {
     }
     if selected("ablations") {
         let t0 = Instant::now();
-        let mech = ablations::ablation_mechanisms(scale.allhit_file);
-        println!("{mech}");
-        for (i, name) in ablations::MECHANISM_VARIANTS.iter().enumerate() {
-            println!("  variant {i} = {name}");
-        }
-        println!();
-        println!(
-            "{}",
-            ablations::ablation_fs_cache_share(
-                scale.web_cache_bytes,
-                scale.web_cache_bytes,
-                scale.specweb_requests / 2,
-            )
-        );
-        let (fresh, stale) = ablations::ablation_lookup_order(32);
-        println!(
-            "# Ablation: resolution order (32 read-write-read blocks)\n\
-             FHO-first (paper): {fresh} stale reads\n\
-             LBN-first (flipped): {stale} stale reads\n"
-        );
+        println!("{}", ablations::render(&scale));
         eprintln!("[ablations in {:.1?}]\n", t0.elapsed());
     }
 

@@ -9,6 +9,13 @@
 //! agree on everything observable: the spliced segments (same storage,
 //! same offset, same length), the report, the ledger, the cache counters,
 //! the ghost tail, and the LRU order every later eviction follows.
+//!
+//! The second property holds the batched, all-or-nothing resolution a READ
+//! reply goes through (`NetCacheShards::resolve_all`: probe every stamp
+//! under each shard's guard taken once, then count them all) to the same
+//! standard against one `resolve_into` per stamp — and a reply with a
+//! dangling stamp anywhere in it to the stricter one: its index comes
+//! back and nothing whatsoever has moved.
 
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, PropResult};
@@ -203,6 +210,136 @@ property! {
 
         // The promotions must have landed identically: under pressure both
         // twins pick the same victim, eviction after eviction.
+        for round in 0..RESIDENT {
+            for c in [&subject, &reference] {
+                let segs = vec![Segment::from_vec(vec![0xEE; CHUNK])];
+                c.insert_lbn(Lbn(5000 + round), segs, CHUNK, false).expect("clean chunks evict");
+            }
+            caches_agree(&subject, &reference)?;
+        }
+    }
+}
+
+/// Every keyed stamp's keys, FHO first.
+fn keys_of(stamp: &KeyStamp) -> impl Iterator<Item = CacheKey> {
+    let fho = stamp.fho.map(CacheKey::Fho);
+    fho.into_iter().chain(stamp.lbn.map(CacheKey::Lbn))
+}
+
+property! {
+    #![cases(64)]
+
+    fn prop_batched_resolution_matches_one_resolve_per_stamp(
+        seed in any_u64(),
+        (four_shards, lbn_first, windowed) in (any_bool(), any_bool(), any_bool()),
+        blocks in vec_of((ints(0u8..6), ints(0u64..24), ints(1usize..CHUNK + 1)), 1..40),
+        (dangle, at, how) in (any_bool(), ints(0usize..40), ints(0u8..3)),
+    ) {
+        let shards = if four_shards { 4 } else { 1 };
+        let mut rng = SplitMix64::new(seed);
+        let chunks: Vec<(Vec<Segment>, usize)> = (0..LBNS + FHOS)
+            .map(|k| {
+                let len = if rng.next_below(4) == 0 { 1 + rng.next_below(CHUNK as u64) as usize } else { CHUNK };
+                (chunk_segments(&mut rng, k as u8), len)
+            })
+            .collect();
+        let new_cache = || {
+            let c = NetCacheShards::new(BufPool::new(RESIDENT * CHUNK as u64), 0, shards);
+            populate(&c, &chunks);
+            c.set_resolve_lbn_first(lbn_first);
+            c
+        };
+        let (subject, reference) = (new_cache(), new_cache());
+
+        // One reply of whole cached blocks, each carrying `limit` bytes —
+        // down to a single byte, far below the stamp's own length. The
+        // younger half of the LBNs and every FHO chunk are resident, so
+        // these shapes all resolve: plain data; LBN only; FHO only; both
+        // keys with the FHO half present or never written; a resident FHO
+        // over an evicted LBN (a ghost hit when the ablation probes the
+        // LBN first); an unkeyed stamp. Half the replies then get one
+        // stamp that cannot resolve, somewhere.
+        let resident_lbn = |key: u64| Lbn(LBNS / 2 + key % (LBNS / 2));
+        let mut stamps: Vec<(Option<KeyStamp>, usize)> = blocks
+            .into_iter()
+            .map(|(kind, key, limit)| {
+                let stamp = match kind {
+                    0 => None,
+                    1 => Some(KeyStamp::new().with_lbn(resident_lbn(key))),
+                    2 => Some(KeyStamp::new().with_fho(fho(key % FHOS))),
+                    3 => Some(KeyStamp::new().with_fho(fho(key % 6)).with_lbn(resident_lbn(key))),
+                    4 => Some(KeyStamp::new().with_fho(fho(key % FHOS)).with_lbn(Lbn(key % (LBNS / 2)))),
+                    _ => Some(KeyStamp::new()), // a stamp with no key passes through
+                };
+                (stamp, limit)
+            })
+            .collect();
+        if dangle {
+            let at = at % stamps.len();
+            stamps[at].0 = Some(match how {
+                0 => KeyStamp::new().with_lbn(Lbn(1000)),
+                1 => KeyStamp::new().with_fho(fho(FHOS + 1)),
+                _ => KeyStamp::new().with_fho(fho(FHOS)).with_lbn(Lbn(0)),
+            });
+        }
+        let reply: Vec<(Segment, usize, Option<KeyStamp>)> = stamps
+            .into_iter()
+            .map(|(stamp, limit)| {
+                let mut bytes = vec![b'x'; CHUNK];
+                if let Some(stamp) = stamp {
+                    stamp.encode_into(&mut bytes);
+                }
+                (Segment::from_vec(bytes), limit, stamp.filter(KeyStamp::is_keyed))
+            })
+            .collect();
+        let dangling = reply.iter().position(|(_, _, stamp)| {
+            stamp.is_some_and(|s| !keys_of(&s).any(|k| reference.contains(k)))
+        });
+
+        // Both sides resolve as the same lane's same operation, or bare.
+        let in_window = |f: &mut dyn FnMut()| {
+            let _w = windowed.then(|| ncache::epoch::enter_window(ncache::epoch::stamp_base(5, 2)));
+            f()
+        };
+        let mut got = vec![Segment::from_vec(vec![0xAB])]; // appended to, not cleared
+        let mut outcome = Ok(SubstitutionReport::default());
+        in_window(&mut || outcome = subject.resolve_all(reply.iter().map(|(seg, limit, _)| (seg, *limit)), true, &mut got));
+
+        prop_assert!(dangle || dangling.is_none(), "the resolvable shapes resolve");
+        if let Some(index) = dangling {
+            prop_assert_eq!(outcome, Err(index), "the first dangling stamp");
+            prop_assert_eq!(got.len(), 1, "nothing appended");
+            caches_agree(&subject, &reference)?; // the reference never ran
+        } else {
+            let mut want = vec![Segment::from_vec(vec![0xAB])];
+            let mut report = SubstitutionReport::default();
+            in_window(&mut || {
+                for (seg, limit, stamp) in &reply {
+                    match stamp {
+                        Some(stamp) => {
+                            reference.resolve_into(stamp, *limit, &mut want).expect("not dangling");
+                            report.substituted += 1;
+                        }
+                        None => {
+                            report.passed_through += 1;
+                            want.push(seg.slice(0, *limit));
+                        }
+                    }
+                }
+            });
+            prop_assert_eq!(outcome, Ok(report), "report");
+            prop_assert_eq!(got.len(), want.len(), "chain length");
+            for (i, (a, b)) in got.iter().zip(&want).enumerate().skip(1) {
+                prop_assert!(same_view(a, b), "segment {}: {:?} vs {:?}", i, a, b);
+            }
+            caches_agree(&subject, &reference)?;
+        }
+
+        // The promotions must have landed identically (or not at all):
+        // under pressure both twins pick the same victim every time.
+        for c in [&subject, &reference] {
+            c.advance_clock_past(ncache::epoch::stamp_base(6, 0));
+        }
         for round in 0..RESIDENT {
             for c in [&subject, &reference] {
                 let segs = vec![Segment::from_vec(vec![0xEE; CHUNK])];

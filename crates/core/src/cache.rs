@@ -57,10 +57,13 @@ pub(crate) struct SeqSource(Arc<AtomicU64>);
 
 impl SeqSource {
     fn next(&self) -> u64 {
-        if let Some(stamp) = crate::epoch::window_stamp() {
-            return stamp;
-        }
-        self.0.fetch_add(1, Ordering::Relaxed)
+        self.reserve(1)
+    }
+
+    /// Reserves `n` consecutive stamps and returns the first — what `n`
+    /// calls of [`SeqSource::next`] with nothing in between would draw.
+    pub(crate) fn reserve(&self, n: u64) -> u64 {
+        crate::epoch::window_stamps(n).unwrap_or_else(|| self.0.fetch_add(n, Ordering::Relaxed))
     }
 
     /// Advances the counter past `stamp` (no-op if already beyond). The
@@ -420,23 +423,48 @@ impl NetCache {
     /// outgoing chain this way, with no allocation per chunk. Returns
     /// whether `key` was resident; a miss leaves `out` untouched.
     pub fn lookup_into(&self, key: CacheKey, limit: usize, out: &mut Vec<Segment>) -> bool {
+        let entry = self.probe(key);
+        match entry {
+            Some(entry) => self.count_hit(entry, self.seq.next(), limit, out),
+            None => self.count_miss(key),
+        }
+        entry.is_some()
+    }
+
+    /// The entry under `key`, found with a plain probe: no counter, tally,
+    /// stamp or ghost probe. Batched resolution probes a whole reply this
+    /// way before counting any of it
+    /// ([`crate::shards::NetCacheShards::resolve_all`]).
+    pub(crate) fn probe(&self, key: CacheKey) -> Option<&Entry> {
+        self.map.get(&key)
+    }
+
+    /// The counted half of a lookup that hit `entry`: promotes it to
+    /// `stamp` (drawn from this cache's [`SeqSource`]) and shares its
+    /// payload into `out`, clipped to `limit` bytes.
+    pub(crate) fn count_hit(
+        &self,
+        entry: &Entry,
+        stamp: u64,
+        limit: usize,
+        out: &mut Vec<Segment>,
+    ) {
         let counts = self.stats.lane();
         counts.add(LOOKUPS, 1);
+        counts.add(HITS, 1);
         crate::epoch::bump_tally();
-        if let Some(entry) = self.map.get(&key) {
-            let fresh = self.seq.next();
-            entry.seq.fetch_max(fresh, Ordering::Relaxed);
-            counts.add(HITS, 1);
-            entry.chunk.share_segments_into(limit, out);
-            true
-        } else {
-            // A miss consults the ghost tail: a hit there is a request a
-            // larger NCache quota would have served. Observation only —
-            // no stamp, no tally, no admission.
-            if let Some(g) = &self.ghost {
-                g.lock().expect("ghost poisoned").probe(ghost_key(key));
-            }
-            false
+        entry.seq.fetch_max(stamp, Ordering::Relaxed);
+        entry.chunk.share_segments_into(limit, out);
+    }
+
+    /// The counted half of a lookup that missed. A miss consults the
+    /// ghost tail: a hit there is a request a larger NCache quota would
+    /// have served. Observation only — no stamp, no admission.
+    pub(crate) fn count_miss(&self, key: CacheKey) {
+        self.stats.add(LOOKUPS, 1);
+        crate::epoch::bump_tally();
+        if let Some(g) = &self.ghost {
+            g.lock().expect("ghost poisoned").probe(ghost_key(key));
         }
     }
 

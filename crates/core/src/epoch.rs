@@ -115,38 +115,31 @@ impl Drop for WindowGuard {
     }
 }
 
-/// The next stamp of the current thread's epoch window, or `None` when no
-/// window is active (the sequential case).
-pub(crate) fn window_stamp() -> Option<u64> {
-    WINDOW.with(|w| {
-        w.get().map(|base| {
-            let k = CURSOR.with(|c| {
-                let k = c.get();
-                c.set(k + 1);
-                k
-            });
-            assert!(k < FS_CURSOR_BASE, "epoch window issued > 2^15 stamps");
-            base + k
-        })
-    })
+/// Reserves the next `n` consecutive stamps of the current thread's epoch
+/// window and returns the first, or `None` when no window is active (the
+/// sequential case).
+pub(crate) fn window_stamps(n: u64) -> Option<u64> {
+    reserve(&CURSOR, n).map(|(base, k)| base + k)
 }
 
-/// The FS-cache half of the current window, or `None` when no window is
-/// active. Draws from a separate cursor starting at [`FS_CURSOR_BASE`],
-/// so FS recency stamps inside a lane window are schedule-invariant too —
-/// without perturbing the NCache cursor or the ops tally the parallel
-/// engine reconciles against sequential counts.
-pub fn window_fs_stamp() -> Option<u64> {
-    WINDOW.with(|w| {
-        w.get().map(|base| {
-            let k = FS_CURSOR.with(|c| {
-                let k = c.get();
-                c.set(k + 1);
-                k
-            });
-            assert!(k < FS_CURSOR_BASE, "epoch window issued > 2^15 FS stamps");
-            base + FS_CURSOR_BASE + k
-        })
+/// The next `n` consecutive stamps of the FS-cache half of the current
+/// thread's epoch window (the first is returned), or `None` when no
+/// window is active. Draws
+/// from a separate cursor starting at [`FS_CURSOR_BASE`], so FS recency
+/// stamps inside a lane window are schedule-invariant too — without
+/// perturbing the NCache cursor or the ops tally the parallel engine
+/// reconciles against sequential counts.
+pub fn window_fs_stamps(n: u64) -> Option<u64> {
+    reserve(&FS_CURSOR, n).map(|(base, k)| base + FS_CURSOR_BASE + k)
+}
+
+/// Advances `cursor` by `n` inside the active window: `(window base, the
+/// cursor's old value)`.
+fn reserve(cursor: &'static std::thread::LocalKey<Cell<u64>>, n: u64) -> Option<(u64, u64)> {
+    WINDOW.with(Cell::get).map(|base| {
+        let k = cursor.with(|c| c.replace(c.get() + n));
+        assert!(k + n <= FS_CURSOR_BASE, "epoch window issued > 2^15 stamps");
+        (base, k)
     })
 }
 
@@ -188,33 +181,33 @@ mod tests {
 
     #[test]
     fn windows_issue_consecutive_stamps_and_restore_on_drop() {
-        assert_eq!(window_stamp(), None, "no window outside a guard");
+        assert_eq!(window_stamps(1), None, "no window outside a guard");
         let base = stamp_base(5, 3);
         {
             let _g = enter_window(base);
-            assert_eq!(window_stamp(), Some(base));
-            assert_eq!(window_stamp(), Some(base + 1));
+            assert_eq!(window_stamps(1), Some(base));
+            assert_eq!(window_stamps(1), Some(base + 1));
             {
                 let inner = stamp_base(6, 0);
                 let _g2 = enter_window(inner);
-                assert_eq!(window_stamp(), Some(inner));
+                assert_eq!(window_stamps(1), Some(inner));
             }
             // The outer window resumes exactly where it left off.
-            assert_eq!(window_stamp(), Some(base + 2));
+            assert_eq!(window_stamps(1), Some(base + 2));
         }
-        assert_eq!(window_stamp(), None);
+        assert_eq!(window_stamps(1), None);
     }
 
     #[test]
     fn fs_stamps_draw_from_their_own_half_of_the_window() {
-        assert_eq!(window_fs_stamp(), None, "no window outside a guard");
+        assert_eq!(window_fs_stamps(1), None, "no window outside a guard");
         let base = stamp_base(2, 1);
         let _g = enter_window(base);
         // Interleaved draws: each cache's half advances independently.
-        assert_eq!(window_stamp(), Some(base));
-        assert_eq!(window_fs_stamp(), Some(base + FS_CURSOR_BASE));
-        assert_eq!(window_stamp(), Some(base + 1));
-        assert_eq!(window_fs_stamp(), Some(base + FS_CURSOR_BASE + 1));
+        assert_eq!(window_stamps(1), Some(base));
+        assert_eq!(window_fs_stamps(1), Some(base + FS_CURSOR_BASE));
+        assert_eq!(window_stamps(1), Some(base + 1));
+        assert_eq!(window_fs_stamps(1), Some(base + FS_CURSOR_BASE + 1));
         // Both halves stay inside the window's 16-bit cursor space.
         assert!(base + FS_CURSOR_BASE + 1 < base + WINDOW_CAPACITY);
     }

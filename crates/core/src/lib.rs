@@ -71,7 +71,7 @@ pub use cache::{CacheFull, NetCache, NetCacheStats, WritebackChunk};
 pub use chunk::Chunk;
 pub use module::{placeholder_block, NcacheConfig, NcacheModule};
 pub use shards::{shard_of, NetCacheShards};
-pub use substitute::{substitute_payload, SubstitutionReport};
+pub use substitute::{resolve_reply, substitute_payload, Resolved, SubstitutionReport};
 pub use tracker::{HttpTxTracker, TxDisposition};
 
 /// Payload bytes per cache chunk: one file-system block.

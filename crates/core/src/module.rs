@@ -21,7 +21,7 @@ use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
 
 use crate::cache::{CacheFull, NetCacheStats, WritebackChunk};
 use crate::shards::NetCacheShards;
-use crate::substitute::{substitute_payload, SubstitutionReport};
+use crate::substitute::{substitute_payload, Resolved, SubstitutionReport};
 use crate::CHUNK_PAYLOAD;
 
 /// Configuration of the NCache module.
@@ -223,24 +223,14 @@ impl NcacheModule {
         self.cache.contains(fho.into())
     }
 
-    /// Whether a stamped placeholder would resolve right now (either of
-    /// its keys resident), without promoting anything. Servers use this to
-    /// *revalidate* placeholders before attaching them to a reply: under
-    /// extreme memory pressure the cache may have evicted a chunk while a
-    /// file-system placeholder still references it, and the reply must
-    /// then take the copying path instead of shipping junk.
-    pub fn resolvable(&self, stamp: &KeyStamp) -> bool {
-        stamp.fho.is_some_and(|f| self.cache.contains(f.into()))
-            || stamp.lbn.is_some_and(|l| self.cache.contains(l.into()))
-    }
-
-    /// Like [`NcacheModule::resolvable`], but additionally verifies each
-    /// candidate chunk against its stored checksum (FHO first, so the
-    /// freshness order of §3.4 holds even under faults). A mismatched
-    /// chunk is corrupt: it is invalidated on the spot and the next key —
-    /// or, if none resolves, the copying FS path — serves the request
-    /// instead. Chunks with no stored checksum are stamped lazily here,
-    /// so the fault-free fast path never pays for hashing.
+    /// Revalidates a stamped placeholder before it rides a reply under
+    /// fault recovery: verifies each candidate chunk against its stored
+    /// checksum (FHO first, so the freshness order of §3.4 holds even
+    /// under faults). A mismatched chunk is corrupt: it is invalidated on
+    /// the spot and the next key — or, if none resolves, the copying FS
+    /// path — serves the request instead. Chunks with no stored checksum
+    /// are stamped lazily here, so the fault-free fast path never pays
+    /// for hashing.
     pub fn verify_resolvable(&mut self, stamp: &KeyStamp) -> bool {
         let keys = [
             stamp.fho.map(CacheKey::from),
@@ -294,6 +284,12 @@ impl NcacheModule {
     /// Direct access to the sharded cache (ablations and tests).
     pub fn cache_mut(&mut self) -> &mut NetCacheShards {
         &mut self.cache
+    }
+
+    /// The cache replies resolve through ahead of transmission, or `None`
+    /// when substitution is disabled (the ablation ships placeholders).
+    pub fn resolver(&self) -> Option<&NetCacheShards> {
+        self.config.substitution.then_some(&self.cache)
     }
 
     /// A clone of the internally locked cache handle. The lane-parallel
@@ -445,14 +441,29 @@ impl NcacheModule {
 
     /// Hook 4: an outgoing packet reached the driver boundary. Substitutes
     /// stamped placeholders from the cache (no-op when substitution is
-    /// disabled). When checksum inheritance is enabled the packet is marked
-    /// checksum-inherited instead of being recomputed.
-    pub fn on_transmit(&mut self, buf: &mut NetBuf) -> SubstitutionReport {
+    /// disabled) — or, for a reply whose placeholders the server resolved
+    /// when it built it ([`crate::substitute::resolve_reply`], the READ's
+    /// commit point), splices that resolution in. When checksum inheritance
+    /// is enabled the packet is marked checksum-inherited instead of being
+    /// recomputed.
+    pub fn on_transmit(
+        &mut self,
+        buf: &mut NetBuf,
+        resolved: Option<Resolved>,
+    ) -> SubstitutionReport {
         if !self.config.substitution {
             return SubstitutionReport::default();
         }
-        let shard_before = self.shard_baseline();
-        let report = substitute_payload(buf, &self.cache);
+        let (report, shard_before) = match resolved {
+            Some(mut resolved) => {
+                let shard_before = resolved.shard_before.take();
+                (resolved.splice(buf), shard_before)
+            }
+            None => {
+                let shard_before = self.shard_baseline();
+                (substitute_payload(buf, &self.cache), shard_before)
+            }
+        };
         self.emit_shard_deltas(shard_before);
         if report.substituted > 0 {
             if self.config.csum_inherit {
@@ -577,7 +588,7 @@ mod tests {
         let ph = m.on_data_in(Lbn(1), block_segs(0x77), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(ph);
-        let r = m.on_transmit(&mut pkt);
+        let r = m.on_transmit(&mut pkt, None);
         assert_eq!(r.substituted, 1);
         assert_eq!(pkt.csum_state(), netbuf::buf::CsumState::Inherited);
         assert_eq!(pkt.copy_payload_to_vec(), vec![0x77; CHUNK_PAYLOAD]);
@@ -593,7 +604,7 @@ mod tests {
         let ph = m.on_data_in(Lbn(1), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(ph.clone());
-        let r = m.on_transmit(&mut pkt);
+        let r = m.on_transmit(&mut pkt, None);
         assert_eq!(r.substituted, 0);
         // Placeholder junk goes out unmodified (the ablation's behaviour).
         assert_eq!(pkt.copy_payload_to_vec(), ph.as_slice().to_vec());
@@ -639,7 +650,7 @@ mod tests {
         let ph = m.on_data_in(Lbn(9), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(ph);
-        m.on_transmit(&mut pkt);
+        m.on_transmit(&mut pkt, None);
 
         assert_eq!(rec.counter("cache.ncache-fho.insertions"), 1);
         assert_eq!(rec.counter("cache.ncache-lbn.insertions"), 1);

@@ -52,8 +52,9 @@ use sim::mix64;
 use sim::sync::{LaneLock, LaneReadGuard, LaneWriteGuard, LockCounters};
 
 use crate::cache::{
-    resolution_order, CacheFull, NetCache, NetCacheStats, SeqSource, WritebackChunk,
+    resolution_order, CacheFull, Entry, NetCache, NetCacheStats, SeqSource, WritebackChunk,
 };
+use crate::substitute::SubstitutionReport;
 
 /// The shard a key lives in, for a set of `shards` shards. Deterministic
 /// across runs and platforms (no `RandomState`): the same key always maps
@@ -239,7 +240,11 @@ impl NetCacheShards {
     }
 
     fn shard(&self, key: CacheKey) -> usize {
-        shard_of(key, self.shards.len())
+        // One shard needs no hash (and no 64-bit division) to find.
+        match self.shards.len() {
+            1 => 0,
+            n => shard_of(key, n),
+        }
     }
 
     /// Whether `key` is resident (no LRU promotion, no counter change).
@@ -367,6 +372,120 @@ impl NetCacheShards {
             .find(|&key| self.lookup_into(key, limit, out))
     }
 
+    /// Resolves every placeholder of a reply in one batched pass
+    /// (DESIGN.md §9.2). `reply` is the payload in order: each block as
+    /// the buffer cache holds it (its stamp, if any, heads the *whole*
+    /// block) and the number of its bytes the reply carries; unstamped
+    /// blocks pass through, clipped.
+    ///
+    /// Phase 1 takes the read guard of every shard a candidate key hashes
+    /// to — once each, in ascending order, so it cannot deadlock against
+    /// [`NetCacheShards::remap`] — and finds each stamp's winning entry,
+    /// FHO then LBN, with plain probes. Phase 2 counts and promotes in
+    /// reply order exactly as one [`NetCacheShards::resolve_into`] per
+    /// stamp would, through the entries phase 1 holds, appending the
+    /// payload to `out`.
+    ///
+    /// # Errors
+    ///
+    /// When `strict`, the index of the first stamp neither of whose keys
+    /// is resident — after phase 1, with *no* side effect: no lookup,
+    /// tally, stamp or ghost probe, `out` untouched. Otherwise such a
+    /// block ships as it is and is reported `missing`.
+    pub fn resolve_all<'s, I>(
+        &self,
+        reply: I,
+        strict: bool,
+        out: &mut Vec<Segment>,
+    ) -> Result<SubstitutionReport, usize>
+    where
+        I: ExactSizeIterator<Item = (&'s Segment, usize)> + Clone,
+    {
+        let fho_first = self.fho_first.load(std::sync::atomic::Ordering::Relaxed);
+        let keys = |block: &Segment| {
+            netbuf::key::KeyStamp::decode(block.as_slice())
+                .map_or([None, None], |stamp| resolution_order(&stamp, fho_first))
+                .into_iter()
+                .flatten()
+        };
+        let shards = self.shards.len();
+        // The needed shards, as a mask (one shard is always the needed
+        // one; past 64 the bits alias, which only ever takes a guard too
+        // many).
+        let mut needed = u64::from(shards == 1);
+        if shards > 1 {
+            for key in reply.clone().flat_map(|(block, _)| keys(block)) {
+                needed |= 1 << (self.shard(key) % 64);
+            }
+        }
+        let (mut held, mut held_spill) = ([const { None }; 8], Vec::new());
+        let guards: &mut [Option<LaneReadGuard<'_, NetCache>>] = if shards <= held.len() {
+            &mut held[..shards]
+        } else {
+            held_spill.resize_with(shards, || None);
+            &mut held_spill
+        };
+        for (shard, guard) in guards.iter_mut().enumerate() {
+            if needed >> (shard % 64) & 1 == 1 {
+                *guard = Some(self.read(shard));
+            }
+        }
+        let guards = &*guards;
+        let shard = |key| guards[self.shard(key)].as_deref().expect("guard taken above");
+        // The probed entries of any hit-path reply live on the stack.
+        let (mut inline, mut spill) = ([Slot::Plain; SLOTS_INLINE], Vec::new());
+        let slots: &mut [Slot<'_>] = match reply.len() {
+            n if n <= inline.len() => &mut inline[..n],
+            n => {
+                spill.resize(n, Slot::Plain);
+                &mut spill
+            }
+        };
+        let mut hits = 0;
+        for (i, ((block, _), slot)) in reply.clone().zip(slots.iter_mut()).enumerate() {
+            let mut found = keys(block).map(|key| {
+                let at = shard(key);
+                (at, at.probe(key))
+            });
+            *slot = match found.next() {
+                None => continue,
+                Some((at, Some(entry))) => Slot::First(at, entry),
+                Some(_) => match found.next() {
+                    Some((at, Some(entry))) => Slot::Second(at, entry),
+                    _ if strict => return Err(i),
+                    _ => Slot::Missing,
+                },
+            };
+            hits += u64::from(!matches!(slot, Slot::Missing));
+        }
+        let mut stamp = self.seq.reserve(hits);
+        let mut report = SubstitutionReport::default();
+        for ((block, limit), slot) in reply.zip(slots.iter()) {
+            let (missed, hit) = match *slot {
+                Slot::Plain => (0, None),
+                Slot::First(at, entry) => (0, Some((at, entry))),
+                Slot::Second(at, entry) => (1, Some((at, entry))),
+                Slot::Missing => (2, None),
+            };
+            for key in keys(block).take(missed) {
+                shard(key).count_miss(key);
+            }
+            match hit {
+                Some((at, entry)) => {
+                    at.count_hit(entry, stamp, limit, out);
+                    stamp += 1;
+                    report.substituted += 1;
+                }
+                None => {
+                    out.push(block.slice(0, limit));
+                    report.passed_through += u64::from(missed == 0);
+                    report.missing += u64::from(missed > 0);
+                }
+            }
+        }
+        Ok(report)
+    }
+
     /// Remaps an FHO entry to an LBN key on file-system flush, moving the
     /// chunk between shards when the keys hash apart and overwriting any
     /// stale LBN copy. Returns the (still dirty) payload for the outgoing
@@ -437,6 +556,24 @@ impl NetCacheShards {
         tagged.sort_unstable_by_key(|&(seq, _)| seq);
         tagged.into_iter().map(|(_, k)| k).collect()
     }
+}
+
+/// Reply blocks [`NetCacheShards::resolve_all`] keeps its probe results
+/// for on the stack: every NFS READ and every page the resident walk
+/// serves (`simfs::fs::WALK_BLOCKS`). A longer reply spills to the heap.
+const SLOTS_INLINE: usize = 32;
+
+/// How phase 1 of [`NetCacheShards::resolve_all`] left one reply block.
+#[derive(Clone, Copy)]
+enum Slot<'g> {
+    /// No keyed stamp: passes through.
+    Plain,
+    /// The stamp's first candidate key is resident: its shard and entry.
+    First(&'g NetCache, &'g Entry),
+    /// The first candidate missed; the second is resident.
+    Second(&'g NetCache, &'g Entry),
+    /// No candidate is resident.
+    Missing,
 }
 
 impl fmt::Debug for NetCacheShards {

@@ -3,15 +3,15 @@
 //!
 //! An outgoing NFS read reply (or kHTTPd response body) built by the
 //! logical-copy paths carries placeholder blocks — junk payload whose head
-//! is a [`KeyStamp`]. Just before transmission, the NCache module resolves
-//! each stamp (FHO cache first, then LBN) and splices the cached network
-//! buffers into the packet in place of the placeholder. No payload bytes
+//! is a [`netbuf::key::KeyStamp`]. Just before transmission, the NCache
+//! module resolves each stamp (FHO cache first, then LBN) and splices the
+//! cached network buffers into the packet in place of the placeholder. No payload bytes
 //! move: substitution is pointer surgery, charged to the CPU model per
 //! packet, not per byte.
 
-use netbuf::key::KeyStamp;
-use netbuf::NetBuf;
+use netbuf::{NetBuf, Segment};
 
+use crate::cache::NetCacheStats;
 use crate::shards::NetCacheShards;
 
 /// What substitution did to one outgoing packet.
@@ -63,40 +63,69 @@ impl SubstitutionReport {
 /// # Ok::<(), ncache::CacheFull>(())
 /// ```
 pub fn substitute_payload(buf: &mut NetBuf, cache: &NetCacheShards) -> SubstitutionReport {
-    let mut report = SubstitutionReport::default();
     let old = buf.take_payload();
     let mut new = Vec::with_capacity(old.len());
-    for seg in old {
-        let stamp = if seg.len() >= KeyStamp::LEN {
-            KeyStamp::decode(seg.as_slice())
-        } else {
-            None
-        };
-        match stamp {
-            // A hit lands in the outgoing chain directly, clipped to the
-            // placeholder's length (a reply's tail block may be short).
-            Some(stamp) if stamp.is_keyed() => {
-                if cache.resolve_into(&stamp, seg.len(), &mut new).is_some() {
-                    report.substituted += 1;
-                } else {
-                    report.missing += 1;
-                    new.push(seg);
-                }
-            }
-            _ => {
-                report.passed_through += 1;
-                new.push(seg);
-            }
-        }
-    }
+    // A hit lands in the outgoing chain directly, clipped to the
+    // placeholder's length (a reply's tail block may be short).
+    let report = cache
+        .resolve_all(old.iter().map(|seg| (seg, seg.len())), false, &mut new)
+        .expect("only a strict resolution fails");
     buf.replace_payload(new);
     report
+}
+
+/// A reply's placeholders resolved ahead of transmission — the commit
+/// point of a READ (DESIGN.md §9.2): the payload that takes their place at
+/// the driver boundary, and what resolving it did. The value travels with
+/// the reply; nothing about it is kept anywhere else.
+#[derive(Debug)]
+pub struct Resolved {
+    payload: Vec<Segment>,
+    report: SubstitutionReport,
+    /// Per-shard counters from before the resolution, when a traced run on
+    /// several shards will want their deltas at the transmit hook.
+    pub(crate) shard_before: Option<Vec<NetCacheStats>>,
+}
+
+/// Resolves every placeholder of a logical reply through `cache`, all or
+/// nothing ([`NetCacheShards::resolve_all`]): `reply` yields each block as
+/// the buffer cache holds it and the number of its bytes the reply
+/// carries, so a stamp is read from the whole block however short the
+/// reply's tail is.
+///
+/// # Errors
+///
+/// The index of the first dangling stamp; nothing was counted, and the
+/// caller serves the request on the copying path.
+pub fn resolve_reply<'s>(
+    cache: &NetCacheShards,
+    traced: bool,
+    reply: impl ExactSizeIterator<Item = (&'s Segment, usize)> + Clone,
+) -> Result<Resolved, usize> {
+    let shard_before = (traced && cache.shard_count() > 1).then(|| cache.per_shard_stats());
+    let mut payload = Vec::with_capacity(reply.len());
+    let report = cache.resolve_all(reply, true, &mut payload)?;
+    Ok(Resolved {
+        payload,
+        report,
+        shard_before,
+    })
+}
+
+impl Resolved {
+    /// Splices the resolved payload into `buf` in place of its
+    /// placeholders (pointer surgery: one logical copy) and returns what
+    /// the resolution did.
+    pub fn splice(self, buf: &mut NetBuf) -> SubstitutionReport {
+        buf.replace_payload(self.payload);
+        self.report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netbuf::key::{Fho, FileHandle, Lbn};
+    use netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
     use netbuf::{BufPool, CopyLedger, Segment};
 
     fn cache() -> NetCacheShards {

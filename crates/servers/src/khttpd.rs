@@ -17,6 +17,7 @@ use simfs::{Filesystem, FsError, Ino};
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
+use crate::util::{attach_blocks, resolve, resolve_fetched, with_resolver};
 
 /// kHTTPd counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -219,53 +220,28 @@ impl KhttpdServer {
         }
         let name = request.path.trim_start_matches('/');
         let mut response = NetBuf::new(&self.ledger);
+        let mut resolved = None;
 
         match self.resolve(name) {
             Ok((ino, size)) => {
+                let size = size as usize;
                 let body_len = match self.mode {
                     ServerMode::Original => {
                         // sendfile: one copy, buffer cache → network stack.
                         self.fs
-                            .sendfile_into(ino, 0, size as usize, &mut response)
+                            .sendfile_into(ino, 0, size, &mut response)
                             .expect("page readable")
                     }
                     ServerMode::NCache | ServerMode::Baseline => {
                         // Key-moving sendfile: attach cache blocks by
-                        // reference, revalidating stamped placeholders
-                        // against the network-centric cache first.
-                        let blocks = self
-                            .fs
-                            .read_logical(ino, 0, size as usize)
-                            .expect("page readable");
-                        if self.placeholders_resolvable(&blocks) {
-                            let mut n = 0;
-                            response.reserve_segments(blocks.len());
-                            for b in &blocks {
-                                response.append_segment(b.seg.slice(0, b.valid_len));
-                                n += b.valid_len;
-                            }
-                            n
-                        } else if self.module.is_some() {
-                            // Some placeholder no longer resolves (evicted
-                            // or corrupt). `sendfile` would just re-stamp
-                            // placeholders under the module, so degrade to
-                            // the physical copying path instead, resolving
-                            // each block the moment it is fetched — correct
-                            // even when the cache is smaller than the page.
-                            let body = self.materialize_page(ino, size as usize);
-                            let n = body.len();
-                            response.append_segment(netbuf::Segment::from_vec(body));
-                            n
-                        } else {
-                            for b in &blocks {
-                                if let Some(l) = b.lbn {
-                                    self.fs.discard_cached(l);
-                                }
-                            }
-                            self.fs
-                                .sendfile_into(ino, 0, size as usize, &mut response)
-                                .expect("page readable")
-                        }
+                        // reference, their placeholders resolved against
+                        // the network-centric cache first.
+                        let (n, resolution) = match self.page_hit(ino, size, &mut response) {
+                            Some(hit) => hit,
+                            None => self.page_fetched(ino, size, &mut response),
+                        };
+                        resolved = resolution;
+                        n
                     }
                 };
                 self.stats.bytes_served += body_len as u64;
@@ -291,7 +267,7 @@ impl KhttpdServer {
             }
             ServerMode::NCache => {
                 if let Some(module) = &self.module {
-                    module.borrow_mut().on_transmit(&mut response);
+                    module.borrow_mut().on_transmit(&mut response, resolved);
                     self.fs.store_mut().drain_module_writebacks();
                 }
             }
@@ -299,6 +275,59 @@ impl KhttpdServer {
         }
         self.recorder.end_span(span);
         response
+    }
+
+    /// The page hit path — probe, resolve (the commit point), commit,
+    /// attach, as the NFS server's READ hit (DESIGN.md §9.2): the whole page
+    /// resident in the buffer cache and every placeholder of it resolvable
+    /// in one batched pass. `None` has counted and charged nothing.
+    fn page_hit(
+        &self,
+        ino: Ino,
+        size: usize,
+        response: &mut NetBuf,
+    ) -> Option<(usize, Option<ncache::Resolved>)> {
+        // Fault recovery verifies chunk checksums key by key first.
+        if self.fault_recovery {
+            return None;
+        }
+        let walk = self.fs.walk_resident(ino, 0, size)?;
+        let blocks = walk.blocks().map(|b| (b.seg, b.len));
+        let resolved = with_resolver(&self.module, |cache| {
+            resolve(cache, &self.recorder, blocks.clone())
+        })
+        .ok()?;
+        walk.commit(|_| self.fs.ledger().charge_logical_copy());
+        Some((attach_blocks(response, blocks), resolved))
+    }
+
+    /// The miss-capable page path: fetches block by block, then resolves
+    /// what came back; a page whose placeholders dangle degrades to a
+    /// physical copy.
+    fn page_fetched(
+        &mut self,
+        ino: Ino,
+        size: usize,
+        response: &mut NetBuf,
+    ) -> (usize, Option<ncache::Resolved>) {
+        let blocks = self.fs.read_logical_per_block(ino, 0, size).expect("page readable");
+        match resolve_fetched(&self.module, self.fault_recovery, &self.recorder, &blocks) {
+            Ok(resolved) => {
+                let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
+                (attach_blocks(response, attach), resolved)
+            }
+            // Some placeholder no longer resolves (evicted or corrupt).
+            // `sendfile` would just re-stamp placeholders under the module,
+            // so degrade to the physical copying path instead, resolving
+            // each block the moment it is fetched — correct even when the
+            // cache is smaller than the page.
+            Err(_) => {
+                let body = self.materialize_page(ino, size);
+                let n = body.len();
+                response.append_segment(netbuf::Segment::from_vec(body));
+                (n, None)
+            }
+        }
     }
 
     /// Materializes the real bytes of a page under the NCache build, one
@@ -363,28 +392,6 @@ impl KhttpdServer {
         }
         self.ledger.charge_payload_copy(len as u64);
         out
-    }
-
-    /// Revalidation (NCache build only): every stamped placeholder must
-    /// still resolve in the network-centric cache.
-    fn placeholders_resolvable(&self, blocks: &[simfs::fs::LogicalBlock]) -> bool {
-        let Some(module) = &self.module else {
-            return true; // the baseline ships junk by design
-        };
-        let mut m = module.borrow_mut();
-        let verify = self.fault_recovery;
-        blocks.iter().all(|b| {
-            match netbuf::key::KeyStamp::decode(b.seg.as_slice()) {
-                Some(stamp) if stamp.is_keyed() => {
-                    if verify {
-                        m.verify_resolvable(&stamp)
-                    } else {
-                        m.resolvable(&stamp)
-                    }
-                }
-                _ => true,
-            }
-        })
     }
 
     fn resolve(&mut self, name: &str) -> Result<(Ino, u64), FsError> {

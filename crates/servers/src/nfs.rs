@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use ncache::NcacheModule;
+use ncache::{NcacheModule, NetCacheShards, Resolved};
 use netbuf::key::{Fho, FileHandle, KeyStamp};
 use netbuf::{CopyLedger, NetBuf};
 use proto::nfs::{
@@ -22,12 +22,15 @@ use proto::nfs::{
 use proto::rpc::{RpcCall, RpcReply, CALL_LEN, REPLY_LEN};
 use simfs::inode::FileType;
 use sim::LaneCounters;
+use simfs::fs::ResidentWalk;
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
-use crate::util::{segments_len, split_segments};
+use crate::util::{
+    attach_blocks, resolve, resolve_fetched, segments_len, split_segments, with_resolver,
+};
 
 const BLOCK: usize = simfs::BLOCK_SIZE;
 
@@ -110,10 +113,6 @@ pub struct NfsServer {
     mode: ServerMode,
     fs: Filesystem<IscsiInitiator>,
     module: Option<sim::Shared<NcacheModule>>,
-    /// A clone of the module's internally locked shard handle, cached at
-    /// construction so the read fast path can revalidate placeholder
-    /// stamps without taking the module's own mutex.
-    cache_handle: Option<ncache::NetCacheShards>,
     ledger: CopyLedger,
     stats: StatsCells,
     dirty_blocks_since_sync: u64,
@@ -122,12 +121,6 @@ pub struct NfsServer {
     /// retransmitted non-idempotent calls, and placeholder revalidation
     /// verifies chunk integrity (invalidating corrupt entries).
     fault_recovery: bool,
-    /// Skip the NCache transmit hook in [`NfsServer::handle_message`]: the
-    /// caller promises to run substitution on the returned reply itself.
-    /// The lane-parallel engine uses this to move the substitution work
-    /// (per-shard cache lookups, segment splicing, checksum inheritance)
-    /// outside the serialized server section.
-    defer_transmit: bool,
     /// Duplicate-request cache: recent (xid, complete reply bytes) for
     /// WRITE/CREATE/REMOVE, newest at the back.
     drc: VecDeque<(u32, Vec<u8>)>,
@@ -174,6 +167,14 @@ fn op_class(proc: u32) -> OpClass {
 /// dirty entries.
 const DIRTY_FLUSH_THRESHOLD: u64 = 256;
 
+/// A READ established as a pure hit and counted on the network-centric
+/// cache's side, not yet on the file system's ([`NfsServer::probe_read`]).
+#[derive(Debug)]
+pub struct ReadHit<'a> {
+    walk: ResidentWalk<'a>,
+    resolved: Option<Resolved>,
+}
+
 impl NfsServer {
     /// Creates a server in `mode` over `fs`. The module must be the same
     /// one the file system's initiator uses.
@@ -191,18 +192,15 @@ impl NfsServer {
             mode != ServerMode::NCache || module.is_some(),
             "NCache mode requires the NCache module"
         );
-        let cache_handle = module.as_ref().map(|m| m.borrow().cache_handle());
         NfsServer {
             mode,
             fs,
             module,
-            cache_handle,
             ledger: ledger.clone(),
             stats: StatsCells::default(),
             dirty_blocks_since_sync: 0,
             recorder: obs::Recorder::new(),
             fault_recovery: false,
-            defer_transmit: false,
             drc: VecDeque::new(),
             drc_capacity: DRC_CAPACITY,
             control: None,
@@ -270,16 +268,6 @@ impl NfsServer {
         self.fault_recovery = on;
     }
 
-    /// Defers the NCache transmit hook: [`NfsServer::handle_message`]
-    /// returns the reply *before* substitution, and the caller must pass
-    /// it through [`ncache::substitute_payload`] (plus checksum
-    /// inheritance) itself. Replies answered early — malformed requests
-    /// and duplicate-request-cache hits — never reach the transmit hook
-    /// in either setting, so deferral does not change their shape.
-    pub fn set_defer_transmit(&mut self, on: bool) {
-        self.defer_transmit = on;
-    }
-
     /// Wires a trace recorder through the server-side stack: per-request
     /// spans here, plus the file system, its initiator, and the NCache
     /// module when present.
@@ -332,7 +320,23 @@ impl NfsServer {
     /// Serves one RPC message (a delivered UDP payload) and returns the
     /// reply message, already passed through the driver-level NCache hook
     /// (substitution) when that build is running.
-    pub fn handle_message(&mut self, mut req: NetBuf) -> NetBuf {
+    pub fn handle_message(&mut self, req: NetBuf) -> NetBuf {
+        self.handle(req, false).0
+    }
+
+    /// [`NfsServer::handle_message`] with the NCache transmit hook left to
+    /// the caller (the lane-parallel engine runs it outside the serialized
+    /// server section): the reply comes back *before* substitution, with
+    /// its placeholders' resolution when it is a logical READ reply. The
+    /// caller splices that ([`Resolved::splice`]) — or, for any other
+    /// reply, runs [`ncache::substitute_payload`] — and inherits the
+    /// checksum. Replies answered early (malformed requests, duplicate-
+    /// request-cache hits, rejections) never reach the hook either way.
+    pub fn handle_message_deferred(&mut self, req: NetBuf) -> (NetBuf, Option<Resolved>) {
+        self.handle(req, true)
+    }
+
+    fn handle(&mut self, mut req: NetBuf, defer_transmit: bool) -> (NetBuf, Option<Resolved>) {
         self.stats.add(REQUESTS, 1);
         let req_bytes = req.payload_len() as u64;
         let call = take_array::<CALL_LEN>(&mut req).and_then(|h| RpcCall::decode(&h).ok());
@@ -356,7 +360,7 @@ impl NfsServer {
             r.push_header(&NFSERR_IO.to_be_bytes());
             r.push_header(&RpcReply::new(0).encode_array());
             self.recorder.end_span(span);
-            return r;
+            return (r, None);
         };
         let span = self
             .recorder
@@ -371,7 +375,7 @@ impl NfsServer {
                 r.push_header(bytes);
                 self.recorder.add_counter("fault.drc_hits", 1);
                 self.recorder.end_span(span);
-                return r;
+                return (r, None);
             }
         }
         // Admission control: past the duplicate-request cache (a cached
@@ -389,13 +393,18 @@ impl NfsServer {
                 let mut r = self.retry_later_reply(call.proc, after_ns);
                 r.push_header(&RpcReply::new(call.xid).encode_array());
                 self.recorder.end_span(span);
-                return r;
+                return (r, None);
             }
         }
+        let mut resolved = None;
         let mut reply = match call.proc {
             nfs::proc::GETATTR => self.do_getattr(&mut req),
             nfs::proc::LOOKUP => self.do_lookup(&mut req),
-            nfs::proc::READ => self.do_read(&mut req),
+            nfs::proc::READ => {
+                let (reply, resolution) = self.do_read(&mut req);
+                resolved = resolution;
+                reply
+            }
             nfs::proc::WRITE => self.do_write(&mut req),
             nfs::proc::CREATE => self.do_create(&mut req),
             nfs::proc::REMOVE => self.do_remove(&mut req),
@@ -422,14 +431,14 @@ impl NfsServer {
         }
         // Driver-boundary hook: substitution happens after the whole stack
         // has built the packet.
-        if !self.defer_transmit {
+        if !defer_transmit {
             if let Some(module) = &self.module {
-                module.borrow_mut().on_transmit(&mut reply);
+                module.borrow_mut().on_transmit(&mut reply, resolved.take());
             }
         }
         self.drain_writebacks();
         self.recorder.end_span(span);
-        reply
+        (reply, resolved)
     }
 
     fn do_create(&mut self, req: &mut NetBuf) -> NetBuf {
@@ -694,32 +703,6 @@ impl NfsServer {
         Err(FsError::Corrupt("placeholder thrashing"))
     }
 
-    /// Revalidation (NCache build only): every stamped placeholder in the
-    /// reply must still resolve in the network-centric cache. With fault
-    /// recovery armed, resolution also verifies the chunk's stored
-    /// checksum — a corrupt entry is invalidated and reported missing, so
-    /// the caller degrades to the copying path (refetch) instead of
-    /// shipping poison.
-    fn placeholders_resolvable(&self, blocks: &[simfs::fs::LogicalBlock]) -> bool {
-        let Some(module) = &self.module else {
-            return true; // the baseline ships junk by design
-        };
-        let mut m = module.borrow_mut();
-        let verify = self.fault_recovery;
-        blocks.iter().all(|b| {
-            match KeyStamp::decode(b.seg.as_slice()) {
-                Some(stamp) if stamp.is_keyed() => {
-                    if verify {
-                        m.verify_resolvable(&stamp)
-                    } else {
-                        m.resolvable(&stamp)
-                    }
-                }
-                _ => true, // real data (or junk): nothing to resolve
-            }
-        })
-    }
-
     /// Error reply for requests whose body fails to parse.
     fn garbage_reply(&mut self) -> NetBuf {
         self.stats.add(ERRORS, 1);
@@ -846,40 +829,56 @@ impl NfsServer {
         r
     }
 
-    fn do_read(&mut self, req: &mut NetBuf) -> NetBuf {
+    fn do_read(&mut self, req: &mut NetBuf) -> (NetBuf, Option<Resolved>) {
         self.stats.add(READS, 1);
         let Some(args) = take_array::<{ ReadArgs::LEN }>(req)
             .and_then(|b| ReadArgs::decode(&b).ok())
         else {
-            return self.garbage_reply();
+            return (self.garbage_reply(), None);
         };
         let ino = fh_to_ino(args.fh);
         let offset = u64::from(args.offset);
         let count = args.count as usize;
         let mut reply = NetBuf::new(&self.ledger);
+        let mut resolved = None;
 
         let outcome: Result<(usize, Fattr), FsError> = match self.mode {
             ServerMode::Original => self.read_copying(&mut reply, args.fh, offset, count),
             ServerMode::NCache | ServerMode::Baseline => {
                 // Logical copy: attach the (placeholder) cache blocks by
                 // reference; the daemon never touches the payload.
-                let aligned = offset % BLOCK as u64 == 0;
-                if aligned {
-                    self.fs.read_logical(ino, offset, count).and_then(|blocks| {
-                        if !self.placeholders_resolvable(&blocks) {
-                            // A chunk was evicted while its placeholder
-                            // was still cached: drop the dangling blocks
-                            // and serve this request on the copying path.
-                            for b in &blocks {
-                                if let Some(l) = b.lbn {
-                                    self.fs.discard_cached(l);
-                                }
+                let hit = self
+                    .probe_read(None, args.fh, offset, count)
+                    .map(|hit| self.finish_read(hit, &mut reply, args.fh));
+                if let Some((n, attrs, resolution)) = hit {
+                    resolved = resolution;
+                    Ok((n, attrs))
+                } else if offset.is_multiple_of(BLOCK as u64) {
+                    // Not a pure hit, or fault recovery wants every key
+                    // verified first: the miss-capable read, block by
+                    // block, then resolve what came back.
+                    self.fs.read_logical_per_block(ino, offset, count).and_then(|blocks| {
+                        let recovery = self.fault_recovery;
+                        match resolve_fetched(&self.module, recovery, &self.recorder, &blocks) {
+                            Ok(resolution) => {
+                                resolved = resolution;
+                                let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
+                                let n = attach_blocks(&mut reply, attach);
+                                let attrs = self.fs.getattr(ino).expect("read target exists");
+                                Ok((n, fattr_of(args.fh, &attrs)))
                             }
-                            return self.read_copying(&mut reply, args.fh, offset, count);
+                            Err(_) => {
+                                // A chunk was evicted while its placeholder
+                                // was still cached: drop the dangling blocks
+                                // and serve this request on the copying path.
+                                for b in &blocks {
+                                    if let Some(l) = b.lbn {
+                                        self.fs.discard_cached(l);
+                                    }
+                                }
+                                self.read_copying(&mut reply, args.fh, offset, count)
+                            }
                         }
-                        let n = attach_blocks(&mut reply, &blocks);
-                        let attrs = self.fs.getattr(ino).expect("read target exists");
-                        Ok((n, fattr_of(args.fh, &attrs)))
                     })
                 } else if self.mode == ServerMode::NCache {
                     // Unaligned reads cannot ride the key-moving path (a
@@ -923,10 +922,10 @@ impl NfsServer {
                     }
                     .encode_array(),
                 );
-                return r;
+                return (r, None);
             }
         }
-        reply
+        (reply, resolved)
     }
 
     /// The copying READ path. Copy 1: buffer cache → daemon buffer; copy 2:
@@ -948,52 +947,74 @@ impl NfsServer {
         Ok((n, fattr_of(fh, &attrs)))
     }
 
-    /// Whether `handle_read_fast` can serve this READ through `&self`
-    /// alone: NCache mode with deferred transmit, recovery disarmed, a
-    /// block-aligned offset, every block resident in the buffer cache with
-    /// no holes, and every placeholder stamp resolvable in the
-    /// network-centric cache. The probe charges and counts nothing, so a
-    /// `false` answer leaves the rig byte-identical for the slow path.
-    pub fn read_fast_ready(&self, fh: u64, offset: u64, count: usize) -> bool {
-        // The fast path serves through `&self` and cannot consult the
-        // (mutable) admission gate; with a control plane installed every
-        // request must take the gated slow path.
-        if self.mode != ServerMode::NCache
-            || !self.defer_transmit
-            || self.fault_recovery
-            || self.control.is_some()
-        {
-            return false;
+    /// The READ hit path — the same code for both engines — up to its
+    /// commit point: probes the file system for a fully resident aligned
+    /// range ([`Filesystem::walk_resident`]) and resolves every
+    /// placeholder of it through the module's cache — `lane_cache` when
+    /// the caller holds a handle of its own (lanes never take the module's
+    /// mutex), else borrowed once the walk has succeeded. `None`
+    /// means not a pure hit — something cold, a hole, a dangling key, or
+    /// fault recovery revalidating key by key — and *nothing* has been
+    /// counted or charged anywhere: the caller takes the miss-capable
+    /// path with the rig byte-identical. `Some` has counted the
+    /// network-centric cache's side; serving it (`finish_read`) counts
+    /// the file system's.
+    pub fn probe_read(
+        &self,
+        lane_cache: Option<&NetCacheShards>,
+        fh: u64,
+        offset: u64,
+        count: usize,
+    ) -> Option<ReadHit<'_>> {
+        // Fault recovery verifies chunk checksums key by key first.
+        let logical = self.mode != ServerMode::Original && offset.is_multiple_of(BLOCK as u64);
+        if self.fault_recovery || !logical {
+            return None;
         }
-        if !offset.is_multiple_of(BLOCK as u64) {
-            return false;
-        }
-        let Some(cache) = &self.cache_handle else {
-            return false;
+        let walk = self.fs.walk_resident(fh_to_ino(fh), offset, count)?;
+        let blocks = walk.blocks().map(|b| (b.seg, b.len));
+        let resolved = match lane_cache {
+            Some(cache) => resolve(Some(cache), &self.recorder, blocks),
+            None => with_resolver(&self.module, |cache| resolve(cache, &self.recorder, blocks)),
         };
-        self.fs
-            .probe_read(fh_to_ino(fh), offset, count, |block| match KeyStamp::decode(block) {
-                Some(stamp) if stamp.is_keyed() => {
-                    stamp.fho.is_some_and(|f| cache.contains(f.into()))
-                        || stamp.lbn.is_some_and(|l| cache.contains(l.into()))
-                }
-                _ => true,
-            })
+        Some(ReadHit {
+            walk,
+            resolved: resolved.ok()?,
+        })
     }
 
-    /// The concurrent read fast path: a cache-hit READ served end-to-end
-    /// through `&self`, so many lanes can run it in parallel under a shared
-    /// core guard. Callers must have checked [`NfsServer::read_fast_ready`]
-    /// under the same guard — the guard excludes every mutation, so the
-    /// probed residency and resolvability cannot change underneath us.
+    /// The rest of the READ hit path: counts the file-system side of `hit`
+    /// exactly as the per-block walk would have, attaches the (placeholder)
+    /// blocks to `reply` by reference, and reads the attributes. Returns
+    /// the bytes attached, the attributes, and the resolution for the
+    /// transmit hook to splice.
+    fn finish_read(
+        &self,
+        hit: ReadHit<'_>,
+        reply: &mut NetBuf,
+        fh: u64,
+    ) -> (usize, Fattr, Option<Resolved>) {
+        let ReadHit { walk, resolved } = hit;
+        walk.commit(|_| self.fs.ledger().charge_logical_copy());
+        let n = attach_blocks(reply, walk.blocks().map(|b| (b.seg, b.len)));
+        (n, fattr_of(fh, walk.getattr()), resolved)
+    }
+
+    /// The concurrent read fast path: a cache-hit READ — `hit`, which
+    /// [`NfsServer::probe_read`] returned for this very request under the
+    /// same shared core guard — served end-to-end through `&self`, so many
+    /// lanes can run it in parallel. The guard excludes every mutation, so
+    /// what the probe saw cannot change underneath us. (`&self` cannot
+    /// consult the admission gate: with a control plane installed every
+    /// request must take the gated slow path.)
     ///
-    /// Byte- and count-exact mirror of the slow hit path: the duplicate-
-    /// request cache is skipped (READ is idempotent — the armed DRC never
-    /// answers it), the transmit hook is skipped (`defer_transmit` is a
-    /// precondition; the caller substitutes the reply itself), and the
+    /// Byte- and count-exact with the slow path, whose hit arm is this same
+    /// code: the duplicate-request cache is skipped (READ is idempotent —
+    /// the armed DRC never answers it), the transmit hook is the caller's
+    /// (as after [`NfsServer::handle_message_deferred`]), and the
     /// write-back drain is skipped (a pure hit displaces nothing, and the
     /// drain is a silent no-op on an empty queue).
-    pub fn handle_read_fast(&self, mut req: NetBuf) -> NetBuf {
+    pub fn handle_read_fast(&self, mut req: NetBuf, hit: ReadHit<'_>) -> (NetBuf, Option<Resolved>) {
         let counts = self.stats.lane();
         counts.add(REQUESTS, 1);
         let req_bytes = req.payload_len() as u64;
@@ -1007,25 +1028,20 @@ impl NfsServer {
         let args = take_array::<{ ReadArgs::LEN }>(&mut req)
             .and_then(|b| ReadArgs::decode(&b).ok())
             .expect("fast path requires well-formed READ args");
-        let ino = fh_to_ino(args.fh);
         let mut reply = NetBuf::new(&self.ledger);
-        let blocks = self
-            .fs
-            .read_logical_shared(ino, u64::from(args.offset), args.count as usize);
-        let n = attach_blocks(&mut reply, &blocks);
-        let attrs = self.fs.getattr_shared(ino);
+        let (n, attrs, resolved) = self.finish_read(hit, &mut reply, args.fh);
         counts.add(BYTES_READ, n as u64);
         reply.push_header(
             &ReadReplyHeader {
                 status: NFS_OK,
-                attrs: fattr_of(args.fh, &attrs),
+                attrs,
                 count: n as u32,
             }
             .encode_array(),
         );
         reply.push_header(&RpcReply::new(call.xid).encode_array());
         self.recorder.end_span(span);
-        reply
+        (reply, resolved)
     }
 
     fn do_write(&mut self, req: &mut NetBuf) -> NetBuf {
@@ -1199,19 +1215,6 @@ pub fn ino_to_fh(ino: Ino) -> u64 {
 /// Inverse of [`ino_to_fh`].
 pub fn fh_to_ino(fh: u64) -> Ino {
     Ino(fh as u32)
-}
-
-/// The logical-copy READ path: attaches the (placeholder) cache blocks to
-/// `reply` by reference — the daemon never touches the payload — and
-/// returns the bytes attached.
-fn attach_blocks(reply: &mut NetBuf, blocks: &[simfs::fs::LogicalBlock]) -> usize {
-    reply.reserve_segments(blocks.len());
-    let mut n = 0;
-    for b in blocks {
-        reply.append_segment(b.seg.slice(0, b.valid_len));
-        n += b.valid_len;
-    }
-    n
 }
 
 fn fattr_of(fh: u64, inode: &simfs::inode::Inode) -> Fattr {
@@ -1641,22 +1644,27 @@ mod tests {
         let reply = roundtrip(&mut srv, client.create_request(root, "d"));
         let fh = client.parse_create_reply(&reply).fh;
         roundtrip(&mut srv, client.write_request(fh, 0, &[9u8; 4096]));
-        srv.set_defer_transmit(true);
-        let raw = roundtrip(&mut srv, client.read_request(fh, 0, 4096));
+        let deferred = |srv: &mut NfsServer, req: NetBuf| {
+            srv.handle_message_deferred(crate::stack::deliver(&req, &CopyLedger::new()))
+        };
+        let (raw, resolved) = deferred(&mut srv, client.read_request(fh, 0, 4096));
         let (hdr, junk) = client.parse_read_reply(&raw);
         assert_eq!(hdr.status, NFS_OK);
         assert_ne!(junk, vec![9u8; 4096], "deferred reply still carries the placeholder");
+        assert!(resolved.is_some(), "its resolution travels with it");
         // The caller finishes the transmit hook itself.
-        let mut raw = roundtrip(&mut srv, client.read_request(fh, 0, 4096));
-        let module = srv.module().expect("ncache build");
-        let report = {
-            let m = module.borrow();
-            ncache::substitute_payload(&mut raw, &m.cache_handle())
-        };
+        let (mut raw, resolved) = deferred(&mut srv, client.read_request(fh, 0, 4096));
+        let report = resolved.expect("a logical READ reply").splice(&mut raw);
         assert_eq!(report.missing, 0);
         assert!(report.substituted > 0);
         let (_, data) = client.parse_read_reply(&raw);
-        assert_eq!(data, vec![9u8; 4096], "substitution resolves the stamp");
+        assert_eq!(data, vec![9u8; 4096], "the splice puts the payload in");
+        // Any other reply carries no resolution and nothing to substitute.
+        let (mut raw, resolved) = deferred(&mut srv, client.getattr_request(fh));
+        assert!(resolved.is_none());
+        let module = srv.module().expect("ncache build");
+        let cache = module.borrow().cache_handle();
+        assert_eq!(ncache::substitute_payload(&mut raw, &cache).substituted, 0);
     }
 
     #[test]

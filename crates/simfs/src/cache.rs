@@ -42,8 +42,8 @@ pub fn take_op_tally() -> u64 {
     OP_TALLY.with(|t| t.replace(0))
 }
 
-fn bump_op_tally() {
-    OP_TALLY.with(|t| t.set(t.get() + 1));
+fn bump_op_tally(n: u64) {
+    OP_TALLY.with(|t| t.set(t.get() + n));
 }
 
 /// A block evicted (or flushed) from the cache that must be written to the
@@ -123,6 +123,28 @@ impl Clone for Entry {
             seq: AtomicU64::new(self.seq.load(Ordering::Relaxed)),
             order_seq: self.order_seq,
         }
+    }
+}
+
+/// A resident block that has been probed but not yet counted: no tally,
+/// stamp, counter or event has been spent on it. The multi-block read
+/// walk collects these for a whole range and only then decides whether
+/// to count the accesses ([`BufferCache::count_hits`]) or to walk away
+/// leaving no trace.
+#[derive(Clone, Copy, Debug)]
+pub struct Probed<'a>(&'a Entry);
+
+impl<'a> Probed<'a> {
+    /// The cached block; cloning it shares storage (a logical copy).
+    pub fn seg(&self) -> &'a Segment {
+        &self.0.seg
+    }
+
+    /// Promotes the block to recency `stamp` (one of a reservation made
+    /// with [`BufferCache::count_hits`]). Promotion is via max, so a block
+    /// accessed several times in one walk needs only its last stamp.
+    pub fn promote(&self, stamp: u64) {
+        self.0.seq.fetch_max(stamp, Ordering::Relaxed);
     }
 }
 
@@ -226,14 +248,14 @@ impl BufferCache {
         }
     }
 
-    /// Draws the next recency stamp. Inside a lane's epoch window the
-    /// stamp comes from the window's FS half (`base + FS_CURSOR_BASE + k`,
+    /// Draws the next `n` consecutive recency stamps, returning the first.
+    /// Inside a lane's epoch window they come from the window's FS half (`base + FS_CURSOR_BASE + k`,
     /// a pure function of the lane's program order), so parallel replays
     /// stamp blocks schedule-invariantly; outside any window it is the
     /// plain fetch-add counter, byte-identical to the pre-adaptive build.
-    fn draw_seq(&self) -> u64 {
-        ncache::epoch::window_fs_stamp()
-            .unwrap_or_else(|| self.next_seq.fetch_add(1, Ordering::Relaxed))
+    fn draw_seqs(&self, n: u64) -> u64 {
+        ncache::epoch::window_fs_stamps(n)
+            .unwrap_or_else(|| self.next_seq.fetch_add(n, Ordering::Relaxed))
     }
 
     /// Advances the plain stamp counter past `stamp`. The parallel engine
@@ -314,31 +336,41 @@ impl BufferCache {
         self.map.get(&lbn).is_some_and(|e| e.dirty)
     }
 
-    /// Reads a resident block in place, *without* promotion, counters, or
-    /// events — a side-effect-free probe. The READ fast path uses this to
-    /// establish residency (and validate placeholder stamps) before
-    /// committing to the counted access sequence. `None` if `lbn` is not
+    /// Finds a resident block *without* promotion, counters, or events —
+    /// a side-effect-free probe (see [`Probed`]). `None` if `lbn` is not
     /// resident.
-    pub fn peek_with<R>(&self, lbn: u64, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.map.get(&lbn).map(|e| read(e.seg.as_slice()))
+    pub fn probe(&self, lbn: u64) -> Option<Probed<'_>> {
+        self.map.get(&lbn).map(Probed)
+    }
+
+    /// Counts `n` hits in one go — op tally and hit counter — and reserves
+    /// their `n` consecutive recency stamps, returning the first. This is
+    /// what `n` hit [`BufferCache::get`]s with nothing in between would
+    /// tally, count and draw; the caller completes each with
+    /// [`Probed::promote`] and [`BufferCache::emit_hits`].
+    pub fn count_hits(&self, n: u64) -> u64 {
+        bump_op_tally(n);
+        self.stats.add(HITS, n);
+        self.draw_seqs(n)
+    }
+
+    /// Emits the access events of `n` counted hits.
+    pub fn emit_hits(&self, n: usize) {
+        for _ in 0..n {
+            self.emit(obs::EventKind::CacheAccess {
+                tier: "fs",
+                hit: true,
+            });
+        }
     }
 
     /// Looks up a block, promoting it to most-recently-used. The returned
     /// segment shares storage with the cached copy (a logical copy).
     pub fn get(&self, lbn: u64) -> Option<Segment> {
-        self.access(lbn).map(|e| e.seg.clone())
+        self.access(lbn).map(|e| e.seg().clone())
     }
 
-    /// [`BufferCache::get`] reading the block in place instead of sharing
-    /// it out: the same tally, stamp draw, promotion, counters and event,
-    /// but no reference-count traffic on the block's storage — which for
-    /// an inode or indirect block is a cache line every lane would write.
-    pub fn get_with<R>(&self, lbn: u64, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.access(lbn).map(|e| read(e.seg.as_slice()))
-    }
-
-    /// The counted access behind [`BufferCache::get`] and
-    /// [`BufferCache::get_with`].
+    /// The counted access behind [`BufferCache::get`].
     ///
     /// Takes `&self`: the stamp draw is a `fetch_add`, the promotion a
     /// `fetch_max` on the entry's atomic stamp, and the counters are
@@ -346,25 +378,24 @@ impl BufferCache {
     /// flush normalize them. Sequentially this draws the same stamps and
     /// counts the same events as the old exclusive version, byte for
     /// byte.
-    fn access(&self, lbn: u64) -> Option<&Entry> {
-        bump_op_tally();
-        let entry = self.map.get(&lbn);
+    fn access(&self, lbn: u64) -> Option<Probed<'_>> {
+        let entry = self.probe(lbn);
         if let Some(entry) = entry {
-            let fresh = self.draw_seq();
-            entry.seq.fetch_max(fresh, Ordering::Relaxed);
-            self.stats.add(HITS, 1);
+            entry.promote(self.count_hits(1));
+            self.emit_hits(1);
         } else {
+            bump_op_tally(1);
             self.stats.add(MISSES, 1);
             // A miss consults the ghost tail: a hit there is a block a
             // larger FS quota would have kept. Observation only.
             if let Some(g) = &self.ghost {
                 g.lock().expect("ghost poisoned").probe(lbn);
             }
+            self.emit(obs::EventKind::CacheAccess {
+                tier: "fs",
+                hit: false,
+            });
         }
-        self.emit(obs::EventKind::CacheAccess {
-            tier: "fs",
-            hit: entry.is_some(),
-        });
         entry
     }
 
@@ -379,7 +410,7 @@ impl BufferCache {
         dirty: bool,
     ) -> Vec<Writeback> {
         self.stats.add(INSERTIONS, 1);
-        bump_op_tally();
+        bump_op_tally(1);
         self.emit(obs::EventKind::CacheInsert { tier: "fs", dirty });
         if let Some(old) = self.remove_entry(lbn) {
             // Overwriting a resident block: a dirty predecessor that is
@@ -389,7 +420,7 @@ impl BufferCache {
             // reproduction always supersede, so drop it.
             let _ = old;
         }
-        let seq = self.draw_seq();
+        let seq = self.draw_seqs(1);
         self.map.insert(
             lbn,
             Entry {

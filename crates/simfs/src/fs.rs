@@ -7,7 +7,7 @@ use netbuf::key::KeyStamp;
 use netbuf::{CopyLedger, NetBuf, Segment};
 
 use crate::alloc::Bitmap;
-use crate::cache::{BufferCache, CacheStats, Writeback};
+use crate::cache::{BufferCache, CacheStats, Probed, Writeback};
 use crate::dir::{self, DirEntry};
 use crate::error::FsError;
 use crate::inode::{
@@ -140,6 +140,140 @@ pub struct LogicalBlock {
     pub seg: Segment,
     /// Bytes of this block that fall inside the requested range and file.
     pub valid_len: usize,
+}
+
+/// Longest range, in blocks, [`Filesystem::walk_resident`] serves: every
+/// NFS READ and every page up to 128 KiB. The probed entries live in the
+/// walk itself, on the stack, so a hit allocates nothing for them.
+pub const WALK_BLOCKS: usize = 32;
+
+/// Distinct indirect blocks a walk of [`WALK_BLOCKS`] blocks can cross: a
+/// single-indirect block, then two double-indirect roots with a
+/// second-level block each (plus one of slack).
+const WALK_METAS: usize = 6;
+
+/// One data block of a [`ResidentWalk`], in file order.
+#[derive(Clone, Copy, Debug)]
+pub struct WalkBlock<'a> {
+    /// File block index.
+    pub file_index: u64,
+    /// Volume block address.
+    pub lbn: u64,
+    /// The cached block, by reference.
+    pub seg: &'a Segment,
+    /// Where the walked range starts inside this block (non-zero only in
+    /// the first block of an unaligned range).
+    pub in_off: usize,
+    /// Bytes of this block inside the walked range and the file.
+    pub len: usize,
+}
+
+/// A fully resident range, probed but not yet counted (see
+/// [`Filesystem::walk_resident`]). Dropping it leaves no trace;
+/// [`ResidentWalk::commit`] counts it.
+#[derive(Debug)]
+pub struct ResidentWalk<'a> {
+    cache: &'a BufferCache,
+    inode: Inode,
+    inode_entry: Probed<'a>,
+    offset: u64,
+    /// Bytes in the range, clipped to end of file.
+    len: usize,
+    data: [Option<(u64, Probed<'a>)>; WALK_BLOCKS],
+    blocks: usize,
+    /// Each distinct indirect block met so far, with the index of its
+    /// last access in the walk.
+    metas: [Option<(u64, Probed<'a>, u64)>; WALK_METAS],
+    /// Counted accesses the per-block walk makes over this range.
+    accesses: u64,
+}
+
+impl<'a> ResidentWalk<'a> {
+    /// Reads pointer `slot` of indirect block `lbn` as the walk's next
+    /// access, probing the block the first time it is met. `None` for a
+    /// hole (`lbn` or the pointer unallocated) or a non-resident block.
+    fn ptr(&mut self, lbn: u64, slot: usize) -> Option<u64> {
+        let lbn = nonzero(lbn)?;
+        let at = self.accesses;
+        self.accesses += 1;
+        let known = self
+            .metas
+            .iter_mut()
+            .map_while(Option::as_mut)
+            .find(|(l, ..)| *l == lbn);
+        let block = match known {
+            Some((_, block, last)) => {
+                *last = at;
+                *block
+            }
+            None => {
+                let block = self.cache.probe(lbn)?;
+                *self.metas.iter_mut().find(|m| m.is_none())? = Some((lbn, block, at));
+                block
+            }
+        };
+        nonzero(ptr_at(block.seg().as_slice(), slot))
+    }
+
+    /// [`Filesystem::getattr`] after the walk: the same counted
+    /// inode-table access, through the entry the walk already holds.
+    pub fn getattr(&self) -> &Inode {
+        self.inode_entry.promote(self.cache.count_hits(1));
+        self.cache.emit_hits(1);
+        &self.inode
+    }
+
+    /// Data blocks in the range.
+    pub fn block_count(&self) -> usize {
+        self.blocks
+    }
+
+    /// The range's data blocks in file order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = WalkBlock<'a>> + Clone + '_ {
+        let first = self.offset / BLOCK_SIZE as u64;
+        let head = (self.offset % BLOCK_SIZE as u64) as usize;
+        self.data[..self.blocks].iter().enumerate().map(move |(i, d)| {
+            let (lbn, block) = d.expect("a returned walk probed every block");
+            let in_off = if i == 0 { head } else { 0 };
+            WalkBlock {
+                file_index: first + i as u64,
+                lbn,
+                seg: block.seg(),
+                in_off,
+                len: (head + self.len - i * BLOCK_SIZE - in_off).min(BLOCK_SIZE - in_off),
+            }
+        })
+    }
+
+    /// Counts the walk: exactly the accesses the per-block walk makes on
+    /// an all-hit range — the inode, then per block each indirect level
+    /// and the data block — with the same tally, hit count, event order
+    /// and recency stamps, drawn in one reservation (access `k` gets
+    /// `base + k`; promotion is via max, so an indirect block read for
+    /// several data blocks takes only its last stamp). `each` runs right
+    /// after a block's data access, where the per-block paths charge
+    /// their copy.
+    pub fn commit(&self, mut each: impl FnMut(WalkBlock<'a>)) {
+        let base = self.cache.count_hits(self.accesses);
+        self.cache.emit_hits(1);
+        self.inode_entry.promote(base);
+        let mut at = base + 1;
+        for (b, d) in self.blocks().zip(&self.data) {
+            let levels = match block_path(b.file_index).expect("walked") {
+                BlockPath::Direct { .. } => 0,
+                BlockPath::Single { .. } => 1,
+                BlockPath::Double { .. } => 2,
+            };
+            self.cache.emit_hits(levels + 1);
+            at += levels as u64;
+            d.expect("walked").1.promote(at);
+            at += 1;
+            each(b);
+        }
+        for (_, block, last) in self.metas.iter().map_while(|m| m.as_ref()) {
+            block.promote(base + last);
+        }
+    }
 }
 
 /// The file system. The root directory is inode 0.
@@ -448,6 +582,15 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NotAFile`] on directories; [`FsError::NotFound`] on free
     /// inodes.
     pub fn read(&mut self, ino: Ino, offset: u64, out: &mut [u8]) -> Result<usize, FsError> {
+        if let Some(walk) = self.walk_resident(ino, offset, out.len()) {
+            let mut done = 0usize;
+            walk.commit(|b| {
+                out[done..done + b.len].copy_from_slice(&b.seg.as_slice()[b.in_off..][..b.len]);
+                self.ledger.charge_payload_copy(b.len as u64);
+                done += b.len;
+            });
+            return Ok(done);
+        }
         let inode = self.load_inode(ino)?;
         if inode.ftype != FileType::Regular {
             return Err(FsError::NotAFile);
@@ -526,6 +669,11 @@ impl<S: BlockStore> Filesystem<S> {
         len: usize,
         out: &mut NetBuf,
     ) -> Result<usize, FsError> {
+        if let Some(walk) = self.walk_resident(ino, offset, len) {
+            out.reserve_segments(walk.block_count());
+            walk.commit(|b| out.append_bytes(&b.seg.as_slice()[b.in_off..][..b.len]));
+            return Ok(walk.len);
+        }
         let inode = self.load_inode(ino)?;
         if inode.ftype != FileType::Regular {
             return Err(FsError::NotAFile);
@@ -571,6 +719,39 @@ impl<S: BlockStore> Filesystem<S> {
         if !offset.is_multiple_of(BLOCK_SIZE as u64) {
             return Err(FsError::InvalidRange);
         }
+        if let Some(walk) = self.walk_resident(ino, offset, len) {
+            let mut out = Vec::with_capacity(walk.block_count());
+            walk.commit(|b| {
+                self.ledger.charge_logical_copy();
+                out.push(LogicalBlock {
+                    file_index: b.file_index,
+                    lbn: Some(b.lbn),
+                    seg: b.seg.clone(),
+                    valid_len: b.len,
+                });
+            });
+            return Ok(out);
+        }
+        self.read_logical_per_block(ino, offset, len)
+    }
+
+    /// [`Filesystem::read_logical`] one block at a time, each mapped,
+    /// looked up and — on a miss — fetched on its own: the path whenever
+    /// some block is not resident, and the reference the resident walk is
+    /// held to where all are.
+    ///
+    /// # Errors
+    ///
+    /// As [`Filesystem::read_logical`].
+    pub fn read_logical_per_block(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<LogicalBlock>, FsError> {
+        if !offset.is_multiple_of(BLOCK_SIZE as u64) {
+            return Err(FsError::InvalidRange);
+        }
         let inode = self.load_inode(ino)?;
         if inode.ftype != FileType::Regular {
             return Err(FsError::NotAFile);
@@ -604,166 +785,61 @@ impl<S: BlockStore> Filesystem<S> {
         Ok(out)
     }
 
-    /// Residency probe for the concurrent read fast path: decides —
-    /// without counting a cache access, charging the ledger, or taking a
-    /// reference on any block — whether a block-aligned
-    /// [`Filesystem::read_logical`] would be served entirely from
-    /// resident cache blocks (inode table, indirect and data blocks all
-    /// cached, no holes) that each pass `accept`. `accept` sees every data
-    /// block's bytes in place, so the caller can validate placeholder
-    /// stamps. On `false` the caller takes the ordinary exclusive path,
-    /// which can fetch.
-    pub fn probe_read(
-        &self,
-        ino: Ino,
-        offset: u64,
-        len: usize,
-        mut accept: impl FnMut(&[u8]) -> bool,
-    ) -> bool {
-        if !offset.is_multiple_of(BLOCK_SIZE as u64) {
-            return false;
-        }
-        let Some(inode) = self.peek_inode(ino) else {
-            return false;
-        };
-        if inode.ftype != FileType::Regular || offset >= inode.size {
-            return false;
-        }
-        let len = len.min((inode.size - offset) as usize);
-        let first = offset / BLOCK_SIZE as u64;
-        let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
-        (first..first + nblocks).all(|blk| {
-            self.peek_map_block(&inode, blk)
-                .and_then(|lbn| self.cache.peek_with(lbn, &mut accept))
-                .unwrap_or(false)
-        })
-    }
-
-    /// The committed counterpart of [`Filesystem::probe_read`]: performs
-    /// exactly the counted cache accesses and ledger charges
-    /// [`Filesystem::read_logical`] would on an all-hit walk (inode get,
-    /// per-block indirect gets, data get, one logical copy per block),
-    /// through `&self`. Callers must have validated residency with
-    /// [`Filesystem::probe_read`] and must hold off eviction for the
-    /// duration — the lane-parallel engine does both under the rig's
-    /// shared read guard, which excludes every mutating path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probed block is no longer resident — a fast-path
-    /// contract violation, never an expected condition.
-    pub fn read_logical_shared(&self, ino: Ino, offset: u64, len: usize) -> Vec<LogicalBlock> {
-        assert!(
-            offset.is_multiple_of(BLOCK_SIZE as u64),
-            "fast-path reads are block-aligned"
-        );
-        let inode = self.load_inode_shared(ino);
-        assert!(
-            inode.ftype == FileType::Regular && offset < inode.size,
-            "fast-path reads are probed first"
-        );
-        let len = len.min((inode.size - offset) as usize);
-        let first = offset / BLOCK_SIZE as u64;
-        let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
-        let mut out = Vec::with_capacity(nblocks as usize);
-        for i in 0..nblocks {
-            let blk = first + i;
-            let valid = (len - (i as usize * BLOCK_SIZE)).min(BLOCK_SIZE);
-            let lbn = self
-                .map_block_shared(&inode, blk)
-                .expect("probed reads have no holes");
-            let seg = self.get_resident(lbn);
-            self.ledger.charge_logical_copy();
-            out.push(LogicalBlock {
-                file_index: blk,
-                lbn: Some(lbn),
-                seg,
-                valid_len: valid,
-            });
-        }
-        out
-    }
-
-    /// [`Filesystem::getattr`] through `&self` for probed fast-path reads:
-    /// the same counted inode-table access, no fetch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inode block is not resident (see
-    /// [`Filesystem::read_logical_shared`]).
-    pub fn getattr_shared(&self, ino: Ino) -> Inode {
-        self.load_inode_shared(ino)
-    }
-
-    /// Uncounted, unpromoted inode read (the probe side).
-    fn peek_inode(&self, ino: Ino) -> Option<Inode> {
+    /// The resident walk — the one hit path every read interface shares.
+    /// Probes the inode, each *distinct* indirect block and each data
+    /// block of `[offset, offset + len)` once, counting, charging and
+    /// promoting nothing. `None` if anything on the way is not in the
+    /// buffer cache, is a hole, or the range spans more than
+    /// [`WALK_BLOCKS`] blocks: the caller takes the per-block,
+    /// miss-capable path with the file system untouched. `Some` lets
+    /// [`ResidentWalk::commit`] replay, from the probed entries alone,
+    /// exactly the counted accesses the per-block walk would have made;
+    /// the borrow on `self` keeps the cache from changing in between.
+    pub fn walk_resident(&self, ino: Ino, offset: u64, len: usize) -> Option<ResidentWalk<'_>> {
         if u64::from(ino.0) >= u64::from(self.sb.inode_count) {
             return None;
         }
-        self.cache
-            .peek_with(self.inode_lbn(ino), |block| decode_inode(block, ino).ok())?
-    }
-
-    /// Uncounted block mapping: `None` for holes *and* for unresident
-    /// indirect blocks (the probe cannot fetch).
-    fn peek_map_block(&self, inode: &Inode, blk: u64) -> Option<u64> {
-        self.walk_block_path(block_path(blk).ok()?, inode, |lbn, slot| {
-            self.cache.peek_with(lbn, |block| ptr_at(block, slot))
-        })
-    }
-
-    /// Counted block mapping through `&self`, mirroring
-    /// [`Filesystem::map_block_mut`]'s access order on the all-hit walk.
-    fn map_block_shared(&self, inode: &Inode, blk: u64) -> Option<u64> {
-        let path = block_path(blk).expect("probed block path is valid");
-        self.walk_block_path(path, inode, |lbn, slot| {
-            Some(self.read_resident(lbn, |block| ptr_at(block, slot)))
-        })
-    }
-
-    /// Follows `path` from `inode` to the data block's address, reading
-    /// each indirect pointer through `ptr(indirect_lbn, slot)` — in place,
-    /// so a walk never takes a reference on an indirect block. `None` for
-    /// a hole, or when `ptr` cannot read a block.
-    fn walk_block_path(
-        &self,
-        path: BlockPath,
-        inode: &Inode,
-        ptr: impl Fn(u64, usize) -> Option<u64>,
-    ) -> Option<u64> {
-        match path {
-            BlockPath::Direct { slot } => nonzero(inode.direct[slot]),
-            BlockPath::Single { slot } => nonzero(ptr(nonzero(inode.single)?, slot)?),
-            BlockPath::Double {
-                which,
-                outer,
-                inner,
-            } => {
-                let root = nonzero(inode.double[which])?;
-                let mid = nonzero(ptr(root, outer)?)?;
-                nonzero(ptr(mid, inner)?)
-            }
+        let inode_entry = self.cache.probe(self.inode_lbn(ino))?;
+        let inode = decode_inode(inode_entry.seg().as_slice(), ino).ok()?;
+        if inode.ftype != FileType::Regular || offset >= inode.size {
+            return None;
         }
-    }
-
-    /// Counted [`BufferCache::get`] of a block the probe saw resident.
-    fn get_resident(&self, lbn: u64) -> Segment {
-        self.cache
-            .get(lbn)
-            .expect("fast-path block resident under the read guard")
-    }
-
-    /// Counted in-place read ([`BufferCache::get_with`]) of a block the
-    /// probe saw resident.
-    fn read_resident<R>(&self, lbn: u64, read: impl FnOnce(&[u8]) -> R) -> R {
-        self.cache
-            .get_with(lbn, read)
-            .expect("fast-path block resident under the read guard")
-    }
-
-    fn load_inode_shared(&self, ino: Ino) -> Inode {
-        self.read_resident(self.inode_lbn(ino), |block| decode_inode(block, ino))
-            .expect("probed inode decodes")
+        let len = len.min((inode.size - offset) as usize);
+        let first = offset / BLOCK_SIZE as u64;
+        let head = (offset % BLOCK_SIZE as u64) as usize;
+        let blocks = if len == 0 { 0 } else { (head + len).div_ceil(BLOCK_SIZE) };
+        if blocks > WALK_BLOCKS {
+            return None;
+        }
+        let mut walk = ResidentWalk {
+            cache: &self.cache,
+            inode,
+            inode_entry,
+            offset,
+            len,
+            data: [None; WALK_BLOCKS],
+            blocks,
+            metas: [None; WALK_METAS],
+            // Access 0 is the inode-table block.
+            accesses: 1,
+        };
+        for i in 0..blocks {
+            let lbn = match block_path(first + i as u64).ok()? {
+                BlockPath::Direct { slot } => walk.inode.direct[slot],
+                BlockPath::Single { slot } => walk.ptr(walk.inode.single, slot)?,
+                BlockPath::Double {
+                    which,
+                    outer,
+                    inner,
+                } => {
+                    let mid = walk.ptr(walk.inode.double[which], outer)?;
+                    walk.ptr(mid, inner)?
+                }
+            };
+            walk.data[i] = Some((lbn, self.cache.probe(nonzero(lbn)?)?));
+            walk.accesses += 1;
+        }
+        Some(walk)
     }
 
     /// Writes placeholder blocks carrying `stamps` instead of payload —
@@ -1491,7 +1567,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_read_is_free_and_bails_on_cold_or_holey_walks() {
+    fn resident_walk_is_free_and_bails_on_cold_or_holey_walks() {
         let mut fs = newfs();
         let f = fs.create(Fs::ROOT, "f").expect("create");
         // Write past the single-indirect boundary so the probe exercises
@@ -1500,69 +1576,95 @@ mod tests {
         fs.write(f, 0, &vec![7u8; size]).expect("write");
         let before = (fs.ledger().snapshot(), fs.cache_stats());
         let _ = take_op_tally();
-        let any = |_: &[u8]| true;
-        assert!(fs.probe_read(f, 0, size, any), "warm file probes ready");
-        assert!(fs.probe_read(f, 4096, 8192, any));
-        assert!(!fs.probe_read(f, 1, 4096, any), "unaligned");
-        assert!(!fs.probe_read(f, size as u64, 4096, any), "past EOF");
-        assert!(!fs.probe_read(Ino(999_999), 0, 1, any), "bad inode");
-        // The validator sees every covered data block in place, and one
-        // rejection fails the probe.
-        let mut seen = 0;
-        assert!(fs.probe_read(f, 0, size, |block| {
-            seen += 1;
-            block == [7u8; BLOCK_SIZE]
-        }));
-        assert_eq!(seen, 40);
-        assert!(!fs.probe_read(f, 0, size, |_| false), "rejected block bails");
+        let walked = |fs: &Fs, offset: u64, len: usize| fs.walk_resident(f, offset, len).is_some();
+        assert!(walked(&fs, 0, WALK_BLOCKS * BLOCK_SIZE), "warm file probes ready");
+        assert!(walked(&fs, 8 * BLOCK_SIZE as u64, size), "to EOF, across the boundary");
+        assert!(walked(&fs, 4096, 8192));
+        assert!(!walked(&fs, 0, size), "longer than the walk's scratch");
+        assert!(!walked(&fs, size as u64, 4096), "past EOF");
+        assert!(fs.walk_resident(Ino(999_999), 0, 1).is_none(), "bad inode");
+        // The walk hands out every covered data block in place, with the
+        // span of the range inside it.
+        let walk = fs.walk_resident(f, 10 * BLOCK_SIZE as u64 + 100, 3 * BLOCK_SIZE).expect("warm");
+        let spans: Vec<(u64, usize, usize)> =
+            walk.blocks().map(|b| (b.file_index, b.in_off, b.len)).collect();
+        assert_eq!(
+            spans,
+            [(10, 100, BLOCK_SIZE - 100), (11, 0, BLOCK_SIZE), (12, 0, BLOCK_SIZE), (13, 0, 100)]
+        );
+        assert!(walk.blocks().all(|b| b.seg.as_slice() == [7u8; BLOCK_SIZE]));
         assert_eq!(fs.ledger().snapshot(), before.0, "probe charges nothing");
         assert_eq!(fs.cache_stats(), before.1, "probe counts nothing");
         assert_eq!(take_op_tally(), 0, "probe leaves no op tally");
         // Dropping one covered block from the cache fails the probe.
         let lbn = fs.block_lbn(f, 2).expect("mapped").expect("allocated");
         fs.discard_cached(lbn);
-        assert!(!fs.probe_read(f, 0, size, any), "cold block bails");
-        assert!(fs.probe_read(f, 0, 2 * BLOCK_SIZE, any), "range before it still probes");
+        assert!(!walked(&fs, 0, 8 * BLOCK_SIZE), "cold block bails");
+        assert!(walked(&fs, 0, 2 * BLOCK_SIZE), "range before it still probes");
+        // So does a hole.
+        let h = fs.create(Fs::ROOT, "holey").expect("create");
+        fs.write(h, 2 * BLOCK_SIZE as u64, &[1u8; BLOCK_SIZE]).expect("write");
+        assert!(fs.walk_resident(h, 0, 3 * BLOCK_SIZE).is_none(), "hole bails");
+        assert!(fs.walk_resident(h, 2 * BLOCK_SIZE as u64, BLOCK_SIZE).is_some());
     }
 
     #[test]
-    fn shared_read_path_mirrors_read_logical_exactly() {
-        // Two identical warm file systems: one serves through the &mut
-        // path, the other through the shared fast path. Every observable —
-        // returned blocks, ledger charges, cache stats, op tally — must
-        // coincide.
+    fn resident_walk_mirrors_the_per_block_read_exactly() {
+        // Two identical warm file systems: one serves through the
+        // per-block path, the other through the resident walk (once via
+        // `read_logical`, once committed by hand as the servers do). Every
+        // observable — returned blocks, ledger charges, cache stats, op
+        // tally, recency order — must coincide.
         let build = || {
             let mut fs = newfs();
             let f = fs.create(Fs::ROOT, "f").expect("create");
             fs.write(f, 0, &vec![3u8; 20 * BLOCK_SIZE]).expect("write");
             (fs, f)
         };
+        let (offset, len) = (2 * BLOCK_SIZE as u64, 16 * BLOCK_SIZE + 10);
         let (mut a, fa) = build();
-        let (b, fb) = build();
-        let snap_a = a.ledger().snapshot();
-        let snap_b = b.ledger().snapshot();
+        let (mut b, fb) = build();
+        let (c, fc) = build();
+        let snaps = [a.ledger().snapshot(), b.ledger().snapshot(), c.ledger().snapshot()];
         let _ = take_op_tally();
-        let blocks_a = a.read_logical(fa, 2 * BLOCK_SIZE as u64, 6 * BLOCK_SIZE).expect("read");
+        let blocks_a = a.read_logical_per_block(fa, offset, len).expect("read");
         let attr_a = a.getattr(fa).expect("getattr");
         let tally_a = take_op_tally();
-        let blocks_b = b.read_logical_shared(fb, 2 * BLOCK_SIZE as u64, 6 * BLOCK_SIZE);
-        let attr_b = b.getattr_shared(fb);
+        let blocks_b = b.read_logical(fb, offset, len).expect("read");
+        let attr_b = b.getattr(fb).expect("getattr");
         let tally_b = take_op_tally();
-        assert_eq!(blocks_a.len(), blocks_b.len());
-        for (x, y) in blocks_a.iter().zip(&blocks_b) {
-            assert_eq!(x.file_index, y.file_index);
-            assert_eq!(x.lbn, y.lbn);
-            assert_eq!(x.valid_len, y.valid_len);
-            assert_eq!(x.seg.as_slice(), y.seg.as_slice());
+        let walk = c.walk_resident(fc, offset, len).expect("warm");
+        let mut blocks_c = Vec::new();
+        walk.commit(|blk| {
+            c.ledger().charge_logical_copy();
+            blocks_c.push((blk.file_index, blk.lbn, blk.seg.clone(), blk.len));
+        });
+        let attr_c = walk.getattr().clone();
+        let tally_c = take_op_tally();
+        assert_eq!(blocks_a.len(), 17);
+        assert_eq!(blocks_a, blocks_b);
+        for (x, y) in blocks_a.iter().zip(&blocks_c) {
+            assert_eq!((x.file_index, x.lbn, &x.seg, x.valid_len), (y.0, Some(y.1), &y.2, y.3));
         }
-        assert_eq!(attr_a, attr_b);
-        assert_eq!(tally_a, tally_b, "same counted access count");
-        assert_eq!(
-            a.ledger().snapshot().delta_since(&snap_a),
-            b.ledger().snapshot().delta_since(&snap_b),
-            "same ledger charges"
-        );
-        assert_eq!(a.cache_stats(), b.cache_stats(), "same hit/miss counters");
+        assert_eq!((&attr_a, &attr_a), (&attr_b, &attr_c));
+        assert_eq!((tally_a, tally_a), (tally_b, tally_c), "same counted access count");
+        let deltas = [&a, &b, &c].map(|fs| fs.cache_stats());
+        assert_eq!((deltas[0], deltas[0]), (deltas[1], deltas[2]), "same hit/miss counters");
+        let charged: Vec<_> = [&a, &b, &c]
+            .iter()
+            .zip(&snaps)
+            .map(|(fs, snap)| fs.ledger().snapshot().delta_since(snap))
+            .collect();
+        assert_eq!((charged[0], charged[0]), (charged[1], charged[2]), "same ledger charges");
+        // Same stamps: shrinking the caches evicts the same blocks.
+        for cap in (0..a.cache_len()).rev() {
+            a.set_cache_capacity(cap);
+            b.set_cache_capacity(cap);
+            let resident = |fs: &Fs| -> Vec<bool> {
+                (0..fs.sb.total_blocks).map(|l| fs.cache.contains(l)).collect()
+            };
+            assert_eq!(resident(&a), resident(&b), "victim at capacity {cap}");
+        }
     }
 
     #[test]

@@ -147,6 +147,28 @@ pub fn ablation_lookup_order(blocks: u32) -> (u32, u32) {
     (stale[0], stale[1])
 }
 
+/// Every ablation at `scale`, rendered as `repro --ablations` prints it.
+pub fn render(scale: &crate::experiments::Scale) -> String {
+    let variants: String = MECHANISM_VARIANTS
+        .iter()
+        .enumerate()
+        .map(|(i, name)| format!("  variant {i} = {name}\n"))
+        .collect();
+    let (fresh, stale) = ablation_lookup_order(32);
+    format!(
+        "{}\n{variants}\n{}\n\
+         # Ablation: resolution order (32 read-write-read blocks)\n\
+         FHO-first (paper): {fresh} stale reads\n\
+         LBN-first (flipped): {stale} stale reads\n",
+        ablation_mechanisms(scale.allhit_file),
+        ablation_fs_cache_share(
+            scale.web_cache_bytes,
+            scale.web_cache_bytes,
+            scale.specweb_requests / 2,
+        ),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

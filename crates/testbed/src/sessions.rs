@@ -331,9 +331,6 @@ pub fn run_nfs_sessions_parallel_observed(
         let config = m.borrow().config();
         config.substitution && config.csum_inherit
     });
-    if defer {
-        rig.server_mut().set_defer_transmit(true);
-    }
     let root_fh = rig.server_mut().root_fh();
     let client_ledger = rig.ledgers().client.clone();
     let app_ledger = rig.ledgers().app.clone();
@@ -385,9 +382,6 @@ pub fn run_nfs_sessions_parallel_observed(
         if let Some(m) = &module {
             m.borrow_mut().absorb_substitution_totals(outcome.substitutions);
         }
-    }
-    if defer {
-        rig.server_mut().set_defer_transmit(false);
     }
     if let Some(m) = &module {
         // Future plain stamps must sort after every windowed stamp of
@@ -606,14 +600,15 @@ fn run_lane_op(
 /// under a *shared* core guard, so hits on different lanes overlap on
 /// real threads instead of convoying through the exclusive lock.
 ///
-/// Returns `None` — charging and counting nothing — unless the server
-/// vouches ([`servers::nfs::NfsServer::read_fast_ready`]) that the READ
-/// is a pure, aligned, fully resident, fully resolvable cache hit; the
-/// caller then falls back to the exclusive slow path with the request
-/// untouched. On the fast path the whole exchange, substitution
-/// included, runs while the guard is held: the guard excludes every
-/// mutation, so residency and resolvability cannot change between the
-/// probe and the payload splice.
+/// Returns `None` — charging and counting nothing — unless the server's
+/// probe ([`servers::nfs::NfsServer::probe_read`]: one uncounted
+/// walk of the file system, then one all-or-nothing resolution of the
+/// placeholders, the commit point) establishes that the READ is a pure,
+/// aligned, fully resident, fully resolvable cache hit; the caller then
+/// falls back to the exclusive slow path with the request untouched. On
+/// the fast path the whole exchange, the splice included, runs while the
+/// guard is held: the guard excludes every mutation, so nothing the probe
+/// saw can change before it is counted.
 ///
 /// Observation assembly swaps the slow path's snapshot-delta attribution
 /// (exact only under an exclusive lock) for per-thread attribution:
@@ -632,20 +627,23 @@ fn fast_read_op(
 ) -> Option<(Observation, u64)> {
     let rig = cx.core.read();
     let server = rig.server();
-    if !server.read_fast_ready(fh, offset, count) {
-        return None;
-    }
+    // `&self` cannot consult the admission gate: with a control plane
+    // installed every request takes the gated slow path.
+    let hit = server
+        .control_stats()
+        .is_none()
+        .then(|| server.probe_read(cx.cache, fh, offset, count))??;
     // Drain any residue so the tallies below bracket this op alone.
     let _ = simfs::take_op_tally();
     cx.app_ledger.begin_window();
     let delivered = servers::stack::deliver(request, cx.app_ledger);
-    let mut reply = server.handle_read_fast(delivered);
-    // The window closes before substitution, mirroring the slow path:
-    // the in-lock snapshot delta there never covers substitution either
-    // (it charges only fields the timing derivation never reads).
+    let (mut reply, resolved) = server.handle_read_fast(delivered, hit);
+    // The window closes before the splice, mirroring the slow path: the
+    // in-lock snapshot delta there never covers it either (it charges
+    // only fields the timing derivation never reads).
     let app = cx.app_ledger.end_window();
     let bufcache_ops = simfs::take_op_tally();
-    let substituted_pkts = substitute_out_of_step(cx, &mut reply, substitutions);
+    let substituted_pkts = substitute_out_of_step(cx, &mut reply, resolved, substitutions);
     drop(rig);
     let payload = reply.payload_len() as u64;
     let obs = Observation {
@@ -668,24 +666,40 @@ fn fast_read_op(
 }
 
 /// The transmit hook run by the lane itself, outside the serialized
-/// server step (see [`LaneContext::defer`]): substitutes `reply`'s
-/// placeholders through the sharded cache handle, marks the checksum
-/// inherited, and emits the event [`ncache::NcacheModule::on_transmit`]
-/// would. The report lands in the lane's own sum — not in the module,
-/// whose mutex every lane would otherwise take once per reply. Returns
-/// the packets substituted.
+/// server step (see [`LaneContext::defer`]): finishes `reply` — splicing
+/// the resolution the server handed back with it, or, for a reply that
+/// carries none, substituting through the sharded cache handle — marks
+/// the checksum inherited, and emits the event
+/// [`ncache::NcacheModule::on_transmit`] would. Returns the report, which
+/// the clean paths add to the lane's own sum — not to the module, whose
+/// mutex every lane would otherwise take once per reply.
+fn finish_out_of_step(
+    cache: &ncache::NetCacheShards,
+    reply: &mut NetBuf,
+    resolved: Option<ncache::Resolved>,
+) -> ncache::SubstitutionReport {
+    let report = match resolved {
+        Some(resolved) => resolved.splice(reply),
+        None => ncache::substitute_payload(reply, cache),
+    };
+    if report.substituted > 0 {
+        reply.inherit_csum();
+    }
+    report
+}
+
+/// [`finish_out_of_step`] for the clean paths; returns the packets
+/// substituted.
 fn substitute_out_of_step(
     cx: &LaneContext<'_>,
     reply: &mut NetBuf,
+    resolved: Option<ncache::Resolved>,
     substitutions: &mut ncache::SubstitutionReport,
 ) -> u64 {
     let Some(cache) = cx.cache else {
         return 0;
     };
-    let report = ncache::substitute_payload(reply, cache);
-    if report.substituted > 0 {
-        reply.inherit_csum();
-    }
+    let report = finish_out_of_step(cache, reply, resolved);
     if report.substituted > 0 || report.missing > 0 {
         cx.rec.emit(obs::EventKind::Substitution {
             substituted: report.substituted,
@@ -706,7 +720,7 @@ fn clean_lane_op(
     residue: &[IoRecord],
     substitutions: &mut ncache::SubstitutionReport,
 ) -> (Observation, u64) {
-    let (mut reply, io, app, storage, bufcache_ops, in_lock_subs) = {
+    let ((mut reply, resolved), io, app, storage, bufcache_ops, in_lock_subs) = {
         let mut rig = cx.core.write();
         let app0 = rig.ledgers().app.snapshot();
         let stor0 = rig.ledgers().storage.snapshot();
@@ -716,7 +730,11 @@ fn clean_lane_op(
         let sub0 = if cx.defer { 0 } else { substituted_total(cx) };
         let bc0 = rig.server_mut().fs_mut().cache_stats();
         let delivered = servers::stack::deliver(&request, cx.app_ledger);
-        let reply = rig.server_mut().handle_message(delivered);
+        let reply = if cx.defer {
+            rig.server_mut().handle_message_deferred(delivered)
+        } else {
+            (rig.server_mut().handle_message(delivered), None)
+        };
         let mut io = residue.to_vec();
         io.extend(rig.server_mut().fs_mut().store_mut().take_io_log());
         let bc1 = rig.server_mut().fs_mut().cache_stats();
@@ -735,7 +753,7 @@ fn clean_lane_op(
         )
     };
     let substituted_pkts = if cx.defer {
-        substitute_out_of_step(cx, &mut reply, substitutions)
+        substitute_out_of_step(cx, &mut reply, resolved, substitutions)
     } else {
         in_lock_subs
     };
@@ -796,18 +814,14 @@ fn faulted_lane_op(
         // exactly the set the sequential transmit hook sees. The whole
         // exchange runs under the exclusive guard, so the absorbed
         // report deltas below still bracket this operation alone.
-        let mut step = |d: NetBuf| {
-            let mut reply = server.handle_message(d);
-            if cx.defer {
-                if let (Some(cache), Some(module)) = (cx.cache, cx.module) {
-                    let report = ncache::substitute_payload(&mut reply, cache);
-                    if report.substituted > 0 {
-                        reply.inherit_csum();
-                    }
-                    module.borrow_mut().absorb_substitution(report);
-                }
+        let mut step = |d: NetBuf| match (cx.defer, cx.cache, cx.module) {
+            (true, Some(cache), Some(module)) => {
+                let (mut reply, resolved) = server.handle_message_deferred(d);
+                let report = finish_out_of_step(cache, &mut reply, resolved);
+                module.borrow_mut().absorb_substitution(report);
+                reply
             }
-            reply
+            _ => server.handle_message(d),
         };
         match op {
             DriverOp::Read { .. } => faulted_exchange_with(

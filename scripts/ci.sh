@@ -38,6 +38,51 @@ if [[ -n "$SIPHASH" ]]; then
 fi
 echo "no std HashMap outside tests in core, simfs, netbuf, servers/target.rs"
 
+echo "== one hit walk (a resident READ is probed, resolved, committed, spliced once) =="
+# DESIGN.md §9: simfs has one walk for a fully resident range
+# (walk_resident), and each server has one place that takes it and the
+# servers crate one place that resolves a reply's placeholders
+# (resolve_reply, the commit point). The rung fails if the functions the
+# walk replaced come back, or if either call site multiplies; a second
+# caller that really is needed opts out with a trailing
+# `// walk-ok: <reason>` on its line.
+nontest() { # nontest FILE...: each file's lines up to its test module
+    local f
+    for f in "$@"; do
+        awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done
+}
+OLD_WALKS="$(nontest crates/simfs/src/fs.rs | grep -E \
+    'fn (probe_read|read_logical_shared|peek_inode|peek_map_block|map_block_shared|walk_block_path|get_resident|read_resident)\b' || true)"
+if [[ -n "$OLD_WALKS" ]]; then
+    echo "a second hit walk is back in simfs (walk_resident is the one):" >&2
+    echo "$OLD_WALKS" >&2
+    exit 1
+fi
+count_calls() { # count_calls PATTERN FILE...: non-test call sites not opted out
+    local pattern="$1"; shift
+    nontest "$@" | grep -E "$pattern" | grep -vc 'walk-ok:[[:space:]]*[^[:space:]]' || true
+}
+for SERVER in nfs khttpd; do
+    WALKS="$(count_calls '\.walk_resident\(' "crates/servers/src/$SERVER.rs")"
+    if [[ "$WALKS" != 1 ]]; then
+        echo "crates/servers/src/$SERVER.rs takes the resident walk in $WALKS places, not 1" >&2
+        exit 1
+    fi
+done
+RESOLVES="$(count_calls 'resolve_reply\(' crates/servers/src/*.rs)"
+if [[ "$RESOLVES" != 1 ]]; then
+    echo "crates/servers/src resolves reply placeholders in $RESOLVES places, not 1" >&2
+    exit 1
+fi
+echo "one resident walk per server, one placeholder resolution, none of the walks they replaced"
+# The two differential properties behind the walk, each at two pinned
+# cases on top of the seeded run `cargo test` just did.
+for SEED in 0x5eed0001 0x5eed0002; do
+    CHECK_SEED="$SEED" cargo test -q --offline -p simfs --test resident_walk_equivalence
+    CHECK_SEED="$SEED" cargo test -q --offline -p check --test substitution_equivalence
+done
+
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;
 # every item it pins is listed in benchmark/src/seams.rs. Building,

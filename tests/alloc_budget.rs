@@ -137,7 +137,7 @@ fn allocations_per_request_are_pinned() {
     let baseline = read_allocs(ServerMode::Baseline);
     assert_eq!(
         (ncache, original, baseline),
-        (10, 10, 9),
+        (9, 10, 8),
         "all-hit 32 KiB READ (ncache, original, baseline)"
     );
     assert!(ncache <= 16, "NCache READ budget");
@@ -177,6 +177,6 @@ fn allocations_per_request_are_pinned() {
     web.get("/page");
     // (Debug builds make one more: `track`'s `debug_assert_eq!` builds its
     // expected disposition list.)
-    let get = 26 + u64::from(cfg!(debug_assertions));
+    let get = 25 + u64::from(cfg!(debug_assertions));
     assert_eq!(allocs(|| web.get("/page")), get, "kHTTPd all-hit GET");
 }

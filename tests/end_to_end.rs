@@ -52,6 +52,97 @@ fn nfs_read_past_eof_is_clipped() {
     }
 }
 
+/// Reads shorter than a placeholder's key stamp (29 bytes), and tail blocks
+/// with 1..=28 bytes of file in them: the reply segment is clipped below
+/// the stamp, so substitution must take the key from the whole cached
+/// block, never from the clipped segment.
+const SHORT_FILE: u64 = 8192 + 10;
+const SHORT_READS: [(u32, u32); 7] = [
+    (0, 1),
+    (0, 16),
+    (0, 28),
+    (0, 29),
+    (0, 4096 + 10),
+    (4096, 4096 + 10),
+    (8192, 4096),
+];
+
+/// What a READ of `SHORT_FILE` must return: the file's bytes, clipped at
+/// end of file — or, from the baseline, junk of exactly that length.
+fn assert_short_read(mode: ServerMode, fh: u64, off: u32, len: u32, got: &[u8], via: &str) {
+    let want = (SHORT_FILE - u64::from(off)).min(u64::from(len)) as usize;
+    assert_eq!(got.len(), want, "{mode} {via}: read({off}, {len}) length");
+    if mode != ServerMode::Baseline {
+        let pattern = NfsRig::pattern(fh, u64::from(off), want);
+        assert_eq!(got, pattern, "{mode} {via}: read({off}, {len})");
+    }
+}
+
+#[test]
+fn nfs_short_reads_and_short_tails_never_ship_the_placeholder() {
+    for mode in [ServerMode::Original, ServerMode::NCache, ServerMode::Baseline] {
+        // The plain rig, and one with fault recovery armed on a clean link:
+        // its READs revalidate every placeholder key by key first.
+        let armed = NfsRig::new_faulted(mode, NfsRigParams::default(), &Default::default(), 7);
+        for (mut rig, recovery) in [(NfsRig::new(mode, NfsRigParams::default()), ""), (armed, "armed ")] {
+            let fh = rig.create_file("f", SHORT_FILE);
+            // Twice: the first pass fetches (the miss-capable path), the
+            // second finds everything resident (the hit path).
+            for pass in ["cold", "warm"] {
+                for (off, len) in SHORT_READS {
+                    let got = rig.read(fh, off, len);
+                    assert_short_read(mode, fh, off, len, &got, &format!("{recovery}{pass}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn nfs_short_reads_through_the_lane_fast_path() {
+    // The lane-parallel engine's `&self` READ, driven by hand: probe under
+    // a shared reference, serve, splice the resolution the server returns.
+    let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
+    let fh = rig.create_file("f", SHORT_FILE);
+    rig.read(fh, 0, SHORT_FILE as u32); // warm both caches
+    let cache = rig.module().expect("ncache build").borrow().cache_handle();
+    for (off, len) in SHORT_READS {
+        let request = rig.client_mut().read_request(fh, off, len);
+        let delivered = ncache_repro::servers::stack::deliver(&request, &rig.ledgers().app);
+        let server = rig.server();
+        let hit = server
+            .probe_read(Some(&cache), fh, u64::from(off), len as usize)
+            .expect("a warm aligned READ is a pure hit");
+        let (mut reply, resolved) = server.handle_read_fast(delivered, hit);
+        let report = resolved.expect("a logical reply").splice(&mut reply);
+        assert_eq!(report.missing, 0);
+        let (hdr, got) = rig.client_mut().parse_read_reply(&reply);
+        assert_eq!(hdr.status, NFS_OK);
+        assert_short_read(ServerMode::NCache, fh, off, len, &got, "fast path");
+    }
+}
+
+#[test]
+fn khttpd_pages_with_short_tails_arrive_whole() {
+    for mode in [ServerMode::Original, ServerMode::NCache, ServerMode::Baseline] {
+        let mut rig = KhttpdRig::new(mode, KhttpdRigParams::default());
+        let pages = [("one", 1u64), ("stamp", 28), ("tail", 4096 + 10), ("tails", 8192 + 28)];
+        for (name, size) in pages {
+            rig.publish(name, size);
+        }
+        for pass in ["cold", "warm"] {
+            for (name, size) in pages {
+                let (hdr, body) = rig.get(&format!("/{name}"));
+                assert_eq!(hdr.status, 200, "{mode} {pass}: {name}");
+                assert_eq!(body.len() as u64, size, "{mode} {pass}: {name}");
+                if mode != ServerMode::Baseline {
+                    assert_eq!(body, rig.expected(name, size), "{mode} {pass}: {name}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn nfs_write_read_back_freshness_through_remap() {
     // §3.4: after an NFS WRITE the freshest data must always win — the

@@ -95,8 +95,9 @@ fn unaligned_write_extends_file_to_true_end() {
     // Write past EOF from an unaligned offset.
     let tail = vec![0xABu8; 3000];
     assert_eq!(rig.write(fh, 5000, &tail).status, NFS_OK);
-    let (hdr, _) = rig.read_with_header(fh, 0, 16);
+    let (hdr, head) = rig.read_with_header(fh, 0, 16);
     assert_eq!(hdr.attrs.size, 8000, "size is byte-accurate, not block-rounded");
+    assert_eq!(head, NfsRig::pattern(fh, 0, 16), "a read shorter than a key stamp");
     assert_eq!(rig.read(fh, 5000, 3000), tail);
     // The gap between old EOF and the write reads as zeros.
     assert_eq!(rig.read(fh, 4096, 904), vec![0u8; 904]);
