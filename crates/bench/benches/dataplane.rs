@@ -75,8 +75,8 @@ fn bench_cache_ops(h: &mut Harness) {
                 for t in 0..threads as u64 {
                     let cache = &cache;
                     s.spawn(move || {
-                        let _w = ncache::epoch::enter_window(
-                            ncache::epoch::stamp_base(1, t),
+                        let _w = sim::epoch::enter_window(
+                            sim::epoch::stamp_base(1, t),
                         );
                         let mut hits = 0u64;
                         for k in 0..4096u64 {

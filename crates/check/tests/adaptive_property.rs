@@ -12,7 +12,8 @@
 
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property};
-use ncache::adaptive::{GhostLru, GhostStats, QUOTA_BLOCK};
+use ncache::adaptive::QUOTA_BLOCK;
+use sim::{GhostLru, GhostStats};
 use ncache::{ResizeDir, SplitConfig, SplitController, SplitSample};
 use sim::rng::SplitMix64;
 

@@ -18,10 +18,10 @@
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property};
 
-use ncache::epoch;
 use ncache::shards::NetCacheShards;
 use netbuf::key::Lbn;
 use netbuf::{BufPool, Segment};
+use sim::epoch;
 use sim::SplitMix64;
 
 /// Distinct chunk keys in play; the pool holds exactly this many chunks,

@@ -298,7 +298,7 @@ property! {
 
         // Both sides resolve as the same lane's same operation, or bare.
         let in_window = |f: &mut dyn FnMut()| {
-            let _w = windowed.then(|| ncache::epoch::enter_window(ncache::epoch::stamp_base(5, 2)));
+            let _w = windowed.then(|| sim::epoch::enter_window(sim::epoch::stamp_base(5, 2)));
             f()
         };
         let mut got = vec![Segment::from_vec(vec![0xAB])]; // appended to, not cleared
@@ -338,7 +338,7 @@ property! {
         // The promotions must have landed identically (or not at all):
         // under pressure both twins pick the same victim every time.
         for c in [&subject, &reference] {
-            c.advance_clock_past(ncache::epoch::stamp_base(6, 0));
+            c.advance_clock_past(sim::epoch::stamp_base(6, 0));
         }
         for round in 0..RESIDENT {
             for c in [&subject, &reference] {

@@ -24,7 +24,7 @@ use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, Segment};
 use sim::{mix64, LaneCounters, MixMap};
 
-use crate::adaptive::{GhostLru, GhostStats};
+use sim::{GhostLru, GhostStats};
 use crate::chunk::Chunk;
 
 /// Encodes a cache key into the ghost tail's u64 key space: LBN keys map
@@ -63,7 +63,7 @@ impl SeqSource {
     /// Reserves `n` consecutive stamps and returns the first — what `n`
     /// calls of [`SeqSource::next`] with nothing in between would draw.
     pub(crate) fn reserve(&self, n: u64) -> u64 {
-        crate::epoch::window_stamps(n).unwrap_or_else(|| self.0.fetch_add(n, Ordering::Relaxed))
+        sim::epoch::window_stamps(n).unwrap_or_else(|| self.0.fetch_add(n, Ordering::Relaxed))
     }
 
     /// Advances the counter past `stamp` (no-op if already beyond). The
@@ -376,7 +376,7 @@ impl NetCache {
         dirty: bool,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
         self.stats.add(INSERTIONS, 1);
-        crate::epoch::bump_tally();
+        sim::epoch::bump_tally();
         // Replace any existing entry under this key first (its pin frees).
         self.remove_entry(key);
         let need = len as u64 + self.per_chunk_overhead;
@@ -452,7 +452,7 @@ impl NetCache {
         let counts = self.stats.lane();
         counts.add(LOOKUPS, 1);
         counts.add(HITS, 1);
-        crate::epoch::bump_tally();
+        sim::epoch::bump_tally();
         entry.seq.fetch_max(stamp, Ordering::Relaxed);
         entry.chunk.share_segments_into(limit, out);
     }
@@ -462,7 +462,7 @@ impl NetCache {
     /// have served. Observation only — no stamp, no admission.
     pub(crate) fn count_miss(&self, key: CacheKey) {
         self.stats.add(LOOKUPS, 1);
-        crate::epoch::bump_tally();
+        sim::epoch::bump_tally();
         if let Some(g) = &self.ghost {
             g.lock().expect("ghost poisoned").probe(ghost_key(key));
         }
@@ -499,7 +499,7 @@ impl NetCache {
     /// `None` if the FHO entry is absent.
     pub fn remap(&mut self, fho: Fho, lbn: Lbn) -> Option<Vec<Segment>> {
         self.stats.add(REMAPS, 1);
-        crate::epoch::bump_tally();
+        sim::epoch::bump_tally();
         let entry = self.remove_entry(CacheKey::Fho(fho))?;
         // Overwrite any stale LBN copy — "data in the FHO cache is always
         // more up-to-date" (§3.4).
@@ -575,14 +575,14 @@ impl NetCache {
     /// [`NetCache::insert`] charges itself).
     pub(crate) fn note_insertion(&mut self) {
         self.stats.add(INSERTIONS, 1);
-        crate::epoch::bump_tally();
+        sim::epoch::bump_tally();
     }
 
     /// Counts a remap (the shard set charges the shard the FHO entry
     /// lives in when the move crosses shards).
     pub(crate) fn note_remap(&mut self) {
         self.stats.add(REMAPS, 1);
-        crate::epoch::bump_tally();
+        sim::epoch::bump_tally();
     }
 
     /// Finds the least-recently-used *reclaimable* chunk (clean, or dirty

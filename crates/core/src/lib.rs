@@ -57,15 +57,13 @@
 pub mod adaptive;
 pub mod cache;
 pub mod chunk;
-pub mod epoch;
 pub mod module;
 pub mod shards;
 pub mod substitute;
 pub mod tracker;
 
 pub use adaptive::{
-    GhostLru, GhostStats, Resize, ResizeDir, SplitConfig, SplitController, SplitSample,
-    SplitStats,
+    Resize, ResizeDir, SplitConfig, SplitController, SplitSample, SplitStats,
 };
 pub use cache::{CacheFull, NetCache, NetCacheStats, WritebackChunk};
 pub use chunk::Chunk;

@@ -333,7 +333,7 @@ impl NcacheModule {
     }
 
     /// Counters of the shared ghost tail, or `None` when none is attached.
-    pub fn ghost_stats(&self) -> Option<crate::adaptive::GhostStats> {
+    pub fn ghost_stats(&self) -> Option<sim::GhostStats> {
         self.cache.ghost_stats()
     }
 

@@ -177,7 +177,7 @@ impl NetCacheShards {
     /// when displacement happens against the global eviction order; the
     /// adaptive split must read the same signal at 1 shard and at 8.
     pub fn enable_ghost(&self, cap: usize) {
-        let ghost = Arc::new(std::sync::Mutex::new(crate::adaptive::GhostLru::new(cap)));
+        let ghost = Arc::new(std::sync::Mutex::new(sim::GhostLru::new(cap)));
         for i in 0..self.shards.len() {
             self.write(i).set_ghost(Arc::clone(&ghost));
         }
@@ -186,7 +186,7 @@ impl NetCacheShards {
     /// Counters of the shared ghost tail, or `None` when no tail is
     /// attached. Shard 0's handle *is* the global tail (all shards share
     /// one `Arc`), so no merging is needed.
-    pub fn ghost_stats(&self) -> Option<crate::adaptive::GhostStats> {
+    pub fn ghost_stats(&self) -> Option<sim::GhostStats> {
         self.read(0).ghost_stats()
     }
 
@@ -822,7 +822,7 @@ mod tests {
         // windows. Whatever order the touches actually execute in, the
         // final LRU order is the (epoch, tie) order — so the eviction
         // victim is the same.
-        use crate::epoch::{enter_window, stamp_base};
+        use sim::epoch::{enter_window, stamp_base};
         let run = |flip: bool| {
             let c = shards(3 * 4096, 4);
             for b in 0..3u64 {

@@ -18,7 +18,7 @@
 
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property};
-use ncache::epoch::{enter_window, stamp_base};
+use sim::epoch::{enter_window, stamp_base};
 use ncache::NetCacheShards;
 use netbuf::key::{CacheKey, Fho, FileHandle, Lbn};
 use netbuf::{BufPool, Segment};

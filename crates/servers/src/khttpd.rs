@@ -9,12 +9,13 @@
 //! placeholder blocks and sends the junk — the ideal zero-copy bound.
 
 
-use ncache::{HttpTxTracker, NcacheModule, TxDisposition};
+use ncache::{HttpTxTracker, TxDisposition};
 use netbuf::{CopyLedger, NetBuf};
 use proto::http::{HttpRequest, HttpResponseHeader};
 use simfs::{Filesystem, FsError, Ino};
 
-use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
+use crate::control::OpClass;
+use crate::host::ServerHost;
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
 use crate::util::{attach_blocks, resolve, resolve_fetched, with_resolver};
@@ -53,124 +54,41 @@ impl obs::StatsSnapshot for KhttpdStats {
     }
 }
 
-/// The static web server.
+/// The static web server: the HTTP codec, the page paths and their
+/// counters over the [`ServerHost`] it derefs to.
 #[derive(Debug)]
 pub struct KhttpdServer {
-    mode: ServerMode,
-    fs: Filesystem<IscsiInitiator>,
-    module: Option<sim::Shared<NcacheModule>>,
-    ledger: CopyLedger,
+    host: ServerHost,
     stats: KhttpdStats,
-    recorder: obs::Recorder,
-    fault_recovery: bool,
-    /// The overload control plane, when installed (off by default).
-    control: Option<ControlPlane>,
+}
+
+impl std::ops::Deref for KhttpdServer {
+    type Target = ServerHost;
+
+    fn deref(&self) -> &ServerHost {
+        &self.host
+    }
+}
+
+impl std::ops::DerefMut for KhttpdServer {
+    fn deref_mut(&mut self) -> &mut ServerHost {
+        &mut self.host
+    }
 }
 
 impl KhttpdServer {
-    /// Creates a server in `mode` over `fs` (pages live in the root
-    /// directory; path `/name` maps to file `name`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode` is [`ServerMode::NCache`] but no module is given.
-    pub fn new(
-        mode: ServerMode,
-        fs: Filesystem<IscsiInitiator>,
-        module: Option<sim::Shared<NcacheModule>>,
-        ledger: &CopyLedger,
-    ) -> Self {
-        assert!(
-            mode != ServerMode::NCache || module.is_some(),
-            "NCache mode requires the NCache module"
-        );
+    /// kHTTPd over `host` (pages live in the root directory; path `/name`
+    /// maps to file `name`).
+    pub fn new(host: ServerHost) -> Self {
         KhttpdServer {
-            mode,
-            fs,
-            module,
-            ledger: ledger.clone(),
+            host,
             stats: KhttpdStats::default(),
-            recorder: obs::Recorder::new(),
-            fault_recovery: false,
-            control: None,
         }
-    }
-
-    /// Installs the overload control plane (see
-    /// [`crate::control::AdmissionGate`] for the policy).
-    pub fn enable_control(&mut self, cfg: ControlConfig) {
-        self.control = Some(ControlPlane::new(cfg));
-    }
-
-    /// Reports the timing layer's load (next arrival instant + in-flight
-    /// depth) to the control plane. No-op without one.
-    pub fn set_load(&mut self, now_ns: u64, inflight: u64) {
-        if let Some(cp) = &mut self.control {
-            cp.set_load(now_ns, inflight);
-        }
-    }
-
-    /// The control plane's counters, when one is installed.
-    pub fn control_stats(&self) -> Option<ControlStats> {
-        self.control.as_ref().map(|cp| cp.stats())
-    }
-
-    /// Total control-plane rejections so far (0 without a plane).
-    pub fn control_rejections(&self) -> u64 {
-        self.control.as_ref().map_or(0, |cp| cp.stats().rejected)
-    }
-
-    /// Samples the backpressure signal (buffer-cache dirty ratio and
-    /// NCache pinned occupancy) for the gate.
-    fn pressure(&self) -> Pressure {
-        let ncache_permille = self.module.as_ref().map_or(0, |m| {
-            let m = m.borrow();
-            let cap = m.config().capacity_bytes.max(1);
-            ((m.pinned_bytes().saturating_mul(1000)) / cap).min(1000) as u32
-        });
-        Pressure {
-            dirty_permille: self.fs.cache_dirty_permille(),
-            ncache_permille,
-        }
-    }
-
-    /// Enables fault-recovery mode: placeholder revalidation additionally
-    /// checksums the cached chunks, invalidating corrupt entries so the
-    /// reply falls back to the copying sendfile path.
-    pub fn set_fault_recovery(&mut self, on: bool) {
-        self.fault_recovery = on;
-    }
-
-    /// Wires a trace recorder through the server-side stack: per-request
-    /// spans here, plus the file system, its initiator, and the NCache
-    /// module when present.
-    pub fn set_recorder(&mut self, rec: obs::Recorder) {
-        self.fs.set_recorder(rec.clone());
-        self.fs.store_mut().set_recorder(rec.clone());
-        if let Some(module) = &self.module {
-            module.borrow_mut().set_recorder(rec.clone());
-        }
-        self.recorder = rec;
-    }
-
-    /// The build this server runs.
-    pub fn mode(&self) -> ServerMode {
-        self.mode
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> KhttpdStats {
         self.stats
-    }
-
-    /// The file system (for test setup).
-    pub fn fs_mut(&mut self) -> &mut Filesystem<IscsiInitiator> {
-        &mut self.fs
-    }
-
-    /// The NCache module, when running that build.
-    pub fn module(&self) -> Option<sim::Shared<NcacheModule>> {
-        self.module.clone()
     }
 
     /// Serves one GET request (a delivered HTTP request payload) and
@@ -184,9 +102,9 @@ impl KhttpdServer {
             // Malformed or unsupported requests get a 400, never a panic.
             let span = self
                 .recorder
-                .begin_span("malformed", self.mode.label(), req_bytes);
+                .begin_span("malformed", self.host.mode.label(), req_bytes);
             self.stats.bad_requests += 1;
-            let mut r = NetBuf::new(&self.ledger);
+            let mut r = NetBuf::new(&self.host.ledger);
             r.push_header(
                 &HttpResponseHeader {
                     status: 400,
@@ -195,40 +113,32 @@ impl KhttpdServer {
                 }
                 .encode(),
             );
-            self.recorder.end_span(span);
+            self.host.recorder.end_span(span);
             return r;
         };
-        let span = self.recorder.begin_span("get", self.mode.label(), req_bytes);
+        let span = self.host.recorder.begin_span("get", self.host.mode.label(), req_bytes);
         // Admission control: a well-formed GET past the parser but ahead
         // of any file-system work gets the 503-with-Retry-After analog of
         // the NFS `RETRY_LATER` rejection.
-        // (The plane is taken out and restored around the decision so
-        // `pressure` can borrow `self` freely.)
-        if let Some(mut cp) = self.control.take() {
-            let pressure = self.pressure();
-            let decision = cp.decide(OpClass::Read, &pressure);
-            self.control = Some(cp);
-            if let Decision::RetryLater { after_ns } = decision {
-                self.stats.retry_later += 1;
-                self.recorder.add_counter("control.rejected", 1);
-                let after_s = after_ns.div_ceil(1_000_000_000).max(1) as u32;
-                let mut r = NetBuf::new(&self.ledger);
-                r.push_header(&HttpResponseHeader::service_unavailable(after_s).encode());
-                self.recorder.end_span(span);
-                return r;
-            }
+        if let Some(after_ns) = self.host.admit(OpClass::Read) {
+            self.stats.retry_later += 1;
+            let after_s = after_ns.div_ceil(1_000_000_000).max(1) as u32;
+            let mut r = NetBuf::new(&self.host.ledger);
+            r.push_header(&HttpResponseHeader::service_unavailable(after_s).encode());
+            self.host.recorder.end_span(span);
+            return r;
         }
         let name = request.path.trim_start_matches('/');
-        let mut response = NetBuf::new(&self.ledger);
+        let mut response = NetBuf::new(&self.host.ledger);
         let mut resolved = None;
 
         match self.resolve(name) {
             Ok((ino, size)) => {
                 let size = size as usize;
-                let body_len = match self.mode {
+                let body_len = match self.host.mode {
                     ServerMode::Original => {
                         // sendfile: one copy, buffer cache → network stack.
-                        self.fs
+                        self.host.fs
                             .sendfile_into(ino, 0, size, &mut response)
                             .expect("page readable")
                     }
@@ -256,7 +166,7 @@ impl KhttpdServer {
         }
 
         // Driver-boundary hook: substitute body blocks from the cache.
-        match self.mode {
+        match self.host.mode {
             ServerMode::Original => {
                 // The 2.4-era TCP transmit path checksums sendfile payload
                 // in software; NCache inherits stored checksums instead
@@ -265,15 +175,10 @@ impl KhttpdServer {
                     response.compute_csum();
                 }
             }
-            ServerMode::NCache => {
-                if let Some(module) = &self.module {
-                    module.borrow_mut().on_transmit(&mut response, resolved);
-                    self.fs.store_mut().drain_module_writebacks();
-                }
-            }
+            ServerMode::NCache => self.host.transmit(&mut response, resolved),
             ServerMode::Baseline => {}
         }
-        self.recorder.end_span(span);
+        self.host.recorder.end_span(span);
         response
     }
 
@@ -288,16 +193,16 @@ impl KhttpdServer {
         response: &mut NetBuf,
     ) -> Option<(usize, Option<ncache::Resolved>)> {
         // Fault recovery verifies chunk checksums key by key first.
-        if self.fault_recovery {
+        if self.host.fault_recovery {
             return None;
         }
-        let walk = self.fs.walk_resident(ino, 0, size)?;
+        let walk = self.host.fs.walk_resident(ino, 0, size)?;
         let blocks = walk.blocks().map(|b| (b.seg, b.len));
-        let resolved = with_resolver(&self.module, |cache| {
-            resolve(cache, &self.recorder, blocks.clone())
+        let resolved = with_resolver(&self.host.module, |cache| {
+            resolve(cache, &self.host.recorder, blocks.clone())
         })
         .ok()?;
-        walk.commit(|_| self.fs.ledger().charge_logical_copy());
+        walk.commit(|_| self.host.fs.ledger().charge_logical_copy());
         Some((attach_blocks(response, blocks), resolved))
     }
 
@@ -310,8 +215,8 @@ impl KhttpdServer {
         size: usize,
         response: &mut NetBuf,
     ) -> (usize, Option<ncache::Resolved>) {
-        let blocks = self.fs.read_logical_per_block(ino, 0, size).expect("page readable");
-        match resolve_fetched(&self.module, self.fault_recovery, &self.recorder, &blocks) {
+        let blocks = self.host.fs.read_logical_per_block(ino, 0, size).expect("page readable");
+        match resolve_fetched(&self.host.module, self.host.fault_recovery, &self.host.recorder, &blocks) {
             Ok(resolved) => {
                 let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
                 (attach_blocks(response, attach), resolved)
@@ -337,7 +242,7 @@ impl KhttpdServer {
     /// page. The copy is physical and charged as one — this is the
     /// graceful-degradation path, not the fast path.
     fn materialize_page(&mut self, ino: Ino, len: usize) -> Vec<u8> {
-        let module = self.module.clone().expect("NCache build");
+        let module = self.host.module.clone().expect("NCache build");
         let block = simfs::BLOCK_SIZE;
         let mut out = Vec::with_capacity(len);
         let mut off = 0usize;
@@ -369,7 +274,7 @@ impl KhttpdServer {
                                 // Dangling: drop the placeholder and
                                 // refetch; the read re-admits the chunk.
                                 if let Some(l) = b.lbn {
-                                    self.fs.discard_cached(l);
+                                    self.host.fs.discard_cached(l);
                                 }
                                 continue;
                             }
@@ -390,13 +295,13 @@ impl KhttpdServer {
             }
             off += want;
         }
-        self.ledger.charge_payload_copy(len as u64);
+        self.host.ledger.charge_payload_copy(len as u64);
         out
     }
 
     fn resolve(&mut self, name: &str) -> Result<(Ino, u64), FsError> {
-        let ino = self.fs.lookup(Filesystem::<IscsiInitiator>::ROOT, name)?;
-        let attrs = self.fs.getattr(ino)?;
+        let ino = self.host.fs.lookup(Filesystem::<IscsiInitiator>::ROOT, name)?;
+        let attrs = self.host.fs.getattr(ino)?;
         Ok((ino, attrs.size))
     }
 
@@ -404,7 +309,7 @@ impl KhttpdServer {
     /// module watches kHTTPd's TCP streams, confirming the header/body
     /// boundary (§4.3).
     fn track(&mut self, header: &[u8], body_len: usize) {
-        if self.mode != ServerMode::NCache {
+        if self.host.mode != ServerMode::NCache {
             return;
         }
         let mut tracker = HttpTxTracker::new();
@@ -489,6 +394,8 @@ impl HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ControlConfig;
+    use ncache::NcacheModule;
     use crate::target::IscsiTarget;
     use simfs::FsParams;
 
@@ -506,7 +413,7 @@ mod tests {
             crate::initiator::IscsiInitiator::new(target, &app, mode, module.clone());
         let fs = Filesystem::mkfs(initiator, FsParams::default(), &app).expect("mkfs");
         (
-            KhttpdServer::new(mode, fs, module, &app),
+            KhttpdServer::new(ServerHost::new(mode, fs, module, &app)),
             HttpClient::new(&CopyLedger::new()),
         )
     }
@@ -548,18 +455,18 @@ mod tests {
         {
             let (mut srv, client) = server(ServerMode::Original);
             publish(&mut srv, "p", &[5u8; 4096]);
-            let before = srv.ledger.snapshot();
+            let before = srv.host.ledger.snapshot();
             get(&mut srv, &client, "/p");
-            app_original = srv.ledger.snapshot().delta_since(&before);
+            app_original = srv.host.ledger.snapshot().delta_since(&before);
         }
         assert_eq!(app_original.csum_bytes, 4096);
         let (mut srv, client) = server(ServerMode::NCache);
         publish(&mut srv, "p", &[5u8; 4096]);
         srv.fs_mut().set_cache_capacity(0);
         srv.fs_mut().set_cache_capacity(2048);
-        let before = srv.ledger.snapshot();
+        let before = srv.host.ledger.snapshot();
         get(&mut srv, &client, "/p");
-        let d = srv.ledger.snapshot().delta_since(&before);
+        let d = srv.host.ledger.snapshot().delta_since(&before);
         assert_eq!(d.csum_bytes, 0, "NCache inherits instead of recomputing");
     }
 

@@ -25,6 +25,9 @@
 //! * [`target`] — the iSCSI storage server (disk image + PDU handling).
 //! * [`initiator`] — the iSCSI initiator, a [`simfs::BlockStore`] whose
 //!   NCache build hosts hook points 1 and 3 of the module.
+//! * [`host`] — what both daemons share on the application server: the
+//!   build, the file system, the module handle, fault recovery, admission
+//!   and the driver-boundary transmit hook.
 //! * [`nfs`] — the in-kernel NFS server (three builds) and a test client.
 //! * [`khttpd`] — the in-kernel static web server (three builds).
 //! * [`stack`] — Ethernet/IP/UDP/TCP framing helpers shared by everyone.
@@ -34,6 +37,7 @@
 
 pub mod control;
 pub mod hooks;
+pub mod host;
 pub mod initiator;
 pub mod khttpd;
 pub mod mode;
@@ -43,6 +47,7 @@ pub mod target;
 pub mod util;
 
 pub use control::{ControlConfig, ControlStats, RetryPolicy};
+pub use host::ServerHost;
 pub use initiator::IscsiInitiator;
 pub use khttpd::{HttpClient, KhttpdServer};
 pub use mode::ServerMode;

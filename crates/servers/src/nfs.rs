@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use ncache::{NcacheModule, NetCacheShards, Resolved};
+use ncache::{NetCacheShards, Resolved};
 use netbuf::key::{Fho, FileHandle, KeyStamp};
 use netbuf::{CopyLedger, NetBuf};
 use proto::nfs::{
@@ -25,7 +25,8 @@ use sim::LaneCounters;
 use simfs::fs::ResidentWalk;
 use simfs::{Filesystem, FsError, Ino};
 
-use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
+use crate::control::OpClass;
+use crate::host::ServerHost;
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
 use crate::util::{
@@ -108,29 +109,36 @@ type StatsCells = LaneCounters<10>;
 /// Construct with a mounted [`Filesystem`] over an [`IscsiInitiator`]
 /// (see the `testbed` crate for full wiring, or the integration tests for
 /// minimal examples).
+///
+/// Everything that is not NFS — the build, the file system, the module
+/// handle, fault recovery, the control plane, the transmit hook — is the
+/// [`ServerHost`] this derefs to.
 #[derive(Debug)]
 pub struct NfsServer {
-    mode: ServerMode,
-    fs: Filesystem<IscsiInitiator>,
-    module: Option<sim::Shared<NcacheModule>>,
-    ledger: CopyLedger,
+    host: ServerHost,
     stats: StatsCells,
     dirty_blocks_since_sync: u64,
-    recorder: obs::Recorder,
-    /// Fault recovery armed: the duplicate-request cache answers
-    /// retransmitted non-idempotent calls, and placeholder revalidation
-    /// verifies chunk integrity (invalidating corrupt entries).
-    fault_recovery: bool,
     /// Duplicate-request cache: recent (xid, complete reply bytes) for
-    /// WRITE/CREATE/REMOVE, newest at the back.
+    /// WRITE/CREATE/REMOVE, newest at the back. Consulted only with
+    /// fault recovery armed.
     drc: VecDeque<(u32, Vec<u8>)>,
-    /// Duplicate-request cache depth. Defaults to [`DRC_CAPACITY`];
-    /// [`NfsServer::enable_control`] re-sizes it from the admission bound
-    /// so an admitted burst can never push an unacknowledged reply out.
+    /// Duplicate-request cache depth without a bounding control plane
+    /// (`drc_depth`). Defaults to [`DRC_CAPACITY`].
     drc_capacity: usize,
-    /// The overload control plane, when installed (off by default — a
-    /// server without one behaves exactly as before).
-    control: Option<ControlPlane>,
+}
+
+impl std::ops::Deref for NfsServer {
+    type Target = ServerHost;
+
+    fn deref(&self) -> &ServerHost {
+        &self.host
+    }
+}
+
+impl std::ops::DerefMut for NfsServer {
+    fn deref_mut(&mut self) -> &mut ServerHost {
+        &mut self.host
+    }
 }
 
 /// Default duplicate-request cache depth — enough to cover any plausible
@@ -176,113 +184,35 @@ pub struct ReadHit<'a> {
 }
 
 impl NfsServer {
-    /// Creates a server in `mode` over `fs`. The module must be the same
-    /// one the file system's initiator uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode` is [`ServerMode::NCache`] but no module is given.
-    pub fn new(
-        mode: ServerMode,
-        fs: Filesystem<IscsiInitiator>,
-        module: Option<sim::Shared<NcacheModule>>,
-        ledger: &CopyLedger,
-    ) -> Self {
-        assert!(
-            mode != ServerMode::NCache || module.is_some(),
-            "NCache mode requires the NCache module"
-        );
+    /// The NFS daemon over `host`.
+    pub fn new(host: ServerHost) -> Self {
         NfsServer {
-            mode,
-            fs,
-            module,
-            ledger: ledger.clone(),
+            host,
             stats: StatsCells::default(),
             dirty_blocks_since_sync: 0,
-            recorder: obs::Recorder::new(),
-            fault_recovery: false,
             drc: VecDeque::new(),
             drc_capacity: DRC_CAPACITY,
-            control: None,
         }
     }
 
-    /// Installs the overload control plane. The duplicate-request cache
-    /// is re-sized from the admission bound (2 × `max_inflight`, floor
-    /// [`DRC_CAPACITY`]): with at most `max_inflight` admitted calls in
-    /// flight, a full burst of retransmissions cannot evict an entry
-    /// younger than the retransmit window.
-    pub fn enable_control(&mut self, cfg: ControlConfig) {
-        if cfg.max_inflight > 0 {
-            self.drc_capacity = DRC_CAPACITY.max(2 * cfg.max_inflight as usize);
-        }
-        self.control = Some(ControlPlane::new(cfg));
-    }
-
-    /// Reports the timing layer's load to the control plane: the next
-    /// request's sim arrival instant and the current in-flight depth.
-    /// No-op without an installed plane.
-    pub fn set_load(&mut self, now_ns: u64, inflight: u64) {
-        if let Some(cp) = &mut self.control {
-            cp.set_load(now_ns, inflight);
+    /// The duplicate-request cache depth in force. An installed control
+    /// plane that bounds the in-flight depth sizes it from that bound
+    /// (2 × `max_inflight`, floor [`DRC_CAPACITY`]): with at most
+    /// `max_inflight` admitted calls in flight, a full burst of
+    /// retransmissions cannot evict an entry younger than the retransmit
+    /// window. Derived here, where it is used, so that installing the plane
+    /// on the host ([`ServerHost::enable_control`]) is all it takes.
+    fn drc_depth(&self) -> usize {
+        match self.host.control_max_inflight() {
+            0 => self.drc_capacity,
+            bound => DRC_CAPACITY.max(2 * bound as usize),
         }
     }
 
-    /// The control plane's counters, when one is installed.
-    pub fn control_stats(&self) -> Option<ControlStats> {
-        self.control.as_ref().map(|cp| cp.stats())
-    }
-
-    /// Total control-plane rejections so far (0 without a plane) — the
-    /// timing rigs diff this across a request to detect a rejection.
-    pub fn control_rejections(&self) -> u64 {
-        self.control.as_ref().map_or(0, |cp| cp.stats().rejected)
-    }
-
-    /// Overrides the duplicate-request cache depth (tests only; the
-    /// control plane sizes it via [`NfsServer::enable_control`]).
+    /// Overrides the duplicate-request cache depth (tests only; an
+    /// installed control plane's in-flight bound takes precedence).
     pub fn set_drc_capacity(&mut self, capacity: usize) {
         self.drc_capacity = capacity.max(1);
-    }
-
-    /// Samples the backpressure signal from the layers below: the
-    /// buffer cache's dirty ratio and the NCache's pinned occupancy.
-    fn pressure(&self) -> Pressure {
-        let ncache_permille = self.module.as_ref().map_or(0, |m| {
-            let m = m.borrow();
-            let cap = m.config().capacity_bytes.max(1);
-            ((m.pinned_bytes().saturating_mul(1000)) / cap).min(1000) as u32
-        });
-        Pressure {
-            dirty_permille: self.fs.cache_dirty_permille(),
-            ncache_permille,
-        }
-    }
-
-    /// Arms fault recovery: retransmitted WRITE/CREATE/REMOVE calls are
-    /// answered from the duplicate-request cache (never re-executed), and
-    /// placeholder revalidation verifies stored chunk checksums,
-    /// invalidating corrupt entries so reads degrade to the copying path
-    /// instead of shipping a poisoned chunk.
-    pub fn set_fault_recovery(&mut self, on: bool) {
-        self.fault_recovery = on;
-    }
-
-    /// Wires a trace recorder through the server-side stack: per-request
-    /// spans here, plus the file system, its initiator, and the NCache
-    /// module when present.
-    pub fn set_recorder(&mut self, rec: obs::Recorder) {
-        self.fs.set_recorder(rec.clone());
-        self.fs.store_mut().set_recorder(rec.clone());
-        if let Some(module) = &self.module {
-            module.borrow_mut().set_recorder(rec.clone());
-        }
-        self.recorder = rec;
-    }
-
-    /// The build this server runs.
-    pub fn mode(&self) -> ServerMode {
-        self.mode
     }
 
     /// Counter snapshot.
@@ -300,16 +230,6 @@ impl NfsServer {
             drc_inserts: t[DRC_INSERTS],
             drc_evictions: t[DRC_EVICTIONS],
         }
-    }
-
-    /// The file system (for test setup: creating files, syncing).
-    pub fn fs_mut(&mut self) -> &mut Filesystem<IscsiInitiator> {
-        &mut self.fs
-    }
-
-    /// The NCache module, when running that build.
-    pub fn module(&self) -> Option<sim::Shared<NcacheModule>> {
-        self.module.clone()
     }
 
     /// The file handle of the export root.
@@ -354,27 +274,27 @@ impl NfsServer {
             }
             let span = self
                 .recorder
-                .begin_span("malformed", self.mode.label(), req_bytes);
+                .begin_span("malformed", self.host.mode.label(), req_bytes);
             self.stats.add(ERRORS, 1);
-            let mut r = NetBuf::new(&self.ledger);
+            let mut r = NetBuf::new(&self.host.ledger);
             r.push_header(&NFSERR_IO.to_be_bytes());
             r.push_header(&RpcReply::new(0).encode_array());
-            self.recorder.end_span(span);
+            self.host.recorder.end_span(span);
             return (r, None);
         };
         let span = self
             .recorder
-            .begin_span(proc_name(call.proc), self.mode.label(), req_bytes);
+            .begin_span(proc_name(call.proc), self.host.mode.label(), req_bytes);
         // Duplicate-request cache: a retransmission of a non-idempotent
         // call (the client timed out on a lost reply) is answered with the
         // original reply bytes, never re-executed.
-        if self.fault_recovery && non_idempotent(call.proc) {
+        if self.host.fault_recovery && non_idempotent(call.proc) {
             if let Some((_, bytes)) = self.drc.iter().find(|(xid, _)| *xid == call.xid) {
                 self.stats.add(DRC_HITS, 1);
-                let mut r = NetBuf::new(&self.ledger);
+                let mut r = NetBuf::new(&self.host.ledger);
                 r.push_header(bytes);
-                self.recorder.add_counter("fault.drc_hits", 1);
-                self.recorder.end_span(span);
+                self.host.recorder.add_counter("fault.drc_hits", 1);
+                self.host.recorder.end_span(span);
                 return (r, None);
             }
         }
@@ -382,19 +302,11 @@ impl NfsServer {
         // reply costs nothing to resend) but before any execution. A
         // rejected call has no side effects and is never cached, so a
         // later retransmission of the same xid re-decides admission.
-        // (The plane is taken out and restored around the decision so
-        // `pressure` can borrow `self` freely.)
-        if let Some(mut cp) = self.control.take() {
-            let pressure = self.pressure();
-            let decision = cp.decide(op_class(call.proc), &pressure);
-            self.control = Some(cp);
-            if let Decision::RetryLater { after_ns } = decision {
-                self.recorder.add_counter("control.rejected", 1);
-                let mut r = self.retry_later_reply(call.proc, after_ns);
-                r.push_header(&RpcReply::new(call.xid).encode_array());
-                self.recorder.end_span(span);
-                return (r, None);
-            }
+        if let Some(after_ns) = self.host.admit(op_class(call.proc)) {
+            let mut r = self.retry_later_reply(call.proc, after_ns);
+            r.push_header(&RpcReply::new(call.xid).encode_array());
+            self.host.recorder.end_span(span);
+            return (r, None);
         }
         let mut resolved = None;
         let mut reply = match call.proc {
@@ -411,33 +323,32 @@ impl NfsServer {
             nfs::proc::READDIR => self.do_readdir(&mut req),
             _ => {
                 self.stats.add(ERRORS, 1);
-                let mut r = NetBuf::new(&self.ledger);
+                let mut r = NetBuf::new(&self.host.ledger);
                 r.push_header(&NFSERR_IO.to_be_bytes());
                 r
             }
         };
         reply.push_header(&RpcReply::new(call.xid).encode_array());
-        if self.fault_recovery && non_idempotent(call.proc) {
+        if self.host.fault_recovery && non_idempotent(call.proc) {
             // WRITE/CREATE/REMOVE replies are header-only, so the header
             // region is the complete reply.
             debug_assert_eq!(reply.payload_len(), 0);
-            if self.drc.len() >= self.drc_capacity {
+            if self.drc.len() >= self.drc_depth() {
                 self.drc.pop_front();
                 self.stats.add(DRC_EVICTIONS, 1);
-                self.recorder.add_counter("nfs.drc_evictions", 1);
+                self.host.recorder.add_counter("nfs.drc_evictions", 1);
             }
             self.drc.push_back((call.xid, reply.header().to_vec()));
             self.stats.add(DRC_INSERTS, 1);
         }
         // Driver-boundary hook: substitution happens after the whole stack
-        // has built the packet.
-        if !defer_transmit {
-            if let Some(module) = &self.module {
-                module.borrow_mut().on_transmit(&mut reply, resolved.take());
-            }
+        // has built the packet (by the caller, when deferred).
+        if defer_transmit {
+            self.host.drain_writebacks();
+        } else {
+            self.host.transmit(&mut reply, resolved.take());
         }
-        self.drain_writebacks();
-        self.recorder.end_span(span);
+        self.host.recorder.end_span(span);
         (reply, resolved)
     }
 
@@ -447,11 +358,11 @@ impl NfsServer {
         let Some(args) = CreateArgs::decode(&body).ok() else {
             return self.garbage_reply();
         };
-        let mut r = NetBuf::new(&self.ledger);
+        let mut r = NetBuf::new(&self.host.ledger);
         match self
             .fs
             .create(fh_to_ino(args.dir_fh), &args.name)
-            .and_then(|ino| self.fs.getattr(ino).map(|inode| (ino, inode)))
+            .and_then(|ino| self.host.fs.getattr(ino).map(|inode| (ino, inode)))
         {
             Ok((ino, inode)) => {
                 let fh = ino_to_fh(ino);
@@ -484,17 +395,17 @@ impl NfsServer {
         let Some(args) = LookupArgs::decode(&body).ok() else {
             return self.garbage_reply();
         };
-        let mut r = NetBuf::new(&self.ledger);
+        let mut r = NetBuf::new(&self.host.ledger);
         // Under NCache, drop the file's cache chunks first: a dirty FHO
         // chunk belonging to a removed file would otherwise stay pinned
         // forever (it is unevictable until remapped, and no flush will
         // ever remap it once the file is gone).
-        if self.module.is_some() {
-            if let Ok(ino) = self.fs.lookup(fh_to_ino(args.dir_fh), &args.name) {
+        if self.host.module.is_some() {
+            if let Ok(ino) = self.host.fs.lookup(fh_to_ino(args.dir_fh), &args.name) {
                 self.invalidate_file_chunks(ino);
             }
         }
-        let status = match self.fs.remove(fh_to_ino(args.dir_fh), &args.name) {
+        let status = match self.host.fs.remove(fh_to_ino(args.dir_fh), &args.name) {
             Ok(()) => NFS_OK,
             Err(e) => {
                 self.stats.add(ERRORS, 1);
@@ -508,17 +419,17 @@ impl NfsServer {
     /// Invalidates every network-centric cache chunk reachable from the
     /// file's cached placeholder stamps.
     fn invalidate_file_chunks(&mut self, ino: Ino) {
-        let Some(module) = self.module.clone() else {
+        let Some(module) = self.host.module.clone() else {
             return;
         };
-        let Ok(inode) = self.fs.getattr(ino) else {
+        let Ok(inode) = self.host.fs.getattr(ino) else {
             return;
         };
         let size = inode.size as usize;
         if size == 0 {
             return;
         }
-        if let Ok(blocks) = self.fs.read_logical(ino, 0, size) {
+        if let Ok(blocks) = self.host.fs.read_logical(ino, 0, size) {
             let mut m = module.borrow_mut();
             for b in &blocks {
                 if let Some(stamp) = KeyStamp::decode(b.seg.as_slice()) {
@@ -540,8 +451,8 @@ impl NfsServer {
         else {
             return self.garbage_reply();
         };
-        let mut r = NetBuf::new(&self.ledger);
-        match self.fs.readdir(fh_to_ino(args.fh)) {
+        let mut r = NetBuf::new(&self.host.ledger);
+        match self.host.fs.readdir(fh_to_ino(args.fh)) {
             Ok(all) => {
                 // Page the listing: skip `cookie` entries, fill up to
                 // roughly `count` reply bytes.
@@ -594,10 +505,10 @@ impl NfsServer {
         count: usize,
         req: &mut NetBuf,
     ) -> Result<(), FsError> {
-        let module = self.module.clone().expect("NCache build");
+        let module = self.host.module.clone().expect("NCache build");
         let aligned_start = offset - offset % BLOCK as u64;
         let aligned_end = (offset + count as u64).div_ceil(BLOCK as u64) * BLOCK as u64;
-        let size = self.fs.getattr(ino)?.size;
+        let size = self.host.fs.getattr(ino)?.size;
         let covered = (aligned_end.min(size.max(offset + count as u64)) - aligned_start) as usize;
         let mut merged = if aligned_start < size {
             self.materialize_range(ino, aligned_start, covered.min((size - aligned_start) as usize))?
@@ -619,20 +530,20 @@ impl NfsServer {
                 Err(_) => {
                     // Cache full: last resort, write the merged bytes
                     // physically and invalidate any stale chunks.
-                    return self.fs.write(ino, aligned_start, &merged);
+                    return self.host.fs.write(ino, aligned_start, &merged);
                 }
             }
         }
-        self.fs
+        self.host.fs
             .write_logical(ino, aligned_start, merged.len(), &stamps)?;
         // The logical span may extend the file past the true end; restore
         // the correct size if the write did not actually grow it.
         let true_end = (offset + count as u64).max(size);
-        if self.fs.getattr(ino)?.size != true_end {
+        if self.host.fs.getattr(ino)?.size != true_end {
             // write_logical only ever grows to aligned_end; shrink is not
             // supported, so only the grow case needs correction — and
             // aligned_end >= true_end always holds. Record the honest size.
-            self.fs.set_size(ino, true_end)?;
+            self.host.fs.set_size(ino, true_end)?;
         }
         Ok(())
     }
@@ -650,11 +561,11 @@ impl NfsServer {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, FsError> {
-        let module = self.module.clone().expect("NCache build");
+        let module = self.host.module.clone().expect("NCache build");
         let aligned_start = offset - offset % BLOCK as u64;
         let span = (offset + len as u64 - aligned_start) as usize;
         for _attempt in 0..3 {
-            let blocks = self.fs.read_logical(ino, aligned_start, span)?;
+            let blocks = self.host.fs.read_logical(ino, aligned_start, span)?;
             let mut out = Vec::with_capacity(span);
             let mut dangling = false;
             {
@@ -690,12 +601,12 @@ impl NfsServer {
                 // re-populates the network-centric cache.
                 for b in &blocks {
                     if let Some(l) = b.lbn {
-                        self.fs.discard_cached(l);
+                        self.host.fs.discard_cached(l);
                     }
                 }
                 continue;
             }
-            self.ledger.charge_payload_copy(len as u64);
+            self.host.ledger.charge_payload_copy(len as u64);
             let skip = (offset - aligned_start) as usize;
             let end = (skip + len).min(out.len());
             return Ok(out[skip.min(out.len())..end].to_vec());
@@ -706,7 +617,7 @@ impl NfsServer {
     /// Error reply for requests whose body fails to parse.
     fn garbage_reply(&mut self) -> NetBuf {
         self.stats.add(ERRORS, 1);
-        let mut r = NetBuf::new(&self.ledger);
+        let mut r = NetBuf::new(&self.host.ledger);
         r.push_header(&NFSERR_IO.to_be_bytes());
         r
     }
@@ -718,7 +629,7 @@ impl NfsServer {
     /// `after_ns` is advisory — the client's [`crate::control::RetryPolicy`]
     /// owns the actual backoff schedule.
     fn retry_later_reply(&mut self, proc: u32, _after_ns: u64) -> NetBuf {
-        let mut r = NetBuf::new(&self.ledger);
+        let mut r = NetBuf::new(&self.host.ledger);
         match proc {
             nfs::proc::WRITE => r.push_header(
                 &WriteReply {
@@ -759,15 +670,6 @@ impl NfsServer {
         r
     }
 
-    fn drain_writebacks(&mut self) {
-        // Dirty chunks displaced from the network-centric cache go back to
-        // storage through the initiator.
-        if self.module.is_some() {
-            // Split borrow: the initiator lives inside the file system.
-            self.fs.store_mut().drain_module_writebacks();
-        }
-    }
-
     fn do_getattr(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.add(METADATA_OPS, 1);
         let Some(args) = take_array::<{ GetattrArgs::LEN }>(req)
@@ -775,8 +677,8 @@ impl NfsServer {
         else {
             return self.garbage_reply();
         };
-        let mut r = NetBuf::new(&self.ledger);
-        match self.fs.getattr(fh_to_ino(args.fh)) {
+        let mut r = NetBuf::new(&self.host.ledger);
+        match self.host.fs.getattr(fh_to_ino(args.fh)) {
             Ok(inode) => r.push_header(
                 &GetattrReply {
                     status: NFS_OK,
@@ -798,11 +700,11 @@ impl NfsServer {
         let Some(args) = LookupArgs::decode(&body).ok() else {
             return self.garbage_reply();
         };
-        let mut r = NetBuf::new(&self.ledger);
+        let mut r = NetBuf::new(&self.host.ledger);
         match self
             .fs
             .lookup(fh_to_ino(args.dir_fh), &args.name)
-            .and_then(|ino| self.fs.getattr(ino).map(|inode| (ino, inode)))
+            .and_then(|ino| self.host.fs.getattr(ino).map(|inode| (ino, inode)))
         {
             Ok((ino, inode)) => {
                 let fh = ino_to_fh(ino);
@@ -839,10 +741,10 @@ impl NfsServer {
         let ino = fh_to_ino(args.fh);
         let offset = u64::from(args.offset);
         let count = args.count as usize;
-        let mut reply = NetBuf::new(&self.ledger);
+        let mut reply = NetBuf::new(&self.host.ledger);
         let mut resolved = None;
 
-        let outcome: Result<(usize, Fattr), FsError> = match self.mode {
+        let outcome: Result<(usize, Fattr), FsError> = match self.host.mode {
             ServerMode::Original => self.read_copying(&mut reply, args.fh, offset, count),
             ServerMode::NCache | ServerMode::Baseline => {
                 // Logical copy: attach the (placeholder) cache blocks by
@@ -857,14 +759,14 @@ impl NfsServer {
                     // Not a pure hit, or fault recovery wants every key
                     // verified first: the miss-capable read, block by
                     // block, then resolve what came back.
-                    self.fs.read_logical_per_block(ino, offset, count).and_then(|blocks| {
-                        let recovery = self.fault_recovery;
-                        match resolve_fetched(&self.module, recovery, &self.recorder, &blocks) {
+                    self.host.fs.read_logical_per_block(ino, offset, count).and_then(|blocks| {
+                        let recovery = self.host.fault_recovery;
+                        match resolve_fetched(&self.host.module, recovery, &self.host.recorder, &blocks) {
                             Ok(resolution) => {
                                 resolved = resolution;
                                 let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
                                 let n = attach_blocks(&mut reply, attach);
-                                let attrs = self.fs.getattr(ino).expect("read target exists");
+                                let attrs = self.host.fs.getattr(ino).expect("read target exists");
                                 Ok((n, fattr_of(args.fh, &attrs)))
                             }
                             Err(_) => {
@@ -873,18 +775,18 @@ impl NfsServer {
                                 // and serve this request on the copying path.
                                 for b in &blocks {
                                     if let Some(l) = b.lbn {
-                                        self.fs.discard_cached(l);
+                                        self.host.fs.discard_cached(l);
                                     }
                                 }
                                 self.read_copying(&mut reply, args.fh, offset, count)
                             }
                         }
                     })
-                } else if self.mode == ServerMode::NCache {
+                } else if self.host.mode == ServerMode::NCache {
                     // Unaligned reads cannot ride the key-moving path (a
                     // partial-block slice loses its stamp): materialize the
                     // real bytes from the network-centric cache.
-                    self.fs.getattr(ino).and_then(|attrs| {
+                    self.host.fs.getattr(ino).and_then(|attrs| {
                         let avail = attrs.size.saturating_sub(offset) as usize;
                         let want = count.min(avail);
                         self.materialize_range(ino, offset, want).map(|data| {
@@ -914,7 +816,7 @@ impl NfsServer {
             }
             Err(e) => {
                 self.stats.add(ERRORS, 1);
-                let mut r = NetBuf::new(&self.ledger);
+                let mut r = NetBuf::new(&self.host.ledger);
                 r.push_header(
                     &ReadReplyHeader {
                         status: status_of(e),
@@ -940,10 +842,10 @@ impl NfsServer {
     ) -> Result<(usize, Fattr), FsError> {
         let ino = fh_to_ino(fh);
         let mut buf = vec![0u8; count];
-        let n = self.fs.read(ino, offset, &mut buf)?;
+        let n = self.host.fs.read(ino, offset, &mut buf)?;
         buf.truncate(n);
         reply.append_vec(buf);
-        let attrs = self.fs.getattr(ino).expect("read target exists");
+        let attrs = self.host.fs.getattr(ino).expect("read target exists");
         Ok((n, fattr_of(fh, &attrs)))
     }
 
@@ -967,15 +869,15 @@ impl NfsServer {
         count: usize,
     ) -> Option<ReadHit<'_>> {
         // Fault recovery verifies chunk checksums key by key first.
-        let logical = self.mode != ServerMode::Original && offset.is_multiple_of(BLOCK as u64);
-        if self.fault_recovery || !logical {
+        let logical = self.host.mode != ServerMode::Original && offset.is_multiple_of(BLOCK as u64);
+        if self.host.fault_recovery || !logical {
             return None;
         }
-        let walk = self.fs.walk_resident(fh_to_ino(fh), offset, count)?;
+        let walk = self.host.fs.walk_resident(fh_to_ino(fh), offset, count)?;
         let blocks = walk.blocks().map(|b| (b.seg, b.len));
         let resolved = match lane_cache {
-            Some(cache) => resolve(Some(cache), &self.recorder, blocks),
-            None => with_resolver(&self.module, |cache| resolve(cache, &self.recorder, blocks)),
+            Some(cache) => resolve(Some(cache), &self.host.recorder, blocks),
+            None => with_resolver(&self.host.module, |cache| resolve(cache, &self.host.recorder, blocks)),
         };
         Some(ReadHit {
             walk,
@@ -995,7 +897,7 @@ impl NfsServer {
         fh: u64,
     ) -> (usize, Fattr, Option<Resolved>) {
         let ReadHit { walk, resolved } = hit;
-        walk.commit(|_| self.fs.ledger().charge_logical_copy());
+        walk.commit(|_| self.host.fs.ledger().charge_logical_copy());
         let n = attach_blocks(reply, walk.blocks().map(|b| (b.seg, b.len)));
         (n, fattr_of(fh, walk.getattr()), resolved)
     }
@@ -1023,12 +925,12 @@ impl NfsServer {
             .expect("fast path requires a well-formed call");
         let span = self
             .recorder
-            .begin_span(proc_name(call.proc), self.mode.label(), req_bytes);
+            .begin_span(proc_name(call.proc), self.host.mode.label(), req_bytes);
         counts.add(READS, 1);
         let args = take_array::<{ ReadArgs::LEN }>(&mut req)
             .and_then(|b| ReadArgs::decode(&b).ok())
             .expect("fast path requires well-formed READ args");
-        let mut reply = NetBuf::new(&self.ledger);
+        let mut reply = NetBuf::new(&self.host.ledger);
         let (n, attrs, resolved) = self.finish_read(hit, &mut reply, args.fh);
         counts.add(BYTES_READ, n as u64);
         reply.push_header(
@@ -1040,7 +942,7 @@ impl NfsServer {
             .encode_array(),
         );
         reply.push_header(&RpcReply::new(call.xid).encode_array());
-        self.recorder.end_span(span);
+        self.host.recorder.end_span(span);
         (reply, resolved)
     }
 
@@ -1055,12 +957,12 @@ impl NfsServer {
         let offset = u64::from(hdr.offset);
         let count = (hdr.count as usize).min(req.payload_len());
 
-        let outcome: Result<(), FsError> = match self.mode {
+        let outcome: Result<(), FsError> = match self.host.mode {
             ServerMode::Original => {
                 // One copy: network stack → buffer cache. (Extraction via
                 // `peek` is free; the file system charges the copy.)
                 let data = req.peek(0, count);
-                self.fs.write(ino, offset, &data)
+                self.host.fs.write(ino, offset, &data)
             }
             ServerMode::NCache => {
                 let aligned = offset % BLOCK as u64 == 0;
@@ -1071,20 +973,8 @@ impl NfsServer {
                     // insertion — the write serves through the copying
                     // path (charged normally) without displacing cache
                     // state (DESIGN.md §15).
-                    // (The plane is taken out and restored around the
-                    // decision so `pressure` can borrow `self` freely.)
-                    let bypass = if let Some(mut cp) = self.control.take() {
-                        let p = self.pressure();
-                        let hit = cp.bypass_insert(&p);
-                        self.control = Some(cp);
-                        if hit {
-                            self.recorder.add_counter("control.insert_bypass", 1);
-                        }
-                        hit
-                    } else {
-                        false
-                    };
-                    let module = self.module.clone().expect("NCache mode has a module");
+                    let bypass = self.host.bypass_insert();
+                    let module = self.host.module.clone().expect("NCache mode has a module");
                     let segs = req.take_payload();
                     let groups = split_segments(&segs, BLOCK);
                     let mut stamps = Vec::with_capacity(groups.len());
@@ -1104,7 +994,7 @@ impl NfsServer {
                         }
                     }
                     if admitted {
-                        self.fs.write_logical(ino, offset, count, &stamps)
+                        self.host.fs.write_logical(ino, offset, count, &stamps)
                     } else {
                         // Cache full: fall back to the copying path. The
                         // wire segments are still held by `segs`.
@@ -1113,7 +1003,7 @@ impl NfsServer {
                             data.extend_from_slice(seg.as_slice());
                         }
                         data.truncate(count);
-                        self.fs.write(ino, offset, &data)
+                        self.host.fs.write(ino, offset, &data)
                     }
                 } else {
                     // Unaligned write: merge into the real block contents
@@ -1127,7 +1017,7 @@ impl NfsServer {
                 // Copies removed outright: junk blocks, metadata updated.
                 let blocks = count.div_ceil(BLOCK);
                 let stamps = vec![KeyStamp::new(); blocks];
-                self.fs.write_logical(ino, offset, count, &stamps)
+                self.host.fs.write_logical(ino, offset, count, &stamps)
             }
         };
 
@@ -1135,11 +1025,11 @@ impl NfsServer {
         if self.dirty_blocks_since_sync >= DIRTY_FLUSH_THRESHOLD {
             // Write-behind: flush a batch of the oldest dirty blocks,
             // spreading flush work across requests as bdflush does.
-            self.fs.sync_some(64).expect("sync");
-            self.dirty_blocks_since_sync = self.fs.dirty_blocks() as u64;
+            self.host.fs.sync_some(64).expect("sync");
+            self.dirty_blocks_since_sync = self.host.fs.dirty_blocks() as u64;
         }
-        let mut r = NetBuf::new(&self.ledger);
-        match outcome.and_then(|()| self.fs.getattr(ino)) {
+        let mut r = NetBuf::new(&self.host.ledger);
+        match outcome.and_then(|()| self.host.fs.getattr(ino)) {
             Ok(inode) => {
                 self.stats.add(BYTES_WRITTEN, count as u64);
                 r.push_header(
@@ -1536,7 +1426,7 @@ mod tests {
             crate::initiator::IscsiInitiator::new(target, &app, mode, module.clone());
         let fs = Filesystem::mkfs(initiator, FsParams::default(), &app).expect("mkfs");
         (
-            NfsServer::new(mode, fs, module, &app),
+            NfsServer::new(ServerHost::new(mode, fs, module, &app)),
             NfsClient::new(&client),
         )
     }

@@ -24,8 +24,8 @@
 //! Epoch stamps start at `1 << 32`, far above anything the global
 //! fetch-add clock reaches in a run, so windowed and plain stamps never
 //! collide; after a parallel phase the engine advances the global clock
-//! past the largest issued stamp (`SeqSource::advance_past`, reachable as
-//! `NcacheModule::advance_clock_past`) so subsequent sequential accesses
+//! past the largest issued stamp (`NcacheModule::advance_clock_past`,
+//! `Filesystem::advance_cache_seq_past`) so subsequent sequential accesses
 //! still sort as most recent.
 //!
 //! The module also keeps a thread-local **ops tally**: the cache bumps it
@@ -75,7 +75,7 @@ pub fn stamp_base(epoch: u64, tie: u64) -> u64 {
 /// shuffle which lane wins ties.
 pub fn tie_ranks(seed: u64, lanes: usize) -> Vec<u64> {
     let mut order: Vec<usize> = (0..lanes).collect();
-    order.sort_unstable_by_key(|&lane| (sim::mix64(seed ^ lane as u64), lane));
+    order.sort_unstable_by_key(|&lane| (crate::mix64(seed ^ lane as u64), lane));
     let mut ranks = vec![0u64; lanes];
     for (rank, lane) in order.into_iter().enumerate() {
         ranks[lane] = rank as u64;
@@ -118,7 +118,8 @@ impl Drop for WindowGuard {
 /// Reserves the next `n` consecutive stamps of the current thread's epoch
 /// window and returns the first, or `None` when no window is active (the
 /// sequential case).
-pub(crate) fn window_stamps(n: u64) -> Option<u64> {
+#[inline]
+pub fn window_stamps(n: u64) -> Option<u64> {
     reserve(&CURSOR, n).map(|(base, k)| base + k)
 }
 
@@ -129,12 +130,14 @@ pub(crate) fn window_stamps(n: u64) -> Option<u64> {
 /// stamps inside a lane window are schedule-invariant too — without
 /// perturbing the NCache cursor or the ops tally the parallel engine
 /// reconciles against sequential counts.
+#[inline]
 pub fn window_fs_stamps(n: u64) -> Option<u64> {
     reserve(&FS_CURSOR, n).map(|(base, k)| base + FS_CURSOR_BASE + k)
 }
 
 /// Advances `cursor` by `n` inside the active window: `(window base, the
 /// cursor's old value)`.
+#[inline]
 fn reserve(cursor: &'static std::thread::LocalKey<Cell<u64>>, n: u64) -> Option<(u64, u64)> {
     WINDOW.with(Cell::get).map(|base| {
         let k = cursor.with(|c| c.replace(c.get() + n));
@@ -144,12 +147,14 @@ fn reserve(cursor: &'static std::thread::LocalKey<Cell<u64>>, n: u64) -> Option<
 }
 
 /// Counts one cache management operation on the current thread's tally.
-pub(crate) fn bump_tally() {
+#[inline]
+pub fn bump_tally() {
     TALLY.with(|t| t.set(t.get() + 1));
 }
 
 /// Drains the current thread's ops tally: returns the operations counted
 /// since the last take and resets it to zero.
+#[inline]
 pub fn take_tally() -> u64 {
     TALLY.with(|t| t.replace(0))
 }

@@ -20,6 +20,11 @@
 //!   `max(t, next_free) + d`. This is an exact simulation of a
 //!   work-conserving FIFO server and is what shapes the throughput and
 //!   utilization curves of Figures 4-7.
+//! * Two small pieces of cache *policy* live here because both caches use
+//!   them and neither may depend on the other (Table 1: the buffer cache
+//!   is untouched by NCache): the lane-parallel engine's epoch recency
+//!   stamps and per-thread op tally ([`epoch`]) and the ghost LRU tail
+//!   ([`ghost`]). Neither knows about packets or blocks.
 //!
 //! # Examples
 //!
@@ -39,7 +44,9 @@
 
 pub mod costs;
 pub mod engine;
+pub mod epoch;
 pub mod fault;
+pub mod ghost;
 pub mod hash;
 pub mod resource;
 pub mod rng;
@@ -50,6 +57,7 @@ pub mod time;
 pub use costs::CostModel;
 pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
+pub use ghost::{GhostLru, GhostStats};
 pub use hash::{mix64, MixMap};
 pub use resource::Resource;
 pub use rng::SplitMix64;

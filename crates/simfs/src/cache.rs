@@ -210,7 +210,7 @@ pub struct BufferCache {
     /// Ghost tail of recently evicted LBNs, keyed by the raw block
     /// number (the FS cache has a single key space). Pure observer: it
     /// draws no stamps, bumps no tallies, and never changes a victim.
-    ghost: Option<std::sync::Mutex<ncache::GhostLru>>,
+    ghost: Option<std::sync::Mutex<sim::GhostLru>>,
 }
 
 impl Clone for BufferCache {
@@ -254,7 +254,7 @@ impl BufferCache {
     /// stamp blocks schedule-invariantly; outside any window it is the
     /// plain fetch-add counter, byte-identical to the pre-adaptive build.
     fn draw_seqs(&self, n: u64) -> u64 {
-        ncache::epoch::window_fs_stamps(n)
+        sim::epoch::window_fs_stamps(n)
             .unwrap_or_else(|| self.next_seq.fetch_add(n, Ordering::Relaxed))
     }
 
@@ -268,11 +268,11 @@ impl BufferCache {
 
     /// Attaches a ghost LRU tail bounded at `cap` evicted block numbers.
     pub fn enable_ghost(&mut self, cap: usize) {
-        self.ghost = Some(std::sync::Mutex::new(ncache::GhostLru::new(cap)));
+        self.ghost = Some(std::sync::Mutex::new(sim::GhostLru::new(cap)));
     }
 
     /// Counters of the ghost tail, or `None` when none is attached.
-    pub fn ghost_stats(&self) -> Option<ncache::GhostStats> {
+    pub fn ghost_stats(&self) -> Option<sim::GhostStats> {
         self.ghost
             .as_ref()
             .map(|g| g.lock().expect("ghost poisoned").stats())

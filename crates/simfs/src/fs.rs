@@ -432,7 +432,7 @@ impl<S: BlockStore> Filesystem<S> {
 
     /// Counters of the buffer cache's ghost tail, or `None` when none is
     /// attached.
-    pub fn cache_ghost_stats(&self) -> Option<ncache::GhostStats> {
+    pub fn cache_ghost_stats(&self) -> Option<sim::GhostStats> {
         self.cache.ghost_stats()
     }
 

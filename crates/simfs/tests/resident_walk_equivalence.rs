@@ -89,7 +89,7 @@ impl Side {
 /// cache's plain counter — and bare otherwise.
 fn in_window<T>(windowed: bool, k: usize, f: impl FnOnce() -> T) -> T {
     let _window =
-        windowed.then(|| ncache::epoch::enter_window(ncache::epoch::stamp_base(k as u64, 3)));
+        windowed.then(|| sim::epoch::enter_window(sim::epoch::stamp_base(k as u64, 3)));
     f()
 }
 
@@ -164,7 +164,7 @@ property! {
         // The stamps landed identically: under pressure both caches give
         // up the same block, eviction after eviction.
         if windowed {
-            let past = ncache::epoch::stamp_base(reads.len() as u64, 0);
+            let past = sim::epoch::stamp_base(reads.len() as u64, 0);
             subject.fs.advance_cache_seq_past(past);
             reference.fs.advance_cache_seq_past(past);
         }

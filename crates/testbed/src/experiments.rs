@@ -16,6 +16,7 @@ use workload::{FileId, NfsOp};
 use crate::executor::{self, run_cells};
 use crate::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use crate::nfs_rig::{FaultCounters, NfsRig, NfsRigParams};
+use crate::rig::{App, Rig};
 use crate::runner::{run, DriverOp, RigDriver, RunOptions};
 use crate::sessions::{run_nfs_sessions, run_nfs_sessions_parallel, SessionsOptions};
 
@@ -120,13 +121,7 @@ fn nfs_params_for(scale_bytes: u64, read_ahead_blocks: u64) -> NfsRigParams {
     }
 }
 
-fn attach_nfs(rig: &mut NfsRig, rec: Option<&obs::Recorder>) {
-    if let Some(rec) = rec {
-        rig.set_recorder(rec.clone());
-    }
-}
-
-fn attach_web(rig: &mut KhttpdRig, rec: Option<&obs::Recorder>) {
+fn attach<A: App>(rig: &mut Rig<A>, rec: Option<&obs::Recorder>) {
     if let Some(rec) = rec {
         rig.set_recorder(rec.clone());
     }
@@ -178,7 +173,7 @@ pub fn fig4_with(
         let params = nfs_params_for(scale.allmiss_file, u64::from(req / 4096));
         let cell_rec = cell_recorder(rec);
         let mut rig = NfsRig::new(mode, params);
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let fh = rig.create_sparse_file("bigfile", scale.allmiss_file);
         // "The number of NFS server daemons was also adjusted to reach
         // the best performance" (§5.4): the all-miss pipeline needs
@@ -236,7 +231,7 @@ pub fn fig5_with(
         let params = nfs_params_for(scale.allhit_file * 4, u64::from(req / 4096));
         let cell_rec = cell_recorder(rec);
         let mut rig = NfsRig::new(mode, params);
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let fh = rig.create_file("hotfile", scale.allhit_file);
         // Warm pass (functional only, untimed).
         for op in seq_ops(fh, scale.allhit_file, req) {
@@ -317,7 +312,7 @@ pub fn fig6a_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) ->
         let (mode, ws) = cells[i];
         let cell_rec = cell_recorder(rec);
         let mut rig = KhttpdRig::new(mode, khttpd_params(ws, scale.web_cache_bytes, mode));
-        attach_web(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let set = PageSet::with_working_set(ws);
         for (name, size) in set.pages() {
             rig.server_mut()
@@ -377,7 +372,7 @@ pub fn fig6b_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) ->
             mode,
             khttpd_params(scale.allhit_file * 4, scale.allhit_file * 4, mode),
         );
-        attach_web(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         for p in 0..pages {
             rig.publish_sparse(&format!("page{p}"), u64::from(req));
         }
@@ -442,7 +437,7 @@ pub fn fig7_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) -> 
             };
             let cell_rec = cell_recorder(rec);
             let mut rig = NfsRig::new(mode, params);
-            attach_nfs(&mut rig, cell_rec.as_ref());
+            attach(&mut rig, cell_rec.as_ref());
             let mut fhs = Vec::new();
             let mut names = Vec::new();
             for i in 0..scale.specsfs_files {
@@ -510,7 +505,7 @@ fn to_driver_op(op: NfsOp, fhs: &[u64], names: &[String]) -> DriverOp {
     }
 }
 
-/// Loss rates swept by [`fault_sweep`]: the fraction of PDUs lost per
+/// Loss rates swept by [`fault_sweep_with`]: the fraction of PDUs lost per
 /// link, 0 → 10 %.
 pub const FAULT_SWEEP_LOSS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 
@@ -520,14 +515,9 @@ pub const FAULT_SWEEP_LOSS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 /// the headline invariants in-line: completed reads return the expected
 /// bytes (never stale, never junk), acknowledged writes are visible, and
 /// a zero fault spec produces zero recovery actions. Returns
-/// `(requests completed %, recovery actions per request)` tables.
-pub fn fault_sweep(spec: &FaultSpec, seed: u64) -> (SeriesTable, SeriesTable) {
-    fault_sweep_with(spec, seed, None, executor::thread_count(None))
-}
-
-/// [`fault_sweep`] on an explicit worker count; one cell per `(mode,
-/// loss rate)`, each seeded via `derive_seed` so results are identical at
-/// any thread count.
+/// `(requests completed %, recovery actions per request)` tables. One cell
+/// per `(mode, loss rate)`, each seeded via `derive_seed` so results are
+/// identical at any thread count.
 pub fn fault_sweep_with(
     spec: &FaultSpec,
     seed: u64,
@@ -553,7 +543,7 @@ pub fn fault_sweep_with(
         let cell_seed = executor::derive_seed(seed, i as u64);
         let cell_rec = cell_recorder(rec);
         let mut rig = NfsRig::new_faulted(mode, NfsRigParams::default(), &cell_spec, cell_seed);
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let file: u64 = 128 << 10;
         let fh = rig.create_file("sweep", file);
         let half = (file / 2) as u32;
@@ -630,22 +620,17 @@ pub fn fault_sweep_with(
     (done, recov)
 }
 
-/// Client counts swept by [`clients_sweep`]: a monotone axis from one
+/// Client counts swept by [`clients_sweep_with`]: a monotone axis from one
 /// session to 256.
 pub const CLIENTS_SWEEP_POINTS: [usize; 5] = [1, 4, 16, 64, 256];
 
 /// Client scaling: M interleaved NFS sessions, each one outstanding
 /// request, against a shared hot file. Returns `(throughput, hit ratio)`
-/// tables over the client axis.
-pub fn clients_sweep(scale: &Scale) -> (SeriesTable, SeriesTable) {
-    clients_sweep_with(scale, None, executor::thread_count(None), 1)
-}
-
-/// [`clients_sweep`] on explicit worker and NCache shard counts. One cell
-/// per `(mode, clients)`; the multi-session engine interleaves each
-/// cell's sessions deterministically, and sharding only partitions the
-/// cache's key space, so stdout is byte-identical at any `threads` and
-/// any `shards` — the CI determinism gate diffs exactly that.
+/// tables over the client axis. One cell per `(mode, clients)`; the
+/// multi-session engine interleaves each cell's sessions
+/// deterministically, and sharding only partitions the cache's key space,
+/// so stdout is byte-identical at any `threads` and any `shards` — the CI
+/// determinism gate diffs exactly that.
 pub fn clients_sweep_with(
     scale: &Scale,
     rec: Option<&obs::Recorder>,
@@ -676,7 +661,7 @@ pub fn clients_sweep_with(
             ..NfsRigParams::default()
         };
         let mut rig = NfsRig::new(mode, params);
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let fh = rig.create_file("shared", file);
         // Total work is roughly constant across the axis so every point
         // runs in comparable time; each session strides the file from its
@@ -729,7 +714,7 @@ pub fn clients_sweep_with(
 /// value makes stdout reproducible run over run.
 pub const CLIENTS_SWEEP_LANE_SEED: u64 = 7;
 
-/// [`clients_sweep`] on the lane-parallel engine: the same
+/// [`clients_sweep_with`] on the lane-parallel engine: the same
 /// `(mode, clients)` cells, but each cell warms the shared file first
 /// and then runs its sessions concurrently on `lane_threads` host
 /// threads. `lane_threads = None` routes the identical warmed workload
@@ -826,7 +811,7 @@ pub fn clients_sweep_lanes(
     (thr, hits)
 }
 
-/// Offered-load factors swept by [`overload_sweep`], as multiples of each
+/// Offered-load factors swept by [`overload_sweep_with`], as multiples of each
 /// build's measured closed-loop capacity: from half load to twice past
 /// saturation.
 pub const OVERLOAD_SWEEP_FACTORS: [f64; 5] = [0.5, 0.8, 1.0, 1.2, 2.0];
@@ -840,12 +825,7 @@ pub const OVERLOAD_SWEEP_SEED: u64 = 29;
 /// set. Returns three tables over the offered-load factor: delivered
 /// goodput per build, tail latency (p50/p99/p999, µs) per build, and the
 /// NCache build's per-stage share of end-to-end latency — the curve that
-/// names the stage the tail migrates into past saturation.
-pub fn overload_sweep(scale: &Scale) -> (SeriesTable, SeriesTable, SeriesTable) {
-    overload_sweep_with(scale, None, executor::thread_count(None), 1)
-}
-
-/// [`overload_sweep`] on explicit worker and NCache shard counts. One
+/// names the stage the tail migrates into past saturation. One
 /// cell per `(mode, factor)`; the open-loop engine is single-threaded
 /// inside each cell and the cells are seeded by position, so the tables
 /// (and an attached recorder's histograms, absorbed in cell order) are
@@ -884,7 +864,7 @@ pub fn overload_sweep_with(
             ..NfsRigParams::default()
         };
         let mut rig = NfsRig::new(mode, params);
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let fh = rig.create_file("hot", file);
         let mut off = 0u64;
         while off < file {
@@ -969,12 +949,7 @@ pub const OVERLOAD_ABLATION_SEED: u64 = 31;
 ///
 /// Returns three tables over the offered-load factor: delivered (on-time)
 /// goodput, latency quantiles (p50/p99, µs), and request outcomes
-/// (shed / deadline-exceeded / retransmissions / gate rejections).
-pub fn overload_ablation(scale: &Scale) -> (SeriesTable, SeriesTable, SeriesTable) {
-    overload_ablation_with(scale, None, executor::thread_count(None), 1)
-}
-
-/// [`overload_ablation`] on explicit worker and NCache shard counts. One
+/// (shed / deadline-exceeded / retransmissions / gate rejections). One
 /// cell per `(variant, factor)`, each single-threaded inside and seeded
 /// by position, so the tables are byte-identical at any `threads` and
 /// any `shards`.
@@ -1010,7 +985,7 @@ pub fn overload_ablation_with(
             ..NfsRigParams::default()
         };
         let mut rig = NfsRig::new(ServerMode::NCache, params);
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let fh = rig.create_file("hot", file);
         let mut off = 0u64;
         while off < file {
@@ -1137,12 +1112,7 @@ pub const ADAPTIVE_ABLATION_SEED: u64 = 37;
 /// Returns three tables over the segment index: delivered goodput
 /// (MB/s), NCache hit ratio per segment, and fast-tier residency
 /// (blocks at segment end; the backend — placement map included — is
-/// rebuilt per segment, so residency is per-segment, not cumulative).
-pub fn adaptive_ablation(scale: &Scale) -> (SeriesTable, SeriesTable, SeriesTable) {
-    adaptive_ablation_with(scale, None, executor::thread_count(None), 1)
-}
-
-/// [`adaptive_ablation`] on explicit worker and NCache shard counts. One
+/// rebuilt per segment, so residency is per-segment, not cumulative). One
 /// cell per variant, each single-threaded inside and seeded by position,
 /// so the tables are byte-identical at any `threads` and any `shards`.
 pub fn adaptive_ablation_with(
@@ -1185,7 +1155,7 @@ pub fn adaptive_ablation_with(
             ..NfsRigParams::default()
         };
         let mut rig = NfsRig::new(ServerMode::NCache, params);
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let fh = rig.create_file("hot", FILE);
         let cfg = ncache::SplitConfig {
             dynamic: variant == 1,
@@ -1336,7 +1306,7 @@ fn table2_impl(
             }
             None => NfsRig::new(mode, params),
         };
-        attach_nfs(&mut rig, cell_rec.as_ref());
+        attach(&mut rig, cell_rec.as_ref());
         let fh = rig.create_sparse_file("t2", 64 << 10);
         // Warm the metadata (inode + directory) so only data copies count.
         rig.getattr(fh);
@@ -1381,7 +1351,7 @@ fn table2_impl(
             ),
             None => KhttpdRig::new(mode, KhttpdRigParams::default()),
         };
-        attach_web(&mut web, cell_rec.as_ref());
+        attach(&mut web, cell_rec.as_ref());
         web.publish_sparse("t2page", 4096);
         let (hdr, _) = web.get("/t2page"); // warms metadata and data
         assert_eq!(hdr.status, 200);

@@ -4,12 +4,13 @@
 //!
 //! The testbed has two layers:
 //!
-//! 1. **The data plane** ([`nfs_rig`], [`khttpd_rig`]) — a functionally
-//!    complete pass-through server: real packets through real protocol
-//!    codecs, a real file system and buffer cache, a real iSCSI target,
-//!    and (in the NCache build) the real cache module. A client read
-//!    returns exactly the stored bytes; every physical copy is counted in
-//!    per-node ledgers.
+//! 1. **The data plane** ([`rig`], with what is NFS about it in
+//!    [`nfs_rig`] and what is HTTP about it in [`khttpd_rig`]) — a
+//!    functionally complete pass-through server: real packets through
+//!    real protocol codecs, a real file system and buffer cache, a real
+//!    iSCSI target, and (in the NCache build) the real cache module. A
+//!    client read returns exactly the stored bytes; every physical copy is
+//!    counted in per-node ledgers.
 //! 2. **The timing layer** ([`timing`] and one private engine) — a
 //!    discrete-event simulation of the paper's hardware (PIII 1 GHz nodes,
 //!    Gigabit links, a RAID-0 IDE array). Each request's *measured*
@@ -33,6 +34,7 @@ pub mod experiments;
 pub mod khttpd_rig;
 pub mod nfs_rig;
 pub mod openloop;
+pub mod rig;
 pub mod runner;
 pub mod sessions;
 pub mod timing;

@@ -15,9 +15,7 @@ use sim::stats::LatencyHistogram;
 use sim::time::{Duration, SimTime};
 
 use crate::engine::{Arrivals, Flight, Sink, Walker};
-use crate::khttpd_rig::KhttpdRig;
-use crate::nfs_rig::NfsRig;
-use crate::timing::{coalesce, Observation, Transport};
+use crate::timing::{Observation, Transport};
 
 /// One operation the runner can replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,7 +94,7 @@ pub trait RigDriver {
 
     /// One controller tick: sample the epoch's ghost/hit window and apply
     /// any quota move. Default: nothing (no controller).
-    fn adaptive_tick(&mut self) {}
+    fn adaptive_tick(&mut self) {} // dup-ok: the trait's no-controller default
 }
 
 /// The span label the runner files an operation under.
@@ -112,162 +110,6 @@ pub(crate) fn op_label(op: &DriverOp) -> &'static str {
 
 /// Framing overhead of one message (Ethernet + IP + UDP/TCP headers).
 pub(crate) const FRAME_OVERHEAD: u64 = 42;
-
-fn snapshot_module(rig_module: &Option<sim::Shared<ncache::NcacheModule>>) -> (u64, u64) {
-    match rig_module {
-        Some(m) => {
-            let m = m.borrow();
-            (m.stats().total_ops(), m.substitution_totals().substituted)
-        }
-        None => (0, 0),
-    }
-}
-
-impl RigDriver for NfsRig {
-    fn run_op(&mut self, op: &DriverOp) -> (Observation, u64) {
-        let app0 = self.ledgers().app.snapshot();
-        let stor0 = self.ledgers().storage.snapshot();
-        let (nc0, sub0) = snapshot_module(&self.module());
-        let bc0 = self.server_mut().fs_mut().cache_stats();
-
-        let (request, payload_hint) = match op {
-            DriverOp::Read { fh, offset, len } => {
-                (self.client_mut().read_request(*fh, *offset, *len), 0)
-            }
-            DriverOp::Write { fh, offset, len } => {
-                let data = vec![0xA5u8; *len as usize];
-                (
-                    self.client_mut().write_request(*fh, *offset, &data),
-                    u64::from(*len),
-                )
-            }
-            DriverOp::Getattr { fh } => (self.client_mut().getattr_request(*fh), 0),
-            DriverOp::Lookup { name } => {
-                let root = self.server_mut().root_fh();
-                (self.client_mut().lookup_request(root, name), 0)
-            }
-            DriverOp::Get { .. } => panic!("HTTP op on the NFS rig"),
-        };
-        let request_bytes = request.total_len() as u64 + FRAME_OVERHEAD;
-        let rej0 = self.server().control_rejections();
-        let reply = self.handle_raw(request);
-        let rejected = self.server().control_rejections() > rej0;
-        let reply_payload = reply.payload_len() as u64;
-        let reply_bytes = reply.total_len() as u64 + FRAME_OVERHEAD;
-        // A rejected WRITE accepted no payload; the hint only applies to
-        // executed operations.
-        let payload = if rejected {
-            0
-        } else if payload_hint > 0 {
-            payload_hint
-        } else {
-            reply_payload
-        };
-
-        let io = self.server_mut().fs_mut().store_mut().take_io_log();
-        let (nc1, sub1) = snapshot_module(&self.module());
-        let bc1 = self.server_mut().fs_mut().cache_stats();
-        let obs = Observation {
-            app: self.ledgers().app.snapshot().delta_since(&app0),
-            storage: self.ledgers().storage.snapshot().delta_since(&stor0),
-            ncache_ops: nc1 - nc0,
-            substituted_pkts: sub1 - sub0,
-            bufcache_ops: (bc1.hits + bc1.misses + bc1.insertions)
-                - (bc0.hits + bc0.misses + bc0.insertions),
-            bursts: coalesce(&io),
-            request_bytes,
-            reply_bytes,
-            rejected,
-        };
-        (obs, payload)
-    }
-
-    fn transport(&self) -> Transport {
-        Transport::Udp
-    }
-
-    fn per_request_ns(&self, costs: &CostModel) -> u64 {
-        costs.nfs_req_ns
-    }
-
-    fn recorder(&self) -> obs::Recorder {
-        NfsRig::recorder(self).clone()
-    }
-
-    fn set_load(&mut self, now_ns: u64, inflight: u64) {
-        self.server_mut().set_load(now_ns, inflight);
-    }
-
-    fn adaptive_epoch(&self) -> Option<u64> {
-        NfsRig::adaptive_epoch(self)
-    }
-
-    fn adaptive_tick(&mut self) {
-        NfsRig::adaptive_tick(self);
-    }
-}
-
-impl RigDriver for KhttpdRig {
-    fn run_op(&mut self, op: &DriverOp) -> (Observation, u64) {
-        let DriverOp::Get { path } = op else {
-            panic!("NFS op on the web rig");
-        };
-        let app0 = self.ledgers().app.snapshot();
-        let stor0 = self.ledgers().storage.snapshot();
-        let (nc0, sub0) = snapshot_module(&self.module());
-        let bc0 = self.server_mut().fs_mut().cache_stats();
-
-        let req = servers::khttpd::HttpClient::new(&self.ledgers().client).get_request(path);
-        let request_bytes = req.total_len() as u64 + FRAME_OVERHEAD;
-        let delivered = servers::stack::deliver(&req, &self.ledgers().app);
-        let rej0 = self.server_mut().control_rejections();
-        let response = self.server_mut().handle_request(&delivered);
-        let rejected = self.server_mut().control_rejections() > rej0;
-        let payload = response.payload_len() as u64;
-        let reply_bytes = response.total_len() as u64 + FRAME_OVERHEAD;
-
-        let io = self.server_mut().fs_mut().store_mut().take_io_log();
-        let (nc1, sub1) = snapshot_module(&self.module());
-        let bc1 = self.server_mut().fs_mut().cache_stats();
-        let obs = Observation {
-            app: self.ledgers().app.snapshot().delta_since(&app0),
-            storage: self.ledgers().storage.snapshot().delta_since(&stor0),
-            ncache_ops: nc1 - nc0,
-            substituted_pkts: sub1 - sub0,
-            bufcache_ops: (bc1.hits + bc1.misses + bc1.insertions)
-                - (bc0.hits + bc0.misses + bc0.insertions),
-            bursts: coalesce(&io),
-            request_bytes,
-            reply_bytes,
-            rejected,
-        };
-        (obs, payload)
-    }
-
-    fn transport(&self) -> Transport {
-        Transport::Tcp
-    }
-
-    fn per_request_ns(&self, costs: &CostModel) -> u64 {
-        costs.http_req_ns
-    }
-
-    fn recorder(&self) -> obs::Recorder {
-        KhttpdRig::recorder(self).clone()
-    }
-
-    fn set_load(&mut self, now_ns: u64, inflight: u64) {
-        self.server_mut().set_load(now_ns, inflight);
-    }
-
-    fn adaptive_epoch(&self) -> Option<u64> {
-        KhttpdRig::adaptive_epoch(self)
-    }
-
-    fn adaptive_tick(&mut self) {
-        KhttpdRig::adaptive_tick(self);
-    }
-}
 
 /// Runner configuration.
 #[derive(Clone, Debug)]
@@ -436,7 +278,7 @@ pub fn run<R: RigDriver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nfs_rig::NfsRigParams;
+    use crate::nfs_rig::{NfsRig, NfsRigParams};
     use servers::ServerMode;
 
     fn seq_reads(fh: u64, total: u64, req: u32) -> Vec<DriverOp> {

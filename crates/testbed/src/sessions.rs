@@ -21,14 +21,14 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use blockdev::{TierConfig, TierStats};
-use netbuf::{CopyLedger, NetBuf};
+use netbuf::NetBuf;
 use servers::initiator::IoRecord;
-use servers::nfs::NfsClient;
+use servers::nfs::{NfsClient, NfsServer};
 use sim::costs::CostModel;
 use sim::stats::LatencyHistogram;
 use sim::sync::{LaneLock, LockCounters};
 use sim::time::{Duration, SimTime};
-use sim::{FaultPlan, FaultSpec, SplitMix64};
+use sim::{FaultPlan, FaultSpec};
 
 pub use crate::openloop::{
     run_open_loop, run_open_loop_at, OpenLoopOptions, OpenLoopResult,
@@ -36,9 +36,10 @@ pub use crate::openloop::{
 
 use crate::engine::{Arrivals, Flight, Sink, Walker};
 use crate::executor::{derive_seed, run_cells};
-use crate::nfs_rig::{faulted_exchange_with, FaultChannel, FaultCounters, NfsRig};
+use crate::nfs_rig::{call_xid, NfsRig};
+use crate::rig::{faulted_exchange_with, App, FaultChannel, FaultCounters, NodeLedgers};
 use crate::runner::{DriverOp, RigDriver, FRAME_OVERHEAD};
-use crate::timing::{coalesce, Observation, Transport};
+use crate::timing::{Observation, OpMeter, Transport};
 
 /// Called with the rig and the session index immediately before *and*
 /// immediately after every functional execution. A swap-based hook (see
@@ -227,24 +228,25 @@ struct LaneContext<'a> {
     rec: &'a obs::Recorder,
     cache: Option<&'a ncache::NetCacheShards>,
     module: Option<&'a sim::Shared<ncache::NcacheModule>>,
-    app_ledger: &'a CopyLedger,
-    client_ledger: &'a CopyLedger,
+    /// The rig's per-node ledgers (handles onto the same counters).
+    ledgers: NodeLedgers,
     /// Substitution runs outside the serialized server step. Enabled
     /// whenever it is observation-exact to do so: NCache mode with
     /// substitution *and* checksum inheritance on. Out-of-step
     /// substitution charges only `logical_copies` and `csum_inherited`
-    /// to the app ledger — fields [`derive`] never reads — so the
-    /// in-lock ledger snapshot windows stay precise and the ledger
-    /// *totals* stay exact (the charges are commutative sums). With a
+    /// to the app ledger — fields [`derive`] never reads — after the
+    /// operation's ledger window has closed ([`OpMeter::close`]), and the
+    /// ledger *totals* stay exact (the charges are commutative sums). With a
     /// fault plan armed, the whole exchange (substitution included)
     /// stays under the exclusive core guard, replicated per delivered
     /// request by the lane's step closure. Deferral is also what opens
     /// the read fast path: a cache-hit READ then needs no `&mut` work
     /// at all and runs under a *shared* core guard.
     defer: bool,
-    spec: &'a FaultSpec,
+    /// The rig's fault spec when it is armed: each lane then draws from a
+    /// private plan derived from `seed` and the lane index.
+    faults: Option<FaultSpec>,
     seed: u64,
-    root_fh: u64,
     /// Storage I/O accumulated before the run (file creation, warm-up,
     /// sync). The sequential engine's first functional op drains it with
     /// its own `take_io_log` call and carries it in its burst list; the
@@ -268,7 +270,7 @@ struct LaneContext<'a> {
 ///    filesystem and ledger snapshots sit behind one core lock; only
 ///    NCache payload substitution moves outside it (see
 ///    [`LaneContext::defer`]). Every operation executes inside an epoch
-///    window ([`ncache::epoch`]): LRU stamps are a pure function of
+///    window ([`sim::epoch`]): LRU stamps are a pure function of
 ///    `(op index, lane)` with seeded tie-breaking, so the merged
 ///    eviction order — and with it every cache observable — is
 ///    independent of the host schedule and thread count.
@@ -283,6 +285,14 @@ struct LaneContext<'a> {
 /// the core lock), so fault outcomes are reproducible at any thread
 /// count. Trace *ordering* from the functional phase is the one relaxed
 /// observable; totals, counters and the timing-phase events are not.
+///
+/// # Panics
+///
+/// Panics if the rig's server has an overload control plane installed:
+/// lanes have no gate clock (nothing calls `set_load` in the functional
+/// phase) and the replay cannot re-issue a retried operation, so admission
+/// decisions cannot be made to agree with [`run_nfs_sessions`]. Run
+/// controlled workloads through the sequential engine.
 pub fn run_nfs_sessions_parallel(
     rig: NfsRig,
     sessions: Vec<Vec<DriverOp>>,
@@ -315,26 +325,53 @@ pub fn run_nfs_sessions_parallel_timed(
 /// [`run_nfs_sessions_parallel`], also returning what the functional
 /// phase cost and which locks it took (see [`FunctionalPhase`]).
 pub fn run_nfs_sessions_parallel_observed(
-    mut rig: NfsRig,
+    rig: NfsRig,
     sessions: Vec<Vec<DriverOp>>,
     opts: &SessionsOptions,
     threads: usize,
     seed: u64,
 ) -> (NfsRig, SessionsResult, FunctionalPhase) {
+    let rec = NfsRig::recorder(&rig).clone();
+    let (rig, outcomes, phase) = functional_phase(rig, &sessions, threads, seed);
+    let replay = ReplayRig {
+        rec,
+        lanes: outcomes
+            .into_iter()
+            .map(|outcome| VecDeque::from(outcome.ops))
+            .collect(),
+        current: 0,
+    };
+    let hook: SessionHook<ReplayRig> = Box::new(|r, sid| r.current = sid);
+    let (_, result) = run_sessions(replay, sessions, opts, Some(hook));
+    (rig, result, phase)
+}
+
+/// Phase one of [`run_nfs_sessions_parallel`]: runs every lane to
+/// completion on up to `threads` host threads and folds what the lanes
+/// kept to themselves (fault counters, substitution sums, the stamp
+/// clocks) back into the rig.
+fn functional_phase(
+    mut rig: NfsRig,
+    sessions: &[Vec<DriverOp>],
+    threads: usize,
+    seed: u64,
+) -> (NfsRig, Vec<LaneOutcome>, FunctionalPhase) {
+    assert!(
+        rig.control_stats().is_none(),
+        "the lane-parallel engine requires a rig without a control plane: \
+         lanes have no gate clock and the replay cannot re-issue a retried op"
+    );
     let n = sessions.len();
     let rec = NfsRig::recorder(&rig).clone();
     let module = rig.module();
     let cache = module.as_ref().map(|m| m.borrow().cache_handle());
-    let armed = rig.faults_armed();
-    let spec = rig.fault_spec();
+    let faults = rig.faults_armed().then(|| rig.fault_spec());
     let defer = module.as_ref().is_some_and(|m| {
         let config = m.borrow().config();
         config.substitution && config.csum_inherit
     });
-    let root_fh = rig.server_mut().root_fh();
-    let client_ledger = rig.ledgers().client.clone();
-    let app_ledger = rig.ledgers().app.clone();
-    let ties = ncache::epoch::tie_ranks(seed, n);
+    let ledgers = rig.ledgers().clone();
+    let ties = sim::epoch::tie_ranks(seed, n);
     let max_epochs = sessions.iter().map(Vec::len).max().unwrap_or(0) as u64;
     let residue = rig.server_mut().fs_mut().store_mut().take_io_log();
 
@@ -344,12 +381,10 @@ pub fn run_nfs_sessions_parallel_observed(
         rec: &rec,
         cache: cache.as_ref(),
         module: module.as_ref(),
-        app_ledger: &app_ledger,
-        client_ledger: &client_ledger,
+        ledgers,
         defer,
-        spec: &spec,
+        faults,
         seed,
-        root_fh,
         residue,
     };
     let adaptive_epoch = cx.core.read().adaptive_epoch();
@@ -358,15 +393,13 @@ pub fn run_nfs_sessions_parallel_observed(
     let functional_start = std::time::Instant::now();
     let outcomes = match adaptive_epoch.filter(|&l| l > 0) {
         // No controller: the free-running path, byte for byte.
-        None => run_cells(threads, n, |lane| {
-            run_lane(&cx, &sessions[lane], lane, ties[lane], armed)
-        }),
+        None => run_cells(threads, n, |lane| run_lane(&cx, &sessions[lane], lane, ties[lane])),
         // A controller is installed: run round-synchronized so ticks
         // land on exactly the op-count boundaries the sequential
         // engine's round rule fires on — a barrier after every round,
         // a tick (under the exclusive core lock, no lane running)
         // after every `l` rounds.
-        Some(l) => run_lanes_rounds(&cx, &sessions, &ties, armed, threads, l),
+        Some(l) => run_lanes_rounds(&cx, sessions, &ties, threads, l),
     };
     let phase = FunctionalPhase {
         wall: functional_start.elapsed(),
@@ -387,36 +420,19 @@ pub fn run_nfs_sessions_parallel_observed(
         // Future plain stamps must sort after every windowed stamp of
         // this run, whatever order the lanes actually drew them in.
         m.borrow()
-            .advance_clock_past(ncache::epoch::stamp_base(max_epochs, 0));
+            .advance_clock_past(sim::epoch::stamp_base(max_epochs, 0));
     }
     // The FS buffer cache drew from the window's FS half; its plain
     // counter must clear the same bound.
     rig.server_mut()
         .fs_mut()
-        .advance_cache_seq_past(ncache::epoch::stamp_base(max_epochs, 0));
-
-    let replay = ReplayRig {
-        rec,
-        lanes: outcomes
-            .into_iter()
-            .map(|outcome| VecDeque::from(outcome.ops))
-            .collect(),
-        current: 0,
-    };
-    let hook: SessionHook<ReplayRig> = Box::new(|r, sid| r.current = sid);
-    let (_, result) = run_sessions(replay, sessions, opts, Some(hook));
-    (rig, result, phase)
+        .advance_cache_seq_past(sim::epoch::stamp_base(max_epochs, 0));
+    (rig, outcomes, phase)
 }
 
 /// Runs one session lane start to finish on the calling thread.
-fn run_lane(
-    cx: &LaneContext<'_>,
-    ops: &[DriverOp],
-    lane: usize,
-    tie: u64,
-    armed: bool,
-) -> LaneOutcome {
-    let mut st = LaneState::new(cx, lane, armed, ops.len());
+fn run_lane(cx: &LaneContext<'_>, ops: &[DriverOp], lane: usize, tie: u64) -> LaneOutcome {
+    let mut st = LaneState::new(cx, lane, ops.len());
     for (k, op) in ops.iter().enumerate() {
         st.run_op(cx, lane, tie, k, op);
     }
@@ -428,8 +444,7 @@ fn run_lane(
 /// to.
 struct LaneState {
     client: NfsClient,
-    chan: Option<FaultChannel>,
-    poison: SplitMix64,
+    chan: FaultChannel,
     recorded: Vec<(Observation, u64)>,
     /// Sum of the reports of this lane's out-of-step substitutions. The
     /// module's totals absorb it after the lanes have joined, so the hot
@@ -438,18 +453,14 @@ struct LaneState {
 }
 
 impl LaneState {
-    fn new(cx: &LaneContext<'_>, lane: usize, armed: bool, ops: usize) -> Self {
+    fn new(cx: &LaneContext<'_>, lane: usize, ops: usize) -> Self {
+        let seed = |salt: u64| derive_seed(cx.seed, salt + lane as u64);
         LaneState {
-            client: NfsClient::with_xid_base(cx.client_ledger, (lane as u32 + 1) << 20),
-            chan: armed.then(|| FaultChannel {
-                plan: sim::Shared::new(FaultPlan::new(
-                    cx.spec,
-                    derive_seed(cx.seed, LANE_FAULT_SALT + lane as u64),
-                )),
-                counters: FaultCounters::default(),
-                replay_slot: None,
+            client: NfsClient::with_xid_base(&cx.ledgers.client, (lane as u32 + 1) << 20),
+            chan: cx.faults.as_ref().map_or_else(FaultChannel::clean, |spec| {
+                let plan = sim::Shared::new(FaultPlan::new(spec, seed(LANE_FAULT_SALT)));
+                FaultChannel::armed(spec, plan, seed(LANE_POISON_SALT))
             }),
-            poison: SplitMix64::new(derive_seed(cx.seed, LANE_POISON_SALT + lane as u64)),
             recorded: Vec::with_capacity(ops),
             substitutions: ncache::SubstitutionReport::default(),
         }
@@ -458,10 +469,8 @@ impl LaneState {
     /// Runs the lane's `k`-th operation inside its epoch window.
     fn run_op(&mut self, cx: &LaneContext<'_>, lane: usize, tie: u64, k: usize, op: &DriverOp) {
         // Every cache stamp this operation draws — in-lock or deferred —
-        // comes from the (epoch, tie) window, and the tally it leaves
-        // behind is this operation's exact cache-op count.
-        let window = ncache::epoch::enter_window(ncache::epoch::stamp_base(k as u64, tie));
-        let _ = ncache::epoch::take_tally();
+        // comes from the (epoch, tie) window.
+        let window = sim::epoch::enter_window(sim::epoch::stamp_base(k as u64, tie));
         let residue: &[IoRecord] = if lane == 0 && k == 0 { &cx.residue } else { &[] };
         let done = run_lane_op(cx, self, op, residue);
         drop(window);
@@ -471,9 +480,7 @@ impl LaneState {
     fn into_outcome(self) -> LaneOutcome {
         LaneOutcome {
             ops: self.recorded,
-            counters: self
-                .chan
-                .map_or_else(FaultCounters::default, |chan| chan.counters),
+            counters: self.chan.counters,
             substitutions: self.substitutions,
         }
     }
@@ -491,13 +498,12 @@ fn run_lanes_rounds(
     cx: &LaneContext<'_>,
     sessions: &[Vec<DriverOp>],
     ties: &[u64],
-    armed: bool,
     threads: usize,
     l: u64,
 ) -> Vec<LaneOutcome> {
     let n = sessions.len();
     let lanes: Vec<Mutex<LaneState>> = (0..n)
-        .map(|lane| Mutex::new(LaneState::new(cx, lane, armed, sessions[lane].len())))
+        .map(|lane| Mutex::new(LaneState::new(cx, lane, sessions[lane].len())))
         .collect();
     let max_ops = sessions.iter().map(Vec::len).max().unwrap_or(0);
     for k in 0..max_ops {
@@ -527,8 +533,8 @@ fn run_lanes_rounds(
         .collect()
 }
 
-/// Executes one operation for a lane, mirroring the sequential
-/// [`RigDriver::run_op`] observation field by field.
+/// Executes one operation for a lane, producing the observation the
+/// sequential [`RigDriver::run_op`] would, through the same [`OpMeter`].
 fn run_lane_op(
     cx: &LaneContext<'_>,
     st: &mut LaneState,
@@ -538,61 +544,24 @@ fn run_lane_op(
     let LaneState {
         client,
         chan,
-        poison,
         substitutions,
         ..
     } = st;
     // Request building charges only the client ledger (not part of the
     // per-op observation), so it stays outside the lock.
-    let (request, payload_hint) = match op {
-        DriverOp::Read { fh, offset, len } => (client.read_request(*fh, *offset, *len), 0),
-        DriverOp::Write { fh, offset, len } => {
-            let data = vec![0xA5u8; *len as usize];
-            (client.write_request(*fh, *offset, &data), u64::from(*len))
-        }
-        DriverOp::Getattr { fh } => (client.getattr_request(*fh), 0),
-        DriverOp::Lookup { name } => (client.lookup_request(cx.root_fh, name), 0),
-        DriverOp::Get { .. } => panic!("HTTP op on the NFS rig"),
-    };
-    let request_bytes = request.total_len() as u64 + FRAME_OVERHEAD;
-    match chan.as_mut() {
-        // LOOKUP bypasses the fault link in the sequential rig too.
-        Some(chan) if !matches!(op, DriverOp::Lookup { .. }) => faulted_lane_op(
-            cx,
-            client,
-            chan,
-            poison,
-            op,
-            request,
-            payload_hint,
-            request_bytes,
-            residue,
-        ),
-        _ => {
-            if cx.defer {
-                if let DriverOp::Read { fh, offset, len } = op {
-                    if let Some(done) = fast_read_op(
-                        cx,
-                        &request,
-                        *fh,
-                        u64::from(*offset),
-                        *len as usize,
-                        residue,
-                        substitutions,
-                    ) {
-                        return done;
-                    }
-                }
-            }
-            clean_lane_op(
-                cx,
-                request,
-                payload_hint,
-                request_bytes,
-                residue,
-                substitutions,
-            )
-        }
+    let (request, payload_hint) = NfsServer::request(client, op);
+    // LOOKUP bypasses the fault link in the sequential rig too.
+    if chan.is_armed() && !matches!(op, DriverOp::Lookup { .. }) {
+        return faulted_lane_op(cx, client, chan, op, request, payload_hint, residue);
+    }
+    // One bracket per clean operation, opened here — ahead of any lock —
+    // because a READ's probe already counts when it succeeds (its
+    // resolution is the commit point and bumps the NCache tally); a failed
+    // probe hands the still-empty bracket back for the slow path.
+    let meter = OpMeter::open(&cx.ledgers);
+    match fast_read_op(cx, meter, &request, op, residue, substitutions) {
+        Ok(done) => done,
+        Err(unused) => clean_lane_op(cx, unused, request, payload_hint, residue, substitutions),
     }
 }
 
@@ -600,69 +569,48 @@ fn run_lane_op(
 /// under a *shared* core guard, so hits on different lanes overlap on
 /// real threads instead of convoying through the exclusive lock.
 ///
-/// Returns `None` — charging and counting nothing — unless the server's
-/// probe ([`servers::nfs::NfsServer::probe_read`]: one uncounted
-/// walk of the file system, then one all-or-nothing resolution of the
-/// placeholders, the commit point) establishes that the READ is a pure,
-/// aligned, fully resident, fully resolvable cache hit; the caller then
+/// Returns the bracket unused — charging and counting nothing — unless
+/// `op` is a READ with substitution deferred and the server's probe
+/// ([`servers::nfs::NfsServer::probe_read`]: one uncounted walk of the
+/// file system, then one all-or-nothing resolution of the placeholders,
+/// the commit point) establishes that it is a pure, aligned, fully
+/// resident, fully resolvable cache hit; the caller then
 /// falls back to the exclusive slow path with the request untouched. On
 /// the fast path the whole exchange, the splice included, runs while the
 /// guard is held: the guard excludes every mutation, so nothing the probe
-/// saw can change before it is counted.
-///
-/// Observation assembly swaps the slow path's snapshot-delta attribution
-/// (exact only under an exclusive lock) for per-thread attribution:
-/// a TLS ledger window ([`CopyLedger::begin_window`]) over the app
-/// ledger, the TLS buffer-cache op tally, and the lane's epoch-window
-/// NCache tally — each accumulating exactly this thread's charges, which
-/// are exactly this operation's charges.
+/// saw can change before it is counted. (`&self` cannot consult an
+/// admission gate, which is one reason the engine refuses a rig that has
+/// one.)
 fn fast_read_op(
     cx: &LaneContext<'_>,
+    meter: OpMeter,
     request: &NetBuf,
-    fh: u64,
-    offset: u64,
-    count: usize,
+    op: &DriverOp,
     residue: &[IoRecord],
     substitutions: &mut ncache::SubstitutionReport,
-) -> Option<(Observation, u64)> {
+) -> Result<(Observation, u64), OpMeter> {
+    let (true, DriverOp::Read { fh, offset, len }) = (cx.defer, op) else {
+        return Err(meter);
+    };
     let rig = cx.core.read();
     let server = rig.server();
-    // `&self` cannot consult the admission gate: with a control plane
-    // installed every request takes the gated slow path.
-    let hit = server
-        .control_stats()
-        .is_none()
-        .then(|| server.probe_read(cx.cache, fh, offset, count))??;
-    // Drain any residue so the tallies below bracket this op alone.
-    let _ = simfs::take_op_tally();
-    cx.app_ledger.begin_window();
-    let delivered = servers::stack::deliver(request, cx.app_ledger);
+    let Some(hit) = server.probe_read(cx.cache, *fh, u64::from(*offset), *len as usize) else {
+        return Err(meter);
+    };
+    let delivered = servers::stack::deliver(request, &cx.ledgers.app);
     let (mut reply, resolved) = server.handle_read_fast(delivered, hit);
-    // The window closes before the splice, mirroring the slow path: the
-    // in-lock snapshot delta there never covers it either (it charges
-    // only fields the timing derivation never reads).
-    let app = cx.app_ledger.end_window();
-    let bufcache_ops = simfs::take_op_tally();
+    let metered = meter.close(&cx.ledgers);
     let substituted_pkts = substitute_out_of_step(cx, &mut reply, resolved, substitutions);
     drop(rig);
-    let payload = reply.payload_len() as u64;
-    let obs = Observation {
-        app,
-        // A pure hit does no storage work; the delta is identically zero.
-        storage: netbuf::LedgerSnapshot::default(),
-        ncache_ops: ncache::epoch::take_tally(),
+    // A pure hit issues no I/O of its own: only the pre-run residue
+    // (lane 0, op 0) can put bursts on a fast read.
+    let obs = metered.observe(
+        request.total_len() as u64 + FRAME_OVERHEAD,
+        reply.total_len() as u64 + FRAME_OVERHEAD,
+        residue,
         substituted_pkts,
-        bufcache_ops,
-        // A pure hit issues no I/O of its own: only the pre-run residue
-        // (lane 0, op 0) can put bursts on a fast read.
-        bursts: coalesce(residue),
-        request_bytes: request.total_len() as u64 + FRAME_OVERHEAD,
-        reply_bytes: reply.total_len() as u64 + FRAME_OVERHEAD,
-        // The lane-parallel data plane runs with the control plane off
-        // (the fast read path cannot consult a mutable gate).
-        rejected: false,
-    };
-    Some((obs, payload))
+    );
+    Ok((obs, reply.payload_len() as u64))
 }
 
 /// The transmit hook run by the lane itself, outside the serialized
@@ -714,22 +662,19 @@ fn substitute_out_of_step(
 /// substitution deferred outside it when observation-exact.
 fn clean_lane_op(
     cx: &LaneContext<'_>,
+    meter: OpMeter,
     request: NetBuf,
     payload_hint: u64,
-    request_bytes: u64,
     residue: &[IoRecord],
     substitutions: &mut ncache::SubstitutionReport,
 ) -> (Observation, u64) {
-    let ((mut reply, resolved), io, app, storage, bufcache_ops, in_lock_subs) = {
+    let ((mut reply, resolved), io, metered, in_step) = {
         let mut rig = cx.core.write();
-        let app0 = rig.ledgers().app.snapshot();
-        let stor0 = rig.ledgers().storage.snapshot();
-        // With substitution deferred, other lanes absorb their reports
-        // outside this lock, so the module total is only a meaningful
-        // per-op delta when substitution happens in-lock.
-        let sub0 = if cx.defer { 0 } else { substituted_total(cx) };
-        let bc0 = rig.server_mut().fs_mut().cache_stats();
-        let delivered = servers::stack::deliver(&request, cx.app_ledger);
+        // Substitution inside the exclusive server step moves the module
+        // total by exactly this operation's packets; deferred, the lane
+        // counts its own below.
+        let substituted = if cx.defer { 0 } else { rig.substituted() };
+        let delivered = servers::stack::deliver(&request, &cx.ledgers.app);
         let reply = if cx.defer {
             rig.server_mut().handle_message_deferred(delivered)
         } else {
@@ -737,74 +682,47 @@ fn clean_lane_op(
         };
         let mut io = residue.to_vec();
         io.extend(rig.server_mut().fs_mut().store_mut().take_io_log());
-        let bc1 = rig.server_mut().fs_mut().cache_stats();
-        let subs = if cx.defer {
-            0
-        } else {
-            substituted_total(cx) - sub0
-        };
-        (
-            reply,
-            io,
-            rig.ledgers().app.snapshot().delta_since(&app0),
-            rig.ledgers().storage.snapshot().delta_since(&stor0),
-            (bc1.hits + bc1.misses + bc1.insertions) - (bc0.hits + bc0.misses + bc0.insertions),
-            subs,
-        )
+        let in_step = if cx.defer { 0 } else { rig.substituted() - substituted };
+        (reply, io, meter.close(&cx.ledgers), in_step)
     };
     let substituted_pkts = if cx.defer {
         substitute_out_of_step(cx, &mut reply, resolved, substitutions)
     } else {
-        in_lock_subs
+        in_step
     };
-    let reply_payload = reply.payload_len() as u64;
-    let reply_bytes = reply.total_len() as u64 + FRAME_OVERHEAD;
+    let obs = metered.observe(
+        request.total_len() as u64 + FRAME_OVERHEAD,
+        reply.total_len() as u64 + FRAME_OVERHEAD,
+        &io,
+        substituted_pkts,
+    );
     let payload = if payload_hint > 0 {
         payload_hint
     } else {
-        reply_payload
-    };
-    let obs = Observation {
-        app,
-        storage,
-        ncache_ops: ncache::epoch::take_tally(),
-        substituted_pkts,
-        bufcache_ops,
-        bursts: coalesce(&io),
-        request_bytes,
-        reply_bytes,
-        rejected: false,
+        reply.payload_len() as u64
     };
     (obs, payload)
 }
 
 /// The faulted exchange: the whole retransmission loop runs under the
 /// core lock against the lane's private fault plan.
-#[allow(clippy::too_many_arguments)]
 fn faulted_lane_op(
     cx: &LaneContext<'_>,
     client: &NfsClient,
     chan: &mut FaultChannel,
-    poison: &mut SplitMix64,
     op: &DriverOp,
     request: NetBuf,
     payload_hint: u64,
-    request_bytes: u64,
     residue: &[IoRecord],
 ) -> (Observation, u64) {
     let mut rig = cx.core.write();
-    if let Some(module) = cx.module {
-        if cx.spec.corrupt > 0.0 && poison.next_bool(cx.spec.corrupt) {
-            let pick = poison.next_u64() as usize;
-            module.borrow_mut().poison_clean_chunk(pick);
-        }
-    }
-    let app0 = rig.ledgers().app.snapshot();
-    let stor0 = rig.ledgers().storage.snapshot();
-    let sub0 = substituted_total(cx);
-    let bc0 = rig.server_mut().fs_mut().cache_stats();
-    // The accepted reply's framing, captured from inside the parse
-    // callback (only successful parses see the full reply buffer).
+    chan.maybe_poison(cx.module);
+    let meter = OpMeter::open(&cx.ledgers);
+    let substituted = rig.substituted();
+    let request_bytes = request.total_len() as u64 + FRAME_OVERHEAD;
+    let xid = call_xid(&request);
+    // The accepted reply's framing, captured from inside the accept test
+    // (only successful parses see the full reply buffer).
     let reply_len = std::cell::Cell::new(0u64);
     let payload = {
         let server = rig.server_mut();
@@ -812,8 +730,8 @@ fn faulted_lane_op(
         // own replies, so the step closure finishes every reply the
         // exchange produces — late, duplicated and stale ones included,
         // exactly the set the sequential transmit hook sees. The whole
-        // exchange runs under the exclusive guard, so the absorbed
-        // report deltas below still bracket this operation alone.
+        // exchange runs under the exclusive guard, so the module-total
+        // delta below still brackets this operation alone.
         let mut step = |d: NetBuf| match (cx.defer, cx.cache, cx.module) {
             (true, Some(cache), Some(module)) => {
                 let (mut reply, resolved) = server.handle_message_deferred(d);
@@ -823,90 +741,34 @@ fn faulted_lane_op(
             }
             _ => server.handle_message(d),
         };
-        match op {
-            DriverOp::Read { .. } => faulted_exchange_with(
-                &mut step,
-                client,
-                cx.app_ledger,
-                cx.client_ledger,
-                cx.rec,
-                chan,
-                request,
-                |c, r| {
-                    let parsed = c.try_parse_read_reply(r).map(|(xid, h, d)| (xid, (h, d)));
-                    if parsed.is_some() {
-                        reply_len.set(r.total_len() as u64 + FRAME_OVERHEAD);
-                    }
-                    parsed
-                },
-            )
-            .map_or(0, |(_, data)| data.len() as u64),
-            DriverOp::Write { .. } => faulted_exchange_with(
-                &mut step,
-                client,
-                cx.app_ledger,
-                cx.client_ledger,
-                cx.rec,
-                chan,
-                request,
-                |c, r| {
-                    let parsed = c.try_parse_write_reply(r);
-                    if parsed.is_some() {
-                        reply_len.set(r.total_len() as u64 + FRAME_OVERHEAD);
-                    }
-                    parsed
-                },
-            )
-            .map_or(0, |_| payload_hint),
-            DriverOp::Getattr { .. } => {
-                faulted_exchange_with(
-                    &mut step,
-                    client,
-                    cx.app_ledger,
-                    cx.client_ledger,
-                    cx.rec,
-                    chan,
-                    request,
-                    |c, r| {
-                        let parsed = c
-                            .try_parse_getattr_reply(r)
-                            .map(|(xid, status, attrs)| (xid, (status, attrs)));
-                        if parsed.is_some() {
-                            reply_len.set(r.total_len() as u64 + FRAME_OVERHEAD);
-                        }
-                        parsed
-                    },
-                );
-                0
-            }
-            DriverOp::Lookup { .. } | DriverOp::Get { .. } => {
-                unreachable!("routed to the clean path")
-            }
-        }
+        // The NFS accept test, returning the payload the reply accounts
+        // for: its own bytes for a READ, the request's for a WRITE.
+        let accept = |r: &NetBuf| {
+            let (got, payload) = match op {
+                DriverOp::Read { .. } => client
+                    .try_parse_read_reply(r)
+                    .map(|(xid, _, data)| (xid, data.len() as u64)),
+                DriverOp::Write { .. } => {
+                    client.try_parse_write_reply(r).map(|(xid, _)| (xid, payload_hint))
+                }
+                DriverOp::Getattr { .. } => {
+                    client.try_parse_getattr_reply(r).map(|(xid, ..)| (xid, 0))
+                }
+                DriverOp::Lookup { .. } | DriverOp::Get { .. } => {
+                    unreachable!("routed to the clean path")
+                }
+            }?;
+            reply_len.set(r.total_len() as u64 + FRAME_OVERHEAD);
+            (got == xid).then_some(payload)
+        };
+        faulted_exchange_with(&mut step, &cx.ledgers, cx.rec, chan, request, accept).unwrap_or(0)
     };
     let mut io = residue.to_vec();
     io.extend(rig.server_mut().fs_mut().store_mut().take_io_log());
-    let bc1 = rig.server_mut().fs_mut().cache_stats();
-    let obs = Observation {
-        app: rig.ledgers().app.snapshot().delta_since(&app0),
-        storage: rig.ledgers().storage.snapshot().delta_since(&stor0),
-        ncache_ops: ncache::epoch::take_tally(),
-        substituted_pkts: substituted_total(cx) - sub0,
-        bufcache_ops: (bc1.hits + bc1.misses + bc1.insertions)
-            - (bc0.hits + bc0.misses + bc0.insertions),
-        bursts: coalesce(&io),
-        request_bytes,
-        reply_bytes: reply_len.get(),
-        rejected: false,
-    };
+    let obs = meter
+        .close(&cx.ledgers)
+        .observe(request_bytes, reply_len.get(), &io, rig.substituted() - substituted);
     (obs, payload)
-}
-
-/// Substituted-packet total from the module, or zero without one. Called
-/// only while holding the core lock, so the delta brackets one operation.
-fn substituted_total(cx: &LaneContext<'_>) -> u64 {
-    cx.module
-        .map_or(0, |m| m.borrow().substitution_totals().substituted)
 }
 
 /// Phase-two driver: replays the functional phase's per-operation
@@ -927,11 +789,11 @@ impl RigDriver for ReplayRig {
     }
 
     fn transport(&self) -> Transport {
-        Transport::Udp
+        NfsServer::TRANSPORT
     }
 
     fn per_request_ns(&self, costs: &CostModel) -> u64 {
-        costs.nfs_req_ns
+        NfsServer::per_request_ns(costs)
     }
 
     fn recorder(&self) -> obs::Recorder {
@@ -1184,6 +1046,105 @@ mod tests {
         let at4 = run_at(4);
         assert_eq!(at1, at2, "threads=2 must reproduce the inline run");
         assert_eq!(at1, at4, "threads=4 must reproduce the inline run");
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a rig without a control plane")]
+    fn lanes_refuse_a_rig_with_a_control_plane() {
+        // Before the precondition this ran to completion and disagreed
+        // with the sequential engine: the gate rejected 14 of the 16 ops,
+        // yet the run reported `ops 16, shed 0` (`run_nfs_sessions` on the
+        // same rig: `ops 8, shed 8`) — lanes never call `set_load`, their
+        // observations said `rejected: false`, and the replay cannot
+        // re-issue a retried op.
+        let (mut rig, fh) = rig_with_file(ServerMode::NCache, 1);
+        rig.enable_control(servers::ControlConfig {
+            token_cost_ns: 1_000_000,
+            token_burst: 2,
+            ..servers::ControlConfig::unlimited()
+        });
+        let sessions: Vec<Vec<DriverOp>> = (0..4u32)
+            .map(|sid| {
+                (0..4u32)
+                    .map(|k| match (fh, (sid * 4 + k) * 4096, 4096) {
+                        (fh, offset, len) if k % 2 == 0 => DriverOp::Write { fh, offset, len },
+                        (fh, offset, len) => DriverOp::Read { fh, offset, len },
+                    })
+                    .collect()
+            })
+            .collect();
+        run_nfs_sessions_parallel(rig, sessions, &SessionsOptions::default(), 2, 7);
+    }
+
+    #[test]
+    fn every_lane_observation_is_thread_count_invariant() {
+        // The whole `(Observation, payload)` list of every lane, all
+        // fields, against the 1-thread run. The working set sits in the
+        // NCache but not in the FS buffer cache (warmed, then dropped), so
+        // every READ misses the probe, takes `clean_lane_op` and splices
+        // sixteen packets outside the lock — where, until the op meter's
+        // thread-local windows, another lane's splice landed its
+        // `logical_copies` / `csum_inherited` in this lane's snapshot delta
+        // whenever it overlapped this lane's turn under the lock. Spans are
+        // lane-private and read once, with no read-ahead, no eviction and
+        // the file's metadata resident, so nothing else couples the lanes.
+        const LANES: u64 = 6;
+        const OPS: u64 = 20;
+        const LEN: u32 = 64 << 10;
+        // One unread block after every span: reading those brings all of
+        // the file's metadata back without any lane's data.
+        const STRIDE: u64 = LEN as u64 + 4096;
+        const FILE: u64 = LANES * OPS * STRIDE;
+        let lanes_at = |threads: usize, shards: usize| {
+            let params = NfsRigParams {
+                read_ahead_blocks: 0,
+                shards,
+                ..NfsRigParams::default()
+            };
+            let mut rig = NfsRig::new(ServerMode::NCache, params);
+            let fh = rig.create_file("set", FILE);
+            warm_file(&mut rig, fh, FILE, 64 << 10);
+            rig.quiesce();
+            for span in 0..LANES * OPS {
+                rig.read(fh, (span * STRIDE) as u32 + LEN, 4096);
+            }
+            let sessions: Vec<Vec<DriverOp>> = (0..LANES)
+                .map(|lane| {
+                    (0..OPS)
+                        .map(|k| {
+                            let offset = ((lane * OPS + k) * STRIDE) as u32;
+                            match k % 5 {
+                                // Every fifth op writes (20 %) — two
+                                // blocks, so the run stays far below the
+                                // server-global write-behind threshold,
+                                // which lands on whichever lane crosses it
+                                // (ROADMAP item 1).
+                                4 => DriverOp::Write { fh, offset, len: 8 << 10 },
+                                _ => DriverOp::Read { fh, offset, len: LEN },
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let (_, outcomes, phase) = functional_phase(rig, &sessions, threads, 0x0B5E);
+            assert_eq!(phase.core.writes, LANES * OPS, "every op takes the exclusive slow path");
+            outcomes.into_iter().map(|o| o.ops).collect::<Vec<_>>()
+        };
+        for shards in [1usize, 8] {
+            let reference = lanes_at(1, shards);
+            let spliced: u64 = reference.iter().flatten().map(|(o, _)| o.substituted_pkts).sum();
+            assert_eq!(spliced, LANES * OPS * 4 / 5 * 16, "sixteen packets per READ, out of step");
+            for threads in [2usize, 4] {
+                let got = lanes_at(threads, shards);
+                assert_eq!(got.len(), reference.len());
+                for (lane, (want, got)) in reference.iter().zip(&got).enumerate() {
+                    assert_eq!(got.len(), want.len());
+                    for (k, (want, got)) in want.iter().zip(got).enumerate() {
+                        assert_eq!(want, got, "lane {lane} op {k}, threads={threads}, shards={shards}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

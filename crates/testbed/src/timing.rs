@@ -12,6 +12,8 @@ use servers::initiator::IoRecord;
 use sim::costs::CostModel;
 use sim::time::Duration;
 
+use crate::rig::NodeLedgers;
+
 /// Transport of the client-facing leg (NFS runs on UDP, HTTP on TCP —
 /// §5.5 attributes part of kHTTPd's higher per-packet cost to this).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,7 +65,7 @@ pub fn coalesce(io: &[IoRecord]) -> Vec<StorageBurst> {
 }
 
 /// Everything observed while one request executed on the data plane.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Observation {
     /// The application server's ledger delta.
     pub app: LedgerSnapshot,
@@ -86,6 +88,100 @@ pub struct Observation {
     /// short rejection header, no payload was delivered, and the client
     /// should back off and retransmit under its retry budget.
     pub rejected: bool,
+}
+
+/// Brackets one operation on the calling thread and produces its
+/// [`Observation`] — the one place a request's counts are collected,
+/// whichever engine ran it.
+///
+/// The mechanism is per-thread attribution: a ledger window
+/// ([`netbuf::CopyLedger::begin_window`]) over the application and storage
+/// ledgers, the buffer cache's op tally ([`simfs::take_op_tally`]) and the
+/// NCache op tally ([`sim::epoch::take_tally`]). Each accumulates exactly
+/// this thread's charges, and every charge of an operation happens on the
+/// thread that runs it, so the bracket is exact under a *shared* core
+/// guard (concurrent lanes serving hits) as well as an exclusive one —
+/// which a delta of two snapshots of the shared counters is not.
+///
+/// The bracket has two ends because the lane-parallel engine finishes a
+/// reply in two steps: [`OpMeter::close`] ends the serialized section (the
+/// ledger windows and the buffer-cache tally — everything the server step
+/// itself did), and [`Metered::observe`] runs after a deferred splice, so
+/// the NCache tally includes the splice's lookups while the ledger window
+/// does not include its `logical_copies` / `csum_inherited` (fields
+/// [`derive`] never reads; the sequential server substitutes inside its
+/// step, where both ends coincide).
+#[derive(Debug)]
+#[must_use]
+pub(crate) struct OpMeter(());
+
+/// An [`OpMeter`] whose serialized section has ended.
+#[derive(Debug)]
+#[must_use]
+pub(crate) struct Metered {
+    app: LedgerSnapshot,
+    storage: LedgerSnapshot,
+    bufcache_ops: u64,
+    rejected: bool,
+}
+
+impl OpMeter {
+    /// Opens the bracket: drains whatever earlier work left on this
+    /// thread's tallies and opens the ledger windows. Everything here is
+    /// the calling thread's own, so a lane may open its bracket before it
+    /// takes the core lock — waiting charges nothing.
+    pub(crate) fn open(ledgers: &NodeLedgers) -> OpMeter {
+        let _ = simfs::take_op_tally();
+        let _ = sim::epoch::take_tally();
+        ledgers.app.begin_window();
+        ledgers.storage.begin_window();
+        OpMeter(())
+    }
+
+    /// Ends the serialized section.
+    pub(crate) fn close(self, ledgers: &NodeLedgers) -> Metered {
+        Metered {
+            storage: ledgers.storage.end_window(),
+            app: ledgers.app.end_window(),
+            bufcache_ops: simfs::take_op_tally(),
+            rejected: false,
+        }
+    }
+}
+
+impl Metered {
+    /// Marks the operation as rejected by the server's admission gate —
+    /// the caller saw [`servers::ServerHost::control_rejections`] move
+    /// across it. Only the sequential rig can: the lanes refuse a rig
+    /// with a control plane.
+    pub(crate) fn rejected(self, rejected: bool) -> Metered {
+        Metered { rejected, ..self }
+    }
+
+    /// Completes the observation with what only the caller knows: the wire
+    /// sizes, the storage I/O the operation logged, and the packets
+    /// substituted for it (the module-total delta where the server
+    /// substitutes inside its step, the lane's own report where the splice
+    /// was deferred).
+    pub(crate) fn observe(
+        self,
+        request_bytes: u64,
+        reply_bytes: u64,
+        io: &[IoRecord],
+        substituted_pkts: u64,
+    ) -> Observation {
+        Observation {
+            app: self.app,
+            storage: self.storage,
+            ncache_ops: sim::epoch::take_tally(),
+            substituted_pkts,
+            bufcache_ops: self.bufcache_ops,
+            bursts: coalesce(io),
+            request_bytes,
+            reply_bytes,
+            rejected: self.rejected,
+        }
+    }
 }
 
 /// The request's derived service demands.

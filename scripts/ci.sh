@@ -83,6 +83,46 @@ for SEED in 0x5eed0001 0x5eed0002; do
     CHECK_SEED="$SEED" cargo test -q --offline -p check --test substitution_equivalence
 done
 
+echo "== one backplane (one server host, one rig, one fault exchange, one op meter) =="
+# DESIGN.md §3: what surrounds the NFS daemon and kHTTPd is written once
+# (servers::host, testbed::rig), and only the codec, the op handlers, the
+# stats and the DRC are per application. The rung fails if a second copy
+# of any of it comes back; a line that really must repeat opts out with a
+# trailing `// dup-ok: <reason>`.
+count_lines() { # count_lines PATTERN FILE...: non-test lines not opted out
+    local pattern="$1"; shift
+    nontest "$@" | grep -E "$pattern" | grep -vc 'dup-ok:[[:space:]]*[^[:space:]]' || true
+}
+expect_count() { # expect_count WANT WHAT PATTERN FILE...
+    local want="$1" what="$2" got; shift 2
+    got="$(count_lines "$@")"
+    if [[ "$got" != "$want" ]]; then
+        echo "$what: $got, not $want" >&2
+        exit 1
+    fi
+}
+# (`struct Observation {` and `-> Observation {` are the type's definition
+# and a return type, not literals of it.)
+LITERALS="$(nontest crates/testbed/src/*.rs | grep -E '(^|[^A-Za-z_])Observation \{' \
+    | grep -Evc '(struct|->) Observation \{|dup-ok:[[:space:]]*[^[:space:]]' || true)"
+if [[ "$LITERALS" != 1 ]]; then
+    echo "crates/testbed/src builds an Observation in $LITERALS places, not 1 (timing::Metered::observe)" >&2
+    exit 1
+fi
+expect_count 2 "deliver_faulty( call sites in crates/testbed/src (request and reply direction)" \
+    'deliver_faulty\(' crates/testbed/src/*.rs
+for FN in adaptive_tick enable_adaptive metrics_report new_faulted quiesce maybe_poison set_recorder; do
+    expect_count 1 "definitions of fn $FN in crates/testbed/src" "fn $FN\\b" crates/testbed/src/*.rs
+done
+# (`enable_control` is on the list because the rig installs the plane through
+# generic code that sees only the host: a daemon-side one would be shadowed.)
+for FN in pressure set_fault_recovery control_rejections control_stats enable_control; do
+    expect_count 1 "definitions of fn $FN in crates/servers/src outside control.rs" "fn $FN\\b" \
+        $(ls crates/servers/src/*.rs | grep -v '/control\.rs$')
+done
+echo "one of each; non-test lines in crates/testbed/src + crates/servers/src: $(nontest \
+    crates/testbed/src/*.rs crates/servers/src/*.rs | wc -l) (9437 before the backplane was written once)"
+
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;
 # every item it pins is listed in benchmark/src/seams.rs. Building,
