@@ -1,15 +1,14 @@
-//! One bench per table and figure of the paper's evaluation.
+//! One bench per row of the experiment registry (`experiments::ALL`).
 //!
-//! Each bench runs the corresponding experiment at a reduced scale and
+//! Each bench renders the corresponding experiment at a reduced scale and
 //! reports its wall-clock; the printed SeriesTable rows themselves come
 //! from the `repro` binary. Keeping the experiments inside `cargo bench`
 //! means `cargo bench --workspace` regenerates every artifact of §5 and
-//! leaves per-figure timings in `BENCH_figures.json`.
+//! leaves per-experiment timings in `BENCH_figures.json`.
 
 use check::bench::Harness;
 use servers::ServerMode;
-use testbed::executor;
-use testbed::experiments::{self, Scale};
+use testbed::experiments::{self, Exp, Scale, ALL};
 use testbed::nfs_rig::{NfsRig, NfsRigParams};
 use testbed::runner::DriverOp;
 use testbed::sessions::{run_nfs_sessions_parallel_timed, SessionsOptions};
@@ -31,34 +30,17 @@ fn bench_scale() -> Scale {
 
 fn main() {
     let scale = bench_scale();
-    let threads = executor::thread_count(None);
+    let exp = Exp::new(&scale);
+    let threads = exp.threads;
     let mut h = Harness::new("figures");
     h.threads(threads);
 
     {
-        let mut g = h.group("tables");
-        g.sample_size(10);
-        g.bench("table2_copy_counts", || {
-            let rows = experiments::table2_with(None, threads);
-            assert_eq!(rows.len(), 6);
-            rows
-        });
-    }
-
-    {
         let mut g = h.group("figures");
         g.sample_size(10);
-        g.bench("fig4_all_miss", || experiments::fig4_with(&scale, None, threads));
-        g.bench("fig5_all_hit", || experiments::fig5_with(&scale, None, threads));
-        g.bench("fig6a_specweb", || experiments::fig6a_with(&scale, None, threads));
-        g.bench("fig6b_khttpd_sizes", || experiments::fig6b_with(&scale, None, threads));
-        g.bench("fig7_specsfs", || experiments::fig7_with(&scale, None, threads));
-        g.bench("clients_sweep", || {
-            experiments::clients_sweep_with(&scale, None, threads, 1)
-        });
-        g.bench("overload_sweep", || {
-            experiments::overload_sweep_with(&scale, None, threads, 1)
-        });
+        for e in &ALL {
+            g.bench(&e.name(), || (e.render)(&exp));
+        }
     }
 
     // The quantile engine itself: record a deterministic heavy-tailed
@@ -97,7 +79,7 @@ fn main() {
     // monotone clients_sweep.clients.{n}.* entry per axis point, so each
     // BENCH_figures.json carries the throughput/hit-ratio curve.
     {
-        let (thr, hits) = experiments::clients_sweep_with(&scale, None, threads, 1);
+        let (thr, hits) = experiments::clients_sweep(&exp);
         for (i, x) in thr.xs().iter().enumerate() {
             let clients = *x as u64;
             h.metric(format!("clients_sweep.axis.{i}"), *x);
@@ -122,8 +104,7 @@ fn main() {
     // offered-load factor, delivered goodput and p50/p99/p999 per build,
     // plus the NCache build's per-stage latency shares.
     {
-        let (goodput, tails, shares) =
-            experiments::overload_sweep_with(&scale, None, threads, 1);
+        let (goodput, tails, shares) = experiments::overload_sweep(&exp);
         let labelled = [
             ("overload.goodput_mbs", &goodput),
             ("overload.latency_us", &tails),
@@ -146,8 +127,7 @@ fn main() {
     // ratio (requests abandoned per request offered) — the cost side of
     // the goodput the gate preserves under overload.
     {
-        let (goodput, tails, outcomes) =
-            experiments::overload_ablation_with(&scale, None, threads, 1);
+        let (goodput, tails, outcomes) = experiments::overload_ablation(&exp);
         for variant in ["unprotected", "protected"] {
             for x in goodput.xs() {
                 if let Some(v) = goodput.get(x, variant) {
@@ -172,8 +152,7 @@ fn main() {
     // ("dynamic") controller, plus fast-tier residency — how much work
     // the backend tier is left holding under each split.
     {
-        let (goodput, hits, residency) =
-            experiments::adaptive_ablation_with(&scale, None, threads, 1);
+        let (goodput, hits, residency) = experiments::adaptive_ablation(&exp);
         for (series, label) in [("static", "static"), ("adaptive", "dynamic")] {
             for x in goodput.xs() {
                 if let Some(v) = goodput.get(x, series) {
@@ -259,7 +238,10 @@ fn main() {
     // (copies, cache activity, substitutions) next to the timings.
     let rec = obs::Recorder::new();
     rec.enable(obs::TraceConfig::default());
-    experiments::table2_with(Some(&rec), threads);
+    experiments::table2(&Exp {
+        rec: Some(&rec),
+        ..exp
+    });
     for (name, value) in rec.counters() {
         h.metric(format!("table2.{name}"), value as f64);
     }

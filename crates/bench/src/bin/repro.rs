@@ -16,32 +16,23 @@
 //! ```
 //!
 //! Selectors combine with `--paper`, `--trace`, `--metrics` and `--faults`.
+//!
+//! This is one of the bench crate's two entry points: it regenerates every
+//! table and figure of the paper's evaluation and prints them in the
+//! paper's layout. The other is `cargo bench -p ncache-bench`, which times
+//! the core data-plane operations and one scaled-down run per registry
+//! entry, so regressions in either the library's host performance or the
+//! modelled shapes show up in CI.
+//!
+//! What can be selected, what each selector's modifiers are and which flags
+//! each experiment honours all come from the registry,
+//! `testbed::experiments::ALL`; this file holds no per-experiment code.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ncache_bench::scale_from_arg;
-use testbed::ablations;
 use testbed::executor;
-use testbed::experiments::{self, render_table2};
-
-/// Every experiment selector, as spelled after `--`. Anything else on the
-/// command line that is not an option is an error: a misspelt selector
-/// must not run nothing and exit 0.
-const SELECTORS: [&str; 12] = [
-    "table1",
-    "table2",
-    "fig4",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "fig7",
-    "ablations",
-    "faults-sweep",
-    "clients-sweep",
-    "overload-sweep",
-    "adaptive-sweep",
-];
+use testbed::experiments::{chosen, Exp, Experiment, Scale, ALL};
 
 fn validate(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
@@ -190,29 +181,23 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut paper = false;
+    let (quick, paper) = (Scale::quick(), Scale::paper());
+    let rec = obs::Recorder::new();
+    let mut x = Exp::new(&quick);
     let mut metrics = false;
     let mut latency_report = false;
-    let mut parallel_lanes = false;
-    let mut lane_oracle = false;
-    let mut protected = false;
-    let mut threads_arg: Option<usize> = None;
-    let mut shards: usize = 1;
+    let mut seed_given = false;
     let mut trace_path: Option<String> = None;
-    let mut fault_spec: Option<sim::FaultSpec> = None;
-    let mut fault_seed: u64 = 7;
-    let mut selectors: Vec<String> = Vec::new();
+    let mut selectors: Vec<&str> = Vec::new();
+    let mut modifiers: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--paper" => paper = true,
+            "--paper" => x.scale = &paper,
             "--metrics" => metrics = true,
             "--latency-report" => latency_report = true,
-            "--parallel-lanes" => parallel_lanes = true,
-            "--lane-oracle" => lane_oracle = true,
-            "--protected" => protected = true,
             "--faults" => match it.next().map(|v| sim::FaultSpec::parse(v)) {
-                Some(Ok(spec)) => fault_spec = Some(spec),
+                Some(Ok(spec)) => x.faults = Some(spec),
                 Some(Err(e)) => {
                     eprintln!("error: --faults: {e}");
                     return ExitCode::FAILURE;
@@ -223,21 +208,21 @@ fn main() -> ExitCode {
                 }
             },
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => fault_seed = n,
+                Some(n) => (x.seed, seed_given) = (n, true),
                 None => {
                     eprintln!("error: --seed needs a numeric argument");
                     return ExitCode::FAILURE;
                 }
             },
             "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads_arg = Some(n),
+                Some(n) => x.threads = executor::thread_count(Some(n)),
                 None => {
                     eprintln!("error: --threads needs a numeric argument");
                     return ExitCode::FAILURE;
                 }
             },
             "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => shards = n,
+                Some(n) if n > 0 => x.shards = n,
                 _ => {
                     eprintln!("error: --shards needs a positive numeric argument");
                     return ExitCode::FAILURE;
@@ -259,128 +244,88 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            other => match other.strip_prefix("--").filter(|name| SELECTORS.contains(name)) {
-                Some(name) => selectors.push(name.to_string()),
-                None => {
+            // Everything else is a selector or a modifier the registry
+            // holds, or an error: a misspelt selector must not run nothing
+            // and exit 0.
+            other => {
+                let name = other.strip_prefix("--");
+                let modifier = ALL
+                    .iter()
+                    .filter_map(|e| e.modifier)
+                    .find(|m| Some(*m) == name);
+                if let Some(e) = ALL.iter().find(|e| Some(e.selector) == name) {
+                    selectors.push(e.selector);
+                } else if let Some(m) = modifier {
+                    modifiers.push(m);
+                } else {
+                    let plain = ALL.iter().filter(|e| e.modifier.is_none());
+                    let known: Vec<&str> = plain.map(|e| e.selector).collect();
                     eprintln!(
                         "error: unknown argument {other}; the selectors are --{}",
-                        SELECTORS.join(" --")
+                        known.join(" --")
                     );
                     return ExitCode::FAILURE;
                 }
-            },
+            }
         }
     }
-    for (flag, given, selector) in [
-        ("--protected", protected, "overload-sweep"),
-        ("--parallel-lanes", parallel_lanes, "clients-sweep"),
-        ("--lane-oracle", lane_oracle, "clients-sweep"),
+    let chosen = chosen(&selectors, &modifiers);
+
+    // A flag no chosen experiment honours is an error, for the reason a
+    // misspelt selector is: the run would print what it prints without the
+    // flag, and a gate comparing two such outputs passes. (`--threads` and
+    // `--shards` are exempt: every experiment's output is invariant in
+    // them, so ignoring one is unobservable.)
+    type Honours = fn(&Experiment, &str) -> bool;
+    // Every variant of a selector honours that selector's modifiers: of
+    // several given, the registry's last row runs (`experiments::chosen`).
+    let variant: Honours = |e, flag| {
+        let modifies = |r: &Experiment| r.selector == e.selector && r.modifier == Some(flag);
+        e.modifier.is_some() && ALL.iter().any(modifies)
+    };
+    let faulted: Honours = |e, _| e.faulted;
+    let traced: Honours = |e, _| e.traced;
+    let mut given: Vec<(&str, Honours)> = modifiers.iter().map(|&m| (m, variant)).collect();
+    for (flag, on, honours) in [
+        ("faults", x.faults.is_some(), faulted),
+        ("seed", seed_given, faulted),
+        ("trace", trace_path.is_some(), traced),
+        ("metrics", metrics, traced),
+        ("latency-report", latency_report, traced),
     ] {
-        if given && !selectors.iter().any(|s| s == selector) {
-            eprintln!("error: {flag} modifies --{selector}, which is not selected");
+        if on {
+            given.push((flag, honours));
+        }
+    }
+    let names = |rows: &[&Experiment]| {
+        let names: Vec<String> = rows.iter().map(|e| e.name()).collect();
+        names.join(", ")
+    };
+    for (flag, honours) in given {
+        let (with, without): (Vec<_>, Vec<_>) = chosen.iter().partition(|e| honours(e, flag));
+        if with.is_empty() {
+            let by: Vec<_> = ALL.iter().filter(|e| honours(e, flag)).collect();
+            let by = names(&by);
+            eprintln!("error: --{flag} is honoured only by {by}; none of them is selected");
             return ExitCode::FAILURE;
         }
-    }
-    let scale = scale_from_arg(paper.then_some("--paper"));
-    let threads = executor::thread_count(threads_arg);
-    let selected = |name: &str| selectors.is_empty() || selectors.iter().any(|a| a == name);
-
-    let rec = obs::Recorder::new();
-    if trace_path.is_some() || metrics || latency_report {
-        rec.enable(obs::TraceConfig::default());
-    }
-    let traced = rec.is_enabled();
-
-    if selected("table1") {
-        println!("{}", experiments::table1());
-    }
-    if selected("table2") {
-        let t0 = Instant::now();
-        let rows = match &fault_spec {
-            Some(spec) => {
-                eprintln!("[table2 under faults: {spec:?}, seed {fault_seed}]");
-                experiments::table2_faulted(spec, fault_seed, traced.then_some(&rec), threads)
-            }
-            None => experiments::table2_with(traced.then_some(&rec), threads),
-        };
-        println!("{}", render_table2(&rows));
-        eprintln!("[table2 in {:.1?}]\n", t0.elapsed());
-    }
-    if selectors.iter().any(|a| a == "faults-sweep") {
-        let t0 = Instant::now();
-        let spec = fault_spec.unwrap_or_default();
-        let (done, recov) =
-            experiments::fault_sweep_with(&spec, fault_seed, traced.then_some(&rec), threads);
-        println!("{done}\n{recov}");
-        eprintln!("[faults-sweep in {:.1?}]\n", t0.elapsed());
-    }
-    if selectors.iter().any(|a| a == "clients-sweep") {
-        let t0 = Instant::now();
-        let (thr, hits) = if parallel_lanes || lane_oracle {
-            let lanes = (!lane_oracle).then_some(threads);
-            let faults = fault_spec.as_ref().map(|s| (s, fault_seed));
-            experiments::clients_sweep_lanes(&scale, shards, lanes, faults)
-        } else {
-            experiments::clients_sweep_with(&scale, traced.then_some(&rec), threads, shards)
-        };
-        println!("{thr}\n{hits}");
-        eprintln!("[clients-sweep in {:.1?}]\n", t0.elapsed());
-    }
-    if selectors.iter().any(|a| a == "overload-sweep") {
-        let t0 = Instant::now();
-        if protected {
-            let (goodput, tails, outcomes) =
-                experiments::overload_ablation_with(&scale, traced.then_some(&rec), threads, shards);
-            println!("{goodput}\n{tails}\n{outcomes}");
-            eprintln!("[overload-ablation in {:.1?}]\n", t0.elapsed());
-        } else {
-            let (goodput, tails, shares) =
-                experiments::overload_sweep_with(&scale, traced.then_some(&rec), threads, shards);
-            println!("{goodput}\n{tails}\n{shares}");
-            eprintln!("[overload-sweep in {:.1?}]\n", t0.elapsed());
+        if !without.is_empty() {
+            let ran = names(&without);
+            eprintln!("[ran without --{flag}, which they do not honour: {ran}]");
         }
     }
-    if selectors.iter().any(|a| a == "adaptive-sweep") {
-        let t0 = Instant::now();
-        let (goodput, hits, residency) =
-            experiments::adaptive_ablation_with(&scale, traced.then_some(&rec), threads, shards);
-        println!("{goodput}\n{hits}\n{residency}");
-        eprintln!("[adaptive-sweep in {:.1?}]\n", t0.elapsed());
+
+    if trace_path.is_some() || metrics || latency_report {
+        rec.enable(obs::TraceConfig::default());
+        x.rec = Some(&rec);
     }
-    if selected("fig4") {
+    for e in chosen {
         let t0 = Instant::now();
-        let (thr, cpu) = experiments::fig4_with(&scale, traced.then_some(&rec), threads);
-        println!("{thr}\n{cpu}");
-        eprintln!("[fig4 in {:.1?}]\n", t0.elapsed());
-    }
-    if selected("fig5") {
-        let t0 = Instant::now();
-        let (cpu1, thr2) = experiments::fig5_with(&scale, traced.then_some(&rec), threads);
-        println!("{cpu1}\n{thr2}");
-        eprintln!("[fig5 in {:.1?}]\n", t0.elapsed());
-    }
-    if selected("fig6a") {
-        let t0 = Instant::now();
-        let thr = experiments::fig6a_with(&scale, traced.then_some(&rec), threads);
-        println!("{thr}");
-        eprintln!("[fig6a in {:.1?}]\n", t0.elapsed());
-    }
-    if selected("fig6b") {
-        let t0 = Instant::now();
-        let thr = experiments::fig6b_with(&scale, traced.then_some(&rec), threads);
-        println!("{thr}");
-        eprintln!("[fig6b in {:.1?}]\n", t0.elapsed());
-    }
-    if selected("fig7") {
-        let t0 = Instant::now();
-        let table = experiments::fig7_with(&scale, traced.then_some(&rec), threads);
-        println!("{table}");
-        eprintln!("[fig7 in {:.1?}]\n", t0.elapsed());
-    }
-    if selected("ablations") {
-        let t0 = Instant::now();
-        println!("{}", ablations::render(&scale));
-        eprintln!("[ablations in {:.1?}]\n", t0.elapsed());
+        if let (true, Some(spec)) = (e.faulted, &x.faults) {
+            eprintln!("[{} under faults: {spec:?}, seed {}]", e.name(), x.seed);
+        }
+        println!("{}", (e.render)(&x));
+        eprintln!("[{} in {:.1?}]\n", e.name(), t0.elapsed());
     }
 
     if metrics {

@@ -6,6 +6,8 @@
 
 use std::process::{Command, Output};
 
+use testbed::experiments::ALL;
+
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -19,6 +21,8 @@ fn known_selectors_and_their_modifiers_run() {
         &["--table1"][..],
         &["--table2", "--threads", "1"],
         &["--clients-sweep", "--lane-oracle"],
+        // The seed is the fault sweep's root seed with or without a spec.
+        &["--faults-sweep", "--seed", "9"],
     ] {
         let out = repro(args);
         assert!(out.status.success(), "{args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
@@ -36,6 +40,12 @@ fn unknown_selectors_and_orphan_modifiers_are_rejected() {
         &["--protected"],
         &["--table2", "--parallel-lanes"],
         &["--overload-sweep", "--lane-oracle"],
+        // Flags no chosen experiment honours (each ran, ignoring the flag,
+        // and exited 0 before the check came from the registry).
+        &["--fig6b", "--faults", "loss=0.5", "--seed", "3"],
+        &["--clients-sweep", "--faults", "loss=0.2"],
+        &["--clients-sweep", "--parallel-lanes", "--threads", "2", "--trace", "t.json", "--metrics"],
+        &["--ablations", "--trace", "t.json"],
     ] {
         let out = repro(args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -46,4 +56,29 @@ fn unknown_selectors_and_orphan_modifiers_are_rejected() {
     let err = repro(&["--fig44"]).stderr;
     let err = String::from_utf8_lossy(&err);
     assert!(err.contains("--fig4 ") && err.contains("--adaptive-sweep"), "lists the selectors: {err}");
+}
+
+#[test]
+fn a_flag_some_chosen_experiments_ignore_is_named_on_stderr() {
+    let out = repro(&["--table1", "--table2", "--metrics"]);
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("ran without --metrics, which they do not honour: table1"),
+        "{err}"
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Unified metrics summary"));
+}
+
+#[test]
+fn help_mentions_every_selector_and_modifier_the_registry_holds() {
+    let out = repro(&["--help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    for e in &ALL {
+        assert!(help.contains(&format!("--{}", e.selector)), "--{} missing", e.selector);
+        if let Some(m) = e.modifier {
+            assert!(help.contains(&format!("--{m}")), "--{m} missing");
+        }
+    }
 }

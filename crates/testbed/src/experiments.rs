@@ -1,9 +1,11 @@
 //! The paper's evaluation, experiment by experiment (§5).
 //!
-//! One function per figure and table. Each returns [`SeriesTable`]s with
-//! the same axes the paper plots; the `repro` binary in `ncache-bench`
-//! prints them. Absolute numbers are calibrated, shapes are measured —
-//! see EXPERIMENTS.md for the paper-vs-measured comparison.
+//! One function per figure and table, each taking the run's context
+//! ([`Exp`]) and returning [`SeriesTable`]s with the same axes the paper
+//! plots. [`ALL`] is the one list of them: the `repro` binary in
+//! `ncache-bench`, the golden files, the equivalence suite and the figures
+//! bench all iterate it. Absolute numbers are calibrated, shapes are
+//! measured — see EXPERIMENTS.md for the paper-vs-measured comparison.
 
 use servers::ServerMode;
 use sim::stats::SeriesTable;
@@ -13,33 +15,13 @@ use workload::specsfs::{SpecSfs, SpecSfsParams};
 use workload::specweb::{PageSet, SpecWeb};
 use workload::{FileId, NfsOp};
 
-use crate::executor::{self, run_cells};
+use crate::executor::{self, derive_seed, run_cells};
 use crate::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use crate::nfs_rig::{FaultCounters, NfsRig, NfsRigParams};
+use crate::openloop::{run_open_loop, zipf_reads, OpenLoopOptions};
 use crate::rig::{App, Rig};
 use crate::runner::{run, DriverOp, RigDriver, RunOptions};
 use crate::sessions::{run_nfs_sessions, run_nfs_sessions_parallel, SessionsOptions};
-
-/// A fresh per-cell recorder mirroring the parent's configuration, or
-/// `None` when the experiment is untraced. Cells never share a recorder:
-/// each records privately and the parent absorbs them in cell order, so a
-/// traced run's exported bytes are identical at any thread count.
-fn cell_recorder(parent: Option<&obs::Recorder>) -> Option<obs::Recorder> {
-    parent.map(|p| {
-        let r = obs::Recorder::new();
-        if p.is_enabled() {
-            r.enable(p.config());
-        }
-        r
-    })
-}
-
-/// Merges one cell's recorder back into the parent (cell-order calls only).
-fn absorb_cell(parent: Option<&obs::Recorder>, cell: Option<obs::Recorder>) {
-    if let (Some(parent), Some(cell)) = (parent, cell) {
-        parent.absorb(&cell);
-    }
-}
 
 /// Experiment sizing. `quick()` runs in seconds for tests and CI;
 /// `paper()` uses the paper's parameters (2 GB all-miss file, 250 MB-1 GB
@@ -108,6 +90,116 @@ impl Default for Scale {
     }
 }
 
+/// What one run of the evaluation is given. Every experiment takes `&Exp`;
+/// [`Exp::new`] is the bare run and struct update sets the rest: `Exp {
+/// threads: 1, shards: 8, ..Exp::new(&scale) }`. Only `scale`, `faults` and
+/// `seed` can change a table — `rec`, `threads` and `shards` are
+/// unobservable in every experiment's output by construction, and the
+/// equivalence suite holds every row of [`ALL`] to that.
+#[derive(Clone, Copy)]
+pub struct Exp<'a> {
+    /// Experiment sizing.
+    pub scale: &'a Scale,
+    /// The run's recorder (`None`: untraced), honoured by the registry's
+    /// `traced` rows. Cells never write to it directly, they record into
+    /// private recorders that are absorbed into it in cell order.
+    pub rec: Option<&'a obs::Recorder>,
+    /// Worker threads for the cells, and lane threads under
+    /// [`Lanes::Threads`].
+    pub threads: usize,
+    /// NCache shard count of the client-scaling, overload and adaptive rigs.
+    /// Sharding only partitions the cache's key space.
+    pub shards: usize,
+    /// The fault spec (`repro --faults`), honoured by the registry's
+    /// `faulted` rows: their rigs are armed with it. `None` runs fault-free.
+    pub faults: Option<FaultSpec>,
+    /// Root seed of every fault schedule (`repro --seed`).
+    pub seed: u64,
+}
+
+impl<'a> Exp<'a> {
+    /// The bare run at `scale`: untraced, [`executor::thread_count`]`(None)`
+    /// workers, one shard, no faults, the CLI's default seed.
+    pub fn new(scale: &'a Scale) -> Self {
+        Exp {
+            scale,
+            rec: None,
+            threads: executor::thread_count(None),
+            shards: 1,
+            faults: None,
+            seed: 7,
+        }
+    }
+
+    /// The cell protocol, written once: runs `cell(i, cells[i], recorder)`
+    /// for every cell on up to `threads` workers and returns `(cell,
+    /// result)` pairs in cell order. A traced run hands each cell a fresh
+    /// private recorder mirroring the run's configuration — cells never
+    /// share one — and absorbs them back in cell order, so a traced run's
+    /// exported bytes are identical at any thread count.
+    fn sweep<C: Copy + Sync, R: Send>(
+        &self,
+        cells: &[C],
+        cell: impl Fn(usize, C, Option<&obs::Recorder>) -> R + Sync,
+    ) -> Vec<(C, R)> {
+        let results = run_cells(self.threads, cells.len(), |i| {
+            let rec = self.rec.map(|run| {
+                let rec = obs::Recorder::new();
+                if run.is_enabled() {
+                    rec.enable(run.config());
+                }
+                rec
+            });
+            (cell(i, cells[i], rec.as_ref()), rec)
+        });
+        let absorb = |(&cell, (result, rec)): (&C, (R, Option<obs::Recorder>))| {
+            if let (Some(run), Some(rec)) = (self.rec, rec) {
+                run.absorb(&rec);
+            }
+            (cell, result)
+        };
+        cells.iter().zip(results).map(absorb).collect()
+    }
+
+    /// One cell's rig, recording into the cell's recorder. `fault_seed` is
+    /// `Some` only in the experiments that honour `faults` (the registry's
+    /// `faulted` rows): in a faulted run their rigs are armed with the
+    /// run's spec under that seed. Everywhere else the rig is clean.
+    fn rig<A: App>(
+        &self,
+        mode: ServerMode,
+        params: A::Params,
+        rec: Option<&obs::Recorder>,
+        fault_seed: Option<u64>,
+    ) -> Rig<A> {
+        let mut rig = match (self.faults, fault_seed) {
+            (Some(spec), Some(seed)) => Rig::new_faulted(mode, params, &spec, seed),
+            _ => Rig::new(mode, params),
+        };
+        if let Some(rec) = rec {
+            rig.set_recorder(rec.clone());
+        }
+        rig
+    }
+
+    /// The default NFS geometry at this run's shard count.
+    fn sharded(&self) -> NfsRigParams {
+        NfsRigParams {
+            shards: self.shards,
+            ..NfsRigParams::default()
+        }
+    }
+}
+
+/// One cell per `(build, axis point)`, builds outermost: the order the
+/// sweeps' cells are seeded, merged and printed in.
+fn per_mode<T: Copy>(axis: impl IntoIterator<Item = T> + Clone) -> Vec<(ServerMode, T)> {
+    ServerMode::ALL
+        .into_iter()
+        .flat_map(|mode| axis.clone().into_iter().map(move |point| (mode, point)))
+        .collect()
+}
+
 fn nfs_params_for(scale_bytes: u64, read_ahead_blocks: u64) -> NfsRigParams {
     // Volume: data + ~12% metadata slack.
     let blocks = (scale_bytes / 4096).max(1024);
@@ -118,12 +210,6 @@ fn nfs_params_for(scale_bytes: u64, read_ahead_blocks: u64) -> NfsRigParams {
         read_ahead_blocks,
         inode_count: 8 << 10,
         shards: 1,
-    }
-}
-
-fn attach<A: App>(rig: &mut Rig<A>, rec: Option<&obs::Recorder>) {
-    if let Some(rec) = rec {
-        rig.set_recorder(rec.clone());
     }
 }
 
@@ -140,123 +226,126 @@ fn seq_ops(fh: u64, total: u64, req: u32) -> Vec<DriverOp> {
         .collect()
 }
 
-/// Figure 4: all-miss NFS throughput (a) and server CPU utilization (b)
-/// versus request size, for all three builds. Returns `(throughput MB/s,
-/// CPU %)` tables keyed by request size in KB.
-pub fn fig4(scale: &Scale) -> (SeriesTable, SeriesTable) {
-    fig4_with(scale, None, executor::thread_count(None))
+/// READ size of the client-scaling, overload and adaptive workloads.
+const SPAN: u32 = 16 << 10;
+
+/// The hot file of the warmed sweeps: strictly below the 8 MiB fs buffer
+/// cache (and far below the NCache), so once [`warm`]ed it fits every
+/// build's cache and nothing evicts mid-run — the sweeps over it measure
+/// queueing and scheduling, not eviction.
+fn hot_file(scale: &Scale) -> u64 {
+    scale.allhit_file.min(4 << 20)
 }
 
-/// [`fig4`] on an explicit worker count; one cell per `(mode, size)`.
-pub fn fig4_with(
-    scale: &Scale,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-) -> (SeriesTable, SeriesTable) {
-    let mut thr = SeriesTable::new(
-        "Fig 4(a): all-miss NFS throughput (MB/s)",
-        "req KB",
-    );
+/// Warm pass: READs `file` front to back in `req`-byte requests
+/// (functional only, untimed).
+fn warm(rig: &mut NfsRig, fh: u64, file: u64, req: u32) {
+    for off in (0..file).step_by(req as usize) {
+        rig.read(fh, off as u32, req);
+    }
+}
+
+/// `sessions` client sessions of `per_session` [`SPAN`]-byte READs each:
+/// every session strides the file from its own phase, overlapping the
+/// others.
+fn strided_sessions(fh: u64, file: u64, sessions: usize, per_session: usize) -> Vec<Vec<DriverOp>> {
+    let span = u64::from(SPAN);
+    let read = |sid: usize, k: usize| DriverOp::Read {
+        fh,
+        offset: ((sid as u64 * 7 + k as u64) * span % (file - span)) as u32 / 4096 * 4096,
+        len: SPAN,
+    };
+    (0..sessions)
+        .map(|sid| (0..per_session).map(|k| read(sid, k)).collect())
+        .collect()
+}
+
+/// The server-side cache hit ratio: the NCache build's hits happen in the
+/// network-centric cache; the copying builds hit the file-system buffer
+/// cache.
+fn hit_ratio(rig: &mut NfsRig) -> f64 {
+    match rig.module() {
+        Some(module) => module.borrow().stats().hit_ratio(),
+        None => rig.server_mut().fs_mut().cache_stats().hit_ratio(),
+    }
+}
+
+/// Figure 4: all-miss NFS throughput (a) and server CPU utilization (b)
+/// versus request size, for all three builds. Returns `(throughput MB/s,
+/// CPU %)` tables keyed by request size in KB. One cell per `(mode, size)`.
+pub fn fig4(x: &Exp) -> (SeriesTable, SeriesTable) {
+    let mut thr = SeriesTable::new("Fig 4(a): all-miss NFS throughput (MB/s)", "req KB");
     let mut cpu = SeriesTable::new(
         "Fig 4(b): all-miss NFS server CPU utilization (%)",
         "req KB",
     );
-    let cells: Vec<(ServerMode, u32)> = ServerMode::ALL
-        .into_iter()
-        .flat_map(|mode| NFS_REQUEST_SIZES.into_iter().map(move |req| (mode, req)))
-        .collect();
-    let results = run_cells(threads, cells.len(), |i| {
-        let (mode, req) = cells[i];
+    let file = x.scale.allmiss_file;
+    let results = x.sweep(&per_mode(NFS_REQUEST_SIZES), |_, (mode, req), rec| {
         // "The file system read ahead window was tuned appropriately so
         // that the average disk request size matches with the NFS
         // request size" (§5.4).
-        let params = nfs_params_for(scale.allmiss_file, u64::from(req / 4096));
-        let cell_rec = cell_recorder(rec);
-        let mut rig = NfsRig::new(mode, params);
-        attach(&mut rig, cell_rec.as_ref());
-        let fh = rig.create_sparse_file("bigfile", scale.allmiss_file);
+        let params = nfs_params_for(file, u64::from(req / 4096));
+        let mut rig: NfsRig = x.rig(mode, params, rec, None);
+        let fh = rig.create_sparse_file("bigfile", file);
         // "The number of NFS server daemons was also adjusted to reach
         // the best performance" (§5.4): the all-miss pipeline needs
         // deep concurrency to saturate the storage server.
-        let result = run(
-            &mut rig,
-            seq_ops(fh, scale.allmiss_file, req),
-            &RunOptions {
-                concurrency: 64,
-                ..RunOptions::default()
-            },
-        );
-        (result.throughput_mbs, result.app_cpu_util, cell_rec)
+        let opts = RunOptions {
+            concurrency: 64,
+            ..RunOptions::default()
+        };
+        let result = run(&mut rig, seq_ops(fh, file, req), &opts);
+        (result.throughput_mbs, result.app_cpu_util)
     });
-    for ((mode, req), (mbs, util, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
-        let x = f64::from(req / 1024);
-        thr.put(x, mode.label(), mbs);
-        cpu.put(x, mode.label(), util * 100.0);
+    for ((mode, req), (mbs, util)) in results {
+        let kb = f64::from(req / 1024);
+        thr.put(kb, mode.label(), mbs);
+        cpu.put(kb, mode.label(), util * 100.0);
     }
     (thr, cpu)
 }
 
 /// Figure 5: all-hit NFS. `(a)` server CPU utilization with one NIC
-/// (link-bound); `(b)` throughput with two NICs (CPU-bound).
-pub fn fig5(scale: &Scale) -> (SeriesTable, SeriesTable) {
-    fig5_with(scale, None, executor::thread_count(None))
-}
-
-/// [`fig5`] on an explicit worker count; one cell per `(NIC count, mode,
-/// size)`.
-pub fn fig5_with(
-    scale: &Scale,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-) -> (SeriesTable, SeriesTable) {
+/// (link-bound); `(b)` throughput with two NICs (CPU-bound). One cell per
+/// `(NIC count, mode, size)`.
+pub fn fig5(x: &Exp) -> (SeriesTable, SeriesTable) {
     let mut cpu1 = SeriesTable::new(
         "Fig 5(a): all-hit NFS server CPU utilization, 1 NIC (%)",
         "req KB",
     );
-    let mut thr2 = SeriesTable::new(
-        "Fig 5(b): all-hit NFS throughput, 2 NICs (MB/s)",
-        "req KB",
-    );
-    let cells: Vec<(usize, ServerMode, u32)> = [1usize, 2]
+    let mut thr2 = SeriesTable::new("Fig 5(b): all-hit NFS throughput, 2 NICs (MB/s)", "req KB");
+    let file = x.scale.allhit_file;
+    let cells: Vec<(usize, (ServerMode, u32))> = [1usize, 2]
         .into_iter()
         .flat_map(|nics| {
-            ServerMode::ALL.into_iter().flat_map(move |mode| {
-                NFS_REQUEST_SIZES.into_iter().map(move |req| (nics, mode, req))
-            })
+            per_mode(NFS_REQUEST_SIZES)
+                .into_iter()
+                .map(move |cell| (nics, cell))
         })
         .collect();
-    let results = run_cells(threads, cells.len(), |i| {
-        let (nics, mode, req) = cells[i];
-        let params = nfs_params_for(scale.allhit_file * 4, u64::from(req / 4096));
-        let cell_rec = cell_recorder(rec);
-        let mut rig = NfsRig::new(mode, params);
-        attach(&mut rig, cell_rec.as_ref());
-        let fh = rig.create_file("hotfile", scale.allhit_file);
+    let results = x.sweep(&cells, |_, (nics, (mode, req)), rec| {
+        let params = nfs_params_for(file * 4, u64::from(req / 4096));
+        let mut rig: NfsRig = x.rig(mode, params, rec, None);
+        let fh = rig.create_file("hotfile", file);
         // Warm pass (functional only, untimed).
-        for op in seq_ops(fh, scale.allhit_file, req) {
+        for op in seq_ops(fh, file, req) {
             rig.run_op(&op);
         }
-        let mut ops = Vec::new();
-        for _ in 0..scale.allhit_passes {
-            ops.extend(seq_ops(fh, scale.allhit_file, req));
-        }
-        let result = run(
-            &mut rig,
-            ops,
-            &RunOptions {
-                nics,
-                ..RunOptions::default()
-            },
-        );
-        (result.app_cpu_util, result.throughput_mbs, cell_rec)
+        let ops: Vec<DriverOp> = (0..x.scale.allhit_passes)
+            .flat_map(|_| seq_ops(fh, file, req))
+            .collect();
+        let opts = RunOptions {
+            nics,
+            ..RunOptions::default()
+        };
+        let result = run(&mut rig, ops, &opts);
+        (result.app_cpu_util, result.throughput_mbs)
     });
-    for ((nics, mode, req), (util, mbs, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
-        let x = f64::from(req / 1024);
+    for ((nics, (mode, req)), (util, mbs)) in results {
+        let kb = f64::from(req / 1024);
         match nics {
-            1 => cpu1.put(x, mode.label(), util * 100.0),
-            _ => thr2.put(x, mode.label(), mbs),
+            1 => cpu1.put(kb, mode.label(), util * 100.0),
+            _ => thr2.put(kb, mode.label(), mbs),
         }
     }
     (cpu1, thr2)
@@ -288,43 +377,22 @@ fn khttpd_params(working_set: u64, cache_bytes: u64, mode: ServerMode) -> Khttpd
 }
 
 /// Figure 6(a): kHTTPd SPECweb99-like throughput versus working-set size.
-pub fn fig6a(scale: &Scale) -> SeriesTable {
-    fig6a_with(scale, None, executor::thread_count(None))
-}
-
-/// [`fig6a`] on an explicit worker count; one cell per `(mode, working
-/// set)`.
-pub fn fig6a_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) -> SeriesTable {
-    let mut thr = SeriesTable::new(
-        "Fig 6(a): kHTTPd SPECweb99 throughput (MB/s)",
-        "workset MB",
-    );
-    let cells: Vec<(ServerMode, u64)> = ServerMode::ALL
-        .into_iter()
-        .flat_map(|mode| {
-            scale
-                .specweb_working_sets
-                .iter()
-                .map(move |&ws| (mode, ws))
-        })
-        .collect();
-    let results = run_cells(threads, cells.len(), |i| {
-        let (mode, ws) = cells[i];
-        let cell_rec = cell_recorder(rec);
-        let mut rig = KhttpdRig::new(mode, khttpd_params(ws, scale.web_cache_bytes, mode));
-        attach(&mut rig, cell_rec.as_ref());
+/// One cell per `(mode, working set)`.
+pub fn fig6a(x: &Exp) -> SeriesTable {
+    let mut thr = SeriesTable::new("Fig 6(a): kHTTPd SPECweb99 throughput (MB/s)", "workset MB");
+    let scale = x.scale;
+    let cells = per_mode(scale.specweb_working_sets.iter().copied());
+    let results = x.sweep(&cells, |_, (mode, ws), rec| {
+        let params = khttpd_params(ws, scale.web_cache_bytes, mode);
+        let mut rig: KhttpdRig = x.rig(mode, params, rec, None);
         let set = PageSet::with_working_set(ws);
+        // One quiesce after the whole set, not one per page.
         for (name, size) in set.pages() {
-            rig.server_mut()
-                .fs_mut()
+            let fs = rig.server_mut().fs_mut();
+            let ino = fs
                 .create(simfs::Filesystem::<servers::IscsiInitiator>::ROOT, &name)
-                .map(|ino| {
-                    rig.server_mut()
-                        .fs_mut()
-                        .allocate(ino, size)
-                        .expect("volume has space")
-                })
                 .expect("fresh page name");
+            fs.allocate(ino, size).expect("volume has space");
         }
         rig.quiesce();
         // The workload stream is seeded per cell (by working set), never
@@ -339,40 +407,25 @@ pub fn fig6a_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) ->
         for op in warm {
             rig.run_op(op);
         }
-        let result = run(&mut rig, measured.to_vec(), &RunOptions::default());
-        (result.throughput_mbs, cell_rec)
+        run(&mut rig, measured.to_vec(), &RunOptions::default()).throughput_mbs
     });
-    for ((mode, ws), (mbs, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
+    for ((mode, ws), mbs) in results {
         thr.put((ws >> 20) as f64, mode.label(), mbs);
     }
     thr
 }
 
-/// Figure 6(b): kHTTPd all-hit throughput versus request (page) size.
-pub fn fig6b(scale: &Scale) -> SeriesTable {
-    fig6b_with(scale, None, executor::thread_count(None))
-}
-
-/// [`fig6b`] on an explicit worker count; one cell per `(mode, size)`.
-pub fn fig6b_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) -> SeriesTable {
+/// Figure 6(b): kHTTPd all-hit throughput versus request (page) size. One
+/// cell per `(mode, size)`.
+pub fn fig6b(x: &Exp) -> SeriesTable {
     let mut thr = SeriesTable::new(
         "Fig 6(b): kHTTPd all-hit throughput vs request size (MB/s)",
         "req KB",
     );
-    let cells: Vec<(ServerMode, u32)> = ServerMode::ALL
-        .into_iter()
-        .flat_map(|mode| HTTP_REQUEST_SIZES.into_iter().map(move |req| (mode, req)))
-        .collect();
-    let results = run_cells(threads, cells.len(), |i| {
-        let (mode, req) = cells[i];
-        let pages = (scale.allhit_file / u64::from(req)).max(1) as u32;
-        let cell_rec = cell_recorder(rec);
-        let mut rig = KhttpdRig::new(
-            mode,
-            khttpd_params(scale.allhit_file * 4, scale.allhit_file * 4, mode),
-        );
-        attach(&mut rig, cell_rec.as_ref());
+    let file = x.scale.allhit_file;
+    let results = x.sweep(&per_mode(HTTP_REQUEST_SIZES), |_, (mode, req), rec| {
+        let pages = (file / u64::from(req)).max(1) as u32;
+        let mut rig: KhttpdRig = x.rig(mode, khttpd_params(file * 4, file * 4, mode), rec, None);
         for p in 0..pages {
             rig.publish_sparse(&format!("page{p}"), u64::from(req));
         }
@@ -384,102 +437,83 @@ pub fn fig6b_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) ->
         for op in &paths {
             rig.run_op(op); // warm
         }
-        let mut ops = Vec::new();
-        for _ in 0..scale.allhit_passes.max(2) {
-            ops.extend(paths.iter().cloned());
-        }
-        let result = run(&mut rig, ops, &RunOptions::default());
-        (result.throughput_mbs, cell_rec)
+        let ops: Vec<DriverOp> = (0..x.scale.allhit_passes.max(2))
+            .flat_map(|_| paths.iter().cloned())
+            .collect();
+        run(&mut rig, ops, &RunOptions::default()).throughput_mbs
     });
-    for ((mode, req), (mbs, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
+    for ((mode, req), mbs) in results {
         thr.put(f64::from(req / 1024), mode.label(), mbs);
     }
     thr
 }
 
 /// Figure 7: SPECsfs-like throughput (ops/s) versus the percentage of
-/// regular-data operations.
-pub fn fig7(scale: &Scale) -> SeriesTable {
-    fig7_with(scale, None, executor::thread_count(None))
-}
-
-/// [`fig7`] on an explicit worker count; one cell per `(mode, data-op %)`.
-pub fn fig7_with(scale: &Scale, rec: Option<&obs::Recorder>, threads: usize) -> SeriesTable {
+/// regular-data operations. One cell per `(mode, data-op %)`.
+pub fn fig7(x: &Exp) -> SeriesTable {
     let mut table = SeriesTable::new(
         "Fig 7: SPECsfs throughput (ops/sec) vs % regular-data requests",
         "% data ops",
     );
-    let cells: Vec<(ServerMode, u32)> = ServerMode::ALL
-        .into_iter()
-        .flat_map(|mode| [30u32, 45, 60, 75].into_iter().map(move |pct| (mode, pct)))
-        .collect();
-    let results = run_cells(threads, cells.len(), |i| {
-        {
-            let (mode, pct) = cells[i];
-            let total = u64::from(scale.specsfs_files) * scale.specsfs_file_size;
-            // The paper's file set is 10 % of the volume and fits the
-            // server's 896 MB of RAM: after warm-up, data operations are
-            // mostly cache hits. Budget memory accordingly (the NCache
-            // build pins most of it for the network-centric cache).
-            let cache_budget = total * 3 / 2;
-            let (fs_cache_blocks, ncache_bytes) = match mode {
-                ServerMode::NCache => (
-                    (cache_budget / 8 / 4096) as usize,
-                    cache_budget - cache_budget / 8,
-                ),
-                _ => ((cache_budget / 4096) as usize, 0),
-            };
-            let params = NfsRigParams {
-                fs_cache_blocks,
-                ncache_bytes: ncache_bytes.max(1 << 20),
-                ..nfs_params_for(total * 2, 8)
-            };
-            let cell_rec = cell_recorder(rec);
-            let mut rig = NfsRig::new(mode, params);
-            attach(&mut rig, cell_rec.as_ref());
-            let mut fhs = Vec::new();
-            let mut names = Vec::new();
-            for i in 0..scale.specsfs_files {
-                let name = format!("sfs{i:05}");
-                fhs.push(rig.create_sparse_file(&name, scale.specsfs_file_size));
-                names.push(name);
+    let scale = x.scale;
+    let results = x.sweep(&per_mode([30u32, 45, 60, 75]), |_, (mode, pct), rec| {
+        let total = u64::from(scale.specsfs_files) * scale.specsfs_file_size;
+        // The paper's file set is 10 % of the volume and fits the
+        // server's 896 MB of RAM: after warm-up, data operations are
+        // mostly cache hits. Budget memory accordingly (the NCache
+        // build pins most of it for the network-centric cache).
+        let cache_budget = total * 3 / 2;
+        let (fs_cache_blocks, ncache_bytes) = match mode {
+            ServerMode::NCache => (
+                (cache_budget / 8 / 4096) as usize,
+                cache_budget - cache_budget / 8,
+            ),
+            _ => ((cache_budget / 4096) as usize, 0),
+        };
+        let params = NfsRigParams {
+            fs_cache_blocks,
+            ncache_bytes: ncache_bytes.max(1 << 20),
+            ..nfs_params_for(total * 2, 8)
+        };
+        let mut rig: NfsRig = x.rig(mode, params, rec, None);
+        let names: Vec<String> = (0..scale.specsfs_files)
+            .map(|i| format!("sfs{i:05}"))
+            .collect();
+        let fhs: Vec<u64> = names
+            .iter()
+            .map(|name| rig.create_sparse_file(name, scale.specsfs_file_size))
+            .collect();
+        rig.quiesce();
+        // Warm pass: sequentially touch every file (functional only). The
+        // last READ of a file is not clipped to EOF here — the server
+        // clips — so this is not `seq_ops`.
+        for &fh in &fhs {
+            for off in (0..scale.specsfs_file_size).step_by(64 << 10) {
+                rig.run_op(&DriverOp::Read {
+                    fh,
+                    offset: off as u32,
+                    len: 64 << 10,
+                });
             }
-            rig.quiesce();
-            // Warm pass: sequentially touch every file (functional only).
-            for (i, &fh) in fhs.iter().enumerate() {
-                let _ = i;
-                let mut off = 0u64;
-                while off < scale.specsfs_file_size {
-                    rig.run_op(&DriverOp::Read {
-                        fh,
-                        offset: off as u32,
-                        len: 64 << 10,
-                    });
-                    off += 64 << 10;
-                }
-            }
-            // Seeded per cell (by operation mix), independent of workers.
-            let gen = SpecSfs::new(
-                SpecSfsParams {
-                    file_count: scale.specsfs_files,
-                    file_size: scale.specsfs_file_size,
-                    data_op_fraction: f64::from(pct) / 100.0,
-                    reads_per_write: 5,
-                },
-                0x5F5 ^ u64::from(pct),
-            );
-            let ops: Vec<DriverOp> = gen
-                .take(scale.specsfs_ops)
-                .map(|op| to_driver_op(op, &fhs, &names))
-                .collect();
-            let result = run(&mut rig, ops, &RunOptions::default());
-            (result.ops_per_sec, cell_rec)
         }
+        // Seeded per cell (by operation mix), independent of workers.
+        let gen = SpecSfs::new(
+            SpecSfsParams {
+                file_count: scale.specsfs_files,
+                file_size: scale.specsfs_file_size,
+                data_op_fraction: f64::from(pct) / 100.0,
+                reads_per_write: 5,
+            },
+            0x5F5 ^ u64::from(pct),
+        );
+        let ops: Vec<DriverOp> = gen
+            .take(scale.specsfs_ops)
+            .map(|op| to_driver_op(op, &fhs, &names))
+            .collect();
+        run(&mut rig, ops, &RunOptions::default()).ops_per_sec
     });
-    for ((mode, pct), (ops_per_sec, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
-        table.put(f64::from(*pct), mode.label(), ops_per_sec);
+    for ((mode, pct), ops_per_sec) in results {
+        table.put(f64::from(pct), mode.label(), ops_per_sec);
     }
     table
 }
@@ -505,45 +539,33 @@ fn to_driver_op(op: NfsOp, fhs: &[u64], names: &[String]) -> DriverOp {
     }
 }
 
-/// Loss rates swept by [`fault_sweep_with`]: the fraction of PDUs lost per
+/// Loss rates swept by [`fault_sweep`]: the fraction of PDUs lost per
 /// link, 0 → 10 %.
 pub const FAULT_SWEEP_LOSS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 
 /// The fault sweep: every build under a seeded fault schedule at each
-/// loss rate, `spec`'s other fault rates held constant. Each cell drives
-/// a mixed read/write NFS workload through the faulted rig and asserts
-/// the headline invariants in-line: completed reads return the expected
-/// bytes (never stale, never junk), acknowledged writes are visible, and
-/// a zero fault spec produces zero recovery actions. Returns
-/// `(requests completed %, recovery actions per request)` tables. One cell
-/// per `(mode, loss rate)`, each seeded via `derive_seed` so results are
-/// identical at any thread count.
-pub fn fault_sweep_with(
-    spec: &FaultSpec,
-    seed: u64,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-) -> (SeriesTable, SeriesTable) {
-    let mut done = SeriesTable::new(
-        "Fault sweep: requests completed cleanly (%)",
-        "loss %",
-    );
-    let mut recov = SeriesTable::new(
-        "Fault sweep: recovery actions per request",
-        "loss %",
-    );
-    let cells: Vec<(ServerMode, f64)> = ServerMode::ALL
-        .into_iter()
-        .flat_map(|mode| FAULT_SWEEP_LOSS.into_iter().map(move |loss| (mode, loss)))
-        .collect();
-    let spec = *spec;
-    let results = run_cells(threads, cells.len(), |i| {
-        let (mode, loss) = cells[i];
+/// loss rate, the other fault rates of `x.faults` (none when it is `None`)
+/// held constant. Each cell drives a mixed read/write NFS workload through
+/// the faulted rig and asserts the headline invariants in-line: completed
+/// reads return the expected bytes (never stale, never junk), acknowledged
+/// writes are visible, and a zero fault spec produces zero recovery
+/// actions. Returns `(requests completed %, recovery actions per request)`
+/// tables. One cell per `(mode, loss rate)`, each seeded via `derive_seed`
+/// so results are identical at any thread count.
+pub fn fault_sweep(x: &Exp) -> (SeriesTable, SeriesTable) {
+    let mut done = SeriesTable::new("Fault sweep: requests completed cleanly (%)", "loss %");
+    let mut recov = SeriesTable::new("Fault sweep: recovery actions per request", "loss %");
+    let spec = x.faults.unwrap_or_default();
+    let results = x.sweep(&per_mode(FAULT_SWEEP_LOSS), |i, (mode, loss), rec| {
         let cell_spec = FaultSpec { loss, ..spec };
-        let cell_seed = executor::derive_seed(seed, i as u64);
-        let cell_rec = cell_recorder(rec);
-        let mut rig = NfsRig::new_faulted(mode, NfsRigParams::default(), &cell_spec, cell_seed);
-        attach(&mut rig, cell_rec.as_ref());
+        // Every cell is armed, the all-zero one included: its recovery
+        // counters are what the zero-spec assertions below read.
+        let armed = Exp {
+            faults: Some(cell_spec),
+            ..*x
+        };
+        let cell_seed = derive_seed(x.seed, i as u64);
+        let mut rig: NfsRig = armed.rig(mode, NfsRigParams::default(), rec, Some(cell_seed));
         let file: u64 = 128 << 10;
         let fh = rig.create_file("sweep", file);
         let half = (file / 2) as u32;
@@ -599,7 +621,11 @@ pub fn fault_sweep_with(
         let srv = rig.server_mut().stats();
         let inval = rig.module().map_or(0, |m| m.borrow().invalidations());
         if cell_spec.is_zero() {
-            assert_eq!(fc, FaultCounters::default(), "no faults, no client recovery");
+            assert_eq!(
+                fc,
+                FaultCounters::default(),
+                "no faults, no client recovery"
+            );
             assert_eq!(init.retries, 0, "no faults, no initiator retries");
             assert_eq!(srv.drc_hits, 0, "no faults, no DRC hits");
             assert_eq!(inval, 0, "no faults, no invalidations");
@@ -608,21 +634,24 @@ pub fn fault_sweep_with(
         (
             completed as f64 / attempted as f64 * 100.0,
             recovery as f64 / attempted as f64,
-            cell_rec,
         )
     });
-    for ((mode, loss), (pct, per_req, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
-        let x = loss * 100.0;
-        done.put(x, mode.label(), pct);
-        recov.put(x, mode.label(), per_req);
+    for ((mode, loss), (pct, per_req)) in results {
+        done.put(loss * 100.0, mode.label(), pct);
+        recov.put(loss * 100.0, mode.label(), per_req);
     }
     (done, recov)
 }
 
-/// Client counts swept by [`clients_sweep_with`]: a monotone axis from one
+/// Client counts swept by [`clients_sweep`]: a monotone axis from one
 /// session to 256.
 pub const CLIENTS_SWEEP_POINTS: [usize; 5] = [1, 4, 16, 64, 256];
+
+/// Sessions' worth of work at one point of the client axis: total work is
+/// roughly constant across it, so every point runs in comparable time.
+fn client_sessions(fh: u64, file: u64, clients: usize) -> Vec<Vec<DriverOp>> {
+    strided_sessions(fh, file, clients, (512 / clients).max(2))
+}
 
 /// Client scaling: M interleaved NFS sessions, each one outstanding
 /// request, against a shared hot file. Returns `(throughput, hit ratio)`
@@ -631,80 +660,25 @@ pub const CLIENTS_SWEEP_POINTS: [usize; 5] = [1, 4, 16, 64, 256];
 /// deterministically, and sharding only partitions the cache's key space,
 /// so stdout is byte-identical at any `threads` and any `shards` — the CI
 /// determinism gate diffs exactly that.
-pub fn clients_sweep_with(
-    scale: &Scale,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-    shards: usize,
-) -> (SeriesTable, SeriesTable) {
-    let mut thr = SeriesTable::new(
-        "Client scaling: delivered throughput (MB/s)",
-        "clients",
-    );
-    let mut hits = SeriesTable::new(
-        "Client scaling: server cache hit ratio",
-        "clients",
-    );
-    let cells: Vec<(ServerMode, usize)> = ServerMode::ALL
-        .into_iter()
-        .flat_map(|mode| CLIENTS_SWEEP_POINTS.into_iter().map(move |c| (mode, c)))
-        .collect();
+pub fn clients_sweep(x: &Exp) -> (SeriesTable, SeriesTable) {
+    let mut thr = SeriesTable::new("Client scaling: delivered throughput (MB/s)", "clients");
+    let mut hits = SeriesTable::new("Client scaling: server cache hit ratio", "clients");
     // The shared hot set: small enough that every build's cache holds it,
     // so the hit ratio climbs as sessions re-read each other's blocks.
-    let file = scale.allhit_file.min(8 << 20);
-    let span: u32 = 16 << 10;
-    let results = run_cells(threads, cells.len(), |i| {
-        let (mode, clients) = cells[i];
-        let cell_rec = cell_recorder(rec);
-        let params = NfsRigParams {
-            shards,
-            ..NfsRigParams::default()
-        };
-        let mut rig = NfsRig::new(mode, params);
-        attach(&mut rig, cell_rec.as_ref());
-        let fh = rig.create_file("shared", file);
-        // Total work is roughly constant across the axis so every point
-        // runs in comparable time; each session strides the file from its
-        // own phase, overlapping the others.
-        let per_session = (512 / clients).max(2);
-        let sessions: Vec<Vec<DriverOp>> = (0..clients)
-            .map(|sid| {
-                (0..per_session)
-                    .map(|k| DriverOp::Read {
-                        fh,
-                        offset: ((sid as u64 * 7 + k as u64) * u64::from(span)
-                            % (file - u64::from(span)))
-                            as u32
-                            / 4096
-                            * 4096,
-                        len: span,
-                    })
-                    .collect()
-            })
-            .collect();
-        let (mut rig, r) = run_nfs_sessions(rig, sessions, &SessionsOptions::default());
-        // The NCache build's hits happen in the network-centric cache;
-        // the copying builds hit the file-system buffer cache.
-        let hit_ratio = match mode {
-            ServerMode::NCache => rig
-                .module()
-                .map_or(0.0, |m| m.borrow().stats().hit_ratio()),
-            _ => {
-                let bc = rig.server_mut().fs_mut().cache_stats();
-                let looked = bc.hits + bc.misses;
-                if looked == 0 {
-                    0.0
-                } else {
-                    bc.hits as f64 / looked as f64
-                }
-            }
-        };
-        (r.throughput_mbs, hit_ratio, cell_rec)
-    });
-    for ((mode, clients), (mbs, hit, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
-        thr.put(*clients as f64, mode.label(), mbs);
-        hits.put(*clients as f64, mode.label(), hit);
+    let file = x.scale.allhit_file.min(8 << 20);
+    let results = x.sweep(
+        &per_mode(CLIENTS_SWEEP_POINTS),
+        |_, (mode, clients), rec| {
+            let mut rig: NfsRig = x.rig(mode, x.sharded(), rec, None);
+            let fh = rig.create_file("shared", file);
+            let sessions = client_sessions(fh, file, clients);
+            let (mut rig, r) = run_nfs_sessions(rig, sessions, &SessionsOptions::default());
+            (r.throughput_mbs, hit_ratio(&mut rig))
+        },
+    );
+    for ((mode, clients), (mbs, hit)) in results {
+        thr.put(clients as f64, mode.label(), mbs);
+        hits.put(clients as f64, mode.label(), hit);
     }
     (thr, hits)
 }
@@ -714,31 +688,35 @@ pub fn clients_sweep_with(
 /// value makes stdout reproducible run over run.
 pub const CLIENTS_SWEEP_LANE_SEED: u64 = 7;
 
-/// [`clients_sweep_with`] on the lane-parallel engine: the same
-/// `(mode, clients)` cells, but each cell warms the shared file first
-/// and then runs its sessions concurrently on `lane_threads` host
-/// threads. `lane_threads = None` routes the identical warmed workload
-/// through the sequential engine — the oracle the CI diff gate compares
-/// against.
+/// The engine [`clients_sweep_warmed`] runs each cell's sessions on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lanes {
+    /// The sequential sessions engine — the oracle the CI diff gate
+    /// compares against.
+    Oracle,
+    /// The lane-parallel engine on this many host threads.
+    Threads(usize),
+}
+
+/// [`clients_sweep`] on the lane-parallel engine: the same `(mode,
+/// clients)` cells, but each cell warms the shared file first and then
+/// runs its sessions concurrently on [`Lanes::Threads`] host threads.
+/// [`Lanes::Oracle`] routes the identical warmed workload through the
+/// sequential engine.
 ///
 /// The warm pass pins the whole hot set before any lane starts, and the
 /// hot set is held strictly below every cache capacity so nothing
 /// evicts mid-run. That is the commutativity discipline under which the
 /// parallel engine is byte-exact, so the printed tables are identical
-/// for the oracle and for every `lane_threads` value. Cells run one
-/// after another — the parallelism under test is *inside* each cell.
+/// for the oracle and for every thread count. Cells run one after another
+/// — the parallelism under test is *inside* each cell — and untraced.
 ///
-/// `faults` arms every cell's rig with the given spec and seed. Faulted
+/// `x.faults` arms every cell's rig with the spec under `x.seed`. Faulted
 /// outcomes derive from per-lane `(seed, lane)` fault plans inside the
 /// parallel engine, so the reference for a faulted sweep is the
-/// `lane_threads = Some(1)` run (not the sequential oracle), and the
+/// `Lanes::Threads(1)` run (not the sequential oracle), and the
 /// printed tables must match it at every other thread count.
-pub fn clients_sweep_lanes(
-    scale: &Scale,
-    shards: usize,
-    lane_threads: Option<usize>,
-    faults: Option<(&FaultSpec, u64)>,
-) -> (SeriesTable, SeriesTable) {
+pub fn clients_sweep_warmed(x: &Exp, lanes: Lanes) -> (SeriesTable, SeriesTable) {
     let mut thr = SeriesTable::new(
         "Client scaling, warmed hot set: delivered throughput (MB/s)",
         "clients",
@@ -747,77 +725,65 @@ pub fn clients_sweep_lanes(
         "Client scaling, warmed hot set: server cache hit ratio",
         "clients",
     );
-    // Strictly below the 8 MiB fs buffer cache (and far below the
-    // NCache), so the warm pass pins every block for the whole run.
-    let file = scale.allhit_file.min(4 << 20);
-    let span: u32 = 16 << 10;
-    for mode in ServerMode::ALL {
-        for clients in CLIENTS_SWEEP_POINTS {
-            let params = NfsRigParams {
-                shards,
-                ..NfsRigParams::default()
-            };
-            let mut rig = match faults {
-                Some((spec, seed)) => NfsRig::new_faulted(mode, params, spec, seed),
-                None => NfsRig::new(mode, params),
-            };
-            let fh = rig.create_file("shared", file);
-            let mut off = 0u64;
-            while off < file {
-                rig.read(fh, off as u32, 64 << 10);
-                off += 64 << 10;
+    let file = hot_file(x.scale);
+    for (mode, clients) in per_mode(CLIENTS_SWEEP_POINTS) {
+        let mut rig: NfsRig = x.rig(mode, x.sharded(), None, Some(x.seed));
+        let fh = rig.create_file("shared", file);
+        warm(&mut rig, fh, file, 64 << 10);
+        let sessions = client_sessions(fh, file, clients);
+        let opts = SessionsOptions::default();
+        let (mut rig, r) = match lanes {
+            Lanes::Threads(n) => {
+                run_nfs_sessions_parallel(rig, sessions, &opts, n, CLIENTS_SWEEP_LANE_SEED)
             }
-            let per_session = (512 / clients).max(2);
-            let sessions: Vec<Vec<DriverOp>> = (0..clients)
-                .map(|sid| {
-                    (0..per_session)
-                        .map(|k| DriverOp::Read {
-                            fh,
-                            offset: ((sid as u64 * 7 + k as u64) * u64::from(span)
-                                % (file - u64::from(span)))
-                                as u32
-                                / 4096
-                                * 4096,
-                            len: span,
-                        })
-                        .collect()
-                })
-                .collect();
-            let opts = SessionsOptions::default();
-            let (mut rig, r) = match lane_threads {
-                Some(n) => {
-                    run_nfs_sessions_parallel(rig, sessions, &opts, n, CLIENTS_SWEEP_LANE_SEED)
-                }
-                None => run_nfs_sessions(rig, sessions, &opts),
-            };
-            let hit_ratio = match mode {
-                ServerMode::NCache => rig
-                    .module()
-                    .map_or(0.0, |m| m.borrow().stats().hit_ratio()),
-                _ => {
-                    let bc = rig.server_mut().fs_mut().cache_stats();
-                    let looked = bc.hits + bc.misses;
-                    if looked == 0 {
-                        0.0
-                    } else {
-                        bc.hits as f64 / looked as f64
-                    }
-                }
-            };
-            thr.put(clients as f64, mode.label(), r.throughput_mbs);
-            hits.put(clients as f64, mode.label(), hit_ratio);
-        }
+            Lanes::Oracle => run_nfs_sessions(rig, sessions, &opts),
+        };
+        thr.put(clients as f64, mode.label(), r.throughput_mbs);
+        hits.put(clients as f64, mode.label(), hit_ratio(&mut rig));
     }
     (thr, hits)
 }
 
-/// Offered-load factors swept by [`overload_sweep_with`], as multiples of each
+/// Offered-load factors swept by [`overload_sweep`], as multiples of each
 /// build's measured closed-loop capacity: from half load to twice past
 /// saturation.
 pub const OVERLOAD_SWEEP_FACTORS: [f64; 5] = [0.5, 0.8, 1.0, 1.2, 2.0];
 
 /// Root seed for the overload sweep's arrival and popularity draws.
 pub const OVERLOAD_SWEEP_SEED: u64 = 29;
+
+/// Where both overload experiments start a cell: `mode`'s rig with the
+/// [`hot_file`] warmed, the warm-up's storage backlog dropped (so the
+/// first measured request's burst chain carries only its own work), and
+/// the closed-loop capacity probed by 8 saturating sessions over the same
+/// hot set with the control plane off. The probe is identical across
+/// factors and variants, so offered rates scale exactly with the factor
+/// axis. Returns the rig, the file's handle and size, and the capacity in
+/// ops/s.
+fn overload_rig(x: &Exp, mode: ServerMode, rec: Option<&obs::Recorder>) -> (NfsRig, u64, u64, f64) {
+    let file = hot_file(x.scale);
+    let mut rig: NfsRig = x.rig(mode, x.sharded(), rec, None);
+    let fh = rig.create_file("hot", file);
+    warm(&mut rig, fh, file, SPAN);
+    let _ = rig.server_mut().fs_mut().store_mut().take_io_log();
+    let probe = strided_sessions(fh, file, 8, 32);
+    let (rig, cap) = run_nfs_sessions(rig, probe, &SessionsOptions::default());
+    (rig, fh, file, cap.ops_per_sec.max(1.0))
+}
+
+/// One `"<name> <quantile>"` point per listed quantile of `latency`, in µs.
+fn put_tails(
+    tails: &mut SeriesTable,
+    x: f64,
+    name: &str,
+    latency: &obs::HistogramSnapshot,
+    quantiles: &[(f64, &str)],
+) {
+    for (q, label) in quantiles {
+        let us = latency.quantile(*q) as f64 / 1000.0;
+        tails.put(x, &format!("{name} {label}"), us);
+    }
+}
 
 /// The open-loop overload sweep: each build's closed-loop capacity is
 /// probed first, then a seeded Poisson arrival schedule offers each
@@ -830,104 +796,34 @@ pub const OVERLOAD_SWEEP_SEED: u64 = 29;
 /// inside each cell and the cells are seeded by position, so the tables
 /// (and an attached recorder's histograms, absorbed in cell order) are
 /// byte-identical at any `threads` and any `shards`.
-pub fn overload_sweep_with(
-    scale: &Scale,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-    shards: usize,
-) -> (SeriesTable, SeriesTable, SeriesTable) {
-    let mut goodput = SeriesTable::new(
-        "Overload sweep: delivered goodput (MB/s)",
-        "offered/capacity",
-    );
-    let mut tails = SeriesTable::new(
-        "Overload sweep: request latency quantiles (us)",
-        "offered/capacity",
-    );
+pub fn overload_sweep(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
+    let axis = "offered/capacity";
+    let mut goodput = SeriesTable::new("Overload sweep: delivered goodput (MB/s)", axis);
+    let mut tails = SeriesTable::new("Overload sweep: request latency quantiles (us)", axis);
     let mut shares = SeriesTable::new(
         "Overload sweep: ncache stage share of end-to-end latency",
-        "offered/capacity",
+        axis,
     );
-    let cells: Vec<(ServerMode, f64)> = ServerMode::ALL
-        .into_iter()
-        .flat_map(|mode| OVERLOAD_SWEEP_FACTORS.into_iter().map(move |f| (mode, f)))
-        .collect();
-    // The hot set fits every build's cache, so after the warm pass the
-    // sweep measures queueing, not eviction.
-    let file = scale.allhit_file.min(4 << 20);
-    let span: u32 = 16 << 10;
-    let results = run_cells(threads, cells.len(), |i| {
-        let (mode, factor) = cells[i];
-        let cell_rec = cell_recorder(rec);
-        let params = NfsRigParams {
-            shards,
-            ..NfsRigParams::default()
+    let cells = per_mode(OVERLOAD_SWEEP_FACTORS);
+    let results = x.sweep(&cells, |i, (mode, factor), rec| {
+        let (rig, fh, file, capacity) = overload_rig(x, mode, rec);
+        let seed = |stream: u64| derive_seed(OVERLOAD_SWEEP_SEED, stream + i as u64);
+        let ops = zipf_reads(seed(0), fh, x.scale.overload_requests, file, SPAN, 1.0);
+        let opts = OpenLoopOptions {
+            mean_interarrival_ns: ((1e9 / (factor * capacity)).round() as u64).max(1),
+            seed: seed(100),
+            ..OpenLoopOptions::default()
         };
-        let mut rig = NfsRig::new(mode, params);
-        attach(&mut rig, cell_rec.as_ref());
-        let fh = rig.create_file("hot", file);
-        let mut off = 0u64;
-        while off < file {
-            rig.read(fh, off as u32, span);
-            off += u64::from(span);
-        }
-        // Drop the warm-up's storage backlog so the first measured
-        // request's burst chain carries only its own work.
-        let _ = rig.server_mut().fs_mut().store_mut().take_io_log();
-        // Closed-loop capacity probe: 8 saturating sessions over the same
-        // hot set. Identical across factors, so offered rates scale
-        // exactly with the factor axis.
-        let probe: Vec<Vec<DriverOp>> = (0..8)
-            .map(|sid| {
-                (0..32)
-                    .map(|k| DriverOp::Read {
-                        fh,
-                        offset: ((sid as u64 * 7 + k as u64) * u64::from(span)
-                            % (file - u64::from(span)))
-                            as u32
-                            / 4096
-                            * 4096,
-                        len: span,
-                    })
-                    .collect()
-            })
-            .collect();
-        let (rig, cap) = run_nfs_sessions(rig, probe, &SessionsOptions::default());
-        let capacity = cap.ops_per_sec.max(1.0);
-        let mean_interarrival_ns = ((1e9 / (factor * capacity)).round() as u64).max(1);
-        let ops = crate::openloop::zipf_reads(
-            executor::derive_seed(OVERLOAD_SWEEP_SEED, i as u64),
-            fh,
-            scale.overload_requests,
-            file,
-            span,
-            1.0,
-        );
-        let opts = crate::openloop::OpenLoopOptions {
-            mean_interarrival_ns,
-            seed: executor::derive_seed(OVERLOAD_SWEEP_SEED, 100 + i as u64),
-            ..crate::openloop::OpenLoopOptions::default()
-        };
-        let (_rig, r) = crate::openloop::run_open_loop(rig, ops, &opts);
-        (r, cell_rec)
+        run_open_loop(rig, ops, &opts).1
     });
-    for ((mode, factor), (r, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
-        goodput.put(*factor, mode.label(), r.goodput_mbs);
-        for (q, name) in [(0.5, "p50"), (0.99, "p99"), (0.999, "p999")] {
-            tails.put(
-                *factor,
-                &format!("{} {}", mode.label(), name),
-                r.latency.quantile(q) as f64 / 1000.0,
-            );
-        }
-        if *mode == ServerMode::NCache && r.latency.sum > 0 {
+    for ((mode, factor), r) in results {
+        goodput.put(factor, mode.label(), r.goodput_mbs);
+        let quantiles = [(0.5, "p50"), (0.99, "p99"), (0.999, "p999")];
+        put_tails(&mut tails, factor, mode.label(), &r.latency, &quantiles);
+        if mode == ServerMode::NCache && r.latency.sum > 0 {
             for st in &r.stages {
-                shares.put(
-                    *factor,
-                    st.stage,
-                    (st.queue_ns + st.service_ns) as f64 / r.latency.sum as f64,
-                );
+                let share = (st.queue_ns + st.service_ns) as f64 / r.latency.sum as f64;
+                shares.put(factor, st.stage, share);
             }
         }
     }
@@ -953,137 +849,81 @@ pub const OVERLOAD_ABLATION_SEED: u64 = 31;
 /// cell per `(variant, factor)`, each single-threaded inside and seeded
 /// by position, so the tables are byte-identical at any `threads` and
 /// any `shards`.
-pub fn overload_ablation_with(
-    scale: &Scale,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-    shards: usize,
-) -> (SeriesTable, SeriesTable, SeriesTable) {
-    let mut goodput = SeriesTable::new(
-        "Overload ablation: delivered on-time goodput (MB/s)",
-        "offered/capacity",
-    );
-    let mut tails = SeriesTable::new(
-        "Overload ablation: request latency quantiles (us)",
-        "offered/capacity",
-    );
-    let mut outcomes = SeriesTable::new(
-        "Overload ablation: request outcomes per point",
-        "offered/capacity",
-    );
-    let variants = ["unprotected", "protected"];
-    let cells: Vec<(usize, f64)> = (0..variants.len())
-        .flat_map(|v| OVERLOAD_SWEEP_FACTORS.into_iter().map(move |f| (v, f)))
+pub fn overload_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
+    let axis = "offered/capacity";
+    let mut goodput = SeriesTable::new("Overload ablation: delivered on-time goodput (MB/s)", axis);
+    let mut tails = SeriesTable::new("Overload ablation: request latency quantiles (us)", axis);
+    let mut outcomes = SeriesTable::new("Overload ablation: request outcomes per point", axis);
+    let cells: Vec<(&str, f64)> = ["unprotected", "protected"]
+        .into_iter()
+        .flat_map(|variant| {
+            OVERLOAD_SWEEP_FACTORS
+                .into_iter()
+                .map(move |f| (variant, f))
+        })
         .collect();
-    let file = scale.allhit_file.min(4 << 20);
-    let span: u32 = 16 << 10;
-    let results = run_cells(threads, cells.len(), |i| {
-        let (variant, factor) = cells[i];
-        let cell_rec = cell_recorder(rec);
-        let params = NfsRigParams {
-            shards,
-            ..NfsRigParams::default()
-        };
-        let mut rig = NfsRig::new(ServerMode::NCache, params);
-        attach(&mut rig, cell_rec.as_ref());
-        let fh = rig.create_file("hot", file);
-        let mut off = 0u64;
-        while off < file {
-            rig.read(fh, off as u32, span);
-            off += u64::from(span);
-        }
-        let _ = rig.server_mut().fs_mut().store_mut().take_io_log();
+    let results = x.sweep(&cells, |i, (variant, factor), rec| {
         // Capacity is probed with the control plane OFF in both
         // variants: the offered schedules (and the deadline) must be
         // identical so the ablation isolates the gate, not the probe.
-        let probe: Vec<Vec<DriverOp>> = (0..8)
-            .map(|sid| {
-                (0..32)
-                    .map(|k| DriverOp::Read {
-                        fh,
-                        offset: ((sid as u64 * 7 + k as u64) * u64::from(span)
-                            % (file - u64::from(span)))
-                            as u32
-                            / 4096
-                            * 4096,
-                        len: span,
-                    })
-                    .collect()
-            })
-            .collect();
-        let (mut rig, cap) = run_nfs_sessions(rig, probe, &SessionsOptions::default());
-        let capacity = cap.ops_per_sec.max(1.0);
+        let (mut rig, fh, file, capacity) = overload_rig(x, ServerMode::NCache, rec);
+        let seed = |stream: u64| derive_seed(OVERLOAD_ABLATION_SEED, stream + i as u64);
         let per_op_ns = ((1e9 / capacity).round() as u64).max(1);
-        let mean_interarrival_ns = ((1e9 / (factor * capacity)).round() as u64).max(1);
         // Every 8th request is a WRITE over the same hot range, so the
         // dirty-cache watermark and write-first shedding have something
         // to act on.
-        let ops: Vec<DriverOp> = crate::openloop::zipf_reads(
-            executor::derive_seed(OVERLOAD_ABLATION_SEED, i as u64),
-            fh,
-            scale.overload_requests,
-            file,
-            span,
-            1.0,
-        )
-        .into_iter()
-        .enumerate()
-        .map(|(k, op)| match op {
-            DriverOp::Read { fh, offset, len } if k % 8 == 7 => {
-                DriverOp::Write { fh, offset, len }
-            }
-            other => other,
-        })
-        .collect();
-        let mut opts = crate::openloop::OpenLoopOptions {
-            mean_interarrival_ns,
-            seed: executor::derive_seed(OVERLOAD_ABLATION_SEED, 100 + i as u64),
+        let ops = zipf_reads(seed(0), fh, x.scale.overload_requests, file, SPAN, 1.0)
+            .into_iter()
+            .enumerate()
+            .map(|(k, op)| match op {
+                DriverOp::Read { fh, offset, len } if k % 8 == 7 => {
+                    DriverOp::Write { fh, offset, len }
+                }
+                other => other,
+            })
+            .collect();
+        let mut opts = OpenLoopOptions {
+            mean_interarrival_ns: ((1e9 / (factor * capacity)).round() as u64).max(1),
+            seed: seed(100),
             // Both variants answer to the same client patience: a
             // request completing past 24 service times of queueing is
             // worthless to its caller.
             deadline_ns: per_op_ns.saturating_mul(24),
-            ..crate::openloop::OpenLoopOptions::default()
+            ..OpenLoopOptions::default()
         };
-        if variant == 1 {
+        if variant == "protected" {
             // The in-flight bound is the primary control: it admits at
             // exactly the service rate when saturated (every completion
             // frees a slot), and 12 slots of queueing keep admitted
             // requests comfortably inside the 24-service-time deadline.
             // No token bucket — an open-loop rate cap either barely
             // rejects (queues still go critical) or over-rejects.
-            let cfg = servers::ControlConfig {
+            rig.enable_control(servers::ControlConfig {
                 max_inflight: 12,
                 queue_hi: 10,
                 queue_lo: 6,
                 token_cost_ns: 0,
                 token_burst: 0,
                 ..servers::ControlConfig::protective()
-            };
-            rig.enable_control(cfg);
-            opts.retry = Some(servers::RetryPolicy::standard(executor::derive_seed(
-                OVERLOAD_ABLATION_SEED,
-                200 + i as u64,
-            )));
+            });
+            opts.retry = Some(servers::RetryPolicy::standard(seed(200)));
         }
-        let (rig, r) = crate::openloop::run_open_loop(rig, ops, &opts);
-        let control = rig.control_stats().unwrap_or_default();
-        (r, control, cell_rec)
+        let (rig, r) = run_open_loop(rig, ops, &opts);
+        (r, rig.control_stats().unwrap_or_default())
     });
-    for ((variant, factor), (r, control, cell_rec)) in cells.iter().zip(results) {
-        absorb_cell(rec, cell_rec);
-        let name = variants[*variant];
-        goodput.put(*factor, name, r.goodput_mbs);
-        for (q, label) in [(0.5, "p50"), (0.99, "p99")] {
-            tails.put(
-                *factor,
-                &format!("{name} {label}"),
-                r.latency.quantile(q) as f64 / 1000.0,
-            );
-        }
-        outcomes.put(*factor, &format!("{name} shed"), r.shed as f64);
-        outcomes.put(*factor, &format!("{name} late"), r.deadline_exceeded as f64);
-        outcomes.put(*factor, &format!("{name} retries"), r.retries as f64);
-        outcomes.put(*factor, &format!("{name} rejected"), control.rejected as f64);
+    for ((name, factor), (r, control)) in results {
+        goodput.put(factor, name, r.goodput_mbs);
+        put_tails(
+            &mut tails,
+            factor,
+            name,
+            &r.latency,
+            &[(0.5, "p50"), (0.99, "p99")],
+        );
+        outcomes.put(factor, &format!("{name} shed"), r.shed as f64);
+        outcomes.put(factor, &format!("{name} late"), r.deadline_exceeded as f64);
+        outcomes.put(factor, &format!("{name} retries"), r.retries as f64);
+        outcomes.put(factor, &format!("{name} rejected"), control.rejected as f64);
     }
     (goodput, tails, outcomes)
 }
@@ -1115,50 +955,38 @@ pub const ADAPTIVE_ABLATION_SEED: u64 = 37;
 /// rebuilt per segment, so residency is per-segment, not cumulative). One
 /// cell per variant, each single-threaded inside and seeded by position,
 /// so the tables are byte-identical at any `threads` and any `shards`.
-pub fn adaptive_ablation_with(
-    scale: &Scale,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-    shards: usize,
-) -> (SeriesTable, SeriesTable, SeriesTable) {
-    let mut goodput = SeriesTable::new(
-        "Adaptive split ablation: delivered goodput (MB/s)",
-        "segment",
-    );
+pub fn adaptive_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
+    let axis = "segment";
+    let mut goodput = SeriesTable::new("Adaptive split ablation: delivered goodput (MB/s)", axis);
     let mut hits = SeriesTable::new(
         "Adaptive split ablation: NCache hit ratio per segment",
-        "segment",
+        axis,
     );
     let mut residency = SeriesTable::new(
         "Adaptive split ablation: fast-tier residency (blocks)",
-        "segment",
+        axis,
     );
-    // Static first: the CI gate compares column 2 (static) against
-    // column 3 (adaptive) row by row.
-    let variants = ["static", "adaptive"];
     const SEGMENTS: usize = 6;
     const SESSIONS: usize = 4;
-    const SPAN: u32 = 16 << 10;
     const FILE: u64 = 16 << 20;
     // Hot region: larger than either static partition, smaller than the
     // consolidated quota.
     const REGION: u64 = 5 << 20;
     const SHIFT_BASE: u32 = 8 << 20;
-    let per_seg = scale.overload_requests.max(SESSIONS);
-    let results = run_cells(threads, variants.len(), |variant| {
-        let cell_rec = cell_recorder(rec);
+    let per_seg = x.scale.overload_requests.max(SESSIONS);
+    // Static first: the CI gate compares column 2 (static) against
+    // column 3 (adaptive) row by row.
+    let results = x.sweep(&["static", "adaptive"], |_, variant, rec| {
         let params = NfsRigParams {
             // Lopsided on purpose: 4 MiB FS cache + 2 MiB NCache pool.
             fs_cache_blocks: 1024,
             ncache_bytes: 2 << 20,
-            shards,
-            ..NfsRigParams::default()
+            ..x.sharded()
         };
-        let mut rig = NfsRig::new(ServerMode::NCache, params);
-        attach(&mut rig, cell_rec.as_ref());
+        let mut rig: NfsRig = x.rig(ServerMode::NCache, params, rec, None);
         let fh = rig.create_file("hot", FILE);
-        let cfg = ncache::SplitConfig {
-            dynamic: variant == 1,
+        rig.enable_adaptive(ncache::SplitConfig {
+            dynamic: variant == "adaptive",
             epoch_ops: 16,
             step_blocks: 128,
             hysteresis: 12,
@@ -1166,8 +994,7 @@ pub fn adaptive_ablation_with(
             min_fs_blocks: 64,
             min_ncache_bytes: 64 * ncache::adaptive::QUOTA_BLOCK,
             ghost_blocks: 4096,
-        };
-        rig.enable_adaptive(cfg);
+        });
         let opts = SessionsOptions {
             tier: Some(blockdev::TierConfig::nvme_front(2048)),
             ..SessionsOptions::default()
@@ -1176,14 +1003,8 @@ pub fn adaptive_ablation_with(
         let mut prev = rig.module().expect("ncache build").borrow().stats();
         for seg in 0..SEGMENTS {
             let base = if seg >= SEGMENTS / 2 { SHIFT_BASE } else { 0 };
-            let stream = crate::openloop::zipf_reads(
-                executor::derive_seed(ADAPTIVE_ABLATION_SEED, seg as u64),
-                fh,
-                per_seg,
-                REGION,
-                SPAN,
-                1.0,
-            );
+            let seed = derive_seed(ADAPTIVE_ABLATION_SEED, seg as u64);
+            let stream = zipf_reads(seed, fh, per_seg, REGION, SPAN, 1.0);
             let mut sessions: Vec<Vec<DriverOp>> = vec![Vec::new(); SESSIONS];
             for (k, op) in stream.into_iter().enumerate() {
                 let DriverOp::Read { fh, offset, len } = op else {
@@ -1208,11 +1029,9 @@ pub fn adaptive_ablation_with(
             let fast_blocks = r.tier.map_or(0, |t| t.fast_resident_blocks);
             rows.push((r.throughput_mbs, ratio, fast_blocks));
         }
-        (rows, cell_rec)
+        rows
     });
-    for (variant, (rows, cell_rec)) in results.into_iter().enumerate() {
-        absorb_cell(rec, cell_rec);
-        let name = variants[variant];
+    for (name, rows) in results {
         for (seg, (mbs, ratio, fast)) in rows.into_iter().enumerate() {
             goodput.put((seg + 1) as f64, name, mbs);
             hits.put((seg + 1) as f64, name, ratio);
@@ -1232,155 +1051,79 @@ pub struct CopyCountRow {
     pub copies: [u64; 3],
 }
 
+/// Table 2's paths, in row order.
+const TABLE2_PATHS: [&str; 6] = [
+    "NFS read (hit)",
+    "NFS read (miss)",
+    "NFS write (overwritten)",
+    "NFS write (flushed)",
+    "kHTTPd (hit)",
+    "kHTTPd (miss)",
+];
+
+/// The payload copies `op` charges the application server's ledger.
+fn copies<A: App, T>(rig: &mut Rig<A>, op: impl FnOnce(&mut Rig<A>) -> T) -> u64 {
+    let before = rig.ledgers().app.snapshot();
+    op(rig);
+    let after = rig.ledgers().app.snapshot();
+    after.delta_since(&before).payload_copies
+}
+
 /// Table 2: data copies per request for every path, per build. The
 /// original build must measure exactly the paper's numbers (NFS read 2/3,
 /// write 1/2; kHTTPd 1/2); the zero-copy builds measure 0 on regular data.
-pub fn table2() -> Vec<CopyCountRow> {
-    table2_with(None, executor::thread_count(None))
-}
-
-/// [`table2`] on an explicit worker count; one cell per server build.
-pub fn table2_with(rec: Option<&obs::Recorder>, threads: usize) -> Vec<CopyCountRow> {
-    table2_impl(rec, threads, None)
-}
-
-/// [`table2`] under a seeded fault schedule: the same per-path
-/// measurement, but every exchange crosses faulty links and the copy
-/// counts include whatever recovery work the schedule forces. Still
-/// deterministic: the same `(spec, seed)` yields identical rows at any
-/// thread count.
-pub fn table2_faulted(
-    spec: &FaultSpec,
-    seed: u64,
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-) -> Vec<CopyCountRow> {
-    table2_impl(rec, threads, Some((*spec, seed)))
-}
-
-fn table2_impl(
-    rec: Option<&obs::Recorder>,
-    threads: usize,
-    faults: Option<(FaultSpec, u64)>,
-) -> Vec<CopyCountRow> {
-    let mut rows = vec![
-        CopyCountRow {
-            path: "NFS read (hit)".into(),
-            copies: [0; 3],
-        },
-        CopyCountRow {
-            path: "NFS read (miss)".into(),
-            copies: [0; 3],
-        },
-        CopyCountRow {
-            path: "NFS write (overwritten)".into(),
-            copies: [0; 3],
-        },
-        CopyCountRow {
-            path: "NFS write (flushed)".into(),
-            copies: [0; 3],
-        },
-        CopyCountRow {
-            path: "kHTTPd (hit)".into(),
-            copies: [0; 3],
-        },
-        CopyCountRow {
-            path: "kHTTPd (miss)".into(),
-            copies: [0; 3],
-        },
-    ];
-    let cells = ServerMode::ALL;
-    let results = run_cells(threads, cells.len(), |i| {
-        let mode = cells[i];
-        let mut col = [0u64; 6];
+/// One cell per server build.
+///
+/// Under a fault spec (`x.faults`) it is the same per-path measurement,
+/// but every exchange crosses faulty links and the copy counts include
+/// whatever recovery work the schedule forces. Cell `i` seeds its NFS rig
+/// `derive_seed(seed, i)` and its web rig `derive_seed(seed, 100 + i)`, so
+/// it is still deterministic: the same `(spec, seed)` yields identical
+/// rows at any thread count.
+pub fn table2(x: &Exp) -> Vec<CopyCountRow> {
+    let columns = x.sweep(&ServerMode::ALL, |i, mode, rec| {
         // --- NFS paths, one 4 KiB block per request so copy ops == the
         // paper's per-request copy counts.
         let params = NfsRigParams {
             read_ahead_blocks: 0,
             ..NfsRigParams::default()
         };
-        let cell_rec = cell_recorder(rec);
-        let mut rig = match faults {
-            Some((spec, seed)) => {
-                NfsRig::new_faulted(mode, params, &spec, executor::derive_seed(seed, i as u64))
-            }
-            None => NfsRig::new(mode, params),
-        };
-        attach(&mut rig, cell_rec.as_ref());
+        let mut rig: NfsRig = x.rig(mode, params, rec, Some(derive_seed(x.seed, i as u64)));
         let fh = rig.create_sparse_file("t2", 64 << 10);
         // Warm the metadata (inode + directory) so only data copies count.
         rig.getattr(fh);
-
-        let copies = |rig: &NfsRig, before: &netbuf::LedgerSnapshot| {
-            rig.ledgers()
-                .app
-                .snapshot()
-                .delta_since(before)
-                .payload_copies
-        };
-
         // Read miss.
-        let before = rig.ledgers().app.snapshot();
-        rig.read(fh, 0, 4096);
-        col[1] = copies(&rig, &before);
+        let read_miss = copies(&mut rig, |r| r.read(fh, 0, 4096));
         // Read hit (same block again).
-        let before = rig.ledgers().app.snapshot();
-        rig.read(fh, 0, 4096);
-        col[0] = copies(&rig, &before);
+        let read_hit = copies(&mut rig, |r| r.read(fh, 0, 4096));
         // Write overwritten (block stays cached, not yet flushed).
-        let before = rig.ledgers().app.snapshot();
-        rig.write(fh, 4096, &vec![0x5Au8; 4096]);
-        col[2] = copies(&rig, &before);
+        let overwritten = copies(&mut rig, |r| r.write(fh, 4096, &vec![0x5Au8; 4096]));
         // Write flushed: a fresh write plus the sync that pushes it out.
         // Metadata flushes (inode, bitmaps) are charged to the ledger's
         // separate metadata counters, so only the data-block copies count.
         // First drain the previous measurement's dirty block.
         rig.server_mut().fs_mut().sync().expect("sync");
-        let before = rig.ledgers().app.snapshot();
-        rig.write(fh, 8192, &vec![0x5Bu8; 4096]);
-        rig.server_mut().fs_mut().sync().expect("sync");
-        col[3] = copies(&rig, &before);
+        let flushed = copies(&mut rig, |r| {
+            r.write(fh, 8192, &vec![0x5Bu8; 4096]);
+            r.server_mut().fs_mut().sync().expect("sync");
+        });
 
         // --- kHTTPd paths, one 4 KiB page.
-        let mut web = match faults {
-            Some((spec, seed)) => KhttpdRig::new_faulted(
-                mode,
-                KhttpdRigParams::default(),
-                &spec,
-                executor::derive_seed(seed, 100 + i as u64),
-            ),
-            None => KhttpdRig::new(mode, KhttpdRigParams::default()),
-        };
-        attach(&mut web, cell_rec.as_ref());
+        let web_seed = derive_seed(x.seed, 100 + i as u64);
+        let mut web: KhttpdRig = x.rig(mode, KhttpdRigParams::default(), rec, Some(web_seed));
         web.publish_sparse("t2page", 4096);
         let (hdr, _) = web.get("/t2page"); // warms metadata and data
         assert_eq!(hdr.status, 200);
         web.quiesce(); // drop the page data (and metadata; only data copies count)
-        let before = web.ledgers().app.snapshot();
-        web.get("/t2page");
-        col[5] = web
-            .ledgers()
-            .app
-            .snapshot()
-            .delta_since(&before)
-            .payload_copies;
-        let before = web.ledgers().app.snapshot();
-        web.get("/t2page");
-        col[4] = web
-            .ledgers()
-            .app
-            .snapshot()
-            .delta_since(&before)
-            .payload_copies;
-        (col, cell_rec)
+        let web_miss = copies(&mut web, |w| w.get("/t2page"));
+        let web_hit = copies(&mut web, |w| w.get("/t2page"));
+        [read_hit, read_miss, overwritten, flushed, web_hit, web_miss]
     });
-    for (mi, (col, cell_rec)) in results.into_iter().enumerate() {
-        absorb_cell(rec, cell_rec);
-        for (row, copies) in rows.iter_mut().zip(col) {
-            row.copies[mi] = copies;
-        }
-    }
-    rows
+    let path_row = |(p, path): (usize, &&str)| CopyCountRow {
+        path: path.to_string(),
+        copies: std::array::from_fn(|build| columns[build].1[p]),
+    };
+    TABLE2_PATHS.iter().enumerate().map(path_row).collect()
 }
 
 /// Renders Table 2 in the paper's layout.
@@ -1399,18 +1142,121 @@ pub fn render_table2(rows: &[CopyCountRow]) -> String {
     out
 }
 
-/// Table 1 (the modification footprint) — delegated to the servers crate.
-pub fn table1() -> String {
-    servers::hooks::render_table1()
+/// One row of the evaluation's registry: an experiment as `repro` selects,
+/// runs and prints it.
+pub struct Experiment {
+    /// The `repro --<selector>` that runs it.
+    pub selector: &'static str,
+    /// The `repro --<modifier>` that picks this variant of the selector
+    /// (`None`: the selector's plain form).
+    pub modifier: Option<&'static str>,
+    /// Whether a `repro` with no selector runs it.
+    pub in_default_run: bool,
+    /// Whether it records into [`Exp::rec`] (`--trace`, `--metrics`,
+    /// `--latency-report`).
+    pub traced: bool,
+    /// Whether it honours [`Exp::faults`] and [`Exp::seed`].
+    pub faulted: bool,
+    /// Runs it and returns exactly the text `repro` prints for it.
+    pub render: fn(&Exp) -> String,
+}
+
+impl Experiment {
+    /// `selector`, or `selector+modifier`.
+    pub fn name(&self) -> String {
+        match self.modifier {
+            Some(modifier) => format!("{}+{modifier}", self.selector),
+            None => self.selector.to_string(),
+        }
+    }
+}
+
+fn two((a, b): (SeriesTable, SeriesTable)) -> String {
+    format!("{a}\n{b}")
+}
+
+fn three((a, b, c): (SeriesTable, SeriesTable, SeriesTable)) -> String {
+    format!("{a}\n{b}\n{c}")
+}
+
+const fn row(
+    selector: &'static str,
+    modifier: Option<&'static str>,
+    [in_default_run, traced, faulted]: [bool; 3],
+    render: fn(&Exp) -> String,
+) -> Experiment {
+    Experiment {
+        selector,
+        modifier,
+        in_default_run,
+        traced,
+        faulted,
+        render,
+    }
+}
+
+/// The evaluation, once: every experiment in `repro`'s print order.
+/// `repro` derives its selectors, its modifier checks and its dispatch
+/// from this list; the golden files, the equivalence suite and the figures
+/// bench iterate it. Adding an experiment is one function above and one
+/// row here.
+#[rustfmt::skip]
+pub static ALL: [Experiment; 15] = {
+    const Y: bool = true;
+    const N: bool = false;
+    //   selector           modifier                [default, traced, faulted]  render
+    [
+        // Table 1 (the modification footprint) is the servers crate's own inventory.
+        row("table1",         None,                   [Y, N, N], |_| servers::hooks::render_table1()),
+        row("table2",         None,                   [Y, Y, Y], |x| render_table2(&table2(x))),
+        row("faults-sweep",   None,                   [N, Y, Y], |x| two(fault_sweep(x))),
+        row("clients-sweep",  None,                   [N, Y, N], |x| two(clients_sweep(x))),
+        row("clients-sweep",  Some("parallel-lanes"), [N, N, Y], |x| two(clients_sweep_warmed(x, Lanes::Threads(x.threads)))),
+        row("clients-sweep",  Some("lane-oracle"),    [N, N, Y], |x| two(clients_sweep_warmed(x, Lanes::Oracle))),
+        row("overload-sweep", None,                   [N, Y, N], |x| three(overload_sweep(x))),
+        row("overload-sweep", Some("protected"),      [N, Y, N], |x| three(overload_ablation(x))),
+        row("adaptive-sweep", None,                   [N, Y, N], |x| three(adaptive_ablation(x))),
+        row("fig4",           None,                   [Y, Y, N], |x| two(fig4(x))),
+        row("fig5",           None,                   [Y, Y, N], |x| two(fig5(x))),
+        row("fig6a",          None,                   [Y, Y, N], |x| fig6a(x).to_string()),
+        row("fig6b",          None,                   [Y, Y, N], |x| fig6b(x).to_string()),
+        row("fig7",           None,                   [Y, Y, N], |x| fig7(x).to_string()),
+        row("ablations",      None,                   [Y, N, N], |x| crate::ablations::render(x.scale)),
+    ]
+};
+
+/// The rows of [`ALL`] a command line runs, in print order. No selector
+/// runs the default set. A selector runs its plain row, or — when one of
+/// its modifiers is given — the modified one; of several given modifiers
+/// the last row wins (`--lane-oracle` is the `--parallel-lanes` workload
+/// on the other engine).
+pub fn chosen(selectors: &[&str], modifiers: &[&str]) -> Vec<&'static Experiment> {
+    let given = |e: &Experiment| e.modifier.is_none_or(|m| modifiers.contains(&m));
+    let runs = |e: &&Experiment| {
+        if selectors.is_empty() {
+            return e.in_default_run;
+        }
+        let row = ALL.iter().rfind(|r| r.selector == e.selector && given(r));
+        selectors.contains(&e.selector) && row.is_some_and(|r| r.modifier == e.modifier)
+    };
+    ALL.iter().filter(runs).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn at(scale: &Scale, threads: usize, shards: usize) -> Exp<'_> {
+        Exp {
+            threads,
+            shards,
+            ..Exp::new(scale)
+        }
+    }
+
     #[test]
     fn table2_original_matches_the_paper() {
-        let rows = table2();
+        let rows = table2(&Exp::new(&Scale::quick()));
         let get = |path: &str| {
             rows.iter()
                 .find(|r| r.path == path)
@@ -1443,9 +1289,18 @@ mod tests {
             io: 0.02,
             ..FaultSpec::default()
         };
-        let one = fault_sweep_with(&spec, 7, None, 1);
-        let four = fault_sweep_with(&spec, 7, None, 4);
-        assert_eq!(one, four, "same seed + spec must be identical at any thread count");
+        let scale = Scale::quick();
+        let at = |threads| Exp {
+            faults: Some(spec),
+            threads,
+            ..Exp::new(&scale)
+        };
+        let one = fault_sweep(&at(1));
+        let four = fault_sweep(&at(4));
+        assert_eq!(
+            one, four,
+            "same seed + spec must be identical at any thread count"
+        );
         // The zero-loss column completes everything; recovery appears as
         // loss rises.
         for mode in ServerMode::ALL {
@@ -1456,8 +1311,14 @@ mod tests {
     #[test]
     fn table2_faulted_is_deterministic_and_clean() {
         let spec = FaultSpec::parse("loss=0.05").expect("spec");
-        let a = table2_faulted(&spec, 7, None, 1);
-        let b = table2_faulted(&spec, 7, None, 2);
+        let scale = Scale::quick();
+        let at = |threads| Exp {
+            faults: Some(spec),
+            threads,
+            ..Exp::new(&scale)
+        };
+        let a = table2(&at(1));
+        let b = table2(&at(2));
         assert_eq!(a, b);
     }
 
@@ -1467,10 +1328,10 @@ mod tests {
             overload_requests: 64,
             ..Scale::quick()
         };
-        let base = overload_sweep_with(&scale, None, 1, 1);
-        let threaded = overload_sweep_with(&scale, None, 4, 1);
+        let base = overload_sweep(&at(&scale, 1, 1));
+        let threaded = overload_sweep(&at(&scale, 4, 1));
         assert_eq!(base, threaded, "identical at any thread count");
-        let sharded = overload_sweep_with(&scale, None, 4, 8);
+        let sharded = overload_sweep(&at(&scale, 4, 8));
         assert_eq!(base, sharded, "identical at any shard count");
         let (_, tails, shares) = base;
         // Open-loop overload makes the tail grow: past saturation, p999
@@ -1502,10 +1363,10 @@ mod tests {
             overload_requests: 192,
             ..Scale::quick()
         };
-        let base = overload_ablation_with(&scale, None, 1, 1);
-        let threaded = overload_ablation_with(&scale, None, 4, 1);
+        let base = overload_ablation(&at(&scale, 1, 1));
+        let threaded = overload_ablation(&at(&scale, 4, 1));
         assert_eq!(base, threaded, "identical at any thread count");
-        let sharded = overload_ablation_with(&scale, None, 4, 8);
+        let sharded = overload_ablation(&at(&scale, 4, 8));
         assert_eq!(base, sharded, "identical at any shard count");
         let (goodput, _, outcomes) = base;
         // The headline claim of the control plane: past saturation the
@@ -1527,14 +1388,72 @@ mod tests {
     #[test]
     fn clients_sweep_is_thread_and_shard_invariant() {
         let scale = Scale::quick();
-        let base = clients_sweep_with(&scale, None, 1, 1);
-        let threaded = clients_sweep_with(&scale, None, 4, 1);
+        let base = clients_sweep(&at(&scale, 1, 1));
+        let threaded = clients_sweep(&at(&scale, 4, 1));
         assert_eq!(base, threaded, "identical at any thread count");
-        let sharded = clients_sweep_with(&scale, None, 4, 8);
+        let sharded = clients_sweep(&at(&scale, 4, 8));
         assert_eq!(base, sharded, "identical at any shard count");
         // The axis is the monotone client count.
         let xs = base.0.xs();
         assert!(xs.windows(2).all(|w| w[0] < w[1]), "client axis monotone");
         assert_eq!(xs.len(), CLIENTS_SWEEP_POINTS.len());
+    }
+
+    #[test]
+    fn the_registry_is_well_formed() {
+        for (i, e) in ALL.iter().enumerate() {
+            let twins = ALL.iter().filter(|o| o.name() == e.name()).count();
+            assert_eq!(
+                twins,
+                1,
+                "{}: (selector, modifier) pairs are unique",
+                e.name()
+            );
+            if e.modifier.is_some() {
+                assert!(
+                    !e.in_default_run,
+                    "{}: a modified row is never a default",
+                    e.name()
+                );
+                let plain = ALL[..i]
+                    .iter()
+                    .any(|o| o.selector == e.selector && o.modifier.is_none());
+                assert!(
+                    plain,
+                    "{}: its selector has a plain row before it",
+                    e.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_command_line_chooses_one_row_per_selector() {
+        let names =
+            |s: &[&str], m: &[&str]| chosen(s, m).iter().map(|e| e.name()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&[], &[]),
+            [
+                "table1",
+                "table2",
+                "fig4",
+                "fig5",
+                "fig6a",
+                "fig6b",
+                "fig7",
+                "ablations"
+            ]
+        );
+        // Print order is the registry's, not the command line's.
+        assert_eq!(names(&["fig4", "table2"], &[]), ["table2", "fig4"]);
+        assert_eq!(names(&["overload-sweep"], &[]), ["overload-sweep"]);
+        assert_eq!(
+            names(&["overload-sweep", "clients-sweep"], &["protected"]),
+            ["clients-sweep", "overload-sweep+protected"]
+        );
+        assert_eq!(
+            names(&["clients-sweep"], &["parallel-lanes", "lane-oracle"]),
+            ["clients-sweep+lane-oracle"]
+        );
     }
 }

@@ -23,9 +23,12 @@
 //!    [`sessions::run_sessions`] (one closed loop per client session) and
 //!    [`openloop::run_open_loop`] (arrivals on an absolute schedule).
 //!
-//! [`experiments`] packages the whole evaluation: one function per figure
-//! and table, each returning a [`sim::stats::SeriesTable`] that prints the
-//! same rows the paper plots.
+//! [`experiments`] describes the whole evaluation once: one function per
+//! figure and table, each taking the run's [`experiments::Exp`] context
+//! and returning [`sim::stats::SeriesTable`]s that print the same rows the
+//! paper plots, and one registry of them ([`experiments::ALL`]) that the
+//! `repro` binary, the golden files, the equivalence suite and the figures
+//! bench iterate.
 
 pub mod ablations;
 mod engine;

@@ -123,6 +123,26 @@ done
 echo "one of each; non-test lines in crates/testbed/src + crates/servers/src: $(nontest \
     crates/testbed/src/*.rs crates/servers/src/*.rs | wc -l) (9437 before the backplane was written once)"
 
+echo "== one evaluation (one Exp context, one cell sweep, one experiment registry) =="
+# DESIGN.md §4: the paper's §5 is described once. Every experiment is one
+# `pub fn name(x: &Exp)`, `Exp::sweep` is the only place cells are run and
+# their recorders merged, and `experiments::ALL` is the only list of
+# experiments: `repro` selects, checks flags and dispatches from it, and
+# the goldens, the equivalence suite and the figures bench iterate it. The
+# rung fails if an `x` / `x_with` pair, a second cell loop or a second list
+# comes back (same `// dup-ok: <reason>` escape as above).
+EXPERIMENTS=crates/testbed/src/experiments.rs
+REPRO=crates/bench/src/bin/repro.rs
+expect_count 1 "run_cells( call sites in $EXPERIMENTS (Exp::sweep is the one)" 'run_cells\(' "$EXPERIMENTS"
+expect_count 0 "pub fn *_with / *_faulted / *_impl entry points in $EXPERIMENTS" \
+    'pub fn [a-z0-9_]*_(with|faulted|impl)\(' "$EXPERIMENTS"
+expect_count 0 "SELECTORS lists in $REPRO (the registry is the list)" 'SELECTORS' "$REPRO"
+expect_count 0 "direct experiment calls in $REPRO (it goes through ALL)" \
+    'experiments::[a-z0-9_]+\(' "$REPRO"
+echo "one of each; non-test lines in experiments.rs + ablations.rs + repro.rs + benches/figures.rs: $(nontest \
+    "$EXPERIMENTS" crates/testbed/src/ablations.rs "$REPRO" crates/bench/benches/figures.rs \
+    | wc -l) (2269, with crates/bench/src/lib.rs, before the evaluation was described once)"
+
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;
 # every item it pins is listed in benchmark/src/seams.rs. Building,
@@ -147,7 +167,10 @@ if [[ "$NT" -lt 4 ]]; then NT=4; fi
 # $TRACE_DIR/LABEL.txt and required to have printed something, so a
 # selector that ran nothing cannot pass) and at every other cell of
 # threads {1,$NT} x shards {1,8}; each must reproduce the reference's
-# stdout byte for byte. Selectors that ignore --shards just run twice more.
+# stdout byte for byte. Selectors that ignore --shards just run twice more:
+# repro rejects a flag no chosen experiment honours, but --threads and
+# --shards are exempt from that check, because every experiment's output
+# is invariant in them and ignoring one is therefore unobservable.
 diff_matrix() {
     local label="$1" t s
     shift
@@ -295,7 +318,7 @@ bench_median() {
     grep -o "\"name\": \"$2\"[^}]*" "$1" \
         | grep -o '"median_ns": [0-9]*' | grep -o '[0-9]*'
 }
-for GATE in figures/fig4_all_miss obs/quantile_engine; do
+for GATE in figures/fig4 obs/quantile_engine; do
     FRESH="$(bench_median "$TRACE_DIR/BENCH_figures.json" "$GATE")"
     COMMITTED="$(bench_median BENCH_figures.json "$GATE")"
     LIMIT=$((COMMITTED * 3))

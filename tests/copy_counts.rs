@@ -6,12 +6,12 @@
 
 use ncache_repro::netbuf::{NetBuf, Segment};
 use ncache_repro::servers::ServerMode;
-use ncache_repro::testbed::experiments::{render_table2, table2};
+use ncache_repro::testbed::experiments::{render_table2, table2, Exp, Scale};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 
 #[test]
 fn table2_matches_the_paper_exactly() {
-    let rows = table2();
+    let rows = table2(&Exp::new(&Scale::quick()));
     let get = |path: &str| {
         rows.iter()
             .find(|r| r.path == path)

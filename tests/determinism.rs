@@ -3,7 +3,7 @@
 //! process must produce bit-identical series — no wall-clock, no global
 //! RNG, no iteration-order dependence may leak into results.
 
-use ncache_repro::testbed::experiments::{self, Scale};
+use ncache_repro::testbed::experiments::{self, Exp, Scale};
 
 /// Small-but-nontrivial sizing: big enough to exercise eviction, read-ahead
 /// and both cache halves, small enough to run twice in a test.
@@ -25,8 +25,8 @@ fn scale() -> Scale {
 #[test]
 fn fig4_all_miss_is_bit_identical_across_runs() {
     let s = scale();
-    let (thr_a, cpu_a) = experiments::fig4(&s);
-    let (thr_b, cpu_b) = experiments::fig4(&s);
+    let (thr_a, cpu_a) = experiments::fig4(&Exp::new(&s));
+    let (thr_b, cpu_b) = experiments::fig4(&Exp::new(&s));
     assert_eq!(thr_a, thr_b, "throughput series diverged between runs");
     assert_eq!(cpu_a, cpu_b, "CPU-utilization series diverged between runs");
 }
@@ -36,7 +36,7 @@ fn fig7_specsfs_is_bit_identical_across_runs() {
     // SPECsfs drives its own seeded RNG through namespace ops — the
     // experiment most likely to pick up accidental nondeterminism.
     let s = scale();
-    let a = experiments::fig7(&s);
-    let b = experiments::fig7(&s);
+    let a = experiments::fig7(&Exp::new(&s));
+    let b = experiments::fig7(&Exp::new(&s));
     assert_eq!(a, b, "SPECsfs series diverged between runs");
 }

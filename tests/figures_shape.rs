@@ -6,7 +6,7 @@
 //! file runs in seconds; EXPERIMENTS.md records the quick-scale numbers
 //! next to the paper's.
 
-use ncache_repro::testbed::experiments::{fig4, fig5, fig6a, fig6b, fig7, Scale};
+use ncache_repro::testbed::experiments::{fig4, fig5, fig6a, fig6b, fig7, Exp, Scale};
 
 fn tiny() -> Scale {
     Scale {
@@ -25,7 +25,7 @@ fn tiny() -> Scale {
 
 #[test]
 fn fig4_all_miss_shape() {
-    let (thr, cpu) = fig4(&tiny());
+    let (thr, cpu) = fig4(&Exp::new(&tiny()));
     for &req_kb in &[16.0, 32.0] {
         let orig = thr.get(req_kb, "original").expect("cell");
         let nc = thr.get(req_kb, "ncache").expect("cell");
@@ -51,7 +51,7 @@ fn fig4_all_miss_shape() {
 
 #[test]
 fn fig5_all_hit_shape() {
-    let (cpu1, thr2) = fig5(&tiny());
+    let (cpu1, thr2) = fig5(&Exp::new(&tiny()));
     // (a) one NIC: the original's CPU saturates throughout; the zero-copy
     // builds' utilization falls with request size once the link binds.
     for &req_kb in &[4.0, 8.0, 16.0, 32.0] {
@@ -92,7 +92,7 @@ fn fig5_all_hit_shape() {
 #[test]
 fn fig6a_specweb_shape() {
     let scale = tiny();
-    let thr = fig6a(&scale);
+    let thr = fig6a(&Exp::new(&scale));
     let ws: Vec<f64> = thr.xs();
     for &w in &ws {
         let orig = thr.get(w, "original").expect("cell");
@@ -116,7 +116,7 @@ fn fig6a_specweb_shape() {
 
 #[test]
 fn fig6b_khttpd_request_size_shape() {
-    let thr = fig6b(&tiny());
+    let thr = fig6b(&Exp::new(&tiny()));
     // Gain grows with request size (paper: ~8 % at 16 KB → ~47 % at 128 KB).
     let gain = |req: f64| {
         thr.get(req, "ncache").expect("cell") / thr.get(req, "original").expect("cell") - 1.0
@@ -143,7 +143,7 @@ fn fig6b_khttpd_request_size_shape() {
 
 #[test]
 fn fig7_specsfs_shape() {
-    let table = fig7(&tiny());
+    let table = fig7(&Exp::new(&tiny()));
     for &pct in &[30.0, 45.0, 60.0, 75.0] {
         let orig = table.get(pct, "original").expect("cell");
         let nc = table.get(pct, "ncache").expect("cell");

@@ -14,16 +14,21 @@
 //! rigs' fault loops), `faults_sweep.txt` (`--faults-sweep`),
 //! `clients_sweep.txt` (`--clients-sweep`, the per-session op meter),
 //! `clients_sweep_lanes.txt` (`--clients-sweep --parallel-lanes --threads
-//! 2`, the lane meter), `overload_ablation.txt` (`--overload-sweep
-//! --protected`, rejection detection), and one rendered
+//! 2`, the lane meter), `overload_sweep.txt` (`--overload-sweep`, the open
+//! loop), `overload_ablation.txt` (`--overload-sweep --protected`,
+//! rejection detection), `adaptive_sweep.txt` (`--adaptive-sweep`, the
+//! split controller over the tiered backend), and one rendered
 //! `metrics_report()` per rig with every conditional section present
 //! (`metrics_{nfs,khttpd}.txt`: the test below is the generator).
+//!
+//! Every `repro` golden is one row of [`goldens`] and is rendered through
+//! the experiment registry, exactly as `repro` renders it.
 
 use ncache_repro::ncache::SplitConfig;
+use ncache_repro::servers::hooks::render_table1;
 use ncache_repro::servers::{ControlConfig, ServerMode};
 use ncache_repro::sim::FaultSpec;
-use ncache_repro::testbed::ablations;
-use ncache_repro::testbed::experiments::{self, render_table2, Scale};
+use ncache_repro::testbed::experiments::{chosen, Exp, Scale};
 use ncache_repro::testbed::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 use ncache_repro::testbed::runner::RigDriver;
@@ -35,76 +40,135 @@ fn assert_golden(name: &str, rendered: String) {
     assert_eq!(format!("{rendered}\n"), golden, "{name} departs from {path}");
 }
 
+/// The CLI's default fault seed (`repro --seed`; [`Exp::new`] sets it).
+const SEED: u64 = 7;
+
+/// One row per golden file that is a `repro` stdout: `(file, selector,
+/// modifier, the run it was captured from)`. The default-run files come
+/// from the bare run; the rest were captured at two workers.
+fn goldens(scale: &Scale) -> Vec<(&'static str, &'static str, Option<&'static str>, Exp<'_>)> {
+    let bare = Exp::new(scale);
+    let two = Exp { threads: 2, ..bare };
+    let lossy = Exp {
+        faults: Some(FaultSpec::parse("loss=0.05").expect("spec")),
+        ..two
+    };
+    vec![
+        ("table2", "table2", None, bare),
+        ("fig4", "fig4", None, bare),
+        ("fig5", "fig5", None, bare),
+        ("fig6a", "fig6a", None, bare),
+        ("fig6b", "fig6b", None, bare),
+        ("fig7", "fig7", None, bare),
+        ("ablations", "ablations", None, bare),
+        ("table2_faulted", "table2", None, lossy),
+        ("faults_sweep", "faults-sweep", None, two),
+        ("clients_sweep", "clients-sweep", None, two),
+        ("clients_sweep_lanes", "clients-sweep", Some("parallel-lanes"), two),
+        ("overload_sweep", "overload-sweep", None, two),
+        ("overload_ablation", "overload-sweep", Some("protected"), two),
+        ("adaptive_sweep", "adaptive-sweep", None, two),
+    ]
+}
+
+/// Renders `file`'s row of [`goldens`] through the registry and holds it
+/// to the committed file.
+fn assert_matches(file: &str) {
+    let scale = Scale::quick();
+    let rows = goldens(&scale);
+    let (_, selector, modifier, x) = rows.iter().find(|g| g.0 == file).expect("a golden row");
+    let run = chosen(&[selector], modifier.as_slice());
+    assert_eq!(run.len(), 1, "{file}: {selector} {modifier:?} is one registry row");
+    assert_golden(file, (run[0].render)(x));
+}
+
 #[test]
 fn table2_matches_the_committed_table() {
-    assert_golden("table2", render_table2(&experiments::table2()));
+    assert_matches("table2");
 }
 
 #[test]
 fn fig4_matches_the_committed_series() {
-    let (thr, cpu) = experiments::fig4(&Scale::quick());
-    assert_golden("fig4", format!("{thr}\n{cpu}"));
+    assert_matches("fig4");
 }
 
 #[test]
 fn fig5_matches_the_committed_series() {
-    let (cpu1, thr2) = experiments::fig5(&Scale::quick());
-    assert_golden("fig5", format!("{cpu1}\n{thr2}"));
+    assert_matches("fig5");
 }
 
 #[test]
 fn fig6a_matches_the_committed_series() {
-    assert_golden("fig6a", experiments::fig6a(&Scale::quick()).to_string());
+    assert_matches("fig6a");
 }
 
 #[test]
 fn fig6b_matches_the_committed_series() {
-    assert_golden("fig6b", experiments::fig6b(&Scale::quick()).to_string());
+    assert_matches("fig6b");
 }
 
 #[test]
 fn fig7_matches_the_committed_table() {
-    assert_golden("fig7", experiments::fig7(&Scale::quick()).to_string());
+    assert_matches("fig7");
 }
 
 #[test]
 fn ablations_match_the_committed_tables() {
-    assert_golden("ablations", ablations::render(&Scale::quick()));
+    assert_matches("ablations");
 }
-
-/// The CLI's default fault seed (`repro --seed`).
-const SEED: u64 = 7;
 
 #[test]
 fn table2_faulted_matches_the_committed_table() {
-    let spec = FaultSpec::parse("loss=0.05").expect("spec");
-    let rows = experiments::table2_faulted(&spec, SEED, None, 2);
-    assert_golden("table2_faulted", render_table2(&rows));
+    assert_matches("table2_faulted");
 }
 
 #[test]
 fn faults_sweep_matches_the_committed_tables() {
-    let (done, recov) = experiments::fault_sweep_with(&FaultSpec::default(), SEED, None, 2);
-    assert_golden("faults_sweep", format!("{done}\n{recov}"));
+    assert_matches("faults_sweep");
 }
 
 #[test]
 fn clients_sweep_matches_the_committed_tables() {
-    let (thr, hits) = experiments::clients_sweep_with(&Scale::quick(), None, 2, 1);
-    assert_golden("clients_sweep", format!("{thr}\n{hits}"));
+    assert_matches("clients_sweep");
 }
 
 #[test]
 fn clients_sweep_lanes_matches_the_committed_tables() {
-    let (thr, hits) = experiments::clients_sweep_lanes(&Scale::quick(), 1, Some(2), None);
-    assert_golden("clients_sweep_lanes", format!("{thr}\n{hits}"));
+    assert_matches("clients_sweep_lanes");
+}
+
+#[test]
+fn overload_sweep_matches_the_committed_tables() {
+    assert_matches("overload_sweep");
 }
 
 #[test]
 fn overload_ablation_matches_the_committed_tables() {
-    let (goodput, tails, outcomes) =
-        experiments::overload_ablation_with(&Scale::quick(), None, 2, 1);
-    assert_golden("overload_ablation", format!("{goodput}\n{tails}\n{outcomes}"));
+    assert_matches("overload_ablation");
+}
+
+#[test]
+fn adaptive_sweep_matches_the_committed_tables() {
+    assert_matches("adaptive_sweep");
+}
+
+#[test]
+fn the_default_run_prints_table1_then_the_goldens_in_registry_order() {
+    // `repro` with no selector `println!`s every default row in registry
+    // order; pinning that here pins the print order in-process, not only
+    // through `scripts/ci.sh`.
+    let scale = Scale::quick();
+    let x = Exp::new(&scale);
+    let printed: String = chosen(&[], &[])
+        .iter()
+        .map(|e| format!("{}\n", (e.render)(&x)))
+        .collect();
+    let mut expected = format!("{}\n", render_table1());
+    for file in ["table2", "fig4", "fig5", "fig6a", "fig6b", "fig7", "ablations"] {
+        let path = format!("{}/tests/golden/{file}.txt", env!("CARGO_MANIFEST_DIR"));
+        expected.push_str(&std::fs::read_to_string(&path).expect("golden file"));
+    }
+    assert_eq!(printed, expected);
 }
 
 /// The load the admission gate is told about ahead of op `k` of the fixed

@@ -1,12 +1,14 @@
-//! Executor invariants: every figure and table experiment must produce
-//! byte-identical output at any worker count. Cells own their rigs, their
-//! seeds, and their recorders; the merge happens in cell order — so the
-//! rendered tables, the recorder's counters, and the exported Chrome
-//! trace at N threads must equal the single-threaded run exactly.
+//! Executor invariants: every row of the experiment registry
+//! (`experiments::ALL`, everything `repro` can print) must produce
+//! byte-identical output at any worker count and any shard count. Cells
+//! own their rigs, their seeds, and their recorders; the merge happens in
+//! cell order — so the rendered tables, the recorder's counters, and the
+//! exported Chrome trace at N threads must equal the single-threaded run
+//! exactly.
 
 use ncache_repro::obs::{export_chrome_trace, Recorder, TraceConfig};
 use ncache_repro::testbed::executor;
-use ncache_repro::testbed::experiments::{self, render_table2, Scale};
+use ncache_repro::testbed::experiments::{chosen, Exp, Experiment, Scale, ALL};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 use ncache_repro::testbed::runner::{run, DriverOp, RunOptions};
 use ncache_repro::servers::ServerMode;
@@ -26,60 +28,21 @@ fn scale() -> Scale {
     }
 }
 
-/// One experiment, rendered to the exact text the `repro` binary prints.
-type Runner = fn(&Scale, Option<&Recorder>, usize) -> String;
-
-fn table2_r(_: &Scale, rec: Option<&Recorder>, threads: usize) -> String {
-    render_table2(&experiments::table2_with(rec, threads))
-}
-
-fn fig4_r(s: &Scale, rec: Option<&Recorder>, threads: usize) -> String {
-    let (thr, cpu) = experiments::fig4_with(s, rec, threads);
-    format!("{thr}\n{cpu}")
-}
-
-fn fig5_r(s: &Scale, rec: Option<&Recorder>, threads: usize) -> String {
-    let (cpu1, thr2) = experiments::fig5_with(s, rec, threads);
-    format!("{cpu1}\n{thr2}")
-}
-
-fn fig6a_r(s: &Scale, rec: Option<&Recorder>, threads: usize) -> String {
-    experiments::fig6a_with(s, rec, threads).to_string()
-}
-
-fn fig6b_r(s: &Scale, rec: Option<&Recorder>, threads: usize) -> String {
-    experiments::fig6b_with(s, rec, threads).to_string()
-}
-
-fn fig7_r(s: &Scale, rec: Option<&Recorder>, threads: usize) -> String {
-    experiments::fig7_with(s, rec, threads).to_string()
-}
-
-fn overload_r(s: &Scale, rec: Option<&Recorder>, threads: usize) -> String {
-    let (goodput, tails, shares) = experiments::overload_sweep_with(s, rec, threads, 1);
-    format!("{goodput}\n{tails}\n{shares}")
-}
-
-const EXPERIMENTS: [(&str, Runner); 7] = [
-    ("table2", table2_r),
-    ("fig4", fig4_r),
-    ("fig5", fig5_r),
-    ("fig6a", fig6a_r),
-    ("fig6b", fig6b_r),
-    ("fig7", fig7_r),
-    ("overload", overload_r),
-];
-
-/// Runs one experiment traced at `threads` workers, returning everything
+/// Runs one registry row traced at `threads` workers, returning everything
 /// an observer can see: the rendered tables, the merged counters, and the
 /// exported Chrome trace bytes.
 fn observe(
-    run: Runner,
+    e: &Experiment,
     threads: usize,
 ) -> (String, std::collections::BTreeMap<String, u64>, String) {
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
-    let rendered = run(&scale(), Some(&rec), threads);
+    let scale = scale();
+    let rendered = (e.render)(&Exp {
+        rec: Some(&rec),
+        threads,
+        ..Exp::new(&scale)
+    });
     let chrome = export_chrome_trace(&rec.events());
     (rendered, rec.counters(), chrome)
 }
@@ -87,10 +50,21 @@ fn observe(
 #[test]
 fn every_experiment_is_thread_count_invariant() {
     let max = executor::thread_count(None).max(3);
-    for (name, runner) in EXPERIMENTS {
-        let base = observe(runner, 1);
+    for e in &ALL {
+        let name = e.name();
+        let base = observe(e, 1);
+        // The registry's `traced` flag is what `repro` rejects `--trace`
+        // on: it must say exactly whether the row records anything.
+        assert_eq!(
+            e.traced,
+            !base.1.is_empty(),
+            "{name}: `traced` disagrees with what the recorder saw"
+        );
+        if !e.traced {
+            continue;
+        }
         for threads in [2, max] {
-            let got = observe(runner, threads);
+            let got = observe(e, threads);
             assert_eq!(
                 base.0, got.0,
                 "{name}: rendered tables diverged at {threads} threads"
@@ -110,11 +84,20 @@ fn every_experiment_is_thread_count_invariant() {
 #[test]
 fn untraced_runs_match_the_single_threaded_tables() {
     // The recorder-free path takes the same cells through the same merge;
-    // spot-check the rendered output at an oversubscribed worker count.
-    for (name, runner) in EXPERIMENTS {
-        let base = runner(&scale(), None, 1);
-        let wide = runner(&scale(), None, 16);
-        assert_eq!(base, wide, "{name}: untraced output diverged");
+    // check every row's rendered output at an oversubscribed worker count,
+    // and again with the cache sharded eight ways.
+    let scale = scale();
+    let base = Exp {
+        threads: 1,
+        ..Exp::new(&scale)
+    };
+    for e in &ALL {
+        let name = e.name();
+        let reference = (e.render)(&base);
+        let wide = (e.render)(&Exp { threads: 16, ..base });
+        assert_eq!(reference, wide, "{name}: untraced output diverged");
+        let sharded = (e.render)(&Exp { shards: 8, ..base });
+        assert_eq!(reference, sharded, "{name}: output diverged at 8 shards");
     }
 }
 
@@ -127,7 +110,14 @@ fn latency_report_is_thread_and_shard_invariant() {
     let report_for = |threads: usize, shards: usize| {
         let rec = Recorder::new();
         rec.enable(TraceConfig::default());
-        experiments::overload_sweep_with(&scale(), Some(&rec), threads, shards);
+        let scale = scale();
+        let sweep = chosen(&["overload-sweep"], &[])[0];
+        (sweep.render)(&Exp {
+            rec: Some(&rec),
+            threads,
+            shards,
+            ..Exp::new(&scale)
+        });
         let mut report = ncache_repro::obs::MetricsReport::new();
         report.add_latency(&rec.histograms());
         report.render()

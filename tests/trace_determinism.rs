@@ -11,7 +11,7 @@ use ncache_repro::obs::{
     Recorder, TraceConfig,
 };
 use ncache_repro::servers::ServerMode;
-use ncache_repro::testbed::experiments::{self, Scale};
+use ncache_repro::testbed::experiments::{self, Exp, Scale};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 use ncache_repro::testbed::runner::{run, DriverOp, RunOptions};
 
@@ -33,8 +33,11 @@ fn scale() -> Scale {
 fn traced_fig4() -> (String, String) {
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
-    let threads = ncache_repro::testbed::executor::thread_count(None);
-    experiments::fig4_with(&scale(), Some(&rec), threads);
+    let scale = scale();
+    experiments::fig4(&Exp {
+        rec: Some(&rec),
+        ..Exp::new(&scale)
+    });
     let events = rec.events();
     assert_eq!(rec.dropped(), 0, "ring buffer must not drop at this scale");
     (export_chrome_trace(&events), export_jsonl(&events))
@@ -92,7 +95,11 @@ fn copy_events_reconcile_with_the_ledger_for_table2_flows() {
     // The recorder must see every copy: unsampled spans still aggregate
     // counters, so sampling does not affect this reconciliation.
     rec.enable(TraceConfig::default());
-    experiments::table2_with(Some(&rec), ncache_repro::testbed::executor::thread_count(None));
+    let scale = scale();
+    experiments::table2(&Exp {
+        rec: Some(&rec),
+        ..Exp::new(&scale)
+    });
 
     // Sum the trace's copy events by ledger category.
     let mut payload_ops = 0u64;
