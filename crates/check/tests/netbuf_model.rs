@@ -1,21 +1,23 @@
 //! `NetBuf` against a flat-bytes model, and faulty delivery against the
 //! frame it was given.
 //!
-//! The buffer keeps its headers in an inline headroom that spills to the
-//! heap, its payload in a chain whose length is cached, and parses fixed
-//! headers into stack arrays — all host-side representation. None of it
-//! may be observable: for any op sequence the wire bytes are `header ++
-//! payload` of a two-`Vec<u8>` model, and the ledger moves by exactly the
-//! closed-form charge of each op (header bytes for pushes and pulls, one
-//! logical copy per attach/share/replace, one payload copy per physical
-//! copy, nothing for peeks, takes and reservations). A `share()`/`clone()`
-//! forks the model too: mutating one side must never show on the other.
+//! The buffer keeps its headers in an inline linear area that spills to
+//! the heap, lands a delivered frame's headers in that same area as the
+//! front of its payload, keeps the rest of the payload in a chain whose
+//! length is cached, and parses fixed headers into stack arrays — all
+//! host-side representation. None of it may be observable: for any op
+//! sequence the wire bytes are `header ++ payload` of a two-`Vec<u8>`
+//! model, and the ledger moves by exactly the closed-form charge of each
+//! op (header bytes for pushes and pulls, one logical copy per
+//! attach/land/share/replace, one payload copy per physical copy, nothing
+//! for peeks, takes and reservations). A `share()`/`clone()` forks the
+//! model too: mutating one side must never show on the other.
 
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, Failed, PropResult};
 use netbuf::buf::HEADROOM;
 use netbuf::{BufPool, CopyLedger, LedgerSnapshot, NetBuf, Segment};
-use servers::stack::deliver_faulty;
+use servers::stack::{deliver, deliver_faulty};
 use sim::{FaultKind, FaultLink, FaultPlan, FaultSpec};
 
 /// One buffer and the flat bytes it must serialize to.
@@ -35,13 +37,18 @@ impl Side {
         prop_assert_eq!(self.buf.payload_len(), self.payload.len());
         prop_assert_eq!(self.buf.total_len(), wire.len());
         prop_assert_eq!(self.buf.is_empty(), wire.is_empty());
-        let chain: Vec<u8> = self
-            .buf
-            .segments()
-            .flat_map(|s| s.as_slice().iter().copied())
+        // The linear area holds headers or landed payload, never both.
+        let landed: &[u8] = if self.header.is_empty() { self.buf.linear() } else { &[] };
+        let chain: Vec<u8> = landed
+            .iter()
+            .copied()
+            .chain(self.buf.segments().flat_map(|s| s.as_slice().iter().copied()))
             .collect();
-        prop_assert_eq!(chain, self.payload.clone(), "chain bytes");
+        prop_assert_eq!(chain, self.payload.clone(), "landed + chain bytes");
         prop_assert_eq!(self.buf.segments().count(), self.buf.segment_count());
+        if let Some(run) = self.buf.payload_contiguous() {
+            prop_assert_eq!(run, &self.payload[..], "contiguous payload");
+        }
         Ok(())
     }
 }
@@ -85,17 +92,40 @@ property! {
     #![cases(96)]
 
     fn prop_netbuf_matches_the_flat_model(
-        ops in vec_of((ints(0u8..12), any_u32(), any_u32()), 1..64),
+        start in ints(0u8..4),
+        ops in vec_of((ints(0u8..14), any_u32(), any_u32()), 1..64),
     ) {
         let ledger = CopyLedger::new();
         let pool = BufPool::slab_only();
         let mut expect = LedgerSnapshot::default();
-        let mut sides = vec![Side {
-            buf: NetBuf::new(&ledger),
-            header: Vec::new(),
-            payload: Vec::new(),
-        }];
+        // Sent frames: fresh, or received ones whose landed bytes every op
+        // below then meets unparsed — an odd-length landing, one larger
+        // than the inline area, and a delivered frame whose 54 landed
+        // bytes and 7-byte first segment the 14..48-byte array pulls
+        // straddle.
+        let mut first = Side { buf: NetBuf::new(&ledger), header: Vec::new(), payload: Vec::new() };
         expect.allocations += 1;
+        match start {
+            0 => {}
+            1 | 2 => {
+                first.payload = fill(99, if start == 1 { 41 } else { 3 * HEADROOM + 1 });
+                first.buf.land(&first.payload);
+                expect.logical_copies += 1;
+            }
+            _ => {
+                let mut sent = NetBuf::new(&CopyLedger::new());
+                sent.append_segment(Segment::from_vec(fill(98, 7)));
+                sent.append_segment(Segment::from_vec(fill(97, 300)));
+                sent.push_header(&fill(99, 54));
+                first.buf = deliver(&sent, &ledger);
+                first.payload = sent.to_wire();
+                expect.allocations += 1;
+                expect.logical_copies += 3;
+            }
+        }
+        first.check()?;
+        prop_assert_eq!(ledger.snapshot(), expect, "ledger after the start");
+        let mut sides = vec![first];
         let mut active = 0usize;
         for (tag, (kind, a, b)) in ops.into_iter().enumerate() {
             let tag = tag as u32;
@@ -185,15 +215,40 @@ property! {
                     expect.payload_copies += 1;
                     expect.payload_bytes_copied += side.payload.len() as u64;
                 }
-                _ => {
+                11 => {
                     side.buf.reserve_segments(a as usize % 32);
                     if b & 1 == 1 {
                         side.buf.inherit_csum();
                         expect.csum_inherited += 1;
                     } else {
-                        side.buf.compute_csum();
+                        // Against a one-segment buffer of the same bytes:
+                        // an odd-length landed prefix carries its last
+                        // byte into the chain.
+                        let mut flat = NetBuf::new(&CopyLedger::new());
+                        flat.append_vec(side.payload.clone());
+                        prop_assert_eq!(side.buf.compute_csum(), flat.compute_csum(), "checksum");
                         expect.csum_bytes += side.payload.len() as u64;
                     }
+                }
+                // Landing: into the linear area when the buffer is fresh,
+                // behind what it holds otherwise.
+                12 => {
+                    let len = if b & 1 == 1 { a as usize % 80 } else { a as usize % (3 * HEADROOM) };
+                    let bytes = fill(tag, len);
+                    side.buf.land(&bytes);
+                    side.payload.extend_from_slice(&bytes);
+                    expect.logical_copies += 1;
+                }
+                // Delivery of whatever this is — a built frame, or a
+                // delivered one still (partly) unparsed: the linear area
+                // re-lands, the chain rides by reference.
+                _ => {
+                    expect.allocations += 1;
+                    expect.logical_copies += u64::from(!side.buf.linear().is_empty());
+                    expect.logical_copies += side.buf.segment_count() as u64;
+                    side.buf = deliver(&side.buf, &ledger);
+                    let header = std::mem::take(&mut side.header);
+                    side.payload.splice(0..0, header);
                 }
             }
             for side in &sides {
@@ -251,6 +306,7 @@ property! {
                 prop_assert_eq!(flipped, 1, "exactly one bit flips");
                 let first_diff = sent.iter().zip(&got).position(|(a, b)| a != b).expect("one bit");
                 let private = if header_len > 0 { header_len } else { segs[0].len() };
+                prop_assert_eq!(rx.linear().len(), private, "the private copy is the landing area");
                 prop_assert!(first_diff < private, "flip at {} is outside the private copy", first_diff);
             } else {
                 prop_assert_eq!(flipped, 0);
@@ -258,14 +314,22 @@ property! {
             for (seg, bytes) in segs.iter().zip(&pristine) {
                 prop_assert_eq!(seg.as_slice(), &bytes[..], "shared storage pristine");
             }
-            // The untouched payload still rides by reference.
-            prop_assert!(rx.segments().any(|s| s.same_storage(&segs[1])));
+            // The untouched payload still rides by reference: every chain
+            // segment of the delivery is the sender's storage (a corrupted
+            // headerless frame landed its first).
+            prop_assert_eq!(rx.header_len(), 0);
+            let landed_segs = usize::from(header_len == 0 && kind.is_some());
+            prop_assert_eq!(rx.segment_count(), segs.len() - landed_segs);
+            for (s, sent_seg) in rx.segments().zip(&segs[landed_segs..]) {
+                prop_assert!(s.same_storage(sent_seg), "a chain segment was copied");
+            }
         }
         prop_assert!(corrupted > 0, "rate-1.0 corruption fired");
     }
 
     /// Truncated deliveries are a prefix of the sent frame, clipped by
-    /// slicing: every surviving payload segment still shares the sender's
+    /// slicing: the surviving header prefix is in the landing area, and
+    /// every chain segment of the delivery still shares the sender's
     /// storage, which still reads as it did.
     fn prop_truncation_clips_without_mutating_storage(
         seed in any_u64(),
@@ -287,8 +351,9 @@ property! {
             } else {
                 prop_assert_eq!(got.len(), sent.len());
             }
-            let header_segs = usize::from(header_len > 0 && !got.is_empty());
-            for (i, s) in rx.segments().skip(header_segs).enumerate() {
+            prop_assert_eq!(rx.header_len(), 0);
+            prop_assert_eq!(rx.linear(), &sent[..got.len().min(header_len)], "landed header prefix");
+            for (i, s) in rx.segments().enumerate() {
                 prop_assert!(s.same_storage(&segs[i]), "payload segment {} is a slice, not a copy", i);
             }
             for (seg, bytes) in segs.iter().zip(&pristine) {
@@ -296,5 +361,56 @@ property! {
             }
         }
         prop_assert!(truncated > 0, "rate-1.0 truncation fired");
+    }
+
+    /// A delivery that lands its headers is, to everything that reads a
+    /// buffer, the delivery that carried them as a heap segment at the
+    /// front of the chain (the layout before the landing area): same wire
+    /// bytes, same parse, same checksum, same payload handed to pointer
+    /// surgery, same charges.
+    fn prop_a_landed_delivery_reads_like_the_header_segment_layout(
+        header_len in one_of(vec![boxed(ints(0usize..100)), boxed(just(HEADROOM)), boxed(ints(HEADROOM..4 * HEADROOM))]),
+        pulls in vec_of(ints(0usize..120), 0..6),
+        then in ints(0u8..4),
+    ) {
+        let (pkt, segs, _) = frame(header_len);
+        let (new_ledger, old_ledger) = (CopyLedger::new(), CopyLedger::new());
+        let mut new = deliver(&pkt, &new_ledger);
+        let mut old = NetBuf::new(&old_ledger);
+        if header_len > 0 {
+            old.append_segment(Segment::from_vec(pkt.header().to_vec()));
+        }
+        for seg in &segs {
+            old.append_segment(seg.clone());
+        }
+        prop_assert_eq!(new.to_wire(), pkt.to_wire());
+        for n in pulls {
+            let n = n.min(new.payload_len());
+            prop_assert_eq!(new.peek(n / 2, n - n / 2), old.peek(n / 2, n - n / 2), "peek");
+            prop_assert_eq!(new.pull(n), old.pull(n), "pull {}", n);
+        }
+        prop_assert_eq!(new.to_wire(), old.to_wire());
+        prop_assert_eq!(new.payload_len(), old.payload_len());
+        match then {
+            0 => prop_assert_eq!(new.compute_csum(), old.compute_csum()),
+            1 => prop_assert_eq!(new.copy_payload_to_vec(), old.copy_payload_to_vec()),
+            // Unpulled landed bytes spill to one segment at the front.
+            2 => {
+                let bytes = |segs: Vec<Segment>| -> Vec<u8> {
+                    segs.iter().flat_map(|s| s.as_slice().iter().copied()).collect()
+                };
+                prop_assert_eq!(bytes(new.take_payload()), bytes(old.take_payload()));
+                prop_assert!(new.is_empty() && new.linear().is_empty());
+            }
+            _ => {
+                new.push_header(&[0xAA; 20]);
+                old.push_header(&[0xAA; 20]);
+                prop_assert_eq!(new.header(), old.header());
+                let again = deliver(&new, &new_ledger);
+                prop_assert_eq!(again.to_wire(), deliver(&old, &old_ledger).to_wire());
+                prop_assert_eq!(again.linear(), &[0xAA; 20][..], "only the built header lands");
+            }
+        }
+        prop_assert_eq!(new_ledger.snapshot(), old_ledger.snapshot(), "charge for charge");
     }
 }

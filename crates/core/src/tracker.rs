@@ -34,13 +34,14 @@ impl TxDisposition {
 
 #[derive(Debug)]
 enum State {
-    /// Accumulating header bytes until the boundary appears.
-    Header { seen: Vec<u8> },
+    /// Accumulating header bytes in `seen` until the boundary appears.
+    Header,
     /// Inside a body with `remaining` bytes to go.
     Body { remaining: u64 },
 }
 
-/// Per-connection transmit tracker.
+/// Per-connection transmit tracker: one lives as long as its stream and
+/// re-arms after every response.
 ///
 /// # Examples
 ///
@@ -51,7 +52,8 @@ enum State {
 /// let header = b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\n";
 /// let mut stream = header.to_vec();
 /// stream.extend_from_slice(b"hello");
-/// let parts = t.feed(&stream);
+/// let mut parts = Vec::new();
+/// t.feed(&stream, |d| parts.push(d));
 /// assert_eq!(parts, vec![
 ///     TxDisposition::Header(header.len()),
 ///     TxDisposition::Body(5),
@@ -60,6 +62,10 @@ enum State {
 #[derive(Debug)]
 pub struct HttpTxTracker {
     state: State,
+    /// The header bytes of the response being scanned. Emptied, not
+    /// dropped, on re-arm: a connection's second response reuses the
+    /// first one's buffer.
+    seen: Vec<u8>,
     responses_seen: u64,
 }
 
@@ -67,7 +73,8 @@ impl HttpTxTracker {
     /// A tracker at the start of a connection.
     pub fn new() -> Self {
         HttpTxTracker {
-            state: State::Header { seen: Vec::new() },
+            state: State::Header,
+            seen: Vec::new(),
             responses_seen: 0,
         }
     }
@@ -82,23 +89,22 @@ impl HttpTxTracker {
         matches!(self.state, State::Body { .. })
     }
 
-    /// Feeds the next `chunk` of outgoing stream bytes, returning the
+    /// Feeds the next `chunk` of outgoing stream bytes, handing `sink` the
     /// classification of each sub-range in order. Ranges never overlap and
     /// exactly cover the chunk.
-    pub fn feed(&mut self, chunk: &[u8]) -> Vec<TxDisposition> {
-        let mut out = Vec::new();
+    pub fn feed(&mut self, chunk: &[u8], mut sink: impl FnMut(TxDisposition)) {
         let mut at = 0usize;
         while at < chunk.len() {
-            match &mut self.state {
-                State::Header { seen } => {
-                    let start_len = seen.len();
-                    seen.extend_from_slice(&chunk[at..]);
-                    match find_header_end(seen) {
+            match self.state {
+                State::Header => {
+                    let start_len = self.seen.len();
+                    self.seen.extend_from_slice(&chunk[at..]);
+                    match find_header_end(&self.seen) {
                         Some(end) => {
                             // Bytes of *this chunk* that belong to the header:
                             let header_in_chunk = end - start_len;
-                            out.push(TxDisposition::Header(header_in_chunk));
-                            let content_length = HttpResponseHeader::decode(seen)
+                            sink(TxDisposition::Header(header_in_chunk));
+                            let content_length = HttpResponseHeader::decode(&self.seen)
                                 .map(|(h, _)| h.content_length)
                                 .unwrap_or(0);
                             self.responses_seen += 1;
@@ -111,26 +117,39 @@ impl HttpTxTracker {
                         }
                         None => {
                             // Whole remainder is header-so-far.
-                            out.push(TxDisposition::Header(chunk.len() - at));
+                            sink(TxDisposition::Header(chunk.len() - at));
                             at = chunk.len();
                         }
                     }
                 }
-                State::Body { remaining } => {
-                    let take = ((chunk.len() - at) as u64).min(*remaining) as usize;
-                    out.push(TxDisposition::Body(take));
-                    *remaining -= take as u64;
+                State::Body { .. } => {
+                    let take = self.feed_body(chunk.len() - at);
+                    sink(TxDisposition::Body(take));
                     at += take;
-                    self.maybe_rearm();
                 }
             }
         }
-        out
+    }
+
+    /// Classifies the next `len` stream bytes by length alone — body bytes
+    /// are never read, so a sender that knows its body's length need not
+    /// show them. Returns how many of them were body: fewer than `len`
+    /// when the body ends first (0 outside a body), and the rest, the next
+    /// response's header, must go through [`HttpTxTracker::feed`].
+    pub fn feed_body(&mut self, len: usize) -> usize {
+        let State::Body { remaining } = &mut self.state else {
+            return 0;
+        };
+        let take = (len as u64).min(*remaining) as usize;
+        *remaining -= take as u64;
+        self.maybe_rearm();
+        take
     }
 
     fn maybe_rearm(&mut self) {
         if let State::Body { remaining: 0 } = self.state {
-            self.state = State::Header { seen: Vec::new() };
+            self.state = State::Header;
+            self.seen.clear();
         }
     }
 }
@@ -152,13 +171,19 @@ mod tests {
         v
     }
 
+    fn feed(t: &mut HttpTxTracker, chunk: &[u8]) -> Vec<TxDisposition> {
+        let mut parts = Vec::new();
+        t.feed(chunk, |d| parts.push(d));
+        parts
+    }
+
     #[test]
     fn whole_response_in_one_chunk() {
         let mut t = HttpTxTracker::new();
         let resp = response(10);
         let header_len = resp.len() - 10;
         assert_eq!(
-            t.feed(&resp),
+            feed(&mut t, &resp),
             vec![TxDisposition::Header(header_len), TxDisposition::Body(10)]
         );
         assert_eq!(t.responses_seen(), 1);
@@ -171,9 +196,9 @@ mod tests {
         let resp = response(4);
         let header_len = resp.len() - 4;
         let cut = 10; // inside the header
-        let p1 = t.feed(&resp[..cut]);
+        let p1 = feed(&mut t, &resp[..cut]);
         assert_eq!(p1, vec![TxDisposition::Header(cut)]);
-        let p2 = t.feed(&resp[cut..]);
+        let p2 = feed(&mut t, &resp[cut..]);
         assert_eq!(
             p2,
             vec![
@@ -188,9 +213,9 @@ mod tests {
         let mut t = HttpTxTracker::new();
         let resp = response(1000);
         let header_len = resp.len() - 1000;
-        t.feed(&resp[..header_len + 100]);
+        feed(&mut t, &resp[..header_len + 100]);
         assert!(t.in_body());
-        let p = t.feed(&resp[header_len + 100..]);
+        let p = feed(&mut t, &resp[header_len + 100..]);
         assert_eq!(p, vec![TxDisposition::Body(900)]);
         assert!(!t.in_body());
     }
@@ -202,7 +227,7 @@ mod tests {
         let mut header = 0usize;
         let mut body = 0usize;
         for b in &resp {
-            for d in t.feed(std::slice::from_ref(b)) {
+            for d in feed(&mut t, std::slice::from_ref(b)) {
                 match d {
                     TxDisposition::Header(n) => header += n,
                     TxDisposition::Body(n) => body += n,
@@ -218,7 +243,7 @@ mod tests {
         let mut t = HttpTxTracker::new();
         let mut stream = response(5);
         stream.extend(response(7));
-        let parts = t.feed(&stream);
+        let parts = feed(&mut t, &stream);
         let bodies: usize = parts
             .iter()
             .filter_map(|d| match d {
@@ -234,12 +259,12 @@ mod tests {
     fn zero_length_body_rearms() {
         let mut t = HttpTxTracker::new();
         let resp = response(0);
-        let parts = t.feed(&resp);
+        let parts = feed(&mut t, &resp);
         assert_eq!(parts, vec![TxDisposition::Header(resp.len())]);
         assert!(!t.in_body());
         // Next response parses fine.
         let r2 = response(2);
-        let parts = t.feed(&r2);
+        let parts = feed(&mut t, &r2);
         assert_eq!(
             parts,
             vec![TxDisposition::Header(r2.len() - 2), TxDisposition::Body(2)]
@@ -253,10 +278,28 @@ mod tests {
         stream.extend(response(0));
         stream.extend(response(55));
         for chunk in stream.chunks(13) {
-            let total: usize = t.feed(chunk).iter().map(TxDisposition::len).sum();
+            let total: usize = feed(&mut t, chunk).iter().map(TxDisposition::len).sum();
             assert_eq!(total, chunk.len());
         }
         assert_eq!(t.responses_seen(), 3);
+    }
+
+    #[test]
+    fn bodies_fed_by_length_classify_like_bodies_fed_as_bytes() {
+        let mut t = HttpTxTracker::new();
+        assert_eq!(t.feed_body(5), 0, "no body before a header");
+        for _ in 0..2 {
+            let resp = response(1000);
+            let header_len = resp.len() - 1000;
+            let parts = feed(&mut t, &resp[..header_len]);
+            assert_eq!(parts, vec![TxDisposition::Header(header_len)]);
+            assert_eq!(t.feed_body(600), 600);
+            assert!(t.in_body());
+            assert_eq!(t.feed_body(1000), 400, "the body ends first");
+            assert!(!t.in_body(), "re-armed for the connection's next response");
+            assert_eq!(t.feed_body(1), 0);
+        }
+        assert_eq!(t.responses_seen(), 2);
     }
 
     #[test]

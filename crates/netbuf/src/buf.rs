@@ -2,7 +2,9 @@
 //! segments, with every byte movement charged to the copy ledger.
 //!
 //! Receive path: the NIC DMAs a wire frame into a single segment
-//! ([`NetBuf::from_wire`]); protocol layers strip headers with
+//! ([`NetBuf::from_wire`]), or a delivered frame's headers land in the
+//! buffer's own linear area ([`NetBuf::land`]) ahead of the payload
+//! segments it shares with the sender; protocol layers strip headers with
 //! [`NetBuf::pull`]; what remains is payload. Send path: payload segments
 //! are attached logically ([`NetBuf::append_segment`]) or copied in
 //! ([`NetBuf::append_bytes`]); layers prepend headers with
@@ -32,31 +34,33 @@ pub enum CsumState {
     Offloaded,
 }
 
-/// Bytes of inline headroom every [`NetBuf`] carries for the headers the
-/// send path prepends — the sk_buff headroom. Sized for the largest
+/// Bytes of inline linear area every [`NetBuf`] carries — the sk_buff
+/// linear data: headroom for the headers the send path prepends, landing
+/// area for the headers a delivery brings in. Sized for the largest
 /// fixed-size header stack in the workspace (RPC reply + NFS `diropres` +
 /// UDP/IPv4/Ethernet = 170 bytes); anything larger spills to the heap.
 pub const HEADROOM: usize = 192;
 
-/// The linear header area: headers are prepended *downwards* into a fixed
-/// inline headroom, so a `push_header` is one `memcpy` of the new bytes.
-/// A header stack that outgrows the headroom (long HTTP headers, READDIR
-/// listings, replayed duplicate-request-cache replies) moves to a heap
-/// buffer with the same grow-downwards layout. The area is owned, never
-/// shared: cloning a buffer copies it.
+/// The linear area: headers are prepended *downwards* into a fixed
+/// inline headroom, so a `push_header` is one `memcpy` of the new bytes,
+/// and a delivered frame's headers land in it the same way and are parsed
+/// off its front. A header stack that outgrows the headroom (long HTTP
+/// headers, READDIR listings, replayed duplicate-request-cache replies)
+/// moves to a heap buffer with the same grow-downwards layout. The area
+/// is owned, never shared: cloning a buffer copies it.
 #[derive(Clone)]
-struct HeaderArea {
+struct LinearArea {
     inline: [u8; HEADROOM],
     /// Heap store, live (non-empty) only once the inline headroom
     /// overflowed.
     spill: Vec<u8>,
-    /// The header occupies `[start..]` of the live store.
+    /// The bytes occupy `[start..]` of the live store.
     start: usize,
 }
 
-impl HeaderArea {
+impl LinearArea {
     fn new() -> Self {
-        HeaderArea {
+        LinearArea {
             inline: [0u8; HEADROOM],
             spill: Vec::new(),
             start: HEADROOM,
@@ -90,9 +94,30 @@ impl HeaderArea {
         self.start -= bytes.len();
         store[self.start..self.start + bytes.len()].copy_from_slice(bytes);
     }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        if self.spill.is_empty() {
+            &mut self.inline[self.start..]
+        } else {
+            &mut self.spill[self.start..]
+        }
+    }
+
+    /// Drops the first `n` bytes (parsed off the front).
+    fn advance(&mut self, n: usize) {
+        debug_assert!(n <= self.bytes().len());
+        self.start += n;
+    }
+
+    fn clear(&mut self) {
+        self.advance(self.bytes().len());
+    }
 }
 
-/// A network buffer: linear header area + chained payload segments.
+/// A network buffer: linear area + chained payload segments. The linear
+/// area holds the built headers of a buffer on its way out, or the landed,
+/// not yet parsed front of the payload of one that was delivered — never
+/// both.
 ///
 /// # Examples
 ///
@@ -109,10 +134,14 @@ impl HeaderArea {
 #[derive(Clone)]
 pub struct NetBuf {
     ledger: CopyLedger,
-    header: HeaderArea,
+    linear: LinearArea,
+    /// The linear area's bytes are landed payload, not built headers.
+    /// Set only while the area is non-empty.
+    landed: bool,
     segs: VecDeque<Segment>,
-    /// Sum of the segment lengths, maintained by every operation that
-    /// changes the chain (host-only bookkeeping; never charged).
+    /// Landed bytes plus the sum of the segment lengths, maintained by
+    /// every operation that changes either (host-only bookkeeping; never
+    /// charged).
     payload_len: usize,
     csum: CsumState,
 }
@@ -123,7 +152,8 @@ impl NetBuf {
         ledger.charge_allocation();
         NetBuf {
             ledger: ledger.clone(),
-            header: HeaderArea::new(),
+            linear: LinearArea::new(),
+            landed: false,
             segs: VecDeque::new(),
             payload_len: 0,
             csum: CsumState::None,
@@ -157,17 +187,76 @@ impl NetBuf {
 
     /// The (already-built) header bytes, outermost first.
     pub fn header(&self) -> &[u8] {
-        self.header.bytes()
+        if self.landed {
+            &[]
+        } else {
+            self.linear.bytes()
+        }
     }
 
     /// Header length in bytes.
     pub fn header_len(&self) -> usize {
-        self.header.bytes().len()
+        self.header().len()
     }
 
-    /// Payload length in bytes (sum of all segments).
+    /// Whatever the linear area holds: the built headers of a buffer being
+    /// sent, or the landed, still unparsed front of a delivered payload
+    /// (`header_len() == 0` tells which). What a delivery of this buffer
+    /// lands at the receiver.
+    pub fn linear(&self) -> &[u8] {
+        self.linear.bytes()
+    }
+
+    /// The landed, still unparsed front of the payload.
+    fn landed(&self) -> &[u8] {
+        if self.landed {
+            self.linear.bytes()
+        } else {
+            &[]
+        }
+    }
+
+    /// The landed bytes, for a link that damages what it delivers: the
+    /// landing area is receiver-private, so a flipped bit here touches no
+    /// storage the sender shares.
+    pub fn landed_mut(&mut self) -> &mut [u8] {
+        if self.landed {
+            self.linear.bytes_mut()
+        } else {
+            &mut []
+        }
+    }
+
+    /// Payload length in bytes (landed bytes plus all segments).
     pub fn payload_len(&self) -> usize {
         self.payload_len
+    }
+
+    /// The payload as one borrowed run, when it is one: all of it landed,
+    /// or all of it in a single segment.
+    pub fn payload_contiguous(&self) -> Option<&[u8]> {
+        match (self.landed().len(), self.segs.len()) {
+            (_, 0) => Some(self.landed()),
+            (0, 1) => Some(self.segs[0].as_slice()),
+            _ => None,
+        }
+    }
+
+    /// The payload run by run: landed bytes first, then the chain.
+    fn runs(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self.landed()).chain(self.segs.iter().map(Segment::as_slice))
+    }
+
+    /// Moves unparsed landed bytes to a heap segment at the front of the
+    /// chain — the layout every delivery had before the landing area — so
+    /// the linear area is free for headers and the chain is the whole
+    /// payload. The slow path: a parsed request has nothing left to spill.
+    fn spill_landed(&mut self) {
+        if self.landed {
+            self.segs.push_front(Segment::from_vec(self.linear.bytes().to_vec()));
+            self.linear.clear();
+            self.landed = false;
+        }
     }
 
     /// Header + payload length.
@@ -191,7 +280,25 @@ impl NetBuf {
     /// of physically copying them is not significant", §1).
     pub fn push_header(&mut self, bytes: &[u8]) {
         self.ledger.charge_header_bytes(bytes.len() as u64);
-        self.header.prepend(bytes);
+        self.spill_landed();
+        self.linear.prepend(bytes);
+    }
+
+    /// Lands `bytes` — the headers a sender built — as the leading bytes
+    /// of this buffer's payload, in its own linear area: what the NIC's
+    /// DMA does with the linear part of a frame. Charged as the one
+    /// **logical copy** attaching them as a segment was; parsing them off
+    /// is charged by [`NetBuf::pull`] as ever. A buffer that already holds
+    /// headers or payload takes them as a heap segment behind what it has.
+    pub fn land(&mut self, bytes: &[u8]) {
+        self.ledger.charge_logical_copy();
+        if self.linear.bytes().is_empty() && self.segs.is_empty() {
+            self.linear.prepend(bytes);
+            self.landed = !bytes.is_empty();
+            self.payload_len += bytes.len();
+        } else {
+            self.push_segment(Segment::from_vec(bytes.to_vec()));
+        }
     }
 
     /// Strips the first `n` payload bytes, handing them to `sink` run by
@@ -205,6 +312,13 @@ impl NetBuf {
         self.ledger.charge_header_bytes(n as u64);
         self.payload_len -= n;
         let mut need = n;
+        if self.landed {
+            let take = need.min(self.linear.bytes().len());
+            sink(&self.linear.bytes()[..take]);
+            self.linear.advance(take);
+            self.landed = !self.linear.bytes().is_empty();
+            need -= take;
+        }
         while need > 0 {
             let front = self.segs.front_mut().expect("payload length checked");
             if front.len() <= need {
@@ -230,11 +344,10 @@ impl NetBuf {
         );
         let mut skip = off;
         let mut left = len;
-        for seg in &self.segs {
+        for s in self.runs() {
             if left == 0 {
                 break;
             }
-            let s = seg.as_slice();
             if skip >= s.len() {
                 skip -= s.len();
                 continue;
@@ -353,20 +466,21 @@ impl NetBuf {
         self.push_segment(pool.seg_written(len, write));
     }
 
-    /// Logical copy of the whole buffer: shares every segment. Charged as a
+    /// Logical copy of the whole buffer: shares every segment (the linear
+    /// area, headers or landed bytes, is the copy's own). Charged as a
     /// single logical copy.
     pub fn share(&self) -> NetBuf {
         self.ledger.charge_logical_copy();
         self.clone()
     }
 
-    /// Copies every payload segment into `out`, back to back (uncharged
+    /// Copies every payload run into `out`, back to back (uncharged
     /// helper; callers charge).
     fn gather_into(&self, out: &mut [u8]) {
         let mut at = 0;
-        for seg in &self.segs {
-            out[at..at + seg.len()].copy_from_slice(seg.as_slice());
-            at += seg.len();
+        for run in self.runs() {
+            out[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
         }
     }
 
@@ -390,8 +504,8 @@ impl NetBuf {
     pub fn copy_payload_to_vec(&self) -> Vec<u8> {
         self.ledger.charge_payload_copy(self.payload_len as u64);
         let mut v = Vec::with_capacity(self.payload_len);
-        for seg in &self.segs {
-            v.extend_from_slice(seg.as_slice());
+        for run in self.runs() {
+            v.extend_from_slice(run);
         }
         v
     }
@@ -403,8 +517,8 @@ impl NetBuf {
     pub fn copy_payload_to_pooled(&self, pool: &crate::BufPool) -> Segment {
         self.ledger.charge_payload_copy(self.payload_len as u64);
         pool.seg_written(self.payload_len, |w| {
-            for seg in &self.segs {
-                w.put(seg.as_slice());
+            for run in self.runs() {
+                w.put(run);
             }
         })
     }
@@ -414,6 +528,7 @@ impl NetBuf {
     /// outgoing packet). The chain's own storage is handed over, not
     /// copied.
     pub fn take_payload(&mut self) -> Vec<Segment> {
+        self.spill_landed();
         self.payload_len = 0;
         Vec::from(std::mem::take(&mut self.segs))
     }
@@ -422,15 +537,20 @@ impl NetBuf {
     /// copy — this is NCache packet substitution).
     pub fn replace_payload(&mut self, segs: Vec<Segment>) {
         self.ledger.charge_logical_copy();
+        if self.landed {
+            self.linear.clear();
+            self.landed = false;
+        }
         self.payload_len = segs.iter().map(Segment::len).sum();
         self.segs = segs.into();
     }
 
-    /// Iterates over payload segments.
+    /// Iterates over payload segments (landed bytes are not one: see
+    /// [`NetBuf::linear`]).
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
         debug_assert_eq!(
             self.payload_len,
-            self.segs.iter().map(Segment::len).sum::<usize>(),
+            self.runs().map(<[u8]>::len).sum::<usize>(),
             "cached payload length drifted from the chain"
         );
         self.segs.iter()
@@ -449,8 +569,8 @@ impl NetBuf {
         // A 64-bit accumulator cannot overflow below 2^48 payload bytes.
         let mut sum: u64 = 0;
         let mut odd: Option<u8> = None;
-        for seg in &self.segs {
-            for &b in seg.as_slice() {
+        for run in self.runs() {
+            for &b in run {
                 match odd.take() {
                     None => odd = Some(b),
                     Some(hi) => sum += u64::from(u16::from_be_bytes([hi, b])),
@@ -483,7 +603,9 @@ impl NetBuf {
     /// gathering the chain by DMA, so it is *not* charged as a CPU copy.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.total_len());
-        v.extend_from_slice(self.header());
+        // Built headers or landed payload front: the wire's leading bytes
+        // either way.
+        v.extend_from_slice(self.linear());
         for seg in &self.segs {
             v.extend_from_slice(seg.as_slice());
         }
@@ -646,6 +768,82 @@ mod tests {
         b.push_header(&[9, 9]);
         assert_eq!(a.header(), &[1, 2, 3]);
         assert_eq!(b.header(), &[9, 9, 2, 3]);
+    }
+
+    #[test]
+    fn landed_bytes_are_the_front_of_the_payload() {
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        b.land(&[1, 2, 3, 4, 5]);
+        b.append_segment(Segment::from_vec(vec![6, 7]));
+        assert_eq!((b.header_len(), b.payload_len(), b.segment_count()), (0, 7, 1));
+        assert_eq!(b.linear(), &[1, 2, 3, 4, 5]);
+        assert_eq!(b.to_wire(), vec![1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(b.payload_contiguous(), None);
+        assert_eq!(b.peek(3, 3), vec![4, 5, 6], "across the boundary");
+        assert_eq!(b.pull_array::<2>(), [1, 2]);
+        assert_eq!(b.pull(4), vec![3, 4, 5, 6], "straddling the first segment");
+        assert_eq!(b.linear(), &[0u8; 0][..]);
+        assert_eq!(b.payload_contiguous(), Some(&[7u8][..]));
+        let s = l.snapshot();
+        assert_eq!((s.logical_copies, s.header_bytes, s.payload_copies), (2, 6, 0));
+    }
+
+    #[test]
+    fn a_landing_larger_than_the_inline_area_spills_and_parses() {
+        let l = ledger();
+        let big: Vec<u8> = (0..3 * HEADROOM as u32).map(|i| i as u8).collect();
+        let mut b = NetBuf::new(&l);
+        b.land(&big);
+        assert_eq!(b.payload_contiguous(), Some(&big[..]));
+        assert_eq!(b.pull(HEADROOM + 1), big[..HEADROOM + 1].to_vec());
+        assert_eq!(b.copy_payload_to_vec(), big[HEADROOM + 1..].to_vec());
+    }
+
+    #[test]
+    fn headers_and_pointer_surgery_spill_unparsed_landed_bytes() {
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        b.land(&[1, 2, 3]);
+        b.append_segment(Segment::from_vec(vec![4]));
+        assert_eq!(b.pull(1), vec![1]);
+        // Forwarding an unparsed frame: the linear area turns headroom.
+        let mut fwd = b.share();
+        fwd.push_header(&[9, 9]);
+        assert_eq!((fwd.header(), fwd.segment_count()), (&[9u8, 9][..], 2));
+        assert_eq!(fwd.to_wire(), vec![9, 9, 2, 3, 4]);
+        assert_eq!(b.to_wire(), vec![2, 3, 4], "the twin kept its own landed bytes");
+        let segs = b.take_payload();
+        assert_eq!(segs.iter().map(|s| s.as_slice().to_vec()).collect::<Vec<_>>(), [vec![2, 3], vec![4]]);
+        assert!(b.is_empty());
+        b.land(&[5]);
+        b.replace_payload(vec![Segment::from_vec(vec![6, 7])]);
+        assert_eq!(b.to_wire(), vec![6, 7], "substitution drops landed bytes with the rest");
+    }
+
+    #[test]
+    fn landing_behind_headers_or_payload_takes_a_segment() {
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        b.push_header(&[1]);
+        b.land(&[2, 3]);
+        assert_eq!((b.header(), b.segment_count()), (&[1u8][..], 1));
+        let mut c = NetBuf::new(&l);
+        c.land(&[1]);
+        c.land(&[2, 3]);
+        assert_eq!((c.linear(), c.segment_count()), (&[1u8][..], 1));
+        assert_eq!(c.to_wire(), b.to_wire());
+        assert_eq!(l.snapshot().logical_copies, 3, "one per landing, wherever it went");
+    }
+
+    #[test]
+    fn checksum_carries_an_odd_landed_prefix_into_the_chain() {
+        let l = ledger();
+        let mut landed = NetBuf::new(&l);
+        landed.land(&[1, 2, 3]);
+        landed.append_segment(Segment::from_vec(vec![4, 5]));
+        let mut flat = NetBuf::from_wire(&l, vec![1, 2, 3, 4, 5]);
+        assert_eq!(landed.compute_csum(), flat.compute_csum());
     }
 
     #[test]

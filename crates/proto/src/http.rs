@@ -24,10 +24,22 @@ impl HttpRequest {
     ///
     /// # Errors
     ///
+    /// As [`HttpRequest::parse_path`].
+    pub fn decode(buf: &[u8]) -> Result<HttpRequest> {
+        Ok(HttpRequest {
+            path: HttpRequest::parse_path(buf)?.to_string(),
+        })
+    }
+
+    /// Parses a request from `buf` down to its path, borrowed from `buf` —
+    /// all a static server needs of it, and no allocation to get it.
+    ///
+    /// # Errors
+    ///
     /// [`DecodeError::Truncated`] when the blank line has not arrived yet,
     /// [`DecodeError::BadField`] on a malformed request line,
     /// [`DecodeError::Unsupported`] on non-GET methods.
-    pub fn decode(buf: &[u8]) -> Result<HttpRequest> {
+    pub fn parse_path(buf: &[u8]) -> Result<&str> {
         let end = find_header_end(buf).ok_or(DecodeError::Truncated {
             need: buf.len() + 1,
             have: buf.len(),
@@ -44,9 +56,7 @@ impl HttpRequest {
         if !version.starts_with("HTTP/1.") {
             return Err(DecodeError::BadField("version"));
         }
-        Ok(HttpRequest {
-            path: path.to_string(),
-        })
+        Ok(path)
     }
 }
 
@@ -92,24 +102,35 @@ impl HttpResponseHeader {
         }
     }
 
+    /// Room for the longest header [`HttpResponseHeader::encode_into`]
+    /// writes: a 503 with a ten-digit `Retry-After` and a twenty-digit
+    /// `Content-Length` is 115 bytes.
+    pub const MAX_ENCODED_LEN: usize = 128;
+
     /// Builds the header bytes, ending in the `\r\n\r\n` boundary.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_into(&mut [0u8; Self::MAX_ENCODED_LEN]).to_vec()
+    }
+
+    /// [`HttpResponseHeader::encode`] into a caller's (stack) buffer;
+    /// returns the written prefix.
+    pub fn encode_into<'a>(&self, buf: &'a mut [u8; Self::MAX_ENCODED_LEN]) -> &'a [u8] {
+        use std::io::Write;
         let reason = match self.status {
             200 => "OK",
             404 => "Not Found",
             503 => "Service Unavailable",
             _ => "Unknown",
         };
-        let retry_after = if self.retry_after_s > 0 {
-            format!("Retry-After: {}\r\n", self.retry_after_s)
-        } else {
-            String::new()
-        };
-        format!(
-            "HTTP/1.0 {} {}\r\nServer: khttpd\r\n{}Content-Length: {}\r\n\r\n",
-            self.status, reason, retry_after, self.content_length
-        )
-        .into_bytes()
+        let mut rest = &mut buf[..];
+        let fits = "MAX_ENCODED_LEN holds the longest header";
+        write!(rest, "HTTP/1.0 {} {}\r\nServer: khttpd\r\n", self.status, reason).expect(fits);
+        if self.retry_after_s > 0 {
+            write!(rest, "Retry-After: {}\r\n", self.retry_after_s).expect(fits);
+        }
+        write!(rest, "Content-Length: {}\r\n\r\n", self.content_length).expect(fits);
+        let written = Self::MAX_ENCODED_LEN - rest.len();
+        &buf[..written]
     }
 
     /// Parses the response header at the start of a stream, returning the
@@ -245,6 +266,33 @@ mod tests {
         // A zero hint is simply omitted from the wire form.
         let quiet = HttpResponseHeader::ok(9).encode();
         assert!(!std::str::from_utf8(&quiet).unwrap().contains("Retry-After"));
+    }
+
+    #[test]
+    fn the_longest_header_fits_the_stack_buffer() {
+        let h = HttpResponseHeader {
+            status: u16::MAX,
+            content_length: u64::MAX,
+            retry_after_s: u32::MAX,
+        };
+        let mut buf = [0u8; HttpResponseHeader::MAX_ENCODED_LEN];
+        let enc = h.encode_into(&mut buf);
+        assert_eq!(enc.len(), 105);
+        assert_eq!(HttpResponseHeader::decode(enc).expect("valid").0, h);
+        let h = HttpResponseHeader { status: 503, ..h };
+        assert_eq!(h.encode_into(&mut buf).len(), 115, "the longest reason phrase");
+        assert_eq!(h.encode(), h.encode_into(&mut buf));
+    }
+
+    #[test]
+    fn the_borrowed_path_is_the_decoded_one() {
+        let buf = b"GET //a/b HTTP/1.1\r\nHost: x\r\n\r\nbody";
+        assert_eq!(HttpRequest::parse_path(buf), Ok("//a/b"));
+        assert_eq!(HttpRequest::decode(buf).map(|r| r.path), Ok("//a/b".to_string()));
+        assert_eq!(
+            HttpRequest::parse_path(b"PUT / HTTP/1.0\r\n\r\n"),
+            Err(DecodeError::Unsupported("non-GET method"))
+        );
     }
 
     #[test]

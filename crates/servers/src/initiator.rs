@@ -16,7 +16,7 @@
 
 use ncache::NcacheModule;
 use netbuf::key::{KeyStamp, Lbn};
-use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
+use netbuf::{BufPool, CopyLedger, NetBuf, Segment, SlabStats};
 use proto::iscsi::{DataOut, IscsiPdu, ScsiCommand, ScsiOp, BHS_LEN, BLOCK_SIZE};
 use simfs::{BlockClass, BlockStore};
 
@@ -119,6 +119,11 @@ pub struct IscsiInitiator {
     /// Shared fault schedule for the initiator⇄target link (None = a
     /// perfect link; every fault hook vanishes).
     fault_plan: Option<sim::Shared<sim::FaultPlan>>,
+    /// The Data-Out burst and the reply PDUs of the command in flight:
+    /// the lists [`IscsiTarget::handle_command_into`] drains and fills,
+    /// empty between commands and never reallocated.
+    burst: Vec<NetBuf>,
+    replies: Vec<NetBuf>,
 }
 
 impl IscsiInitiator {
@@ -149,6 +154,8 @@ impl IscsiInitiator {
             recorder: obs::Recorder::new(),
             pool: BufPool::slab_only(),
             fault_plan: None,
+            burst: Vec::new(),
+            replies: Vec::new(),
         }
     }
 
@@ -172,6 +179,12 @@ impl IscsiInitiator {
     /// Counter snapshot.
     pub fn stats(&self) -> InitiatorStats {
         self.stats
+    }
+
+    /// Counters of the slab free list behind receive copies and
+    /// placeholder blocks.
+    pub fn pool_stats(&self) -> SlabStats {
+        self.pool.slab_stats()
     }
 
     /// Drains the I/O log (the timing layer calls this once per request).
@@ -228,6 +241,15 @@ impl IscsiInitiator {
         *backoff = (*backoff * 2).min(MAX_BACKOFF_US);
     }
 
+    /// Sends `cmd` (with the Data-Out burst in `self.burst`, if any) and
+    /// leaves the target's reply PDUs in `self.replies`.
+    fn issue(&mut self, cmd: ScsiCommand) {
+        self.replies.clear();
+        self.target
+            .borrow_mut()
+            .handle_command_into(cmd, &mut self.burst, &mut self.replies);
+    }
+
     /// The non-zero SCSI status of a lone response PDU, if that is what
     /// `pdus` is (a transiently failed command carries no data).
     fn command_failed(pdus: &[NetBuf]) -> Option<u8> {
@@ -259,22 +281,25 @@ impl IscsiInitiator {
                 lbn,
                 blocks: 1,
             };
-            let pdus = self.target.borrow_mut().handle_command(cmd, Vec::new());
-            if Self::command_failed(&pdus).is_some() {
+            self.issue(cmd);
+            if Self::command_failed(&self.replies).is_some() {
                 self.stats.io_errors += 1;
                 self.note_retry(&mut backoff);
                 continue;
             }
-            debug_assert_eq!(pdus.len(), 2, "one Data-In plus the response");
+            debug_assert_eq!(self.replies.len(), 2, "one Data-In plus the response");
             let (rx, kind) = match &self.fault_plan {
                 Some(plan) => stack::deliver_faulty(
-                    &pdus[0],
+                    &self.replies[0],
                     &self.ledger,
                     &mut plan.borrow_mut(),
                     sim::FaultLink::InitiatorTarget,
                 ),
-                None => (Some(stack::deliver(&pdus[0], &self.ledger)), None),
+                None => (Some(stack::deliver(&self.replies[0], &self.ledger)), None),
             };
+            // The sent PDU is done with: its slab goes home now, not when
+            // the next command overwrites the list.
+            self.replies.clear();
             match kind {
                 // Lost, or arriving after the command timer: retransmit.
                 Some(sim::FaultKind::Drop) | Some(sim::FaultKind::Delay) => {
@@ -361,8 +386,9 @@ impl IscsiInitiator {
                 }
                 _ => {}
             }
-            let resp = self.target.borrow_mut().handle_command(cmd, vec![delivered]);
-            debug_assert_eq!(resp.len(), 1);
+            self.burst.push(delivered);
+            self.issue(cmd);
+            debug_assert_eq!(self.replies.len(), 1);
             if matches!(kind, Some(sim::FaultKind::Delay)) {
                 // The burst arrived — and block writes are idempotent, so
                 // its effect is harmless — but the response missed the
@@ -371,7 +397,7 @@ impl IscsiInitiator {
                 self.note_retry(&mut backoff);
                 continue;
             }
-            if Self::command_failed(&resp).is_some() {
+            if Self::command_failed(&self.replies).is_some() {
                 // Transient device error or a damaged burst the target
                 // rejected: re-send everything.
                 self.stats.io_errors += 1;

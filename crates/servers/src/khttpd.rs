@@ -4,9 +4,10 @@
 //! cache → network stack (Table 2). The NCache build moves only keys
 //! (§4.1's changed sendfile interface): the response body is a chain of
 //! placeholder cache blocks that the driver-level hook substitutes; the
-//! [`ncache::HttpTxTracker`] confirms the header/body split the way the
-//! real module tracks TCP streams (§4.3). The baseline build attaches the
-//! placeholder blocks and sends the junk — the ideal zero-copy bound.
+//! server's [`ncache::HttpTxTracker`] confirms the header/body split the
+//! way the real module tracks TCP streams (§4.3). The baseline build
+//! attaches the placeholder blocks and sends the junk — the ideal
+//! zero-copy bound.
 
 
 use ncache::{HttpTxTracker, TxDisposition};
@@ -60,6 +61,9 @@ impl obs::StatsSnapshot for KhttpdStats {
 pub struct KhttpdServer {
     host: ServerHost,
     stats: KhttpdStats,
+    /// The transmit-stream tracker of the server's one connection: it
+    /// re-arms after each complete response.
+    tracker: HttpTxTracker,
 }
 
 impl std::ops::Deref for KhttpdServer {
@@ -83,6 +87,7 @@ impl KhttpdServer {
         KhttpdServer {
             host,
             stats: KhttpdStats::default(),
+            tracker: HttpTxTracker::new(),
         }
     }
 
@@ -97,22 +102,27 @@ impl KhttpdServer {
     pub fn handle_request(&mut self, req: &NetBuf) -> NetBuf {
         self.stats.requests += 1;
         let req_bytes = req.payload_len() as u64;
-        let raw = req.peek(0, req.payload_len());
-        let Ok(request) = HttpRequest::decode(&raw) else {
+        // A delivered request is all landed bytes: the path is parsed
+        // where it lies.
+        let gathered;
+        let raw = match req.payload_contiguous() {
+            Some(run) => run,
+            None => {
+                gathered = req.peek(0, req.payload_len());
+                &gathered
+            }
+        };
+        let Ok(path) = HttpRequest::parse_path(raw) else {
             // Malformed or unsupported requests get a 400, never a panic.
             let span = self
                 .recorder
                 .begin_span("malformed", self.host.mode.label(), req_bytes);
             self.stats.bad_requests += 1;
-            let mut r = NetBuf::new(&self.host.ledger);
-            r.push_header(
-                &HttpResponseHeader {
-                    status: 400,
-                    content_length: 0,
-                    retry_after_s: 0,
-                }
-                .encode(),
-            );
+            let r = self.header_only(HttpResponseHeader {
+                status: 400,
+                content_length: 0,
+                retry_after_s: 0,
+            });
             self.host.recorder.end_span(span);
             return r;
         };
@@ -123,12 +133,11 @@ impl KhttpdServer {
         if let Some(after_ns) = self.host.admit(OpClass::Read) {
             self.stats.retry_later += 1;
             let after_s = after_ns.div_ceil(1_000_000_000).max(1) as u32;
-            let mut r = NetBuf::new(&self.host.ledger);
-            r.push_header(&HttpResponseHeader::service_unavailable(after_s).encode());
+            let r = self.header_only(HttpResponseHeader::service_unavailable(after_s));
             self.host.recorder.end_span(span);
             return r;
         }
-        let name = request.path.trim_start_matches('/');
+        let name = path.trim_start_matches('/');
         let mut response = NetBuf::new(&self.host.ledger);
         let mut resolved = None;
 
@@ -155,13 +164,14 @@ impl KhttpdServer {
                     }
                 };
                 self.stats.bytes_served += body_len as u64;
-                let header = HttpResponseHeader::ok(body_len as u64).encode();
-                self.track(&header, body_len);
-                response.push_header(&header);
+                let mut buf = [0u8; HttpResponseHeader::MAX_ENCODED_LEN];
+                let header = HttpResponseHeader::ok(body_len as u64).encode_into(&mut buf);
+                self.track(header, body_len);
+                response.push_header(header);
             }
             Err(_) => {
                 self.stats.not_found += 1;
-                response.push_header(&HttpResponseHeader::not_found().encode());
+                push_response_header(&mut response, HttpResponseHeader::not_found());
             }
         }
 
@@ -305,32 +315,34 @@ impl KhttpdServer {
         Ok((ino, attrs.size))
     }
 
-    /// Feeds the response through the stream tracker the way the NCache
-    /// module watches kHTTPd's TCP streams, confirming the header/body
-    /// boundary (§4.3).
+    /// Feeds the response through the connection's stream tracker the way
+    /// the NCache module watches kHTTPd's TCP streams, confirming the
+    /// header/body boundary (§4.3).
     fn track(&mut self, header: &[u8], body_len: usize) {
         if self.host.mode != ServerMode::NCache {
             return;
         }
-        let mut tracker = HttpTxTracker::new();
-        let parts = tracker.feed(header);
-        debug_assert_eq!(parts, vec![TxDisposition::Header(header.len())]);
+        self.tracker.feed(header, |d| {
+            debug_assert_eq!(d, TxDisposition::Header(header.len()));
+        });
         // Body bytes classified without materializing them.
-        let zeros = [0u8; 4096];
-        let mut remaining = body_len;
-        let mut body_seen = 0usize;
-        while remaining > 0 {
-            let take = remaining.min(zeros.len());
-            for d in tracker.feed(&zeros[..take]) {
-                if let TxDisposition::Body(n) = d {
-                    body_seen += n;
-                }
-            }
-            remaining -= take;
-        }
+        let body_seen = self.tracker.feed_body(body_len);
         debug_assert_eq!(body_seen, body_len, "tracker found the boundary");
+        debug_assert!(!self.tracker.in_body(), "re-armed for the next response");
         self.stats.tracked_responses += 1;
     }
+
+    /// A bodiless response.
+    fn header_only(&self, header: HttpResponseHeader) -> NetBuf {
+        let mut r = NetBuf::new(&self.host.ledger);
+        push_response_header(&mut r, header);
+        r
+    }
+}
+
+/// Encodes `header` on the stack and prepends it to `response`.
+fn push_response_header(response: &mut NetBuf, header: HttpResponseHeader) {
+    response.push_header(header.encode_into(&mut [0u8; HttpResponseHeader::MAX_ENCODED_LEN]));
 }
 
 /// A minimal HTTP client for the workload generators and tests.
@@ -494,6 +506,58 @@ mod tests {
         let (hdr, body) = get(&mut srv, &client, "/page");
         assert_eq!(hdr.status, 200);
         assert_eq!(body, b"still here");
+    }
+
+    #[test]
+    fn names_at_the_edges_of_the_directory_compare() {
+        for mode in [ServerMode::Original, ServerMode::NCache] {
+            let (mut srv, client) = server(mode);
+            publish(&mut srv, "page", b"found");
+            publish(&mut srv, "gone", b"x");
+            srv.fs_mut()
+                .remove(Filesystem::<crate::IscsiInitiator>::ROOT, "gone")
+                .expect("present");
+            let mut status = |path: &str| get(&mut srv, &client, path).0.status;
+            // The empty name must not match the free slots around `page`.
+            assert_eq!(status("/"), 404);
+            assert_eq!(status(""), 400, "no path at all is malformed");
+            assert_eq!(status("//page"), 200, "leading slashes are trimmed");
+            assert_eq!(status("/page/"), 404);
+            assert_eq!(status("/pag"), 404, "a strict prefix of a stored name");
+            assert_eq!(status("/pages"), 404, "a stored name is a prefix of it");
+            assert_eq!(status(&format!("/{}", "n".repeat(40))), 404, "longer than a slot holds");
+            assert_eq!(status("/page\0"), 404);
+            assert_eq!(status("/gone"), 404);
+            let s = srv.stats();
+            assert_eq!((s.requests, s.not_found, s.bad_requests), (9, 7, 1));
+        }
+    }
+
+    #[test]
+    fn one_tracker_follows_every_response_of_the_connection() {
+        let (mut srv, client) = server(ServerMode::NCache);
+        publish(&mut srv, "big", &[7u8; 3 * 4096 + 5]);
+        publish(&mut srv, "empty", b"");
+        for path in ["/big", "/absent", "/empty", "/big", "", "/big"] {
+            get(&mut srv, &client, path);
+        }
+        // Only 200s reach the tracker; each leaves it re-armed (the debug
+        // assertions in `track` fail the GET after one that did not).
+        assert_eq!(srv.stats().tracked_responses, 4);
+        assert_eq!(srv.tracker.responses_seen(), 4);
+        assert!(!srv.tracker.in_body());
+    }
+
+    #[test]
+    fn a_request_split_across_segments_still_parses() {
+        let (mut srv, client) = server(ServerMode::Original);
+        publish(&mut srv, "page", b"found");
+        let wire = client.get_request("/page").to_wire();
+        let mut req = NetBuf::new(&CopyLedger::new());
+        req.append_bytes(&wire[..7]);
+        req.append_bytes(&wire[7..]);
+        let (hdr, body) = client.parse_response(&srv.handle_request(&req));
+        assert_eq!((hdr.status, &body[..]), (200, &b"found"[..]));
     }
 
     #[test]

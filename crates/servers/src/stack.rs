@@ -7,7 +7,7 @@
 //! keep their shared storage, so data cached straight off the wire is the
 //! same memory that later goes back out.
 
-use netbuf::{CopyLedger, NetBuf, Segment};
+use netbuf::{CopyLedger, NetBuf};
 use proto::ethernet::{EthernetHeader, MacAddr};
 use proto::ipv4::{Ipv4Addr, Ipv4Header, PROTO_TCP, PROTO_UDP};
 use proto::tcp::{TcpHeader, HEADER_LEN as TCP_LEN};
@@ -126,14 +126,17 @@ pub fn tcp_decap(buf: &mut NetBuf) -> Result<TcpInfo, DecodeError> {
 }
 
 /// Delivers a transmitted buffer into a receiving node's memory: the
-/// sender's built headers become the leading payload bytes of a fresh
-/// buffer charged to the *receiver's* ledger. Payload segments keep their
-/// shared storage; nothing is physically copied (NIC DMA).
+/// sender's built headers land in the linear area of a fresh buffer charged
+/// to the *receiver's* ledger, as its leading payload bytes. Payload
+/// segments keep their shared storage; nothing is physically copied (NIC
+/// DMA), and a frame that is all headers costs the host no allocation.
 pub fn deliver(sent: &NetBuf, receiver: &CopyLedger) -> NetBuf {
     let mut rx = NetBuf::new(receiver);
-    rx.reserve_segments(sent.segment_count() + 1);
-    if sent.header_len() > 0 {
-        rx.append_segment(Segment::from_vec(sent.header().to_vec()));
+    rx.reserve_segments(sent.segment_count());
+    // Built headers — or, when `sent` is itself an unparsed delivery, what
+    // it landed.
+    if !sent.linear().is_empty() {
+        rx.land(sent.linear());
     }
     for seg in sent.segments() {
         rx.append_segment(seg.clone());
@@ -147,13 +150,13 @@ pub fn deliver(sent: &NetBuf, receiver: &CopyLedger) -> NetBuf {
 /// delivery:
 ///
 /// * `Drop` — nothing arrives (`None`).
-/// * `Corrupt` — a bit flips in the *header-copy* region of the delivered
-///   frame (delivery copies headers into receiver memory; shared payload
-///   storage is never mutated). Headerless frames corrupt a private copy
-///   of their first segment instead. Either way the damage is confined to
-///   this delivery and is protocol-detectable.
+/// * `Corrupt` — a bit flips in the *landing area* of the delivered frame
+///   (delivery copies headers into receiver memory; shared payload storage
+///   is never mutated). Headerless frames land a private copy of their
+///   first segment and corrupt that instead. Either way the damage is
+///   confined to this delivery and is protocol-detectable.
 /// * `Truncate` — only a prefix of the frame arrives; shared segments are
-///   clipped with [`Segment::slice`], again leaving storage intact.
+///   clipped with [`netbuf::Segment::slice`], again leaving storage intact.
 /// * `Duplicate` / `Reorder` / `Delay` — the frame arrives intact; the
 ///   kind is returned so the *caller* (who owns both ends of the
 ///   synchronous exchange) can replay, resequence, or time out.
@@ -171,29 +174,26 @@ pub fn deliver_faulty(
     match kind {
         Some(FaultKind::Drop) => (None, kind),
         Some(FaultKind::Corrupt { pos, bit }) => {
-            let mut rx = NetBuf::new(receiver);
-            let mask = 1u8 << (bit & 7);
-            if sent.header_len() > 0 {
-                let mut hdr = sent.header().to_vec();
-                let i = (pos % hdr.len() as u64) as usize;
-                hdr[i] ^= mask;
-                rx.append_segment(Segment::from_vec(hdr));
-                for seg in sent.segments() {
+            let mut rx = if sent.linear().is_empty() {
+                // Headerless: the first segment, if it has bytes, arrives
+                // as a private copy.
+                let mut rx = NetBuf::new(receiver);
+                let mut segs = sent.segments();
+                match segs.next() {
+                    Some(first) if !first.is_empty() => rx.land(first.as_slice()),
+                    Some(first) => rx.append_segment(first.clone()),
+                    None => {}
+                }
+                for seg in segs {
                     rx.append_segment(seg.clone());
                 }
+                rx
             } else {
-                let mut first = true;
-                for seg in sent.segments() {
-                    if first && !seg.is_empty() {
-                        let mut bytes = seg.as_slice().to_vec();
-                        let i = (pos % bytes.len() as u64) as usize;
-                        bytes[i] ^= mask;
-                        rx.append_segment(Segment::from_vec(bytes));
-                    } else {
-                        rx.append_segment(seg.clone());
-                    }
-                    first = false;
-                }
+                deliver(sent, receiver)
+            };
+            let private = rx.landed_mut();
+            if !private.is_empty() {
+                private[(pos % private.len() as u64) as usize] ^= 1u8 << (bit & 7);
             }
             (Some(rx), kind)
         }
@@ -201,13 +201,11 @@ pub fn deliver_faulty(
             let total = sent.total_len() as u64;
             let mut keep = (total * u64::from(keep_ppm) / sim::fault::PPM) as usize;
             let mut rx = NetBuf::new(receiver);
-            if sent.header_len() > 0 {
-                let take = keep.min(sent.header_len());
-                if take > 0 {
-                    rx.append_segment(Segment::from_vec(sent.header()[..take].to_vec()));
-                }
-                keep -= take;
+            let take = keep.min(sent.linear().len());
+            if take > 0 {
+                rx.land(&sent.linear()[..take]);
             }
+            keep -= take;
             for seg in sent.segments() {
                 if keep == 0 {
                     break;
@@ -239,6 +237,7 @@ pub fn mac_of(ip: Ipv4Addr) -> MacAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netbuf::Segment;
 
     fn addrs() -> (Ipv4Addr, Ipv4Addr) {
         (Ipv4Addr::from_node_id(1), Ipv4Addr::from_node_id(2))
@@ -285,6 +284,27 @@ mod tests {
             .segments()
             .any(|s| s.same_storage(&payload)));
         assert!(rx.ledger().same_ledger(&rx_ledger));
+    }
+
+    #[test]
+    fn headers_land_and_an_unparsed_delivery_is_redelivered_whole() {
+        let (src, dst) = addrs();
+        let ledger = CopyLedger::new();
+        let payload = Segment::from_vec(vec![7u8; 100]);
+        let mut pkt = NetBuf::new(&ledger);
+        pkt.append_segment(payload.clone());
+        udp_encap(&mut pkt, src, dst, 1, 2, 0);
+        let mut rx = deliver(&pkt, &ledger);
+        // The headers are in the receive buffer's own linear area; the
+        // chain is the sender's payload and nothing else.
+        assert_eq!((rx.header_len(), rx.linear().len(), rx.segment_count()), (0, 42, 1));
+        // A hop that parsed only the Ethernet header forwards the rest.
+        rx.pull_array::<{ ethernet::HEADER_LEN }>();
+        let before = ledger.snapshot();
+        let again = deliver(&rx, &ledger);
+        assert_eq!(ledger.snapshot().delta_since(&before).logical_copies, 2);
+        assert_eq!(again.to_wire(), pkt.to_wire()[ethernet::HEADER_LEN..]);
+        assert!(again.segments().all(|s| s.same_storage(&payload)));
     }
 
     #[test]

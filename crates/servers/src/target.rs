@@ -7,7 +7,7 @@
 //! every read copies disk buffer → PDU and every write copies PDU → disk
 //! buffer, charged to the storage server's own ledger.
 
-use netbuf::{BufPool, CopyLedger, NetBuf};
+use netbuf::{BufPool, CopyLedger, NetBuf, SlabStats};
 use proto::iscsi::{
     DataIn, IscsiPdu, ReadyToTransfer, ScsiCommand, ScsiOp, ScsiResponse, BHS_LEN, BLOCK_SIZE,
 };
@@ -131,6 +131,11 @@ impl IscsiTarget {
         &self.ledger
     }
 
+    /// Counters of the Data-In slab free list.
+    pub fn pool_stats(&self) -> SlabStats {
+        self.pool.slab_stats()
+    }
+
     /// Blocks that have been explicitly written (diagnostic).
     pub fn written_blocks(&self) -> usize {
         self.image.len()
@@ -171,7 +176,22 @@ impl IscsiTarget {
     ///
     /// Panics on out-of-range addresses or mismatched Data-Out payloads —
     /// initiator bugs, not runtime conditions.
-    pub fn handle_command(&mut self, cmd: ScsiCommand, data_out: Vec<NetBuf>) -> Vec<NetBuf> {
+    pub fn handle_command(&mut self, cmd: ScsiCommand, mut data_out: Vec<NetBuf>) -> Vec<NetBuf> {
+        let mut out = Vec::new();
+        self.handle_command_into(cmd, &mut data_out, &mut out);
+        out
+    }
+
+    /// [`IscsiTarget::handle_command`] over lists the caller keeps: the
+    /// Data-Out burst is drained from `data_out` and the reply PDUs are
+    /// pushed onto `out`, so an initiator issuing command after command
+    /// allocates neither list again.
+    pub fn handle_command_into(
+        &mut self,
+        cmd: ScsiCommand,
+        data_out: &mut Vec<NetBuf>,
+        out: &mut Vec<NetBuf>,
+    ) {
         assert!(
             cmd.lbn + u64::from(cmd.blocks) <= self.block_count,
             "I/O beyond end of volume"
@@ -180,13 +200,15 @@ impl IscsiTarget {
             // The device transiently failed the whole command; the
             // initiator sees a non-zero status and retries.
             self.stats.io_errors += 1;
-            return vec![self.response(cmd.itt, STATUS_IO_ERROR)];
+            data_out.clear();
+            out.push(self.response(cmd.itt, STATUS_IO_ERROR));
+            return;
         }
         match cmd.op {
             ScsiOp::Read => {
                 assert!(data_out.is_empty(), "read commands carry no Data-Out");
                 self.stats.read_cmds += 1;
-                let mut out = Vec::with_capacity(cmd.blocks as usize + 1);
+                out.reserve(cmd.blocks as usize + 1);
                 for i in 0..u64::from(cmd.blocks) {
                     let lbn = cmd.lbn + i;
                     let mut pdu = NetBuf::new(&self.ledger);
@@ -211,21 +233,21 @@ impl IscsiTarget {
                     out.push(pdu);
                 }
                 out.push(self.response(cmd.itt, 0));
-                out
             }
             ScsiOp::Write => {
                 self.stats.write_cmds += 1;
-                match self.apply_data_out(&cmd, data_out) {
-                    Ok(()) => vec![self.response(cmd.itt, 0)],
+                let status = match self.apply_data_out(&cmd, data_out) {
+                    Ok(()) => 0,
                     // Under fault injection a damaged burst is a runtime
                     // condition: reject it and let the initiator resend.
                     Err(_why) if self.lenient => {
                         self.stats.bad_write_bursts += 1;
-                        vec![self.response(cmd.itt, STATUS_PROTOCOL_ERROR)]
+                        STATUS_PROTOCOL_ERROR
                     }
                     // On a perfect link it is an initiator bug.
                     Err(why) => panic!("{why}"),
-                }
+                };
+                out.push(self.response(cmd.itt, status));
             }
         }
     }
@@ -234,11 +256,18 @@ impl IscsiTarget {
     /// applied as they validate; a failed burst is re-sent in full by the
     /// initiator, and block writes are idempotent, so partial application
     /// is safe.
-    fn apply_data_out(&mut self, cmd: &ScsiCommand, data_out: Vec<NetBuf>) -> Result<(), String> {
+    fn apply_data_out(
+        &mut self,
+        cmd: &ScsiCommand,
+        data_out: &mut Vec<NetBuf>,
+    ) -> Result<(), String> {
         if data_out.len() != cmd.blocks as usize {
+            data_out.clear();
             return Err("write command needs one Data-Out per block".into());
         }
-        for mut pdu in data_out {
+        // (An early return drops the drain, and with it the rest of the
+        // burst: a failed one is re-sent in full.)
+        for mut pdu in data_out.drain(..) {
             if pdu.total_len() < BHS_LEN {
                 return Err("Data-Out truncated below a BHS".into());
             }
@@ -364,6 +393,28 @@ mod tests {
         assert_eq!(pdus[0].copy_payload_to_vec(), vec![0xAB; BLOCK_SIZE]);
         assert_eq!(t.stats().write_cmds, 1);
         assert_eq!(t.stats().read_cmds, 1);
+    }
+
+    #[test]
+    fn a_caller_kept_reply_list_is_filled_in_place_and_slabs_recycle() {
+        let mut t = target();
+        let (mut burst, mut replies) = (Vec::new(), Vec::new());
+        for itt in 0..3 {
+            let cmd = ScsiCommand {
+                itt,
+                op: ScsiOp::Read,
+                lbn: 5,
+                blocks: 2,
+            };
+            replies.clear();
+            t.handle_command_into(cmd, &mut burst, &mut replies);
+            assert_eq!(replies.len(), 3, "appended to, not replaced");
+            assert_eq!(replies[1].copy_payload_to_vec(), synthetic_block(6));
+        }
+        // Two Data-In slabs in flight at a time: the first command takes
+        // them fresh, the later ones take what `clear` sent home.
+        let pool = t.pool_stats();
+        assert_eq!((pool.allocs, pool.recycles), (2, 4));
     }
 
     #[test]

@@ -500,7 +500,7 @@ impl<S: BlockStore> Filesystem<S> {
             return Err(FsError::NotADirectory);
         }
         match self.dir_find(&dnode, name)? {
-            Some((_, _, e)) => Ok(e.ino),
+            Some((_, _, ino)) => Ok(ino),
             None => Err(FsError::NotFound),
         }
     }
@@ -546,8 +546,8 @@ impl<S: BlockStore> Filesystem<S> {
         if dnode.ftype != FileType::Directory {
             return Err(FsError::NotADirectory);
         }
-        let (blk_idx, slot, entry) = self.dir_find(&dnode, name)?.ok_or(FsError::NotFound)?;
-        let victim = self.load_inode(entry.ino)?;
+        let (blk_idx, slot, ino) = self.dir_find(&dnode, name)?.ok_or(FsError::NotFound)?;
+        let victim = self.load_inode(ino)?;
         if victim.ftype != FileType::Regular {
             return Err(FsError::NotAFile);
         }
@@ -561,13 +561,13 @@ impl<S: BlockStore> Filesystem<S> {
         self.write_block_cached(lbn, BlockClass::Meta, Segment::from_vec(block));
         // Free the file's storage.
         self.free_file_blocks(&victim)?;
-        let table_lbn = self.inode_lbn(entry.ino);
+        let table_lbn = self.inode_lbn(ino);
         let seg = self.read_block_cached(table_lbn, BlockClass::Meta);
         let mut block = seg.as_slice().to_vec();
-        let at = (entry.ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
+        let at = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
         block[at..at + INODE_SIZE].fill(0);
         self.write_block_cached(table_lbn, BlockClass::Meta, Segment::from_vec(block));
-        self.ibitmap.free(u64::from(entry.ino.0));
+        self.ibitmap.free(u64::from(ino.0));
         Ok(())
     }
 
@@ -1239,12 +1239,12 @@ impl<S: BlockStore> Filesystem<S> {
         &mut self,
         dnode: &Inode,
         name: &str,
-    ) -> Result<Option<(u64, usize, DirEntry)>, FsError> {
+    ) -> Result<Option<(u64, usize, Ino)>, FsError> {
         for idx in 0..dnode.size_blocks() {
             if let Some(lbn) = self.map_block_mut(dnode, idx)? {
                 let seg = self.read_block_cached(lbn, BlockClass::Meta);
-                if let Some((slot, e)) = dir::find_in_block(seg.as_slice(), name) {
-                    return Ok(Some((idx, slot, e)));
+                if let Some((slot, ino)) = dir::find_in_block(seg.as_slice(), name) {
+                    return Ok(Some((idx, slot, ino)));
                 }
             }
         }
@@ -1258,17 +1258,13 @@ impl<S: BlockStore> Filesystem<S> {
         name: &str,
         ino: Ino,
     ) -> Result<(), FsError> {
-        let entry = DirEntry {
-            name: name.to_string(),
-            ino,
-        };
         // Try existing blocks first.
         for idx in 0..dnode.size_blocks() {
             if let Some(lbn) = self.map_block_mut(dnode, idx)? {
                 let seg = self.read_block_cached(lbn, BlockClass::Meta);
                 if let Some(slot) = dir::free_slot(seg.as_slice()) {
                     let mut block = seg.as_slice().to_vec();
-                    dir::encode_entry(&mut block, slot, &entry);
+                    dir::encode_entry(&mut block, slot, name, ino);
                     self.write_block_cached(lbn, BlockClass::Meta, Segment::from_vec(block));
                     return Ok(());
                 }
@@ -1278,7 +1274,7 @@ impl<S: BlockStore> Filesystem<S> {
         let idx = dnode.size_blocks();
         let (lbn, _) = self.map_block_alloc(parent, dnode, idx)?;
         let mut block = vec![0u8; BLOCK_SIZE];
-        dir::encode_entry(&mut block, 0, &entry);
+        dir::encode_entry(&mut block, 0, name, ino);
         self.write_block_cached(lbn, BlockClass::Meta, Segment::from_vec(block));
         dnode.size = (idx + 1) * BLOCK_SIZE as u64;
         self.store_inode(parent, dnode)
@@ -1757,6 +1753,32 @@ mod tests {
         // The name and inode are reusable.
         let f2 = fs.create(Fs::ROOT, "f").expect("recreate");
         assert_eq!(f2, f, "inode slot reused");
+    }
+
+    #[test]
+    fn the_empty_name_is_not_found_among_free_slots() {
+        let mut fs = newfs();
+        assert_eq!(fs.lookup(Fs::ROOT, ""), Err(FsError::NotFound), "empty directory");
+        fs.create(Fs::ROOT, "a").expect("create");
+        fs.create(Fs::ROOT, "b").expect("create");
+        fs.remove(Fs::ROOT, "a").expect("remove");
+        // A cleared slot ahead of a live one, and free slots after it.
+        assert_eq!(fs.lookup(Fs::ROOT, ""), Err(FsError::NotFound));
+        assert_eq!(fs.remove(Fs::ROOT, ""), Err(FsError::NotFound));
+    }
+
+    #[test]
+    fn create_after_remove_reuses_the_cleared_slot() {
+        let mut fs = newfs();
+        for name in ["a", "b", "c"] {
+            fs.create(Fs::ROOT, name).expect("create");
+        }
+        fs.remove(Fs::ROOT, "b").expect("remove");
+        fs.create(Fs::ROOT, "bb").expect("create");
+        let names: Vec<String> =
+            fs.readdir(Fs::ROOT).expect("readdir").into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["a", "bb", "c"], "the new entry sits where the old one was");
+        assert_eq!(fs.lookup(Fs::ROOT, "b"), Err(FsError::NotFound), "a prefix of bb");
     }
 
     #[test]

@@ -143,6 +143,43 @@ echo "one of each; non-test lines in experiments.rs + ablations.rs + repro.rs + 
     "$EXPERIMENTS" crates/testbed/src/ablations.rs "$REPRO" crates/bench/benches/figures.rs \
     | wc -l) (2269, with crates/bench/src/lib.rs, before the evaluation was described once)"
 
+echo "== per request, not per entry (in-place name lookup, one landing, a sink-fed tracker) =="
+# DESIGN.md §9.1: a request's heap allocations do not grow with the
+# directory entries its lookup walks past, the frames it receives or the
+# 4 KiB blocks of body the stream tracker follows (tests/alloc_budget.rs
+# pins the counts). The rung fails if the three sites that did grow come
+# back: a name lookup that builds a `DirEntry` per slot, a delivery that
+# heap-copies the sender's headers, a tracker `feed` that returns a list
+# (same `// dup-ok: <reason>` escape as above).
+fn_body() { # fn_body NAME FILE: the first `fn NAME` of FILE, signature to closing brace
+    awk -v name="$1" '
+        !on && $0 ~ "fn " name "[(<]" { on = 1 }
+        on {
+            print
+            if (/\{/) opened = 1
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (opened && depth == 0) exit
+        }' "$2"
+}
+for SITE in find_in_block:crates/simfs/src/dir.rs free_slot:crates/simfs/src/dir.rs \
+    dir_find:crates/simfs/src/fs.rs; do
+    BODY="$(fn_body "${SITE%%:*}" "${SITE#*:}")"
+    test -n "$BODY"
+    BUILT="$(grep -E 'decode_entry\(|DirEntry \{' <<<"$BODY" \
+        | grep -vc 'dup-ok:[[:space:]]*[^[:space:]]' || true)"
+    if [[ "$BUILT" != 0 ]]; then
+        echo "fn ${SITE%%:*} in ${SITE#*:} builds a DirEntry for the slots it walks past" >&2
+        exit 1
+    fi
+done
+expect_count 0 "heap copies of a sent header in crates/servers/src/stack.rs (NetBuf::land is the one landing)" \
+    'header\(\)(\[[^]]*\])?\.to_vec\(\)|Segment::from_vec\(' crates/servers/src/stack.rs
+expect_count 0 "fn feed* returning a Vec in crates/core/src/tracker.rs (it reports through a sink)" \
+    'fn feed[a-z_]*\(.*-> *Vec<' crates/core/src/tracker.rs
+expect_count 1 "HttpTxTracker::new() call sites in crates/servers/src/khttpd.rs (one per connection)" \
+    'HttpTxTracker::new\(\)' crates/servers/src/khttpd.rs
+echo "no per-entry DirEntry, no heap-copied header, no list-returning feed, one tracker"
+
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;
 # every item it pins is listed in benchmark/src/seams.rs. Building,

@@ -123,11 +123,68 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
             "a steady-state miss returns the volume's bytes"
         );
     }
-    allocs(|| {
+    let pools = |rig: &mut NfsRig| {
+        let initiator = rig.server_mut().fs_mut().store().pool_stats();
+        (initiator, rig.target().borrow().pool_stats())
+    };
+    let (initiator, target) = pools(&mut rig);
+    let n = allocs(|| {
         for blk in 701..765 {
             rig.read(fh, blk * BLOCK, BLOCK);
         }
-    })
+    });
+    // What a miss still allocates is handles and index nodes, not data:
+    // every Data-In payload of the batch rode a slab an evicted one had
+    // returned to the target, and so did every junk block the Baseline
+    // initiator hands up (NCache placeholders ride the module's own slab
+    // list; this all-miss run never asks the initiator for one).
+    let (initiator_after, target_after) = pools(&mut rig);
+    assert_eq!(
+        (initiator_after.allocs, target_after.allocs),
+        (initiator.allocs, target.allocs),
+        "{mode}: a steady-state miss takes no fresh slab"
+    );
+    assert!(target_after.recycles - target.recycles >= 64, "{mode}");
+    let junk_blocks = if mode == ServerMode::Baseline { 64 } else { 0 };
+    assert_eq!(initiator_after.recycles - initiator.recycles, junk_blocks, "{mode}");
+    n
+}
+
+/// A kHTTPd rig (NCache build) whose root directory holds `pages` pages of
+/// `size` bytes, every one of them warmed.
+fn warmed_web(pages: usize, size: u64) -> KhttpdRig {
+    let mut web = KhttpdRig::new(ServerMode::NCache, KhttpdRigParams::default());
+    for i in 0..pages {
+        web.publish(&format!("page{i}"), size);
+    }
+    for i in 0..pages {
+        web.get(&format!("/page{i}"));
+    }
+    web
+}
+
+/// One warmed GET of the *last* page published, checked for its bytes.
+fn last_page_get_allocs(pages: usize, size: u64) -> u64 {
+    let mut web = warmed_web(pages, size);
+    let name = format!("page{}", pages - 1);
+    let (path, want) = (format!("/{name}"), web.expected(&name, size));
+    let mut got = Vec::new();
+    let n = allocs(|| got = web.get(&path).1);
+    assert_eq!(got, want, "the counted GET returned the page");
+    assert_eq!(allocs(|| web.get(&path)), n, "the count repeats");
+    n
+}
+
+/// One NFS LOOKUP of the last name in a root directory of `files` names.
+fn last_name_lookup_allocs(files: usize) -> u64 {
+    let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
+    let fhs: Vec<u64> = (0..files).map(|i| rig.create_file(&format!("f{i}"), 0)).collect();
+    let name = format!("f{}", files - 1);
+    rig.lookup(&name);
+    let mut found = None;
+    let n = allocs(|| found = rig.lookup(&name));
+    assert_eq!(found, fhs.last().copied(), "the counted LOOKUP found the file");
+    n
 }
 
 #[test]
@@ -137,7 +194,7 @@ fn allocations_per_request_are_pinned() {
     let baseline = read_allocs(ServerMode::Baseline);
     assert_eq!(
         (ncache, original, baseline),
-        (9, 10, 8),
+        (4, 5, 3),
         "all-hit 32 KiB READ (ncache, original, baseline)"
     );
     assert!(ncache <= 16, "NCache READ budget");
@@ -150,7 +207,7 @@ fn allocations_per_request_are_pinned() {
     // no 4 KiB buffer of its own (one more allocation per block before).
     assert_eq!(
         miss_read_allocs(ServerMode::NCache),
-        1116,
+        604,
         "64 one-block all-miss READs"
     );
     // Baseline's junk block rides a recycled slab too (a 4 KiB `calloc`
@@ -158,25 +215,39 @@ fn allocations_per_request_are_pinned() {
     // less per miss than the build that does real work.
     assert_eq!(
         miss_read_allocs(ServerMode::Baseline),
-        1034,
+        522,
         "64 one-block all-miss READs, Baseline"
     );
 
     let (mut rig, fh) = warmed_nfs(ServerMode::NCache);
-    assert_eq!(allocs(|| rig.getattr(fh)), 6, "GETATTR");
+    assert_eq!(allocs(|| rig.getattr(fh)), 0, "GETATTR");
     let data = vec![0xA5u8; READ as usize];
     rig.write(fh, 0, &data); // the measured write overwrites, like the first
     assert_eq!(
         allocs(|| rig.write(fh, 0, &data)),
-        38,
+        33,
         "aligned 32 KiB WRITE"
     );
 
-    let mut web = KhttpdRig::new(ServerMode::NCache, KhttpdRigParams::default());
-    web.publish("page", u64::from(READ));
-    web.get("/page");
-    // (Debug builds make one more: `track`'s `debug_assert_eq!` builds its
-    // expected disposition list.)
-    let get = 25 + u64::from(cfg!(debug_assertions));
-    assert_eq!(allocs(|| web.get("/page")), get, "kHTTPd all-hit GET");
+    assert_eq!(last_page_get_allocs(1, u64::from(READ)), 6, "kHTTPd all-hit GET");
+
+    // Per request — not per directory entry scanned, not per 4 KiB of body.
+    // The last of 500 names sits four directory blocks in, behind 499
+    // entries the lookup walks past.
+    assert_eq!(
+        last_name_lookup_allocs(500),
+        last_name_lookup_allocs(1),
+        "LOOKUP of the last of 500 names against the only name"
+    );
+    let one_block = last_page_get_allocs(1, 4096);
+    assert_eq!(
+        last_page_get_allocs(500, 4096),
+        one_block,
+        "GET of the last of 500 pages against the only page"
+    );
+    assert_eq!(
+        last_page_get_allocs(1, 19 * 4096),
+        one_block,
+        "GET of a 19-block page against a 1-block page"
+    );
 }
