@@ -13,15 +13,19 @@
 //! 3. [`NcacheModule::on_flush_write`] — the file system is flushing a
 //!    dirty (placeholder) block to storage: remap FHO→LBN and return the
 //!    real payload for the outgoing iSCSI write.
-//! 4. [`NcacheModule::on_transmit`] — an outgoing reply is about to hit
-//!    the driver: substitute cached payload for stamped placeholders.
+//! 4. [`NetCacheShards::transmit`] — an outgoing reply is about to hit
+//!    the driver: splice (or substitute) cached payload for its stamped
+//!    placeholders. The hook is `&self` on the shard set rather than on
+//!    the module, so the server finishes every reply in step through its
+//!    own cache handle ([`NcacheModule::resolver`]), never the module's
+//!    mutex.
 
 use netbuf::key::{CacheKey, Fho, KeyStamp, Lbn};
-use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
+use netbuf::{BufPool, CopyLedger, Segment};
 
 use crate::cache::{CacheFull, NetCacheStats, WritebackChunk};
 use crate::shards::NetCacheShards;
-use crate::substitute::{substitute_payload, Resolved, SubstitutionReport};
+use crate::substitute::SubstitutionReport;
 use crate::CHUNK_PAYLOAD;
 
 /// Configuration of the NCache module.
@@ -76,7 +80,6 @@ pub struct NcacheModule {
     /// from it; cache residency pins from the cache's own pool).
     slabs: BufPool,
     pending_writebacks: Vec<WritebackChunk>,
-    substitution_totals: SubstitutionReport,
     recorder: Option<obs::Recorder>,
     invalidations: u64,
 }
@@ -91,7 +94,6 @@ impl NcacheModule {
             ledger: ledger.clone(),
             slabs: BufPool::slab_only(),
             pending_writebacks: Vec::new(),
-            substitution_totals: SubstitutionReport::default(),
             recorder: None,
             invalidations: 0,
         }
@@ -149,31 +151,14 @@ impl NcacheModule {
     /// Snapshot of per-shard stats, taken only when a recorder is live
     /// (so the fault-free untraced path pays nothing for it).
     fn shard_baseline(&self) -> Option<Vec<NetCacheStats>> {
-        self.live_recorder()
-            .filter(|_| self.cache.shard_count() > 1)
-            .map(|_| self.cache.per_shard_stats())
+        self.cache.shard_baseline(self.live_recorder().is_some())
     }
 
-    /// Emits `shard.<i>.<counter>` deltas for every shard counter that
-    /// moved since `before`. Only multi-shard traced runs produce these;
-    /// the merged `cache.ncache.*` counters stay shard-count-invariant.
+    /// Emits the `shard.<i>.<counter>` deltas since `before` (see
+    /// [`NetCacheShards::emit_shard_deltas`]).
     fn emit_shard_deltas(&self, before: Option<Vec<NetCacheStats>>) {
-        let (Some(before), Some(rec)) = (before, &self.recorder) else {
-            return;
-        };
-        for (i, (b, a)) in before.iter().zip(self.cache.per_shard_stats()).enumerate() {
-            for (name, was, now) in [
-                ("lookups", b.lookups, a.lookups),
-                ("hits", b.hits, a.hits),
-                ("insertions", b.insertions, a.insertions),
-                ("remaps", b.remaps, a.remaps),
-                ("evicted_clean", b.evicted_clean, a.evicted_clean),
-                ("evicted_dirty", b.evicted_dirty, a.evicted_dirty),
-            ] {
-                if now > was {
-                    rec.add_counter(&format!("shard.{i}.{name}"), now - was);
-                }
-            }
+        if let Some(rec) = &self.recorder {
+            self.cache.emit_shard_deltas(before, rec);
         }
     }
 
@@ -198,9 +183,10 @@ impl NcacheModule {
         self.cache.shard_count()
     }
 
-    /// Totals of every substitution performed.
+    /// Totals of every substitution performed (the shard set counts them
+    /// at [`NetCacheShards::transmit`]).
     pub fn substitution_totals(&self) -> SubstitutionReport {
-        self.substitution_totals
+        self.cache.substitution_totals()
     }
 
     /// Bytes currently pinned by the cache.
@@ -286,38 +272,17 @@ impl NcacheModule {
         &mut self.cache
     }
 
-    /// The cache replies resolve through ahead of transmission, or `None`
-    /// when substitution is disabled (the ablation ships placeholders).
-    pub fn resolver(&self) -> Option<&NetCacheShards> {
-        self.config.substitution.then_some(&self.cache)
+    /// The cache handle replies resolve and transmit through
+    /// ([`NetCacheShards::transmit`]), or `None` when substitution is
+    /// disabled (the ablation ships placeholders).
+    pub fn resolver(&self) -> Option<NetCacheShards> {
+        self.config.substitution.then(|| self.cache.clone())
     }
 
-    /// A clone of the internally locked cache handle. The lane-parallel
-    /// engine uses this to substitute outgoing replies *outside* the rig
-    /// lock: the handle reaches the same shard set the module mutates.
+    /// A clone of the internally locked cache handle: it reaches the same
+    /// shard set the module mutates, without the module's mutex.
     pub fn cache_handle(&self) -> NetCacheShards {
         self.cache.clone()
-    }
-
-    /// Folds a substitution report produced outside the module (the
-    /// parallel engine's out-of-lock transmit path) into the totals, with
-    /// the same recorder events [`NcacheModule::on_transmit`] would emit.
-    pub fn absorb_substitution(&mut self, report: SubstitutionReport) {
-        if report.substituted > 0 || report.missing > 0 {
-            self.emit(obs::EventKind::Substitution {
-                substituted: report.substituted,
-                missing: report.missing,
-            });
-        }
-        self.absorb_substitution_totals(report);
-    }
-
-    /// Adds substitutions performed (and already reported to the recorder)
-    /// outside the module to its totals: the lane-parallel engine sums
-    /// each lane's reports privately and hands the sum over once, after
-    /// the lanes have joined.
-    pub fn absorb_substitution_totals(&mut self, totals: SubstitutionReport) {
-        self.substitution_totals.absorb(totals);
     }
 
     /// Advances the cache's shared recency clock past `stamp` (see
@@ -439,52 +404,6 @@ impl NcacheModule {
         None
     }
 
-    /// Hook 4: an outgoing packet reached the driver boundary. Substitutes
-    /// stamped placeholders from the cache (no-op when substitution is
-    /// disabled) — or, for a reply whose placeholders the server resolved
-    /// when it built it ([`crate::substitute::resolve_reply`], the READ's
-    /// commit point), splices that resolution in. When checksum inheritance
-    /// is enabled the packet is marked checksum-inherited instead of being
-    /// recomputed.
-    pub fn on_transmit(
-        &mut self,
-        buf: &mut NetBuf,
-        resolved: Option<Resolved>,
-    ) -> SubstitutionReport {
-        if !self.config.substitution {
-            return SubstitutionReport::default();
-        }
-        let (report, shard_before) = match resolved {
-            Some(mut resolved) => {
-                let shard_before = resolved.shard_before.take();
-                (resolved.splice(buf), shard_before)
-            }
-            None => {
-                let shard_before = self.shard_baseline();
-                (substitute_payload(buf, &self.cache), shard_before)
-            }
-        };
-        self.emit_shard_deltas(shard_before);
-        if report.substituted > 0 {
-            if self.config.csum_inherit {
-                buf.inherit_csum();
-            } else {
-                // Ablation: without inheritance the substituted payload
-                // must be checksummed afresh — the CPU cost the paper's
-                // design avoids (§1).
-                buf.compute_csum();
-            }
-        }
-        if report.substituted > 0 || report.missing > 0 {
-            self.emit(obs::EventKind::Substitution {
-                substituted: report.substituted,
-                missing: report.missing,
-            });
-        }
-        self.substitution_totals.absorb(report);
-        report
-    }
-
     /// Drains dirty chunks displaced by cache pressure; the server must
     /// write each to the storage server.
     pub fn take_writebacks(&mut self) -> Vec<WritebackChunk> {
@@ -506,6 +425,7 @@ pub fn placeholder_block(ledger: &CopyLedger, pool: &BufPool, stamp: KeyStamp) -
 mod tests {
     use super::*;
     use netbuf::key::FileHandle;
+    use netbuf::NetBuf;
 
     #[test]
     fn module_is_send() {
@@ -588,7 +508,9 @@ mod tests {
         let ph = m.on_data_in(Lbn(1), block_segs(0x77), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(ph);
-        let r = m.on_transmit(&mut pkt, None);
+        let r = m
+            .cache_handle()
+            .transmit(&mut pkt, None, true, &obs::Recorder::new());
         assert_eq!(r.substituted, 1);
         assert_eq!(pkt.csum_state(), netbuf::buf::CsumState::Inherited);
         assert_eq!(pkt.copy_payload_to_vec(), vec![0x77; CHUNK_PAYLOAD]);
@@ -600,14 +522,12 @@ mod tests {
         let ledger = CopyLedger::new();
         let mut config = NcacheConfig::with_capacity(1 << 20);
         config.substitution = false;
-        let mut m = NcacheModule::new(config, &ledger);
-        let ph = m.on_data_in(Lbn(1), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
-        let mut pkt = NetBuf::new(&ledger);
-        pkt.append_segment(ph.clone());
-        let r = m.on_transmit(&mut pkt, None);
-        assert_eq!(r.substituted, 0);
-        // Placeholder junk goes out unmodified (the ablation's behaviour).
-        assert_eq!(pkt.copy_payload_to_vec(), ph.as_slice().to_vec());
+        let m = NcacheModule::new(config, &ledger);
+        // No cache to transmit through: the server ships its placeholder
+        // junk unmodified (the ablation's behaviour).
+        assert!(m.resolver().is_none());
+        config.substitution = true;
+        assert!(NcacheModule::new(config, &ledger).resolver().is_some());
     }
 
     #[test]
@@ -650,7 +570,7 @@ mod tests {
         let ph = m.on_data_in(Lbn(9), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(ph);
-        m.on_transmit(&mut pkt, None);
+        m.cache_handle().transmit(&mut pkt, None, true, &rec);
 
         assert_eq!(rec.counter("cache.ncache-fho.insertions"), 1);
         assert_eq!(rec.counter("cache.ncache-lbn.insertions"), 1);

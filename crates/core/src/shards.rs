@@ -47,14 +47,20 @@ use std::fmt;
 use std::sync::Arc;
 
 use netbuf::key::{CacheKey, Fho, Lbn};
-use netbuf::{BufPool, Segment};
+use netbuf::{BufPool, NetBuf, Segment};
 use sim::mix64;
-use sim::sync::{LaneLock, LaneReadGuard, LaneWriteGuard, LockCounters};
+use sim::sync::{LaneCounters, LaneLock, LaneReadGuard, LaneWriteGuard, LockCounters};
 
 use crate::cache::{
     resolution_order, CacheFull, Entry, NetCache, NetCacheStats, SeqSource, WritebackChunk,
 };
-use crate::substitute::SubstitutionReport;
+use crate::substitute::{substitute_payload, Resolved, SubstitutionReport};
+
+// Counter indices into the shard set's substitution totals, one per
+// [`SubstitutionReport`] field.
+const SUBSTITUTED: usize = 0;
+const PASSED_THROUGH: usize = 1;
+const MISSING: usize = 2;
 
 /// The shard a key lives in, for a set of `shards` shards. Deterministic
 /// across runs and platforms (no `RandomState`): the same key always maps
@@ -91,6 +97,9 @@ pub struct NetCacheShards {
     pool: BufPool,
     fho_first: Arc<std::sync::atomic::AtomicBool>,
     seq: SeqSource,
+    /// Totals of every [`NetCacheShards::transmit`], lane-striped so
+    /// concurrent lanes count on their own lines.
+    substitutions: Arc<LaneCounters<3>>,
 }
 
 impl NetCacheShards {
@@ -114,6 +123,7 @@ impl NetCacheShards {
             pool,
             fho_first: Arc::new(std::sync::atomic::AtomicBool::new(true)),
             seq,
+            substitutions: Arc::default(),
         }
     }
 
@@ -237,6 +247,102 @@ impl NetCacheShards {
     /// Per-shard counter snapshots, indexed by shard.
     pub fn per_shard_stats(&self) -> Vec<NetCacheStats> {
         (0..self.shards.len()).map(|i| self.read(i).stats()).collect()
+    }
+
+    /// Per-shard counters ahead of a hook, taken only when `traced` on
+    /// several shards (so the untraced path pays nothing for them): the
+    /// baseline of [`NetCacheShards::emit_shard_deltas`].
+    pub(crate) fn shard_baseline(&self, traced: bool) -> Option<Vec<NetCacheStats>> {
+        (traced && self.shards.len() > 1).then(|| self.per_shard_stats())
+    }
+
+    /// Emits `shard.<i>.<counter>` deltas on `rec` for every shard counter
+    /// that moved since `before`. Only multi-shard traced runs produce
+    /// these; the merged `cache.ncache.*` counters stay shard-count-invariant.
+    pub(crate) fn emit_shard_deltas(
+        &self,
+        before: Option<Vec<NetCacheStats>>,
+        rec: &obs::Recorder,
+    ) {
+        let Some(before) = before else {
+            return;
+        };
+        for (i, (b, a)) in before.iter().zip(self.per_shard_stats()).enumerate() {
+            for (name, was, now) in [
+                ("lookups", b.lookups, a.lookups),
+                ("hits", b.hits, a.hits),
+                ("insertions", b.insertions, a.insertions),
+                ("remaps", b.remaps, a.remaps),
+                ("evicted_clean", b.evicted_clean, a.evicted_clean),
+                ("evicted_dirty", b.evicted_dirty, a.evicted_dirty),
+            ] {
+                if now > was {
+                    rec.add_counter(&format!("shard.{i}.{name}"), now - was);
+                }
+            }
+        }
+    }
+
+    /// Hook 4, the one transmit path: an outgoing reply reached the driver
+    /// boundary. Splices `resolved` — the placeholders the server resolved
+    /// when it built the reply, the READ's commit point
+    /// ([`crate::resolve_reply`]) — or, for a reply that carries none,
+    /// substitutes its stamped placeholders from the cache; then inherits
+    /// the stored checksum (`csum_inherit`) or, in the ablation, recomputes
+    /// it, emits the shard deltas and the `Substitution` event on `rec`,
+    /// and counts the report into [`NetCacheShards::substitution_totals`].
+    /// `&self` and lane-striped, so a lane runs it under the shared core
+    /// guard like any other step of its reply.
+    pub fn transmit(
+        &self,
+        reply: &mut NetBuf,
+        resolved: Option<Resolved>,
+        csum_inherit: bool,
+        rec: &obs::Recorder,
+    ) -> SubstitutionReport {
+        let (report, shard_before) = match resolved {
+            Some(mut resolved) => {
+                let shard_before = resolved.shard_before.take();
+                (resolved.splice(reply), shard_before)
+            }
+            None => {
+                let shard_before = self.shard_baseline(rec.is_enabled());
+                (substitute_payload(reply, self), shard_before)
+            }
+        };
+        self.emit_shard_deltas(shard_before, rec);
+        if report.substituted > 0 {
+            if csum_inherit {
+                reply.inherit_csum();
+            } else {
+                // Ablation: without inheritance the substituted payload
+                // must be checksummed afresh — the CPU cost the paper's
+                // design avoids (§1).
+                reply.compute_csum();
+            }
+        }
+        if report.substituted > 0 || report.missing > 0 {
+            rec.emit(obs::EventKind::Substitution {
+                substituted: report.substituted,
+                missing: report.missing,
+            });
+        }
+        let lane = self.substitutions.lane();
+        lane.add(SUBSTITUTED, report.substituted);
+        lane.add(PASSED_THROUGH, report.passed_through);
+        lane.add(MISSING, report.missing);
+        report
+    }
+
+    /// Totals of every [`NetCacheShards::transmit`] so far, summed across
+    /// lanes (exact once the lanes that transmitted have joined).
+    pub fn substitution_totals(&self) -> SubstitutionReport {
+        let [substituted, passed_through, missing] = self.substitutions.totals();
+        SubstitutionReport {
+            substituted,
+            passed_through,
+            missing,
+        }
     }
 
     fn shard(&self, key: CacheKey) -> usize {

@@ -83,7 +83,8 @@ pub struct Resolved {
     payload: Vec<Segment>,
     report: SubstitutionReport,
     /// Per-shard counters from before the resolution, when a traced run on
-    /// several shards will want their deltas at the transmit hook.
+    /// several shards will want their deltas at the transmit hook
+    /// ([`NetCacheShards::transmit`]).
     pub(crate) shard_before: Option<Vec<NetCacheStats>>,
 }
 
@@ -102,7 +103,7 @@ pub fn resolve_reply<'s>(
     traced: bool,
     reply: impl ExactSizeIterator<Item = (&'s Segment, usize)> + Clone,
 ) -> Result<Resolved, usize> {
-    let shard_before = (traced && cache.shard_count() > 1).then(|| cache.per_shard_stats());
+    let shard_before = cache.shard_baseline(traced);
     let mut payload = Vec::with_capacity(reply.len());
     let report = cache.resolve_all(reply, true, &mut payload)?;
     Ok(Resolved {
@@ -115,10 +116,18 @@ pub fn resolve_reply<'s>(
 impl Resolved {
     /// Splices the resolved payload into `buf` in place of its
     /// placeholders (pointer surgery: one logical copy) and returns what
-    /// the resolution did.
-    pub fn splice(self, buf: &mut NetBuf) -> SubstitutionReport {
+    /// the resolution did. [`NetCacheShards::transmit`] is the one caller.
+    pub(crate) fn splice(self, buf: &mut NetBuf) -> SubstitutionReport {
         buf.replace_payload(self.payload);
         self.report
+    }
+
+    /// The same resolution without its per-shard baseline, for a reply
+    /// finished under a *shared* guard: other lanes move the same shards'
+    /// counters meanwhile, so the deltas would not be this reply's alone.
+    pub fn without_shard_deltas(mut self) -> Self {
+        self.shard_before = None;
+        self
     }
 }
 

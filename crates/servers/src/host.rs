@@ -5,16 +5,20 @@
 //! module sits under both daemons with the daemons untouched (Table 1).
 //! The same holds for what surrounds a daemon on the application server:
 //! the build it runs, the file system over the iSCSI initiator, the module
-//! handle, the node's copy ledger, the recorder, fault recovery, the
-//! overload control plane and the driver-boundary transmit hook are not
-//! NFS or HTTP. A server is a [`ServerHost`] plus its codec, its op
-//! handlers and its own counters ([`crate::nfs::NfsServer`] adds the
-//! duplicate-request cache); both deref to the host, so `server.fs_mut()`
-//! or `server.set_load(..)` is the host's method on either.
+//! and its cache handle, the node's copy ledger, the recorder, fault
+//! recovery, the overload control plane, placeholder resolution, the
+//! driver-boundary transmit hook and the degradation path that
+//! materializes real bytes are not NFS or HTTP. A server is a
+//! [`ServerHost`] plus its codec, its op handlers and its own counters
+//! ([`crate::nfs::NfsServer`] adds the duplicate-request cache); both
+//! deref to the host, so `server.fs_mut()` or `server.set_load(..)` is the
+//! host's method on either.
 
-use ncache::{NcacheModule, Resolved};
-use netbuf::{CopyLedger, NetBuf};
-use simfs::Filesystem;
+use ncache::{NcacheModule, NetCacheShards, Resolved};
+use netbuf::key::KeyStamp;
+use netbuf::{CopyLedger, NetBuf, Segment};
+use simfs::fs::LogicalBlock;
+use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
 use crate::initiator::IscsiInitiator;
@@ -26,6 +30,13 @@ pub struct ServerHost {
     pub(crate) mode: ServerMode,
     pub(crate) fs: Filesystem<IscsiInitiator>,
     pub(crate) module: Option<sim::Shared<NcacheModule>>,
+    /// The module's cache handle replies resolve and transmit through —
+    /// `Some` only under NCache with substitution on — so neither step
+    /// takes the module's mutex.
+    cache: Option<NetCacheShards>,
+    /// Whether substituted replies inherit stored checksums (off only in
+    /// the ablation).
+    csum_inherit: bool,
     pub(crate) ledger: CopyLedger,
     pub(crate) recorder: obs::Recorder,
     /// Fault recovery armed: placeholder revalidation verifies chunk
@@ -54,10 +65,16 @@ impl ServerHost {
             mode != ServerMode::NCache || module.is_some(),
             "NCache mode requires the NCache module"
         );
+        let (cache, csum_inherit) = module.as_ref().map_or((None, true), |m| {
+            let m = m.borrow();
+            (m.resolver(), m.config().csum_inherit)
+        });
         ServerHost {
             mode,
             fs,
             module,
+            cache,
+            csum_inherit,
             ledger: ledger.clone(),
             recorder: obs::Recorder::new(),
             fault_recovery: false,
@@ -187,16 +204,128 @@ impl ServerHost {
         &self.recorder
     }
 
-    /// The driver-boundary hook, run once the whole stack has built the
-    /// packet: the module substitutes cached payload for the reply's
-    /// placeholders (splicing `resolved` when the daemon resolved them
-    /// ahead of transmission), then whatever the module displaced goes
-    /// back to storage. A no-op in the builds without a module.
-    pub(crate) fn transmit(&mut self, reply: &mut NetBuf, resolved: Option<Resolved>) {
-        if let Some(module) = &self.module {
-            module.borrow_mut().on_transmit(reply, resolved);
+    /// Resolves a logical reply's placeholders, all or nothing, ahead of
+    /// transmission — the commit point of a READ (DESIGN.md §9.2).
+    /// `Ok(None)` when the build substitutes nothing; `Err` carries the
+    /// first dangling block, nothing has been counted, and the request
+    /// must degrade.
+    pub(crate) fn resolve<'s>(
+        &self,
+        blocks: impl ExactSizeIterator<Item = (&'s Segment, usize)> + Clone,
+    ) -> Result<Option<Resolved>, usize> {
+        self.cache
+            .as_ref()
+            .map(|cache| ncache::resolve_reply(cache, self.recorder.is_enabled(), blocks))
+            .transpose()
+    }
+
+    /// [`ServerHost::resolve`] for blocks the miss-capable path fetched.
+    /// With fault recovery armed every stamped placeholder is revalidated
+    /// key by key first, under one borrow of the module: a chunk whose
+    /// stored checksum no longer matches is invalidated and reported
+    /// dangling, so the caller degrades ([`ServerHost::materialize`])
+    /// instead of shipping poison.
+    pub(crate) fn resolve_fetched(
+        &self,
+        blocks: &[LogicalBlock],
+    ) -> Result<Option<Resolved>, usize> {
+        if let (true, Some(module)) = (self.fault_recovery, &self.module) {
+            let mut m = module.borrow_mut();
+            let verified = blocks
+                .iter()
+                .all(|b| match KeyStamp::decode(b.seg.as_slice()) {
+                    Some(stamp) if stamp.is_keyed() => m.verify_resolvable(&stamp),
+                    _ => true, // real data (or junk): nothing to resolve
+                });
+            if !verified {
+                return Err(0);
+            }
         }
-        self.drain_writebacks();
+        self.resolve(blocks.iter().map(|b| (&b.seg, b.valid_len)))
+    }
+
+    /// The driver-boundary hook ([`NetCacheShards::transmit`]) on the
+    /// host's cache handle, run once the whole stack has built the packet:
+    /// splices `resolved` (or substitutes the reply's placeholders) and
+    /// returns the packets substituted. A no-op in the builds without a
+    /// handle. `&self`, so the lanes' READ fast path finishes its reply
+    /// with it under the shared guard; the exclusive paths then
+    /// [`ServerHost::drain_writebacks`].
+    pub(crate) fn transmit(&self, reply: &mut NetBuf, resolved: Option<Resolved>) -> u64 {
+        self.cache.as_ref().map_or(0, |cache| {
+            cache
+                .transmit(reply, resolved, self.csum_inherit, &self.recorder)
+                .substituted
+        })
+    }
+
+    /// The one degradation path of both daemons: the real bytes of
+    /// `[offset, offset + len)` under the NCache build, where the buffer
+    /// cache holds key-stamped placeholders. Block by block, each stamp is
+    /// resolved (FHO first) the moment the fetch admits its chunk — so the
+    /// assembly succeeds even when the cache holds fewer chunks than the
+    /// range — and a dangling one is discarded and refetched, up to three
+    /// fetches; unstamped blocks are used as they are. The assembly is a
+    /// physical copy and is charged as one: unaligned requests and
+    /// placeholders lost under pressure genuinely cost copies.
+    ///
+    /// # Errors
+    ///
+    /// The file system's, or [`FsError::Corrupt`] when a block still
+    /// dangles after three fetches (a cache thrashing below one chunk).
+    pub(crate) fn materialize(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, FsError> {
+        const BLOCK: u64 = simfs::BLOCK_SIZE as u64;
+        let cache = self
+            .module
+            .as_ref()
+            .expect("NCache build")
+            .borrow()
+            .cache_handle();
+        let (start, end) = (offset - offset % BLOCK, offset + len as u64);
+        let mut out = Vec::with_capacity((end - start) as usize);
+        let mut at = start;
+        while at < end {
+            let want = BLOCK.min(end - at) as usize;
+            for fetch in 1.. {
+                let Some(b) = self.fs.read_logical(ino, at, want)?.into_iter().next() else {
+                    break; // past the end of the file
+                };
+                let segs = match KeyStamp::decode(b.seg.as_slice()) {
+                    Some(stamp) if stamp.is_keyed() => match cache.resolve(&stamp) {
+                        Some((_, segs)) => segs,
+                        None => {
+                            // Dangling: drop the placeholder and refetch;
+                            // the read re-admits the chunk.
+                            if let Some(l) = b.lbn {
+                                self.fs.discard_cached(l);
+                            }
+                            if fetch == 3 {
+                                return Err(FsError::Corrupt("placeholder thrashing"));
+                            }
+                            continue;
+                        }
+                    },
+                    _ => vec![b.seg],
+                };
+                let mut room = b.valid_len;
+                for seg in segs {
+                    let take = seg.len().min(room);
+                    out.extend_from_slice(&seg.as_slice()[..take]);
+                    room -= take;
+                }
+                break;
+            }
+            at += want as u64;
+        }
+        self.ledger.charge_payload_copy(len as u64);
+        out.drain(..((offset - start) as usize).min(out.len()));
+        out.truncate(len);
+        Ok(out)
     }
 
     /// Dirty chunks displaced from the network-centric cache go back to

@@ -19,7 +19,7 @@ use crate::control::OpClass;
 use crate::host::ServerHost;
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
-use crate::util::{attach_blocks, resolve, resolve_fetched, with_resolver};
+use crate::util::attach_blocks;
 
 /// kHTTPd counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,6 +100,12 @@ impl KhttpdServer {
     /// returns the response stream as one buffer (header + body), already
     /// passed through the driver-level substitution hook.
     pub fn handle_request(&mut self, req: &NetBuf) -> NetBuf {
+        self.handle(req).0
+    }
+
+    /// [`KhttpdServer::handle_request`], also returning the packets the
+    /// transmit hook substituted into the response.
+    pub fn handle(&mut self, req: &NetBuf) -> (NetBuf, u64) {
         self.stats.requests += 1;
         let req_bytes = req.payload_len() as u64;
         // A delivered request is all landed bytes: the path is parsed
@@ -124,7 +130,7 @@ impl KhttpdServer {
                 retry_after_s: 0,
             });
             self.host.recorder.end_span(span);
-            return r;
+            return (r, 0);
         };
         let span = self.host.recorder.begin_span("get", self.host.mode.label(), req_bytes);
         // Admission control: a well-formed GET past the parser but ahead
@@ -135,13 +141,13 @@ impl KhttpdServer {
             let after_s = after_ns.div_ceil(1_000_000_000).max(1) as u32;
             let r = self.header_only(HttpResponseHeader::service_unavailable(after_s));
             self.host.recorder.end_span(span);
-            return r;
+            return (r, 0);
         }
         let name = path.trim_start_matches('/');
         let mut response = NetBuf::new(&self.host.ledger);
         let mut resolved = None;
 
-        match self.resolve(name) {
+        match self.find_page(name) {
             Ok((ino, size)) => {
                 let size = size as usize;
                 let body_len = match self.host.mode {
@@ -176,7 +182,7 @@ impl KhttpdServer {
         }
 
         // Driver-boundary hook: substitute body blocks from the cache.
-        match self.host.mode {
+        let substituted = match self.host.mode {
             ServerMode::Original => {
                 // The 2.4-era TCP transmit path checksums sendfile payload
                 // in software; NCache inherits stored checksums instead
@@ -184,12 +190,17 @@ impl KhttpdServer {
                 if response.payload_len() > 0 {
                     response.compute_csum();
                 }
+                0
             }
-            ServerMode::NCache => self.host.transmit(&mut response, resolved),
-            ServerMode::Baseline => {}
-        }
+            ServerMode::NCache => {
+                let substituted = self.host.transmit(&mut response, resolved);
+                self.host.drain_writebacks();
+                substituted
+            }
+            ServerMode::Baseline => 0,
+        };
         self.host.recorder.end_span(span);
-        response
+        (response, substituted)
     }
 
     /// The page hit path — probe, resolve (the commit point), commit,
@@ -208,10 +219,7 @@ impl KhttpdServer {
         }
         let walk = self.host.fs.walk_resident(ino, 0, size)?;
         let blocks = walk.blocks().map(|b| (b.seg, b.len));
-        let resolved = with_resolver(&self.host.module, |cache| {
-            resolve(cache, &self.host.recorder, blocks.clone())
-        })
-        .ok()?;
+        let resolved = self.host.resolve(blocks.clone()).ok()?;
         walk.commit(|_| self.host.fs.ledger().charge_logical_copy());
         Some((attach_blocks(response, blocks), resolved))
     }
@@ -226,18 +234,23 @@ impl KhttpdServer {
         response: &mut NetBuf,
     ) -> (usize, Option<ncache::Resolved>) {
         let blocks = self.host.fs.read_logical_per_block(ino, 0, size).expect("page readable");
-        match resolve_fetched(&self.host.module, self.host.fault_recovery, &self.host.recorder, &blocks) {
+        match self.host.resolve_fetched(&blocks) {
             Ok(resolved) => {
                 let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
                 (attach_blocks(response, attach), resolved)
             }
             // Some placeholder no longer resolves (evicted or corrupt).
             // `sendfile` would just re-stamp placeholders under the module,
-            // so degrade to the physical copying path instead, resolving
-            // each block the moment it is fetched — correct even when the
-            // cache is smaller than the page.
+            // so degrade to the physical copying path instead — correct
+            // even when the cache is smaller than the page. Thrashing so
+            // hard even a just-admitted chunk is gone (a cache below one
+            // chunk) serves zeros rather than leak a raw placeholder, and
+            // never panics: the length still matches the header.
             Err(_) => {
-                let body = self.materialize_page(ino, size);
+                let body = self
+                    .host
+                    .materialize(ino, 0, size)
+                    .unwrap_or_else(|_| vec![0; size]);
                 let n = body.len();
                 response.append_segment(netbuf::Segment::from_vec(body));
                 (n, None)
@@ -245,71 +258,7 @@ impl KhttpdServer {
         }
     }
 
-    /// Materializes the real bytes of a page under the NCache build, one
-    /// block at a time: each block's stamp is resolved against the
-    /// network-centric cache immediately after the fetch admits it, so the
-    /// assembly succeeds even when the cache holds fewer chunks than the
-    /// page. The copy is physical and charged as one — this is the
-    /// graceful-degradation path, not the fast path.
-    fn materialize_page(&mut self, ino: Ino, len: usize) -> Vec<u8> {
-        let module = self.host.module.clone().expect("NCache build");
-        let block = simfs::BLOCK_SIZE;
-        let mut out = Vec::with_capacity(len);
-        let mut off = 0usize;
-        while off < len {
-            let want = block.min(len - off);
-            let mut resolved = false;
-            for _attempt in 0..3 {
-                let blocks = self
-                    .fs
-                    .read_logical(ino, off as u64, want)
-                    .expect("page readable");
-                let b = &blocks[0];
-                match netbuf::key::KeyStamp::decode(b.seg.as_slice()) {
-                    Some(stamp) if stamp.is_keyed() => {
-                        match module.borrow_mut().cache_mut().resolve(&stamp) {
-                            Some((_, segs)) => {
-                                let mut got = 0usize;
-                                for seg in segs {
-                                    let take = seg.len().min(b.valid_len - got);
-                                    if take == 0 {
-                                        break;
-                                    }
-                                    out.extend_from_slice(&seg.as_slice()[..take]);
-                                    got += take;
-                                }
-                                resolved = true;
-                            }
-                            None => {
-                                // Dangling: drop the placeholder and
-                                // refetch; the read re-admits the chunk.
-                                if let Some(l) = b.lbn {
-                                    self.host.fs.discard_cached(l);
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    _ => {
-                        out.extend_from_slice(&b.seg.as_slice()[..b.valid_len]);
-                        resolved = true;
-                    }
-                }
-                break;
-            }
-            if !resolved {
-                // Thrashing so hard even a just-admitted chunk is gone
-                // (cache capacity below one chunk). Serve zeros rather
-                // than leak a raw placeholder, and never panic.
-                out.resize(out.len() + want, 0);
-            }
-            off += want;
-        }
-        self.host.ledger.charge_payload_copy(len as u64);
-        out
-    }
-
-    fn resolve(&mut self, name: &str) -> Result<(Ino, u64), FsError> {
+    fn find_page(&mut self, name: &str) -> Result<(Ino, u64), FsError> {
         let ino = self.host.fs.lookup(Filesystem::<IscsiInitiator>::ROOT, name)?;
         let attrs = self.host.fs.getattr(ino)?;
         Ok((ino, attrs.size))

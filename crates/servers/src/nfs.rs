@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use ncache::{NetCacheShards, Resolved};
+use ncache::Resolved;
 use netbuf::key::{Fho, FileHandle, KeyStamp};
 use netbuf::{CopyLedger, NetBuf};
 use proto::nfs::{
@@ -29,9 +29,7 @@ use crate::control::OpClass;
 use crate::host::ServerHost;
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
-use crate::util::{
-    attach_blocks, resolve, resolve_fetched, segments_len, split_segments, with_resolver,
-};
+use crate::util::{attach_blocks, segments_len, split_segments};
 
 const BLOCK: usize = simfs::BLOCK_SIZE;
 
@@ -241,22 +239,14 @@ impl NfsServer {
     /// reply message, already passed through the driver-level NCache hook
     /// (substitution) when that build is running.
     pub fn handle_message(&mut self, req: NetBuf) -> NetBuf {
-        self.handle(req, false).0
+        self.handle(req).0
     }
 
-    /// [`NfsServer::handle_message`] with the NCache transmit hook left to
-    /// the caller (the lane-parallel engine runs it outside the serialized
-    /// server section): the reply comes back *before* substitution, with
-    /// its placeholders' resolution when it is a logical READ reply. The
-    /// caller splices that ([`Resolved::splice`]) — or, for any other
-    /// reply, runs [`ncache::substitute_payload`] — and inherits the
-    /// checksum. Replies answered early (malformed requests, duplicate-
-    /// request-cache hits, rejections) never reach the hook either way.
-    pub fn handle_message_deferred(&mut self, req: NetBuf) -> (NetBuf, Option<Resolved>) {
-        self.handle(req, true)
-    }
-
-    fn handle(&mut self, mut req: NetBuf, defer_transmit: bool) -> (NetBuf, Option<Resolved>) {
+    /// [`NfsServer::handle_message`], also returning the packets the
+    /// transmit hook substituted into the reply. Replies answered early
+    /// (malformed requests, duplicate-request-cache hits, rejections)
+    /// never reach the hook.
+    pub fn handle(&mut self, mut req: NetBuf) -> (NetBuf, u64) {
         self.stats.add(REQUESTS, 1);
         let req_bytes = req.payload_len() as u64;
         let call = take_array::<CALL_LEN>(&mut req).and_then(|h| RpcCall::decode(&h).ok());
@@ -280,7 +270,7 @@ impl NfsServer {
             r.push_header(&NFSERR_IO.to_be_bytes());
             r.push_header(&RpcReply::new(0).encode_array());
             self.host.recorder.end_span(span);
-            return (r, None);
+            return (r, 0);
         };
         let span = self
             .recorder
@@ -295,7 +285,7 @@ impl NfsServer {
                 r.push_header(bytes);
                 self.host.recorder.add_counter("fault.drc_hits", 1);
                 self.host.recorder.end_span(span);
-                return (r, None);
+                return (r, 0);
             }
         }
         // Admission control: past the duplicate-request cache (a cached
@@ -306,7 +296,7 @@ impl NfsServer {
             let mut r = self.retry_later_reply(call.proc, after_ns);
             r.push_header(&RpcReply::new(call.xid).encode_array());
             self.host.recorder.end_span(span);
-            return (r, None);
+            return (r, 0);
         }
         let mut resolved = None;
         let mut reply = match call.proc {
@@ -342,14 +332,12 @@ impl NfsServer {
             self.stats.add(DRC_INSERTS, 1);
         }
         // Driver-boundary hook: substitution happens after the whole stack
-        // has built the packet (by the caller, when deferred).
-        if defer_transmit {
-            self.host.drain_writebacks();
-        } else {
-            self.host.transmit(&mut reply, resolved.take());
-        }
+        // has built the packet; whatever the module displaced then goes
+        // back to storage.
+        let substituted = self.host.transmit(&mut reply, resolved);
+        self.host.drain_writebacks();
         self.host.recorder.end_span(span);
-        (reply, resolved)
+        (reply, substituted)
     }
 
     fn do_create(&mut self, req: &mut NetBuf) -> NetBuf {
@@ -511,7 +499,8 @@ impl NfsServer {
         let size = self.host.fs.getattr(ino)?.size;
         let covered = (aligned_end.min(size.max(offset + count as u64)) - aligned_start) as usize;
         let mut merged = if aligned_start < size {
-            self.materialize_range(ino, aligned_start, covered.min((size - aligned_start) as usize))?
+            let len = covered.min((size - aligned_start) as usize);
+            self.host.materialize(ino, aligned_start, len)?
         } else {
             Vec::new()
         };
@@ -546,72 +535,6 @@ impl NfsServer {
             self.host.fs.set_size(ino, true_end)?;
         }
         Ok(())
-    }
-
-    /// Materializes the *real* bytes of `[offset, offset+len)` under the
-    /// NCache build, where the file-system cache holds key-stamped junk:
-    /// each covered block's stamp is resolved in the network-centric cache
-    /// (FHO first); unstamped blocks are used as-is; unresolvable blocks
-    /// are dropped from the FS cache and refetched. The assembly is a
-    /// physical copy and is charged as one — unaligned requests genuinely
-    /// cost copies, which is why the paper's workloads are block-aligned.
-    fn materialize_range(
-        &mut self,
-        ino: Ino,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, FsError> {
-        let module = self.host.module.clone().expect("NCache build");
-        let aligned_start = offset - offset % BLOCK as u64;
-        let span = (offset + len as u64 - aligned_start) as usize;
-        for _attempt in 0..3 {
-            let blocks = self.host.fs.read_logical(ino, aligned_start, span)?;
-            let mut out = Vec::with_capacity(span);
-            let mut dangling = false;
-            {
-                let mut m = module.borrow_mut();
-                for b in &blocks {
-                    match KeyStamp::decode(b.seg.as_slice()) {
-                        Some(stamp) if stamp.is_keyed() => {
-                            match m.cache_mut().resolve(&stamp) {
-                                Some((_, segs)) => {
-                                    let mut got = 0usize;
-                                    for seg in segs {
-                                        let take =
-                                            seg.len().min(b.valid_len - got.min(b.valid_len));
-                                        if take == 0 {
-                                            break;
-                                        }
-                                        out.extend_from_slice(&seg.as_slice()[..take]);
-                                        got += take;
-                                    }
-                                }
-                                None => {
-                                    dangling = true;
-                                    break;
-                                }
-                            }
-                        }
-                        _ => out.extend_from_slice(&b.seg.as_slice()[..b.valid_len]),
-                    }
-                }
-            }
-            if dangling {
-                // Drop the dangling placeholders and retry: the refetch
-                // re-populates the network-centric cache.
-                for b in &blocks {
-                    if let Some(l) = b.lbn {
-                        self.host.fs.discard_cached(l);
-                    }
-                }
-                continue;
-            }
-            self.host.ledger.charge_payload_copy(len as u64);
-            let skip = (offset - aligned_start) as usize;
-            let end = (skip + len).min(out.len());
-            return Ok(out[skip.min(out.len())..end].to_vec());
-        }
-        Err(FsError::Corrupt("placeholder thrashing"))
     }
 
     /// Error reply for requests whose body fails to parse.
@@ -750,7 +673,7 @@ impl NfsServer {
                 // Logical copy: attach the (placeholder) cache blocks by
                 // reference; the daemon never touches the payload.
                 let hit = self
-                    .probe_read(None, args.fh, offset, count)
+                    .probe_read(args.fh, offset, count)
                     .map(|hit| self.finish_read(hit, &mut reply, args.fh));
                 if let Some((n, attrs, resolution)) = hit {
                     resolved = resolution;
@@ -760,8 +683,7 @@ impl NfsServer {
                     // verified first: the miss-capable read, block by
                     // block, then resolve what came back.
                     self.host.fs.read_logical_per_block(ino, offset, count).and_then(|blocks| {
-                        let recovery = self.host.fault_recovery;
-                        match resolve_fetched(&self.host.module, recovery, &self.host.recorder, &blocks) {
+                        match self.host.resolve_fetched(&blocks) {
                             Ok(resolution) => {
                                 resolved = resolution;
                                 let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
@@ -769,32 +691,18 @@ impl NfsServer {
                                 let attrs = self.host.fs.getattr(ino).expect("read target exists");
                                 Ok((n, fattr_of(args.fh, &attrs)))
                             }
-                            Err(_) => {
-                                // A chunk was evicted while its placeholder
-                                // was still cached: drop the dangling blocks
-                                // and serve this request on the copying path.
-                                for b in &blocks {
-                                    if let Some(l) = b.lbn {
-                                        self.host.fs.discard_cached(l);
-                                    }
-                                }
-                                self.read_copying(&mut reply, args.fh, offset, count)
-                            }
+                            // A chunk was evicted (or found corrupt) while
+                            // its placeholder was still cached: degrade to
+                            // real bytes, each block resolved the moment it
+                            // is refetched — never a segment of stamps.
+                            Err(_) => self.read_materialized(&mut reply, args.fh, offset, count),
                         }
                     })
                 } else if self.host.mode == ServerMode::NCache {
                     // Unaligned reads cannot ride the key-moving path (a
                     // partial-block slice loses its stamp): materialize the
                     // real bytes from the network-centric cache.
-                    self.host.fs.getattr(ino).and_then(|attrs| {
-                        let avail = attrs.size.saturating_sub(offset) as usize;
-                        let want = count.min(avail);
-                        self.materialize_range(ino, offset, want).map(|data| {
-                            let n = data.len();
-                            reply.append_vec(data);
-                            (n, fattr_of(args.fh, &attrs))
-                        })
-                    })
+                    self.read_materialized(&mut reply, args.fh, offset, count)
                 } else {
                     // The baseline ships junk; the copying path suffices.
                     self.read_copying(&mut reply, args.fh, offset, count)
@@ -849,36 +757,44 @@ impl NfsServer {
         Ok((n, fattr_of(fh, &attrs)))
     }
 
+    /// The degraded READ path under NCache: the range's real bytes from
+    /// [`ServerHost::materialize`], clipped at end of file. A block that
+    /// still dangles after three fetches fails the READ (`NFSERR_IO`).
+    fn read_materialized(
+        &mut self,
+        reply: &mut NetBuf,
+        fh: u64,
+        offset: u64,
+        count: usize,
+    ) -> Result<(usize, Fattr), FsError> {
+        let ino = fh_to_ino(fh);
+        let attrs = self.host.fs.getattr(ino)?;
+        let want = count.min(attrs.size.saturating_sub(offset) as usize);
+        let data = self.host.materialize(ino, offset, want)?;
+        let n = data.len();
+        reply.append_vec(data);
+        Ok((n, fattr_of(fh, &attrs)))
+    }
+
     /// The READ hit path — the same code for both engines — up to its
     /// commit point: probes the file system for a fully resident aligned
     /// range ([`Filesystem::walk_resident`]) and resolves every
-    /// placeholder of it through the module's cache — `lane_cache` when
-    /// the caller holds a handle of its own (lanes never take the module's
-    /// mutex), else borrowed once the walk has succeeded. `None`
+    /// placeholder of it through the host's cache handle (never the
+    /// module's mutex). `None`
     /// means not a pure hit — something cold, a hole, a dangling key, or
     /// fault recovery revalidating key by key — and *nothing* has been
     /// counted or charged anywhere: the caller takes the miss-capable
     /// path with the rig byte-identical. `Some` has counted the
     /// network-centric cache's side; serving it (`finish_read`) counts
     /// the file system's.
-    pub fn probe_read(
-        &self,
-        lane_cache: Option<&NetCacheShards>,
-        fh: u64,
-        offset: u64,
-        count: usize,
-    ) -> Option<ReadHit<'_>> {
+    pub fn probe_read(&self, fh: u64, offset: u64, count: usize) -> Option<ReadHit<'_>> {
         // Fault recovery verifies chunk checksums key by key first.
         let logical = self.host.mode != ServerMode::Original && offset.is_multiple_of(BLOCK as u64);
         if self.host.fault_recovery || !logical {
             return None;
         }
         let walk = self.host.fs.walk_resident(fh_to_ino(fh), offset, count)?;
-        let blocks = walk.blocks().map(|b| (b.seg, b.len));
-        let resolved = match lane_cache {
-            Some(cache) => resolve(Some(cache), &self.host.recorder, blocks),
-            None => with_resolver(&self.host.module, |cache| resolve(cache, &self.host.recorder, blocks)),
-        };
+        let resolved = self.host.resolve(walk.blocks().map(|b| (b.seg, b.len)));
         Some(ReadHit {
             walk,
             resolved: resolved.ok()?,
@@ -911,12 +827,13 @@ impl NfsServer {
     /// request must take the gated slow path.)
     ///
     /// Byte- and count-exact with the slow path, whose hit arm is this same
-    /// code: the duplicate-request cache is skipped (READ is idempotent —
-    /// the armed DRC never answers it), the transmit hook is the caller's
-    /// (as after [`NfsServer::handle_message_deferred`]), and the
-    /// write-back drain is skipped (a pure hit displaces nothing, and the
-    /// drain is a silent no-op on an empty queue).
-    pub fn handle_read_fast(&self, mut req: NetBuf, hit: ReadHit<'_>) -> (NetBuf, Option<Resolved>) {
+    /// code, and like it returns the reply finished by the transmit hook
+    /// with the packets substituted: the duplicate-request cache is skipped
+    /// (READ is idempotent — the armed DRC never answers it), and so is
+    /// the write-back drain (a pure hit displaces nothing, and the drain is
+    /// a silent no-op on an empty queue). The per-shard trace deltas are
+    /// dropped: under a shared guard other lanes move the same shards.
+    pub fn handle_read_fast(&self, mut req: NetBuf, hit: ReadHit<'_>) -> (NetBuf, u64) {
         let counts = self.stats.lane();
         counts.add(REQUESTS, 1);
         let req_bytes = req.payload_len() as u64;
@@ -942,8 +859,11 @@ impl NfsServer {
             .encode_array(),
         );
         reply.push_header(&RpcReply::new(call.xid).encode_array());
+        let substituted = self
+            .host
+            .transmit(&mut reply, resolved.map(Resolved::without_shard_deltas));
         self.host.recorder.end_span(span);
-        (reply, resolved)
+        (reply, substituted)
     }
 
     fn do_write(&mut self, req: &mut NetBuf) -> NetBuf {
@@ -1256,10 +1176,7 @@ impl NfsClient {
     ///
     /// Panics on malformed replies.
     pub fn parse_remove_reply(&self, reply: &NetBuf) -> RemoveReply {
-        let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
-        let body = rx.pull(rx.payload_len());
-        RemoveReply::decode(&body).expect("remove reply")
+        self.try_parse_remove_reply(reply).expect("remove reply").1
     }
 
     /// Parses a READDIR reply.
@@ -1279,18 +1196,10 @@ impl NfsClient {
     ///
     /// # Panics
     ///
-    /// Panics on malformed replies (test infrastructure).
+    /// Panics on malformed replies, a payload shorter than the header's
+    /// count included (test infrastructure).
     pub fn parse_read_reply(&self, reply: &NetBuf) -> (ReadReplyHeader, Vec<u8>) {
-        let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
-        let status = u32::from_be_bytes(rx.peek_array::<4>(0));
-        if status != NFS_OK {
-            let hdr = ReadReplyHeader::decode(&rx.pull_array::<4>()).expect("error header");
-            return (hdr, Vec::new());
-        }
-        let hdr = ReadReplyHeader::decode(&rx.pull_array::<{ ReadReplyHeader::OK_LEN }>())
-            .expect("reply header");
-        let data = rx.copy_payload_to_vec();
+        let (_, hdr, data) = self.try_parse_read_reply(reply).expect("read reply");
         (hdr, data)
     }
 
@@ -1300,9 +1209,7 @@ impl NfsClient {
     ///
     /// Panics on malformed replies.
     pub fn parse_write_reply(&self, reply: &NetBuf) -> WriteReply {
-        let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
-        with_body::<{ WriteReply::OK_LEN }, _>(&mut rx, WriteReply::decode).expect("write reply")
+        self.try_parse_write_reply(reply).expect("write reply").1
     }
 
     /// Parses a LOOKUP reply.
@@ -1311,10 +1218,7 @@ impl NfsClient {
     ///
     /// Panics on malformed replies.
     pub fn parse_lookup_reply(&self, reply: &NetBuf) -> LookupReply {
-        let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
-        with_body::<{ LookupReply::OK_LEN }, _>(&mut rx, LookupReply::decode)
-            .expect("lookup reply")
+        self.try_parse_lookup_reply(reply).expect("lookup reply").1
     }
 
     /// Parses a GETATTR reply into (status, attributes).
@@ -1323,20 +1227,18 @@ impl NfsClient {
     ///
     /// Panics on malformed replies.
     pub fn parse_getattr_reply(&self, reply: &NetBuf) -> (u32, Option<Fattr>) {
-        let mut rx = crate::stack::deliver(reply, &self.ledger);
-        let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
-        let r = with_body::<{ GetattrReply::OK_LEN }, _>(&mut rx, GetattrReply::decode)
-            .expect("getattr reply");
-        (r.status, (r.status == NFS_OK).then_some(r.attrs))
+        let (_, status, attrs) = self.try_parse_getattr_reply(reply).expect("getattr reply");
+        (status, attrs)
     }
 
-    // --- Fault-aware parsers -------------------------------------------
+    // --- Strict parsers ------------------------------------------------
     //
-    // On a lossy link a reply can arrive truncated or bit-flipped; these
-    // variants validate instead of panicking (the RPC/UDP checksum stand-
-    // in) and surface the reply's xid so the retransmission loop can match
-    // it against the outstanding call. `None` means: discard and
-    // retransmit.
+    // The one parser per reply: on a lossy link a reply can arrive
+    // truncated or bit-flipped, so these validate instead of panicking
+    // (the RPC/UDP checksum stand-in) and surface the reply's xid so the
+    // retransmission loop can match it against the outstanding call.
+    // `None` means: discard and retransmit. The `parse_*` forms above are
+    // these plus `expect`, with the same pulls and the one payload copy.
 
     /// Takes delivery and peels the RPC reply header, validating lengths.
     fn try_open(&self, reply: &NetBuf) -> Option<(u32, NetBuf)> {
@@ -1348,7 +1250,7 @@ impl NfsClient {
         Some((rpc.xid, rx))
     }
 
-    /// Fault-aware [`NfsClient::parse_read_reply`]: `(xid, header, data)`,
+    /// Strict [`NfsClient::parse_read_reply`]: `(xid, header, data)`,
     /// or `None` for a damaged reply. A payload shorter than the header's
     /// count (a truncated frame) is damage.
     pub fn try_parse_read_reply(&self, reply: &NetBuf) -> Option<(u32, ReadReplyHeader, Vec<u8>)> {
@@ -1373,28 +1275,28 @@ impl NfsClient {
         Some((xid, hdr, data))
     }
 
-    /// Fault-aware [`NfsClient::parse_write_reply`].
+    /// Strict [`NfsClient::parse_write_reply`]: `(xid, reply)`.
     pub fn try_parse_write_reply(&self, reply: &NetBuf) -> Option<(u32, WriteReply)> {
         let (xid, mut rx) = self.try_open(reply)?;
         let r = with_body::<{ WriteReply::OK_LEN }, _>(&mut rx, WriteReply::decode).ok()?;
         Some((xid, r))
     }
 
-    /// Fault-aware [`NfsClient::parse_lookup_reply`] (also CREATE).
+    /// Strict [`NfsClient::parse_lookup_reply`] (also CREATE).
     pub fn try_parse_lookup_reply(&self, reply: &NetBuf) -> Option<(u32, LookupReply)> {
         let (xid, mut rx) = self.try_open(reply)?;
         let r = with_body::<{ LookupReply::OK_LEN }, _>(&mut rx, LookupReply::decode).ok()?;
         Some((xid, r))
     }
 
-    /// Fault-aware [`NfsClient::parse_remove_reply`].
+    /// Strict [`NfsClient::parse_remove_reply`].
     pub fn try_parse_remove_reply(&self, reply: &NetBuf) -> Option<(u32, RemoveReply)> {
         let (xid, mut rx) = self.try_open(reply)?;
         let body = rx.pull(rx.payload_len());
         Some((xid, RemoveReply::decode(&body).ok()?))
     }
 
-    /// Fault-aware [`NfsClient::parse_getattr_reply`].
+    /// Strict [`NfsClient::parse_getattr_reply`].
     pub fn try_parse_getattr_reply(&self, reply: &NetBuf) -> Option<(u32, u32, Option<Fattr>)> {
         let (xid, mut rx) = self.try_open(reply)?;
         if rx.payload_len() < 4 {
@@ -1525,36 +1427,6 @@ mod tests {
         let (hdr, data) = client.parse_read_reply(&reply);
         assert_eq!(hdr.status, NFS_OK);
         assert_eq!(data, vec![7u8; 1000]);
-    }
-
-    #[test]
-    fn deferred_transmit_leaves_placeholders_for_the_caller() {
-        let (mut srv, mut client) = server(ServerMode::NCache);
-        let root = srv.root_fh();
-        let reply = roundtrip(&mut srv, client.create_request(root, "d"));
-        let fh = client.parse_create_reply(&reply).fh;
-        roundtrip(&mut srv, client.write_request(fh, 0, &[9u8; 4096]));
-        let deferred = |srv: &mut NfsServer, req: NetBuf| {
-            srv.handle_message_deferred(crate::stack::deliver(&req, &CopyLedger::new()))
-        };
-        let (raw, resolved) = deferred(&mut srv, client.read_request(fh, 0, 4096));
-        let (hdr, junk) = client.parse_read_reply(&raw);
-        assert_eq!(hdr.status, NFS_OK);
-        assert_ne!(junk, vec![9u8; 4096], "deferred reply still carries the placeholder");
-        assert!(resolved.is_some(), "its resolution travels with it");
-        // The caller finishes the transmit hook itself.
-        let (mut raw, resolved) = deferred(&mut srv, client.read_request(fh, 0, 4096));
-        let report = resolved.expect("a logical READ reply").splice(&mut raw);
-        assert_eq!(report.missing, 0);
-        assert!(report.substituted > 0);
-        let (_, data) = client.parse_read_reply(&raw);
-        assert_eq!(data, vec![9u8; 4096], "the splice puts the payload in");
-        // Any other reply carries no resolution and nothing to substitute.
-        let (mut raw, resolved) = deferred(&mut srv, client.getattr_request(fh));
-        assert!(resolved.is_none());
-        let module = srv.module().expect("ncache build");
-        let cache = module.borrow().cache_handle();
-        assert_eq!(ncache::substitute_payload(&mut raw, &cache).substituted, 0);
     }
 
     #[test]

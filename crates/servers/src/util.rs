@@ -1,10 +1,7 @@
-//! Small shared helpers for segment surgery, and the steps of the
+//! Small shared helpers for segment surgery, and the attach step of the
 //! logical-copy READ path both servers share.
 
-use ncache::{NcacheModule, NetCacheShards, Resolved};
-use netbuf::key::KeyStamp;
 use netbuf::{NetBuf, Segment};
-use simfs::fs::LogicalBlock;
 
 /// The logical-copy READ path: attaches cache blocks to `reply` by
 /// reference — the daemon never touches the payload — each clipped to the
@@ -20,63 +17,6 @@ pub(crate) fn attach_blocks<'s>(
             len
         })
         .sum()
-}
-
-/// Runs `f` with the cache this build resolves replies through: `None`
-/// for the baseline and for the no-substitution ablation, which ship their
-/// placeholders as they are. The module stays borrowed for the call, so
-/// `f` must not reach it again.
-pub(crate) fn with_resolver<R>(
-    module: &Option<sim::Shared<NcacheModule>>,
-    f: impl FnOnce(Option<&NetCacheShards>) -> R,
-) -> R {
-    match module {
-        Some(module) => f(module.borrow().resolver()),
-        None => f(None),
-    }
-}
-
-/// Resolves a logical reply's placeholders, all or nothing, ahead of
-/// transmission — the commit point of a READ (DESIGN.md §9.2). `Ok(None)`
-/// when the build substitutes nothing; `Err` carries the first dangling
-/// block, nothing has been counted, and the request must take the copying
-/// path.
-pub(crate) fn resolve<'s>(
-    cache: Option<&NetCacheShards>,
-    rec: &obs::Recorder,
-    blocks: impl ExactSizeIterator<Item = (&'s Segment, usize)> + Clone,
-) -> Result<Option<Resolved>, usize> {
-    cache
-        .map(|cache| ncache::resolve_reply(cache, rec.is_enabled(), blocks))
-        .transpose()
-}
-
-/// [`resolve`] for blocks the miss-capable path fetched, under one borrow
-/// of the module. With fault recovery armed (`verify`) every stamped
-/// placeholder is revalidated key by key first: a chunk whose stored
-/// checksum no longer matches is invalidated and reported dangling, so
-/// the caller degrades to the copying path (refetch) instead of shipping
-/// poison.
-pub(crate) fn resolve_fetched(
-    module: &Option<sim::Shared<NcacheModule>>,
-    verify: bool,
-    rec: &obs::Recorder,
-    blocks: &[LogicalBlock],
-) -> Result<Option<Resolved>, usize> {
-    let Some(module) = module else {
-        return Ok(None);
-    };
-    let mut m = module.borrow_mut();
-    let placeholders_resolvable = |m: &mut NcacheModule| {
-        blocks.iter().all(|b| match KeyStamp::decode(b.seg.as_slice()) {
-            Some(stamp) if stamp.is_keyed() => m.verify_resolvable(&stamp),
-            _ => true, // real data (or junk): nothing to resolve
-        })
-    };
-    if verify && !placeholders_resolvable(&mut m) {
-        return Err(0);
-    }
-    resolve(m.resolver(), rec, blocks.iter().map(|b| (&b.seg, b.valid_len)))
 }
 
 /// Splits a run of payload segments into consecutive `unit`-byte groups

@@ -15,11 +15,13 @@
 //! 4. **LBN-before-FHO lookup** — flipping §3.4's resolution order, which
 //!    must produce stale reads after writes.
 
+use ncache::NcacheConfig;
 use servers::ServerMode;
 use sim::stats::SeriesTable;
 
 use crate::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use crate::nfs_rig::{NfsRig, NfsRigParams};
+use crate::rig::Geometry;
 use crate::runner::{run, DriverOp, RigDriver, RunOptions};
 
 // Not `experiments::seq_ops`: that clips a trailing partial READ to EOF,
@@ -45,14 +47,7 @@ pub fn ablation_mechanisms(hot_file: u64) -> SeriesTable {
     // `(substitution, csum_inherit)`, in `MECHANISM_VARIANTS` order.
     let variants = [(true, true), (true, false), (false, true)];
     for (i, (substitution, csum_inherit)) in variants.into_iter().enumerate() {
-        let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
-        if let Some(module) = rig.module() {
-            let mut m = module.borrow_mut();
-            let mut config = m.config();
-            config.substitution = substitution;
-            config.csum_inherit = csum_inherit;
-            *m = ncache::NcacheModule::new(config, &rig.ledgers().app);
-        }
+        let mut rig = mechanism_rig(substitution, csum_inherit);
         let fh = rig.create_file("hot", hot_file);
         for op in seq_reads(fh, hot_file, 32 << 10) {
             rig.run_op(&op);
@@ -69,6 +64,19 @@ pub fn ablation_mechanisms(hot_file: u64) -> SeriesTable {
         table.put(i as f64, "cpu %", result.app_cpu_util * 100.0);
     }
     table
+}
+
+/// The default NFS rig of the NCache build with the module's substitution
+/// and checksum inheritance set as given — one row of
+/// [`ablation_mechanisms`].
+pub(crate) fn mechanism_rig(substitution: bool, csum_inherit: bool) -> NfsRig {
+    let g: Geometry = NfsRigParams::default().into();
+    let config = NcacheConfig {
+        substitution,
+        csum_inherit,
+        ..NcacheConfig::with_capacity(g.ncache_bytes).with_shards(g.shards)
+    };
+    NfsRig::assemble(ServerMode::NCache, g.fs, config)
 }
 
 /// Human-readable variant names for [`ablation_mechanisms`] rows.

@@ -84,8 +84,8 @@ impl App for KhttpdServer {
         (client.get_request(path), 0)
     }
 
-    fn serve(&mut self, delivered: NetBuf) -> NetBuf {
-        self.handle_request(&delivered)
+    fn serve(&mut self, delivered: NetBuf) -> (NetBuf, u64) {
+        self.handle(&delivered)
     }
 
     fn stats_snapshot(&self) -> Box<dyn obs::StatsSnapshot> {
@@ -225,9 +225,9 @@ mod tests {
     fn a_thrashing_ncache_never_breaks_content_length() {
         // `get` parses with the strict `try_parse_response`: a clean reply
         // whose body length differed from its Content-Length would surface
-        // as a panic here. Caches below one chunk (the zero-fill arm of
-        // `materialize_page`), of one chunk, and of a few chunks — all
-        // smaller than the pages, whose sizes leave short tail blocks.
+        // as a panic here. Caches below one chunk (the zero-fill arm after
+        // `ServerHost::materialize`), of one chunk, and of a few chunks —
+        // all smaller than the pages, whose sizes leave short tail blocks.
         const CHUNK: u64 = 4096 + 128;
         for ncache_bytes in [0, CHUNK - 1, CHUNK, 2 * CHUNK, 5 * CHUNK] {
             for fs_cache_blocks in [16, 2 << 10] {

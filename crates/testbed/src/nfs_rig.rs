@@ -98,8 +98,8 @@ impl App for NfsServer {
         }
     }
 
-    fn serve(&mut self, delivered: NetBuf) -> NetBuf {
-        self.handle_message(delivered)
+    fn serve(&mut self, delivered: NetBuf) -> (NetBuf, u64) {
+        self.handle(delivered)
     }
 
     fn stats_snapshot(&self) -> Box<dyn obs::StatsSnapshot> {
@@ -168,25 +168,17 @@ impl Rig<NfsServer> {
         data
     }
 
-    /// As [`Self::read`], returning the reply header too.
+    /// As [`Self::read`], returning the reply header too. No separate
+    /// clean arm: a clean reply's payload always matches its header's
+    /// count, so the strict accept test holds it on either link.
     pub fn read_with_header(
         &mut self,
         fh: u64,
         offset: u32,
         count: u32,
     ) -> (ReadReplyHeader, Vec<u8>) {
-        if self.faults_armed() {
-            return self
-                .try_read(fh, offset, count)
-                .expect("read exhausted its retransmission budget");
-        }
-        // The clean arm stays: `try_parse_read_reply` rejects a reply whose
-        // payload length disagrees with its header's count, and an NCache
-        // thrashing hard enough to lose a chunk mid-request can emit one
-        // (the adaptive oracle's cold scan reads such replies back).
-        let req = self.client.read_request(fh, offset, count);
-        let reply = self.handle_raw(req);
-        self.client.parse_read_reply(&reply)
+        self.try_read(fh, offset, count)
+            .expect("read exhausted its retransmission budget")
     }
 
     /// Fault-aware READ: completes through retransmission, or fails

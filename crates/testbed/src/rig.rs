@@ -13,7 +13,7 @@
 
 use ncache::{NcacheConfig, NcacheModule};
 use netbuf::{CopyLedger, NetBuf};
-use servers::initiator::IscsiInitiator;
+use servers::initiator::{IoRecord, IscsiInitiator};
 use servers::{IscsiTarget, ServerHost, ServerMode};
 use sim::costs::CostModel;
 use sim::{FaultKind, FaultLink, FaultPlan, FaultSpec, SplitMix64};
@@ -72,8 +72,9 @@ pub trait App: std::ops::DerefMut<Target = ServerHost> {
     fn request(client: &mut Self::Client, op: &DriverOp) -> (NetBuf, u64);
 
     /// Serves one delivered request and returns the reply, already passed
-    /// through the driver-level hook.
-    fn serve(&mut self, delivered: NetBuf) -> NetBuf;
+    /// through the driver-level hook, with the packets that hook
+    /// substituted.
+    fn serve(&mut self, delivered: NetBuf) -> (NetBuf, u64);
 
     /// The server's own counters (the first section of
     /// [`Rig::metrics_report`], labelled by their source).
@@ -220,10 +221,8 @@ impl FaultChannel {
 /// the server's vocabulary) — or it counts as a damaged reply.
 ///
 /// Every delivered request — including late, duplicated, and stale ones —
-/// goes through `step`, which must both execute the request and finish its
-/// reply (for a deferred-transmit server, run payload substitution and
-/// checksum inheritance, exactly what the transmit hook would have done on
-/// every reply the sequential server emits).
+/// goes through `step`, which serves it; the server finishes every reply
+/// it emits through its own transmit hook.
 ///
 /// The channel's plan is borrowed only around each `deliver_faulty` call:
 /// the server's storage path may share the same plan handle for I/O
@@ -362,15 +361,19 @@ impl<A: App> Rig<A> {
     ///
     /// Panics if the volume is too small to format — a configuration bug.
     pub fn new(mode: ServerMode, params: A::Params) -> Self {
-        let Geometry { fs: fs_params, ncache_bytes, shards } = params.into();
+        let Geometry { fs, ncache_bytes, shards } = params.into();
+        Self::assemble(mode, fs, NcacheConfig::with_capacity(ncache_bytes).with_shards(shards))
+    }
+
+    /// [`Rig::new`] over the volume `fs_params`, with the NCache build's
+    /// module configured as `ncache` — the ablations' variant mechanisms.
+    /// The server takes its cache handle from the module it is built
+    /// with, so a module is never swapped under a built rig.
+    pub(crate) fn assemble(mode: ServerMode, fs_params: FsParams, ncache: NcacheConfig) -> Self {
         let ledgers = NodeLedgers::default();
         let target = sim::Shared::new(IscsiTarget::new(fs_params.total_blocks, &ledgers.storage));
-        let module = (mode == ServerMode::NCache).then(|| {
-            sim::Shared::new(NcacheModule::new(
-                NcacheConfig::with_capacity(ncache_bytes).with_shards(shards),
-                &ledgers.app,
-            ))
-        });
+        let module = (mode == ServerMode::NCache)
+            .then(|| sim::Shared::new(NcacheModule::new(ncache, &ledgers.app)));
         let initiator = IscsiInitiator::new(target.clone(), &ledgers.app, mode, module.clone());
         let fs = Filesystem::mkfs(initiator, fs_params, &ledgers.app)
             .expect("volume large enough to format");
@@ -615,7 +618,7 @@ impl<A: App> Rig<A> {
     /// message over the clean link and returns the server's raw reply.
     pub fn handle_raw(&mut self, req: NetBuf) -> NetBuf {
         let delivered = servers::stack::deliver(&req, &self.ledgers.app);
-        self.server.serve(delivered)
+        self.server.serve(delivered).0
     }
 
     /// One request/reply exchange over the faulty (or clean) client⇄server
@@ -636,7 +639,7 @@ impl<A: App> Rig<A> {
         let rec = self.server.recorder().clone();
         let (server, client) = (&mut self.server, &self.client);
         faulted_exchange_with(
-            &mut |d| server.serve(d),
+            &mut |d| server.serve(d).0,
             &self.ledgers,
             &rec,
             &mut self.chan,
@@ -645,34 +648,32 @@ impl<A: App> Rig<A> {
         )
     }
 
-    /// Packets the module has substituted so far (zero without one). Its
-    /// delta brackets one operation wherever substitution runs inside the
-    /// exclusive server step.
-    pub(crate) fn substituted(&self) -> u64 {
-        self.server
-            .module()
-            .map_or(0, |m| m.borrow().substitution_totals().substituted)
-    }
-}
-
-impl<A: App> RigDriver for Rig<A> {
-    fn run_op(&mut self, op: &DriverOp) -> (Observation, u64) {
-        let meter = OpMeter::open(&self.ledgers);
+    /// The one op body of both engines: delivers `request` over the clean
+    /// link, serves it — the transmit hook included — and closes `meter`
+    /// on the observation, with `residue` (storage I/O logged before the
+    /// run, which the lanes hand their first op) ahead of the op's own.
+    /// Returns the observation and the payload the op moved: a WRITE's
+    /// `payload_hint`, else the reply's payload.
+    pub(crate) fn serve_op(
+        &mut self,
+        meter: OpMeter,
+        request: NetBuf,
+        payload_hint: u64,
+        residue: &[IoRecord],
+    ) -> (Observation, u64) {
         let rejections = self.server.control_rejections();
-        let substituted = self.substituted();
-        let (request, payload_hint) = A::request(&mut self.client, op);
         let request_bytes = request.total_len() as u64 + FRAME_OVERHEAD;
-        let reply = self.handle_raw(request);
-        let io = self.server.fs_mut().store_mut().take_io_log();
-        let obs = meter
-            .close(&self.ledgers)
-            .rejected(self.server.control_rejections() > rejections)
-            .observe(
-                request_bytes,
-                reply.total_len() as u64 + FRAME_OVERHEAD,
-                &io,
-                self.substituted() - substituted,
-            );
+        let delivered = servers::stack::deliver(&request, &self.ledgers.app);
+        let (reply, substituted) = self.server.serve(delivered);
+        let io = self.take_io_log(residue);
+        let obs = meter.finish(
+            &self.ledgers,
+            request_bytes,
+            reply.total_len() as u64 + FRAME_OVERHEAD,
+            &io,
+            substituted,
+            self.server.control_rejections() > rejections,
+        );
         // A rejected WRITE accepted no payload; the hint only applies to
         // executed operations.
         let payload = if obs.rejected {
@@ -683,6 +684,25 @@ impl<A: App> RigDriver for Rig<A> {
             reply.payload_len() as u64
         };
         (obs, payload)
+    }
+
+    /// Drains the storage I/O logged since the last drain, with `residue`
+    /// ahead of it.
+    pub(crate) fn take_io_log(&mut self, residue: &[IoRecord]) -> Vec<IoRecord> {
+        let logged = self.server.fs_mut().store_mut().take_io_log();
+        if residue.is_empty() {
+            logged
+        } else {
+            [residue, &logged].concat()
+        }
+    }
+}
+
+impl<A: App> RigDriver for Rig<A> {
+    fn run_op(&mut self, op: &DriverOp) -> (Observation, u64) {
+        let meter = OpMeter::open(&self.ledgers);
+        let (request, payload_hint) = A::request(&mut self.client, op);
+        self.serve_op(meter, request, payload_hint, &[])
     }
 
     fn transport(&self) -> Transport {

@@ -199,12 +199,10 @@ const LANE_FAULT_SALT: u64 = 0x1000;
 const LANE_POISON_SALT: u64 = 0x2000;
 
 /// What one lane's functional pass produced: per-operation observations
-/// in program order, plus the lane's private fault counters and the sum
-/// of its out-of-step substitution reports.
+/// in program order, plus the lane's private fault counters.
 struct LaneOutcome {
     ops: Vec<(Observation, u64)>,
     counters: FaultCounters,
-    substitutions: ncache::SubstitutionReport,
 }
 
 /// What the functional phase cost and touched: the wall clock the
@@ -221,28 +219,12 @@ pub struct FunctionalPhase {
 }
 
 /// Shared handles every lane needs. Everything here is either behind the
-/// core lock (`core`) or internally synchronized (ledgers, recorder, the
-/// sharded cache and the module's own mutex).
+/// core lock (`core`) or internally synchronized (ledgers, recorder).
 struct LaneContext<'a> {
     core: &'a LaneLock<NfsRig>,
     rec: &'a obs::Recorder,
-    cache: Option<&'a ncache::NetCacheShards>,
-    module: Option<&'a sim::Shared<ncache::NcacheModule>>,
     /// The rig's per-node ledgers (handles onto the same counters).
     ledgers: NodeLedgers,
-    /// Substitution runs outside the serialized server step. Enabled
-    /// whenever it is observation-exact to do so: NCache mode with
-    /// substitution *and* checksum inheritance on. Out-of-step
-    /// substitution charges only `logical_copies` and `csum_inherited`
-    /// to the app ledger — fields [`derive`] never reads — after the
-    /// operation's ledger window has closed ([`OpMeter::close`]), and the
-    /// ledger *totals* stay exact (the charges are commutative sums). With a
-    /// fault plan armed, the whole exchange (substitution included)
-    /// stays under the exclusive core guard, replicated per delivered
-    /// request by the lane's step closure. Deferral is also what opens
-    /// the read fast path: a cache-hit READ then needs no `&mut` work
-    /// at all and runs under a *shared* core guard.
-    defer: bool,
     /// The rig's fault spec when it is armed: each lane then draws from a
     /// private plan derived from `seed` and the lane index.
     faults: Option<FaultSpec>,
@@ -267,9 +249,10 @@ struct LaneContext<'a> {
 /// 1. **Functional phase** — each lane owns its session's operation
 ///    stream and client (same disjoint xid bases as the sequential
 ///    engine) and runs it to completion on a worker thread. The server,
-///    filesystem and ledger snapshots sit behind one core lock; only
-///    NCache payload substitution moves outside it (see
-///    [`LaneContext::defer`]). Every operation executes inside an epoch
+///    filesystem and ledger snapshots sit behind one core lock, held
+///    shared by a cache-hit READ ([`fast_read_op`]) and exclusively by
+///    everything else; the server finishes every reply inside it, transmit
+///    hook included. Every operation executes inside an epoch
 ///    window ([`sim::epoch`]): LRU stamps are a pure function of
 ///    `(op index, lane)` with seeded tie-breaking, so the merged
 ///    eviction order — and with it every cache observable — is
@@ -348,8 +331,8 @@ pub fn run_nfs_sessions_parallel_observed(
 
 /// Phase one of [`run_nfs_sessions_parallel`]: runs every lane to
 /// completion on up to `threads` host threads and folds what the lanes
-/// kept to themselves (fault counters, substitution sums, the stamp
-/// clocks) back into the rig.
+/// kept to themselves (fault counters, the stamp clocks) back into the
+/// rig.
 fn functional_phase(
     mut rig: NfsRig,
     sessions: &[Vec<DriverOp>],
@@ -364,12 +347,7 @@ fn functional_phase(
     let n = sessions.len();
     let rec = NfsRig::recorder(&rig).clone();
     let module = rig.module();
-    let cache = module.as_ref().map(|m| m.borrow().cache_handle());
     let faults = rig.faults_armed().then(|| rig.fault_spec());
-    let defer = module.as_ref().is_some_and(|m| {
-        let config = m.borrow().config();
-        config.substitution && config.csum_inherit
-    });
     let ledgers = rig.ledgers().clone();
     let ties = sim::epoch::tie_ranks(seed, n);
     let max_epochs = sessions.iter().map(Vec::len).max().unwrap_or(0) as u64;
@@ -379,10 +357,7 @@ fn functional_phase(
     let cx = LaneContext {
         core: &core,
         rec: &rec,
-        cache: cache.as_ref(),
-        module: module.as_ref(),
         ledgers,
-        defer,
         faults,
         seed,
         residue,
@@ -410,11 +385,6 @@ fn functional_phase(
 
     for outcome in &outcomes {
         rig.absorb_fault_counters(&outcome.counters);
-        // The lanes substituted outside the module; its totals catch up
-        // here, once per lane (the events went out as they happened).
-        if let Some(m) = &module {
-            m.borrow_mut().absorb_substitution_totals(outcome.substitutions);
-        }
     }
     if let Some(m) = &module {
         // Future plain stamps must sort after every windowed stamp of
@@ -446,10 +416,6 @@ struct LaneState {
     client: NfsClient,
     chan: FaultChannel,
     recorded: Vec<(Observation, u64)>,
-    /// Sum of the reports of this lane's out-of-step substitutions. The
-    /// module's totals absorb it after the lanes have joined, so the hot
-    /// path never takes the module's mutex.
-    substitutions: ncache::SubstitutionReport,
 }
 
 impl LaneState {
@@ -462,14 +428,13 @@ impl LaneState {
                 FaultChannel::armed(spec, plan, seed(LANE_POISON_SALT))
             }),
             recorded: Vec::with_capacity(ops),
-            substitutions: ncache::SubstitutionReport::default(),
         }
     }
 
     /// Runs the lane's `k`-th operation inside its epoch window.
     fn run_op(&mut self, cx: &LaneContext<'_>, lane: usize, tie: u64, k: usize, op: &DriverOp) {
-        // Every cache stamp this operation draws — in-lock or deferred —
-        // comes from the (epoch, tie) window.
+        // Every cache stamp this operation draws comes from the (epoch,
+        // tie) window.
         let window = sim::epoch::enter_window(sim::epoch::stamp_base(k as u64, tie));
         let residue: &[IoRecord] = if lane == 0 && k == 0 { &cx.residue } else { &[] };
         let done = run_lane_op(cx, self, op, residue);
@@ -481,7 +446,6 @@ impl LaneState {
         LaneOutcome {
             ops: self.recorded,
             counters: self.chan.counters,
-            substitutions: self.substitutions,
         }
     }
 }
@@ -534,19 +498,16 @@ fn run_lanes_rounds(
 }
 
 /// Executes one operation for a lane, producing the observation the
-/// sequential [`RigDriver::run_op`] would, through the same [`OpMeter`].
+/// sequential [`RigDriver::run_op`] would, through the same [`OpMeter`]
+/// and — off the read fast path — the same op body
+/// ([`crate::rig::Rig::serve_op`]).
 fn run_lane_op(
     cx: &LaneContext<'_>,
     st: &mut LaneState,
     op: &DriverOp,
     residue: &[IoRecord],
 ) -> (Observation, u64) {
-    let LaneState {
-        client,
-        chan,
-        substitutions,
-        ..
-    } = st;
+    let LaneState { client, chan, .. } = st;
     // Request building charges only the client ledger (not part of the
     // per-op observation), so it stays outside the lock.
     let (request, payload_hint) = NfsServer::request(client, op);
@@ -557,11 +518,14 @@ fn run_lane_op(
     // One bracket per clean operation, opened here — ahead of any lock —
     // because a READ's probe already counts when it succeeds (its
     // resolution is the commit point and bumps the NCache tally); a failed
-    // probe hands the still-empty bracket back for the slow path.
+    // probe hands the still-empty bracket back for the exclusive path.
     let meter = OpMeter::open(&cx.ledgers);
-    match fast_read_op(cx, meter, &request, op, residue, substitutions) {
+    match fast_read_op(cx, meter, &request, op, residue) {
         Ok(done) => done,
-        Err(unused) => clean_lane_op(cx, unused, request, payload_hint, residue, substitutions),
+        Err(unused) => cx
+            .core
+            .write()
+            .serve_op(unused, request, payload_hint, residue),
     }
 }
 
@@ -570,138 +534,45 @@ fn run_lane_op(
 /// real threads instead of convoying through the exclusive lock.
 ///
 /// Returns the bracket unused — charging and counting nothing — unless
-/// `op` is a READ with substitution deferred and the server's probe
+/// `op` is a READ and the server's probe
 /// ([`servers::nfs::NfsServer::probe_read`]: one uncounted walk of the
 /// file system, then one all-or-nothing resolution of the placeholders,
 /// the commit point) establishes that it is a pure, aligned, fully
-/// resident, fully resolvable cache hit; the caller then
-/// falls back to the exclusive slow path with the request untouched. On
-/// the fast path the whole exchange, the splice included, runs while the
-/// guard is held: the guard excludes every mutation, so nothing the probe
-/// saw can change before it is counted. (`&self` cannot consult an
-/// admission gate, which is one reason the engine refuses a rig that has
-/// one.)
+/// resident, fully resolvable cache hit; the caller then falls back to
+/// the exclusive path with the request untouched. On the fast path the
+/// whole exchange, transmit hook included, runs while the guard is held:
+/// the guard excludes every mutation, so nothing the probe saw can change
+/// before it is counted. (`&self` cannot consult an admission gate, which
+/// is one reason the engine refuses a rig that has one.)
 fn fast_read_op(
     cx: &LaneContext<'_>,
     meter: OpMeter,
     request: &NetBuf,
     op: &DriverOp,
     residue: &[IoRecord],
-    substitutions: &mut ncache::SubstitutionReport,
 ) -> Result<(Observation, u64), OpMeter> {
-    let (true, DriverOp::Read { fh, offset, len }) = (cx.defer, op) else {
+    let DriverOp::Read { fh, offset, len } = op else {
         return Err(meter);
     };
     let rig = cx.core.read();
     let server = rig.server();
-    let Some(hit) = server.probe_read(cx.cache, *fh, u64::from(*offset), *len as usize) else {
+    let Some(hit) = server.probe_read(*fh, u64::from(*offset), *len as usize) else {
         return Err(meter);
     };
     let delivered = servers::stack::deliver(request, &cx.ledgers.app);
-    let (mut reply, resolved) = server.handle_read_fast(delivered, hit);
-    let metered = meter.close(&cx.ledgers);
-    let substituted_pkts = substitute_out_of_step(cx, &mut reply, resolved, substitutions);
+    let (reply, substituted) = server.handle_read_fast(delivered, hit);
     drop(rig);
     // A pure hit issues no I/O of its own: only the pre-run residue
     // (lane 0, op 0) can put bursts on a fast read.
-    let obs = metered.observe(
+    let obs = meter.finish(
+        &cx.ledgers,
         request.total_len() as u64 + FRAME_OVERHEAD,
         reply.total_len() as u64 + FRAME_OVERHEAD,
         residue,
-        substituted_pkts,
+        substituted,
+        false,
     );
     Ok((obs, reply.payload_len() as u64))
-}
-
-/// The transmit hook run by the lane itself, outside the serialized
-/// server step (see [`LaneContext::defer`]): finishes `reply` — splicing
-/// the resolution the server handed back with it, or, for a reply that
-/// carries none, substituting through the sharded cache handle — marks
-/// the checksum inherited, and emits the event
-/// [`ncache::NcacheModule::on_transmit`] would. Returns the report, which
-/// the clean paths add to the lane's own sum — not to the module, whose
-/// mutex every lane would otherwise take once per reply.
-fn finish_out_of_step(
-    cache: &ncache::NetCacheShards,
-    reply: &mut NetBuf,
-    resolved: Option<ncache::Resolved>,
-) -> ncache::SubstitutionReport {
-    let report = match resolved {
-        Some(resolved) => resolved.splice(reply),
-        None => ncache::substitute_payload(reply, cache),
-    };
-    if report.substituted > 0 {
-        reply.inherit_csum();
-    }
-    report
-}
-
-/// [`finish_out_of_step`] for the clean paths; returns the packets
-/// substituted.
-fn substitute_out_of_step(
-    cx: &LaneContext<'_>,
-    reply: &mut NetBuf,
-    resolved: Option<ncache::Resolved>,
-    substitutions: &mut ncache::SubstitutionReport,
-) -> u64 {
-    let Some(cache) = cx.cache else {
-        return 0;
-    };
-    let report = finish_out_of_step(cache, reply, resolved);
-    if report.substituted > 0 || report.missing > 0 {
-        cx.rec.emit(obs::EventKind::Substitution {
-            substituted: report.substituted,
-            missing: report.missing,
-        });
-    }
-    substitutions.absorb(report);
-    report.substituted
-}
-
-/// The clean exchange: serialized server section under the core lock,
-/// substitution deferred outside it when observation-exact.
-fn clean_lane_op(
-    cx: &LaneContext<'_>,
-    meter: OpMeter,
-    request: NetBuf,
-    payload_hint: u64,
-    residue: &[IoRecord],
-    substitutions: &mut ncache::SubstitutionReport,
-) -> (Observation, u64) {
-    let ((mut reply, resolved), io, metered, in_step) = {
-        let mut rig = cx.core.write();
-        // Substitution inside the exclusive server step moves the module
-        // total by exactly this operation's packets; deferred, the lane
-        // counts its own below.
-        let substituted = if cx.defer { 0 } else { rig.substituted() };
-        let delivered = servers::stack::deliver(&request, &cx.ledgers.app);
-        let reply = if cx.defer {
-            rig.server_mut().handle_message_deferred(delivered)
-        } else {
-            (rig.server_mut().handle_message(delivered), None)
-        };
-        let mut io = residue.to_vec();
-        io.extend(rig.server_mut().fs_mut().store_mut().take_io_log());
-        let in_step = if cx.defer { 0 } else { rig.substituted() - substituted };
-        (reply, io, meter.close(&cx.ledgers), in_step)
-    };
-    let substituted_pkts = if cx.defer {
-        substitute_out_of_step(cx, &mut reply, resolved, substitutions)
-    } else {
-        in_step
-    };
-    let obs = metered.observe(
-        request.total_len() as u64 + FRAME_OVERHEAD,
-        reply.total_len() as u64 + FRAME_OVERHEAD,
-        &io,
-        substituted_pkts,
-    );
-    let payload = if payload_hint > 0 {
-        payload_hint
-    } else {
-        reply.payload_len() as u64
-    };
-    (obs, payload)
 }
 
 /// The faulted exchange: the whole retransmission loop runs under the
@@ -716,30 +587,22 @@ fn faulted_lane_op(
     residue: &[IoRecord],
 ) -> (Observation, u64) {
     let mut rig = cx.core.write();
-    chan.maybe_poison(cx.module);
+    chan.maybe_poison(rig.server().module());
     let meter = OpMeter::open(&cx.ledgers);
-    let substituted = rig.substituted();
     let request_bytes = request.total_len() as u64 + FRAME_OVERHEAD;
     let xid = call_xid(&request);
     // The accepted reply's framing, captured from inside the accept test
     // (only successful parses see the full reply buffer).
     let reply_len = std::cell::Cell::new(0u64);
+    // Every delivery the exchange makes — late, duplicated and stale ones
+    // included — is served, and substitutes, in step.
+    let mut substituted = 0;
     let payload = {
         let server = rig.server_mut();
-        // With transmit deferred the server no longer substitutes its
-        // own replies, so the step closure finishes every reply the
-        // exchange produces — late, duplicated and stale ones included,
-        // exactly the set the sequential transmit hook sees. The whole
-        // exchange runs under the exclusive guard, so the module-total
-        // delta below still brackets this operation alone.
-        let mut step = |d: NetBuf| match (cx.defer, cx.cache, cx.module) {
-            (true, Some(cache), Some(module)) => {
-                let (mut reply, resolved) = server.handle_message_deferred(d);
-                let report = finish_out_of_step(cache, &mut reply, resolved);
-                module.borrow_mut().absorb_substitution(report);
-                reply
-            }
-            _ => server.handle_message(d),
+        let mut step = |d: NetBuf| {
+            let (reply, n) = server.handle(d);
+            substituted += n;
+            reply
         };
         // The NFS accept test, returning the payload the reply accounts
         // for: its own bytes for a READ, the request's for a WRITE.
@@ -763,11 +626,15 @@ fn faulted_lane_op(
         };
         faulted_exchange_with(&mut step, &cx.ledgers, cx.rec, chan, request, accept).unwrap_or(0)
     };
-    let mut io = residue.to_vec();
-    io.extend(rig.server_mut().fs_mut().store_mut().take_io_log());
-    let obs = meter
-        .close(&cx.ledgers)
-        .observe(request_bytes, reply_len.get(), &io, rig.substituted() - substituted);
+    let io = rig.take_io_log(residue);
+    let obs = meter.finish(
+        &cx.ledgers,
+        request_bytes,
+        reply_len.get(),
+        &io,
+        substituted,
+        false,
+    );
     (obs, payload)
 }
 
@@ -969,9 +836,10 @@ mod tests {
     fn read_only_lanes_never_take_an_exclusive_lock_or_the_module_mutex() {
         // The exact, noise-free form of "hits scale": on a warm file every
         // READ is served under the shared core guard — not one exclusive
-        // acquisition — and the lanes keep their substitution reports to
-        // themselves, so the module's mutex is not taken once while they
-        // run. The totals still arrive: absorbed after the join.
+        // acquisition — and finished there by the transmit hook on the
+        // host's cache handle, which counts into the shard set's own
+        // lane-striped totals: the module's mutex is not taken once while
+        // the lanes run, and the totals are exact once they have joined.
         let (mut rig, fh) = rig_with_file(ServerMode::NCache, 8);
         warm_file(&mut rig, fh, 2 << 20, 64 << 10);
         let module = rig.module().expect("ncache rig");
@@ -995,7 +863,7 @@ mod tests {
         assert_eq!(
             substituted - substituted_before,
             8 * 12 * 2,
-            "two 4 KiB placeholders per 8 KiB read, absorbed after the join"
+            "two 4 KiB placeholders per 8 KiB read, counted in step"
         );
     }
 
@@ -1081,11 +949,11 @@ mod tests {
         // The whole `(Observation, payload)` list of every lane, all
         // fields, against the 1-thread run. The working set sits in the
         // NCache but not in the FS buffer cache (warmed, then dropped), so
-        // every READ misses the probe, takes `clean_lane_op` and splices
-        // sixteen packets outside the lock — where, until the op meter's
-        // thread-local windows, another lane's splice landed its
-        // `logical_copies` / `csum_inherited` in this lane's snapshot delta
-        // whenever it overlapped this lane's turn under the lock. Spans are
+        // every READ misses the probe and takes the exclusive path
+        // (`Rig::serve_op`), which fetches its sixteen blocks and
+        // substitutes sixteen packets in step — inside this lane's op meter
+        // and under the lock, where nothing another lane does can land in
+        // its observation. Spans are
         // lane-private and read once, with no read-ahead, no eviction and
         // the file's metadata resident, so nothing else couples the lanes.
         const LANES: u64 = 6;
@@ -1133,7 +1001,11 @@ mod tests {
         for shards in [1usize, 8] {
             let reference = lanes_at(1, shards);
             let spliced: u64 = reference.iter().flatten().map(|(o, _)| o.substituted_pkts).sum();
-            assert_eq!(spliced, LANES * OPS * 4 / 5 * 16, "sixteen packets per READ, out of step");
+            assert_eq!(
+                spliced,
+                LANES * OPS * 4 / 5 * 16,
+                "sixteen packets per READ, in step"
+            );
             for threads in [2usize, 4] {
                 let got = lanes_at(threads, shards);
                 assert_eq!(got.len(), reference.len());
@@ -1144,6 +1016,124 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A [`RigDriver`] recording every `(Observation, payload)` the
+    /// sequential engine produces, filed under the session that ran it.
+    struct Recording {
+        rig: NfsRig,
+        current: usize,
+        lanes: Vec<Vec<(Observation, u64)>>,
+    }
+
+    impl RigDriver for Recording {
+        fn run_op(&mut self, op: &DriverOp) -> (Observation, u64) {
+            let done = self.rig.run_op(op);
+            self.lanes[self.current].push(done.clone());
+            done
+        }
+
+        fn transport(&self) -> Transport {
+            self.rig.transport()
+        }
+
+        fn per_request_ns(&self, costs: &CostModel) -> u64 {
+            self.rig.per_request_ns(costs)
+        }
+    }
+
+    #[test]
+    fn every_lane_observation_equals_the_sequential_engines() {
+        // Op by op, every field: one op body and one in-step transmit hook
+        // whichever engine runs the op. Until both engines finished replies
+        // in step, a lane's fast READ closed its ledger window before its
+        // deferred splice, so it lacked the splice's logical copy and
+        // inherited checksum. Each lane reads and writes only its own
+        // spans of a warm file, so no op's outcome depends on the order.
+        const LANES: usize = 4;
+        const OPS: usize = 8;
+        const SPAN: u64 = 16 << 10;
+        const FILE: u64 = (LANES * OPS) as u64 * SPAN;
+        let build = || {
+            let (mut rig, fh) = rig_with_file(ServerMode::NCache, 2);
+            warm_file(&mut rig, fh, FILE, 64 << 10);
+            (rig, fh)
+        };
+        let sessions = |fh| -> Vec<Vec<DriverOp>> {
+            (0..LANES)
+                .map(|lane| {
+                    (0..OPS)
+                        .map(|k| {
+                            let offset = ((lane * OPS + k) as u64 * SPAN) as u32;
+                            let len = if k == 5 { 8 << 10 } else { SPAN as u32 };
+                            match k {
+                                5 => DriverOp::Write { fh, offset, len },
+                                _ => DriverOp::Read { fh, offset, len },
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let (rig, fh) = build();
+        let mut swap = nfs_session_clients(&rig, LANES);
+        let hook: SessionHook<Recording> = Box::new(move |r, sid| {
+            r.current = sid;
+            swap(&mut r.rig, sid);
+        });
+        let recording = Recording {
+            rig,
+            current: 0,
+            lanes: vec![Vec::new(); LANES],
+        };
+        let (oracle, _) = run_sessions(recording, sessions(fh), &SessionsOptions::default(), Some(hook));
+        for threads in [1usize, 2] {
+            let (rig, fh) = build();
+            let (_, outcomes, phase) = functional_phase(rig, &sessions(fh), threads, 0x5EED);
+            assert_eq!(phase.core.writes, LANES as u64, "only the WRITEs are exclusive");
+            for (lane, (want, got)) in oracle.lanes.iter().zip(&outcomes).enumerate() {
+                assert_eq!(got.ops.len(), want.len());
+                for (k, (want, got)) in want.iter().zip(&got.ops).enumerate() {
+                    assert_eq!(want, got, "lane {lane}, op {k}, threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mechanism_ablations_take_the_shared_path_and_match_the_oracle() {
+        // Substitution off, or checksum inheritance off, used to keep every
+        // lane op on the exclusive path: the deferred transmit could not
+        // reproduce either ablation. With the one in-step hook every warm
+        // READ of all three `ablation_mechanisms` configs is a shared-guard
+        // hit, and none takes the module's mutex.
+        for (substitution, csum_inherit) in [(true, true), (true, false), (false, true)] {
+            let build = || {
+                let mut rig = crate::ablations::mechanism_rig(substitution, csum_inherit);
+                let fh = rig.create_file("hot", 1 << 20);
+                warm_file(&mut rig, fh, 1 << 20, 64 << 10);
+                (rig, fh)
+            };
+            let sessions = |fh| -> Vec<Vec<DriverOp>> {
+                (0..4)
+                    .map(|sid| session_reads(fh, sid, 8, 16 << 10, 1 << 20))
+                    .collect()
+            };
+            let at = format!("substitution {substitution}, csum_inherit {csum_inherit}");
+            let (rig, fh) = build();
+            let (_, seq) = run_nfs_sessions(rig, sessions(fh), &SessionsOptions::default());
+            let (rig, fh) = build();
+            let (_, par, phase) = run_nfs_sessions_parallel_observed(
+                rig,
+                sessions(fh),
+                &SessionsOptions::default(),
+                2,
+                5,
+            );
+            assert_eq!(seq, par, "{at}");
+            assert_eq!(phase.core.writes, 0, "{at}: every READ a shared-guard hit");
+            assert_eq!(phase.module_borrows, 0, "{at}: no module mutex");
         }
     }
 

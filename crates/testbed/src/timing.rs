@@ -98,32 +98,15 @@ pub struct Observation {
 /// ([`netbuf::CopyLedger::begin_window`]) over the application and storage
 /// ledgers, the buffer cache's op tally ([`simfs::take_op_tally`]) and the
 /// NCache op tally ([`sim::epoch::take_tally`]). Each accumulates exactly
-/// this thread's charges, and every charge of an operation happens on the
-/// thread that runs it, so the bracket is exact under a *shared* core
-/// guard (concurrent lanes serving hits) as well as an exclusive one —
-/// which a delta of two snapshots of the shared counters is not.
-///
-/// The bracket has two ends because the lane-parallel engine finishes a
-/// reply in two steps: [`OpMeter::close`] ends the serialized section (the
-/// ledger windows and the buffer-cache tally — everything the server step
-/// itself did), and [`Metered::observe`] runs after a deferred splice, so
-/// the NCache tally includes the splice's lookups while the ledger window
-/// does not include its `logical_copies` / `csum_inherited` (fields
-/// [`derive`] never reads; the sequential server substitutes inside its
-/// step, where both ends coincide).
+/// this thread's charges, and every charge of an operation — the transmit
+/// hook's included, which runs inside the server step on every path —
+/// happens on the thread that runs it, so the bracket is exact under a
+/// *shared* core guard (concurrent lanes serving hits) as well as an
+/// exclusive one, which a delta of two snapshots of the shared counters is
+/// not.
 #[derive(Debug)]
 #[must_use]
 pub(crate) struct OpMeter(());
-
-/// An [`OpMeter`] whose serialized section has ended.
-#[derive(Debug)]
-#[must_use]
-pub(crate) struct Metered {
-    app: LedgerSnapshot,
-    storage: LedgerSnapshot,
-    bufcache_ops: u64,
-    rejected: bool,
-}
 
 impl OpMeter {
     /// Opens the bracket: drains whatever earlier work left on this
@@ -138,48 +121,31 @@ impl OpMeter {
         OpMeter(())
     }
 
-    /// Ends the serialized section.
-    pub(crate) fn close(self, ledgers: &NodeLedgers) -> Metered {
-        Metered {
-            storage: ledgers.storage.end_window(),
-            app: ledgers.app.end_window(),
-            bufcache_ops: simfs::take_op_tally(),
-            rejected: false,
-        }
-    }
-}
-
-impl Metered {
-    /// Marks the operation as rejected by the server's admission gate —
-    /// the caller saw [`servers::ServerHost::control_rejections`] move
-    /// across it. Only the sequential rig can: the lanes refuse a rig
-    /// with a control plane.
-    pub(crate) fn rejected(self, rejected: bool) -> Metered {
-        Metered { rejected, ..self }
-    }
-
-    /// Completes the observation with what only the caller knows: the wire
-    /// sizes, the storage I/O the operation logged, and the packets
-    /// substituted for it (the module-total delta where the server
-    /// substitutes inside its step, the lane's own report where the splice
-    /// was deferred).
-    pub(crate) fn observe(
+    /// Closes the bracket once the server step has finished the reply, and
+    /// completes the observation with what only the caller knows: the wire
+    /// sizes, the storage I/O the operation logged, the packets the
+    /// transmit hook substituted, and whether the server's admission gate
+    /// rejected the request (only the sequential rig can see one: the
+    /// lanes refuse a rig with a control plane).
+    pub(crate) fn finish(
         self,
+        ledgers: &NodeLedgers,
         request_bytes: u64,
         reply_bytes: u64,
         io: &[IoRecord],
         substituted_pkts: u64,
+        rejected: bool,
     ) -> Observation {
         Observation {
-            app: self.app,
-            storage: self.storage,
+            storage: ledgers.storage.end_window(),
+            app: ledgers.app.end_window(),
+            bufcache_ops: simfs::take_op_tally(),
             ncache_ops: sim::epoch::take_tally(),
             substituted_pkts,
-            bufcache_ops: self.bufcache_ops,
             bursts: coalesce(io),
             request_bytes,
             reply_bytes,
-            rejected: self.rejected,
+            rejected,
         }
     }
 }

@@ -106,7 +106,7 @@ expect_count() { # expect_count WANT WHAT PATTERN FILE...
 LITERALS="$(nontest crates/testbed/src/*.rs | grep -E '(^|[^A-Za-z_])Observation \{' \
     | grep -Evc '(struct|->) Observation \{|dup-ok:[[:space:]]*[^[:space:]]' || true)"
 if [[ "$LITERALS" != 1 ]]; then
-    echo "crates/testbed/src builds an Observation in $LITERALS places, not 1 (timing::Metered::observe)" >&2
+    echo "crates/testbed/src builds an Observation in $LITERALS places, not 1 (timing::OpMeter::finish)" >&2
     exit 1
 fi
 expect_count 2 "deliver_faulty( call sites in crates/testbed/src (request and reply direction)" \
@@ -122,6 +122,26 @@ for FN in pressure set_fault_recovery control_rejections control_stats enable_co
 done
 echo "one of each; non-test lines in crates/testbed/src + crates/servers/src: $(nontest \
     crates/testbed/src/*.rs crates/servers/src/*.rs | wc -l) (9437 before the backplane was written once)"
+
+echo "== one reply path (one in-step transmit hook, one op body, one materializer) =="
+# DESIGN.md §9.2, §10, §12: every reply is finished in step by one `&self`
+# hook on the shard set (NetCacheShards::transmit), whichever engine and
+# whichever guard serves it; both engines run one op body (Rig::serve_op)
+# through a one-ended meter (OpMeter::finish); both daemons degrade through
+# one materializer (ServerHost::materialize). The rung fails if the
+# deferred transmit, its side channel or a second degradation copy comes
+# back (same `// dup-ok: <reason>` escape as above).
+for GONE in handle_message_deferred absorb_substitution finish_out_of_step \
+    substitute_out_of_step 'fn substituted' with_resolver 'struct Metered' \
+    materialize_range materialize_page; do
+    expect_count 0 "non-test mentions of '$GONE' in crates/*/src" "$GONE" \
+        $(find crates/*/src -name '*.rs' | sort)
+done
+expect_count 1 "definitions of fn transmit in crates/core/src" 'fn transmit\b' crates/core/src/*.rs
+expect_count 1 "definitions of fn materialize in crates/servers/src" 'fn materialize\b' \
+    crates/servers/src/*.rs
+echo "one of each, none of what they replaced; non-test lines in crates/{core,servers,testbed}/src: $(nontest \
+    crates/core/src/*.rs crates/servers/src/*.rs crates/testbed/src/*.rs | wc -l) (11615 before the reply path was written once)"
 
 echo "== one evaluation (one Exp context, one cell sweep, one experiment registry) =="
 # DESIGN.md §4: the paper's §5 is described once. Every experiment is one

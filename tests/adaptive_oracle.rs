@@ -161,6 +161,11 @@ fn cold_build(shards: usize, cfg: Option<SplitConfig>) -> (NfsRig, u64) {
     // Sparse: blocks stay clean (no writeback IO, no dirty evictions)
     // and nothing pre-populates the NCache's LBN half.
     let fh = rig.create_sparse_file("cold", COLD_FILE);
+    // Map the last block: the file's inode and indirect block become
+    // resident without touching any data. Otherwise the first lane to
+    // take the core lock pays those metadata fetches, and which lane
+    // that is belongs to the host schedule.
+    rig.expected_sparse(fh, COLD_FILE - 4096, 4096);
     if let Some(cfg) = cfg {
         rig.enable_adaptive(cfg);
     }

@@ -101,24 +101,61 @@ fn nfs_short_reads_and_short_tails_never_ship_the_placeholder() {
 #[test]
 fn nfs_short_reads_through_the_lane_fast_path() {
     // The lane-parallel engine's `&self` READ, driven by hand: probe under
-    // a shared reference, serve, splice the resolution the server returns.
+    // a shared reference, serve — the server finishes the reply itself.
     let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
     let fh = rig.create_file("f", SHORT_FILE);
     rig.read(fh, 0, SHORT_FILE as u32); // warm both caches
-    let cache = rig.module().expect("ncache build").borrow().cache_handle();
     for (off, len) in SHORT_READS {
         let request = rig.client_mut().read_request(fh, off, len);
         let delivered = ncache_repro::servers::stack::deliver(&request, &rig.ledgers().app);
         let server = rig.server();
         let hit = server
-            .probe_read(Some(&cache), fh, u64::from(off), len as usize)
+            .probe_read(fh, u64::from(off), len as usize)
             .expect("a warm aligned READ is a pure hit");
-        let (mut reply, resolved) = server.handle_read_fast(delivered, hit);
-        let report = resolved.expect("a logical reply").splice(&mut reply);
-        assert_eq!(report.missing, 0);
+        let (reply, substituted) = server.handle_read_fast(delivered, hit);
+        let blocks = (u64::from(off) + u64::from(len)).min(SHORT_FILE) - u64::from(off);
+        assert_eq!(
+            substituted,
+            blocks.div_ceil(4096),
+            "read({off}, {len}): one per block"
+        );
         let (hdr, got) = rig.client_mut().parse_read_reply(&reply);
         assert_eq!(hdr.status, NFS_OK);
         assert_short_read(ServerMode::NCache, fh, off, len, &got, "fast path");
+    }
+}
+
+#[test]
+fn nfs_reads_through_an_ncache_smaller_than_one_request() {
+    // An NCache of fewer chunks than a 32 KiB READ has blocks: the fetch
+    // evicts the READ's own first chunks before its last ones arrive, so
+    // the reply's placeholders dangle and the READ degrades. The degraded
+    // reply must still carry exactly `count` bytes of the file — it used
+    // to copy the buffer cache's stamps into one segment that the
+    // transmit hook then swapped for the first block's chunk alone.
+    const FILE: u64 = 256 << 10;
+    const LEN: u32 = 32 << 10;
+    for chunks in [2u64, 3, 7] {
+        let params = NfsRigParams {
+            ncache_bytes: chunks * (4096 + 128),
+            ..NfsRigParams::default()
+        };
+        let mut rig = NfsRig::new(ServerMode::NCache, params);
+        let fh = rig.create_file("f", FILE);
+        for round in 0..2 {
+            for off in (0..FILE as u32).step_by(LEN as usize) {
+                let at = format!("{chunks} chunks, round {round}, offset {off}");
+                let (hdr, data) = rig
+                    .try_read(fh, off, LEN)
+                    .unwrap_or_else(|| panic!("{at}: rejected"));
+                assert_eq!(hdr.status, NFS_OK, "{at}");
+                assert_eq!(hdr.count, LEN, "{at}: count");
+                assert!(
+                    data == NfsRig::pattern(fh, u64::from(off), LEN as usize),
+                    "{at}: wrong bytes"
+                );
+            }
+        }
     }
 }
 

@@ -42,7 +42,9 @@ fn mbuf_payload_caches_and_substitutes_without_copies() {
     // An outgoing sk_buff-style reply substitutes the mbuf-born chunk.
     let mut reply = NetBuf::new(&ledger);
     reply.append_segment(placeholder);
-    let report = module.on_transmit(&mut reply, None);
+    let report = module
+        .cache_handle()
+        .transmit(&mut reply, None, true, &ncache_repro::obs::Recorder::new());
     assert_eq!(report.substituted, 1);
     assert_eq!(reply.copy_payload_to_vec(), pattern, "bytes intact across flavours");
 }
