@@ -62,6 +62,7 @@ property! {
                     expect.displaced += 1;
                 }
             }
+            prop_assert_eq!(g.check_invariants(), Ok(()), "index and key map agree");
         }
         let keys: Vec<u64> = model.iter().map(|&(_, k)| k).collect();
         prop_assert_eq!(g.keys_by_recency(), keys, "membership in stamp order");

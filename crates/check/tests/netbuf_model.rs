@@ -4,8 +4,11 @@
 //! The buffer keeps its headers in an inline linear area that spills to
 //! the heap, lands a delivered frame's headers in that same area as the
 //! front of its payload, keeps the rest of the payload in a chain whose
-//! length is cached, and parses fixed headers into stack arrays — all
-//! host-side representation. None of it may be observable: for any op
+//! length is cached and whose first segment lives inline, and parses fixed
+//! headers into stack arrays — all host-side representation. The ops cross
+//! the chain's one-segment boundary both ways: landed bytes spilling in
+//! front of it, pulls and pointer surgery cutting it down to one segment
+//! or none, appends and deliveries growing it again. None of it may be observable: for any op
 //! sequence the wire bytes are `header ++ payload` of a two-`Vec<u8>`
 //! model, and the ledger moves by exactly the closed-form charge of each
 //! op (header bytes for pushes and pulls, one logical copy per
@@ -16,7 +19,7 @@
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, Failed, PropResult};
 use netbuf::buf::HEADROOM;
-use netbuf::{BufPool, CopyLedger, LedgerSnapshot, NetBuf, Segment};
+use netbuf::{BufPool, CopyLedger, LedgerSnapshot, NetBuf, SegChain, Segment};
 use servers::stack::{deliver, deliver_faulty};
 use sim::{FaultKind, FaultLink, FaultPlan, FaultSpec};
 
@@ -93,7 +96,7 @@ property! {
 
     fn prop_netbuf_matches_the_flat_model(
         start in ints(0u8..4),
-        ops in vec_of((ints(0u8..14), any_u32(), any_u32()), 1..64),
+        ops in vec_of((ints(0u8..15), any_u32(), any_u32()), 1..64),
     ) {
         let ledger = CopyLedger::new();
         let pool = BufPool::slab_only();
@@ -177,18 +180,30 @@ property! {
                     let off = b as usize % (side.payload.len() + 1);
                     array_op(side, a, off, false)?;
                 }
-                // Pointer surgery: take the chain, rearrange it, put it back.
+                // Pointer surgery: take the chain, rearrange it — or cut it
+                // to its first segment, or to nothing — and put it back, as
+                // a vector or rebuilt front to back as a chain.
                 8 => {
-                    let mut segs = side.buf.take_payload();
+                    let mut segs: Vec<Segment> = side.buf.take_payload().into();
                     prop_assert_eq!(side.buf.payload_len(), 0);
                     prop_assert_eq!(side.buf.segment_count(), 0);
-                    match b % 3 {
+                    match b % 5 {
                         0 => {}
                         1 => segs.reverse(),
-                        _ => segs = segs.iter().map(|s| s.slice(0, s.len() / 2)).collect(),
+                        2 => segs = segs.iter().map(|s| s.slice(0, s.len() / 2)).collect(),
+                        3 => segs.truncate(1),
+                        _ => segs.clear(),
                     }
                     side.payload = segs.iter().flat_map(|s| s.as_slice().iter().copied()).collect();
-                    side.buf.replace_payload(segs);
+                    if a & 1 == 1 {
+                        side.buf.replace_payload(segs);
+                    } else {
+                        let mut chain = SegChain::new();
+                        for seg in segs.into_iter().rev() {
+                            chain.push_front(seg);
+                        }
+                        side.buf.replace_payload(chain);
+                    }
                     expect.logical_copies += 1;
                 }
                 // Fork once (share or clone), then alternate sides.
@@ -238,6 +253,16 @@ property! {
                     side.buf.land(&bytes);
                     side.payload.extend_from_slice(&bytes);
                     expect.logical_copies += 1;
+                }
+                // Pull down to the chain's last segment: the landed bytes
+                // and every segment ahead of it go, the survivor moves
+                // into the chain's inline slot.
+                13 => {
+                    let keep = side.buf.segments().last().map_or(0, Segment::len);
+                    let n = side.payload.len() - keep;
+                    prop_assert_eq!(side.buf.pull(n), side.payload[..n].to_vec(), "pull to the last segment");
+                    side.payload.drain(..n);
+                    expect.header_bytes += n as u64;
                 }
                 // Delivery of whatever this is — a built frame, or a
                 // delivered one still (partly) unparsed: the linear area
@@ -396,7 +421,7 @@ property! {
             1 => prop_assert_eq!(new.copy_payload_to_vec(), old.copy_payload_to_vec()),
             // Unpulled landed bytes spill to one segment at the front.
             2 => {
-                let bytes = |segs: Vec<Segment>| -> Vec<u8> {
+                let bytes = |segs: SegChain| -> Vec<u8> {
                     segs.iter().flat_map(|s| s.as_slice().iter().copied()).collect()
                 };
                 prop_assert_eq!(bytes(new.take_payload()), bytes(old.take_payload()));

@@ -4,25 +4,26 @@
 //!
 //! * two key spaces, one chunk store: iSCSI read responses are indexed by
 //!   logical block number, NFS write payloads by ⟨file handle, offset⟩;
-//! * one global LRU chain of chunks; reclaiming prefers the LRU end, frees
+//! * one global LRU order of chunks; reclaiming prefers the LRU end, frees
 //!   clean chunks silently, and writes dirty LBN chunks back to the storage
-//!   server first;
+//!   server first. The order is kept as two lazy recency heaps
+//!   ([`sim::RecencyHeap`]), one per reclaimable class — clean chunks and
+//!   dirty LBN chunks — and the victim is the older of their heads;
 //! * dirty FHO chunks are *not* evictable — they have no storage address
 //!   until the file system flush remaps them (the paper sizes the FS cache
 //!   small precisely so remapping always happens before the LBN copy would
-//!   be flushed); the LRU skips them;
+//!   be flushed); they are filed in neither heap;
 //! * `remap` moves an FHO entry into the LBN space, overwriting any stale
 //!   LBN entry ("data in the FHO cache is always more up-to-date");
 //! * `resolve` consults FHO before LBN so clients always see fresh data.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use netbuf::key::{CacheKey, Fho, Lbn};
-use netbuf::{BufPool, Segment};
-use sim::{mix64, LaneCounters, MixMap};
+use netbuf::{BufPool, SegChain, Segment};
+use sim::{mix64, LaneCounters, MixMap, RecencyHeap};
 
 use sim::{GhostLru, GhostStats};
 use crate::chunk::Chunk;
@@ -94,7 +95,7 @@ pub struct WritebackChunk {
     /// The block's storage address.
     pub lbn: Lbn,
     /// The payload, shared (logical copy) for attaching to an iSCSI write.
-    pub segs: Vec<Segment>,
+    pub segs: SegChain,
     /// Payload length.
     pub len: usize,
 }
@@ -175,12 +176,68 @@ pub(crate) struct Entry {
     /// `fetch_max(fresh)`, which commutes — the final value is the max
     /// over all access stamps regardless of thread interleaving.
     pub(crate) seq: AtomicU64,
-    /// The stamp this entry is indexed under in the LRU `order` map.
-    /// Promotions do NOT move the index entry (that would need `&mut`);
-    /// instead the order map is *lazy*: `order_seq <= seq` always, and
-    /// every consumer of LRU order re-sorts or normalizes against the
-    /// true `seq` before acting, so laziness is unobservable.
+    /// The stamp this entry is filed under in its class's recency heap.
+    /// Promotions do NOT move the filing (that would need `&mut`);
+    /// instead the heap is *lazy*: `order_seq <= seq` always, and every
+    /// consumer of LRU order re-sorts or settles against the true `seq`
+    /// before acting, so laziness is unobservable.
     order_seq: u64,
+}
+
+/// The eviction class of a resident chunk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Class {
+    /// Clean, under either key: reclaimed silently.
+    Clean,
+    /// Dirty LBN: reclaimed after a writeback.
+    DirtyLbn,
+    /// Dirty FHO: not reclaimable until remapped, so filed nowhere.
+    Pinned,
+}
+
+impl Class {
+    /// The index of this class's heap in [`NetCache`]'s, if it has one.
+    fn heap(self) -> Option<usize> {
+        match self {
+            Class::Clean => Some(0),
+            Class::DirtyLbn => Some(1),
+            Class::Pinned => None,
+        }
+    }
+}
+
+impl Entry {
+    fn class(&self, key: CacheKey) -> Class {
+        match (self.chunk.is_dirty(), key) {
+            (false, _) => Class::Clean,
+            (true, CacheKey::Lbn(_)) => Class::DirtyLbn,
+            (true, CacheKey::Fho(_)) => Class::Pinned,
+        }
+    }
+}
+
+/// Whether `key` under `stamp` is the current filing of a chunk in
+/// `class`.
+fn filed(map: &MixMap<CacheKey, Entry>, class: Class, stamp: u64, key: CacheKey) -> bool {
+    map.get(&key)
+        .is_some_and(|e| e.order_seq == stamp && e.class(key) == class)
+}
+
+/// The least recent chunk of one class heap as `(stamp, key)` — the chunk
+/// an eagerly ordered index would have named ([`RecencyHeap::head`]).
+fn settle_head(
+    heap: &mut RecencyHeap<CacheKey>,
+    map: &mut MixMap<CacheKey, Entry>,
+    class: Class,
+) -> Option<(u64, CacheKey)> {
+    heap.head(
+        map,
+        |map, stamp, key| filed(map, class, stamp, key),
+        |map, key| {
+            let entry = map.get_mut(&key).expect("filed chunks are resident");
+            (entry.seq.load(Ordering::Relaxed), &mut entry.order_seq)
+        },
+    )
 }
 
 // Counter indices into a cache's [`LaneCounters`], one per
@@ -230,7 +287,9 @@ pub(crate) fn resolution_order(
 /// ```
 pub struct NetCache {
     map: MixMap<CacheKey, Entry>,
-    order: BTreeMap<u64, CacheKey>,
+    /// The recency heaps of the reclaimable classes, indexed by
+    /// [`Class::heap`]: clean chunks, then dirty LBN chunks.
+    heaps: [RecencyHeap<CacheKey>; 2],
     seq: SeqSource,
     pool: BufPool,
     per_chunk_overhead: u64,
@@ -242,7 +301,7 @@ pub struct NetCache {
     /// eviction sequence — shard-count-invariant even under displacement.
     /// Pure observer: recording and probing never draw stamps, never bump
     /// tallies, never influence victim selection.
-    ghost: Option<Arc<Mutex<GhostLru>>>,
+    pub(crate) ghost: Option<Arc<Mutex<GhostLru>>>,
 }
 
 impl NetCache {
@@ -259,7 +318,7 @@ impl NetCache {
     pub(crate) fn with_seq_source(pool: BufPool, per_chunk_overhead: u64, seq: SeqSource) -> Self {
         NetCache {
             map: MixMap::default(),
-            order: BTreeMap::new(),
+            heaps: Default::default(),
             seq,
             pool,
             per_chunk_overhead,
@@ -347,11 +406,11 @@ impl NetCache {
     pub fn insert_lbn(
         &mut self,
         lbn: Lbn,
-        segs: Vec<Segment>,
+        segs: impl Into<SegChain>,
         len: usize,
         dirty: bool,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
-        self.insert(CacheKey::Lbn(lbn), segs, len, dirty)
+        self.insert(CacheKey::Lbn(lbn), segs.into(), len, dirty)
     }
 
     /// Inserts a chunk arriving in an NFS write request. Always dirty.
@@ -362,16 +421,16 @@ impl NetCache {
     pub fn insert_fho(
         &mut self,
         fho: Fho,
-        segs: Vec<Segment>,
+        segs: impl Into<SegChain>,
         len: usize,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
-        self.insert(CacheKey::Fho(fho), segs, len, true)
+        self.insert(CacheKey::Fho(fho), segs.into(), len, true)
     }
 
     fn insert(
         &mut self,
         key: CacheKey,
-        segs: Vec<Segment>,
+        segs: SegChain,
         len: usize,
         dirty: bool,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
@@ -407,7 +466,7 @@ impl NetCache {
     /// of the access multiset, not of thread interleaving.
     ///
     /// This is the read fast path: it takes `&self` (shared), mutates no
-    /// map, and leaves the lazy `order` index untouched. The promotion
+    /// map, and leaves the lazy recency heaps untouched. The promotion
     /// (`fetch_max`) and the counters are atomics; everything else is a
     /// read. The shard set exploits this by serving lookups under a read
     /// lock, so concurrent hit lookups never serialize against each
@@ -497,7 +556,7 @@ impl NetCache {
     /// corresponding dirty buffer, overwriting any stale LBN entry.
     /// Returns the (still dirty) payload for the outgoing iSCSI write, or
     /// `None` if the FHO entry is absent.
-    pub fn remap(&mut self, fho: Fho, lbn: Lbn) -> Option<Vec<Segment>> {
+    pub fn remap(&mut self, fho: Fho, lbn: Lbn) -> Option<SegChain> {
         self.stats.add(REMAPS, 1);
         sim::epoch::bump_tally();
         let entry = self.remove_entry(CacheKey::Fho(fho))?;
@@ -511,8 +570,18 @@ impl NetCache {
 
     /// Marks a chunk clean after its data reached the storage server.
     pub fn mark_clean(&mut self, key: CacheKey) {
-        if let Some(e) = self.map.get_mut(&key) {
+        let Some(e) = self.map.get_mut(&key) else {
+            return;
+        };
+        if e.chunk.is_dirty() {
+            let was = e.class(key);
             e.chunk.mark_clean();
+            // Filed clean under its true stamp (it may have been promoted
+            // since it was filed dirty, or never filed at all).
+            e.order_seq = e.seq.load(Ordering::Relaxed);
+            let stamp = e.order_seq;
+            self.unfile(was);
+            self.file(Class::Clean, stamp, key);
         }
     }
 
@@ -551,23 +620,37 @@ impl NetCache {
 
     pub(crate) fn remove_entry(&mut self, key: CacheKey) -> Option<Entry> {
         let entry = self.map.remove(&key)?;
-        self.order.remove(&entry.order_seq);
+        self.unfile(entry.class(key));
         Some(entry)
+    }
+
+    /// Files `key` under `stamp` in the heap of `class`, if it has one.
+    fn file(&mut self, class: Class, stamp: u64, key: CacheKey) {
+        if let Some(heap) = class.heap() {
+            self.heaps[heap].file(stamp, key);
+        }
+    }
+
+    /// Notes that the filing of one chunk in `class` died: the chunk was
+    /// removed or changed class.
+    fn unfile(&mut self, class: Class) {
+        if let Some(heap) = class.heap() {
+            let map = &self.map;
+            self.heaps[heap].forget(|stamp, key| filed(map, class, stamp, key));
+        }
     }
 
     /// Inserts an already-built chunk at a fresh (most-recently-used)
     /// sequence number. The chunk's pool pin travels with it.
     pub(crate) fn insert_chunk_fresh(&mut self, key: CacheKey, chunk: Chunk) {
         let seq = self.seq.next();
-        self.map.insert(
-            key,
-            Entry {
-                chunk,
-                seq: AtomicU64::new(seq),
-                order_seq: seq,
-            },
-        );
-        self.order.insert(seq, key);
+        let entry = Entry {
+            chunk,
+            seq: AtomicU64::new(seq),
+            order_seq: seq,
+        };
+        self.file(entry.class(key), seq, key);
+        self.map.insert(key, entry);
     }
 
     /// Counts an insertion attempt (the shard set charges the target
@@ -585,59 +668,32 @@ impl NetCache {
         sim::epoch::bump_tally();
     }
 
-    /// Finds the least-recently-used *reclaimable* chunk (clean, or dirty
-    /// LBN), normalizing the lazy order index on the way: any entry whose
-    /// index stamp trails its true stamp (a fast-path promotion happened
-    /// since it was indexed) is re-filed under the true stamp before
-    /// victim selection. Because recency stamps are unique and only ever
-    /// grow, the first *settled* entry (index stamp == true stamp) is the
-    /// global minimum — every other entry's true stamp exceeds its own
-    /// index stamp, which exceeds the settled minimum. The victim is
-    /// therefore exactly the chunk the eager (pre-decomposition) order
-    /// map would have picked.
-    fn lru_victim_normalized(&mut self, clean_only: bool) -> Option<(u64, CacheKey)> {
-        let mut cursor = 0u64;
-        loop {
-            let (oseq, key) = {
-                let (&oseq, &key) = self.order.range(cursor..).next()?;
-                (oseq, key)
-            };
-            let entry = self.map.get_mut(&key).expect("order index is consistent");
-            let true_seq = entry.seq.load(Ordering::Relaxed);
-            if true_seq != oseq {
-                // Stale index entry: re-file at the true stamp (which is
-                // unique, so the slot is free) and rescan from the same
-                // cursor — the re-filed entry moved later, never earlier.
-                entry.order_seq = true_seq;
-                self.order.remove(&oseq);
-                self.order.insert(true_seq, key);
-                continue;
-            }
-            let reclaimable = if clean_only {
-                !self.is_dirty(key)
-            } else {
-                match key {
-                    CacheKey::Fho(_) => !self.is_dirty(key),
-                    CacheKey::Lbn(_) => true,
-                }
-            };
-            if reclaimable {
-                return Some((oseq, key));
-            }
-            // Pinned (dirty FHO — or any dirty chunk when only clean
-            // victims qualify): skip past it.
-            cursor = oseq + 1;
+    /// The least-recently-used *reclaimable* chunk — the older of the
+    /// settled heads of the clean heap and, unless `clean_only`, the
+    /// dirty-LBN heap. Each head is the true minimum of its class (see
+    /// [`settle_head`]), so the victim is exactly the chunk one eagerly
+    /// ordered index over every reclaimable chunk would have picked.
+    fn lru_victim(&mut self, clean_only: bool) -> Option<(u64, CacheKey)> {
+        let [clean_heap, dirty_heap] = &mut self.heaps;
+        let clean = settle_head(clean_heap, &mut self.map, Class::Clean);
+        if clean_only {
+            return clean;
         }
+        let dirty = settle_head(dirty_heap, &mut self.map, Class::DirtyLbn);
+        [clean, dirty]
+            .into_iter()
+            .flatten()
+            .min_by_key(|&(stamp, _)| stamp)
     }
 
     /// This cache's least-recently-used *reclaimable* chunk (clean, or
     /// dirty LBN) as `(sequence number, key)`, or `None` when every
     /// resident chunk is a pinned dirty FHO entry. The shard set takes the
     /// minimum across shards as the global victim and hands it back to
-    /// [`NetCache::reclaim_victim`]. Takes `&mut` because it normalizes
-    /// the lazy order index (see [`NetCache::lru_victim_normalized`]).
+    /// [`NetCache::reclaim_victim`]. Takes `&mut` because it settles the
+    /// lazy recency heaps (see [`NetCache::lru_victim`]).
     pub(crate) fn reclaimable_head(&mut self) -> Option<(u64, CacheKey)> {
-        self.lru_victim_normalized(false)
+        self.lru_victim(false)
     }
 
     /// The sequence number of this cache's least-recently-used *clean*
@@ -646,7 +702,7 @@ impl NetCache {
     /// writebacks (writeback timing belongs to request chains, not to the
     /// controller).
     pub(crate) fn clean_head_seq(&mut self) -> Option<u64> {
-        self.lru_victim_normalized(true).map(|(seq, _)| seq)
+        self.lru_victim(true).map(|(seq, _)| seq)
     }
 
     /// Bytes a chunk of `len` payload bytes pins (payload + descriptor).
@@ -656,7 +712,7 @@ impl NetCache {
 
     /// Clean resident keys tagged with their *true* LRU sequence, for the
     /// shard set to merge into one globally LRU-ordered list. Reads the
-    /// true stamps directly (no index normalization needed), so it stays
+    /// true stamps directly (no heap settling needed), so it stays
     /// `&self`; callers sort by stamp.
     pub(crate) fn clean_keys_with_seq(&self) -> Vec<(u64, CacheKey)> {
         self.map
@@ -676,7 +732,7 @@ impl NetCache {
     /// [`CacheFull`] when every resident chunk is an unremapped dirty FHO
     /// entry.
     pub(crate) fn reclaim_one(&mut self) -> Result<Option<WritebackChunk>, CacheFull> {
-        let (seq, key) = self.lru_victim_normalized(false).ok_or(CacheFull)?;
+        let (seq, key) = self.lru_victim(false).ok_or(CacheFull)?;
         Ok(self.evict(seq, key))
     }
 
@@ -727,12 +783,42 @@ impl NetCache {
     /// then leaves the overshoot for the demand path to drain. Never
     /// produces a writeback.
     pub(crate) fn reclaim_one_clean(&mut self) -> bool {
-        let Some((seq, key)) = self.lru_victim_normalized(true) else {
+        let Some((seq, key)) = self.lru_victim(true) else {
             return false;
         };
         let writeback = self.evict(seq, key);
         debug_assert!(writeback.is_none(), "clean victim selection");
         true
+    }
+
+    /// Checks the recency heaps against the chunk map: every clean and
+    /// every dirty LBN chunk is filed live exactly once, in its class's
+    /// heap, under its `order_seq`, which never exceeds its true stamp;
+    /// dirty FHO chunks are filed nowhere; each heap's live count is its
+    /// class's population.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some((key, e)) = self
+            .map
+            .iter()
+            .find(|(_, e)| e.order_seq > e.seq.load(Ordering::Relaxed))
+        {
+            return Err(format!("{key} filed under {} past its stamp", e.order_seq));
+        }
+        for class in [Class::Clean, Class::DirtyLbn] {
+            let heap = &self.heaps[class.heap().expect("reclaimable classes have heaps")];
+            let members = self
+                .map
+                .iter()
+                .filter(|&(&key, e)| e.class(key) == class)
+                .map(|(&key, e)| (e.order_seq, key));
+            heap.check(members, |stamp, key| filed(&self.map, class, stamp, key))
+                .map_err(|e| format!("ncache {class:?} heap: {e}"))?;
+        }
+        Ok(())
     }
 }
 

@@ -1,17 +1,18 @@
 //! Cache chunks: pinned lists of network buffers.
 
 use netbuf::pool::Pinned;
-use netbuf::Segment;
+use netbuf::{SegChain, Segment};
 
 /// One cached block: the network-buffer segments that carried it, exactly
 /// as they arrived off the wire, plus pinned-memory accounting.
 ///
 /// The segments are shared ([`Segment`] is reference-counted), so handing a
 /// chunk's payload to an outgoing packet is pointer manipulation — the
-/// logical copy at the heart of the design.
+/// logical copy at the heart of the design. The chain is the one the
+/// packet carried: a one-block chunk holds its segment inline.
 #[derive(Debug)]
 pub struct Chunk {
-    segs: Vec<Segment>,
+    segs: SegChain,
     len: usize,
     dirty: bool,
     /// Stored checksum carried over from the payload's originator; packets
@@ -27,8 +28,8 @@ impl Chunk {
     /// # Panics
     ///
     /// Panics if the segments hold fewer than `len` bytes.
-    pub fn new(segs: Vec<Segment>, len: usize, dirty: bool, pin: Pinned) -> Self {
-        let have: usize = segs.iter().map(Segment::len).sum();
+    pub fn new(segs: SegChain, len: usize, dirty: bool, pin: Pinned) -> Self {
+        let have = segs.byte_len();
         assert!(have >= len, "segments hold {have} bytes, need {len}");
         Chunk {
             segs,
@@ -78,22 +79,23 @@ impl Chunk {
     /// clipped to the payload length and to `limit` bytes — the length of
     /// the placeholder being substituted (a reply's tail block may be
     /// shorter than the chunk).
-    pub fn share_segments_into(&self, limit: usize, out: &mut Vec<Segment>) {
+    pub fn share_segments_into(&self, limit: usize, out: &mut impl Extend<Segment>) {
         let mut remaining = self.len.min(limit);
         for seg in &self.segs {
             if remaining == 0 {
                 break;
             }
             let take = seg.len().min(remaining);
-            out.push(seg.slice(0, take));
+            out.extend(Some(seg.slice(0, take)));
             remaining -= take;
         }
     }
 
     /// Shares the payload segments (logical copy), clipped to the payload
-    /// length.
-    pub fn share_segments(&self) -> Vec<Segment> {
-        let mut out = Vec::with_capacity(self.segs.len());
+    /// length — as a chain, so a one-segment chunk's share allocates
+    /// nothing.
+    pub fn share_segments(&self) -> SegChain {
+        let mut out = SegChain::new();
         self.share_segments_into(usize::MAX, &mut out);
         out
     }
@@ -102,7 +104,7 @@ impl Chunk {
     /// writeback paths that must hand bytes to a copying interface).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);
-        for seg in self.share_segments() {
+        for seg in &self.share_segments() {
             v.extend_from_slice(seg.as_slice());
         }
         v
@@ -125,7 +127,7 @@ mod tests {
             Segment::from_vec(vec![1; 1000]),
             Segment::from_vec(vec![2; 1000]),
         ];
-        let c = Chunk::new(segs, 1500, false, pin(&pool, 4096));
+        let c = Chunk::new(segs.into(), 1500, false, pin(&pool, 4096));
         let shared = c.share_segments();
         assert_eq!(shared.len(), 2);
         assert_eq!(shared[0].len(), 1000);
@@ -142,7 +144,7 @@ mod tests {
             Segment::from_vec(vec![1; 1000]),
             Segment::from_vec(vec![2; 1000]),
         ];
-        let c = Chunk::new(segs, 1500, false, pin(&pool, 4096));
+        let c = Chunk::new(segs.into(), 1500, false, pin(&pool, 4096));
         let lens = |limit: usize| {
             let mut out = vec![Segment::from_vec(vec![9])]; // appended to, not cleared
             c.share_segments_into(limit, &mut out);
@@ -159,7 +161,7 @@ mod tests {
     fn share_is_logical_not_physical() {
         let pool = BufPool::new(1 << 20);
         let seg = Segment::from_vec(vec![7; 4096]);
-        let c = Chunk::new(vec![seg.clone()], 4096, false, pin(&pool, 4096));
+        let c = Chunk::new(seg.clone().into(), 4096, false, pin(&pool, 4096));
         let shared = c.share_segments();
         assert!(shared[0].same_storage(&seg));
     }
@@ -168,7 +170,7 @@ mod tests {
     fn dirty_lifecycle() {
         let pool = BufPool::new(1 << 20);
         let mut c = Chunk::new(
-            vec![Segment::from_vec(vec![0; 64])],
+            Segment::from_vec(vec![0; 64]).into(),
             64,
             true,
             pin(&pool, 64),
@@ -184,7 +186,7 @@ mod tests {
     fn checksum_storage() {
         let pool = BufPool::new(1 << 20);
         let mut c = Chunk::new(
-            vec![Segment::from_vec(vec![0; 64])],
+            Segment::from_vec(vec![0; 64]).into(),
             64,
             false,
             pin(&pool, 64),
@@ -198,7 +200,7 @@ mod tests {
     fn dropping_chunk_releases_pin() {
         let pool = BufPool::new(100);
         let c = Chunk::new(
-            vec![Segment::from_vec(vec![0; 10])],
+            Segment::from_vec(vec![0; 10]).into(),
             10,
             false,
             pin(&pool, 60),
@@ -213,7 +215,7 @@ mod tests {
     fn short_segments_panic() {
         let pool = BufPool::new(1 << 20);
         let _ = Chunk::new(
-            vec![Segment::from_vec(vec![0; 10])],
+            Segment::from_vec(vec![0; 10]).into(),
             20,
             false,
             pin(&pool, 10),

@@ -21,7 +21,7 @@
 //!    mutex.
 
 use netbuf::key::{CacheKey, Fho, KeyStamp, Lbn};
-use netbuf::{BufPool, CopyLedger, Segment};
+use netbuf::{BufPool, CopyLedger, SegChain, Segment};
 
 use crate::cache::{CacheFull, NetCacheStats, WritebackChunk};
 use crate::shards::NetCacheShards;
@@ -326,7 +326,7 @@ impl NcacheModule {
     pub fn on_data_in(
         &mut self,
         lbn: Lbn,
-        segs: Vec<Segment>,
+        segs: impl Into<SegChain>,
         len: usize,
     ) -> Result<Segment, CacheFull> {
         let before = self.eviction_baseline();
@@ -356,7 +356,7 @@ impl NcacheModule {
     pub fn on_nfs_write(
         &mut self,
         fho: Fho,
-        segs: Vec<Segment>,
+        segs: impl Into<SegChain>,
         len: usize,
     ) -> Result<KeyStamp, CacheFull> {
         let before = self.eviction_baseline();
@@ -378,11 +378,11 @@ impl NcacheModule {
     /// stays resident, now clean — the write is on its way to storage).
     /// Returns `None` for unstamped (real-data / metadata) blocks, which
     /// take the ordinary copying path.
-    pub fn on_flush_write(&mut self, block: &[u8], lbn: Lbn) -> Option<Vec<Segment>> {
+    pub fn on_flush_write(&mut self, block: &[u8], lbn: Lbn) -> Option<SegChain> {
         let stamp = KeyStamp::decode(block)?;
         let shard_before = self.shard_baseline();
         if let Some(fho) = stamp.fho {
-            if let Some(segs) = self.cache.remap(fho, lbn) {
+            if let Some(segs) = self.cache.remap_chain(fho, lbn) {
                 self.cache.mark_clean(lbn.into());
                 self.emit_shard_deltas(shard_before);
                 self.emit(obs::EventKind::Remap);
@@ -398,7 +398,7 @@ impl NcacheModule {
                 tier: "ncache-lbn",
                 hit: true,
             });
-            return Some(segs);
+            return Some(segs.into());
         }
         self.emit_shard_deltas(shard_before);
         None

@@ -26,8 +26,8 @@
 //! resolves take the shard's read lock**: hit promotion is an atomic
 //! `fetch_max` on the entry's recency stamp and the counters are
 //! lane-private ([`sim::LaneCounters`]), so concurrent cache-hit
-//! reads of one shard proceed fully in parallel (the LRU order index is
-//! lazy; mutators normalize it against the true stamps before picking
+//! reads of one shard proceed fully in parallel (the LRU recency heaps are
+//! lazy; mutators settle them against the true stamps before picking
 //! victims — see [`NetCache::lookup`]). Mutations (insert, remap,
 //! reclaim, invalidate, checksum/dirty metadata) take the write lock.
 //! The locking discipline is strict: no method holds two shard locks at
@@ -44,10 +44,10 @@
 //! sequences as the single-shard oracle.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use netbuf::key::{CacheKey, Fho, Lbn};
-use netbuf::{BufPool, NetBuf, Segment};
+use netbuf::{BufPool, NetBuf, SegChain, Segment};
 use sim::mix64;
 use sim::sync::{LaneCounters, LaneLock, LaneReadGuard, LaneWriteGuard, LockCounters};
 
@@ -100,6 +100,12 @@ pub struct NetCacheShards {
     /// Totals of every [`NetCacheShards::transmit`], lane-striped so
     /// concurrent lanes count on their own lines.
     substitutions: Arc<LaneCounters<3>>,
+    /// The buffer replies are resolved into, kept between replies: the
+    /// resolution is moved into the reply's own chain and the emptied
+    /// buffer filed back here, so resolving a reply allocates nothing once
+    /// the buffer has grown to a reply's length. A lane that finds it
+    /// taken by another resolves into a fresh one.
+    resolve_buf: Arc<Mutex<Vec<Segment>>>,
 }
 
 impl NetCacheShards {
@@ -124,6 +130,24 @@ impl NetCacheShards {
             fho_first: Arc::new(std::sync::atomic::AtomicBool::new(true)),
             seq,
             substitutions: Arc::default(),
+            resolve_buf: Arc::default(),
+        }
+    }
+
+    /// The resolution buffer, empty — or a fresh one while another lane
+    /// holds it.
+    pub(crate) fn take_resolve_buf(&self) -> Vec<Segment> {
+        self.resolve_buf
+            .try_lock()
+            .map(|mut buf| std::mem::take(&mut *buf))
+            .unwrap_or_default()
+    }
+
+    /// Files an emptied resolution buffer for the next reply.
+    pub(crate) fn file_resolve_buf(&self, buf: Vec<Segment>) {
+        debug_assert!(buf.is_empty(), "a filed resolution buffer holds no segment");
+        if let Ok(mut slot) = self.resolve_buf.try_lock() {
+            *slot = buf;
         }
     }
 
@@ -303,7 +327,7 @@ impl NetCacheShards {
         let (report, shard_before) = match resolved {
             Some(mut resolved) => {
                 let shard_before = resolved.shard_before.take();
-                (resolved.splice(reply), shard_before)
+                (resolved.splice(reply, self), shard_before)
             }
             None => {
                 let shard_before = self.shard_baseline(rec.is_enabled());
@@ -373,11 +397,11 @@ impl NetCacheShards {
     pub fn insert_lbn(
         &self,
         lbn: Lbn,
-        segs: Vec<Segment>,
+        segs: impl Into<SegChain>,
         len: usize,
         dirty: bool,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
-        self.insert(CacheKey::Lbn(lbn), segs, len, dirty)
+        self.insert(CacheKey::Lbn(lbn), segs.into(), len, dirty)
     }
 
     /// Inserts a chunk arriving in an NFS write request. Always dirty.
@@ -388,10 +412,10 @@ impl NetCacheShards {
     pub fn insert_fho(
         &self,
         fho: Fho,
-        segs: Vec<Segment>,
+        segs: impl Into<SegChain>,
         len: usize,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
-        self.insert(CacheKey::Fho(fho), segs, len, true)
+        self.insert(CacheKey::Fho(fho), segs.into(), len, true)
     }
 
     /// The single cache's insert sequence, with the reclaim loop lifted to
@@ -401,7 +425,7 @@ impl NetCacheShards {
     fn insert(
         &self,
         key: CacheKey,
-        segs: Vec<Segment>,
+        segs: SegChain,
         len: usize,
         dirty: bool,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
@@ -601,6 +625,13 @@ impl NetCacheShards {
     /// together, in shard-index order, so concurrent resolves never see
     /// the chunk mid-migration (absent from both shards).
     pub fn remap(&self, fho: Fho, lbn: Lbn) -> Option<Vec<Segment>> {
+        self.remap_chain(fho, lbn).map(Vec::from)
+    }
+
+    /// [`NetCacheShards::remap`] handing the payload over as a chain, the
+    /// shape the chunk keeps it in, so a one-segment chunk's payload moves
+    /// with no allocation. The flush hook's form.
+    pub(crate) fn remap_chain(&self, fho: Fho, lbn: Lbn) -> Option<SegChain> {
         let fho_shard = self.shard(CacheKey::Fho(fho));
         let lbn_shard = self.shard(CacheKey::Lbn(lbn));
         if fho_shard == lbn_shard {
@@ -661,6 +692,24 @@ impl NetCacheShards {
             .collect();
         tagged.sort_unstable_by_key(|&(seq, _)| seq);
         tagged.into_iter().map(|(_, k)| k).collect()
+    }
+
+    /// Checks every shard's recency heaps ([`NetCache::check_invariants`]),
+    /// the shared ghost tail and the shared pool's slab free list.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation found, naming its shard.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for i in 0..self.shards.len() {
+            self.read(i)
+                .check_invariants()
+                .map_err(|e| format!("shard {i}: {e}"))?;
+        }
+        if let Some(ghost) = &self.read(0).ghost {
+            ghost.lock().expect("ghost poisoned").check_invariants()?;
+        }
+        self.pool.check_invariants()
     }
 }
 

@@ -9,7 +9,7 @@
 //! move: substitution is pointer surgery, charged to the CPU model per
 //! packet, not per byte.
 
-use netbuf::{NetBuf, Segment};
+use netbuf::{NetBuf, SegChain, Segment};
 
 use crate::cache::NetCacheStats;
 use crate::shards::NetCacheShards;
@@ -63,21 +63,39 @@ impl SubstitutionReport {
 /// # Ok::<(), ncache::CacheFull>(())
 /// ```
 pub fn substitute_payload(buf: &mut NetBuf, cache: &NetCacheShards) -> SubstitutionReport {
-    let old = buf.take_payload();
-    let mut new = Vec::with_capacity(old.len());
-    // A hit lands in the outgoing chain directly, clipped to the
-    // placeholder's length (a reply's tail block may be short).
+    let chain = buf.take_payload();
+    let mut resolved = cache.take_resolve_buf();
+    resolved.reserve(chain.len());
+    // A hit is clipped to the placeholder's length (a reply's tail block
+    // may be short).
+    let blocks = chain.iter().map(|seg| (seg, seg.len()));
     let report = cache
-        .resolve_all(old.iter().map(|seg| (seg, seg.len())), false, &mut new)
+        .resolve_all(blocks, false, &mut resolved)
         .expect("only a strict resolution fails");
-    buf.replace_payload(new);
+    refill(buf, chain, resolved, cache);
     report
+}
+
+/// Makes `resolved`'s segments `buf`'s payload, held in `chain` — the
+/// chain `buf` carried, emptied, so the outgoing packet keeps its buffer —
+/// and files the emptied `resolved` with `cache` for the next reply.
+fn refill(
+    buf: &mut NetBuf,
+    mut chain: SegChain,
+    mut resolved: Vec<Segment>,
+    cache: &NetCacheShards,
+) {
+    chain.clear();
+    chain.extend(resolved.drain(..));
+    buf.replace_payload(chain);
+    cache.file_resolve_buf(resolved);
 }
 
 /// A reply's placeholders resolved ahead of transmission — the commit
 /// point of a READ (DESIGN.md §9.2): the payload that takes their place at
 /// the driver boundary, and what resolving it did. The value travels with
-/// the reply; nothing about it is kept anywhere else.
+/// the reply; the payload's buffer is the shard set's resolution buffer,
+/// which goes back to it emptied once spliced.
 #[derive(Debug)]
 pub struct Resolved {
     payload: Vec<Segment>,
@@ -104,8 +122,15 @@ pub fn resolve_reply<'s>(
     reply: impl ExactSizeIterator<Item = (&'s Segment, usize)> + Clone,
 ) -> Result<Resolved, usize> {
     let shard_before = cache.shard_baseline(traced);
-    let mut payload = Vec::with_capacity(reply.len());
-    let report = cache.resolve_all(reply, true, &mut payload)?;
+    let mut payload = cache.take_resolve_buf();
+    payload.reserve(reply.len());
+    let report = match cache.resolve_all(reply, true, &mut payload) {
+        Ok(report) => report,
+        Err(dangling) => {
+            cache.file_resolve_buf(payload);
+            return Err(dangling);
+        }
+    };
     Ok(Resolved {
         payload,
         report,
@@ -117,8 +142,9 @@ impl Resolved {
     /// Splices the resolved payload into `buf` in place of its
     /// placeholders (pointer surgery: one logical copy) and returns what
     /// the resolution did. [`NetCacheShards::transmit`] is the one caller.
-    pub(crate) fn splice(self, buf: &mut NetBuf) -> SubstitutionReport {
-        buf.replace_payload(self.payload);
+    pub(crate) fn splice(self, buf: &mut NetBuf, cache: &NetCacheShards) -> SubstitutionReport {
+        let chain = buf.take_payload();
+        refill(buf, chain, self.payload, cache);
         self.report
     }
 
@@ -263,6 +289,26 @@ mod tests {
         pkt.append_segment(Segment::from_vec(vec![1, 2])); // < KeyStamp::LEN
         let r = substitute_payload(&mut pkt, &c);
         assert_eq!(r.passed_through, 1);
+    }
+
+    #[test]
+    fn the_resolution_buffer_is_filed_back_empty() {
+        let c = cache();
+        let ledger = CopyLedger::new();
+        let mut pkt = NetBuf::new(&ledger);
+        for i in 0..3u64 {
+            c.insert_lbn(Lbn(i), vec![Segment::from_vec(vec![1; 4096])], 4096, false)
+                .expect("fits");
+            pkt.append_segment(placeholder(KeyStamp::new().with_lbn(Lbn(i)), 4096));
+        }
+        assert_eq!(substitute_payload(&mut pkt, &c).substituted, 3);
+        let buf = c.take_resolve_buf();
+        assert!(buf.is_empty() && buf.capacity() >= 3, "kept for the next reply");
+        assert_eq!(
+            c.take_resolve_buf().capacity(),
+            0,
+            "while one resolution holds it, another gets a fresh one"
+        );
     }
 
     #[test]

@@ -70,6 +70,11 @@ fn apply(cache: &NetCacheShards, op: Op) {
             cache.remap(fho, lbn).expect("FHO entry pre-inserted");
         }
     }
+    // Each shard's recency heaps agree with its chunks after every op,
+    // whatever the other lanes are doing to the other shards.
+    if let Err(broken) = cache.check_invariants() {
+        panic!("after {op:?}: {broken}");
+    }
 }
 
 /// Builds a warmed shard set: the shared read set plus one dirty FHO

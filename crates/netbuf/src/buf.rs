@@ -11,10 +11,10 @@
 //! [`NetBuf::push_header`]; [`NetBuf::to_wire`] hands the frame to the NIC
 //! (a DMA, not a CPU copy).
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::accounting::CopyLedger;
+use crate::chain::SegChain;
 use crate::segment::Segment;
 
 /// Checksum state of a buffer (the paper's checksum-inheritance
@@ -138,7 +138,7 @@ pub struct NetBuf {
     /// The linear area's bytes are landed payload, not built headers.
     /// Set only while the area is non-empty.
     landed: bool,
-    segs: VecDeque<Segment>,
+    segs: SegChain,
     /// Landed bytes plus the sum of the segment lengths, maintained by
     /// every operation that changes either (host-only bookkeeping; never
     /// charged).
@@ -154,7 +154,7 @@ impl NetBuf {
             ledger: ledger.clone(),
             linear: LinearArea::new(),
             landed: false,
-            segs: VecDeque::new(),
+            segs: SegChain::new(),
             payload_len: 0,
             csum: CsumState::None,
         }
@@ -169,7 +169,8 @@ impl NetBuf {
     }
 
     /// Sizes the segment chain for `additional` more segments, so a packet
-    /// whose segment count is known up front allocates its chain once
+    /// whose segment count is known up front allocates its chain once — or
+    /// not at all, for one segment, which the chain keeps inline
     /// (host-only; never charged).
     pub fn reserve_segments(&mut self, additional: usize) {
         self.segs.reserve(additional);
@@ -237,7 +238,7 @@ impl NetBuf {
     pub fn payload_contiguous(&self) -> Option<&[u8]> {
         match (self.landed().len(), self.segs.len()) {
             (_, 0) => Some(self.landed()),
-            (0, 1) => Some(self.segs[0].as_slice()),
+            (0, 1) => self.segs.front().map(Segment::as_slice),
             _ => None,
         }
     }
@@ -525,24 +526,25 @@ impl NetBuf {
 
     /// Removes and returns all payload segments (pointer manipulation; the
     /// substitution engine uses this to splice cached payload into an
-    /// outgoing packet). The chain's own storage is handed over, not
-    /// copied.
-    pub fn take_payload(&mut self) -> Vec<Segment> {
+    /// outgoing packet, the NCache hooks to cache it). The chain itself is
+    /// handed over, not copied.
+    pub fn take_payload(&mut self) -> SegChain {
         self.spill_landed();
         self.payload_len = 0;
-        Vec::from(std::mem::take(&mut self.segs))
+        std::mem::take(&mut self.segs)
     }
 
     /// Replaces the payload with `segs` (logical; charged as one logical
-    /// copy — this is NCache packet substitution).
-    pub fn replace_payload(&mut self, segs: Vec<Segment>) {
+    /// copy — this is NCache packet substitution). A `Vec<Segment>` gives
+    /// the chain its buffer.
+    pub fn replace_payload(&mut self, segs: impl Into<SegChain>) {
         self.ledger.charge_logical_copy();
         if self.landed {
             self.linear.clear();
             self.landed = false;
         }
-        self.payload_len = segs.iter().map(Segment::len).sum();
         self.segs = segs.into();
+        self.payload_len = self.segs.byte_len();
     }
 
     /// Iterates over payload segments (landed bytes are not one: see

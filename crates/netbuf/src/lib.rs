@@ -15,7 +15,9 @@
 //!   copy and is charged to the ledger.
 //! * [`buf::NetBuf`] — a chain of segments plus protocol header area, the
 //!   analogue of a full `sk_buff` with its frag list. This is the unit that
-//!   NCache caches and substitutes.
+//!   NCache caches and substitutes. Its chain, a [`chain::SegChain`],
+//!   keeps the first segment inline, so a one-segment packet allocates
+//!   no list.
 //! * [`accounting::CopyLedger`] — counts every physical copy, logical copy,
 //!   checksum pass, and header-byte movement. The simulated CPU charges
 //!   time *per counted operation*, so Figures 4-7 follow from Table 2.
@@ -45,6 +47,7 @@
 
 pub mod accounting;
 pub mod buf;
+pub mod chain;
 pub mod key;
 pub mod mbuf;
 pub mod pool;
@@ -52,6 +55,7 @@ pub mod segment;
 
 pub use accounting::{CopyLedger, LedgerSnapshot};
 pub use buf::NetBuf;
+pub use chain::SegChain;
 pub use mbuf::MbufChain;
 pub use key::{CacheKey, FileHandle, Fho, Lbn};
 pub use pool::{BufPool, SlabStats, SlabWriter, SLAB_SIZE};

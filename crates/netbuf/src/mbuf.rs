@@ -117,7 +117,7 @@ impl MbufChain {
 
     /// Builds a chain referencing existing segments — a *logical* copy
     /// (cluster reference counting), charged as such.
-    pub fn from_segments(ledger: &CopyLedger, segs: Vec<Segment>) -> Self {
+    pub fn from_segments(ledger: &CopyLedger, segs: impl IntoIterator<Item = Segment>) -> Self {
         ledger.charge_logical_copy();
         MbufChain {
             bufs: segs.into_iter().map(Mbuf::cluster).collect(),

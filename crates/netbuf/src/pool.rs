@@ -14,7 +14,10 @@
 //! builds one segment per packet, and allocating/freeing a `Vec` for each
 //! dominates the hot path. [`BufPool::seg_written`], [`BufPool::seg_filled`]
 //! and [`BufPool::seg_from_slice`] hand out [`Segment`]s whose storage
-//! returns to the free list when the last reference drops.
+//! returns to the free list when the last reference drops. What the list
+//! holds is whole stores — the segment's `Arc` handle, its slab, the
+//! slab's dirty extent and its home — so a steady state of packets built
+//! and dropped costs the host allocator nothing at all.
 //!
 //! A recycled slab can never leak a previous packet's bytes, and nobody
 //! zeroes a byte that is about to be overwritten. Each slab travels with
@@ -30,7 +33,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-use crate::segment::Segment;
+use crate::segment::{SegStore, Segment};
 
 /// Slab capacity in bytes: one 4 KiB block, the unit the data plane moves.
 pub const SLAB_SIZE: usize = 4096;
@@ -84,10 +87,11 @@ impl Shared {
 }
 
 /// The free list and its counters, behind the pool's only lock.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Slabs {
-    /// `(slab, dirty extent)`: every byte at or past the extent is zero.
-    free: Vec<(Box<[u8]>, usize)>,
+    /// Unique stores homed here, each a [`SLAB_SIZE`] slab zero at and
+    /// past its dirty extent.
+    free: Vec<Arc<SegStore>>,
     allocs: u64,
     recycles: u64,
     returns: u64,
@@ -112,7 +116,36 @@ pub struct SlabStats {
     pub lock_trips: u64,
 }
 
-/// Where a pool-backed segment's buffer goes when its last reference
+impl fmt::Debug for Slabs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Slabs")
+            .field("free", &self.free.len())
+            .field("allocs", &self.allocs)
+            .field("recycles", &self.recycles)
+            .field("returns", &self.returns)
+            .finish()
+    }
+}
+
+impl Slabs {
+    /// Files a unique store, if the list has room.
+    fn push(&mut self, store: Arc<SegStore>) -> Result<(), Arc<SegStore>> {
+        if self.free.len() >= FREE_LIMIT {
+            return Err(store);
+        }
+        if self.free.capacity() == 0 {
+            // One allocation for the list's whole life (32 KiB), made by
+            // the first store to come home — not a regrowth every time
+            // the steady state is a little deeper than before.
+            self.free.reserve_exact(FREE_LIMIT);
+        }
+        self.free.push(store);
+        self.returns += 1;
+        Ok(())
+    }
+}
+
+/// Where a pool-backed segment's store goes when its last reference
 /// drops: back into the owning pool's free list, as it is. Holds a weak
 /// reference so in-flight segments never keep a dropped pool alive.
 pub(crate) struct SlabHome {
@@ -120,22 +153,40 @@ pub(crate) struct SlabHome {
 }
 
 impl SlabHome {
-    /// Files `buf` with the extent its owner could have written; the next
-    /// taker scrubs what it does not overwrite.
-    pub(crate) fn recycle(&self, buf: Box<[u8]>, dirty: usize) {
+    /// Files a unique pooled `store` — handle, slab, extent and home — in
+    /// its home's free list; the next taker scrubs what it does not
+    /// overwrite. A store that cannot be filed, because its pool is gone
+    /// or the list is full, has its home cleared before it drops: its own
+    /// drop would otherwise try to file it again, and again.
+    pub(crate) fn file(mut store: Arc<SegStore>) {
+        let home = store.home.as_ref().expect("only pooled stores are filed");
+        if let Some(shared) = home.shared.upgrade() {
+            match shared.slabs().push(store) {
+                Ok(()) => return,
+                Err(back) => store = back,
+            }
+        }
+        Arc::get_mut(&mut store)
+            .expect("only unique stores are filed")
+            .home = None;
+    }
+
+    /// The slab of a store whose last two clones dropped at once (see
+    /// `SegStore`'s drop): files it in a new handle, or frees it when
+    /// the pool is gone or full.
+    pub(crate) fn recycle(self, buf: Box<[u8]>, dirty: usize) {
         let Some(shared) = self.shared.upgrade() else {
             return;
         };
         let mut g = shared.slabs();
         if g.free.len() < FREE_LIMIT {
-            if g.free.capacity() == 0 {
-                // One allocation for the list's whole life (96 KiB), made
-                // by the first slab to come home — not a regrowth every
-                // time the steady state is a little deeper than before.
-                g.free.reserve_exact(FREE_LIMIT);
-            }
-            g.free.push((buf, dirty));
-            g.returns += 1;
+            let store = Arc::new(SegStore {
+                buf,
+                home: Some(self),
+                dirty,
+            });
+            let filed = g.push(store).is_ok();
+            debug_assert!(filed, "room checked under the lock");
         }
     }
 }
@@ -229,15 +280,17 @@ impl BufPool {
             });
             return Segment::from_vec(buf);
         }
-        let (mut slab, dirty) = self.take_slab();
+        let mut store = self.take_store();
+        let slab = Arc::get_mut(&mut store).expect("a taken store is unique");
         let mut w = SlabWriter {
-            buf: &mut slab[..len],
+            buf: &mut slab.buf[..len],
             at: 0,
         };
         write(&mut w);
         let written = w.at;
-        self.scrub(&mut slab, written, dirty);
-        Segment::from_boxed(slab, len, written, Some(self.home()))
+        self.scrub(&mut slab.buf, written, slab.dirty);
+        slab.dirty = written;
+        Segment::from_store(store, len)
     }
 
     /// A pooled segment of `len` bytes built in place: `fill` receives a
@@ -251,10 +304,12 @@ impl BufPool {
             fill(&mut buf);
             return Segment::from_vec(buf);
         }
-        let (mut slab, dirty) = self.take_slab();
-        self.scrub(&mut slab, 0, dirty);
-        fill(&mut slab[..len]);
-        Segment::from_boxed(slab, len, len, Some(self.home()))
+        let mut store = self.take_store();
+        let slab = Arc::get_mut(&mut store).expect("a taken store is unique");
+        self.scrub(&mut slab.buf, 0, slab.dirty);
+        fill(&mut slab.buf[..len]);
+        slab.dirty = len;
+        Segment::from_store(store, len)
     }
 
     /// Slab free-list counters.
@@ -271,8 +326,9 @@ impl BufPool {
         }
     }
 
-    /// A slab and its dirty extent (zero for a fresh one).
-    fn take_slab(&self) -> (Box<[u8]>, usize) {
+    /// A unique store to build a segment on: a filed one, as its last
+    /// owner left it, or a fresh zeroed slab homed here.
+    fn take_store(&self) -> Arc<SegStore> {
         let mut g = self.shared.slabs();
         if let Some(recycled) = g.free.pop() {
             g.recycles += 1;
@@ -280,8 +336,52 @@ impl BufPool {
         } else {
             g.allocs += 1;
             drop(g);
-            (vec![0u8; SLAB_SIZE].into_boxed_slice(), 0)
+            Arc::new(SegStore {
+                buf: vec![0u8; SLAB_SIZE].into_boxed_slice(),
+                home: Some(self.home()),
+                dirty: 0,
+            })
         }
+    }
+
+    /// Checks the free list: at most its limit of stores, each unique,
+    /// homed in this pool, a whole slab, and zero at and past its dirty
+    /// extent.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        // Not through `Shared::slabs`: checking is not a trip.
+        let g = self.shared.slabs.lock().expect("buf pool poisoned");
+        if g.free.len() > FREE_LIMIT {
+            return Err(format!(
+                "{} filed stores over the limit {FREE_LIMIT}",
+                g.free.len()
+            ));
+        }
+        for (i, store) in g.free.iter().enumerate() {
+            let homed_here = store
+                .home
+                .as_ref()
+                .is_some_and(|h| std::ptr::eq(h.shared.as_ptr(), Arc::as_ptr(&self.shared)));
+            let fault = if Arc::strong_count(store) != 1 || Arc::weak_count(store) != 0 {
+                "is shared"
+            } else if !homed_here {
+                "is not homed in this pool"
+            } else if store.buf.len() != SLAB_SIZE {
+                "is not a whole slab"
+            } else if store.buf[store.dirty.min(SLAB_SIZE)..]
+                .iter()
+                .any(|&b| b != 0)
+            {
+                "is dirty past its extent"
+            } else {
+                continue;
+            };
+            return Err(format!("filed store {i} {fault}"));
+        }
+        Ok(())
     }
 
     /// Zeroes `slab[from..dirty]` — the bytes a previous owner dirtied that

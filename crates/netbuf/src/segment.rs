@@ -7,8 +7,10 @@
 //!
 //! Storage is a boxed slice behind an [`std::sync::Arc`], optionally owned
 //! by a [`crate::pool::BufPool`] slab free list: when the last reference to
-//! a pool-backed segment drops, its buffer returns to the pool (with the
-//! extent its constructor dirtied) instead of hitting the allocator — the
+//! a pool-backed segment drops, the whole store — the `Arc` handle with its
+//! slab, the extent its constructor dirtied and its home — files itself in
+//! the pool's free list instead of going back to the allocator, so the
+//! next segment built on that pool allocates nothing. That is the
 //! driver-context buffer recycling the Linux prototype gets from `skb`
 //! slab caches.
 
@@ -19,27 +21,23 @@ use crate::pool::SlabHome;
 
 /// The shared backing store of one or more [`Segment`] views.
 pub(crate) struct SegStore {
-    /// `None` only transiently during drop (the buffer is being returned
-    /// to its pool).
-    buf: Option<Box<[u8]>>,
-    /// The slab free list this buffer recycles into, if pool-backed.
-    home: Option<SlabHome>,
+    pub(crate) buf: Box<[u8]>,
+    /// The slab free list this store files itself in, if pool-backed.
+    pub(crate) home: Option<SlabHome>,
     /// Every byte of `buf` at or past this offset is zero (segments are
     /// immutable, so what the constructor could write is all that is
     /// dirty). Travels home with the slab.
-    dirty: usize,
-}
-
-impl SegStore {
-    fn bytes(&self) -> &[u8] {
-        self.buf.as_deref().expect("storage live until drop")
-    }
+    pub(crate) dirty: usize,
 }
 
 impl Drop for SegStore {
+    /// The fallback of [`Segment`]'s drop: when the last two clones drop
+    /// at once, each sees the other and neither files the store, so the
+    /// slab goes home here, in a new handle. A store that is freed
+    /// instead of filed has had its home cleared first.
     fn drop(&mut self) {
-        if let (Some(home), Some(buf)) = (self.home.take(), self.buf.take()) {
-            home.recycle(buf, self.dirty);
+        if let Some(home) = self.home.take() {
+            home.recycle(std::mem::take(&mut self.buf), self.dirty);
         }
     }
 }
@@ -57,9 +55,24 @@ impl Drop for SegStore {
 /// ```
 #[derive(Clone)]
 pub struct Segment {
-    store: Arc<SegStore>,
+    /// `None` only once the final drop has filed the store in its pool.
+    store: Option<Arc<SegStore>>,
     off: usize,
     len: usize,
+}
+
+impl Drop for Segment {
+    /// The final reference to a pooled store files the store, handle and
+    /// all, in its pool's free list; any other drop pays one relaxed load
+    /// more than an `Arc` drop.
+    fn drop(&mut self) {
+        let Some(store) = &mut self.store else {
+            return;
+        };
+        if Arc::strong_count(store) == 1 && store.home.is_some() && Arc::get_mut(store).is_some() {
+            SlabHome::file(self.store.take().expect("checked above"));
+        }
+    }
 }
 
 impl Segment {
@@ -67,36 +80,31 @@ impl Segment {
     /// into its boxed slice in place when capacity equals length).
     pub fn from_vec(data: Vec<u8>) -> Self {
         let len = data.len();
-        Segment {
-            store: Arc::new(SegStore {
-                buf: Some(data.into_boxed_slice()),
+        Segment::from_store(
+            Arc::new(SegStore {
+                buf: data.into_boxed_slice(),
                 home: None,
                 dirty: len,
             }),
+            len,
+        )
+    }
+
+    /// Views the first `len` bytes of `store`, whose bytes at or past its
+    /// dirty extent are zero.
+    pub(crate) fn from_store(store: Arc<SegStore>, len: usize) -> Self {
+        debug_assert!(store.dirty <= len && len <= store.buf.len());
+        Segment {
+            store: Some(store),
             off: 0,
             len,
         }
     }
 
-    /// Wraps a boxed buffer, viewing its first `len` bytes; the buffer
-    /// recycles into `home` when the last reference drops, along with
-    /// `dirty`, the offset from which it is all zeros.
-    pub(crate) fn from_boxed(
-        buf: Box<[u8]>,
-        len: usize,
-        dirty: usize,
-        home: Option<SlabHome>,
-    ) -> Self {
-        debug_assert!(dirty <= len && len <= buf.len());
-        Segment {
-            store: Arc::new(SegStore {
-                buf: Some(buf),
-                home,
-                dirty,
-            }),
-            off: 0,
-            len,
-        }
+    fn store(&self) -> &Arc<SegStore> {
+        self.store
+            .as_ref()
+            .expect("a segment's store lives until its drop")
     }
 
     /// A zero-filled segment of `len` bytes (fresh "junk" payload — the
@@ -107,7 +115,7 @@ impl Segment {
 
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.store.bytes()[self.off..self.off + self.len]
+        &self.store().buf[self.off..self.off + self.len]
     }
 
     /// Length of the view in bytes.
@@ -134,7 +142,7 @@ impl Segment {
             self.len
         );
         Segment {
-            store: Arc::clone(&self.store),
+            store: Some(Arc::clone(self.store())),
             off: self.off + off,
             len,
         }
@@ -169,18 +177,18 @@ impl Segment {
     /// Number of live references to the underlying storage (diagnostic;
     /// used by tests to prove logical copies share memory).
     pub fn refcount(&self) -> usize {
-        Arc::strong_count(&self.store)
+        Arc::strong_count(self.store())
     }
 
     /// Whether two segments view the same underlying storage (regardless of
     /// offsets).
     pub fn same_storage(&self, other: &Segment) -> bool {
-        Arc::ptr_eq(&self.store, &other.store)
+        Arc::ptr_eq(self.store(), other.store())
     }
 
     /// Whether the storage recycles into a pool free list when dropped.
     pub fn is_pooled(&self) -> bool {
-        self.store.home.is_some()
+        self.store().home.is_some()
     }
 }
 

@@ -16,7 +16,7 @@
 
 use ncache::NcacheModule;
 use netbuf::key::{KeyStamp, Lbn};
-use netbuf::{BufPool, CopyLedger, NetBuf, Segment, SlabStats};
+use netbuf::{BufPool, CopyLedger, NetBuf, SegChain, Segment, SlabStats};
 use proto::iscsi::{DataOut, IscsiPdu, ScsiCommand, ScsiOp, BHS_LEN, BLOCK_SIZE};
 use simfs::{BlockClass, BlockStore};
 
@@ -188,8 +188,15 @@ impl IscsiInitiator {
     }
 
     /// Drains the I/O log (the timing layer calls this once per request).
+    /// The log left behind keeps the drained one's capacity, so the next
+    /// request's I/O grows nothing; an empty log hands over an empty
+    /// vector and keeps its own.
     pub fn take_io_log(&mut self) -> Vec<IoRecord> {
-        std::mem::take(&mut self.io_log)
+        if self.io_log.is_empty() {
+            return Vec::new();
+        }
+        let capacity = self.io_log.capacity();
+        std::mem::replace(&mut self.io_log, Vec::with_capacity(capacity))
     }
 
     /// The NCache module, when running the NCache build.
@@ -199,7 +206,7 @@ impl IscsiInitiator {
 
     /// Writes a chunk evicted from the network-centric cache back to the
     /// storage server (dirty LBN chunk displaced by cache pressure).
-    pub fn write_chunk_direct(&mut self, lbn: Lbn, segs: Vec<Segment>, len: usize) {
+    pub fn write_chunk_direct(&mut self, lbn: Lbn, segs: SegChain, len: usize) {
         assert_eq!(len, BLOCK_SIZE, "chunk writebacks are whole blocks");
         self.io_log.push(IoRecord {
             lbn: lbn.0,

@@ -29,7 +29,7 @@ use crate::control::OpClass;
 use crate::host::ServerHost;
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
-use crate::util::{attach_blocks, segments_len, split_segments};
+use crate::util::{attach_blocks, split_segments};
 
 const BLOCK: usize = simfs::BLOCK_SIZE;
 
@@ -903,7 +903,7 @@ impl NfsServer {
                         if !admitted {
                             break;
                         }
-                        let len = segments_len(&group);
+                        let len = group.byte_len();
                         let fho = Fho::new(FileHandle(hdr.fh), offset + (i * BLOCK) as u64);
                         match module.borrow_mut().on_nfs_write(fho, group, len) {
                             Ok(stamp) => stamps.push(stamp),

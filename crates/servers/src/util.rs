@@ -1,7 +1,7 @@
 //! Small shared helpers for segment surgery, and the attach step of the
 //! logical-copy READ path both servers share.
 
-use netbuf::{NetBuf, Segment};
+use netbuf::{NetBuf, SegChain, Segment};
 
 /// The logical-copy READ path: attaches cache blocks to `reply` by
 /// reference — the daemon never touches the payload — each clipped to the
@@ -21,8 +21,9 @@ pub(crate) fn attach_blocks<'s>(
 
 /// Splits a run of payload segments into consecutive `unit`-byte groups
 /// (the last may be short). Pure pointer manipulation: each output group
-/// shares storage with the inputs. Used to break a multi-block NFS write
-/// payload into per-block chunks for the FHO cache.
+/// shares storage with the inputs, and a group of one segment holds it
+/// inline. Used to break a multi-block NFS write payload into per-block
+/// chunks for the FHO cache.
 ///
 /// # Examples
 ///
@@ -33,27 +34,30 @@ pub(crate) fn attach_blocks<'s>(
 /// let segs = vec![Segment::from_vec(vec![1; 6]), Segment::from_vec(vec![2; 6])];
 /// let groups = split_segments(&segs, 4);
 /// assert_eq!(groups.len(), 3);
-/// let lens: Vec<usize> = groups
-///     .iter()
-///     .map(|g| g.iter().map(Segment::len).sum())
-///     .collect();
+/// let lens: Vec<usize> = groups.iter().map(|g| g.byte_len()).collect();
 /// assert_eq!(lens, vec![4, 4, 4]);
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `unit` is zero.
-pub fn split_segments(segs: &[Segment], unit: usize) -> Vec<Vec<Segment>> {
+pub fn split_segments<'s, I>(segs: I, unit: usize) -> Vec<SegChain>
+where
+    I: IntoIterator<Item = &'s Segment>,
+    I::IntoIter: Clone,
+{
     assert!(unit > 0, "unit must be positive");
-    let mut groups: Vec<Vec<Segment>> = Vec::new();
-    let mut current: Vec<Segment> = Vec::new();
+    let segs = segs.into_iter();
+    let total: usize = segs.clone().map(Segment::len).sum();
+    let mut groups = Vec::with_capacity(total.div_ceil(unit));
+    let mut current = SegChain::new();
     let mut room = unit;
     for seg in segs {
         let mut rest = seg.clone();
         while !rest.is_empty() {
             let take = rest.len().min(room);
             let (head, tail) = rest.split_at(take);
-            current.push(head);
+            current.push_back(head);
             rest = tail;
             room -= take;
             if room == 0 {
@@ -66,11 +70,6 @@ pub fn split_segments(segs: &[Segment], unit: usize) -> Vec<Vec<Segment>> {
         groups.push(current);
     }
     groups
-}
-
-/// Total byte length of a segment list.
-pub fn segments_len(segs: &[Segment]) -> usize {
-    segs.iter().map(Segment::len).sum()
 }
 
 #[cfg(test)]
@@ -96,9 +95,9 @@ mod tests {
         ];
         let groups = split_segments(&segs, 4);
         assert_eq!(groups.len(), 2);
-        assert_eq!(segments_len(&groups[0]), 4);
+        assert_eq!(groups[0].byte_len(), 4);
         assert_eq!(groups[0].len(), 2, "first group spans both segments");
-        assert_eq!(segments_len(&groups[1]), 2);
+        assert_eq!(groups[1].byte_len(), 2);
     }
 
     #[test]
@@ -111,7 +110,6 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(split_segments(&[], 4).is_empty());
-        assert_eq!(segments_len(&[]), 0);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! `(key, stamp)`, so with schedule-invariant stamps ([`crate::epoch`])
 //! the tail is identical at any thread or shard count.
 
-use std::collections::BTreeMap;
-
+use crate::recency::RecencyHeap;
 use crate::MixMap;
 
 /// Counters of one ghost tail (or a shard-merge of several).
@@ -67,9 +66,17 @@ impl GhostStats {
 #[derive(Clone, Debug)]
 pub struct GhostLru {
     cap: usize,
+    /// Each member key and the stamp it was evicted at.
     by_key: MixMap<u64, u64>,
-    by_stamp: BTreeMap<u64, u64>,
+    /// The members by stamp; a filing is live while `by_key` maps its key
+    /// to its stamp (re-recorded and forgotten keys leave tombstones).
+    by_stamp: RecencyHeap<u64>,
     stats: GhostStats,
+}
+
+/// Whether `key` is a member filed under `stamp`.
+fn filed(by_key: &MixMap<u64, u64>, stamp: u64, key: u64) -> bool {
+    by_key.get(&key) == Some(&stamp)
 }
 
 impl GhostLru {
@@ -78,7 +85,7 @@ impl GhostLru {
         GhostLru {
             cap,
             by_key: MixMap::default(),
-            by_stamp: BTreeMap::new(),
+            by_stamp: RecencyHeap::new(),
             stats: GhostStats::default(),
         }
     }
@@ -112,14 +119,24 @@ impl GhostLru {
             return;
         }
         self.stats.records += 1;
-        if let Some(old) = self.by_key.insert(key, stamp) {
-            self.by_stamp.remove(&old);
+        let by_key = &mut self.by_key;
+        if by_key.insert(key, stamp).is_some() {
+            self.by_stamp.forget(|s, k| filed(by_key, s, k));
         }
-        let clash = self.by_stamp.insert(stamp, key);
-        debug_assert!(clash.is_none(), "duplicate ghost stamp {stamp}");
+        self.by_stamp.file(stamp, key);
         while self.by_key.len() > self.cap {
-            let (_, oldest) = self.by_stamp.pop_first().expect("non-empty over cap");
-            self.by_key.remove(&oldest);
+            let by_key = &mut self.by_key;
+            // A member's stamp never moves once recorded: every live
+            // filing is settled.
+            let (_, oldest) = self
+                .by_stamp
+                .head(by_key, filed, |by_key, k| {
+                    let stamp = by_key.get_mut(&k).expect("filed keys are members");
+                    (*stamp, stamp)
+                })
+                .expect("non-empty over cap");
+            by_key.remove(&oldest);
+            self.by_stamp.forget(|s, k| filed(by_key, s, k));
             self.stats.displaced += 1;
         }
     }
@@ -138,8 +155,9 @@ impl GhostLru {
 
     /// Drops a key, if present (the block was invalidated, not evicted).
     pub fn forget(&mut self, key: u64) {
-        if let Some(stamp) = self.by_key.remove(&key) {
-            self.by_stamp.remove(&stamp);
+        let by_key = &mut self.by_key;
+        if by_key.remove(&key).is_some() {
+            self.by_stamp.forget(|s, k| filed(by_key, s, k));
         }
     }
 
@@ -150,7 +168,30 @@ impl GhostLru {
 
     /// Keys ordered oldest → newest eviction (test support).
     pub fn keys_by_recency(&self) -> Vec<u64> {
-        self.by_stamp.values().copied().collect()
+        let mut members: Vec<(u64, u64)> = self.by_key.iter().map(|(&k, &s)| (s, k)).collect();
+        members.sort_unstable();
+        members.into_iter().map(|(_, k)| k).collect()
+    }
+
+    /// Checks the tail's structure: the stamp index and the key map agree
+    /// member for member (each member filed live exactly once, under the
+    /// stamp it was recorded at), and the tail holds at most its capacity.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.by_key.len() > self.cap {
+            return Err(format!(
+                "{} members over capacity {}",
+                self.by_key.len(),
+                self.cap
+            ));
+        }
+        let members = self.by_key.iter().map(|(&k, &s)| (s, k));
+        self.by_stamp
+            .check(members, |s, k| filed(&self.by_key, s, k))
+            .map_err(|e| format!("ghost: {e}"))
     }
 }
 

@@ -23,8 +23,9 @@
 //! * Two small pieces of cache *policy* live here because both caches use
 //!   them and neither may depend on the other (Table 1: the buffer cache
 //!   is untouched by NCache): the lane-parallel engine's epoch recency
-//!   stamps and per-thread op tally ([`epoch`]) and the ghost LRU tail
-//!   ([`ghost`]). Neither knows about packets or blocks.
+//!   stamps and per-thread op tally ([`epoch`]), the ghost LRU tail
+//!   ([`ghost`]) and the lazy recency heap every LRU index is built on
+//!   ([`recency`]). None of them knows about packets or blocks.
 //!
 //! # Examples
 //!
@@ -48,6 +49,7 @@ pub mod epoch;
 pub mod fault;
 pub mod ghost;
 pub mod hash;
+pub mod recency;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -59,6 +61,7 @@ pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
 pub use ghost::{GhostLru, GhostStats};
 pub use hash::{mix64, MixMap};
+pub use recency::RecencyHeap;
 pub use resource::Resource;
 pub use rng::SplitMix64;
 pub use sync::{LaneCounters, LaneLock, Shared};

@@ -13,18 +13,18 @@
 //! `&self`: hit promotion is an atomic `fetch_max` on the entry's recency
 //! stamp and the counters are atomics, so concurrent hit lookups under a
 //! shared reference (the NFS READ fast path holds only a read guard on
-//! the rig) never serialize. The three LRU order maps are *lazy* — a
-//! promotion never moves the index entry; every consumer of LRU order
-//! (eviction, flush) normalizes stale index stamps against the true
-//! atomic stamps before acting, which reproduces the eager ordering
-//! exactly because stamps are unique and only ever grow.
+//! the rig) never serialize. The three LRU indexes — clean data, clean
+//! metadata, dirty — are lazy recency heaps ([`sim::RecencyHeap`]): a
+//! promotion never moves a filing; every consumer of LRU order (eviction,
+//! flush) settles stale filings against the true atomic stamps before
+//! acting, which reproduces the eager ordering exactly because stamps are
+//! unique and only ever grow.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netbuf::Segment;
-use sim::{LaneCounters, MixMap};
+use sim::{LaneCounters, MixMap, RecencyHeap};
 
 use crate::store::BlockClass;
 
@@ -109,9 +109,14 @@ struct Entry {
     /// True recency stamp; atomic so hit promotion works through `&self`
     /// (`fetch_max`, which commutes across threads).
     seq: AtomicU64,
-    /// The stamp this entry is filed under in its class order map; lags
-    /// `seq` until the next normalization (see module docs).
+    /// The stamp this entry is filed under in its class index; lags `seq`
+    /// until the next settling (see module docs).
     order_seq: u64,
+    /// Counts the entry's filings. A block made dirty and flushed clean
+    /// again without a hit in between is re-filed in its clean index
+    /// under an unchanged stamp, where its old filing may still lie; the
+    /// generation tells the two apart.
+    filing: u32,
 }
 
 impl Clone for Entry {
@@ -122,8 +127,56 @@ impl Clone for Entry {
             class: self.class,
             seq: AtomicU64::new(self.seq.load(Ordering::Relaxed)),
             order_seq: self.order_seq,
+            filing: self.filing,
         }
     }
+}
+
+/// The three eviction classes, one index each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Class {
+    CleanData,
+    CleanMeta,
+    Dirty,
+}
+
+impl Entry {
+    fn index_class(&self) -> Class {
+        match (self.dirty, self.class) {
+            (true, _) => Class::Dirty,
+            (false, BlockClass::Meta) => Class::CleanMeta,
+            (false, BlockClass::Data) => Class::CleanData,
+        }
+    }
+}
+
+/// What a class index files: the block and the filing generation.
+type Slot = (u64, u32);
+
+/// Whether `slot` under `stamp` is the current filing of a block in
+/// `class`.
+fn filed(map: &MixMap<u64, Entry>, class: Class, stamp: u64, (lbn, filing): Slot) -> bool {
+    map.get(&lbn)
+        .is_some_and(|e| e.filing == filing && e.order_seq == stamp && e.index_class() == class)
+}
+
+/// The least recent block of one class index as `(stamp, lbn)`, settling
+/// promoted filings under their true stamps on the way (see module docs).
+fn settle_head(
+    index: &mut RecencyHeap<Slot>,
+    map: &mut MixMap<u64, Entry>,
+    class: Class,
+) -> Option<(u64, u64)> {
+    index
+        .head(
+            map,
+            |map, stamp, slot| filed(map, class, stamp, slot),
+            |map, (lbn, _)| {
+                let entry = map.get_mut(&lbn).expect("filed blocks are resident");
+                (entry.seq.load(Ordering::Relaxed), &mut entry.order_seq)
+            },
+        )
+        .map(|(stamp, (lbn, _))| (stamp, lbn))
 }
 
 /// A resident block that has been probed but not yet counted: no tally,
@@ -160,28 +213,6 @@ const EVICTED_DIRTY: usize = 4;
 /// lane-striped so concurrent fast-path reads count on their own lines.
 type StatsCells = LaneCounters<5>;
 
-/// Pops the least-recently-used *settled* entry of one class order map,
-/// re-filing any entry whose index stamp trails its true stamp. Stamps
-/// are unique and only grow, so the first settled entry is the true
-/// minimum of the class — the block the eager order map would have
-/// yielded.
-fn settle_head(
-    order: &mut BTreeMap<u64, u64>,
-    map: &mut MixMap<u64, Entry>,
-) -> Option<(u64, u64)> {
-    loop {
-        let (&oseq, &lbn) = order.iter().next()?;
-        let entry = map.get_mut(&lbn).expect("order index is consistent");
-        let true_seq = entry.seq.load(Ordering::Relaxed);
-        if true_seq == oseq {
-            return Some((oseq, lbn));
-        }
-        entry.order_seq = true_seq;
-        order.remove(&oseq);
-        order.insert(true_seq, lbn);
-    }
-}
-
 /// A bounded LRU block cache with clean-first eviction.
 ///
 /// # Examples
@@ -201,9 +232,8 @@ fn settle_head(
 pub struct BufferCache {
     capacity: usize,
     map: MixMap<u64, Entry>,
-    clean_data_order: BTreeMap<u64, u64>,
-    clean_meta_order: BTreeMap<u64, u64>,
-    dirty_order: BTreeMap<u64, u64>,
+    /// The LRU index of each [`Class`], indexed by it.
+    index: [RecencyHeap<Slot>; 3],
     next_seq: AtomicU64,
     stats: StatsCells,
     recorder: Option<obs::Recorder>,
@@ -218,9 +248,7 @@ impl Clone for BufferCache {
         BufferCache {
             capacity: self.capacity,
             map: self.map.clone(),
-            clean_data_order: self.clean_data_order.clone(),
-            clean_meta_order: self.clean_meta_order.clone(),
-            dirty_order: self.dirty_order.clone(),
+            index: self.index.clone(),
             next_seq: AtomicU64::new(self.next_seq.load(Ordering::Relaxed)),
             stats: self.stats.clone(),
             recorder: self.recorder.clone(),
@@ -238,9 +266,7 @@ impl BufferCache {
         BufferCache {
             capacity,
             map: MixMap::default(),
-            clean_data_order: BTreeMap::new(),
-            clean_meta_order: BTreeMap::new(),
-            dirty_order: BTreeMap::new(),
+            index: Default::default(),
             next_seq: AtomicU64::new(0),
             stats: StatsCells::default(),
             recorder: None,
@@ -301,7 +327,7 @@ impl BufferCache {
         if self.capacity == 0 {
             return 0;
         }
-        ((self.dirty_order.len().saturating_mul(1000)) / self.capacity).min(1000) as u32
+        ((self.dirty_len().saturating_mul(1000)) / self.capacity).min(1000) as u32
     }
 
     /// Blocks currently cached.
@@ -374,7 +400,7 @@ impl BufferCache {
     ///
     /// Takes `&self`: the stamp draw is a `fetch_add`, the promotion a
     /// `fetch_max` on the entry's atomic stamp, and the counters are
-    /// atomics. The class order maps are left stale (lazy); eviction and
+    /// atomics. The class indexes are left stale (lazy); eviction and
     /// flush normalize them. Sequentially this draws the same stamps and
     /// counts the same events as the old exclusive version, byte for
     /// byte.
@@ -429,15 +455,10 @@ impl BufferCache {
                 class,
                 seq: AtomicU64::new(seq),
                 order_seq: seq,
+                filing: 0,
             },
         );
-        if dirty {
-            self.dirty_order.insert(seq, lbn);
-        } else if class == BlockClass::Meta {
-            self.clean_meta_order.insert(seq, lbn);
-        } else {
-            self.clean_data_order.insert(seq, lbn);
-        }
+        self.file(lbn);
         self.evict_to_capacity()
     }
 
@@ -449,14 +470,9 @@ impl BufferCache {
     pub fn mark_dirty(&mut self, lbn: u64) {
         let entry = self.map.get_mut(&lbn).expect("block not resident");
         if !entry.dirty {
+            let clean = entry.index_class();
             entry.dirty = true;
-            // Re-file under the *true* stamp: the entry may have been
-            // promoted (lazily) since it was last indexed.
-            let true_seq = entry.seq.load(Ordering::Relaxed);
-            self.clean_data_order.remove(&entry.order_seq);
-            self.clean_meta_order.remove(&entry.order_seq);
-            entry.order_seq = true_seq;
-            self.dirty_order.insert(true_seq, lbn);
+            self.refile(lbn, clean);
         }
     }
 
@@ -466,16 +482,8 @@ impl BufferCache {
     ///
     /// Panics if the block is not resident.
     pub fn update(&mut self, lbn: u64, seg: Segment) {
-        let entry = self.map.get_mut(&lbn).expect("block not resident");
-        entry.seg = seg;
-        if !entry.dirty {
-            entry.dirty = true;
-            let true_seq = entry.seq.load(Ordering::Relaxed);
-            self.clean_data_order.remove(&entry.order_seq);
-            self.clean_meta_order.remove(&entry.order_seq);
-            entry.order_seq = true_seq;
-            self.dirty_order.insert(true_seq, lbn);
-        }
+        self.map.get_mut(&lbn).expect("block not resident").seg = seg;
+        self.mark_dirty(lbn);
     }
 
     /// Removes a block without writeback (e.g. after file deletion),
@@ -490,30 +498,22 @@ impl BufferCache {
         // Flush in *true*-stamp order: lazy promotions may have left the
         // dirty index stale, and writeback order is observable (it is the
         // iSCSI write sequence).
-        let mut tagged: Vec<(u64, u64)> = self
-            .dirty_order
-            .values()
-            .map(|&lbn| (self.map[&lbn].seq.load(Ordering::Relaxed), lbn))
+        let map = &self.map;
+        let mut tagged: Vec<(u64, u64)> = self.index[Class::Dirty as usize]
+            .filings()
+            .filter(|&(stamp, slot)| filed(map, Class::Dirty, stamp, slot))
+            .map(|(_, (lbn, _))| (map[&lbn].seq.load(Ordering::Relaxed), lbn))
             .collect();
         tagged.sort_unstable();
-        self.dirty_order.clear();
-        let mut out = Vec::with_capacity(tagged.len());
-        for (seq, lbn) in tagged {
-            let entry = self.map.get_mut(&lbn).expect("order points at entry");
-            entry.dirty = false;
-            entry.order_seq = seq;
-            if entry.class == BlockClass::Meta {
-                self.clean_meta_order.insert(seq, lbn);
-            } else {
-                self.clean_data_order.insert(seq, lbn);
-            }
-            out.push(Writeback {
-                lbn,
-                class: entry.class,
-                seg: entry.seg.clone(),
-            });
-        }
-        out
+        self.index[Class::Dirty as usize].clear();
+        tagged
+            .into_iter()
+            .map(|(_, lbn)| {
+                let writeback = self.clean(lbn);
+                self.file(lbn);
+                writeback
+            })
+            .collect()
     }
 
     /// Marks up to `n` of the oldest dirty blocks clean and returns them
@@ -522,29 +522,31 @@ impl BufferCache {
     pub fn flush_oldest(&mut self, n: usize) -> Vec<Writeback> {
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
-            let Some((seq, lbn)) = settle_head(&mut self.dirty_order, &mut self.map) else {
+            let dirty = &mut self.index[Class::Dirty as usize];
+            let Some((_, lbn)) = settle_head(dirty, &mut self.map, Class::Dirty) else {
                 break;
             };
-            self.dirty_order.remove(&seq);
-            let entry = self.map.get_mut(&lbn).expect("order points at entry");
-            entry.dirty = false;
-            if entry.class == BlockClass::Meta {
-                self.clean_meta_order.insert(seq, lbn);
-            } else {
-                self.clean_data_order.insert(seq, lbn);
-            }
-            out.push(Writeback {
-                lbn,
-                class: entry.class,
-                seg: entry.seg.clone(),
-            });
+            out.push(self.clean(lbn));
+            self.refile(lbn, Class::Dirty);
         }
         out
     }
 
+    /// Marks the dirty block `lbn` clean and returns it for writing; the
+    /// caller files it anew.
+    fn clean(&mut self, lbn: u64) -> Writeback {
+        let entry = self.map.get_mut(&lbn).expect("dirty blocks are resident");
+        entry.dirty = false;
+        Writeback {
+            lbn,
+            class: entry.class,
+            seg: entry.seg.clone(),
+        }
+    }
+
     /// Dirty blocks currently resident.
     pub fn dirty_len(&self) -> usize {
-        self.dirty_order.len()
+        self.index[Class::Dirty as usize].live()
     }
 
     /// Changes the capacity (shrinking evicts immediately; returned dirty
@@ -554,15 +556,32 @@ impl BufferCache {
         self.evict_to_capacity()
     }
 
+    /// Files the resident block `lbn` in its class index under its true
+    /// stamp, as a new filing.
+    fn file(&mut self, lbn: u64) {
+        let entry = self.map.get_mut(&lbn).expect("filed blocks are resident");
+        entry.order_seq = entry.seq.load(Ordering::Relaxed);
+        entry.filing = entry.filing.wrapping_add(1);
+        self.index[entry.index_class() as usize].file(entry.order_seq, (lbn, entry.filing));
+    }
+
+    /// Notes that the filing of one block in `class` died: the block was
+    /// removed or changed class.
+    fn unfile(&mut self, class: Class) {
+        let map = &self.map;
+        self.index[class as usize].forget(|stamp, slot| filed(map, class, stamp, slot));
+    }
+
+    /// Moves the block `lbn`, just changed out of class `was`, to the
+    /// index of its new class.
+    fn refile(&mut self, lbn: u64, was: Class) {
+        self.unfile(was);
+        self.file(lbn);
+    }
+
     fn remove_entry(&mut self, lbn: u64) -> Option<Entry> {
         let entry = self.map.remove(&lbn)?;
-        if entry.dirty {
-            self.dirty_order.remove(&entry.order_seq);
-        } else if entry.class == BlockClass::Meta {
-            self.clean_meta_order.remove(&entry.order_seq);
-        } else {
-            self.clean_data_order.remove(&entry.order_seq);
-        }
+        self.unfile(entry.index_class());
         Some(entry)
     }
 
@@ -581,53 +600,86 @@ impl BufferCache {
             // Within clean blocks, data goes before metadata — modelling
             // the kernel's separate inode/dentry caches, which page data
             // does not displace. Each candidate head is settled against
-            // the true stamps first, so the victim is the block the eager
-            // order maps would have picked.
-            if let Some((seq, lbn)) = settle_head(&mut self.clean_data_order, &mut self.map) {
-                self.clean_data_order.remove(&seq);
-                self.map.remove(&lbn);
-                self.record_ghost(lbn, seq);
-                self.stats.add(EVICTED_CLEAN, 1);
-                self.emit(obs::EventKind::Eviction {
-                    tier: "fs",
-                    class: "data",
-                    dirty: false,
-                });
-            } else if let Some((seq, lbn)) = settle_head(&mut self.clean_meta_order, &mut self.map)
-            {
-                self.clean_meta_order.remove(&seq);
-                self.map.remove(&lbn);
-                self.record_ghost(lbn, seq);
-                self.stats.add(EVICTED_CLEAN, 1);
-                self.emit(obs::EventKind::Eviction {
-                    tier: "fs",
-                    class: "meta",
-                    dirty: false,
-                });
-            } else if let Some((seq, lbn)) = settle_head(&mut self.dirty_order, &mut self.map) {
-                self.dirty_order.remove(&seq);
-                let entry = self.map.remove(&lbn).expect("order points at entry");
-                self.record_ghost(lbn, seq);
-                self.stats.add(EVICTED_DIRTY, 1);
-                self.emit(obs::EventKind::Eviction {
-                    tier: "fs",
-                    class: if entry.class == BlockClass::Meta {
-                        "meta"
-                    } else {
-                        "data"
-                    },
-                    dirty: true,
-                });
+            // the true stamps first, so the victim is the block an eagerly
+            // ordered index would have picked.
+            let (seq, lbn) = [Class::CleanData, Class::CleanMeta, Class::Dirty]
+                .into_iter()
+                .find_map(|class| {
+                    settle_head(&mut self.index[class as usize], &mut self.map, class)
+                })
+                .expect("a non-empty cache has a filed block");
+            let entry = self.remove_entry(lbn).expect("the head is resident");
+            self.record_ghost(lbn, seq);
+            let class = if entry.class == BlockClass::Meta {
+                "meta"
+            } else {
+                "data"
+            };
+            self.stats.add(
+                if entry.dirty {
+                    EVICTED_DIRTY
+                } else {
+                    EVICTED_CLEAN
+                },
+                1,
+            );
+            self.emit(obs::EventKind::Eviction {
+                tier: "fs",
+                class,
+                dirty: entry.dirty,
+            });
+            if entry.dirty {
                 out.push(Writeback {
                     lbn,
                     class: entry.class,
                     seg: entry.seg,
                 });
-            } else {
-                unreachable!("map non-empty but both orders empty");
             }
         }
         out
+    }
+
+    /// Checks the LRU indexes against the block map: every resident block
+    /// is filed live exactly once, in its class's index, under its
+    /// `order_seq`, which never exceeds its true stamp; each index's live
+    /// count is its class's population; nothing is resident past the
+    /// capacity; and the ghost tail is consistent.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.map.len() > self.capacity {
+            return Err(format!(
+                "{} blocks over capacity {}",
+                self.map.len(),
+                self.capacity
+            ));
+        }
+        if let Some((lbn, e)) = self
+            .map
+            .iter()
+            .find(|(_, e)| e.order_seq > e.seq.load(Ordering::Relaxed))
+        {
+            return Err(format!(
+                "block {lbn} filed under {} past its stamp",
+                e.order_seq
+            ));
+        }
+        for class in [Class::CleanData, Class::CleanMeta, Class::Dirty] {
+            let members = self
+                .map
+                .iter()
+                .filter(|(_, e)| e.index_class() == class)
+                .map(|(&lbn, e)| (e.order_seq, (lbn, e.filing)));
+            self.index[class as usize]
+                .check(members, |stamp, slot| filed(&self.map, class, stamp, slot))
+                .map_err(|e| format!("fs cache {class:?} index: {e}"))?;
+        }
+        match &self.ghost {
+            Some(g) => g.lock().expect("ghost poisoned").check_invariants(),
+            None => Ok(()),
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`BufferCache`].
 
 use netbuf::key::KeyStamp;
-use netbuf::{CopyLedger, NetBuf, Segment};
+use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
 
 use crate::alloc::Bitmap;
 use crate::cache::{BufferCache, CacheStats, Probed, Writeback};
@@ -305,6 +305,8 @@ pub struct Filesystem<S> {
     read_ahead: u64,
     alloc_cursor: u64,
     recorder: Option<obs::Recorder>,
+    /// Slab free list for the placeholder blocks of logical writes.
+    slabs: BufPool,
 }
 
 impl<S: BlockStore> Filesystem<S> {
@@ -341,6 +343,7 @@ impl<S: BlockStore> Filesystem<S> {
             read_ahead: params.read_ahead_blocks,
             alloc_cursor: 0,
             recorder: None,
+            slabs: BufPool::slab_only(),
         };
         fs.store_inode(Self::ROOT, &Inode::new(FileType::Directory))?;
         fs.write_bitmaps_full();
@@ -382,6 +385,7 @@ impl<S: BlockStore> Filesystem<S> {
             read_ahead: read_ahead_blocks,
             alloc_cursor: 0,
             recorder: None,
+            slabs: BufPool::slab_only(),
         })
     }
 
@@ -404,6 +408,17 @@ impl<S: BlockStore> Filesystem<S> {
     /// Blocks currently resident in the buffer cache.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Checks the buffer cache's LRU indexes against its block map (see
+    /// [`BufferCache::check_invariants`]) and the placeholder slab list.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation found.
+    pub fn check_cache_invariants(&self) -> Result<(), String> {
+        self.cache.check_invariants()?;
+        self.slabs.check_invariants()
     }
 
     /// Dirty fraction of the buffer cache in permille — the control
@@ -880,11 +895,14 @@ impl<S: BlockStore> Filesystem<S> {
             } else {
                 *stamp
             };
-            let mut block = vec![0u8; BLOCK_SIZE];
-            stamp.encode_into(&mut block);
+            // The stamp on a recycled slab, zeros behind it: writing the
+            // stamp is the only byte work.
+            let block = self
+                .slabs
+                .seg_written(BLOCK_SIZE, |w| w.put(&stamp.encode()));
             self.ledger.charge_logical_copy();
             self.ledger.charge_header_bytes(KeyStamp::LEN as u64);
-            self.write_block_cached(lbn, BlockClass::Data, Segment::from_vec(block));
+            self.write_block_cached(lbn, BlockClass::Data, block);
         }
         if offset + len as u64 > inode.size {
             inode.size = offset + len as u64;

@@ -93,8 +93,21 @@ fn in_window<T>(windowed: bool, k: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Both sides agree on every counter, charge and event so far.
+/// Both sides agree on every counter, charge and event so far, and each
+/// one's buffer cache is consistent with its LRU indexes.
 fn sides_agree(subject: &Side, reference: &Side, what: &str) -> PropResult {
+    prop_assert_eq!(
+        subject.fs.check_cache_invariants(),
+        Ok(()),
+        "{}: subject cache",
+        what
+    );
+    prop_assert_eq!(
+        reference.fs.check_cache_invariants(),
+        Ok(()),
+        "{}: reference cache",
+        what
+    );
     prop_assert_eq!(subject.fs.cache_stats(), reference.fs.cache_stats(), "{}: cache stats", what);
     prop_assert_eq!(subject.ledger.snapshot(), reference.ledger.snapshot(), "{}: ledger", what);
     prop_assert_eq!(subject.rec.events(), reference.rec.events(), "{}: event sequence", what);
@@ -172,6 +185,7 @@ property! {
             subject.fs.set_cache_capacity(capacity);
             reference.fs.set_cache_capacity(capacity);
             prop_assert_eq!(subject.resident(blocks), reference.resident(blocks), "victim at {}", capacity);
+            prop_assert_eq!(subject.fs.check_cache_invariants(), Ok(()), "evicted to {}", capacity);
         }
         sides_agree(subject, reference, "evictions")?;
         // (Most cases exercise the walk; a case of nothing but holes and

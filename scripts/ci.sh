@@ -38,6 +38,28 @@ if [[ -n "$SIPHASH" ]]; then
 fi
 echo "no std HashMap outside tests in core, simfs, netbuf, servers/target.rs"
 
+echo "== recency lint (LRU indexes are lazy heaps, chunks keep their chains) =="
+# DESIGN.md §11, §14: every LRU index of the three caches is one lazy
+# recency heap (sim::RecencyHeap); an ordered map there allocated a tree
+# node every few inserts and rebalanced on every re-file. A chunk keeps
+# the chain its packet carried (netbuf::SegChain), which holds one
+# segment inline; a Vec there allocates once per cached block. The rung
+# fails on a non-test `BTreeMap` in the three cache files or a
+# `Vec<Segment>` field in `Chunk`.
+ORDERED="$(for f in crates/core/src/cache.rs crates/simfs/src/cache.rs crates/sim/src/ghost.rs; do
+    awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /BTreeMap/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+CHUNK_VEC="$(awk '/^pub struct Chunk/ { inside = 1 }
+    inside && /Vec<Segment>/ { print "crates/core/src/chunk.rs:" FNR ": " $0 }
+    inside && /^}/ { inside = 0 }' crates/core/src/chunk.rs)"
+if [[ -n "$ORDERED$CHUNK_VEC" ]]; then
+    echo "an ordered LRU map, or a Vec chain in Chunk:" >&2
+    echo "$ORDERED$CHUNK_VEC" >&2
+    exit 1
+fi
+echo "no BTreeMap outside tests in the three caches; Chunk keeps a SegChain"
+
 echo "== one hit walk (a resident READ is probed, resolved, committed, spliced once) =="
 # DESIGN.md §9: simfs has one walk for a fully resident range
 # (walk_resident), and each server has one place that takes it and the
@@ -388,11 +410,14 @@ done
 
 echo "== lane-parallel speedup (functional-phase wall clock, 1 vs N) =="
 # The figures bench just measured the lane-parallel engine's functional
-# phase at 1 / 2 / host threads. Report the wall clocks to stderr, and
-# gate in two rungs. With >= 2 CPUs, two lane threads must not be slower
-# than one by more than 10 % (they were, by 40 %, until the core lock
+# phase at 1 / 2 / host threads, in 7 rounds that alternate the thread
+# counts. Report the wall clocks to stderr, and gate in two rungs. With
+# >= 2 CPUs, two lane threads must not be slower than one by more than
+# 10 % in the median round (they were, by 40 %, until the core lock
 # stopped parking both lanes on every write — EXPERIMENTS.md,
-# "Parallel-lane speedup"). With >= 4 CPUs the speedup must exceed 1.5x.
+# "Parallel-lane speedup"); one best-of-3 pair of ~2 ms clocks, taken one
+# count after the other, failed on any tree in a busy hour. With >= 4
+# CPUs the speedup must exceed 1.5x.
 # On a single-CPU container threads time-slice one core, the honest
 # speedup sits near 1.0, and neither rung applies. The byte-exactness
 # gates above run regardless.
@@ -405,13 +430,12 @@ grep -o '"sessions\.parallel_wall_ms\.t[0-9]*": [0-9.]*' \
 HOST_CPUS="$(nproc 2>/dev/null || echo 1)"
 echo "sessions.parallel_speedup = ${SPEEDUP} (host CPUs: ${HOST_CPUS})"
 if (( HOST_CPUS >= 2 )); then
-    T1="$(bench_metric "$TRACE_DIR/BENCH_figures.json" sessions.parallel_wall_ms.t1)"
-    T2="$(bench_metric "$TRACE_DIR/BENCH_figures.json" sessions.parallel_wall_ms.t2)"
-    awk -v t1="$T1" -v t2="$T2" 'BEGIN { exit !(t2 <= 1.10 * t1) }' || {
-        echo "two lane threads (${T2} ms) are > 10 % slower than one (${T1} ms)" >&2
+    RATIO="$(bench_metric "$TRACE_DIR/BENCH_figures.json" sessions.parallel_ratio_t2_t1)"
+    awk -v r="$RATIO" 'BEGIN { exit !(r <= 1.10) }' || {
+        echo "two lane threads are > 10 % slower than one: median t2/t1 ${RATIO}" >&2
         exit 1
     }
-    echo "two lane threads within 10 % of one: t2 ${T2} ms vs t1 ${T1} ms"
+    echo "two lane threads within 10 % of one: median per-round t2/t1 ${RATIO}"
 else
     echo "two-thread gate skipped: host has ${HOST_CPUS} CPU(s), need >= 2"
 fi

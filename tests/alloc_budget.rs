@@ -92,16 +92,12 @@ fn read_allocs(mode: ServerMode) -> u64 {
     n
 }
 
-/// 64 cold 4 KiB READs in steady state: every block misses the buffer
-/// cache *and* the network-centric cache (the file is 16x both), so each
-/// request walks initiator -> target -> Data-In -> `on_data_in`, and every
-/// insert evicts — the per-block shape of `nfs_miss` (Baseline has no
-/// network-centric cache and ships junk, but misses the same). Counted as
-/// a batch because the caches' ordered LRU indexes allocate a tree node
-/// every few inserts, not every insert; the batch total repeats to the
-/// digit.
-fn miss_read_allocs(mode: ServerMode) -> u64 {
-    const BLOCK: u32 = 4096;
+const BLOCK: u32 = 4096;
+
+/// A rig whose caches are small beside the sparse file it creates: 64
+/// blocks of buffer cache, 128 chunks of network-centric cache, no
+/// read-ahead, so every READ of a block not read before misses both.
+fn cold_nfs(mode: ServerMode) -> (NfsRig, u64) {
     let params = NfsRigParams {
         fs_cache_blocks: 64,
         ncache_bytes: 128 * u64::from(BLOCK),
@@ -110,6 +106,18 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
     };
     let mut rig = NfsRig::new(mode, params);
     let fh = rig.create_sparse_file("cold", 2048 * u64::from(BLOCK));
+    (rig, fh)
+}
+
+/// 64 cold 4 KiB READs in steady state: every block misses the buffer
+/// cache *and* the network-centric cache (the file is 16x both), so each
+/// request walks initiator -> target -> Data-In -> `on_data_in`, and every
+/// insert evicts — the per-block shape of `nfs_miss` (Baseline has no
+/// network-centric cache and ships junk, but misses the same). Counted as
+/// a batch because the caches' recency heaps grow or compact every few
+/// inserts, not every insert; the batch total repeats to the digit.
+fn miss_read_allocs(mode: ServerMode) -> u64 {
+    let (mut rig, fh) = cold_nfs(mode);
     // Several passes over the caches' capacity: both are evicting, and
     // the placeholder blocks they drop are coming back as slabs.
     for blk in 0..700 {
@@ -133,8 +141,8 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
             rig.read(fh, blk * BLOCK, BLOCK);
         }
     });
-    // What a miss still allocates is handles and index nodes, not data:
-    // every Data-In payload of the batch rode a slab an evicted one had
+    // No missed block takes fresh storage from a pool either: every
+    // Data-In payload of the batch rode a slab an evicted one had
     // returned to the target, and so did every junk block the Baseline
     // initiator hands up (NCache placeholders ride the module's own slab
     // list; this all-miss run never asks the initiator for one).
@@ -147,6 +155,26 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
     assert!(target_after.recycles - target.recycles >= 64, "{mode}");
     let junk_blocks = if mode == ServerMode::Baseline { 64 } else { 0 };
     assert_eq!(initiator_after.recycles - initiator.recycles, junk_blocks, "{mode}");
+    n
+}
+
+/// One steady-state 32 KiB READ that misses both caches on all eight
+/// blocks — the request `nfs_miss` is made of — checked for its bytes and
+/// for repeating to the digit.
+fn miss_read32_allocs(mode: ServerMode) -> u64 {
+    let (mut rig, fh) = cold_nfs(mode);
+    // 800 blocks: six passes over the network-centric cache's capacity.
+    for req in 0..100 {
+        rig.read(fh, req * READ, READ);
+    }
+    let mut got = Vec::new();
+    let n = allocs(|| got = rig.read(fh, 100 * READ, READ));
+    assert_eq!(
+        got,
+        rig.expected_sparse(fh, 100 * u64::from(READ), READ as usize),
+        "{mode}: a steady-state miss returns the volume's bytes"
+    );
+    assert_eq!(allocs(|| rig.read(fh, 101 * READ, READ)), n, "{mode}");
     n
 }
 
@@ -189,12 +217,18 @@ fn last_name_lookup_allocs(files: usize) -> u64 {
 
 #[test]
 fn allocations_per_request_are_pinned() {
+    // Per request, not per block, in every build, and the client's copy
+    // of the data in each. Original adds the daemon's buffer of copied
+    // bytes and its segment handle (one segment, which every chain holds
+    // inline). NCache adds the reply's chain of eight placeholders — the
+    // resolved payload is moved into its buffer, the resolution itself
+    // riding the cache's reused one — and the client's receive chain.
     let ncache = read_allocs(ServerMode::NCache);
     let original = read_allocs(ServerMode::Original);
     let baseline = read_allocs(ServerMode::Baseline);
     assert_eq!(
         (ncache, original, baseline),
-        (4, 5, 3),
+        (3, 3, 3),
         "all-hit 32 KiB READ (ncache, original, baseline)"
     );
     assert!(ncache <= 16, "NCache READ budget");
@@ -203,33 +237,58 @@ fn allocations_per_request_are_pinned() {
         "pointer surgery must not out-allocate copying"
     );
 
-    // The Data-In placeholder rides a recycled slab: a cold block costs
-    // no 4 KiB buffer of its own (one more allocation per block before).
+    // A missed block costs the allocator nothing: the Data-In PDU's and
+    // the placeholder's slabs file in their pools' free lists with their
+    // `Arc` handles, the one-segment chains of the PDU, its delivery and
+    // its chunk live inline, the resolution rides the cache's reused
+    // buffer, and the caches' recency heaps grow to their steady state
+    // and stay there. What is left is the request's own buffers, the same
+    // two per READ in both builds.
     assert_eq!(
         miss_read_allocs(ServerMode::NCache),
-        604,
+        129,
         "64 one-block all-miss READs"
     );
-    // Baseline's junk block rides a recycled slab too (a 4 KiB `calloc`
-    // per missed block before: 64 more), so the ideal bound allocates
-    // less per miss than the build that does real work.
     assert_eq!(
         miss_read_allocs(ServerMode::Baseline),
-        522,
+        129,
         "64 one-block all-miss READs, Baseline"
+    );
+    // So a 32 KiB all-miss READ — eight blocks fetched, eight chunks
+    // admitted, eight evicted — allocates only its per-block walk vector
+    // more than the all-hit READ: the storage I/O log keeps its capacity
+    // between requests.
+    assert_eq!(
+        miss_read32_allocs(ServerMode::NCache),
+        ncache + 1,
+        "32 KiB all-miss READ against the all-hit READ"
     );
 
     let (mut rig, fh) = warmed_nfs(ServerMode::NCache);
     assert_eq!(allocs(|| rig.getattr(fh)), 0, "GETATTR");
+    // Each block's wire segment is cached inline in its FHO chunk, and its
+    // placeholder rides a slab of the file system's own pool. The first
+    // write plants placeholders over real blocks; the first overwrite of
+    // them builds its first placeholder on a fresh slab (a store and its
+    // slab) and grows the pool's free list for the placeholder it
+    // displaces — every later block rides the slab the block before it
+    // released, and every later overwrite finds the list grown.
     let data = vec![0xA5u8; READ as usize];
-    rig.write(fh, 0, &data); // the measured write overwrites, like the first
+    rig.write(fh, 0, &data);
     assert_eq!(
         allocs(|| rig.write(fh, 0, &data)),
-        33,
-        "aligned 32 KiB WRITE"
+        9,
+        "aligned 32 KiB WRITE, the first overwrite"
+    );
+    let write = allocs(|| rig.write(fh, 0, &data));
+    assert_eq!(write, 6, "aligned 32 KiB WRITE, steady state");
+    assert_eq!(
+        allocs(|| rig.write(fh, 0, &data)),
+        write,
+        "the count repeats"
     );
 
-    assert_eq!(last_page_get_allocs(1, u64::from(READ)), 6, "kHTTPd all-hit GET");
+    assert_eq!(last_page_get_allocs(1, u64::from(READ)), 5, "kHTTPd all-hit GET");
 
     // Per request — not per directory entry scanned, not per 4 KiB of body.
     // The last of 500 names sits four directory blocks in, behind 499
@@ -245,9 +304,17 @@ fn allocations_per_request_are_pinned() {
         one_block,
         "GET of the last of 500 pages against the only page"
     );
+    // A body of one block rides chains of one segment, which live inline;
+    // a longer body adds the response's chain and the client's receive
+    // chain, each one buffer however many blocks it holds.
+    assert_eq!(
+        last_page_get_allocs(1, 2 * 4096),
+        one_block + 2,
+        "GET of a 2-block page against a 1-block page"
+    );
     assert_eq!(
         last_page_get_allocs(1, 19 * 4096),
-        one_block,
+        one_block + 2,
         "GET of a 19-block page against a 1-block page"
     );
 }

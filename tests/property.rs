@@ -133,6 +133,7 @@ property! {
                     }
                 }
             }
+            prop_assert_eq!(cache.check_invariants(), Ok(()), "recency heaps");
         }
     }
 
@@ -291,6 +292,8 @@ property! {
                 bytes[filled..].iter().all(|&b| b == 0),
                 "stale bytes leaked through the free list"
             );
+            drop(seg);
+            prop_assert_eq!(pool.check_invariants(), Ok(()), "free list");
         }
     }
 
@@ -334,6 +337,7 @@ property! {
                 .collect()
         });
         prop_assert_eq!(leaks, vec![0, 0], "stale bytes leaked through the free list");
+        prop_assert_eq!(pool.check_invariants(), Ok(()), "free list");
         let stats = pool.slab_stats();
         prop_assert_eq!(stats.allocs + stats.recycles, rounds.len() as u64 * 2 * 8 * 2);
         prop_assert_eq!(stats.returns, stats.allocs + stats.recycles, "every slab came home");
@@ -356,6 +360,7 @@ property! {
                 build.run(&pool) == build.run(&BufPool::slab_only()),
                 "{:?} on a recycled slab differs from a fresh one", build
             );
+            prop_assert_eq!(pool.check_invariants(), Ok(()), "free list after {:?}", build);
         }
         let stats = pool.slab_stats();
         prop_assert_eq!(stats.allocs, 1, "one slab served every build");
@@ -394,8 +399,38 @@ property! {
                 .collect()
         });
         prop_assert_eq!(leaks, vec![0, 0], "a recycled slab differed from a fresh one");
+        prop_assert_eq!(pool.check_invariants(), Ok(()), "free list");
         let stats = pool.slab_stats();
         prop_assert_eq!(stats.returns, stats.allocs + stats.recycles, "every slab came home");
+    }
+
+    /// The last two clones of one pooled segment, dropped on two threads
+    /// at once: whichever drop sees the other gone files the store, and if
+    /// both still see each other the store's own drop sends the slab home.
+    /// Either way the slab comes home exactly once.
+    fn prop_racing_final_drops_return_a_slab_exactly_once(
+        rounds in ints(1usize..64),
+        len in ints(1usize..4097),
+    ) {
+        let pool = BufPool::slab_only();
+        let start = std::sync::Barrier::new(2);
+        for round in 0..rounds {
+            let seg = pool.seg_written(len, |w| w.put(&vec![round as u8; len]));
+            let twin = seg.clone();
+            std::thread::scope(|s| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    drop(twin);
+                });
+                start.wait();
+                drop(seg);
+            });
+            let stats = pool.slab_stats();
+            prop_assert_eq!((stats.returns, stats.free), (round as u64 + 1, 1), "round {}", round);
+            prop_assert_eq!(stats.allocs, 1, "every round reused the one slab");
+            prop_assert_eq!(pool.check_invariants(), Ok(()), "free list");
+        }
     }
 
     /// Pooling is invisible to copy accounting: the same appends through
