@@ -6,13 +6,13 @@
 //!   logical block number, NFS write payloads by ⟨file handle, offset⟩;
 //! * one global LRU order of chunks; reclaiming prefers the LRU end, frees
 //!   clean chunks silently, and writes dirty LBN chunks back to the storage
-//!   server first. The order is kept as two lazy recency heaps
-//!   ([`sim::RecencyHeap`]), one per reclaimable class — clean chunks and
-//!   dirty LBN chunks — and the victim is the older of their heads;
+//!   server first. The chunks live in a [`sim::RecencyMap`] with one
+//!   class per reclaimable kind — clean chunks and dirty LBN chunks — and
+//!   the victim is the older of the two class heads;
 //! * dirty FHO chunks are *not* evictable — they have no storage address
 //!   until the file system flush remaps them (the paper sizes the FS cache
 //!   small precisely so remapping always happens before the LBN copy would
-//!   be flushed); they are filed in neither heap;
+//!   be flushed); they are in neither class;
 //! * `remap` moves an FHO entry into the LBN space, overwriting any stale
 //!   LBN entry ("data in the FHO cache is always more up-to-date");
 //! * `resolve` consults FHO before LBN so clients always see fresh data.
@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, SegChain, Segment};
-use sim::{mix64, LaneCounters, MixMap, RecencyHeap};
+use sim::{mix64, LaneCounters, RecencyClass, RecencyMap, Resident};
 
 use sim::{GhostLru, GhostStats};
 use crate::chunk::Chunk;
@@ -169,76 +169,26 @@ impl NetCacheStats {
     }
 }
 
-pub(crate) struct Entry {
-    pub(crate) chunk: Chunk,
-    /// The entry's true recency stamp. An atomic so the read fast path
-    /// can promote through a shared reference: promotion is
-    /// `fetch_max(fresh)`, which commutes — the final value is the max
-    /// over all access stamps regardless of thread interleaving.
-    pub(crate) seq: AtomicU64,
-    /// The stamp this entry is filed under in its class's recency heap.
-    /// Promotions do NOT move the filing (that would need `&mut`);
-    /// instead the heap is *lazy*: `order_seq <= seq` always, and every
-    /// consumer of LRU order re-sorts or settles against the true `seq`
-    /// before acting, so laziness is unobservable.
-    order_seq: u64,
-}
+// The recency classes of resident chunks.
+/// Clean, under either key: reclaimed silently.
+const CLEAN: usize = 0;
+/// Dirty LBN: reclaimed after a writeback.
+const DIRTY_LBN: usize = 1;
 
-/// The eviction class of a resident chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Class {
-    /// Clean, under either key: reclaimed silently.
-    Clean,
-    /// Dirty LBN: reclaimed after a writeback.
-    DirtyLbn,
-    /// Dirty FHO: not reclaimable until remapped, so filed nowhere.
-    Pinned,
-}
-
-impl Class {
-    /// The index of this class's heap in [`NetCache`]'s, if it has one.
-    fn heap(self) -> Option<usize> {
-        match self {
-            Class::Clean => Some(0),
-            Class::DirtyLbn => Some(1),
-            Class::Pinned => None,
+/// A dirty FHO chunk is in no class: it cannot be reclaimed until it is
+/// remapped.
+impl RecencyClass<CacheKey> for Chunk {
+    fn class(&self, key: &CacheKey) -> Option<usize> {
+        match (self.is_dirty(), key) {
+            (false, _) => Some(CLEAN),
+            (true, CacheKey::Lbn(_)) => Some(DIRTY_LBN),
+            (true, CacheKey::Fho(_)) => None,
         }
     }
 }
 
-impl Entry {
-    fn class(&self, key: CacheKey) -> Class {
-        match (self.chunk.is_dirty(), key) {
-            (false, _) => Class::Clean,
-            (true, CacheKey::Lbn(_)) => Class::DirtyLbn,
-            (true, CacheKey::Fho(_)) => Class::Pinned,
-        }
-    }
-}
-
-/// Whether `key` under `stamp` is the current filing of a chunk in
-/// `class`.
-fn filed(map: &MixMap<CacheKey, Entry>, class: Class, stamp: u64, key: CacheKey) -> bool {
-    map.get(&key)
-        .is_some_and(|e| e.order_seq == stamp && e.class(key) == class)
-}
-
-/// The least recent chunk of one class heap as `(stamp, key)` — the chunk
-/// an eagerly ordered index would have named ([`RecencyHeap::head`]).
-fn settle_head(
-    heap: &mut RecencyHeap<CacheKey>,
-    map: &mut MixMap<CacheKey, Entry>,
-    class: Class,
-) -> Option<(u64, CacheKey)> {
-    heap.head(
-        map,
-        |map, stamp, key| filed(map, class, stamp, key),
-        |map, key| {
-            let entry = map.get_mut(&key).expect("filed chunks are resident");
-            (entry.seq.load(Ordering::Relaxed), &mut entry.order_seq)
-        },
-    )
-}
+/// A resident chunk with its recency stamps.
+pub(crate) type Entry = Resident<Chunk>;
 
 // Counter indices into a cache's [`LaneCounters`], one per
 // [`NetCacheStats`] field.
@@ -286,10 +236,8 @@ pub(crate) fn resolution_order(
 /// # Ok::<(), ncache::CacheFull>(())
 /// ```
 pub struct NetCache {
-    map: MixMap<CacheKey, Entry>,
-    /// The recency heaps of the reclaimable classes, indexed by
-    /// [`Class::heap`]: clean chunks, then dirty LBN chunks.
-    heaps: [RecencyHeap<CacheKey>; 2],
+    /// The chunks, in the classes [`CLEAN`] and [`DIRTY_LBN`].
+    map: RecencyMap<CacheKey, Chunk, 2>,
     seq: SeqSource,
     pool: BufPool,
     per_chunk_overhead: u64,
@@ -317,8 +265,7 @@ impl NetCache {
     /// and LRU age are global properties of the shard set.
     pub(crate) fn with_seq_source(pool: BufPool, per_chunk_overhead: u64, seq: SeqSource) -> Self {
         NetCache {
-            map: MixMap::default(),
-            heaps: Default::default(),
+            map: RecencyMap::new(),
             seq,
             pool,
             per_chunk_overhead,
@@ -394,7 +341,7 @@ impl NetCache {
 
     /// Whether `key` is resident and dirty.
     pub fn is_dirty(&self, key: CacheKey) -> bool {
-        self.map.get(&key).is_some_and(|e| e.chunk.is_dirty())
+        self.map.get(&key).is_some_and(|e| e.is_dirty())
     }
 
     /// Inserts a chunk arriving from the storage server (iSCSI Data-In).
@@ -434,8 +381,7 @@ impl NetCache {
         len: usize,
         dirty: bool,
     ) -> Result<Vec<WritebackChunk>, CacheFull> {
-        self.stats.add(INSERTIONS, 1);
-        sim::epoch::bump_tally();
+        self.note_insertion();
         // Replace any existing entry under this key first (its pin frees).
         self.remove_entry(key);
         let need = len as u64 + self.per_chunk_overhead;
@@ -466,7 +412,7 @@ impl NetCache {
     /// of the access multiset, not of thread interleaving.
     ///
     /// This is the read fast path: it takes `&self` (shared), mutates no
-    /// map, and leaves the lazy recency heaps untouched. The promotion
+    /// map, and leaves the lazy recency index untouched. The promotion
     /// (`fetch_max`) and the counters are atomics; everything else is a
     /// read. The shard set exploits this by serving lookups under a read
     /// lock, so concurrent hit lookups never serialize against each
@@ -511,9 +457,9 @@ impl NetCache {
         let counts = self.stats.lane();
         counts.add(LOOKUPS, 1);
         counts.add(HITS, 1);
-        sim::epoch::bump_tally();
-        entry.seq.fetch_max(stamp, Ordering::Relaxed);
-        entry.chunk.share_segments_into(limit, out);
+        sim::epoch::bump_ncache_tally();
+        entry.promote(stamp);
+        entry.share_segments_into(limit, out);
     }
 
     /// The counted half of a lookup that missed. A miss consults the
@@ -521,7 +467,7 @@ impl NetCache {
     /// have served. Observation only — no stamp, no admission.
     pub(crate) fn count_miss(&self, key: CacheKey) {
         self.stats.add(LOOKUPS, 1);
-        sim::epoch::bump_tally();
+        sim::epoch::bump_ncache_tally();
         if let Some(g) = &self.ghost {
             g.lock().expect("ghost poisoned").probe(ghost_key(key));
         }
@@ -557,44 +503,31 @@ impl NetCache {
     /// Returns the (still dirty) payload for the outgoing iSCSI write, or
     /// `None` if the FHO entry is absent.
     pub fn remap(&mut self, fho: Fho, lbn: Lbn) -> Option<SegChain> {
-        self.stats.add(REMAPS, 1);
-        sim::epoch::bump_tally();
-        let entry = self.remove_entry(CacheKey::Fho(fho))?;
+        self.note_remap();
+        let chunk = self.remove_entry(CacheKey::Fho(fho))?;
         // Overwrite any stale LBN copy — "data in the FHO cache is always
         // more up-to-date" (§3.4).
         self.remove_entry(CacheKey::Lbn(lbn));
-        let segs = entry.chunk.share_segments();
-        self.insert_chunk_fresh(CacheKey::Lbn(lbn), entry.chunk);
+        let segs = chunk.share_segments();
+        self.insert_chunk_fresh(CacheKey::Lbn(lbn), chunk);
         Some(segs)
     }
 
     /// Marks a chunk clean after its data reached the storage server.
+    /// The map files it clean under its true stamp (it may have been
+    /// promoted since it was filed dirty, or never filed at all).
     pub fn mark_clean(&mut self, key: CacheKey) {
-        let Some(e) = self.map.get_mut(&key) else {
-            return;
-        };
-        if e.chunk.is_dirty() {
-            let was = e.class(key);
-            e.chunk.mark_clean();
-            // Filed clean under its true stamp (it may have been promoted
-            // since it was filed dirty, or never filed at all).
-            e.order_seq = e.seq.load(Ordering::Relaxed);
-            let stamp = e.order_seq;
-            self.unfile(was);
-            self.file(Class::Clean, stamp, key);
-        }
+        self.map.update(&key, Chunk::mark_clean);
     }
 
     /// Records an inheritable checksum on a resident chunk.
     pub fn set_csum(&mut self, key: CacheKey, csum: u16) {
-        if let Some(e) = self.map.get_mut(&key) {
-            e.chunk.set_csum(csum);
-        }
+        self.map.update(&key, |chunk| chunk.set_csum(csum));
     }
 
     /// The stored checksum of a resident chunk.
     pub fn stored_csum(&self, key: CacheKey) -> Option<u16> {
-        self.map.get(&key).and_then(|e| e.chunk.stored_csum())
+        self.map.get(&key).and_then(|e| e.stored_csum())
     }
 
     /// Removes a chunk outright (no writeback), returning whether it was
@@ -605,7 +538,7 @@ impl NetCache {
 
     /// Materialized contents of a resident chunk (integrity checks).
     pub fn chunk_bytes(&self, key: CacheKey) -> Option<Vec<u8>> {
-        self.map.get(&key).map(|e| e.chunk.to_bytes())
+        self.map.get(&key).map(|e| e.to_bytes())
     }
 
     /// Keys of clean resident chunks in LRU order. The sequence is
@@ -618,39 +551,14 @@ impl NetCache {
         tagged.into_iter().map(|(_, k)| k).collect()
     }
 
-    pub(crate) fn remove_entry(&mut self, key: CacheKey) -> Option<Entry> {
-        let entry = self.map.remove(&key)?;
-        self.unfile(entry.class(key));
-        Some(entry)
-    }
-
-    /// Files `key` under `stamp` in the heap of `class`, if it has one.
-    fn file(&mut self, class: Class, stamp: u64, key: CacheKey) {
-        if let Some(heap) = class.heap() {
-            self.heaps[heap].file(stamp, key);
-        }
-    }
-
-    /// Notes that the filing of one chunk in `class` died: the chunk was
-    /// removed or changed class.
-    fn unfile(&mut self, class: Class) {
-        if let Some(heap) = class.heap() {
-            let map = &self.map;
-            self.heaps[heap].forget(|stamp, key| filed(map, class, stamp, key));
-        }
+    pub(crate) fn remove_entry(&mut self, key: CacheKey) -> Option<Chunk> {
+        self.map.remove(&key)
     }
 
     /// Inserts an already-built chunk at a fresh (most-recently-used)
     /// sequence number. The chunk's pool pin travels with it.
     pub(crate) fn insert_chunk_fresh(&mut self, key: CacheKey, chunk: Chunk) {
-        let seq = self.seq.next();
-        let entry = Entry {
-            chunk,
-            seq: AtomicU64::new(seq),
-            order_seq: seq,
-        };
-        self.file(entry.class(key), seq, key);
-        self.map.insert(key, entry);
+        self.map.insert(key, chunk, self.seq.next());
     }
 
     /// Counts an insertion attempt (the shard set charges the target
@@ -658,28 +566,28 @@ impl NetCache {
     /// [`NetCache::insert`] charges itself).
     pub(crate) fn note_insertion(&mut self) {
         self.stats.add(INSERTIONS, 1);
-        sim::epoch::bump_tally();
+        sim::epoch::bump_ncache_tally();
     }
 
     /// Counts a remap (the shard set charges the shard the FHO entry
     /// lives in when the move crosses shards).
     pub(crate) fn note_remap(&mut self) {
         self.stats.add(REMAPS, 1);
-        sim::epoch::bump_tally();
+        sim::epoch::bump_ncache_tally();
     }
 
     /// The least-recently-used *reclaimable* chunk — the older of the
-    /// settled heads of the clean heap and, unless `clean_only`, the
-    /// dirty-LBN heap. Each head is the true minimum of its class (see
-    /// [`settle_head`]), so the victim is exactly the chunk one eagerly
-    /// ordered index over every reclaimable chunk would have picked.
+    /// settled heads of the clean class and, unless `clean_only`, the
+    /// dirty-LBN class. Each head is the true minimum of its class
+    /// ([`RecencyMap::head`]), so the victim is exactly the chunk one
+    /// eagerly ordered index over every reclaimable chunk would have
+    /// picked.
     fn lru_victim(&mut self, clean_only: bool) -> Option<(u64, CacheKey)> {
-        let [clean_heap, dirty_heap] = &mut self.heaps;
-        let clean = settle_head(clean_heap, &mut self.map, Class::Clean);
+        let clean = self.map.head(CLEAN);
         if clean_only {
             return clean;
         }
-        let dirty = settle_head(dirty_heap, &mut self.map, Class::DirtyLbn);
+        let dirty = self.map.head(DIRTY_LBN);
         [clean, dirty]
             .into_iter()
             .flatten()
@@ -691,7 +599,7 @@ impl NetCache {
     /// resident chunk is a pinned dirty FHO entry. The shard set takes the
     /// minimum across shards as the global victim and hands it back to
     /// [`NetCache::reclaim_victim`]. Takes `&mut` because it settles the
-    /// lazy recency heaps (see [`NetCache::lru_victim`]).
+    /// lazy recency index (see [`NetCache::lru_victim`]).
     pub(crate) fn reclaimable_head(&mut self) -> Option<(u64, CacheKey)> {
         self.lru_victim(false)
     }
@@ -712,14 +620,10 @@ impl NetCache {
 
     /// Clean resident keys tagged with their *true* LRU sequence, for the
     /// shard set to merge into one globally LRU-ordered list. Reads the
-    /// true stamps directly (no heap settling needed), so it stays
-    /// `&self`; callers sort by stamp.
+    /// true stamps directly (no settling needed), so it stays `&self`;
+    /// callers sort by stamp.
     pub(crate) fn clean_keys_with_seq(&self) -> Vec<(u64, CacheKey)> {
-        self.map
-            .iter()
-            .filter(|&(&k, _)| !self.is_dirty(k))
-            .map(|(&k, e)| (e.seq.load(Ordering::Relaxed), k))
-            .collect()
+        self.map.members(CLEAN).collect()
     }
 
     /// Reclaims the least-recently-used reclaimable chunk. Clean chunks
@@ -747,10 +651,7 @@ impl NetCache {
         seq: u64,
         key: CacheKey,
     ) -> Option<Option<WritebackChunk>> {
-        let entry = self.map.get(&key)?;
-        let settled = entry.order_seq == seq && entry.seq.load(Ordering::Relaxed) == seq;
-        let reclaimable = matches!(key, CacheKey::Lbn(_)) || !entry.chunk.is_dirty();
-        (settled && reclaimable).then(|| self.evict(seq, key))
+        (self.map.settled(&key)? == seq).then(|| self.evict(seq, key))
     }
 
     /// Removes the victim `key`, settled at `seq`: ghost record, counters,
@@ -759,8 +660,8 @@ impl NetCache {
         if let Some(g) = &self.ghost {
             g.lock().expect("ghost poisoned").record(ghost_key(key), seq);
         }
-        let entry = self.remove_entry(key).expect("victim is resident");
-        if entry.chunk.is_dirty() {
+        let chunk = self.remove_entry(key).expect("victim is resident");
+        if chunk.is_dirty() {
             self.stats.add(EVICTED_DIRTY, 1);
             let lbn = match key {
                 CacheKey::Lbn(l) => l,
@@ -768,8 +669,8 @@ impl NetCache {
             };
             Some(WritebackChunk {
                 lbn,
-                segs: entry.chunk.share_segments(),
-                len: entry.chunk.len(),
+                segs: chunk.share_segments(),
+                len: chunk.len(),
             })
         } else {
             self.stats.add(EVICTED_CLEAN, 1);
@@ -791,34 +692,16 @@ impl NetCache {
         true
     }
 
-    /// Checks the recency heaps against the chunk map: every clean and
-    /// every dirty LBN chunk is filed live exactly once, in its class's
-    /// heap, under its `order_seq`, which never exceeds its true stamp;
-    /// dirty FHO chunks are filed nowhere; each heap's live count is its
-    /// class's population.
+    /// Checks the recency index against the chunks
+    /// ([`RecencyMap::check`]): every clean and every dirty LBN chunk is
+    /// filed live exactly once, in its class, and dirty FHO chunks are
+    /// filed nowhere.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Some((key, e)) = self
-            .map
-            .iter()
-            .find(|(_, e)| e.order_seq > e.seq.load(Ordering::Relaxed))
-        {
-            return Err(format!("{key} filed under {} past its stamp", e.order_seq));
-        }
-        for class in [Class::Clean, Class::DirtyLbn] {
-            let heap = &self.heaps[class.heap().expect("reclaimable classes have heaps")];
-            let members = self
-                .map
-                .iter()
-                .filter(|&(&key, e)| e.class(key) == class)
-                .map(|(&key, e)| (e.order_seq, key));
-            heap.check(members, |stamp, key| filed(&self.map, class, stamp, key))
-                .map_err(|e| format!("ncache {class:?} heap: {e}"))?;
-        }
-        Ok(())
+        self.map.check().map_err(|e| format!("ncache: {e}"))
     }
 }
 

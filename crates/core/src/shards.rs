@@ -26,9 +26,9 @@
 //! resolves take the shard's read lock**: hit promotion is an atomic
 //! `fetch_max` on the entry's recency stamp and the counters are
 //! lane-private ([`sim::LaneCounters`]), so concurrent cache-hit
-//! reads of one shard proceed fully in parallel (the LRU recency heaps are
-//! lazy; mutators settle them against the true stamps before picking
-//! victims — see [`NetCache::lookup`]). Mutations (insert, remap,
+//! reads of one shard proceed fully in parallel (the LRU index is lazy;
+//! mutators settle it against the true stamps before picking victims —
+//! see [`NetCache::lookup`]). Mutations (insert, remap,
 //! reclaim, invalidate, checksum/dirty metadata) take the write lock.
 //! The locking discipline is strict: no method holds two shard locks at
 //! once, with one exception — a cross-shard [`NetCacheShards::remap`]
@@ -650,10 +650,10 @@ impl NetCacheShards {
             (&mut *guard_hi, &mut *guard_lo)
         };
         fho_cache.note_remap();
-        let entry = fho_cache.remove_entry(CacheKey::Fho(fho))?;
+        let chunk = fho_cache.remove_entry(CacheKey::Fho(fho))?;
         lbn_cache.remove_entry(CacheKey::Lbn(lbn));
-        let segs = entry.chunk.share_segments();
-        lbn_cache.insert_chunk_fresh(CacheKey::Lbn(lbn), entry.chunk);
+        let segs = chunk.share_segments();
+        lbn_cache.insert_chunk_fresh(CacheKey::Lbn(lbn), chunk);
         Some(segs)
     }
 
@@ -694,7 +694,7 @@ impl NetCacheShards {
         tagged.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// Checks every shard's recency heaps ([`NetCache::check_invariants`]),
+    /// Checks every shard's recency index ([`NetCache::check_invariants`]),
     /// the shared ghost tail and the shared pool's slab free list.
     ///
     /// # Errors

@@ -28,11 +28,13 @@
 //! `Filesystem::advance_cache_seq_past`) so subsequent sequential accesses
 //! still sort as most recent.
 //!
-//! The module also keeps a thread-local **ops tally**: the cache bumps it
-//! once per counted management operation (lookup, insertion, remap), so a
-//! lane can measure exactly the operations *it* performed — including
-//! substitution work done outside the rig lock — without reading the
-//! globally shared counters that other lanes are mutating concurrently.
+//! The module also keeps a thread-local **ops tally** ([`OpTally`]), one
+//! counter per cache: NCache bumps its own once per counted management
+//! operation (lookup, insertion, remap), the file-system buffer cache its
+//! own once per counted access or insertion. A lane thus measures exactly
+//! the operations *it* performed — including substitution work done
+//! outside the rig lock — without reading the globally shared counters
+//! that other lanes are mutating concurrently.
 
 use std::cell::Cell;
 
@@ -54,7 +56,16 @@ thread_local! {
     static WINDOW: Cell<Option<u64>> = const { Cell::new(None) };
     static CURSOR: Cell<u64> = const { Cell::new(0) };
     static FS_CURSOR: Cell<u64> = const { Cell::new(0) };
-    static TALLY: Cell<u64> = const { Cell::new(0) };
+    static TALLY: Cell<OpTally> = const { Cell::new(OpTally { ncache: 0, fs: 0 }) };
+}
+
+/// One thread's counted cache operations since its last [`take_tally`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpTally {
+    /// NCache management operations (lookups, insertions, remaps).
+    pub ncache: u64,
+    /// File-system buffer-cache operations (hits, misses, insertions).
+    pub fs: u64,
 }
 
 /// Packs an `(epoch, tie)` pair into a window base stamp: epoch in the
@@ -146,17 +157,31 @@ fn reserve(cursor: &'static std::thread::LocalKey<Cell<u64>>, n: u64) -> Option<
     })
 }
 
-/// Counts one cache management operation on the current thread's tally.
+/// Counts one NCache management operation on the current thread's tally.
 #[inline]
-pub fn bump_tally() {
-    TALLY.with(|t| t.set(t.get() + 1));
+pub fn bump_ncache_tally() {
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        tally.ncache += 1;
+        t.set(tally);
+    });
+}
+
+/// Counts `n` buffer-cache operations on the current thread's tally.
+#[inline]
+pub fn bump_fs_tally(n: u64) {
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        tally.fs += n;
+        t.set(tally);
+    });
 }
 
 /// Drains the current thread's ops tally: returns the operations counted
-/// since the last take and resets it to zero.
+/// since the last take and resets both counters to zero.
 #[inline]
-pub fn take_tally() -> u64 {
-    TALLY.with(|t| t.replace(0))
+pub fn take_tally() -> OpTally {
+    TALLY.with(|t| t.replace(OpTally::default()))
 }
 
 #[cfg(test)]
@@ -220,14 +245,15 @@ mod tests {
     #[test]
     fn tally_counts_and_drains_per_thread() {
         take_tally();
-        bump_tally();
-        bump_tally();
-        assert_eq!(take_tally(), 2);
-        assert_eq!(take_tally(), 0, "drained");
+        bump_ncache_tally();
+        bump_ncache_tally();
+        bump_fs_tally(3);
+        assert_eq!(take_tally(), OpTally { ncache: 2, fs: 3 });
+        assert_eq!(take_tally(), OpTally::default(), "drained");
         // Another thread's tally is independent.
-        bump_tally();
+        bump_ncache_tally();
         let other = std::thread::spawn(take_tally).join().expect("join");
-        assert_eq!(other, 0);
-        assert_eq!(take_tally(), 1);
+        assert_eq!(other, OpTally::default());
+        assert_eq!(take_tally().ncache, 1);
     }
 }

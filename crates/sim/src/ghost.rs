@@ -16,8 +16,7 @@
 //! `(key, stamp)`, so with schedule-invariant stamps ([`crate::epoch`])
 //! the tail is identical at any thread or shard count.
 
-use crate::recency::RecencyHeap;
-use crate::MixMap;
+use crate::recency::RecencyMap;
 
 /// Counters of one ghost tail (or a shard-merge of several).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,20 +62,13 @@ impl GhostStats {
 /// assert!(!g.probe(10) && g.probe(11) && g.probe(12));
 /// assert_eq!(g.stats().hits, 2);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct GhostLru {
     cap: usize,
-    /// Each member key and the stamp it was evicted at.
-    by_key: MixMap<u64, u64>,
-    /// The members by stamp; a filing is live while `by_key` maps its key
-    /// to its stamp (re-recorded and forgotten keys leave tombstones).
-    by_stamp: RecencyHeap<u64>,
+    /// The members, each under the stamp it was evicted at. Stamps never
+    /// move once recorded, so every head is settled.
+    members: RecencyMap<u64, (), 1>,
     stats: GhostStats,
-}
-
-/// Whether `key` is a member filed under `stamp`.
-fn filed(by_key: &MixMap<u64, u64>, stamp: u64, key: u64) -> bool {
-    by_key.get(&key) == Some(&stamp)
 }
 
 impl GhostLru {
@@ -84,8 +76,7 @@ impl GhostLru {
     pub fn new(cap: usize) -> GhostLru {
         GhostLru {
             cap,
-            by_key: MixMap::default(),
-            by_stamp: RecencyHeap::new(),
+            members: RecencyMap::new(),
             stats: GhostStats::default(),
         }
     }
@@ -97,17 +88,17 @@ impl GhostLru {
 
     /// Current entries.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.members.len()
     }
 
     /// True when the tail holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.members.is_empty()
     }
 
     /// Membership without counting a probe (tests and diagnostics).
     pub fn contains(&self, key: u64) -> bool {
-        self.by_key.contains_key(&key)
+        self.members.contains_key(&key)
     }
 
     /// Records the eviction of `key` at recency `stamp`. Re-recording a
@@ -119,24 +110,10 @@ impl GhostLru {
             return;
         }
         self.stats.records += 1;
-        let by_key = &mut self.by_key;
-        if by_key.insert(key, stamp).is_some() {
-            self.by_stamp.forget(|s, k| filed(by_key, s, k));
-        }
-        self.by_stamp.file(stamp, key);
-        while self.by_key.len() > self.cap {
-            let by_key = &mut self.by_key;
-            // A member's stamp never moves once recorded: every live
-            // filing is settled.
-            let (_, oldest) = self
-                .by_stamp
-                .head(by_key, filed, |by_key, k| {
-                    let stamp = by_key.get_mut(&k).expect("filed keys are members");
-                    (*stamp, stamp)
-                })
-                .expect("non-empty over cap");
-            by_key.remove(&oldest);
-            self.by_stamp.forget(|s, k| filed(by_key, s, k));
+        self.members.insert(key, (), stamp);
+        while self.members.len() > self.cap {
+            let (_, oldest) = self.members.head(0).expect("non-empty over cap");
+            self.members.remove(&oldest);
             self.stats.displaced += 1;
         }
     }
@@ -146,7 +123,7 @@ impl GhostLru {
     /// displacement or [`GhostLru::forget`].
     pub fn probe(&mut self, key: u64) -> bool {
         self.stats.probes += 1;
-        let hit = self.by_key.contains_key(&key);
+        let hit = self.members.contains_key(&key);
         if hit {
             self.stats.hits += 1;
         }
@@ -155,10 +132,7 @@ impl GhostLru {
 
     /// Drops a key, if present (the block was invalidated, not evicted).
     pub fn forget(&mut self, key: u64) {
-        let by_key = &mut self.by_key;
-        if by_key.remove(&key).is_some() {
-            self.by_stamp.forget(|s, k| filed(by_key, s, k));
-        }
+        self.members.remove(&key);
     }
 
     /// Counter snapshot.
@@ -168,30 +142,26 @@ impl GhostLru {
 
     /// Keys ordered oldest → newest eviction (test support).
     pub fn keys_by_recency(&self) -> Vec<u64> {
-        let mut members: Vec<(u64, u64)> = self.by_key.iter().map(|(&k, &s)| (s, k)).collect();
+        let mut members: Vec<(u64, u64)> = self.members.members(0).collect();
         members.sort_unstable();
         members.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// Checks the tail's structure: the stamp index and the key map agree
-    /// member for member (each member filed live exactly once, under the
-    /// stamp it was recorded at), and the tail holds at most its capacity.
+    /// Checks the tail's structure: the recency map's index
+    /// ([`RecencyMap::check`]) and the capacity bound.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.by_key.len() > self.cap {
+        if self.members.len() > self.cap {
             return Err(format!(
                 "{} members over capacity {}",
-                self.by_key.len(),
+                self.members.len(),
                 self.cap
             ));
         }
-        let members = self.by_key.iter().map(|(&k, &s)| (s, k));
-        self.by_stamp
-            .check(members, |s, k| filed(&self.by_key, s, k))
-            .map_err(|e| format!("ghost: {e}"))
+        self.members.check().map_err(|e| format!("ghost: {e}"))
     }
 }
 

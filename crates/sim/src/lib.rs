@@ -24,7 +24,7 @@
 //!   them and neither may depend on the other (Table 1: the buffer cache
 //!   is untouched by NCache): the lane-parallel engine's epoch recency
 //!   stamps and per-thread op tally ([`epoch`]), the ghost LRU tail
-//!   ([`ghost`]) and the lazy recency heap every LRU index is built on
+//!   ([`ghost`]) and the recency map behind every LRU index
 //!   ([`recency`]). None of them knows about packets or blocks.
 //!
 //! # Examples
@@ -61,7 +61,7 @@ pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
 pub use ghost::{GhostLru, GhostStats};
 pub use hash::{mix64, MixMap};
-pub use recency::RecencyHeap;
+pub use recency::{RecencyClass, RecencyMap, Resident};
 pub use resource::Resource;
 pub use rng::SplitMix64;
 pub use sync::{LaneCounters, LaneLock, Shared};

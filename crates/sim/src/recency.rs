@@ -1,44 +1,120 @@
-//! The lazy recency heap: the LRU index of every cache in the workspace.
+//! The recency map: the LRU index of every cache in the workspace.
 //!
-//! A cache files each evictable entry under the recency stamp it had when
-//! it was filed, one heap per eviction class (clean data, dirty blocks,
-//! ...), and asks the heap for the least recent entry of a class when it
-//! needs a victim. The index is *lazy* in two ways, and neither is
-//! observable:
+//! A [`RecencyMap`] holds a cache's entries together with everything the
+//! recency rule needs: each entry's true stamp, the stamp and generation
+//! it is filed under, and one lazy min-heap per eviction class (clean
+//! data, dirty blocks, ...). The owner supplies only its entries' class
+//! ([`RecencyClass`]: `None` keeps an entry out of every heap) and asks for
+//! the least recent entry of a class when it needs a victim. The index is
+//! *lazy* in two ways, and neither is observable:
 //!
 //! * **Promotions do not move filings.** A cache hit raises the entry's
-//!   true stamp through a shared reference (`fetch_max`) and leaves its
-//!   filing alone, so `filed stamp <= true stamp` always. When a promoted
-//!   entry reaches the top, [`RecencyHeap::head`] re-files it under its
-//!   true stamp and looks again. Stamps are unique and only grow, so the
-//!   first *settled* filing (filed stamp == true stamp) is the class's
-//!   true minimum: every other entry's true stamp is at least its filed
-//!   stamp, which is above the settled one. The victim is exactly the one
-//!   an eagerly ordered index would have named.
-//! * **Removals leave tombstones.** An entry that leaves the class
-//!   (evicted, discarded, made dirty or clean) stays in the heap until it
-//!   surfaces at the top, where the owner's liveness test fails it and it
-//!   is dropped. Once tombstones outnumber live filings, the heap is
-//!   compacted in place, so it never holds more than twice its live
-//!   entries.
+//!   true stamp through a shared reference ([`Resident::promote`], a
+//!   `fetch_max`) and leaves its filing alone, so `filed stamp <= true
+//!   stamp` always. When a promoted entry reaches the top,
+//!   [`RecencyMap::head`] re-files it under its true stamp and looks
+//!   again. Stamps are unique and only grow, so the first *settled*
+//!   filing (filed stamp == true stamp) is the class's true minimum: every
+//!   other entry's true stamp is at least its filed stamp, which is above
+//!   the settled one. The victim is exactly the one an eagerly ordered
+//!   index would have named.
+//! * **Removals leave tombstones.** An entry that leaves a class (removed,
+//!   or changed class) stays in that heap until it surfaces at the top,
+//!   where it fails the liveness test and is dropped. Once tombstones
+//!   outnumber live filings, the heap is compacted in place, so it never
+//!   holds more than twice its live entries.
 //!
-//! The heap knows nothing about entries beyond two things its owner
-//! supplies: a liveness test and, for a live filing, the entry's stamps.
-//! A filing is live when its entry still exists, is still in this class
-//! and is still filed under this stamp. An owner whose entries can leave
-//! a class and come back under an unchanged stamp must make the key it
-//! files carry a generation, so a tombstone never passes for the new
-//! filing.
+//! A filing is live while its entry exists, is in the heap's class and is
+//! filed under the filing's stamp and generation. The generation counts an
+//! entry's filings: an entry that leaves a class and comes back under an
+//! unchanged stamp (a block made dirty and flushed clean with no hit in
+//! between) is a new filing, and its old tombstone never passes for it.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
+use std::hash::Hash;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// One filing: a key under the stamp it was filed at.
-#[derive(Clone, Copy, Debug)]
+use crate::MixMap;
+
+/// The eviction class of a cache's entries: the index of the heap an
+/// entry is filed in, or `None` to keep it out of every heap (a chunk
+/// that may not be reclaimed). A function of the entry's value and key.
+pub trait RecencyClass<K> {
+    /// This entry's class under `key`.
+    fn class(&self, key: &K) -> Option<usize>;
+}
+
+/// An entry that is only ever ordered, never classified: every one lives
+/// in class 0.
+impl<K> RecencyClass<K> for () {
+    fn class(&self, _: &K) -> Option<usize> {
+        Some(0)
+    }
+}
+
+/// One resident entry: the owner's value, which it derefs to, and the
+/// entry's stamps.
+pub struct Resident<V> {
+    value: V,
+    /// The true recency stamp; atomic so a hit promotes through `&self`.
+    stamp: AtomicU64,
+    /// The stamp the entry is filed under; lags `stamp` until settled.
+    filed: u64,
+    /// The generation of the entry's current filing.
+    filing: u32,
+}
+
+impl<V> Resident<V> {
+    /// The entry's true recency stamp.
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.stamp.load(Relaxed)
+    }
+
+    /// Raises the true stamp to `stamp` if it is later. Promotion by max
+    /// commutes, so concurrent hits leave the largest of their stamps.
+    #[inline]
+    pub fn promote(&self, stamp: u64) {
+        self.stamp.fetch_max(stamp, Relaxed);
+    }
+
+    /// Whether `f` is this entry's current filing in `class`.
+    fn holds<K>(&self, class: usize, f: &Filing<K>) -> bool
+    where
+        V: RecencyClass<K>,
+    {
+        self.filed == f.stamp && self.filing == f.filing && self.value.class(&f.key) == Some(class)
+    }
+}
+
+impl<V> Deref for Resident<V> {
+    type Target = V;
+
+    #[inline]
+    fn deref(&self) -> &V {
+        &self.value
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for Resident<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Resident")
+            .field("value", &self.value)
+            .field("stamp", &self.stamp())
+            .field("filed", &self.filed)
+            .finish()
+    }
+}
+
+/// One filing: a key under the stamp and generation it was filed at.
+#[derive(Clone, Copy)]
 struct Filing<K> {
     stamp: u64,
     key: K,
+    filing: u32,
 }
 
 // Ordered by stamp alone, and reversed: `BinaryHeap` keeps its greatest
@@ -63,273 +139,275 @@ impl<K> Ord for Filing<K> {
     }
 }
 
-/// A `Vec`-backed binary min-heap of `(stamp, key)` filings with lazy
-/// deletion (see the module docs).
+/// A keyed map of entries ordered by recency within each of `C` classes
+/// (see the module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use sim::recency::RecencyHeap;
+/// use sim::RecencyMap;
 ///
-/// // Three entries as `(true stamp, filed stamp)`, filed under their
-/// // insertion stamps; entry 1 is then promoted to stamp 7 by a hit,
-/// // entry 2 removed.
-/// let mut entries = [Some((4, 4)), Some((7, 2)), None];
-/// let mut heap = RecencyHeap::new();
-/// for (key, stamp) in [(0, 4), (1, 2), (2, 3)] {
-///     heap.file(stamp, key);
+/// let mut map: RecencyMap<u64, (), 1> = RecencyMap::new();
+/// for (key, stamp) in [(10, 1), (11, 2), (12, 3)] {
+///     map.insert(key, (), stamp);
 /// }
-/// heap.forget(|_, key: usize| entries[key].is_some());
-/// let head = heap.head(
-///     &mut entries,
-///     |entries, stamp, key| entries[key].is_some_and(|(_, filed)| filed == stamp),
-///     |entries, key| {
-///         let (true_stamp, filed) = entries[key].as_mut().expect("live");
-///         (*true_stamp, filed)
-///     },
-/// );
-/// assert_eq!(head, Some((4, 0)), "entry 0 is the least recent");
-/// assert_eq!(entries[1], Some((7, 7)), "entry 1 was re-filed on the way");
-/// assert_eq!(heap.live(), 2);
+/// map.get(&10).expect("resident").promote(7);
+/// map.remove(&11);
+/// assert_eq!(map.head(0), Some((3, 12)), "10 was promoted past 12");
+/// assert_eq!(map.live(0), 2);
+/// assert_eq!(map.check(), Ok(()));
 /// ```
-#[derive(Clone)]
-pub struct RecencyHeap<K> {
-    heap: BinaryHeap<Filing<K>>,
-    live: usize,
+pub struct RecencyMap<K, V, const C: usize> {
+    entries: MixMap<K, Resident<V>>,
+    heaps: [BinaryHeap<Filing<K>>; C],
+    live: [usize; C],
 }
 
-impl<K> Default for RecencyHeap<K> {
+impl<K, V, const C: usize> Default for RecencyMap<K, V, C> {
     fn default() -> Self {
-        RecencyHeap {
-            heap: BinaryHeap::new(),
-            live: 0,
+        RecencyMap {
+            entries: MixMap::default(),
+            heaps: std::array::from_fn(|_| BinaryHeap::new()),
+            live: [0; C],
         }
     }
 }
 
-impl<K> fmt::Debug for RecencyHeap<K> {
+impl<K, V, const C: usize> fmt::Debug for RecencyMap<K, V, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RecencyHeap")
+        f.debug_struct("RecencyMap")
+            .field("entries", &self.entries.len())
             .field("live", &self.live)
-            .field("filed", &self.heap.len())
+            .field("filed", &self.heaps.each_ref().map(BinaryHeap::len))
             .finish()
     }
 }
 
-impl<K: Copy> RecencyHeap<K> {
-    /// An empty heap (allocates nothing until the first filing).
+/// The entry `f` files, if `f` is its current filing in `class`.
+fn filed_entry<'m, K: Hash + Eq, V: RecencyClass<K>>(
+    entries: &'m MixMap<K, Resident<V>>,
+    class: usize,
+    f: &Filing<K>,
+) -> Option<&'m Resident<V>> {
+    entries.get(&f.key).filter(|e| e.holds(class, f))
+}
+
+impl<K, V, const C: usize> RecencyMap<K, V, C>
+where
+    K: Copy + Hash + Eq,
+    V: RecencyClass<K>,
+{
+    /// An empty map (allocates nothing until the first insert).
     pub fn new() -> Self {
-        RecencyHeap::default()
+        RecencyMap::default()
     }
 
-    /// Live filings: the entries of this class.
-    pub fn live(&self) -> usize {
-        self.live
+    /// Entries resident.
+    pub fn len(&self) -> usize {
+        self.entries.len()
     }
 
-    /// Files `key` under `stamp`.
-    pub fn file(&mut self, stamp: u64, key: K) {
-        self.heap.push(Filing { stamp, key });
-        self.live += 1;
+    /// Whether no entry is resident.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
-    /// Notes that one live filing died: its entry was removed, or left the
-    /// class. Once tombstones outnumber live filings, compacts the heap in
-    /// place, keeping the filings `live` accepts (it is called only then).
-    pub fn forget(&mut self, mut live: impl FnMut(u64, K) -> bool) {
-        self.live -= 1;
-        if self.heap.len() - self.live > self.live {
-            self.heap.retain(|f| live(f.stamp, f.key));
-            debug_assert_eq!(self.heap.len(), self.live, "a compaction kept a tombstone");
+    /// Whether `key` is resident.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.entries.contains_key(key)
+    }
+
+    /// The entry under `key`. A plain probe: nothing is promoted.
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&Resident<V>> {
+        self.entries.get(key)
+    }
+
+    /// Entries of `class`.
+    pub fn live(&self, class: usize) -> usize {
+        self.live[class]
+    }
+
+    /// Inserts `value` under `key` at true stamp `stamp`, filed in its
+    /// class under it. Returns the value it replaced, if any.
+    pub fn insert(&mut self, key: K, value: V, stamp: u64) -> Option<V> {
+        let class = value.class(&key);
+        let resident = Resident {
+            value,
+            stamp: AtomicU64::new(stamp),
+            filed: stamp,
+            filing: 0,
+        };
+        let replaced = self.entries.insert(key, resident);
+        let mut filing = 0;
+        if let Some(old) = &replaced {
+            // The replaced entry's filing may still lie in a heap under
+            // the same key: a new generation tells the two apart.
+            filing = old.filing.wrapping_add(1);
+            self.entries.get_mut(&key).expect("just inserted").filing = filing;
         }
+        self.file(class, stamp, key, filing);
+        replaced.map(|old| {
+            self.unfile(old.value.class(&key));
+            old.value
+        })
     }
 
-    /// The least recent live filing as `(stamp, key)`, or `None` when the
-    /// class is empty. Settles the top filing until it is filed under its
-    /// entry's true stamp: one that fails the `owner`'s `live` test is a
-    /// tombstone and is dropped; a live one's entry gives `stamps` — its
-    /// true stamp and the stamp the owner records it filed under — and,
-    /// if it was promoted, is re-filed under its true stamp, in the heap
-    /// and in that record alike. The head stays filed.
-    pub fn head<M: ?Sized>(
-        &mut self,
-        owner: &mut M,
-        live: impl Fn(&M, u64, K) -> bool,
-        mut stamps: impl FnMut(&mut M, K) -> (u64, &mut u64),
-    ) -> Option<(u64, K)> {
+    /// Removes the entry under `key`, returning its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let old = self.entries.remove(key)?;
+        self.unfile(old.value.class(key));
+        Some(old.value)
+    }
+
+    /// Changes the value under `key` through `f`. If its class changed,
+    /// the entry is filed in its new class under its true stamp, as a new
+    /// filing. `None` when `key` is not resident.
+    pub fn update<R>(&mut self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        let e = self.entries.get_mut(key)?;
+        let was = e.value.class(key);
+        let out = f(&mut e.value);
+        let now = e.value.class(key);
+        if now != was {
+            e.filed = e.stamp.load(Relaxed);
+            e.filing = e.filing.wrapping_add(1);
+            let (stamp, filing) = (e.filed, e.filing);
+            self.unfile(was);
+            self.file(now, stamp, *key, filing);
+        }
+        Some(out)
+    }
+
+    /// The least recent entry of `class` as `(stamp, key)`, or `None` when
+    /// the class is empty. Settles the top filing until it is filed under
+    /// its entry's true stamp: a tombstone is dropped, a promoted entry is
+    /// re-filed under its true stamp. The head stays filed.
+    pub fn head(&mut self, class: usize) -> Option<(u64, K)> {
+        let entries = &mut self.entries;
+        let heap = &mut self.heaps[class];
         loop {
-            let mut top = self.heap.peek_mut()?;
-            if !live(owner, top.stamp, top.key) {
+            let mut top = heap.peek_mut()?;
+            let Some(entry) = entries.get_mut(&top.key).filter(|e| e.holds(class, &top)) else {
                 PeekMut::pop(top);
                 continue;
+            };
+            let stamp = entry.stamp.load(Relaxed);
+            if stamp == top.stamp {
+                return Some((stamp, top.key));
             }
-            let (true_stamp, filed) = stamps(owner, top.key);
-            if true_stamp == top.stamp {
-                return Some((top.stamp, top.key));
-            }
-            *filed = true_stamp;
+            entry.filed = stamp;
             // Sifts down when `top` drops: the stamp only grew.
-            top.stamp = true_stamp;
+            top.stamp = stamp;
         }
     }
 
-    /// Drops every filing, live or not.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.live = 0;
+    /// The stamp of the entry under `key` if it is filed in a class under
+    /// its true stamp — what [`RecencyMap::head`] would name it by.
+    pub fn settled(&self, key: &K) -> Option<u64> {
+        self.entries
+            .get(key)
+            .filter(|e| e.value.class(key).is_some() && e.filed == e.stamp())
+            .map(|e| e.filed)
     }
 
-    /// Every filing, live or not, in no particular order.
-    pub fn filings(&self) -> impl Iterator<Item = (u64, K)> + '_ {
-        self.heap.iter().map(|f| (f.stamp, f.key))
+    /// Every entry of `class` as `(true stamp, key)`, in no particular
+    /// order.
+    pub fn members(&self, class: usize) -> impl Iterator<Item = (u64, K)> + '_ {
+        self.heaps[class]
+            .iter()
+            .filter_map(move |f| filed_entry(&self.entries, class, f).map(|e| (e.stamp(), f.key)))
     }
 
-    /// Checks the index against its owner. `members` lists every entry of
-    /// this class with the stamp it must be filed under, and `live` is the
-    /// owner's liveness test. Every member must be filed live exactly once
-    /// under its stamp, nothing else may be live, the live count must be
-    /// exact, and tombstones must not outnumber live filings.
+    /// Files `key` in `class`, if it has one.
+    fn file(&mut self, class: Option<usize>, stamp: u64, key: K, filing: u32) {
+        if let Some(class) = class {
+            self.heaps[class].push(Filing { stamp, key, filing });
+            self.live[class] += 1;
+        }
+    }
+
+    /// Notes that one live filing of `class` died. Once tombstones
+    /// outnumber live filings, compacts the heap in place.
+    fn unfile(&mut self, class: Option<usize>) {
+        let Some(class) = class else { return };
+        self.live[class] -= 1;
+        let heap = &mut self.heaps[class];
+        if heap.len() - self.live[class] > self.live[class] {
+            let entries = &self.entries;
+            heap.retain(|f| filed_entry(entries, class, f).is_some());
+            debug_assert_eq!(
+                heap.len(),
+                self.live[class],
+                "a compaction kept a tombstone"
+            );
+        }
+    }
+
+    /// Checks the index against the entries: no entry is filed past its
+    /// true stamp; in each class, every member is filed live exactly once,
+    /// under its filed stamp, nothing else is live, the live count is
+    /// exact, and tombstones do not outnumber live filings.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
-    pub fn check(
-        &self,
-        members: impl IntoIterator<Item = (u64, K)>,
-        mut live: impl FnMut(u64, K) -> bool,
-    ) -> Result<(), String>
+    pub fn check(&self) -> Result<(), String>
     where
-        K: PartialEq + fmt::Debug,
+        K: fmt::Debug,
     {
-        let mut filed: Vec<(u64, K)> = self.filings().filter(|&(s, k)| live(s, k)).collect();
-        filed.sort_unstable_by_key(|&(stamp, _)| stamp);
-        if filed.len() != self.live {
-            return Err(format!(
-                "{} live filings, {} counted",
-                filed.len(),
-                self.live
-            ));
+        if let Some((key, e)) = self.entries.iter().find(|(_, e)| e.filed > e.stamp()) {
+            return Err(format!("{key:?} filed under {} past its stamp", e.filed));
         }
-        if let Some(pair) = filed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            return Err(format!(
-                "{:?} and {:?} share stamp {}",
-                pair[0].1, pair[1].1, pair[0].0
-            ));
-        }
-        let mut members_seen = 0;
-        for (stamp, key) in members {
-            members_seen += 1;
-            match filed.binary_search_by_key(&stamp, |&(s, _)| s) {
-                Ok(at) if filed[at].1 == key => {}
-                _ => return Err(format!("{key:?} is not filed live under stamp {stamp}")),
+        for class in 0..C {
+            let heap = &self.heaps[class];
+            let mut filed: Vec<(u64, K)> = heap
+                .iter()
+                .filter(|f| filed_entry(&self.entries, class, f).is_some())
+                .map(|f| (f.stamp, f.key))
+                .collect();
+            filed.sort_unstable_by_key(|&(stamp, _)| stamp);
+            let live = self.live[class];
+            if filed.len() != live {
+                return Err(format!(
+                    "class {class}: {} live filings, {live} counted",
+                    filed.len()
+                ));
             }
-        }
-        if members_seen != filed.len() {
-            return Err(format!(
-                "{} live filings for {members_seen} members",
-                filed.len()
-            ));
-        }
-        if self.heap.len() > 2 * self.live {
-            return Err(format!(
-                "{} tombstones outnumber {} live filings",
-                self.heap.len() - self.live,
-                self.live
-            ));
+            if let Some(pair) = filed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                return Err(format!(
+                    "class {class}: {:?} and {:?} share stamp {}",
+                    pair[0].1, pair[1].1, pair[0].0
+                ));
+            }
+            let mut members = 0;
+            for (key, e) in self
+                .entries
+                .iter()
+                .filter(|(k, e)| e.value.class(k) == Some(class))
+            {
+                members += 1;
+                match filed.binary_search_by_key(&e.filed, |&(stamp, _)| stamp) {
+                    Ok(at) if filed[at].1 == *key => {}
+                    _ => {
+                        return Err(format!(
+                            "class {class}: {key:?} is not filed live under stamp {}",
+                            e.filed
+                        ))
+                    }
+                }
+            }
+            if members != live {
+                return Err(format!(
+                    "class {class}: {live} live filings for {members} members"
+                ));
+            }
+            if heap.len() > 2 * live {
+                return Err(format!(
+                    "class {class}: {} tombstones outnumber {live} live filings",
+                    heap.len() - live
+                ));
+            }
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A toy owner: entry `k` is `entries[k] = Some((true stamp, filed
-    /// stamp))` while it lives.
-    struct Owner {
-        entries: Vec<Option<(u64, u64)>>,
-        heap: RecencyHeap<usize>,
-    }
-
-    fn live(entries: &[Option<(u64, u64)>], stamp: u64, k: usize) -> bool {
-        entries[k].is_some_and(|(_, filed)| filed == stamp)
-    }
-
-    impl Owner {
-        fn new(n: usize) -> Owner {
-            let mut heap = RecencyHeap::new();
-            for k in 0..n {
-                heap.file(k as u64, k);
-            }
-            Owner {
-                entries: (0..n as u64).map(|s| Some((s, s))).collect(),
-                heap,
-            }
-        }
-
-        fn promote(&mut self, k: usize, stamp: u64) {
-            self.entries[k].as_mut().expect("live").0 = stamp;
-        }
-
-        fn remove(&mut self, k: usize) {
-            self.entries[k] = None;
-            let entries = &self.entries;
-            self.heap.forget(|s, k| live(entries, s, k));
-        }
-
-        fn head(&mut self) -> Option<(u64, usize)> {
-            self.heap.head(&mut self.entries[..], live, |entries, k| {
-                let (true_stamp, filed) = entries[k].as_mut().expect("live");
-                (*true_stamp, filed)
-            })
-        }
-
-        fn check(&self) -> Result<(), String> {
-            let members = (0..self.entries.len())
-                .filter_map(|k| self.entries[k].map(|(_, filed)| (filed, k)));
-            self.heap.check(members, |s, k| live(&self.entries, s, k))
-        }
-    }
-
-    #[test]
-    fn the_head_is_the_least_recent_true_stamp() {
-        let mut o = Owner::new(5);
-        // Promote 0 and 1 past everyone; the head is then entry 2.
-        o.promote(0, 10);
-        o.promote(1, 11);
-        assert_eq!(o.head(), Some((2, 2)));
-        assert_eq!(o.check(), Ok(()));
-        o.remove(2);
-        o.remove(3);
-        o.remove(4);
-        assert_eq!(o.head(), Some((10, 0)), "promoted filings were re-filed");
-        assert_eq!(o.check(), Ok(()));
-    }
-
-    #[test]
-    fn tombstones_never_outnumber_live_filings() {
-        let mut o = Owner::new(64);
-        for k in (0..64).rev().step_by(2) {
-            o.remove(k);
-            assert_eq!(o.check(), Ok(()));
-        }
-        assert_eq!(o.heap.live(), 32);
-        for k in (0..64).step_by(2) {
-            o.remove(k);
-            assert_eq!(o.check(), Ok(()));
-        }
-        assert_eq!((o.heap.live(), o.heap.filings().count()), (0, 0));
-        assert_eq!(o.head(), None);
-    }
-
-    #[test]
-    fn check_catches_a_double_filing_and_a_missing_one() {
-        let mut o = Owner::new(3);
-        o.heap.file(1, 1);
-        assert!(o.check().is_err(), "entry 1 filed twice");
-        let mut o = Owner::new(3);
-        o.heap.clear();
-        assert!(o.check().is_err(), "nothing filed for three members");
     }
 }

@@ -13,38 +13,22 @@
 //! `&self`: hit promotion is an atomic `fetch_max` on the entry's recency
 //! stamp and the counters are atomics, so concurrent hit lookups under a
 //! shared reference (the NFS READ fast path holds only a read guard on
-//! the rig) never serialize. The three LRU indexes — clean data, clean
-//! metadata, dirty — are lazy recency heaps ([`sim::RecencyHeap`]): a
-//! promotion never moves a filing; every consumer of LRU order (eviction,
-//! flush) settles stale filings against the true atomic stamps before
-//! acting, which reproduces the eager ordering exactly because stamps are
-//! unique and only ever grow.
+//! the rig) never serialize. The blocks live in a [`sim::RecencyMap`]
+//! with three classes — clean data, clean metadata, dirty — whose lazy
+//! index reproduces the eager LRU ordering exactly.
+//!
+//! Each counted access or insertion also bumps the calling thread's FS
+//! op tally ([`sim::epoch::bump_fs_tally`]): the lane-parallel engine
+//! charges buffer-cache CPU per op from it, since an op's accesses all
+//! happen on its lane's thread.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netbuf::Segment;
-use sim::{LaneCounters, MixMap, RecencyHeap};
+use sim::epoch::bump_fs_tally;
+use sim::{LaneCounters, RecencyClass, RecencyMap, Resident};
 
 use crate::store::BlockClass;
-
-thread_local! {
-    /// Counted cache operations (hits + misses + insertions) performed by
-    /// this thread since the last [`take_op_tally`]. The lane-parallel
-    /// engine charges buffer-cache CPU per op from this tally: an op's
-    /// accesses all happen on its lane's thread, so the tally equals the
-    /// global counter delta an exclusively locked engine would have seen.
-    static OP_TALLY: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Drains this thread's counted-operation tally (see [`OP_TALLY`]).
-pub fn take_op_tally() -> u64 {
-    OP_TALLY.with(|t| t.replace(0))
-}
-
-fn bump_op_tally(n: u64) {
-    OP_TALLY.with(|t| t.set(t.get() + n));
-}
 
 /// A block evicted (or flushed) from the cache that must be written to the
 /// backing store.
@@ -106,77 +90,21 @@ struct Entry {
     seg: Segment,
     dirty: bool,
     class: BlockClass,
-    /// True recency stamp; atomic so hit promotion works through `&self`
-    /// (`fetch_max`, which commutes across threads).
-    seq: AtomicU64,
-    /// The stamp this entry is filed under in its class index; lags `seq`
-    /// until the next settling (see module docs).
-    order_seq: u64,
-    /// Counts the entry's filings. A block made dirty and flushed clean
-    /// again without a hit in between is re-filed in its clean index
-    /// under an unchanged stamp, where its old filing may still lie; the
-    /// generation tells the two apart.
-    filing: u32,
 }
 
-impl Clone for Entry {
-    fn clone(&self) -> Self {
-        Entry {
-            seg: self.seg.clone(),
-            dirty: self.dirty,
-            class: self.class,
-            seq: AtomicU64::new(self.seq.load(Ordering::Relaxed)),
-            order_seq: self.order_seq,
-            filing: self.filing,
-        }
+// The three eviction classes, in reclaim order.
+const CLEAN_DATA: usize = 0;
+const CLEAN_META: usize = 1;
+const DIRTY: usize = 2;
+
+impl RecencyClass<u64> for Entry {
+    fn class(&self, _: &u64) -> Option<usize> {
+        Some(match (self.dirty, self.class) {
+            (true, _) => DIRTY,
+            (false, BlockClass::Meta) => CLEAN_META,
+            (false, BlockClass::Data) => CLEAN_DATA,
+        })
     }
-}
-
-/// The three eviction classes, one index each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Class {
-    CleanData,
-    CleanMeta,
-    Dirty,
-}
-
-impl Entry {
-    fn index_class(&self) -> Class {
-        match (self.dirty, self.class) {
-            (true, _) => Class::Dirty,
-            (false, BlockClass::Meta) => Class::CleanMeta,
-            (false, BlockClass::Data) => Class::CleanData,
-        }
-    }
-}
-
-/// What a class index files: the block and the filing generation.
-type Slot = (u64, u32);
-
-/// Whether `slot` under `stamp` is the current filing of a block in
-/// `class`.
-fn filed(map: &MixMap<u64, Entry>, class: Class, stamp: u64, (lbn, filing): Slot) -> bool {
-    map.get(&lbn)
-        .is_some_and(|e| e.filing == filing && e.order_seq == stamp && e.index_class() == class)
-}
-
-/// The least recent block of one class index as `(stamp, lbn)`, settling
-/// promoted filings under their true stamps on the way (see module docs).
-fn settle_head(
-    index: &mut RecencyHeap<Slot>,
-    map: &mut MixMap<u64, Entry>,
-    class: Class,
-) -> Option<(u64, u64)> {
-    index
-        .head(
-            map,
-            |map, stamp, slot| filed(map, class, stamp, slot),
-            |map, (lbn, _)| {
-                let entry = map.get_mut(&lbn).expect("filed blocks are resident");
-                (entry.seq.load(Ordering::Relaxed), &mut entry.order_seq)
-            },
-        )
-        .map(|(stamp, (lbn, _))| (stamp, lbn))
 }
 
 /// A resident block that has been probed but not yet counted: no tally,
@@ -185,7 +113,7 @@ fn settle_head(
 /// to count the accesses ([`BufferCache::count_hits`]) or to walk away
 /// leaving no trace.
 #[derive(Clone, Copy, Debug)]
-pub struct Probed<'a>(&'a Entry);
+pub struct Probed<'a>(&'a Resident<Entry>);
 
 impl<'a> Probed<'a> {
     /// The cached block; cloning it shares storage (a logical copy).
@@ -197,7 +125,7 @@ impl<'a> Probed<'a> {
     /// with [`BufferCache::count_hits`]). Promotion is via max, so a block
     /// accessed several times in one walk needs only its last stamp.
     pub fn promote(&self, stamp: u64) {
-        self.0.seq.fetch_max(stamp, Ordering::Relaxed);
+        self.0.promote(stamp);
     }
 }
 
@@ -231,9 +159,7 @@ type StatsCells = LaneCounters<5>;
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
-    map: MixMap<u64, Entry>,
-    /// The LRU index of each [`Class`], indexed by it.
-    index: [RecencyHeap<Slot>; 3],
+    map: RecencyMap<u64, Entry, 3>,
     next_seq: AtomicU64,
     stats: StatsCells,
     recorder: Option<obs::Recorder>,
@@ -243,30 +169,12 @@ pub struct BufferCache {
     ghost: Option<std::sync::Mutex<sim::GhostLru>>,
 }
 
-impl Clone for BufferCache {
-    fn clone(&self) -> Self {
-        BufferCache {
-            capacity: self.capacity,
-            map: self.map.clone(),
-            index: self.index.clone(),
-            next_seq: AtomicU64::new(self.next_seq.load(Ordering::Relaxed)),
-            stats: self.stats.clone(),
-            recorder: self.recorder.clone(),
-            ghost: self
-                .ghost
-                .as_ref()
-                .map(|g| std::sync::Mutex::new(g.lock().expect("ghost poisoned").clone())),
-        }
-    }
-}
-
 impl BufferCache {
     /// A cache holding at most `capacity` blocks.
     pub fn new(capacity: usize) -> Self {
         BufferCache {
             capacity,
-            map: MixMap::default(),
-            index: Default::default(),
+            map: RecencyMap::new(),
             next_seq: AtomicU64::new(0),
             stats: StatsCells::default(),
             recorder: None,
@@ -375,7 +283,7 @@ impl BufferCache {
     /// tally, count and draw; the caller completes each with
     /// [`Probed::promote`] and [`BufferCache::emit_hits`].
     pub fn count_hits(&self, n: u64) -> u64 {
-        bump_op_tally(n);
+        bump_fs_tally(n);
         self.stats.add(HITS, n);
         self.draw_seqs(n)
     }
@@ -410,7 +318,7 @@ impl BufferCache {
             entry.promote(self.count_hits(1));
             self.emit_hits(1);
         } else {
-            bump_op_tally(1);
+            bump_fs_tally(1);
             self.stats.add(MISSES, 1);
             // A miss consults the ghost tail: a hit there is a block a
             // larger FS quota would have kept. Observation only.
@@ -436,29 +344,13 @@ impl BufferCache {
         dirty: bool,
     ) -> Vec<Writeback> {
         self.stats.add(INSERTIONS, 1);
-        bump_op_tally(1);
+        bump_fs_tally(1);
         self.emit(obs::EventKind::CacheInsert { tier: "fs", dirty });
-        if let Some(old) = self.remove_entry(lbn) {
-            // Overwriting a resident block: a dirty predecessor that is
-            // being replaced needs no writeback (its data is superseded),
-            // unless the new copy is clean and the old was dirty — then the
-            // old version must not be silently lost. Callers in this
-            // reproduction always supersede, so drop it.
-            let _ = old;
-        }
+        // Overwriting a resident block drops its predecessor: a dirty one
+        // needs no writeback, since callers in this reproduction always
+        // supersede its data.
         let seq = self.draw_seqs(1);
-        self.map.insert(
-            lbn,
-            Entry {
-                seg,
-                dirty,
-                class,
-                seq: AtomicU64::new(seq),
-                order_seq: seq,
-                filing: 0,
-            },
-        );
-        self.file(lbn);
+        self.map.insert(lbn, Entry { seg, dirty, class }, seq);
         self.evict_to_capacity()
     }
 
@@ -468,12 +360,9 @@ impl BufferCache {
     ///
     /// Panics if the block is not resident.
     pub fn mark_dirty(&mut self, lbn: u64) {
-        let entry = self.map.get_mut(&lbn).expect("block not resident");
-        if !entry.dirty {
-            let clean = entry.index_class();
-            entry.dirty = true;
-            self.refile(lbn, clean);
-        }
+        self.map
+            .update(&lbn, |e| e.dirty = true)
+            .expect("block not resident");
     }
 
     /// Replaces the contents of a resident block (marking it dirty).
@@ -482,38 +371,28 @@ impl BufferCache {
     ///
     /// Panics if the block is not resident.
     pub fn update(&mut self, lbn: u64, seg: Segment) {
-        self.map.get_mut(&lbn).expect("block not resident").seg = seg;
-        self.mark_dirty(lbn);
+        self.map
+            .update(&lbn, |e| {
+                e.seg = seg;
+                e.dirty = true;
+            })
+            .expect("block not resident");
     }
 
     /// Removes a block without writeback (e.g. after file deletion),
     /// returning its contents.
     pub fn discard(&mut self, lbn: u64) -> Option<Segment> {
-        self.remove_entry(lbn).map(|e| e.seg)
+        self.map.remove(&lbn).map(|e| e.seg)
     }
 
     /// Marks every dirty block clean and returns them for writing to the
     /// backing store, in LRU order.
     pub fn flush_dirty(&mut self) -> Vec<Writeback> {
-        // Flush in *true*-stamp order: lazy promotions may have left the
-        // dirty index stale, and writeback order is observable (it is the
-        // iSCSI write sequence).
-        let map = &self.map;
-        let mut tagged: Vec<(u64, u64)> = self.index[Class::Dirty as usize]
-            .filings()
-            .filter(|&(stamp, slot)| filed(map, Class::Dirty, stamp, slot))
-            .map(|(_, (lbn, _))| (map[&lbn].seq.load(Ordering::Relaxed), lbn))
-            .collect();
+        // Flush in *true*-stamp order: writeback order is observable (it
+        // is the iSCSI write sequence).
+        let mut tagged: Vec<(u64, u64)> = self.map.members(DIRTY).collect();
         tagged.sort_unstable();
-        self.index[Class::Dirty as usize].clear();
-        tagged
-            .into_iter()
-            .map(|(_, lbn)| {
-                let writeback = self.clean(lbn);
-                self.file(lbn);
-                writeback
-            })
-            .collect()
+        tagged.into_iter().map(|(_, lbn)| self.clean(lbn)).collect()
     }
 
     /// Marks up to `n` of the oldest dirty blocks clean and returns them
@@ -522,31 +401,31 @@ impl BufferCache {
     pub fn flush_oldest(&mut self, n: usize) -> Vec<Writeback> {
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
-            let dirty = &mut self.index[Class::Dirty as usize];
-            let Some((_, lbn)) = settle_head(dirty, &mut self.map, Class::Dirty) else {
+            let Some((_, lbn)) = self.map.head(DIRTY) else {
                 break;
             };
             out.push(self.clean(lbn));
-            self.refile(lbn, Class::Dirty);
         }
         out
     }
 
-    /// Marks the dirty block `lbn` clean and returns it for writing; the
-    /// caller files it anew.
+    /// Marks the dirty block `lbn` clean and returns it for writing.
     fn clean(&mut self, lbn: u64) -> Writeback {
-        let entry = self.map.get_mut(&lbn).expect("dirty blocks are resident");
-        entry.dirty = false;
-        Writeback {
-            lbn,
-            class: entry.class,
-            seg: entry.seg.clone(),
-        }
+        self.map
+            .update(&lbn, |e| {
+                e.dirty = false;
+                Writeback {
+                    lbn,
+                    class: e.class,
+                    seg: e.seg.clone(),
+                }
+            })
+            .expect("dirty blocks are resident")
     }
 
     /// Dirty blocks currently resident.
     pub fn dirty_len(&self) -> usize {
-        self.index[Class::Dirty as usize].live()
+        self.map.live(DIRTY)
     }
 
     /// Changes the capacity (shrinking evicts immediately; returned dirty
@@ -554,35 +433,6 @@ impl BufferCache {
     pub fn set_capacity(&mut self, capacity: usize) -> Vec<Writeback> {
         self.capacity = capacity;
         self.evict_to_capacity()
-    }
-
-    /// Files the resident block `lbn` in its class index under its true
-    /// stamp, as a new filing.
-    fn file(&mut self, lbn: u64) {
-        let entry = self.map.get_mut(&lbn).expect("filed blocks are resident");
-        entry.order_seq = entry.seq.load(Ordering::Relaxed);
-        entry.filing = entry.filing.wrapping_add(1);
-        self.index[entry.index_class() as usize].file(entry.order_seq, (lbn, entry.filing));
-    }
-
-    /// Notes that the filing of one block in `class` died: the block was
-    /// removed or changed class.
-    fn unfile(&mut self, class: Class) {
-        let map = &self.map;
-        self.index[class as usize].forget(|stamp, slot| filed(map, class, stamp, slot));
-    }
-
-    /// Moves the block `lbn`, just changed out of class `was`, to the
-    /// index of its new class.
-    fn refile(&mut self, lbn: u64, was: Class) {
-        self.unfile(was);
-        self.file(lbn);
-    }
-
-    fn remove_entry(&mut self, lbn: u64) -> Option<Entry> {
-        let entry = self.map.remove(&lbn)?;
-        self.unfile(entry.index_class());
-        Some(entry)
     }
 
     /// Records an evicted block in the ghost tail (LRU reclaims only —
@@ -599,16 +449,12 @@ impl BufferCache {
             // Paper §3.4: reclaim clean LRU first, then flush dirty LRU.
             // Within clean blocks, data goes before metadata — modelling
             // the kernel's separate inode/dentry caches, which page data
-            // does not displace. Each candidate head is settled against
-            // the true stamps first, so the victim is the block an eagerly
-            // ordered index would have picked.
-            let (seq, lbn) = [Class::CleanData, Class::CleanMeta, Class::Dirty]
+            // does not displace.
+            let (seq, lbn) = [CLEAN_DATA, CLEAN_META, DIRTY]
                 .into_iter()
-                .find_map(|class| {
-                    settle_head(&mut self.index[class as usize], &mut self.map, class)
-                })
+                .find_map(|class| self.map.head(class))
                 .expect("a non-empty cache has a filed block");
-            let entry = self.remove_entry(lbn).expect("the head is resident");
+            let entry = self.map.remove(&lbn).expect("the head is resident");
             self.record_ghost(lbn, seq);
             let class = if entry.class == BlockClass::Meta {
                 "meta"
@@ -639,11 +485,8 @@ impl BufferCache {
         out
     }
 
-    /// Checks the LRU indexes against the block map: every resident block
-    /// is filed live exactly once, in its class's index, under its
-    /// `order_seq`, which never exceeds its true stamp; each index's live
-    /// count is its class's population; nothing is resident past the
-    /// capacity; and the ghost tail is consistent.
+    /// Checks the recency index ([`RecencyMap::check`]), that nothing is
+    /// resident past the capacity, and the ghost tail.
     ///
     /// # Errors
     ///
@@ -656,26 +499,7 @@ impl BufferCache {
                 self.capacity
             ));
         }
-        if let Some((lbn, e)) = self
-            .map
-            .iter()
-            .find(|(_, e)| e.order_seq > e.seq.load(Ordering::Relaxed))
-        {
-            return Err(format!(
-                "block {lbn} filed under {} past its stamp",
-                e.order_seq
-            ));
-        }
-        for class in [Class::CleanData, Class::CleanMeta, Class::Dirty] {
-            let members = self
-                .map
-                .iter()
-                .filter(|(_, e)| e.index_class() == class)
-                .map(|(&lbn, e)| (e.order_seq, (lbn, e.filing)));
-            self.index[class as usize]
-                .check(members, |stamp, slot| filed(&self.map, class, stamp, slot))
-                .map_err(|e| format!("fs cache {class:?} index: {e}"))?;
-        }
+        self.map.check().map_err(|e| format!("fs cache: {e}"))?;
         match &self.ghost {
             Some(g) => g.lock().expect("ghost poisoned").check_invariants(),
             None => Ok(()),

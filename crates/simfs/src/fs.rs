@@ -1358,7 +1358,7 @@ fn ptr_at(block: &[u8], slot: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::take_op_tally;
+    use sim::epoch::take_tally;
     use crate::store::MemStore;
     use netbuf::key::{Fho, FileHandle, Lbn};
 
@@ -1589,7 +1589,7 @@ mod tests {
         let size = 40 * BLOCK_SIZE;
         fs.write(f, 0, &vec![7u8; size]).expect("write");
         let before = (fs.ledger().snapshot(), fs.cache_stats());
-        let _ = take_op_tally();
+        let _ = take_tally().fs;
         let walked = |fs: &Fs, offset: u64, len: usize| fs.walk_resident(f, offset, len).is_some();
         assert!(walked(&fs, 0, WALK_BLOCKS * BLOCK_SIZE), "warm file probes ready");
         assert!(walked(&fs, 8 * BLOCK_SIZE as u64, size), "to EOF, across the boundary");
@@ -1609,7 +1609,7 @@ mod tests {
         assert!(walk.blocks().all(|b| b.seg.as_slice() == [7u8; BLOCK_SIZE]));
         assert_eq!(fs.ledger().snapshot(), before.0, "probe charges nothing");
         assert_eq!(fs.cache_stats(), before.1, "probe counts nothing");
-        assert_eq!(take_op_tally(), 0, "probe leaves no op tally");
+        assert_eq!(take_tally().fs, 0, "probe leaves no op tally");
         // Dropping one covered block from the cache fails the probe.
         let lbn = fs.block_lbn(f, 2).expect("mapped").expect("allocated");
         fs.discard_cached(lbn);
@@ -1640,13 +1640,13 @@ mod tests {
         let (mut b, fb) = build();
         let (c, fc) = build();
         let snaps = [a.ledger().snapshot(), b.ledger().snapshot(), c.ledger().snapshot()];
-        let _ = take_op_tally();
+        let _ = take_tally().fs;
         let blocks_a = a.read_logical_per_block(fa, offset, len).expect("read");
         let attr_a = a.getattr(fa).expect("getattr");
-        let tally_a = take_op_tally();
+        let tally_a = take_tally().fs;
         let blocks_b = b.read_logical(fb, offset, len).expect("read");
         let attr_b = b.getattr(fb).expect("getattr");
-        let tally_b = take_op_tally();
+        let tally_b = take_tally().fs;
         let walk = c.walk_resident(fc, offset, len).expect("warm");
         let mut blocks_c = Vec::new();
         walk.commit(|blk| {
@@ -1654,7 +1654,7 @@ mod tests {
             blocks_c.push((blk.file_index, blk.lbn, blk.seg.clone(), blk.len));
         });
         let attr_c = walk.getattr().clone();
-        let tally_c = take_op_tally();
+        let tally_c = take_tally().fs;
         assert_eq!(blocks_a.len(), 17);
         assert_eq!(blocks_a, blocks_b);
         for (x, y) in blocks_a.iter().zip(&blocks_c) {

@@ -35,7 +35,7 @@ pub mod fs;
 pub mod inode;
 pub mod store;
 
-pub use cache::{take_op_tally, BufferCache};
+pub use cache::BufferCache;
 pub use error::FsError;
 pub use fs::{Filesystem, FsParams};
 pub use inode::{FileType, Ino};

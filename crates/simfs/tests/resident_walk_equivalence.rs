@@ -22,7 +22,8 @@ use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, PropResult};
 use netbuf::CopyLedger;
 use simfs::fs::WALK_BLOCKS;
-use simfs::{take_op_tally, Filesystem, FsParams, Ino, MemStore, BLOCK_SIZE};
+use sim::epoch::take_tally;
+use simfs::{Filesystem, FsParams, Ino, MemStore, BLOCK_SIZE};
 
 type Fs = Filesystem<MemStore>;
 
@@ -66,7 +67,7 @@ impl Side {
         rec.enable(obs::TraceConfig::default());
         fs.set_recorder(rec.clone());
         ledger.attach_recorder(&rec);
-        let _ = take_op_tally();
+        let _ = take_tally().fs;
         Side {
             fs,
             ledger,
@@ -133,20 +134,20 @@ property! {
         let mut walked = 0;
         for (k, &(start, skip, len)) in reads.iter().enumerate() {
             let offset = (STARTS[start] + skip) * BS;
-            let _ = take_op_tally();
+            let _ = take_tally().fs;
             let before = (subject.fs.cache_stats(), subject.ledger.snapshot(), subject.rec.events().len());
             let served = subject.fs.walk_resident(subject.file, offset, len).is_some();
             prop_assert_eq!(
-                (subject.fs.cache_stats(), subject.ledger.snapshot(), subject.rec.events().len(), take_op_tally()),
+                (subject.fs.cache_stats(), subject.ledger.snapshot(), subject.rec.events().len(), take_tally().fs),
                 (before.0, before.1, before.2, 0),
                 "a probe leaves no trace"
             );
             walked += usize::from(served);
             let (got, got_tally) = in_window(windowed, k, || {
-                (subject.fs.read_logical(subject.file, offset, len), take_op_tally())
+                (subject.fs.read_logical(subject.file, offset, len), take_tally().fs)
             });
             let (want, want_tally) = in_window(windowed, k, || {
-                (reference.fs.read_logical_per_block(reference.file, offset, len), take_op_tally())
+                (reference.fs.read_logical_per_block(reference.file, offset, len), take_tally().fs)
             });
             prop_assert_eq!(&got, &want, "read {} blocks", k);
             prop_assert_eq!(got_tally, want_tally, "read {} op tally", k);

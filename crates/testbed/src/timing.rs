@@ -96,25 +96,23 @@ pub struct Observation {
 ///
 /// The mechanism is per-thread attribution: a ledger window
 /// ([`netbuf::CopyLedger::begin_window`]) over the application and storage
-/// ledgers, the buffer cache's op tally ([`simfs::take_op_tally`]) and the
-/// NCache op tally ([`sim::epoch::take_tally`]). Each accumulates exactly
-/// this thread's charges, and every charge of an operation — the transmit
-/// hook's included, which runs inside the server step on every path —
-/// happens on the thread that runs it, so the bracket is exact under a
-/// *shared* core guard (concurrent lanes serving hits) as well as an
-/// exclusive one, which a delta of two snapshots of the shared counters is
-/// not.
+/// ledgers and the two caches' op tally ([`sim::epoch::take_tally`]). Each
+/// accumulates exactly this thread's charges, and every charge of an
+/// operation — the transmit hook's included, which runs inside the server
+/// step on every path — happens on the thread that runs it, so the bracket
+/// is exact under a *shared* core guard (concurrent lanes serving hits) as
+/// well as an exclusive one, which a delta of two snapshots of the shared
+/// counters is not.
 #[derive(Debug)]
 #[must_use]
 pub(crate) struct OpMeter(());
 
 impl OpMeter {
     /// Opens the bracket: drains whatever earlier work left on this
-    /// thread's tallies and opens the ledger windows. Everything here is
+    /// thread's tally and opens the ledger windows. Everything here is
     /// the calling thread's own, so a lane may open its bracket before it
     /// takes the core lock — waiting charges nothing.
     pub(crate) fn open(ledgers: &NodeLedgers) -> OpMeter {
-        let _ = simfs::take_op_tally();
         let _ = sim::epoch::take_tally();
         ledgers.app.begin_window();
         ledgers.storage.begin_window();
@@ -136,11 +134,12 @@ impl OpMeter {
         substituted_pkts: u64,
         rejected: bool,
     ) -> Observation {
+        let tally = sim::epoch::take_tally();
         Observation {
             storage: ledgers.storage.end_window(),
             app: ledgers.app.end_window(),
-            bufcache_ops: simfs::take_op_tally(),
-            ncache_ops: sim::epoch::take_tally(),
+            bufcache_ops: tally.fs,
+            ncache_ops: tally.ncache,
             substituted_pkts,
             bursts: coalesce(io),
             request_bytes,

@@ -38,27 +38,46 @@ if [[ -n "$SIPHASH" ]]; then
 fi
 echo "no std HashMap outside tests in core, simfs, netbuf, servers/target.rs"
 
-echo "== recency lint (LRU indexes are lazy heaps, chunks keep their chains) =="
-# DESIGN.md §11, §14: every LRU index of the three caches is one lazy
-# recency heap (sim::RecencyHeap); an ordered map there allocated a tree
-# node every few inserts and rebalanced on every re-file. A chunk keeps
-# the chain its packet carried (netbuf::SegChain), which holds one
-# segment inline; a Vec there allocates once per cached block. The rung
-# fails on a non-test `BTreeMap` in the three cache files or a
-# `Vec<Segment>` field in `Chunk`.
-ORDERED="$(for f in crates/core/src/cache.rs crates/simfs/src/cache.rs crates/sim/src/ghost.rs; do
-    awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-        /BTreeMap/ { print f ":" FNR ": " $0 }' "$f"
-done)"
+nontest() { # nontest FILE...: each file's lines up to its test module
+    local f
+    for f in "$@"; do
+        awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done
+}
+
+echo "== one recency map (the LRU rule written once, chunks keep their chains) =="
+# DESIGN.md §11, §14: NCache, the FS buffer cache and the ghost tail keep
+# their entries in one sim::RecencyMap, which alone owns the true and
+# filed stamps, the filing generations and the lazy per-class heaps. The
+# rung fails if a cache grows its own copy of that scaffolding back (the
+# heap type, a settle or liveness helper, a filed-stamp field) outside
+# crates/sim/src/recency.rs, on an ordered map in the four recency files
+# (it allocated a tree node every few inserts), on a `Vec<Segment>` field
+# in `Chunk` (one allocation per cached block; a SegChain holds one
+# segment inline), and on more than three non-test `thread_local!`s
+# outside crates/check (the caches share one op tally, sim::epoch's).
+RECENCY_FILES="crates/core/src/cache.rs crates/simfs/src/cache.rs crates/sim/src/ghost.rs crates/sim/src/recency.rs"
+SCAFFOLD="$(nontest $(find crates/*/src src -name '*.rs' | grep -v '^crates/sim/src/recency\.rs$' | sort) \
+    | grep -E 'RecencyHeap|fn settle_head\b|fn filed\b|order_seq' || true)"
+ORDERED="$(nontest $RECENCY_FILES | grep BTreeMap || true)"
 CHUNK_VEC="$(awk '/^pub struct Chunk/ { inside = 1 }
     inside && /Vec<Segment>/ { print "crates/core/src/chunk.rs:" FNR ": " $0 }
     inside && /^}/ { inside = 0 }' crates/core/src/chunk.rs)"
-if [[ -n "$ORDERED$CHUNK_VEC" ]]; then
-    echo "an ordered LRU map, or a Vec chain in Chunk:" >&2
-    echo "$ORDERED$CHUNK_VEC" >&2
+if [[ -n "$SCAFFOLD$ORDERED$CHUNK_VEC" ]]; then
+    echo "recency scaffolding outside sim::recency, an ordered LRU map, or a Vec chain in Chunk:" >&2
+    echo "$SCAFFOLD$ORDERED$CHUNK_VEC" >&2
     exit 1
 fi
-echo "no BTreeMap outside tests in the three caches; Chunk keeps a SegChain"
+THREAD_LOCALS="$(nontest $(find crates/*/src src -name '*.rs' | grep -v '^crates/check/' | sort) \
+    | grep -c 'thread_local!' || true)"
+if (( THREAD_LOCALS > 3 )); then
+    echo "$THREAD_LOCALS non-test thread_local! blocks outside crates/check, more than 3:" >&2
+    nontest $(find crates/*/src src -name '*.rs' | grep -v '^crates/check/' | sort) \
+        | grep 'thread_local!' >&2
+    exit 1
+fi
+echo "one recency map, $THREAD_LOCALS thread-locals; non-test lines in the four recency files: $(nontest \
+    $RECENCY_FILES | wc -l) (1959 before the recency rule was written once)"
 
 echo "== one hit walk (a resident READ is probed, resolved, committed, spliced once) =="
 # DESIGN.md §9: simfs has one walk for a fully resident range
@@ -68,12 +87,6 @@ echo "== one hit walk (a resident READ is probed, resolved, committed, spliced o
 # walk replaced come back, or if either call site multiplies; a second
 # caller that really is needed opts out with a trailing
 # `// walk-ok: <reason>` on its line.
-nontest() { # nontest FILE...: each file's lines up to its test module
-    local f
-    for f in "$@"; do
-        awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
-    done
-}
 OLD_WALKS="$(nontest crates/simfs/src/fs.rs | grep -E \
     'fn (probe_read|read_logical_shared|peek_inode|peek_map_block|map_block_shared|walk_block_path|get_resident|read_resident)\b' || true)"
 if [[ -n "$OLD_WALKS" ]]; then
