@@ -15,11 +15,18 @@
 //! attach/land/share/replace, one payload copy per physical copy, nothing
 //! for peeks, takes and reservations). A `share()`/`clone()` forks the
 //! model too: mutating one side must never show on the other.
+//!
+//! Segments come in every storage kind: fully stored, placeholders that
+//! store only their key stamp, and zeros that store nothing — viewed whole
+//! or sliced across the stored/zero boundary, split, advanced and pulled
+//! through it — and multi-block pooled appends whose slabs a delivery
+//! attaches as one buffer (one logical copy).
 
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, Failed, PropResult};
 use netbuf::buf::HEADROOM;
-use netbuf::{BufPool, CopyLedger, LedgerSnapshot, NetBuf, SegChain, Segment};
+use netbuf::key::{KeyStamp, Lbn};
+use netbuf::{BufPool, CopyLedger, LedgerSnapshot, NetBuf, SegChain, Segment, SLAB_SIZE};
 use servers::stack::{deliver, deliver_faulty};
 use sim::{FaultKind, FaultLink, FaultPlan, FaultSpec};
 
@@ -45,10 +52,11 @@ impl Side {
         let chain: Vec<u8> = landed
             .iter()
             .copied()
-            .chain(self.buf.segments().flat_map(|s| s.as_slice().iter().copied()))
+            .chain(self.buf.segments().flat_map(|s| s.runs().flatten().copied()))
             .collect();
         prop_assert_eq!(chain, self.payload.clone(), "landed + chain bytes");
         prop_assert_eq!(self.buf.segments().count(), self.buf.segment_count());
+        prop_assert!(self.buf.buffer_count() <= self.buf.segment_count());
         if let Some(run) = self.buf.payload_contiguous() {
             prop_assert_eq!(run, &self.payload[..], "contiguous payload");
         }
@@ -96,10 +104,11 @@ property! {
 
     fn prop_netbuf_matches_the_flat_model(
         start in ints(0u8..4),
-        ops in vec_of((ints(0u8..15), any_u32(), any_u32()), 1..64),
+        ops in vec_of((ints(0u8..17), any_u32(), any_u32()), 1..64),
     ) {
         let ledger = CopyLedger::new();
         let pool = BufPool::slab_only();
+        let stamps = BufPool::stamp_only();
         let mut expect = LedgerSnapshot::default();
         // Sent frames: fresh, or received ones whose landed bytes every op
         // below then meets unparsed — an odd-length landing, one larger
@@ -144,20 +153,26 @@ property! {
                     side.header.splice(0..0, bytes);
                     expect.header_bytes += len as u64;
                 }
+                // An appended segment is a buffer of its own, behind
+                // fragments or not.
                 2 => {
                     let bytes = fill(tag, a as usize % 300);
+                    let bufs = side.buf.buffer_count();
                     side.buf.append_segment(Segment::from_vec(bytes.clone()));
+                    prop_assert_eq!(side.buf.buffer_count(), bufs + 1, "one buffer more");
                     side.payload.extend_from_slice(&bytes);
                     expect.logical_copies += 1;
                 }
                 3 => {
                     let bytes = fill(tag, a as usize % 300);
+                    let bufs = side.buf.buffer_count();
                     match b % 4 {
                         0 => side.buf.append_bytes(&bytes),
                         1 => side.buf.append_vec(bytes.clone()),
                         2 => side.buf.append_pooled(&pool, &bytes),
                         _ => side.buf.append_written(&pool, bytes.len(), |w| w.put(&bytes)),
                     }
+                    prop_assert_eq!(side.buf.buffer_count(), bufs + 1, "one buffer more");
                     side.payload.extend_from_slice(&bytes);
                     expect.payload_copies += 1;
                     expect.payload_bytes_copied += bytes.len() as u64;
@@ -187,14 +202,23 @@ property! {
                     let mut segs: Vec<Segment> = side.buf.take_payload().into();
                     prop_assert_eq!(side.buf.payload_len(), 0);
                     prop_assert_eq!(side.buf.segment_count(), 0);
-                    match b % 5 {
+                    match b % 6 {
                         0 => {}
                         1 => segs.reverse(),
                         2 => segs = segs.iter().map(|s| s.slice(0, s.len() / 2)).collect(),
                         3 => segs.truncate(1),
+                        4 => {
+                            segs = segs
+                                .iter()
+                                .flat_map(|s| {
+                                    let (front, back) = s.split_at(s.len() / 3);
+                                    [front, back]
+                                })
+                                .collect()
+                        }
                         _ => segs.clear(),
                     }
-                    side.payload = segs.iter().flat_map(|s| s.as_slice().iter().copied()).collect();
+                    side.payload = segs.iter().flat_map(Segment::to_vec).collect();
                     if a & 1 == 1 {
                         side.buf.replace_payload(segs);
                     } else {
@@ -225,7 +249,7 @@ property! {
                         prop_assert_eq!(side.buf.copy_payload_to_vec(), side.payload.clone());
                     } else {
                         let seg = side.buf.copy_payload_to_pooled(&pool);
-                        prop_assert_eq!(seg.as_slice(), &side.payload[..]);
+                        prop_assert_eq!(seg.to_vec(), side.payload.clone());
                     }
                     expect.payload_copies += 1;
                     expect.payload_bytes_copied += side.payload.len() as u64;
@@ -264,14 +288,54 @@ property! {
                     side.payload.drain(..n);
                     expect.header_bytes += n as u64;
                 }
+                // A segment that stores less than it views: a placeholder
+                // (its stamp, then zeros) or zeros alone, attached whole or
+                // as a slice that may straddle the stored prefix.
+                14 => {
+                    let len = KeyStamp::LEN + a as usize % (2 * SLAB_SIZE);
+                    let (seg, bytes) = if b & 1 == 0 {
+                        let stamp = KeyStamp::new().with_lbn(Lbn(u64::from(a)));
+                        let mut bytes = vec![0u8; len];
+                        stamp.encode_into(&mut bytes);
+                        (stamps.placeholder(&stamp, len), bytes)
+                    } else {
+                        (Segment::zeroed(len), vec![0u8; len])
+                    };
+                    let off = (b as usize >> 1) % (len + 1);
+                    let cut = (b as usize >> 16) % (len - off + 1);
+                    side.buf.append_segment(seg.slice(off, cut));
+                    side.payload.extend_from_slice(&bytes[off..off + cut]);
+                    expect.logical_copies += 1;
+                }
+                // A multi-block pooled append: one slab per block, one
+                // payload copy, one buffer. A buffer holds one such append
+                // (one socket send), so a buffer that has fragments
+                // already skips it.
+                15 => {
+                    if side.buf.buffer_count() < side.buf.segment_count() {
+                        continue;
+                    }
+                    let bytes = fill(tag, SLAB_SIZE + 1 + a as usize % (2 * SLAB_SIZE));
+                    let bufs = side.buf.buffer_count();
+                    side.buf.append_pooled(&pool, &bytes);
+                    prop_assert_eq!(side.buf.buffer_count(), bufs + 1, "one buffer more");
+                    prop_assert_eq!(side.buf.buffer_count() + bytes.len().div_ceil(SLAB_SIZE) - 1, side.buf.segment_count());
+                    side.payload.extend_from_slice(&bytes);
+                    expect.payload_copies += 1;
+                    expect.payload_bytes_copied += bytes.len() as u64;
+                }
                 // Delivery of whatever this is — a built frame, or a
                 // delivered one still (partly) unparsed: the linear area
-                // re-lands, the chain rides by reference.
+                // re-lands, the chain rides by reference, one logical copy
+                // per buffer, and the delivery has the buffers it was
+                // charged for.
                 _ => {
                     expect.allocations += 1;
                     expect.logical_copies += u64::from(!side.buf.linear().is_empty());
-                    expect.logical_copies += side.buf.segment_count() as u64;
+                    expect.logical_copies += side.buf.buffer_count() as u64;
+                    let shape = (side.buf.segment_count(), side.buf.buffer_count());
                     side.buf = deliver(&side.buf, &ledger);
+                    prop_assert_eq!((side.buf.segment_count(), side.buf.buffer_count()), shape, "delivered shape");
                     let header = std::mem::take(&mut side.header);
                     side.payload.splice(0..0, header);
                 }
@@ -388,6 +452,52 @@ property! {
         prop_assert!(truncated > 0, "rate-1.0 truncation fired");
     }
 
+    /// A headerless frame whose payload is a multi-block pooled append —
+    /// one buffer of slabs, with `behind` plain segments appended after
+    /// its fragments — crosses a corrupting link as it crosses a clean
+    /// one: one logical copy per buffer. Its first slab lands privately
+    /// and takes the flip, the fragment behind it heads the rest, and a
+    /// segment the receiver appends is one buffer more, which the next
+    /// delivery charges as one.
+    fn prop_a_corrupted_headerless_pooled_frame_keeps_its_buffers(
+        seed in any_u64(),
+        len in ints(SLAB_SIZE + 1..4 * SLAB_SIZE),
+        behind in ints(0usize..3),
+    ) {
+        let pool = BufPool::slab_only();
+        let bytes = fill(5, len);
+        let mut sent = NetBuf::new(&CopyLedger::new());
+        sent.append_pooled(&pool, &bytes);
+        for k in 0..behind {
+            sent.append_segment(Segment::from_vec(fill(6 + k as u32, 100)));
+        }
+        let blocks = len.div_ceil(SLAB_SIZE);
+        prop_assert_eq!((sent.segment_count(), sent.buffer_count()), (blocks + behind, 1 + behind));
+        let wire = sent.to_wire();
+        let spec = FaultSpec { corrupt: 1.0, ..FaultSpec::default() };
+        let mut plan = FaultPlan::new(&spec, seed);
+        let ledger = CopyLedger::new();
+        let (rx, kind) = deliver_faulty(&sent, &ledger, &mut plan, FaultLink::ClientServer);
+        let mut rx = rx.expect("corruption still delivers");
+        prop_assert!(matches!(kind, Some(FaultKind::Corrupt { .. })), "a first draw at rate 1.0 corrupts");
+        let s = ledger.snapshot();
+        prop_assert_eq!((s.allocations, s.logical_copies), (1, 1 + behind as u64), "one logical copy per buffer");
+        let got = rx.to_wire();
+        let flipped: u32 = wire.iter().zip(&got).map(|(a, b)| (a ^ b).count_ones()).sum();
+        prop_assert_eq!(flipped, 1, "exactly one bit flips");
+        prop_assert_eq!(rx.linear().len(), SLAB_SIZE, "the first slab landed privately");
+        prop_assert_eq!((rx.segment_count(), rx.buffer_count()), (blocks - 1 + behind, 1 + behind));
+        prop_assert_eq!(sent.to_wire(), wire, "the sender's slabs are pristine");
+
+        let bufs = rx.buffer_count();
+        rx.append_segment(Segment::from_vec(fill(9, 10)));
+        prop_assert_eq!(rx.buffer_count(), bufs + 1, "one buffer more");
+        let again = CopyLedger::new();
+        let redelivered = deliver(&rx, &again);
+        prop_assert_eq!(again.snapshot().logical_copies, 1 + bufs as u64 + 1, "the landing and each buffer");
+        prop_assert_eq!(redelivered.to_wire(), rx.to_wire());
+    }
+
     /// A delivery that lands its headers is, to everything that reads a
     /// buffer, the delivery that carried them as a heap segment at the
     /// front of the chain (the layout before the landing area): same wire
@@ -421,9 +531,7 @@ property! {
             1 => prop_assert_eq!(new.copy_payload_to_vec(), old.copy_payload_to_vec()),
             // Unpulled landed bytes spill to one segment at the front.
             2 => {
-                let bytes = |segs: SegChain| -> Vec<u8> {
-                    segs.iter().flat_map(|s| s.as_slice().iter().copied()).collect()
-                };
+                let bytes = |segs: SegChain| -> Vec<u8> { segs.iter().flat_map(Segment::to_vec).collect() };
                 prop_assert_eq!(bytes(new.take_payload()), bytes(old.take_payload()));
                 prop_assert!(new.is_empty() && new.linear().is_empty());
             }

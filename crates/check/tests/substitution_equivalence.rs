@@ -16,6 +16,13 @@
 //! standard against one `resolve_into` per stamp — and a reply with a
 //! dangling stamp anywhere in it to the stricter one: its index comes
 //! back and nothing whatsoever has moved.
+//!
+//! Placeholders come in both representations: a whole block that stores
+//! the stamp and its junk, and a key-only block that stores the stamp and
+//! nothing else (zeros past it). The third property holds the key-only
+//! kind to the whole block that stores the same bytes, substituted or —
+//! as the no-substitution ablation ships them — not: same splice, same
+//! wire bytes, same checksum.
 
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, PropResult};
@@ -85,7 +92,7 @@ fn reference_substitute(
     let mut new = Vec::new();
     for seg in buf.take_payload() {
         let stamp = (seg.len() >= KeyStamp::LEN)
-            .then(|| KeyStamp::decode(seg.as_slice()))
+            .then(|| KeyStamp::decode(&seg.to_vec()))
             .flatten()
             .filter(KeyStamp::is_keyed);
         let Some(stamp) = stamp else {
@@ -127,9 +134,12 @@ fn reference_substitute(
     report
 }
 
-/// Same view of the same storage.
+/// Same view of the same storage (or, for segments that store nothing,
+/// the same length of zeros).
 fn same_view(a: &Segment, b: &Segment) -> bool {
-    a.same_storage(b) && a.len() == b.len() && a.as_slice().as_ptr() == b.as_slice().as_ptr()
+    let (x, y) = (a.stored(), b.stored());
+    let stores = a.same_storage(b) || (a.refcount(), b.refcount()) == (0, 0);
+    stores && a.len() == b.len() && (x.as_ptr(), x.len()) == (y.as_ptr(), y.len())
 }
 
 fn resident(cache: &NetCacheShards) -> Vec<bool> {
@@ -154,8 +164,9 @@ property! {
         seed in any_u64(),
         shards in ints(1usize..4),
         lbn_first in any_bool(),
-        blocks in vec_of((ints(0u8..6), ints(0u64..24), ints(0usize..CHUNK + 1), any_bool()), 1..14),
+        blocks in vec_of((ints(0u8..6), ints(0u64..24), ints(0usize..CHUNK + 1), any_bool(), any_bool()), 1..14),
     ) {
+        let key_only = BufPool::stamp_only();
         let mut rng = SplitMix64::new(seed);
         let chunks: Vec<(Vec<Segment>, usize)> = (0..LBNS + FHOS)
             .map(|k| {
@@ -174,11 +185,12 @@ property! {
 
         // One reply: plain data, and placeholders of every stamp shape —
         // resident, evicted (a ghost hit), never inserted, FHO over a
-        // stale LBN copy — at full and short-tail lengths.
+        // stale LBN copy — at full and short-tail lengths, stored whole or
+        // key-only (plain data then stores nothing: zeros).
         let (subject_ledger, reference_ledger) = (CopyLedger::new(), CopyLedger::new());
         let mut pkt = NetBuf::new(&subject_ledger);
         let mut twin = NetBuf::new(&reference_ledger);
-        for (kind, key, len, full) in blocks {
+        for (kind, key, len, full, stored_whole) in blocks {
             let len = if full { CHUNK } else { len.max(KeyStamp::LEN) };
             let stamp = match kind {
                 0 => None,
@@ -188,11 +200,17 @@ property! {
                 4 => Some(KeyStamp::new().with_lbn(Lbn(1000 + key))),
                 _ => Some(KeyStamp::new()), // a stamp with no key passes through
             };
-            let mut bytes = vec![b'x'; len];
-            if let Some(stamp) = stamp {
-                stamp.encode_into(&mut bytes);
-            }
-            let seg = Segment::from_vec(bytes);
+            let seg = match (stored_whole, stamp) {
+                (false, Some(stamp)) => key_only.placeholder(&stamp, CHUNK).slice(0, len),
+                (false, None) => Segment::zeroed(len),
+                (true, _) => {
+                    let mut bytes = vec![b'x'; len];
+                    if let Some(stamp) = stamp {
+                        stamp.encode_into(&mut bytes);
+                    }
+                    Segment::from_vec(bytes)
+                }
+            };
             pkt.append_segment(seg.clone());
             twin.append_segment(seg);
         }
@@ -347,5 +365,52 @@ property! {
             }
             caches_agree(&subject, &reference)?;
         }
+    }
+}
+
+property! {
+    #![cases(64)]
+
+    fn prop_key_only_placeholders_read_as_the_whole_blocks_they_replace(
+        blocks in vec_of((ints(0u8..4), ints(0u64..24), ints(1usize..CHUNK + 1)), 1..12),
+        (substitute, shards) in (any_bool(), ints(1usize..4)),
+    ) {
+        let key_only = BufPool::stamp_only();
+        let cache = NetCacheShards::new(BufPool::new(4 * LBNS * CHUNK as u64), 0, shards);
+        for l in 0..LBNS {
+            let segs = vec![Segment::from_vec(vec![l as u8 ^ 0x5A; CHUNK])];
+            cache.insert_lbn(Lbn(l), segs, CHUNK, false).expect("fits");
+        }
+        // A reply of placeholders, each clipped to what the reply carries
+        // of it: resident, never inserted, unkeyed, both keys.
+        let ledger = CopyLedger::new();
+        let (mut keyed, mut whole) = (NetBuf::new(&ledger), NetBuf::new(&ledger));
+        for (kind, key, limit) in blocks {
+            let stamp = match kind {
+                0 => KeyStamp::new().with_lbn(Lbn(key % LBNS)),
+                1 => KeyStamp::new().with_lbn(Lbn(1000 + key)),
+                2 => KeyStamp::new(),
+                _ => KeyStamp::new().with_fho(fho(key)).with_lbn(Lbn(key % LBNS)),
+            };
+            let mut bytes = vec![0u8; CHUNK];
+            stamp.encode_into(&mut bytes);
+            let ph = key_only.placeholder(&stamp, CHUNK);
+            prop_assert_eq!(ph.stored_len(), KeyStamp::LEN, "a key, not a page");
+            keyed.append_segment(ph.slice(0, limit));
+            whole.append_segment(Segment::from_vec(bytes).slice(0, limit));
+        }
+        for buf in [&mut keyed, &mut whole] {
+            buf.push_header(&[0x45; 28]);
+        }
+        if substitute {
+            let got = substitute_payload(&mut keyed, &cache);
+            prop_assert_eq!(got, substitute_payload(&mut whole, &cache), "report");
+        }
+        prop_assert_eq!(keyed.to_wire(), whole.to_wire(), "wire bytes");
+        prop_assert_eq!(keyed.payload_len(), whole.payload_len());
+        let n = keyed.payload_len();
+        prop_assert_eq!(keyed.peek(n / 3, n - n / 3), whole.peek(n / 3, n - n / 3), "peek");
+        prop_assert_eq!(keyed.compute_csum(), whole.compute_csum(), "checksum");
+        prop_assert_eq!(keyed.copy_payload_to_vec(), whole.copy_payload_to_vec(), "client copy");
     }
 }

@@ -105,7 +105,7 @@ impl Chunk {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);
         for seg in &self.share_segments() {
-            v.extend_from_slice(seg.as_slice());
+            seg.runs().for_each(|run| v.extend_from_slice(run));
         }
         v
     }

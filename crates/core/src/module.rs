@@ -76,9 +76,9 @@ pub struct NcacheModule {
     cache: NetCacheShards,
     config: NcacheConfig,
     ledger: CopyLedger,
-    /// Slab recycler for Data-In placeholder blocks (nothing is pinned
-    /// from it; cache residency pins from the cache's own pool).
-    slabs: BufPool,
+    /// Stamp-sized stores for Data-In placeholder blocks (nothing is
+    /// pinned from it; cache residency pins from the cache's own pool).
+    stamps: BufPool,
     pending_writebacks: Vec<WritebackChunk>,
     recorder: Option<obs::Recorder>,
     invalidations: u64,
@@ -92,7 +92,7 @@ impl NcacheModule {
             cache: NetCacheShards::new(pool, config.per_chunk_overhead, config.shards.max(1)),
             config,
             ledger: ledger.clone(),
-            slabs: BufPool::slab_only(),
+            stamps: BufPool::stamp_only(),
             pending_writebacks: Vec::new(),
             recorder: None,
             invalidations: 0,
@@ -341,7 +341,7 @@ impl NcacheModule {
         self.pending_writebacks.extend(wbs);
         Ok(placeholder_block(
             &self.ledger,
-            &self.slabs,
+            &self.stamps,
             KeyStamp::new().with_lbn(lbn),
         ))
     }
@@ -372,14 +372,20 @@ impl NcacheModule {
         Ok(KeyStamp::new().with_fho(fho))
     }
 
-    /// Hook 3: the file system is flushing a dirty block to `lbn`. If the
-    /// block is a stamped placeholder, remaps its FHO entry to `lbn` and
-    /// returns the real payload for the outgoing iSCSI write (the entry
-    /// stays resident, now clean — the write is on its way to storage).
-    /// Returns `None` for unstamped (real-data / metadata) blocks, which
-    /// take the ordinary copying path.
+    /// Hook 3 on a block held as bytes: [`NcacheModule::on_flush_stamp`]
+    /// of the stamp at its head, or `None` for an unstamped (real-data /
+    /// metadata) block, which takes the ordinary copying path.
     pub fn on_flush_write(&mut self, block: &[u8], lbn: Lbn) -> Option<SegChain> {
-        let stamp = KeyStamp::decode(block)?;
+        self.on_flush_stamp(KeyStamp::decode(block)?, lbn)
+    }
+
+    /// Hook 3: the file system is flushing a dirty placeholder stamped
+    /// `stamp` ([`Segment::stamp`]) to `lbn`. Remaps its FHO entry to `lbn`
+    /// and returns the real payload for the outgoing iSCSI write (the entry
+    /// stays resident, now clean — the write is on its way to storage), or
+    /// serves an LBN-only stamp from the LBN cache. `None` when neither key
+    /// is resident.
+    pub fn on_flush_stamp(&mut self, stamp: KeyStamp, lbn: Lbn) -> Option<SegChain> {
         let shard_before = self.shard_baseline();
         if let Some(fho) = stamp.fho {
             if let Some(segs) = self.cache.remap_chain(fho, lbn) {
@@ -413,12 +419,13 @@ impl NcacheModule {
 
 /// Builds the placeholder block the file system caches in place of a
 /// chunk's payload: `stamp` at the head of [`CHUNK_PAYLOAD`] bytes of
-/// zeros, on a slab recycled through `pool`. Writing the stamp is the
-/// server's only per-block byte work under NCache, and it is charged to
-/// `ledger` as header bytes.
+/// zeros, on a store recycled through `pool` — a [`BufPool::stamp_only`]
+/// pool stores the stamp and nothing else ([`BufPool::placeholder`]).
+/// Writing the stamp is the server's only per-block byte work under
+/// NCache, and it is charged to `ledger` as header bytes.
 pub fn placeholder_block(ledger: &CopyLedger, pool: &BufPool, stamp: KeyStamp) -> Segment {
     ledger.charge_header_bytes(KeyStamp::LEN as u64);
-    pool.seg_written(CHUNK_PAYLOAD, |w| w.put(&stamp.encode()))
+    pool.placeholder(&stamp, CHUNK_PAYLOAD)
 }
 
 #[cfg(test)]
@@ -451,7 +458,7 @@ mod tests {
         let (mut m, _l) = module(1 << 20);
         let ph = m.on_data_in(Lbn(3), block_segs(7), CHUNK_PAYLOAD).expect("fits");
         assert!(m.cache_contains_lbn(Lbn(3)));
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
+        let stamp = ph.stamp().expect("stamped");
         assert_eq!(stamp.lbn, Some(Lbn(3)));
         assert_eq!(stamp.fho, None);
         assert_eq!(ph.len(), CHUNK_PAYLOAD);
@@ -626,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn placeholders_ride_recycled_slabs() {
+    fn placeholders_are_keys_on_recycled_stores() {
         let (mut m, ledger) = module(1 << 20);
         let before = ledger.snapshot();
         let ph = m.on_data_in(Lbn(3), block_segs(7), CHUNK_PAYLOAD).expect("fits");
@@ -635,22 +642,25 @@ mod tests {
             ledger.snapshot().delta_since(&before).header_bytes,
             KeyStamp::LEN as u64
         );
-        // Past the stamp the block is scrubbed junk, also on a slab that
-        // held another placeholder before.
-        assert!(ph.as_slice()[KeyStamp::LEN..].iter().all(|&b| b == 0));
+        // A whole block that stores its stamp and nothing else: past the
+        // stamp it reads as zeros, also on a store that held another
+        // placeholder before.
+        assert_eq!((ph.len(), ph.stored_len()), (CHUNK_PAYLOAD, KeyStamp::LEN));
+        assert!(ph.runs().flatten().skip(KeyStamp::LEN).all(|&b| b == 0));
         drop(ph);
         let again = m.on_data_in(Lbn(4), block_segs(8), CHUNK_PAYLOAD).expect("fits");
-        let stamp = KeyStamp::decode(again.as_slice()).expect("stamped");
+        let stamp = again.stamp().expect("stamped");
         assert_eq!((stamp.lbn, stamp.fho), (Some(Lbn(4)), None));
-        assert!(again.as_slice()[KeyStamp::LEN..].iter().all(|&b| b == 0));
-        assert_eq!(m.slabs.slab_stats().recycles, 1);
+        assert_eq!(again.stored_len(), KeyStamp::LEN);
+        assert_eq!(m.stamps.slab_stats().recycles, 1);
+        assert_eq!(m.stamps.check_invariants(), Ok(()));
     }
 
     #[test]
     fn verify_resolvable_stamps_then_accepts() {
         let (mut m, _l) = module(1 << 20);
         let ph = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
+        let stamp = ph.stamp().expect("stamped");
         assert!(m.verify_resolvable(&stamp), "first pass stamps the csum");
         assert!(m.verify_resolvable(&stamp), "second pass verifies it");
         assert_eq!(m.invalidations(), 0);
@@ -661,7 +671,7 @@ mod tests {
     fn verify_resolvable_invalidates_poisoned_chunks() {
         let (mut m, _l) = module(1 << 20);
         let ph = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
+        let stamp = ph.stamp().expect("stamped");
         let rec = obs::Recorder::new();
         rec.enable(obs::TraceConfig::default());
         m.set_recorder(rec.clone());
@@ -672,7 +682,7 @@ mod tests {
         assert_eq!(rec.counter("fault.invalidations"), 1);
         // Refetch repopulates; the fresh entry verifies clean again.
         let ph = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
+        let stamp = ph.stamp().expect("stamped");
         assert!(m.verify_resolvable(&stamp));
     }
 

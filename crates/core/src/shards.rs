@@ -533,7 +533,8 @@ impl NetCacheShards {
     {
         let fho_first = self.fho_first.load(std::sync::atomic::Ordering::Relaxed);
         let keys = |block: &Segment| {
-            netbuf::key::KeyStamp::decode(block.as_slice())
+            block
+                .stamp()
                 .map_or([None, None], |stamp| resolution_order(&stamp, fho_first))
                 .into_iter()
                 .flatten()

@@ -114,6 +114,40 @@ impl LinearArea {
     }
 }
 
+/// Where a buffer's fragments sit in its chain: `len` segments from index
+/// `start`, each continuing the segment before it (so `start >= 1` while
+/// `len > 0`). A buffer holds one run, the one multi-block append of a
+/// socket send; every segment before or behind it is a buffer of its own.
+#[derive(Clone, Copy, Debug, Default)]
+struct FragRun {
+    start: usize,
+    len: usize,
+}
+
+impl FragRun {
+    /// Whether chain segment `i` continues the one before it.
+    fn contains(self, i: usize) -> bool {
+        i >= self.start && i - self.start < self.len
+    }
+
+    /// The chain gained a segment at its front.
+    fn pushed_front(&mut self) {
+        self.start += usize::from(self.len > 0);
+    }
+
+    /// The chain lost its front segment (never a fragment): a fragment
+    /// that moves to the front heads what is left of the run.
+    fn popped_front(&mut self) {
+        if self.len > 0 {
+            self.start -= 1;
+            if self.start == 0 {
+                self.start = 1;
+                self.len -= 1;
+            }
+        }
+    }
+}
+
 /// A network buffer: linear area + chained payload segments. The linear
 /// area holds the built headers of a buffer on its way out, or the landed,
 /// not yet parsed front of the payload of one that was delivered — never
@@ -139,6 +173,11 @@ pub struct NetBuf {
     /// Set only while the area is non-empty.
     landed: bool,
     segs: SegChain,
+    /// The chain's *fragments*: the later slabs of one multi-block
+    /// [`NetBuf::append_pooled`], which continue the segment before them
+    /// as one buffer (an `sk_buff` and its page fragments), so a delivery
+    /// attaches them with it as one logical copy.
+    frags: FragRun,
     /// Landed bytes plus the sum of the segment lengths, maintained by
     /// every operation that changes either (host-only bookkeeping; never
     /// charged).
@@ -155,6 +194,7 @@ impl NetBuf {
             linear: LinearArea::new(),
             landed: false,
             segs: SegChain::new(),
+            frags: FragRun::default(),
             payload_len: 0,
             csum: CsumState::None,
         }
@@ -176,6 +216,7 @@ impl NetBuf {
         self.segs.reserve(additional);
     }
 
+    /// Appends `seg` at the tail, uncharged.
     fn push_segment(&mut self, seg: Segment) {
         self.payload_len += seg.len();
         self.segs.push_back(seg);
@@ -234,18 +275,20 @@ impl NetBuf {
     }
 
     /// The payload as one borrowed run, when it is one: all of it landed,
-    /// or all of it in a single segment.
+    /// or all of it in a single segment that is one run
+    /// ([`Segment::contiguous`]).
     pub fn payload_contiguous(&self) -> Option<&[u8]> {
         match (self.landed().len(), self.segs.len()) {
             (_, 0) => Some(self.landed()),
-            (0, 1) => self.segs.front().map(Segment::as_slice),
+            (0, 1) => self.segs.front().and_then(Segment::contiguous),
             _ => None,
         }
     }
 
-    /// The payload run by run: landed bytes first, then the chain.
+    /// The payload run by run: landed bytes first, then each segment's
+    /// stored bytes and zeros.
     fn runs(&self) -> impl Iterator<Item = &[u8]> {
-        std::iter::once(self.landed()).chain(self.segs.iter().map(Segment::as_slice))
+        std::iter::once(self.landed()).chain(self.segs.iter().flat_map(Segment::runs))
     }
 
     /// Moves unparsed landed bytes to a heap segment at the front of the
@@ -255,6 +298,7 @@ impl NetBuf {
     fn spill_landed(&mut self) {
         if self.landed {
             self.segs.push_front(Segment::from_vec(self.linear.bytes().to_vec()));
+            self.frags.pushed_front();
             self.linear.clear();
             self.landed = false;
         }
@@ -322,14 +366,14 @@ impl NetBuf {
         }
         while need > 0 {
             let front = self.segs.front_mut().expect("payload length checked");
-            if front.len() <= need {
-                sink(front.as_slice());
-                need -= front.len();
+            let take = front.len().min(need);
+            front.runs_in(0, take).for_each(&mut sink);
+            need -= take;
+            if take == front.len() {
                 self.segs.pop_front();
+                self.frags.popped_front();
             } else {
-                sink(&front.as_slice()[..need]);
-                front.advance(need);
-                need = 0;
+                front.advance(take);
             }
         }
     }
@@ -443,12 +487,92 @@ impl NetBuf {
         self.push_segment(Segment::from_vec(bytes));
     }
 
-    /// Copies `bytes` into a recycled slab from `pool` — same ledger charge
+    /// Copies `bytes` into recycled slabs from `pool` — same ledger charge
     /// as [`NetBuf::append_bytes`], but the segment storage comes from (and
     /// returns to) the pool's free list instead of the host allocator.
+    /// Past [`crate::SLAB_SIZE`] the bytes land one slab per block, so each
+    /// block's segment holds only its own slab (an NFS WRITE's FHO chunks
+    /// each keep one block alive, not the whole request); the later slabs
+    /// are the first one's fragments.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a second multi-block append to a buffer: it holds one run
+    /// of fragments.
     pub fn append_pooled(&mut self, pool: &crate::BufPool, bytes: &[u8]) {
         self.ledger.charge_payload_copy(bytes.len() as u64);
-        self.push_segment(pool.seg_from_slice(bytes));
+        if bytes.len() <= crate::SLAB_SIZE {
+            self.push_segment(pool.seg_from_slice(bytes));
+            return;
+        }
+        let blocks = bytes.len().div_ceil(crate::SLAB_SIZE);
+        self.segs.reserve(blocks);
+        let head = self.segs.len();
+        for block in bytes.chunks(crate::SLAB_SIZE) {
+            self.push_segment(pool.seg_from_slice(block));
+        }
+        self.set_frags(head + 1, blocks - 1);
+    }
+
+    /// Records the buffer's run of fragments.
+    fn set_frags(&mut self, start: usize, len: usize) {
+        assert_eq!(self.frags.len, 0, "a buffer holds one multi-block append");
+        self.frags = FragRun { start, len };
+    }
+
+    /// Attaches `sent`'s payload chain by reference, clipped to its first
+    /// `limit` bytes — what a delivery does with the segments a sender
+    /// handed the NIC. Charged as one **logical copy** per buffer attached
+    /// ([`NetBuf::buffer_count`]): fragments ride with the segment they
+    /// continue. Landed bytes are not part of the chain.
+    pub fn attach_chain_of(&mut self, sent: &NetBuf, limit: usize) {
+        let base = self.segs.len();
+        let mut left = limit;
+        let mut frags = 0;
+        for (i, seg) in sent.segs.iter().enumerate() {
+            if left == 0 {
+                break;
+            }
+            let take = seg.len().min(left);
+            let piece = if take == seg.len() {
+                seg.clone()
+            } else {
+                seg.slice(0, take)
+            };
+            if sent.frags.contains(i) {
+                self.push_segment(piece);
+                frags += 1;
+            } else {
+                self.append_segment(piece);
+            }
+            left -= take;
+        }
+        if frags > 0 {
+            self.set_frags(base + sent.frags.start, frags);
+        }
+    }
+
+    /// Moves the first chain segment's bytes into the empty linear area as
+    /// landed bytes: a private copy, which a link that damages a headerless
+    /// frame makes before it flips a bit, so the damage touches no storage
+    /// the sender shares. Uncharged: the delivery that attached the segment
+    /// charged it. An empty first segment stays where it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the linear area holds headers or landed bytes.
+    pub fn land_first_segment(&mut self) {
+        assert!(self.linear.bytes().is_empty(), "the linear area is taken");
+        let Some(first) = self.segs.front().filter(|s| !s.is_empty()) else {
+            return;
+        };
+        match first.contiguous() {
+            Some(bytes) => self.linear.prepend(bytes),
+            None => self.linear.prepend(&first.to_vec()),
+        }
+        self.landed = true;
+        self.segs.pop_front();
+        self.frags.popped_front();
     }
 
     /// Builds a `len`-byte payload segment in place on a recycled slab:
@@ -531,6 +655,7 @@ impl NetBuf {
     pub fn take_payload(&mut self) -> SegChain {
         self.spill_landed();
         self.payload_len = 0;
+        self.frags = FragRun::default();
         std::mem::take(&mut self.segs)
     }
 
@@ -544,6 +669,7 @@ impl NetBuf {
             self.landed = false;
         }
         self.segs = segs.into();
+        self.frags = FragRun::default();
         self.payload_len = self.segs.byte_len();
     }
 
@@ -561,6 +687,12 @@ impl NetBuf {
     /// Number of payload segments in the chain.
     pub fn segment_count(&self) -> usize {
         self.segs.len()
+    }
+
+    /// Number of payload buffers in the chain: its segments, each fragment
+    /// counted with the segment it continues.
+    pub fn buffer_count(&self) -> usize {
+        self.segs.len() - self.frags.len
     }
 
     /// Computes the payload checksum in software, charging the ledger, and
@@ -608,8 +740,8 @@ impl NetBuf {
         // Built headers or landed payload front: the wire's leading bytes
         // either way.
         v.extend_from_slice(self.linear());
-        for seg in &self.segs {
-            v.extend_from_slice(seg.as_slice());
+        for run in self.segs.iter().flat_map(Segment::runs) {
+            v.extend_from_slice(run);
         }
         v
     }
@@ -981,6 +1113,71 @@ mod tests {
         for buf in [&a, &b, &c, &d] {
             assert_eq!(buf.copy_payload_to_vec(), data);
         }
+    }
+
+    #[test]
+    fn a_multi_block_pooled_append_is_one_copy_and_one_buffer_of_slabs() {
+        let pool = crate::BufPool::slab_only();
+        let data: Vec<u8> = (0..3 * crate::SLAB_SIZE + 100).map(|i| i as u8).collect();
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        b.append_pooled(&pool, &data);
+        assert_eq!((b.segment_count(), b.buffer_count()), (4, 1));
+        assert!(b.segments().all(|s| s.is_pooled() && s.len() <= crate::SLAB_SIZE));
+        assert_eq!(pool.slab_stats().allocs, 4, "one slab per block");
+        let s = l.snapshot();
+        assert_eq!((s.payload_copies, s.payload_bytes_copied), (1, data.len() as u64));
+        b.push_header(&[1, 2]);
+        // Delivered, the slabs ride as one buffer: one logical copy, as
+        // the one heap segment the bytes used to be.
+        let rx_ledger = ledger();
+        let mut rx = NetBuf::new(&rx_ledger);
+        rx.land(b.linear());
+        rx.attach_chain_of(&b, usize::MAX);
+        assert_eq!(rx_ledger.snapshot().logical_copies, 2, "the landing and the one buffer");
+        assert_eq!((rx.segment_count(), rx.buffer_count()), (4, 1));
+        assert_eq!(rx.to_wire(), b.to_wire());
+        // A prefix is still one buffer; a buffer of plain segments is one
+        // per segment.
+        let mut cut = NetBuf::new(&rx_ledger);
+        cut.attach_chain_of(&b, crate::SLAB_SIZE + 1);
+        assert_eq!((cut.segment_count(), cut.buffer_count(), cut.payload_len()), (2, 1, crate::SLAB_SIZE + 1));
+        assert_eq!(rx_ledger.snapshot().logical_copies, 3);
+        // Pulling into the fragments leaves the survivor heading them.
+        rx.pull(2 + crate::SLAB_SIZE + 10);
+        assert_eq!((rx.segment_count(), rx.buffer_count()), (3, 1));
+        let segs = rx.take_payload();
+        assert_eq!((segs.len(), rx.buffer_count()), (3, 0));
+    }
+
+    #[test]
+    fn partially_stored_segments_read_as_their_logical_bytes() {
+        let pool = crate::BufPool::stamp_only();
+        let stamp = crate::key::KeyStamp::new().with_lbn(crate::Lbn(4));
+        let ph = pool.placeholder(&stamp, 4096);
+        let mut flat = vec![0u8; 4096];
+        stamp.encode_into(&mut flat);
+        flat.extend_from_slice(&[0, 0, 7, 8, 9]);
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        b.append_segment(ph);
+        b.append_segment(Segment::zeroed(2));
+        b.append_segment(Segment::from_vec(vec![7, 8, 9]));
+        let mut reference = NetBuf::from_wire(&l, flat.clone());
+        assert_eq!(b.to_wire(), flat);
+        assert_eq!(b.copy_payload_to_vec(), flat);
+        assert_eq!(b.peek(4090, 10), flat[4090..4100].to_vec());
+        assert_eq!(b.payload_contiguous(), None);
+        assert_eq!(b.compute_csum(), reference.compute_csum());
+        assert_eq!(b.pull(4095), flat[..4095].to_vec(), "across the stored prefix");
+        assert_eq!(b.pull_array::<3>(), [0, 0, 0]);
+        assert_eq!(b.copy_payload_to_vec(), vec![7, 8, 9]);
+        let mut one = NetBuf::new(&l);
+        one.append_segment(Segment::zeroed(64));
+        assert_eq!(one.payload_contiguous(), Some(&[0u8; 64][..]));
+        let mut copied = NetBuf::new(&l);
+        copied.append_vec(pool.placeholder(&stamp, 4096).slice(20, 30).to_vec());
+        assert_eq!(copied.copy_payload_to_vec(), flat[20..50].to_vec());
     }
 
     #[test]

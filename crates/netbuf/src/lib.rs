@@ -59,4 +59,4 @@ pub use chain::SegChain;
 pub use mbuf::MbufChain;
 pub use key::{CacheKey, FileHandle, Fho, Lbn};
 pub use pool::{BufPool, SlabStats, SlabWriter, SLAB_SIZE};
-pub use segment::Segment;
+pub use segment::{Runs, Segment};

@@ -82,6 +82,10 @@ impl Mbuf {
     }
 
     /// A view of the carried bytes.
+    ///
+    /// # Panics
+    ///
+    /// As [`Segment::as_slice`], on a cluster that is not one run.
     pub fn as_slice(&self) -> &[u8] {
         match &self.storage {
             Storage::Inline(v) => v,
@@ -179,7 +183,10 @@ impl MbufChain {
         ledger.charge_payload_copy(self.len() as u64);
         let mut out = Vec::with_capacity(self.len());
         for m in &self.bufs {
-            out.extend_from_slice(m.as_slice());
+            match &m.storage {
+                Storage::Inline(v) => out.extend_from_slice(v),
+                Storage::Cluster(s) => s.runs().for_each(|run| out.extend_from_slice(run)),
+            }
         }
         out
     }

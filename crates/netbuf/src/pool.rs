@@ -19,6 +19,12 @@
 //! slab's dirty extent and its home — so a steady state of packets built
 //! and dropped costs the host allocator nothing at all.
 //!
+//! A pool's stores are all one size: a [`SLAB_SIZE`] block
+//! ([`BufPool::slab_only`]), or one key stamp ([`BufPool::stamp_only`]).
+//! [`BufPool::placeholder`] on a stamp pool builds a whole-block
+//! placeholder that stores only its 29-byte stamp — the buffer cache holds
+//! keys, and the bytes past the stamp are zeros nobody stores.
+//!
 //! A recycled slab can never leak a previous packet's bytes, and nobody
 //! zeroes a byte that is about to be overwritten. Each slab travels with
 //! its *dirty extent*: every byte at or past it is zero. Recycling scrubs
@@ -33,6 +39,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
+use crate::key::KeyStamp;
 use crate::segment::{SegStore, Segment};
 
 /// Slab capacity in bytes: one 4 KiB block, the unit the data plane moves.
@@ -75,6 +82,8 @@ struct Shared {
     peak: AtomicU64,
     /// Bytes zeroed by constructors so far (a statistic).
     scrubbed_bytes: AtomicU64,
+    /// Bytes in every store this pool hands out.
+    store_len: usize,
     slabs: Mutex<Slabs>,
 }
 
@@ -89,8 +98,8 @@ impl Shared {
 /// The free list and its counters, behind the pool's only lock.
 #[derive(Default)]
 struct Slabs {
-    /// Unique stores homed here, each a [`SLAB_SIZE`] slab zero at and
-    /// past its dirty extent.
+    /// Unique stores homed here, each of the pool's store length and zero
+    /// at and past its dirty extent.
     free: Vec<Arc<SegStore>>,
     allocs: u64,
     recycles: u64,
@@ -133,15 +142,20 @@ impl Slabs {
         if self.free.len() >= FREE_LIMIT {
             return Err(store);
         }
+        self.file(store);
+        self.returns += 1;
+        Ok(())
+    }
+
+    /// Files a unique store in a list with room.
+    fn file(&mut self, store: Arc<SegStore>) {
         if self.free.capacity() == 0 {
             // One allocation for the list's whole life (32 KiB), made by
-            // the first store to come home — not a regrowth every time
-            // the steady state is a little deeper than before.
+            // the first store filed — not a regrowth every time the
+            // steady state is a little deeper than before.
             self.free.reserve_exact(FREE_LIMIT);
         }
         self.free.push(store);
-        self.returns += 1;
-        Ok(())
     }
 }
 
@@ -234,12 +248,17 @@ pub struct BufPool {
 impl BufPool {
     /// A pool that can pin up to `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
+        BufPool::with_store_len(capacity, SLAB_SIZE)
+    }
+
+    fn with_store_len(capacity: u64, store_len: usize) -> Self {
         BufPool {
             shared: Arc::new(Shared {
                 capacity: AtomicU64::new(capacity),
                 pinned: AtomicU64::new(0),
                 peak: AtomicU64::new(0),
                 scrubbed_bytes: AtomicU64::new(0),
+                store_len,
                 slabs: Mutex::default(),
             }),
         }
@@ -253,15 +272,52 @@ impl BufPool {
         BufPool::new(0)
     }
 
+    /// A pool of placeholder stores, each [`KeyStamp::LEN`] bytes: what
+    /// the buffer cache's key-stamped blocks are built on
+    /// ([`BufPool::placeholder`]). Nothing can be pinned.
+    pub fn stamp_only() -> Self {
+        BufPool::with_store_len(0, KeyStamp::LEN)
+    }
+
+    /// Bytes in every store this pool hands out: [`SLAB_SIZE`], or
+    /// [`KeyStamp::LEN`] for a [`BufPool::stamp_only`] pool.
+    fn store_len(&self) -> usize {
+        self.shared.store_len
+    }
+
     /// A pooled segment holding a copy of `bytes`. Falls back to a plain
-    /// heap segment when `bytes` exceeds [`SLAB_SIZE`]. The copy itself is
-    /// *not* charged here — callers go through the ledger-charging
-    /// [`crate::NetBuf`] operations.
+    /// heap segment when `bytes` exceeds the pool's store length. The copy
+    /// itself is *not* charged here — callers go through the
+    /// ledger-charging [`crate::NetBuf`] operations.
     pub fn seg_from_slice(&self, bytes: &[u8]) -> Segment {
-        if bytes.len() > SLAB_SIZE {
+        if bytes.len() > self.store_len() {
             return Segment::from_vec(bytes.to_vec());
         }
         self.seg_written(bytes.len(), |w| w.put(bytes))
+    }
+
+    /// A `len`-byte placeholder block: `stamp` at its head, zeros behind
+    /// it. On a [`BufPool::stamp_only`] pool the store holds the stamp and
+    /// nothing else — the zeros are not stored — so a cached placeholder
+    /// costs its key, not a page. Writing the stamp is the only byte work,
+    /// and a stamp after a stamp scrubs nothing. Not ledger-charged; see
+    /// [`BufPool::seg_from_slice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is shorter than a stamp.
+    pub fn placeholder(&self, stamp: &KeyStamp, len: usize) -> Segment {
+        assert!(
+            len >= KeyStamp::LEN,
+            "a {len}-byte block cannot carry a {}-byte key stamp",
+            KeyStamp::LEN
+        );
+        let mut store = self.take_store();
+        let slab = Arc::get_mut(&mut store).expect("a taken store is unique");
+        stamp.encode_into(&mut slab.buf);
+        self.scrub(&mut slab.buf, KeyStamp::LEN, slab.dirty);
+        slab.dirty = KeyStamp::LEN;
+        Segment::from_store(store, len)
     }
 
     /// A pooled segment of `len` bytes whose front `write` appends through
@@ -270,9 +326,10 @@ impl BufPool {
     /// touches each byte once, a 29-byte key stamp on a block of junk
     /// touches 29 — and the rest is scrubbed only as far as the slab's
     /// previous owner dirtied it. Falls back to a plain heap segment past
-    /// [`SLAB_SIZE`]. Not ledger-charged; see [`BufPool::seg_from_slice`].
+    /// the pool's store length. Not ledger-charged; see
+    /// [`BufPool::seg_from_slice`].
     pub fn seg_written(&self, len: usize, write: impl FnOnce(&mut SlabWriter<'_>)) -> Segment {
-        if len > SLAB_SIZE {
+        if len > self.store_len() {
             let mut buf = vec![0u8; len];
             write(&mut SlabWriter {
                 buf: &mut buf,
@@ -296,10 +353,10 @@ impl BufPool {
     /// A pooled segment of `len` bytes built in place: `fill` receives a
     /// zero-initialized buffer (fresh, or scrubbed over the previous
     /// owner's whole extent) and writes wherever it likes. Falls back to a
-    /// plain heap segment past [`SLAB_SIZE`]. Not ledger-charged; see
-    /// [`BufPool::seg_from_slice`].
+    /// plain heap segment past the pool's store length. Not
+    /// ledger-charged; see [`BufPool::seg_from_slice`].
     pub fn seg_filled(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Segment {
-        if len > SLAB_SIZE {
+        if len > self.store_len() {
             let mut buf = vec![0u8; len];
             fill(&mut buf);
             return Segment::from_vec(buf);
@@ -327,7 +384,7 @@ impl BufPool {
     }
 
     /// A unique store to build a segment on: a filed one, as its last
-    /// owner left it, or a fresh zeroed slab homed here.
+    /// owner left it, or a fresh zeroed one homed here.
     fn take_store(&self) -> Arc<SegStore> {
         let mut g = self.shared.slabs();
         if let Some(recycled) = g.free.pop() {
@@ -336,17 +393,41 @@ impl BufPool {
         } else {
             g.allocs += 1;
             drop(g);
-            Arc::new(SegStore {
-                buf: vec![0u8; SLAB_SIZE].into_boxed_slice(),
-                home: Some(self.home()),
-                dirty: 0,
-            })
+            self.fresh_store()
+        }
+    }
+
+    /// A zeroed store homed here, from the host allocator.
+    fn fresh_store(&self) -> Arc<SegStore> {
+        Arc::new(SegStore {
+            buf: vec![0u8; self.store_len()].into_boxed_slice(),
+            home: Some(self.home()),
+            dirty: 0,
+        })
+    }
+
+    /// Makes sure the next `n` takes find filed stores: when fewer are
+    /// filed, files fresh ones until `2 * n` are (within the list's
+    /// limit). For a taker whose stores come home only after its *next*
+    /// take has landed — an NFS client's WRITE slabs, which the server's
+    /// cache lets go of when a later write replaces or evicts their chunks
+    /// — so that no landing of `n` waits on the host allocator once the
+    /// first has stocked the list. Fresh stores count as `allocs`.
+    pub fn stock(&self, n: usize) {
+        let mut g = self.shared.slabs();
+        if g.free.len() >= n {
+            return;
+        }
+        let want = (2 * n).min(FREE_LIMIT);
+        while g.free.len() < want {
+            g.allocs += 1;
+            g.file(self.fresh_store());
         }
     }
 
     /// Checks the free list: at most its limit of stores, each unique,
-    /// homed in this pool, a whole slab, and zero at and past its dirty
-    /// extent.
+    /// homed in this pool, of the pool's store length, and zero at and past
+    /// its dirty extent.
     ///
     /// # Errors
     ///
@@ -369,9 +450,9 @@ impl BufPool {
                 "is shared"
             } else if !homed_here {
                 "is not homed in this pool"
-            } else if store.buf.len() != SLAB_SIZE {
-                "is not a whole slab"
-            } else if store.buf[store.dirty.min(SLAB_SIZE)..]
+            } else if store.buf.len() != self.store_len() {
+                "is not a whole store"
+            } else if store.buf[store.dirty.min(store.buf.len())..]
                 .iter()
                 .any(|&b| b != 0)
             {
@@ -603,6 +684,28 @@ mod tests {
     }
 
     #[test]
+    fn a_short_list_is_stocked_for_two_landings() {
+        let p = BufPool::slab_only();
+        let take = |p: &BufPool, n: usize| -> Vec<Segment> {
+            (0..n).map(|_| p.seg_from_slice(&[1; 10])).collect()
+        };
+        p.stock(3);
+        let s = p.slab_stats();
+        assert_eq!((s.allocs, s.free, s.returns), (6, 6, 0), "stocking is not a return");
+        let first = take(&p, 3);
+        p.stock(3);
+        assert_eq!(p.slab_stats().allocs, 6, "three still filed: nothing to do");
+        let second = take(&p, 3);
+        assert_eq!(p.slab_stats().recycles, 6, "both landings rode filed stores");
+        p.stock(3);
+        let s = p.slab_stats();
+        assert_eq!((s.allocs, s.free), (12, 6));
+        drop((first, second));
+        assert_eq!(p.slab_stats().returns, 6);
+        assert_eq!(p.check_invariants(), Ok(()));
+    }
+
+    #[test]
     fn recycled_slabs_are_scrubbed() {
         let p = BufPool::slab_only();
         drop(p.seg_from_slice(&[0xFF; SLAB_SIZE]));
@@ -671,6 +774,49 @@ mod tests {
         let z = p.seg_filled(SLAB_SIZE, |_| {});
         assert!(z.as_slice().iter().all(|&b| b == 0));
         assert_eq!(p.slab_stats().scrubbed_bytes, 100);
+    }
+
+    #[test]
+    fn stamp_pools_store_keys_not_pages() {
+        use crate::key::{Fho, FileHandle, Lbn};
+        let p = BufPool::stamp_only();
+        assert_eq!(p.store_len(), KeyStamp::LEN);
+        let stamp = KeyStamp::new().with_lbn(Lbn(3));
+        let ph = p.placeholder(&stamp, SLAB_SIZE);
+        assert!(ph.is_pooled());
+        assert_eq!((ph.len(), ph.stored_len(), ph.stamp()), (SLAB_SIZE, KeyStamp::LEN, Some(stamp)));
+        let mut block = vec![0u8; SLAB_SIZE];
+        stamp.encode_into(&mut block);
+        assert_eq!(ph.to_vec(), block, "the stamp, then zeros nobody stores");
+        drop(ph);
+        // The store comes home and serves the next stamp, which overwrites
+        // all of it: nothing to scrub.
+        let other = KeyStamp::new().with_fho(Fho::new(FileHandle(7), 4096)).with_lbn(Lbn(8));
+        let again = p.placeholder(&other, SLAB_SIZE);
+        assert_eq!(again.stamp(), Some(other));
+        let s = p.slab_stats();
+        assert_eq!((s.allocs, s.recycles, s.returns, s.scrubbed_bytes), (1, 1, 1, 0));
+        drop(again);
+        assert_eq!(p.check_invariants(), Ok(()));
+        // Payload past a store's length falls back to the heap.
+        assert!(!p.seg_from_slice(&[1; KeyStamp::LEN + 1]).is_pooled());
+    }
+
+    #[test]
+    fn a_placeholder_on_a_slab_pool_is_the_old_whole_block() {
+        let stamp = KeyStamp::new().with_lbn(crate::key::Lbn(5));
+        let p = BufPool::slab_only();
+        drop(p.seg_from_slice(&[0xEE; SLAB_SIZE]));
+        let ph = p.placeholder(&stamp, SLAB_SIZE);
+        assert_eq!(ph.stored_len(), SLAB_SIZE, "stored whole");
+        assert_eq!(ph, BufPool::stamp_only().placeholder(&stamp, SLAB_SIZE), "the same bytes");
+        assert_eq!(p.slab_stats().scrubbed_bytes, (SLAB_SIZE - KeyStamp::LEN) as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry")]
+    fn a_placeholder_shorter_than_its_stamp_panics() {
+        BufPool::stamp_only().placeholder(&KeyStamp::new(), KeyStamp::LEN - 1);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! host's method on either.
 
 use ncache::{NcacheModule, NetCacheShards, Resolved};
-use netbuf::key::KeyStamp;
 use netbuf::{CopyLedger, NetBuf, Segment};
 use simfs::fs::LogicalBlock;
 use simfs::{Filesystem, FsError, Ino};
@@ -233,7 +232,7 @@ impl ServerHost {
             let mut m = module.borrow_mut();
             let verified = blocks
                 .iter()
-                .all(|b| match KeyStamp::decode(b.seg.as_slice()) {
+                .all(|b| match b.seg.stamp() {
                     Some(stamp) if stamp.is_keyed() => m.verify_resolvable(&stamp),
                     _ => true, // real data (or junk): nothing to resolve
                 });
@@ -295,7 +294,7 @@ impl ServerHost {
                 let Some(b) = self.fs.read_logical(ino, at, want)?.into_iter().next() else {
                     break; // past the end of the file
                 };
-                let segs = match KeyStamp::decode(b.seg.as_slice()) {
+                let segs = match b.seg.stamp() {
                     Some(stamp) if stamp.is_keyed() => match cache.resolve(&stamp) {
                         Some((_, segs)) => segs,
                         None => {
@@ -315,7 +314,7 @@ impl ServerHost {
                 let mut room = b.valid_len;
                 for seg in segs {
                     let take = seg.len().min(room);
-                    out.extend_from_slice(&seg.as_slice()[..take]);
+                    seg.runs_in(0, take).for_each(|run| out.extend_from_slice(run));
                     room -= take;
                 }
                 break;

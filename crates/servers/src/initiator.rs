@@ -113,9 +113,11 @@ pub struct IscsiInitiator {
     io_log: Vec<IoRecord>,
     stats: InitiatorStats,
     recorder: obs::Recorder,
-    /// Slab free list for receive-copy destinations and placeholder
-    /// blocks (per-packet recycling; never ledger-visible).
+    /// Slab free list for receive-copy destinations (per-packet
+    /// recycling; never ledger-visible).
     pool: BufPool,
+    /// Stamp-sized stores for the placeholders of second-level hits.
+    stamps: BufPool,
     /// Shared fault schedule for the initiator⇄target link (None = a
     /// perfect link; every fault hook vanishes).
     fault_plan: Option<sim::Shared<sim::FaultPlan>>,
@@ -153,6 +155,7 @@ impl IscsiInitiator {
             stats: InitiatorStats::default(),
             recorder: obs::Recorder::new(),
             pool: BufPool::slab_only(),
+            stamps: BufPool::stamp_only(),
             fault_plan: None,
             burst: Vec::new(),
             replies: Vec::new(),
@@ -416,6 +419,13 @@ impl IscsiInitiator {
     }
 }
 
+/// The copying write path: `block`'s bytes — stored ones and zeros alike —
+/// copied onto a slab of `pool`, charged as [`NetBuf::append_pooled`] of
+/// the whole block is.
+fn append_block_copy(pdu: &mut NetBuf, pool: &BufPool, block: &Segment) {
+    pdu.append_written(pool, block.len(), |w| block.runs().for_each(|run| w.put(run)));
+}
+
 impl BlockStore for IscsiInitiator {
     fn read_block(&mut self, lbn: u64, class: BlockClass) -> Segment {
         // Second-level cache (§3.4): a file-system cache miss that hits the
@@ -436,7 +446,7 @@ impl BlockStore for IscsiInitiator {
                 });
                 return ncache::placeholder_block(
                     &self.ledger,
-                    &self.pool,
+                    &self.stamps,
                     KeyStamp::new().with_lbn(Lbn(lbn)),
                 );
             }
@@ -472,9 +482,9 @@ impl BlockStore for IscsiInitiator {
             }
             (ServerMode::Baseline, BlockClass::Data) => {
                 // The ideal bound: the receive copy is simply removed; the
-                // file system gets junk — a block nobody writes, so a
-                // recycled slab of it comes back with nothing to scrub.
-                self.pool.seg_written(BLOCK_SIZE, |_| {})
+                // file system gets junk — a block nobody writes, so it
+                // stores nothing at all.
+                Segment::zeroed(BLOCK_SIZE)
             }
             (_, BlockClass::Meta) => {
                 // Metadata under every build: physically copied, but not a
@@ -503,7 +513,9 @@ impl BlockStore for IscsiInitiator {
                 // Hook 3: a flushed placeholder triggers remapping and the
                 // cached payload goes out logically.
                 let module = self.module.clone().expect("NCache mode has a module");
-                let segs = module.borrow_mut().on_flush_write(data.as_slice(), Lbn(lbn));
+                let segs = data
+                    .stamp()
+                    .and_then(|stamp| module.borrow_mut().on_flush_stamp(stamp, Lbn(lbn)));
                 match segs {
                     Some(segs) => {
                         self.stats.zero_copy_writes += 1;
@@ -515,7 +527,7 @@ impl BlockStore for IscsiInitiator {
                     None => {
                         // Not a placeholder (e.g. a physically-written
                         // block): ordinary copying path.
-                        pdu.append_pooled(&self.pool, data.as_slice());
+                        append_block_copy(&mut pdu, &self.pool, data);
                     }
                 }
             }
@@ -530,7 +542,7 @@ impl BlockStore for IscsiInitiator {
             }
             (ServerMode::Original, BlockClass::Data) => {
                 // Buffer cache → network stack copy.
-                pdu.append_pooled(&self.pool, data.as_slice());
+                append_block_copy(&mut pdu, &self.pool, data);
             }
         }
         self.send_write(lbn, pdu);
@@ -579,7 +591,8 @@ mod tests {
         let seg = init.read_block(5, BlockClass::Data);
         let d = ledger.snapshot().delta_since(&before);
         assert_eq!(d.payload_copies, 0, "hook 1 removes the receive copy");
-        let stamp = netbuf::key::KeyStamp::decode(seg.as_slice()).expect("placeholder");
+        let stamp = seg.stamp().expect("placeholder");
+        assert_eq!((seg.len(), seg.stored_len()), (BLOCK_SIZE, KeyStamp::LEN));
         assert_eq!(stamp.lbn, Some(Lbn(5)));
         let module = init.module().expect("module");
         assert!(module.borrow().cache_contains_lbn(Lbn(5)));
@@ -613,6 +626,7 @@ mod tests {
             0
         );
         assert_eq!(seg.as_slice(), &vec![0u8; BLOCK_SIZE][..], "junk");
+        assert_eq!(seg.stored_len(), 0, "junk stores nothing");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use std::collections::VecDeque;
 
 use ncache::Resolved;
-use netbuf::key::{Fho, FileHandle, KeyStamp};
-use netbuf::{CopyLedger, NetBuf};
+use netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
+use netbuf::{BufPool, CopyLedger, NetBuf, SLAB_SIZE};
 use proto::nfs::{
     self, CreateArgs, Fattr, FileType as NfsFileType, GetattrArgs, GetattrReply, LookupArgs,
     LookupReply, ReadArgs, ReadReplyHeader, ReaddirArgs, ReaddirReply, RemoveReply,
@@ -123,6 +123,9 @@ pub struct NfsServer {
     /// Duplicate-request cache depth without a bounding control plane
     /// (`drc_depth`). Defaults to [`DRC_CAPACITY`].
     drc_capacity: usize,
+    /// The key stamps of the aligned NCache WRITE being served: cleared
+    /// when one starts, never shrunk, so a WRITE allocates no list.
+    stamps: Vec<KeyStamp>,
 }
 
 impl std::ops::Deref for NfsServer {
@@ -190,6 +193,7 @@ impl NfsServer {
             dirty_blocks_since_sync: 0,
             drc: VecDeque::new(),
             drc_capacity: DRC_CAPACITY,
+            stamps: Vec::new(),
         }
     }
 
@@ -404,8 +408,12 @@ impl NfsServer {
         r
     }
 
-    /// Invalidates every network-centric cache chunk reachable from the
-    /// file's cached placeholder stamps.
+    /// Invalidates every network-centric cache chunk of the file: for each
+    /// block below its size, the FHO key of that block and the LBN key its
+    /// block map names. The walk reads the block map, never the data, so
+    /// removing a file that is not resident fetches its indirect blocks
+    /// and nothing else — no block is fetched (and cached, evicting live
+    /// chunks) only to be invalidated.
     fn invalidate_file_chunks(&mut self, ino: Ino) {
         let Some(module) = self.host.module.clone() else {
             return;
@@ -413,21 +421,13 @@ impl NfsServer {
         let Ok(inode) = self.host.fs.getattr(ino) else {
             return;
         };
-        let size = inode.size as usize;
-        if size == 0 {
-            return;
-        }
-        if let Ok(blocks) = self.host.fs.read_logical(ino, 0, size) {
-            let mut m = module.borrow_mut();
-            for b in &blocks {
-                if let Some(stamp) = KeyStamp::decode(b.seg.as_slice()) {
-                    if let Some(fho) = stamp.fho {
-                        m.cache_mut().invalidate(fho.into());
-                    }
-                    if let Some(lbn) = stamp.lbn {
-                        m.cache_mut().invalidate(lbn.into());
-                    }
-                }
+        let fh = FileHandle(ino_to_fh(ino));
+        let cache = module.borrow().cache_handle();
+        for blk in 0..inode.size.div_ceil(BLOCK as u64) {
+            let lbn = self.host.fs.block_lbn(ino, blk).ok().flatten();
+            cache.invalidate(Fho::new(fh, blk * BLOCK as u64).into());
+            if let Some(lbn) = lbn {
+                cache.invalidate(Lbn(lbn).into());
             }
         }
     }
@@ -508,6 +508,7 @@ impl NfsServer {
         let data = req.peek(0, count);
         let at = (offset - aligned_start) as usize;
         merged[at..at + count].copy_from_slice(&data);
+        let true_end = (offset + count as u64).max(size);
         // Store each merged block through hook 2, exactly like an aligned
         // write of the whole span.
         let mut stamps = Vec::new();
@@ -518,8 +519,10 @@ impl NfsServer {
                 Ok(stamp) => stamps.push(stamp),
                 Err(_) => {
                     // Cache full: last resort, write the merged bytes
-                    // physically and invalidate any stale chunks.
-                    return self.host.fs.write(ino, aligned_start, &merged);
+                    // physically — only up to the file's true end, so the
+                    // file grows no further than the write does.
+                    let end = (true_end.min(aligned_end) - aligned_start) as usize;
+                    return self.host.fs.write(ino, aligned_start, &merged[..end]);
                 }
             }
         }
@@ -527,7 +530,6 @@ impl NfsServer {
             .write_logical(ino, aligned_start, merged.len(), &stamps)?;
         // The logical span may extend the file past the true end; restore
         // the correct size if the write did not actually grow it.
-        let true_end = (offset + count as u64).max(size);
         if self.host.fs.getattr(ino)?.size != true_end {
             // write_logical only ever grows to aligned_end; shrink is not
             // supported, so only the grow case needs correction — and
@@ -885,7 +887,13 @@ impl NfsServer {
                 self.host.fs.write(ino, offset, &data)
             }
             ServerMode::NCache => {
-                let aligned = offset % BLOCK as u64 == 0;
+                // A write that ends inside a block the file still has
+                // bytes past is a read-modify-write of that block, like an
+                // unaligned one; a tail block the write reaches the end of
+                // the file in is zero past it.
+                let aligned = offset % BLOCK as u64 == 0
+                    && (count.is_multiple_of(BLOCK)
+                        || self.host.fs.getattr(ino).is_ok_and(|i| offset + count as u64 >= i.size));
                 if aligned {
                     // Hook 2: park each block's wire segments in the FHO
                     // cache; plant stamps in the buffer cache. Under
@@ -896,17 +904,21 @@ impl NfsServer {
                     let bypass = self.host.bypass_insert();
                     let module = self.host.module.clone().expect("NCache mode has a module");
                     let segs = req.take_payload();
-                    let groups = split_segments(&segs, BLOCK);
-                    let mut stamps = Vec::with_capacity(groups.len());
+                    self.stamps.clear();
                     let mut admitted = !bypass;
-                    for (i, group) in groups.into_iter().enumerate() {
+                    for (i, mut group) in split_segments(&segs, BLOCK).enumerate() {
                         if !admitted {
                             break;
                         }
+                        // Every chunk is a whole block: a short tail is
+                        // padded with zeros that take no storage.
                         let len = group.byte_len();
+                        if len < BLOCK {
+                            group.push_back(netbuf::Segment::zeroed(BLOCK - len));
+                        }
                         let fho = Fho::new(FileHandle(hdr.fh), offset + (i * BLOCK) as u64);
-                        match module.borrow_mut().on_nfs_write(fho, group, len) {
-                            Ok(stamp) => stamps.push(stamp),
+                        match module.borrow_mut().on_nfs_write(fho, group, BLOCK) {
+                            Ok(stamp) => self.stamps.push(stamp),
                             Err(_) => {
                                 admitted = false;
                                 break;
@@ -914,13 +926,13 @@ impl NfsServer {
                         }
                     }
                     if admitted {
-                        self.host.fs.write_logical(ino, offset, count, &stamps)
+                        self.host.fs.write_logical(ino, offset, count, &self.stamps)
                     } else {
                         // Cache full: fall back to the copying path. The
                         // wire segments are still held by `segs`.
                         let mut data = Vec::with_capacity(count);
-                        for seg in &segs {
-                            data.extend_from_slice(seg.as_slice());
+                        for run in segs.iter().flat_map(netbuf::Segment::runs) {
+                            data.extend_from_slice(run);
                         }
                         data.truncate(count);
                         self.host.fs.write(ino, offset, &data)
@@ -935,8 +947,7 @@ impl NfsServer {
             }
             ServerMode::Baseline => {
                 // Copies removed outright: junk blocks, metadata updated.
-                let blocks = count.div_ceil(BLOCK);
-                let stamps = vec![KeyStamp::new(); blocks];
+                let stamps = vec![KeyStamp::new(); count.div_ceil(BLOCK)];
                 self.host.fs.write_logical(ino, offset, count, &stamps)
             }
         };
@@ -1045,15 +1056,17 @@ fn fattr_of(fh: u64, inode: &simfs::inode::Inode) -> Fattr {
 pub struct NfsClient {
     ledger: CopyLedger,
     next_xid: u32,
+    /// The client's socket buffers: a WRITE's payload lands on these slabs
+    /// one block each, and each comes home when the server lets go of the
+    /// block — its FHO chunk evicted or replaced. Made by the first WRITE,
+    /// so a client that only reads allocates none.
+    pool: Option<BufPool>,
 }
 
 impl NfsClient {
     /// A client charging `ledger` (the client machine's CPU).
     pub fn new(ledger: &CopyLedger) -> Self {
-        NfsClient {
-            ledger: ledger.clone(),
-            next_xid: 1,
-        }
+        NfsClient::with_xid_base(ledger, 0)
     }
 
     /// A client whose xids start at `base + 1`. Concurrent sessions need
@@ -1065,7 +1078,14 @@ impl NfsClient {
         NfsClient {
             ledger: ledger.clone(),
             next_xid: base + 1,
+            pool: None,
         }
+    }
+
+    /// The slab pool WRITE payloads land on, once a WRITE has made it
+    /// (diagnostics/tests).
+    pub fn pool(&self) -> Option<&BufPool> {
+        self.pool.as_ref()
     }
 
     /// The xid the next request will carry (diagnostics/tests).
@@ -1087,10 +1107,16 @@ impl NfsClient {
         b
     }
 
-    /// Builds a WRITE request message carrying `data`.
+    /// Builds a WRITE request message carrying `data`, one pooled slab per
+    /// block.
     pub fn write_request(&mut self, fh: u64, offset: u32, data: &[u8]) -> NetBuf {
         let mut b = NetBuf::new(&self.ledger);
-        b.append_bytes(data); // client-side copy into the socket
+        let pool = self.pool.get_or_insert_with(BufPool::slab_only);
+        // A WRITE's slabs come home only once a later write, already
+        // landed, replaces or evicts their chunks: keep that write's worth
+        // filed as well.
+        pool.stock(data.len().div_ceil(SLAB_SIZE).max(1));
+        b.append_pooled(pool, data); // client-side copy into the socket
         b.push_header(
             &WriteArgsHeader {
                 fh,

@@ -128,8 +128,9 @@ pub fn tcp_decap(buf: &mut NetBuf) -> Result<TcpInfo, DecodeError> {
 /// Delivers a transmitted buffer into a receiving node's memory: the
 /// sender's built headers land in the linear area of a fresh buffer charged
 /// to the *receiver's* ledger, as its leading payload bytes. Payload
-/// segments keep their shared storage; nothing is physically copied (NIC
-/// DMA), and a frame that is all headers costs the host no allocation.
+/// segments keep their shared storage, one logical copy per buffer
+/// ([`NetBuf::attach_chain_of`]); nothing is physically copied (NIC DMA),
+/// and a frame that is all headers costs the host no allocation.
 pub fn deliver(sent: &NetBuf, receiver: &CopyLedger) -> NetBuf {
     let mut rx = NetBuf::new(receiver);
     rx.reserve_segments(sent.segment_count());
@@ -138,9 +139,7 @@ pub fn deliver(sent: &NetBuf, receiver: &CopyLedger) -> NetBuf {
     if !sent.linear().is_empty() {
         rx.land(sent.linear());
     }
-    for seg in sent.segments() {
-        rx.append_segment(seg.clone());
-    }
+    rx.attach_chain_of(sent, usize::MAX);
     rx
 }
 
@@ -174,23 +173,12 @@ pub fn deliver_faulty(
     match kind {
         Some(FaultKind::Drop) => (None, kind),
         Some(FaultKind::Corrupt { pos, bit }) => {
-            let mut rx = if sent.linear().is_empty() {
+            let mut rx = deliver(sent, receiver);
+            if sent.linear().is_empty() {
                 // Headerless: the first segment, if it has bytes, arrives
                 // as a private copy.
-                let mut rx = NetBuf::new(receiver);
-                let mut segs = sent.segments();
-                match segs.next() {
-                    Some(first) if !first.is_empty() => rx.land(first.as_slice()),
-                    Some(first) => rx.append_segment(first.clone()),
-                    None => {}
-                }
-                for seg in segs {
-                    rx.append_segment(seg.clone());
-                }
-                rx
-            } else {
-                deliver(sent, receiver)
-            };
+                rx.land_first_segment();
+            }
             let private = rx.landed_mut();
             if !private.is_empty() {
                 private[(pos % private.len() as u64) as usize] ^= 1u8 << (bit & 7);
@@ -206,18 +194,7 @@ pub fn deliver_faulty(
                 rx.land(&sent.linear()[..take]);
             }
             keep -= take;
-            for seg in sent.segments() {
-                if keep == 0 {
-                    break;
-                }
-                let take = keep.min(seg.len());
-                rx.append_segment(if take == seg.len() {
-                    seg.clone()
-                } else {
-                    seg.slice(0, take)
-                });
-                keep -= take;
-            }
+            rx.attach_chain_of(sent, keep);
             (Some(rx), kind)
         }
         // Delivered intact; the semantics (replay, resequencing, timeout)

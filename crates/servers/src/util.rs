@@ -20,10 +20,11 @@ pub(crate) fn attach_blocks<'s>(
 }
 
 /// Splits a run of payload segments into consecutive `unit`-byte groups
-/// (the last may be short). Pure pointer manipulation: each output group
-/// shares storage with the inputs, and a group of one segment holds it
-/// inline. Used to break a multi-block NFS write payload into per-block
-/// chunks for the FHO cache.
+/// (the last may be short), one group at a time. Pure pointer
+/// manipulation: each output group shares storage with the inputs, and a
+/// group of one segment holds it inline — so a payload that arrived one
+/// segment per block costs no allocation at all. Used to break a
+/// multi-block NFS write payload into per-block chunks for the FHO cache.
 ///
 /// # Examples
 ///
@@ -32,44 +33,43 @@ pub(crate) fn attach_blocks<'s>(
 /// use servers::util::split_segments;
 ///
 /// let segs = vec![Segment::from_vec(vec![1; 6]), Segment::from_vec(vec![2; 6])];
-/// let groups = split_segments(&segs, 4);
-/// assert_eq!(groups.len(), 3);
-/// let lens: Vec<usize> = groups.iter().map(|g| g.byte_len()).collect();
+/// let lens: Vec<usize> = split_segments(&segs, 4).map(|g| g.byte_len()).collect();
 /// assert_eq!(lens, vec![4, 4, 4]);
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `unit` is zero.
-pub fn split_segments<'s, I>(segs: I, unit: usize) -> Vec<SegChain>
+pub fn split_segments<'s, I>(segs: I, unit: usize) -> impl Iterator<Item = SegChain> + 's
 where
     I: IntoIterator<Item = &'s Segment>,
-    I::IntoIter: Clone,
+    I::IntoIter: 's,
 {
     assert!(unit > 0, "unit must be positive");
-    let segs = segs.into_iter();
-    let total: usize = segs.clone().map(Segment::len).sum();
-    let mut groups = Vec::with_capacity(total.div_ceil(unit));
-    let mut current = SegChain::new();
-    let mut room = unit;
-    for seg in segs {
-        let mut rest = seg.clone();
-        while !rest.is_empty() {
-            let take = rest.len().min(room);
-            let (head, tail) = rest.split_at(take);
-            current.push_back(head);
-            rest = tail;
-            room -= take;
-            if room == 0 {
-                groups.push(std::mem::take(&mut current));
-                room = unit;
+    let mut segs = segs.into_iter();
+    // The part of a segment the previous group had no room for.
+    let mut rest: Option<Segment> = None;
+    std::iter::from_fn(move || {
+        let mut group = SegChain::new();
+        let mut room = unit;
+        while room > 0 {
+            let Some(seg) = rest.take().or_else(|| segs.next().cloned()) else {
+                break;
+            };
+            if seg.len() <= room {
+                room -= seg.len();
+                if !seg.is_empty() {
+                    group.push_back(seg);
+                }
+            } else {
+                let (head, tail) = seg.split_at(room);
+                group.push_back(head);
+                rest = Some(tail);
+                room = 0;
             }
         }
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-    groups
+        (!group.is_empty()).then_some(group)
+    })
 }
 
 #[cfg(test)]
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn splits_across_boundaries_sharing_storage() {
         let a = Segment::from_vec((0..10).collect());
-        let groups = split_segments(std::slice::from_ref(&a), 4);
+        let groups: Vec<SegChain> = split_segments(std::slice::from_ref(&a), 4).collect();
         assert_eq!(groups.len(), 3);
         assert_eq!(groups[0][0].as_slice(), &[0, 1, 2, 3]);
         assert_eq!(groups[1][0].as_slice(), &[4, 5, 6, 7]);
@@ -93,7 +93,7 @@ mod tests {
             Segment::from_vec(vec![1; 3]),
             Segment::from_vec(vec![2; 3]),
         ];
-        let groups = split_segments(&segs, 4);
+        let groups: Vec<SegChain> = split_segments(&segs, 4).collect();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].byte_len(), 4);
         assert_eq!(groups[0].len(), 2, "first group spans both segments");
@@ -103,18 +103,17 @@ mod tests {
     #[test]
     fn exact_multiple_has_no_tail() {
         let segs = vec![Segment::from_vec(vec![0; 8])];
-        let groups = split_segments(&segs, 4);
-        assert_eq!(groups.len(), 2);
+        assert_eq!(split_segments(&segs, 4).count(), 2);
     }
 
     #[test]
     fn empty_input() {
-        assert!(split_segments(&[], 4).is_empty());
+        assert_eq!(split_segments(&[], 4).count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "unit must be positive")]
     fn zero_unit_panics() {
-        split_segments(&[], 0);
+        let _ = split_segments(&[], 0);
     }
 }

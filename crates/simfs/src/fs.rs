@@ -305,8 +305,8 @@ pub struct Filesystem<S> {
     read_ahead: u64,
     alloc_cursor: u64,
     recorder: Option<obs::Recorder>,
-    /// Slab free list for the placeholder blocks of logical writes.
-    slabs: BufPool,
+    /// Stamp-sized stores for the placeholder blocks of logical writes.
+    stamps: BufPool,
 }
 
 impl<S: BlockStore> Filesystem<S> {
@@ -343,7 +343,7 @@ impl<S: BlockStore> Filesystem<S> {
             read_ahead: params.read_ahead_blocks,
             alloc_cursor: 0,
             recorder: None,
-            slabs: BufPool::slab_only(),
+            stamps: BufPool::stamp_only(),
         };
         fs.store_inode(Self::ROOT, &Inode::new(FileType::Directory))?;
         fs.write_bitmaps_full();
@@ -385,7 +385,7 @@ impl<S: BlockStore> Filesystem<S> {
             read_ahead: read_ahead_blocks,
             alloc_cursor: 0,
             recorder: None,
-            slabs: BufPool::slab_only(),
+            stamps: BufPool::stamp_only(),
         })
     }
 
@@ -411,14 +411,14 @@ impl<S: BlockStore> Filesystem<S> {
     }
 
     /// Checks the buffer cache's LRU indexes against its block map (see
-    /// [`BufferCache::check_invariants`]) and the placeholder slab list.
+    /// [`BufferCache::check_invariants`]) and the placeholder store list.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn check_cache_invariants(&self) -> Result<(), String> {
         self.cache.check_invariants()?;
-        self.slabs.check_invariants()
+        self.stamps.check_invariants()
     }
 
     /// Dirty fraction of the buffer cache in permille — the control
@@ -600,7 +600,7 @@ impl<S: BlockStore> Filesystem<S> {
         if let Some(walk) = self.walk_resident(ino, offset, out.len()) {
             let mut done = 0usize;
             walk.commit(|b| {
-                out[done..done + b.len].copy_from_slice(&b.seg.as_slice()[b.in_off..][..b.len]);
+                b.seg.read_at(b.in_off, &mut out[done..done + b.len]);
                 self.ledger.charge_payload_copy(b.len as u64);
                 done += b.len;
             });
@@ -621,9 +621,7 @@ impl<S: BlockStore> Filesystem<S> {
             let in_off = (pos % BLOCK_SIZE as u64) as usize;
             let take = (BLOCK_SIZE - in_off).min(len - done);
             match self.map_and_fetch(&inode, blk)? {
-                Some(seg) => {
-                    out[done..done + take].copy_from_slice(&seg.as_slice()[in_off..in_off + take]);
-                }
+                Some(seg) => seg.read_at(in_off, &mut out[done..done + take]),
                 None => out[done..done + take].fill(0),
             }
             self.ledger.charge_payload_copy(take as u64);
@@ -654,9 +652,7 @@ impl<S: BlockStore> Filesystem<S> {
             let mut block = if take == BLOCK_SIZE || fresh {
                 vec![0u8; BLOCK_SIZE]
             } else {
-                self.read_block_cached(lbn, BlockClass::Data)
-                    .as_slice()
-                    .to_vec()
+                self.read_block_cached(lbn, BlockClass::Data).to_vec()
             };
             block[in_off..in_off + take].copy_from_slice(&data[done..done + take]);
             self.ledger.charge_payload_copy(take as u64);
@@ -686,7 +682,7 @@ impl<S: BlockStore> Filesystem<S> {
     ) -> Result<usize, FsError> {
         if let Some(walk) = self.walk_resident(ino, offset, len) {
             out.reserve_segments(walk.block_count());
-            walk.commit(|b| out.append_bytes(&b.seg.as_slice()[b.in_off..][..b.len]));
+            walk.commit(|b| out.append_vec(b.seg.slice(b.in_off, b.len).to_vec()));
             return Ok(walk.len);
         }
         let inode = self.load_inode(ino)?;
@@ -706,7 +702,7 @@ impl<S: BlockStore> Filesystem<S> {
             let in_off = (pos % BLOCK_SIZE as u64) as usize;
             let take = (BLOCK_SIZE - in_off).min(len - done);
             match self.map_and_fetch(&inode, blk)? {
-                Some(seg) => out.append_bytes(&seg.as_slice()[in_off..in_off + take]),
+                Some(seg) => out.append_vec(seg.slice(in_off, take).to_vec()),
                 None => out.append_vec(vec![0u8; take]),
             }
             done += take;
@@ -895,11 +891,9 @@ impl<S: BlockStore> Filesystem<S> {
             } else {
                 *stamp
             };
-            // The stamp on a recycled slab, zeros behind it: writing the
-            // stamp is the only byte work.
-            let block = self
-                .slabs
-                .seg_written(BLOCK_SIZE, |w| w.put(&stamp.encode()));
+            // A block that stores its stamp and nothing else, on a
+            // recycled store: writing the stamp is the only byte work.
+            let block = self.stamps.placeholder(&stamp, BLOCK_SIZE);
             self.ledger.charge_logical_copy();
             self.ledger.charge_header_bytes(KeyStamp::LEN as u64);
             self.write_block_cached(lbn, BlockClass::Data, block);
@@ -1713,8 +1707,11 @@ mod tests {
         // The block now carries the stamp, augmented with the block's LBN
         // identity so replies resolve even after remapping (§3.4).
         let blocks = fs.read_logical(f, 0, BLOCK_SIZE).expect("logical");
-        let planted = KeyStamp::decode(blocks[0].seg.as_slice()).expect("stamped");
+        let planted = blocks[0].seg.stamp().expect("stamped");
         assert_eq!(planted.fho, stamp.fho);
+        // A key, not a page: the stamp is all the block stores.
+        assert_eq!(blocks[0].seg.len(), BLOCK_SIZE);
+        assert_eq!(blocks[0].seg.stored_len(), KeyStamp::LEN);
         assert_eq!(planted.lbn.map(|l| Some(l.0)), Some(blocks[0].lbn));
     }
 

@@ -134,7 +134,7 @@ impl BlockStore for MemStore {
         self.blocks
             .lock()
             .expect("store poisoned")
-            .insert(lbn, data.as_slice().to_vec());
+            .insert(lbn, data.to_vec());
     }
 
     fn block_count(&self) -> u64 {

@@ -235,6 +235,23 @@ expect_count 1 "HttpTxTracker::new() call sites in crates/servers/src/khttpd.rs 
     'HttpTxTracker::new\(\)' crates/servers/src/khttpd.rs
 echo "no per-entry DirEntry, no heap-copied header, no list-returning feed, one tracker"
 
+echo "== placeholders are keys (a cached placeholder costs its stamp, a chunk its block) =="
+# DESIGN.md §9.1: a key-stamped placeholder stores its 29-byte stamp and
+# nothing else (BufPool::placeholder on a stamp_only pool; the rest of the
+# block reads as zeros nobody stores), and its stamp is read with
+# Segment::stamp, whatever the block stores. The rung fails if non-test
+# code builds a placeholder on a 4 KiB slab again — a stamp written
+# through seg_written — or, outside crates/netbuf, decodes a stamp off
+# `as_slice()`, which panics on a key-only block (same `// dup-ok:
+# <reason>` escape as above). Then it runs the memory-honesty tests.
+expect_count 0 "placeholders built on a slab (seg_written(.., |w| w.put(&stamp.encode())))" \
+    'seg_written\(.*encode\(\)' $(find crates/*/src src -name '*.rs' | sort)
+expect_count 0 "KeyStamp::decode(<seg>.as_slice()) outside crates/netbuf (Segment::stamp reads it)" \
+    'KeyStamp::decode\([^)]*as_slice\(\)' $(find crates/*/src src -name '*.rs' | grep -v '^crates/netbuf/' | sort)
+cargo test -q --offline --test memory_honesty
+cargo test -q --offline -p netbuf -- stamp partial zeroed multi_block
+echo "no placeholder on a slab, no stamp decoded off as_slice, memory-honesty tests green"
+
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;
 # every item it pins is listed in benchmark/src/seams.rs. Building,

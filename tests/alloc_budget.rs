@@ -143,9 +143,10 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
     });
     // No missed block takes fresh storage from a pool either: every
     // Data-In payload of the batch rode a slab an evicted one had
-    // returned to the target, and so did every junk block the Baseline
-    // initiator hands up (NCache placeholders ride the module's own slab
-    // list; this all-miss run never asks the initiator for one).
+    // returned to the target. The initiator's slabs are not touched at
+    // all: NCache placeholders ride the module's list of stamp-sized
+    // stores, and the junk blocks the Baseline initiator hands up store
+    // nothing.
     let (initiator_after, target_after) = pools(&mut rig);
     assert_eq!(
         (initiator_after.allocs, target_after.allocs),
@@ -153,8 +154,7 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
         "{mode}: a steady-state miss takes no fresh slab"
     );
     assert!(target_after.recycles - target.recycles >= 64, "{mode}");
-    let junk_blocks = if mode == ServerMode::Baseline { 64 } else { 0 };
-    assert_eq!(initiator_after.recycles - initiator.recycles, junk_blocks, "{mode}");
+    assert_eq!(initiator_after.recycles, initiator.recycles, "{mode}");
     n
 }
 
@@ -266,26 +266,59 @@ fn allocations_per_request_are_pinned() {
 
     let (mut rig, fh) = warmed_nfs(ServerMode::NCache);
     assert_eq!(allocs(|| rig.getattr(fh)), 0, "GETATTR");
-    // Each block's wire segment is cached inline in its FHO chunk, and its
-    // placeholder rides a slab of the file system's own pool. The first
-    // write plants placeholders over real blocks; the first overwrite of
-    // them builds its first placeholder on a fresh slab (a store and its
-    // slab) and grows the pool's free list for the placeholder it
-    // displaces — every later block rides the slab the block before it
-    // released, and every later overwrite finds the list grown.
+    // Each block's wire segment — a slab of the client's own pool — is
+    // cached inline in its FHO chunk, and its placeholder rides a
+    // stamp-sized store of the file system's pool. The first write plants
+    // placeholders over real blocks; it makes the client's pool and stocks
+    // it with two writes' worth of slabs, because a write's slabs come
+    // home only as the write after it, already landed, replaces its
+    // chunks. So the first overwrite takes no fresh slab: it builds its
+    // first placeholder on a fresh store and grows the file system pool's
+    // free list for the placeholder it displaces — every later block rides
+    // the store the block before it released, and every later overwrite
+    // finds the lists grown.
     let data = vec![0xA5u8; READ as usize];
     rig.write(fh, 0, &data);
     assert_eq!(
         allocs(|| rig.write(fh, 0, &data)),
-        9,
+        7,
         "aligned 32 KiB WRITE, the first overwrite"
     );
+    // Steady state: the request's chain and its delivery's (eight
+    // segments each) plus two per-request buffers elsewhere on the path.
+    // The payload costs nothing — each block rides a slab a replaced chunk
+    // sent home — the per-block groups are cut one at a time, each inline,
+    // and the stamps go in the server's kept list (6 when the payload was
+    // one heap buffer and its handle, and the groups and the stamps each a
+    // vector).
     let write = allocs(|| rig.write(fh, 0, &data));
-    assert_eq!(write, 6, "aligned 32 KiB WRITE, steady state");
+    assert_eq!(write, 4, "aligned 32 KiB WRITE, steady state");
     assert_eq!(
         allocs(|| rig.write(fh, 0, &data)),
         write,
         "the count repeats"
+    );
+    // The client's side of it: a steady-state 32 KiB WRITE takes no fresh
+    // slab (all eight come home from the network-centric cache), and its
+    // request allocates only its chain — one buffer more than a one-block
+    // request, whose single segment lives inline.
+    let pool = |rig: &mut NfsRig| {
+        let client = rig.client_mut();
+        client.pool().expect("made by the first WRITE").slab_stats()
+    };
+    let slabs = pool(&mut rig);
+    rig.write(fh, 0, &data);
+    let after = pool(&mut rig);
+    assert_eq!(after.allocs, slabs.allocs, "a steady-state WRITE takes no fresh slab");
+    assert_eq!(after.recycles - slabs.recycles, 8, "its eight blocks ride recycled slabs");
+    assert_eq!(after.returns - slabs.returns, 8, "and the eight it replaced came home");
+    let client = rig.client_mut();
+    let one_block = allocs(|| client.write_request(fh, 0, &data[..BLOCK as usize]));
+    assert_eq!(one_block, 0, "a one-block WRITE request");
+    assert_eq!(
+        allocs(|| client.write_request(fh, 0, &data)),
+        one_block + 1,
+        "a 32 KiB WRITE request against a one-block one: its chain, not its payload"
     );
 
     assert_eq!(last_page_get_allocs(1, u64::from(READ)), 5, "kHTTPd all-hit GET");

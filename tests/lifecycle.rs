@@ -12,7 +12,7 @@
 //!    storage server.
 //! 5. Subsequent reads are served from the remapped LBN entry.
 
-use ncache_repro::netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
+use ncache_repro::netbuf::key::{Fho, FileHandle, Lbn};
 use ncache_repro::proto::nfs::NFS_OK;
 use ncache_repro::servers::ServerMode;
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
@@ -49,7 +49,7 @@ fn figure3_block_lifetime() {
         .fs_mut()
         .read_logical(ncache_repro::servers::nfs::fh_to_ino(fh), 0, 4096)
         .expect("readable");
-    let stamp = KeyStamp::decode(blocks[0].seg.as_slice()).expect("placeholder");
+    let stamp = blocks[0].seg.stamp().expect("placeholder");
     assert_eq!(stamp.lbn, Some(lbn), "state 1: FS cache holds the key");
 
     // --- State 2: a repeat read is serviced from the network-centric

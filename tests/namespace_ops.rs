@@ -142,3 +142,64 @@ fn remove_with_unflushed_writes_frees_dirty_fho_chunks() {
         "cache bounded after removals"
     );
 }
+
+#[test]
+fn removing_a_cold_file_walks_its_block_map_not_its_data() {
+    use ncache_repro::netbuf::key::{Fho, FileHandle, Lbn};
+    use ncache_repro::servers::nfs::fh_to_ino;
+    use ncache_repro::simfs::store::BlockClass;
+
+    const BLOCKS: u64 = 64;
+    let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
+    let module = rig.module().expect("NCache build");
+    // Another file, read through: its blocks are LBN chunks.
+    let keep = rig.create_file("keep", 16 * 4096);
+    rig.read(keep, 0, 16 * 4096);
+    // The victim: 64 blocks, the first eight rewritten over NFS and
+    // flushed (their FHO chunks remapped to LBN chunks), then the whole
+    // buffer cache evicted — the file is cold, its chunks are not.
+    let cold = rig.create_file("cold", BLOCKS * 4096);
+    rig.write(cold, 0, &vec![0x6Bu8; 8 * 4096]);
+    let fs = rig.server_mut().fs_mut();
+    fs.sync().expect("sync");
+    let blocks = fs.cache_capacity();
+    fs.set_cache_capacity(0);
+    fs.set_cache_capacity(blocks);
+    let lbns = |rig: &mut NfsRig, fh: u64, n: u64| -> Vec<u64> {
+        let fs = rig.server_mut().fs_mut();
+        (0..n)
+            .map(|b| fs.block_lbn(fh_to_ino(fh), b).expect("exists").expect("mapped"))
+            .collect()
+    };
+    let (keep_lbns, cold_lbns) = (lbns(&mut rig, keep, 16), lbns(&mut rig, cold, BLOCKS));
+    let resident = |lbns: &[u64]| {
+        lbns.iter()
+            .filter(|&&l| module.borrow().cache_contains_lbn(Lbn(l)))
+            .count()
+    };
+    assert_eq!(resident(&cold_lbns), 8, "the rewritten blocks' chunks");
+    assert_eq!(resident(&keep_lbns), 16);
+    let store = rig.server_mut().fs_mut().store_mut();
+    store.take_io_log();
+    let read_before = store.stats().blocks_read;
+
+    assert_eq!(remove(&mut rig, "cold").status, NFS_OK);
+
+    let store = rig.server_mut().fs_mut().store_mut();
+    let reads: Vec<_> = store.take_io_log().into_iter().filter(|r| !r.is_write).collect();
+    assert!(
+        reads.iter().all(|r| r.class == BlockClass::Meta),
+        "REMOVE fetched data blocks: {reads:?}"
+    );
+    assert_eq!(store.stats().blocks_read - read_before, reads.len() as u64);
+    assert!(reads.len() <= 4, "the inode table, the directory, one indirect block");
+    assert_eq!(resident(&cold_lbns), 0, "no chunk of the removed file is left");
+    let fhos = (0..BLOCKS).filter(|b| {
+        module
+            .borrow()
+            .cache_contains_fho(Fho::new(FileHandle(cold), b * 4096))
+    });
+    assert_eq!(fhos.count(), 0);
+    assert_eq!(resident(&keep_lbns), 16, "another file's chunks are untouched");
+    assert_eq!(rig.read(keep, 0, 16 * 4096), NfsRig::pattern(keep, 0, 16 * 4096));
+}

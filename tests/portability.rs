@@ -5,7 +5,7 @@
 //! as sk_buff-style buffers, byte for byte and copy for copy.
 
 use ncache_repro::ncache::{NcacheConfig, NcacheModule};
-use ncache_repro::netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
+use ncache_repro::netbuf::key::{Fho, FileHandle, Lbn};
 use ncache_repro::netbuf::mbuf::{MbufChain, MCLBYTES};
 use ncache_repro::netbuf::{CopyLedger, NetBuf, Segment};
 
@@ -35,7 +35,7 @@ fn mbuf_payload_caches_and_substitutes_without_copies() {
         "caching an mbuf payload moves no bytes"
     );
     assert_eq!(
-        KeyStamp::decode(placeholder.as_slice()).expect("stamped").lbn,
+        placeholder.stamp().expect("stamped").lbn,
         Some(Lbn(42))
     );
 
