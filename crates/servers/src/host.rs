@@ -264,14 +264,17 @@ impl ServerHost {
     /// resolved (FHO first) the moment the fetch admits its chunk — so the
     /// assembly succeeds even when the cache holds fewer chunks than the
     /// range — and a dangling one is discarded and refetched, up to three
-    /// fetches; unstamped blocks are used as they are. The assembly is a
-    /// physical copy and is charged as one: unaligned requests and
-    /// placeholders lost under pressure genuinely cost copies.
+    /// fetches, then once more with read-ahead off, so the block is
+    /// admitted alone (behind its read-ahead, a cache of a few chunks can
+    /// evict it again before it is resolved); unstamped blocks are used as
+    /// they are. The assembly is a physical copy and is charged as one:
+    /// unaligned requests and placeholders lost under pressure genuinely
+    /// cost copies.
     ///
     /// # Errors
     ///
     /// The file system's, or [`FsError::Corrupt`] when a block still
-    /// dangles after three fetches (a cache thrashing below one chunk).
+    /// dangles after the lone fetch (a cache thrashing below one chunk).
     pub(crate) fn materialize(
         &mut self,
         ino: Ino,
@@ -279,6 +282,7 @@ impl ServerHost {
         len: usize,
     ) -> Result<Vec<u8>, FsError> {
         const BLOCK: u64 = simfs::BLOCK_SIZE as u64;
+        const LONE_FETCH: u32 = 4;
         let cache = self
             .module
             .as_ref()
@@ -291,7 +295,14 @@ impl ServerHost {
         while at < end {
             let want = BLOCK.min(end - at) as usize;
             for fetch in 1.. {
-                let Some(b) = self.fs.read_logical(ino, at, want)?.into_iter().next() else {
+                let alone = fetch == LONE_FETCH;
+                let ahead = self.fs.read_ahead();
+                if alone {
+                    self.fs.set_read_ahead(0);
+                }
+                let fetched = self.fs.read_logical(ino, at, want);
+                self.fs.set_read_ahead(ahead);
+                let Some(b) = fetched?.into_iter().next() else {
                     break; // past the end of the file
                 };
                 let segs = match b.seg.stamp() {
@@ -303,7 +314,7 @@ impl ServerHost {
                             if let Some(l) = b.lbn {
                                 self.fs.discard_cached(l);
                             }
-                            if fetch == 3 {
+                            if alone {
                                 return Err(FsError::Corrupt("placeholder thrashing"));
                             }
                             continue;

@@ -394,7 +394,9 @@ impl NfsServer {
         // ever remap it once the file is gone).
         if self.host.module.is_some() {
             if let Ok(ino) = self.host.fs.lookup(fh_to_ino(args.dir_fh), &args.name) {
-                self.invalidate_file_chunks(ino);
+                if let Ok(inode) = self.host.fs.getattr(ino) {
+                    self.invalidate_blocks(ino, 0..inode.size.div_ceil(BLOCK as u64));
+                }
             }
         }
         let status = match self.host.fs.remove(fh_to_ino(args.dir_fh), &args.name) {
@@ -408,22 +410,19 @@ impl NfsServer {
         r
     }
 
-    /// Invalidates every network-centric cache chunk of the file: for each
-    /// block below its size, the FHO key of that block and the LBN key its
+    /// Invalidates every network-centric cache chunk of the file's
+    /// `blocks`: for each, the FHO key of that block and the LBN key its
     /// block map names. The walk reads the block map, never the data, so
     /// removing a file that is not resident fetches its indirect blocks
     /// and nothing else — no block is fetched (and cached, evicting live
-    /// chunks) only to be invalidated.
-    fn invalidate_file_chunks(&mut self, ino: Ino) {
+    /// chunks) only to be invalidated. Callers hold no module guard.
+    fn invalidate_blocks(&mut self, ino: Ino, blocks: std::ops::Range<u64>) {
         let Some(module) = self.host.module.clone() else {
-            return;
-        };
-        let Ok(inode) = self.host.fs.getattr(ino) else {
             return;
         };
         let fh = FileHandle(ino_to_fh(ino));
         let cache = module.borrow().cache_handle();
-        for blk in 0..inode.size.div_ceil(BLOCK as u64) {
+        for blk in blocks {
             let lbn = self.host.fs.block_lbn(ino, blk).ok().flatten();
             cache.invalidate(Fho::new(fh, blk * BLOCK as u64).into());
             if let Some(lbn) = lbn {
@@ -515,16 +514,19 @@ impl NfsServer {
         for (i, chunk) in merged.chunks(BLOCK).enumerate() {
             let fho = Fho::new(FileHandle(fh), aligned_start + (i * BLOCK) as u64);
             let seg = netbuf::Segment::from_vec(chunk.to_vec());
-            match module.borrow_mut().on_nfs_write(fho, vec![seg], chunk.len()) {
-                Ok(stamp) => stamps.push(stamp),
-                Err(_) => {
-                    // Cache full: last resort, write the merged bytes
-                    // physically — only up to the file's true end, so the
-                    // file grows no further than the write does.
-                    let end = (true_end.min(aligned_end) - aligned_start) as usize;
-                    return self.host.fs.write(ino, aligned_start, &merged[..end]);
-                }
-            }
+            let admitted = module.borrow_mut().on_nfs_write(fho, vec![seg], chunk.len());
+            let Ok(stamp) = admitted else {
+                // Cache full: last resort, write the merged bytes
+                // physically — only up to the file's true end, so the
+                // file grows no further than the write does — then drop
+                // the span's chunks, which the file no longer names.
+                let end = (true_end.min(aligned_end) - aligned_start) as usize;
+                self.host.fs.write(ino, aligned_start, &merged[..end])?;
+                let first = aligned_start / BLOCK as u64;
+                self.invalidate_blocks(ino, first..aligned_end / BLOCK as u64);
+                return Ok(());
+            };
+            stamps.push(stamp);
         }
         self.host.fs
             .write_logical(ino, aligned_start, merged.len(), &stamps)?;
@@ -928,14 +930,25 @@ impl NfsServer {
                     if admitted {
                         self.host.fs.write_logical(ino, offset, count, &self.stamps)
                     } else {
-                        // Cache full: fall back to the copying path. The
-                        // wire segments are still held by `segs`.
+                        // Cache full or bypassed: fall back to the copying
+                        // path. The wire segments are still held by `segs`.
                         let mut data = Vec::with_capacity(count);
                         for run in segs.iter().flat_map(netbuf::Segment::runs) {
                             data.extend_from_slice(run);
                         }
                         data.truncate(count);
-                        self.host.fs.write(ino, offset, &data)
+                        let written = self.host.fs.write(ino, offset, &data);
+                        if written.is_ok() {
+                            // The buffer cache now holds the span's bytes:
+                            // the chunks admitted above, and an LBN chunk
+                            // of a block's old bytes, would outlive the
+                            // flush. Not before the write — its
+                            // read-modify-write may resolve a placeholder.
+                            let first = offset / BLOCK as u64;
+                            let end = (offset + count as u64).div_ceil(BLOCK as u64);
+                            self.invalidate_blocks(ino, first..end);
+                        }
+                        written
                     }
                 } else {
                     // Unaligned write: merge into the real block contents

@@ -457,6 +457,11 @@ impl<S: BlockStore> Filesystem<S> {
         self.cache.advance_seq_past(stamp);
     }
 
+    /// The read-ahead window in blocks.
+    pub fn read_ahead(&self) -> u64 {
+        self.read_ahead
+    }
+
     /// Sets the read-ahead window in blocks.
     pub fn set_read_ahead(&mut self, blocks: u64) {
         self.read_ahead = blocks;

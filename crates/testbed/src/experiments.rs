@@ -684,8 +684,8 @@ pub fn clients_sweep(x: &Exp) -> (SeriesTable, SeriesTable) {
 }
 
 /// Root seed for the lane-parallel client sweep: it derives the epoch
-/// tie ranks (and, under faults, the per-lane fault plans), so a fixed
-/// value makes stdout reproducible run over run.
+/// tie ranks, so a fixed value makes stdout reproducible run over run.
+/// (Under faults each session's link plan derives from the rig's seed.)
 pub const CLIENTS_SWEEP_LANE_SEED: u64 = 7;
 
 /// The engine [`clients_sweep_warmed`] runs each cell's sessions on.
@@ -711,11 +711,11 @@ pub enum Lanes {
 /// for the oracle and for every thread count. Cells run one after another
 /// — the parallelism under test is *inside* each cell — and untraced.
 ///
-/// `x.faults` arms every cell's rig with the spec under `x.seed`. Faulted
-/// outcomes derive from per-lane `(seed, lane)` fault plans inside the
-/// parallel engine, so the reference for a faulted sweep is the
-/// `Lanes::Threads(1)` run (not the sequential oracle), and the
-/// printed tables must match it at every other thread count.
+/// `x.faults` arms every cell's rig with the spec under `x.seed`. Each
+/// session's link then draws from its own plan, derived from `x.seed` and
+/// the session index, whichever engine runs it — so a faulted sweep has
+/// the same oracle as a clean one: the printed tables of
+/// [`Lanes::Oracle`] and of every thread count are identical.
 pub fn clients_sweep_warmed(x: &Exp, lanes: Lanes) -> (SeriesTable, SeriesTable) {
     let mut thr = SeriesTable::new(
         "Client scaling, warmed hot set: delivered throughput (MB/s)",

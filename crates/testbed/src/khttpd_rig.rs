@@ -73,7 +73,7 @@ impl App for KhttpdServer {
         KhttpdServer::new(host)
     }
 
-    fn client(ledger: &CopyLedger) -> HttpClient {
+    fn client(ledger: &CopyLedger, _session: Option<usize>) -> HttpClient {
         HttpClient::new(ledger)
     }
 
@@ -82,6 +82,16 @@ impl App for KhttpdServer {
             panic!("NFS op on the web rig");
         };
         (client.get_request(path), 0)
+    }
+
+    /// The response parses and its status is in the server's vocabulary;
+    /// it accounts for its body.
+    fn accept<'a>(
+        client: &'a HttpClient,
+        _op: &'a DriverOp,
+        _request: &NetBuf,
+    ) -> impl Fn(&NetBuf) -> Option<u64> + 'a {
+        |r| response(client, r).map(|(_, body)| body.len() as u64)
     }
 
     fn serve(&mut self, delivered: NetBuf) -> (NetBuf, u64) {
@@ -95,6 +105,15 @@ impl App for KhttpdServer {
     fn per_request_ns(costs: &CostModel) -> u64 {
         costs.http_req_ns
     }
+}
+
+/// The HTTP accept test: the response parses, and a status outside the
+/// server's vocabulary is a mangled header that still framed correctly —
+/// damage, retry.
+fn response(client: &HttpClient, reply: &NetBuf) -> Option<(HttpResponseHeader, Vec<u8>)> {
+    client
+        .try_parse_response(reply)
+        .filter(|(hdr, _)| matches!(hdr.status, 200 | 400 | 404 | 503))
 }
 
 impl Rig<KhttpdServer> {
@@ -133,15 +152,9 @@ impl Rig<KhttpdServer> {
     /// Fault-aware GET: completes through retried requests, or fails
     /// cleanly (`None`) once the retry budget is spent. GET is idempotent,
     /// so re-execution after a duplicated or delayed request is harmless.
-    /// The HTTP accept test (`Rig::exchange`): the response parses, and a
-    /// status outside the server's vocabulary is a mangled header that
-    /// still framed correctly — damage, retry.
     pub fn try_get(&mut self, path: &str) -> Option<(HttpResponseHeader, Vec<u8>)> {
-        let req = self.client.get_request(path);
-        self.exchange(req, |c, r| {
-            c.try_parse_response(r)
-                .filter(|(hdr, _)| matches!(hdr.status, 200 | 400 | 404 | 503))
-        })
+        let req = self.session.client.get_request(path);
+        self.exchange(req, response)
     }
 }
 
@@ -149,6 +162,7 @@ impl Rig<KhttpdServer> {
 mod tests {
     use super::*;
     use crate::rig::FaultCounters;
+    use crate::runner::DriverOp;
     use servers::ServerMode;
     use sim::FaultSpec;
 
@@ -219,6 +233,38 @@ mod tests {
             (out, rig.fault_counters())
         };
         assert_eq!(run(6), run(6));
+    }
+
+    #[test]
+    fn the_session_engine_serves_an_armed_rig_over_its_faulty_link() {
+        // Timed GETs ride the rig's link like `try_get` does: every one
+        // completes through retransmission, and the recovery is counted.
+        let spec = FaultSpec {
+            loss: 0.1,
+            ..FaultSpec::default()
+        };
+        let mut rig =
+            KhttpdRig::new_faulted(ServerMode::NCache, KhttpdRigParams::default(), &spec, 5);
+        let pages = [("/a", 20_000u64), ("/b", 4096)];
+        for (path, size) in pages {
+            rig.publish(&path[1..], size);
+        }
+        let sessions: Vec<Vec<DriverOp>> = (0..4)
+            .map(|sid| {
+                (0..6)
+                    .map(|k| DriverOp::Get {
+                        path: pages[(sid + k) % 2].0.to_string(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let opts = crate::sessions::SessionsOptions::default();
+        let (rig, r) = crate::sessions::run_sessions(rig, sessions, &opts, None);
+        assert_eq!(r.ops, 24);
+        assert_eq!(r.payload_bytes, 12 * (20_000 + 4096), "every GET delivered");
+        let fc = rig.fault_counters();
+        assert!(fc.retransmits > 0, "the link lost requests or replies");
+        assert_eq!(fc.failed_requests, 0);
     }
 
     #[test]

@@ -79,8 +79,8 @@ impl App for NfsServer {
         NfsServer::new(host)
     }
 
-    fn client(ledger: &CopyLedger) -> NfsClient {
-        NfsClient::new(ledger)
+    fn client(ledger: &CopyLedger, session: Option<usize>) -> NfsClient {
+        NfsClient::with_xid_base(ledger, session.map_or(0, |sid| (sid as u32 + 1) << 20))
     }
 
     /// The runner fabricates WRITE payload bytes; LOOKUPs resolve in the
@@ -95,6 +95,36 @@ impl App for NfsServer {
             DriverOp::Getattr { fh } => (client.getattr_request(*fh), 0),
             DriverOp::Lookup { name } => (client.lookup_request(root_fh(), name), 0),
             DriverOp::Get { .. } => panic!("HTTP op on the NFS rig"),
+        }
+    }
+
+    /// The reply parses as `op`'s and carries the call's xid; a READ
+    /// accounts for its data, a WRITE for the bytes it carried.
+    fn accept<'a>(
+        client: &'a NfsClient,
+        op: &'a DriverOp,
+        request: &NetBuf,
+    ) -> impl Fn(&NetBuf) -> Option<u64> + 'a {
+        let xid = call_xid(request);
+        move |r| {
+            answering(
+                xid,
+                match op {
+                    DriverOp::Read { .. } => client
+                        .try_parse_read_reply(r)
+                        .map(|(xid, _, data)| (xid, data.len() as u64)),
+                    DriverOp::Write { len, .. } => client
+                        .try_parse_write_reply(r)
+                        .map(|(xid, _)| (xid, u64::from(*len))),
+                    DriverOp::Getattr { .. } => {
+                        client.try_parse_getattr_reply(r).map(|(xid, ..)| (xid, 0))
+                    }
+                    DriverOp::Lookup { .. } => {
+                        client.try_parse_lookup_reply(r).map(|(xid, _)| (xid, 0))
+                    }
+                    DriverOp::Get { .. } => unreachable!("refused by `request`"),
+                },
+            )
         }
     }
 
@@ -119,10 +149,15 @@ fn root_fh() -> u64 {
 
 /// The xid a rig-built RPC call carries — what the NFS accept test holds
 /// every reply to.
-pub(crate) fn call_xid(req: &NetBuf) -> u32 {
+fn call_xid(req: &NetBuf) -> u32 {
     proto::rpc::RpcCall::decode(req.header())
         .expect("rig-built request")
         .xid
+}
+
+/// A parsed reply's value, when the reply answers the call `xid`.
+fn answering<T>(xid: u32, parsed: Option<(u32, T)>) -> Option<T> {
+    parsed.and_then(|(got, v)| (got == xid).then_some(v))
 }
 
 impl Rig<NfsServer> {
@@ -189,7 +224,7 @@ impl Rig<NfsServer> {
         offset: u32,
         count: u32,
     ) -> Option<(ReadReplyHeader, Vec<u8>)> {
-        let req = self.client.read_request(fh, offset, count);
+        let req = self.session.client.read_request(fh, offset, count);
         self.rpc(req, |c, r| {
             c.try_parse_read_reply(r).map(|(xid, h, d)| (xid, (h, d)))
         })
@@ -204,13 +239,13 @@ impl Rig<NfsServer> {
     /// Fault-aware WRITE: retransmissions of an executed write are served
     /// from the server's duplicate-request cache, never re-executed.
     pub fn try_write(&mut self, fh: u64, offset: u32, data: &[u8]) -> Option<WriteReply> {
-        let req = self.client.write_request(fh, offset, data);
+        let req = self.session.client.write_request(fh, offset, data);
         self.rpc(req, |c, r| c.try_parse_write_reply(r))
     }
 
     /// Issues a GETATTR; returns the reply's status.
     pub fn getattr(&mut self, fh: u64) -> u32 {
-        let req = self.client.getattr_request(fh);
+        let req = self.session.client.getattr_request(fh);
         self.rpc(req, |c, r| {
             c.try_parse_getattr_reply(r).map(|(xid, status, _)| (xid, status))
         })
@@ -228,31 +263,27 @@ impl Rig<NfsServer> {
         parse: impl Fn(&NfsClient, &NetBuf) -> Option<(u32, T)>,
     ) -> Option<T> {
         let xid = call_xid(&req);
-        self.exchange(req, |c, r| {
-            parse(c, r).and_then(|(got, v)| (got == xid).then_some(v))
-        })
+        self.exchange(req, |c, r| answering(xid, parse(c, r)))
     }
 
     /// Issues a LOOKUP in the export root (over the clean link, always).
     pub fn lookup(&mut self, name: &str) -> Option<u64> {
-        let req = self.client.lookup_request(root_fh(), name);
+        let req = self.session.client.lookup_request(root_fh(), name);
         let reply = self.handle_raw(req);
-        let parsed = self.client.parse_lookup_reply(&reply);
+        let parsed = self.session.client.parse_lookup_reply(&reply);
         (parsed.status == NFS_OK).then_some(parsed.fh)
     }
 
     /// The client-side request builder.
     pub fn client_mut(&mut self) -> &mut NfsClient {
-        &mut self.client
+        &mut self.session.client
     }
 
-    /// Swaps the rig's client with `client`. The multi-session engine keeps
-    /// one [`NfsClient`] per session (each on a disjoint xid base, so the
-    /// server's duplicate-request cache never aliases requests from
-    /// different sessions) and installs the active session's client around
-    /// each operation.
+    /// Swaps the rig's client with `client` — several clients on disjoint
+    /// xid bases over the rig's own link (the timing engines swap whole
+    /// sessions, link included).
     pub fn swap_client(&mut self, client: &mut NfsClient) {
-        std::mem::swap(&mut self.client, client);
+        std::mem::swap(&mut self.session.client, client);
     }
 }
 
@@ -536,25 +567,6 @@ mod tests {
             .join()
             .expect("worker");
         assert_eq!(data, NfsRig::pattern(fh, 0, 8 << 10));
-    }
-
-    #[test]
-    fn fault_counters_absorb_adds_fieldwise() {
-        let mut a = FaultCounters {
-            retransmits: 1,
-            timeouts: 2,
-            ..FaultCounters::default()
-        };
-        a.absorb(&FaultCounters {
-            retransmits: 3,
-            request_drops: 4,
-            failed_requests: 5,
-            ..FaultCounters::default()
-        });
-        assert_eq!(a.retransmits, 4);
-        assert_eq!(a.timeouts, 2);
-        assert_eq!(a.request_drops, 4);
-        assert_eq!(a.failed_requests, 5);
     }
 
     #[test]

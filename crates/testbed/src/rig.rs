@@ -4,10 +4,11 @@
 //! The paper's claim is that NCache is application-independent (§1-§2,
 //! Table 1); so is everything the testbed puts around a server. [`Rig`] is
 //! generic over the application — the server type behind the small [`App`]
-//! trait — and owns the wiring, the fault plan and the one faulted exchange
-//! loop, the control and adaptive planes, the recorder, the metrics report
-//! and the [`RigDriver`] the timing engines drive. What is NFS about the
-//! NFS rig (files, READ/WRITE/GETATTR, the xid accept test) is in
+//! trait — and owns the wiring, the fault plan, the sessions (a client and
+//! its link) and the one faulted exchange loop, the one op body, the
+//! control and adaptive planes, the recorder, the metrics report and the
+//! [`RigDriver`] the timing engines drive. What is NFS about the NFS rig
+//! (files, READ/WRITE/GETATTR, the xid accept test and base) is in
 //! [`crate::nfs_rig`]; what is HTTP about the web rig (pages, GET, the
 //! status accept test) is in [`crate::khttpd_rig`].
 
@@ -19,6 +20,7 @@ use sim::costs::CostModel;
 use sim::{FaultKind, FaultLink, FaultPlan, FaultSpec, SplitMix64};
 use simfs::{Filesystem, FsParams, Ino};
 
+use crate::executor::derive_seed;
 use crate::runner::{DriverOp, RigDriver, FRAME_OVERHEAD};
 use crate::timing::{Observation, OpMeter, Transport};
 
@@ -59,8 +61,9 @@ pub trait App: std::ops::DerefMut<Target = ServerHost> {
     /// The application's daemon over `host`.
     fn build(host: ServerHost) -> Self;
 
-    /// A client charging `ledger`.
-    fn client(ledger: &CopyLedger) -> Self::Client;
+    /// A client charging `ledger`: the rig's own (`session` is `None`) or
+    /// session `sid`'s ([`Rig::session`]).
+    fn client(ledger: &CopyLedger, session: Option<usize>) -> Self::Client;
 
     /// Turns `op` into a request message. Also returns the payload bytes
     /// the request itself carries (a WRITE's), zero when the payload rides
@@ -70,6 +73,16 @@ pub trait App: std::ops::DerefMut<Target = ServerHost> {
     ///
     /// Panics on an operation of the other application.
     fn request(client: &mut Self::Client, op: &DriverOp) -> (NetBuf, u64);
+
+    /// The accept test of a timed op's reply on a faulty link
+    /// ([`faulted_exchange_with`]): for a reply that answers `request` —
+    /// built for `op` — the payload bytes it accounts for; `None` for
+    /// damage.
+    fn accept<'a>(
+        client: &'a Self::Client,
+        op: &'a DriverOp,
+        request: &NetBuf,
+    ) -> impl Fn(&NetBuf) -> Option<u64> + 'a;
 
     /// Serves one delivered request and returns the reply, already passed
     /// through the driver-level hook, with the packets that hook
@@ -115,22 +128,6 @@ pub struct FaultCounters {
     pub failed_requests: u64,
 }
 
-impl FaultCounters {
-    /// Adds another counter set into this one (the lane-parallel engine
-    /// merges per-lane recovery counters in lane order).
-    pub fn absorb(&mut self, other: &FaultCounters) {
-        self.retransmits += other.retransmits;
-        self.request_drops += other.request_drops;
-        self.reply_drops += other.reply_drops;
-        self.duplicates += other.duplicates;
-        self.reorders += other.reorders;
-        self.timeouts += other.timeouts;
-        self.checksum_discards += other.checksum_discards;
-        self.damaged_replies += other.damaged_replies;
-        self.failed_requests += other.failed_requests;
-    }
-}
-
 impl obs::StatsSnapshot for FaultCounters {
     fn source(&self) -> &'static str {
         "fault-client"
@@ -151,36 +148,37 @@ impl obs::StatsSnapshot for FaultCounters {
     }
 }
 
+/// Seed-derivation salt of session `sid`'s link plan (salt + `sid`).
+/// Disjoint from the rig's own salts (`0..=2`, [`Rig::new_faulted`]), so a
+/// session's plan never replays the store, target or poison streams.
+const SESSION_FAULT_SALT: u64 = 0x1000;
+/// Seed-derivation salt of session `sid`'s poison stream.
+const SESSION_POISON_SALT: u64 = 0x2000;
+
 /// The client side of one client⇄server link: the link's seeded fault plan
-/// (`None` is a clean link), the recovery counters it accumulates, the
-/// slot holding the previously completed request (replayed in front by
-/// reorder faults) and the poison stream. A [`Rig`] keeps one for its own
-/// client; the lane-parallel engine keeps one per session lane, each on
-/// independently derived seeds, so a lane's fault schedule never depends
-/// on how lanes interleave.
+/// (`None` is a clean link), the slot holding the previously completed
+/// request (replayed in front by reorder faults) and the poison stream.
 #[derive(Debug)]
-pub(crate) struct FaultChannel {
+struct FaultChannel {
     spec: FaultSpec,
     plan: Option<sim::Shared<FaultPlan>>,
-    pub(crate) counters: FaultCounters,
     replay_slot: Option<NetBuf>,
     poison: SplitMix64,
 }
 
 impl FaultChannel {
     /// A channel over a clean link.
-    pub(crate) fn clean() -> Self {
+    fn clean() -> Self {
         FaultChannel {
             spec: FaultSpec::default(),
             plan: None,
-            counters: FaultCounters::default(),
             replay_slot: None,
             poison: SplitMix64::new(0),
         }
     }
 
     /// A channel over a link that draws `spec`'s faults from `plan`.
-    pub(crate) fn armed(spec: &FaultSpec, plan: sim::Shared<FaultPlan>, poison_seed: u64) -> Self {
+    fn armed(spec: &FaultSpec, plan: sim::Shared<FaultPlan>, poison_seed: u64) -> Self {
         FaultChannel {
             spec: *spec,
             plan: Some(plan),
@@ -189,21 +187,33 @@ impl FaultChannel {
         }
     }
 
-    /// Whether the link has a fault plan.
-    pub(crate) fn is_armed(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Ahead of a faulted exchange: occasionally corrupts a clean NCache
     /// chunk's stored checksum, at the spec's corruption rate, so
     /// placeholder revalidation exercises the invalidate-and-refetch
     /// degradation path.
-    pub(crate) fn maybe_poison(&mut self, module: Option<&sim::Shared<NcacheModule>>) {
+    fn maybe_poison(&mut self, module: Option<&sim::Shared<NcacheModule>>) {
         let Some(module) = module else { return };
         if self.spec.corrupt > 0.0 && self.poison.next_bool(self.spec.corrupt) {
             let pick = self.poison.next_u64() as usize;
             module.borrow_mut().poison_clean_chunk(pick);
         }
+    }
+}
+
+/// One client of a rig and the link it speaks over: what both timing
+/// engines keep per session ([`Rig::session`]). The rig serves with its
+/// own; the sequential engine swaps a session's in around each of its ops,
+/// and the lane-parallel engine hands its lane's to [`Rig::serve_op`].
+#[derive(Debug)]
+pub(crate) struct Session<C> {
+    pub(crate) client: C,
+    link: FaultChannel,
+}
+
+impl<C> Session<C> {
+    /// Whether the session's link has a fault plan.
+    pub(crate) fn is_armed(&self) -> bool {
+        self.link.plan.is_some()
     }
 }
 
@@ -221,31 +231,40 @@ impl FaultChannel {
 /// the server's vocabulary) — or it counts as a damaged reply.
 ///
 /// Every delivered request — including late, duplicated, and stale ones —
-/// goes through `step`, which serves it; the server finishes every reply
-/// it emits through its own transmit hook.
+/// is served, and the server finishes every reply it emits through its own
+/// transmit hook; the second value returned is the packets those hooks
+/// substituted. Recovery actions count into `counters`.
 ///
 /// The channel's plan is borrowed only around each `deliver_faulty` call:
 /// the server's storage path may share the same plan handle for I/O
-/// faults, and holding the guard across `step` would deadlock.
+/// faults, and holding the guard across a serve would deadlock.
 ///
 /// # Panics
 ///
 /// Panics on a channel that is not armed.
-pub(crate) fn faulted_exchange_with<T>(
-    step: &mut impl FnMut(NetBuf) -> NetBuf,
+fn faulted_exchange_with<A: App, T>(
+    server: &mut A,
     ledgers: &NodeLedgers,
-    rec: &obs::Recorder,
+    counters: &mut FaultCounters,
     chan: &mut FaultChannel,
     req: NetBuf,
     accept: impl Fn(&NetBuf) -> Option<T>,
-) -> Option<T> {
+) -> (Option<T>, u64) {
+    chan.maybe_poison(server.module());
+    let rec = server.recorder().clone();
+    let mut substituted = 0;
+    let mut step = |d: NetBuf| {
+        let (reply, n) = server.serve(d);
+        substituted += n;
+        reply
+    };
     let plan = chan.plan.clone().expect("a faulted exchange needs an armed channel");
     let mut span = None;
     for attempt in 0..MAX_RPC_ATTEMPTS {
         if attempt > 0 {
             // A recovery episode is under way; trace it as one span.
             span.get_or_insert_with(|| rec.begin_span("fault", "retransmit", 0));
-            chan.counters.retransmits += 1;
+            counters.retransmits += 1;
             rec.add_counter("fault.retransmits", 1);
         }
         let (delivered, kind) = {
@@ -254,14 +273,14 @@ pub(crate) fn faulted_exchange_with<T>(
         };
         let reply = match (delivered, kind) {
             (None, _) => {
-                chan.counters.request_drops += 1;
+                counters.request_drops += 1;
                 rec.add_counter("fault.request_drops", 1);
                 continue;
             }
             (Some(_), Some(FaultKind::Corrupt { .. } | FaultKind::Truncate { .. })) => {
                 // The datagram checksum catches in-flight damage; the
                 // request never reaches the server.
-                chan.counters.checksum_discards += 1;
+                counters.checksum_discards += 1;
                 rec.add_counter("fault.checksum_discards", 1);
                 continue;
             }
@@ -269,12 +288,12 @@ pub(crate) fn faulted_exchange_with<T>(
                 // Executed server-side, but the reply misses the client's
                 // timer; the retransmission must not re-execute.
                 let _late = step(d);
-                chan.counters.timeouts += 1;
+                counters.timeouts += 1;
                 rec.add_counter("fault.timeouts", 1);
                 continue;
             }
             (Some(d), Some(FaultKind::Duplicate)) => {
-                chan.counters.duplicates += 1;
+                counters.duplicates += 1;
                 rec.add_counter("fault.duplicates", 1);
                 let reply = step(d);
                 let dup = servers::stack::deliver(&req, &ledgers.app);
@@ -282,7 +301,7 @@ pub(crate) fn faulted_exchange_with<T>(
                 reply
             }
             (Some(d), Some(FaultKind::Reorder)) => {
-                chan.counters.reorders += 1;
+                counters.reorders += 1;
                 rec.add_counter("fault.reorders", 1);
                 if let Some(prev) = chan.replay_slot.take() {
                     // A stale retransmission of the previous request
@@ -300,14 +319,14 @@ pub(crate) fn faulted_exchange_with<T>(
             servers::stack::deliver_faulty(&reply, &ledgers.client, &mut p, FaultLink::ClientServer)
         };
         let Some(rx) = rx else {
-            chan.counters.reply_drops += 1;
+            counters.reply_drops += 1;
             rec.add_counter("fault.reply_drops", 1);
             continue;
         };
         if matches!(rkind, Some(FaultKind::Delay)) {
             // The client's timer already fired; the late reply is dropped
             // on the floor and the retransmission hits the DRC.
-            chan.counters.timeouts += 1;
+            counters.timeouts += 1;
             rec.add_counter("fault.timeouts", 1);
             continue;
         }
@@ -316,12 +335,12 @@ pub(crate) fn faulted_exchange_with<T>(
             // checksum; the client never sees the damaged reply. The bit
             // flip could land in the status or payload bytes, where the
             // accept test alone would miss it.
-            chan.counters.checksum_discards += 1;
+            counters.checksum_discards += 1;
             rec.add_counter("fault.checksum_discards", 1);
             continue;
         }
         let Some(accepted) = accept(&rx) else {
-            chan.counters.damaged_replies += 1;
+            counters.damaged_replies += 1;
             rec.add_counter("fault.damaged_replies", 1);
             continue;
         };
@@ -329,26 +348,31 @@ pub(crate) fn faulted_exchange_with<T>(
             rec.end_span(s);
         }
         chan.replay_slot = Some(req);
-        return Some(accepted);
+        return (Some(accepted), substituted);
     }
     if let Some(s) = span.take() {
         rec.end_span(s);
     }
-    chan.counters.failed_requests += 1;
+    counters.failed_requests += 1;
     rec.add_counter("fault.failed_requests", 1);
-    None
+    (None, substituted)
 }
 
 /// The assembled rig around application `A`.
 #[derive(Debug)]
 pub struct Rig<A: App> {
     pub(crate) server: A,
-    pub(crate) client: A::Client,
+    /// The session the rig serves with: its own client and link, unless an
+    /// engine has swapped a session's in ([`Rig::swap_session`]).
+    pub(crate) session: Session<A::Client>,
     target: sim::Shared<IscsiTarget>,
     pub(crate) ledgers: NodeLedgers,
     /// The construction-time FS buffer-cache quota ([`Rig::quiesce`]).
     fs_cache_blocks: usize,
-    chan: FaultChannel,
+    /// The fault spec and seed the rig was armed with (`None`: clean).
+    armed: Option<(FaultSpec, u64)>,
+    /// Every session's recovery actions, summed.
+    counters: FaultCounters,
     adaptive: Option<ncache::SplitController>,
 }
 
@@ -379,20 +403,24 @@ impl<A: App> Rig<A> {
             .expect("volume large enough to format");
         Rig {
             server: A::build(ServerHost::new(mode, fs, module, &ledgers.app)),
-            client: A::client(&ledgers.client),
+            session: Session {
+                client: A::client(&ledgers.client, None),
+                link: FaultChannel::clean(),
+            },
             target,
             ledgers,
             fs_cache_blocks: fs_params.cache_blocks,
-            chan: FaultChannel::clean(),
+            armed: None,
+            counters: FaultCounters::default(),
             adaptive: None,
         }
     }
 
     /// Builds the rig and arms the whole stack with a seeded fault plan:
-    /// the client⇄server link (this rig's exchange loop), the
-    /// initiator⇄target link (inside the initiator), transient I/O errors
-    /// at the target, and checksum-verified placeholder revalidation at
-    /// the server.
+    /// the client⇄server link (this rig's exchange loop, and every
+    /// [`Rig::session`]'s), the initiator⇄target link (inside the
+    /// initiator), transient I/O errors at the target, and
+    /// checksum-verified placeholder revalidation at the server.
     pub fn new_faulted(mode: ServerMode, params: A::Params, spec: &FaultSpec, seed: u64) -> Self {
         let mut rig = Self::new(mode, params);
         let plan = sim::Shared::new(FaultPlan::new(spec, seed));
@@ -400,17 +428,43 @@ impl<A: App> Rig<A> {
         rig.target
             .borrow_mut()
             .set_transient_faults(blockdev::TransientFaults::new(
-                crate::executor::derive_seed(seed, 1),
+                derive_seed(seed, 1),
                 spec.io_ppm(),
             ));
         rig.server.set_fault_recovery(true);
-        rig.chan = FaultChannel::armed(spec, plan, crate::executor::derive_seed(seed, 2));
+        rig.session.link = FaultChannel::armed(spec, plan, derive_seed(seed, 2));
+        rig.armed = Some((*spec, seed));
         rig
     }
 
     /// Whether this rig runs with an armed fault plan.
     pub fn faults_armed(&self) -> bool {
-        self.chan.is_armed()
+        self.armed.is_some()
+    }
+
+    /// Session `sid` of a timing engine: a client on xid base `(sid + 1)
+    /// << 20` under NFS ([`App::client`]), so a million xids per session
+    /// never collide in the server's duplicate-request cache, over a link
+    /// of its own. On an armed rig that link draws the rig's spec from a
+    /// plan and a poison stream derived from the rig's seed and `sid`, so a
+    /// session's fault schedule is the same whichever engine runs it and
+    /// however sessions interleave; on an unarmed one it is clean.
+    pub(crate) fn session(&self, sid: usize) -> Session<A::Client> {
+        let link = self.armed.map_or_else(FaultChannel::clean, |(spec, seed)| {
+            let seed = |salt: u64| derive_seed(seed, salt + sid as u64);
+            let plan = sim::Shared::new(FaultPlan::new(&spec, seed(SESSION_FAULT_SALT)));
+            FaultChannel::armed(&spec, plan, seed(SESSION_POISON_SALT))
+        });
+        Session {
+            client: A::client(&self.ledgers.client, Some(sid)),
+            link,
+        }
+    }
+
+    /// Swaps the session the rig serves with for `session` (the sequential
+    /// engine's per-session hook, on the way in and on the way out).
+    pub(crate) fn swap_session(&mut self, session: &mut Session<A::Client>) {
+        std::mem::swap(&mut self.session, session);
     }
 
     /// Installs the overload control plane on the rig's server: admission
@@ -455,22 +509,10 @@ impl<A: App> Rig<A> {
         self.adaptive.as_ref()
     }
 
-    /// The fault specification the rig was armed with (default when
-    /// unarmed). The lane-parallel engine derives each lane's private
-    /// link plan from this spec.
-    pub fn fault_spec(&self) -> FaultSpec {
-        self.chan.spec
-    }
-
-    /// The client-side recovery counters (all zero without faults).
+    /// The client-side recovery counters, summed over every session (all
+    /// zero without faults).
     pub fn fault_counters(&self) -> FaultCounters {
-        self.chan.counters
-    }
-
-    /// Folds recovery counters accumulated outside the rig (per-lane
-    /// channels of the parallel engine) into the rig's own.
-    pub fn absorb_fault_counters(&mut self, counters: &FaultCounters) {
-        self.chan.counters.absorb(counters);
+        self.counters
     }
 
     /// Attaches a recorder to the whole rig: the server span layer, the
@@ -501,8 +543,8 @@ impl<A: App> Rig<A> {
         report.add_snapshot("ledger.client", &self.ledgers.client.snapshot());
         report.add_snapshot("ledger.app", &self.ledgers.app.snapshot());
         report.add_snapshot("ledger.storage", &self.ledgers.storage.snapshot());
-        if self.chan.is_armed() {
-            report.add_snapshot("fault-client", &self.chan.counters);
+        if self.faults_armed() {
+            report.add_snapshot("fault-client", &self.counters);
         }
         if let Some(control) = self.server.control_stats() {
             report.add_snapshot("control", &control);
@@ -631,59 +673,68 @@ impl<A: App> Rig<A> {
         req: NetBuf,
         accept: impl Fn(&A::Client, &NetBuf) -> Option<T>,
     ) -> Option<T> {
-        if !self.chan.is_armed() {
+        if !self.session.is_armed() {
             let reply = self.handle_raw(req);
-            return accept(&self.client, &reply);
+            return accept(&self.session.client, &reply);
         }
-        self.chan.maybe_poison(self.server.module());
-        let rec = self.server.recorder().clone();
-        let (server, client) = (&mut self.server, &self.client);
-        faulted_exchange_with(
-            &mut |d| server.serve(d).0,
-            &self.ledgers,
-            &rec,
-            &mut self.chan,
-            req,
-            |r| accept(client, r),
-        )
+        let Session { client, link } = &mut self.session;
+        let accept = |r: &NetBuf| accept(client, r);
+        let server = &mut self.server;
+        faulted_exchange_with(server, &self.ledgers, &mut self.counters, link, req, accept).0
     }
 
-    /// The one op body of both engines: delivers `request` over the clean
-    /// link, serves it — the transmit hook included — and closes `meter`
-    /// on the observation, with `residue` (storage I/O logged before the
-    /// run, which the lanes hand their first op) ahead of the op's own.
-    /// Returns the observation and the payload the op moved: a WRITE's
-    /// `payload_hint`, else the reply's payload.
+    /// The one op body of both engines: sends `request` (built for `op`)
+    /// over `session`'s link — the rig's own when `None` — serves it, the
+    /// transmit hook included, and closes `meter` on the observation, with
+    /// `residue` (storage I/O logged before the run, which the lanes hand
+    /// their first op) ahead of the op's own. On a clean link that is one
+    /// delivery; on an armed one it is [`faulted_exchange_with`] under
+    /// [`App::accept`], and the observation takes the accepted reply's
+    /// size (none when the budget ran out) and every packet substituted on
+    /// the way. Returns the observation and the payload the op moved: a
+    /// WRITE's `payload_hint`, else the reply's payload.
     pub(crate) fn serve_op(
         &mut self,
+        session: Option<&mut Session<A::Client>>,
         meter: OpMeter,
+        op: &DriverOp,
         request: NetBuf,
         payload_hint: u64,
         residue: &[IoRecord],
     ) -> (Observation, u64) {
         let rejections = self.server.control_rejections();
         let request_bytes = request.total_len() as u64 + FRAME_OVERHEAD;
-        let delivered = servers::stack::deliver(&request, &self.ledgers.app);
-        let (reply, substituted) = self.server.serve(delivered);
+        let session = session.unwrap_or(&mut self.session);
+        let (reply_bytes, payload, substituted) = if session.is_armed() {
+            let Session { client, link } = session;
+            let accept = A::accept(client, op, &request);
+            let framed = |r: &NetBuf| Some((accept(r)?, r.total_len() as u64 + FRAME_OVERHEAD));
+            let (accepted, substituted) = faulted_exchange_with(
+                &mut self.server,
+                &self.ledgers,
+                &mut self.counters,
+                link,
+                request,
+                framed,
+            );
+            let (payload, reply_bytes) = accepted.unwrap_or((0, 0));
+            (reply_bytes, payload, substituted)
+        } else {
+            let delivered = servers::stack::deliver(&request, &self.ledgers.app);
+            let (reply, substituted) = self.server.serve(delivered);
+            let payload = match payload_hint {
+                0 => reply.payload_len() as u64,
+                hint => hint,
+            };
+            (reply.total_len() as u64 + FRAME_OVERHEAD, payload, substituted)
+        };
         let io = self.take_io_log(residue);
-        let obs = meter.finish(
-            &self.ledgers,
-            request_bytes,
-            reply.total_len() as u64 + FRAME_OVERHEAD,
-            &io,
-            substituted,
-            self.server.control_rejections() > rejections,
-        );
+        let rejected = self.server.control_rejections() > rejections;
+        let ledgers = &self.ledgers;
+        let obs = meter.finish(ledgers, request_bytes, reply_bytes, &io, substituted, rejected);
         // A rejected WRITE accepted no payload; the hint only applies to
         // executed operations.
-        let payload = if obs.rejected {
-            0
-        } else if payload_hint > 0 {
-            payload_hint
-        } else {
-            reply.payload_len() as u64
-        };
-        (obs, payload)
+        (obs, if rejected { 0 } else { payload })
     }
 
     /// Drains the storage I/O logged since the last drain, with `residue`
@@ -701,8 +752,8 @@ impl<A: App> Rig<A> {
 impl<A: App> RigDriver for Rig<A> {
     fn run_op(&mut self, op: &DriverOp) -> (Observation, u64) {
         let meter = OpMeter::open(&self.ledgers);
-        let (request, payload_hint) = A::request(&mut self.client, op);
-        self.serve_op(meter, request, payload_hint, &[])
+        let (request, payload_hint) = A::request(&mut self.session.client, op);
+        self.serve_op(None, meter, op, request, payload_hint, &[])
     }
 
     fn transport(&self) -> Transport {

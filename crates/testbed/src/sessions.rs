@@ -11,11 +11,13 @@
 //! — byte-identical at any host thread count and any NCache shard count,
 //! which the determinism gates in CI compare directly.
 //!
-//! NFS sessions each carry their own [`NfsClient`] on a disjoint xid
-//! base: the server's duplicate-request cache is keyed by xid alone, so
-//! without per-session bases two clients' requests would alias in the
-//! DRC. [`run_nfs_sessions`] sets this up; the generic entry point takes
-//! an optional hook invoked around every functional execution.
+//! NFS sessions each carry their own client on a disjoint xid base, over
+//! a link of their own ([`crate::rig::Rig::session`]): the server's
+//! duplicate-request cache is keyed by xid alone, so without per-session
+//! bases two clients' requests would alias in the DRC, and on an armed rig
+//! each session's fault schedule is its own. [`run_nfs_sessions`] sets
+//! this up; the generic entry point takes an optional hook invoked around
+//! every functional execution.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -28,16 +30,15 @@ use sim::costs::CostModel;
 use sim::stats::LatencyHistogram;
 use sim::sync::{LaneLock, LockCounters};
 use sim::time::{Duration, SimTime};
-use sim::{FaultPlan, FaultSpec};
 
 pub use crate::openloop::{
     run_open_loop, run_open_loop_at, OpenLoopOptions, OpenLoopResult,
 };
 
 use crate::engine::{Arrivals, Flight, Sink, Walker};
-use crate::executor::{derive_seed, run_cells};
-use crate::nfs_rig::{call_xid, NfsRig};
-use crate::rig::{faulted_exchange_with, App, FaultChannel, FaultCounters, NodeLedgers};
+use crate::executor::run_cells;
+use crate::nfs_rig::NfsRig;
+use crate::rig::{App, NodeLedgers, Session};
 use crate::runner::{DriverOp, RigDriver, FRAME_OVERHEAD};
 use crate::timing::{Observation, OpMeter, Transport};
 
@@ -164,20 +165,16 @@ pub fn run_sessions<R: RigDriver + 'static>(
     (rig, result)
 }
 
-/// Builds one [`NfsClient`] per session — session `i` on xid base
-/// `(i + 1) << 20`, so a million xids per session never collide in the
-/// server's duplicate-request cache — and returns a swap hook installing
-/// the active session's client around each operation.
+/// Builds one session per session index — its client on a disjoint xid
+/// base, over its own link ([`crate::rig::Rig::session`]) — and returns a
+/// swap hook installing the active session around each operation.
 pub fn nfs_session_clients(rig: &NfsRig, sessions: usize) -> SessionHook<NfsRig> {
-    let ledger = rig.ledgers().client.clone();
-    let mut clients: Vec<NfsClient> = (0..sessions)
-        .map(|i| NfsClient::with_xid_base(&ledger, (i as u32 + 1) << 20))
-        .collect();
-    Box::new(move |rig, sid| rig.swap_client(&mut clients[sid]))
+    let mut sessions: Vec<Session<NfsClient>> = (0..sessions).map(|i| rig.session(i)).collect();
+    Box::new(move |rig, sid| rig.swap_session(&mut sessions[sid]))
 }
 
 /// [`run_sessions`] for the NFS rig with per-session clients on disjoint
-/// xid bases (see [`nfs_session_clients`]).
+/// xid bases, each over its own link (see [`nfs_session_clients`]).
 pub fn run_nfs_sessions(
     rig: NfsRig,
     sessions: Vec<Vec<DriverOp>>,
@@ -191,19 +188,9 @@ pub fn run_nfs_sessions(
 // Lane-parallel execution
 // ---------------------------------------------------------------------------
 
-/// Seed-derivation salt for a lane's private network fault plan. Disjoint
-/// from the rig's own salts (`0..=2`, used by [`NfsRig::new_faulted`]) so
-/// a lane plan never replays the store/target/poison streams.
-const LANE_FAULT_SALT: u64 = 0x1000;
-/// Seed-derivation salt for a lane's private poison RNG.
-const LANE_POISON_SALT: u64 = 0x2000;
-
 /// What one lane's functional pass produced: per-operation observations
-/// in program order, plus the lane's private fault counters.
-struct LaneOutcome {
-    ops: Vec<(Observation, u64)>,
-    counters: FaultCounters,
-}
+/// in program order.
+type LaneOutcome = Vec<(Observation, u64)>;
 
 /// What the functional phase cost and touched: the wall clock the
 /// benchmarks report, and the exact (noise-free) lock evidence behind it.
@@ -219,16 +206,11 @@ pub struct FunctionalPhase {
 }
 
 /// Shared handles every lane needs. Everything here is either behind the
-/// core lock (`core`) or internally synchronized (ledgers, recorder).
+/// core lock (`core`) or internally synchronized (ledgers).
 struct LaneContext<'a> {
     core: &'a LaneLock<NfsRig>,
-    rec: &'a obs::Recorder,
     /// The rig's per-node ledgers (handles onto the same counters).
     ledgers: NodeLedgers,
-    /// The rig's fault spec when it is armed: each lane then draws from a
-    /// private plan derived from `seed` and the lane index.
-    faults: Option<FaultSpec>,
-    seed: u64,
     /// Storage I/O accumulated before the run (file creation, warm-up,
     /// sync). The sequential engine's first functional op drains it with
     /// its own `take_io_log` call and carries it in its burst list; the
@@ -247,9 +229,9 @@ struct LaneContext<'a> {
 /// The run is two-phase:
 ///
 /// 1. **Functional phase** — each lane owns its session's operation
-///    stream and client (same disjoint xid bases as the sequential
-///    engine) and runs it to completion on a worker thread. The server,
-///    filesystem and ledger snapshots sit behind one core lock, held
+///    stream and session (the one the sequential engine builds) and runs
+///    it to completion on a worker thread. The server, filesystem and
+///    ledger snapshots sit behind one core lock, held
 ///    shared by a cache-hit READ ([`fast_read_op`]) and exclusively by
 ///    everything else; the server finishes every reply inside it, transmit
 ///    hook included. Every operation executes inside an epoch
@@ -263,9 +245,11 @@ struct LaneContext<'a> {
 ///    [`SessionsResult`] are computed by exactly the code the
 ///    sequential engine uses.
 ///
-/// With a fault plan armed, each lane draws from a private plan derived
-/// from `seed` and the lane index (the whole exchange then runs under
-/// the core lock), so fault outcomes are reproducible at any thread
+/// `seed` derives the epoch tie ranks. On an armed rig each lane's link
+/// draws from its session's own plan, derived from the rig's seed and the
+/// lane index — the one the sequential engine's session uses — and every
+/// op takes the exclusive path, where [`crate::rig::Rig::serve_op`] runs
+/// the whole exchange; so fault outcomes are the oracle's at any thread
 /// count. Trace *ordering* from the functional phase is the one relaxed
 /// observable; totals, counters and the timing-phase events are not.
 ///
@@ -318,10 +302,7 @@ pub fn run_nfs_sessions_parallel_observed(
     let (rig, outcomes, phase) = functional_phase(rig, &sessions, threads, seed);
     let replay = ReplayRig {
         rec,
-        lanes: outcomes
-            .into_iter()
-            .map(|outcome| VecDeque::from(outcome.ops))
-            .collect(),
+        lanes: outcomes.into_iter().map(VecDeque::from).collect(),
         current: 0,
     };
     let hook: SessionHook<ReplayRig> = Box::new(|r, sid| r.current = sid);
@@ -330,9 +311,8 @@ pub fn run_nfs_sessions_parallel_observed(
 }
 
 /// Phase one of [`run_nfs_sessions_parallel`]: runs every lane to
-/// completion on up to `threads` host threads and folds what the lanes
-/// kept to themselves (fault counters, the stamp clocks) back into the
-/// rig.
+/// completion on up to `threads` host threads and moves the stamp clocks
+/// past every stamp the lanes drew.
 fn functional_phase(
     mut rig: NfsRig,
     sessions: &[Vec<DriverOp>],
@@ -345,47 +325,52 @@ fn functional_phase(
          lanes have no gate clock and the replay cannot re-issue a retried op"
     );
     let n = sessions.len();
-    let rec = NfsRig::recorder(&rig).clone();
     let module = rig.module();
-    let faults = rig.faults_armed().then(|| rig.fault_spec());
     let ledgers = rig.ledgers().clone();
     let ties = sim::epoch::tie_ranks(seed, n);
     let max_epochs = sessions.iter().map(Vec::len).max().unwrap_or(0) as u64;
     let residue = rig.server_mut().fs_mut().store_mut().take_io_log();
+    let lanes: Vec<Mutex<LaneState>> = (0..n)
+        .map(|lane| Mutex::new(LaneState::new(rig.session(lane), sessions[lane].len())))
+        .collect();
 
     let core = LaneLock::new(rig);
     let cx = LaneContext {
         core: &core,
-        rec: &rec,
         ledgers,
-        faults,
-        seed,
         residue,
     };
     let adaptive_epoch = cx.core.read().adaptive_epoch();
     let module_borrows = || module.as_ref().map_or(0, sim::Shared::borrows);
     let borrows_before = module_borrows();
     let functional_start = std::time::Instant::now();
-    let outcomes = match adaptive_epoch.filter(|&l| l > 0) {
-        // No controller: the free-running path, byte for byte.
-        None => run_cells(threads, n, |lane| run_lane(&cx, &sessions[lane], lane, ties[lane])),
+    match adaptive_epoch.filter(|&l| l > 0) {
+        // No controller: the free-running path, each lane start to finish.
+        None => {
+            run_cells(threads, n, |lane| {
+                let mut st = lanes[lane].lock().expect("lane state poisoned");
+                for (k, op) in sessions[lane].iter().enumerate() {
+                    st.run_op(&cx, lane, ties[lane], k, op);
+                }
+            });
+        }
         // A controller is installed: run round-synchronized so ticks
         // land on exactly the op-count boundaries the sequential
         // engine's round rule fires on — a barrier after every round,
         // a tick (under the exclusive core lock, no lane running)
         // after every `l` rounds.
-        Some(l) => run_lanes_rounds(&cx, sessions, &ties, threads, l),
-    };
+        Some(l) => run_lanes_rounds(&cx, sessions, &lanes, &ties, threads, l),
+    }
     let phase = FunctionalPhase {
         wall: functional_start.elapsed(),
         core: core.counters(),
         module_borrows: module_borrows() - borrows_before,
     };
     let mut rig = core.into_inner();
-
-    for outcome in &outcomes {
-        rig.absorb_fault_counters(&outcome.counters);
-    }
+    let outcomes = lanes
+        .into_iter()
+        .map(|st| st.into_inner().expect("lane state poisoned").recorded)
+        .collect();
     if let Some(m) = &module {
         // Future plain stamps must sort after every windowed stamp of
         // this run, whatever order the lanes actually drew them in.
@@ -400,33 +385,18 @@ fn functional_phase(
     (rig, outcomes, phase)
 }
 
-/// Runs one session lane start to finish on the calling thread.
-fn run_lane(cx: &LaneContext<'_>, ops: &[DriverOp], lane: usize, tie: u64) -> LaneOutcome {
-    let mut st = LaneState::new(cx, lane, ops.len());
-    for (k, op) in ops.iter().enumerate() {
-        st.run_op(cx, lane, tie, k, op);
-    }
-    st.into_outcome()
-}
-
 /// A lane's private mutable state: everything an operation updates that
 /// no other lane reads, so the hot path shares nothing it does not have
 /// to.
 struct LaneState {
-    client: NfsClient,
-    chan: FaultChannel,
-    recorded: Vec<(Observation, u64)>,
+    session: Session<NfsClient>,
+    recorded: LaneOutcome,
 }
 
 impl LaneState {
-    fn new(cx: &LaneContext<'_>, lane: usize, ops: usize) -> Self {
-        let seed = |salt: u64| derive_seed(cx.seed, salt + lane as u64);
+    fn new(session: Session<NfsClient>, ops: usize) -> Self {
         LaneState {
-            client: NfsClient::with_xid_base(&cx.ledgers.client, (lane as u32 + 1) << 20),
-            chan: cx.faults.as_ref().map_or_else(FaultChannel::clean, |spec| {
-                let plan = sim::Shared::new(FaultPlan::new(spec, seed(LANE_FAULT_SALT)));
-                FaultChannel::armed(spec, plan, seed(LANE_POISON_SALT))
-            }),
+            session,
             recorded: Vec::with_capacity(ops),
         }
     }
@@ -437,16 +407,9 @@ impl LaneState {
         // tie) window.
         let window = sim::epoch::enter_window(sim::epoch::stamp_base(k as u64, tie));
         let residue: &[IoRecord] = if lane == 0 && k == 0 { &cx.residue } else { &[] };
-        let done = run_lane_op(cx, self, op, residue);
+        let done = run_lane_op(cx, &mut self.session, op, residue);
         drop(window);
         self.recorded.push(done);
-    }
-
-    fn into_outcome(self) -> LaneOutcome {
-        LaneOutcome {
-            ops: self.recorded,
-            counters: self.chan.counters,
-        }
     }
 }
 
@@ -461,20 +424,17 @@ impl LaneState {
 fn run_lanes_rounds(
     cx: &LaneContext<'_>,
     sessions: &[Vec<DriverOp>],
+    lanes: &[Mutex<LaneState>],
     ties: &[u64],
     threads: usize,
     l: u64,
-) -> Vec<LaneOutcome> {
-    let n = sessions.len();
-    let lanes: Vec<Mutex<LaneState>> = (0..n)
-        .map(|lane| Mutex::new(LaneState::new(cx, lane, sessions[lane].len())))
-        .collect();
+) {
     let max_ops = sessions.iter().map(Vec::len).max().unwrap_or(0);
     for k in 0..max_ops {
         // run_cells is the barrier: it returns only when every lane has
         // finished its round-k operation (lanes already past their last
         // op are no-ops this round).
-        run_cells(threads, n, |lane| {
+        run_cells(threads, lanes.len(), |lane| {
             if let Some(op) = sessions[lane].get(k) {
                 lanes[lane]
                     .lock()
@@ -486,47 +446,37 @@ fn run_lanes_rounds(
             cx.core.write().adaptive_tick();
         }
     }
-    lanes
-        .into_iter()
-        .map(|state| {
-            state
-                .into_inner()
-                .expect("lane state poisoned")
-                .into_outcome()
-        })
-        .collect()
 }
 
 /// Executes one operation for a lane, producing the observation the
 /// sequential [`RigDriver::run_op`] would, through the same [`OpMeter`]
 /// and — off the read fast path — the same op body
-/// ([`crate::rig::Rig::serve_op`]).
+/// ([`crate::rig::Rig::serve_op`]), over the lane's session.
 fn run_lane_op(
     cx: &LaneContext<'_>,
-    st: &mut LaneState,
+    session: &mut Session<NfsClient>,
     op: &DriverOp,
     residue: &[IoRecord],
 ) -> (Observation, u64) {
-    let LaneState { client, chan, .. } = st;
     // Request building charges only the client ledger (not part of the
     // per-op observation), so it stays outside the lock.
-    let (request, payload_hint) = NfsServer::request(client, op);
-    // LOOKUP bypasses the fault link in the sequential rig too.
-    if chan.is_armed() && !matches!(op, DriverOp::Lookup { .. }) {
-        return faulted_lane_op(cx, client, chan, op, request, payload_hint, residue);
-    }
-    // One bracket per clean operation, opened here — ahead of any lock —
+    let (request, payload_hint) = NfsServer::request(&mut session.client, op);
+    // One bracket per operation, opened here — ahead of any lock —
     // because a READ's probe already counts when it succeeds (its
     // resolution is the commit point and bumps the NCache tally); a failed
-    // probe hands the still-empty bracket back for the exclusive path.
+    // probe hands the still-empty bracket back for the exclusive path,
+    // which is the only path over a faulty link.
     let meter = OpMeter::open(&cx.ledgers);
-    match fast_read_op(cx, meter, &request, op, residue) {
-        Ok(done) => done,
-        Err(unused) => cx
-            .core
+    let fast = if session.is_armed() {
+        Err(meter)
+    } else {
+        fast_read_op(cx, meter, &request, op, residue)
+    };
+    fast.unwrap_or_else(|unused| {
+        cx.core
             .write()
-            .serve_op(unused, request, payload_hint, residue),
-    }
+            .serve_op(Some(session), unused, op, request, payload_hint, residue)
+    })
 }
 
 /// The concurrent read fast path: a cache-hit READ served end-to-end
@@ -575,69 +525,6 @@ fn fast_read_op(
     Ok((obs, reply.payload_len() as u64))
 }
 
-/// The faulted exchange: the whole retransmission loop runs under the
-/// core lock against the lane's private fault plan.
-fn faulted_lane_op(
-    cx: &LaneContext<'_>,
-    client: &NfsClient,
-    chan: &mut FaultChannel,
-    op: &DriverOp,
-    request: NetBuf,
-    payload_hint: u64,
-    residue: &[IoRecord],
-) -> (Observation, u64) {
-    let mut rig = cx.core.write();
-    chan.maybe_poison(rig.server().module());
-    let meter = OpMeter::open(&cx.ledgers);
-    let request_bytes = request.total_len() as u64 + FRAME_OVERHEAD;
-    let xid = call_xid(&request);
-    // The accepted reply's framing, captured from inside the accept test
-    // (only successful parses see the full reply buffer).
-    let reply_len = std::cell::Cell::new(0u64);
-    // Every delivery the exchange makes — late, duplicated and stale ones
-    // included — is served, and substitutes, in step.
-    let mut substituted = 0;
-    let payload = {
-        let server = rig.server_mut();
-        let mut step = |d: NetBuf| {
-            let (reply, n) = server.handle(d);
-            substituted += n;
-            reply
-        };
-        // The NFS accept test, returning the payload the reply accounts
-        // for: its own bytes for a READ, the request's for a WRITE.
-        let accept = |r: &NetBuf| {
-            let (got, payload) = match op {
-                DriverOp::Read { .. } => client
-                    .try_parse_read_reply(r)
-                    .map(|(xid, _, data)| (xid, data.len() as u64)),
-                DriverOp::Write { .. } => {
-                    client.try_parse_write_reply(r).map(|(xid, _)| (xid, payload_hint))
-                }
-                DriverOp::Getattr { .. } => {
-                    client.try_parse_getattr_reply(r).map(|(xid, ..)| (xid, 0))
-                }
-                DriverOp::Lookup { .. } | DriverOp::Get { .. } => {
-                    unreachable!("routed to the clean path")
-                }
-            }?;
-            reply_len.set(r.total_len() as u64 + FRAME_OVERHEAD);
-            (got == xid).then_some(payload)
-        };
-        faulted_exchange_with(&mut step, &cx.ledgers, cx.rec, chan, request, accept).unwrap_or(0)
-    };
-    let io = rig.take_io_log(residue);
-    let obs = meter.finish(
-        &cx.ledgers,
-        request_bytes,
-        reply_len.get(),
-        &io,
-        substituted,
-        false,
-    );
-    (obs, payload)
-}
-
 /// Phase-two driver: replays the functional phase's per-operation
 /// observations through the sequential event engine, so timing
 /// derivation, resource contention and the measured [`SessionsResult`]
@@ -674,6 +561,7 @@ mod tests {
     use crate::nfs_rig::NfsRigParams;
     use crate::runner::{run, RunOptions};
     use servers::ServerMode;
+    use sim::FaultSpec;
 
     fn session_reads(fh: u64, sid: usize, ops: usize, span: u32, file: u64) -> Vec<DriverOp> {
         (0..ops)
@@ -761,14 +649,7 @@ mod tests {
         let sessions: Vec<_> = (0..4)
             .map(|sid| session_reads(fh, sid, 3, 4 << 10, 2 << 20))
             .collect();
-        let mut clients: Vec<NfsClient> = {
-            let ledger = rig.ledgers().client.clone();
-            (0..4)
-                .map(|i| NfsClient::with_xid_base(&ledger, (i as u32 + 1) << 20))
-                .collect()
-        };
-        let hook: SessionHook<NfsRig> =
-            Box::new(move |rig: &mut NfsRig, sid: usize| rig.swap_client(&mut clients[sid]));
+        let hook = nfs_session_clients(&rig, 4);
         let (mut rig, r) = run_sessions(rig, sessions, &SessionsOptions::default(), Some(hook));
         assert_eq!(r.ops, 12);
         // The rig's own (parked) client never issued a request, and the
@@ -996,7 +877,7 @@ mod tests {
                 .collect();
             let (_, outcomes, phase) = functional_phase(rig, &sessions, threads, 0x0B5E);
             assert_eq!(phase.core.writes, LANES * OPS, "every op takes the exclusive slow path");
-            outcomes.into_iter().map(|o| o.ops).collect::<Vec<_>>()
+            outcomes
         };
         for shards in [1usize, 8] {
             let reference = lanes_at(1, shards);
@@ -1093,8 +974,8 @@ mod tests {
             let (_, outcomes, phase) = functional_phase(rig, &sessions(fh), threads, 0x5EED);
             assert_eq!(phase.core.writes, LANES as u64, "only the WRITEs are exclusive");
             for (lane, (want, got)) in oracle.lanes.iter().zip(&outcomes).enumerate() {
-                assert_eq!(got.ops.len(), want.len());
-                for (k, (want, got)) in want.iter().zip(&got.ops).enumerate() {
+                assert_eq!(got.len(), want.len());
+                for (k, (want, got)) in want.iter().zip(got).enumerate() {
                     assert_eq!(want, got, "lane {lane}, op {k}, threads={threads}");
                 }
             }

@@ -155,6 +155,20 @@ for FN in pressure set_fault_recovery control_rejections control_stats enable_co
     expect_count 1 "definitions of fn $FN in crates/servers/src outside control.rs" "fn $FN\\b" \
         $(ls crates/servers/src/*.rs | grep -v '/control\.rs$')
 done
+# One session, one op body: both timing engines build their per-session
+# client and fault channel with Rig::session and serve every op, faulted
+# or clean, through Rig::serve_op — the lane engine keeps no exchange of
+# its own and no second xid-base rule.
+expect_count 0 "non-test definitions of fn faulted_lane_op in crates/testbed/src" \
+    'fn faulted_lane_op\b' crates/testbed/src/*.rs
+expect_count 0 "faulted_exchange_with( calls in crates/testbed/src/sessions.rs" \
+    'faulted_exchange_with\(' crates/testbed/src/sessions.rs
+XID_BASES="$(nontest crates/testbed/src/*.rs | grep -Ev '^[^:]*:[0-9]+: *//' \
+    | grep -cE '\+ 1\) << 20' || true)"
+if [[ "$XID_BASES" != 1 ]]; then
+    echo "crates/testbed/src spells the session xid base '(... + 1) << 20' $XID_BASES times, not 1 (App::client)" >&2
+    exit 1
+fi
 echo "one of each; non-test lines in crates/testbed/src + crates/servers/src: $(nontest \
     crates/testbed/src/*.rs crates/servers/src/*.rs | wc -l) (9437 before the backplane was written once)"
 
@@ -379,12 +393,14 @@ END {
 }' "$TRACE_DIR/adaptive.txt"
 echo "adaptive goodput >= static on every post-shift segment"
 
-echo "== concurrent data plane (parallel vs sequential, identical stdout) =="
+echo "== concurrent data plane (parallel vs sequential, identical stdout, clean and under loss) =="
 # The lane-parallel engine runs each cell's sessions on real threads
 # over the sharded cache; its stdout must be byte-identical to the
 # sequential oracle on the same warmed workload, across the full
-# threads {1,2,N} x shards {1,8} matrix. Wall-clock per run goes to
-# stderr only, so stdout stays diff-stable.
+# threads {1,2,N} x shards {1,8} matrix — on a clean link and under
+# loss, where every session's link draws from a plan derived from the
+# rig's seed and the session index, whichever engine runs it. Wall-clock
+# per run goes to stderr only, so stdout stays diff-stable.
 lanes_run() { # lanes_run OUT THREADS SHARDS [extra args...]
     local out="$1" t="$2" s="$3"; shift 3
     local t0 t1
@@ -394,29 +410,20 @@ lanes_run() { # lanes_run OUT THREADS SHARDS [extra args...]
     t1="$(date +%s%N)"
     echo "parallel lanes threads=$t shards=$s $*: $(( (t1 - t0) / 1000000 )) ms" >&2
 }
-repro --clients-sweep --lane-oracle 2>/dev/null > "$TRACE_DIR/lanes_oracle.txt"
-test -s "$TRACE_DIR/lanes_oracle.txt"
-for S in 1 8; do
-    for T in 1 2 "$NT"; do
-        lanes_run "$TRACE_DIR/lanes_t${T}_s${S}.txt" "$T" "$S"
-        cmp "$TRACE_DIR/lanes_oracle.txt" "$TRACE_DIR/lanes_t${T}_s${S}.txt"
+for FAULTS in "" "--faults loss=0.02 --seed 7"; do
+    TAG="${FAULTS:+_loss}"
+    # shellcheck disable=SC2086 # FAULTS is a list of words
+    repro --clients-sweep --lane-oracle $FAULTS 2>/dev/null > "$TRACE_DIR/lanes_oracle$TAG.txt"
+    test -s "$TRACE_DIR/lanes_oracle$TAG.txt"
+    for S in 1 8; do
+        for T in 1 2 "$NT"; do
+            # shellcheck disable=SC2086
+            lanes_run "$TRACE_DIR/lanes${TAG}_t${T}_s${S}.txt" "$T" "$S" $FAULTS
+            cmp "$TRACE_DIR/lanes_oracle$TAG.txt" "$TRACE_DIR/lanes${TAG}_t${T}_s${S}.txt"
+        done
     done
+    echo "parallel lanes identical to the sequential oracle at threads {1,2,$NT} x shards {1,8}${FAULTS:+ ($FAULTS)}"
 done
-echo "parallel lanes identical to the sequential oracle at threads {1,2,$NT} x shards {1,8}"
-
-echo "== concurrent data plane under loss (parallel self-consistency) =="
-# Faulted draws are per-lane (seed, lane) plans inside the parallel
-# engine, so the faulted reference is the --threads 1 run of the same
-# engine (not the sequential oracle); every other thread count must
-# reproduce it byte for byte, at each shard count.
-for S in 1 8; do
-    lanes_run "$TRACE_DIR/lanes_f_t1_s${S}.txt" 1 "$S" --faults loss=0.02 --seed 7
-    for T in 2 "$NT"; do
-        lanes_run "$TRACE_DIR/lanes_f_t${T}_s${S}.txt" "$T" "$S" --faults loss=0.02 --seed 7
-        cmp "$TRACE_DIR/lanes_f_t1_s${S}.txt" "$TRACE_DIR/lanes_f_t${T}_s${S}.txt"
-    done
-done
-echo "faulted parallel lanes (loss=0.02) identical at threads {1,2,$NT} per shards {1,8}"
 
 echo "== perf gate (figures bench vs committed BENCH_figures.json) =="
 BENCH_JSON_DIR="$TRACE_DIR" BENCH_SAMPLES=5 \

@@ -15,11 +15,11 @@
 //!   [`MetricsReport`];
 //! - final file bytes and final cache residency.
 //!
-//! Faulted points (loss on the client⇄server link) run each lane
-//! against a private seed-derived fault plan, so the parallel engine is
-//! compared against itself across thread counts: the inline
-//! single-threaded run is the reference, and every thread count must
-//! reproduce it exactly.
+//! Faulted points (loss, duplicates, reorders, delays and truncation on
+//! the client⇄server link) reconcile against the same oracle: each
+//! session's link draws from a plan derived from the rig's seed and the
+//! session index, whichever engine runs it, so the recovery counters —
+//! retransmits included — are reconciled with everything else.
 
 use ncache_repro::obs::{MetricsReport, Recorder, TraceConfig};
 use ncache_repro::servers::ServerMode;
@@ -92,10 +92,15 @@ struct Outcome {
     cache_chunks: usize,
     cache_bytes: u64,
     file_bytes: Vec<Vec<u8>>,
+    /// Retransmissions during the session run alone (the warm-up and the
+    /// read-back ride the rig's own link).
+    retransmits: u64,
 }
 
-fn observe(mut rig: NfsRig, fh: u64, result: SessionsResult) -> Outcome {
+/// `warmed` is the rig's retransmit count when the sessions started.
+fn observe(mut rig: NfsRig, fh: u64, result: SessionsResult, warmed: u64) -> Outcome {
     let report = rig.metrics_report().render();
+    let retransmits = rig.fault_counters().retransmits - warmed;
     let (cache_chunks, cache_bytes) = rig.module().map_or((0, 0), |m| {
         let cache = m.borrow().cache_handle();
         (cache.len(), cache.pinned_bytes())
@@ -115,13 +120,15 @@ fn observe(mut rig: NfsRig, fh: u64, result: SessionsResult) -> Outcome {
         cache_chunks,
         cache_bytes,
         file_bytes,
+        retransmits,
     }
 }
 
-fn run_sequential(mode: ServerMode, shards: usize) -> Outcome {
-    let (rig, fh) = build(mode, shards, None);
+fn run_sequential(mode: ServerMode, shards: usize, spec: Option<&FaultSpec>) -> Outcome {
+    let (rig, fh) = build(mode, shards, spec);
+    let warmed = rig.fault_counters().retransmits;
     let (rig, result) = run_nfs_sessions(rig, sessions(fh), &SessionsOptions::default());
-    observe(rig, fh, result)
+    observe(rig, fh, result, warmed)
 }
 
 fn run_parallel(
@@ -131,6 +138,7 @@ fn run_parallel(
     threads: usize,
 ) -> Outcome {
     let (rig, fh) = build(mode, shards, spec);
+    let warmed = rig.fault_counters().retransmits;
     let (rig, result) = run_nfs_sessions_parallel(
         rig,
         sessions(fh),
@@ -138,7 +146,7 @@ fn run_parallel(
         threads,
         SEED,
     );
-    observe(rig, fh, result)
+    observe(rig, fh, result, warmed)
 }
 
 fn assert_reconciled(oracle: &Outcome, got: &Outcome, what: &str) {
@@ -147,6 +155,7 @@ fn assert_reconciled(oracle: &Outcome, got: &Outcome, what: &str) {
     assert_eq!(oracle.cache_chunks, got.cache_chunks, "{what}: cache chunks");
     assert_eq!(oracle.cache_bytes, got.cache_bytes, "{what}: cache bytes");
     assert_eq!(oracle.file_bytes, got.file_bytes, "{what}: file bytes");
+    assert_eq!(oracle.retransmits, got.retransmits, "{what}: retransmits");
 }
 
 /// Mode × shard grid; sharding only exists for NCache.
@@ -163,7 +172,7 @@ fn grid() -> Vec<(ServerMode, usize)> {
 fn clean_runs_reconcile_against_the_sequential_oracle() {
     let max = executor::thread_count(None).max(3);
     for (mode, shards) in grid() {
-        let oracle = run_sequential(mode, shards);
+        let oracle = run_sequential(mode, shards, None);
         for threads in [1, 2, max] {
             let got = run_parallel(mode, shards, None, threads);
             assert_reconciled(
@@ -221,21 +230,29 @@ fn latency_reports_reconcile_against_the_sequential_oracle() {
 }
 
 #[test]
-fn faulted_runs_reconcile_across_thread_counts() {
-    let spec = FaultSpec {
-        loss: 0.02,
-        ..FaultSpec::default()
-    };
+fn faulted_runs_reconcile_against_the_sequential_oracle() {
     let max = executor::thread_count(None).max(3);
-    for (mode, shards) in grid() {
-        let inline = run_parallel(mode, shards, Some(&spec), 1);
-        for threads in [2, max] {
-            let got = run_parallel(mode, shards, Some(&spec), threads);
-            assert_reconciled(
-                &inline,
-                &got,
-                &format!("{mode:?}/shards={shards}/loss/threads={threads}"),
-            );
+    // Summed over every run: every grid point draws the same per-session
+    // plans (one rig seed), and at loss=0.02 they drop nothing here.
+    let mut retransmits = 0;
+    for spec in [
+        "loss=0.02",
+        "loss=0.05,duplicate=0.05,reorder=0.05,delay=0.05",
+        "loss=0.05,truncate=0.02",
+    ] {
+        let faults = FaultSpec::parse(spec).expect("spec");
+        for (mode, shards) in grid() {
+            let oracle = run_sequential(mode, shards, Some(&faults));
+            retransmits += oracle.retransmits;
+            for threads in [1, 2, max] {
+                let got = run_parallel(mode, shards, Some(&faults), threads);
+                assert_reconciled(
+                    &oracle,
+                    &got,
+                    &format!("{mode:?}/shards={shards}/{spec}/threads={threads}"),
+                );
+            }
         }
     }
+    assert!(retransmits > 0, "the sessions' links recovered nothing");
 }

@@ -9,7 +9,7 @@
 //! storage server and back.
 
 use ncache_repro::proto::nfs::NFS_OK;
-use ncache_repro::servers::ServerMode;
+use ncache_repro::servers::{ControlConfig, ServerMode};
 use ncache_repro::testbed::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 
@@ -212,6 +212,28 @@ fn nfs_write_read_back_freshness_through_remap() {
             "{mode}: prefix intact"
         );
     }
+}
+
+#[test]
+fn a_bypassed_write_leaves_no_chunk_of_the_old_bytes() {
+    // Under memory pressure the control plane bypasses NCache insertion
+    // and the WRITE takes the copying path. The LBN chunk an earlier READ
+    // admitted still held the block's old bytes: it outlived the flush,
+    // and once the buffer cache dropped the block a READ was served from
+    // it.
+    let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
+    let fh = rig.create_file("f", 64 << 10);
+    assert_eq!(rig.read(fh, 0, 4096), NfsRig::pattern(fh, 0, 4096));
+    rig.enable_control(ControlConfig {
+        ncache_hi_permille: 0,
+        ..ControlConfig::unlimited()
+    });
+    let fresh = vec![0x3Cu8; 4096];
+    assert_eq!(rig.write(fh, 0, &fresh).status, NFS_OK);
+    assert_eq!(rig.control_stats().expect("plane").insert_bypass, 1);
+    rig.server_mut().fs_mut().sync().expect("sync");
+    rig.quiesce();
+    assert_eq!(rig.read(fh, 0, 4096), fresh, "the newest acknowledged bytes");
 }
 
 #[test]

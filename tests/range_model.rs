@@ -5,13 +5,17 @@
 //! and past a file, CREATE and REMOVE over the wire, a forced `sync`, and a
 //! forced buffer-cache eviction (capacity 0, then back) — runs through one
 //! rig of each build, at 1 and 8 shards, with a network-centric cache of 2
-//! chunks, 7 chunks (both smaller than some requests) or ample room. Every
-//! READ must return exactly the newest acknowledged bytes of the model's
-//! file — so no key stamp and no zero tail of a placeholder ever reaches a
+//! chunks, 7 chunks (both smaller than some requests) or ample room, and
+//! under the control plane's insertion bypass (every aligned WRITE takes
+//! the copying path). Every READ must return exactly the newest
+//! acknowledged bytes of the model's file — so no key stamp, no zero tail
+//! of a placeholder and no chunk of a block's old bytes ever reaches a
 //! client — and after every op the shard set's and the buffer cache's
-//! invariants must hold. (The Baseline build ships junk by design and
-//! writes at block-aligned offsets only: there the ops skip unaligned
-//! writes and READs are held to the model's lengths.)
+//! invariants must hold; after a `sync`, the shard set must hold no dirty
+//! chunk (every dirty chunk is one a flush reaches). (The Baseline build
+//! ships junk by design and writes at block-aligned offsets only: there
+//! the ops skip unaligned writes and READs are held to the model's
+//! lengths.)
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -20,7 +24,7 @@ use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, PropResult};
 
 use ncache_repro::proto::nfs::NFS_OK;
-use ncache_repro::servers::ServerMode;
+use ncache_repro::servers::{ControlConfig, ServerMode};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 
 const BLOCK: u32 = 4096;
@@ -110,7 +114,7 @@ struct World {
 }
 
 impl World {
-    fn new(mode: ServerMode, shards: usize, ncache_chunks: u64) -> World {
+    fn new(mode: ServerMode, shards: usize, ncache_chunks: u64, bypass: bool) -> World {
         let params = NfsRigParams {
             volume_blocks: 4096,
             fs_cache_blocks: 16,
@@ -120,6 +124,12 @@ impl World {
             shards,
         };
         let mut rig = NfsRig::new(mode, params);
+        if bypass {
+            rig.enable_control(ControlConfig {
+                ncache_hi_permille: 0,
+                ..ControlConfig::unlimited()
+            });
+        }
         let size = 5 * BLOCK + 700;
         let fh = rig.create_file(&name(0), u64::from(size));
         let bytes = NfsRig::pattern(fh, 0, size as usize);
@@ -212,7 +222,14 @@ impl World {
                 self.files.remove(&file);
                 prop_assert_eq!(removed.status == NFS_OK, existed, "{} remove", mode);
             }
-            Op::Sync => self.rig.server_mut().fs_mut().sync().expect("sync"),
+            Op::Sync => {
+                self.rig.server_mut().fs_mut().sync().expect("sync");
+                if let Some(module) = self.rig.module() {
+                    let shards = module.borrow().cache_handle();
+                    let dirty = shards.len() - shards.clean_keys().len();
+                    prop_assert_eq!(dirty, 0, "{} dirty chunks after sync", mode);
+                }
+            }
             Op::Evict => {
                 let fs = self.rig.server_mut().fs_mut();
                 let blocks = fs.cache_capacity();
@@ -245,16 +262,28 @@ property! {
         ops in vec_of(op(), 1..40),
     ) {
         for mode in [ServerMode::NCache, ServerMode::Original, ServerMode::Baseline] {
-            let configs: &[(usize, u64)] = if mode == ServerMode::NCache {
-                &[(1, 2), (8, 2), (1, 7), (8, 7), (1, 4096), (8, 4096)]
+            let configs: &[(usize, u64, bool)] = if mode == ServerMode::NCache {
+                &[
+                    (1, 2, false),
+                    (8, 2, false),
+                    (1, 7, false),
+                    (8, 7, false),
+                    (1, 4096, false),
+                    (8, 4096, false),
+                    (8, 7, true),
+                    (1, 4096, true),
+                ]
             } else {
-                &[(1, 4096)]
+                &[(1, 4096, false)]
             };
-            for &(shards, chunks) in configs {
-                let mut world = World::new(mode, shards, chunks);
+            for &(shards, chunks, bypass) in configs {
+                let mut world = World::new(mode, shards, chunks, bypass);
                 for (tag, op) in ops.iter().enumerate() {
                     world.apply(tag, op).map_err(|e| {
-                        check::Failed::new(format!("shards {shards}, {chunks} chunks: {}", e.message))
+                        check::Failed::new(format!(
+                            "shards {shards}, {chunks} chunks, bypass {bypass}: {}",
+                            e.message
+                        ))
                     })?;
                 }
             }
