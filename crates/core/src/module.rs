@@ -10,9 +10,9 @@
 //! 2. [`NcacheModule::on_nfs_write`] — an NFS write request's payload
 //!    arrived: park it in the FHO cache, hand back the stamp the server
 //!    plants in the buffer cache.
-//! 3. [`NcacheModule::on_flush_write`] — the file system is flushing a
-//!    dirty (placeholder) block to storage: remap FHO→LBN and return the
-//!    real payload for the outgoing iSCSI write.
+//! 3. [`NcacheModule::on_flush_stamp`] — the file system is flushing a
+//!    dirty placeholder block to storage: remap FHO→LBN by the block's
+//!    stamp and return the real payload for the outgoing iSCSI write.
 //! 4. [`NetCacheShards::transmit`] — an outgoing reply is about to hit
 //!    the driver: splice (or substitute) cached payload for its stamped
 //!    placeholders. The hook is `&self` on the shard set rather than on
@@ -372,13 +372,6 @@ impl NcacheModule {
         Ok(KeyStamp::new().with_fho(fho))
     }
 
-    /// Hook 3 on a block held as bytes: [`NcacheModule::on_flush_stamp`]
-    /// of the stamp at its head, or `None` for an unstamped (real-data /
-    /// metadata) block, which takes the ordinary copying path.
-    pub fn on_flush_write(&mut self, block: &[u8], lbn: Lbn) -> Option<SegChain> {
-        self.on_flush_stamp(KeyStamp::decode(block)?, lbn)
-    }
-
     /// Hook 3: the file system is flushing a dirty placeholder stamped
     /// `stamp` ([`Segment::stamp`]) to `lbn`. Remaps its FHO entry to `lbn`
     /// and returns the real payload for the outgoing iSCSI write (the entry
@@ -479,9 +472,7 @@ mod tests {
         let (mut m, _l) = module(1 << 20);
         let fho = Fho::new(FileHandle(1), 0);
         let stamp = m.on_nfs_write(fho, block_segs(0xCC), CHUNK_PAYLOAD).expect("fits");
-        let mut placeholder = vec![0u8; CHUNK_PAYLOAD];
-        stamp.encode_into(&mut placeholder);
-        let segs = m.on_flush_write(&placeholder, Lbn(42)).expect("remapped");
+        let segs = m.on_flush_stamp(stamp, Lbn(42)).expect("remapped");
         assert_eq!(segs[0].as_slice(), &vec![0xCC; CHUNK_PAYLOAD][..]);
         assert!(!m.cache_contains_fho(fho), "entry moved to the LBN cache");
         assert!(m.cache_contains_lbn(Lbn(42)));
@@ -493,9 +484,12 @@ mod tests {
 
     #[test]
     fn flush_of_real_data_passes_through() {
+        // A real-data block carries no stamp, so it never reaches the
+        // hook; a stamp naming no resident key is passed through too.
         let (mut m, _l) = module(1 << 20);
-        let block = vec![0x55u8; CHUNK_PAYLOAD];
-        assert!(m.on_flush_write(&block, Lbn(1)).is_none());
+        assert!(Segment::from_vec(vec![0x55u8; CHUNK_PAYLOAD]).stamp().is_none());
+        let stamp = KeyStamp::new().with_fho(Fho::new(FileHandle(1), 0));
+        assert!(m.on_flush_stamp(stamp, Lbn(1)).is_none());
     }
 
     #[test]
@@ -503,9 +497,8 @@ mod tests {
         let (mut m, _l) = module(1 << 20);
         m.on_data_in(Lbn(8), block_segs(0xEE), CHUNK_PAYLOAD).expect("fits");
         m.cache_mut().lookup(Lbn(8).into());
-        let mut placeholder = vec![0u8; CHUNK_PAYLOAD];
-        KeyStamp::new().with_lbn(Lbn(8)).encode_into(&mut placeholder);
-        let segs = m.on_flush_write(&placeholder, Lbn(8)).expect("served");
+        let stamp = KeyStamp::new().with_lbn(Lbn(8));
+        let segs = m.on_flush_stamp(stamp, Lbn(8)).expect("served");
         assert_eq!(segs[0].as_slice()[0], 0xEE);
     }
 
@@ -570,9 +563,7 @@ mod tests {
 
         let fho = Fho::new(FileHandle(1), 0);
         let stamp = m.on_nfs_write(fho, block_segs(0xAB), CHUNK_PAYLOAD).expect("fits");
-        let mut placeholder = vec![0u8; CHUNK_PAYLOAD];
-        stamp.encode_into(&mut placeholder);
-        m.on_flush_write(&placeholder, Lbn(5)).expect("remapped");
+        m.on_flush_stamp(stamp, Lbn(5)).expect("remapped");
 
         let ph = m.on_data_in(Lbn(9), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);

@@ -6,7 +6,8 @@
 //! The same holds for what surrounds a daemon on the application server:
 //! the build it runs, the file system over the iSCSI initiator, the module
 //! and its cache handle, the node's copy ledger, the recorder, fault
-//! recovery, the overload control plane, placeholder resolution, the
+//! recovery, the overload control plane, the keyed read of a range
+//! (probe, resolve, attach — [`ServerHost::read_keyed`]), the
 //! driver-boundary transmit hook and the degradation path that
 //! materializes real bytes are not NFS or HTTP. A server is a
 //! [`ServerHost`] plus its codec, its op handlers and its own counters
@@ -16,7 +17,8 @@
 
 use ncache::{NcacheModule, NetCacheShards, Resolved};
 use netbuf::{CopyLedger, NetBuf, Segment};
-use simfs::fs::LogicalBlock;
+use simfs::fs::{LogicalBlock, ResidentWalk};
+use simfs::inode::Inode;
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
@@ -45,6 +47,26 @@ pub struct ServerHost {
     /// The overload control plane, when installed (off by default — a
     /// server without one behaves exactly as before).
     control: Option<ControlPlane>,
+}
+
+/// A keyed read established as a pure hit and counted on the
+/// network-centric cache's side, not yet on the file system's
+/// ([`ServerHost::probe_keyed`]).
+#[derive(Debug)]
+pub struct KeyedHit<'a> {
+    walk: ResidentWalk<'a>,
+    resolved: Option<Resolved>,
+}
+
+/// What the keyed read attached to a reply.
+#[derive(Debug)]
+pub(crate) struct KeyedRead {
+    /// Payload bytes attached.
+    pub(crate) len: usize,
+    /// The resolution the transmit hook splices.
+    pub(crate) resolved: Option<Resolved>,
+    /// The file's attributes, read after the attach — when asked for.
+    pub(crate) attrs: Option<Inode>,
 }
 
 impl ServerHost {
@@ -243,6 +265,80 @@ impl ServerHost {
         self.resolve(blocks.iter().map(|b| (&b.seg, b.valid_len)))
     }
 
+    /// The probe of the keyed read — the same code for every daemon and
+    /// both engines, up to its commit point (DESIGN.md §9.2): the file
+    /// system's walk of a fully resident block-aligned range
+    /// ([`Filesystem::walk_resident`]), then every placeholder of it
+    /// resolved through the host's cache handle (never the module's
+    /// mutex). `None` means not a pure hit — the copying build, an
+    /// unaligned offset, something cold, a hole, a dangling key, or fault
+    /// recovery revalidating key by key — and *nothing* has been counted
+    /// or charged anywhere. `Some` has counted the network-centric cache's
+    /// side; [`ServerHost::serve_hit`] counts the file system's.
+    pub fn probe_keyed(&self, ino: Ino, offset: u64, len: usize) -> Option<KeyedHit<'_>> {
+        let keyed =
+            self.mode != ServerMode::Original && offset.is_multiple_of(simfs::BLOCK_SIZE as u64);
+        if self.fault_recovery || !keyed {
+            return None;
+        }
+        let walk = self.fs.walk_resident(ino, offset, len)?;
+        let resolved = self.resolve(walk.blocks().map(|b| (b.seg, b.len))).ok()?;
+        Some(KeyedHit { walk, resolved })
+    }
+
+    /// The rest of a hit: counts the file-system side of `hit` exactly as
+    /// the per-block walk would have, attaches its (placeholder) blocks to
+    /// `reply` by reference, and — with `attrs` — reads the attributes
+    /// through the walk's inode entry. `&self`, so the lanes' READ fast
+    /// path serves a hit under the shared guard.
+    pub(crate) fn serve_hit(
+        &self,
+        hit: KeyedHit<'_>,
+        reply: &mut NetBuf,
+        attrs: bool,
+    ) -> KeyedRead {
+        let KeyedHit { walk, resolved } = hit;
+        walk.commit(|_| self.fs.ledger().charge_logical_copy());
+        KeyedRead {
+            len: attach_blocks(reply, walk.blocks().map(|b| (b.seg, b.len))),
+            resolved,
+            attrs: attrs.then(|| walk.getattr().clone()),
+        }
+    }
+
+    /// The keyed read of a block-aligned range — the one logical-copy
+    /// READ body of both daemons: the probe and [`ServerHost::serve_hit`]
+    /// on a pure hit; otherwise the miss-capable fetch, block by block,
+    /// whose placeholders are resolved ([`ServerHost::resolve_fetched`])
+    /// and attached. `Ok(None)` when a fetched placeholder dangles
+    /// (evicted or corrupt): nothing has been attached, and the daemon
+    /// degrades by its own policy ([`ServerHost::materialize`]).
+    ///
+    /// # Errors
+    ///
+    /// The file system's, from the fetch or the attributes.
+    pub(crate) fn read_keyed(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        reply: &mut NetBuf,
+        attrs: bool,
+    ) -> Result<Option<KeyedRead>, FsError> {
+        if let Some(hit) = self.probe_keyed(ino, offset, len) {
+            return Ok(Some(self.serve_hit(hit, reply, attrs)));
+        }
+        let blocks = self.fs.read_logical_per_block(ino, offset, len)?;
+        let Ok(resolved) = self.resolve_fetched(&blocks) else {
+            return Ok(None);
+        };
+        Ok(Some(KeyedRead {
+            len: attach_blocks(reply, blocks.iter().map(|b| (&b.seg, b.valid_len))),
+            resolved,
+            attrs: attrs.then(|| self.fs.getattr(ino)).transpose()?,
+        }))
+    }
+
     /// The driver-boundary hook ([`NetCacheShards::transmit`]) on the
     /// host's cache handle, run once the whole stack has built the packet:
     /// splices `resolved` (or substitutes the reply's placeholders) and
@@ -344,4 +440,20 @@ impl ServerHost {
     pub(crate) fn drain_writebacks(&mut self) {
         self.fs.store_mut().drain_module_writebacks();
     }
+}
+
+/// The attach step of the keyed read: cache blocks go into `reply` by
+/// reference — the daemon never touches the payload — each clipped to the
+/// bytes the reply carries. Returns the bytes attached.
+fn attach_blocks<'s>(
+    reply: &mut NetBuf,
+    blocks: impl ExactSizeIterator<Item = (&'s Segment, usize)>,
+) -> usize {
+    reply.reserve_segments(blocks.len());
+    blocks
+        .map(|(seg, len)| {
+            reply.append_segment(seg.slice(0, len));
+            len
+        })
+        .sum()
 }

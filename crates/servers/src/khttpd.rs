@@ -11,7 +11,7 @@
 
 
 use ncache::{HttpTxTracker, TxDisposition};
-use netbuf::{CopyLedger, NetBuf};
+use netbuf::{CopyLedger, NetBuf, Segment};
 use proto::http::{HttpRequest, HttpResponseHeader};
 use simfs::{Filesystem, FsError, Ino};
 
@@ -19,7 +19,6 @@ use crate::control::OpClass;
 use crate::host::ServerHost;
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
-use crate::util::attach_blocks;
 
 /// kHTTPd counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -158,15 +157,32 @@ impl KhttpdServer {
                             .expect("page readable")
                     }
                     ServerMode::NCache | ServerMode::Baseline => {
-                        // Key-moving sendfile: attach cache blocks by
-                        // reference, their placeholders resolved against
-                        // the network-centric cache first.
-                        let (n, resolution) = match self.page_hit(ino, size, &mut response) {
-                            Some(hit) => hit,
-                            None => self.page_fetched(ino, size, &mut response),
-                        };
-                        resolved = resolution;
-                        n
+                        // Key-moving sendfile: the host's keyed read
+                        // attaches cache blocks by reference, their
+                        // placeholders resolved against the
+                        // network-centric cache first.
+                        let keyed = self.host.read_keyed(ino, 0, size, &mut response, false);
+                        match keyed.expect("page readable") {
+                            Some(keyed) => {
+                                resolved = keyed.resolved;
+                                keyed.len
+                            }
+                            // A placeholder dangles (evicted or corrupt):
+                            // degrade to a physical copy, correct even
+                            // when the cache is smaller than the page. A
+                            // cache below one chunk serves zeros rather
+                            // than a raw placeholder, and never panics:
+                            // the length still matches the header.
+                            None => {
+                                let body = self
+                                    .host
+                                    .materialize(ino, 0, size)
+                                    .unwrap_or_else(|_| vec![0; size]);
+                                let n = body.len();
+                                response.append_segment(Segment::from_vec(body));
+                                n
+                            }
+                        }
                     }
                 };
                 self.stats.bytes_served += body_len as u64;
@@ -201,61 +217,6 @@ impl KhttpdServer {
         };
         self.host.recorder.end_span(span);
         (response, substituted)
-    }
-
-    /// The page hit path — probe, resolve (the commit point), commit,
-    /// attach, as the NFS server's READ hit (DESIGN.md §9.2): the whole page
-    /// resident in the buffer cache and every placeholder of it resolvable
-    /// in one batched pass. `None` has counted and charged nothing.
-    fn page_hit(
-        &self,
-        ino: Ino,
-        size: usize,
-        response: &mut NetBuf,
-    ) -> Option<(usize, Option<ncache::Resolved>)> {
-        // Fault recovery verifies chunk checksums key by key first.
-        if self.host.fault_recovery {
-            return None;
-        }
-        let walk = self.host.fs.walk_resident(ino, 0, size)?;
-        let blocks = walk.blocks().map(|b| (b.seg, b.len));
-        let resolved = self.host.resolve(blocks.clone()).ok()?;
-        walk.commit(|_| self.host.fs.ledger().charge_logical_copy());
-        Some((attach_blocks(response, blocks), resolved))
-    }
-
-    /// The miss-capable page path: fetches block by block, then resolves
-    /// what came back; a page whose placeholders dangle degrades to a
-    /// physical copy.
-    fn page_fetched(
-        &mut self,
-        ino: Ino,
-        size: usize,
-        response: &mut NetBuf,
-    ) -> (usize, Option<ncache::Resolved>) {
-        let blocks = self.host.fs.read_logical_per_block(ino, 0, size).expect("page readable");
-        match self.host.resolve_fetched(&blocks) {
-            Ok(resolved) => {
-                let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
-                (attach_blocks(response, attach), resolved)
-            }
-            // Some placeholder no longer resolves (evicted or corrupt).
-            // `sendfile` would just re-stamp placeholders under the module,
-            // so degrade to the physical copying path instead — correct
-            // even when the cache is smaller than the page. Thrashing so
-            // hard even a just-admitted chunk is gone (a cache below one
-            // chunk) serves zeros rather than leak a raw placeholder, and
-            // never panics: the length still matches the header.
-            Err(_) => {
-                let body = self
-                    .host
-                    .materialize(ino, 0, size)
-                    .unwrap_or_else(|_| vec![0; size]);
-                let n = body.len();
-                response.append_segment(netbuf::Segment::from_vec(body));
-                (n, None)
-            }
-        }
     }
 
     fn find_page(&mut self, name: &str) -> Result<(Ino, u64), FsError> {

@@ -10,10 +10,11 @@
 //! headers — travels the ordinary copying path in every build.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use ncache::Resolved;
 use netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
-use netbuf::{BufPool, CopyLedger, NetBuf, SLAB_SIZE};
+use netbuf::{BufPool, CopyLedger, NetBuf, SegChain, Segment, SLAB_SIZE};
 use proto::nfs::{
     self, CreateArgs, Fattr, FileType as NfsFileType, GetattrArgs, GetattrReply, LookupArgs,
     LookupReply, ReadArgs, ReadReplyHeader, ReaddirArgs, ReaddirReply, RemoveReply,
@@ -22,14 +23,13 @@ use proto::nfs::{
 use proto::rpc::{RpcCall, RpcReply, CALL_LEN, REPLY_LEN};
 use simfs::inode::FileType;
 use sim::LaneCounters;
-use simfs::fs::ResidentWalk;
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::OpClass;
-use crate::host::ServerHost;
+use crate::host::{KeyedHit, ServerHost};
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
-use crate::util::{attach_blocks, split_segments};
+use crate::util::split_segments;
 
 const BLOCK: usize = simfs::BLOCK_SIZE;
 
@@ -123,8 +123,8 @@ pub struct NfsServer {
     /// Duplicate-request cache depth without a bounding control plane
     /// (`drc_depth`). Defaults to [`DRC_CAPACITY`].
     drc_capacity: usize,
-    /// The key stamps of the aligned NCache WRITE being served: cleared
-    /// when one starts, never shrunk, so a WRITE allocates no list.
+    /// The key stamps of the logical WRITE being served: cleared when one
+    /// starts, never shrunk, so a WRITE allocates no list.
     stamps: Vec<KeyStamp>,
 }
 
@@ -176,12 +176,9 @@ fn op_class(proc: u32) -> OpClass {
 /// dirty entries.
 const DIRTY_FLUSH_THRESHOLD: u64 = 256;
 
-/// A READ established as a pure hit and counted on the network-centric
-/// cache's side, not yet on the file system's ([`NfsServer::probe_read`]).
-#[derive(Debug)]
-pub struct ReadHit<'a> {
-    walk: ResidentWalk<'a>,
-    resolved: Option<Resolved>,
+/// The file blocks `[offset, offset + len)` touches.
+fn blocks_of(offset: u64, len: u64) -> Range<u64> {
+    offset / BLOCK as u64..(offset + len).div_ceil(BLOCK as u64)
 }
 
 impl NfsServer {
@@ -395,7 +392,7 @@ impl NfsServer {
         if self.host.module.is_some() {
             if let Ok(ino) = self.host.fs.lookup(fh_to_ino(args.dir_fh), &args.name) {
                 if let Ok(inode) = self.host.fs.getattr(ino) {
-                    self.invalidate_blocks(ino, 0..inode.size.div_ceil(BLOCK as u64));
+                    self.invalidate_blocks(ino, blocks_of(0, inode.size));
                 }
             }
         }
@@ -416,7 +413,7 @@ impl NfsServer {
     /// removing a file that is not resident fetches its indirect blocks
     /// and nothing else — no block is fetched (and cached, evicting live
     /// chunks) only to be invalidated. Callers hold no module guard.
-    fn invalidate_blocks(&mut self, ino: Ino, blocks: std::ops::Range<u64>) {
+    fn invalidate_blocks(&mut self, ino: Ino, blocks: Range<u64>) {
         let Some(module) = self.host.module.clone() else {
             return;
         };
@@ -480,65 +477,6 @@ impl NfsServer {
             }
         }
         r
-    }
-
-    /// Unaligned NCache write: read-modify-write against materialized
-    /// block contents, then park the merged blocks in the FHO cache.
-    fn unaligned_ncache_write(
-        &mut self,
-        ino: Ino,
-        fh: u64,
-        offset: u64,
-        count: usize,
-        req: &mut NetBuf,
-    ) -> Result<(), FsError> {
-        let module = self.host.module.clone().expect("NCache build");
-        let aligned_start = offset - offset % BLOCK as u64;
-        let aligned_end = (offset + count as u64).div_ceil(BLOCK as u64) * BLOCK as u64;
-        let size = self.host.fs.getattr(ino)?.size;
-        let covered = (aligned_end.min(size.max(offset + count as u64)) - aligned_start) as usize;
-        let mut merged = if aligned_start < size {
-            let len = covered.min((size - aligned_start) as usize);
-            self.host.materialize(ino, aligned_start, len)?
-        } else {
-            Vec::new()
-        };
-        merged.resize((aligned_end - aligned_start) as usize, 0);
-        let data = req.peek(0, count);
-        let at = (offset - aligned_start) as usize;
-        merged[at..at + count].copy_from_slice(&data);
-        let true_end = (offset + count as u64).max(size);
-        // Store each merged block through hook 2, exactly like an aligned
-        // write of the whole span.
-        let mut stamps = Vec::new();
-        for (i, chunk) in merged.chunks(BLOCK).enumerate() {
-            let fho = Fho::new(FileHandle(fh), aligned_start + (i * BLOCK) as u64);
-            let seg = netbuf::Segment::from_vec(chunk.to_vec());
-            let admitted = module.borrow_mut().on_nfs_write(fho, vec![seg], chunk.len());
-            let Ok(stamp) = admitted else {
-                // Cache full: last resort, write the merged bytes
-                // physically — only up to the file's true end, so the
-                // file grows no further than the write does — then drop
-                // the span's chunks, which the file no longer names.
-                let end = (true_end.min(aligned_end) - aligned_start) as usize;
-                self.host.fs.write(ino, aligned_start, &merged[..end])?;
-                let first = aligned_start / BLOCK as u64;
-                self.invalidate_blocks(ino, first..aligned_end / BLOCK as u64);
-                return Ok(());
-            };
-            stamps.push(stamp);
-        }
-        self.host.fs
-            .write_logical(ino, aligned_start, merged.len(), &stamps)?;
-        // The logical span may extend the file past the true end; restore
-        // the correct size if the write did not actually grow it.
-        if self.host.fs.getattr(ino)?.size != true_end {
-            // write_logical only ever grows to aligned_end; shrink is not
-            // supported, so only the grow case needs correction — and
-            // aligned_end >= true_end always holds. Record the honest size.
-            self.host.fs.set_size(ino, true_end)?;
-        }
-        Ok(())
     }
 
     /// Error reply for requests whose body fails to parse.
@@ -673,45 +611,30 @@ impl NfsServer {
 
         let outcome: Result<(usize, Fattr), FsError> = match self.host.mode {
             ServerMode::Original => self.read_copying(&mut reply, args.fh, offset, count),
-            ServerMode::NCache | ServerMode::Baseline => {
-                // Logical copy: attach the (placeholder) cache blocks by
-                // reference; the daemon never touches the payload.
-                let hit = self
-                    .probe_read(args.fh, offset, count)
-                    .map(|hit| self.finish_read(hit, &mut reply, args.fh));
-                if let Some((n, attrs, resolution)) = hit {
-                    resolved = resolution;
-                    Ok((n, attrs))
-                } else if offset.is_multiple_of(BLOCK as u64) {
-                    // Not a pure hit, or fault recovery wants every key
-                    // verified first: the miss-capable read, block by
-                    // block, then resolve what came back.
-                    self.host.fs.read_logical_per_block(ino, offset, count).and_then(|blocks| {
-                        match self.host.resolve_fetched(&blocks) {
-                            Ok(resolution) => {
-                                resolved = resolution;
-                                let attach = blocks.iter().map(|b| (&b.seg, b.valid_len));
-                                let n = attach_blocks(&mut reply, attach);
-                                let attrs = self.host.fs.getattr(ino).expect("read target exists");
-                                Ok((n, fattr_of(args.fh, &attrs)))
-                            }
-                            // A chunk was evicted (or found corrupt) while
-                            // its placeholder was still cached: degrade to
-                            // real bytes, each block resolved the moment it
-                            // is refetched — never a segment of stamps.
-                            Err(_) => self.read_materialized(&mut reply, args.fh, offset, count),
-                        }
-                    })
-                } else if self.host.mode == ServerMode::NCache {
-                    // Unaligned reads cannot ride the key-moving path (a
-                    // partial-block slice loses its stamp): materialize the
-                    // real bytes from the network-centric cache.
-                    self.read_materialized(&mut reply, args.fh, offset, count)
-                } else {
-                    // The baseline ships junk; the copying path suffices.
-                    self.read_copying(&mut reply, args.fh, offset, count)
+            _ if offset.is_multiple_of(BLOCK as u64) => {
+                // Logical copy: the host's keyed read attaches the
+                // (placeholder) cache blocks by reference; the daemon
+                // never touches the payload.
+                match self.host.read_keyed(ino, offset, count, &mut reply, true) {
+                    Ok(Some(keyed)) => {
+                        resolved = keyed.resolved;
+                        let attrs = keyed.attrs.expect("asked for");
+                        Ok((keyed.len, fattr_of(args.fh, &attrs)))
+                    }
+                    // A chunk was evicted (or found corrupt) while its
+                    // placeholder was still cached: degrade to real
+                    // bytes, each block resolved the moment it is
+                    // refetched — never a segment of stamps.
+                    Ok(None) => self.read_materialized(&mut reply, args.fh, offset, count),
+                    Err(e) => Err(e),
                 }
             }
+            // Unaligned reads cannot ride the key-moving path (a
+            // partial-block slice loses its stamp): materialize the real
+            // bytes from the network-centric cache.
+            ServerMode::NCache => self.read_materialized(&mut reply, args.fh, offset, count),
+            // The baseline ships junk; the copying path suffices.
+            ServerMode::Baseline => self.read_copying(&mut reply, args.fh, offset, count),
         };
 
         match outcome {
@@ -780,50 +703,8 @@ impl NfsServer {
         Ok((n, fattr_of(fh, &attrs)))
     }
 
-    /// The READ hit path — the same code for both engines — up to its
-    /// commit point: probes the file system for a fully resident aligned
-    /// range ([`Filesystem::walk_resident`]) and resolves every
-    /// placeholder of it through the host's cache handle (never the
-    /// module's mutex). `None`
-    /// means not a pure hit — something cold, a hole, a dangling key, or
-    /// fault recovery revalidating key by key — and *nothing* has been
-    /// counted or charged anywhere: the caller takes the miss-capable
-    /// path with the rig byte-identical. `Some` has counted the
-    /// network-centric cache's side; serving it (`finish_read`) counts
-    /// the file system's.
-    pub fn probe_read(&self, fh: u64, offset: u64, count: usize) -> Option<ReadHit<'_>> {
-        // Fault recovery verifies chunk checksums key by key first.
-        let logical = self.host.mode != ServerMode::Original && offset.is_multiple_of(BLOCK as u64);
-        if self.host.fault_recovery || !logical {
-            return None;
-        }
-        let walk = self.host.fs.walk_resident(fh_to_ino(fh), offset, count)?;
-        let resolved = self.host.resolve(walk.blocks().map(|b| (b.seg, b.len)));
-        Some(ReadHit {
-            walk,
-            resolved: resolved.ok()?,
-        })
-    }
-
-    /// The rest of the READ hit path: counts the file-system side of `hit`
-    /// exactly as the per-block walk would have, attaches the (placeholder)
-    /// blocks to `reply` by reference, and reads the attributes. Returns
-    /// the bytes attached, the attributes, and the resolution for the
-    /// transmit hook to splice.
-    fn finish_read(
-        &self,
-        hit: ReadHit<'_>,
-        reply: &mut NetBuf,
-        fh: u64,
-    ) -> (usize, Fattr, Option<Resolved>) {
-        let ReadHit { walk, resolved } = hit;
-        walk.commit(|_| self.host.fs.ledger().charge_logical_copy());
-        let n = attach_blocks(reply, walk.blocks().map(|b| (b.seg, b.len)));
-        (n, fattr_of(fh, walk.getattr()), resolved)
-    }
-
     /// The concurrent read fast path: a cache-hit READ — `hit`, which
-    /// [`NfsServer::probe_read`] returned for this very request under the
+    /// [`ServerHost::probe_keyed`] returned for this very request under the
     /// same shared core guard — served end-to-end through `&self`, so many
     /// lanes can run it in parallel. The guard excludes every mutation, so
     /// what the probe saw cannot change underneath us. (`&self` cannot
@@ -837,7 +718,7 @@ impl NfsServer {
     /// the write-back drain (a pure hit displaces nothing, and the drain is
     /// a silent no-op on an empty queue). The per-shard trace deltas are
     /// dropped: under a shared guard other lanes move the same shards.
-    pub fn handle_read_fast(&self, mut req: NetBuf, hit: ReadHit<'_>) -> (NetBuf, u64) {
+    pub fn handle_read_fast(&self, mut req: NetBuf, hit: KeyedHit<'_>) -> (NetBuf, u64) {
         let counts = self.stats.lane();
         counts.add(REQUESTS, 1);
         let req_bytes = req.payload_len() as u64;
@@ -852,20 +733,20 @@ impl NfsServer {
             .and_then(|b| ReadArgs::decode(&b).ok())
             .expect("fast path requires well-formed READ args");
         let mut reply = NetBuf::new(&self.host.ledger);
-        let (n, attrs, resolved) = self.finish_read(hit, &mut reply, args.fh);
-        counts.add(BYTES_READ, n as u64);
+        let keyed = self.host.serve_hit(hit, &mut reply, true);
+        counts.add(BYTES_READ, keyed.len as u64);
         reply.push_header(
             &ReadReplyHeader {
                 status: NFS_OK,
-                attrs,
-                count: n as u32,
+                attrs: fattr_of(args.fh, &keyed.attrs.expect("asked for")),
+                count: keyed.len as u32,
             }
             .encode_array(),
         );
         reply.push_header(&RpcReply::new(call.xid).encode_array());
         let substituted = self
             .host
-            .transmit(&mut reply, resolved.map(Resolved::without_shard_deltas));
+            .transmit(&mut reply, keyed.resolved.map(Resolved::without_shard_deltas));
         self.host.recorder.end_span(span);
         (reply, substituted)
     }
@@ -888,84 +769,17 @@ impl NfsServer {
                 let data = req.peek(0, count);
                 self.host.fs.write(ino, offset, &data)
             }
-            ServerMode::NCache => {
-                // A write that ends inside a block the file still has
-                // bytes past is a read-modify-write of that block, like an
-                // unaligned one; a tail block the write reaches the end of
-                // the file in is zero past it.
-                let aligned = offset % BLOCK as u64 == 0
-                    && (count.is_multiple_of(BLOCK)
-                        || self.host.fs.getattr(ino).is_ok_and(|i| offset + count as u64 >= i.size));
-                if aligned {
-                    // Hook 2: park each block's wire segments in the FHO
-                    // cache; plant stamps in the buffer cache. Under
-                    // memory pressure the control plane bypasses the
-                    // insertion — the write serves through the copying
-                    // path (charged normally) without displacing cache
-                    // state (DESIGN.md §15).
-                    let bypass = self.host.bypass_insert();
-                    let module = self.host.module.clone().expect("NCache mode has a module");
-                    let segs = req.take_payload();
-                    self.stamps.clear();
-                    let mut admitted = !bypass;
-                    for (i, mut group) in split_segments(&segs, BLOCK).enumerate() {
-                        if !admitted {
-                            break;
-                        }
-                        // Every chunk is a whole block: a short tail is
-                        // padded with zeros that take no storage.
-                        let len = group.byte_len();
-                        if len < BLOCK {
-                            group.push_back(netbuf::Segment::zeroed(BLOCK - len));
-                        }
-                        let fho = Fho::new(FileHandle(hdr.fh), offset + (i * BLOCK) as u64);
-                        match module.borrow_mut().on_nfs_write(fho, group, BLOCK) {
-                            Ok(stamp) => self.stamps.push(stamp),
-                            Err(_) => {
-                                admitted = false;
-                                break;
-                            }
-                        }
-                    }
-                    if admitted {
-                        self.host.fs.write_logical(ino, offset, count, &self.stamps)
-                    } else {
-                        // Cache full or bypassed: fall back to the copying
-                        // path. The wire segments are still held by `segs`.
-                        let mut data = Vec::with_capacity(count);
-                        for run in segs.iter().flat_map(netbuf::Segment::runs) {
-                            data.extend_from_slice(run);
-                        }
-                        data.truncate(count);
-                        let written = self.host.fs.write(ino, offset, &data);
-                        if written.is_ok() {
-                            // The buffer cache now holds the span's bytes:
-                            // the chunks admitted above, and an LBN chunk
-                            // of a block's old bytes, would outlive the
-                            // flush. Not before the write — its
-                            // read-modify-write may resolve a placeholder.
-                            let first = offset / BLOCK as u64;
-                            let end = (offset + count as u64).div_ceil(BLOCK as u64);
-                            self.invalidate_blocks(ino, first..end);
-                        }
-                        written
-                    }
-                } else {
-                    // Unaligned write: merge into the real block contents
-                    // (a physical read-modify-write of the boundary
-                    // blocks), then store the merged blocks through the
-                    // FHO cache like an aligned write.
-                    self.unaligned_ncache_write(ino, hdr.fh, offset, count, req)
-                }
-            }
+            ServerMode::NCache => self.ncache_write(ino, hdr.fh, offset, count, req),
             ServerMode::Baseline => {
                 // Copies removed outright: junk blocks, metadata updated.
-                let stamps = vec![KeyStamp::new(); count.div_ceil(BLOCK)];
-                self.host.fs.write_logical(ino, offset, count, &stamps)
+                self.stamps.clear();
+                self.stamps.resize(count.div_ceil(BLOCK), KeyStamp::new());
+                self.host.fs.write_logical(ino, offset, count, &self.stamps)
             }
         };
 
-        self.dirty_blocks_since_sync += (count as u64).div_ceil(4096);
+        let dirtied = blocks_of(offset, count as u64);
+        self.dirty_blocks_since_sync += dirtied.end - dirtied.start;
         if self.dirty_blocks_since_sync >= DIRTY_FLUSH_THRESHOLD {
             // Write-behind: flush a batch of the oldest dirty blocks,
             // spreading flush work across requests as bdflush does.
@@ -996,6 +810,94 @@ impl NfsServer {
             }
         }
         r
+    }
+
+    /// The NCache WRITE, hook 2: parks each block of the span in the FHO
+    /// cache and plants its stamp in the buffer cache. A write that starts
+    /// inside a block, or ends inside one the file still has bytes past,
+    /// first builds the span's merged blocks ([`NfsServer::merged_blocks`]);
+    /// a tail block the write reaches the end of the file in is zero past
+    /// it. From there every WRITE takes the same steps. Under memory
+    /// pressure the control plane bypasses the insertion (DESIGN.md §15);
+    /// a bypassed or refused insertion serves through the copying path
+    /// (charged normally) and drops the span's chunks.
+    fn ncache_write(
+        &mut self,
+        ino: Ino,
+        fh: u64,
+        offset: u64,
+        count: usize,
+        req: &mut NetBuf,
+    ) -> Result<(), FsError> {
+        let aligned = offset.is_multiple_of(BLOCK as u64)
+            && (count.is_multiple_of(BLOCK)
+                || self.host.fs.getattr(ino).is_ok_and(|i| offset + count as u64 >= i.size));
+        let (start, len, segs) = if aligned {
+            (offset, count, req.take_payload())
+        } else {
+            self.merged_blocks(ino, offset, count, req)?
+        };
+        let module = self.host.module.clone().expect("NCache mode has a module");
+        let stamps = &mut self.stamps;
+        stamps.clear();
+        let admitted = !self.host.bypass_insert()
+            && split_segments(&segs, BLOCK).enumerate().all(|(i, mut group)| {
+                // Every chunk is a whole block: a short tail is padded
+                // with zeros that take no storage.
+                let n = group.byte_len();
+                if n < BLOCK {
+                    group.push_back(Segment::zeroed(BLOCK - n));
+                }
+                let fho = Fho::new(FileHandle(fh), start + (i * BLOCK) as u64);
+                let admitted = module.borrow_mut().on_nfs_write(fho, group, BLOCK);
+                admitted.map(|stamp| stamps.push(stamp)).is_ok()
+            });
+        if admitted {
+            return self.host.fs.write_logical(ino, start, len, &self.stamps);
+        }
+        // The copying path: the span's bytes are still held by `segs`.
+        let mut data = Vec::with_capacity(len);
+        for run in segs.iter().flat_map(Segment::runs) {
+            data.extend_from_slice(run);
+        }
+        data.truncate(len);
+        self.host.fs.write(ino, start, &data)?;
+        // The buffer cache now holds the span's bytes: the chunks admitted
+        // above, and an LBN chunk of a block's old bytes, would outlive
+        // the flush. Not before the write — its read-modify-write may
+        // resolve a placeholder.
+        self.invalidate_blocks(ino, blocks_of(start, len as u64));
+        Ok(())
+    }
+
+    /// The read-modify-write of an unaligned NCache WRITE: the whole
+    /// blocks it touches, with the wire bytes merged into their real
+    /// contents ([`ServerHost::materialize`], which resolves through the
+    /// network-centric cache), one owned segment per block. Returns the
+    /// span's start, its length up to the file's new end (so the logical
+    /// write records the honest size) and the blocks.
+    fn merged_blocks(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        count: usize,
+        req: &NetBuf,
+    ) -> Result<(u64, usize, SegChain), FsError> {
+        let span = blocks_of(offset, count as u64);
+        let (start, end) = (span.start * BLOCK as u64, span.end * BLOCK as u64);
+        let size = self.host.fs.getattr(ino)?.size;
+        let mut merged = if start < size {
+            self.host.materialize(ino, start, (end.min(size) - start) as usize)?
+        } else {
+            Vec::new()
+        };
+        merged.resize((end - start) as usize, 0);
+        let at = (offset - start) as usize;
+        merged[at..at + count].copy_from_slice(&req.peek(0, count));
+        let blocks: Vec<Segment> =
+            merged.chunks(BLOCK).map(|b| Segment::from_vec(b.to_vec())).collect();
+        let true_end = (offset + count as u64).max(size).min(end);
+        Ok((start, (true_end - start) as usize, blocks.into()))
     }
 }
 
@@ -1466,6 +1368,25 @@ mod tests {
         let (hdr, data) = client.parse_read_reply(&reply);
         assert_eq!(hdr.status, NFS_OK);
         assert_eq!(data, vec![7u8; 1000]);
+    }
+
+    #[test]
+    fn write_behind_counts_the_blocks_a_write_dirtied() {
+        for mode in [ServerMode::Original, ServerMode::NCache] {
+            let (mut srv, mut client) = server(mode);
+            let root = srv.root_fh();
+            let reply = roundtrip(&mut srv, client.create_request(root, "d"));
+            let fh = client.parse_create_reply(&reply).fh;
+            let mut dirtied = |offset: u32, len: usize| {
+                let before = srv.dirty_blocks_since_sync;
+                roundtrip(&mut srv, client.write_request(fh, offset, &vec![1u8; len]));
+                srv.dirty_blocks_since_sync - before
+            };
+            assert_eq!(dirtied(4050, 100), 2, "{mode}: 100 bytes across a block boundary");
+            assert_eq!(dirtied(10, 100), 1, "{mode}: 100 bytes inside a block");
+            assert_eq!(dirtied(8192, 8192), 2, "{mode}: two whole blocks");
+            assert_eq!(dirtied(16384, 5000), 2, "{mode}: a block and a short tail");
+        }
     }
 
     #[test]

@@ -1,23 +1,6 @@
-//! Small shared helpers for segment surgery, and the attach step of the
-//! logical-copy READ path both servers share.
+//! Small shared helpers for segment surgery.
 
-use netbuf::{NetBuf, SegChain, Segment};
-
-/// The logical-copy READ path: attaches cache blocks to `reply` by
-/// reference — the daemon never touches the payload — each clipped to the
-/// bytes the reply carries, and returns the bytes attached.
-pub(crate) fn attach_blocks<'s>(
-    reply: &mut NetBuf,
-    blocks: impl ExactSizeIterator<Item = (&'s Segment, usize)>,
-) -> usize {
-    reply.reserve_segments(blocks.len());
-    blocks
-        .map(|(seg, len)| {
-            reply.append_segment(seg.slice(0, len));
-            len
-        })
-        .sum()
-}
+use netbuf::{SegChain, Segment};
 
 /// Splits a run of payload segments into consecutive `unit`-byte groups
 /// (the last may be short), one group at a time. Pure pointer

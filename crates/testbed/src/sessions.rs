@@ -25,7 +25,7 @@ use std::sync::Mutex;
 use blockdev::{TierConfig, TierStats};
 use netbuf::NetBuf;
 use servers::initiator::IoRecord;
-use servers::nfs::{NfsClient, NfsServer};
+use servers::nfs::{fh_to_ino, NfsClient, NfsServer};
 use sim::costs::CostModel;
 use sim::stats::LatencyHistogram;
 use sim::sync::{LaneLock, LockCounters};
@@ -485,7 +485,7 @@ fn run_lane_op(
 ///
 /// Returns the bracket unused — charging and counting nothing — unless
 /// `op` is a READ and the server's probe
-/// ([`servers::nfs::NfsServer::probe_read`]: one uncounted walk of the
+/// ([`servers::ServerHost::probe_keyed`]: one uncounted walk of the
 /// file system, then one all-or-nothing resolution of the placeholders,
 /// the commit point) establishes that it is a pure, aligned, fully
 /// resident, fully resolvable cache hit; the caller then falls back to
@@ -506,7 +506,7 @@ fn fast_read_op(
     };
     let rig = cx.core.read();
     let server = rig.server();
-    let Some(hit) = server.probe_read(*fh, u64::from(*offset), *len as usize) else {
+    let Some(hit) = server.probe_keyed(fh_to_ino(*fh), u64::from(*offset), *len as usize) else {
         return Err(meter);
     };
     let delivered = servers::stack::deliver(request, &cx.ledgers.app);

@@ -79,14 +79,17 @@ fi
 echo "one recency map, $THREAD_LOCALS thread-locals; non-test lines in the four recency files: $(nontest \
     $RECENCY_FILES | wc -l) (1959 before the recency rule was written once)"
 
-echo "== one hit walk (a resident READ is probed, resolved, committed, spliced once) =="
-# DESIGN.md §9: simfs has one walk for a fully resident range
-# (walk_resident), and each server has one place that takes it and the
-# servers crate one place that resolves a reply's placeholders
-# (resolve_reply, the commit point). The rung fails if the functions the
-# walk replaced come back, or if either call site multiplies; a second
-# caller that really is needed opts out with a trailing
-# `// walk-ok: <reason>` on its line.
+echo "== one hit walk, one range path (a keyed READ and an NCache WRITE are each written once) =="
+# DESIGN.md §9.2: simfs has one walk for a fully resident range
+# (walk_resident), the servers crate one place that resolves a reply's
+# placeholders (resolve_reply, the commit point), and one keyed READ body
+# (ServerHost::read_keyed: the probe's walk, the fallback's
+# resolve_fetched) that NFS, kHTTPd and the lane hit path all call. Every
+# NCache WRITE, aligned or not, admits its blocks through one
+# on_nfs_write loop (DESIGN.md §15). The rung fails if the functions the
+# walk replaced come back, if a daemon grows its own copy of either range
+# path, or if any call site multiplies; a second caller that really is
+# needed opts out with a trailing `// walk-ok: <reason>` on its line.
 OLD_WALKS="$(nontest crates/simfs/src/fs.rs | grep -E \
     'fn (probe_read|read_logical_shared|peek_inode|peek_map_block|map_block_shared|walk_block_path|get_resident|read_resident)\b' || true)"
 if [[ -n "$OLD_WALKS" ]]; then
@@ -94,23 +97,26 @@ if [[ -n "$OLD_WALKS" ]]; then
     echo "$OLD_WALKS" >&2
     exit 1
 fi
+FORKS="$(nontest $(find crates/*/src src -name '*.rs' | sort) \
+    | grep -E 'fn (unaligned_ncache_write|page_hit|page_fetched|on_flush_write)\b' || true)"
+if [[ -n "$FORKS" ]]; then
+    echo "a forked range path is back (ServerHost::read_keyed and NfsServer::ncache_write are the ones):" >&2
+    echo "$FORKS" >&2
+    exit 1
+fi
 count_calls() { # count_calls PATTERN FILE...: non-test call sites not opted out
     local pattern="$1"; shift
     nontest "$@" | grep -E "$pattern" | grep -vc 'walk-ok:[[:space:]]*[^[:space:]]' || true
 }
-for SERVER in nfs khttpd; do
-    WALKS="$(count_calls '\.walk_resident\(' "crates/servers/src/$SERVER.rs")"
-    if [[ "$WALKS" != 1 ]]; then
-        echo "crates/servers/src/$SERVER.rs takes the resident walk in $WALKS places, not 1" >&2
+for CALL in walk_resident resolve_fetched on_nfs_write resolve_reply; do
+    CALLS="$(count_calls "[.:]$CALL\(" crates/servers/src/*.rs)"
+    if [[ "$CALLS" != 1 ]]; then
+        echo "crates/servers/src calls $CALL in $CALLS places, not 1" >&2
         exit 1
     fi
 done
-RESOLVES="$(count_calls 'resolve_reply\(' crates/servers/src/*.rs)"
-if [[ "$RESOLVES" != 1 ]]; then
-    echo "crates/servers/src resolves reply placeholders in $RESOLVES places, not 1" >&2
-    exit 1
-fi
-echo "one resident walk per server, one placeholder resolution, none of the walks they replaced"
+echo "one resident walk, one keyed fetch, one block admission, one placeholder resolution; non-test lines in \
+crates/servers/src: $(nontest crates/servers/src/*.rs | wc -l) (3819 before the range paths were written once)"
 # The two differential properties behind the walk, each at two pinned
 # cases on top of the seeded run `cargo test` just did.
 for SEED in 0x5eed0001 0x5eed0002; do

@@ -8,7 +8,9 @@
 //! client → UDP/RPC/NFS (or TCP/HTTP) → server → buffer cache → iSCSI →
 //! storage server and back.
 
+use ncache_repro::netbuf::key::{Fho, FileHandle};
 use ncache_repro::proto::nfs::NFS_OK;
+use ncache_repro::servers::nfs::fh_to_ino;
 use ncache_repro::servers::{ControlConfig, ServerMode};
 use ncache_repro::testbed::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
@@ -110,7 +112,7 @@ fn nfs_short_reads_through_the_lane_fast_path() {
         let delivered = ncache_repro::servers::stack::deliver(&request, &rig.ledgers().app);
         let server = rig.server();
         let hit = server
-            .probe_read(fh, u64::from(off), len as usize)
+            .probe_keyed(fh_to_ino(fh), u64::from(off), len as usize)
             .expect("a warm aligned READ is a pure hit");
         let (reply, substituted) = server.handle_read_fast(delivered, hit);
         let blocks = (u64::from(off) + u64::from(len)).min(SHORT_FILE) - u64::from(off);
@@ -217,23 +219,32 @@ fn nfs_write_read_back_freshness_through_remap() {
 #[test]
 fn a_bypassed_write_leaves_no_chunk_of_the_old_bytes() {
     // Under memory pressure the control plane bypasses NCache insertion
-    // and the WRITE takes the copying path. The LBN chunk an earlier READ
-    // admitted still held the block's old bytes: it outlived the flush,
-    // and once the buffer cache dropped the block a READ was served from
-    // it.
-    let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
-    let fh = rig.create_file("f", 64 << 10);
-    assert_eq!(rig.read(fh, 0, 4096), NfsRig::pattern(fh, 0, 4096));
-    rig.enable_control(ControlConfig {
-        ncache_hi_permille: 0,
-        ..ControlConfig::unlimited()
-    });
-    let fresh = vec![0x3Cu8; 4096];
-    assert_eq!(rig.write(fh, 0, &fresh).status, NFS_OK);
-    assert_eq!(rig.control_stats().expect("plane").insert_bypass, 1);
-    rig.server_mut().fs_mut().sync().expect("sync");
-    rig.quiesce();
-    assert_eq!(rig.read(fh, 0, 4096), fresh, "the newest acknowledged bytes");
+    // and every WRITE — aligned, unaligned or ending mid-block — takes the
+    // copying path. The LBN chunk an earlier READ admitted still held the
+    // block's old bytes: it outlived the flush, and once the buffer cache
+    // dropped the block a READ was served from it. An unaligned WRITE used
+    // to skip the bypass and park FHO chunks regardless.
+    for (offset, len) in [(0u32, 4096u32), (10, 100), (4096, 5000)] {
+        let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
+        let fh = rig.create_file("f", 64 << 10);
+        assert_eq!(rig.read(fh, 0, 16384), NfsRig::pattern(fh, 0, 16384));
+        rig.enable_control(ControlConfig {
+            ncache_hi_permille: 0,
+            ..ControlConfig::unlimited()
+        });
+        let fresh = vec![0x3Cu8; len as usize];
+        let at = format!("{len} bytes at {offset}");
+        assert_eq!(rig.write(fh, offset, &fresh).status, NFS_OK, "{at}");
+        assert_eq!(rig.control_stats().expect("plane").insert_bypass, 1, "{at}");
+        let module = rig.module().expect("NCache build");
+        for blk in u64::from(offset) / 4096..(u64::from(offset + len)).div_ceil(4096) {
+            let fho = Fho::new(FileHandle(fh), blk * 4096);
+            assert!(!module.borrow().cache_contains_fho(fho), "{at}: block {blk}'s FHO chunk");
+        }
+        rig.server_mut().fs_mut().sync().expect("sync");
+        rig.quiesce();
+        assert_eq!(rig.read(fh, offset, len), fresh, "{at}: the newest acknowledged bytes");
+    }
 }
 
 #[test]

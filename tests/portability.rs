@@ -64,11 +64,7 @@ fn mbuf_write_path_remaps_like_sk_buff() {
 
     // Flush: remap FHO→LBN; the outgoing iSCSI payload can be re-wrapped
     // as an mbuf chain for a BSD initiator, still without copying.
-    let mut placeholder = vec![0u8; 4096];
-    stamp.encode_into(&mut placeholder);
-    let segs = module
-        .on_flush_write(&placeholder, Lbn(9))
-        .expect("remapped");
+    let segs = module.on_flush_stamp(stamp, Lbn(9)).expect("remapped");
     let before = ledger.snapshot();
     let outgoing = MbufChain::from_segments(&ledger, segs);
     assert_eq!(

@@ -6,13 +6,15 @@
 //! forced buffer-cache eviction (capacity 0, then back) — runs through one
 //! rig of each build, at 1 and 8 shards, with a network-centric cache of 2
 //! chunks, 7 chunks (both smaller than some requests) or ample room, and
-//! under the control plane's insertion bypass (every aligned WRITE takes
-//! the copying path). Every READ must return exactly the newest
-//! acknowledged bytes of the model's file — so no key stamp, no zero tail
-//! of a placeholder and no chunk of a block's old bytes ever reaches a
-//! client — and after every op the shard set's and the buffer cache's
-//! invariants must hold; after a `sync`, the shard set must hold no dirty
-//! chunk (every dirty chunk is one a flush reaches). (The Baseline build
+//! under the control plane's insertion bypass (every NCache WRITE —
+//! aligned, unaligned or ending mid-block — takes the copying path, and
+//! leaves no FHO chunk of its blocks behind). Every READ must return
+//! exactly the newest acknowledged bytes of the model's file — so no key
+//! stamp, no zero tail of a placeholder and no chunk of a block's old
+//! bytes ever reaches a client — and after every op the shard set's and
+//! the buffer cache's invariants must hold; after a `sync`, the shard set
+//! must hold no dirty chunk (every dirty chunk is one a flush reaches).
+//! (The Baseline build
 //! ships junk by design and writes at block-aligned offsets only: there
 //! the ops skip unaligned writes and READs are held to the model's
 //! lengths.)
@@ -23,6 +25,7 @@ use std::collections::HashMap;
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, PropResult};
 
+use ncache_repro::netbuf::key::{Fho, FileHandle};
 use ncache_repro::proto::nfs::NFS_OK;
 use ncache_repro::servers::{ControlConfig, ServerMode};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
@@ -109,6 +112,8 @@ fn name(file: u8) -> String {
 struct World {
     rig: NfsRig,
     mode: ServerMode,
+    /// The control plane bypasses every NCache insertion.
+    bypass: bool,
     fhs: HashMap<u8, u64>,
     files: HashMap<u8, Vec<u8>>,
 }
@@ -136,6 +141,7 @@ impl World {
         World {
             rig,
             mode,
+            bypass,
             fhs: HashMap::from([(0, fh)]),
             files: HashMap::from([(0, bytes)]),
         }
@@ -173,6 +179,19 @@ impl World {
                     "{} size",
                     mode
                 );
+                if let (true, Some(module)) = (self.bypass, self.rig.module()) {
+                    let first = u64::from(offset / BLOCK);
+                    for blk in first..u64::from(offset + len).div_ceil(u64::from(BLOCK)) {
+                        let fho = Fho::new(FileHandle(fh), blk * u64::from(BLOCK));
+                        prop_assert!(
+                            !module.borrow().cache_contains_fho(fho),
+                            "{} write {:?} under the bypass left block {}'s FHO chunk",
+                            mode,
+                            op,
+                            blk
+                        );
+                    }
+                }
             }
             Op::Read { file, offset, len } => {
                 let Some(&fh) = self.fhs.get(&file) else {

@@ -11,7 +11,7 @@ use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property};
 
 use ncache_repro::ncache::{NcacheConfig, NcacheModule, CHUNK_PAYLOAD};
-use ncache_repro::netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
+use ncache_repro::netbuf::key::{Fho, FileHandle, Lbn};
 use ncache_repro::netbuf::{CopyLedger, Segment};
 use ncache_repro::proto::nfs::NFS_OK;
 use ncache_repro::servers::nfs::NfsClient;
@@ -22,12 +22,6 @@ const BLOCK: usize = 4096;
 
 fn chunk(fill: u8) -> Vec<Segment> {
     vec![Segment::from_vec(vec![fill; CHUNK_PAYLOAD])]
-}
-
-fn placeholder(stamp: KeyStamp) -> Vec<u8> {
-    let mut block = vec![0u8; CHUNK_PAYLOAD];
-    stamp.encode_into(&mut block);
-    block
 }
 
 /// Module-level: under eviction pressure, dirty FHO chunks are pinned —
@@ -77,7 +71,7 @@ fn flush_remaps_dirty_fho_before_any_lbn_writeback() {
     for (i, (fho, stamp)) in stamps.iter().enumerate() {
         let lbn = Lbn(500 + i as u64);
         let segs = m
-            .on_flush_write(&placeholder(*stamp), lbn)
+            .on_flush_stamp(*stamp, lbn)
             .expect("stamped placeholder resolves");
         assert_eq!(segs[0].as_slice()[0], 0xA0 + i as u8, "flush carries stale bytes");
         assert!(!m.cache_contains_fho(*fho), "remap left the FHO entry behind");
@@ -104,14 +98,14 @@ fn read_after_flush_hits_remapped_lbn_with_fresh_bytes() {
     let fho = Fho::new(FileHandle(3), 0);
     let stamp = m.on_nfs_write(fho, chunk(0xEE), CHUNK_PAYLOAD).expect("fits");
     let lbn = Lbn(77);
-    m.on_flush_write(&placeholder(stamp), lbn).expect("remapped");
+    m.on_flush_stamp(stamp, lbn).expect("remapped");
     let segs = m.cache_mut().lookup(lbn.into()).expect("resident under LBN");
     assert!(segs[0].as_slice().iter().all(|&b| b == 0xEE));
 }
 
 /// End-to-end: a tiny file-system buffer cache forces pressure-driven
 /// flushes *during* a burst of writes (not at an explicit sync), so dirty
-/// placeholders hit `on_flush_write` while later writes are still
+/// placeholders hit `on_flush_stamp` while later writes are still
 /// arriving. Every flush must remap, and reads — both mid-burst from the
 /// cache and post-sync from storage — must return the fresh bytes.
 #[test]
