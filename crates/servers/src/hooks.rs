@@ -3,11 +3,14 @@
 //! The paper's headline engineering claim: "Not including the standalone
 //! NCache module, the total number of lines of C code modified in the
 //! kernel is fewer than 150", with the server daemon and the buffer cache
-//! untouched. This module states the same inventory for the reproduction,
-//! and the `table1_hook_inventory` test verifies it *structurally*: the
+//! untouched. This module states the same inventory for the reproduction;
+//! its own tests (`hooks::tests`) pin the rows, and the integration test
+//! `table1_inventory_holds_structurally` verifies it *structurally*: the
 //! NCache build reuses the unmodified `Filesystem` and `BufferCache` types
 //! and differs from the original build only at the initiator's two socket
-//! functions, the stack's extended interfaces, and the standalone module.
+//! functions, the stack's extended interfaces, and the standalone module;
+//! no unmodified crate can name the module, and the daemons' source names
+//! no build (`crate::host::ServerHost` holds their per-build bodies).
 
 use crate::mode::ServerMode;
 

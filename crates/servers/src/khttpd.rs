@@ -1,24 +1,23 @@
 //! kHTTPd: the in-kernel static web server, in the paper's three builds.
 //!
-//! The original build serves pages with `sendfile` — one copy, buffer
-//! cache → network stack (Table 2). The NCache build moves only keys
-//! (§4.1's changed sendfile interface): the response body is a chain of
-//! placeholder cache blocks that the driver-level hook substitutes; the
-//! server's [`ncache::HttpTxTracker`] confirms the header/body split the
-//! way the real module tracks TCP streams (§4.3). The baseline build
-//! attaches the placeholder blocks and sends the junk — the ideal
-//! zero-copy bound.
+//! The daemon is protocol only: it parses a GET, finds the page, serves
+//! its body with the host's sendfile ([`ServerHost::sendfile`]) and hands
+//! the response to the host's stream transmit
+//! ([`ServerHost::transmit_stream`]). What differs per build lives there:
+//! the original build's sendfile copies once, buffer cache → network
+//! stack (Table 2); the NCache build moves only keys (§4.1's changed
+//! sendfile interface), and its module confirms the header/body split the
+//! way the real one tracks TCP streams (§4.3) before the driver-level hook
+//! substitutes the body; the baseline build attaches the placeholder
+//! blocks and sends the junk — the ideal zero-copy bound.
 
-
-use ncache::{HttpTxTracker, TxDisposition};
 use netbuf::{CopyLedger, NetBuf, Segment};
 use proto::http::{HttpRequest, HttpResponseHeader};
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::OpClass;
-use crate::host::ServerHost;
+use crate::host::{Pending, ServerHost};
 use crate::initiator::IscsiInitiator;
-use crate::mode::ServerMode;
 
 /// kHTTPd counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,9 +59,6 @@ impl obs::StatsSnapshot for KhttpdStats {
 pub struct KhttpdServer {
     host: ServerHost,
     stats: KhttpdStats,
-    /// The transmit-stream tracker of the server's one connection: it
-    /// re-arms after each complete response.
-    tracker: HttpTxTracker,
 }
 
 impl std::ops::Deref for KhttpdServer {
@@ -86,7 +82,6 @@ impl KhttpdServer {
         KhttpdServer {
             host,
             stats: KhttpdStats::default(),
-            tracker: HttpTxTracker::new(),
         }
     }
 
@@ -121,7 +116,7 @@ impl KhttpdServer {
             // Malformed or unsupported requests get a 400, never a panic.
             let span = self
                 .recorder
-                .begin_span("malformed", self.host.mode.label(), req_bytes);
+                .begin_span("malformed", self.host.build_label(), req_bytes);
             self.stats.bad_requests += 1;
             let r = self.header_only(HttpResponseHeader {
                 status: 400,
@@ -131,7 +126,10 @@ impl KhttpdServer {
             self.host.recorder.end_span(span);
             return (r, 0);
         };
-        let span = self.host.recorder.begin_span("get", self.host.mode.label(), req_bytes);
+        let span = self
+            .host
+            .recorder
+            .begin_span("get", self.host.build_label(), req_bytes);
         // Admission control: a well-formed GET past the parser but ahead
         // of any file-system work gets the 503-with-Retry-After analog of
         // the NFS `RETRY_LATER` rejection.
@@ -144,77 +142,46 @@ impl KhttpdServer {
         }
         let name = path.trim_start_matches('/');
         let mut response = NetBuf::new(&self.host.ledger);
-        let mut resolved = None;
+        let mut pending = Pending::default();
 
-        match self.find_page(name) {
+        let page = match self.find_page(name) {
             Ok((ino, size)) => {
                 let size = size as usize;
-                let body_len = match self.host.mode {
-                    ServerMode::Original => {
-                        // sendfile: one copy, buffer cache → network stack.
-                        self.host.fs
-                            .sendfile_into(ino, 0, size, &mut response)
-                            .expect("page readable")
+                let sent = self.host.sendfile(ino, 0, size, &mut response);
+                let body_len = match sent.expect("page readable") {
+                    Some(sent) => {
+                        pending = sent.pending;
+                        sent.len
                     }
-                    ServerMode::NCache | ServerMode::Baseline => {
-                        // Key-moving sendfile: the host's keyed read
-                        // attaches cache blocks by reference, their
-                        // placeholders resolved against the
-                        // network-centric cache first.
-                        let keyed = self.host.read_keyed(ino, 0, size, &mut response, false);
-                        match keyed.expect("page readable") {
-                            Some(keyed) => {
-                                resolved = keyed.resolved;
-                                keyed.len
-                            }
-                            // A placeholder dangles (evicted or corrupt):
-                            // degrade to a physical copy, correct even
-                            // when the cache is smaller than the page. A
-                            // cache below one chunk serves zeros rather
-                            // than a raw placeholder, and never panics:
-                            // the length still matches the header.
-                            None => {
-                                let body = self
-                                    .host
-                                    .materialize(ino, 0, size)
-                                    .unwrap_or_else(|_| vec![0; size]);
-                                let n = body.len();
-                                response.append_segment(Segment::from_vec(body));
-                                n
-                            }
-                        }
+                    // A placeholder dangles (evicted or corrupt): degrade
+                    // to a physical copy, correct even when the cache is
+                    // smaller than the page. A cache below one chunk serves
+                    // zeros rather than a raw placeholder, and never
+                    // panics: the length still matches the header.
+                    None => {
+                        let body = self
+                            .host
+                            .materialize(ino, 0, size)
+                            .unwrap_or_else(|_| vec![0; size]);
+                        let n = body.len();
+                        response.append_segment(Segment::from_vec(body));
+                        n
                     }
                 };
                 self.stats.bytes_served += body_len as u64;
-                let mut buf = [0u8; HttpResponseHeader::MAX_ENCODED_LEN];
-                let header = HttpResponseHeader::ok(body_len as u64).encode_into(&mut buf);
-                self.track(header, body_len);
-                response.push_header(header);
+                push_response_header(&mut response, HttpResponseHeader::ok(body_len as u64));
+                true
             }
             Err(_) => {
                 self.stats.not_found += 1;
                 push_response_header(&mut response, HttpResponseHeader::not_found());
+                false
             }
-        }
+        };
 
         // Driver-boundary hook: substitute body blocks from the cache.
-        let substituted = match self.host.mode {
-            ServerMode::Original => {
-                // The 2.4-era TCP transmit path checksums sendfile payload
-                // in software; NCache inherits stored checksums instead
-                // (§1), and the ideal baseline assumes NIC offload.
-                if response.payload_len() > 0 {
-                    response.compute_csum();
-                }
-                0
-            }
-            ServerMode::NCache => {
-                let substituted = self.host.transmit(&mut response, resolved);
-                self.host.drain_writebacks();
-                substituted
-            }
-            ServerMode::Baseline => 0,
-        };
+        let (substituted, tracked) = self.host.transmit_stream(&mut response, pending, page);
+        self.stats.tracked_responses += u64::from(tracked);
         self.host.recorder.end_span(span);
         (response, substituted)
     }
@@ -225,28 +192,10 @@ impl KhttpdServer {
         Ok((ino, attrs.size))
     }
 
-    /// Feeds the response through the connection's stream tracker the way
-    /// the NCache module watches kHTTPd's TCP streams, confirming the
-    /// header/body boundary (§4.3).
-    fn track(&mut self, header: &[u8], body_len: usize) {
-        if self.host.mode != ServerMode::NCache {
-            return;
-        }
-        self.tracker.feed(header, |d| {
-            debug_assert_eq!(d, TxDisposition::Header(header.len()));
-        });
-        // Body bytes classified without materializing them.
-        let body_seen = self.tracker.feed_body(body_len);
-        debug_assert_eq!(body_seen, body_len, "tracker found the boundary");
-        debug_assert!(!self.tracker.in_body(), "re-armed for the next response");
-        self.stats.tracked_responses += 1;
-    }
-
     /// A bodiless response.
     fn header_only(&self, header: HttpResponseHeader) -> NetBuf {
-        let mut r = NetBuf::new(&self.host.ledger);
-        push_response_header(&mut r, header);
-        r
+        let mut buf = [0u8; HttpResponseHeader::MAX_ENCODED_LEN];
+        self.host.header_only(header.encode_into(&mut buf))
     }
 }
 
@@ -317,6 +266,7 @@ impl HttpClient {
 mod tests {
     use super::*;
     use crate::control::ControlConfig;
+    use crate::mode::ServerMode;
     use ncache::NcacheModule;
     use crate::target::IscsiTarget;
     use simfs::FsParams;
@@ -452,7 +402,7 @@ mod tests {
             get(&mut srv, &client, path);
         }
         // Only 200s reach the tracker; each leaves it re-armed (the debug
-        // assertions in `track` fail the GET after one that did not).
+        // assertions in `ServerHost::track` fail the GET after one that did not).
         assert_eq!(srv.stats().tracked_responses, 4);
         assert_eq!(srv.tracker.responses_seen(), 4);
         assert!(!srv.tracker.in_body());

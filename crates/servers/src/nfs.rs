@@ -7,14 +7,12 @@
 //! network-centric cache: incoming **WRITE request payloads** (cached under
 //! FHO keys) and outgoing **READ reply payloads** (substituted at the
 //! driver hook). Everything else — GETATTR, LOOKUP, READDIR, and all reply
-//! headers — travels the ordinary copying path in every build.
+//! headers — travels the ordinary copying path in every build. The daemon
+//! itself is protocol only: what differs per build is [`ServerHost`]'s.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
-use ncache::Resolved;
-use netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
-use netbuf::{BufPool, CopyLedger, NetBuf, SegChain, Segment, SLAB_SIZE};
+use netbuf::{BufPool, CopyLedger, NetBuf, SLAB_SIZE};
 use proto::nfs::{
     self, CreateArgs, Fattr, FileType as NfsFileType, GetattrArgs, GetattrReply, LookupArgs,
     LookupReply, ReadArgs, ReadReplyHeader, ReaddirArgs, ReaddirReply, RemoveReply,
@@ -26,12 +24,8 @@ use sim::LaneCounters;
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::OpClass;
-use crate::host::{KeyedHit, ServerHost};
+use crate::host::{KeyedHit, Pending, RangeRead, ServerHost};
 use crate::initiator::IscsiInitiator;
-use crate::mode::ServerMode;
-use crate::util::split_segments;
-
-const BLOCK: usize = simfs::BLOCK_SIZE;
 
 /// NFS server counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -115,7 +109,6 @@ type StatsCells = LaneCounters<10>;
 pub struct NfsServer {
     host: ServerHost,
     stats: StatsCells,
-    dirty_blocks_since_sync: u64,
     /// Duplicate-request cache: recent (xid, complete reply bytes) for
     /// WRITE/CREATE/REMOVE, newest at the back. Consulted only with
     /// fault recovery armed.
@@ -123,9 +116,6 @@ pub struct NfsServer {
     /// Duplicate-request cache depth without a bounding control plane
     /// (`drc_depth`). Defaults to [`DRC_CAPACITY`].
     drc_capacity: usize,
-    /// The key stamps of the logical WRITE being served: cleared when one
-    /// starts, never shrunk, so a WRITE allocates no list.
-    stamps: Vec<KeyStamp>,
 }
 
 impl std::ops::Deref for NfsServer {
@@ -168,29 +158,14 @@ fn op_class(proc: u32) -> OpClass {
     }
 }
 
-/// Dirty blocks accumulated before the server flushes, modelling the
-/// kernel's periodic write-back (bdflush). Keeping this low is also what
-/// makes §3.4's remap-before-LBN-flush ordering hold: dirty placeholder
-/// buffers leave the (small) file-system cache quickly, remapping their
-/// FHO chunks so the network-centric cache never fills with unremapped
-/// dirty entries.
-const DIRTY_FLUSH_THRESHOLD: u64 = 256;
-
-/// The file blocks `[offset, offset + len)` touches.
-fn blocks_of(offset: u64, len: u64) -> Range<u64> {
-    offset / BLOCK as u64..(offset + len).div_ceil(BLOCK as u64)
-}
-
 impl NfsServer {
     /// The NFS daemon over `host`.
     pub fn new(host: ServerHost) -> Self {
         NfsServer {
             host,
             stats: StatsCells::default(),
-            dirty_blocks_since_sync: 0,
             drc: VecDeque::new(),
             drc_capacity: DRC_CAPACITY,
-            stamps: Vec::new(),
         }
     }
 
@@ -265,25 +240,23 @@ impl NfsServer {
             }
             let span = self
                 .recorder
-                .begin_span("malformed", self.host.mode.label(), req_bytes);
+                .begin_span("malformed", self.host.build_label(), req_bytes);
             self.stats.add(ERRORS, 1);
-            let mut r = NetBuf::new(&self.host.ledger);
-            r.push_header(&NFSERR_IO.to_be_bytes());
+            let mut r = self.host.header_only(&NFSERR_IO.to_be_bytes());
             r.push_header(&RpcReply::new(0).encode_array());
             self.host.recorder.end_span(span);
             return (r, 0);
         };
-        let span = self
-            .recorder
-            .begin_span(proc_name(call.proc), self.host.mode.label(), req_bytes);
+        let span =
+            self.recorder
+                .begin_span(proc_name(call.proc), self.host.build_label(), req_bytes);
         // Duplicate-request cache: a retransmission of a non-idempotent
         // call (the client timed out on a lost reply) is answered with the
         // original reply bytes, never re-executed.
         if self.host.fault_recovery && non_idempotent(call.proc) {
             if let Some((_, bytes)) = self.drc.iter().find(|(xid, _)| *xid == call.xid) {
                 self.stats.add(DRC_HITS, 1);
-                let mut r = NetBuf::new(&self.host.ledger);
-                r.push_header(bytes);
+                let r = self.host.header_only(bytes);
                 self.host.recorder.add_counter("fault.drc_hits", 1);
                 self.host.recorder.end_span(span);
                 return (r, 0);
@@ -292,32 +265,31 @@ impl NfsServer {
         // Admission control: past the duplicate-request cache (a cached
         // reply costs nothing to resend) but before any execution. A
         // rejected call has no side effects and is never cached, so a
-        // later retransmission of the same xid re-decides admission.
-        if let Some(after_ns) = self.host.admit(op_class(call.proc)) {
-            let mut r = self.retry_later_reply(call.proc, after_ns);
+        // later retransmission of the same xid re-decides admission. The
+        // rejection is [`NFSERR_JUKEBOX`] in the status-only error form
+        // every procedure's reply shares, so each client's own decoder
+        // reads it as retryable; the client's
+        // [`crate::control::RetryPolicy`] owns the backoff schedule.
+        if self.host.admit(op_class(call.proc)).is_some() {
+            let mut r = self.host.header_only(&NFSERR_JUKEBOX.to_be_bytes());
             r.push_header(&RpcReply::new(call.xid).encode_array());
             self.host.recorder.end_span(span);
             return (r, 0);
         }
-        let mut resolved = None;
+        let mut pending = Pending::default();
         let mut reply = match call.proc {
             nfs::proc::GETATTR => self.do_getattr(&mut req),
             nfs::proc::LOOKUP => self.do_lookup(&mut req),
             nfs::proc::READ => {
                 let (reply, resolution) = self.do_read(&mut req);
-                resolved = resolution;
+                pending = resolution;
                 reply
             }
             nfs::proc::WRITE => self.do_write(&mut req),
             nfs::proc::CREATE => self.do_create(&mut req),
             nfs::proc::REMOVE => self.do_remove(&mut req),
             nfs::proc::READDIR => self.do_readdir(&mut req),
-            _ => {
-                self.stats.add(ERRORS, 1);
-                let mut r = NetBuf::new(&self.host.ledger);
-                r.push_header(&NFSERR_IO.to_be_bytes());
-                r
-            }
+            _ => self.garbage_reply(),
         };
         reply.push_header(&RpcReply::new(call.xid).encode_array());
         if self.host.fault_recovery && non_idempotent(call.proc) {
@@ -335,8 +307,7 @@ impl NfsServer {
         // Driver-boundary hook: substitution happens after the whole stack
         // has built the packet; whatever the module displaced then goes
         // back to storage.
-        let substituted = self.host.transmit(&mut reply, resolved);
-        self.host.drain_writebacks();
+        let substituted = self.host.transmit(&mut reply, pending);
         self.host.recorder.end_span(span);
         (reply, substituted)
     }
@@ -347,34 +318,33 @@ impl NfsServer {
         let Some(args) = CreateArgs::decode(&body).ok() else {
             return self.garbage_reply();
         };
-        let mut r = NetBuf::new(&self.host.ledger);
-        match self
-            .fs
-            .create(fh_to_ino(args.dir_fh), &args.name)
-            .and_then(|ino| self.host.fs.getattr(ino).map(|inode| (ino, inode)))
-        {
+        let r = NetBuf::new(&self.host.ledger);
+        let created = self.host.fs.create(fh_to_ino(args.dir_fh), &args.name);
+        self.diropres(r, created)
+    }
+
+    /// Finishes `r` as the `diropres` reply of LOOKUP and CREATE: the
+    /// handle and the attributes of the file `found` names.
+    fn diropres(&mut self, mut r: NetBuf, found: Result<Ino, FsError>) -> NetBuf {
+        let found = found.and_then(|ino| self.host.fs.getattr(ino).map(|inode| (ino, inode)));
+        let reply = match found {
             Ok((ino, inode)) => {
                 let fh = ino_to_fh(ino);
-                r.push_header(
-                    &LookupReply {
-                        status: NFS_OK,
-                        fh,
-                        attrs: fattr_of(fh, &inode),
-                    }
-                    .encode_array(),
-                );
+                LookupReply {
+                    status: NFS_OK,
+                    fh,
+                    attrs: fattr_of(fh, &inode),
+                }
             }
             Err(e) => {
                 self.stats.add(ERRORS, 1);
-                r.push_header(
-                    &LookupReply {
-                        status: status_of(e),
-                        ..LookupReply::default()
-                    }
-                    .encode_array(),
-                );
+                LookupReply {
+                    status: status_of(e),
+                    ..LookupReply::default()
+                }
             }
-        }
+        };
+        r.push_header(&reply.encode_array());
         r
     }
 
@@ -385,18 +355,7 @@ impl NfsServer {
             return self.garbage_reply();
         };
         let mut r = NetBuf::new(&self.host.ledger);
-        // Under NCache, drop the file's cache chunks first: a dirty FHO
-        // chunk belonging to a removed file would otherwise stay pinned
-        // forever (it is unevictable until remapped, and no flush will
-        // ever remap it once the file is gone).
-        if self.host.module.is_some() {
-            if let Ok(ino) = self.host.fs.lookup(fh_to_ino(args.dir_fh), &args.name) {
-                if let Ok(inode) = self.host.fs.getattr(ino) {
-                    self.invalidate_blocks(ino, blocks_of(0, inode.size));
-                }
-            }
-        }
-        let status = match self.host.fs.remove(fh_to_ino(args.dir_fh), &args.name) {
+        let status = match self.host.remove(fh_to_ino(args.dir_fh), &args.name) {
             Ok(()) => NFS_OK,
             Err(e) => {
                 self.stats.add(ERRORS, 1);
@@ -405,27 +364,6 @@ impl NfsServer {
         };
         r.push_header(&RemoveReply { status }.encode());
         r
-    }
-
-    /// Invalidates every network-centric cache chunk of the file's
-    /// `blocks`: for each, the FHO key of that block and the LBN key its
-    /// block map names. The walk reads the block map, never the data, so
-    /// removing a file that is not resident fetches its indirect blocks
-    /// and nothing else — no block is fetched (and cached, evicting live
-    /// chunks) only to be invalidated. Callers hold no module guard.
-    fn invalidate_blocks(&mut self, ino: Ino, blocks: Range<u64>) {
-        let Some(module) = self.host.module.clone() else {
-            return;
-        };
-        let fh = FileHandle(ino_to_fh(ino));
-        let cache = module.borrow().cache_handle();
-        for blk in blocks {
-            let lbn = self.host.fs.block_lbn(ino, blk).ok().flatten();
-            cache.invalidate(Fho::new(fh, blk * BLOCK as u64).into());
-            if let Some(lbn) = lbn {
-                cache.invalidate(Lbn(lbn).into());
-            }
-        }
     }
 
     fn do_readdir(&mut self, req: &mut NetBuf) -> NetBuf {
@@ -482,57 +420,7 @@ impl NfsServer {
     /// Error reply for requests whose body fails to parse.
     fn garbage_reply(&mut self) -> NetBuf {
         self.stats.add(ERRORS, 1);
-        let mut r = NetBuf::new(&self.host.ledger);
-        r.push_header(&NFSERR_IO.to_be_bytes());
-        r
-    }
-
-    /// Builds the body of an admission-control rejection: the procedure's
-    /// own reply shape carrying [`NFSERR_JUKEBOX`] (so every client's
-    /// normal decoder recognises it as a retryable status), with the
-    /// suggested backoff in the reply's otherwise-unused trailing word.
-    /// `after_ns` is advisory — the client's [`crate::control::RetryPolicy`]
-    /// owns the actual backoff schedule.
-    fn retry_later_reply(&mut self, proc: u32, _after_ns: u64) -> NetBuf {
-        let mut r = NetBuf::new(&self.host.ledger);
-        match proc {
-            nfs::proc::WRITE => r.push_header(
-                &WriteReply {
-                    status: NFSERR_JUKEBOX,
-                    ..WriteReply::default()
-                }
-                .encode_array(),
-            ),
-            nfs::proc::LOOKUP | nfs::proc::CREATE => r.push_header(
-                &LookupReply {
-                    status: NFSERR_JUKEBOX,
-                    ..LookupReply::default()
-                }
-                .encode_array(),
-            ),
-            nfs::proc::REMOVE => r.push_header(
-                &RemoveReply {
-                    status: NFSERR_JUKEBOX,
-                }
-                .encode(),
-            ),
-            nfs::proc::READDIR => r.push_header(
-                &ReaddirReply {
-                    status: NFSERR_JUKEBOX,
-                    ..ReaddirReply::default()
-                }
-                .encode(),
-            ),
-            nfs::proc::READ => r.push_header(
-                &ReadReplyHeader {
-                    status: NFSERR_JUKEBOX,
-                    ..ReadReplyHeader::default()
-                }
-                .encode_array(),
-            ),
-            _ => r.push_header(&NFSERR_JUKEBOX.to_be_bytes()),
-        }
-        r
+        self.host.header_only(&NFSERR_IO.to_be_bytes())
     }
 
     fn do_getattr(&mut self, req: &mut NetBuf) -> NetBuf {
@@ -565,142 +453,43 @@ impl NfsServer {
         let Some(args) = LookupArgs::decode(&body).ok() else {
             return self.garbage_reply();
         };
-        let mut r = NetBuf::new(&self.host.ledger);
-        match self
-            .fs
-            .lookup(fh_to_ino(args.dir_fh), &args.name)
-            .and_then(|ino| self.host.fs.getattr(ino).map(|inode| (ino, inode)))
-        {
-            Ok((ino, inode)) => {
-                let fh = ino_to_fh(ino);
-                r.push_header(
-                    &LookupReply {
-                        status: NFS_OK,
-                        fh,
-                        attrs: fattr_of(fh, &inode),
-                    }
-                    .encode_array(),
-                );
-            }
-            Err(e) => {
-                self.stats.add(ERRORS, 1);
-                r.push_header(
-                    &LookupReply {
-                        status: status_of(e),
-                        ..LookupReply::default()
-                    }
-                    .encode_array(),
-                );
-            }
-        }
-        r
+        let r = NetBuf::new(&self.host.ledger);
+        let found = self.host.fs.lookup(fh_to_ino(args.dir_fh), &args.name);
+        self.diropres(r, found)
     }
 
-    fn do_read(&mut self, req: &mut NetBuf) -> (NetBuf, Option<Resolved>) {
+    fn do_read(&mut self, req: &mut NetBuf) -> (NetBuf, Pending) {
         self.stats.add(READS, 1);
         let Some(args) = take_array::<{ ReadArgs::LEN }>(req)
             .and_then(|b| ReadArgs::decode(&b).ok())
         else {
-            return (self.garbage_reply(), None);
+            return (self.garbage_reply(), Pending::default());
         };
-        let ino = fh_to_ino(args.fh);
-        let offset = u64::from(args.offset);
-        let count = args.count as usize;
         let mut reply = NetBuf::new(&self.host.ledger);
-        let mut resolved = None;
-
-        let outcome: Result<(usize, Fattr), FsError> = match self.host.mode {
-            ServerMode::Original => self.read_copying(&mut reply, args.fh, offset, count),
-            _ if offset.is_multiple_of(BLOCK as u64) => {
-                // Logical copy: the host's keyed read attaches the
-                // (placeholder) cache blocks by reference; the daemon
-                // never touches the payload.
-                match self.host.read_keyed(ino, offset, count, &mut reply, true) {
-                    Ok(Some(keyed)) => {
-                        resolved = keyed.resolved;
-                        let attrs = keyed.attrs.expect("asked for");
-                        Ok((keyed.len, fattr_of(args.fh, &attrs)))
-                    }
-                    // A chunk was evicted (or found corrupt) while its
-                    // placeholder was still cached: degrade to real
-                    // bytes, each block resolved the moment it is
-                    // refetched — never a segment of stamps.
-                    Ok(None) => self.read_materialized(&mut reply, args.fh, offset, count),
-                    Err(e) => Err(e),
-                }
-            }
-            // Unaligned reads cannot ride the key-moving path (a
-            // partial-block slice loses its stamp): materialize the real
-            // bytes from the network-centric cache.
-            ServerMode::NCache => self.read_materialized(&mut reply, args.fh, offset, count),
-            // The baseline ships junk; the copying path suffices.
-            ServerMode::Baseline => self.read_copying(&mut reply, args.fh, offset, count),
-        };
-
-        match outcome {
-            Ok((n, attrs)) => {
-                self.stats.add(BYTES_READ, n as u64);
-                reply.push_header(
-                    &ReadReplyHeader {
-                        status: NFS_OK,
-                        attrs,
-                        count: n as u32,
-                    }
-                    .encode_array(),
-                );
+        let read = self.host.read(
+            fh_to_ino(args.fh),
+            u64::from(args.offset),
+            args.count as usize,
+            &mut reply,
+        );
+        match read {
+            Ok(read) => {
+                self.stats.add(BYTES_READ, read.len as u64);
+                push_read_header(&mut reply, args.fh, &read);
+                (reply, read.pending)
             }
             Err(e) => {
                 self.stats.add(ERRORS, 1);
-                let mut r = NetBuf::new(&self.host.ledger);
-                r.push_header(
-                    &ReadReplyHeader {
-                        status: status_of(e),
-                        ..ReadReplyHeader::default()
-                    }
-                    .encode_array(),
-                );
-                return (r, None);
+                let header = ReadReplyHeader {
+                    status: status_of(e),
+                    ..ReadReplyHeader::default()
+                };
+                (
+                    self.host.header_only(&header.encode_array()),
+                    Pending::default(),
+                )
             }
         }
-        (reply, resolved)
-    }
-
-    /// The copying READ path. Copy 1: buffer cache → daemon buffer; copy 2:
-    /// daemon buffer → network stack. The daemon buffer is handed off whole
-    /// (`append_vec`), so the host does not duplicate it a third time.
-    fn read_copying(
-        &mut self,
-        reply: &mut NetBuf,
-        fh: u64,
-        offset: u64,
-        count: usize,
-    ) -> Result<(usize, Fattr), FsError> {
-        let ino = fh_to_ino(fh);
-        let mut buf = vec![0u8; count];
-        let n = self.host.fs.read(ino, offset, &mut buf)?;
-        buf.truncate(n);
-        reply.append_vec(buf);
-        let attrs = self.host.fs.getattr(ino).expect("read target exists");
-        Ok((n, fattr_of(fh, &attrs)))
-    }
-
-    /// The degraded READ path under NCache: the range's real bytes from
-    /// [`ServerHost::materialize`], clipped at end of file. A block that
-    /// still dangles after three fetches fails the READ (`NFSERR_IO`).
-    fn read_materialized(
-        &mut self,
-        reply: &mut NetBuf,
-        fh: u64,
-        offset: u64,
-        count: usize,
-    ) -> Result<(usize, Fattr), FsError> {
-        let ino = fh_to_ino(fh);
-        let attrs = self.host.fs.getattr(ino)?;
-        let want = count.min(attrs.size.saturating_sub(offset) as usize);
-        let data = self.host.materialize(ino, offset, want)?;
-        let n = data.len();
-        reply.append_vec(data);
-        Ok((n, fattr_of(fh, &attrs)))
     }
 
     /// The concurrent read fast path: a cache-hit READ — `hit`, which
@@ -725,28 +514,19 @@ impl NfsServer {
         let call = take_array::<CALL_LEN>(&mut req)
             .and_then(|h| RpcCall::decode(&h).ok())
             .expect("fast path requires a well-formed call");
-        let span = self
-            .recorder
-            .begin_span(proc_name(call.proc), self.host.mode.label(), req_bytes);
+        let span =
+            self.recorder
+                .begin_span(proc_name(call.proc), self.host.build_label(), req_bytes);
         counts.add(READS, 1);
         let args = take_array::<{ ReadArgs::LEN }>(&mut req)
             .and_then(|b| ReadArgs::decode(&b).ok())
             .expect("fast path requires well-formed READ args");
         let mut reply = NetBuf::new(&self.host.ledger);
-        let keyed = self.host.serve_hit(hit, &mut reply, true);
-        counts.add(BYTES_READ, keyed.len as u64);
-        reply.push_header(
-            &ReadReplyHeader {
-                status: NFS_OK,
-                attrs: fattr_of(args.fh, &keyed.attrs.expect("asked for")),
-                count: keyed.len as u32,
-            }
-            .encode_array(),
-        );
+        let read = self.host.serve_hit(hit, &mut reply, true);
+        counts.add(BYTES_READ, read.len as u64);
+        push_read_header(&mut reply, args.fh, &read);
         reply.push_header(&RpcReply::new(call.xid).encode_array());
-        let substituted = self
-            .host
-            .transmit(&mut reply, keyed.resolved.map(Resolved::without_shard_deltas));
+        let substituted = self.host.transmit_shared(&mut reply, read.pending);
         self.host.recorder.end_span(span);
         (reply, substituted)
     }
@@ -759,145 +539,27 @@ impl NfsServer {
             return self.garbage_reply();
         };
         let ino = fh_to_ino(hdr.fh);
-        let offset = u64::from(hdr.offset);
         let count = (hdr.count as usize).min(req.payload_len());
-
-        let outcome: Result<(), FsError> = match self.host.mode {
-            ServerMode::Original => {
-                // One copy: network stack → buffer cache. (Extraction via
-                // `peek` is free; the file system charges the copy.)
-                let data = req.peek(0, count);
-                self.host.fs.write(ino, offset, &data)
-            }
-            ServerMode::NCache => self.ncache_write(ino, hdr.fh, offset, count, req),
-            ServerMode::Baseline => {
-                // Copies removed outright: junk blocks, metadata updated.
-                self.stamps.clear();
-                self.stamps.resize(count.div_ceil(BLOCK), KeyStamp::new());
-                self.host.fs.write_logical(ino, offset, count, &self.stamps)
-            }
-        };
-
-        let dirtied = blocks_of(offset, count as u64);
-        self.dirty_blocks_since_sync += dirtied.end - dirtied.start;
-        if self.dirty_blocks_since_sync >= DIRTY_FLUSH_THRESHOLD {
-            // Write-behind: flush a batch of the oldest dirty blocks,
-            // spreading flush work across requests as bdflush does.
-            self.host.fs.sync_some(64).expect("sync");
-            self.dirty_blocks_since_sync = self.host.fs.dirty_blocks() as u64;
-        }
+        let outcome = self.host.write(ino, u64::from(hdr.offset), count, req);
         let mut r = NetBuf::new(&self.host.ledger);
-        match outcome.and_then(|()| self.host.fs.getattr(ino)) {
+        let reply = match outcome.and_then(|()| self.host.fs.getattr(ino)) {
             Ok(inode) => {
                 self.stats.add(BYTES_WRITTEN, count as u64);
-                r.push_header(
-                    &WriteReply {
-                        status: NFS_OK,
-                        attrs: fattr_of(hdr.fh, &inode),
-                    }
-                    .encode_array(),
-                );
+                WriteReply {
+                    status: NFS_OK,
+                    attrs: fattr_of(hdr.fh, &inode),
+                }
             }
             Err(e) => {
                 self.stats.add(ERRORS, 1);
-                r.push_header(
-                    &WriteReply {
-                        status: status_of(e),
-                        ..WriteReply::default()
-                    }
-                    .encode_array(),
-                );
-            }
-        }
-        r
-    }
-
-    /// The NCache WRITE, hook 2: parks each block of the span in the FHO
-    /// cache and plants its stamp in the buffer cache. A write that starts
-    /// inside a block, or ends inside one the file still has bytes past,
-    /// first builds the span's merged blocks ([`NfsServer::merged_blocks`]);
-    /// a tail block the write reaches the end of the file in is zero past
-    /// it. From there every WRITE takes the same steps. Under memory
-    /// pressure the control plane bypasses the insertion (DESIGN.md §15);
-    /// a bypassed or refused insertion serves through the copying path
-    /// (charged normally) and drops the span's chunks.
-    fn ncache_write(
-        &mut self,
-        ino: Ino,
-        fh: u64,
-        offset: u64,
-        count: usize,
-        req: &mut NetBuf,
-    ) -> Result<(), FsError> {
-        let aligned = offset.is_multiple_of(BLOCK as u64)
-            && (count.is_multiple_of(BLOCK)
-                || self.host.fs.getattr(ino).is_ok_and(|i| offset + count as u64 >= i.size));
-        let (start, len, segs) = if aligned {
-            (offset, count, req.take_payload())
-        } else {
-            self.merged_blocks(ino, offset, count, req)?
-        };
-        let module = self.host.module.clone().expect("NCache mode has a module");
-        let stamps = &mut self.stamps;
-        stamps.clear();
-        let admitted = !self.host.bypass_insert()
-            && split_segments(&segs, BLOCK).enumerate().all(|(i, mut group)| {
-                // Every chunk is a whole block: a short tail is padded
-                // with zeros that take no storage.
-                let n = group.byte_len();
-                if n < BLOCK {
-                    group.push_back(Segment::zeroed(BLOCK - n));
+                WriteReply {
+                    status: status_of(e),
+                    ..WriteReply::default()
                 }
-                let fho = Fho::new(FileHandle(fh), start + (i * BLOCK) as u64);
-                let admitted = module.borrow_mut().on_nfs_write(fho, group, BLOCK);
-                admitted.map(|stamp| stamps.push(stamp)).is_ok()
-            });
-        if admitted {
-            return self.host.fs.write_logical(ino, start, len, &self.stamps);
-        }
-        // The copying path: the span's bytes are still held by `segs`.
-        let mut data = Vec::with_capacity(len);
-        for run in segs.iter().flat_map(Segment::runs) {
-            data.extend_from_slice(run);
-        }
-        data.truncate(len);
-        self.host.fs.write(ino, start, &data)?;
-        // The buffer cache now holds the span's bytes: the chunks admitted
-        // above, and an LBN chunk of a block's old bytes, would outlive
-        // the flush. Not before the write — its read-modify-write may
-        // resolve a placeholder.
-        self.invalidate_blocks(ino, blocks_of(start, len as u64));
-        Ok(())
-    }
-
-    /// The read-modify-write of an unaligned NCache WRITE: the whole
-    /// blocks it touches, with the wire bytes merged into their real
-    /// contents ([`ServerHost::materialize`], which resolves through the
-    /// network-centric cache), one owned segment per block. Returns the
-    /// span's start, its length up to the file's new end (so the logical
-    /// write records the honest size) and the blocks.
-    fn merged_blocks(
-        &mut self,
-        ino: Ino,
-        offset: u64,
-        count: usize,
-        req: &NetBuf,
-    ) -> Result<(u64, usize, SegChain), FsError> {
-        let span = blocks_of(offset, count as u64);
-        let (start, end) = (span.start * BLOCK as u64, span.end * BLOCK as u64);
-        let size = self.host.fs.getattr(ino)?.size;
-        let mut merged = if start < size {
-            self.host.materialize(ino, start, (end.min(size) - start) as usize)?
-        } else {
-            Vec::new()
+            }
         };
-        merged.resize((end - start) as usize, 0);
-        let at = (offset - start) as usize;
-        merged[at..at + count].copy_from_slice(&req.peek(0, count));
-        let blocks: Vec<Segment> =
-            merged.chunks(BLOCK).map(|b| Segment::from_vec(b.to_vec())).collect();
-        let true_end = (offset + count as u64).max(size).min(end);
-        Ok((start, (true_end - start) as usize, blocks.into()))
+        r.push_header(&reply.encode_array());
+        r
     }
 }
 
@@ -913,6 +575,17 @@ fn proc_name(proc: u32) -> &'static str {
         nfs::proc::READDIR => "readdir",
         _ => "unknown",
     }
+}
+
+/// Prepends a successful READ's reply header, attributes included.
+fn push_read_header(reply: &mut NetBuf, fh: u64, read: &RangeRead) {
+    let attrs = read.attrs.as_ref().expect("a READ reads the attributes");
+    let header = ReadReplyHeader {
+        status: NFS_OK,
+        attrs: fattr_of(fh, attrs),
+        count: read.len as u32,
+    };
+    reply.push_header(&header.encode_array());
 }
 
 /// Pulls an `N`-byte fixed-size header off the payload if available.
@@ -1014,12 +687,18 @@ impl NfsClient {
         x
     }
 
+    /// A call of `proc` carrying the encoded `args` and no payload.
+    fn call(&mut self, proc: u32, args: &[u8]) -> NetBuf {
+        let mut b = NetBuf::new(&self.ledger);
+        b.push_header(args);
+        b.push_header(&RpcCall::nfs(self.xid(), proc).encode_array());
+        b
+    }
+
     /// Builds a READ request message.
     pub fn read_request(&mut self, fh: u64, offset: u32, count: u32) -> NetBuf {
-        let mut b = NetBuf::new(&self.ledger);
-        b.push_header(&ReadArgs { fh, offset, count }.encode_array());
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::READ).encode_array());
-        b
+        let args = ReadArgs { fh, offset, count }.encode_array();
+        self.call(nfs::proc::READ, &args)
     }
 
     /// Builds a WRITE request message carrying `data`, one pooled slab per
@@ -1046,60 +725,31 @@ impl NfsClient {
 
     /// Builds a GETATTR request message.
     pub fn getattr_request(&mut self, fh: u64) -> NetBuf {
-        let mut b = NetBuf::new(&self.ledger);
-        b.push_header(&GetattrArgs { fh }.encode_array());
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::GETATTR).encode_array());
-        b
+        self.call(nfs::proc::GETATTR, &GetattrArgs { fh }.encode_array())
     }
 
     /// Builds a LOOKUP request message.
     pub fn lookup_request(&mut self, dir_fh: u64, name: &str) -> NetBuf {
-        let mut b = NetBuf::new(&self.ledger);
-        b.push_header(
-            &LookupArgs {
-                dir_fh,
-                name: name.to_string(),
-            }
-            .encode(),
-        );
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::LOOKUP).encode_array());
-        b
+        let name = name.to_string();
+        self.call(nfs::proc::LOOKUP, &LookupArgs { dir_fh, name }.encode())
     }
 
     /// Builds a CREATE request message.
     pub fn create_request(&mut self, dir_fh: u64, name: &str) -> NetBuf {
-        let mut b = NetBuf::new(&self.ledger);
-        b.push_header(
-            &CreateArgs {
-                dir_fh,
-                name: name.to_string(),
-            }
-            .encode(),
-        );
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::CREATE).encode_array());
-        b
+        let name = name.to_string();
+        self.call(nfs::proc::CREATE, &CreateArgs { dir_fh, name }.encode())
     }
 
     /// Builds a REMOVE request message.
     pub fn remove_request(&mut self, dir_fh: u64, name: &str) -> NetBuf {
-        let mut b = NetBuf::new(&self.ledger);
-        b.push_header(
-            &LookupArgs {
-                dir_fh,
-                name: name.to_string(),
-            }
-            .encode(),
-        );
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::REMOVE).encode_array());
-        b
+        let name = name.to_string();
+        self.call(nfs::proc::REMOVE, &LookupArgs { dir_fh, name }.encode())
     }
 
     /// Builds a READDIR request message.
     pub fn readdir_request(&mut self, fh: u64, cookie: u32, count: u32) -> NetBuf {
-        let mut b = NetBuf::new(&self.ledger);
-        b.push_header(&ReaddirArgs { fh, cookie, count }.encode_array());
-        b.push_header(&RpcCall::nfs(self.xid(), nfs::proc::READDIR).encode_array());
-        b
+        let args = ReaddirArgs { fh, cookie, count }.encode_array();
+        self.call(nfs::proc::READDIR, &args)
     }
 
     /// Parses a CREATE reply (a `diropres`, like LOOKUP).
@@ -1251,6 +901,7 @@ impl NfsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mode::ServerMode;
     use crate::target::IscsiTarget;
     use simfs::FsParams;
 

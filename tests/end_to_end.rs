@@ -419,4 +419,36 @@ fn table1_inventory_holds_structurally() {
     }
     checked.sort();
     assert_eq!(checked, ["blockdev", "netbuf", "proto", "simfs"]);
+    // ... and the daemons' source, which is what "NFS/Web server daemon:
+    // None" means here: which build runs is `ServerHost`'s business (its
+    // read, write, remove, sendfile and transmit bodies), so the non-test
+    // part of nfsd and kHTTPd names neither the build nor the module.
+    let servers = format!("{}/crates/servers/src", env!("CARGO_MANIFEST_DIR"));
+    let tokens = [
+        "ServerMode",
+        "ncache::",
+        "use ncache",
+        "netbuf::key",
+        ".mode",
+    ];
+    let mut named = Vec::new();
+    for daemon in ["nfs.rs", "khttpd.rs"] {
+        let text = std::fs::read_to_string(format!("{servers}/{daemon}")).expect("daemon source");
+        let nontest = text
+            .lines()
+            .enumerate()
+            .take_while(|(_, l)| !l.trim_start().starts_with("#[cfg(test)]"));
+        for (n, line) in nontest {
+            for token in tokens {
+                if line.contains(token) {
+                    named.push(format!("{daemon}:{}: `{token}` in {}", n + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        named.is_empty(),
+        "a daemon names the build (Table 1: untouched):\n{}",
+        named.join("\n")
+    );
 }

@@ -15,9 +15,7 @@
 //! the buffer cache's invariants must hold; after a `sync`, the shard set
 //! must hold no dirty chunk (every dirty chunk is one a flush reaches).
 //! (The Baseline build
-//! ships junk by design and writes at block-aligned offsets only: there
-//! the ops skip unaligned writes and READs are held to the model's
-//! lengths.)
+//! ships junk by design: there READs are held to the model's lengths.)
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -160,10 +158,6 @@ impl World {
                     return Ok(());
                 };
                 let offset = block * BLOCK + skew;
-                if mode == ServerMode::Baseline && skew != 0 {
-                    // The ideal bound writes whole junk blocks only.
-                    return Ok(());
-                }
                 let data = payload(tag, len);
                 let reply = self.rig.write(fh, offset, &data);
                 prop_assert_eq!(reply.status, NFS_OK, "{} write {:?}", mode, op);

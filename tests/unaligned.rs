@@ -102,3 +102,23 @@ fn unaligned_write_extends_file_to_true_end() {
     // The gap between old EOF and the write reads as zeros.
     assert_eq!(rig.read(fh, 4096, 904), vec![0u8; 904]);
 }
+
+#[test]
+fn baseline_copies_a_write_that_starts_inside_a_block() {
+    // The ideal bound writes junk blocks where a range starts on a block;
+    // one that starts inside a block cannot be a whole junk block, so it
+    // takes the copying write — a legal request, never an NFSERR_IO.
+    let mut rig = NfsRig::new(ServerMode::Baseline, NfsRigParams::default());
+    let fh = rig.create_file("b", 0);
+    let before = rig.ledgers().app.snapshot();
+    let reply = rig.write(fh, 10, &[0x5A; 100]);
+    let d = rig.ledgers().app.snapshot().delta_since(&before);
+    assert_eq!(reply.status, NFS_OK);
+    assert_eq!(reply.attrs.size, 110, "the new size is the write's end");
+    assert_eq!(d.payload_bytes_copied, 100, "charged as one copy");
+    let reply = rig.write(fh, 5000, &[0x5A; 3000]);
+    assert_eq!(reply.status, NFS_OK, "across a block boundary");
+    assert_eq!(reply.attrs.size, 8000);
+    let got = rig.read(fh, 0, 8192);
+    assert_eq!(got.len(), 8000, "reads are held to lengths");
+}
