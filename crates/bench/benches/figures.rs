@@ -122,18 +122,18 @@ fn main() {
         }
     }
 
-    // The control-plane ablation's curves: delivered goodput and p99 per
-    // variant and offered-load factor, plus the protected variant's shed
-    // ratio (requests abandoned per request offered) — the cost side of
-    // the goodput the gate preserves under overload.
+    // The control-plane ablation's 16 KiB curves: delivered goodput and
+    // p99 per variant and offered-load factor, plus the protected
+    // variant's shed ratio (requests abandoned per request offered) — the
+    // cost side of the goodput the gate preserves under overload.
     {
         let (goodput, tails, outcomes) = experiments::overload_ablation(&exp);
         for variant in ["unprotected", "protected"] {
             for x in goodput.xs() {
-                if let Some(v) = goodput.get(x, variant) {
+                if let Some(v) = goodput.get(x, &format!("{variant}-16K")) {
                     h.metric(format!("overload.{variant}.goodput_mbs.{x}"), v);
                 }
-                if let Some(v) = tails.get(x, &format!("{variant} p99")) {
+                if let Some(v) = tails.get(x, &format!("{variant}-16K p99")) {
                     h.metric(format!("overload.{variant}.p99_us.{x}"), v);
                 }
             }
@@ -142,7 +142,7 @@ fn main() {
         let shed: f64 = outcomes
             .xs()
             .iter()
-            .filter_map(|&x| outcomes.get(x, "protected shed"))
+            .filter_map(|&x| outcomes.get(x, "protected-16K shed"))
             .sum();
         h.metric("control.shed_ratio", shed / offered.max(1.0));
     }

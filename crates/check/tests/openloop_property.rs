@@ -184,6 +184,54 @@ property! {
         }
     }
 
+    /// The client-wide retry budget bounds retransmissions by what the
+    /// client has seen: a fixed burst (the bucket above its threshold)
+    /// plus a tenth of a retransmission per admitted reply, however hard
+    /// the schedule overloads the gate and however generous the
+    /// per-request budget. A withheld retransmission is never sent, so
+    /// the gate's ledger still reconciles.
+    fn prop_client_retry_budget_bounds_retransmissions(
+        seed in ints(0u64..1_000_000),
+        mean_ns in ints(2_000u64..20_000),
+        n in ints(128u64..384),
+        budget in ints(1u64..6),
+        max_inflight in ints(1u64..4),
+    ) {
+        use servers::RetryBudget as B;
+        let (mut rig, fh) = warm_rig();
+        rig.enable_control(servers::ControlConfig {
+            max_inflight,
+            queue_hi: 0,
+            token_cost_ns: 0,
+            token_burst: 0,
+            ..servers::ControlConfig::protective()
+        });
+        let opts = OpenLoopOptions {
+            mean_interarrival_ns: mean_ns,
+            seed: seed.wrapping_add(1),
+            retry: Some(servers::RetryPolicy {
+                budget: budget as u32,
+                ..servers::RetryPolicy::standard(seed.wrapping_add(2))
+            }),
+            ..OpenLoopOptions::default()
+        };
+        let ops = zipf_reads(seed, fh, n as usize, FILE, SPAN, 1.0);
+        let (rig, r) = run_open_loop(rig, ops, &opts);
+        let admitted = r.ops + r.deadline_exceeded;
+        prop_assert!(
+            r.retries * u64::from(B::COST_TENTHS)
+                <= u64::from(B::CAPACITY_TENTHS - B::THRESHOLD_TENTHS)
+                    + u64::from(B::REFILL_TENTHS) * admitted,
+            "{} retransmissions against {} admitted replies",
+            r.retries,
+            admitted
+        );
+        prop_assert_eq!(r.ops + r.deadline_exceeded + r.shed, n);
+        let stats = rig.control_stats().expect("control installed");
+        prop_assert_eq!(stats.offered, n + r.retries, "withheld retries are never sent");
+        prop_assert_eq!(stats.admitted, admitted);
+    }
+
     /// Control plane off ⇒ unobservable: a gate configured to admit
     /// everything, plus an armed retry policy and a deadline too generous
     /// to trip, reproduces the control-free run byte for byte — the whole

@@ -24,6 +24,10 @@
 //!   from a [`SplitMix64`] stream keyed by `(seed, request, attempt)`,
 //!   so backoff delays are deterministic per request yet decorrelated
 //!   across requests (no synchronized retry storms).
+//! * [`RetryBudget`] — the client-wide limit on top of it: a token
+//!   bucket that rejections drain and admitted replies refill, so a
+//!   client stops retransmitting once most of what it sends is rejected
+//!   (retries cannot multiply the load an overloaded server sheds).
 //!
 //! A server with no control plane installed behaves exactly as before —
 //! the plane is opt-in and, when configured with
@@ -367,6 +371,59 @@ impl ControlPlane {
     }
 }
 
+/// The client-wide half of retry control: a token bucket, in integer
+/// tenths of a token, that every rejection reply drains by one token and
+/// every admitted reply refills by a tenth (gRPC's retry throttling,
+/// proposal A6). A retransmission is sent only while the bucket is above
+/// half, so once rejections outnumber a tenth of the admitted replies
+/// the client stops amplifying them: a shed request costs the server one
+/// rejection, not `1 + budget`. Nothing rejected, the bucket stays full
+/// and is never consulted.
+///
+/// Sized by measurement on the overload ablation (`repro --overload-sweep
+/// --protected`): of 10, 20, 30 and 60 tokens, 30 is the smallest that
+/// leaves every 16 KiB row below 2x capacity exactly as it was without a
+/// bucket. gRPC's default of 10 and a bucket of 20 drain on the 1.0x
+/// burst and lose goodput there; 60 gives back goodput at 2x.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RetryBudget {
+    tenths: u32,
+}
+
+impl RetryBudget {
+    /// Bucket capacity in tenths (30 tokens); a default budget is full.
+    pub const CAPACITY_TENTHS: u32 = 300;
+    /// Refill per admitted reply, in tenths (0.1 token).
+    pub const REFILL_TENTHS: u32 = 1;
+    /// Drain per rejection reply, in tenths (one token).
+    pub const COST_TENTHS: u32 = 10;
+    /// A retransmission is allowed only above this level (half).
+    pub const THRESHOLD_TENTHS: u32 = Self::CAPACITY_TENTHS / 2;
+
+    /// A reply reached the client: an admitted one refills the bucket,
+    /// a rejection drains it.
+    pub fn on_reply(&mut self, admitted: bool) {
+        self.tenths = if admitted {
+            (self.tenths + Self::REFILL_TENTHS).min(Self::CAPACITY_TENTHS)
+        } else {
+            self.tenths.saturating_sub(Self::COST_TENTHS)
+        };
+    }
+
+    /// Whether a retransmission may be sent now.
+    pub fn allows_retry(&self) -> bool {
+        self.tenths > Self::THRESHOLD_TENTHS
+    }
+}
+
+impl Default for RetryBudget {
+    fn default() -> Self {
+        RetryBudget {
+            tenths: Self::CAPACITY_TENTHS,
+        }
+    }
+}
+
 /// Client-side retry policy: a bounded budget of retransmissions per
 /// request with seeded, capped exponential backoff.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -531,6 +588,55 @@ mod tests {
             Decision::RetryLater { after_ns: 0 }
         );
         assert_eq!(gate.stats().token_rejects, 3);
+    }
+
+    #[test]
+    fn retry_budget_stays_full_when_nothing_is_rejected() {
+        let mut b = RetryBudget::default();
+        for _ in 0..1_000 {
+            b.on_reply(true);
+            assert_eq!(b.tenths, RetryBudget::CAPACITY_TENTHS);
+            assert!(b.allows_retry());
+        }
+    }
+
+    #[test]
+    fn retry_budget_drains_to_its_threshold() {
+        let mut b = RetryBudget::default();
+        let allowed = (0..100)
+            .take_while(|_| {
+                b.on_reply(false);
+                b.allows_retry()
+            })
+            .count();
+        // 30 tokens, one per rejection, retries only above 15: the 15th
+        // rejection leaves exactly half, and half is not enough.
+        assert_eq!(allowed, 14);
+        assert_eq!(b.tenths, RetryBudget::THRESHOLD_TENTHS);
+        for _ in 0..100 {
+            b.on_reply(false);
+        }
+        assert_eq!(b.tenths, 0, "drains to empty, never below");
+    }
+
+    #[test]
+    fn retry_budget_refills_a_tenth_per_admitted_reply() {
+        let mut b = RetryBudget::default();
+        while b.allows_retry() {
+            b.on_reply(false);
+        }
+        // Ten admitted replies buy back one rejection's token.
+        for _ in 0..RetryBudget::COST_TENTHS / RetryBudget::REFILL_TENTHS - 1 {
+            b.on_reply(true);
+        }
+        assert_eq!(b.tenths, RetryBudget::THRESHOLD_TENTHS + 9);
+        assert!(b.allows_retry(), "above half again");
+        b.on_reply(false);
+        assert!(!b.allows_retry());
+        for _ in 0..10_000 {
+            b.on_reply(true);
+        }
+        assert_eq!(b.tenths, RetryBudget::CAPACITY_TENTHS, "refill caps at capacity");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod stack;
 pub mod target;
 pub mod util;
 
-pub use control::{ControlConfig, ControlStats, RetryPolicy};
+pub use control::{ControlConfig, ControlStats, RetryBudget, RetryPolicy};
 pub use host::ServerHost;
 pub use initiator::IscsiInitiator;
 pub use khttpd::{HttpClient, KhttpdServer};

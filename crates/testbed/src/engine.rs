@@ -432,6 +432,9 @@ pub(crate) struct Totals {
     pub(crate) peak_inflight: u64,
     pub(crate) shed: u64,
     pub(crate) retries: u64,
+    /// Retransmissions the per-request budget allowed but the client-wide
+    /// [`servers::RetryBudget`] withheld (each one a shed).
+    pub(crate) withheld: u64,
     pub(crate) max_attempts: u64,
 }
 
@@ -445,9 +448,9 @@ pub(crate) struct Walker<'a, R, S> {
     pub(crate) hw: Hardware,
     costs: &'a CostModel,
     rec: obs::Recorder,
-    /// Client retry policy for gate rejections (`None`: a rejection
-    /// sheds the request at once).
-    pub(crate) retry: Option<servers::RetryPolicy>,
+    /// Client retry policy for gate rejections and the run's one
+    /// client-wide budget (`None`: a rejection sheds the request at once).
+    pub(crate) retry: Option<(servers::RetryPolicy, servers::RetryBudget)>,
     /// Request deadline in sim-ns (0 = none).
     pub(crate) deadline_ns: u64,
     /// Adaptive-split epoch length in op rounds (`None` = no controller).
@@ -456,7 +459,7 @@ pub(crate) struct Walker<'a, R, S> {
     /// Pending events as plain data, keyed `(at, lane, order)`.
     queue: BTreeMap<(SimTime, u64, u64), Box<Chain>>,
     seq: u64,
-    /// Closed-loop requests issued so far — keys their backoff draws.
+    /// Closed-loop requests issued so far — the controller ticks count them.
     issued: u64,
     /// Requests outstanding at the client (delivered or not).
     inflight: u64,
@@ -613,9 +616,10 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
 
     /// Walks one stage of a chain: occupies the stage's FIFO resource and
     /// reschedules the chain at the completion instant. An exhausted
-    /// foreground chain is a reply reaching its client: a rejection backs
-    /// off and retransmits if the budget allows; anything else completes
-    /// the request and refills the slot (the closed loops).
+    /// foreground chain is a reply reaching its client: it refills or
+    /// drains the client-wide retry budget, then a rejection backs off and
+    /// retransmits if both budgets allow; anything else completes the
+    /// request and refills the slot (the closed loops).
     fn step(&mut self, now: SimTime, mut chain: Box<Chain>) {
         let lane = self.arrivals.lane(chain.sid);
         let shared = matches!(self.arrivals, Arrivals::Shared(_));
@@ -656,7 +660,16 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             return;
         };
         let latency_ns = now.since(fg.start).as_nanos();
-        let budgeted = self.retry.filter(|p| !fg.delivered && fg.attempts <= u64::from(p.budget));
+        if let Some((_, budget)) = self.retry.as_mut() {
+            budget.on_reply(fg.delivered);
+        }
+        let retryable = self
+            .retry
+            .filter(|(p, _)| !fg.delivered && fg.attempts <= u64::from(p.budget));
+        let budgeted = retryable.filter(|(_, b)| b.allows_retry()).map(|(p, _)| p);
+        if retryable.is_some() && budgeted.is_none() {
+            self.totals.withheld += 1;
+        }
         if let Some(policy) = budgeted {
             // The backoff is a pure client-side delay, recorded as a stage
             // so the breakdown still telescopes. A retransmission that

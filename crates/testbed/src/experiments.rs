@@ -245,15 +245,21 @@ fn warm(rig: &mut NfsRig, fh: u64, file: u64, req: u32) {
     }
 }
 
-/// `sessions` client sessions of `per_session` [`SPAN`]-byte READs each:
+/// `sessions` client sessions of `per_session` `len`-byte READs each:
 /// every session strides the file from its own phase, overlapping the
 /// others.
-fn strided_sessions(fh: u64, file: u64, sessions: usize, per_session: usize) -> Vec<Vec<DriverOp>> {
-    let span = u64::from(SPAN);
+fn strided_sessions(
+    fh: u64,
+    file: u64,
+    len: u32,
+    sessions: usize,
+    per_session: usize,
+) -> Vec<Vec<DriverOp>> {
+    let span = u64::from(len);
     let read = |sid: usize, k: usize| DriverOp::Read {
         fh,
         offset: ((sid as u64 * 7 + k as u64) * span % (file - span)) as u32 / 4096 * 4096,
-        len: SPAN,
+        len,
     };
     (0..sessions)
         .map(|sid| (0..per_session).map(|k| read(sid, k)).collect())
@@ -650,7 +656,7 @@ pub const CLIENTS_SWEEP_POINTS: [usize; 5] = [1, 4, 16, 64, 256];
 /// Sessions' worth of work at one point of the client axis: total work is
 /// roughly constant across it, so every point runs in comparable time.
 fn client_sessions(fh: u64, file: u64, clients: usize) -> Vec<Vec<DriverOp>> {
-    strided_sessions(fh, file, clients, (512 / clients).max(2))
+    strided_sessions(fh, file, SPAN, clients, (512 / clients).max(2))
 }
 
 /// Client scaling: M interleaved NFS sessions, each one outstanding
@@ -753,20 +759,25 @@ pub const OVERLOAD_SWEEP_FACTORS: [f64; 5] = [0.5, 0.8, 1.0, 1.2, 2.0];
 pub const OVERLOAD_SWEEP_SEED: u64 = 29;
 
 /// Where both overload experiments start a cell: `mode`'s rig with the
-/// [`hot_file`] warmed, the warm-up's storage backlog dropped (so the
-/// first measured request's burst chain carries only its own work), and
-/// the closed-loop capacity probed by 8 saturating sessions over the same
-/// hot set with the control plane off. The probe is identical across
-/// factors and variants, so offered rates scale exactly with the factor
-/// axis. Returns the rig, the file's handle and size, and the capacity in
-/// ops/s.
-fn overload_rig(x: &Exp, mode: ServerMode, rec: Option<&obs::Recorder>) -> (NfsRig, u64, u64, f64) {
+/// [`hot_file`] warmed in `len`-byte READs, the warm-up's storage backlog
+/// dropped (so the first measured request's burst chain carries only its
+/// own work), and the closed-loop capacity probed by 8 saturating
+/// sessions of `len`-byte READs over the same hot set with the control
+/// plane off. The probe is identical across factors and variants, so
+/// offered rates scale exactly with the factor axis. Returns the rig, the
+/// file's handle and size, and the capacity in ops/s.
+fn overload_rig(
+    x: &Exp,
+    mode: ServerMode,
+    len: u32,
+    rec: Option<&obs::Recorder>,
+) -> (NfsRig, u64, u64, f64) {
     let file = hot_file(x.scale);
     let mut rig: NfsRig = x.rig(mode, x.sharded(), rec, None);
     let fh = rig.create_file("hot", file);
-    warm(&mut rig, fh, file, SPAN);
+    warm(&mut rig, fh, file, len);
     let _ = rig.server_mut().fs_mut().store_mut().take_io_log();
-    let probe = strided_sessions(fh, file, 8, 32);
+    let probe = strided_sessions(fh, file, len, 8, 32);
     let (rig, cap) = run_nfs_sessions(rig, probe, &SessionsOptions::default());
     (rig, fh, file, cap.ops_per_sec.max(1.0))
 }
@@ -806,7 +817,7 @@ pub fn overload_sweep(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
     );
     let cells = per_mode(OVERLOAD_SWEEP_FACTORS);
     let results = x.sweep(&cells, |i, (mode, factor), rec| {
-        let (rig, fh, file, capacity) = overload_rig(x, mode, rec);
+        let (rig, fh, file, capacity) = overload_rig(x, mode, SPAN, rec);
         let seed = |stream: u64| derive_seed(OVERLOAD_SWEEP_SEED, stream + i as u64);
         let ops = zipf_reads(seed(0), fh, x.scale.overload_requests, file, SPAN, 1.0);
         let opts = OpenLoopOptions {
@@ -835,44 +846,55 @@ pub fn overload_sweep(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
 /// never share a stream).
 pub const OVERLOAD_ABLATION_SEED: u64 = 31;
 
+/// Request sizes swept by [`overload_ablation`], with their series
+/// labels. [`SPAN`] comes first so its cells keep the seeds they had
+/// before the size axis existed.
+pub const OVERLOAD_ABLATION_SIZES: [(u32, &str); 2] = [(SPAN, "16K"), (4 << 10, "4K")];
+
 /// The protected-vs-unprotected overload ablation: the NCache build under
-/// the open-loop sweep's offered-load factors, once with the control
-/// plane off (every request executes, no deadline protection on the
-/// server) and once with admission control, backpressure and client
-/// retry budgets on. Both variants run the same mixed read/write
-/// workload under the same per-request deadline, so the comparison
-/// isolates the control plane itself.
+/// the open-loop sweep's offered-load factors at each request size of
+/// [`OVERLOAD_ABLATION_SIZES`], once with the control plane off (every
+/// request executes, no deadline protection on the server) and once with
+/// admission control, backpressure and client retry budgets on. Both
+/// variants run the same mixed read/write workload under the same
+/// per-request deadline, so the comparison isolates the control plane
+/// itself; each size gets its own capacity probe, so a factor means the
+/// same load relative to what the server can serve at that size.
 ///
-/// Returns three tables over the offered-load factor: delivered (on-time)
-/// goodput, latency quantiles (p50/p99, µs), and request outcomes
-/// (shed / deadline-exceeded / retransmissions / gate rejections). One
-/// cell per `(variant, factor)`, each single-threaded inside and seeded
-/// by position, so the tables are byte-identical at any `threads` and
-/// any `shards`.
+/// Returns three tables over the offered-load factor, one series per
+/// `<variant>-<size>`: delivered (on-time) goodput, latency quantiles
+/// (p50/p99, µs), and request outcomes (shed / deadline-exceeded /
+/// retransmissions / gate rejections). One cell per `(size, variant,
+/// factor)`, each single-threaded inside and seeded by position, so the
+/// tables are byte-identical at any `threads` and any `shards`.
 pub fn overload_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
     let axis = "offered/capacity";
     let mut goodput = SeriesTable::new("Overload ablation: delivered on-time goodput (MB/s)", axis);
     let mut tails = SeriesTable::new("Overload ablation: request latency quantiles (us)", axis);
     let mut outcomes = SeriesTable::new("Overload ablation: request outcomes per point", axis);
-    let cells: Vec<(&str, f64)> = ["unprotected", "protected"]
+    let cells: Vec<((u32, &str), &str, f64)> = OVERLOAD_ABLATION_SIZES
         .into_iter()
-        .flat_map(|variant| {
-            OVERLOAD_SWEEP_FACTORS
+        .flat_map(|size| {
+            ["unprotected", "protected"]
                 .into_iter()
-                .map(move |f| (variant, f))
+                .flat_map(move |variant| {
+                    OVERLOAD_SWEEP_FACTORS
+                        .into_iter()
+                        .map(move |f| (size, variant, f))
+                })
         })
         .collect();
-    let results = x.sweep(&cells, |i, (variant, factor), rec| {
+    let results = x.sweep(&cells, |i, ((len, _), variant, factor), rec| {
         // Capacity is probed with the control plane OFF in both
         // variants: the offered schedules (and the deadline) must be
         // identical so the ablation isolates the gate, not the probe.
-        let (mut rig, fh, file, capacity) = overload_rig(x, ServerMode::NCache, rec);
+        let (mut rig, fh, file, capacity) = overload_rig(x, ServerMode::NCache, len, rec);
         let seed = |stream: u64| derive_seed(OVERLOAD_ABLATION_SEED, stream + i as u64);
         let per_op_ns = ((1e9 / capacity).round() as u64).max(1);
         // Every 8th request is a WRITE over the same hot range, so the
         // dirty-cache watermark and write-first shedding have something
         // to act on.
-        let ops = zipf_reads(seed(0), fh, x.scale.overload_requests, file, SPAN, 1.0)
+        let ops = zipf_reads(seed(0), fh, x.scale.overload_requests, file, len, 1.0)
             .into_iter()
             .enumerate()
             .map(|(k, op)| match op {
@@ -911,12 +933,13 @@ pub fn overload_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
         let (rig, r) = run_open_loop(rig, ops, &opts);
         (r, rig.control_stats().unwrap_or_default())
     });
-    for ((name, factor), (r, control)) in results {
-        goodput.put(factor, name, r.goodput_mbs);
+    for (((_, size), variant, factor), (r, control)) in results {
+        let name = format!("{variant}-{size}");
+        goodput.put(factor, &name, r.goodput_mbs);
         put_tails(
             &mut tails,
             factor,
-            name,
+            &name,
             &r.latency,
             &[(0.5, "p50"), (0.99, "p99")],
         );
@@ -1371,18 +1394,36 @@ mod tests {
         let (goodput, _, outcomes) = base;
         // The headline claim of the control plane: past saturation the
         // protected server delivers at least the unprotected goodput.
-        let unprot = goodput.get(2.0, "unprotected").expect("unprotected 2.0");
-        let prot = goodput.get(2.0, "protected").expect("protected 2.0");
-        assert!(
-            prot >= unprot,
-            "protected goodput at 2x ({prot}) must not trail unprotected ({unprot})"
-        );
-        // Control off means nothing is rejected or retried on the
-        // unprotected variant; on it, overload must actually trip the gate.
-        assert_eq!(outcomes.get(2.0, "unprotected rejected"), Some(0.0));
-        assert_eq!(outcomes.get(2.0, "unprotected retries"), Some(0.0));
-        let rejected = outcomes.get(2.0, "protected rejected").expect("rejected");
-        assert!(rejected > 0.0, "overload must trip the admission gate");
+        for (_, size) in OVERLOAD_ABLATION_SIZES {
+            let unprot = goodput
+                .get(2.0, &format!("unprotected-{size}"))
+                .expect("unprotected 2.0");
+            let prot = goodput
+                .get(2.0, &format!("protected-{size}"))
+                .expect("protected 2.0");
+            assert!(
+                prot >= unprot,
+                "{size}: protected goodput at 2x ({prot}) must not trail unprotected ({unprot})"
+            );
+            // Control off means nothing is rejected or retried on the
+            // unprotected variant; on it, overload must actually trip the
+            // gate.
+            assert_eq!(
+                outcomes.get(2.0, &format!("unprotected-{size} rejected")),
+                Some(0.0)
+            );
+            assert_eq!(
+                outcomes.get(2.0, &format!("unprotected-{size} retries")),
+                Some(0.0)
+            );
+            let rejected = outcomes
+                .get(2.0, &format!("protected-{size} rejected"))
+                .expect("rejected");
+            assert!(
+                rejected > 0.0,
+                "{size}: overload must trip the admission gate"
+            );
+        }
     }
 
     #[test]

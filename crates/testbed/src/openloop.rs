@@ -50,7 +50,8 @@ pub struct OpenLoopOptions {
     pub deadline_ns: u64,
     /// Client retry policy for server `RETRY_LATER` rejections (None =
     /// a rejection immediately sheds the request). Budget exhaustion is
-    /// a counted client-visible error, never a loop.
+    /// a counted client-visible error, never a loop. A policy also arms
+    /// the run's one client-wide [`servers::RetryBudget`].
     pub retry: Option<servers::RetryPolicy>,
 }
 
@@ -120,6 +121,10 @@ pub struct OpenLoopResult {
     pub shed: u64,
     /// Total retransmissions across all requests.
     pub retries: u64,
+    /// Retransmissions the per-request budget allowed but the client-wide
+    /// [`servers::RetryBudget`] withheld; each request withheld is shed
+    /// (and counted in `shed`), never transmitted.
+    pub retries_withheld: u64,
     /// Most transmissions any single request made (bounded by
     /// 1 + the retry budget; exactly 1 without a policy).
     pub max_attempts: u64,
@@ -188,7 +193,7 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
             ..OpenLoopSink::default()
         };
         let mut w = Walker::new(&mut rig, Arrivals::Schedule, sink, opts.nics, None, &opts.costs);
-        w.retry = opts.retry;
+        w.retry = opts.retry.map(|p| (p, servers::RetryBudget::default()));
         w.deadline_ns = opts.deadline_ns;
         for (k, (op, &at)) in ops.into_iter().zip(schedule).enumerate() {
             w.schedule_arrival(at, k as u64, op);
@@ -229,6 +234,7 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
             late_bytes: w.sink.late_bytes,
             shed: w.totals.shed,
             retries: w.totals.retries,
+            retries_withheld: w.totals.withheld,
             max_attempts: w.totals.max_attempts,
         }
     };
@@ -268,7 +274,8 @@ pub fn zipf_reads(seed: u64, fh: u64, n: usize, file_bytes: u64, span: u32, alph
 }
 
 /// Buckets each resource's busy intervals into at most 32 equal-width
-/// occupancy windows over `[0, elapsed]`.
+/// occupancy windows over `[0, elapsed]`, in one pass: each interval adds
+/// its overlap to the windows it spans and no others.
 fn build_timelines(
     busy: &[Vec<(u64, u64)>; 7],
     nics: usize,
@@ -290,15 +297,26 @@ fn build_timelines(
                 6 => disks as u64,
                 _ => 1,
             };
-            let util = (0..windows)
-                .map(|k| {
-                    let w0 = k as u64 * width;
-                    let w1 = ((k as u64 + 1) * width).min(elapsed_ns);
-                    let overlap: u64 = busy[i]
-                        .iter()
-                        .map(|&(s, e)| e.min(w1).saturating_sub(s.max(w0)))
-                        .sum();
-                    (overlap as f64 / ((w1 - w0).max(1) * servers) as f64).min(1.0)
+            let bounds = |k: usize| {
+                let w0 = k as u64 * width;
+                (w0, (w0 + width).min(elapsed_ns))
+            };
+            let mut overlap = vec![0u64; windows];
+            for &(s, e) in &busy[i] {
+                let first = (s / width) as usize;
+                let last = (e.saturating_sub(1) / width).min(windows as u64 - 1) as usize;
+                let spanned = overlap.iter_mut().enumerate().take(last + 1).skip(first);
+                for (k, sum) in spanned {
+                    let (w0, w1) = bounds(k);
+                    *sum += e.min(w1).saturating_sub(s.max(w0));
+                }
+            }
+            let util = overlap
+                .iter()
+                .enumerate()
+                .map(|(k, &sum)| {
+                    let (w0, w1) = bounds(k);
+                    (sum as f64 / ((w1 - w0).max(1) * servers) as f64).min(1.0)
                 })
                 .collect();
             ResourceTimeline {
@@ -462,6 +480,84 @@ mod tests {
         // saw one initial send per arrival plus every retransmission.
         assert_eq!(stats.offered, 256 + r.retries);
         assert_eq!(stats.offered, stats.admitted + stats.rejected);
+    }
+
+    #[test]
+    fn timelines_equal_the_per_window_scan() {
+        // The one-pass bucketing against the definition: every window
+        // sums every interval's overlap with it. Intervals straddle
+        // windows, cover several, and run past `elapsed`.
+        let mut rng = SplitMix64::new(5);
+        let busy: [Vec<(u64, u64)>; 7] = std::array::from_fn(|_| {
+            (0..40)
+                .map(|_| {
+                    let s = rng.next_u64() % 10_500;
+                    (s, s + 1 + rng.next_u64() % 600)
+                })
+                .collect()
+        });
+        for elapsed in [1, 31, 32, 33, 9_999, 10_000] {
+            let (width, got) = build_timelines(&busy, 2, 4, SimTime::from_nanos(elapsed));
+            for (t, intervals) in got.iter().zip(&busy) {
+                let windows = elapsed.div_ceil(width);
+                let want: Vec<f64> = (0..windows)
+                    .map(|k| {
+                        let (w0, w1) = (k * width, ((k + 1) * width).min(elapsed));
+                        let overlap: u64 = intervals
+                            .iter()
+                            .map(|&(s, e)| e.min(w1).saturating_sub(s.max(w0)))
+                            .sum();
+                        let cap = (w1 - w0).max(1) * u64::from(t.servers);
+                        (overlap as f64 / cap as f64).min(1.0)
+                    })
+                    .collect();
+                assert_eq!(t.util, want, "{} at elapsed {elapsed}", t.resource);
+            }
+        }
+    }
+
+    #[test]
+    fn cheap_requests_past_capacity_still_complete() {
+        // Half 4 KiB hit READs, half GETATTRs: a rejection costs about a
+        // third of serving one of these, so a client that retransmits
+        // every rejection twice spends more server CPU on rejections
+        // than serving would take, and at 1.5x capacity almost nothing
+        // completes. The client-wide retry budget caps that.
+        const FILE: u64 = 1 << 20;
+        let (rig, fh) = warm_rig(FILE);
+        let mut rng = SplitMix64::new(3);
+        let mut cheap = |n: usize| -> Vec<DriverOp> {
+            (0..n)
+                .map(|_| match rng.next_u64() % 2 {
+                    0 => DriverOp::Read {
+                        fh,
+                        offset: (rng.next_u64() % (FILE / 4096) * 4096) as u32,
+                        len: 4096,
+                    },
+                    _ => DriverOp::Getattr { fh },
+                })
+                .collect()
+        };
+        let probe = (0..64).map(|_| cheap(32)).collect();
+        let (mut rig, cap) = crate::sessions::run_nfs_sessions(rig, probe, &Default::default());
+        rig.enable_control(servers::ControlConfig::protective());
+        let n = 4_000u64;
+        let opts = OpenLoopOptions {
+            mean_interarrival_ns: (1e9 / (1.5 * cap.ops_per_sec)).round() as u64,
+            seed: 29,
+            retry: Some(servers::RetryPolicy::standard(31)),
+            ..OpenLoopOptions::default()
+        };
+        let (rig, r) = run_open_loop(rig, cheap(n as usize), &opts);
+        assert_eq!(r.ops + r.shed, n, "every arrival completes or is shed");
+        assert!(
+            r.ops * 100 >= n * 40,
+            "{} of {n} arrivals completed at 1.5x capacity",
+            r.ops
+        );
+        assert!(r.retries_withheld > 0, "the budget, not luck, kept the server up");
+        let stats = rig.control_stats().expect("control installed");
+        assert_eq!(stats.offered, n + r.retries, "withheld retries are never sent");
     }
 
     #[test]

@@ -55,10 +55,6 @@ pub struct SessionsOptions {
     pub nics: usize,
     /// The hardware cost model.
     pub costs: CostModel,
-    /// Client retry policy for server `RETRY_LATER` rejections (None =
-    /// a rejection immediately sheds the request). Only fires when the
-    /// rig's server has an admission control plane enabled.
-    pub retry: Option<servers::RetryPolicy>,
     /// Tiered backend configuration; `None` is the paper's flat RAID-0
     /// array (the exact pre-tier timing path).
     pub tier: Option<TierConfig>,
@@ -69,7 +65,6 @@ impl Default for SessionsOptions {
         SessionsOptions {
             nics: 1,
             costs: CostModel::pentium3_gige(),
-            retry: None,
             tier: None,
         }
     }
@@ -94,12 +89,10 @@ pub struct SessionsResult {
     pub mean_latency: Duration,
     /// Approximate 99th-percentile request latency.
     pub p99_latency: Duration,
-    /// Requests shed after exhausting the retry budget (every
-    /// transmission rejected by the server's admission gate). Zero
+    /// Requests the server's admission gate rejected: a closed-loop
+    /// client does not retransmit, so each is shed at once. Zero
     /// whenever control is off.
     pub shed: u64,
-    /// Retransmissions performed across all sessions.
-    pub retries: u64,
     /// Tier counters when the run used a tiered backend.
     pub tier: Option<TierStats>,
 }
@@ -125,8 +118,8 @@ impl Sink for SessionSink {
 /// Sessions are primed in session order at time zero; from then on each
 /// completion immediately issues the session's next operation, so every
 /// session keeps exactly one request outstanding until its stream drains
-/// (the per-session arrival process of [`crate::engine`]). A request shed
-/// after exhausting its retry budget still refills its session's slot.
+/// (the per-session arrival process of [`crate::engine`]). A request the
+/// admission gate rejects is shed and still refills its session's slot.
 pub fn run_sessions<R: RigDriver + 'static>(
     mut rig: R,
     sessions: Vec<Vec<DriverOp>>,
@@ -142,7 +135,6 @@ pub fn run_sessions<R: RigDriver + 'static>(
         let arrivals = Arrivals::per_session(sessions);
         let mut w = Walker::new(&mut rig, arrivals, sink, opts.nics, opts.tier, &opts.costs);
         w.hook = hook;
-        w.retry = opts.retry;
         for sid in 0..n {
             w.issue(SimTime::ZERO, sid);
         }
@@ -158,7 +150,6 @@ pub fn run_sessions<R: RigDriver + 'static>(
             mean_latency: w.sink.latency.mean(),
             p99_latency: w.sink.latency.quantile(0.99),
             shed: w.totals.shed,
-            retries: w.totals.retries,
             tier: w.hw.array.tier_stats(),
         }
     };
