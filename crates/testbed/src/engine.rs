@@ -17,7 +17,8 @@
 //! the rules. The rig is borrowed and events are plain data, so nothing
 //! here needs `'static` closures over an owned world.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use blockdev::{DiskModel, Raid0, TierConfig, TierStats, TieredArray};
 use sim::costs::CostModel;
@@ -27,7 +28,7 @@ use sim::Resource;
 
 use crate::runner::{op_label, DriverOp, RigDriver};
 use crate::sessions::SessionHook;
-use crate::timing::{derive, Observation, RequestDemands};
+use crate::timing::{derive, Observation, RequestDemands, StorageBurst};
 
 /// A FIFO resource a request stage occupies.
 #[derive(Clone, Copy, Debug)]
@@ -41,9 +42,11 @@ pub(crate) enum Res {
     Disk { lbn: u64, blocks: u64, write: bool },
 }
 
-/// Stage names by [`Res::slot`], in the order the attribution report
-/// renders them (the recorder's closed stage-histogram key set).
-pub(crate) const STAGE_NAMES: [&str; 7] = [
+/// Stage names by breakdown slot: the resources by [`Res::slot`], in the
+/// order the attribution report renders them (the recorder's closed
+/// stage-histogram key set), then the two stages that occupy no resource,
+/// [`TIER_PROMOTE`] and [`CLIENT_BACKOFF`].
+pub(crate) const STAGE_NAMES: [&str; 9] = [
     "app-rx",
     "app-cpu",
     "app-tx",
@@ -51,9 +54,20 @@ pub(crate) const STAGE_NAMES: [&str; 7] = [
     "storage-cpu",
     "storage-tx",
     "disk",
+    "tier-promote",
+    "client-backoff",
 ];
 
+/// Breakdown slot of a promotion copy chained onto a tiered read.
+pub(crate) const TIER_PROMOTE: usize = Res::COUNT;
+
+/// Breakdown slot of a client's retry backoff.
+pub(crate) const CLIENT_BACKOFF: usize = Res::COUNT + 1;
+
 impl Res {
+    /// Resources, and so [`Res::slot`] values.
+    pub(crate) const COUNT: usize = 7;
+
     /// The slot per-resource accounting files this resource under.
     pub(crate) fn slot(self) -> usize {
         match self {
@@ -221,79 +235,60 @@ pub(crate) struct Stage {
     pub(crate) demand: Duration,
 }
 
-/// Builds the foreground stage chain plus any background write-behind
-/// chains for one executed request. Read bursts ride the foreground chain
-/// (the reply waits for them); write bursts flush on their own chains —
-/// they occupy the link, the storage CPU and the array but do not extend
-/// the request's latency.
-fn stage_chains(costs: &CostModel, demands: &RequestDemands) -> (Vec<Stage>, Vec<Vec<Stage>>) {
-    let mut stages = Vec::with_capacity(4 + 5 * demands.bursts.len());
-    let mut background = Vec::new();
-    stages.push(Stage {
-        res: Res::AppRx,
-        demand: costs.link_tx_time(demands.request_bytes),
-    });
-    stages.push(Stage {
-        res: Res::AppCpu,
-        demand: demands.app_cpu,
-    });
-    for (b, cpu) in &demands.bursts {
+/// Appends the foreground stage chain of one executed request to `out`.
+/// Read bursts ride it (the reply waits for them); write bursts flush on
+/// their own chains ([`write_behind`]) — they occupy the link, the storage
+/// CPU and the array but do not extend the request's latency.
+fn foreground(costs: &CostModel, demands: &RequestDemands, out: &mut Vec<Stage>) {
+    let stage = |res, demand| Stage { res, demand };
+    out.push(stage(Res::AppRx, costs.link_tx_time(demands.request_bytes)));
+    out.push(stage(Res::AppCpu, demands.app_cpu));
+    for (b, cpu) in demands.bursts.iter().filter(|(b, _)| !b.is_write) {
         let data_time = costs.link_tx_time(b.bytes());
-        if b.is_write {
-            background.push(vec![
-                Stage {
-                    res: Res::AppTx,
-                    demand: data_time,
-                },
-                Stage {
-                    res: Res::StorRx,
-                    demand: data_time,
-                },
-                Stage {
-                    res: Res::StorCpu,
-                    demand: *cpu,
-                },
-                Stage {
-                    res: Res::Disk {
-                        lbn: b.lbn,
-                        blocks: b.blocks,
-                        write: true,
-                    },
-                    demand: Duration::ZERO,
-                },
-            ]);
-        } else {
-            stages.push(Stage {
-                res: Res::StorRx,
-                demand: costs.link_tx_time(96),
-            });
-            stages.push(Stage {
-                res: Res::StorCpu,
-                demand: *cpu,
-            });
-            stages.push(Stage {
-                res: Res::Disk {
+        out.extend([
+            stage(Res::StorRx, costs.link_tx_time(96)),
+            stage(Res::StorCpu, *cpu),
+            stage(
+                Res::Disk {
                     lbn: b.lbn,
                     blocks: b.blocks,
                     write: false,
                 },
-                demand: Duration::ZERO,
-            });
-            stages.push(Stage {
-                res: Res::StorTx,
-                demand: data_time,
-            });
-            stages.push(Stage {
-                res: Res::AppRx,
-                demand: data_time,
-            });
-        }
+                Duration::ZERO,
+            ),
+            stage(Res::StorTx, data_time),
+            stage(Res::AppRx, data_time),
+        ]);
     }
-    stages.push(Stage {
-        res: Res::AppTx,
-        demand: costs.link_tx_time(demands.reply_bytes),
-    });
-    (stages, background)
+    out.push(stage(Res::AppTx, costs.link_tx_time(demands.reply_bytes)));
+}
+
+/// The background chain that flushes write burst `b` (storage CPU `cpu`).
+fn write_behind(costs: &CostModel, b: &StorageBurst, cpu: Duration) -> [Stage; 4] {
+    let data_time = costs.link_tx_time(b.bytes());
+    let stage = |res, demand| Stage { res, demand };
+    [
+        stage(Res::AppTx, data_time),
+        stage(Res::StorRx, data_time),
+        stage(Res::StorCpu, cpu),
+        stage(
+            Res::Disk {
+                lbn: b.lbn,
+                blocks: b.blocks,
+                write: true,
+            },
+            Duration::ZERO,
+        ),
+    ]
+}
+
+/// One entry of a request's latency breakdown: the stage (a
+/// [`STAGE_NAMES`] slot), its queue wait and its service interval.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StageTime {
+    pub(crate) slot: usize,
+    pub(crate) queue_ns: u64,
+    pub(crate) service_ns: u64,
 }
 
 /// A foreground request in flight: identity, start instant, and the
@@ -305,7 +300,7 @@ pub(crate) struct Flight {
     pub(crate) payload: u64,
     pub(crate) start: SimTime,
     path: &'static str,
-    pub(crate) stages: Vec<obs::StageNs>,
+    pub(crate) stages: Vec<StageTime>,
     /// The server admitted (some attempt of) the request; `false` means
     /// every transmission so far was rejected.
     delivered: bool,
@@ -317,25 +312,12 @@ pub(crate) struct Flight {
     op: DriverOp,
 }
 
-impl Flight {
-    pub(crate) fn new(start: SimTime, idx: u64, op: DriverOp) -> Self {
-        Flight {
-            payload: 0,
-            start,
-            path: "shed",
-            stages: Vec::new(),
-            delivered: false,
-            idx,
-            attempts: 0,
-            op,
-        }
-    }
-}
-
 /// One schedulable unit: a stage chain being walked, or (with no stages)
-/// a flight waiting out its arrival instant or a retry backoff.
-/// `flight = None` marks a background write-behind chain: it consumes
-/// resources but completes silently (no record, no refill).
+/// a flight waiting out a retry backoff. `flight = None` marks a
+/// background write-behind chain: it consumes resources but completes
+/// silently (no record, no refill). Chains live in the walker's slab; a
+/// freed slot keeps its stage vector for the next chain.
+#[derive(Default)]
 struct Chain {
     /// Same-instant tiebreak, drawn from the walker's scheduling counter.
     order: u64,
@@ -374,8 +356,8 @@ pub(crate) enum Arrivals<'a> {
         queues: Vec<VecDeque<DriverOp>>,
         total: Vec<u64>,
     },
-    /// Open loop: flights are scheduled up front at absolute instants
-    /// ([`Walker::schedule_arrival`]); completions pull nothing.
+    /// Open loop: flights arrive at absolute instants
+    /// ([`Walker::schedule_arrivals`]); completions pull nothing.
     Schedule,
 }
 
@@ -456,8 +438,18 @@ pub(crate) struct Walker<'a, R, S> {
     /// Adaptive-split epoch length in op rounds (`None` = no controller).
     epoch: Option<u64>,
     ticks_done: u64,
-    /// Pending events as plain data, keyed `(at, lane, order)`.
-    queue: BTreeMap<(SimTime, u64, u64), Box<Chain>>,
+    /// Pending chains as `(at, lane, order, slot)`: only live chains, each
+    /// in a slot of `chains` (the slot is never compared, as `order` is
+    /// unique).
+    queue: BinaryHeap<Reverse<(SimTime, u64, u64, usize)>>,
+    /// The chain slab; `free` lists the slots no queued chain holds.
+    chains: Vec<Chain>,
+    free: Vec<usize>,
+    /// The open-loop schedule's arrivals not yet transmitted, in time
+    /// order: a cursor `run` merges with `queue`, not queue entries.
+    pending: VecDeque<(SimTime, u64, DriverOp)>,
+    /// Breakdown vectors of completed flights, kept for the next ones.
+    spare: Vec<Vec<StageTime>>,
     seq: u64,
     /// Closed-loop requests issued so far — the controller ticks count them.
     issued: u64,
@@ -493,7 +485,11 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             retry: None,
             deadline_ns: 0,
             ticks_done: 0,
-            queue: BTreeMap::new(),
+            queue: BinaryHeap::new(),
+            chains: Vec::new(),
+            free: Vec::new(),
+            pending: VecDeque::new(),
+            spare: Vec::new(),
             seq: 0,
             issued: 0,
             inflight: 0,
@@ -502,28 +498,60 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
         }
     }
 
-    /// Queues a new chain to wake at `at`. Same-instant order is the
-    /// session lane (if any), then this scheduling draw — which the
-    /// shared queue keeps for the chain's life (background chains are
-    /// spawned before their foreground one) and the other modes re-draw
-    /// at every stage (see [`Walker::step`]).
-    fn spawn(&mut self, at: SimTime, sid: usize, stages: Vec<Stage>, flight: Option<Flight>) {
-        let chain = Chain {
-            order: self.seq,
-            sid,
-            stages,
-            cursor: 0,
-            flight,
-        };
-        self.seq += 1;
-        let lane = self.arrivals.lane(sid).unwrap_or(0);
-        self.queue.insert((at, lane, chain.order), Box::new(chain));
+    /// A new flight of `op`, first transmitted at `start`, on a recycled
+    /// breakdown vector.
+    fn flight(&mut self, start: SimTime, idx: u64, op: DriverOp) -> Flight {
+        Flight {
+            payload: 0,
+            start,
+            path: "shed",
+            stages: self.spare.pop().unwrap_or_default(),
+            delivered: false,
+            idx,
+            attempts: 0,
+            op,
+        }
     }
 
-    /// Schedules arrival `idx` of an absolute schedule: `op` is first
-    /// transmitted at `at`, whatever has completed by then.
-    pub(crate) fn schedule_arrival(&mut self, at: SimTime, idx: u64, op: DriverOp) {
-        self.spawn(at, 0, Vec::new(), Some(Flight::new(at, idx, op)));
+    /// Queues a new chain to wake at `at` in a free slot, its stage list
+    /// empty for the caller to fill, and returns the slot. Same-instant
+    /// order is the session lane (if any), then this scheduling draw —
+    /// which the shared queue keeps for the chain's life (background
+    /// chains are spawned before their foreground one) and the other modes
+    /// re-draw at every stage (see [`Walker::step`]).
+    fn spawn(&mut self, at: SimTime, sid: usize, flight: Option<Flight>) -> usize {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.chains.push(Chain::default());
+            self.chains.len() - 1
+        });
+        let chain = &mut self.chains[slot];
+        chain.order = self.seq;
+        chain.sid = sid;
+        chain.stages.clear();
+        chain.cursor = 0;
+        chain.flight = flight;
+        self.seq += 1;
+        let lane = self.arrivals.lane(sid).unwrap_or(0);
+        self.queue.push(Reverse((at, lane, chain.order, slot)));
+        slot
+    }
+
+    /// Takes an absolute schedule, sorted by instant: `(at, idx, op)`
+    /// transmits `op` at `at` whatever has completed by then, `idx` keying
+    /// its backoff stream. The arrivals never enter the event queue; at
+    /// an equal instant an arrival goes before any chain, and equal
+    /// arrivals go in the order given.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a second schedule, or one that is not non-decreasing in
+    /// `at`.
+    pub(crate) fn schedule_arrivals(&mut self, arrivals: Vec<(SimTime, u64, DriverOp)>) {
+        assert!(
+            self.pending.is_empty() && arrivals.is_sorted_by_key(|&(at, ..)| at),
+            "one non-decreasing arrival schedule per run"
+        );
+        self.pending = arrivals.into();
     }
 
     /// Issues session `sid`'s next operation at `now` (closed loops);
@@ -533,18 +561,32 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             return false;
         };
         self.issued += 1;
-        self.transmit(now, sid, Flight::new(now, self.issued - 1, op));
+        let fg = self.flight(now, self.issued - 1, op);
+        self.transmit(now, sid, fg);
         true
     }
 
-    /// Runs until every chain has drained.
+    /// Runs until every chain has drained and every arrival has fired.
     pub(crate) fn run(&mut self) {
-        while let Some(((now, ..), mut chain)) = self.queue.pop_first() {
+        loop {
+            let next = self.queue.peek().map(|&Reverse((at, ..))| at);
+            let due = |&mut (at, ..): &mut (SimTime, u64, DriverOp)| next.is_none_or(|t| at <= t);
+            if let Some((at, idx, op)) = self.pending.pop_front_if(due) {
+                let fg = self.flight(at, idx, op);
+                self.transmit(at, 0, fg);
+                continue;
+            }
+            let Some(Reverse((now, _, _, slot))) = self.queue.pop() else {
+                return;
+            };
+            let chain = &mut self.chains[slot];
             if chain.stages.is_empty() {
                 let flight = chain.flight.take().expect("only a flight waits");
-                self.transmit(now, chain.sid, flight);
+                let sid = chain.sid;
+                self.free.push(slot);
+                self.transmit(now, sid, flight);
             } else {
-                self.step(now, chain);
+                self.step(now, slot);
             }
         }
     }
@@ -601,9 +643,9 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             self.rig.per_request_ns(self.costs)
         };
         let demands = derive(self.costs, self.rig.transport(), per_request_ns, &obs);
-        let (stages, background) = stage_chains(self.costs, &demands);
-        for bg in background {
-            self.spawn(now, sid, bg, None);
+        for (b, cpu) in demands.bursts.iter().filter(|(b, _)| b.is_write) {
+            let slot = self.spawn(now, sid, None);
+            self.chains[slot].stages.extend(write_behind(self.costs, b, *cpu));
         }
         if !obs.rejected {
             fg.delivered = true;
@@ -611,16 +653,18 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             fg.path = classify_path(&obs);
             self.server_inflight += 1;
         }
-        self.spawn(now, sid, stages, Some(fg));
+        let slot = self.spawn(now, sid, Some(fg));
+        foreground(self.costs, &demands, &mut self.chains[slot].stages);
     }
 
-    /// Walks one stage of a chain: occupies the stage's FIFO resource and
-    /// reschedules the chain at the completion instant. An exhausted
-    /// foreground chain is a reply reaching its client: it refills or
-    /// drains the client-wide retry budget, then a rejection backs off and
-    /// retransmits if both budgets allow; anything else completes the
-    /// request and refills the slot (the closed loops).
-    fn step(&mut self, now: SimTime, mut chain: Box<Chain>) {
+    /// Walks one stage of the chain in `slot`: occupies the stage's FIFO
+    /// resource and reschedules the chain at the completion instant. An
+    /// exhausted foreground chain is a reply reaching its client: it
+    /// refills or drains the client-wide retry budget, then a rejection
+    /// backs off and retransmits if both budgets allow; anything else
+    /// completes the request and refills the slot (the closed loops).
+    fn step(&mut self, now: SimTime, slot: usize) {
+        let chain = &mut self.chains[slot];
         let lane = self.arrivals.lane(chain.sid);
         let shared = matches!(self.arrivals, Arrivals::Shared(_));
         if let Some(&stage) = chain.stages.get(chain.cursor) {
@@ -629,8 +673,8 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
                 self.sink.busy(stage.res, o.begin, o.done);
             }
             if let Some(fg) = chain.flight.as_mut() {
-                fg.stages.push(obs::StageNs {
-                    stage: STAGE_NAMES[stage.res.slot()],
+                fg.stages.push(StageTime {
+                    slot: stage.res.slot(),
                     queue_ns: o.begin.since(now).as_nanos(),
                     service_ns: o.done.since(o.begin).as_nanos(),
                 });
@@ -638,8 +682,8 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
                 // it, starting exactly at `done` (queue 0), so the
                 // breakdown still telescopes.
                 if let Some(p) = o.promote_done {
-                    fg.stages.push(obs::StageNs {
-                        stage: "tier-promote",
+                    fg.stages.push(StageTime {
+                        slot: TIER_PROMOTE,
                         queue_ns: 0,
                         service_ns: p.since(o.done).as_nanos(),
                     });
@@ -650,13 +694,15 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
                 chain.order = self.seq;
                 self.seq += 1;
             }
-            let key = (o.promote_done.unwrap_or(o.done), lane.unwrap_or(0), chain.order);
-            self.queue.insert(key, chain);
+            let at = o.promote_done.unwrap_or(o.done);
+            self.queue.push(Reverse((at, lane.unwrap_or(0), chain.order, slot)));
             return;
         }
         self.totals.end = self.totals.end.max(now);
         let sid = chain.sid;
-        let Some(mut fg) = chain.flight else {
+        let flight = chain.flight.take();
+        self.free.push(slot);
+        let Some(mut fg) = flight else {
             return;
         };
         let latency_ns = now.since(fg.start).as_nanos();
@@ -677,13 +723,14 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             // so the client sheds instead of adding load.
             let backoff = policy.backoff_ns(fg.idx, fg.attempts as u32);
             if self.deadline_ns == 0 || latency_ns + backoff <= self.deadline_ns {
-                fg.stages.push(obs::StageNs {
-                    stage: "client-backoff",
+                fg.stages.push(StageTime {
+                    slot: CLIENT_BACKOFF,
                     queue_ns: 0,
                     service_ns: backoff,
                 });
                 let at = now + Duration::from_nanos(backoff);
-                return self.spawn(at, sid, Vec::new(), Some(fg));
+                self.spawn(at, sid, Some(fg));
+                return;
             }
         }
         self.inflight -= 1;
@@ -698,6 +745,17 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             self.totals.shed += 1;
             self.sink.shed();
         }
+        if self.rec.is_enabled() {
+            self.record(now, lane, shared, &fg);
+        }
+        fg.stages.clear();
+        self.spare.push(fg.stages);
+        self.issue(now, sid);
+    }
+
+    /// Mirrors a completed flight into the recorder as a request event
+    /// with its exact interval and breakdown.
+    fn record(&self, now: SimTime, lane: Option<u64>, shared: bool, fg: &Flight) {
         // The shared-queue mode leaves the clock at the last issue's
         // stamp; the event carries its exact interval either way.
         if !shared {
@@ -706,16 +764,20 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
         if let Some(lane) = lane {
             self.rec.set_lane(lane);
         }
+        let stages = fg.stages.iter().map(|st| obs::StageNs {
+            stage: STAGE_NAMES[st.slot],
+            queue_ns: st.queue_ns,
+            service_ns: st.service_ns,
+        });
         self.rec.emit(obs::EventKind::Request {
             op: op_label(&fg.op),
             path: fg.path,
             start_ns: fg.start.as_nanos(),
             end_ns: now.as_nanos(),
-            stages: fg.stages,
+            stages: stages.collect(),
         });
         if lane.is_some() {
             self.rec.set_lane(0);
         }
-        self.issue(now, sid);
     }
 }

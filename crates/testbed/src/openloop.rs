@@ -19,15 +19,13 @@
 //! function of `(rig, schedule, options)` — byte-deterministic at any
 //! host thread count, because nothing here spawns one.
 
-use std::collections::BTreeMap;
-
 use sim::costs::CostModel;
 use sim::time::SimTime;
 use sim::SplitMix64;
 use workload::arrivals::{poisson_arrivals, BurstConfig};
 use workload::zipf::Zipf;
 
-use crate::engine::{Arrivals, Flight, Res, Sink, Walker, STAGE_NAMES};
+use crate::engine::{Arrivals, Flight, Res, Sink, Walker, CLIENT_BACKOFF, STAGE_NAMES};
 use crate::runner::{DriverOp, RigDriver};
 
 /// Open-loop driver configuration.
@@ -138,8 +136,10 @@ pub struct OpenLoopResult {
 struct OpenLoopSink {
     rec: obs::Recorder,
     latency: obs::Histogram,
-    stage_totals: BTreeMap<&'static str, (u64, u64)>,
-    busy: [Vec<(u64, u64)>; 7],
+    /// Queue and service totals by [`STAGE_NAMES`] slot, `None` for a
+    /// stage no delivered request went through.
+    stage_totals: [Option<(u64, u64)>; STAGE_NAMES.len()],
+    busy: [Vec<(u64, u64)>; Res::COUNT],
     deadline_exceeded: u64,
     late_bytes: u64,
 }
@@ -153,7 +153,7 @@ impl Sink for OpenLoopSink {
         }
         self.latency.record(now.since(flight.start).as_nanos());
         for st in &flight.stages {
-            let t = self.stage_totals.entry(st.stage).or_insert((0, 0));
+            let t = self.stage_totals[st.slot].get_or_insert((0, 0));
             t.0 += st.queue_ns;
             t.1 += st.service_ns;
         }
@@ -172,8 +172,10 @@ impl Sink for OpenLoopSink {
 /// `schedule[k]` whatever has completed by then (the schedule arrival
 /// process of [`crate::engine`]; the array stays flat — tiering is a
 /// closed-loop ablation concern). The schedule must be as long as `ops`
-/// and non-decreasing (the Poisson draws from [`workload::arrivals`]
-/// are).
+/// but need not be sorted, as the Poisson draws from
+/// [`workload::arrivals`] are: arrivals fire in time order, those at one
+/// instant in index order, and `k` keys arrival `k`'s retry backoff
+/// stream wherever it fires.
 ///
 /// # Panics
 ///
@@ -186,7 +188,15 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
 ) -> (R, OpenLoopResult) {
     assert_eq!(schedule.len(), ops.len(), "one arrival instant per op");
     let n = ops.len();
-    let span = schedule.last().map_or(SimTime::ZERO, |&t| t);
+    let span = schedule.iter().max().map_or(SimTime::ZERO, |&t| t);
+    let mut arrivals: Vec<(SimTime, u64, DriverOp)> = schedule
+        .iter()
+        .zip(ops)
+        .enumerate()
+        .map(|(k, (&at, op))| (at, k as u64, op))
+        .collect();
+    // Stable: arrivals at one instant keep their index order.
+    arrivals.sort_by_key(|&(at, ..)| at);
     let result = {
         let sink = OpenLoopSink {
             rec: rig.recorder(),
@@ -195,18 +205,17 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
         let mut w = Walker::new(&mut rig, Arrivals::Schedule, sink, opts.nics, None, &opts.costs);
         w.retry = opts.retry.map(|p| (p, servers::RetryBudget::default()));
         w.deadline_ns = opts.deadline_ns;
-        for (k, (op, &at)) in ops.into_iter().zip(schedule).enumerate() {
-            w.schedule_arrival(at, k as u64, op);
-        }
+        w.schedule_arrivals(arrivals);
         w.run();
         let elapsed = w.totals.end;
+        // The resource stages in report order, then the backoff (the array
+        // is flat, so no request has a promotion stage).
         let totals = &w.sink.stage_totals;
-        let stages = STAGE_NAMES
-            .iter()
-            .chain(&["client-backoff"])
-            .filter_map(|&stage| {
-                totals.get(stage).map(|&(queue_ns, service_ns)| obs::StageNs {
-                    stage,
+        let stages = (0..Res::COUNT)
+            .chain([CLIENT_BACKOFF])
+            .filter_map(|slot| {
+                totals[slot].map(|(queue_ns, service_ns)| obs::StageNs {
+                    stage: STAGE_NAMES[slot],
                     queue_ns,
                     service_ns,
                 })
@@ -277,7 +286,7 @@ pub fn zipf_reads(seed: u64, fh: u64, n: usize, file_bytes: u64, span: u32, alph
 /// occupancy windows over `[0, elapsed]`, in one pass: each interval adds
 /// its overlap to the windows it spans and no others.
 fn build_timelines(
-    busy: &[Vec<(u64, u64)>; 7],
+    busy: &[Vec<(u64, u64)>; Res::COUNT],
     nics: usize,
     disks: usize,
     elapsed: SimTime,
@@ -288,7 +297,7 @@ fn build_timelines(
     }
     let width = elapsed_ns.div_ceil(32).max(1);
     let windows = elapsed_ns.div_ceil(width) as usize;
-    let timelines = STAGE_NAMES
+    let timelines = STAGE_NAMES[..Res::COUNT]
         .iter()
         .enumerate()
         .map(|(i, &name)| {
@@ -488,7 +497,7 @@ mod tests {
         // sums every interval's overlap with it. Intervals straddle
         // windows, cover several, and run past `elapsed`.
         let mut rng = SplitMix64::new(5);
-        let busy: [Vec<(u64, u64)>; 7] = std::array::from_fn(|_| {
+        let busy: [Vec<(u64, u64)>; Res::COUNT] = std::array::from_fn(|_| {
             (0..40)
                 .map(|_| {
                     let s = rng.next_u64() % 10_500;
@@ -591,6 +600,37 @@ mod tests {
         assert_eq!(on.retries, 0);
         assert_eq!(on.shed, 0);
         assert_eq!(on.deadline_exceeded, 0);
+    }
+
+    #[test]
+    fn an_unsorted_schedule_runs_as_its_stable_sort() {
+        // Arrivals fire in time order whatever order the schedule lists
+        // them in; those at one instant (every instant here is taken
+        // twice) fire in list order.
+        let (rig, fh) = warm_rig(1 << 20);
+        let ops = zipf_reads(7, fh, 64, 1 << 20, 16 << 10, 1.0);
+        let mut rng = SplitMix64::new(41);
+        let mut arrivals: Vec<(SimTime, DriverOp)> = ops
+            .into_iter()
+            .enumerate()
+            .map(|(k, op)| (SimTime::from_nanos(k as u64 / 2 * 25_000), op))
+            .collect();
+        for k in (1..arrivals.len()).rev() {
+            arrivals.swap(k, (rng.next_u64() % (k as u64 + 1)) as usize);
+        }
+        let split = |arrivals: Vec<(SimTime, DriverOp)>| -> (Vec<SimTime>, Vec<DriverOp>) {
+            arrivals.into_iter().unzip()
+        };
+        let mut sorted = arrivals.clone();
+        sorted.sort_by_key(|&(at, _)| at);
+        assert_ne!(sorted, arrivals, "the shuffle moved something");
+        let (schedule, ops) = split(arrivals);
+        let (_, shuffled) = run_open_loop_at(rig, ops, &schedule, &OpenLoopOptions::default());
+        let (rig, _) = warm_rig(1 << 20);
+        let (schedule, ops) = split(sorted);
+        let (_, in_order) = run_open_loop_at(rig, ops, &schedule, &OpenLoopOptions::default());
+        assert_eq!(shuffled, in_order);
+        assert_eq!(in_order.ops, 64);
     }
 
     #[test]

@@ -298,6 +298,28 @@ cargo test -q --offline --test memory_honesty
 cargo test -q --offline -p netbuf -- stamp partial zeroed multi_block
 echo "no placeholder on a slab, no stamp decoded off as_slice, memory-honesty tests green"
 
+echo "== one event queue (a slab of chains on a heap, the open-loop schedule read by a cursor) =="
+# DESIGN.md §5, §14: the walker keeps its chains in a slab whose slots
+# keep their stage vectors and wakes them off one binary heap keyed
+# (at, lane, order); the open-loop schedule never enters that heap, so it
+# holds only live chains. The rung fails if the ordered map of boxed
+# chains comes back, or if schedule_arrivals queues its arrivals through
+# spawn (every arrival would then sit in the heap for the whole run, the
+# shape in which a heap once lost to the tree). The event order itself is
+# pinned by tests/trace_digests.rs (same `// dup-ok: <reason>` escape as
+# above).
+ENGINE=crates/testbed/src/engine.rs
+expect_count 0 "non-test mentions of BTreeMap in $ENGINE" 'BTreeMap' "$ENGINE"
+expect_count 0 "non-test mentions of Box<Chain> in $ENGINE" 'Box<Chain>' "$ENGINE"
+ARRIVALS="$(fn_body schedule_arrivals "$ENGINE")"
+test -n "$ARRIVALS"
+if grep -q 'spawn(' <<<"$ARRIVALS"; then
+    echo "fn schedule_arrivals in $ENGINE queues arrivals through spawn" >&2
+    exit 1
+fi
+echo "one heap of live chains, arrivals by cursor; non-test lines in $ENGINE: $(nontest \
+    "$ENGINE" | wc -l) (721 with the ordered map of boxed chains)"
+
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;
 # every item it pins is listed in benchmark/src/seams.rs. Building,
@@ -364,6 +386,9 @@ cargo test -q --release --offline --test multi_client
 # The differential oracle suite's faulted half: per-lane seed-derived
 # fault plans must reproduce exactly across thread counts.
 cargo test -q --release --offline --test concurrent_oracle
+# The timing engine's event order (rejections, backoffs and same-instant
+# ties included) against the digests recorded in tests/golden.
+cargo test -q --release --offline --test trace_digests
 
 echo "== shard determinism (repro --clients-sweep, shards x threads) =="
 # Sharding the cache and threading the executor must both be

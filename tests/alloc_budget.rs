@@ -6,15 +6,21 @@
 //! parse_*_reply` (the rigs' `read`/`write`/`getattr`/`get` are exactly
 //! that chain) makes a deterministic number of heap allocations on a
 //! single thread; this binary counts them with its own global allocator
-//! and pins the numbers. It holds a single `#[test]` so no other test
-//! thread allocates while a request is being counted.
+//! and pins the numbers. The timing engine is pinned the same way, over a
+//! rig whose requests allocate nothing. It holds a single `#[test]` so no
+//! other test thread allocates while a request is being counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ncache_repro::servers::ServerMode;
+use ncache_repro::sim::costs::CostModel;
 use ncache_repro::testbed::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
+use ncache_repro::testbed::openloop::{run_open_loop, OpenLoopOptions};
+use ncache_repro::testbed::runner::{DriverOp, RigDriver};
+use ncache_repro::testbed::sessions::{run_sessions, SessionsOptions};
+use ncache_repro::testbed::timing::{Observation, Transport};
 
 /// The system allocator with a call counter in front of it.
 struct Counting;
@@ -215,6 +221,45 @@ fn last_name_lookup_allocs(files: usize) -> u64 {
     n
 }
 
+/// A rig whose operations cost the data plane nothing: every request is
+/// a small message each way and a fixed 10 µs of CPU, so only the timing
+/// engine allocates.
+struct NoOpRig;
+
+impl RigDriver for NoOpRig {
+    fn run_op(&mut self, _op: &DriverOp) -> (Observation, u64) {
+        let obs = Observation {
+            request_bytes: 128,
+            reply_bytes: 128,
+            ..Observation::default()
+        };
+        (obs, 0)
+    }
+
+    fn transport(&self) -> Transport {
+        Transport::Udp
+    }
+
+    fn per_request_ns(&self, _costs: &CostModel) -> u64 {
+        10_000
+    }
+}
+
+/// Allocator calls of `ops` GETATTRs through the closed per-session loop
+/// (64 sessions) and through the open loop, recorder off, each counted
+/// around the engine call alone.
+fn engine_allocs(ops: usize) -> (u64, u64) {
+    let op = DriverOp::Getattr { fh: 1 };
+    let mut sessions = vec![Vec::new(); 64];
+    for k in 0..ops {
+        sessions[k % 64].push(op.clone());
+    }
+    let closed = allocs(|| run_sessions(NoOpRig, sessions, &SessionsOptions::default(), None));
+    let arrivals = vec![op; ops];
+    let open = allocs(|| run_open_loop(NoOpRig, arrivals, &OpenLoopOptions::default()));
+    (closed, open)
+}
+
 #[test]
 fn allocations_per_request_are_pinned() {
     // Per request, not per block, in every build, and the client's copy
@@ -350,4 +395,16 @@ fn allocations_per_request_are_pinned() {
         one_block + 2,
         "GET of a 19-block page against a 1-block page"
     );
+
+    // The timing engine allocates nothing per request: its chains live in
+    // a slab whose slots keep their stage vectors, a completed flight's
+    // breakdown vector serves the next flight, and the open-loop schedule
+    // is read by a cursor, never queued. Doubling the requests adds only
+    // the sinks' amortized vector growth (the open loop's busy intervals;
+    // the closed loop's sink grows nothing).
+    let (closed, open) = engine_allocs(2_000);
+    assert_eq!((closed, open), (168, 80), "2 000 requests (closed, open loop)");
+    let (closed_2x, open_2x) = engine_allocs(4_000);
+    assert_eq!((closed_2x, open_2x), (168, 83), "4 000 requests (closed, open loop)");
+    assert!(closed_2x - closed <= 4 && open_2x - open <= 4, "no allocation per request");
 }
