@@ -13,312 +13,17 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release --offline --workspace --all-targets
 
-echo "== test =="
+echo "== test (the structural contract too: tests/structure.rs) =="
 cargo test -q --offline --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== hasher lint (request-path maps hash with sim::MixMap, not SipHash) =="
-# The block- and chunk-keyed maps of the cache crates and the target pay
-# one mix64 per probe (sim::hash); a std HashMap<u64 | CacheKey, _> there
-# costs ~20 ns more per probe, several probes per missed block. Key types
-# are usually inferred, so the rung flags every non-test mention of the
-# std type in those files; a map that really wants SipHash opts out with
-# a trailing `// siphash-ok: <reason>` on its line.
-SIPHASH="$(for f in crates/core/src/*.rs crates/simfs/src/*.rs \
-    crates/netbuf/src/*.rs crates/servers/src/target.rs; do
-    awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-        /HashMap/ && !/siphash-ok:/ { print f ":" FNR ": " $0 }' "$f"
-done)"
-if [[ -n "$SIPHASH" ]]; then
-    echo "std HashMap on the request path (use sim::MixMap):" >&2
-    echo "$SIPHASH" >&2
-    exit 1
-fi
-echo "no std HashMap outside tests in core, simfs, netbuf, servers/target.rs"
-
-nontest() { # nontest FILE...: each file's lines up to its test module
-    local f
-    for f in "$@"; do
-        awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
-    done
-}
-
-echo "== one recency map (the LRU rule written once, chunks keep their chains) =="
-# DESIGN.md §11, §14: NCache, the FS buffer cache and the ghost tail keep
-# their entries in one sim::RecencyMap, which alone owns the true and
-# filed stamps, the filing generations and the lazy per-class heaps. The
-# rung fails if a cache grows its own copy of that scaffolding back (the
-# heap type, a settle or liveness helper, a filed-stamp field) outside
-# crates/sim/src/recency.rs, on an ordered map in the four recency files
-# (it allocated a tree node every few inserts), on a `Vec<Segment>` field
-# in `Chunk` (one allocation per cached block; a SegChain holds one
-# segment inline), and on more than three non-test `thread_local!`s
-# outside crates/check (the caches share one op tally, sim::epoch's).
-RECENCY_FILES="crates/core/src/cache.rs crates/simfs/src/cache.rs crates/sim/src/ghost.rs crates/sim/src/recency.rs"
-SCAFFOLD="$(nontest $(find crates/*/src src -name '*.rs' | grep -v '^crates/sim/src/recency\.rs$' | sort) \
-    | grep -E 'RecencyHeap|fn settle_head\b|fn filed\b|order_seq' || true)"
-ORDERED="$(nontest $RECENCY_FILES | grep BTreeMap || true)"
-CHUNK_VEC="$(awk '/^pub struct Chunk/ { inside = 1 }
-    inside && /Vec<Segment>/ { print "crates/core/src/chunk.rs:" FNR ": " $0 }
-    inside && /^}/ { inside = 0 }' crates/core/src/chunk.rs)"
-if [[ -n "$SCAFFOLD$ORDERED$CHUNK_VEC" ]]; then
-    echo "recency scaffolding outside sim::recency, an ordered LRU map, or a Vec chain in Chunk:" >&2
-    echo "$SCAFFOLD$ORDERED$CHUNK_VEC" >&2
-    exit 1
-fi
-THREAD_LOCALS="$(nontest $(find crates/*/src src -name '*.rs' | grep -v '^crates/check/' | sort) \
-    | grep -c 'thread_local!' || true)"
-if (( THREAD_LOCALS > 3 )); then
-    echo "$THREAD_LOCALS non-test thread_local! blocks outside crates/check, more than 3:" >&2
-    nontest $(find crates/*/src src -name '*.rs' | grep -v '^crates/check/' | sort) \
-        | grep 'thread_local!' >&2
-    exit 1
-fi
-echo "one recency map, $THREAD_LOCALS thread-locals; non-test lines in the four recency files: $(nontest \
-    $RECENCY_FILES | wc -l) (1959 before the recency rule was written once)"
-
-echo "== one hit walk, one range path (a keyed READ and an NCache WRITE are each written once) =="
-# DESIGN.md §9.2: simfs has one walk for a fully resident range
-# (walk_resident), the servers crate one place that resolves a reply's
-# placeholders (resolve_reply, the commit point), and one keyed READ body
-# (ServerHost::read_keyed: the probe's walk, the fallback's
-# resolve_fetched) that NFS, kHTTPd and the lane hit path all call. Every
-# NCache WRITE, aligned or not, admits its blocks through one
-# on_nfs_write loop (DESIGN.md §15). The rung fails if the functions the
-# walk replaced come back, if a daemon grows its own copy of either range
-# path, or if any call site multiplies; a second caller that really is
-# needed opts out with a trailing `// walk-ok: <reason>` on its line.
-OLD_WALKS="$(nontest crates/simfs/src/fs.rs | grep -E \
-    'fn (probe_read|read_logical_shared|peek_inode|peek_map_block|map_block_shared|walk_block_path|get_resident|read_resident)\b' || true)"
-if [[ -n "$OLD_WALKS" ]]; then
-    echo "a second hit walk is back in simfs (walk_resident is the one):" >&2
-    echo "$OLD_WALKS" >&2
-    exit 1
-fi
-FORKS="$(nontest $(find crates/*/src src -name '*.rs' | sort) \
-    | grep -E 'fn (unaligned_ncache_write|page_hit|page_fetched|on_flush_write)\b' || true)"
-if [[ -n "$FORKS" ]]; then
-    echo "a forked range path is back (ServerHost::read_keyed and ServerHost::ncache_write are the ones):" >&2
-    echo "$FORKS" >&2
-    exit 1
-fi
-count_calls() { # count_calls PATTERN FILE...: non-test call sites not opted out
-    local pattern="$1"; shift
-    nontest "$@" | grep -E "$pattern" | grep -vc 'walk-ok:[[:space:]]*[^[:space:]]' || true
-}
-for CALL in walk_resident resolve_fetched on_nfs_write resolve_reply; do
-    CALLS="$(count_calls "[.:]$CALL\(" crates/servers/src/*.rs)"
-    if [[ "$CALLS" != 1 ]]; then
-        echo "crates/servers/src calls $CALL in $CALLS places, not 1" >&2
-        exit 1
-    fi
-done
-echo "one resident walk, one keyed fetch, one block admission, one placeholder resolution; non-test lines in \
-crates/servers/src: $(nontest crates/servers/src/*.rs | wc -l) (3819 before the range paths were written once)"
-# The two differential properties behind the walk, each at two pinned
-# cases on top of the seeded run `cargo test` just did.
+# The one hit walk's two differential properties at two pinned seeds each.
 for SEED in 0x5eed0001 0x5eed0002; do
     CHECK_SEED="$SEED" cargo test -q --offline -p simfs --test resident_walk_equivalence
     CHECK_SEED="$SEED" cargo test -q --offline -p check --test substitution_equivalence
 done
-
-echo "== daemons name no build (Table 1: nfsd and kHTTPd keep only protocol) =="
-# DESIGN.md §3, §4 (T1): which build runs is ServerHost's business (its
-# read, write, remove, sendfile and transmit bodies), so the non-test part
-# of either daemon names neither the build nor the module; the test
-# table1_inventory_holds_structurally holds the same line. The rung fails
-# on any of the five tokens there, and if the crate's non-test lines that
-# name the build or the module, or all its non-test lines, rise above
-# where they stood when the daemons stopped naming the build (3719 lines)
-# plus the client-wide retry budget that joined control.rs since (57).
-DAEMON_NAMES="$(nontest crates/servers/src/nfs.rs crates/servers/src/khttpd.rs \
-    | grep -E 'ServerMode|ncache::|use ncache|netbuf::key|\.mode' || true)"
-if [[ -n "$DAEMON_NAMES" ]]; then
-    echo "a daemon names the build (ServerHost's bodies are the ones):" >&2
-    echo "$DAEMON_NAMES" >&2
-    exit 1
-fi
-BUILD_LINES="$(nontest crates/servers/src/*.rs | grep -cE 'ServerMode|ncache::|use ncache' || true)"
-SERVERS_LINES="$(nontest crates/servers/src/*.rs | wc -l)"
-if (( BUILD_LINES > 47 || SERVERS_LINES > 3776 )); then
-    echo "crates/servers/src: $BUILD_LINES non-test lines name the build or the module (at most \
-47), $SERVERS_LINES non-test lines (at most 3776)" >&2
-    exit 1
-fi
-echo "no daemon names the build; non-test lines in crates/servers/src naming the build or the module: \
-$BUILD_LINES (59 before the daemons stopped naming it), all: $SERVERS_LINES (3777 before)"
-
-echo "== one backplane (one server host, one rig, one fault exchange, one op meter) =="
-# DESIGN.md §3: what surrounds the NFS daemon and kHTTPd is written once
-# (servers::host, testbed::rig), and only the codec, the op handlers, the
-# stats and the DRC are per application. The rung fails if a second copy
-# of any of it comes back; a line that really must repeat opts out with a
-# trailing `// dup-ok: <reason>`.
-count_lines() { # count_lines PATTERN FILE...: non-test lines not opted out
-    local pattern="$1"; shift
-    nontest "$@" | grep -E "$pattern" | grep -vc 'dup-ok:[[:space:]]*[^[:space:]]' || true
-}
-expect_count() { # expect_count WANT WHAT PATTERN FILE...
-    local want="$1" what="$2" got; shift 2
-    got="$(count_lines "$@")"
-    if [[ "$got" != "$want" ]]; then
-        echo "$what: $got, not $want" >&2
-        exit 1
-    fi
-}
-# (`struct Observation {` and `-> Observation {` are the type's definition
-# and a return type, not literals of it.)
-LITERALS="$(nontest crates/testbed/src/*.rs | grep -E '(^|[^A-Za-z_])Observation \{' \
-    | grep -Evc '(struct|->) Observation \{|dup-ok:[[:space:]]*[^[:space:]]' || true)"
-if [[ "$LITERALS" != 1 ]]; then
-    echo "crates/testbed/src builds an Observation in $LITERALS places, not 1 (timing::OpMeter::finish)" >&2
-    exit 1
-fi
-expect_count 2 "deliver_faulty( call sites in crates/testbed/src (request and reply direction)" \
-    'deliver_faulty\(' crates/testbed/src/*.rs
-for FN in adaptive_tick enable_adaptive metrics_report new_faulted quiesce maybe_poison set_recorder; do
-    expect_count 1 "definitions of fn $FN in crates/testbed/src" "fn $FN\\b" crates/testbed/src/*.rs
-done
-# (`enable_control` is on the list because the rig installs the plane through
-# generic code that sees only the host: a daemon-side one would be shadowed.)
-for FN in pressure set_fault_recovery control_rejections control_stats enable_control; do
-    expect_count 1 "definitions of fn $FN in crates/servers/src outside control.rs" "fn $FN\\b" \
-        $(ls crates/servers/src/*.rs | grep -v '/control\.rs$')
-done
-# One session, one op body: both timing engines build their per-session
-# client and fault channel with Rig::session and serve every op, faulted
-# or clean, through Rig::serve_op — the lane engine keeps no exchange of
-# its own and no second xid-base rule.
-expect_count 0 "non-test definitions of fn faulted_lane_op in crates/testbed/src" \
-    'fn faulted_lane_op\b' crates/testbed/src/*.rs
-expect_count 0 "faulted_exchange_with( calls in crates/testbed/src/sessions.rs" \
-    'faulted_exchange_with\(' crates/testbed/src/sessions.rs
-XID_BASES="$(nontest crates/testbed/src/*.rs | grep -Ev '^[^:]*:[0-9]+: *//' \
-    | grep -cE '\+ 1\) << 20' || true)"
-if [[ "$XID_BASES" != 1 ]]; then
-    echo "crates/testbed/src spells the session xid base '(... + 1) << 20' $XID_BASES times, not 1 (App::client)" >&2
-    exit 1
-fi
-echo "one of each; non-test lines in crates/testbed/src + crates/servers/src: $(nontest \
-    crates/testbed/src/*.rs crates/servers/src/*.rs | wc -l) (9437 before the backplane was written once)"
-
-echo "== one reply path (one in-step transmit hook, one op body, one materializer) =="
-# DESIGN.md §9.2, §10, §12: every reply is finished in step by one `&self`
-# hook on the shard set (NetCacheShards::transmit), whichever engine and
-# whichever guard serves it; both engines run one op body (Rig::serve_op)
-# through a one-ended meter (OpMeter::finish); both daemons degrade through
-# one materializer (ServerHost::materialize). The rung fails if the
-# deferred transmit, its side channel or a second degradation copy comes
-# back (same `// dup-ok: <reason>` escape as above).
-for GONE in handle_message_deferred absorb_substitution finish_out_of_step \
-    substitute_out_of_step 'fn substituted' with_resolver 'struct Metered' \
-    materialize_range materialize_page; do
-    expect_count 0 "non-test mentions of '$GONE' in crates/*/src" "$GONE" \
-        $(find crates/*/src -name '*.rs' | sort)
-done
-expect_count 1 "definitions of fn transmit in crates/core/src" 'fn transmit\b' crates/core/src/*.rs
-expect_count 1 "definitions of fn materialize in crates/servers/src" 'fn materialize\b' \
-    crates/servers/src/*.rs
-echo "one of each, none of what they replaced; non-test lines in crates/{core,servers,testbed}/src: $(nontest \
-    crates/core/src/*.rs crates/servers/src/*.rs crates/testbed/src/*.rs | wc -l) (11615 before the reply path was written once)"
-
-echo "== one evaluation (one Exp context, one cell sweep, one experiment registry) =="
-# DESIGN.md §4: the paper's §5 is described once. Every experiment is one
-# `pub fn name(x: &Exp)`, `Exp::sweep` is the only place cells are run and
-# their recorders merged, and `experiments::ALL` is the only list of
-# experiments: `repro` selects, checks flags and dispatches from it, and
-# the goldens, the equivalence suite and the figures bench iterate it. The
-# rung fails if an `x` / `x_with` pair, a second cell loop or a second list
-# comes back (same `// dup-ok: <reason>` escape as above).
-EXPERIMENTS=crates/testbed/src/experiments.rs
-REPRO=crates/bench/src/bin/repro.rs
-expect_count 1 "run_cells( call sites in $EXPERIMENTS (Exp::sweep is the one)" 'run_cells\(' "$EXPERIMENTS"
-expect_count 0 "pub fn *_with / *_faulted / *_impl entry points in $EXPERIMENTS" \
-    'pub fn [a-z0-9_]*_(with|faulted|impl)\(' "$EXPERIMENTS"
-expect_count 0 "SELECTORS lists in $REPRO (the registry is the list)" 'SELECTORS' "$REPRO"
-expect_count 0 "direct experiment calls in $REPRO (it goes through ALL)" \
-    'experiments::[a-z0-9_]+\(' "$REPRO"
-echo "one of each; non-test lines in experiments.rs + ablations.rs + repro.rs + benches/figures.rs: $(nontest \
-    "$EXPERIMENTS" crates/testbed/src/ablations.rs "$REPRO" crates/bench/benches/figures.rs \
-    | wc -l) (2269, with crates/bench/src/lib.rs, before the evaluation was described once)"
-
-echo "== per request, not per entry (in-place name lookup, one landing, a sink-fed tracker) =="
-# DESIGN.md §9.1: a request's heap allocations do not grow with the
-# directory entries its lookup walks past, the frames it receives or the
-# 4 KiB blocks of body the stream tracker follows (tests/alloc_budget.rs
-# pins the counts). The rung fails if the three sites that did grow come
-# back: a name lookup that builds a `DirEntry` per slot, a delivery that
-# heap-copies the sender's headers, a tracker `feed` that returns a list
-# (same `// dup-ok: <reason>` escape as above).
-fn_body() { # fn_body NAME FILE: the first `fn NAME` of FILE, signature to closing brace
-    awk -v name="$1" '
-        !on && $0 ~ "fn " name "[(<]" { on = 1 }
-        on {
-            print
-            if (/\{/) opened = 1
-            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
-            if (opened && depth == 0) exit
-        }' "$2"
-}
-for SITE in find_in_block:crates/simfs/src/dir.rs free_slot:crates/simfs/src/dir.rs \
-    dir_find:crates/simfs/src/fs.rs; do
-    BODY="$(fn_body "${SITE%%:*}" "${SITE#*:}")"
-    test -n "$BODY"
-    BUILT="$(grep -E 'decode_entry\(|DirEntry \{' <<<"$BODY" \
-        | grep -vc 'dup-ok:[[:space:]]*[^[:space:]]' || true)"
-    if [[ "$BUILT" != 0 ]]; then
-        echo "fn ${SITE%%:*} in ${SITE#*:} builds a DirEntry for the slots it walks past" >&2
-        exit 1
-    fi
-done
-expect_count 0 "heap copies of a sent header in crates/servers/src/stack.rs (NetBuf::land is the one landing)" \
-    'header\(\)(\[[^]]*\])?\.to_vec\(\)|Segment::from_vec\(' crates/servers/src/stack.rs
-expect_count 0 "fn feed* returning a Vec in crates/core/src/tracker.rs (it reports through a sink)" \
-    'fn feed[a-z_]*\(.*-> *Vec<' crates/core/src/tracker.rs
-expect_count 1 "HttpTxTracker::new() call sites in crates/servers/src (one per connection, the host's)" \
-    'HttpTxTracker::new\(\)' crates/servers/src/*.rs
-echo "no per-entry DirEntry, no heap-copied header, no list-returning feed, one tracker"
-
-echo "== placeholders are keys (a cached placeholder costs its stamp, a chunk its block) =="
-# DESIGN.md §9.1: a key-stamped placeholder stores its 29-byte stamp and
-# nothing else (BufPool::placeholder on a stamp_only pool; the rest of the
-# block reads as zeros nobody stores), and its stamp is read with
-# Segment::stamp, whatever the block stores. The rung fails if non-test
-# code builds a placeholder on a 4 KiB slab again — a stamp written
-# through seg_written — or, outside crates/netbuf, decodes a stamp off
-# `as_slice()`, which panics on a key-only block (same `// dup-ok:
-# <reason>` escape as above). Then it runs the memory-honesty tests.
-expect_count 0 "placeholders built on a slab (seg_written(.., |w| w.put(&stamp.encode())))" \
-    'seg_written\(.*encode\(\)' $(find crates/*/src src -name '*.rs' | sort)
-expect_count 0 "KeyStamp::decode(<seg>.as_slice()) outside crates/netbuf (Segment::stamp reads it)" \
-    'KeyStamp::decode\([^)]*as_slice\(\)' $(find crates/*/src src -name '*.rs' | grep -v '^crates/netbuf/' | sort)
-cargo test -q --offline --test memory_honesty
-cargo test -q --offline -p netbuf -- stamp partial zeroed multi_block
-echo "no placeholder on a slab, no stamp decoded off as_slice, memory-honesty tests green"
-
-echo "== one event queue (a slab of chains on a heap, the open-loop schedule read by a cursor) =="
-# DESIGN.md §5, §14: the walker keeps its chains in a slab whose slots
-# keep their stage vectors and wakes them off one binary heap keyed
-# (at, lane, order); the open-loop schedule never enters that heap, so it
-# holds only live chains. The rung fails if the ordered map of boxed
-# chains comes back, or if schedule_arrivals queues its arrivals through
-# spawn (every arrival would then sit in the heap for the whole run, the
-# shape in which a heap once lost to the tree). The event order itself is
-# pinned by tests/trace_digests.rs (same `// dup-ok: <reason>` escape as
-# above).
-ENGINE=crates/testbed/src/engine.rs
-expect_count 0 "non-test mentions of BTreeMap in $ENGINE" 'BTreeMap' "$ENGINE"
-expect_count 0 "non-test mentions of Box<Chain> in $ENGINE" 'Box<Chain>' "$ENGINE"
-ARRIVALS="$(fn_body schedule_arrivals "$ENGINE")"
-test -n "$ARRIVALS"
-if grep -q 'spawn(' <<<"$ARRIVALS"; then
-    echo "fn schedule_arrivals in $ENGINE queues arrivals through spawn" >&2
-    exit 1
-fi
-echo "one heap of live chains, arrivals by cursor; non-test lines in $ENGINE: $(nontest \
-    "$ENGINE" | wc -l) (721 with the ordered map of boxed chains)"
 
 echo "== benchmark workspace gate (benchmark/check.sh) =="
 # hostbench is its own workspace and drives the crates' public API only;

@@ -1,0 +1,350 @@
+//! The structural contract: what DESIGN.md says is written once is written
+//! once. Each check counts the non-test lines (each file up to its first
+//! `#[cfg(test)]`) holding a row's patterns, and its counts and line totals
+//! must equal its section of `tests/golden/structure.txt`: a rise and a fall
+//! both show as a golden diff. A row that names a marker lets a line opt out
+//! with a trailing `// <marker>: <non-empty reason>`.
+
+use std::fs;
+
+const ROOT: &str = env!("CARGO_MANIFEST_DIR");
+const LEDGER: &str = "tests/golden/structure.txt";
+const ALL: &str = "crates/*/src src";
+const TESTBED: &str = "crates/testbed/src";
+const SERVERS: &str = "crates/servers/src";
+const SERVERS_BUT_CONTROL: &str = "crates/servers/src !crates/servers/src/control.rs";
+const RECENCY: &str = concat!(
+    "crates/core/src/cache.rs crates/simfs/src/cache.rs",
+    " crates/sim/src/ghost.rs crates/sim/src/recency.rs"
+);
+/// Table 1's untouched layers: none of them may depend on the module.
+const UNTOUCHED: [&str; 4] = ["blockdev", "netbuf", "proto", "simfs"];
+
+fn read(path: &str) -> String {
+    fs::read_to_string(format!("{ROOT}/{path}")).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The sorted `.rs` files and subdirectories of a directory; none for a file.
+fn entries(dir: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for e in fs::read_dir(format!("{ROOT}/{dir}")).into_iter().flatten() {
+        let path = format!("{dir}/{}", e.expect("entry").file_name().to_string_lossy());
+        if path.ends_with(".rs") || !path.contains('.') {
+            out.push(path);
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The files a spec names, sorted. Each word is a file (`file#name`: the body
+/// of its `fn name` or `struct name`), a directory searched for `.rs` files
+/// (`crates/*/src` is every crate's), or `!` and a path prefix left out.
+fn files(spec: &str) -> Vec<String> {
+    let (skip, take): (Vec<&str>, Vec<&str>) = spec.split(' ').partition(|w| w.starts_with('!'));
+    let mut todo = Vec::new();
+    for word in take {
+        match word.split_once("/*/") {
+            Some((dir, sub)) => todo.extend(entries(dir).iter().map(|c| format!("{c}/{sub}"))),
+            None => todo.push(word.to_string()),
+        }
+    }
+    let mut out = Vec::new();
+    while let Some(path) = todo.pop() {
+        match entries(&path) {
+            inner if inner.is_empty() => out.push(path),
+            inner => todo.extend(inner),
+        }
+    }
+    out.retain(|f| !skip.iter().any(|s| f.starts_with(&s[1..])));
+    out.sort();
+    out
+}
+
+/// The numbered lines of `text` before its first `#[cfg(test)]`.
+fn nontest(text: &str) -> Vec<(usize, &str)> {
+    let lines = text.lines().enumerate().map(|(n, l)| (n + 1, l));
+    let test = |l: &str| l.trim_start().starts_with("#[cfg(test)]");
+    lines.take_while(|(_, l)| !test(l)).collect()
+}
+
+/// The lines of the first `fn name` or `struct name`, from its head to the
+/// brace that closes the first one it opens.
+fn body<'a>(lines: &[(usize, &'a str)], name: &str) -> Vec<(usize, &'a str)> {
+    let heads = [format!(r"fn {name}\b"), format!(r"struct {name}\b")];
+    let head = |(_, l): &&(usize, &str)| heads.iter().any(|h| matches(l, h));
+    let (mut depth, mut opened, mut out) = (0, false, Vec::new());
+    for &(n, l) in lines.iter().skip_while(|l| !head(l)) {
+        out.push((n, l));
+        opened |= l.contains('{');
+        depth += l.matches('{').count() as isize - l.matches('}').count() as isize;
+        if opened && depth == 0 {
+            break;
+        }
+    }
+    assert!(!out.is_empty(), "no fn or struct {name}");
+    out
+}
+
+/// Whether `line` holds `pat`: literal text in which `*` stands for any run of
+/// characters and a trailing `\b` for the end of an identifier.
+fn matches(line: &str, pat: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let (word, pat) = pat.strip_suffix(r"\b").map_or((false, pat), |p| (true, p));
+    let (head, tail) = pat.split_once('*').unwrap_or((pat, ""));
+    line.match_indices(head).any(|(at, _)| {
+        let mut rest = Some(&line[at + head.len()..]);
+        for part in tail.split('*') {
+            rest = rest.and_then(|r| r.find(part).map(|i| &r[i + part.len()..]));
+        }
+        rest.is_some_and(|r| !(word && ident(r.chars().next())))
+    })
+}
+
+/// The non-test lines of `text` (of `item`'s body, if given) that hold one of
+/// `pats` and do not opt out with `// <marker>: <non-empty reason>`.
+fn hits(path: &str, text: &str, item: Option<&str>, pats: &[&str], marker: &str) -> Vec<String> {
+    let (lines, mut out) = (nontest(text), Vec::new());
+    for (n, l) in item.map_or(lines.clone(), |name| body(&lines, name)) {
+        let why = l.split_once(&format!("// {marker}:")).map_or("", |w| w.1);
+        if pats.iter().any(|p| matches(l, p)) && (marker.is_empty() || why.trim().is_empty()) {
+            out.push(format!("{path}:{n}: {}", l.trim()));
+        }
+    }
+    out
+}
+
+/// A ledger row, and the lines it counted: `spec`'s non-test lines holding one of `pats`
+/// (` | `-separated, then ` // ` and an opt-out marker), or with no patterns all of them.
+fn row(spec: &str, pats: &str) -> (String, Vec<String>) {
+    let mut found = Vec::new();
+    if pats.is_empty() {
+        let n: usize = files(spec).iter().map(|f| nontest(&read(f)).len()).sum();
+        return (format!("{spec}: non-test lines = {n}"), found);
+    }
+    let (alts, marker) = pats.split_once(" // ").unwrap_or((pats, ""));
+    let alts: Vec<&str> = alts.split(" | ").collect();
+    for f in files(spec) {
+        let (file, item) = f.split_once('#').map_or((&*f, None), |(f, i)| (f, Some(i)));
+        found.extend(hits(file, &read(file), item, &alts, marker));
+    }
+    (format!("{spec}: {pats} = {}", found.len()), found)
+}
+
+/// Fails unless `rows` are `check`'s section of the golden ledger.
+fn holds(check: &str, rows: &[(String, Vec<String>)]) {
+    let (golden, head) = (read(LEDGER), format!("{check}: "));
+    let want: Vec<&str> = golden.lines().filter(|l| l.starts_with(&head)).collect();
+    let (mut got, mut stale) = (String::new(), String::new());
+    for (row, found) in rows {
+        let line = format!("{head}{row}");
+        if !want.contains(&line.as_str()) {
+            found.iter().for_each(|f| stale += &format!("\n{f}"));
+        }
+        got += &format!("\n{line}");
+    }
+    let same = want.join("\n") == got.trim_start();
+    assert!(
+        same,
+        "{LEDGER} does not hold {check}; now:{got}\ncounted where it differs:{stale}"
+    );
+}
+
+/// A manifest's package name and its dependency edges, `(line, table, crate)`.
+fn edges(manifest: &str) -> (&str, Vec<(usize, &str, &str)>) {
+    let (mut name, mut table, mut out) = ("", "", Vec::new());
+    for (n, line) in manifest.lines().map(str::trim).enumerate() {
+        let key = line.split(['=', '.', ' ']).next().unwrap_or_default();
+        if line.starts_with('[') {
+            table = line;
+        } else if table == "[package]" && key == "name" {
+            name = line.split('"').nth(1).unwrap_or_default();
+        } else if table.ends_with("dependencies]") && !key.is_empty() && !key.starts_with('#') {
+            out.push((n + 1, table, key));
+        }
+    }
+    (name, out)
+}
+
+/// Where an untouched layer's manifest names the module, as `path:line`.
+fn module_edge(path: &str, manifest: &str) -> Option<String> {
+    let (name, edges) = edges(manifest);
+    let untouched = UNTOUCHED.contains(&name);
+    let (n, ..) = edges.into_iter().find(|e| untouched && e.2 == "ncache")?;
+    Some(format!("{path}:{n}: {name} -> ncache (Table 1: untouched)"))
+}
+
+/// One `#[test]` per check, named after its ledger section; rows as `row` reads them.
+macro_rules! checks {
+    ($($(#[$doc:meta])* $name:ident: [$(($spec:expr, $pats:expr)),* $(,)?])*) => {$(
+        $(#[$doc])*
+        #[test]
+        fn $name() {
+            holds(stringify!($name), &[$(row($spec, $pats)),*]);
+        }
+    )*};
+}
+
+checks! {
+    /// Request-path maps hash with `sim::MixMap`: a std `HashMap` probe costs ~20 ns
+    /// more than one `mix64`, several per missed block; key types are inferred.
+    hasher_lint: [
+        ("crates/core/src crates/simfs/src crates/netbuf/src crates/servers/src/target.rs",
+            "HashMap // siphash-ok"),
+    ]
+    /// One recency map (DESIGN.md §11, §14): `sim::RecencyMap` alone owns the
+    /// stamps, filings and class heaps of all three caches. An ordered map cost
+    /// a tree node every few inserts, a `Vec<Segment>` in `Chunk` an allocation
+    /// per block (a `SegChain` holds one inline); one op tally, `sim::epoch`'s.
+    one_recency_map: [
+        ("crates/*/src src !crates/sim/src/recency.rs",
+            r"RecencyHeap | fn settle_head\b | fn filed\b | order_seq"),
+        (RECENCY, "BTreeMap"),
+        ("crates/core/src/chunk.rs#Chunk", "Vec<Segment>"),
+        ("crates/*/src src !crates/check/", "thread_local!"),
+        (RECENCY, ""),
+    ]
+    /// One hit walk, one range path (DESIGN.md §9.2, §15): one resident walk, one
+    /// keyed READ body for NFS, kHTTPd and the lane hit path (`read_keyed`), one
+    /// commit point, one block admission loop for every NCache WRITE.
+    one_hit_walk_one_range_path: [
+        ("crates/simfs/src/fs.rs", concat!(r"fn probe_read\b | fn read_logical_shared\b",
+            r" | fn peek_inode\b | fn peek_map_block\b | fn map_block_shared\b",
+            r" | fn walk_block_path\b | fn get_resident\b | fn read_resident\b")),
+        (ALL, concat!(r"fn unaligned_ncache_write\b | fn page_hit\b",
+            r" | fn page_fetched\b | fn on_flush_write\b")),
+        (SERVERS, ".walk_resident( | :walk_resident( // walk-ok"),
+        (SERVERS, ".resolve_fetched( | :resolve_fetched( // walk-ok"),
+        (SERVERS, ".on_nfs_write( | :on_nfs_write( // walk-ok"),
+        (SERVERS, ".resolve_reply( | :resolve_reply( // walk-ok"),
+    ]
+    /// The daemons name no build (Table 1; DESIGN.md §3): `ServerHost` owns each build's
+    /// read, write, remove, sendfile and transmit bodies; nfsd and kHTTPd keep protocol.
+    daemons_name_no_build: [
+        ("crates/servers/src/nfs.rs crates/servers/src/khttpd.rs",
+            "ServerMode | ncache:: | use ncache | netbuf::key | .mode"),
+        (SERVERS, "ServerMode | ncache:: | use ncache"),
+    ]
+    /// One backplane (DESIGN.md §3, §10, §12): one `Observation` literal (beside
+    /// its type and a return type), a request and a reply `deliver_faulty`, each
+    /// rig and host method once (generic rig code sees only the host, so a
+    /// daemon's `enable_control` would be shadowed), one session body.
+    one_backplane: [
+        (TESTBED, "Observation { // dup-ok"),
+        (TESTBED, "deliver_faulty( // dup-ok"),
+        (TESTBED, r"fn adaptive_tick\b // dup-ok"),
+        (TESTBED, r"fn enable_adaptive\b // dup-ok"),
+        (TESTBED, r"fn metrics_report\b // dup-ok"),
+        (TESTBED, r"fn new_faulted\b // dup-ok"),
+        (TESTBED, r"fn quiesce\b // dup-ok"),
+        (TESTBED, r"fn maybe_poison\b // dup-ok"),
+        (TESTBED, r"fn set_recorder\b // dup-ok"),
+        (SERVERS_BUT_CONTROL, r"fn pressure\b // dup-ok"),
+        (SERVERS_BUT_CONTROL, r"fn set_fault_recovery\b // dup-ok"),
+        (SERVERS_BUT_CONTROL, r"fn control_rejections\b // dup-ok"),
+        (SERVERS_BUT_CONTROL, r"fn control_stats\b // dup-ok"),
+        (SERVERS_BUT_CONTROL, r"fn enable_control\b // dup-ok"),
+        (TESTBED, r"fn faulted_lane_op\b // dup-ok"),
+        ("crates/testbed/src/sessions.rs", "faulted_exchange_with( // dup-ok"),
+        (TESTBED, "+ 1) << 20"),
+        ("crates/testbed/src crates/servers/src", ""),
+    ]
+    /// One reply path (DESIGN.md §9.2, §10, §12): one in-step `&self` hook finishes every
+    /// reply (`NetCacheShards::transmit`); one materializer (`ServerHost::materialize`).
+    one_reply_path: [
+        ("crates/*/src", concat!("handle_message_deferred | absorb_substitution",
+            " | finish_out_of_step | substitute_out_of_step | fn substituted | with_resolver",
+            " | struct Metered | materialize_range | materialize_page // dup-ok")),
+        ("crates/core/src", r"fn transmit\b // dup-ok"),
+        (SERVERS, r"fn materialize\b // dup-ok"),
+        ("crates/core/src crates/servers/src crates/testbed/src", ""),
+    ]
+    /// One evaluation (DESIGN.md §4): one `pub fn name(x: &Exp)` per experiment, one cell
+    /// sweep (`Exp::sweep`), one list (`experiments::ALL`) that `repro` dispatches from.
+    one_evaluation: [
+        ("crates/testbed/src/experiments.rs", "run_cells( // dup-ok"),
+        ("crates/testbed/src/experiments.rs",
+            "pub fn *_with( | pub fn *_faulted( | pub fn *_impl( // dup-ok"),
+        ("crates/bench/src/bin/repro.rs", "SELECTORS // dup-ok"),
+        ("crates/bench/src/bin/repro.rs", "experiments::*( // dup-ok"),
+        (concat!("crates/testbed/src/experiments.rs crates/testbed/src/ablations.rs",
+            " crates/bench/src/bin/repro.rs crates/bench/benches/figures.rs"), ""),
+    ]
+    /// Per request, not per entry (DESIGN.md §9.1): allocations do not grow with
+    /// the slots a lookup walks, the frames landed or the blocks a tracker follows.
+    per_request_not_per_entry: [
+        (concat!("crates/simfs/src/dir.rs#find_in_block crates/simfs/src/dir.rs#free_slot",
+            " crates/simfs/src/fs.rs#dir_find"), "decode_entry( | DirEntry { // dup-ok"),
+        ("crates/servers/src/stack.rs",
+            "header().to_vec() | header()[*].to_vec() | Segment::from_vec( // dup-ok"),
+        ("crates/core/src/tracker.rs", "fn feed*(*->*Vec< // dup-ok"),
+        (SERVERS, "HttpTxTracker::new() // dup-ok"),
+    ]
+    /// Placeholders are keys (DESIGN.md §9.1): a placeholder stores its stamp, not a slab;
+    /// outside `netbuf` read it with `Segment::stamp` (`as_slice()` panics on a key-only block).
+    placeholders_are_keys: [
+        (ALL, "seg_written(*encode() // dup-ok"),
+        ("crates/*/src src !crates/netbuf/", "KeyStamp::decode(*as_slice() // dup-ok"),
+    ]
+    /// One event queue (DESIGN.md §5, §14): a slab of chains under one heap, the
+    /// open-loop schedule read by a cursor: spawned, arrivals would fill the heap
+    /// for the whole run, the shape in which a heap lost to the tree.
+    one_event_queue: [
+        ("crates/testbed/src/engine.rs", "BTreeMap | Box<Chain> // dup-ok"),
+        ("crates/testbed/src/engine.rs#schedule_arrivals", "spawn("),
+        ("crates/testbed/src/engine.rs", ""),
+    ]
+}
+
+/// Table 1 (DESIGN.md §4 T1): no untouched layer's manifest names the module; the
+/// ledger holds every crate's dependency edges and non-test lines.
+#[test]
+fn table1() {
+    let (mut rows, mut names) = (Vec::new(), Vec::new());
+    for dir in entries("crates") {
+        let path = format!("{dir}/Cargo.toml");
+        let manifest = read(&path);
+        assert_eq!(module_edge(&path, &manifest), None);
+        let (name, edges) = edges(&manifest);
+        for (_, table, dep) in edges {
+            rows.push((format!("{name} {table} {dep}"), vec![]));
+        }
+        rows.push(row(&format!("{dir}/src"), ""));
+        names.push(name.to_string());
+    }
+    rows.push(row("src", ""));
+    holds("table1", &rows);
+    assert!(UNTOUCHED.iter().all(|u| names.contains(&u.to_string())));
+}
+
+#[test]
+fn a_marker_without_a_reason_does_not_opt_out() {
+    let text = "HashMap // siphash-ok:\nHashMap // siphash-ok: a reason\n";
+    let found = hits("x.rs", text, None, &["HashMap"], "siphash-ok");
+    assert_eq!(found, ["x.rs:1: HashMap // siphash-ok:"]);
+    assert_eq!(hits("x.rs", text, None, &["HashMap"], "").len(), 2);
+}
+
+#[test]
+fn text_after_the_first_cfg_test_is_not_scanned() {
+    let text = "use std::collections::BTreeMap;\n#[cfg(test)]\nmod t {\n    use BTreeMap;\n}\n";
+    assert_eq!(hits("x.rs", text, None, &["BTreeMap"], "").len(), 1);
+}
+
+#[test]
+fn the_body_extractor_stops_at_the_matching_brace() {
+    let text = "fn f(x: u8) {\n    if x {\n        { spawn(1); }\n    }\n}\nfn g() { spawn(2); }\n";
+    let found = hits("x.rs", text, Some("f"), &["spawn("], "");
+    assert_eq!(found, ["x.rs:3: { spawn(1); }"]);
+    assert_eq!(body(&nontest(text), "f").len(), 5);
+}
+
+#[test]
+fn an_untouched_layer_depending_on_the_module_fails() {
+    for name in ["blockdev", "netbuf", "proto", "simfs", "servers"] {
+        let manifest = format!("[package]\nname = \"{name}\"\n[dependencies]\nsim = \"1\"\n");
+        assert_eq!(module_edge("x", &manifest), None);
+        let edge = module_edge("x", &format!("{manifest}ncache.workspace = true\n"));
+        assert_eq!(edge.is_some(), name != "servers", "{name}: {edge:?}");
+    }
+}
