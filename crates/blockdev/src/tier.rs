@@ -8,7 +8,7 @@
 //! this crate only answers "when is this I/O done?" — block contents
 //! stay in the iSCSI target.
 //!
-//! Placement is tracked per [`BLOCK_SIZE`] block. A read whose blocks are
+//! Placement is tracked per [`crate::BLOCK_SIZE`] block. A read whose blocks are
 //! all fast-resident is served by the fast device; anything else goes to
 //! the slow array (no split I/O — partial residency behaves like a miss,
 //! keeping the timing model simple and the miss counters honest). A slow

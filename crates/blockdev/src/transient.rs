@@ -3,7 +3,7 @@
 //! Real disks fail reads and writes transiently (media retries, transport
 //! resets); the iSCSI target surfaces those as non-zero SCSI status so the
 //! initiator's retry path gets exercised. The stream is a seeded
-//! [`SplitMix64`](sim::rng::SplitMix64) Bernoulli sequence in
+//! [`SplitMix64`] Bernoulli sequence in
 //! parts-per-million space, with the same consecutive-failure bound as
 //! `sim::fault` so a bounded retry loop always eventually succeeds.
 

@@ -9,7 +9,7 @@
 //!
 //! * **one pool**: every shard pins from the same [`BufPool`], so capacity
 //!   pressure is a global property, not N private budgets;
-//! * **one recency clock**: shards share a [`SeqSource`], so "least
+//! * **one recency clock**: shards share a `SeqSource`, so "least
 //!   recently used" is defined across the whole shard set;
 //! * **global victim selection**: when an insert cannot pin, the shard set
 //!   reclaims from whichever shard holds the globally oldest *reclaimable*

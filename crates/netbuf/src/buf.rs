@@ -36,9 +36,11 @@ pub enum CsumState {
 
 /// Bytes of inline linear area every [`NetBuf`] carries — the sk_buff
 /// linear data: headroom for the headers the send path prepends, landing
-/// area for the headers a delivery brings in. Sized for the largest
-/// fixed-size header stack in the workspace (RPC reply + NFS `diropres` +
-/// UDP/IPv4/Ethernet = 170 bytes); anything larger spills to the heap.
+/// area for the headers a delivery brings in. The largest fixed-size
+/// header stack really pushed is RPC reply 24 + NFS `diropres` 104 = 128
+/// bytes. The array stays at 192, because a smaller one changes every
+/// buffer's layout, which allocator-sensitive timings notice; anything
+/// larger spills.
 pub const HEADROOM: usize = 192;
 
 /// The linear area: headers are prepended *downwards* into a fixed

@@ -1,8 +1,8 @@
 //! The fine-grained quantile engine: a sub-bucketed log₂ histogram
 //! (HDR-style) whose tail quantiles are accurate to one sub-bucket.
 //!
-//! Layout: values below [`SUBS`] land in exact width-1 buckets; above
-//! that, each power-of-two octave splits into [`SUBS`] equal sub-buckets,
+//! Layout: values below `SUBS` land in exact width-1 buckets; above
+//! that, each power-of-two octave splits into `SUBS` equal sub-buckets,
 //! bounding the relative quantile error at `1 / SUBS` (6.25%). The bucket
 //! index of a value is a pure function of the value, so merging two
 //! histograms bucket-wise ([`Histogram::absorb`]) is exactly equivalent
@@ -104,12 +104,16 @@ impl Histogram {
     /// An immutable snapshot (canonical: trailing empty buckets trimmed,
     /// so equal sample multisets snapshot equal regardless of history).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = self.buckets.clone();
-        while buckets.last() == Some(&0) {
-            buckets.pop();
+        self.clone().into_snapshot()
+    }
+
+    /// [`Histogram::snapshot`] without copying the buckets.
+    pub fn into_snapshot(mut self) -> HistogramSnapshot {
+        while self.buckets.last() == Some(&0) {
+            self.buckets.pop();
         }
         HistogramSnapshot {
-            buckets,
+            buckets: self.buckets,
             count: self.count,
             sum: self.sum,
             min: self.min,

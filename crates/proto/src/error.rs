@@ -12,8 +12,6 @@ pub enum DecodeError {
         /// Bytes actually available.
         have: usize,
     },
-    /// A checksum did not verify.
-    BadChecksum,
     /// A magic number, version, or fixed field had the wrong value.
     BadField(&'static str),
     /// The value is syntactically valid but not supported by this subset.
@@ -26,7 +24,6 @@ impl fmt::Display for DecodeError {
             DecodeError::Truncated { need, have } => {
                 write!(f, "truncated header: need {need} bytes, have {have}")
             }
-            DecodeError::BadChecksum => write!(f, "checksum mismatch"),
             DecodeError::BadField(what) => write!(f, "invalid field: {what}"),
             DecodeError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
@@ -60,7 +57,6 @@ mod tests {
             DecodeError::Truncated { need: 8, have: 3 }.to_string(),
             "truncated header: need 8 bytes, have 3"
         );
-        assert_eq!(DecodeError::BadChecksum.to_string(), "checksum mismatch");
         assert_eq!(
             DecodeError::BadField("version").to_string(),
             "invalid field: version"
@@ -82,7 +78,7 @@ mod tests {
 
     #[test]
     fn error_is_std_error() {
-        let e: Box<dyn std::error::Error> = Box::new(DecodeError::BadChecksum);
-        assert!(e.to_string().contains("checksum"));
+        let e: Box<dyn std::error::Error> = Box::new(DecodeError::BadField("magic"));
+        assert!(e.to_string().contains("magic"));
     }
 }

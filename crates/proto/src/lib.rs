@@ -8,29 +8,28 @@
 //! codecs for exactly the header fields that classification and substitution
 //! rely on:
 //!
-//! * [`csum`] — the Internet checksum (RFC 1071), including incremental
-//!   update, which is what lets NCache reuse a stored checksum after
-//!   substituting a packet's payload.
-//! * [`ethernet`], [`ipv4`], [`udp`], [`tcp`] — framing. NFS runs over UDP
-//!   and HTTP over TCP in the paper's experiments (§5.5).
+//! * [`csum`] — the Internet checksum (RFC 1071), which NCache's fault
+//!   recovery stores per cached chunk and verifies before reuse.
 //! * [`rpc`], [`nfs`] — SUN RPC and the NFS procedures the evaluation
 //!   exercises (GETATTR, LOOKUP, READ, WRITE).
 //! * [`iscsi`] — the SCSI command / Data-In / Data-Out PDU subset the
 //!   NFS-server-to-storage-server path uses.
 //! * [`http`] — HTTP/1.0 requests and responses for the kHTTPd experiments.
 //!
+//! Link, network and transport framing (Ethernet, IPv4, UDP, TCP) is
+//! modeled, not built: `sim::costs` charges each message its per-packet
+//! CPU by transport and segment count (NFS over UDP, HTTP over TCP,
+//! paper §5.5), and the testbed adds a fixed per-message header
+//! overhead to the wire bytes. No request carries those headers.
+//!
 //! All decode functions are pure: `&[u8]` in, structured header out, with
 //! byte-exact round-trip tests and property tests in each module.
 
 pub mod csum;
 pub mod error;
-pub mod ethernet;
 pub mod http;
-pub mod ipv4;
 pub mod iscsi;
 pub mod nfs;
 pub mod rpc;
-pub mod tcp;
-pub mod udp;
 
 pub use error::{DecodeError, Result};

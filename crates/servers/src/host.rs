@@ -9,13 +9,13 @@
 //! So here: the build, the file system over the iSCSI initiator, the
 //! module and its cache handle, the node's copy ledger, the recorder,
 //! fault recovery, the overload control plane, write-behind, the
-//! degradation path, and one body per operation ([`ServerHost::read`],
-//! [`ServerHost::write`], [`ServerHost::remove`], [`ServerHost::sendfile`],
-//! [`ServerHost::transmit`] and [`ServerHost::transmit_stream`]) are not
+//! degradation path, and one body per operation (`ServerHost::read`,
+//! `ServerHost::write`, `ServerHost::remove`, `ServerHost::sendfile`,
+//! `ServerHost::transmit` and `ServerHost::transmit_stream`) are not
 //! NFS or HTTP. A server is a [`ServerHost`] plus its codec, its op
 //! handlers and its own counters ([`crate::nfs::NfsServer`] adds the
 //! duplicate-request cache); both deref to the host, so `server.fs_mut()`
-//! is the host's method on either. A read's [`Pending`] resolution passes
+//! is the host's method on either. A read's `Pending` resolution passes
 //! through the daemon to the transmit hook unopened.
 
 use std::ops::Range;
@@ -325,7 +325,7 @@ impl ServerHost {
     /// unaligned offset, something cold, a hole, a dangling key, or fault
     /// recovery revalidating key by key — and *nothing* has been counted
     /// or charged anywhere. `Some` has counted the network-centric cache's
-    /// side; [`ServerHost::serve_hit`] counts the file system's.
+    /// side; `ServerHost::serve_hit` counts the file system's.
     pub fn probe_keyed(&self, ino: Ino, offset: u64, len: usize) -> Option<KeyedHit<'_>> {
         if self.fault_recovery || !self.keyed(offset) {
             return None;

@@ -1,9 +1,9 @@
 //! kHTTPd: the in-kernel static web server, in the paper's three builds.
 //!
 //! The daemon is protocol only: it parses a GET, finds the page, serves
-//! its body with the host's sendfile ([`ServerHost::sendfile`]) and hands
+//! its body with the host's sendfile (`ServerHost::sendfile`) and hands
 //! the response to the host's stream transmit
-//! ([`ServerHost::transmit_stream`]). What differs per build lives there:
+//! (`ServerHost::transmit_stream`). What differs per build lives there:
 //! the original build's sendfile copies once, buffer cache → network
 //! stack (Table 2); the NCache build moves only keys (§4.1's changed
 //! sendfile interface), and its module confirms the header/body split the

@@ -30,7 +30,7 @@
 //!   and the driver-boundary transmit hook.
 //! * [`nfs`] — the in-kernel NFS server (three builds) and a test client.
 //! * [`khttpd`] — the in-kernel static web server (three builds).
-//! * [`stack`] — Ethernet/IP/UDP/TCP framing helpers shared by everyone.
+//! * [`stack`] — the one delivery (and its faulty form) every node receives through.
 //! * [`hooks`] — the Table 1 modification-footprint inventory.
 //! * [`control`] — the overload control plane: deterministic admission
 //!   gates, dirty-cache backpressure, and the client retry policy.

@@ -1,129 +1,16 @@
-//! Framing helpers: the network stack each node runs.
+//! The network stack each node runs: delivery.
 //!
-//! Senders push UDP/TCP + IPv4 + Ethernet headers onto a [`NetBuf`];
-//! receivers take delivery ([`deliver`]) and pull the headers back off.
+//! Senders push their protocol headers (RPC, NFS, iSCSI, HTTP) onto a
+//! [`NetBuf`]; receivers take delivery ([`deliver`]) and parse them off.
 //! Delivery models NIC DMA: the frame lands in the receiver's memory
 //! without CPU copies, and — crucially for NCache — the payload segments
 //! keep their shared storage, so data cached straight off the wire is the
-//! same memory that later goes back out.
+//! same memory that later goes back out. Ethernet, IPv4 and UDP/TCP
+//! framing is modeled, not built: `sim::costs` charges per-packet CPU by
+//! transport and the testbed adds a fixed per-message header overhead to
+//! the wire bytes.
 
 use netbuf::{CopyLedger, NetBuf};
-use proto::ethernet::{EthernetHeader, MacAddr};
-use proto::ipv4::{Ipv4Addr, Ipv4Header, PROTO_TCP, PROTO_UDP};
-use proto::tcp::{TcpHeader, HEADER_LEN as TCP_LEN};
-use proto::udp::{UdpHeader, HEADER_LEN as UDP_LEN};
-use proto::{ethernet, ipv4, DecodeError};
-
-/// Addressing of a received UDP datagram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UdpInfo {
-    /// Sender address.
-    pub src: Ipv4Addr,
-    /// Receiver address.
-    pub dst: Ipv4Addr,
-    /// Sender port.
-    pub src_port: u16,
-    /// Receiver port.
-    pub dst_port: u16,
-}
-
-/// Addressing of a received TCP segment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TcpInfo {
-    /// Sender address.
-    pub src: Ipv4Addr,
-    /// Receiver address.
-    pub dst: Ipv4Addr,
-    /// Sender port.
-    pub src_port: u16,
-    /// Receiver port.
-    pub dst_port: u16,
-    /// Sequence number of the first payload byte.
-    pub seq: u32,
-}
-
-/// Wraps a UDP datagram: pushes UDP, IPv4 and Ethernet headers.
-pub fn udp_encap(
-    buf: &mut NetBuf,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
-    ident: u16,
-) {
-    let payload_len = buf.payload_len();
-    buf.push_header(&UdpHeader::new(src_port, dst_port, payload_len).encode());
-    buf.push_header(&Ipv4Header::new(src, dst, PROTO_UDP, payload_len + UDP_LEN, ident).encode());
-    buf.push_header(
-        &EthernetHeader::ipv4(mac_of(src), mac_of(dst)).encode(),
-    );
-}
-
-/// Unwraps a delivered UDP datagram: pulls Ethernet, IPv4 and UDP headers
-/// off the payload.
-///
-/// # Errors
-///
-/// Any header that fails to parse or verify.
-pub fn udp_decap(buf: &mut NetBuf) -> Result<UdpInfo, DecodeError> {
-    let eth = EthernetHeader::decode(&buf.pull_array::<{ ethernet::HEADER_LEN }>())?;
-    if eth.ethertype != ethernet::ETHERTYPE_IPV4 {
-        return Err(DecodeError::BadField("ethertype"));
-    }
-    let ip = Ipv4Header::decode(&buf.pull_array::<{ ipv4::HEADER_LEN }>())?;
-    if ip.protocol != PROTO_UDP {
-        return Err(DecodeError::BadField("ip protocol"));
-    }
-    let udp = UdpHeader::decode(&buf.pull_array::<UDP_LEN>())?;
-    Ok(UdpInfo {
-        src: ip.src,
-        dst: ip.dst,
-        src_port: udp.src_port,
-        dst_port: udp.dst_port,
-    })
-}
-
-/// Wraps a TCP segment: pushes TCP, IPv4 and Ethernet headers.
-pub fn tcp_encap(
-    buf: &mut NetBuf,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
-    seq: u32,
-    ident: u16,
-) {
-    let payload_len = buf.payload_len();
-    buf.push_header(&TcpHeader::data(src_port, dst_port, seq).encode());
-    buf.push_header(&Ipv4Header::new(src, dst, PROTO_TCP, payload_len + TCP_LEN, ident).encode());
-    buf.push_header(
-        &EthernetHeader::ipv4(mac_of(src), mac_of(dst)).encode(),
-    );
-}
-
-/// Unwraps a delivered TCP segment.
-///
-/// # Errors
-///
-/// Any header that fails to parse or verify.
-pub fn tcp_decap(buf: &mut NetBuf) -> Result<TcpInfo, DecodeError> {
-    let eth = EthernetHeader::decode(&buf.pull_array::<{ ethernet::HEADER_LEN }>())?;
-    if eth.ethertype != ethernet::ETHERTYPE_IPV4 {
-        return Err(DecodeError::BadField("ethertype"));
-    }
-    let ip = Ipv4Header::decode(&buf.pull_array::<{ ipv4::HEADER_LEN }>())?;
-    if ip.protocol != PROTO_TCP {
-        return Err(DecodeError::BadField("ip protocol"));
-    }
-    let tcp = TcpHeader::decode(&buf.pull_array::<TCP_LEN>())?;
-    Ok(TcpInfo {
-        src: ip.src,
-        dst: ip.dst,
-        src_port: tcp.src_port,
-        dst_port: tcp.dst_port,
-        seq: tcp.seq,
-    })
-}
 
 /// Delivers a transmitted buffer into a receiving node's memory: the
 /// sender's built headers land in the linear area of a fresh buffer charged
@@ -206,48 +93,29 @@ pub fn deliver_faulty(
     }
 }
 
-/// The testbed's MAC convention: derived from the last IPv4 octet.
-pub fn mac_of(ip: Ipv4Addr) -> MacAddr {
-    MacAddr::from_node_id(ip.0[3])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netbuf::Segment;
+    use proto::nfs::proc;
+    use proto::rpc::{RpcCall, CALL_LEN};
 
-    fn addrs() -> (Ipv4Addr, Ipv4Addr) {
-        (Ipv4Addr::from_node_id(1), Ipv4Addr::from_node_id(2))
-    }
+    /// The RPC call header's leading field.
+    const XID_LEN: usize = 4;
 
-    #[test]
-    fn udp_round_trip_preserves_payload() {
-        let (src, dst) = addrs();
-        let tx_ledger = CopyLedger::new();
-        let rx_ledger = CopyLedger::new();
-        let mut pkt = NetBuf::new(&tx_ledger);
-        pkt.append_segment(Segment::from_vec(vec![9u8; 500]));
-        udp_encap(&mut pkt, src, dst, 3000, 2049, 7);
-
-        let mut rx = deliver(&pkt, &rx_ledger);
-        let info = udp_decap(&mut rx).expect("valid frame");
-        assert_eq!(info.src, src);
-        assert_eq!(info.dst, dst);
-        assert_eq!(info.src_port, 3000);
-        assert_eq!(info.dst_port, 2049);
-        assert_eq!(rx.payload_len(), 500);
-        assert_eq!(rx.copy_payload_to_vec(), vec![9u8; 500]);
+    /// Pushes the RPC call header an NFS client puts on a WRITE.
+    fn push_call(pkt: &mut NetBuf) {
+        pkt.push_header(&RpcCall::nfs(1, proc::WRITE).encode_array());
     }
 
     #[test]
     fn delivery_is_zero_copy_and_rehomed() {
-        let (src, dst) = addrs();
         let tx_ledger = CopyLedger::new();
         let rx_ledger = CopyLedger::new();
         let payload = Segment::from_vec(vec![7u8; 100]);
         let mut pkt = NetBuf::new(&tx_ledger);
         pkt.append_segment(payload.clone());
-        udp_encap(&mut pkt, src, dst, 1, 2, 0);
+        push_call(&mut pkt);
 
         let before_rx = rx_ledger.snapshot();
         let rx = deliver(&pkt, &rx_ledger);
@@ -265,48 +133,22 @@ mod tests {
 
     #[test]
     fn headers_land_and_an_unparsed_delivery_is_redelivered_whole() {
-        let (src, dst) = addrs();
         let ledger = CopyLedger::new();
         let payload = Segment::from_vec(vec![7u8; 100]);
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(payload.clone());
-        udp_encap(&mut pkt, src, dst, 1, 2, 0);
+        push_call(&mut pkt);
         let mut rx = deliver(&pkt, &ledger);
         // The headers are in the receive buffer's own linear area; the
         // chain is the sender's payload and nothing else.
-        assert_eq!((rx.header_len(), rx.linear().len(), rx.segment_count()), (0, 42, 1));
-        // A hop that parsed only the Ethernet header forwards the rest.
-        rx.pull_array::<{ ethernet::HEADER_LEN }>();
+        assert_eq!((rx.header_len(), rx.linear().len(), rx.segment_count()), (0, CALL_LEN, 1));
+        // A hop that parsed only the xid forwards the rest.
+        rx.pull_array::<XID_LEN>();
         let before = ledger.snapshot();
         let again = deliver(&rx, &ledger);
         assert_eq!(ledger.snapshot().delta_since(&before).logical_copies, 2);
-        assert_eq!(again.to_wire(), pkt.to_wire()[ethernet::HEADER_LEN..]);
+        assert_eq!(again.to_wire(), pkt.to_wire()[XID_LEN..]);
         assert!(again.segments().all(|s| s.same_storage(&payload)));
-    }
-
-    #[test]
-    fn tcp_round_trip() {
-        let (src, dst) = addrs();
-        let ledger = CopyLedger::new();
-        let mut pkt = NetBuf::new(&ledger);
-        pkt.append_segment(Segment::from_vec(b"GET / HTTP/1.0\r\n\r\n".to_vec()));
-        tcp_encap(&mut pkt, src, dst, 5000, 80, 1234, 1);
-        let mut rx = deliver(&pkt, &ledger);
-        let info = tcp_decap(&mut rx).expect("valid frame");
-        assert_eq!(info.seq, 1234);
-        assert_eq!(info.dst_port, 80);
-        assert_eq!(rx.copy_payload_to_vec(), b"GET / HTTP/1.0\r\n\r\n");
-    }
-
-    #[test]
-    fn decap_rejects_wrong_protocol() {
-        let (src, dst) = addrs();
-        let ledger = CopyLedger::new();
-        let mut pkt = NetBuf::new(&ledger);
-        pkt.append_segment(Segment::from_vec(vec![0u8; 10]));
-        udp_encap(&mut pkt, src, dst, 1, 2, 0);
-        let mut rx = deliver(&pkt, &ledger);
-        assert!(tcp_decap(&mut rx).is_err(), "UDP frame is not TCP");
     }
 
     #[test]
@@ -405,14 +247,13 @@ mod tests {
 
     #[test]
     fn headers_charged_as_header_bytes_not_copies() {
-        let (src, dst) = addrs();
         let ledger = CopyLedger::new();
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(Segment::from_vec(vec![0u8; 100]));
         let before = ledger.snapshot();
-        udp_encap(&mut pkt, src, dst, 1, 2, 0);
+        push_call(&mut pkt);
         let d = ledger.snapshot().delta_since(&before);
         assert_eq!(d.payload_copies, 0);
-        assert_eq!(d.header_bytes, 14 + 20 + 8);
+        assert_eq!(d.header_bytes, CALL_LEN as u64);
     }
 }

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a seeded source of fault decisions for the two
 //! network links of the testbed (client ⇄ NFS/kHTTPd server and iSCSI
 //! initiator ⇄ target) plus the block device underneath the target. Each
-//! link owns an independent [`SplitMix64`](crate::rng::SplitMix64) stream
+//! link owns an independent [`SplitMix64`] stream
 //! derived from the plan seed, so the decision sequence on one link never
 //! depends on traffic (or thread scheduling) on another: the same seed and
 //! [`FaultSpec`] reproduce the same faults byte for byte at any worker

@@ -1,10 +1,10 @@
-//! Measurement helpers: counters, throughput meters, histograms, and the
-//! series tables the benchmark harness prints for each paper figure.
+//! Measurement helpers: the throughput meter and the series tables the
+//! benchmark harness prints for each paper figure.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// Accumulates delivered payload bytes and completed operations over
 /// simulated time, and reports throughput the way the paper does
@@ -27,23 +27,12 @@ use crate::time::{Duration, SimTime};
 pub struct Throughput {
     bytes: u64,
     ops: u64,
-    start: SimTime,
 }
 
 impl Throughput {
     /// Creates a meter starting at time zero.
     pub fn new() -> Self {
         Throughput::default()
-    }
-
-    /// Creates a meter whose window starts at `start` (for excluding
-    /// warm-up).
-    pub fn starting_at(start: SimTime) -> Self {
-        Throughput {
-            bytes: 0,
-            ops: 0,
-            start,
-        }
     }
 
     /// Records one completed operation that delivered `payload` bytes.
@@ -62,9 +51,9 @@ impl Throughput {
         self.ops
     }
 
-    /// Throughput in decimal megabytes per second over `[start, now]`.
+    /// Throughput in decimal megabytes per second over `[0, now]`.
     pub fn megabytes_per_sec(&self, now: SimTime) -> f64 {
-        let secs = now.saturating_since(self.start).as_secs_f64();
+        let secs = now.as_secs_f64();
         if secs == 0.0 {
             0.0
         } else {
@@ -72,86 +61,14 @@ impl Throughput {
         }
     }
 
-    /// Throughput in operations per second over `[start, now]`.
+    /// Throughput in operations per second over `[0, now]`.
     pub fn ops_per_sec(&self, now: SimTime) -> f64 {
-        let secs = now.saturating_since(self.start).as_secs_f64();
+        let secs = now.as_secs_f64();
         if secs == 0.0 {
             0.0
         } else {
             self.ops as f64 / secs
         }
-    }
-}
-
-/// A latency histogram with power-of-two microsecond buckets.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// bucket i counts samples in [2^i, 2^(i+1)) microseconds; bucket 0
-    /// additionally includes sub-microsecond samples.
-    buckets: Vec<u64>,
-    count: u64,
-    total: Duration,
-    max: Duration,
-}
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, d: Duration) {
-        let us = d.as_nanos() / 1_000;
-        let idx = if us <= 1 {
-            0
-        } else {
-            (63 - us.leading_zeros()) as usize
-        };
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.total += d;
-        if d > self.max {
-            self.max = d;
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency, or zero with no samples.
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count
-        }
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> Duration {
-        self.max
-    }
-
-    /// Approximate quantile (bucket upper bound), `q` in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return Duration::from_micros(1 << (i + 1));
-            }
-        }
-        self.max
     }
 }
 
@@ -265,41 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn throughput_warmup_window() {
-        let mut t = Throughput::starting_at(SimTime::from_secs(1));
-        t.record(1_000_000);
-        assert!((t.megabytes_per_sec(SimTime::from_secs(2)) - 1.0).abs() < 1e-9);
-        // Sampling before the window start yields 0 instead of dividing by
-        // a negative span.
-        assert_eq!(t.megabytes_per_sec(SimTime::from_millis(500)), 0.0);
-    }
-
-    #[test]
     fn throughput_zero_elapsed_is_zero() {
         let mut t = Throughput::new();
         t.record(100);
         assert_eq!(t.megabytes_per_sec(SimTime::ZERO), 0.0);
         assert_eq!(t.ops_per_sec(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn histogram_mean_max_quantile() {
-        let mut h = LatencyHistogram::new();
-        for us in [1u64, 2, 4, 8, 1_000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), Duration::from_micros(203));
-        assert_eq!(h.max(), Duration::from_micros(1_000));
-        assert!(h.quantile(0.5) <= Duration::from_micros(8));
-        assert!(h.quantile(1.0) >= Duration::from_micros(1_000));
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.mean(), Duration::ZERO);
-        assert_eq!(h.quantile(0.99), Duration::ZERO);
     }
 
     #[test]

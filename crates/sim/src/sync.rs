@@ -23,7 +23,7 @@
 //! merely run (DESIGN.md §14):
 //!
 //! * [`LaneCounters`] — event counters striped lane-major: every thread
-//!   adds to the cache-line-padded stripe its [`lane_slot`] selects, so a
+//!   adds to the cache-line-padded stripe its `lane_slot` selects, so a
 //!   hot-path count never writes a line another lane writes; readers sum
 //!   the stripes. Sums are exact whenever no thread is mid-update — the
 //!   quiescent points at which counters are compared anyway.
@@ -125,7 +125,7 @@ impl<T> Clone for Shared<T> {
 
 /// Exclusively owned counter stripes per [`LaneCounters`]: up to this many
 /// live threads each count on a stripe no other thread writes. Threads
-/// beyond that share one more stripe, [`OVERFLOW`] (still exact: its adds
+/// beyond that share one more stripe, `OVERFLOW` (still exact: its adds
 /// are atomic read-modify-writes), so this bounds memory, not threads.
 pub const LANE_SLOTS: usize = 8;
 

@@ -101,7 +101,7 @@ pub fn clear_entry(block: &mut [u8], slot_idx: usize) {
 /// Finds `name` in a directory block, returning its slot index and inode.
 /// The name is compared where it lies: a lookup builds no entry for the
 /// slots it walks past. (A free slot has length 0, which an empty `name`
-/// must not match: [`slot_name`] rejects it first.)
+/// must not match: `slot_name` rejects it first.)
 pub fn find_in_block(block: &[u8], name: &str) -> Option<(usize, Ino)> {
     block
         .chunks_exact(ENTRY_SIZE)

@@ -847,7 +847,7 @@ pub fn overload_sweep(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
 pub const OVERLOAD_ABLATION_SEED: u64 = 31;
 
 /// Request sizes swept by [`overload_ablation`], with their series
-/// labels. [`SPAN`] comes first so its cells keep the seeds they had
+/// labels. `SPAN` comes first so its cells keep the seeds they had
 /// before the size axis existed.
 pub const OVERLOAD_ABLATION_SIZES: [(u32, &str); 2] = [(SPAN, "16K"), (4 << 10, "4K")];
 

@@ -10,7 +10,7 @@
 //! the behaviour the overload sweep plots: goodput flattening at
 //! capacity while p99/p999 latency departs from the mean.
 //!
-//! Timing is the one engine in [`crate::engine`] — the closed loops' stage
+//! Timing is the one engine in `crate::engine` — the closed loops' stage
 //! chains and FIFO resources, fed by an absolute-schedule arrival process
 //! instead of completions; every foreground request accumulates the same
 //! per-stage queue/service breakdown ([`obs::StageNs`]), telescoping to
@@ -170,7 +170,7 @@ impl Sink for OpenLoopSink {
 
 /// Runs `ops` open-loop against `rig`, arrival `k` firing at
 /// `schedule[k]` whatever has completed by then (the schedule arrival
-/// process of [`crate::engine`]; the array stays flat — tiering is a
+/// process of `crate::engine`; the array stays flat — tiering is a
 /// closed-loop ablation concern). The schedule must be as long as `ops`
 /// but need not be sorted, as the Poisson draws from
 /// [`workload::arrivals`] are: arrivals fire in time order, those at one

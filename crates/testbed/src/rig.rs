@@ -62,7 +62,7 @@ pub trait App: std::ops::DerefMut<Target = ServerHost> {
     fn build(host: ServerHost) -> Self;
 
     /// A client charging `ledger`: the rig's own (`session` is `None`) or
-    /// session `sid`'s ([`Rig::session`]).
+    /// session `sid`'s (`Rig::session`).
     fn client(ledger: &CopyLedger, session: Option<usize>) -> Self::Client;
 
     /// Turns `op` into a request message. Also returns the payload bytes
@@ -75,7 +75,7 @@ pub trait App: std::ops::DerefMut<Target = ServerHost> {
     fn request(client: &mut Self::Client, op: &DriverOp) -> (NetBuf, u64);
 
     /// The accept test of a timed op's reply on a faulty link
-    /// ([`faulted_exchange_with`]): for a reply that answers `request` —
+    /// (`faulted_exchange_with`): for a reply that answers `request` —
     /// built for `op` — the payload bytes it accounts for; `None` for
     /// damage.
     fn accept<'a>(
@@ -418,7 +418,7 @@ impl<A: App> Rig<A> {
 
     /// Builds the rig and arms the whole stack with a seeded fault plan:
     /// the client⇄server link (this rig's exchange loop, and every
-    /// [`Rig::session`]'s), the initiator⇄target link (inside the
+    /// `Rig::session`'s), the initiator⇄target link (inside the
     /// initiator), transient I/O errors at the target, and
     /// checksum-verified placeholder revalidation at the server.
     pub fn new_faulted(mode: ServerMode, params: A::Params, spec: &FaultSpec, seed: u64) -> Self {

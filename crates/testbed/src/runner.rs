@@ -11,7 +11,6 @@
 
 use blockdev::{TierConfig, TierStats};
 use sim::costs::CostModel;
-use sim::stats::LatencyHistogram;
 use sim::time::{Duration, SimTime};
 
 use crate::engine::{Arrivals, Flight, Sink, Walker};
@@ -108,7 +107,10 @@ pub(crate) fn op_label(op: &DriverOp) -> &'static str {
     }
 }
 
-/// Framing overhead of one message (Ethernet + IP + UDP/TCP headers).
+/// Framing overhead of one message, added once to its wire bytes: 42 =
+/// Ethernet 14 + IPv4 20 + UDP 8. kHTTPd's TCP messages are charged the
+/// same 42, 12 bytes under Ethernet + IPv4 + TCP's 54. No framing header
+/// is built; each transport's per-packet CPU is `sim::costs`'s.
 pub(crate) const FRAME_OVERHEAD: u64 = 42;
 
 /// Runner configuration.
@@ -160,7 +162,8 @@ pub struct RunResult {
     pub payload_bytes: u64,
     /// Mean request latency.
     pub mean_latency: Duration,
-    /// Approximate 99th-percentile request latency.
+    /// 99th-percentile request latency, interpolated within one
+    /// sub-bucket ([`obs::HistogramSnapshot::quantile`]).
     pub p99_latency: Duration,
     /// Per-interval throughput samples over the run (≤ 32 buckets;
     /// empty when no foreground operation completed).
@@ -214,20 +217,20 @@ fn build_timeline(samples: &[(u64, u64)], elapsed_ns: u64) -> Vec<TimelineSample
 /// completion samples `(t_ns, payload)` the timeline is bucketed from.
 #[derive(Default)]
 struct RunSink {
-    latency: LatencyHistogram,
+    latency: obs::Histogram,
     samples: Vec<(u64, u64)>,
 }
 
 impl Sink for RunSink {
     fn delivered(&mut self, _sid: usize, now: SimTime, flight: &Flight, _late: bool) {
-        self.latency.record(now.since(flight.start));
+        self.latency.record(now.since(flight.start).as_nanos());
         self.samples.push((now.as_nanos(), flight.payload));
     }
 }
 
 /// Runs `ops` against `rig` under `opts`: a closed loop of
 /// `opts.concurrency` outstanding requests over one shared queue (see
-/// [`crate::engine`]). Operations execute functionally in issue order;
+/// `crate::engine`). Operations execute functionally in issue order;
 /// timing is an exact FIFO simulation. A request the rig's admission
 /// gate rejects is shed: it frees its slot but stays out of `ops`,
 /// `payload_bytes` and the latency figures.
@@ -250,6 +253,7 @@ pub fn run<R: RigDriver>(
     w.run();
 
     let elapsed = w.totals.end;
+    let latency = std::mem::take(&mut w.sink.latency).into_snapshot();
     let timeline = build_timeline(&w.sink.samples, elapsed.as_nanos());
     for s in &timeline {
         rec.set_now(s.t_ns);
@@ -268,8 +272,8 @@ pub fn run<R: RigDriver>(
         elapsed,
         ops: w.totals.meter.ops(),
         payload_bytes: w.totals.meter.bytes(),
-        mean_latency: w.sink.latency.mean(),
-        p99_latency: w.sink.latency.quantile(0.99),
+        mean_latency: Duration::from_nanos(latency.mean()),
+        p99_latency: Duration::from_nanos(latency.quantile(0.99)),
         timeline,
         tier: w.hw.array.tier_stats(),
     }

@@ -1,7 +1,7 @@
 //! The interleaved multi-session engine.
 //!
 //! [`run_sessions`] drives M client sessions against one rig through the
-//! per-session arrival process of the timing engine ([`crate::engine`]).
+//! per-session arrival process of the timing engine (`crate::engine`).
 //! Each session holds exactly one outstanding request (a closed loop per
 //! client, as the paper's client-scaling runs); its request, storage and
 //! reply stages are the same FIFO chains the single-stream
@@ -12,7 +12,7 @@
 //! which the determinism gates in CI compare directly.
 //!
 //! NFS sessions each carry their own client on a disjoint xid base, over
-//! a link of their own ([`crate::rig::Rig::session`]): the server's
+//! a link of their own (`crate::rig::Rig::session`): the server's
 //! duplicate-request cache is keyed by xid alone, so without per-session
 //! bases two clients' requests would alias in the DRC, and on an armed rig
 //! each session's fault schedule is its own. [`run_nfs_sessions`] sets
@@ -27,7 +27,6 @@ use netbuf::NetBuf;
 use servers::initiator::IoRecord;
 use servers::nfs::{fh_to_ino, NfsClient, NfsServer};
 use sim::costs::CostModel;
-use sim::stats::LatencyHistogram;
 use sim::sync::{LaneLock, LockCounters};
 use sim::time::{Duration, SimTime};
 
@@ -87,7 +86,8 @@ pub struct SessionsResult {
     pub per_session_ops: Vec<u64>,
     /// Mean request latency.
     pub mean_latency: Duration,
-    /// Approximate 99th-percentile request latency.
+    /// 99th-percentile request latency, interpolated within one
+    /// sub-bucket ([`obs::HistogramSnapshot::quantile`]).
     pub p99_latency: Duration,
     /// Requests the server's admission gate rejected: a closed-loop
     /// client does not retransmit, so each is shed at once. Zero
@@ -100,13 +100,13 @@ pub struct SessionsResult {
 /// The per-session completion sink: request latency and how many
 /// operations each session got through.
 struct SessionSink {
-    latency: LatencyHistogram,
+    latency: obs::Histogram,
     per_session_ops: Vec<u64>,
 }
 
 impl Sink for SessionSink {
     fn delivered(&mut self, sid: usize, now: SimTime, flight: &Flight, _late: bool) {
-        self.latency.record(now.since(flight.start));
+        self.latency.record(now.since(flight.start).as_nanos());
         self.per_session_ops[sid] += 1;
     }
 }
@@ -118,7 +118,7 @@ impl Sink for SessionSink {
 /// Sessions are primed in session order at time zero; from then on each
 /// completion immediately issues the session's next operation, so every
 /// session keeps exactly one request outstanding until its stream drains
-/// (the per-session arrival process of [`crate::engine`]). A request the
+/// (the per-session arrival process of `crate::engine`). A request the
 /// admission gate rejects is shed and still refills its session's slot.
 pub fn run_sessions<R: RigDriver + 'static>(
     mut rig: R,
@@ -129,7 +129,7 @@ pub fn run_sessions<R: RigDriver + 'static>(
     let n = sessions.len();
     let result = {
         let sink = SessionSink {
-            latency: LatencyHistogram::new(),
+            latency: obs::Histogram::new(),
             per_session_ops: vec![0; n],
         };
         let arrivals = Arrivals::per_session(sessions);
@@ -140,6 +140,7 @@ pub fn run_sessions<R: RigDriver + 'static>(
         }
         w.run();
         let elapsed = w.totals.end;
+        let latency = std::mem::take(&mut w.sink.latency).into_snapshot();
         SessionsResult {
             throughput_mbs: w.totals.meter.megabytes_per_sec(elapsed),
             ops_per_sec: w.totals.meter.ops_per_sec(elapsed),
@@ -147,8 +148,8 @@ pub fn run_sessions<R: RigDriver + 'static>(
             ops: w.totals.meter.ops(),
             payload_bytes: w.totals.meter.bytes(),
             per_session_ops: w.sink.per_session_ops,
-            mean_latency: w.sink.latency.mean(),
-            p99_latency: w.sink.latency.quantile(0.99),
+            mean_latency: Duration::from_nanos(latency.mean()),
+            p99_latency: Duration::from_nanos(latency.quantile(0.99)),
             shed: w.totals.shed,
             tier: w.hw.array.tier_stats(),
         }
@@ -157,7 +158,7 @@ pub fn run_sessions<R: RigDriver + 'static>(
 }
 
 /// Builds one session per session index — its client on a disjoint xid
-/// base, over its own link ([`crate::rig::Rig::session`]) — and returns a
+/// base, over its own link (`crate::rig::Rig::session`) — and returns a
 /// swap hook installing the active session around each operation.
 pub fn nfs_session_clients(rig: &NfsRig, sessions: usize) -> SessionHook<NfsRig> {
     let mut sessions: Vec<Session<NfsClient>> = (0..sessions).map(|i| rig.session(i)).collect();
@@ -223,7 +224,7 @@ struct LaneContext<'a> {
 ///    stream and session (the one the sequential engine builds) and runs
 ///    it to completion on a worker thread. The server, filesystem and
 ///    ledger snapshots sit behind one core lock, held
-///    shared by a cache-hit READ ([`fast_read_op`]) and exclusively by
+///    shared by a cache-hit READ (`fast_read_op`) and exclusively by
 ///    everything else; the server finishes every reply inside it, transmit
 ///    hook included. Every operation executes inside an epoch
 ///    window ([`sim::epoch`]): LRU stamps are a pure function of
@@ -239,7 +240,7 @@ struct LaneContext<'a> {
 /// `seed` derives the epoch tie ranks. On an armed rig each lane's link
 /// draws from its session's own plan, derived from the rig's seed and the
 /// lane index — the one the sequential engine's session uses — and every
-/// op takes the exclusive path, where [`crate::rig::Rig::serve_op`] runs
+/// op takes the exclusive path, where `crate::rig::Rig::serve_op` runs
 /// the whole exchange; so fault outcomes are the oracle's at any thread
 /// count. Trace *ordering* from the functional phase is the one relaxed
 /// observable; totals, counters and the timing-phase events are not.

@@ -19,6 +19,9 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # The one hit walk's two differential properties at two pinned seeds each.
 for SEED in 0x5eed0001 0x5eed0002; do
     CHECK_SEED="$SEED" cargo test -q --offline -p simfs --test resident_walk_equivalence

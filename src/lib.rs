@@ -15,7 +15,7 @@
 //!   tracking.
 //! * [`netbuf`] — sk_buff-style network buffers with a copy-accounting
 //!   ledger; every physical and logical copy in the system is counted.
-//! * [`proto`] — Ethernet/IPv4/UDP/TCP-lite/RPC/NFS/iSCSI/HTTP codecs.
+//! * [`proto`] — RPC/NFS/iSCSI/HTTP codecs and the Internet checksum.
 //! * [`simfs`] — the inode file system + size-limited buffer cache the
 //!   servers run on.
 //! * [`servers`] — iSCSI target and initiator, and the three builds each

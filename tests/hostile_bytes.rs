@@ -1,4 +1,4 @@
-//! Hostile bytes into both daemons.
+//! Hostile bytes into both daemons and into the trace reader.
 //!
 //! Valid NFS calls of every procedure and valid HTTP GETs, then mutated:
 //! byte flips, truncations, appended junk and edits of their length
@@ -6,10 +6,15 @@
 //! `KhttpdRig::handle_raw` in all three builds, and each must leave the
 //! server standing: no panic, a reply that decodes as an RPC reply or an
 //! HTTP status line, and an NCache shard set whose invariants hold.
+//!
+//! Exported traces, mutated the same way or replaced by arbitrary text,
+//! go through `obs::json::parse` and both trace validators, which must
+//! return, never panic or overflow the stack.
 
 use check::gen::*;
 use check::{prop_assert, property, PropResult};
 use netbuf::{CopyLedger, NetBuf, Segment};
+use obs::{EventKind, StageNs};
 use proto::http::HttpResponseHeader;
 use proto::nfs;
 use proto::rpc::{RpcCall, RpcReply, REPLY_LEN};
@@ -212,6 +217,106 @@ property! {
     fn prop_http_daemon_survives_hostile_requests(steps in vec_of(step(), 1..24)) {
         for mode in ServerMode::ALL {
             http_survives(mode, &steps)?;
+        }
+    }
+}
+
+/// Characters JSON is made of, plus a sign and a surrogate's hex digits.
+const JSON_CHARS: &str = "[]{}\",:\\/ \nu0123456789abcdefABCDEF+-.eEtrulsn";
+
+/// One trace document: `(mutation, jsonl?, position, byte, text, depth)`.
+type TraceStep = (u8, bool, u64, u8, String, u16);
+
+fn trace_step() -> impl Gen<Value = TraceStep> {
+    (
+        ints(0u8..5),
+        any_bool(),
+        any_u64(),
+        any_u8(),
+        string_of(JSON_CHARS, 0..48),
+        ints(0u16..20_000),
+    )
+}
+
+/// A trace holding one event of every kind, exported both ways:
+/// `(jsonl, chrome)`.
+fn sample_trace() -> (String, String) {
+    let r = obs::Recorder::new();
+    r.enable(obs::TraceConfig::default());
+    r.set_now(1_500);
+    let span = r.begin_span("read", "ncache", 4096);
+    r.emit(EventKind::CacheAccess { tier: "fs", hit: false });
+    r.emit(EventKind::CacheInsert { tier: "ncache", dirty: true });
+    r.emit(EventKind::Eviction { tier: "ncache", class: "lbn", dirty: false });
+    r.emit(EventKind::Remap);
+    r.emit(EventKind::Substitution { substituted: 2, missing: 1 });
+    r.emit(EventKind::Writeback { blocks: 8 });
+    r.emit(EventKind::Copy { category: "payload", bytes: 4096 });
+    r.end_span(span);
+    r.emit(EventKind::Request {
+        op: "read",
+        path: "disk",
+        start_ns: 1_500,
+        end_ns: 9_000,
+        stages: vec![
+            StageNs { stage: "app-cpu", queue_ns: 500, service_ns: 2_000 },
+            StageNs { stage: "disk", queue_ns: 0, service_ns: 5_000 },
+        ],
+    });
+    r.emit(EventKind::ResourceBusy {
+        resource: "app-cpu".to_string(),
+        slot: 0,
+        start_ns: 2_000,
+        end_ns: 4_000,
+    });
+    r.emit(EventKind::Gauge { name: "throughput_mbs", value: 12.5 });
+    let events = r.events();
+    (obs::export_jsonl(&events), obs::export_chrome_trace(&events))
+}
+
+/// Applies a [`TraceStep`] to the exported documents.
+fn hostile_trace(
+    (jsonl, chrome): &(String, String),
+    (mutation, pick_jsonl, pos, byte, text, depth): &TraceStep,
+) -> String {
+    let mut bytes = if *pick_jsonl { jsonl } else { chrome }.clone().into_bytes();
+    let at = (*pos % (bytes.len() as u64 + 1)) as usize;
+    match mutation {
+        0 => return text.clone(),
+        1 => {
+            let i = at.min(bytes.len() - 1);
+            bytes[i] ^= byte | 1;
+        }
+        2 => bytes.truncate(at),
+        3 => {
+            bytes.splice(at..at, text.bytes());
+        }
+        _ => {
+            let open = if byte % 2 == 0 { "[" } else { "{\"k\":" };
+            let mut nested = open.repeat(usize::from(*depth)).into_bytes();
+            nested.extend_from_slice(&bytes[..at]);
+            bytes = nested;
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+property! {
+    #![cases(256)]
+
+    /// Arbitrary text and mutated exports never panic the trace reader:
+    /// the parser and both validators return `Ok` or `Err`.
+    fn prop_trace_reader_survives_hostile_files(steps in vec_of(trace_step(), 1..8)) {
+        let trace = sample_trace();
+        prop_assert!(obs::validate_jsonl(&trace.0).is_ok());
+        prop_assert!(obs::validate_chrome_trace(&trace.1).is_ok());
+        for step in &steps {
+            let text = hostile_trace(&trace, step);
+            let _ = obs::json::parse(&text);
+            if let Ok(n) = obs::validate_jsonl(&text) {
+                prop_assert!(n <= text.lines().count());
+            }
+            let _ = obs::validate_chrome_trace(&text);
         }
     }
 }
