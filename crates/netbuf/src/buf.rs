@@ -436,10 +436,11 @@ impl NetBuf {
         out
     }
 
-    /// Reads payload bytes `[off, off+len)` without consuming or charging —
-    /// for protocol classification only (peeking an RPC procedure number or
-    /// an HTTP header; the paper's NCache module does exactly this at the
-    /// driver boundary).
+    /// Reads payload bytes `[off, off+len)` into a vector of `len` bytes,
+    /// without consuming or charging — for protocol classification
+    /// (peeking an RPC procedure number or an HTTP header; the paper's
+    /// NCache module does exactly this at the driver boundary), or for a
+    /// copy its caller charges.
     ///
     /// # Panics
     ///

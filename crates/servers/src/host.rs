@@ -75,6 +75,9 @@ pub struct ServerHost {
     /// The key stamps of the logical WRITE being served: cleared when one
     /// starts, never shrunk, so a WRITE allocates no list.
     stamps: Vec<KeyStamp>,
+    /// The blocks the keyed read's miss-capable path fetched: emptied
+    /// after each read, never shrunk, so a miss allocates no list.
+    fetched: Vec<LogicalBlock>,
     /// The transmit-stream tracker of kHTTPd's one connection: it re-arms
     /// after each complete response.
     pub(crate) tracker: HttpTxTracker,
@@ -137,6 +140,7 @@ impl ServerHost {
             control: None,
             dirty_blocks_since_sync: 0,
             stamps: Vec::new(),
+            fetched: Vec::new(),
             tracker: HttpTxTracker::new(),
         }
     }
@@ -363,10 +367,11 @@ impl ServerHost {
 
     /// The keyed read of a block-aligned range — the one logical-copy
     /// read of both daemons: the probe and [`ServerHost::serve_hit`] on a
-    /// pure hit; otherwise the miss-capable fetch, block by block, whose
-    /// placeholders are resolved ([`ServerHost::resolve_fetched`]) and
-    /// attached. `Ok(None)` when a fetched placeholder dangles (evicted or
-    /// corrupt): nothing has been attached.
+    /// pure hit; otherwise the miss-capable fetch, block by block into a
+    /// list the host keeps, whose placeholders are resolved
+    /// ([`ServerHost::resolve_fetched`]) and attached. `Ok(None)` when a
+    /// fetched placeholder dangles (evicted or corrupt): nothing has been
+    /// attached.
     fn read_keyed(
         &mut self,
         ino: Ino,
@@ -378,15 +383,19 @@ impl ServerHost {
         if let Some(hit) = self.probe_keyed(ino, offset, len) {
             return Ok(Some(self.serve_hit(hit, reply, attrs)));
         }
-        let blocks = self.fs.read_logical_per_block(ino, offset, len)?;
-        let Ok(pending) = self.resolve_fetched(&blocks) else {
-            return Ok(None);
+        let mut blocks = std::mem::take(&mut self.fetched);
+        self.fs.read_logical_per_block_into(ino, offset, len, &mut blocks)?;
+        let read = match self.resolve_fetched(&blocks) {
+            Ok(pending) => Some(RangeRead {
+                len: attach_blocks(reply, blocks.iter().map(|b| (&b.seg, b.valid_len))),
+                pending,
+                attrs: attrs.then(|| self.fs.getattr(ino)).transpose()?,
+            }),
+            Err(_) => None,
         };
-        Ok(Some(RangeRead {
-            len: attach_blocks(reply, blocks.iter().map(|b| (&b.seg, b.valid_len))),
-            pending,
-            attrs: attrs.then(|| self.fs.getattr(ino)).transpose()?,
-        }))
+        blocks.clear();
+        self.fetched = blocks;
+        Ok(read)
     }
 
     /// The read of `[offset, offset + len)` into `reply`, with the file's

@@ -230,35 +230,30 @@ impl HttpClient {
         b
     }
 
-    /// Parses a response stream into (header, body bytes). The body copy
-    /// is the client-side receive copy.
+    /// Parses a response stream into (header, body bytes): the client's
+    /// receive copy.
     ///
     /// # Panics
     ///
     /// Panics on malformed responses (test infrastructure).
     pub fn parse_response(&self, response: &NetBuf) -> (HttpResponseHeader, Vec<u8>) {
-        let rx = crate::stack::deliver(response, &self.ledger);
-        let mut stream = rx.copy_payload_to_vec();
-        let (header, body_at) = HttpResponseHeader::decode(&stream).expect("response header");
-        // The stream buffer becomes the body: drop the header prefix in
-        // place instead of copying the body out a second time.
-        stream.drain(..body_at);
-        (header, stream)
+        self.try_parse_response(response).expect("a well-formed response")
     }
 
     /// Non-panicking [`HttpClient::parse_response`] for faulty links:
-    /// `None` when the header is undecodable or the body is shorter than
-    /// the advertised content length (truncation), meaning the client must
+    /// `None` when the header is undecodable or the body is not the
+    /// advertised content length (truncation), meaning the client must
     /// retry the request.
     pub fn try_parse_response(&self, response: &NetBuf) -> Option<(HttpResponseHeader, Vec<u8>)> {
         let rx = crate::stack::deliver(response, &self.ledger);
-        let mut stream = rx.copy_payload_to_vec();
-        let (header, body_at) = HttpResponseHeader::decode(&stream).ok()?;
-        if stream.len().checked_sub(body_at)? != header.content_length as usize {
-            return None;
-        }
-        stream.drain(..body_at);
-        Some((header, stream))
+        // The receive copy moves the whole stream out of the socket
+        // buffers and is charged so. On the host the header decodes where
+        // the delivery landed it, and only the body moves, once, into a
+        // vector of its size.
+        self.ledger.charge_payload_copy(rx.payload_len() as u64);
+        let (header, body_at) = HttpResponseHeader::decode(rx.linear()).ok()?;
+        let body_len = rx.payload_len().checked_sub(body_at)?;
+        (body_len == header.content_length as usize).then(|| (header, rx.peek(body_at, body_len)))
     }
 }
 

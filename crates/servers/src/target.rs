@@ -294,9 +294,14 @@ impl IscsiTarget {
                 return Err("Data-Out payload must be one block".into());
             }
             // Incoming network buffer → disk buffer: the storage
-            // server's receive copy.
-            let block = pdu.copy_payload_to_vec();
-            self.image.insert(d.lbn, block);
+            // server's receive copy, one block either way. A block written
+            // before is overwritten where it lies.
+            match self.image.get_mut(&d.lbn) {
+                Some(block) => pdu.copy_payload_into(block),
+                None => {
+                    self.image.insert(d.lbn, pdu.copy_payload_to_vec());
+                }
+            }
             self.stats.blocks_written += 1;
         }
         Ok(())
@@ -449,6 +454,31 @@ mod tests {
         let d = ledger.snapshot().delta_since(&before);
         assert_eq!(d.payload_copies, 2, "one disk→PDU copy per block");
         assert_eq!(d.payload_bytes_copied, 2 * BLOCK_SIZE as u64);
+    }
+
+    #[test]
+    fn an_overwrite_lands_in_place_and_is_charged_as_a_first_write() {
+        let mut t = target();
+        let written = |t: &mut IscsiTarget, lbn, fill| {
+            let before = t.ledger().snapshot();
+            write_one(t, lbn, fill);
+            t.ledger().snapshot().delta_since(&before)
+        };
+        let first = written(&mut t, 4, 0x11);
+        assert_eq!((first.payload_copies, first.payload_bytes_copied), (1, BLOCK_SIZE as u64));
+        assert_eq!(t.written_blocks(), 1);
+        let again = written(&mut t, 4, 0x22);
+        assert_eq!(again, first, "the same charge, block for block");
+        assert_eq!(t.written_blocks(), 1, "no second copy of the block");
+        let read = ScsiCommand {
+            itt: 10,
+            op: ScsiOp::Read,
+            lbn: 4,
+            blocks: 1,
+        };
+        let pdus = t.handle_command(read, Vec::new());
+        assert_eq!(pdus[0].copy_payload_to_vec(), vec![0x22; BLOCK_SIZE]);
+        assert_eq!(t.stats().blocks_written, 2);
     }
 
     #[test]

@@ -307,6 +307,9 @@ pub struct Filesystem<S> {
     recorder: Option<obs::Recorder>,
     /// Stamp-sized stores for the placeholder blocks of logical writes.
     stamps: BufPool,
+    /// Slabs the updated inode blocks are built on; a replaced block's
+    /// slab comes back here once the cache and its writeback drop it.
+    inode_blocks: BufPool,
 }
 
 impl<S: BlockStore> Filesystem<S> {
@@ -344,6 +347,7 @@ impl<S: BlockStore> Filesystem<S> {
             alloc_cursor: 0,
             recorder: None,
             stamps: BufPool::stamp_only(),
+            inode_blocks: BufPool::slab_only(),
         };
         fs.store_inode(Self::ROOT, &Inode::new(FileType::Directory))?;
         fs.write_bitmaps_full();
@@ -386,6 +390,7 @@ impl<S: BlockStore> Filesystem<S> {
             alloc_cursor: 0,
             recorder: None,
             stamps: BufPool::stamp_only(),
+            inode_blocks: BufPool::slab_only(),
         })
     }
 
@@ -411,14 +416,16 @@ impl<S: BlockStore> Filesystem<S> {
     }
 
     /// Checks the buffer cache's LRU indexes against its block map (see
-    /// [`BufferCache::check_invariants`]) and the placeholder store list.
+    /// [`BufferCache::check_invariants`]) and the placeholder and
+    /// inode-block store lists.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn check_cache_invariants(&self) -> Result<(), String> {
         self.cache.check_invariants()?;
-        self.stamps.check_invariants()
+        self.stamps.check_invariants()?;
+        self.inode_blocks.check_invariants()
     }
 
     /// Dirty fraction of the buffer cache in permille — the control
@@ -748,23 +755,28 @@ impl<S: BlockStore> Filesystem<S> {
             });
             return Ok(out);
         }
-        self.read_logical_per_block(ino, offset, len)
+        let mut out = Vec::new();
+        self.read_logical_per_block_into(ino, offset, len, &mut out)?;
+        Ok(out)
     }
 
     /// [`Filesystem::read_logical`] one block at a time, each mapped,
-    /// looked up and — on a miss — fetched on its own: the path whenever
-    /// some block is not resident, and the reference the resident walk is
-    /// held to where all are.
+    /// looked up and — on a miss — fetched on its own, appending to `out`
+    /// (a list the caller keeps between requests grows nothing): the path
+    /// whenever some block is not resident, and the reference the resident
+    /// walk is held to where all are.
     ///
     /// # Errors
     ///
-    /// As [`Filesystem::read_logical`].
-    pub fn read_logical_per_block(
+    /// As [`Filesystem::read_logical`]; `out` may then hold the blocks
+    /// fetched before the error.
+    pub fn read_logical_per_block_into(
         &mut self,
         ino: Ino,
         offset: u64,
         len: usize,
-    ) -> Result<Vec<LogicalBlock>, FsError> {
+        out: &mut Vec<LogicalBlock>,
+    ) -> Result<(), FsError> {
         if !offset.is_multiple_of(BLOCK_SIZE as u64) {
             return Err(FsError::InvalidRange);
         }
@@ -773,12 +785,12 @@ impl<S: BlockStore> Filesystem<S> {
             return Err(FsError::NotAFile);
         }
         if offset >= inode.size {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let len = len.min((inode.size - offset) as usize);
         let first = offset / BLOCK_SIZE as u64;
         let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
-        let mut out = Vec::with_capacity(nblocks as usize);
+        out.reserve(nblocks as usize);
         for i in 0..nblocks {
             let blk = first + i;
             let valid = (len - (i as usize * BLOCK_SIZE)).min(BLOCK_SIZE);
@@ -798,7 +810,7 @@ impl<S: BlockStore> Filesystem<S> {
                 valid_len: valid,
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The resident walk — the one hit path every read interface shares.
@@ -1029,11 +1041,19 @@ impl<S: BlockStore> Filesystem<S> {
 
     fn store_inode(&mut self, ino: Ino, inode: &Inode) -> Result<(), FsError> {
         let lbn = self.inode_lbn(ino);
-        let seg = self.read_block_cached(lbn, BlockClass::Meta);
-        let mut block = seg.as_slice().to_vec();
+        let old = self.read_block_cached(lbn, BlockClass::Meta);
         let at = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
-        inode.encode_into(&mut block[at..at + INODE_SIZE]);
-        self.write_block_cached(lbn, BlockClass::Meta, Segment::from_vec(block));
+        let mut slot = [0u8; INODE_SIZE];
+        inode.encode_into(&mut slot);
+        // A fresh block, not an edit of the cached one: segments are
+        // immutable. The one it replaces sends its slab home on its drop.
+        let block = old.as_slice();
+        let seg = self.inode_blocks.seg_written(BLOCK_SIZE, |w| {
+            w.put(&block[..at]);
+            w.put(&slot);
+            w.put(&block[at + INODE_SIZE..]);
+        });
+        self.write_block_cached(lbn, BlockClass::Meta, seg);
         Ok(())
     }
 
@@ -1640,7 +1660,8 @@ mod tests {
         let (c, fc) = build();
         let snaps = [a.ledger().snapshot(), b.ledger().snapshot(), c.ledger().snapshot()];
         let _ = take_tally().fs;
-        let blocks_a = a.read_logical_per_block(fa, offset, len).expect("read");
+        let mut blocks_a = Vec::new();
+        a.read_logical_per_block_into(fa, offset, len, &mut blocks_a).expect("read");
         let attr_a = a.getattr(fa).expect("getattr");
         let tally_a = take_tally().fs;
         let blocks_b = b.read_logical(fb, offset, len).expect("read");

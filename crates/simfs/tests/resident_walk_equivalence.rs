@@ -4,8 +4,8 @@
 //! probe-then-commit walk (`walk_resident`): every block probed once,
 //! uncounted, then all the accesses counted in one go. The reference is
 //! the loop it replaced on that case and still runs on every other —
-//! `read_logical_per_block`, one counted map + lookup (+ fetch) per block —
-//! on a twin file system fed the identical history. For random files
+//! `read_logical_per_block_into`, one counted map + lookup (+ fetch) per
+//! block — on a twin file system fed the identical history. For random files
 //! (direct, single- and double-indirect ranges, holes, a partial tail),
 //! random aligned reads, and both recency clocks (the plain counter and a
 //! lane's epoch window), the two must agree on everything observable: the
@@ -21,9 +21,9 @@
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, PropResult};
 use netbuf::CopyLedger;
-use simfs::fs::WALK_BLOCKS;
+use simfs::fs::{LogicalBlock, WALK_BLOCKS};
 use sim::epoch::take_tally;
-use simfs::{Filesystem, FsParams, Ino, MemStore, BLOCK_SIZE};
+use simfs::{Filesystem, FsError, FsParams, Ino, MemStore, BLOCK_SIZE};
 
 type Fs = Filesystem<MemStore>;
 
@@ -83,6 +83,12 @@ impl Side {
             .map(|b| self.fs.walk_resident(self.file, b * BS, 1).is_some())
             .collect()
     }
+}
+
+/// The per-block reference read, into a list of its own.
+fn per_block(fs: &mut Fs, file: Ino, offset: u64, len: usize) -> Result<Vec<LogicalBlock>, FsError> {
+    let mut out = Vec::new();
+    fs.read_logical_per_block_into(file, offset, len, &mut out).map(|()| out)
 }
 
 /// Runs `f` as lane 3's `k`-th operation when `windowed` — the recency
@@ -147,7 +153,7 @@ property! {
                 (subject.fs.read_logical(subject.file, offset, len), take_tally().fs)
             });
             let (want, want_tally) = in_window(windowed, k, || {
-                (reference.fs.read_logical_per_block(reference.file, offset, len), take_tally().fs)
+                (per_block(&mut reference.fs, reference.file, offset, len), take_tally().fs)
             });
             prop_assert_eq!(&got, &want, "read {} blocks", k);
             prop_assert_eq!(got_tally, want_tally, "read {} op tally", k);
@@ -170,7 +176,7 @@ property! {
             prop_assert!(subject.fs.walk_resident(subject.file, offset, 4 * BLOCK_SIZE).is_none());
             sides_agree(subject, reference, "refused walk")?;
             let got = subject.fs.read_logical(subject.file, offset, 4 * BLOCK_SIZE);
-            let want = reference.fs.read_logical_per_block(reference.file, offset, 4 * BLOCK_SIZE);
+            let want = per_block(&mut reference.fs, reference.file, offset, 4 * BLOCK_SIZE);
             prop_assert_eq!(got, want, "the per-block fallback");
             sides_agree(subject, reference, "fallback")?;
         }

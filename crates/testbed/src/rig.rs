@@ -374,6 +374,9 @@ pub struct Rig<A: App> {
     /// Every session's recovery actions, summed.
     counters: FaultCounters,
     adaptive: Option<ncache::SplitController>,
+    /// The storage I/O of the request being metered: emptied after each
+    /// request, never shrunk, so metering one allocates no list.
+    io: Vec<IoRecord>,
 }
 
 impl<A: App> Rig<A> {
@@ -413,6 +416,7 @@ impl<A: App> Rig<A> {
             armed: None,
             counters: FaultCounters::default(),
             adaptive: None,
+            io: Vec::new(),
         }
     }
 
@@ -728,24 +732,15 @@ impl<A: App> Rig<A> {
             };
             (reply.total_len() as u64 + FRAME_OVERHEAD, payload, substituted)
         };
-        let io = self.take_io_log(residue);
+        // The storage I/O logged since the last drain, `residue` ahead.
+        self.io.extend_from_slice(residue);
+        self.io.extend(self.server.fs_mut().store_mut().take_io_log());
         let rejected = self.server.control_rejections() > rejections;
-        let ledgers = &self.ledgers;
-        let obs = meter.finish(ledgers, request_bytes, reply_bytes, &io, substituted, rejected);
+        let obs = meter.finish(&self.ledgers, request_bytes, reply_bytes, &self.io, substituted, rejected);
+        self.io.clear();
         // A rejected WRITE accepted no payload; the hint only applies to
         // executed operations.
         (obs, if rejected { 0 } else { payload })
-    }
-
-    /// Drains the storage I/O logged since the last drain, with `residue`
-    /// ahead of it.
-    pub(crate) fn take_io_log(&mut self, residue: &[IoRecord]) -> Vec<IoRecord> {
-        let logged = self.server.fs_mut().store_mut().take_io_log();
-        if residue.is_empty() {
-            logged
-        } else {
-            [residue, &logged].concat()
-        }
     }
 }
 

@@ -321,7 +321,7 @@ fn functional_phase(
     let ledgers = rig.ledgers().clone();
     let ties = sim::epoch::tie_ranks(seed, n);
     let max_epochs = sessions.iter().map(Vec::len).max().unwrap_or(0) as u64;
-    let residue = rig.server_mut().fs_mut().store_mut().take_io_log();
+    let residue = rig.server_mut().fs_mut().store_mut().take_io_log().collect();
     let lanes: Vec<Mutex<LaneState>> = (0..n)
         .map(|lane| Mutex::new(LaneState::new(rig.session(lane), sessions[lane].len())))
         .collect();

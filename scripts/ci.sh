@@ -16,6 +16,11 @@ cargo build --release --offline --workspace --all-targets
 echo "== test (the structural contract too: tests/structure.rs) =="
 cargo test -q --offline --workspace
 
+echo "== allocation budget, release build =="
+# hostbench's allocs_per_req counts a release build; the workspace run
+# above pins the debug one. Both must hold the same numbers.
+cargo test -q --release --offline --test alloc_budget
+
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -221,6 +221,33 @@ fn last_name_lookup_allocs(files: usize) -> u64 {
     n
 }
 
+/// One write-behind flush of the `blocks` oldest dirty blocks of a warmed
+/// NCache rig, every one of which the storage server already holds: the
+/// file's first 64 blocks are overwritten and synced, then overwritten
+/// again, and the flush is counted alone.
+fn flush_allocs(blocks: usize) -> u64 {
+    let (mut rig, fh) = warmed_nfs(ServerMode::NCache);
+    let data = vec![0x5Au8; READ as usize];
+    let overwrite = |rig: &mut NfsRig| {
+        for off in (0..64 * BLOCK).step_by(READ as usize) {
+            rig.write(fh, off, &data);
+        }
+    };
+    overwrite(&mut rig);
+    rig.server_mut().fs_mut().sync().expect("sync");
+    overwrite(&mut rig);
+    let held = rig.target().borrow().written_blocks();
+    let fs = rig.server_mut().fs_mut();
+    assert!(fs.dirty_blocks() >= blocks, "{blocks} dirty blocks to flush");
+    let n = allocs(|| fs.sync_some(blocks).expect("flush"));
+    assert_eq!(
+        rig.target().borrow().written_blocks(),
+        held,
+        "the flush overwrote blocks the target held"
+    );
+    n
+}
+
 /// A rig whose operations cost the data plane nothing: every request is
 /// a small message each way and a fixed 10 µs of CPU, so only the timing
 /// engine allocates.
@@ -286,26 +313,27 @@ fn allocations_per_request_are_pinned() {
     // the placeholder's slabs file in their pools' free lists with their
     // `Arc` handles, the one-segment chains of the PDU, its delivery and
     // its chunk live inline, the resolution rides the cache's reused
-    // buffer, and the caches' recency heaps grow to their steady state
-    // and stay there. What is left is the request's own buffers, the same
-    // two per READ in both builds.
+    // buffer, the fetched blocks ride the server's kept list, and the
+    // caches' recency heaps grow to their steady state and stay there.
+    // What is left is the client's copy of the data, one per READ in both
+    // builds (two while the fetched blocks were a fresh vector).
     assert_eq!(
         miss_read_allocs(ServerMode::NCache),
-        129,
+        65,
         "64 one-block all-miss READs"
     );
     assert_eq!(
         miss_read_allocs(ServerMode::Baseline),
-        129,
+        65,
         "64 one-block all-miss READs, Baseline"
     );
     // So a 32 KiB all-miss READ — eight blocks fetched, eight chunks
-    // admitted, eight evicted — allocates only its per-block walk vector
-    // more than the all-hit READ: the storage I/O log keeps its capacity
+    // admitted, eight evicted — allocates no more than the all-hit READ:
+    // the storage I/O log and the fetched-block list keep their capacity
     // between requests.
     assert_eq!(
         miss_read32_allocs(ServerMode::NCache),
-        ncache + 1,
+        ncache,
         "32 KiB all-miss READ against the all-hit READ"
     );
 
@@ -321,23 +349,25 @@ fn allocations_per_request_are_pinned() {
     // first placeholder on a fresh store and grows the file system pool's
     // free list for the placeholder it displaces — every later block rides
     // the store the block before it released, and every later overwrite
-    // finds the lists grown.
+    // finds the lists grown. (7 while the inode update built its block as
+    // a fresh vector and handle.)
     let data = vec![0xA5u8; READ as usize];
     rig.write(fh, 0, &data);
     assert_eq!(
         allocs(|| rig.write(fh, 0, &data)),
-        7,
+        5,
         "aligned 32 KiB WRITE, the first overwrite"
     );
     // Steady state: the request's chain and its delivery's (eight
-    // segments each) plus two per-request buffers elsewhere on the path.
-    // The payload costs nothing — each block rides a slab a replaced chunk
-    // sent home — the per-block groups are cut one at a time, each inline,
-    // and the stamps go in the server's kept list (6 when the payload was
-    // one heap buffer and its handle, and the groups and the stamps each a
-    // vector).
+    // segments each), nothing else. The payload costs nothing — each
+    // block rides a slab a replaced chunk sent home — the per-block groups
+    // are cut one at a time, each inline, the stamps go in the server's
+    // kept list, and the inode update builds its block on the slab the
+    // one it replaced sent home (6 when the payload was one heap buffer
+    // and its handle, and the groups and the stamps each a vector; 4 while
+    // the inode block was a fresh vector and handle).
     let write = allocs(|| rig.write(fh, 0, &data));
-    assert_eq!(write, 4, "aligned 32 KiB WRITE, steady state");
+    assert_eq!(write, 2, "aligned 32 KiB WRITE, steady state");
     assert_eq!(
         allocs(|| rig.write(fh, 0, &data)),
         write,
@@ -365,6 +395,32 @@ fn allocations_per_request_are_pinned() {
         one_block + 1,
         "a 32 KiB WRITE request against a one-block one: its chain, not its payload"
     );
+
+    // The inode update of that WRITE builds its block on the slab the
+    // block it replaces sent home (2 while it was a fresh vector and its
+    // handle).
+    let ino = ncache_repro::servers::nfs::fh_to_ino(fh);
+    let fs = rig.server_mut().fs_mut();
+    fs.set_size(ino, 1 << 20).expect("a file");
+    assert_eq!(allocs(|| fs.set_size(ino, 1 << 20)), 0, "a steady-state inode update");
+
+    // The storage side allocates nothing per block: a flushed block the
+    // target already holds is overwritten where it lies (one vector per
+    // block while every write replaced the block with a fresh one: 9 and
+    // 65), so flushing 64 blocks costs what flushing 8 does — the flush's
+    // own list of writebacks.
+    let flush = flush_allocs(8);
+    assert_eq!(flush, 1, "an 8-block flush of held blocks");
+    assert_eq!(flush_allocs(64), flush, "a 64-block flush against an 8-block one");
+    // And the I/O log is drained in place: a drained and dropped log
+    // allocates nothing (1 while each drain left a fresh vector behind).
+    let (mut rig, fh) = cold_nfs(ServerMode::NCache);
+    let _ = rig.server_mut().fs_mut().store_mut().take_io_log();
+    rig.read(fh, 0, READ);
+    let mut logged = 0;
+    let drained = allocs(|| logged = rig.server_mut().fs_mut().store_mut().take_io_log().len());
+    assert!(logged >= 8, "the log held the miss's eight blocks: {logged}");
+    assert_eq!(drained, 0, "a drained and dropped I/O log");
 
     assert_eq!(last_page_get_allocs(1, u64::from(READ)), 5, "kHTTPd all-hit GET");
 

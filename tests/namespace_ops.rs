@@ -186,7 +186,7 @@ fn removing_a_cold_file_walks_its_block_map_not_its_data() {
     assert_eq!(remove(&mut rig, "cold").status, NFS_OK);
 
     let store = rig.server_mut().fs_mut().store_mut();
-    let reads: Vec<_> = store.take_io_log().into_iter().filter(|r| !r.is_write).collect();
+    let reads: Vec<_> = store.take_io_log().filter(|r| !r.is_write).collect();
     assert!(
         reads.iter().all(|r| r.class == BlockClass::Meta),
         "REMOVE fetched data blocks: {reads:?}"
