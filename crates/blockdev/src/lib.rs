@@ -20,7 +20,7 @@ pub mod transient;
 
 pub use disk::{Disk, DiskModel};
 pub use raid::Raid0;
-pub use tier::{TierConfig, TierOutcome, TierStats, TieredArray, WritebackPolicy};
+pub use tier::{TierConfig, TierOutcome, TierStats, TieredArray};
 pub use transient::TransientFaults;
 
 /// Block size used throughout the storage stack (one FS block, one iSCSI

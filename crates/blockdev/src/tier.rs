@@ -17,8 +17,8 @@
 //! is timed on the fast device starting when the slow read completes, so
 //! a request chain that waits for the promotion still telescopes:
 //! `queue + service` sums exactly to `promote_done − slow_done` with no
-//! gaps. Writes follow [`WritebackPolicy`]; a slow-path write invalidates
-//! any fast copy it shadows.
+//! gaps. Writes go around the fast tier to the slow array and invalidate
+//! any fast copy they shadow.
 //!
 //! Transient faults (seeded, like [`crate::TransientFaults`]) can be
 //! attached to the fast tier: a faulted fast read *falls back* to the
@@ -50,18 +50,6 @@ impl DiskModel {
     }
 }
 
-/// Where writes land in a tiered backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WritebackPolicy {
-    /// All writes go to the slow array (write-around): the fast tier
-    /// holds only promoted read-hot blocks, and a write invalidates any
-    /// fast copy it shadows.
-    Slow,
-    /// Writes whose blocks are all fast-resident are absorbed by the
-    /// fast device; the rest go to the slow array (and invalidate).
-    FastWhenResident,
-}
-
 /// Configuration of a tiered backend.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TierConfig {
@@ -72,8 +60,6 @@ pub struct TierConfig {
     pub fast_capacity_blocks: u64,
     /// Slow-path reads of the same extent before it is promoted.
     pub promote_after: u32,
-    /// Where writes land.
-    pub writeback: WritebackPolicy,
     /// Seed for transient fast-tier faults (unused at rate 0).
     pub fault_seed: u64,
     /// Transient fast-read fault rate, parts per million.
@@ -88,7 +74,6 @@ impl TierConfig {
             fast_model: DiskModel::nvme_like(),
             fast_capacity_blocks,
             promote_after: 2,
-            writeback: WritebackPolicy::Slow,
             fault_seed: 0,
             fault_rate_ppm: 0,
         }
@@ -109,8 +94,6 @@ pub struct TierStats {
     pub fast_reads: u64,
     /// Reads served by the slow array.
     pub slow_reads: u64,
-    /// Writes absorbed by the fast device.
-    pub fast_writes: u64,
     /// Writes sent to the slow array.
     pub slow_writes: u64,
     /// Extents copied onto the fast tier.
@@ -251,24 +234,14 @@ impl TieredArray {
     }
 
     /// Times a write of `blocks` blocks at `start`, arriving at `now`.
-    /// Routed by [`WritebackPolicy`]; slow-path writes invalidate any
-    /// fast-resident blocks they shadow (the fast copy is stale).
+    /// Writes go to the slow array (write-around: the fast tier holds only
+    /// promoted read-hot blocks) and invalidate any fast-resident blocks
+    /// they shadow (the fast copy is stale).
     ///
     /// # Panics
     ///
     /// Panics if `blocks` is zero (as the underlying devices do).
     pub fn write_timed(&mut self, now: SimTime, start: u64, blocks: u64) -> TierOutcome {
-        if self.cfg.writeback == WritebackPolicy::FastWhenResident && self.all_fast(start, blocks) {
-            let (begin, done) = self.fast.io_timed(now, start, blocks);
-            self.stats.fast_writes += 1;
-            return TierOutcome {
-                begin,
-                done,
-                promote_done: None,
-                fast: true,
-                fault_fallback: false,
-            };
-        }
         let (begin, done) = self.slow.io_timed(now, start, blocks);
         self.stats.slow_writes += 1;
         for b in start..start + blocks {
@@ -377,24 +350,6 @@ mod tests {
         assert_eq!(s.fast_resident_blocks, 4);
         let r = t.read_timed(SimTime::ZERO, 0, 8);
         assert!(!r.fast, "invalidated extent reads slow again");
-    }
-
-    #[test]
-    fn fast_when_resident_absorbs_writes() {
-        let cfg = TierConfig {
-            writeback: WritebackPolicy::FastWhenResident,
-            ..TierConfig::nvme_front(1 << 20)
-        };
-        let mut t = TieredArray::new(cfg, slow());
-        for _ in 0..2 {
-            t.read_timed(SimTime::ZERO, 0, 8);
-        }
-        let w = t.write_timed(SimTime::ZERO, 0, 8);
-        assert!(w.fast);
-        let s = t.stats();
-        assert_eq!(s.fast_writes, 1);
-        assert_eq!(s.invalidated_blocks, 0);
-        assert_eq!(s.fast_resident_blocks, 8, "fast write keeps residency");
     }
 
     #[test]

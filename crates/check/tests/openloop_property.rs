@@ -145,8 +145,6 @@ property! {
             max_inflight,
             queue_hi: max_inflight,
             queue_lo: max_inflight / 2,
-            token_cost_ns: 0,
-            token_burst: 0,
             ..servers::ControlConfig::protective()
         });
         let policy = servers::RetryPolicy {
@@ -202,8 +200,6 @@ property! {
         rig.enable_control(servers::ControlConfig {
             max_inflight,
             queue_hi: 0,
-            token_cost_ns: 0,
-            token_burst: 0,
             ..servers::ControlConfig::protective()
         });
         let opts = OpenLoopOptions {

@@ -111,17 +111,13 @@ impl NcacheModule {
         }
     }
 
-    /// The recorder, when one is attached *and* recording — the only case
-    /// in which the hooks take their before/after stats snapshots.
-    fn live_recorder(&self) -> Option<&obs::Recorder> {
-        self.recorder.as_ref().filter(|rec| rec.is_enabled())
-    }
-
-    /// Merged stats before an insert, taken only when a recorder is live:
-    /// merging costs a lock acquisition and six loads per shard, inside
-    /// the exclusive write section, and nobody reads it otherwise.
+    /// Merged stats before an insert, taken only when a recorder is
+    /// attached *and* recording: merging costs a lock acquisition and six
+    /// loads per shard, inside the exclusive write section, and nobody
+    /// reads it otherwise.
     fn eviction_baseline(&self) -> Option<NetCacheStats> {
-        self.live_recorder().map(|_| self.cache.stats())
+        let live = self.recorder.as_ref().is_some_and(|rec| rec.is_enabled());
+        live.then(|| self.cache.stats())
     }
 
     /// Emits one [`obs::EventKind::Eviction`] per chunk the cache
@@ -148,20 +144,6 @@ impl NcacheModule {
         }
     }
 
-    /// Snapshot of per-shard stats, taken only when a recorder is live
-    /// (so the fault-free untraced path pays nothing for it).
-    fn shard_baseline(&self) -> Option<Vec<NetCacheStats>> {
-        self.cache.shard_baseline(self.live_recorder().is_some())
-    }
-
-    /// Emits the `shard.<i>.<counter>` deltas since `before` (see
-    /// [`NetCacheShards::emit_shard_deltas`]).
-    fn emit_shard_deltas(&self, before: Option<Vec<NetCacheStats>>) {
-        if let Some(rec) = &self.recorder {
-            self.cache.emit_shard_deltas(before, rec);
-        }
-    }
-
     /// The module's configuration.
     pub fn config(&self) -> NcacheConfig {
         self.config
@@ -171,11 +153,6 @@ impl NcacheModule {
     /// charges per op).
     pub fn stats(&self) -> NetCacheStats {
         self.cache.stats()
-    }
-
-    /// Per-shard cache counters, indexed by shard.
-    pub fn per_shard_stats(&self) -> Vec<NetCacheStats> {
-        self.cache.per_shard_stats()
     }
 
     /// Number of cache shards.
@@ -330,10 +307,8 @@ impl NcacheModule {
         len: usize,
     ) -> Result<Segment, CacheFull> {
         let before = self.eviction_baseline();
-        let shard_before = self.shard_baseline();
         let wbs = self.cache.insert_lbn(lbn, segs, len, false)?;
         self.emit_eviction_delta(before);
-        self.emit_shard_deltas(shard_before);
         self.emit(obs::EventKind::CacheInsert {
             tier: "ncache-lbn",
             dirty: false,
@@ -360,10 +335,8 @@ impl NcacheModule {
         len: usize,
     ) -> Result<KeyStamp, CacheFull> {
         let before = self.eviction_baseline();
-        let shard_before = self.shard_baseline();
         let wbs = self.cache.insert_fho(fho, segs, len)?;
         self.emit_eviction_delta(before);
-        self.emit_shard_deltas(shard_before);
         self.emit(obs::EventKind::CacheInsert {
             tier: "ncache-fho",
             dirty: true,
@@ -379,11 +352,9 @@ impl NcacheModule {
     /// serves an LBN-only stamp from the LBN cache. `None` when neither key
     /// is resident.
     pub fn on_flush_stamp(&mut self, stamp: KeyStamp, lbn: Lbn) -> Option<SegChain> {
-        let shard_before = self.shard_baseline();
         if let Some(fho) = stamp.fho {
             if let Some(segs) = self.cache.remap_chain(fho, lbn) {
                 self.cache.mark_clean(lbn.into());
-                self.emit_shard_deltas(shard_before);
                 self.emit(obs::EventKind::Remap);
                 return Some(segs);
             }
@@ -392,14 +363,12 @@ impl NcacheModule {
         // LBN cache if resident.
         if let Some(segs) = self.cache.lookup(lbn.into()) {
             self.cache.mark_clean(lbn.into());
-            self.emit_shard_deltas(shard_before);
             self.emit(obs::EventKind::CacheAccess {
                 tier: "ncache-lbn",
                 hit: true,
             });
             return Some(segs.into());
         }
-        self.emit_shard_deltas(shard_before);
         None
     }
 
@@ -615,12 +584,12 @@ mod tests {
         let fho = Fho::new(FileHandle(1), 0);
         m.on_nfs_write(fho, block_segs(2), CHUNK_PAYLOAD).expect("fits");
         assert_eq!((locks(&m).reads, locks(&m).writes), (0, 4));
-        // A live recorder does pay for its eviction and shard deltas.
+        // A live recorder does pay for its eviction delta.
         let rec = obs::Recorder::new();
         rec.enable(obs::TraceConfig::default());
         m.set_recorder(rec);
         m.on_data_in(Lbn(2), block_segs(3), CHUNK_PAYLOAD).expect("fits");
-        assert!(locks(&m).reads >= 16, "before + after, merged per shard");
+        assert_eq!(locks(&m).reads, 16, "before + after, merged per shard");
     }
 
     #[test]

@@ -273,48 +273,14 @@ impl NetCacheShards {
         (0..self.shards.len()).map(|i| self.read(i).stats()).collect()
     }
 
-    /// Per-shard counters ahead of a hook, taken only when `traced` on
-    /// several shards (so the untraced path pays nothing for them): the
-    /// baseline of [`NetCacheShards::emit_shard_deltas`].
-    pub(crate) fn shard_baseline(&self, traced: bool) -> Option<Vec<NetCacheStats>> {
-        (traced && self.shards.len() > 1).then(|| self.per_shard_stats())
-    }
-
-    /// Emits `shard.<i>.<counter>` deltas on `rec` for every shard counter
-    /// that moved since `before`. Only multi-shard traced runs produce
-    /// these; the merged `cache.ncache.*` counters stay shard-count-invariant.
-    pub(crate) fn emit_shard_deltas(
-        &self,
-        before: Option<Vec<NetCacheStats>>,
-        rec: &obs::Recorder,
-    ) {
-        let Some(before) = before else {
-            return;
-        };
-        for (i, (b, a)) in before.iter().zip(self.per_shard_stats()).enumerate() {
-            for (name, was, now) in [
-                ("lookups", b.lookups, a.lookups),
-                ("hits", b.hits, a.hits),
-                ("insertions", b.insertions, a.insertions),
-                ("remaps", b.remaps, a.remaps),
-                ("evicted_clean", b.evicted_clean, a.evicted_clean),
-                ("evicted_dirty", b.evicted_dirty, a.evicted_dirty),
-            ] {
-                if now > was {
-                    rec.add_counter(&format!("shard.{i}.{name}"), now - was);
-                }
-            }
-        }
-    }
-
     /// Hook 4, the one transmit path: an outgoing reply reached the driver
     /// boundary. Splices `resolved` — the placeholders the server resolved
     /// when it built the reply, the READ's commit point
     /// ([`crate::resolve_reply`]) — or, for a reply that carries none,
     /// substitutes its stamped placeholders from the cache; then inherits
     /// the stored checksum (`csum_inherit`) or, in the ablation, recomputes
-    /// it, emits the shard deltas and the `Substitution` event on `rec`,
-    /// and counts the report into [`NetCacheShards::substitution_totals`].
+    /// it, emits the `Substitution` event on `rec`, and counts the report
+    /// into [`NetCacheShards::substitution_totals`].
     /// `&self` and lane-striped, so a lane runs it under the shared core
     /// guard like any other step of its reply.
     pub fn transmit(
@@ -324,17 +290,10 @@ impl NetCacheShards {
         csum_inherit: bool,
         rec: &obs::Recorder,
     ) -> SubstitutionReport {
-        let (report, shard_before) = match resolved {
-            Some(mut resolved) => {
-                let shard_before = resolved.shard_before.take();
-                (resolved.splice(reply, self), shard_before)
-            }
-            None => {
-                let shard_before = self.shard_baseline(rec.is_enabled());
-                (substitute_payload(reply, self), shard_before)
-            }
+        let report = match resolved {
+            Some(resolved) => resolved.splice(reply, self),
+            None => substitute_payload(reply, self),
         };
-        self.emit_shard_deltas(shard_before, rec);
         if report.substituted > 0 {
             if csum_inherit {
                 reply.inherit_csum();

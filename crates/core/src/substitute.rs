@@ -11,7 +11,6 @@
 
 use netbuf::{NetBuf, SegChain, Segment};
 
-use crate::cache::NetCacheStats;
 use crate::shards::NetCacheShards;
 
 /// What substitution did to one outgoing packet.
@@ -100,10 +99,6 @@ fn refill(
 pub struct Resolved {
     payload: Vec<Segment>,
     report: SubstitutionReport,
-    /// Per-shard counters from before the resolution, when a traced run on
-    /// several shards will want their deltas at the transmit hook
-    /// ([`NetCacheShards::transmit`]).
-    pub(crate) shard_before: Option<Vec<NetCacheStats>>,
 }
 
 /// Resolves every placeholder of a logical reply through `cache`, all or
@@ -118,10 +113,8 @@ pub struct Resolved {
 /// caller serves the request on the copying path.
 pub fn resolve_reply<'s>(
     cache: &NetCacheShards,
-    traced: bool,
     reply: impl ExactSizeIterator<Item = (&'s Segment, usize)> + Clone,
 ) -> Result<Resolved, usize> {
-    let shard_before = cache.shard_baseline(traced);
     let mut payload = cache.take_resolve_buf();
     payload.reserve(reply.len());
     let report = match cache.resolve_all(reply, true, &mut payload) {
@@ -131,11 +124,7 @@ pub fn resolve_reply<'s>(
             return Err(dangling);
         }
     };
-    Ok(Resolved {
-        payload,
-        report,
-        shard_before,
-    })
+    Ok(Resolved { payload, report })
 }
 
 impl Resolved {
@@ -146,14 +135,6 @@ impl Resolved {
         let chain = buf.take_payload();
         refill(buf, chain, self.payload, cache);
         self.report
-    }
-
-    /// The same resolution without its per-shard baseline, for a reply
-    /// finished under a *shared* guard: other lanes move the same shards'
-    /// counters meanwhile, so the deltas would not be this reply's alone.
-    pub fn without_shard_deltas(mut self) -> Self {
-        self.shard_before = None;
-        self
     }
 }
 

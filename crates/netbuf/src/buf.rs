@@ -30,8 +30,6 @@ pub enum CsumState {
     /// Inherited from the payload's originator or from a cached copy —
     /// no CPU was spent.
     Inherited,
-    /// Left to NIC hardware offload.
-    Offloaded,
 }
 
 /// Bytes of inline linear area every [`NetBuf`] carries — the sk_buff
@@ -731,11 +729,6 @@ impl NetBuf {
         self.csum = CsumState::Inherited;
     }
 
-    /// Marks the checksum as left to NIC hardware.
-    pub fn offload_csum(&mut self) {
-        self.csum = CsumState::Offloaded;
-    }
-
     /// Serializes header + payload into one wire frame. This models the NIC
     /// gathering the chain by DMA, so it is *not* charged as a CPU copy.
     pub fn to_wire(&self) -> Vec<u8> {
@@ -1082,8 +1075,6 @@ mod tests {
         assert_eq!(d.csum_bytes, 0);
         assert_eq!(d.csum_inherited, 1);
         assert_eq!(b.csum_state(), CsumState::Inherited);
-        b.offload_csum();
-        assert_eq!(b.csum_state(), CsumState::Offloaded);
     }
 
     #[test]

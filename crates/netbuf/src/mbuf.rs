@@ -135,12 +135,6 @@ impl MbufChain {
         self.bufs.insert(0, Mbuf::inline(header));
     }
 
-    /// Appends a cluster by reference (logical).
-    pub fn append_cluster(&mut self, ledger: &CopyLedger, seg: Segment) {
-        ledger.charge_logical_copy();
-        self.bufs.push(Mbuf::cluster(seg));
-    }
-
     /// Total bytes across the chain.
     pub fn len(&self) -> usize {
         self.bufs.iter().map(Mbuf::len).sum()

@@ -142,18 +142,11 @@ pub struct TraceConfig {
     /// Ring-buffer capacity in events; the oldest events drop
     /// (deterministically) past this. Counters keep aggregating regardless.
     pub capacity: usize,
-    /// Span sampling: span `n` (1-based) keeps its events iff
-    /// `(n - 1) % sample_every == 0`. Unsampled spans still update
-    /// counters. 1 = keep everything.
-    pub sample_every: u64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            capacity: 1 << 20,
-            sample_every: 1,
-        }
+        TraceConfig { capacity: 1 << 20 }
     }
 }
 
@@ -189,8 +182,8 @@ struct State {
     now_ns: u64,
     lane: u64,
     next_span: u64,
-    /// Open spans, innermost last: (id, sampled).
-    span_stack: Vec<(u64, bool)>,
+    /// Open span ids, innermost last.
+    span_stack: Vec<u64>,
     events: VecDeque<Event>,
     dropped: u64,
     spans_opened: u64,
@@ -225,7 +218,7 @@ impl State {
     }
 
     /// Folds an event into the aggregate counters/histograms. Runs for
-    /// every emission, sampled or not, so `--metrics` is always exact.
+    /// every emission, stored or dropped, so `--metrics` is always exact.
     fn aggregate(&mut self, kind: &EventKind) {
         match kind {
             EventKind::SpanBegin { op, config, .. } => {
@@ -306,6 +299,17 @@ impl State {
             self.dropped += 1;
         }
         self.events.push_back(ev);
+    }
+
+    /// Stores `kind` at the current instant and lane, owned by span `req`.
+    fn record(&mut self, req: u64, kind: EventKind) {
+        let (ts_ns, lane) = (self.now_ns, self.lane);
+        self.store(Event {
+            ts_ns,
+            req,
+            lane,
+            kind,
+        });
     }
 }
 
@@ -410,20 +414,11 @@ impl Recorder {
         let mut st = self.lock();
         let id = st.next_span;
         st.next_span += 1;
-        let sampled = (id - 1).is_multiple_of(st.cfg.sample_every.max(1));
         st.spans_opened += 1;
         let kind = EventKind::SpanBegin { op, config, bytes };
         st.aggregate(&kind);
-        if sampled {
-            let ev = Event {
-                ts_ns: st.now_ns,
-                req: id,
-                lane: st.lane,
-                kind,
-            };
-            st.store(ev);
-        }
-        st.span_stack.push((id, sampled));
+        st.record(id, kind);
+        st.span_stack.push(id);
         id
     }
 
@@ -433,41 +428,24 @@ impl Recorder {
             return;
         }
         let mut st = self.lock();
-        let Some(pos) = st.span_stack.iter().rposition(|&(sid, _)| sid == id) else {
+        let Some(pos) = st.span_stack.iter().rposition(|&sid| sid == id) else {
             return;
         };
-        let (_, sampled) = st.span_stack.remove(pos);
+        st.span_stack.remove(pos);
         st.spans_closed += 1;
-        if sampled {
-            let ev = Event {
-                ts_ns: st.now_ns,
-                req: id,
-                lane: st.lane,
-                kind: EventKind::SpanEnd,
-            };
-            st.store(ev);
-        }
+        st.record(id, EventKind::SpanEnd);
     }
 
     /// Records one event at the current simulated time, attributed to the
-    /// innermost open span. Always aggregates into counters; stores the
-    /// event unless the owning span was sampled out.
+    /// innermost open span, and aggregates it into the counters.
     pub fn emit(&self, kind: EventKind) {
         if !self.is_enabled() {
             return;
         }
         let mut st = self.lock();
         st.aggregate(&kind);
-        let (req, sampled) = st.span_stack.last().copied().unwrap_or((0, true));
-        if sampled {
-            let ev = Event {
-                ts_ns: st.now_ns,
-                req,
-                lane: st.lane,
-                kind,
-            };
-            st.store(ev);
-        }
+        let req = st.span_stack.last().copied().unwrap_or(0);
+        st.record(req, kind);
     }
 
     /// Adds `delta` to a named counter directly.
@@ -543,9 +521,6 @@ impl Recorder {
     /// * counters, histograms, span totals, and drop counts sum;
     /// * the clock adopts the cell's final instant, as a sequential run
     ///   would leave it.
-    ///
-    /// Span *sampling* is applied per cell (each cell numbers its own
-    /// spans), which is what keeps sampled traces thread-count-invariant.
     ///
     /// No-op when this recorder is disabled.
     ///
@@ -646,37 +621,9 @@ mod tests {
     }
 
     #[test]
-    fn counters_aggregate_even_when_sampled_out() {
-        let r = Recorder::new();
-        r.enable(TraceConfig {
-            capacity: 1024,
-            sample_every: 2,
-        });
-        for i in 0..4 {
-            let s = r.begin_span("read", "original", 0);
-            r.emit(EventKind::CacheAccess {
-                tier: "fs",
-                hit: i % 2 == 0,
-            });
-            r.end_span(s);
-        }
-        // Spans 1 and 3 sampled (ids 1,3 → (id-1)%2==0): 2 begin + 2 event
-        // + 2 end stored.
-        assert_eq!(r.events().len(), 6);
-        // But counters see all four.
-        assert_eq!(r.counter("requests"), 4);
-        assert_eq!(r.counter("cache.fs.hits"), 2);
-        assert_eq!(r.counter("cache.fs.misses"), 2);
-        assert!(r.spans_balanced());
-    }
-
-    #[test]
     fn ring_buffer_drops_oldest_deterministically() {
         let r = Recorder::new();
-        r.enable(TraceConfig {
-            capacity: 3,
-            sample_every: 1,
-        });
+        r.enable(TraceConfig { capacity: 3 });
         for i in 0..5 {
             r.set_now(i);
             r.emit(EventKind::Remap);
@@ -770,10 +717,7 @@ mod tests {
     #[test]
     fn absorbing_per_cell_recorders_equals_one_shared_recorder() {
         for capacity in [1 << 10, 4usize] {
-            let cfg = TraceConfig {
-                capacity,
-                sample_every: 1,
-            };
+            let cfg = TraceConfig { capacity };
             let seq = Recorder::new();
             seq.enable(cfg);
             emit_workload(&seq, &[1]);

@@ -9,11 +9,10 @@
 //! the `--overload-sweep` observatory measures). This module supplies
 //! the *prevention* side (DESIGN.md §15):
 //!
-//! * [`AdmissionGate`] — bounded in-flight, queue-depth watermarks with
-//!   hysteresis, and a token bucket refilled on **sim time** (the rig
-//!   reports each request's arrival instant via `set_load`), so every
-//!   decision is a pure function of the schedule and replays
-//!   byte-identically at any host thread or shard count.
+//! * [`AdmissionGate`] — bounded in-flight and queue-depth watermarks
+//!   with hysteresis (the rig reports each request's in-flight depth via
+//!   `set_load`), so every decision is a pure function of the schedule
+//!   and replays byte-identically at any host thread or shard count.
 //! * [`Pressure`] — the backpressure signal sampled from the layers
 //!   below the server: the file-system buffer cache's dirty ratio and
 //!   the NCache's pinned occupancy. Under pressure the gate sheds
@@ -76,13 +75,6 @@ pub struct ControlConfig {
     /// Queue-depth low watermark: shedding mode clears once the
     /// in-flight depth falls to or below this.
     pub queue_lo: u64,
-    /// Token cost per admitted request in sim-nanoseconds; the bucket
-    /// refills at one token-nanosecond per sim-nanosecond (0 = no rate
-    /// limit). Setting this to the per-request service time caps the
-    /// admitted rate at server capacity.
-    pub token_cost_ns: u64,
-    /// Bucket depth, in requests (bursts up to this many admit at once).
-    pub token_burst: u64,
     /// Dirty-cache watermark in permille: writes shed at or above this
     /// dirty ratio (`> 1000` = disabled).
     pub dirty_hi_permille: u32,
@@ -102,8 +94,6 @@ impl ControlConfig {
             max_inflight: 0,
             queue_hi: 0,
             queue_lo: 0,
-            token_cost_ns: 0,
-            token_burst: 0,
             dirty_hi_permille: 1001,
             ncache_hi_permille: 1001,
             retry_after_ns: 0,
@@ -112,16 +102,12 @@ impl ControlConfig {
 
     /// The protective preset used by the overload ablation: bounded
     /// in-flight, write shedding past the high watermark, and a
-    /// retry-after hint of one millisecond of sim time. The token
-    /// bucket is left off — callers size `token_cost_ns` from the
-    /// measured per-request service time when they want a rate cap.
+    /// retry-after hint of one millisecond of sim time.
     pub fn protective() -> Self {
         ControlConfig {
             max_inflight: 16,
             queue_hi: 12,
             queue_lo: 8,
-            token_cost_ns: 0,
-            token_burst: 32,
             dirty_hi_permille: 600,
             ncache_hi_permille: 900,
             retry_after_ns: 1_000_000,
@@ -168,8 +154,6 @@ pub struct ControlStats {
     pub queue_sheds: u64,
     /// Write rejections from the dirty-cache watermark.
     pub dirty_sheds: u64,
-    /// Rejections from an empty token bucket.
-    pub token_rejects: u64,
     /// NCache insertions bypassed under occupancy/dirty pressure
     /// (served through without caching; not a rejection).
     pub insert_bypass: u64,
@@ -190,23 +174,17 @@ impl StatsSnapshot for ControlStats {
             ("inflight_rejects", self.inflight_rejects),
             ("queue_sheds", self.queue_sheds),
             ("dirty_sheds", self.dirty_sheds),
-            ("token_rejects", self.token_rejects),
             ("insert_bypass", self.insert_bypass),
         ]
     }
 }
 
 /// The per-server admission gate. All state evolves deterministically
-/// from the `(now, inflight, class, pressure)` sequence the server feeds
-/// it — there is no wall-clock input anywhere.
+/// from the `(inflight, class, pressure)` sequence the server feeds it —
+/// there is no wall-clock input anywhere.
 #[derive(Clone, Debug)]
 pub struct AdmissionGate {
     cfg: ControlConfig,
-    /// Token credit in sim-nanoseconds (one admitted request costs
-    /// `token_cost_ns`).
-    credit_ns: u64,
-    /// Sim instant of the last refill.
-    last_ns: u64,
     /// Queue-watermark shedding mode (hysteresis between `queue_hi`
     /// and `queue_lo`).
     shedding: bool,
@@ -214,12 +192,10 @@ pub struct AdmissionGate {
 }
 
 impl AdmissionGate {
-    /// A gate with a full token bucket at sim time zero.
+    /// A gate that is not shedding.
     pub fn new(cfg: ControlConfig) -> Self {
         AdmissionGate {
             cfg,
-            credit_ns: cfg.token_burst.saturating_mul(cfg.token_cost_ns),
-            last_ns: 0,
             shedding: false,
             stats: ControlStats::default(),
         }
@@ -235,36 +211,16 @@ impl AdmissionGate {
         self.stats
     }
 
-    /// Refills the token bucket up to `now`. Retransmissions may carry
-    /// arrival instants out of order relative to other sessions' ops;
-    /// the refill clamps to monotonic elapsed time so a stale `now`
-    /// never double-credits.
-    fn refill(&mut self, now_ns: u64) {
-        if now_ns > self.last_ns {
-            let elapsed = now_ns - self.last_ns;
-            let cap = self.cfg.token_burst.saturating_mul(self.cfg.token_cost_ns);
-            self.credit_ns = self.credit_ns.saturating_add(elapsed).min(cap);
-            self.last_ns = now_ns;
-        }
-    }
-
-    /// Decides admission for one request of `class` arriving at sim
-    /// instant `now_ns` with `inflight` requests already in flight
-    /// (this one excluded), under the sampled cache `pressure`.
+    /// Decides admission for one request of `class` arriving with
+    /// `inflight` requests already in flight (this one excluded), under
+    /// the sampled cache `pressure`.
     ///
     /// Policy order: the hard in-flight bound first (protects the
     /// server unconditionally), then write shedding from the queue
     /// watermarks (with hysteresis) and the dirty-cache watermark
-    /// (writes shed before reads), then the token-bucket rate cap.
-    pub fn decide(
-        &mut self,
-        now_ns: u64,
-        inflight: u64,
-        class: OpClass,
-        pressure: &Pressure,
-    ) -> Decision {
+    /// (writes shed before reads).
+    pub fn decide(&mut self, inflight: u64, class: OpClass, pressure: &Pressure) -> Decision {
         self.stats.offered += 1;
-        self.refill(now_ns);
         if self.cfg.queue_hi > 0 {
             if inflight >= self.cfg.queue_hi {
                 self.shedding = true;
@@ -283,9 +239,6 @@ impl AdmissionGate {
         {
             self.stats.dirty_sheds += 1;
             Some(())
-        } else if self.cfg.token_cost_ns > 0 && self.credit_ns < self.cfg.token_cost_ns {
-            self.stats.token_rejects += 1;
-            Some(())
         } else {
             None
         };
@@ -302,9 +255,6 @@ impl AdmissionGate {
             }
             None => {
                 self.stats.admitted += 1;
-                if self.cfg.token_cost_ns > 0 {
-                    self.credit_ns -= self.cfg.token_cost_ns;
-                }
                 Decision::Admit
             }
         }
@@ -329,7 +279,6 @@ impl AdmissionGate {
 #[derive(Clone, Debug)]
 pub struct ControlPlane {
     gate: AdmissionGate,
-    now_ns: u64,
     inflight: u64,
 }
 
@@ -338,21 +287,19 @@ impl ControlPlane {
     pub fn new(cfg: ControlConfig) -> Self {
         ControlPlane {
             gate: AdmissionGate::new(cfg),
-            now_ns: 0,
             inflight: 0,
         }
     }
 
-    /// Reports the next request's arrival instant and the current
-    /// in-flight depth (from the timing layer's open-loop state).
-    pub fn set_load(&mut self, now_ns: u64, inflight: u64) {
-        self.now_ns = now_ns;
+    /// Reports the current in-flight depth (from the timing layer's
+    /// open-loop state) ahead of the next request.
+    pub fn set_load(&mut self, inflight: u64) {
         self.inflight = inflight;
     }
 
     /// Decides admission under the load last reported via `set_load`.
     pub fn decide(&mut self, class: OpClass, pressure: &Pressure) -> Decision {
-        self.gate.decide(self.now_ns, self.inflight, class, pressure)
+        self.gate.decide(self.inflight, class, pressure)
     }
 
     /// See [`AdmissionGate::bypass_insert`].
@@ -488,7 +435,7 @@ mod tests {
         };
         for i in 0..10_000u64 {
             let class = if i % 3 == 0 { OpClass::Write } else { OpClass::Read };
-            assert_eq!(gate.decide(0, i, class, &full), Decision::Admit);
+            assert_eq!(gate.decide(i, class, &full), Decision::Admit);
         }
         assert!(!gate.bypass_insert(&full));
         assert_eq!(gate.stats().rejected, 0);
@@ -504,9 +451,9 @@ mod tests {
         };
         let mut gate = AdmissionGate::new(cfg);
         let p = Pressure::default();
-        assert_eq!(gate.decide(0, 3, OpClass::Read, &p), Decision::Admit);
+        assert_eq!(gate.decide(3, OpClass::Read, &p), Decision::Admit);
         assert_eq!(
-            gate.decide(0, 4, OpClass::Read, &p),
+            gate.decide(4, OpClass::Read, &p),
             Decision::RetryLater { after_ns: 0 }
         );
         assert_eq!(gate.stats().inflight_rejects, 1);
@@ -522,21 +469,21 @@ mod tests {
         };
         let mut gate = AdmissionGate::new(cfg);
         let p = Pressure::default();
-        assert_eq!(gate.decide(0, 7, OpClass::Write, &p), Decision::Admit);
+        assert_eq!(gate.decide(7, OpClass::Write, &p), Decision::Admit);
         // Crossing the high watermark trips shedding: writes rejected,
         // reads still admitted.
         assert_eq!(
-            gate.decide(0, 8, OpClass::Write, &p),
+            gate.decide(8, OpClass::Write, &p),
             Decision::RetryLater { after_ns: 7 }
         );
-        assert_eq!(gate.decide(0, 8, OpClass::Read, &p), Decision::Admit);
+        assert_eq!(gate.decide(8, OpClass::Read, &p), Decision::Admit);
         // Still shedding between the watermarks (hysteresis).
         assert_eq!(
-            gate.decide(0, 6, OpClass::Write, &p),
+            gate.decide(6, OpClass::Write, &p),
             Decision::RetryLater { after_ns: 7 }
         );
         // Clears at the low watermark.
-        assert_eq!(gate.decide(0, 4, OpClass::Write, &p), Decision::Admit);
+        assert_eq!(gate.decide(4, OpClass::Write, &p), Decision::Admit);
         assert_eq!(gate.stats().queue_sheds, 2);
     }
 
@@ -552,42 +499,12 @@ mod tests {
             ncache_permille: 0,
         };
         assert_eq!(
-            gate.decide(0, 0, OpClass::Write, &dirty),
+            gate.decide(0, OpClass::Write, &dirty),
             Decision::RetryLater { after_ns: 0 }
         );
-        assert_eq!(gate.decide(0, 0, OpClass::Read, &dirty), Decision::Admit);
+        assert_eq!(gate.decide(0, OpClass::Read, &dirty), Decision::Admit);
         assert_eq!(gate.stats().dirty_sheds, 1);
         assert!(gate.bypass_insert(&dirty));
-    }
-
-    #[test]
-    fn token_bucket_caps_rate_and_refills_on_sim_time() {
-        let cfg = ControlConfig {
-            token_cost_ns: 100,
-            token_burst: 2,
-            ..ControlConfig::unlimited()
-        };
-        let mut gate = AdmissionGate::new(cfg);
-        let p = Pressure::default();
-        // Burst of two admits from the full bucket; the third rejects.
-        assert_eq!(gate.decide(0, 0, OpClass::Read, &p), Decision::Admit);
-        assert_eq!(gate.decide(0, 0, OpClass::Read, &p), Decision::Admit);
-        assert_eq!(
-            gate.decide(0, 0, OpClass::Read, &p),
-            Decision::RetryLater { after_ns: 0 }
-        );
-        // 100 ns later one token is back.
-        assert_eq!(gate.decide(100, 0, OpClass::Read, &p), Decision::Admit);
-        assert_eq!(
-            gate.decide(100, 0, OpClass::Read, &p),
-            Decision::RetryLater { after_ns: 0 }
-        );
-        // A stale (out-of-order) timestamp must not double-credit.
-        assert_eq!(
-            gate.decide(50, 0, OpClass::Read, &p),
-            Decision::RetryLater { after_ns: 0 }
-        );
-        assert_eq!(gate.stats().token_rejects, 3);
     }
 
     #[test]

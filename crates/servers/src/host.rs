@@ -151,12 +151,13 @@ impl ServerHost {
         self.control = Some(ControlPlane::new(cfg));
     }
 
-    /// Reports the timing layer's load to the control plane: the next
-    /// request's sim arrival instant and the current in-flight depth.
-    /// No-op without an installed plane.
-    pub fn set_load(&mut self, now_ns: u64, inflight: u64) {
+    /// Reports the timing layer's load to the control plane: the current
+    /// in-flight depth. The next request's sim arrival instant, `_now_ns`,
+    /// is unread — no admission policy depends on it. No-op without an
+    /// installed plane.
+    pub fn set_load(&mut self, _now_ns: u64, inflight: u64) {
         if let Some(cp) = &mut self.control {
-            cp.set_load(now_ns, inflight);
+            cp.set_load(inflight);
         }
     }
 
@@ -290,7 +291,7 @@ impl ServerHost {
     ) -> Result<Pending, usize> {
         self.cache
             .as_ref()
-            .map(|cache| ncache::resolve_reply(cache, self.recorder.is_enabled(), blocks))
+            .map(|cache| ncache::resolve_reply(cache, blocks))
             .transpose()
             .map(Pending)
     }
@@ -472,13 +473,14 @@ impl ServerHost {
 
     /// The driver-boundary hook ([`NetCacheShards::transmit`]) on the
     /// host's cache handle, run once the whole stack has built the packet:
-    /// splices `resolved` (or substitutes the reply's placeholders) and
+    /// splices `pending` (or substitutes the reply's placeholders) and
     /// returns the packets substituted. A no-op in the builds without a
-    /// handle.
-    fn splice(&self, reply: &mut NetBuf, resolved: Option<Resolved>) -> u64 {
+    /// handle. The lanes' READ fast path calls it under a *shared* guard,
+    /// with no drain, as a pure hit displaces nothing.
+    pub(crate) fn splice(&self, reply: &mut NetBuf, pending: Pending) -> u64 {
         self.cache.as_ref().map_or(0, |cache| {
             cache
-                .transmit(reply, resolved, self.csum_inherit, &self.recorder)
+                .transmit(reply, pending.0, self.csum_inherit, &self.recorder)
                 .substituted
         })
     }
@@ -486,16 +488,9 @@ impl ServerHost {
     /// The transmit hook's datagram form: the splice, then whatever the
     /// module displaced goes back to storage.
     pub(crate) fn transmit(&mut self, reply: &mut NetBuf, pending: Pending) -> u64 {
-        let substituted = self.splice(reply, pending.0);
+        let substituted = self.splice(reply, pending);
         self.drain_writebacks();
         substituted
-    }
-
-    /// The datagram form under a *shared* guard (the lanes' READ fast
-    /// path): no per-shard trace deltas, as other lanes move the same
-    /// shards, and no drain, as a pure hit displaces nothing.
-    pub(crate) fn transmit_shared(&self, reply: &mut NetBuf, pending: Pending) -> u64 {
-        self.splice(reply, pending.0.map(Resolved::without_shard_deltas))
     }
 
     /// The transmit hook's stream form, for a response on kHTTPd's one TCP

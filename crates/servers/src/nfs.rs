@@ -505,8 +505,7 @@ impl NfsServer {
     /// with the packets substituted: the duplicate-request cache is skipped
     /// (READ is idempotent — the armed DRC never answers it), and so is
     /// the write-back drain (a pure hit displaces nothing, and the drain is
-    /// a silent no-op on an empty queue). The per-shard trace deltas are
-    /// dropped: under a shared guard other lanes move the same shards.
+    /// a silent no-op on an empty queue).
     pub fn handle_read_fast(&self, mut req: NetBuf, hit: KeyedHit<'_>) -> (NetBuf, u64) {
         let counts = self.stats.lane();
         counts.add(REQUESTS, 1);
@@ -526,7 +525,7 @@ impl NfsServer {
         counts.add(BYTES_READ, read.len as u64);
         push_read_header(&mut reply, args.fh, &read);
         reply.push_header(&RpcReply::new(call.xid).encode_array());
-        let substituted = self.host.transmit_shared(&mut reply, read.pending);
+        let substituted = self.host.splice(&mut reply, read.pending);
         self.host.recorder.end_span(span);
         (reply, substituted)
     }

@@ -169,11 +169,6 @@ impl<W> Engine<W> {
         &self.world
     }
 
-    /// Exclusive access to the world (e.g. for pre-run setup).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the engine and returns the world.
     pub fn into_world(self) -> W {
         self.world

@@ -385,28 +385,25 @@ impl BufferCache {
         self.map.remove(&lbn).map(|e| e.seg)
     }
 
-    /// Marks every dirty block clean and returns them for writing to the
-    /// backing store, in LRU order.
-    pub fn flush_dirty(&mut self) -> Vec<Writeback> {
-        // Flush in *true*-stamp order: writeback order is observable (it
-        // is the iSCSI write sequence).
-        let mut tagged: Vec<(u64, u64)> = self.map.members(DIRTY).collect();
-        tagged.sort_unstable();
-        tagged.into_iter().map(|(_, lbn)| self.clean(lbn)).collect()
+    /// Marks every dirty block clean and appends them to `out` for
+    /// writing to the backing store, in LRU order.
+    pub fn flush_dirty(&mut self, out: &mut Vec<Writeback>) {
+        self.flush_oldest(usize::MAX, out);
     }
 
-    /// Marks up to `n` of the oldest dirty blocks clean and returns them
-    /// for writing — incremental write-behind (bdflush-style), which keeps
-    /// flush work spread across requests instead of spiking.
-    pub fn flush_oldest(&mut self, n: usize) -> Vec<Writeback> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
+    /// Marks up to `n` of the oldest dirty blocks clean and appends them
+    /// to `out` for writing, in LRU order — incremental write-behind
+    /// (bdflush-style), which keeps flush work spread across requests
+    /// instead of spiking. The order is the blocks' *true*-stamp order
+    /// ([`RecencyMap::head`]), as writeback order is observable (it is the
+    /// iSCSI write sequence).
+    pub fn flush_oldest(&mut self, n: usize, out: &mut Vec<Writeback>) {
+        for _ in 0..n {
             let Some((_, lbn)) = self.map.head(DIRTY) else {
                 break;
             };
             out.push(self.clean(lbn));
         }
-        out
     }
 
     /// Marks the dirty block `lbn` clean and returns it for writing.
@@ -581,11 +578,13 @@ mod tests {
         assert!(!c.is_dirty(1));
         c.mark_dirty(1);
         assert!(c.is_dirty(1));
-        let flushed = c.flush_dirty();
+        let mut flushed = Vec::new();
+        c.flush_dirty(&mut flushed);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].lbn, 1);
         assert!(!c.is_dirty(1), "flush leaves blocks clean");
-        assert!(c.flush_dirty().is_empty());
+        c.flush_dirty(&mut flushed);
+        assert_eq!(flushed.len(), 1, "nothing left to flush");
     }
 
     #[test]
@@ -708,7 +707,7 @@ mod tests {
                         for e in &mut model {
                             e.1 = false;
                         }
-                        cache.flush_dirty();
+                        cache.flush_dirty(&mut Vec::new());
                     }
                 }
                 // Residency must agree.

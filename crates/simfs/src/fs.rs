@@ -310,6 +310,9 @@ pub struct Filesystem<S> {
     /// Slabs the updated inode blocks are built on; a replaced block's
     /// slab comes back here once the cache and its writeback drop it.
     inode_blocks: BufPool,
+    /// The write-behind flush list, drained by every flush and kept, so a
+    /// flush allocates nothing once the list has grown.
+    flushed: Vec<Writeback>,
 }
 
 impl<S: BlockStore> Filesystem<S> {
@@ -348,6 +351,7 @@ impl<S: BlockStore> Filesystem<S> {
             recorder: None,
             stamps: BufPool::stamp_only(),
             inode_blocks: BufPool::slab_only(),
+            flushed: Vec::new(),
         };
         fs.store_inode(Self::ROOT, &Inode::new(FileType::Directory))?;
         fs.write_bitmaps_full();
@@ -391,6 +395,7 @@ impl<S: BlockStore> Filesystem<S> {
             recorder: None,
             stamps: BufPool::stamp_only(),
             inode_blocks: BufPool::slab_only(),
+            flushed: Vec::new(),
         })
     }
 
@@ -966,9 +971,8 @@ impl<S: BlockStore> Filesystem<S> {
     ///
     /// Currently infallible; returns `Result` for interface stability.
     pub fn sync(&mut self) -> Result<(), FsError> {
-        let wbs = self.cache.flush_dirty();
-        self.emit_writeback_batch(wbs.len());
-        self.do_writebacks(wbs);
+        self.cache.flush_dirty(&mut self.flushed);
+        self.write_flushed();
         self.write_dirty_bitmaps();
         Ok(())
     }
@@ -979,20 +983,21 @@ impl<S: BlockStore> Filesystem<S> {
     ///
     /// Currently infallible; returns `Result` for interface stability.
     pub fn sync_some(&mut self, n: usize) -> Result<(), FsError> {
-        let wbs = self.cache.flush_oldest(n);
-        self.emit_writeback_batch(wbs.len());
-        self.do_writebacks(wbs);
+        self.cache.flush_oldest(n, &mut self.flushed);
+        self.write_flushed();
         Ok(())
     }
 
-    fn emit_writeback_batch(&self, blocks: usize) {
-        if blocks == 0 {
-            return;
-        }
-        if let Some(rec) = &self.recorder {
+    /// Writes the flushed blocks to the backing store as one write-back
+    /// batch, draining the kept list.
+    fn write_flushed(&mut self) {
+        if let (Some(rec), false) = (&self.recorder, self.flushed.is_empty()) {
             rec.emit(obs::EventKind::Writeback {
-                blocks: blocks as u64,
+                blocks: self.flushed.len() as u64,
             });
+        }
+        for wb in self.flushed.drain(..) {
+            self.store.write_block(wb.lbn, wb.class, &wb.seg);
         }
     }
 

@@ -918,14 +918,12 @@ pub fn overload_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
             // exactly the service rate when saturated (every completion
             // frees a slot), and 12 slots of queueing keep admitted
             // requests comfortably inside the 24-service-time deadline.
-            // No token bucket — an open-loop rate cap either barely
-            // rejects (queues still go critical) or over-rejects.
+            // No rate cap — an open-loop rate cap either barely rejects
+            // (queues still go critical) or over-rejects.
             rig.enable_control(servers::ControlConfig {
                 max_inflight: 12,
                 queue_hi: 10,
                 queue_lo: 6,
-                token_cost_ns: 0,
-                token_burst: 0,
                 ..servers::ControlConfig::protective()
             });
             opts.retry = Some(servers::RetryPolicy::standard(seed(200)));

@@ -458,8 +458,6 @@ mod tests {
             max_inflight: 4,
             queue_hi: 3,
             queue_lo: 2,
-            token_cost_ns: 0,
-            token_burst: 0,
             ..servers::ControlConfig::protective()
         });
         let policy = servers::RetryPolicy::standard(41);

@@ -78,8 +78,8 @@ pub trait RigDriver {
     /// Reports the timing layer's load to the server ahead of a
     /// functional execution: the request's sim arrival instant and the
     /// number of requests currently in flight. The overload control
-    /// plane decides admission from exactly these inputs; rigs without
-    /// one ignore the call (the default).
+    /// plane decides admission from the in-flight depth (the instant is
+    /// unread); rigs without one ignore the call (the default).
     fn set_load(&mut self, _now_ns: u64, _inflight: u64) {}
 
     /// Adaptive-split epoch length in *operations*, or `None` when no
@@ -495,8 +495,6 @@ mod tests {
             max_inflight: 4,
             queue_hi: 3,
             queue_lo: 2,
-            token_cost_ns: 0,
-            token_burst: 0,
             ..servers::ControlConfig::protective()
         });
         // Sixteen outstanding requests against an admission bound of four:

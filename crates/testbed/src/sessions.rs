@@ -248,8 +248,8 @@ struct LaneContext<'a> {
 /// # Panics
 ///
 /// Panics if the rig's server has an overload control plane installed:
-/// lanes have no gate clock (nothing calls `set_load` in the functional
-/// phase) and the replay cannot re-issue a retried operation, so admission
+/// lanes report no load to the gate (nothing calls `set_load` in the
+/// functional phase) and the replay cannot re-issue a retried operation, so admission
 /// decisions cannot be made to agree with [`run_nfs_sessions`]. Run
 /// controlled workloads through the sequential engine.
 pub fn run_nfs_sessions_parallel(
@@ -314,7 +314,7 @@ fn functional_phase(
     assert!(
         rig.control_stats().is_none(),
         "the lane-parallel engine requires a rig without a control plane: \
-         lanes have no gate clock and the replay cannot re-issue a retried op"
+         lanes report no load to the gate and the replay cannot re-issue a retried op"
     );
     let n = sessions.len();
     let module = rig.module();
@@ -792,16 +792,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a rig without a control plane")]
     fn lanes_refuse_a_rig_with_a_control_plane() {
-        // Before the precondition this ran to completion and disagreed
-        // with the sequential engine: the gate rejected 14 of the 16 ops,
-        // yet the run reported `ops 16, shed 0` (`run_nfs_sessions` on the
-        // same rig: `ops 8, shed 8`) — lanes never call `set_load`, their
-        // observations said `rejected: false`, and the replay cannot
-        // re-issue a retried op.
+        // Without the precondition this would disagree with the
+        // sequential engine, which sheds 12 of the 16 ops here (`ops 4,
+        // shed 12`: one op in flight at a time): lanes never call
+        // `set_load`, so the gate would see no load and admit all 16, and
+        // the replay cannot re-issue a retried op.
         let (mut rig, fh) = rig_with_file(ServerMode::NCache, 1);
         rig.enable_control(servers::ControlConfig {
-            token_cost_ns: 1_000_000,
-            token_burst: 2,
+            max_inflight: 1,
             ..servers::ControlConfig::unlimited()
         });
         let sessions: Vec<Vec<DriverOp>> = (0..4u32)

@@ -88,7 +88,6 @@ impl PageSet {
 /// uniform file within class. Infinite iterator.
 #[derive(Clone, Debug)]
 pub struct SpecWeb {
-    set: PageSet,
     zipf: Zipf,
     rng: SplitMix64,
 }
@@ -98,15 +97,9 @@ impl SpecWeb {
     pub fn new(set: PageSet, seed: u64) -> Self {
         let zipf = Zipf::new(set.dirs() as usize, 1.0);
         SpecWeb {
-            set,
             zipf,
             rng: SplitMix64::new(seed),
         }
-    }
-
-    /// The underlying page set.
-    pub fn page_set(&self) -> &PageSet {
-        &self.set
     }
 
     /// Expected mean page size under the class weights.

@@ -110,15 +110,17 @@ echo "== shard determinism (repro --clients-sweep, shards x threads) =="
 diff_matrix clients --clients-sweep
 echo "clients sweep identical at shards {1,8} and threads {1,$NT}"
 
-echo "== overload observatory (repro --overload-sweep --latency-report) =="
+echo "== overload observatory (repro --overload-sweep --latency-report --metrics) =="
 # The open-loop sweep and its latency-attribution report are read off
 # merged recorder histograms whose shard absorb is exact, so stdout —
-# goodput, tail quantiles, stage shares AND the rendered report — must
-# be byte-identical across thread and shard counts.
-diff_matrix overload --overload-sweep --latency-report
+# goodput, tail quantiles, stage shares, the rendered report AND every
+# recorder counter — must be byte-identical across thread and shard
+# counts.
+diff_matrix overload --overload-sweep --latency-report --metrics
 grep -q "Latency attribution report" "$TRACE_DIR/overload.txt"
 grep -q "bottleneck" "$TRACE_DIR/overload.txt"
-echo "overload sweep + latency report identical at threads {1,$NT} and shards {1,8}"
+grep -q "Unified metrics summary" "$TRACE_DIR/overload.txt"
+echo "overload sweep + latency report + metrics identical at threads {1,$NT} and shards {1,8}"
 
 echo "== overload control plane (repro --overload-sweep --protected) =="
 # The protected-vs-unprotected ablation runs both variants off identical

@@ -3,8 +3,8 @@
 //! byte-identical output at any worker count and any shard count. Cells
 //! own their rigs, their seeds, and their recorders; the merge happens in
 //! cell order — so the rendered tables, the recorder's counters, and the
-//! exported Chrome trace at N threads must equal the single-threaded run
-//! exactly.
+//! exported Chrome trace at N threads and 8 shards must equal the
+//! single-threaded, single-shard run exactly.
 
 use ncache_repro::obs::{export_chrome_trace, Recorder, TraceConfig};
 use ncache_repro::testbed::executor;
@@ -28,12 +28,13 @@ fn scale() -> Scale {
     }
 }
 
-/// Runs one registry row traced at `threads` workers, returning everything
-/// an observer can see: the rendered tables, the merged counters, and the
-/// exported Chrome trace bytes.
+/// Runs one registry row traced at `threads` workers over `shards` cache
+/// shards, returning everything an observer can see: the rendered tables,
+/// the merged counters, and the exported Chrome trace bytes.
 fn observe(
     e: &Experiment,
     threads: usize,
+    shards: usize,
 ) -> (String, std::collections::BTreeMap<String, u64>, String) {
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
@@ -41,6 +42,7 @@ fn observe(
     let rendered = (e.render)(&Exp {
         rec: Some(&rec),
         threads,
+        shards,
         ..Exp::new(&scale)
     });
     let chrome = export_chrome_trace(&rec.events());
@@ -52,7 +54,7 @@ fn every_experiment_is_thread_count_invariant() {
     let max = executor::thread_count(None).max(3);
     for e in &ALL {
         let name = e.name();
-        let base = observe(e, 1);
+        let base = observe(e, 1, 1);
         // The registry's `traced` flag is what `repro` rejects `--trace`
         // on: it must say exactly whether the row records anything.
         assert_eq!(
@@ -63,19 +65,19 @@ fn every_experiment_is_thread_count_invariant() {
         if !e.traced {
             continue;
         }
-        for threads in [2, max] {
-            let got = observe(e, threads);
+        for (threads, shards) in [(2, 1), (max, 1), (max, 8)] {
+            let got = observe(e, threads, shards);
             assert_eq!(
                 base.0, got.0,
-                "{name}: rendered tables diverged at {threads} threads"
+                "{name}: rendered tables diverged at {threads} threads, {shards} shards"
             );
             assert_eq!(
                 base.1, got.1,
-                "{name}: recorder counters diverged at {threads} threads"
+                "{name}: recorder counters diverged at {threads} threads, {shards} shards"
             );
             assert_eq!(
                 base.2, got.2,
-                "{name}: Chrome trace bytes diverged at {threads} threads"
+                "{name}: Chrome trace bytes diverged at {threads} threads, {shards} shards"
             );
         }
     }
