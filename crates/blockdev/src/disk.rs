@@ -11,11 +11,11 @@ use crate::BLOCK_SIZE;
 /// ```
 /// use blockdev::DiskModel;
 /// let m = DiskModel::dtla_307075();
-/// // A random 4 KiB read costs seek + rotation + transfer: ~13 ms.
-/// let t = m.service_time(1, false);
+/// // A 4 KiB read across the platter costs seek + rotation + transfer.
+/// let t = m.service_time_at(1, u64::MAX);
 /// assert!(t.as_nanos() > 10_000_000);
 /// // A sequential one costs only transfer time: well under a millisecond.
-/// assert!(m.service_time(1, true).as_nanos() < 1_000_000);
+/// assert!(m.service_time_at(1, 0).as_nanos() < 1_000_000);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiskModel {
@@ -65,18 +65,6 @@ impl DiskModel {
             transfer
         } else {
             self.seek_time(distance_blocks) + self.avg_rotation + transfer
-        }
-    }
-
-    /// Service time for `blocks` blocks; `sequential` requests skip the
-    /// positioning cost.
-    pub fn service_time(&self, blocks: u64, sequential: bool) -> Duration {
-        let transfer =
-            Duration::from_secs_f64(blocks as f64 * BLOCK_SIZE as f64 / self.media_bytes_per_sec);
-        if sequential {
-            transfer
-        } else {
-            self.avg_seek + self.avg_rotation + transfer
         }
     }
 }
@@ -189,7 +177,7 @@ mod tests {
         // Next request continues where the last ended: sequential.
         let c2 = d.io(c1, 8, 8);
         let seq_cost = c2.since(c1);
-        assert_eq!(seq_cost, m.service_time(8, true));
+        assert_eq!(seq_cost, m.service_time_at(8, 0));
         // A request elsewhere pays a distance-scaled seek + rotation.
         let c3 = d.io(c2, 100_000, 8);
         assert_eq!(c3.since(c2), m.service_time_at(8, 100_000 - 16));
@@ -204,13 +192,13 @@ mod tests {
         let mut d = Disk::new(m);
         let c1 = d.io(SimTime::ZERO, 0, 8);
         let c2 = d.io(c1, 16, 8); // skipped ahead by one burst
-        assert_eq!(c2.since(c1), m.service_time(8, true));
+        assert_eq!(c2.since(c1), m.service_time_at(8, 0));
         let c3 = d.io(c2, 8, 8); // and back-filled
-        assert_eq!(c3.since(c2), m.service_time(8, true));
+        assert_eq!(c3.since(c2), m.service_time_at(8, 0));
         // Beyond the window it is a real (short) seek.
         let c4 = d.io(c3, 16 + NEAR_SEQ_WINDOW + 1, 8);
         assert_eq!(c4.since(c3), m.service_time_at(8, NEAR_SEQ_WINDOW + 1));
-        assert!(c4.since(c3) > m.service_time(8, true));
+        assert!(c4.since(c3) > m.service_time_at(8, 0));
     }
 
     #[test]

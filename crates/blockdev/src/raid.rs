@@ -184,7 +184,7 @@ mod tests {
         // Stripe 0 (disk 0, blocks 0..16), then stripe 4 (disk 0, 16..32).
         let c1 = a.io(SimTime::ZERO, 0, 16);
         let c2 = a.io(c1, 64, 16);
-        assert_eq!(c2.since(c1), model.service_time(16, true));
+        assert_eq!(c2.since(c1), model.service_time_at(16, 0));
     }
 
     #[test]

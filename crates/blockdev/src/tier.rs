@@ -80,7 +80,7 @@ impl TierConfig {
     }
 
     /// The same configuration with seeded transient fast-tier faults.
-    pub fn with_faults(mut self, seed: u64, rate_ppm: u32) -> Self {
+    pub fn with_faults(mut self, seed: u64, rate_ppm: u32) -> Self { // test-api: tiered_timing arms the tier's transient faults
         self.fault_seed = seed;
         self.fault_rate_ppm = rate_ppm;
         self

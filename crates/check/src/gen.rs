@@ -130,11 +130,6 @@ pub fn any_u8() -> impl Gen<Value = u8> {
     ints(0u8..=u8::MAX)
 }
 
-/// Any `u16`, uniformly. Shrinks toward 0.
-pub fn any_u16() -> impl Gen<Value = u16> {
-    ints(0u16..=u16::MAX)
-}
-
 /// Any `u32`, uniformly. Shrinks toward 0.
 pub fn any_u32() -> impl Gen<Value = u32> {
     ints(0u32..=u32::MAX)
@@ -148,17 +143,6 @@ pub fn any_u64() -> impl Gen<Value = u64> {
 /// Either boolean. Shrinks toward `false`.
 pub fn any_bool() -> impl Gen<Value = bool> {
     from_fn(|src| src.draw(2) == 1)
-}
-
-/// A fixed-length byte array, each byte uniform. Shrinks toward zeroes.
-pub fn byte_array<const N: usize>() -> impl Gen<Value = [u8; N]> {
-    from_fn(|src| {
-        let mut out = [0u8; N];
-        for b in &mut out {
-            *b = src.draw(256) as u8;
-        }
-        out
-    })
 }
 
 /// A `Vec` of values from `elem`, with length drawn from `len`. Shrinks

@@ -8,7 +8,7 @@
 //!         ProptestConfig::with_cases(12))]
 //!     #[test]
 //!     fn prop_x(a in 0u8..32,             fn prop_x(a in ints(0u8..32),
-//!               b in any::<u16>()) {                b in any_u16()) {
+//!               b in any::<u32>()) {                b in any_u32()) {
 //!         prop_assert!(a < 32);               prop_assert!(a < 32);
 //!     }                                   }
 //! }                                   }

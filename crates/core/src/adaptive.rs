@@ -50,7 +50,7 @@ pub struct SplitConfig {
 impl SplitConfig {
     /// A frozen controller: ghosts attach, quotas stay put. Installing
     /// this must be unobservable versus a build without the feature.
-    pub fn static_split() -> SplitConfig {
+    pub fn static_split() -> SplitConfig { // test-api: the adaptive oracle's frozen-controller baseline
         SplitConfig {
             dynamic: false,
             ..SplitConfig::adaptive()
@@ -123,14 +123,9 @@ pub struct SplitSignal {
 }
 
 impl SplitSignal {
-    /// FS hit ratio over this epoch only, in permille (integer-exact;
-    /// 1000 when the epoch saw no FS accesses).
-    pub fn fs_hit_permille(&self) -> u64 {
-        ratio_permille(self.fs_hits, self.fs_misses)
-    }
-
-    /// NCache hit ratio over this epoch only, in permille.
-    pub fn nc_hit_permille(&self) -> u64 {
+    /// NCache hit ratio over this epoch only, in permille (integer-exact;
+    /// 1000 when the epoch saw no NCache accesses).
+    pub fn nc_hit_permille(&self) -> u64 { // test-api: the adaptive oracle reads the windowed signal
         ratio_permille(self.nc_hits, self.nc_misses)
     }
 }
@@ -380,7 +375,7 @@ mod tests {
             fs_misses: 10,
             ..SplitSample::default()
         });
-        assert_eq!(c.window().fs_hit_permille(), 900);
+        assert_eq!((c.window().fs_hits, c.window().fs_misses), (90, 10));
         // Second epoch is all misses: the windowed ratio collapses even
         // though the cumulative ratio stays near 50%.
         c.tick(SplitSample {
@@ -388,8 +383,7 @@ mod tests {
             fs_misses: 110,
             ..SplitSample::default()
         });
-        assert_eq!(c.window().fs_hit_permille(), 0);
-        assert_eq!(c.window().fs_misses, 100);
+        assert_eq!((c.window().fs_hits, c.window().fs_misses), (0, 100));
     }
 
     #[test]

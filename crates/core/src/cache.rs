@@ -137,11 +137,6 @@ impl obs::StatsSnapshot for NetCacheStats {
 }
 
 impl NetCacheStats {
-    /// Total management operations (for CPU charging).
-    pub fn total_ops(&self) -> u64 {
-        self.lookups + self.insertions + self.remaps
-    }
-
     /// Hit ratio in `[0, 1]`: hits over *lookups only*. Insertions and
     /// remaps are management traffic, not cache accesses — including them
     /// in the denominator would make per-shard ratios impossible to merge
@@ -895,13 +890,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_total_ops_and_hit_ratio() {
+    fn stats_count_ops_and_hit_ratio() {
         let mut c = cache(1 << 20);
         c.insert_lbn(Lbn(1), seg(1, 64), 64, false).expect("fits");
         c.lookup(Lbn(1).into());
         c.lookup(Lbn(2).into());
         let s = c.stats();
-        assert_eq!(s.total_ops(), 3);
+        assert_eq!((s.lookups, s.insertions, s.remaps), (2, 1, 0));
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(NetCacheStats::default().hit_ratio(), 0.0);
     }

@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, NetBuf, SegChain, Segment};
 use sim::mix64;
-use sim::sync::{LaneCounters, LaneLock, LaneReadGuard, LaneWriteGuard, LockCounters};
+use sim::sync::{LaneCounters, LaneLock, LaneReadGuard, LaneWriteGuard};
 
 use crate::cache::{
     resolution_order, CacheFull, Entry, NetCache, NetCacheStats, SeqSource, WritebackChunk,
@@ -255,21 +255,8 @@ impl NetCacheShards {
         merged
     }
 
-    /// Acquisition counts of every shard lock, summed.
-    pub fn lock_counters(&self) -> LockCounters {
-        let mut sum = LockCounters::default();
-        for shard in self.shards.iter() {
-            let c = shard.counters();
-            sum.reads += c.reads;
-            sum.reads_waited += c.reads_waited;
-            sum.writes += c.writes;
-            sum.writes_waited += c.writes_waited;
-        }
-        sum
-    }
-
     /// Per-shard counter snapshots, indexed by shard.
-    pub fn per_shard_stats(&self) -> Vec<NetCacheStats> {
+    pub fn per_shard_stats(&self) -> Vec<NetCacheStats> { // test-api: shard_equivalence sums the shards
         (0..self.shards.len()).map(|i| self.read(i).stats()).collect()
     }
 
@@ -706,6 +693,16 @@ impl fmt::Debug for NetCacheShards {
 mod tests {
     use super::*;
     use netbuf::key::{FileHandle, KeyStamp};
+
+    impl NetCacheShards {
+        /// Shared and exclusive acquisitions of every shard lock, summed.
+        pub(crate) fn lock_counters(&self) -> (u64, u64) {
+            let sum = |f: fn(sim::sync::LockCounters) -> u64| {
+                self.shards.iter().map(|s| f(s.counters())).sum()
+            };
+            (sum(|c| c.reads), sum(|c| c.writes))
+        }
+    }
 
     fn seg(tag: u8, len: usize) -> Vec<Segment> {
         vec![Segment::from_vec(vec![tag; len])]

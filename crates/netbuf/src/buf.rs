@@ -1,11 +1,10 @@
 //! `NetBuf`: the sk_buff analogue — protocol headers plus a chain of payload
 //! segments, with every byte movement charged to the copy ledger.
 //!
-//! Receive path: the NIC DMAs a wire frame into a single segment
-//! ([`NetBuf::from_wire`]), or a delivered frame's headers land in the
-//! buffer's own linear area ([`NetBuf::land`]) ahead of the payload
-//! segments it shares with the sender; protocol layers strip headers with
-//! [`NetBuf::pull`]; what remains is payload. Send path: payload segments
+//! Receive path: a delivered frame's headers land in the buffer's own
+//! linear area ([`NetBuf::land`]) ahead of the payload segments it shares
+//! with the sender; protocol layers strip headers with [`NetBuf::pull`];
+//! what remains is payload. Send path: payload segments
 //! are attached logically ([`NetBuf::append_segment`]) or copied in
 //! ([`NetBuf::append_bytes`]); layers prepend headers with
 //! [`NetBuf::push_header`]; [`NetBuf::to_wire`] hands the frame to the NIC
@@ -16,21 +15,6 @@ use std::fmt;
 use crate::accounting::CopyLedger;
 use crate::chain::SegChain;
 use crate::segment::Segment;
-
-/// Checksum state of a buffer (the paper's checksum-inheritance
-/// optimization: cached blocks keep a valid checksum so retransmission
-/// never recomputes it).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum CsumState {
-    /// No checksum computed yet.
-    #[default]
-    None,
-    /// Computed in software (cost was charged).
-    Computed,
-    /// Inherited from the payload's originator or from a cached copy —
-    /// no CPU was spent.
-    Inherited,
-}
 
 /// Bytes of inline linear area every [`NetBuf`] carries — the sk_buff
 /// linear data: headroom for the headers the send path prepends, landing
@@ -182,7 +166,6 @@ pub struct NetBuf {
     /// every operation that changes either (host-only bookkeeping; never
     /// charged).
     payload_len: usize,
-    csum: CsumState,
 }
 
 impl NetBuf {
@@ -196,16 +179,7 @@ impl NetBuf {
             segs: SegChain::new(),
             frags: FragRun::default(),
             payload_len: 0,
-            csum: CsumState::None,
         }
-    }
-
-    /// Wraps a frame the NIC DMA'd into memory. Not a CPU copy: the bytes
-    /// were placed by the device, as in the paper's receive path.
-    pub fn from_wire(ledger: &CopyLedger, frame: Vec<u8>) -> Self {
-        let mut b = NetBuf::new(ledger);
-        b.push_segment(Segment::from_vec(frame));
-        b
     }
 
     /// Sizes the segment chain for `additional` more segments, so a packet
@@ -312,11 +286,6 @@ impl NetBuf {
     /// Whether the buffer carries neither header nor payload.
     pub fn is_empty(&self) -> bool {
         self.total_len() == 0
-    }
-
-    /// Current checksum state.
-    pub fn csum_state(&self) -> CsumState {
-        self.csum
     }
 
     /// Prepends `bytes` to the header area (one protocol layer's header).
@@ -473,7 +442,7 @@ impl NetBuf {
 
     /// Copies `bytes` into a fresh payload segment — a **physical copy**,
     /// charged to the ledger.
-    pub fn append_bytes(&mut self, bytes: &[u8]) {
+    pub fn append_bytes(&mut self, bytes: &[u8]) { // test-api: the netbuf property builds packets byte-wise
         self.ledger.charge_payload_copy(bytes.len() as u64);
         self.push_segment(Segment::from_vec(bytes.to_vec()));
     }
@@ -692,13 +661,12 @@ impl NetBuf {
 
     /// Number of payload buffers in the chain: its segments, each fragment
     /// counted with the segment it continues.
-    pub fn buffer_count(&self) -> usize {
+    pub fn buffer_count(&self) -> usize { // test-api: the netbuf model property counts buffers
         self.segs.len() - self.frags.len
     }
 
-    /// Computes the payload checksum in software, charging the ledger, and
-    /// marks the buffer [`CsumState::Computed`]. Returns the 16-bit Internet
-    /// checksum of the payload.
+    /// Computes the payload checksum in software, charging the ledger.
+    /// Returns the 16-bit Internet checksum of the payload.
     pub fn compute_csum(&mut self) -> u16 {
         self.ledger.charge_csum(self.payload_len as u64);
         // A 64-bit accumulator cannot overflow below 2^48 payload bytes.
@@ -718,20 +686,19 @@ impl NetBuf {
         while sum >> 16 != 0 {
             sum = (sum & 0xffff) + (sum >> 16);
         }
-        self.csum = CsumState::Computed;
         !(sum as u16)
     }
 
-    /// Marks the checksum as inherited from the payload's originator (free;
-    /// charged as an avoided checksum pass).
+    /// Takes the checksum as inherited from the payload's originator or a
+    /// cached copy (the paper's checksum inheritance: free, charged as an
+    /// avoided checksum pass).
     pub fn inherit_csum(&mut self) {
         self.ledger.charge_csum_inherited();
-        self.csum = CsumState::Inherited;
     }
 
     /// Serializes header + payload into one wire frame. This models the NIC
     /// gathering the chain by DMA, so it is *not* charged as a CPU copy.
-    pub fn to_wire(&self) -> Vec<u8> {
+    pub fn to_wire(&self) -> Vec<u8> { // test-api: the netbuf and substitution properties compare wire bytes
         let mut v = Vec::with_capacity(self.total_len());
         // Built headers or landed payload front: the wire's leading bytes
         // either way.
@@ -749,7 +716,6 @@ impl fmt::Debug for NetBuf {
             .field("header_len", &self.header_len())
             .field("payload_len", &self.payload_len)
             .field("segments", &self.segs.len())
-            .field("csum", &self.csum)
             .finish()
     }
 }
@@ -760,6 +726,13 @@ mod tests {
 
     fn ledger() -> CopyLedger {
         CopyLedger::new()
+    }
+
+    /// A received frame the NIC DMA'd into one segment (not a CPU copy).
+    fn from_wire(ledger: &CopyLedger, frame: Vec<u8>) -> NetBuf {
+        let mut b = NetBuf::new(ledger);
+        b.push_segment(Segment::from_vec(frame));
+        b
     }
 
     #[test]
@@ -791,7 +764,7 @@ mod tests {
     #[test]
     fn from_wire_and_pull_parse_headers() {
         let l = ledger();
-        let mut b = NetBuf::from_wire(&l, vec![1, 2, 3, 4, 5, 6]);
+        let mut b = from_wire(&l, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(b.pull(2), vec![1, 2]);
         assert_eq!(b.pull(1), vec![3]);
         assert_eq!(b.payload_len(), 3);
@@ -817,7 +790,7 @@ mod tests {
     #[should_panic(expected = "exceeds payload")]
     fn pull_too_much_panics() {
         let l = ledger();
-        let mut b = NetBuf::from_wire(&l, vec![1]);
+        let mut b = from_wire(&l, vec![1]);
         b.pull(2);
     }
 
@@ -839,7 +812,7 @@ mod tests {
     #[should_panic(expected = "exceeds payload")]
     fn peek_out_of_range_panics() {
         let l = ledger();
-        let b = NetBuf::from_wire(&l, vec![1, 2]);
+        let b = from_wire(&l, vec![1, 2]);
         b.peek(1, 2);
     }
 
@@ -864,7 +837,7 @@ mod tests {
     #[should_panic(expected = "exceeds payload")]
     fn pull_array_too_much_panics() {
         let l = ledger();
-        let mut b = NetBuf::from_wire(&l, vec![1, 2, 3]);
+        let mut b = from_wire(&l, vec![1, 2, 3]);
         b.pull_array::<4>();
     }
 
@@ -972,7 +945,7 @@ mod tests {
         let mut landed = NetBuf::new(&l);
         landed.land(&[1, 2, 3]);
         landed.append_segment(Segment::from_vec(vec![4, 5]));
-        let mut flat = NetBuf::from_wire(&l, vec![1, 2, 3, 4, 5]);
+        let mut flat = from_wire(&l, vec![1, 2, 3, 4, 5]);
         assert_eq!(landed.compute_csum(), flat.compute_csum());
     }
 
@@ -1049,7 +1022,6 @@ mod tests {
         b.append_segment(Segment::from_vec(vec![0xf4, 0xf5, 0xf6, 0xf7]));
         let c = b.compute_csum();
         assert_eq!(c, !0xddf2u16);
-        assert_eq!(b.csum_state(), CsumState::Computed);
         assert_eq!(l.snapshot().csum_bytes, 8);
     }
 
@@ -1074,7 +1046,6 @@ mod tests {
         let d = l.snapshot().delta_since(&before);
         assert_eq!(d.csum_bytes, 0);
         assert_eq!(d.csum_inherited, 1);
-        assert_eq!(b.csum_state(), CsumState::Inherited);
     }
 
     #[test]
@@ -1157,7 +1128,7 @@ mod tests {
         b.append_segment(ph);
         b.append_segment(Segment::zeroed(2));
         b.append_segment(Segment::from_vec(vec![7, 8, 9]));
-        let mut reference = NetBuf::from_wire(&l, flat.clone());
+        let mut reference = from_wire(&l, flat.clone());
         assert_eq!(b.to_wire(), flat);
         assert_eq!(b.copy_payload_to_vec(), flat);
         assert_eq!(b.peek(4090, 10), flat[4090..4100].to_vec());
@@ -1194,7 +1165,7 @@ mod tests {
     fn allocation_is_counted() {
         let l = ledger();
         let _a = NetBuf::new(&l);
-        let _b = NetBuf::from_wire(&l, vec![1]);
+        let _b = from_wire(&l, vec![1]);
         assert_eq!(l.snapshot().allocations, 2);
     }
 }

@@ -20,7 +20,7 @@ use crate::segment::Segment;
 /// mbuf with a packet header).
 pub const MLEN: usize = 224;
 /// Bytes in an external cluster (BSD's `MCLBYTES`).
-pub const MCLBYTES: usize = 2048;
+pub const MCLBYTES: usize = 2048; // test-api: the FreeBSD-port claim that tests/portability.rs holds
 
 /// One mbuf: either inline data or a reference to (part of) an external
 /// cluster.
@@ -76,11 +76,6 @@ impl Mbuf {
         self.len() == 0
     }
 
-    /// Whether the data lives in an external cluster.
-    pub fn is_cluster(&self) -> bool {
-        matches!(self.storage, Storage::Cluster(_))
-    }
-
     /// A view of the carried bytes.
     ///
     /// # Panics
@@ -98,7 +93,7 @@ impl Mbuf {
 /// linkage), with the same logical/physical copy discipline as
 /// [`crate::buf::NetBuf`].
 #[derive(Clone, Debug, Default)]
-pub struct MbufChain {
+pub struct MbufChain { // test-api: the FreeBSD-port claim that tests/portability.rs holds
     bufs: Vec<Mbuf>,
 }
 
@@ -108,20 +103,9 @@ impl MbufChain {
         MbufChain::default()
     }
 
-    /// Builds a chain for `payload`, splitting across clusters the way
-    /// `m_getcl` would — a *physical* copy, charged to `ledger`.
-    pub fn from_bytes(ledger: &CopyLedger, payload: &[u8]) -> Self {
-        ledger.charge_payload_copy(payload.len() as u64);
-        let bufs = payload
-            .chunks(MCLBYTES)
-            .map(|c| Mbuf::cluster(Segment::from_vec(c.to_vec())))
-            .collect();
-        MbufChain { bufs }
-    }
-
     /// Builds a chain referencing existing segments — a *logical* copy
     /// (cluster reference counting), charged as such.
-    pub fn from_segments(ledger: &CopyLedger, segs: impl IntoIterator<Item = Segment>) -> Self {
+    pub fn from_segments(ledger: &CopyLedger, segs: impl IntoIterator<Item = Segment>) -> Self { // test-api: the FreeBSD-port claim that tests/portability.rs holds
         ledger.charge_logical_copy();
         MbufChain {
             bufs: segs.into_iter().map(Mbuf::cluster).collect(),
@@ -143,11 +127,6 @@ impl MbufChain {
     /// Whether the chain is empty.
     pub fn is_empty(&self) -> bool {
         self.bufs.is_empty()
-    }
-
-    /// Number of mbufs in the chain.
-    pub fn mbuf_count(&self) -> usize {
-        self.bufs.len()
     }
 
     /// Iterates over the chain's links.
@@ -194,10 +173,8 @@ mod tests {
     fn inline_and_cluster_basics() {
         let i = Mbuf::inline(b"header");
         assert_eq!(i.len(), 6);
-        assert!(!i.is_cluster());
         assert!(!i.is_empty());
         let c = Mbuf::cluster(Segment::from_vec(vec![7; MCLBYTES]));
-        assert!(c.is_cluster());
         assert_eq!(c.len(), MCLBYTES);
     }
 
@@ -205,16 +182,6 @@ mod tests {
     #[should_panic(expected = "use a cluster")]
     fn oversized_inline_panics() {
         Mbuf::inline(&vec![0u8; MLEN + 1]);
-    }
-
-    #[test]
-    fn from_bytes_splits_at_cluster_size() {
-        let l = CopyLedger::new();
-        let chain = MbufChain::from_bytes(&l, &vec![3u8; MCLBYTES * 2 + 100]);
-        assert_eq!(chain.mbuf_count(), 3);
-        assert_eq!(chain.len(), MCLBYTES * 2 + 100);
-        assert!(chain.iter().all(Mbuf::is_cluster));
-        assert_eq!(l.snapshot().payload_copies, 1, "building copies once");
     }
 
     #[test]
@@ -232,7 +199,7 @@ mod tests {
     #[test]
     fn prepend_builds_protocol_headers() {
         let l = CopyLedger::new();
-        let mut chain = MbufChain::from_bytes(&l, b"payload");
+        let mut chain = MbufChain::from_segments(&l, [Segment::from_vec(b"payload".to_vec())]);
         chain.prepend(&l, b"tcp");
         chain.prepend(&l, b"ip");
         assert_eq!(chain.to_bytes(&l), b"iptcppayload");
@@ -243,7 +210,8 @@ mod tests {
     fn round_trip_preserves_bytes() {
         let l = CopyLedger::new();
         let data: Vec<u8> = (0..5000u16).map(|x| x as u8).collect();
-        let chain = MbufChain::from_bytes(&l, &data);
+        let clusters = data.chunks(MCLBYTES).map(|c| Segment::from_vec(c.to_vec()));
+        let chain = MbufChain::from_segments(&l, clusters);
         assert_eq!(chain.to_bytes(&l), data);
     }
 

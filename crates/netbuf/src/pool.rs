@@ -355,7 +355,7 @@ impl BufPool {
     /// owner's whole extent) and writes wherever it likes. Falls back to a
     /// plain heap segment past the pool's store length. Not
     /// ledger-charged; see [`BufPool::seg_from_slice`].
-    pub fn seg_filled(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Segment {
+    pub fn seg_filled(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Segment { // test-api: the netbuf property fills pooled segments
         if len > self.store_len() {
             let mut buf = vec![0u8; len];
             fill(&mut buf);

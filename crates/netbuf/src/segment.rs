@@ -301,7 +301,7 @@ impl Segment {
 
     /// Whether two segments view the same underlying storage (regardless of
     /// offsets). Segments that store nothing share nothing.
-    pub fn same_storage(&self, other: &Segment) -> bool {
+    pub fn same_storage(&self, other: &Segment) -> bool { // test-api: tests tell a shared store from a copy
         match (&self.store, &other.store) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,

@@ -376,11 +376,6 @@ impl Recorder {
         self.inner.enabled.store(true, Ordering::Release);
     }
 
-    /// Stops recording (state is kept for inspection/export).
-    pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Release);
-    }
-
     /// The fast-path gate every emission checks first.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -457,7 +452,7 @@ impl Recorder {
     }
 
     /// A counter's current value (0 if never bumped).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, name: &str) -> u64 { // test-api: integration tests read single counters
         self.lock().counters.get(name).copied().unwrap_or(0)
     }
 

@@ -80,7 +80,7 @@ pub fn sum_words(data: &[u8]) -> u32 {
 /// version the paper-era code used; [`sum_words`] must fold to the same
 /// checksum on every input (proven by property test), it just gets there
 /// eight bytes per step.
-pub fn sum_words_bytewise(data: &[u8]) -> u32 {
+pub fn sum_words_bytewise(data: &[u8]) -> u32 { // test-api: the reference the fast checksum is tested against
     let mut sum = 0u32;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {

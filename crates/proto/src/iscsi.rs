@@ -155,11 +155,6 @@ impl ScsiCommand {
             self.blocks,
         )
     }
-
-    /// Bytes this command transfers.
-    pub fn transfer_len(&self) -> usize {
-        self.blocks as usize * BLOCK_SIZE
-    }
 }
 
 impl DataIn {
@@ -247,12 +242,6 @@ impl IscsiPdu {
             _ => Err(DecodeError::Unsupported("iSCSI opcode")),
         }
     }
-
-    /// Reads only the opcode discriminant — what the NCache module peeks
-    /// at the driver boundary.
-    pub fn peek_is_data_in(buf: &[u8]) -> bool {
-        buf.first() == Some(&OP_DATA_IN)
-    }
 }
 
 #[cfg(test)]
@@ -272,17 +261,6 @@ mod tests {
             };
             assert_eq!(IscsiPdu::decode(&c.encode()), Ok(IscsiPdu::Command(c)));
         }
-    }
-
-    #[test]
-    fn transfer_len() {
-        let c = ScsiCommand {
-            itt: 0,
-            op: ScsiOp::Read,
-            lbn: 0,
-            blocks: 8,
-        };
-        assert_eq!(c.transfer_len(), 32_768);
     }
 
     #[test]
@@ -349,15 +327,6 @@ mod tests {
     #[test]
     fn truncated() {
         assert!(IscsiPdu::decode(&[0; 47]).is_err());
-    }
-
-    #[test]
-    fn peek_is_data_in() {
-        let d = DataIn::default().encode();
-        assert!(IscsiPdu::peek_is_data_in(&d));
-        let c = ScsiCommand::default().encode();
-        assert!(!IscsiPdu::peek_is_data_in(&c));
-        assert!(!IscsiPdu::peek_is_data_in(&[]));
     }
 
     property! {

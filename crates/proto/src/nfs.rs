@@ -13,7 +13,7 @@ use crate::error::{need, DecodeError, Result};
 /// NFSv2 procedure numbers (RFC 1094).
 pub mod proc {
     /// Null procedure.
-    pub const NULL: u32 = 0;
+    pub const NULL: u32 = 0; // test-api: hostile_bytes drives every procedure
     /// Fetch file attributes.
     pub const GETATTR: u32 = 1;
     /// Look a name up in a directory.
@@ -555,12 +555,6 @@ impl CreateArgs {
         })
     }
 }
-
-/// CREATE replies are `diropres`, the same shape as [`LookupReply`].
-pub type CreateReply = LookupReply;
-
-/// REMOVE request bodies are `diropargs`, the same shape as [`LookupArgs`].
-pub type RemoveArgs = LookupArgs;
 
 /// REMOVE reply body: just the status word.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

@@ -95,16 +95,6 @@ impl RpcCall {
             proc: get_u32(buf, 20),
         })
     }
-
-    /// Reads only the procedure number of an encoded call — the single
-    /// field the NCache classifier peeks at the driver boundary.
-    pub fn peek_proc(buf: &[u8]) -> Result<u32> {
-        need(buf, 24)?;
-        if get_u32(buf, 4) != MSG_CALL {
-            return Err(DecodeError::BadField("message type"));
-        }
-        Ok(get_u32(buf, 20))
-    }
 }
 
 /// An accepted, successful RPC reply header.
@@ -169,7 +159,6 @@ mod tests {
         let enc = c.encode();
         assert_eq!(enc.len(), CALL_LEN);
         assert_eq!(RpcCall::decode(&enc), Ok(c));
-        assert_eq!(RpcCall::peek_proc(&enc), Ok(6));
     }
 
     #[test]
@@ -186,7 +175,6 @@ mod tests {
         let reply = RpcReply::new(1).encode();
         assert!(RpcCall::decode(&reply).is_err());
         assert!(RpcReply::decode(&call).is_err());
-        assert!(RpcCall::peek_proc(&reply).is_err());
     }
 
     #[test]
@@ -210,7 +198,6 @@ mod tests {
     fn truncated_inputs() {
         assert!(RpcCall::decode(&[0; 39]).is_err());
         assert!(RpcReply::decode(&[0; 23]).is_err());
-        assert!(RpcCall::peek_proc(&[0; 23]).is_err());
     }
 
     #[test]
@@ -228,7 +215,6 @@ mod tests {
         fn prop_call_round_trip(xid in any_u32(), prog in any_u32(), vers in any_u32(), pr in any_u32()) {
             let c = RpcCall { xid, prog, vers, proc: pr };
             prop_assert_eq!(RpcCall::decode(&c.encode()), Ok(c));
-            prop_assert_eq!(RpcCall::peek_proc(&c.encode()), Ok(pr));
         }
 
         fn prop_reply_round_trip(xid in any_u32()) {

@@ -89,7 +89,7 @@ impl ControlConfig {
     /// A configuration that admits everything: all bounds off, all
     /// watermarks above 1000 permille. A gate with this config must be
     /// unobservable (the property test pins this).
-    pub fn unlimited() -> Self {
+    pub fn unlimited() -> Self { // test-api: integration tests arm a gate field by field
         ControlConfig {
             max_inflight: 0,
             queue_hi: 0,

@@ -113,9 +113,6 @@ pub struct NfsServer {
     /// WRITE/CREATE/REMOVE, newest at the back. Consulted only with
     /// fault recovery armed.
     drc: VecDeque<(u32, Vec<u8>)>,
-    /// Duplicate-request cache depth without a bounding control plane
-    /// (`drc_depth`). Defaults to [`DRC_CAPACITY`].
-    drc_capacity: usize,
 }
 
 impl std::ops::Deref for NfsServer {
@@ -165,7 +162,6 @@ impl NfsServer {
             host,
             stats: StatsCells::default(),
             drc: VecDeque::new(),
-            drc_capacity: DRC_CAPACITY,
         }
     }
 
@@ -178,15 +174,9 @@ impl NfsServer {
     /// on the host ([`ServerHost::enable_control`]) is all it takes.
     fn drc_depth(&self) -> usize {
         match self.host.control_max_inflight() {
-            0 => self.drc_capacity,
+            0 => DRC_CAPACITY,
             bound => DRC_CAPACITY.max(2 * bound as usize),
         }
-    }
-
-    /// Overrides the duplicate-request cache depth (tests only; an
-    /// installed control plane's in-flight bound takes precedence).
-    pub fn set_drc_capacity(&mut self, capacity: usize) {
-        self.drc_capacity = capacity.max(1);
     }
 
     /// Counter snapshot.
@@ -675,11 +665,6 @@ impl NfsClient {
         self.pool.as_ref()
     }
 
-    /// The xid the next request will carry (diagnostics/tests).
-    pub fn peek_xid(&self) -> u32 {
-        self.next_xid
-    }
-
     fn xid(&mut self) -> u32 {
         let x = self.next_xid;
         self.next_xid += 1;
@@ -734,19 +719,19 @@ impl NfsClient {
     }
 
     /// Builds a CREATE request message.
-    pub fn create_request(&mut self, dir_fh: u64, name: &str) -> NetBuf {
+    pub fn create_request(&mut self, dir_fh: u64, name: &str) -> NetBuf { // test-api: namespace_ops and range_model drive CREATE
         let name = name.to_string();
         self.call(nfs::proc::CREATE, &CreateArgs { dir_fh, name }.encode())
     }
 
     /// Builds a REMOVE request message.
-    pub fn remove_request(&mut self, dir_fh: u64, name: &str) -> NetBuf {
+    pub fn remove_request(&mut self, dir_fh: u64, name: &str) -> NetBuf { // test-api: namespace_ops and range_model drive REMOVE
         let name = name.to_string();
         self.call(nfs::proc::REMOVE, &LookupArgs { dir_fh, name }.encode())
     }
 
     /// Builds a READDIR request message.
-    pub fn readdir_request(&mut self, fh: u64, cookie: u32, count: u32) -> NetBuf {
+    pub fn readdir_request(&mut self, fh: u64, cookie: u32, count: u32) -> NetBuf { // test-api: namespace_ops drives READDIR
         let args = ReaddirArgs { fh, cookie, count }.encode_array();
         self.call(nfs::proc::READDIR, &args)
     }
@@ -756,7 +741,7 @@ impl NfsClient {
     /// # Panics
     ///
     /// Panics on malformed replies.
-    pub fn parse_create_reply(&self, reply: &NetBuf) -> LookupReply {
+    pub fn parse_create_reply(&self, reply: &NetBuf) -> LookupReply { // test-api: namespace_ops and range_model drive CREATE
         self.parse_lookup_reply(reply)
     }
 
@@ -765,7 +750,7 @@ impl NfsClient {
     /// # Panics
     ///
     /// Panics on malformed replies.
-    pub fn parse_remove_reply(&self, reply: &NetBuf) -> RemoveReply {
+    pub fn parse_remove_reply(&self, reply: &NetBuf) -> RemoveReply { // test-api: namespace_ops and range_model drive REMOVE
         self.try_parse_remove_reply(reply).expect("remove reply").1
     }
 
@@ -774,7 +759,7 @@ impl NfsClient {
     /// # Panics
     ///
     /// Panics on malformed replies.
-    pub fn parse_readdir_reply(&self, reply: &NetBuf) -> ReaddirReply {
+    pub fn parse_readdir_reply(&self, reply: &NetBuf) -> ReaddirReply { // test-api: namespace_ops drives READDIR
         let mut rx = crate::stack::deliver(reply, &self.ledger);
         let _rpc = RpcReply::decode(&rx.pull_array::<REPLY_LEN>()).expect("RPC reply");
         let body = rx.pull(rx.payload_len());
@@ -1064,32 +1049,31 @@ mod tests {
     fn drc_eviction_is_counted_and_reopens_the_window() {
         let (mut srv, mut client) = server(ServerMode::Original);
         srv.set_fault_recovery(true);
-        srv.set_drc_capacity(2);
         let root = srv.root_fh();
         let reply = roundtrip(&mut srv, client.create_request(root, "e"));
         let fh = client.parse_create_reply(&reply).fh;
         let oldest = client.write_request(fh, 0, &[1u8; 512]);
         srv.handle_message(crate::stack::deliver(&oldest, &CopyLedger::new()));
-        roundtrip(&mut srv, client.write_request(fh, 512, &[2u8; 512]));
-        roundtrip(&mut srv, client.write_request(fh, 1024, &[3u8; 512]));
-        // CREATE + 3 WRITEs against depth 2: the two oldest entries fell out.
+        for k in 1..=DRC_CAPACITY as u32 {
+            roundtrip(&mut srv, client.write_request(fh, k * 512, &[2u8; 512]));
+        }
+        // CREATE + 129 WRITEs against depth 128: the two oldest entries fell out.
         assert_eq!(srv.stats().drc_evictions, 2);
         // A retransmission from past the window is re-executed, not served
         // from cache — the window is the guarantee's boundary.
         srv.handle_message(crate::stack::deliver(&oldest, &CopyLedger::new()));
         let s = srv.stats();
         assert_eq!(s.drc_hits, 0);
-        assert_eq!(s.writes, 4, "evicted xid re-executes");
+        assert_eq!(s.writes, DRC_CAPACITY as u64 + 2, "evicted xid re-executes");
     }
 
     #[test]
     fn enable_control_sizes_the_drc_from_the_admission_bound() {
         let (mut srv, mut client) = server(ServerMode::Original);
         srv.set_fault_recovery(true);
-        // A deliberately tiny depth, then the control plane re-sizes it to
-        // 2 x max_inflight (floor DRC_CAPACITY) so a full burst of
-        // retransmissions cannot evict an entry inside the window.
-        srv.set_drc_capacity(1);
+        // The control plane re-sizes the depth of 128 to 2 x max_inflight
+        // (floor DRC_CAPACITY) so a full burst of retransmissions cannot
+        // evict an entry inside the window.
         let cfg = crate::control::ControlConfig {
             max_inflight: 100,
             ..crate::control::ControlConfig::unlimited()
@@ -1114,7 +1098,6 @@ mod tests {
         let ledger = CopyLedger::new();
         let mut a = NfsClient::with_xid_base(&ledger, 0);
         let mut b = NfsClient::with_xid_base(&ledger, 1 << 16);
-        assert_ne!(a.peek_xid(), b.peek_xid());
         let root = srv.root_fh();
         let reply = roundtrip(&mut srv, a.create_request(root, "x"));
         let fh = a.parse_create_reply(&reply).fh;

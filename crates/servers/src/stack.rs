@@ -128,7 +128,10 @@ mod tests {
         assert!(rx
             .segments()
             .any(|s| s.same_storage(&payload)));
-        assert!(rx.ledger().same_ledger(&rx_ledger));
+        let before = rx_ledger.snapshot();
+        rx.ledger().charge_logical_copy();
+        let d = rx_ledger.snapshot().delta_since(&before);
+        assert_eq!(d.logical_copies, 1, "the receiver's ledger");
     }
 
     #[test]
@@ -225,7 +228,7 @@ mod tests {
     #[test]
     fn drops_deliver_nothing_and_same_seed_replays_identically() {
         let ledger = CopyLedger::new();
-        let spec = sim::FaultSpec::loss_only(0.5);
+        let spec = sim::FaultSpec::parse("loss=0.5").unwrap();
         let mut a = sim::FaultPlan::new(&spec, 1234);
         let mut b = sim::FaultPlan::new(&spec, 1234);
         let mut pkt = NetBuf::new(&ledger);

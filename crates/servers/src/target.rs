@@ -142,7 +142,7 @@ impl IscsiTarget {
     }
 
     /// Raw contents of a block (integrity checks in tests).
-    pub fn block_contents(&self, lbn: u64) -> Vec<u8> {
+    pub fn block_contents(&self, lbn: u64) -> Vec<u8> { // test-api: lifecycle reads what reached the disk
         self.image
             .get(&lbn)
             .cloned()
@@ -152,7 +152,7 @@ impl IscsiTarget {
     /// Grants an R2T for a write command — the target's half of the iSCSI
     /// write handshake: the initiator sends its Data-Out PDUs only after
     /// receiving this solicitation.
-    pub fn solicit(&self, cmd: ScsiCommand) -> NetBuf {
+    pub fn solicit(&self, cmd: ScsiCommand) -> NetBuf { // test-api: portability checks the R2T grant
         debug_assert_eq!(cmd.op, ScsiOp::Write, "R2T solicits write data");
         let mut pdu = NetBuf::new(&self.ledger);
         pdu.push_header(

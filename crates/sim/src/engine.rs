@@ -109,17 +109,6 @@ impl<W> Scheduler<W> {
         self.schedule_at(at, f);
     }
 
-    /// Schedules `f` to run `delay` after the current instant on `lane`.
-    pub fn schedule_in_lane(
-        &mut self,
-        delay: Duration,
-        lane: u64,
-        f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        let at = self.now + delay;
-        self.schedule_at_lane(at, lane, f);
-    }
-
     /// Number of events executed so far.
     pub fn events_run(&self) -> u64 {
         self.events_run
@@ -258,7 +247,8 @@ mod tests {
         // Schedule out of lane order at one instant: lane order must win.
         e.schedule(Duration::from_nanos(1), |_, s| {
             for (lane, tag) in [(3u64, 0u32), (1, 1), (2, 2), (1, 3), (0, 4)] {
-                s.schedule_in_lane(Duration::from_nanos(5), lane, move |w, _| {
+                let at = s.now() + Duration::from_nanos(5);
+                s.schedule_at_lane(at, lane, move |w, _| {
                     w.push((lane, tag));
                 });
             }
@@ -275,8 +265,9 @@ mod tests {
     fn time_dominates_lane() {
         let mut e: Engine<Vec<u64>> = Engine::new(Vec::new());
         e.schedule(Duration::from_nanos(1), |_, s| {
-            s.schedule_in_lane(Duration::from_nanos(9), 0, |w, _| w.push(0));
-            s.schedule_in_lane(Duration::from_nanos(1), 7, |w, _| w.push(7));
+            let now = s.now();
+            s.schedule_at_lane(now + Duration::from_nanos(9), 0, |w, _| w.push(0));
+            s.schedule_at_lane(now + Duration::from_nanos(1), 7, |w, _| w.push(7));
         });
         e.run();
         assert_eq!(*e.world(), vec![7, 0], "an earlier event on a higher lane still fires first");

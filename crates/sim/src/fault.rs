@@ -37,9 +37,7 @@ pub enum FaultLink {
     ClientServer,
     /// The iSCSI initiator ⇄ target link, both directions.
     InitiatorTarget,
-    /// Transient read/write errors of the block device under the target
-    /// (drawn through [`FaultPlan::link_seed`] by `blockdev`'s transient
-    /// fault stream rather than [`FaultPlan::draw`]).
+    /// Transient read/write errors of the block device under the target.
     BlockIo,
 }
 
@@ -110,14 +108,6 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// A spec injecting only packet loss at rate `loss`.
-    pub fn loss_only(loss: f64) -> FaultSpec {
-        FaultSpec {
-            loss,
-            ..FaultSpec::default()
-        }
-    }
-
     /// Parses a comma-separated `key=rate` list. Keys: `loss`, `dup` (or
     /// `duplicate`), `reorder`, `delay`, `truncate`, `corrupt`, `io`.
     /// Rates are probabilities in `[0, 1]`.
@@ -237,13 +227,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// A stable seed for auxiliary fault streams attached to `link`
-    /// (e.g. `blockdev`'s transient I/O errors). Does not consume any
-    /// randomness from the plan itself.
-    pub fn link_seed(&self, link: FaultLink) -> u64 {
-        self.seed ^ (link.index() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    }
-
     /// Draws the fault (if any) for the next PDU crossing `link`. One call
     /// per PDU; `None` means clean delivery. At most
     /// [`MAX_CONSECUTIVE_FAULTS`] consecutive calls return a fault.
@@ -319,7 +302,7 @@ mod tests {
 
     #[test]
     fn links_are_independent_streams() {
-        let spec = FaultSpec::loss_only(0.5);
+        let spec = FaultSpec::parse("loss=0.5").unwrap();
         // Draining one link must not disturb another: compare a fresh
         // plan's InitiatorTarget stream against one whose ClientServer
         // stream was heavily consumed.
@@ -338,7 +321,7 @@ mod tests {
 
     #[test]
     fn consecutive_faults_are_bounded() {
-        let spec = FaultSpec::loss_only(1.0);
+        let spec = FaultSpec::parse("loss=1").unwrap();
         let mut plan = FaultPlan::new(&spec, 1);
         let mut consecutive = 0u32;
         for _ in 0..1000 {
@@ -365,7 +348,7 @@ mod tests {
     fn rates_partition_the_draw_space() {
         // With loss=1.0 every draw inside the bound is a Drop; with
         // corrupt=1.0 every one is a Corrupt.
-        let mut plan = FaultPlan::new(&FaultSpec::loss_only(1.0), 5);
+        let mut plan = FaultPlan::new(&FaultSpec::parse("loss=1").unwrap(), 5);
         assert_eq!(plan.draw(FaultLink::ClientServer), Some(FaultKind::Drop));
         let spec = FaultSpec {
             corrupt: 1.0,
@@ -376,18 +359,5 @@ mod tests {
             plan.draw(FaultLink::ClientServer),
             Some(FaultKind::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn link_seed_is_stable_and_distinct() {
-        let plan = FaultPlan::new(&FaultSpec::default(), 7);
-        assert_eq!(
-            plan.link_seed(FaultLink::BlockIo),
-            FaultPlan::new(&FaultSpec::default(), 7).link_seed(FaultLink::BlockIo)
-        );
-        assert_ne!(
-            plan.link_seed(FaultLink::BlockIo),
-            plan.link_seed(FaultLink::ClientServer)
-        );
     }
 }

@@ -34,8 +34,6 @@ pub struct Resource {
     /// Earliest instant each server becomes free.
     free_at: Vec<SimTime>,
     busy: Duration,
-    jobs: u64,
-    demand_total: Duration,
     /// Mirrors each exact busy interval as an
     /// [`obs::EventKind::ResourceBusy`] event.
     recorder: Option<obs::Recorder>,
@@ -53,8 +51,6 @@ impl Resource {
             name: name.into(),
             free_at: vec![SimTime::ZERO; servers],
             busy: Duration::ZERO,
-            jobs: 0,
-            demand_total: Duration::ZERO,
             recorder: None,
         }
     }
@@ -96,8 +92,6 @@ impl Resource {
         let done = start + demand;
         self.free_at[slot] = done;
         self.busy += demand;
-        self.jobs += 1;
-        self.demand_total += demand;
         if demand > Duration::ZERO {
             if let Some(rec) = &self.recorder {
                 rec.emit(obs::EventKind::ResourceBusy {
@@ -109,40 +103,6 @@ impl Resource {
             }
         }
         (start, done)
-    }
-
-    /// The instant the earliest server becomes free (i.e. when a job
-    /// arriving now could start).
-    pub fn earliest_free(&self) -> SimTime {
-        self.free_at
-            .iter()
-            .copied()
-            .min()
-            .expect("at least one server")
-    }
-
-    /// Whether a job arriving at `now` would have to wait.
-    pub fn is_busy_at(&self, now: SimTime) -> bool {
-        self.free_at.iter().all(|&t| t > now)
-    }
-
-    /// Total busy time accumulated across all servers.
-    pub fn busy_time(&self) -> Duration {
-        self.busy
-    }
-
-    /// Number of jobs served (including queued-but-not-yet-complete ones).
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Mean service demand per job, or zero if no jobs ran.
-    pub fn mean_demand(&self) -> Duration {
-        if self.jobs == 0 {
-            Duration::ZERO
-        } else {
-            self.demand_total / self.jobs
-        }
     }
 
     /// Utilization in `[0, 1]` over the window `[0, elapsed_until]`:
@@ -169,8 +129,6 @@ impl Resource {
             *t = SimTime::ZERO;
         }
         self.busy = Duration::ZERO;
-        self.jobs = 0;
-        self.demand_total = Duration::ZERO;
     }
 }
 
@@ -185,7 +143,6 @@ mod tests {
         let c2 = r.serve(SimTime::from_nanos(10), Duration::from_nanos(50));
         assert_eq!(c1, SimTime::from_nanos(100));
         assert_eq!(c2, SimTime::from_nanos(150));
-        assert_eq!(r.jobs_served(), 2);
     }
 
     #[test]
@@ -195,7 +152,6 @@ mod tests {
         // Arrives long after the first completes: the gap is idle.
         let c = r.serve(SimTime::from_nanos(1_000), Duration::from_nanos(100));
         assert_eq!(c, SimTime::from_nanos(1_100));
-        assert_eq!(r.busy_time(), Duration::from_nanos(200));
         let util = r.utilization(SimTime::from_nanos(1_100));
         assert!((util - 200.0 / 1_100.0).abs() < 1e-12);
     }
@@ -231,22 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn mean_demand() {
-        let mut r = Resource::new("r", 1);
-        assert_eq!(r.mean_demand(), Duration::ZERO);
-        r.serve(SimTime::ZERO, Duration::from_nanos(100));
-        r.serve(SimTime::ZERO, Duration::from_nanos(300));
-        assert_eq!(r.mean_demand(), Duration::from_nanos(200));
-    }
-
-    #[test]
     fn reset_clears_state() {
         let mut r = Resource::new("r", 2);
         r.serve(SimTime::ZERO, Duration::from_nanos(100));
         r.reset();
-        assert_eq!(r.busy_time(), Duration::ZERO);
-        assert_eq!(r.jobs_served(), 0);
-        assert_eq!(r.earliest_free(), SimTime::ZERO);
+        assert_eq!(r.utilization(SimTime::from_nanos(100)), 0.0);
+        let done = r.serve(SimTime::ZERO, Duration::from_nanos(10));
+        assert_eq!(done, SimTime::from_nanos(10), "every server free at zero");
     }
 
     #[test]
@@ -299,14 +246,5 @@ mod tests {
         // serve() is exactly the completion half.
         let done = r.serve(SimTime::from_nanos(20), Duration::from_nanos(50));
         assert_eq!(done, SimTime::from_nanos(210));
-    }
-
-    #[test]
-    fn is_busy_at() {
-        let mut r = Resource::new("r", 1);
-        assert!(!r.is_busy_at(SimTime::ZERO));
-        r.serve(SimTime::ZERO, Duration::from_nanos(100));
-        assert!(r.is_busy_at(SimTime::from_nanos(50)));
-        assert!(!r.is_busy_at(SimTime::from_nanos(100)));
     }
 }

@@ -61,16 +61,6 @@ impl SplitMix64 {
         }
     }
 
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -79,24 +69,6 @@ impl SplitMix64 {
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Fisher-Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "cannot choose from an empty slice");
-        &xs[self.next_below(xs.len() as u64) as usize]
     }
 }
 
@@ -159,21 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn next_range_inclusive() {
-        let mut r = SplitMix64::new(11);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..10_000 {
-            let v = r.next_range(3, 5);
-            assert!((3..=5).contains(&v));
-            seen_lo |= v == 3;
-            seen_hi |= v == 5;
-        }
-        assert!(seen_lo && seen_hi);
-        assert_eq!(r.next_range(9, 9), 9);
-    }
-
-    #[test]
     fn next_f64_in_unit_interval() {
         let mut r = SplitMix64::new(13);
         for _ in 0..10_000 {
@@ -192,25 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SplitMix64::new(23);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "100-element shuffle should move something");
-    }
-
-    #[test]
     #[should_panic(expected = "bound must be positive")]
     fn next_below_zero_panics() {
         SplitMix64::new(1).next_below(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty slice")]
-    fn choose_empty_panics() {
-        SplitMix64::new(1).choose::<u8>(&[]);
     }
 }

@@ -133,14 +133,6 @@ impl SeriesTable {
     pub fn series(&self) -> &[String] {
         &self.columns
     }
-
-    /// The full series as (x, y) points, skipping missing cells.
-    pub fn points(&self, series: &str) -> Vec<(f64, f64)> {
-        self.rows
-            .iter()
-            .filter_map(|(x, m)| m.get(series).map(|y| (*x, *y)))
-            .collect()
-    }
 }
 
 impl fmt::Display for SeriesTable {
@@ -199,7 +191,6 @@ mod tests {
         assert_eq!(t.get(8.0, "ncache"), None);
         assert_eq!(t.xs(), vec![4.0, 8.0]);
         assert_eq!(t.series(), &["original".to_string(), "ncache".to_string()]);
-        assert_eq!(t.points("original"), vec![(4.0, 10.0), (8.0, 20.0)]);
         let s = t.to_string();
         assert!(s.contains("Fig X"));
         assert!(s.contains("original"));

@@ -48,29 +48,6 @@ impl Bitmap {
         }
     }
 
-    /// Rebuilds a bitmap from its on-disk blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw` is shorter than the bitmap needs.
-    pub fn from_raw(capacity: u64, raw: &[u8]) -> Self {
-        let blocks = capacity.div_ceil(BITS_PER_BLOCK).max(1) as usize;
-        assert!(raw.len() >= blocks * BLOCK_SIZE, "bitmap image too short");
-        let bits = raw[..blocks * BLOCK_SIZE].to_vec();
-        let mut used = 0u64;
-        for i in 0..capacity {
-            if bits[(i / 8) as usize] & (1 << (i % 8)) != 0 {
-                used += 1;
-            }
-        }
-        Bitmap {
-            bits,
-            capacity,
-            free: capacity - used,
-            dirty_blocks: vec![false; blocks],
-        }
-    }
-
     /// Number of objects this bitmap tracks.
     pub fn capacity(&self) -> u64 {
         self.capacity
@@ -226,24 +203,6 @@ mod tests {
         bm.set(BITS_PER_BLOCK + 1);
         assert_eq!(bm.take_dirty_blocks(), vec![0, 1]);
         assert!(bm.take_dirty_blocks().is_empty(), "drained");
-    }
-
-    #[test]
-    fn round_trip_through_raw_blocks() {
-        let mut bm = Bitmap::new(200);
-        for i in [0u64, 5, 77, 199] {
-            bm.set(i);
-        }
-        let mut raw = Vec::new();
-        for i in 0..bm.block_count() {
-            raw.extend_from_slice(bm.block_bytes(i));
-        }
-        let restored = Bitmap::from_raw(200, &raw);
-        assert_eq!(restored.free_count(), 196);
-        for i in [0u64, 5, 77, 199] {
-            assert!(restored.is_set(i));
-        }
-        assert!(!restored.is_set(1));
     }
 
     property! {

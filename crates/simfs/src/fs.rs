@@ -104,27 +104,6 @@ impl Superblock {
         b[72..80].copy_from_slice(&self.data_start.to_le_bytes());
         b
     }
-
-    fn decode(b: &[u8]) -> Result<Superblock, FsError> {
-        if b.len() < BLOCK_SIZE {
-            return Err(FsError::Corrupt("short superblock"));
-        }
-        if u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")) != SB_MAGIC {
-            return Err(FsError::Corrupt("superblock magic"));
-        }
-        let g64 = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
-        Ok(Superblock {
-            total_blocks: g64(8),
-            inode_count: u32::from_le_bytes(b[16..20].try_into().expect("4 bytes")),
-            ibitmap_start: g64(24),
-            ibitmap_blocks: g64(32),
-            dbitmap_start: g64(40),
-            dbitmap_blocks: g64(48),
-            itable_start: g64(56),
-            itable_blocks: g64(64),
-            data_start: g64(72),
-        })
-    }
 }
 
 /// One block returned by the logical (key-moving) read path: the cached
@@ -359,46 +338,6 @@ impl<S: BlockStore> Filesystem<S> {
         Ok(fs)
     }
 
-    /// Mounts an existing file system.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::Corrupt`] if the superblock does not verify.
-    pub fn mount(
-        mut store: S,
-        cache_blocks: usize,
-        read_ahead_blocks: u64,
-        ledger: &CopyLedger,
-    ) -> Result<Self, FsError> {
-        let sb = Superblock::decode(store.read_block(0, BlockClass::Meta).as_slice())?;
-        let mut iraw = Vec::new();
-        for i in 0..sb.ibitmap_blocks {
-            iraw.extend_from_slice(
-                store.read_block(sb.ibitmap_start + i, BlockClass::Meta).as_slice(),
-            );
-        }
-        let mut draw = Vec::new();
-        for i in 0..sb.dbitmap_blocks {
-            draw.extend_from_slice(
-                store.read_block(sb.dbitmap_start + i, BlockClass::Meta).as_slice(),
-            );
-        }
-        Ok(Filesystem {
-            ibitmap: Bitmap::from_raw(u64::from(sb.inode_count), &iraw),
-            dbitmap: Bitmap::from_raw(sb.data_blocks(), &draw),
-            store,
-            sb,
-            cache: BufferCache::new(cache_blocks),
-            ledger: ledger.clone(),
-            read_ahead: read_ahead_blocks,
-            alloc_cursor: 0,
-            recorder: None,
-            stamps: BufPool::stamp_only(),
-            inode_blocks: BufPool::slab_only(),
-            flushed: Vec::new(),
-        })
-    }
-
     /// Emits buffer-cache events and write-back batches on `rec`.
     pub fn set_recorder(&mut self, rec: obs::Recorder) {
         self.cache.set_recorder(rec.clone());
@@ -427,7 +366,7 @@ impl<S: BlockStore> Filesystem<S> {
     /// # Errors
     ///
     /// A description of the first violation found.
-    pub fn check_cache_invariants(&self) -> Result<(), String> {
+    pub fn check_cache_invariants(&self) -> Result<(), String> { // test-api: the range model and walk property check the cache
         self.cache.check_invariants()?;
         self.stamps.check_invariants()?;
         self.inode_blocks.check_invariants()
@@ -480,7 +419,7 @@ impl<S: BlockStore> Filesystem<S> {
     }
 
     /// Free data blocks remaining.
-    pub fn free_blocks(&self) -> u64 {
+    pub fn free_blocks(&self) -> u64 { // test-api: namespace_ops checks REMOVE frees blocks
         self.dbitmap.free_count()
     }
 
@@ -1020,7 +959,7 @@ impl<S: BlockStore> Filesystem<S> {
     ///
     /// [`FsError::NotAFile`] on directories; [`FsError::NotFound`] on free
     /// inodes.
-    pub fn set_size(&mut self, ino: Ino, size: u64) -> Result<(), FsError> {
+    pub fn set_size(&mut self, ino: Ino, size: u64) -> Result<(), FsError> { // test-api: alloc_budget pins the inode update
         let mut inode = self.load_inode(ino)?;
         if inode.ftype != FileType::Regular {
             return Err(FsError::NotAFile);
@@ -1391,32 +1330,6 @@ mod tests {
     fn newfs() -> Fs {
         let ledger = CopyLedger::new();
         Fs::mkfs(MemStore::new(16_384), FsParams::default(), &ledger).expect("mkfs")
-    }
-
-    #[test]
-    fn mkfs_and_mount_round_trip() {
-        let ledger = CopyLedger::new();
-        let mut fs =
-            Fs::mkfs(MemStore::new(16_384), FsParams::default(), &ledger).expect("mkfs");
-        let ino = fs.create(Fs::ROOT, "f").expect("create");
-        fs.write(ino, 0, b"persisted").expect("write");
-        fs.sync().expect("sync");
-        let store = fs.store().clone();
-        let mut fs2 = Fs::mount(store, 256, 8, &ledger).expect("mount");
-        let found = fs2.lookup(Fs::ROOT, "f").expect("lookup");
-        assert_eq!(found, ino);
-        let mut buf = [0u8; 9];
-        fs2.read(found, 0, &mut buf).expect("read");
-        assert_eq!(&buf, b"persisted");
-    }
-
-    #[test]
-    fn mount_rejects_garbage() {
-        let ledger = CopyLedger::new();
-        assert_eq!(
-            Fs::mount(MemStore::new(64), 16, 1, &ledger).unwrap_err(),
-            FsError::Corrupt("superblock magic")
-        );
     }
 
     #[test]

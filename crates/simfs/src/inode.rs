@@ -39,10 +39,6 @@ pub const INODE_SIZE: usize = 256;
 /// Inodes per block.
 pub const INODES_PER_BLOCK: usize = BLOCK_SIZE / INODE_SIZE;
 
-/// Maximum file size in blocks.
-pub const MAX_FILE_BLOCKS: u64 =
-    NDIRECT as u64 + PTRS_PER_BLOCK as u64 + (NDOUBLE * PTRS_PER_BLOCK * PTRS_PER_BLOCK) as u64;
-
 /// LBN value meaning "no block mapped".
 pub const NO_BLOCK: u64 = 0;
 
@@ -74,7 +70,7 @@ pub enum BlockPath {
 ///
 /// # Errors
 ///
-/// [`FsError::InvalidRange`] beyond [`MAX_FILE_BLOCKS`].
+/// [`FsError::InvalidRange`] beyond the double-indirect range.
 pub fn block_path(index: u64) -> Result<BlockPath, FsError> {
     let p = PTRS_PER_BLOCK as u64;
     if index < NDIRECT as u64 {
@@ -209,6 +205,10 @@ mod tests {
     use super::*;
     use check::gen::*;
     use check::{prop_assert_eq, property};
+
+    /// Maximum file size in blocks.
+    const MAX_FILE_BLOCKS: u64 =
+        NDIRECT as u64 + PTRS_PER_BLOCK as u64 + (NDOUBLE * PTRS_PER_BLOCK * PTRS_PER_BLOCK) as u64;
 
     #[test]
     fn geometry_covers_two_gigabytes() {

@@ -39,7 +39,7 @@ pub use cache::BufferCache;
 pub use error::FsError;
 pub use fs::{Filesystem, FsParams};
 pub use inode::{FileType, Ino};
-pub use store::{BlockClass, BlockStore, MemStore, TraceStore};
+pub use store::{BlockClass, BlockStore, MemStore};
 
 /// File system block size in bytes (also the iSCSI block and NCache chunk
 /// payload unit).

@@ -95,7 +95,7 @@ pub fn synthetic_words(lbn: u64) -> impl Iterator<Item = [u8; 8]> {
 /// assert_ne!(s.read_block(7, BlockClass::Data), before);
 /// ```
 #[derive(Clone, Debug)]
-pub struct MemStore {
+pub struct MemStore { // test-api: the in-memory store every file-system test mounts on
     blocks: Arc<Mutex<MixMap<u64, Vec<u8>>>>,
     count: u64,
 }
@@ -142,74 +142,6 @@ impl BlockStore for MemStore {
     }
 }
 
-/// One recorded block-store operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct StoreOp {
-    /// Block address.
-    pub lbn: u64,
-    /// Metadata or regular data.
-    pub class: BlockClass,
-    /// True for writes.
-    pub is_write: bool,
-}
-
-/// Wraps a store and records every operation — the hook the testbed uses to
-/// turn the data plane's storage traffic into simulated iSCSI round trips.
-#[derive(Debug)]
-pub struct TraceStore<S> {
-    inner: S,
-    trace: Arc<Mutex<Vec<StoreOp>>>,
-}
-
-impl<S> TraceStore<S> {
-    /// Wraps `inner`, recording into a fresh trace.
-    pub fn new(inner: S) -> Self {
-        TraceStore {
-            inner,
-            trace: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// A shared handle to the trace (survives moving the store).
-    pub fn trace_handle(&self) -> Arc<Mutex<Vec<StoreOp>>> {
-        Arc::clone(&self.trace)
-    }
-
-    /// Drains and returns the recorded operations.
-    pub fn take_trace(&self) -> Vec<StoreOp> {
-        std::mem::take(&mut *self.trace.lock().expect("trace poisoned"))
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: BlockStore> BlockStore for TraceStore<S> {
-    fn read_block(&mut self, lbn: u64, class: BlockClass) -> Segment {
-        self.trace.lock().expect("trace poisoned").push(StoreOp {
-            lbn,
-            class,
-            is_write: false,
-        });
-        self.inner.read_block(lbn, class)
-    }
-
-    fn write_block(&mut self, lbn: u64, class: BlockClass, data: &Segment) {
-        self.trace.lock().expect("trace poisoned").push(StoreOp {
-            lbn,
-            class,
-            is_write: true,
-        });
-        self.inner.write_block(lbn, class, data);
-    }
-
-    fn block_count(&self) -> u64 {
-        self.inner.block_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,37 +174,5 @@ mod tests {
     #[should_panic(expected = "whole blocks")]
     fn mem_store_rejects_partial_writes() {
         MemStore::new(4).write_block(0, BlockClass::Data, &Segment::from_vec(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn trace_store_records_ops() {
-        let mut s = TraceStore::new(MemStore::new(8));
-        s.read_block(1, BlockClass::Meta);
-        s.write_block(2, BlockClass::Data, &Segment::zeroed(BLOCK_SIZE));
-        let t = s.take_trace();
-        assert_eq!(
-            t,
-            vec![
-                StoreOp {
-                    lbn: 1,
-                    class: BlockClass::Meta,
-                    is_write: false
-                },
-                StoreOp {
-                    lbn: 2,
-                    class: BlockClass::Data,
-                    is_write: true
-                },
-            ]
-        );
-        assert!(s.take_trace().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn trace_handle_shares_state() {
-        let mut s = TraceStore::new(MemStore::new(8));
-        let h = s.trace_handle();
-        s.read_block(0, BlockClass::Meta);
-        assert_eq!(h.lock().expect("trace").len(), 1);
     }
 }

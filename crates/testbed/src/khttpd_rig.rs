@@ -119,7 +119,7 @@ fn response(client: &HttpClient, reply: &NetBuf) -> Option<(HttpResponseHeader, 
 impl Rig<KhttpdServer> {
     /// Publishes a page with deterministic content ([`Self::pattern`],
     /// keyed by the page's inode).
-    pub fn publish(&mut self, name: &str, size: u64) {
+    pub fn publish(&mut self, name: &str, size: u64) { // test-api: integration tests publish pages by hand
         self.provision(name, size, false);
     }
 

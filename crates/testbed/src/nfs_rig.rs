@@ -177,7 +177,7 @@ impl Rig<NfsServer> {
 
     /// The expected contents of a sparse file's range (the synthetic
     /// blocks at its mapped LBNs).
-    pub fn expected_sparse(&mut self, fh: u64, offset: u64, len: usize) -> Vec<u8> {
+    pub fn expected_sparse(&mut self, fh: u64, offset: u64, len: usize) -> Vec<u8> { // test-api: integration tests model sparse reads
         assert_eq!(offset % 4096, 0, "block-aligned expectations only");
         let fs = self.server.fs_mut();
         let mut out = Vec::with_capacity(len);
@@ -282,7 +282,7 @@ impl Rig<NfsServer> {
     /// Swaps the rig's client with `client` — several clients on disjoint
     /// xid bases over the rig's own link (the timing engines swap whole
     /// sessions, link included).
-    pub fn swap_client(&mut self, client: &mut NfsClient) {
+    pub fn swap_client(&mut self, client: &mut NfsClient) { // test-api: multi-client tests share one rig
         std::mem::swap(&mut self.session.client, client);
     }
 }

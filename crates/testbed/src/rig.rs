@@ -509,7 +509,7 @@ impl<A: App> Rig<A> {
     }
 
     /// The installed split controller, if any.
-    pub fn adaptive_controller(&self) -> Option<&ncache::SplitController> {
+    pub fn adaptive_controller(&self) -> Option<&ncache::SplitController> { // test-api: the adaptive oracle reads the controller
         self.adaptive.as_ref()
     }
 

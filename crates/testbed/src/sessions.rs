@@ -646,7 +646,8 @@ mod tests {
         assert_eq!(r.ops, 12);
         // The rig's own (parked) client never issued a request, and the
         // server saw no DRC hits: no two sessions aliased an xid.
-        assert_eq!(rig.client_mut().peek_xid(), 1);
+        let next = rig.client_mut().getattr_request(fh);
+        assert_eq!(proto::rpc::RpcCall::decode(next.header()).map(|c| c.xid), Ok(1));
         assert_eq!(rig.server_mut().stats().drc_hits, 0);
     }
 

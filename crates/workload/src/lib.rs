@@ -67,12 +67,6 @@ pub enum NfsOp {
 }
 
 impl NfsOp {
-    /// Whether this operation moves regular data (read/write) as opposed
-    /// to metadata.
-    pub fn is_data_op(&self) -> bool {
-        matches!(self, NfsOp::Read { .. } | NfsOp::Write { .. })
-    }
-
     /// Payload bytes this operation moves.
     pub fn payload_len(&self) -> u64 {
         match self {
@@ -103,8 +97,6 @@ mod tests {
             len: 4096,
         };
         let g = NfsOp::Getattr { file: FileId(0) };
-        assert!(r.is_data_op());
-        assert!(!g.is_data_op());
         assert_eq!(r.payload_len(), 4096);
         assert_eq!(g.payload_len(), 0);
     }

@@ -1,10 +1,11 @@
-//! The two micro-benchmarks of §5.3.
+//! The two micro-benchmarks of §5.3, both [`SeqRead`] streams.
 //!
 //! * **All-miss**: "sequentially read a big file (2 GB) from the NFS
 //!   server" — every request misses the server's caches and goes to the
 //!   storage server.
-//! * **All-hit**: "repetitively access a small file (5 MB)" — after the
-//!   first pass everything is served from cache.
+//! * **All-hit**: "repetitively access a small file (5 MB)" — the same
+//!   stream over a small file, replayed after a warming pass, so everything
+//!   is served from cache.
 //!
 //! Both sweep the request size from 4 KB to 32 KB (Figures 4 and 5).
 
@@ -77,65 +78,6 @@ impl Iterator for SeqRead {
     }
 }
 
-/// Generates the all-hit stream: cyclic sequential reads over a small hot
-/// file, repeated `passes` times (the first pass warms the cache; the
-/// measurement window starts after it).
-#[derive(Clone, Debug)]
-pub struct AllHit {
-    file: FileId,
-    file_size: u64,
-    req_size: u32,
-    passes: u32,
-    pass: u32,
-    next_offset: u64,
-}
-
-impl AllHit {
-    /// A repeating reader over `file` of `file_size` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `req_size` is zero.
-    pub fn new(file: FileId, file_size: u64, req_size: u32, passes: u32) -> Self {
-        assert!(req_size > 0, "request size must be positive");
-        AllHit {
-            file,
-            file_size,
-            req_size,
-            passes,
-            pass: 0,
-            next_offset: 0,
-        }
-    }
-
-    /// Requests per full pass.
-    pub fn per_pass(&self) -> u64 {
-        self.file_size.div_ceil(u64::from(self.req_size))
-    }
-}
-
-impl Iterator for AllHit {
-    type Item = NfsOp;
-
-    fn next(&mut self) -> Option<NfsOp> {
-        if self.pass >= self.passes {
-            return None;
-        }
-        let len = u64::from(self.req_size).min(self.file_size - self.next_offset) as u32;
-        let op = NfsOp::Read {
-            file: self.file,
-            offset: self.next_offset,
-            len,
-        };
-        self.next_offset += u64::from(self.req_size);
-        if self.next_offset >= self.file_size {
-            self.next_offset = 0;
-            self.pass += 1;
-        }
-        Some(op)
-    }
-}
-
 /// The request sizes the paper sweeps in Figures 4 and 5.
 pub const NFS_REQUEST_SIZES: [u32; 4] = [4 << 10, 8 << 10, 16 << 10, 32 << 10];
 
@@ -162,21 +104,6 @@ mod tests {
         assert_eq!(s.clone().count() as u64, s.len());
         assert!(!s.is_empty());
         assert!(SeqRead::new(FileId(0), 0, 4096).is_empty());
-    }
-
-    #[test]
-    fn all_hit_wraps_around() {
-        let ops: Vec<NfsOp> = AllHit::new(FileId(0), 8 << 10, 4 << 10, 3).collect();
-        assert_eq!(ops.len(), 6, "2 requests per pass x 3 passes");
-        assert!(matches!(ops[0], NfsOp::Read { offset: 0, .. }));
-        assert!(matches!(ops[1], NfsOp::Read { offset: 4096, .. }));
-        assert!(matches!(ops[2], NfsOp::Read { offset: 0, .. }));
-    }
-
-    #[test]
-    fn all_hit_per_pass() {
-        let a = AllHit::new(FileId(0), 5 << 20, 16 << 10, 2);
-        assert_eq!(a.per_pass(), 320);
     }
 
     #[test]

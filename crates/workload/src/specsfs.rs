@@ -142,7 +142,8 @@ mod tests {
                 },
                 20_000,
             );
-            let data = ops.iter().filter(|o| o.is_data_op()).count() as f64 / ops.len() as f64;
+            let data_op = |o: &&NfsOp| matches!(o, NfsOp::Read { .. } | NfsOp::Write { .. });
+            let data = ops.iter().filter(data_op).count() as f64 / ops.len() as f64;
             assert!(
                 (data - frac).abs() < 0.02,
                 "fraction {frac}: measured {data}"

@@ -143,11 +143,6 @@ impl TracePlayer {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-
-    /// Rewinds to the start (for multi-pass replay).
-    pub fn rewind(&mut self) {
-        self.at = 0;
-    }
 }
 
 impl Iterator for TracePlayer {
@@ -212,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn player_replays_in_order_and_rewinds() {
+    fn player_replays_in_order() {
         let ops: Vec<NfsOp> = SeqRead::new(FileId(0), 16 << 10, 4 << 10).collect();
         let mut player = TracePlayer::new(ops.clone());
         assert_eq!(player.len(), 4);
@@ -220,9 +215,7 @@ mod tests {
         let replayed: Vec<NfsOp> = player.by_ref().collect();
         assert_eq!(replayed, ops);
         assert_eq!(player.remaining(), 0);
-        player.rewind();
-        assert_eq!(player.remaining(), 4);
-        assert_eq!(player.next(), Some(ops[0].clone()));
+        assert_eq!(player.next(), None);
     }
 
     #[test]

@@ -63,20 +63,18 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-
-    /// Probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Zipf {
+        /// Probability mass of rank `k`.
+        fn pmf(&self, k: usize) -> f64 {
+            self.cdf[k] - k.checked_sub(1).map_or(0.0, |j| self.cdf[j])
+        }
+    }
 
     #[test]
     fn pmf_sums_to_one_and_decreases() {

@@ -21,8 +21,12 @@ echo "== allocation budget, release build =="
 # above pins the debug one. Both must hold the same numbers.
 cargo test -q --release --offline --test alloc_budget
 
-echo "== clippy (deny warnings) =="
-cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "== clippy (deny warnings; no pub item a crate cannot export) =="
+# With unreachable_pub denied, an item is either public API, which
+# tests/structure.rs's pub_items_have_callers holds to a caller or a
+# `// test-api:` reason, or crate-private, which rustc's dead_code holds
+# to a use.
+cargo clippy --offline --workspace --all-targets -- -D warnings -D unreachable_pub
 
 echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

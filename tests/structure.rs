@@ -5,6 +5,7 @@
 //! both show as a golden diff. A row that names a marker lets a line opt out
 //! with a trailing `// <marker>: <non-empty reason>`.
 
+use std::collections::{HashMap, HashSet};
 use std::fs;
 
 const ROOT: &str = env!("CARGO_MANIFEST_DIR");
@@ -17,6 +18,12 @@ const RECENCY: &str = concat!(
     "crates/core/src/cache.rs crates/simfs/src/cache.rs",
     " crates/sim/src/ghost.rs crates/sim/src/recency.rs"
 );
+/// Where `pub_items_have_callers` looks for callers: every non-test line of the program,
+/// hostbench's seams included (it pins the API the benchmark drives).
+const CALLERS: &str = "crates/*/src src examples crates/bench/benches benchmark/src";
+/// Where it also looks for callers of the test harness's (`crates/check`) items,
+/// with the unit tests of every other crate.
+const TESTS: &str = "tests crates/*/tests";
 /// Table 1's untouched layers: none of them may depend on the module.
 const UNTOUCHED: [&str; 4] = ["blockdev", "netbuf", "proto", "simfs"];
 
@@ -72,18 +79,47 @@ fn nontest(text: &str) -> Vec<(usize, &str)> {
 /// brace that closes the first one it opens.
 fn body<'a>(lines: &[(usize, &'a str)], name: &str) -> Vec<(usize, &'a str)> {
     let heads = [format!(r"fn {name}\b"), format!(r"struct {name}\b")];
-    let head = |(_, l): &&(usize, &str)| heads.iter().any(|h| matches(l, h));
-    let (mut depth, mut opened, mut out) = (0, false, Vec::new());
-    for &(n, l) in lines.iter().skip_while(|l| !head(l)) {
-        out.push((n, l));
-        opened |= l.contains('{');
-        depth += l.matches('{').count() as isize - l.matches('}').count() as isize;
-        if opened && depth == 0 {
-            break;
+    let at = lines
+        .iter()
+        .position(|(_, l)| heads.iter().any(|h| matches(l, h)));
+    let at = at.unwrap_or_else(|| panic!("no fn or struct {name}"));
+    lines[at..=at + end(&lines[at..])].to_vec()
+}
+
+/// Where `line`'s `//` comment starts (its length if none), and the braces it
+/// opens and closes, all outside string and char literals.
+fn scan(line: &str) -> (usize, isize, isize) {
+    let (b, mut quoted, mut i) = (line.as_bytes(), false, 0);
+    let (mut opens, mut closes) = (0, 0);
+    while i < b.len() {
+        match b[i] {
+            b'\\' if quoted => i += 1,
+            b'"' => quoted = !quoted,
+            b'\'' if !quoted && b.get(i + 2) == Some(&b'\'') => i += 2,
+            b'\'' if !quoted && b.get(i + 1) == Some(&b'\\') => i += 3,
+            b'/' if !quoted && b.get(i + 1) == Some(&b'/') => return (i, opens, closes),
+            b'{' if !quoted => opens += 1,
+            b'}' if !quoted => closes += 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    (line.len(), opens, closes)
+}
+
+/// The index in `lines` of the line that ends what `lines[0]` starts: the brace
+/// closing the first one it opens, or a `;` before any opens.
+fn end(lines: &[(usize, &str)]) -> usize {
+    let (mut depth, mut opened) = (0, false);
+    for (i, (_, l)) in lines.iter().enumerate() {
+        let (cut, opens, closes) = scan(l);
+        opened |= opens > 0;
+        depth += opens - closes;
+        if (opened && depth <= 0) || (!opened && l[..cut].trim_end().ends_with(';')) {
+            return i;
         }
     }
-    assert!(!out.is_empty(), "no fn or struct {name}");
-    out
+    lines.len() - 1
 }
 
 /// Whether `line` holds `pat`: literal text in which `*` stands for any run of
@@ -315,6 +351,274 @@ fn table1() {
     rows.push(row("src", ""));
     holds("table1", &rows);
     assert!(UNTOUCHED.iter().all(|u| names.contains(&u.to_string())));
+}
+
+/// `line`'s code: the text before its `//` comment.
+fn code(line: &str) -> &str {
+    &line[..scan(line).0]
+}
+
+/// The identifiers (and numbers) in `code`.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// `lines`' code: comments cut, `use` statements blanked.
+fn code_lines(mut lines: Vec<(usize, &str)>) -> Vec<(usize, &str)> {
+    let mut in_use = false;
+    for (_, l) in &mut lines {
+        let c = code(l);
+        let t = c.trim_start();
+        in_use |= t.starts_with("use ") || t.starts_with("pub use ");
+        *l = if in_use { "" } else { c };
+        in_use &= !c.contains(';');
+    }
+    lines
+}
+
+/// The kind and name of the `pub` item `code` defines, if it defines one
+/// (`pub mod`, `pub use` and `pub(crate)` define none).
+fn pub_item(code: &str) -> Option<(&str, &str)> {
+    let rest = code.trim_start().strip_prefix("pub ")?;
+    let rest = rest
+        .strip_prefix("const ")
+        .filter(|r| r.starts_with("fn "))
+        .unwrap_or(rest);
+    let (kind, name) = rest.split_once(' ')?;
+    let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+    let ident = name.starts_with(|c: char| c.is_alphabetic() || c == '_');
+    (kinds.contains(&kind) && ident).then(|| (kind, idents(name).next().unwrap_or_default()))
+}
+
+/// The type the `impl` block whose head is `code` is for.
+fn impl_for(code: &str) -> Option<&str> {
+    let t = code.trim_start();
+    let rest = t
+        .strip_prefix("unsafe ")
+        .unwrap_or(t)
+        .strip_prefix("impl")?;
+    let rest = match rest.strip_prefix('<') {
+        Some(r) => {
+            let mut depth = 1;
+            let at = r.find(|c| {
+                depth += (c == '<') as i32 - (c == '>') as i32;
+                depth == 0
+            })?;
+            &r[at + 1..]
+        }
+        None => rest.strip_prefix(' ')?,
+    };
+    let target = rest
+        .rsplit_once(" for ")
+        .map_or(rest, |(_, t)| t)
+        .trim_start_matches(['&', ' ']);
+    idents(target.split(['<', ' ', '{']).next()?).last()
+}
+
+/// The crate a path is in (`crates/<name>/…`), or its top directory.
+fn krate(path: &str) -> &str {
+    path.strip_prefix("crates/")
+        .unwrap_or(path)
+        .split('/')
+        .next()
+        .unwrap_or_default()
+}
+
+/// The `.rs` files a spec names, each with its text.
+fn sources(spec: &str) -> Vec<(String, String)> {
+    let rs = files(spec).into_iter().filter(|f| f.ends_with(".rs"));
+    rs.map(|f| (read(&f), f)).map(|(t, f)| (f, t)).collect()
+}
+
+/// The `pub` items of `srcs`' `crates/*/src` files that no caller names, as
+/// `path:line: definition`: `[without a reason, with one, reasons on named items]`.
+/// A caller is a non-test code line of `srcs`, outside `use` statements and the
+/// item's own body (for a type, its definition and its `impl` blocks); for the
+/// test harness (`crates/check`), any code line of `tests` too. An item opts out
+/// with `// test-api: <non-empty reason>` on its definition line.
+fn surface(srcs: &[(String, String)], tests: &[String]) -> [Vec<String>; 3] {
+    let code: Vec<_> = srcs.iter().map(|(_, t)| code_lines(nontest(t))).collect();
+    let lines = tests
+        .iter()
+        .flat_map(|t| code_lines(t.lines().enumerate().collect()));
+    let tested: HashSet<&str> = lines.flat_map(|(_, l)| idents(l)).collect();
+    let (mut named, mut impls) = (HashMap::<_, Vec<_>>::new(), HashMap::<_, Vec<_>>::new());
+    for (f, lines) in code.iter().enumerate() {
+        for (i, &(n, l)) in lines.iter().enumerate() {
+            idents(l).for_each(|w| named.entry(w).or_default().push((f, n)));
+            if let Some(ty) = impl_for(l) {
+                let last = lines[i + end(&lines[i..])].0;
+                impls
+                    .entry((krate(&srcs[f].0), ty))
+                    .or_default()
+                    .push((f, n, last));
+            }
+        }
+    }
+    let mut out = [vec![], vec![], vec![]];
+    for (f, lines) in code.iter().enumerate() {
+        let (path, raw) = (&srcs[f].0, srcs[f].1.lines().collect::<Vec<_>>());
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        for (i, &(n, l)) in lines.iter().enumerate() {
+            let Some((kind, name)) = pub_item(l) else {
+                continue;
+            };
+            let mut own = vec![(f, n, lines[i + end(&lines[i..])].0)];
+            if !["fn", "const", "static"].contains(&kind) {
+                own.extend(impls.get(&(krate(path), name)).into_iter().flatten());
+            }
+            let outside = |&&(g, m): &&(usize, usize)| {
+                !own.iter().any(|&(h, a, b)| g == h && (a..=b).contains(&m))
+            };
+            let called = named[name].iter().any(|at| outside(&at))
+                || (krate(path) == "check" && tested.contains(name));
+            let why = raw[n - 1]
+                .split_once("// test-api:")
+                .map_or("", |w| w.1.trim());
+            let at = format!("{path}:{n}: {}", raw[n - 1].trim());
+            match (called, why.is_empty()) {
+                (false, true) => out[0].push(at),
+                (false, false) => out[1].push(at),
+                (true, false) => out[2].push(at),
+                (true, true) => {}
+            }
+        }
+    }
+    out
+}
+
+/// Public surface = what the system uses (DESIGN.md §3): every `pub` item is named by
+/// non-test code outside its own body, or says why a test needs it; the ledger holds
+/// how many do, so new test-only API shows as a golden diff.
+#[test]
+fn pub_items_have_callers() {
+    let mut tests: Vec<String> = sources(TESTS).into_iter().map(|(_, t)| t).collect();
+    for (_, text) in sources("crates/*/src !crates/check/") {
+        let skip = nontest(&text).len();
+        tests.push(text.lines().skip(skip).collect::<Vec<_>>().join("\n"));
+    }
+    let [bare, marked, stale] = surface(&sources(CALLERS), &tests);
+    let head = "crates/*/src: pub items";
+    holds(
+        "pub_items_have_callers",
+        &[
+            (
+                format!("{head} no caller names // test-api = {}", bare.len()),
+                bare,
+            ),
+            (
+                format!(
+                    "{head} no caller names, with a test-api reason = {}",
+                    marked.len()
+                ),
+                marked,
+            ),
+            (
+                format!(
+                    "{head} a caller names, with a test-api reason = {}",
+                    stale.len()
+                ),
+                stale,
+            ),
+        ],
+    );
+}
+
+/// Whether `text`'s first `#[cfg(test)]`, if it has one, gates a `mod … {` that
+/// closes at the end of the file.
+fn tests_trail(text: &str) -> bool {
+    let lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
+    let Some(rest) = lines.get(nontest(text).len() + 1..) else {
+        return true;
+    };
+    let head = rest.first().map_or("", |(_, l)| code(l).trim());
+    head.starts_with("mod ")
+        && head.ends_with('{')
+        && rest[end(rest) + 1..]
+            .iter()
+            .all(|(_, l)| l.trim().is_empty())
+}
+
+/// `nontest` stops at a file's first `#[cfg(test)]`, so that must gate the test `mod`
+/// that ends the file: a helper gated mid-file would hide the rest of the file from
+/// every row above. (`benchmark/` is its own workspace and no ledger row counts it.)
+#[test]
+fn the_first_cfg_test_gates_the_trailing_test_mod() {
+    let spec = "crates/*/src src examples crates/bench/benches";
+    let early: Vec<String> = sources(spec)
+        .into_iter()
+        .filter(|(_, t)| !tests_trail(t))
+        .map(|f| f.0)
+        .collect();
+    assert!(
+        early.is_empty(),
+        "a #[cfg(test)] that is not the file's trailing test mod: {early:?}"
+    );
+}
+
+#[test]
+fn a_cfg_test_before_the_trailing_mod_fails() {
+    assert!(tests_trail(
+        "fn a() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n"
+    ));
+    assert!(tests_trail("fn a() {}\n"));
+    assert!(!tests_trail(
+        "#[cfg(test)]\nfn helper() {}\npub fn hidden() {}\n"
+    ));
+    assert!(!tests_trail(
+        "#[cfg(test)]\nmod tests {\n}\npub fn hidden() {}\n"
+    ));
+}
+
+#[test]
+fn an_item_named_only_by_a_use_its_own_impl_or_a_test_has_no_caller() {
+    let lib = concat!(
+        "pub struct A;\nimpl Default for A {\n    fn default() -> A {\n        A\n    }\n}\n",
+        "pub fn b() {}\npub fn c() {}\npub fn d() {} // test-api:\npub fn e() {} // test-api: why\n",
+        "#[cfg(test)]\nmod tests {\n    fn t() {\n        super::c();\n    }\n}\n",
+    );
+    let uses = "pub use x::b;\nuse x::{\n    A,\n};\n";
+    let srcs =
+        [("crates/x/src/lib.rs", lib), ("src/lib.rs", uses)].map(|(f, t)| (f.into(), t.into()));
+    let at = |n: usize, line: &str| format!("crates/x/src/lib.rs:{n}: {line}");
+    let [bare, marked, stale] = surface(&srcs, &[]);
+    let want = [
+        at(1, "pub struct A;"),
+        at(7, "pub fn b() {}"),
+        at(8, "pub fn c() {}"),
+    ];
+    assert_eq!(
+        bare,
+        [&want[..], &[at(9, "pub fn d() {} // test-api:")]].concat()
+    );
+    assert_eq!(
+        (marked, stale),
+        (vec![at(10, "pub fn e() {} // test-api: why")], vec![])
+    );
+}
+
+#[test]
+fn a_caller_in_the_benchmark_an_example_or_a_harness_test_counts() {
+    let lib = "pub fn f() {} // test-api: stale\npub fn g() {}\npub fn h() {}\n";
+    let srcs = [
+        ("crates/x/src/lib.rs", lib),
+        ("benchmark/src/main.rs", "fn main() {\n    x::f();\n}\n"),
+        ("examples/e.rs", "fn main() {\n    x::g();\n}\n"),
+        ("crates/check/src/gen.rs", "pub fn k() {}\n"),
+    ];
+    let srcs = srcs.map(|(f, t)| (f.into(), t.into()));
+    let [bare, marked, stale] = surface(&srcs, &["fn t() {\n    k();\n}\n".into()]);
+    assert_eq!(bare, ["crates/x/src/lib.rs:3: pub fn h() {}"]);
+    assert_eq!(
+        (marked, stale),
+        (
+            vec![],
+            vec!["crates/x/src/lib.rs:1: pub fn f() {} // test-api: stale".into()]
+        )
+    );
 }
 
 #[test]
