@@ -21,8 +21,6 @@ use crate::BLOCK_SIZE;
 pub struct DiskModel {
     /// Track-to-track (minimum) seek time.
     pub min_seek: Duration,
-    /// Average seek time (as quoted on data sheets: ~1/3 stroke).
-    pub avg_seek: Duration,
     /// Full-stroke seek time.
     pub max_seek: Duration,
     /// Addressable span in blocks (seek distances scale against this).
@@ -39,7 +37,6 @@ impl DiskModel {
     pub fn dtla_307075() -> Self {
         DiskModel {
             min_seek: Duration::from_micros(1_200),
-            avg_seek: Duration::from_micros(8_500),
             max_seek: Duration::from_micros(15_000),
             span_blocks: 18_000_000, // ~75 GB of 4 KiB blocks
             avg_rotation: Duration::from_micros(4_170),
@@ -201,6 +198,9 @@ mod tests {
         assert!(c4.since(c3) > m.service_time_at(8, 0));
     }
 
+    /// The DTLA-307075 data sheet's average seek (about a third of a stroke).
+    const DATASHEET_AVG_SEEK: Duration = Duration::from_micros(8_500);
+
     #[test]
     fn seek_time_scales_with_distance() {
         let m = DiskModel::dtla_307075();
@@ -213,7 +213,7 @@ mod tests {
         assert_eq!(m.seek_time(u64::MAX), m.max_seek, "clamped");
         // The quoted average lands near the 1/3-stroke point.
         let avg = m.seek_time(m.span_blocks / 3 / 3); // sqrt(1/9)=1/3 of range
-        assert!(avg < m.avg_seek + Duration::from_micros(2_000));
+        assert!(avg < DATASHEET_AVG_SEEK + Duration::from_micros(2_000));
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Raid0 {
         }
     }
 
-    /// Number of member disks.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Total array requests served.
     pub fn requests(&self) -> u64 {
         self.requests

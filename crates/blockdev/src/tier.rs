@@ -34,14 +34,13 @@ use std::collections::HashMap;
 
 impl DiskModel {
     /// An NVMe-like fast tier: flat microsecond-scale access with no
-    /// meaningful positioning cost (min = avg = max "seek" is the fixed
+    /// meaningful positioning cost (min = max "seek" is the fixed
     /// command overhead) and a media rate far above the DTLA array's.
     /// Every access pattern is strictly cheaper than on
     /// [`DiskModel::dtla_307075`] in integer nanoseconds.
     pub fn nvme_like() -> Self {
         DiskModel {
             min_seek: sim::time::Duration::from_micros(8),
-            avg_seek: sim::time::Duration::from_micros(8),
             max_seek: sim::time::Duration::from_micros(8),
             span_blocks: 18_000_000,
             avg_rotation: sim::time::Duration::from_micros(2),
@@ -91,17 +90,13 @@ impl TierConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Reads served entirely by the fast device.
-    pub fast_reads: u64,
+    pub fast_reads: u64, // test-api: tiered_timing's evidence that later passes hit the fast tier
     /// Reads served by the slow array.
-    pub slow_reads: u64,
-    /// Writes sent to the slow array.
-    pub slow_writes: u64,
+    pub slow_reads: u64, // test-api: tiered_timing's evidence that first passes hit the array
     /// Extents copied onto the fast tier.
-    pub promotions: u64,
+    pub promotions: u64, // test-api: tiered_timing's evidence that a second pass promotes
     /// Fast reads that faulted and fell back to the slow array.
-    pub fault_fallbacks: u64,
-    /// Fast-resident blocks invalidated by slow-path writes.
-    pub invalidated_blocks: u64,
+    pub fault_fallbacks: u64, // test-api: tiered_timing's evidence that fast-tier faults degrade
     /// Blocks currently resident on the fast tier.
     pub fast_resident_blocks: u64,
 }
@@ -158,11 +153,6 @@ impl TieredArray {
         let mut s = self.stats;
         s.fast_resident_blocks = self.placement.len() as u64;
         s
-    }
-
-    /// The slow array (utilization reporting).
-    pub fn slow(&self) -> &Raid0 {
-        &self.slow
     }
 
     /// The fast device (utilization reporting).
@@ -243,11 +233,8 @@ impl TieredArray {
     /// Panics if `blocks` is zero (as the underlying devices do).
     pub fn write_timed(&mut self, now: SimTime, start: u64, blocks: u64) -> TierOutcome {
         let (begin, done) = self.slow.io_timed(now, start, blocks);
-        self.stats.slow_writes += 1;
         for b in start..start + blocks {
-            if self.placement.remove(&b).is_some() {
-                self.stats.invalidated_blocks += 1;
-            }
+            self.placement.remove(&b);
         }
         TierOutcome {
             begin,
@@ -344,10 +331,7 @@ mod tests {
         assert_eq!(t.stats().fast_resident_blocks, 8);
         let w = t.write_timed(SimTime::ZERO, 4, 8);
         assert!(!w.fast, "write-around policy");
-        let s = t.stats();
-        assert_eq!(s.slow_writes, 1);
-        assert_eq!(s.invalidated_blocks, 4);
-        assert_eq!(s.fast_resident_blocks, 4);
+        assert_eq!(t.stats().fast_resident_blocks, 4, "the shadowed half left");
         let r = t.read_timed(SimTime::ZERO, 0, 8);
         assert!(!r.fast, "invalidated extent reads slow again");
     }

@@ -13,7 +13,7 @@
 //!
 //! * a ghost is a **pure observer** with schedule-invariant membership
 //!   (see [`sim::ghost`]), so an installed-but-frozen controller
-//!   ([`SplitConfig::static_split`]) is byte-for-byte unobservable;
+//!   (a [`SplitConfig`] with `dynamic: false`) is byte-for-byte unobservable;
 //! * the controller itself is plain state fed at epoch-aligned ticks —
 //!   it decides from **epoch-windowed** deltas (a cumulative ratio is
 //!   blind to phase changes late in a run) and its quota arithmetic is
@@ -48,15 +48,6 @@ pub struct SplitConfig {
 }
 
 impl SplitConfig {
-    /// A frozen controller: ghosts attach, quotas stay put. Installing
-    /// this must be unobservable versus a build without the feature.
-    pub fn static_split() -> SplitConfig { // test-api: the adaptive oracle's frozen-controller baseline
-        SplitConfig {
-            dynamic: false,
-            ..SplitConfig::adaptive()
-        }
-    }
-
     /// The dynamic controller with default gains.
     pub fn adaptive() -> SplitConfig {
         SplitConfig {
@@ -156,7 +147,7 @@ impl ResizeDir {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Resize {
     /// Direction of the move.
-    pub dir: ResizeDir,
+    pub dir: ResizeDir, // test-api: the cooldown property tells opposing moves apart by it
     /// Blocks moved ([`QUOTA_BLOCK`] units).
     pub blocks: u64,
     /// FS quota after the move, blocks.
@@ -388,7 +379,8 @@ mod tests {
 
     #[test]
     fn frozen_controller_never_moves() {
-        let mut c = SplitController::new(SplitConfig::static_split(), 256, 1 << 20);
+        let frozen = SplitConfig { dynamic: false, ..SplitConfig::adaptive() };
+        let mut c = SplitController::new(frozen, 256, 1 << 20);
         assert!(c.tick(sample(1_000, 0)).is_none());
         assert!(c.tick(sample(2_000, 0)).is_none());
         assert_eq!(c.fs_blocks(), 256);

@@ -50,7 +50,7 @@
 //! let payload = Segment::from_vec(vec![42u8; 4096]);
 //! let placeholder = module.on_data_in(Lbn(7), vec![payload], 4096)?;
 //! // Later, an NFS read reply carrying that placeholder is substituted.
-//! assert!(module.cache_contains_lbn(Lbn(7)));
+//! assert!(module.cache_handle().contains(Lbn(7).into()));
 //! # Ok::<(), ncache::CacheFull>(())
 //! ```
 

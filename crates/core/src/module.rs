@@ -176,16 +176,6 @@ impl NcacheModule {
         self.cache.len()
     }
 
-    /// Whether the LBN cache holds `lbn`.
-    pub fn cache_contains_lbn(&self, lbn: Lbn) -> bool { // test-api: integration tests probe cache membership
-        self.cache.contains(lbn.into())
-    }
-
-    /// Whether the FHO cache holds `fho`.
-    pub fn cache_contains_fho(&self, fho: Fho) -> bool { // test-api: integration tests probe cache membership
-        self.cache.contains(fho.into())
-    }
-
     /// Revalidates a stamped placeholder before it rides a reply under
     /// fault recovery: verifies each candidate chunk against its stored
     /// checksum (FHO first, so the freshness order of §3.4 holds even
@@ -419,7 +409,7 @@ mod tests {
     fn data_in_caches_and_returns_placeholder() {
         let (mut m, _l) = module(1 << 20);
         let ph = m.on_data_in(Lbn(3), block_segs(7), CHUNK_PAYLOAD).expect("fits");
-        assert!(m.cache_contains_lbn(Lbn(3)));
+        assert!(m.cache_handle().contains(Lbn(3).into()));
         let stamp = ph.stamp().expect("stamped");
         assert_eq!(stamp.lbn, Some(Lbn(3)));
         assert_eq!(stamp.fho, None);
@@ -432,7 +422,7 @@ mod tests {
         let fho = Fho::new(FileHandle(1), 8192);
         let stamp = m.on_nfs_write(fho, block_segs(9), CHUNK_PAYLOAD).expect("fits");
         assert_eq!(stamp.fho, Some(fho));
-        assert!(m.cache_contains_fho(fho));
+        assert!(m.cache_handle().contains(fho.into()));
         assert!(m.cache_mut().is_dirty(fho.into()));
     }
 
@@ -443,8 +433,8 @@ mod tests {
         let stamp = m.on_nfs_write(fho, block_segs(0xCC), CHUNK_PAYLOAD).expect("fits");
         let segs = m.on_flush_stamp(stamp, Lbn(42)).expect("remapped");
         assert_eq!(segs[0].as_slice(), &vec![0xCC; CHUNK_PAYLOAD][..]);
-        assert!(!m.cache_contains_fho(fho), "entry moved to the LBN cache");
-        assert!(m.cache_contains_lbn(Lbn(42)));
+        assert!(!m.cache_handle().contains(fho.into()), "entry moved to the LBN cache");
+        assert!(m.cache_handle().contains(Lbn(42).into()));
         assert!(
             !m.cache_mut().is_dirty(Lbn(42).into()),
             "clean once the write is issued"
@@ -626,7 +616,7 @@ mod tests {
         assert!(m.verify_resolvable(&stamp), "first pass stamps the csum");
         assert!(m.verify_resolvable(&stamp), "second pass verifies it");
         assert_eq!(m.invalidations(), 0);
-        assert!(m.cache_contains_lbn(Lbn(4)));
+        assert!(m.cache_handle().contains(Lbn(4).into()));
     }
 
     #[test]
@@ -639,7 +629,7 @@ mod tests {
         m.set_recorder(rec.clone());
         assert!(m.poison_clean_chunk(0));
         assert!(!m.verify_resolvable(&stamp), "corrupt entry must not resolve");
-        assert!(!m.cache_contains_lbn(Lbn(4)), "corrupt entry dropped");
+        assert!(!m.cache_handle().contains(Lbn(4).into()), "corrupt entry dropped");
         assert_eq!(m.invalidations(), 1);
         assert_eq!(rec.counter("fault.invalidations"), 1);
         // Refetch repopulates; the fresh entry verifies clean again.

@@ -122,7 +122,7 @@ pub struct SlabStats {
     /// and the new one did not overwrite them.
     pub scrubbed_bytes: u64,
     /// Acquisitions of the free-list mutex by takes and recycles.
-    pub lock_trips: u64,
+    pub lock_trips: u64, // test-api: proves pin accounting never takes the free-list lock
 }
 
 impl fmt::Debug for Slabs {

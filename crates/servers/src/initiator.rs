@@ -590,7 +590,7 @@ mod tests {
         assert_eq!((seg.len(), seg.stored_len()), (BLOCK_SIZE, KeyStamp::LEN));
         assert_eq!(stamp.lbn, Some(Lbn(5)));
         let module = init.module().expect("module");
-        assert!(module.borrow().cache_contains_lbn(Lbn(5)));
+        assert!(module.borrow().cache_handle().contains(Lbn(5).into()));
         assert_eq!(init.stats().zero_copy_reads, 1);
         // The cached payload is the true block contents.
         assert_eq!(
@@ -654,8 +654,8 @@ mod tests {
         assert_eq!(d.payload_copies, 0, "flush is zero-copy on the app server");
         // The *real* data reached storage, not the junk.
         assert_eq!(t.borrow().block_contents(77), vec![0xDD; BLOCK_SIZE]);
-        assert!(module.borrow().cache_contains_lbn(Lbn(77)), "remapped");
-        assert!(!module.borrow().cache_contains_fho(fho));
+        assert!(module.borrow().cache_handle().contains(Lbn(77).into()), "remapped");
+        assert!(!module.borrow().cache_handle().contains(fho.into()));
         assert_eq!(init.stats().zero_copy_writes, 1);
     }
 

@@ -41,11 +41,9 @@ pub struct CostModel {
     /// paths rely on the Intel NICs' checksum offload (paper §5.2) and
     /// never compute one; the original kHTTPd's TCP sendfile path does,
     /// while NCache *inherits* stored checksums (§1) and the ideal
-    /// baseline is modelled with offload.
+    /// baseline is modelled with offload. Offload is the testbed's, not a
+    /// knob: every model here assumes the UDP/NFS paths have it.
     pub csum_ns_per_byte: f64,
-    /// Whether the UDP/NFS paths may assume NIC checksum offload (paper
-    /// default: yes; ablations can disable it).
-    pub csum_offload: bool,
     /// Fixed CPU cost per UDP packet sent or received (driver, IRQ, IP+UDP
     /// processing).
     pub udp_pkt_ns: u64,
@@ -91,7 +89,6 @@ impl CostModel {
         CostModel {
             copy_ns_per_byte: 3.3,
             csum_ns_per_byte: 2.0,
-            csum_offload: true,
             udp_pkt_ns: 5_000,
             tcp_pkt_ns: 6_500,
             nfs_req_ns: 30_000,
@@ -187,7 +184,6 @@ mod tests {
     #[test]
     fn computed_checksums_always_cost() {
         let m = CostModel::pentium3_gige();
-        assert!(m.csum_offload, "UDP paths assume offload by default");
         assert!(m.csum_cost(100_000) > Duration::ZERO);
         assert_eq!(m.csum_cost(0), Duration::ZERO);
     }

@@ -25,10 +25,6 @@ pub struct GhostStats {
     pub probes: u64,
     /// Probes that found their key — would-have-hit requests.
     pub hits: u64,
-    /// Evictions recorded into the tail.
-    pub records: u64,
-    /// Entries displaced because the tail was full.
-    pub displaced: u64,
 }
 
 impl GhostStats {
@@ -38,8 +34,6 @@ impl GhostStats {
     pub fn absorb(&mut self, other: &GhostStats) {
         self.probes += other.probes;
         self.hits += other.hits;
-        self.records += other.records;
-        self.displaced += other.displaced;
     }
 }
 
@@ -109,12 +103,10 @@ impl GhostLru {
         if self.cap == 0 {
             return;
         }
-        self.stats.records += 1;
         self.members.insert(key, (), stamp);
         while self.members.len() > self.cap {
             let (_, oldest) = self.members.head(0).expect("non-empty over cap");
             self.members.remove(&oldest);
-            self.stats.displaced += 1;
         }
     }
 
@@ -177,7 +169,7 @@ mod tests {
         assert!(g.probe(3), "probing does not remove");
         assert!(!g.probe(9));
         let s = g.stats();
-        assert_eq!((s.probes, s.hits, s.records, s.displaced), (3, 2, 4, 1));
+        assert_eq!((s.probes, s.hits), (3, 2));
     }
 
     #[test]
@@ -199,17 +191,10 @@ mod tests {
 
     #[test]
     fn stats_absorb_sums() {
-        let a = GhostStats {
-            probes: 1,
-            hits: 2,
-            records: 3,
-            displaced: 4,
-        };
+        let a = GhostStats { probes: 1, hits: 2 };
         let b = GhostStats {
             probes: 10,
             hits: 20,
-            records: 30,
-            displaced: 40,
         };
         let mut ab = a;
         ab.absorb(&b);

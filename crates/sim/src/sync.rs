@@ -326,11 +326,11 @@ pub struct LockCounters {
     /// Shared acquisitions.
     pub reads: u64,
     /// Shared acquisitions whose first attempt found the lock taken.
-    pub reads_waited: u64,
+    pub reads_waited: u64, // test-api: the lane-lock stress bound on contended reads
     /// Exclusive acquisitions.
     pub writes: u64,
     /// Exclusive acquisitions whose first attempt found the lock taken.
-    pub writes_waited: u64,
+    pub writes_waited: u64, // test-api: the lane-lock stress bound on contended writes
 }
 
 const READS: usize = 0;

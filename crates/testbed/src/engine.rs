@@ -123,14 +123,6 @@ impl Backend {
             Backend::Tiered(t) => Some(t.stats()),
         }
     }
-
-    /// Member disks of the (slow) array.
-    pub(crate) fn disk_count(&self) -> usize {
-        match self {
-            Backend::Flat(array) => array.disk_count(),
-            Backend::Tiered(t) => t.slow().disk_count(),
-        }
-    }
 }
 
 /// The simulated machine room: per-node CPUs, full-duplex Gigabit links
@@ -338,9 +330,6 @@ pub(crate) trait Sink {
     /// A request was shed: every transmission was rejected and the retry
     /// budget (or the deadline) ran out — a client-visible error.
     fn shed(&mut self) {}
-
-    /// A stage occupied `res` over the non-empty `[begin, done)`.
-    fn busy(&mut self, _res: Res, _begin: SimTime, _done: SimTime) {}
 }
 
 /// The arrival process: where operations come from and, with them, the
@@ -669,9 +658,6 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
         let shared = matches!(self.arrivals, Arrivals::Shared(_));
         if let Some(&stage) = chain.stages.get(chain.cursor) {
             let o = self.hw.serve(now, &stage);
-            if o.done > o.begin {
-                self.sink.busy(stage.res, o.begin, o.done);
-            }
             if let Some(fg) = chain.flight.as_mut() {
                 fg.stages.push(StageTime {
                     slot: stage.res.slot(),

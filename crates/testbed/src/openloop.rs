@@ -43,8 +43,8 @@ pub struct OpenLoopOptions {
     pub costs: CostModel,
     /// Request deadline in sim-ns (0 = none): a request completing past
     /// its deadline is counted in
-    /// [`OpenLoopResult::deadline_exceeded`] and its payload in
-    /// `late_bytes`, excluded from goodput.
+    /// [`OpenLoopResult::deadline_exceeded`], its payload excluded from
+    /// goodput.
     pub deadline_ns: u64,
     /// Client retry policy for server `RETRY_LATER` rejections (None =
     /// a rejection immediately sheds the request). Budget exhaustion is
@@ -67,24 +67,9 @@ impl Default for OpenLoopOptions {
     }
 }
 
-/// Per-resource utilization timeline over a run, in at most 32
-/// equal-width windows (occupancy clamped to 1; for the array the
-/// interval is request residency, so concurrent stripes count once).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResourceTimeline {
-    /// Stage name (matches [`obs::StageNs::stage`]).
-    pub resource: &'static str,
-    /// Servers the resource multiplexes over.
-    pub servers: u32,
-    /// Busy fraction per window, in `[0, 1]`.
-    pub util: Vec<f64>,
-}
-
 /// Measured outcome of an open-loop run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpenLoopResult {
-    /// Arrival rate actually offered (requests over the schedule span).
-    pub offered_ops_per_sec: f64,
     /// Delivered payload over the full run, MB/s (decimal). Under
     /// overload this flattens at capacity while latency keeps growing.
     pub goodput_mbs: f64,
@@ -97,22 +82,15 @@ pub struct OpenLoopResult {
     /// Simulated instant the last chain drained.
     pub elapsed: SimTime,
     /// Most requests simultaneously in flight (arrived, not completed).
-    pub peak_inflight: u64,
+    pub peak_inflight: u64, // test-api: the zero-load tests' evidence that no two requests overlap
     /// End-to-end request latency, quantile-queryable.
     pub latency: obs::HistogramSnapshot,
     /// Per-stage queue/service totals over all foreground requests, in
     /// stage order. Their sum equals `latency.sum` exactly.
     pub stages: Vec<obs::StageNs>,
-    /// Width of each utilization window, nanoseconds.
-    pub window_ns: u64,
-    /// Per-resource utilization timelines.
-    pub timelines: Vec<ResourceTimeline>,
     /// Admitted requests that completed past their deadline: counted
-    /// here (and their payload in `late_bytes`), not in goodput.
+    /// here, not in goodput.
     pub deadline_exceeded: u64,
-    /// Payload bytes of deadline-exceeded requests (delivered late,
-    /// excluded from `goodput_mbs` and `payload_bytes`).
-    pub late_bytes: u64,
     /// Requests shed: rejected by the server's admission gate and
     /// abandoned once the retry budget ran out (a counted
     /// client-visible error).
@@ -122,16 +100,15 @@ pub struct OpenLoopResult {
     /// Retransmissions the per-request budget allowed but the client-wide
     /// [`servers::RetryBudget`] withheld; each request withheld is shed
     /// (and counted in `shed`), never transmitted.
-    pub retries_withheld: u64,
+    pub retries_withheld: u64, // test-api: evidence that the budget, not luck, kept the server up
     /// Most transmissions any single request made (bounded by
     /// 1 + the retry budget; exactly 1 without a policy).
-    pub max_attempts: u64,
+    pub max_attempts: u64, // test-api: the retry tests' bound of 1 + the per-request budget
 }
 
 /// The open-loop completion sink: a quantile-queryable latency histogram
-/// and per-stage totals over every admitted request, deadline accounting,
-/// each resource's busy intervals (for the utilization timelines) and the
-/// `openloop.*` recorder counters.
+/// and per-stage totals over every admitted request, deadline accounting
+/// and the `openloop.*` recorder counters.
 #[derive(Default)]
 struct OpenLoopSink {
     rec: obs::Recorder,
@@ -139,16 +116,13 @@ struct OpenLoopSink {
     /// Queue and service totals by [`STAGE_NAMES`] slot, `None` for a
     /// stage no delivered request went through.
     stage_totals: [Option<(u64, u64)>; STAGE_NAMES.len()],
-    busy: [Vec<(u64, u64)>; Res::COUNT],
     deadline_exceeded: u64,
-    late_bytes: u64,
 }
 
 impl Sink for OpenLoopSink {
     fn delivered(&mut self, _sid: usize, now: SimTime, flight: &Flight, late: bool) {
         if late {
             self.deadline_exceeded += 1;
-            self.late_bytes += flight.payload;
             self.rec.add_counter("openloop.deadline_exceeded", 1);
         }
         self.latency.record(now.since(flight.start).as_nanos());
@@ -161,10 +135,6 @@ impl Sink for OpenLoopSink {
 
     fn shed(&mut self) {
         self.rec.add_counter("openloop.shed", 1);
-    }
-
-    fn busy(&mut self, res: Res, begin: SimTime, done: SimTime) {
-        self.busy[res.slot()].push((begin.as_nanos(), done.as_nanos()));
     }
 }
 
@@ -187,8 +157,6 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
     opts: &OpenLoopOptions,
 ) -> (R, OpenLoopResult) {
     assert_eq!(schedule.len(), ops.len(), "one arrival instant per op");
-    let n = ops.len();
-    let span = schedule.iter().max().map_or(SimTime::ZERO, |&t| t);
     let mut arrivals: Vec<(SimTime, u64, DriverOp)> = schedule
         .iter()
         .zip(ops)
@@ -221,14 +189,7 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
                 })
             })
             .collect();
-        let disks = w.hw.array.disk_count();
-        let (window_ns, timelines) = build_timelines(&w.sink.busy, opts.nics, disks, elapsed);
         OpenLoopResult {
-            offered_ops_per_sec: if span > SimTime::ZERO {
-                n as f64 / span.as_secs_f64()
-            } else {
-                0.0
-            },
             goodput_mbs: w.totals.meter.megabytes_per_sec(elapsed),
             ops_per_sec: w.totals.meter.ops_per_sec(elapsed),
             ops: w.totals.meter.ops(),
@@ -237,10 +198,7 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
             peak_inflight: w.totals.peak_inflight,
             latency: w.sink.latency.snapshot(),
             stages,
-            window_ns,
-            timelines,
             deadline_exceeded: w.sink.deadline_exceeded,
-            late_bytes: w.sink.late_bytes,
             shed: w.totals.shed,
             retries: w.totals.retries,
             retries_withheld: w.totals.withheld,
@@ -280,62 +238,6 @@ pub fn zipf_reads(seed: u64, fh: u64, n: usize, file_bytes: u64, span: u32, alph
             len: span,
         })
         .collect()
-}
-
-/// Buckets each resource's busy intervals into at most 32 equal-width
-/// occupancy windows over `[0, elapsed]`, in one pass: each interval adds
-/// its overlap to the windows it spans and no others.
-fn build_timelines(
-    busy: &[Vec<(u64, u64)>; Res::COUNT],
-    nics: usize,
-    disks: usize,
-    elapsed: SimTime,
-) -> (u64, Vec<ResourceTimeline>) {
-    let elapsed_ns = elapsed.as_nanos();
-    if elapsed_ns == 0 {
-        return (0, Vec::new());
-    }
-    let width = elapsed_ns.div_ceil(32).max(1);
-    let windows = elapsed_ns.div_ceil(width) as usize;
-    let timelines = STAGE_NAMES[..Res::COUNT]
-        .iter()
-        .enumerate()
-        .map(|(i, &name)| {
-            let servers = match i {
-                0 | 2 => nics.max(1) as u64,
-                6 => disks as u64,
-                _ => 1,
-            };
-            let bounds = |k: usize| {
-                let w0 = k as u64 * width;
-                (w0, (w0 + width).min(elapsed_ns))
-            };
-            let mut overlap = vec![0u64; windows];
-            for &(s, e) in &busy[i] {
-                let first = (s / width) as usize;
-                let last = (e.saturating_sub(1) / width).min(windows as u64 - 1) as usize;
-                let spanned = overlap.iter_mut().enumerate().take(last + 1).skip(first);
-                for (k, sum) in spanned {
-                    let (w0, w1) = bounds(k);
-                    *sum += e.min(w1).saturating_sub(s.max(w0));
-                }
-            }
-            let util = overlap
-                .iter()
-                .enumerate()
-                .map(|(k, &sum)| {
-                    let (w0, w1) = bounds(k);
-                    (sum as f64 / ((w1 - w0).max(1) * servers) as f64).min(1.0)
-                })
-                .collect();
-            ResourceTimeline {
-                resource: name,
-                servers: servers as u32,
-                util,
-            }
-        })
-        .collect();
-    (width, timelines)
 }
 
 #[cfg(test)]
@@ -447,8 +349,6 @@ mod tests {
         let queued: u64 = heavy.stages.iter().map(|s| s.queue_ns).sum();
         assert!(queued > 0);
         assert!(heavy.elapsed > SimTime::ZERO);
-        assert!(!heavy.timelines.is_empty());
-        assert!(heavy.timelines.iter().all(|t| t.util.iter().all(|&u| (0.0..=1.0).contains(&u))));
     }
 
     #[test]
@@ -487,40 +387,6 @@ mod tests {
         // saw one initial send per arrival plus every retransmission.
         assert_eq!(stats.offered, 256 + r.retries);
         assert_eq!(stats.offered, stats.admitted + stats.rejected);
-    }
-
-    #[test]
-    fn timelines_equal_the_per_window_scan() {
-        // The one-pass bucketing against the definition: every window
-        // sums every interval's overlap with it. Intervals straddle
-        // windows, cover several, and run past `elapsed`.
-        let mut rng = SplitMix64::new(5);
-        let busy: [Vec<(u64, u64)>; Res::COUNT] = std::array::from_fn(|_| {
-            (0..40)
-                .map(|_| {
-                    let s = rng.next_u64() % 10_500;
-                    (s, s + 1 + rng.next_u64() % 600)
-                })
-                .collect()
-        });
-        for elapsed in [1, 31, 32, 33, 9_999, 10_000] {
-            let (width, got) = build_timelines(&busy, 2, 4, SimTime::from_nanos(elapsed));
-            for (t, intervals) in got.iter().zip(&busy) {
-                let windows = elapsed.div_ceil(width);
-                let want: Vec<f64> = (0..windows)
-                    .map(|k| {
-                        let (w0, w1) = (k * width, ((k + 1) * width).min(elapsed));
-                        let overlap: u64 = intervals
-                            .iter()
-                            .map(|&(s, e)| e.min(w1).saturating_sub(s.max(w0)))
-                            .sum();
-                        let cap = (w1 - w0).max(1) * u64::from(t.servers);
-                        (overlap as f64 / cap as f64).min(1.0)
-                    })
-                    .collect();
-                assert_eq!(t.util, want, "{} at elapsed {elapsed}", t.resource);
-            }
-        }
     }
 
     #[test]

@@ -487,8 +487,8 @@ impl<A: App> Rig<A> {
     /// Installs the adaptive cache-split plane (DESIGN.md §16): ghost LRU
     /// tails on the FS buffer cache and (under the NCache build) the
     /// NCache pool, plus the epoch-aligned [`ncache::SplitController`]
-    /// seeded with the caches' *current* capacities. With
-    /// [`ncache::SplitConfig::static_split`] the controller is frozen —
+    /// seeded with the caches' *current* capacities. With `dynamic: false`
+    /// the controller is frozen —
     /// ghosts observe but quotas never move and nothing is emitted, so
     /// the installation is byte-for-byte unobservable.
     pub fn enable_adaptive(&mut self, cfg: ncache::SplitConfig) {

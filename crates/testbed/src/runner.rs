@@ -151,7 +151,7 @@ pub struct RunResult {
     /// Storage-server CPU utilization.
     pub storage_cpu_util: f64,
     /// Application-server transmit-link utilization.
-    pub app_tx_util: f64,
+    pub app_tx_util: f64, // test-api: the NIC test's evidence that one link saturates
     /// Mean member-disk utilization of the array.
     pub disk_util: f64,
     /// Simulated wall-clock of the run.
@@ -161,7 +161,7 @@ pub struct RunResult {
     /// Payload bytes delivered.
     pub payload_bytes: u64,
     /// Mean request latency.
-    pub mean_latency: Duration,
+    pub mean_latency: Duration, // test-api: lifecycle's Little's-law bound
     /// 99th-percentile request latency, interpolated within one
     /// sub-bucket ([`obs::HistogramSnapshot::quantile`]).
     pub p99_latency: Duration,

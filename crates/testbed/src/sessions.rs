@@ -84,8 +84,6 @@ pub struct SessionsResult {
     pub payload_bytes: u64,
     /// Operations completed per session, indexed by session id.
     pub per_session_ops: Vec<u64>,
-    /// Mean request latency.
-    pub mean_latency: Duration,
     /// 99th-percentile request latency, interpolated within one
     /// sub-bucket ([`obs::HistogramSnapshot::quantile`]).
     pub p99_latency: Duration,
@@ -148,7 +146,6 @@ pub fn run_sessions<R: RigDriver + 'static>(
             ops: w.totals.meter.ops(),
             payload_bytes: w.totals.meter.bytes(),
             per_session_ops: w.sink.per_session_ops,
-            mean_latency: Duration::from_nanos(latency.mean()),
             p99_latency: Duration::from_nanos(latency.quantile(0.99)),
             shed: w.totals.shed,
             tier: w.hw.array.tier_stats(),
@@ -194,7 +191,7 @@ pub struct FunctionalPhase {
     pub core: LockCounters,
     /// Borrows of the NCache module's mutex taken while lanes were
     /// running (zero without a module).
-    pub module_borrows: u64,
+    pub module_borrows: u64, // test-api: evidence that lanes never take the module mutex
 }
 
 /// Shared handles every lane needs. Everything here is either behind the

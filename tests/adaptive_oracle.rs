@@ -3,8 +3,8 @@
 //! Four batteries prove the ghost-LRU controller correct without ever
 //! trusting its own bookkeeping:
 //!
-//! - **Frozen is unobservable.** A rig with
-//!   [`SplitConfig::static_split`] installed must be byte-for-byte
+//! - **Frozen is unobservable.** A rig with a `dynamic: false`
+//!   [`SplitConfig`] installed must be byte-for-byte
 //!   identical to a rig with no controller at all — on a warm
 //!   no-eviction workload *and* on a cold eviction-heavy one where the
 //!   ghost tails actively record and probe. This also pins the parallel
@@ -251,7 +251,7 @@ fn frozen_controller_is_unobservable_sequentially() {
         let plain = observe(rig, result, &warm_readback(fh));
 
         let (mut rig, fh) = warm_build(ServerMode::NCache, shards, None);
-        rig.enable_adaptive(SplitConfig::static_split());
+        rig.enable_adaptive(SplitConfig { dynamic: false, ..SplitConfig::adaptive() });
         let (rig, result) = run_nfs_sessions(rig, warm_sessions(fh), &SessionsOptions::default());
         assert!(rig.adaptive_controller().is_some());
         let frozen = observe(rig, result, &warm_readback(fh));
@@ -297,7 +297,7 @@ fn frozen_controller_is_unobservable_in_parallel() {
         let plain = observe(rig, result, &warm_readback(fh));
 
         let (mut rig, fh) = warm_build(ServerMode::NCache, shards, None);
-        rig.enable_adaptive(SplitConfig::static_split());
+        rig.enable_adaptive(SplitConfig { dynamic: false, ..SplitConfig::adaptive() });
         let (rig, result) = run_nfs_sessions_parallel(
             rig,
             warm_sessions(fh),

@@ -36,7 +36,7 @@ fn figure3_block_lifetime() {
             .expect("allocated"),
     );
     assert!(
-        module.borrow().cache_contains_lbn(lbn),
+        module.borrow().cache_handle().contains(lbn.into()),
         "state 1: block resident in the LBN cache"
     );
     assert!(
@@ -65,7 +65,7 @@ fn figure3_block_lifetime() {
     assert_eq!(rig.write(fh, 0, &fresh).status, NFS_OK);
     let fho = Fho::new(FileHandle(fh), 0);
     assert!(
-        module.borrow().cache_contains_fho(fho),
+        module.borrow().cache_handle().contains(fho.into()),
         "state 3: dirty block cached under FHO"
     );
     assert!(
@@ -84,11 +84,11 @@ fn figure3_block_lifetime() {
         "state 4: a remap happened"
     );
     assert!(
-        !module.borrow().cache_contains_fho(fho),
+        !module.borrow().cache_handle().contains(fho.into()),
         "state 4: the FHO entry moved away"
     );
     assert!(
-        module.borrow().cache_contains_lbn(lbn),
+        module.borrow().cache_handle().contains(lbn.into()),
         "state 4: ...into the LBN cache"
     );
     assert_eq!(

@@ -174,7 +174,7 @@ fn removing_a_cold_file_walks_its_block_map_not_its_data() {
     let (keep_lbns, cold_lbns) = (lbns(&mut rig, keep, 16), lbns(&mut rig, cold, BLOCKS));
     let resident = |lbns: &[u64]| {
         lbns.iter()
-            .filter(|&&l| module.borrow().cache_contains_lbn(Lbn(l)))
+            .filter(|&&l| module.borrow().cache_handle().contains(Lbn(l).into()))
             .count()
     };
     assert_eq!(resident(&cold_lbns), 8, "the rewritten blocks' chunks");
@@ -197,7 +197,7 @@ fn removing_a_cold_file_walks_its_block_map_not_its_data() {
     let fhos = (0..BLOCKS).filter(|b| {
         module
             .borrow()
-            .cache_contains_fho(Fho::new(FileHandle(cold), b * 4096))
+            .cache_handle().contains(Fho::new(FileHandle(cold), b * 4096).into())
     });
     assert_eq!(fhos.count(), 0);
     assert_eq!(resident(&keep_lbns), 16, "another file's chunks are untouched");

@@ -73,7 +73,7 @@ fn mbuf_write_path_remaps_like_sk_buff() {
         "re-wrapping as mbufs is logical"
     );
     assert_eq!(outgoing.to_bytes(&ledger), fresh);
-    assert!(module.cache_contains_lbn(Lbn(9)));
+    assert!(module.cache_handle().contains(Lbn(9).into()));
 }
 
 #[test]

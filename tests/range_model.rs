@@ -178,7 +178,7 @@ impl World {
                     for blk in first..u64::from(offset + len).div_ceil(u64::from(BLOCK)) {
                         let fho = Fho::new(FileHandle(fh), blk * u64::from(BLOCK));
                         prop_assert!(
-                            !module.borrow().cache_contains_fho(fho),
+                            !module.borrow().cache_handle().contains(fho.into()),
                             "{} write {:?} under the bypass left block {}'s FHO chunk",
                             mode,
                             op,

@@ -44,7 +44,7 @@ fn flush_remaps_dirty_fho_before_any_lbn_writeback() {
         let stamp = m
             .on_nfs_write(fho, chunk(0xA0 + i as u8), CHUNK_PAYLOAD)
             .expect("cache has room");
-        assert!(m.cache_contains_fho(fho));
+        assert!(m.cache_handle().contains(fho.into()));
         stamps.push((fho, stamp));
     }
 
@@ -61,7 +61,7 @@ fn flush_remaps_dirty_fho_before_any_lbn_writeback() {
     );
     assert_eq!(m.stats().evicted_dirty, 0);
     for (fho, _) in &stamps {
-        assert!(m.cache_contains_fho(*fho), "dirty FHO chunk was evicted");
+        assert!(m.cache_handle().contains((*fho).into()), "dirty FHO chunk was evicted");
     }
 
     // The file system flushes each placeholder. The remap must complete
@@ -74,8 +74,8 @@ fn flush_remaps_dirty_fho_before_any_lbn_writeback() {
             .on_flush_stamp(*stamp, lbn)
             .expect("stamped placeholder resolves");
         assert_eq!(segs[0].as_slice()[0], 0xA0 + i as u8, "flush carries stale bytes");
-        assert!(!m.cache_contains_fho(*fho), "remap left the FHO entry behind");
-        assert!(m.cache_contains_lbn(lbn), "remap did not land under the LBN");
+        assert!(!m.cache_handle().contains((*fho).into()), "remap left the FHO entry behind");
+        assert!(m.cache_handle().contains(lbn.into()), "remap did not land under the LBN");
     }
 
     // The remapped entries are clean now: further pressure reclaims them
@@ -149,7 +149,8 @@ fn rig_writes_under_fs_cache_pressure_then_reads_fresh_bytes() {
         let m = module.borrow();
         for block in 0..BLOCKS {
             let fho = Fho::new(FileHandle(fh), (block * BLOCK) as u64);
-            assert!(!m.cache_contains_fho(fho), "unremapped FHO after sync: block {block}");
+            let held = m.cache_handle().contains(fho.into());
+            assert!(!held, "unremapped FHO after sync: block {block}");
         }
         assert_eq!(m.stats().evicted_dirty, 0, "a dirty chunk bypassed remapping");
     }
@@ -248,7 +249,7 @@ property! {
             for block in 0..BLOCKS {
                 let fho = Fho::new(FileHandle(fh), (block * BLOCK) as u64);
                 prop_assert!(
-                    !m.cache_contains_fho(fho),
+                    !m.cache_handle().contains(fho.into()),
                     "unremapped FHO survived the final sync: block {}", block
                 );
             }

@@ -18,11 +18,12 @@ const RECENCY: &str = concat!(
     "crates/core/src/cache.rs crates/simfs/src/cache.rs",
     " crates/sim/src/ghost.rs crates/sim/src/recency.rs"
 );
-/// Where `pub_items_have_callers` looks for callers: every non-test line of the program,
-/// hostbench's seams included (it pins the API the benchmark drives).
+/// Where `pub_items_have_callers` looks for callers and `pub_fields_have_readers` for
+/// readers: every non-test line of the program, hostbench's seams included (it pins the
+/// API the benchmark drives).
 const CALLERS: &str = "crates/*/src src examples crates/bench/benches benchmark/src";
-/// Where it also looks for callers of the test harness's (`crates/check`) items,
-/// with the unit tests of every other crate.
+/// Where both also look for users of the test harness's (`crates/check`) items and
+/// fields, with the unit tests of every other crate.
 const TESTS: &str = "tests crates/*/tests";
 /// Table 1's untouched layers: none of them may depend on the module.
 const UNTOUCHED: [&str; 4] = ["blockdev", "netbuf", "proto", "simfs"];
@@ -475,19 +476,55 @@ fn surface(srcs: &[(String, String)], tests: &[String]) -> [Vec<String>; 3] {
             };
             let called = named[name].iter().any(|at| outside(&at))
                 || (krate(path) == "check" && tested.contains(name));
-            let why = raw[n - 1]
-                .split_once("// test-api:")
-                .map_or("", |w| w.1.trim());
-            let at = format!("{path}:{n}: {}", raw[n - 1].trim());
-            match (called, why.is_empty()) {
-                (false, true) => out[0].push(at),
-                (false, false) => out[1].push(at),
-                (true, false) => out[2].push(at),
-                (true, true) => {}
-            }
+            file_under(&mut out, path, n, raw[n - 1], called);
         }
     }
     out
+}
+
+/// Files the definition on line `n` of `path`, `raw`, under `[unused without a
+/// reason, unused with one, used with one]` (a used one without a reason is fine).
+fn file_under(out: &mut [Vec<String>; 3], path: &str, n: usize, raw: &str, used: bool) {
+    let why = raw.split_once("// test-api:").map_or("", |w| w.1.trim());
+    let at = format!("{path}:{n}: {}", raw.trim());
+    match (used, why.is_empty()) {
+        (false, true) => out[0].push(at),
+        (false, false) => out[1].push(at),
+        (true, false) => out[2].push(at),
+        (true, true) => {}
+    }
+}
+
+/// `check`'s three ledger rows over `found`, in its order: `head` entries that no user
+/// uses (`uses.0`, e.g. `no caller names`) without and with a test-api reason, and
+/// reasons on used ones (`uses.1`).
+fn holds_surface(check: &str, head: &str, uses: (&str, &str), found: [Vec<String>; 3]) {
+    let [bare, marked, stale] = found;
+    let (none, some) = uses;
+    holds(
+        check,
+        &[
+            (format!("{head} {none} // test-api = {}", bare.len()), bare),
+            (
+                format!("{head} {none}, with a test-api reason = {}", marked.len()),
+                marked,
+            ),
+            (
+                format!("{head} {some}, with a test-api reason = {}", stale.len()),
+                stale,
+            ),
+        ],
+    );
+}
+
+/// The root and crate integration tests, and every crate's unit tests but the harness's.
+fn test_texts() -> Vec<String> {
+    let mut tests: Vec<String> = sources(TESTS).into_iter().map(|(_, t)| t).collect();
+    for (_, text) in sources("crates/*/src !crates/check/") {
+        let skip = nontest(&text).len();
+        tests.push(text.lines().skip(skip).collect::<Vec<_>>().join("\n"));
+    }
+    tests
 }
 
 /// Public surface = what the system uses (DESIGN.md §3): every `pub` item is named by
@@ -495,35 +532,201 @@ fn surface(srcs: &[(String, String)], tests: &[String]) -> [Vec<String>; 3] {
 /// how many do, so new test-only API shows as a golden diff.
 #[test]
 fn pub_items_have_callers() {
-    let mut tests: Vec<String> = sources(TESTS).into_iter().map(|(_, t)| t).collect();
-    for (_, text) in sources("crates/*/src !crates/check/") {
-        let skip = nontest(&text).len();
-        tests.push(text.lines().skip(skip).collect::<Vec<_>>().join("\n"));
-    }
-    let [bare, marked, stale] = surface(&sources(CALLERS), &tests);
-    let head = "crates/*/src: pub items";
-    holds(
+    let found = surface(&sources(CALLERS), &test_texts());
+    let uses = ("no caller names", "a caller names");
+    holds_surface(
         "pub_items_have_callers",
-        &[
-            (
-                format!("{head} no caller names // test-api = {}", bare.len()),
-                bare,
-            ),
-            (
-                format!(
-                    "{head} no caller names, with a test-api reason = {}",
-                    marked.len()
-                ),
-                marked,
-            ),
-            (
-                format!(
-                    "{head} a caller names, with a test-api reason = {}",
-                    stale.len()
-                ),
-                stale,
-            ),
-        ],
+        "crates/*/src: pub items",
+        uses,
+        found,
+    );
+}
+
+/// `code` with the insides of its string literals blanked: `"openloop.shed"` reads no field.
+fn unquoted(code: &str) -> String {
+    let (mut b, mut quoted, mut i) = (code.as_bytes().to_vec(), false, 0);
+    let len = b.len();
+    while i < len {
+        match b[i] {
+            b'"' => quoted = !quoted,
+            b'\\' if quoted => {
+                b[i..(i + 2).min(len)].fill(b' ');
+                i += 1;
+            }
+            b'\'' if !quoted && b.get(i + 2) == Some(&b'\'') => i += 2,
+            b'\'' if !quoted && b.get(i + 1) == Some(&b'\\') => i += 3,
+            _ if quoted => b[i] = b' ',
+            _ => {}
+        }
+        i += 1;
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
+
+/// The leading identifier of `s`, if it is one (not a number).
+fn ident_at(s: &str) -> Option<&str> {
+    let name = idents(s).next().filter(|w| s.starts_with(w))?;
+    name.starts_with(|c: char| c.is_alphabetic() || c == '_')
+        .then_some(name)
+}
+
+/// The fields `line` reads: each `.name` that is not a method call or an assignment's
+/// target, unless the line writes `name` too or starts a `name:` initialiser — a line
+/// that folds a field into its namesake (`x.n += y.n`, `n: x.n - y.n`) reads nothing.
+fn field_reads(line: &str) -> Vec<&str> {
+    let (mut read, mut written) = (Vec::new(), Vec::new());
+    for (at, _) in line.match_indices('.') {
+        let Some(name) = ident_at(&line[at + 1..]) else {
+            continue;
+        };
+        let after = line[at + 1 + name.len()..].trim_start();
+        let ops = ["+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="];
+        if after.starts_with('(') || after.starts_with("::") || line[..at].ends_with('.') {
+            continue;
+        } else if after.starts_with('=') && !after.starts_with("==")
+            || ops.iter().any(|op| after.starts_with(op))
+        {
+            written.push(name);
+        } else {
+            read.push(name);
+        }
+    }
+    let t = line.trim_start();
+    read.retain(|n| !written.contains(n) && !t.strip_prefix(n).is_some_and(typed));
+    read
+}
+
+/// Whether `rest`, what follows a name, starts its type or value (`: `, not `::`).
+fn typed(rest: &str) -> bool {
+    rest.starts_with(':') && !rest.starts_with("::")
+}
+
+/// The fields the struct patterns of `code` bind (`let S { a, b: c, .. } = …`, a
+/// `S { a, .. } =>` arm): the field names in the braces after a capitalised name,
+/// when an `=` follows the closing brace.
+fn destructured(code: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for (at, _) in code.match_indices(" {") {
+        let name = code[..at]
+            .rsplit(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .next();
+        let path = code[..at].ends_with(|c: char| c.is_alphanumeric())
+            && code[..at - name.map_or(0, str::len)].ends_with("::");
+        if path || !name.is_some_and(|w| w.starts_with(char::is_uppercase)) {
+            continue;
+        }
+        let inner = &code[at + 2..];
+        let mut depth = 1;
+        let Some(close) = inner.find(|c| {
+            depth += (c == '{') as i32 - (c == '}') as i32;
+            depth == 0
+        }) else {
+            continue;
+        };
+        let rest = inner[close + 1..].trim_start();
+        if rest.starts_with('=') && !rest.starts_with("==") {
+            let parts = inner[..close].split(',').map(str::trim);
+            let parts = parts.map(|p| p.trim_start_matches("ref ").trim_start_matches("mut "));
+            out.extend(parts.filter_map(ident_at));
+        }
+    }
+    out
+}
+
+/// The `pub name: T` fields of the struct bodies in `lines`, as `(index, name)`.
+fn pub_fields<'a>(lines: &[(usize, &'a str)]) -> Vec<(usize, &'a str)> {
+    let mut out = Vec::new();
+    for (i, &(_, l)) in lines.iter().enumerate() {
+        let t = l.trim_start();
+        let t = t
+            .strip_prefix("pub(crate) ")
+            .or(t.strip_prefix("pub "))
+            .unwrap_or(t);
+        if !t.starts_with("struct ") {
+            continue;
+        }
+        for (j, &(_, f)) in lines
+            .iter()
+            .enumerate()
+            .take(i + end(&lines[i..]) + 1)
+            .skip(i + 1)
+        {
+            let rest = f.trim_start().strip_prefix("pub ").unwrap_or_default();
+            let Some(name) = ident_at(rest) else {
+                continue;
+            };
+            if typed(rest[name.len()..].trim_start()) {
+                out.push((j, name));
+            }
+        }
+    }
+    out
+}
+
+/// The `pub` fields of `srcs`' `crates/*/src` files that no reader reads, as
+/// `path:line: definition`: `[without a reason, with one, reasons on read fields]`.
+/// A reader is a non-test code line of `srcs` that reads `.name` (`field_reads`) or
+/// binds it in a struct pattern (`destructured`); for the test harness (`crates/check`),
+/// any code line of `tests` too. A field opts out with `// test-api: <non-empty reason>`
+/// on its line.
+fn field_surface(srcs: &[(String, String)], tests: &[String]) -> [Vec<String>; 3] {
+    let code: Vec<Vec<(usize, String)>> = srcs
+        .iter()
+        .map(|(_, t)| {
+            let lines = code_lines(nontest(t)).into_iter();
+            lines.map(|(n, l)| (n, unquoted(l))).collect()
+        })
+        .collect();
+    let read: HashSet<String> = code
+        .iter()
+        .flat_map(|f| readers(f.iter().map(|(_, l)| l.as_str())))
+        .collect();
+    let test_code: Vec<String> = tests
+        .iter()
+        .flat_map(|t| code_lines(t.lines().enumerate().collect()))
+        .map(|(_, l)| unquoted(l))
+        .collect();
+    let tested = readers(test_code.iter().map(String::as_str));
+    let mut out = [vec![], vec![], vec![]];
+    for ((path, text), lines) in srcs.iter().zip(&code) {
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        let lines: Vec<(usize, &str)> = lines.iter().map(|(n, l)| (*n, l.as_str())).collect();
+        let raw: Vec<&str> = text.lines().collect();
+        for (i, name) in pub_fields(&lines) {
+            let n = lines[i].0;
+            let read = read.contains(name) || (krate(path) == "check" && tested.contains(name));
+            file_under(&mut out, path, n, raw[n - 1], read);
+        }
+    }
+    out
+}
+
+/// The fields `lines` read (`field_reads`) or bind in a struct pattern (`destructured`).
+fn readers<'a>(lines: impl Iterator<Item = &'a str>) -> HashSet<String> {
+    let lines: Vec<&str> = lines.collect();
+    let mut out: HashSet<String> = lines
+        .iter()
+        .flat_map(|l| field_reads(l))
+        .map(String::from)
+        .collect();
+    out.extend(destructured(&lines.join(" ")).into_iter().map(String::from));
+    out
+}
+
+/// Public fields = what the system reads (DESIGN.md §3): every `pub` field is read by
+/// non-test code (a fold into its own namesake or an assignment is no read), or says
+/// why a test needs it; the ledger holds how many do.
+#[test]
+fn pub_fields_have_readers() {
+    let found = field_surface(&sources(CALLERS), &test_texts());
+    let uses = ("no reader reads", "a reader reads");
+    holds_surface(
+        "pub_fields_have_readers",
+        "crates/*/src: pub fields",
+        uses,
+        found,
     );
 }
 
@@ -617,6 +820,77 @@ fn a_caller_in_the_benchmark_an_example_or_a_harness_test_counts() {
         (
             vec![],
             vec!["crates/x/src/lib.rs:1: pub fn f() {} // test-api: stale".into()]
+        )
+    );
+}
+
+#[test]
+fn a_field_only_written_folded_or_tested_has_no_reader() {
+    let lib = concat!(
+        "pub struct S {\n    pub tested: u64,\n    pub written: u64,\n    pub folded: u64,\n",
+        "    pub quoted: u64,\n    pub bare: u64, // test-api:\n",
+        "    pub stale: u64, // test-api: read below\n}\n",
+        "impl S {\n    pub fn absorb(&mut self, o: &S) {\n        self.folded += o.folded;\n",
+        "        self.written = 1;\n    }\n",
+        "    pub fn delta_since(&self, p: &S) -> S {\n        S {\n",
+        "            folded: self.folded - p.folded,\n            ..*self\n        }\n    }\n",
+        "    pub fn log(&self) {\n        emit(\"s.quoted\", self.stale <= 1);\n    }\n}\n",
+        "#[cfg(test)]\nmod tests {\n    fn t(s: super::S) -> u64 {\n        s.tested\n    }\n}\n",
+    );
+    let srcs = [("crates/x/src/lib.rs".into(), lib.into())];
+    let at = |n: usize, line: &str| format!("crates/x/src/lib.rs:{n}: {line}");
+    let [bare, marked, stale] =
+        field_surface(&srcs, &["fn t(s: S) -> u64 {\n    s.tested\n}\n".into()]);
+    let want = [
+        at(2, "pub tested: u64,"),
+        at(3, "pub written: u64,"),
+        at(4, "pub folded: u64,"),
+        at(5, "pub quoted: u64,"),
+        at(6, "pub bare: u64, // test-api:"),
+    ];
+    assert_eq!(bare, want);
+    assert_eq!(
+        (marked, stale),
+        (
+            vec![],
+            vec![at(7, "pub stale: u64, // test-api: read below")]
+        )
+    );
+}
+
+#[test]
+fn a_field_exported_destructured_or_read_by_the_benchmark_has_a_reader() {
+    let lib = concat!(
+        "pub struct Snap {\n    pub hits: u64,\n    pub misses: u64,\n    pub bench: u64,\n",
+        "    pub example: u64,\n    pub kept: u64, // test-api: a reason\n}\n",
+        "impl StatsSnapshot for Snap {\n    fn counters(&self) -> Vec<(&'static str, u64)> {\n",
+        "        vec![(\"hits\", self.hits)]\n    }\n}\n",
+        "pub fn misses(s: &Snap) -> u64 {\n    let Snap {\n        misses, ..\n    } = *s;\n",
+        "    misses\n}\n",
+    );
+    let srcs = [
+        ("crates/x/src/lib.rs", lib),
+        (
+            "benchmark/src/main.rs",
+            "fn main() {\n    let _ = x::snap().bench;\n}\n",
+        ),
+        (
+            "examples/e.rs",
+            "fn main() {\n    assert!(x::snap().example >= 1);\n}\n",
+        ),
+        (
+            "crates/check/src/gen.rs",
+            "pub struct G {\n    pub k: u64,\n}\n",
+        ),
+    ];
+    let srcs = srcs.map(|(f, t)| (f.into(), t.into()));
+    let [bare, marked, stale] = field_surface(&srcs, &["fn t(g: G) -> u64 {\n    g.k\n}\n".into()]);
+    assert_eq!(bare, Vec::<String>::new());
+    assert_eq!(
+        (marked, stale),
+        (
+            vec!["crates/x/src/lib.rs:6: pub kept: u64, // test-api: a reason".into()],
+            vec![]
         )
     );
 }
