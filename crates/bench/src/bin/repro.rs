@@ -63,7 +63,10 @@ fn write_trace(rec: &obs::Recorder, path: &str) {
     let events = rec.events();
     if rec.dropped() > 0 {
         eprintln!(
-            "[trace: ring buffer dropped {} events — raise TraceConfig::capacity]",
+            "[trace: the ring buffer kept the last {} events and dropped {} older ones; \
+             --metrics and --latency-report still count every event; trace a smaller \
+             selector (e.g. --table2) for a complete trace]",
+            obs::TraceConfig::default().capacity,
             rec.dropped()
         );
     }

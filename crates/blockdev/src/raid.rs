@@ -43,11 +43,6 @@ impl Raid0 {
         }
     }
 
-    /// Total array requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
     /// Enqueues an I/O of `blocks` blocks at array block `start`, arriving
     /// at `now`; returns the completion instant of the slowest stripe.
     ///
@@ -101,11 +96,6 @@ impl Raid0 {
             .sum::<f64>()
             / self.disks.len() as f64
     }
-
-    /// Total blocks moved across all members.
-    pub fn blocks_moved(&self) -> u64 {
-        self.disks.iter().map(Disk::blocks_moved).sum()
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +107,8 @@ mod tests {
     fn stripes_cover_exactly_the_request() {
         let mut a = Raid0::new(DiskModel::dtla_307075(), 4, 16);
         a.io(SimTime::ZERO, 5, 100);
-        assert_eq!(a.blocks_moved(), 100);
-        assert_eq!(a.requests(), 1);
+        assert_eq!(a.disks.iter().map(Disk::blocks_moved).sum::<u64>(), 100);
+        assert_eq!(a.requests, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! all fast-resident is served by the fast device; anything else goes to
 //! the slow array (no split I/O — partial residency behaves like a miss,
 //! keeping the timing model simple and the miss counters honest). A slow
-//! read bumps the extent's miss count; at [`TierConfig::promote_after`]
+//! read bumps the extent's miss count; at [`TierConfig::PROMOTE_AFTER`]
 //! misses the extent is copied onto the fast tier — the promotion write
 //! is timed on the fast device starting when the slow read completes, so
 //! a request chain that waits for the promotion still telescopes:
@@ -49,16 +49,13 @@ impl DiskModel {
     }
 }
 
-/// Configuration of a tiered backend.
+/// Configuration of a tiered backend: a [`DiskModel::nvme_like`] fast
+/// device in front of the array.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TierConfig {
-    /// Timing model of the fast device.
-    pub fast_model: DiskModel,
     /// Fast-tier capacity in blocks; promotion stops (silently) when the
     /// placement map is full.
     pub fast_capacity_blocks: u64,
-    /// Slow-path reads of the same extent before it is promoted.
-    pub promote_after: u32,
     /// Seed for transient fast-tier faults (unused at rate 0).
     pub fault_seed: u64,
     /// Transient fast-read fault rate, parts per million.
@@ -66,13 +63,14 @@ pub struct TierConfig {
 }
 
 impl TierConfig {
+    /// Slow-path reads of the same extent before it is promoted.
+    pub const PROMOTE_AFTER: u32 = 2;
+
     /// An NVMe-like tier holding `fast_capacity_blocks` blocks, promoting
-    /// after 2 slow reads, write-around, fault-free.
+    /// after [`Self::PROMOTE_AFTER`] slow reads, write-around, fault-free.
     pub fn nvme_front(fast_capacity_blocks: u64) -> Self {
         TierConfig {
-            fast_model: DiskModel::nvme_like(),
             fast_capacity_blocks,
-            promote_after: 2,
             fault_seed: 0,
             fault_rate_ppm: 0,
         }
@@ -134,10 +132,10 @@ pub struct TieredArray {
 }
 
 impl TieredArray {
-    /// A tiered backend: `cfg.fast_model` in front of `slow`.
+    /// A tiered backend: an NVMe-like fast device in front of `slow`.
     pub fn new(cfg: TierConfig, slow: Raid0) -> Self {
         TieredArray {
-            fast: Disk::new(cfg.fast_model),
+            fast: Disk::new(DiskModel::nvme_like()),
             slow,
             cfg,
             placement: HashMap::new(),
@@ -153,11 +151,6 @@ impl TieredArray {
         let mut s = self.stats;
         s.fast_resident_blocks = self.placement.len() as u64;
         s
-    }
-
-    /// The fast device (utilization reporting).
-    pub fn fast(&self) -> &Disk {
-        &self.fast
     }
 
     fn all_fast(&self, start: u64, blocks: u64) -> bool {
@@ -201,7 +194,7 @@ impl TieredArray {
         let misses = self.miss_counts.entry(start).or_insert(0);
         *misses += 1;
         let mut promote_done = None;
-        if *misses >= self.cfg.promote_after
+        if *misses >= TierConfig::PROMOTE_AFTER
             && self.placement.len() as u64 + blocks <= self.cfg.fast_capacity_blocks
         {
             self.miss_counts.remove(&start);

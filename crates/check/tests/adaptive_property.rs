@@ -161,7 +161,7 @@ property! {
             if let Some(r) = resize {
                 prop_assert!(r.blocks > 0, "an applied move is non-empty");
                 prop_assert_eq!(r.fs_blocks, c.fs_blocks(), "move reflects quota");
-                prop_assert_eq!(r.ncache_bytes, c.ncache_bytes());
+                prop_assert_eq!(r.ncache_bytes, c.split_stats().ncache_bytes);
                 if let Some((at, dir)) = last {
                     if r.dir == opposite(dir) {
                         prop_assert!(
@@ -173,14 +173,14 @@ property! {
                 last = Some((t, r.dir));
             }
             prop_assert_eq!(
-                c.fs_blocks() * QUOTA_BLOCK + c.ncache_bytes(),
+                c.fs_blocks() * QUOTA_BLOCK + c.split_stats().ncache_bytes,
                 total,
                 "quota conservation"
             );
             prop_assert!(c.fs_blocks() >= cfg.min_fs_blocks, "FS floor");
-            prop_assert!(c.ncache_bytes() >= cfg.min_ncache_bytes, "NCache floor");
+            prop_assert!(c.split_stats().ncache_bytes >= cfg.min_ncache_bytes, "NCache floor");
         }
-        prop_assert_eq!(c.ticks(), ticks, "every tick counted");
+        prop_assert_eq!(c.split_stats().ticks, ticks, "every tick counted");
     }
 
     /// A frozen controller fed the same schedules never moves, never
@@ -200,8 +200,8 @@ property! {
             cum.fs_misses += rng.next_u64() % 100;
             prop_assert!(c.tick(cum).is_none(), "frozen tick returns no move");
             prop_assert_eq!(c.fs_blocks(), 128);
-            prop_assert_eq!(c.ncache_bytes(), 128 * QUOTA_BLOCK);
-            prop_assert_eq!(c.resizes(), 0);
+            prop_assert_eq!(c.split_stats().ncache_bytes, 128 * QUOTA_BLOCK);
+            prop_assert_eq!(c.split_stats().resizes, 0);
         }
     }
 }

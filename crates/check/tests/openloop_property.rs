@@ -1,7 +1,7 @@
 //! Latency-attribution invariants under arbitrary open-loop schedules.
 //!
 //! The attribution contract is exact, not statistical: for *every* seeded
-//! Poisson/burst arrival schedule, every request's per-stage breakdown
+//! Poisson arrival schedule, every request's per-stage breakdown
 //! must telescope to its end-to-end latency in integer nanoseconds, the
 //! quantile ladder read off the latency histogram must be monotone in p,
 //! and a histogram re-assembled from the per-request events by shard
@@ -16,7 +16,6 @@ use servers::ServerMode;
 use sim::SimTime;
 use testbed::nfs_rig::{NfsRig, NfsRigParams};
 use testbed::openloop::{run_open_loop, run_open_loop_at, zipf_reads, OpenLoopOptions};
-use workload::arrivals::BurstConfig;
 
 const FILE: u64 = 1 << 20;
 const SPAN: u32 = 16 << 10;
@@ -47,16 +46,13 @@ property! {
     #![cases(12)]
 
     /// Arbitrary seeded open-loop schedules — any arrival rate from idle
-    /// to far past saturation, with or without burst modulation, any
-    /// popularity skew — keep the attribution exact.
+    /// to far past saturation, any popularity skew — keep the attribution
+    /// exact.
     fn prop_stage_sums_and_quantiles_hold_for_any_schedule(
         seed in ints(0u64..1_000_000),
         mean_ns in ints(20_000u64..200_000),
         n in ints(8u64..48),
         alpha_tenths in ints(6u64..15),
-        bursty in any_bool(),
-        period_us in ints(50u64..500),
-        factor in ints(2u64..6),
     ) {
         let (rig, fh) = warm_rig();
         let (rig, rec) = traced(rig);
@@ -70,10 +66,6 @@ property! {
         );
         let opts = OpenLoopOptions {
             mean_interarrival_ns: mean_ns,
-            burst: bursty.then_some(BurstConfig {
-                period_ns: period_us * 1_000,
-                factor: factor as f64,
-            }),
             seed: seed.wrapping_add(1),
             ..OpenLoopOptions::default()
         };
@@ -157,7 +149,6 @@ property! {
             seed: seed.wrapping_add(1),
             deadline_ns: if deadline_on { deadline_us * 1_000 } else { 0 },
             retry: Some(policy),
-            ..OpenLoopOptions::default()
         };
         let (rig, r) = run_open_loop(rig, ops, &opts);
         prop_assert!(

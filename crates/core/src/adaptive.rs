@@ -49,7 +49,7 @@ pub struct SplitConfig {
 
 impl SplitConfig {
     /// The dynamic controller with default gains.
-    pub fn adaptive() -> SplitConfig {
+    pub fn adaptive() -> SplitConfig { // test-api: the adaptive oracle, its property and the metrics goldens run these gains
         SplitConfig {
             dynamic: true,
             epoch_ops: 32,
@@ -244,24 +244,9 @@ impl SplitController {
         self.fs_blocks
     }
 
-    /// Current NCache quota, bytes.
-    pub fn ncache_bytes(&self) -> u64 {
-        self.ncache_bytes
-    }
-
     /// The conserved total, bytes.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Ticks processed.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Resizes applied.
-    pub fn resizes(&self) -> u64 {
-        self.resizes
     }
 
     /// The most recent epoch window (the controller's eyes — windowed,
@@ -384,8 +369,8 @@ mod tests {
         assert!(c.tick(sample(1_000, 0)).is_none());
         assert!(c.tick(sample(2_000, 0)).is_none());
         assert_eq!(c.fs_blocks(), 256);
-        assert_eq!(c.resizes(), 0);
-        assert_eq!(c.ticks(), 2);
+        assert_eq!(c.split_stats().resizes, 0);
+        assert_eq!(c.split_stats().ticks, 2);
     }
 
     #[test]
@@ -403,9 +388,9 @@ mod tests {
         for _ in 0..8 {
             cum += 100;
             c.tick(sample(cum, 0));
-            assert_eq!(c.fs_blocks() * QUOTA_BLOCK + c.ncache_bytes(), total);
+            assert_eq!(c.fs_blocks() * QUOTA_BLOCK + c.split_stats().ncache_bytes, total);
         }
-        assert_eq!(c.ncache_bytes(), 4 * QUOTA_BLOCK, "clamped at the floor");
+        assert_eq!(c.split_stats().ncache_bytes, 4 * QUOTA_BLOCK, "clamped at the floor");
         assert_eq!(c.fs_blocks(), 128);
     }
 

@@ -60,11 +60,6 @@ impl Chunk {
         self.dirty = false;
     }
 
-    /// Marks the chunk dirty.
-    pub fn mark_dirty(&mut self) {
-        self.dirty = true;
-    }
-
     /// The stored (inheritable) checksum, if one was recorded.
     pub fn stored_csum(&self) -> Option<u16> {
         self.csum
@@ -178,7 +173,7 @@ mod tests {
         assert!(c.is_dirty());
         c.mark_clean();
         assert!(!c.is_dirty());
-        c.mark_dirty();
+        c.dirty = true;
         assert!(c.is_dirty());
     }
 

@@ -74,3 +74,7 @@ pub use tracker::{HttpTxTracker, TxDisposition};
 
 /// Payload bytes per cache chunk: one file-system block.
 pub const CHUNK_PAYLOAD: usize = 4096;
+
+/// Descriptor bytes pinned per chunk beside its payload: they shrink the
+/// effective cache (Figure 6(a)).
+pub const CHUNK_OVERHEAD: u64 = 128;

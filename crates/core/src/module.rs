@@ -26,7 +26,7 @@ use netbuf::{BufPool, CopyLedger, SegChain, Segment};
 use crate::cache::{CacheFull, NetCacheStats, WritebackChunk};
 use crate::shards::NetCacheShards;
 use crate::substitute::SubstitutionReport;
-use crate::CHUNK_PAYLOAD;
+use crate::{CHUNK_OVERHEAD, CHUNK_PAYLOAD};
 
 /// Configuration of the NCache module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,9 +34,6 @@ pub struct NcacheConfig {
     /// Pinned memory available to the cache, in bytes. This memory is
     /// unavailable to the file-system buffer cache (§4.1).
     pub capacity_bytes: u64,
-    /// Descriptor overhead pinned per chunk (shrinks the effective cache;
-    /// Figure 6(a)).
-    pub per_chunk_overhead: u64,
     /// Whether outgoing packets are substituted (disabled only by the
     /// ablation studies).
     pub substitution: bool,
@@ -54,7 +51,6 @@ impl NcacheConfig {
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         NcacheConfig {
             capacity_bytes,
-            per_chunk_overhead: 128,
             substitution: true,
             csum_inherit: true,
             shards: 1,
@@ -89,7 +85,7 @@ impl NcacheModule {
     pub fn new(config: NcacheConfig, ledger: &CopyLedger) -> Self {
         let pool = BufPool::new(config.capacity_bytes);
         NcacheModule {
-            cache: NetCacheShards::new(pool, config.per_chunk_overhead, config.shards.max(1)),
+            cache: NetCacheShards::new(pool, CHUNK_OVERHEAD, config.shards.max(1)),
             config,
             ledger: ledger.clone(),
             stamps: BufPool::stamp_only(),
@@ -153,11 +149,6 @@ impl NcacheModule {
     /// charges per op).
     pub fn stats(&self) -> NetCacheStats {
         self.cache.stats()
-    }
-
-    /// Number of cache shards.
-    pub fn shard_count(&self) -> usize {
-        self.cache.shard_count()
     }
 
     /// Totals of every substitution performed (the shard set counts them
@@ -497,8 +488,7 @@ mod tests {
         // the dirty FHO chunk? No — dirty FHO is pinned; use dirty LBN.
         let ledger = CopyLedger::new();
         let config = NcacheConfig {
-            capacity_bytes: 2 * (CHUNK_PAYLOAD as u64 + 128),
-            per_chunk_overhead: 128,
+            capacity_bytes: 2 * (CHUNK_PAYLOAD as u64 + CHUNK_OVERHEAD),
             substitution: true,
             csum_inherit: true,
             shards: 1,
@@ -542,8 +532,7 @@ mod tests {
     fn recorder_sees_insert_pressure_evictions() {
         let ledger = CopyLedger::new();
         let config = NcacheConfig {
-            capacity_bytes: 2 * (CHUNK_PAYLOAD as u64 + 128),
-            per_chunk_overhead: 128,
+            capacity_bytes: 2 * (CHUNK_PAYLOAD as u64 + CHUNK_OVERHEAD),
             substitution: true,
             csum_inherit: true,
             shards: 1,

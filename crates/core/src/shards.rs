@@ -165,11 +165,6 @@ impl NetCacheShards {
         self.shards[shard].write()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Ablation knob: resolve LBN before FHO (see
     /// [`NetCache::set_resolve_lbn_first`]).
     pub fn set_resolve_lbn_first(&self, lbn_first: bool) {

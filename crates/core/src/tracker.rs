@@ -80,7 +80,7 @@ impl HttpTxTracker {
     }
 
     /// Responses whose headers have completed so far.
-    pub fn responses_seen(&self) -> u64 {
+    pub fn responses_seen(&self) -> u64 { // test-api: the tracker and kHTTPd stream tests count completed headers
         self.responses_seen
     }
 

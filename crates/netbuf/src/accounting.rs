@@ -319,11 +319,6 @@ impl CopyLedger {
             allocations: t[ALLOCATIONS],
         }
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.shared.counts.reset();
-    }
 }
 
 #[cfg(test)]
@@ -373,14 +368,6 @@ mod tests {
         assert_eq!(d.payload_copies, 1);
         assert_eq!(d.payload_bytes_copied, 20);
         assert_eq!(d.logical_copies, 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let l = CopyLedger::new();
-        l.charge_payload_copy(10);
-        l.reset();
-        assert_eq!(l.snapshot(), LedgerSnapshot::default());
     }
 
     #[test]

@@ -564,7 +564,7 @@ impl NetBuf {
     /// Logical copy of the whole buffer: shares every segment (the linear
     /// area, headers or landed bytes, is the copy's own). Charged as a
     /// single logical copy.
-    pub fn share(&self) -> NetBuf {
+    pub fn share(&self) -> NetBuf { // test-api: the netbuf model and the chain tests take logical copies
         self.ledger.charge_logical_copy();
         self.clone()
     }

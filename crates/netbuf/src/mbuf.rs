@@ -98,11 +98,6 @@ pub struct MbufChain { // test-api: the FreeBSD-port claim that tests/portabilit
 }
 
 impl MbufChain {
-    /// An empty chain.
-    pub fn new() -> Self {
-        MbufChain::default()
-    }
-
     /// Builds a chain referencing existing segments — a *logical* copy
     /// (cluster reference counting), charged as such.
     pub fn from_segments(ledger: &CopyLedger, segs: impl IntoIterator<Item = Segment>) -> Self { // test-api: the FreeBSD-port claim that tests/portability.rs holds
@@ -218,7 +213,7 @@ mod tests {
     #[test]
     fn empty_chain() {
         let l = CopyLedger::new();
-        let chain = MbufChain::new();
+        let chain = MbufChain::default();
         assert!(chain.is_empty());
         assert_eq!(chain.len(), 0);
         assert!(chain.to_bytes(&l).is_empty());

@@ -530,11 +530,6 @@ impl BufPool {
         self.shared.pinned.load(Ordering::Relaxed)
     }
 
-    /// Bytes currently free (zero while shrunk below the pinned bytes).
-    pub fn available(&self) -> u64 {
-        self.capacity().saturating_sub(self.pinned())
-    }
-
     /// High-water mark of pinned bytes.
     pub fn peak_pinned(&self) -> u64 {
         self.shared.peak.load(Ordering::Relaxed)
@@ -569,6 +564,11 @@ impl Drop for Pinned {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes the pool can still pin (zero while shrunk below the pinned bytes).
+    fn available(p: &BufPool) -> u64 {
+        p.capacity().saturating_sub(p.pinned())
+    }
 
     #[test]
     fn pool_types_are_send_and_sync() {
@@ -606,7 +606,7 @@ mod tests {
         let p = BufPool::new(100);
         let a = p.pin(60).expect("fits");
         assert_eq!(p.pinned(), 60);
-        assert_eq!(p.available(), 40);
+        assert_eq!(available(&p), 40);
         assert_eq!(a.bytes(), 60);
         drop(a);
         assert_eq!(p.pinned(), 0);
@@ -633,11 +633,11 @@ mod tests {
         p.set_capacity(50);
         assert_eq!(p.capacity(), 50);
         assert_eq!(p.pinned(), 80);
-        assert_eq!(p.available(), 0);
+        assert_eq!(available(&p), 0);
         let err = p.pin(1).expect_err("over quota");
         assert_eq!(err.available, 0);
         drop(a);
-        assert_eq!(p.available(), 50);
+        assert_eq!(available(&p), 50);
         // Growing opens room immediately.
         p.set_capacity(200);
         let _b = p.pin(150).expect("grown");
@@ -647,7 +647,7 @@ mod tests {
     fn exact_fit_is_allowed() {
         let p = BufPool::new(100);
         let _a = p.pin(100).expect("exact fit");
-        assert_eq!(p.available(), 0);
+        assert_eq!(available(&p), 0);
         assert!(p.pin(1).is_err());
     }
 
@@ -833,7 +833,7 @@ mod tests {
         let held = p.shared.slabs.lock().expect("unpoisoned");
         let a = p.pin(60).expect("fits");
         assert!(p.pin(50).is_err());
-        assert_eq!((p.pinned(), p.available(), p.capacity()), (60, 40, 100));
+        assert_eq!((p.pinned(), available(&p), p.capacity()), (60, 40, 100));
         p.set_capacity(80);
         drop(a);
         assert_eq!((p.pinned(), p.peak_pinned()), (0, 60));
@@ -911,7 +911,7 @@ mod tests {
         let _guard = p.pin(40).expect("fits");
         let seg = p.seg_from_slice(&[5; 64]);
         assert_eq!(p.pinned(), 40);
-        assert_eq!(p.available(), 60);
+        assert_eq!(available(&p), 60);
         drop(seg);
         assert_eq!(p.pinned(), 40);
         assert_eq!(p.peak_pinned(), 40);

@@ -485,11 +485,6 @@ impl Recorder {
         self.lock().spans_opened
     }
 
-    /// Spans closed so far.
-    pub fn spans_closed(&self) -> u64 {
-        self.lock().spans_closed
-    }
-
     /// Whether every opened span has closed (the span invariant).
     pub fn spans_balanced(&self) -> bool {
         let st = self.lock();

@@ -372,31 +372,28 @@ impl Default for RetryBudget {
 }
 
 /// Client-side retry policy: a bounded budget of retransmissions per
-/// request with seeded, capped exponential backoff.
+/// request with seeded, capped exponential backoff ([`RetryPolicy::BASE_NS`]
+/// doubling up to [`RetryPolicy::CAP_NS`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retransmissions allowed per request (total transmissions are
     /// bounded by `1 + budget`; exhaustion is a counted client-visible
     /// error, never a loop).
     pub budget: u32,
-    /// Backoff before the first retransmission, in sim-ns.
-    pub base_ns: u64,
-    /// Backoff ceiling, in sim-ns.
-    pub cap_ns: u64,
     /// Jitter stream seed; combined with `(request, attempt)` so every
     /// delay is deterministic yet decorrelated across requests.
     pub seed: u64,
 }
 
 impl RetryPolicy {
-    /// The ablation's default: two retransmissions, 200 µs base, 2 ms cap.
+    /// Backoff before the first retransmission, in sim-ns.
+    pub const BASE_NS: u64 = 200_000;
+    /// Backoff ceiling, in sim-ns.
+    pub const CAP_NS: u64 = 2_000_000;
+
+    /// The ablation's default: two retransmissions.
     pub fn standard(seed: u64) -> Self {
-        RetryPolicy {
-            budget: 2,
-            base_ns: 200_000,
-            cap_ns: 2_000_000,
-            seed,
-        }
+        RetryPolicy { budget: 2, seed }
     }
 
     /// The backoff before retransmission `attempt` (1-based) of request
@@ -405,11 +402,9 @@ impl RetryPolicy {
     /// `(seed, request_idx, attempt)`. Pure function — replays
     /// byte-identically anywhere.
     pub fn backoff_ns(&self, request_idx: u64, attempt: u32) -> u64 {
-        let exp = self
-            .base_ns
+        let exp = Self::BASE_NS
             .saturating_mul(1u64 << (attempt.saturating_sub(1)).min(20))
-            .min(self.cap_ns)
-            .max(1);
+            .min(Self::CAP_NS);
         let key = self
             .seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -564,7 +559,7 @@ mod tests {
                 let a = policy.backoff_ns(req, attempt);
                 let b = policy.backoff_ns(req, attempt);
                 assert_eq!(a, b, "pure function of (seed, request, attempt)");
-                let exp = (policy.base_ns << (attempt - 1)).min(policy.cap_ns);
+                let exp = (RetryPolicy::BASE_NS << (attempt - 1)).min(RetryPolicy::CAP_NS);
                 assert!(a >= exp / 2 && a <= exp, "jitter in [half, full]");
             }
         }

@@ -247,11 +247,6 @@ impl ServerHost {
         self.recorder = rec;
     }
 
-    /// The build this server runs.
-    pub fn mode(&self) -> ServerMode {
-        self.mode
-    }
-
     /// A bodiless reply carrying `header`.
     pub(crate) fn header_only(&self, header: &[u8]) -> NetBuf {
         let mut r = NetBuf::new(&self.ledger);

@@ -174,11 +174,6 @@ impl IscsiInitiator {
         self.fault_plan = Some(plan);
     }
 
-    /// The build this initiator runs.
-    pub fn mode(&self) -> ServerMode {
-        self.mode
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> InitiatorStats {
         self.stats
@@ -186,7 +181,7 @@ impl IscsiInitiator {
 
     /// Counters of the slab free list behind receive copies and
     /// placeholder blocks.
-    pub fn pool_stats(&self) -> SlabStats {
+    pub fn pool_stats(&self) -> SlabStats { // test-api: alloc_budget reads the slab free list; the host-time benchmark should too
         self.pool.slab_stats()
     }
 

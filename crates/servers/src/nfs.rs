@@ -641,11 +641,6 @@ pub struct NfsClient {
 }
 
 impl NfsClient {
-    /// A client charging `ledger` (the client machine's CPU).
-    pub fn new(ledger: &CopyLedger) -> Self {
-        NfsClient::with_xid_base(ledger, 0)
-    }
-
     /// A client whose xids start at `base + 1`. Concurrent sessions need
     /// disjoint xid spaces: the server's duplicate-request cache is keyed
     /// by xid, so two sessions both counting 1, 2, 3… would alias in it
@@ -905,7 +900,7 @@ mod tests {
         let fs = Filesystem::mkfs(initiator, FsParams::default(), &app).expect("mkfs");
         (
             NfsServer::new(ServerHost::new(mode, fs, module, &app)),
-            NfsClient::new(&client),
+            NfsClient::with_xid_base(&client, 0),
         )
     }
 

@@ -132,12 +132,12 @@ impl IscsiTarget {
     }
 
     /// Counters of the Data-In slab free list.
-    pub fn pool_stats(&self) -> SlabStats {
+    pub fn pool_stats(&self) -> SlabStats { // test-api: alloc_budget reads the slab free list; the host-time benchmark should too
         self.pool.slab_stats()
     }
 
     /// Blocks that have been explicitly written (diagnostic).
-    pub fn written_blocks(&self) -> usize {
+    pub fn written_blocks(&self) -> usize { // test-api: alloc_budget checks that a flush overwrote in place
         self.image.len()
     }
 

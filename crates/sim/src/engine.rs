@@ -61,11 +61,6 @@ impl<W> Scheduler<W> {
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules `f` to run at absolute instant `at`.
     ///
     /// # Panics
@@ -108,16 +103,6 @@ impl<W> Scheduler<W> {
         let at = self.now + delay;
         self.schedule_at(at, f);
     }
-
-    /// Number of events executed so far.
-    pub fn events_run(&self) -> u64 {
-        self.events_run
-    }
-
-    /// Number of events currently pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// A deterministic discrete-event simulation over a world `W`.
@@ -132,7 +117,7 @@ impl<W> Scheduler<W> {
 /// engine.schedule(Duration::from_nanos(2), |w, _| w.push(2));
 /// engine.schedule(Duration::from_nanos(1), |w, _| w.push(1));
 /// engine.run();
-/// assert_eq!(*engine.world(), vec![1, 2]);
+/// assert_eq!(engine.into_world(), vec![1, 2]);
 /// ```
 pub struct Engine<W> {
     world: W,
@@ -146,16 +131,6 @@ impl<W> Engine<W> {
             world,
             sched: Scheduler::new(),
         }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now
-    }
-
-    /// Shared access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
     }
 
     /// Consumes the engine and returns the world.
@@ -199,11 +174,6 @@ impl<W> Engine<W> {
         }
         self.sched.now
     }
-
-    /// Number of events executed so far.
-    pub fn events_run(&self) -> u64 {
-        self.sched.events_run
-    }
 }
 
 impl<W: std::fmt::Debug> std::fmt::Debug for Engine<W> {
@@ -228,7 +198,7 @@ mod tests {
             e.schedule(Duration::from_nanos(d), move |w, _| w.push(d));
         }
         e.run();
-        assert_eq!(*e.world(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(e.world, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -238,7 +208,7 @@ mod tests {
             e.schedule(Duration::from_nanos(7), move |w, _| w.push(i));
         }
         e.run();
-        assert_eq!(*e.world(), (0..10).collect::<Vec<_>>());
+        assert_eq!(e.world, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -247,7 +217,7 @@ mod tests {
         // Schedule out of lane order at one instant: lane order must win.
         e.schedule(Duration::from_nanos(1), |_, s| {
             for (lane, tag) in [(3u64, 0u32), (1, 1), (2, 2), (1, 3), (0, 4)] {
-                let at = s.now() + Duration::from_nanos(5);
+                let at = s.now + Duration::from_nanos(5);
                 s.schedule_at_lane(at, lane, move |w, _| {
                     w.push((lane, tag));
                 });
@@ -255,7 +225,7 @@ mod tests {
         });
         e.run();
         assert_eq!(
-            *e.world(),
+            e.world,
             vec![(0, 4), (1, 1), (1, 3), (2, 2), (3, 0)],
             "lanes ascending; scheduling order within a lane"
         );
@@ -265,12 +235,12 @@ mod tests {
     fn time_dominates_lane() {
         let mut e: Engine<Vec<u64>> = Engine::new(Vec::new());
         e.schedule(Duration::from_nanos(1), |_, s| {
-            let now = s.now();
+            let now = s.now;
             s.schedule_at_lane(now + Duration::from_nanos(9), 0, |w, _| w.push(0));
             s.schedule_at_lane(now + Duration::from_nanos(1), 7, |w, _| w.push(7));
         });
         e.run();
-        assert_eq!(*e.world(), vec![7, 0], "an earlier event on a higher lane still fires first");
+        assert_eq!(e.world, vec![7, 0], "an earlier event on a higher lane still fires first");
     }
 
     #[test]
@@ -284,9 +254,9 @@ mod tests {
             });
         });
         let end = e.run();
-        assert_eq!(*e.world(), 111);
+        assert_eq!(e.world, 111);
         assert_eq!(end, SimTime::from_nanos(3));
-        assert_eq!(e.events_run(), 3);
+        assert_eq!(e.sched.events_run, 3);
     }
 
     #[test]
@@ -295,11 +265,11 @@ mod tests {
         e.schedule(Duration::from_nanos(5), |w, _| *w += 1);
         e.schedule(Duration::from_nanos(15), |w, _| *w += 1);
         let t = e.run_until(SimTime::from_nanos(10));
-        assert_eq!(*e.world(), 1);
+        assert_eq!(e.world, 1);
         assert_eq!(t, SimTime::from_nanos(10));
         // The remaining event still runs afterwards.
         e.run();
-        assert_eq!(*e.world(), 2);
+        assert_eq!(e.world, 2);
     }
 
     #[test]
@@ -307,7 +277,7 @@ mod tests {
         let mut e: Engine<u32> = Engine::new(0);
         e.schedule(Duration::from_nanos(10), |w, _| *w += 1);
         e.run_until(SimTime::from_nanos(10));
-        assert_eq!(*e.world(), 1);
+        assert_eq!(e.world, 1);
     }
 
     #[test]
@@ -324,6 +294,6 @@ mod tests {
     fn empty_run_leaves_clock_at_zero() {
         let mut e: Engine<()> = Engine::new(());
         assert_eq!(e.run(), SimTime::ZERO);
-        assert_eq!(e.events_run(), 0);
+        assert_eq!(e.sched.events_run, 0);
     }
 }

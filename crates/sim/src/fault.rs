@@ -201,7 +201,6 @@ struct LinkState {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    seed: u64,
     rates: [u64; 6],
     links: [LinkState; 3],
 }
@@ -216,15 +215,9 @@ impl FaultPlan {
             consecutive: 0,
         };
         FaultPlan {
-            seed,
             rates: spec.to_ppm(),
             links: [link(0), link(1), link(2)],
         }
-    }
-
-    /// The seed the plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Draws the fault (if any) for the next PDU crossing `link`. One call

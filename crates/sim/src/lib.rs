@@ -38,9 +38,9 @@
 //!     *world += 1;
 //!     sched.schedule_in(Duration::from_micros(5), |world, _| *world += 10);
 //! });
-//! engine.run();
-//! assert_eq!(*engine.world(), 11);
-//! assert_eq!(engine.now(), SimTime::from_micros(10));
+//! let end = engine.run();
+//! assert_eq!(end, SimTime::from_micros(10));
+//! assert_eq!(engine.into_world(), 11);
 //! ```
 
 pub mod costs;

@@ -66,11 +66,6 @@ impl Resource {
         self.recorder = Some(rec);
     }
 
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// Enqueues a job arriving at `now` with service demand `demand`;
     /// returns its completion instant.
     pub fn serve(&mut self, now: SimTime, demand: Duration) -> SimTime {
@@ -122,14 +117,6 @@ impl Resource {
         let capacity = elapsed_until.as_secs_f64() * self.free_at.len() as f64;
         (busy.as_secs_f64() / capacity).min(1.0)
     }
-
-    /// Resets all counters and server availability to time zero.
-    pub fn reset(&mut self) {
-        for t in &mut self.free_at {
-            *t = SimTime::ZERO;
-        }
-        self.busy = Duration::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +152,7 @@ mod tests {
         assert_eq!(c1, SimTime::from_nanos(100));
         assert_eq!(c2, SimTime::from_nanos(100));
         assert_eq!(c3, SimTime::from_nanos(200));
-        assert_eq!(r.servers(), 2);
+        assert_eq!(r.free_at.len(), 2);
     }
 
     #[test]
@@ -184,16 +171,6 @@ mod tests {
     fn utilization_at_time_zero_is_zero() {
         let r = Resource::new("r", 1);
         assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new("r", 2);
-        r.serve(SimTime::ZERO, Duration::from_nanos(100));
-        r.reset();
-        assert_eq!(r.utilization(SimTime::from_nanos(100)), 0.0);
-        let done = r.serve(SimTime::ZERO, Duration::from_nanos(10));
-        assert_eq!(done, SimTime::from_nanos(10), "every server free at zero");
     }
 
     #[test]

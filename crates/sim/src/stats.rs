@@ -16,7 +16,7 @@ use crate::time::SimTime;
 /// use sim::stats::Throughput;
 /// use sim::time::SimTime;
 ///
-/// let mut t = Throughput::new();
+/// let mut t = Throughput::default();
 /// t.record(1_000_000);
 /// t.record(1_000_000);
 /// assert_eq!(t.ops(), 2);
@@ -30,11 +30,6 @@ pub struct Throughput {
 }
 
 impl Throughput {
-    /// Creates a meter starting at time zero.
-    pub fn new() -> Self {
-        Throughput::default()
-    }
-
     /// Records one completed operation that delivered `payload` bytes.
     pub fn record(&mut self, payload: u64) {
         self.bytes += payload;
@@ -91,11 +86,6 @@ impl SeriesTable {
             columns: Vec::new(),
             rows: Vec::new(),
         }
-    }
-
-    /// The figure title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Adds (or extends) the row at `x` with `series = y`.
@@ -163,7 +153,7 @@ mod tests {
 
     #[test]
     fn throughput_reports_mb_and_ops() {
-        let mut t = Throughput::new();
+        let mut t = Throughput::default();
         for _ in 0..10 {
             t.record(500_000);
         }
@@ -175,7 +165,7 @@ mod tests {
 
     #[test]
     fn throughput_zero_elapsed_is_zero() {
-        let mut t = Throughput::new();
+        let mut t = Throughput::default();
         t.record(100);
         assert_eq!(t.megabytes_per_sec(SimTime::ZERO), 0.0);
         assert_eq!(t.ops_per_sec(SimTime::ZERO), 0.0);

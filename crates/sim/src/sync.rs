@@ -106,11 +106,6 @@ impl<T> Shared<T> {
     pub fn borrows(&self) -> u64 {
         self.0.lock().expect("Shared value poisoned").borrows
     }
-
-    /// Whether two handles share the same underlying value.
-    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
 }
 
 impl<T> Clone for Shared<T> {
@@ -276,14 +271,6 @@ impl<const N: usize> LaneCounters<N> {
             }
         }
         out
-    }
-
-    /// Zeroes every counter. Like [`LaneCounters::totals`], meaningful
-    /// only while no thread is counting.
-    pub fn reset(&self) {
-        for cell in self.stripes.iter().flat_map(|s| &s.0) {
-            cell.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -453,8 +440,8 @@ mod tests {
         let b = a.clone();
         *b.borrow_mut() += 41;
         assert_eq!(*a.borrow(), 42);
-        assert!(Shared::ptr_eq(&a, &b));
-        assert!(!Shared::ptr_eq(&a, &Shared::new(42)));
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(!Arc::ptr_eq(&a.0, &Shared::new(42).0));
     }
 
     #[test]
@@ -519,8 +506,6 @@ mod tests {
         );
         let copy = counters.clone();
         assert_eq!(copy.totals(), counters.totals());
-        counters.reset();
-        assert_eq!(counters.totals(), [0; 3]);
         assert_eq!(
             copy.totals()[0],
             rounds_threads * 1000,

@@ -43,17 +43,17 @@ impl SimTime {
     }
 
     /// Creates an instant `micros` microseconds after the start of the run.
-    pub const fn from_micros(micros: u64) -> Self {
+    pub const fn from_micros(micros: u64) -> Self { // test-api: the timing tests write their instants in these units
         SimTime(micros * 1_000)
     }
 
     /// Creates an instant `millis` milliseconds after the start of the run.
-    pub const fn from_millis(millis: u64) -> Self {
+    pub const fn from_millis(millis: u64) -> Self { // test-api: the timing tests write their instants in these units
         SimTime(millis * 1_000_000)
     }
 
     /// Creates an instant `secs` seconds after the start of the run.
-    pub const fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self { // test-api: the timing tests write their instants in these units
         SimTime(secs * 1_000_000_000)
     }
 
@@ -107,12 +107,12 @@ impl Duration {
     }
 
     /// Creates a span of `millis` milliseconds.
-    pub const fn from_millis(millis: u64) -> Self {
+    pub const fn from_millis(millis: u64) -> Self { // test-api: the timing tests write their spans in these units
         Duration(millis * 1_000_000)
     }
 
     /// Creates a span of `secs` seconds.
-    pub const fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self { // test-api: the timing tests write their spans in these units
         Duration(secs * 1_000_000_000)
     }
 

@@ -354,17 +354,6 @@ impl BufferCache {
         self.evict_to_capacity()
     }
 
-    /// Marks a resident block dirty (after in-place modification).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is not resident.
-    pub fn mark_dirty(&mut self, lbn: u64) {
-        self.map
-            .update(&lbn, |e| e.dirty = true)
-            .expect("block not resident");
-    }
-
     /// Replaces the contents of a resident block (marking it dirty).
     ///
     /// # Panics
@@ -576,7 +565,7 @@ mod tests {
         c.insert(1, seg(1), BlockClass::Data, false);
         c.insert(2, seg(2), BlockClass::Meta, false);
         assert!(!c.is_dirty(1));
-        c.mark_dirty(1);
+        c.map.update(&1, |e| e.dirty = true).expect("resident");
         assert!(c.is_dirty(1));
         let mut flushed = Vec::new();
         c.flush_dirty(&mut flushed);
@@ -659,12 +648,6 @@ mod tests {
         assert_eq!(rec.counter("cache.fs.misses"), 1);
         assert_eq!(rec.counter("cache.fs.insertions"), 2);
         assert_eq!(rec.counter("cache.fs.evicted_dirty"), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not resident")]
-    fn mark_dirty_missing_panics() {
-        BufferCache::new(2).mark_dirty(1);
     }
 
     property! {

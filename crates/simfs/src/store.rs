@@ -102,16 +102,11 @@ pub struct MemStore { // test-api: the in-memory store every file-system test mo
 
 impl MemStore {
     /// A store of `count` blocks, all initially synthetic.
-    pub fn new(count: u64) -> Self {
+    pub fn new(count: u64) -> Self { // test-api: the in-memory store every file-system test mounts on
         MemStore {
             blocks: Arc::default(),
             count,
         }
-    }
-
-    /// Number of blocks that have been explicitly written (diagnostic).
-    pub fn written_blocks(&self) -> usize {
-        self.blocks.lock().expect("store poisoned").len()
     }
 }
 
@@ -161,7 +156,7 @@ mod tests {
         let data = Segment::from_vec(vec![7u8; BLOCK_SIZE]);
         s.write_block(3, BlockClass::Data, &data);
         assert_eq!(s.read_block(3, BlockClass::Data), data);
-        assert_eq!(s.written_blocks(), 1);
+        assert_eq!(s.blocks.lock().expect("store poisoned").len(), 1);
     }
 
     #[test]

@@ -417,7 +417,8 @@ pub(crate) struct Walker<'a, R, S> {
     arrivals: Arrivals<'a>,
     pub(crate) sink: S,
     pub(crate) hw: Hardware,
-    costs: &'a CostModel,
+    /// The paper's testbed (`CostModel::pentium3_gige`), the one profile.
+    costs: CostModel,
     rec: obs::Recorder,
     /// Client retry policy for gate rejections and the run's one
     /// client-wide budget (`None`: a rejection sheds the request at once).
@@ -459,7 +460,6 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
         sink: S,
         nics: usize,
         tier: Option<TierConfig>,
-        costs: &'a CostModel,
     ) -> Self {
         let rec = rig.recorder();
         Walker {
@@ -469,7 +469,7 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             arrivals,
             sink,
             hw: Hardware::new(nics, tier, &rec),
-            costs,
+            costs: CostModel::pentium3_gige(),
             rec,
             retry: None,
             deadline_ns: 0,
@@ -627,14 +627,14 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
         // costs a quarter of the fixed per-request CPU. That is what makes
         // shedding cheaper than serving — the whole point of the gate.
         let per_request_ns = if obs.rejected {
-            self.rig.per_request_ns(self.costs) / 4
+            self.rig.per_request_ns(&self.costs) / 4
         } else {
-            self.rig.per_request_ns(self.costs)
+            self.rig.per_request_ns(&self.costs)
         };
-        let demands = derive(self.costs, self.rig.transport(), per_request_ns, &obs);
+        let demands = derive(&self.costs, self.rig.transport(), per_request_ns, &obs);
         for (b, cpu) in demands.bursts.iter().filter(|(b, _)| b.is_write) {
             let slot = self.spawn(now, sid, None);
-            self.chains[slot].stages.extend(write_behind(self.costs, b, *cpu));
+            self.chains[slot].stages.extend(write_behind(&self.costs, b, *cpu));
         }
         if !obs.rejected {
             fg.delivered = true;
@@ -643,7 +643,7 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             self.server_inflight += 1;
         }
         let slot = self.spawn(now, sid, Some(fg));
-        foreground(self.costs, &demands, &mut self.chains[slot].stages);
+        foreground(&self.costs, &demands, &mut self.chains[slot].stages);
     }
 
     /// Walks one stage of the chain in `slot`: occupies the stage's FIFO

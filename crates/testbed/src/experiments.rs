@@ -1018,7 +1018,6 @@ pub fn adaptive_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
         });
         let opts = SessionsOptions {
             tier: Some(blockdev::TierConfig::nvme_front(2048)),
-            ..SessionsOptions::default()
         };
         let mut rows = Vec::with_capacity(SEGMENTS);
         let mut prev = rig.module().expect("ncache build").borrow().stats();

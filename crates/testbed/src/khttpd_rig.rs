@@ -130,7 +130,7 @@ impl Rig<KhttpdServer> {
     }
 
     /// The expected contents of a published (non-sparse) page.
-    pub fn expected(&mut self, name: &str, size: u64) -> Vec<u8> {
+    pub fn expected(&mut self, name: &str, size: u64) -> Vec<u8> { // test-api: the web tests compare each GET body with it
         let fs = self.server.fs_mut();
         let ino = fs
             .lookup(Filesystem::<IscsiInitiator>::ROOT, name)

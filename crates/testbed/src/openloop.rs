@@ -19,28 +19,22 @@
 //! function of `(rig, schedule, options)` — byte-deterministic at any
 //! host thread count, because nothing here spawns one.
 
-use sim::costs::CostModel;
 use sim::time::SimTime;
 use sim::SplitMix64;
-use workload::arrivals::{poisson_arrivals, BurstConfig};
+use workload::arrivals::poisson_arrivals;
 use workload::zipf::Zipf;
 
 use crate::engine::{Arrivals, Flight, Res, Sink, Walker, CLIENT_BACKOFF, STAGE_NAMES};
 use crate::runner::{DriverOp, RigDriver};
 
-/// Open-loop driver configuration.
+/// Open-loop driver configuration. The run uses the paper's testbed with
+/// one application-server NIC.
 #[derive(Clone, Debug)]
 pub struct OpenLoopOptions {
     /// Mean inter-arrival time of the Poisson schedule, nanoseconds.
     pub mean_interarrival_ns: u64,
-    /// Optional square-wave burst modulation of the arrival rate.
-    pub burst: Option<BurstConfig>,
     /// Seed for the arrival draw.
     pub seed: u64,
-    /// NICs on the application server.
-    pub nics: usize,
-    /// The hardware cost model.
-    pub costs: CostModel,
     /// Request deadline in sim-ns (0 = none): a request completing past
     /// its deadline is counted in
     /// [`OpenLoopResult::deadline_exceeded`], its payload excluded from
@@ -57,10 +51,7 @@ impl Default for OpenLoopOptions {
     fn default() -> Self {
         OpenLoopOptions {
             mean_interarrival_ns: 100_000,
-            burst: None,
             seed: 1,
-            nics: 1,
-            costs: CostModel::pentium3_gige(),
             deadline_ns: 0,
             retry: None,
         }
@@ -170,7 +161,7 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
             rec: rig.recorder(),
             ..OpenLoopSink::default()
         };
-        let mut w = Walker::new(&mut rig, Arrivals::Schedule, sink, opts.nics, None, &opts.costs);
+        let mut w = Walker::new(&mut rig, Arrivals::Schedule, sink, 1, None);
         w.retry = opts.retry.map(|p| (p, servers::RetryBudget::default()));
         w.deadline_ns = opts.deadline_ns;
         w.schedule_arrivals(arrivals);
@@ -215,12 +206,7 @@ pub fn run_open_loop<R: RigDriver + 'static>(
     ops: Vec<DriverOp>,
     opts: &OpenLoopOptions,
 ) -> (R, OpenLoopResult) {
-    let schedule = poisson_arrivals(
-        opts.seed,
-        ops.len(),
-        opts.mean_interarrival_ns,
-        opts.burst.as_ref(),
-    );
+    let schedule = poisson_arrivals(opts.seed, ops.len(), opts.mean_interarrival_ns);
     run_open_loop_at(rig, ops, &schedule, opts)
 }
 
@@ -504,10 +490,6 @@ mod tests {
             let ops = zipf_reads(13, fh, 96, 1 << 20, 16 << 10, 0.8);
             let opts = OpenLoopOptions {
                 mean_interarrival_ns: 60_000,
-                burst: Some(BurstConfig {
-                    period_ns: 2_000_000,
-                    factor: 3.0,
-                }),
                 seed: 17,
                 ..OpenLoopOptions::default()
             };

@@ -629,11 +629,6 @@ impl<A: App> Rig<A> {
         fs.set_cache_capacity(blocks);
     }
 
-    /// The build this rig runs.
-    pub fn mode(&self) -> ServerMode {
-        self.server.mode()
-    }
-
     /// The per-node ledgers.
     pub fn ledgers(&self) -> &NodeLedgers {
         &self.ledgers

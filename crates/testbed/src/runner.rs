@@ -9,7 +9,6 @@
 //! FIFO service demands, and throughput/utilization emerge from whichever
 //! resource saturates.
 
-use blockdev::{TierConfig, TierStats};
 use sim::costs::CostModel;
 use sim::time::{Duration, SimTime};
 
@@ -121,11 +120,6 @@ pub struct RunOptions {
     /// NICs on the application server (Figure 5: 1 = link-bound,
     /// 2 = CPU-bound).
     pub nics: usize,
-    /// The hardware cost model.
-    pub costs: CostModel,
-    /// Tiered backend configuration; `None` is the paper's flat RAID-0
-    /// array (the exact pre-tier timing path).
-    pub tier: Option<TierConfig>,
 }
 
 impl Default for RunOptions {
@@ -133,8 +127,6 @@ impl Default for RunOptions {
         RunOptions {
             concurrency: 8,
             nics: 1,
-            costs: CostModel::pentium3_gige(),
-            tier: None,
         }
     }
 }
@@ -168,8 +160,6 @@ pub struct RunResult {
     /// Per-interval throughput samples over the run (≤ 32 buckets;
     /// empty when no foreground operation completed).
     pub timeline: Vec<TimelineSample>,
-    /// Tier counters when the run used a tiered backend.
-    pub tier: Option<TierStats>,
 }
 
 /// One interval of a run's completion-driven timeline.
@@ -243,7 +233,7 @@ pub fn run<R: RigDriver>(
     let mut ops = ops.into_iter();
     let arrivals = Arrivals::Shared(&mut ops);
     let sink = RunSink::default();
-    let mut w = Walker::new(rig, arrivals, sink, opts.nics, opts.tier, &opts.costs);
+    let mut w = Walker::new(rig, arrivals, sink, opts.nics, None);
     // Prime the closed loop.
     for _ in 0..opts.concurrency.max(1) {
         if !w.issue(SimTime::ZERO, 0) {
@@ -275,7 +265,6 @@ pub fn run<R: RigDriver>(
         mean_latency: Duration::from_nanos(latency.mean()),
         p99_latency: Duration::from_nanos(latency.quantile(0.99)),
         timeline,
-        tier: w.hw.array.tier_stats(),
     }
 }
 

@@ -47,26 +47,13 @@ use crate::timing::{Observation, OpMeter, Transport};
 /// and parks it again on the way out.
 pub type SessionHook<R> = Box<dyn FnMut(&mut R, usize)>;
 
-/// Multi-session engine configuration.
-#[derive(Clone, Debug)]
+/// Multi-session engine configuration. The sessions run on the paper's
+/// testbed with one application-server NIC.
+#[derive(Clone, Debug, Default)]
 pub struct SessionsOptions {
-    /// NICs on the application server.
-    pub nics: usize,
-    /// The hardware cost model.
-    pub costs: CostModel,
     /// Tiered backend configuration; `None` is the paper's flat RAID-0
     /// array (the exact pre-tier timing path).
     pub tier: Option<TierConfig>,
-}
-
-impl Default for SessionsOptions {
-    fn default() -> Self {
-        SessionsOptions {
-            nics: 1,
-            costs: CostModel::pentium3_gige(),
-            tier: None,
-        }
-    }
 }
 
 /// Measured outcome of a multi-session run.
@@ -131,7 +118,7 @@ pub fn run_sessions<R: RigDriver + 'static>(
             per_session_ops: vec![0; n],
         };
         let arrivals = Arrivals::per_session(sessions);
-        let mut w = Walker::new(&mut rig, arrivals, sink, opts.nics, opts.tier, &opts.costs);
+        let mut w = Walker::new(&mut rig, arrivals, sink, 1, opts.tier);
         w.hook = hook;
         for sid in 0..n {
             w.issue(SimTime::ZERO, sid);

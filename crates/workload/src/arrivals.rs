@@ -6,65 +6,27 @@
 //! requests at pre-drawn absolute instants regardless of completions —
 //! the only way to push a system past saturation and watch its queues
 //! (and tail latencies) grow. This module draws those instants: Poisson
-//! inter-arrivals from a seeded [`SplitMix64`], with optional square-wave
-//! burst modulation. The schedule is a pure function of its arguments,
-//! so every run over it is byte-deterministic.
+//! inter-arrivals from a seeded [`SplitMix64`] at one constant rate. The
+//! schedule is a pure function of its arguments, so every run over it is
+//! byte-deterministic.
 
 use sim::rng::SplitMix64;
 use sim::time::SimTime;
 
-/// Square-wave burst modulation of a Poisson arrival process: the mean
-/// inter-arrival is divided by `factor` during the first half of each
-/// period (the burst) and multiplied by it during the second half (the
-/// lull), so the schedule alternates between `factor`× and `1/factor`×
-/// the base rate while staying fully deterministic.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BurstConfig {
-    /// Full modulation period, simulated nanoseconds.
-    pub period_ns: u64,
-    /// Rate multiplier during the burst half-period (≥ 1).
-    pub factor: f64,
-}
-
 /// Draws `n` arrival instants with exponential (Poisson-process)
 /// inter-arrivals of mean `mean_interarrival_ns`, strictly increasing
-/// (every gap is at least 1 ns). With `burst`, the mean is modulated by
-/// the square wave described on [`BurstConfig`], evaluated at the
-/// previous arrival's instant.
+/// (every gap is at least 1 ns).
 ///
 /// # Panics
 ///
-/// Panics if `mean_interarrival_ns` is zero, or if `burst` has a zero
-/// period or a factor below 1.
-pub fn poisson_arrivals(
-    seed: u64,
-    n: usize,
-    mean_interarrival_ns: u64,
-    burst: Option<&BurstConfig>,
-) -> Vec<SimTime> {
+/// Panics if `mean_interarrival_ns` is zero.
+pub fn poisson_arrivals(seed: u64, n: usize, mean_interarrival_ns: u64) -> Vec<SimTime> {
     assert!(mean_interarrival_ns > 0, "mean inter-arrival must be positive");
-    if let Some(b) = burst {
-        assert!(b.period_ns > 0, "burst period must be positive");
-        assert!(
-            b.factor.is_finite() && b.factor >= 1.0,
-            "burst factor must be at least 1"
-        );
-    }
+    let mean = mean_interarrival_ns as f64;
     let mut rng = SplitMix64::new(seed);
     let mut t = 0u64;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let mean = match burst {
-            Some(b) => {
-                let half = (b.period_ns / 2).max(1);
-                if (t / half).is_multiple_of(2) {
-                    mean_interarrival_ns as f64 / b.factor
-                } else {
-                    mean_interarrival_ns as f64 * b.factor
-                }
-            }
-            None => mean_interarrival_ns as f64,
-        };
         // Inverse-CDF draw; 1 - u is in (0, 1], so the log is finite.
         let u = rng.next_f64();
         let dt = (-(1.0 - u).ln() * mean).round().max(1.0) as u64;
@@ -80,14 +42,14 @@ mod tests {
 
     #[test]
     fn arrivals_are_strictly_increasing_and_deterministic() {
-        let a = poisson_arrivals(7, 500, 10_000, None);
-        let b = poisson_arrivals(7, 500, 10_000, None);
+        let a = poisson_arrivals(7, 500, 10_000);
+        let b = poisson_arrivals(7, 500, 10_000);
         assert_eq!(a, b, "same seed, same schedule");
         assert_eq!(a.len(), 500);
         for w in a.windows(2) {
             assert!(w[0] < w[1], "strictly increasing");
         }
-        let c = poisson_arrivals(8, 500, 10_000, None);
+        let c = poisson_arrivals(8, 500, 10_000);
         assert_ne!(a, c, "a different seed draws a different schedule");
     }
 
@@ -95,7 +57,7 @@ mod tests {
     fn mean_gap_approximates_the_requested_mean() {
         let n = 20_000;
         let mean = 5_000u64;
-        let a = poisson_arrivals(42, n, mean, None);
+        let a = poisson_arrivals(42, n, mean);
         let total = a.last().unwrap().as_nanos();
         let got = total as f64 / n as f64;
         assert!(
@@ -105,40 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn burst_halves_are_denser_than_lulls() {
-        let burst = BurstConfig {
-            period_ns: 1_000_000,
-            factor: 4.0,
-        };
-        let a = poisson_arrivals(3, 10_000, 10_000, Some(&burst));
-        let half = burst.period_ns / 2;
-        let (mut dense, mut sparse) = (0u64, 0u64);
-        for t in &a {
-            if (t.as_nanos() / half).is_multiple_of(2) {
-                dense += 1;
-            } else {
-                sparse += 1;
-            }
-        }
-        assert!(
-            dense > sparse * 2,
-            "burst halves should dominate: {dense} vs {sparse}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_mean_panics() {
-        poisson_arrivals(1, 1, 0, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor")]
-    fn sub_unit_burst_factor_panics() {
-        let b = BurstConfig {
-            period_ns: 100,
-            factor: 0.5,
-        };
-        poisson_arrivals(1, 1, 10, Some(&b));
+        poisson_arrivals(1, 1, 0);
     }
 }

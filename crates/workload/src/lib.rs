@@ -16,8 +16,8 @@
 //!   replayer (the paper drives its micro-benchmarks with synthetic traces
 //!   through ATP).
 //! * [`arrivals`] — seeded open-loop arrival schedules (Poisson
-//!   inter-arrivals with optional burst modulation) for driving the
-//!   testbed past saturation.
+//!   inter-arrivals at a constant rate) for driving the testbed past
+//!   saturation.
 //!
 //! All generators are deterministic given a seed.
 

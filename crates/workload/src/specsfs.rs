@@ -72,11 +72,6 @@ impl SpecSfs {
         }
     }
 
-    /// The parameters.
-    pub fn params(&self) -> SpecSfsParams {
-        self.params
-    }
-
     fn pick_file(&mut self) -> FileId {
         FileId(self.rng.next_below(u64::from(self.params.file_count)) as u32)
     }

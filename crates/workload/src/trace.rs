@@ -129,11 +129,6 @@ impl TracePlayer {
         Ok(TracePlayer::new(parse_trace(text)?))
     }
 
-    /// Ops remaining.
-    pub fn remaining(&self) -> usize {
-        self.ops.len() - self.at
-    }
-
     /// Total ops in the trace.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -211,10 +206,10 @@ mod tests {
         let ops: Vec<NfsOp> = SeqRead::new(FileId(0), 16 << 10, 4 << 10).collect();
         let mut player = TracePlayer::new(ops.clone());
         assert_eq!(player.len(), 4);
-        assert_eq!(player.remaining(), 4);
+        assert_eq!(player.ops.len() - player.at, 4);
         let replayed: Vec<NfsOp> = player.by_ref().collect();
         assert_eq!(replayed, ops);
-        assert_eq!(player.remaining(), 0);
+        assert_eq!(player.ops.len() - player.at, 0);
         assert_eq!(player.next(), None);
     }
 

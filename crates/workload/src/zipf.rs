@@ -47,11 +47,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draws a rank.
     pub fn sample(&self, rng: &mut SplitMix64) -> usize {
         let u = rng.next_f64();
@@ -125,7 +120,7 @@ mod tests {
         let z = Zipf::new(1, 1.0);
         let mut rng = SplitMix64::new(1);
         assert_eq!(z.sample(&mut rng), 0);
-        assert_eq!(z.n(), 1);
+        assert_eq!(z.cdf.len(), 1);
     }
 
     #[test]

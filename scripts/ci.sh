@@ -270,6 +270,21 @@ else
     echo "speedup gate skipped: host has ${HOST_CPUS} CPU(s), need >= 4"
 fi
 
+echo "== clean tree (the gates above leave nothing behind) =="
+# Every gate writes under \$TRACE_DIR or an ignored build directory, so the
+# checkout must still read as committed: run this script on a committed tree.
+# The one exception is benchmark/Cargo.lock. benchmark/check.sh runs cargo on
+# benchmark/Cargo.toml, which rewrites that lock file whenever a workspace
+# crate's dependency edges change, and only a change to the benchmark itself
+# may commit the refresh; so the rung does not count it.
+DIRTY="$(git status --porcelain | grep -v ' benchmark/Cargo.lock$' || true)"
+if [[ -n "$DIRTY" ]]; then
+    echo "the gates left the tree dirty:" >&2
+    echo "$DIRTY" >&2
+    exit 1
+fi
+echo "tree clean"
+
 if [[ "${BENCH:-0}" != "0" ]]; then
     echo "== bench =="
     BENCH_SAMPLES="${BENCH_SAMPLES:-10}" cargo bench --offline -p ncache-bench

@@ -237,7 +237,7 @@ fn assert_reconciled(oracle: &Outcome, got: &Outcome, what: &str) {
 /// controller fingerprint compared across self-consistency legs.
 fn controller_state(rig: &NfsRig) -> Option<(u64, u64, u64, u64)> {
     rig.adaptive_controller()
-        .map(|c| (c.ticks(), c.resizes(), c.fs_blocks(), c.ncache_bytes()))
+        .map(|c| (c.split_stats().ticks, c.split_stats().resizes, c.fs_blocks(), c.split_stats().ncache_bytes))
 }
 
 // --- frozen controller: byte-for-byte unobservable ---------------------

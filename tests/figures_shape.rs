@@ -147,10 +147,16 @@ fn fig7_specsfs_shape() {
     for &pct in &[30.0, 45.0, 60.0, 75.0] {
         let orig = table.get(pct, "original").expect("cell");
         let nc = table.get(pct, "ncache").expect("cell");
+        let base = table.get(pct, "baseline").expect("cell");
         // Paper: NCache consistently above the original (16-19 %).
         assert!(
             nc > orig * 0.98,
             "NCache at {pct}% data ops: {nc:.0} vs {orig:.0}"
+        );
+        // The zero-copy baseline bounds what any cache organization gains.
+        assert!(
+            base >= nc,
+            "baseline at {pct}% data ops: {base:.0} vs NCache {nc:.0}"
         );
     }
     // The gain is larger when regular-data operations dominate.

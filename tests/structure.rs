@@ -432,22 +432,109 @@ fn sources(spec: &str) -> Vec<(String, String)> {
     rs.map(|f| (read(&f), f)).map(|(t, f)| (f, t)).collect()
 }
 
+/// Where `code` names a path `Q::name` (`Q::<T>::name` too), as `(Q, name)`, and a method
+/// call `.name(` (`.name::<T>(` too), as `(".", name)`.
+fn path_uses(code: &str) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    for (at, sep) in code.match_indices("::").chain(code.match_indices('.')) {
+        let Some(name) = ident_at(&code[at + sep.len()..]) else {
+            continue;
+        };
+        let after = &code[at + sep.len() + name.len()..];
+        if sep == "." {
+            if !code[..at].ends_with('.') && (after.starts_with('(') || after.starts_with("::<")) {
+                out.push((".", name));
+            }
+            continue;
+        }
+        let mut head = &code[..at];
+        if head.ends_with('>') {
+            let mut depth = 0;
+            let open = head.rfind(|c| {
+                depth += (c == '>') as i32 - (c == '<') as i32;
+                depth == 0
+            });
+            head = open.and_then(|o| head[..o].strip_suffix("::")).unwrap_or("");
+        }
+        let q = head.rsplit(|c: char| !(c.is_alphanumeric() || c == '_')).next();
+        if let Some(q) = q.filter(|q| !q.is_empty()) {
+            out.push((q, name));
+        }
+    }
+    out
+}
+
+/// The type aliases of `srcs`' non-test code, alias to type: `type A = B<…>;`, and
+/// `B as A` in a `use` statement.
+fn aliases(srcs: &[(String, String)]) -> HashMap<&str, &str> {
+    let mut out = HashMap::new();
+    for (_, text) in srcs {
+        let mut in_use = false;
+        for (_, l) in nontest(text) {
+            let c = code(l);
+            let t = c.trim_start().trim_start_matches("pub ");
+            in_use |= t.starts_with("use ");
+            if let Some((alias, ty)) = t.strip_prefix("type ").and_then(|r| r.split_once('=')) {
+                let ty = idents(ty.split('<').next().unwrap_or_default()).last();
+                out.extend(ident_at(alias).zip(ty));
+            }
+            for (at, _) in c.match_indices(" as ").filter(|_| in_use) {
+                let ty = c[..at].rsplit(|ch: char| !(ch.is_alphanumeric() || ch == '_')).next();
+                out.extend(ident_at(&c[at + 4..]).zip(ty));
+            }
+            in_use &= !c.contains(';');
+        }
+    }
+    out
+}
+
+/// Whether the `fn` whose definition starts `lines` takes a receiver (`self`,
+/// `&self`, `&mut self`, `self: T`).
+fn has_receiver(lines: &[(usize, &str)]) -> bool {
+    let sig: String = lines.iter().map(|(_, l)| *l).collect::<Vec<_>>().join(" ");
+    let Some(at) = sig.find("fn ") else {
+        return false;
+    };
+    let rest = &sig[at..];
+    let mut depth = 0;
+    let open = rest.find(|c| {
+        depth += (c == '<') as i32 - (c == '>') as i32;
+        c == '(' && depth == 0
+    });
+    let params = open.map_or("", |o| rest[o + 1..].trim_start());
+    let params = params.trim_start_matches('&').trim_start();
+    let params = match params.strip_prefix('\'') {
+        Some(life) => life.split_once(' ').map_or("", |(_, r)| r),
+        None => params,
+    };
+    let params = params.trim_start_matches("mut ");
+    params.starts_with("self") && ident_at(params) == Some("self")
+}
+
 /// The `pub` items of `srcs`' `crates/*/src` files that no caller names, as
 /// `path:line: definition`: `[without a reason, with one, reasons on named items]`.
 /// A caller is a non-test code line of `srcs`, outside `use` statements and the
-/// item's own body (for a type, its definition and its `impl` blocks); for the
-/// test harness (`crates/check`), any code line of `tests` too. An item opts out
-/// with `// test-api: <non-empty reason>` on its definition line.
+/// item's own body (for a type, its definition and its `impl` blocks), that names it
+/// by path: a `fn` of an `impl Type` block needs `Type::f`, `Alias::f` or, in its own
+/// file, `Self::f`; one with a receiver may be called as `.f(` instead. Any other item
+/// needs its name. For the test harness (`crates/check`), any code line of `tests`
+/// names its items too. An item opts out with `// test-api: <non-empty reason>` on its
+/// definition line.
 fn surface(srcs: &[(String, String)], tests: &[String]) -> [Vec<String>; 3] {
     let code: Vec<_> = srcs.iter().map(|(_, t)| code_lines(nontest(t))).collect();
     let lines = tests
         .iter()
         .flat_map(|t| code_lines(t.lines().enumerate().collect()));
     let tested: HashSet<&str> = lines.flat_map(|(_, l)| idents(l)).collect();
-    let (mut named, mut impls) = (HashMap::<_, Vec<_>>::new(), HashMap::<_, Vec<_>>::new());
+    let alias = aliases(srcs);
+    let (mut named, mut paths) = (HashMap::<_, Vec<_>>::new(), HashMap::<_, Vec<_>>::new());
+    let mut impls = HashMap::<_, Vec<_>>::new();
     for (f, lines) in code.iter().enumerate() {
         for (i, &(n, l)) in lines.iter().enumerate() {
             idents(l).for_each(|w| named.entry(w).or_default().push((f, n)));
+            for (q, name) in path_uses(l) {
+                paths.entry((q, name)).or_default().push((f, n));
+            }
             if let Some(ty) = impl_for(l) {
                 let last = lines[i + end(&lines[i..])].0;
                 impls
@@ -467,14 +554,35 @@ fn surface(srcs: &[(String, String)], tests: &[String]) -> [Vec<String>; 3] {
             let Some((kind, name)) = pub_item(l) else {
                 continue;
             };
-            let mut own = vec![(f, n, lines[i + end(&lines[i..])].0)];
+            let def = &lines[i..=i + end(&lines[i..])];
+            let mut own = vec![(f, n, def[def.len() - 1].0)];
             if !["fn", "const", "static"].contains(&kind) {
                 own.extend(impls.get(&(krate(path), name)).into_iter().flatten());
             }
-            let outside = |&&(g, m): &&(usize, usize)| {
+            let outside = |&(g, m): &(usize, usize)| {
                 !own.iter().any(|&(h, a, b)| g == h && (a..=b).contains(&m))
             };
-            let called = named[name].iter().any(|at| outside(&at))
+            let owner = impls
+                .iter()
+                .filter(|((k, _), _)| *k == krate(path))
+                .flat_map(|((_, ty), at)| at.iter().map(move |a| (*ty, a)))
+                .filter(|(_, &(h, a, b))| h == f && a < n && n <= b)
+                .max_by_key(|(_, &(_, a, _))| a)
+                .map(|(ty, _)| ty);
+            let uses: Vec<(usize, usize)> = match owner.filter(|_| kind == "fn") {
+                Some(ty) => {
+                    let quals = alias.iter().filter(|(_, t)| **t == ty).map(|(a, _)| *a);
+                    let quals: Vec<&str> = quals.chain([ty, "Self"]).collect();
+                    let method = has_receiver(def).then_some(".");
+                    let found = quals.into_iter().chain(method).flat_map(|q| {
+                        let at = paths.get(&(q, name)).into_iter().flatten();
+                        at.filter(move |&&(g, _)| q != "Self" || g == f)
+                    });
+                    found.copied().collect()
+                }
+                None => named[name].clone(),
+            };
+            let called = uses.iter().any(outside)
                 || (krate(path) == "check" && tested.contains(name));
             file_under(&mut out, path, n, raw[n - 1], called);
         }
@@ -730,6 +838,41 @@ fn pub_fields_have_readers() {
     );
 }
 
+/// Where `option_fields` looks for option structs: the program, not the test harness
+/// (`crates/check`'s `Config` tunes the property runner, not a run).
+const OPTIONS: &str = "crates/*/src !crates/check/";
+/// The name endings of an option struct.
+const OPTION_SUFFIXES: [&str; 5] = ["Options", "Config", "Params", "Policy", "Spec"];
+
+/// Options = what a run sets (DESIGN.md §3): one row per option struct (a `pub struct`
+/// whose name ends in one of `OPTION_SUFFIXES`) with its `pub` fields, and their total.
+/// A new knob shows as a golden diff; a knob that every caller sets to one value is a
+/// constant instead.
+#[test]
+fn option_fields() {
+    let (mut rows, mut all) = (Vec::new(), Vec::new());
+    for (path, text) in sources(OPTIONS) {
+        let lines = code_lines(nontest(&text));
+        for (i, &(_, l)) in lines.iter().enumerate() {
+            let Some(("struct", name)) = pub_item(l) else {
+                continue;
+            };
+            if !OPTION_SUFFIXES.iter().any(|s| name.ends_with(s)) {
+                continue;
+            }
+            let body = &lines[i..=i + end(&lines[i..])];
+            let fields: Vec<String> = pub_fields(body)
+                .into_iter()
+                .map(|(j, field)| format!("{path}:{}: {name}::{field}", body[j].0))
+                .collect();
+            rows.push((format!("{path}#{name}: pub fields = {}", fields.len()), fields.clone()));
+            all.extend(fields);
+        }
+    }
+    rows.push((format!("{OPTIONS}: option fields = {}", all.len()), all));
+    holds("option_fields", &rows);
+}
+
 /// Whether `text`'s first `#[cfg(test)]`, if it has one, gates a `mod … {` that
 /// closes at the end of the file.
 fn tests_trail(text: &str) -> bool {
@@ -822,6 +965,35 @@ fn a_caller_in_the_benchmark_an_example_or_a_harness_test_counts() {
             vec!["crates/x/src/lib.rs:1: pub fn f() {} // test-api: stale".into()]
         )
     );
+}
+
+#[test]
+fn a_same_named_local_or_field_is_no_caller() {
+    let lib = concat!(
+        "pub struct S {\n    len: u64,\n}\n",
+        "impl S {\n    pub fn new() -> S {\n        S { len: 0 }\n    }\n",
+        "    pub fn open() -> S {\n        Self::new()\n    }\n",
+        "    pub fn len(&self) -> u64 {\n        self.len\n    }\n",
+        "    pub fn count(&self) -> u64 {\n        0\n    }\n",
+        "    pub fn stale() {}\n    pub fn by_alias() {}\n",
+        "    pub fn by_path(&self) {}\n    pub fn by_turbofish() {}\n}\n",
+    );
+    let user = concat!(
+        "type Alias = x::S;\nfn main() {\n    let s = x::S::open();\n",
+        "    let count = s.len;\n    let stale = count;\n    Alias::by_alias();\n",
+        "    [&s].map(S::by_path);\n    S::<u8>::by_turbofish();\n}\n",
+    );
+    let srcs = [("crates/x/src/lib.rs", lib), ("src/main.rs", user)];
+    let srcs = srcs.map(|(f, t)| (f.into(), t.into()));
+    let [bare, marked, stale] = surface(&srcs, &[]);
+    let at = |n: usize, line: &str| format!("crates/x/src/lib.rs:{n}: {line}");
+    let want = [
+        at(11, "pub fn len(&self) -> u64 {"),
+        at(14, "pub fn count(&self) -> u64 {"),
+        at(17, "pub fn stale() {}"),
+    ];
+    assert_eq!(bare, want);
+    assert_eq!((marked, stale), (vec![], vec![]));
 }
 
 #[test]

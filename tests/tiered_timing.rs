@@ -9,8 +9,8 @@
 //!   nanoseconds;
 //! - the promotion copy appears as its own `tier-promote` stage and the
 //!   per-request stage breakdown still telescopes exactly to the
-//!   end-to-end latency, in both the closed-loop runner and the
-//!   sessions engine;
+//!   end-to-end latency (the sessions engine runs every tiered
+//!   experiment; the closed-loop runner is always on the flat array);
 //! - a transient fast-tier fault falls back to the slow array for that
 //!   read only: counted (`fault.tier_fallback`), charged (never
 //!   cheaper), and leaving the placement map untouched.
@@ -19,8 +19,8 @@ use ncache_repro::blockdev::TierConfig;
 use ncache_repro::obs::{EventKind, Recorder, TraceConfig};
 use ncache_repro::servers::ServerMode;
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
-use ncache_repro::testbed::runner::{run, DriverOp, RunOptions, RunResult};
-use ncache_repro::testbed::sessions::{run_nfs_sessions, SessionsOptions};
+use ncache_repro::testbed::runner::DriverOp;
+use ncache_repro::testbed::sessions::{run_nfs_sessions, SessionsOptions, SessionsResult};
 
 const SPAN: u32 = 16 << 10;
 const SPANS: u32 = 64;
@@ -42,8 +42,8 @@ fn scan_rig() -> (NfsRig, u64) {
 }
 
 /// Four passes over the region: passes one and two read from the slow
-/// array (the second triggers promotion at `promote_after = 2`), passes
-/// three and four read from the fast tier.
+/// array (the second triggers promotion at `TierConfig::PROMOTE_AFTER`
+/// = 2), passes three and four read from the fast tier.
 fn scan_ops(fh: u64) -> Vec<DriverOp> {
     (0..CYCLES * SPANS)
         .map(|k| DriverOp::Read {
@@ -54,13 +54,23 @@ fn scan_ops(fh: u64) -> Vec<DriverOp> {
         .collect()
 }
 
-fn scan(tier: Option<TierConfig>) -> RunResult {
-    let (mut rig, fh) = scan_rig();
-    let opts = RunOptions {
-        tier,
-        ..RunOptions::default()
-    };
-    run(&mut rig, scan_ops(fh), &opts)
+/// The scan split round-robin across four closed-loop sessions.
+fn sessions(fh: u64) -> Vec<Vec<DriverOp>> {
+    let mut sessions: Vec<Vec<DriverOp>> = vec![Vec::new(); 4];
+    for (i, op) in scan_ops(fh).into_iter().enumerate() {
+        sessions[i % 4].push(op);
+    }
+    sessions
+}
+
+/// The scan on `rig` over `tier` (`None`: the flat array).
+fn scan_on(rig: NfsRig, fh: u64, tier: Option<TierConfig>) -> SessionsResult {
+    run_nfs_sessions(rig, sessions(fh), &SessionsOptions { tier }).1
+}
+
+fn scan(tier: Option<TierConfig>) -> SessionsResult {
+    let (rig, fh) = scan_rig();
+    scan_on(rig, fh, tier)
 }
 
 #[test]
@@ -115,47 +125,22 @@ fn assert_stages_telescope(rec: &Recorder) -> u64 {
 }
 
 #[test]
-fn tier_promote_stage_telescopes_in_the_closed_loop_runner() {
-    let (mut rig, fh) = scan_rig();
-    let rec = Recorder::new();
-    rec.enable(TraceConfig::default());
-    rig.set_recorder(rec.clone());
-    let opts = RunOptions {
-        tier: Some(TierConfig::nvme_front(1024)),
-        ..RunOptions::default()
-    };
-    let r = run(&mut rig, scan_ops(fh), &opts);
-    assert!(r.tier.expect("tier stats").promotions > 0);
-    let promoted = assert_stages_telescope(&rec);
-    assert!(promoted > 0, "promotion shows up as a tier-promote stage");
-    assert_eq!(
-        rec.counters().get("tier.promote").copied().unwrap_or(0),
-        r.tier.expect("tier stats").promotions,
-        "counter and backend stats agree"
-    );
-}
-
-#[test]
 fn tier_promote_stage_telescopes_in_the_sessions_engine() {
     let (mut rig, fh) = scan_rig();
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
     rig.set_recorder(rec.clone());
-    // The same scan, split round-robin across four closed-loop lanes.
-    let mut sessions: Vec<Vec<DriverOp>> = vec![Vec::new(); 4];
-    for (i, op) in scan_ops(fh).into_iter().enumerate() {
-        sessions[i % 4].push(op);
-    }
-    let opts = SessionsOptions {
-        tier: Some(TierConfig::nvme_front(1024)),
-        ..SessionsOptions::default()
-    };
-    let (_rig, r) = run_nfs_sessions(rig, sessions, &opts);
+    let r = scan_on(rig, fh, Some(TierConfig::nvme_front(1024)));
     let stats = r.tier.expect("sessions result carries tier stats");
     assert!(stats.promotions > 0, "{stats:?}");
     assert!(stats.fast_reads > 0, "{stats:?}");
     let promoted = assert_stages_telescope(&rec);
     assert!(promoted > 0, "promotion shows up as a tier-promote stage");
+    assert_eq!(
+        rec.counters().get("tier.promote").copied().unwrap_or(0),
+        stats.promotions,
+        "counter and backend stats agree"
+    );
 }
 
 #[test]
@@ -190,11 +175,8 @@ fn transient_fast_faults_fall_back_to_the_slow_array() {
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
     rig.set_recorder(rec.clone());
-    let opts = RunOptions {
-        tier: Some(TierConfig::nvme_front(1024).with_faults(0xFA117, 300_000)),
-        ..RunOptions::default()
-    };
-    let r = run(&mut rig, scan_ops(fh), &opts);
+    let tier = TierConfig::nvme_front(1024).with_faults(0xFA117, 300_000);
+    let r = scan_on(rig, fh, Some(tier));
     assert_eq!(
         rec.counters().get("fault.tier_fallback").copied().unwrap_or(0),
         r.tier.expect("tier stats").fault_fallbacks,
