@@ -104,19 +104,9 @@ impl Disk {
     }
 
     /// Enqueues an I/O of `blocks` blocks starting at `start_block`,
-    /// arriving at `now`; returns its completion instant. Reads and writes
-    /// cost the same in this model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is zero.
-    pub fn io(&mut self, now: SimTime, start_block: u64, blocks: u64) -> SimTime {
-        self.io_timed(now, start_block, blocks).1
-    }
-
-    /// As [`Disk::io`], but also returns the instant the head started on
-    /// this request: `begin - now` is time queued behind earlier I/O,
-    /// `done - begin` the positioning + transfer service time.
+    /// arriving at `now`, and returns `(begin, done)`: `begin - now` is
+    /// time queued behind earlier I/O, `done - begin` the positioning +
+    /// transfer service time. Reads and writes cost the same in this model.
     ///
     /// # Panics
     ///
@@ -156,17 +146,22 @@ impl Disk {
 mod tests {
     use super::*;
 
+    /// When an I/O of `blocks` at `start` issued at `now` completes.
+    fn io(d: &mut Disk, now: SimTime, start: u64, blocks: u64) -> SimTime {
+        d.io_timed(now, start, blocks).1
+    }
+
     #[test]
     fn sequential_io_skips_positioning() {
         let m = DiskModel::dtla_307075();
         let mut d = Disk::new(m);
-        let c1 = d.io(SimTime::ZERO, 0, 8);
+        let c1 = io(&mut d, SimTime::ZERO, 0, 8);
         // Next request continues where the last ended: sequential.
-        let c2 = d.io(c1, 8, 8);
+        let c2 = io(&mut d, c1, 8, 8);
         let seq_cost = c2.since(c1);
         assert_eq!(seq_cost, m.service_time_at(8, 0));
         // A request elsewhere pays a distance-scaled seek + rotation.
-        let c3 = d.io(c2, 100_000, 8);
+        let c3 = io(&mut d, c2, 100_000, 8);
         assert_eq!(c3.since(c2), m.service_time_at(8, 100_000 - 16));
         assert!(c3.since(c2) > seq_cost * 5);
     }
@@ -177,13 +172,13 @@ mod tests {
         // the window they still stream at media rate.
         let m = DiskModel::dtla_307075();
         let mut d = Disk::new(m);
-        let c1 = d.io(SimTime::ZERO, 0, 8);
-        let c2 = d.io(c1, 16, 8); // skipped ahead by one burst
+        let c1 = io(&mut d, SimTime::ZERO, 0, 8);
+        let c2 = io(&mut d, c1, 16, 8); // skipped ahead by one burst
         assert_eq!(c2.since(c1), m.service_time_at(8, 0));
-        let c3 = d.io(c2, 8, 8); // and back-filled
+        let c3 = io(&mut d, c2, 8, 8); // and back-filled
         assert_eq!(c3.since(c2), m.service_time_at(8, 0));
         // Beyond the window it is a real (short) seek.
-        let c4 = d.io(c3, 16 + NEAR_SEQ_WINDOW + 1, 8);
+        let c4 = io(&mut d, c3, 16 + NEAR_SEQ_WINDOW + 1, 8);
         assert_eq!(c4.since(c3), m.service_time_at(8, NEAR_SEQ_WINDOW + 1));
         assert!(c4.since(c3) > m.service_time_at(8, 0));
     }
@@ -210,15 +205,15 @@ mod tests {
     fn first_io_is_random() {
         let m = DiskModel::dtla_307075();
         let mut d = Disk::new(m);
-        let c = d.io(SimTime::ZERO, 0, 1);
+        let c = io(&mut d, SimTime::ZERO, 0, 1);
         assert_eq!(c.since(SimTime::ZERO), m.service_time_at(1, u64::MAX));
     }
 
     #[test]
     fn fifo_queueing() {
         let mut d = Disk::new(DiskModel::dtla_307075());
-        let c1 = d.io(SimTime::ZERO, 0, 1);
-        let c2 = d.io(SimTime::ZERO, 0, 1);
+        let c1 = io(&mut d, SimTime::ZERO, 0, 1);
+        let c2 = io(&mut d, SimTime::ZERO, 0, 1);
         assert!(c2 > c1, "second request waits for the first");
         assert_eq!(d.requests, 2);
         assert_eq!(d.blocks_moved(), 2);
@@ -232,7 +227,7 @@ mod tests {
         let blocks_per_io = 16u64;
         let ios = 1_000u64;
         for i in 0..ios {
-            t = d.io(t, i * blocks_per_io, blocks_per_io);
+            t = io(&mut d, t, i * blocks_per_io, blocks_per_io);
         }
         let bytes = ios * blocks_per_io * BLOCK_SIZE;
         let rate = bytes as f64 / t.as_secs_f64();
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn utilization_tracks_busy_fraction() {
         let mut d = Disk::new(DiskModel::dtla_307075());
-        let c = d.io(SimTime::ZERO, 0, 8);
+        let c = io(&mut d, SimTime::ZERO, 0, 8);
         let idle_until = c + Duration::from_millis(100);
         let u = d.utilization(idle_until);
         assert!(u > 0.0 && u < 0.5);
@@ -253,6 +248,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-length")]
     fn zero_blocks_panics() {
-        Disk::new(DiskModel::dtla_307075()).io(SimTime::ZERO, 0, 0);
+        Disk::new(DiskModel::dtla_307075()).io_timed(SimTime::ZERO, 0, 0);
     }
 }

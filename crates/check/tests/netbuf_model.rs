@@ -46,7 +46,7 @@ impl Side {
         prop_assert_eq!(self.buf.header_len(), self.header.len());
         prop_assert_eq!(self.buf.payload_len(), self.payload.len());
         prop_assert_eq!(self.buf.total_len(), wire.len());
-        prop_assert_eq!(self.buf.is_empty(), wire.is_empty());
+        prop_assert_eq!(self.buf.total_len() == 0, wire.is_empty());
         // The linear area holds headers or landed payload, never both.
         let landed: &[u8] = if self.header.is_empty() { self.buf.linear() } else { &[] };
         let chain: Vec<u8> = landed
@@ -533,7 +533,7 @@ property! {
             2 => {
                 let bytes = |segs: SegChain| -> Vec<u8> { segs.iter().flat_map(Segment::to_vec).collect() };
                 prop_assert_eq!(bytes(new.take_payload()), bytes(old.take_payload()));
-                prop_assert!(new.is_empty() && new.linear().is_empty());
+                prop_assert!(new.total_len() == 0 && new.linear().is_empty());
             }
             _ => {
                 new.push_header(&[0xAA; 20]);

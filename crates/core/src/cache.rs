@@ -25,7 +25,7 @@ use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, SegChain, Segment};
 use sim::{mix64, LaneCounters, RecencyClass, RecencyMap, Resident};
 
-use sim::{GhostLru, GhostStats};
+use sim::GhostLru;
 use crate::chunk::Chunk;
 
 /// Encodes a cache key into the ghost tail's u64 key space: LBN keys map
@@ -236,7 +236,6 @@ pub struct NetCache {
     seq: SeqSource,
     pool: BufPool,
     per_chunk_overhead: u64,
-    fho_first: bool,
     stats: StatsCells,
     /// Shadow tail of recently evicted keys; `None` until the adaptive
     /// split is enabled. Shards of one logical cache share a single tail
@@ -264,17 +263,9 @@ impl NetCache {
             seq,
             pool,
             per_chunk_overhead,
-            fho_first: true,
             stats: StatsCells::default(),
             ghost: None,
         }
-    }
-
-    /// Attaches a ghost tail holding up to `cap` evicted keys. For a
-    /// sharded cache use [`crate::shards::NetCacheShards::enable_ghost`],
-    /// which shares one tail across shards.
-    pub fn enable_ghost(&mut self, cap: usize) {
-        self.set_ghost(Arc::new(Mutex::new(GhostLru::new(cap))));
     }
 
     /// Installs a (possibly shared) ghost tail.
@@ -282,18 +273,11 @@ impl NetCache {
         self.ghost = Some(ghost);
     }
 
-    /// Ghost-tail counters, or `None` when no tail is attached.
-    pub fn ghost_stats(&self) -> Option<GhostStats> {
+    /// The ghost tail's hits so far (0 when no tail is attached).
+    pub fn ghost_hits(&self) -> u64 {
         self.ghost
             .as_ref()
-            .map(|g| g.lock().expect("ghost poisoned").stats())
-    }
-
-    /// Ablation knob: resolve LBN before FHO. The paper's order (FHO
-    /// first) is required for freshness; flipping it demonstrates the
-    /// staleness bug the ordering prevents (§3.4).
-    pub fn set_resolve_lbn_first(&mut self, lbn_first: bool) {
-        self.fho_first = !lbn_first;
+            .map_or(0, |g| g.lock().expect("ghost poisoned").hits())
     }
 
     /// Chunks currently resident.
@@ -304,16 +288,6 @@ impl NetCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Bytes currently pinned (payload + per-chunk overhead).
-    pub fn pinned_bytes(&self) -> u64 {
-        self.pool.pinned()
-    }
-
-    /// The pinned-memory pool backing this cache.
-    pub fn pool(&self) -> &BufPool {
-        &self.pool
     }
 
     /// Counter snapshot.
@@ -468,31 +442,6 @@ impl NetCache {
         }
     }
 
-    /// Resolves a key stamp the way §3.4 requires: the FHO cache first
-    /// (fresh client writes win), then the LBN cache. (The ablation knob
-    /// [`NetCache::set_resolve_lbn_first`] flips the order to exhibit the
-    /// staleness bug the paper's ordering prevents.)
-    pub fn resolve(&self, stamp: &netbuf::key::KeyStamp) -> Option<(CacheKey, Vec<Segment>)> {
-        let mut out = Vec::new();
-        self.resolve_into(stamp, usize::MAX, &mut out)
-            .map(|key| (key, out))
-    }
-
-    /// [`NetCache::resolve`] through [`NetCache::lookup_into`]: the
-    /// winning key's payload is appended to `out`, clipped to `limit`
-    /// bytes.
-    pub fn resolve_into(
-        &self,
-        stamp: &netbuf::key::KeyStamp,
-        limit: usize,
-        out: &mut Vec<Segment>,
-    ) -> Option<CacheKey> {
-        resolution_order(stamp, self.fho_first)
-            .into_iter()
-            .flatten()
-            .find(|&key| self.lookup_into(key, limit, out))
-    }
-
     /// Remaps an FHO entry to an LBN key when the file system flushes the
     /// corresponding dirty buffer, overwriting any stale LBN entry.
     /// Returns the (still dirty) payload for the outgoing iSCSI write, or
@@ -534,16 +483,6 @@ impl NetCache {
     /// Materialized contents of a resident chunk (integrity checks).
     pub fn chunk_bytes(&self, key: CacheKey) -> Option<Vec<u8>> {
         self.map.get(&key).map(|e| e.to_bytes())
-    }
-
-    /// Keys of clean resident chunks in LRU order. The sequence is
-    /// deterministic (it sorts by true recency stamp, not hash-map
-    /// order), which fault injection relies on to pick corruption
-    /// targets reproducibly.
-    pub fn clean_keys(&self) -> Vec<CacheKey> {
-        let mut tagged = self.clean_keys_with_seq();
-        tagged.sort_unstable_by_key(|&(seq, _)| seq);
-        tagged.into_iter().map(|(_, k)| k).collect()
     }
 
     pub(crate) fn remove_entry(&mut self, key: CacheKey) -> Option<Chunk> {
@@ -713,6 +652,13 @@ impl fmt::Debug for NetCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The winning key of `stamp` and its payload (FHO first, §3.4).
+    fn resolve(c: &NetCache, stamp: &netbuf::key::KeyStamp) -> Option<(CacheKey, Vec<Segment>)> {
+        let mut out = Vec::new();
+        let mut keys = resolution_order(stamp, true).into_iter().flatten();
+        keys.find(|&key| c.lookup_into(key, usize::MAX, &mut out)).map(|key| (key, out))
+    }
     use netbuf::key::{FileHandle, KeyStamp};
 
     fn seg(tag: u8, len: usize) -> Vec<Segment> {
@@ -831,7 +777,7 @@ mod tests {
         c.insert_lbn(Lbn(5), seg(0xAA, 4096), 4096, false).expect("fits");
         c.insert_fho(fho(7, 0), seg(0xBB, 4096), 4096).expect("fits");
         let stamp = KeyStamp::new().with_fho(fho(7, 0)).with_lbn(Lbn(5));
-        let (key, segs) = c.resolve(&stamp).expect("resident");
+        let (key, segs) = resolve(&c, &stamp).expect("resident");
         assert_eq!(key, CacheKey::Fho(fho(7, 0)));
         assert_eq!(segs[0].as_slice()[0], 0xBB, "client sees the fresh write");
     }
@@ -841,18 +787,18 @@ mod tests {
         let mut c = cache(1 << 20);
         c.insert_lbn(Lbn(5), seg(0xAA, 4096), 4096, false).expect("fits");
         let stamp = KeyStamp::new().with_fho(fho(9, 0)).with_lbn(Lbn(5));
-        let (key, _) = c.resolve(&stamp).expect("resident");
+        let (key, _) = resolve(&c, &stamp).expect("resident");
         assert_eq!(key, CacheKey::Lbn(Lbn(5)));
-        assert!(c.resolve(&KeyStamp::new()).is_none());
+        assert!(resolve(&c, &KeyStamp::new()).is_none());
     }
 
     #[test]
     fn reinsert_replaces_and_releases_pin() {
         let mut c = cache(1 << 20);
         c.insert_lbn(Lbn(1), seg(1, 4096), 4096, false).expect("fits");
-        let pinned = c.pinned_bytes();
+        let pinned = c.pool.pinned();
         c.insert_lbn(Lbn(1), seg(9, 4096), 4096, false).expect("fits");
-        assert_eq!(c.pinned_bytes(), pinned, "old pin released");
+        assert_eq!(c.pool.pinned(), pinned, "old pin released");
         assert_eq!(c.len(), 1);
         assert_eq!(c.chunk_bytes(Lbn(1).into()), Some(vec![9u8; 4096]));
     }

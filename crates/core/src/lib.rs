@@ -24,7 +24,7 @@
 //! * [`cache::NetCache::remap`] — converting a dirty FHO entry to an LBN
 //!   entry when the file system flushes the corresponding buffer (§3.4,
 //!   Figure 3).
-//! * [`cache::NetCache::resolve`] — FHO-before-LBN lookup so "NFS clients
+//! * [`shards::NetCacheShards::resolve`] — FHO-before-LBN lookup so "NFS clients
 //!   always receive the most up-to-date data" (§3.4).
 //! * [`substitute`] — packet substitution at the driver boundary (§3.2
 //!   step 6) driven by the [`netbuf::key::KeyStamp`] planted in
@@ -54,7 +54,6 @@
 //! # Ok::<(), ncache::CacheFull>(())
 //! ```
 
-pub mod adaptive;
 pub mod cache;
 pub mod chunk;
 pub mod module;
@@ -62,9 +61,6 @@ pub mod shards;
 pub mod substitute;
 pub mod tracker;
 
-pub use adaptive::{
-    Resize, ResizeDir, SplitConfig, SplitController, SplitSample, SplitStats,
-};
 pub use cache::{CacheFull, NetCache, NetCacheStats, WritebackChunk};
 pub use chunk::Chunk;
 pub use module::{placeholder_block, NcacheConfig, NcacheModule};

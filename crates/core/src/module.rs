@@ -255,9 +255,9 @@ impl NcacheModule {
         self.cache.enable_ghost(cap);
     }
 
-    /// Counters of the shared ghost tail, or `None` when none is attached.
-    pub fn ghost_stats(&self) -> Option<sim::GhostStats> {
-        self.cache.ghost_stats()
+    /// The shared ghost tail's hits so far (0 when none is attached).
+    pub fn ghost_hits(&self) -> u64 {
+        self.cache.ghost_hits()
     }
 
     /// Current pool capacity in bytes (the NCache side of the split).

@@ -165,8 +165,9 @@ impl NetCacheShards {
         self.shards[shard].write()
     }
 
-    /// Ablation knob: resolve LBN before FHO (see
-    /// [`NetCache::set_resolve_lbn_first`]).
+    /// Ablation knob: resolve LBN before FHO. The paper's order (FHO
+    /// first) is required for freshness; flipping it demonstrates the
+    /// staleness bug the ordering prevents (§3.4).
     pub fn set_resolve_lbn_first(&self, lbn_first: bool) {
         self.fho_first
             .store(!lbn_first, std::sync::atomic::Ordering::Relaxed);
@@ -212,11 +213,11 @@ impl NetCacheShards {
         }
     }
 
-    /// Counters of the shared ghost tail, or `None` when no tail is
-    /// attached. Shard 0's handle *is* the global tail (all shards share
-    /// one `Arc`), so no merging is needed.
-    pub fn ghost_stats(&self) -> Option<sim::GhostStats> {
-        self.read(0).ghost_stats()
+    /// The shared ghost tail's hits so far (0 when no tail is attached).
+    /// Shard 0's handle *is* the global tail (all shards share one `Arc`),
+    /// so no merging is needed.
+    pub fn ghost_hits(&self) -> u64 {
+        self.read(0).ghost_hits()
     }
 
     /// Evicts clean chunks in global LRU order until pinned bytes fit the

@@ -26,15 +26,6 @@ pub struct SubstitutionReport {
     pub missing: u64,
 }
 
-impl SubstitutionReport {
-    /// Merges another report into this one.
-    pub fn absorb(&mut self, other: SubstitutionReport) {
-        self.substituted += other.substituted;
-        self.passed_through += other.passed_through;
-        self.missing += other.missing;
-    }
-}
-
 /// Substitutes every stamped placeholder segment in `buf`'s payload with
 /// the corresponding cached chunk. Non-stamped segments pass through.
 ///
@@ -290,23 +281,6 @@ mod tests {
             0,
             "while one resolution holds it, another gets a fresh one"
         );
-    }
-
-    #[test]
-    fn report_absorb() {
-        let mut a = SubstitutionReport {
-            substituted: 1,
-            passed_through: 2,
-            missing: 0,
-        };
-        a.absorb(SubstitutionReport {
-            substituted: 3,
-            passed_through: 0,
-            missing: 1,
-        });
-        assert_eq!(a.substituted, 4);
-        assert_eq!(a.passed_through, 2);
-        assert_eq!(a.missing, 1);
     }
 
     #[test]

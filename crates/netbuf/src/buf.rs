@@ -283,11 +283,6 @@ impl NetBuf {
         self.header_len() + self.payload_len
     }
 
-    /// Whether the buffer carries neither header nor payload.
-    pub fn is_empty(&self) -> bool {
-        self.total_len() == 0
-    }
-
     /// Prepends `bytes` to the header area (one protocol layer's header).
     /// Charged as header-byte movement, which Table 2 does not count as a
     /// payload copy ("since these packets are typically small, the overhead
@@ -754,7 +749,7 @@ mod tests {
         assert_eq!(b.header_len(), 3);
         assert_eq!(b.payload_len(), 3);
         assert_eq!(b.total_len(), 6);
-        assert!(!b.is_empty());
+        assert!(b.total_len() != 0);
         let s = l.snapshot();
         assert_eq!(s.payload_copies, 1);
         assert_eq!(s.payload_bytes_copied, 3);
@@ -918,7 +913,7 @@ mod tests {
         assert_eq!(b.to_wire(), vec![2, 3, 4], "the twin kept its own landed bytes");
         let segs = b.take_payload();
         assert_eq!(segs.iter().map(|s| s.as_slice().to_vec()).collect::<Vec<_>>(), [vec![2, 3], vec![4]]);
-        assert!(b.is_empty());
+        assert!(b.total_len() == 0);
         b.land(&[5]);
         b.replace_payload(vec![Segment::from_vec(vec![6, 7])]);
         assert_eq!(b.to_wire(), vec![6, 7], "substitution drops landed bytes with the rest");
@@ -957,7 +952,7 @@ mod tests {
         b.reserve_segments(9);
         assert_eq!(l.snapshot(), before);
         assert_eq!(b.segment_count(), 0);
-        assert!(b.is_empty());
+        assert!(b.total_len() == 0);
     }
 
     #[test]

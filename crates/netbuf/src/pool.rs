@@ -549,10 +549,6 @@ pub struct Pinned {
 }
 
 impl Pinned {
-    /// Size of this reservation in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
 }
 
 impl Drop for Pinned {
@@ -607,7 +603,7 @@ mod tests {
         let a = p.pin(60).expect("fits");
         assert_eq!(p.pinned(), 60);
         assert_eq!(available(&p), 40);
-        assert_eq!(a.bytes(), 60);
+        assert_eq!(a.bytes, 60);
         drop(a);
         assert_eq!(p.pinned(), 0);
         assert_eq!(p.peak_pinned(), 60);

@@ -156,11 +156,6 @@ impl MetricsReport {
         self.add_section("stages [queue/service ns]", entries);
     }
 
-    /// Whether nothing has been added.
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
-    }
-
     /// Renders the report as aligned plain text, sections in insertion
     /// order.
     pub fn render(&self) -> String {
@@ -237,7 +232,7 @@ mod tests {
         // No request histogram → no sections.
         let mut empty = MetricsReport::new();
         empty.add_latency(&BTreeMap::new());
-        assert!(empty.is_empty());
+        assert!(empty.sections.is_empty());
     }
 
     #[test]
@@ -249,6 +244,6 @@ mod tests {
         rep.add_counters("trace counters", &counters);
         let text = rep.render();
         assert!(text.find("a").unwrap() < text.find("z").unwrap());
-        assert!(!rep.is_empty());
+        assert!(!rep.sections.is_empty());
     }
 }

@@ -182,16 +182,6 @@ impl ScsiResponse {
 }
 
 impl IscsiPdu {
-    /// Encodes any PDU's 48-byte header.
-    pub fn encode(&self) -> [u8; BHS_LEN] {
-        match self {
-            IscsiPdu::Command(c) => c.encode(),
-            IscsiPdu::DataIn(d) => d.encode(),
-            IscsiPdu::DataOut(d) => d.encode(),
-            IscsiPdu::Response(r) => r.encode(),
-            IscsiPdu::R2T(r) => r.encode(),
-        }
-    }
 
     /// Decodes a PDU header from the head of `buf`.
     ///

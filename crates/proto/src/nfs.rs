@@ -606,11 +606,6 @@ impl ReaddirArgs {
         b
     }
 
-    /// [`ReaddirArgs::encode_array`] as an owned vector.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_array().to_vec()
-    }
-
     /// Decodes the body.
     ///
     /// # Errors
@@ -873,7 +868,7 @@ mod tests {
             cookie: 7,
             count: 4096,
         };
-        assert_eq!(ReaddirArgs::decode(&a.encode()), Ok(a));
+        assert_eq!(ReaddirArgs::decode(&a.encode_array()), Ok(a));
     }
 
     #[test]
@@ -982,7 +977,7 @@ mod tests {
             for w in [offset, count] {
                 put_u32(&mut want, w);
             }
-            prop_assert_eq!(ReaddirArgs { fh, cookie: offset, count }.encode(), want);
+            prop_assert_eq!(ReaddirArgs { fh, cookie: offset, count }.encode_array().to_vec(), want);
 
             let mut want = NFS_OK.to_be_bytes().to_vec();
             want.extend_from_slice(&want_attrs);

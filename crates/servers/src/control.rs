@@ -179,15 +179,17 @@ impl StatsSnapshot for ControlStats {
     }
 }
 
-/// The per-server admission gate. All state evolves deterministically
-/// from the `(inflight, class, pressure)` sequence the server feeds it —
-/// there is no wall-clock input anywhere.
+/// The per-server admission gate, the control plane a server embeds. All
+/// state evolves deterministically from the `(inflight, class, pressure)`
+/// sequence the server feeds it — there is no wall-clock input anywhere.
 #[derive(Clone, Debug)]
 pub struct AdmissionGate {
     cfg: ControlConfig,
     /// Queue-watermark shedding mode (hysteresis between `queue_hi`
     /// and `queue_lo`).
     shedding: bool,
+    /// The in-flight depth last reported by [`AdmissionGate::set_load`].
+    inflight: u64,
     stats: ControlStats,
 }
 
@@ -197,8 +199,15 @@ impl AdmissionGate {
         AdmissionGate {
             cfg,
             shedding: false,
+            inflight: 0,
             stats: ControlStats::default(),
         }
+    }
+
+    /// Reports the current in-flight depth (from the timing layer's
+    /// state) ahead of the next request.
+    pub fn set_load(&mut self, inflight: u64) {
+        self.inflight = inflight;
     }
 
     /// The gate's configuration.
@@ -211,15 +220,16 @@ impl AdmissionGate {
         self.stats
     }
 
-    /// Decides admission for one request of `class` arriving with
-    /// `inflight` requests already in flight (this one excluded), under
-    /// the sampled cache `pressure`.
+    /// Decides admission for one request of `class` arriving with the
+    /// in-flight depth last reported by [`AdmissionGate::set_load`] (this
+    /// request excluded), under the sampled cache `pressure`.
     ///
     /// Policy order: the hard in-flight bound first (protects the
     /// server unconditionally), then write shedding from the queue
     /// watermarks (with hysteresis) and the dirty-cache watermark
     /// (writes shed before reads).
-    pub fn decide(&mut self, inflight: u64, class: OpClass, pressure: &Pressure) -> Decision {
+    pub fn decide(&mut self, class: OpClass, pressure: &Pressure) -> Decision {
+        let inflight = self.inflight;
         self.stats.offered += 1;
         if self.cfg.queue_hi > 0 {
             if inflight >= self.cfg.queue_hi {
@@ -271,50 +281,6 @@ impl AdmissionGate {
             self.stats.insert_bypass += 1;
         }
         hit
-    }
-}
-
-/// The control plane a server embeds: the gate plus the load inputs the
-/// rig pushes in before each request ([`ControlPlane::set_load`]).
-#[derive(Clone, Debug)]
-pub struct ControlPlane {
-    gate: AdmissionGate,
-    inflight: u64,
-}
-
-impl ControlPlane {
-    /// A plane around a fresh gate.
-    pub fn new(cfg: ControlConfig) -> Self {
-        ControlPlane {
-            gate: AdmissionGate::new(cfg),
-            inflight: 0,
-        }
-    }
-
-    /// Reports the current in-flight depth (from the timing layer's
-    /// open-loop state) ahead of the next request.
-    pub fn set_load(&mut self, inflight: u64) {
-        self.inflight = inflight;
-    }
-
-    /// Decides admission under the load last reported via `set_load`.
-    pub fn decide(&mut self, class: OpClass, pressure: &Pressure) -> Decision {
-        self.gate.decide(self.inflight, class, pressure)
-    }
-
-    /// See [`AdmissionGate::bypass_insert`].
-    pub fn bypass_insert(&mut self, pressure: &Pressure) -> bool {
-        self.gate.bypass_insert(pressure)
-    }
-
-    /// The gate's configuration.
-    pub fn config(&self) -> &ControlConfig {
-        self.gate.config()
-    }
-
-    /// The gate's counters.
-    pub fn stats(&self) -> ControlStats {
-        self.gate.stats()
     }
 }
 
@@ -421,6 +387,12 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    /// The gate's verdict on a request arriving with `inflight` in flight.
+    fn at(gate: &mut AdmissionGate, inflight: u64, class: OpClass, p: &Pressure) -> Decision {
+        gate.set_load(inflight);
+        gate.decide(class, p)
+    }
+
     #[test]
     fn unlimited_gate_admits_everything() {
         let mut gate = AdmissionGate::new(ControlConfig::unlimited());
@@ -430,7 +402,7 @@ mod tests {
         };
         for i in 0..10_000u64 {
             let class = if i % 3 == 0 { OpClass::Write } else { OpClass::Read };
-            assert_eq!(gate.decide(i, class, &full), Decision::Admit);
+            assert_eq!(at(&mut gate, i, class, &full), Decision::Admit);
         }
         assert!(!gate.bypass_insert(&full));
         assert_eq!(gate.stats().rejected, 0);
@@ -446,9 +418,9 @@ mod tests {
         };
         let mut gate = AdmissionGate::new(cfg);
         let p = Pressure::default();
-        assert_eq!(gate.decide(3, OpClass::Read, &p), Decision::Admit);
+        assert_eq!(at(&mut gate, 3, OpClass::Read, &p), Decision::Admit);
         assert_eq!(
-            gate.decide(4, OpClass::Read, &p),
+            at(&mut gate, 4, OpClass::Read, &p),
             Decision::RetryLater { after_ns: 0 }
         );
         assert_eq!(gate.stats().inflight_rejects, 1);
@@ -464,21 +436,21 @@ mod tests {
         };
         let mut gate = AdmissionGate::new(cfg);
         let p = Pressure::default();
-        assert_eq!(gate.decide(7, OpClass::Write, &p), Decision::Admit);
+        assert_eq!(at(&mut gate, 7, OpClass::Write, &p), Decision::Admit);
         // Crossing the high watermark trips shedding: writes rejected,
         // reads still admitted.
         assert_eq!(
-            gate.decide(8, OpClass::Write, &p),
+            at(&mut gate, 8, OpClass::Write, &p),
             Decision::RetryLater { after_ns: 7 }
         );
-        assert_eq!(gate.decide(8, OpClass::Read, &p), Decision::Admit);
+        assert_eq!(at(&mut gate, 8, OpClass::Read, &p), Decision::Admit);
         // Still shedding between the watermarks (hysteresis).
         assert_eq!(
-            gate.decide(6, OpClass::Write, &p),
+            at(&mut gate, 6, OpClass::Write, &p),
             Decision::RetryLater { after_ns: 7 }
         );
         // Clears at the low watermark.
-        assert_eq!(gate.decide(4, OpClass::Write, &p), Decision::Admit);
+        assert_eq!(at(&mut gate, 4, OpClass::Write, &p), Decision::Admit);
         assert_eq!(gate.stats().queue_sheds, 2);
     }
 
@@ -494,10 +466,10 @@ mod tests {
             ncache_permille: 0,
         };
         assert_eq!(
-            gate.decide(0, OpClass::Write, &dirty),
+            at(&mut gate, 0, OpClass::Write, &dirty),
             Decision::RetryLater { after_ns: 0 }
         );
-        assert_eq!(gate.decide(0, OpClass::Read, &dirty), Decision::Admit);
+        assert_eq!(at(&mut gate, 0, OpClass::Read, &dirty), Decision::Admit);
         assert_eq!(gate.stats().dirty_sheds, 1);
         assert!(gate.bypass_insert(&dirty));
     }

@@ -27,7 +27,7 @@ use simfs::fs::{LogicalBlock, ResidentWalk};
 use simfs::inode::Inode;
 use simfs::{Filesystem, FsError, Ino};
 
-use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
+use crate::control::{AdmissionGate, ControlConfig, ControlStats, Decision, OpClass, Pressure};
 use crate::initiator::IscsiInitiator;
 use crate::mode::ServerMode;
 use crate::nfs::ino_to_fh;
@@ -69,7 +69,7 @@ pub struct ServerHost {
     pub(crate) fault_recovery: bool,
     /// The overload control plane, when installed (off by default — a
     /// server without one behaves exactly as before).
-    control: Option<ControlPlane>,
+    control: Option<AdmissionGate>,
     /// Blocks written since write-behind last flushed.
     pub(crate) dirty_blocks_since_sync: u64,
     /// The key stamps of the logical WRITE being served: cleared when one
@@ -145,10 +145,10 @@ impl ServerHost {
         }
     }
 
-    /// Installs the overload control plane (see
-    /// [`crate::control::AdmissionGate`] for the policy).
+    /// Installs the overload control plane (see [`AdmissionGate`] for
+    /// the policy).
     pub fn enable_control(&mut self, cfg: ControlConfig) {
-        self.control = Some(ControlPlane::new(cfg));
+        self.control = Some(AdmissionGate::new(cfg));
     }
 
     /// Reports the timing layer's load to the control plane: the current
@@ -194,7 +194,7 @@ impl ServerHost {
     }
 
     /// The installed plane and the backpressure it decides under.
-    fn gate(&mut self) -> Option<(&mut ControlPlane, Pressure)> {
+    fn gate(&mut self) -> Option<(&mut AdmissionGate, Pressure)> {
         let pressure = self.control.is_some().then(|| self.pressure())?;
         Some((self.control.as_mut()?, pressure))
     }

@@ -192,11 +192,6 @@ impl IscsiInitiator {
         self.io_log.drain(..)
     }
 
-    /// The NCache module, when running the NCache build.
-    pub fn module(&self) -> Option<sim::Shared<NcacheModule>> {
-        self.module.clone()
-    }
-
     /// Writes a chunk evicted from the network-centric cache back to the
     /// storage server (dirty LBN chunk displaced by cache pressure).
     pub fn write_chunk_direct(&mut self, lbn: Lbn, segs: SegChain, len: usize) {
@@ -584,7 +579,7 @@ mod tests {
         let stamp = seg.stamp().expect("placeholder");
         assert_eq!((seg.len(), seg.stored_len()), (BLOCK_SIZE, KeyStamp::LEN));
         assert_eq!(stamp.lbn, Some(Lbn(5)));
-        let module = init.module().expect("module");
+        let module = init.module.clone().expect("module");
         assert!(module.borrow().cache_handle().contains(Lbn(5).into()));
         assert_eq!(init.stats().zero_copy_reads, 1);
         // The cached payload is the true block contents.
@@ -633,7 +628,7 @@ mod tests {
     #[test]
     fn ncache_flush_remaps_and_sends_real_data() {
         let (mut init, t, ledger) = rig(ServerMode::NCache, 1 << 22);
-        let module = init.module().expect("module");
+        let module = init.module.clone().expect("module");
         // An NFS write parked payload in the FHO cache.
         let fho = netbuf::key::Fho::new(netbuf::key::FileHandle(7), 0);
         let stamp = module
@@ -660,7 +655,7 @@ mod tests {
         // dirty FHO chunk: the next data read must fall back.
         let chunk = BLOCK_SIZE as u64 + 128;
         let (mut init, _t, _l) = rig(ServerMode::NCache, chunk);
-        let module = init.module().expect("module");
+        let module = init.module.clone().expect("module");
         module
             .borrow_mut()
             .on_nfs_write(

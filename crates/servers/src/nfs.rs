@@ -654,8 +654,7 @@ impl NfsClient {
         }
     }
 
-    /// The slab pool WRITE payloads land on, once a WRITE has made it
-    /// (diagnostics/tests).
+    /// The slab pool WRITE payloads land on, once a WRITE has made it.
     pub fn pool(&self) -> Option<&BufPool> {
         self.pool.as_ref()
     }

@@ -143,15 +143,6 @@ impl<W> Engine<W> {
         self.sched.schedule_in(delay, f);
     }
 
-    /// Schedules `f` at an absolute instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static) {
-        self.sched.schedule_at(at, f);
-    }
-
     /// Runs until the event queue is empty. Returns the final time.
     pub fn run(&mut self) -> SimTime {
         self.run_until(SimTime::from_nanos(u64::MAX))

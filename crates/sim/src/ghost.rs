@@ -7,8 +7,8 @@
 //! tail knows nothing about packets or blocks — keys and stamps are plain
 //! integers — so the file-system buffer cache and the network-centric
 //! cache both hold one without either depending on the other; the split
-//! controller that compares their hit rates lives with the NCache module
-//! (`ncache::adaptive`).
+//! controller that compares their hit counts lives in the testbed
+//! (`testbed::adaptive`).
 //!
 //! A ghost is a **pure observer**: probing or recording never draws a
 //! recency stamp, never bumps an ops tally, and never influences victim
@@ -17,25 +17,6 @@
 //! the tail is identical at any thread or shard count.
 
 use crate::recency::RecencyMap;
-
-/// Counters of one ghost tail (or a shard-merge of several).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GhostStats {
-    /// Misses that consulted the tail.
-    pub probes: u64,
-    /// Probes that found their key — would-have-hit requests.
-    pub hits: u64,
-}
-
-impl GhostStats {
-    /// Folds another stats block in. Plain sums, so merging shard stats
-    /// is order-invariant: any permutation of `absorb` calls yields the
-    /// same totals.
-    pub fn absorb(&mut self, other: &GhostStats) {
-        self.probes += other.probes;
-        self.hits += other.hits;
-    }
-}
 
 /// A bounded shadow tail of recently evicted keys.
 ///
@@ -54,7 +35,7 @@ impl GhostStats {
 /// g.record(11, 2);
 /// g.record(12, 3); // displaces key 10 (stamp 1)
 /// assert!(!g.probe(10) && g.probe(11) && g.probe(12));
-/// assert_eq!(g.stats().hits, 2);
+/// assert_eq!(g.hits(), 2);
 /// ```
 #[derive(Debug)]
 pub struct GhostLru {
@@ -62,7 +43,8 @@ pub struct GhostLru {
     /// The members, each under the stamp it was evicted at. Stamps never
     /// move once recorded, so every head is settled.
     members: RecencyMap<u64, (), 1>,
-    stats: GhostStats,
+    /// Probes that found their key — would-have-hit requests.
+    hits: u64,
 }
 
 impl GhostLru {
@@ -71,28 +53,8 @@ impl GhostLru {
         GhostLru {
             cap,
             members: RecencyMap::new(),
-            stats: GhostStats::default(),
+            hits: 0,
         }
-    }
-
-    /// Maximum entries.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Current entries.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the tail holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Membership without counting a probe (tests and diagnostics).
-    pub fn contains(&self, key: u64) -> bool {
-        self.members.contains_key(&key)
     }
 
     /// Records the eviction of `key` at recency `stamp`. Re-recording a
@@ -114,17 +76,14 @@ impl GhostLru {
     /// the key sits in the tail. The entry stays — it is dropped only by
     /// displacement.
     pub fn probe(&mut self, key: u64) -> bool {
-        self.stats.probes += 1;
         let hit = self.members.contains_key(&key);
-        if hit {
-            self.stats.hits += 1;
-        }
+        self.hits += u64::from(hit);
         hit
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> GhostStats {
-        self.stats
+    /// Probes that found their key so far.
+    pub fn hits(&self) -> u64 {
+        self.hits
     }
 
     /// Keys ordered oldest → newest eviction (test support).
@@ -162,14 +121,11 @@ mod tests {
         for (k, s) in [(1u64, 10u64), (2, 11), (3, 12), (4, 13)] {
             g.record(k, s);
         }
-        assert_eq!(g.len(), 3);
-        assert!(!g.contains(1), "oldest displaced");
-        assert_eq!(g.keys_by_recency(), vec![2, 3, 4]);
+        assert_eq!(g.keys_by_recency(), vec![2, 3, 4], "oldest displaced");
         assert!(g.probe(3));
         assert!(g.probe(3), "probing does not remove");
         assert!(!g.probe(9));
-        let s = g.stats();
-        assert_eq!((s.probes, s.hits), (3, 2));
+        assert_eq!(g.hits(), 2);
     }
 
     #[test]
@@ -179,28 +135,13 @@ mod tests {
         g.record(2, 11);
         g.record(1, 12); // key 1 becomes newest
         g.record(3, 13); // displaces key 2, not key 1
-        assert!(g.contains(1) && g.contains(3) && !g.contains(2));
+        assert_eq!(g.keys_by_recency(), vec![1, 3]);
     }
 
     #[test]
     fn ghost_zero_cap() {
         let mut z = GhostLru::new(0);
         z.record(1, 1);
-        assert!(z.is_empty(), "zero-cap tail records nothing");
-    }
-
-    #[test]
-    fn stats_absorb_sums() {
-        let a = GhostStats { probes: 1, hits: 2 };
-        let b = GhostStats {
-            probes: 10,
-            hits: 20,
-        };
-        let mut ab = a;
-        ab.absorb(&b);
-        let mut ba = b;
-        ba.absorb(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.hits, 22);
+        assert!(z.keys_by_recency().is_empty(), "zero-cap tail records nothing");
     }
 }

@@ -59,7 +59,7 @@ pub mod time;
 pub use costs::CostModel;
 pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
-pub use ghost::{GhostLru, GhostStats};
+pub use ghost::GhostLru;
 pub use hash::{mix64, MixMap};
 pub use recency::{RecencyClass, RecencyMap, Resident};
 pub use resource::Resource;

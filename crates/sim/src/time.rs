@@ -86,10 +86,6 @@ impl SimTime {
         Duration(self.0.saturating_sub(earlier.0))
     }
 
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
 }
 
 impl Duration {
@@ -133,11 +129,6 @@ impl Duration {
     /// The span in seconds, as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Whether this span is empty.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating subtraction of spans.
@@ -280,8 +271,7 @@ mod tests {
         assert_eq!(d / 2, Duration::from_micros(2));
         assert_eq!(d + d, Duration::from_micros(8));
         assert_eq!(d - Duration::from_micros(1), Duration::from_micros(3));
-        assert!(Duration::ZERO.is_zero());
-        assert!(!d.is_zero());
+        assert_ne!(d, Duration::ZERO);
     }
 
     #[test]

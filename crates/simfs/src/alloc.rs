@@ -48,11 +48,6 @@ impl Bitmap {
         }
     }
 
-    /// Number of objects this bitmap tracks.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Objects currently free.
     pub fn free_count(&self) -> u64 {
         self.free

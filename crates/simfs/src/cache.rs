@@ -205,11 +205,11 @@ impl BufferCache {
         self.ghost = Some(std::sync::Mutex::new(sim::GhostLru::new(cap)));
     }
 
-    /// Counters of the ghost tail, or `None` when none is attached.
-    pub fn ghost_stats(&self) -> Option<sim::GhostStats> {
+    /// The ghost tail's hits so far (0 when none is attached).
+    pub fn ghost_hits(&self) -> u64 {
         self.ghost
             .as_ref()
-            .map(|g| g.lock().expect("ghost poisoned").stats())
+            .map_or(0, |g| g.lock().expect("ghost poisoned").hits())
     }
 
     /// Emits every subsequent access, insertion and eviction on `rec`.
@@ -263,11 +263,6 @@ impl BufferCache {
     /// Whether `lbn` is resident (does not touch LRU order or counters).
     pub fn contains(&self, lbn: u64) -> bool {
         self.map.contains_key(&lbn)
-    }
-
-    /// Whether `lbn` is resident and dirty.
-    pub fn is_dirty(&self, lbn: u64) -> bool {
-        self.map.get(&lbn).is_some_and(|e| e.dirty)
     }
 
     /// Finds a resident block *without* promotion, counters, or events —
@@ -496,6 +491,11 @@ impl BufferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `lbn` is resident and dirty.
+    fn dirty(c: &BufferCache, lbn: u64) -> bool {
+        c.map.get(&lbn).is_some_and(|e| e.dirty)
+    }
     use check::gen::*;
     use check::{prop_assert, prop_assert_eq, property};
 
@@ -564,14 +564,14 @@ mod tests {
         let mut c = BufferCache::new(4);
         c.insert(1, seg(1), BlockClass::Data, false);
         c.insert(2, seg(2), BlockClass::Meta, false);
-        assert!(!c.is_dirty(1));
+        assert!(!dirty(&c, 1));
         c.map.update(&1, |e| e.dirty = true).expect("resident");
-        assert!(c.is_dirty(1));
+        assert!(dirty(&c, 1));
         let mut flushed = Vec::new();
         c.flush_dirty(&mut flushed);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].lbn, 1);
-        assert!(!c.is_dirty(1), "flush leaves blocks clean");
+        assert!(!dirty(&c, 1), "flush leaves blocks clean");
         c.flush_dirty(&mut flushed);
         assert_eq!(flushed.len(), 1, "nothing left to flush");
     }
@@ -581,7 +581,7 @@ mod tests {
         let mut c = BufferCache::new(4);
         c.insert(1, seg(1), BlockClass::Data, false);
         c.update(1, seg(7));
-        assert!(c.is_dirty(1));
+        assert!(dirty(&c, 1));
         assert_eq!(c.get(1), Some(seg(7)));
     }
 

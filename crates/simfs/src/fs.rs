@@ -110,8 +110,6 @@ impl Superblock {
 /// segment attached by reference plus its identity.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogicalBlock {
-    /// File block index.
-    pub file_index: u64,
     /// Volume block address (the LBN the storage server knows it by), or
     /// `None` for an unallocated hole.
     pub lbn: Option<u64>,
@@ -396,10 +394,9 @@ impl<S: BlockStore> Filesystem<S> {
         self.cache.enable_ghost(cap);
     }
 
-    /// Counters of the buffer cache's ghost tail, or `None` when none is
-    /// attached.
-    pub fn cache_ghost_stats(&self) -> Option<sim::GhostStats> {
-        self.cache.ghost_stats()
+    /// The buffer cache's ghost hits so far (0 when no tail is attached).
+    pub fn cache_ghost_hits(&self) -> u64 {
+        self.cache.ghost_hits()
     }
 
     /// Advances the buffer cache's plain recency counter past `stamp`
@@ -421,11 +418,6 @@ impl<S: BlockStore> Filesystem<S> {
     /// Free data blocks remaining.
     pub fn free_blocks(&self) -> u64 { // test-api: namespace_ops checks REMOVE frees blocks
         self.dbitmap.free_count()
-    }
-
-    /// Access to the backing store (for test inspection).
-    pub fn store(&self) -> &S {
-        &self.store
     }
 
     /// Exclusive access to the backing store (the NCache build drains the
@@ -691,7 +683,6 @@ impl<S: BlockStore> Filesystem<S> {
             walk.commit(|b| {
                 self.ledger.charge_logical_copy();
                 out.push(LogicalBlock {
-                    file_index: b.file_index,
                     lbn: Some(b.lbn),
                     seg: b.seg.clone(),
                     valid_len: b.len,
@@ -748,7 +739,6 @@ impl<S: BlockStore> Filesystem<S> {
                 None => Segment::zeroed(BLOCK_SIZE),
             };
             out.push(LogicalBlock {
-                file_index: blk,
                 lbn,
                 seg,
                 valid_len: valid,
@@ -1596,8 +1586,9 @@ mod tests {
         assert_eq!(blocks_a.len(), 17);
         assert_eq!(blocks_a, blocks_b);
         for (x, y) in blocks_a.iter().zip(&blocks_c) {
-            assert_eq!((x.file_index, x.lbn, &x.seg, x.valid_len), (y.0, Some(y.1), &y.2, y.3));
+            assert_eq!((x.lbn, &x.seg, x.valid_len), (Some(y.1), &y.2, y.3));
         }
+        assert!(blocks_c.windows(2).all(|w| w[1].0 == w[0].0 + 1), "commit walks file blocks in order");
         assert_eq!((&attr_a, &attr_a), (&attr_b, &attr_c));
         assert_eq!((tally_a, tally_a), (tally_b, tally_c), "same counted access count");
         let deltas = [&a, &b, &c].map(|fs| fs.cache_stats());

@@ -322,15 +322,18 @@ struct Chain {
 /// Where completions go: the part of each entry point's result that the
 /// other two do not have.
 pub(crate) trait Sink {
-    /// An admitted request of session `sid` completed at `now`; `late`
-    /// means past the client's deadline (the bytes are real yet worthless
-    /// to the caller, so the engine keeps them out of its meter).
-    fn delivered(&mut self, sid: usize, now: SimTime, flight: &Flight, late: bool);
+    /// An admitted request completed at `now`; `late` means past the
+    /// client's deadline (the bytes are real yet worthless to the caller,
+    /// so the engine keeps them out of its meter).
+    fn delivered(&mut self, _now: SimTime, _flight: &Flight, _late: bool) {}
 
     /// A request was shed: every transmission was rejected and the retry
     /// budget (or the deadline) ran out — a client-visible error.
     fn shed(&mut self) {}
 }
+
+/// The sessions engine's sink: the walker's totals are its whole result.
+impl Sink for () {}
 
 /// The arrival process: where operations come from and, with them, the
 /// per-mode rules of DESIGN.md §5.
@@ -397,6 +400,8 @@ impl Arrivals<'_> {
 pub(crate) struct Totals {
     /// On-time completions: the throughput numerator.
     pub(crate) meter: Throughput,
+    /// Latency of every delivered request, late ones included.
+    pub(crate) latency: obs::Histogram,
     /// Instant the last chain drained.
     pub(crate) end: SimTime,
     /// Most requests simultaneously outstanding at the client.
@@ -726,7 +731,8 @@ impl<'a, R: RigDriver, S: Sink> Walker<'a, R, S> {
             if !late {
                 self.totals.meter.record(fg.payload);
             }
-            self.sink.delivered(sid, now, &fg, late);
+            self.totals.latency.record(latency_ns);
+            self.sink.delivered(now, &fg, late);
         } else {
             self.totals.shed += 1;
             self.sink.shed();

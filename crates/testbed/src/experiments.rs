@@ -15,6 +15,7 @@ use workload::specsfs::{SpecSfs, SpecSfsParams};
 use workload::specweb::{PageSet, SpecWeb};
 use workload::{FileId, NfsOp};
 
+use crate::adaptive::SplitConfig;
 use crate::executor::{self, derive_seed, run_cells};
 use crate::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use crate::nfs_rig::{FaultCounters, NfsRig, NfsRigParams};
@@ -137,7 +138,7 @@ impl<'a> Exp<'a> {
     /// private recorder mirroring the run's configuration — cells never
     /// share one — and absorbs them back in cell order, so a traced run's
     /// exported bytes are identical at any thread count.
-    fn sweep<C: Copy + Sync, R: Send>(
+    pub(crate) fn sweep<C: Copy + Sync, R: Send>(
         &self,
         cells: &[C],
         cell: impl Fn(usize, C, Option<&obs::Recorder>) -> R + Sync,
@@ -955,7 +956,7 @@ pub const ADAPTIVE_ABLATION_SEED: u64 = 37;
 
 /// The static-vs-adaptive cache-split ablation (DESIGN.md §16): the
 /// NCache build under a phase-changing Zipf workload, once with the
-/// split controller frozen ([`ncache::SplitConfig`] with `dynamic:
+/// split controller frozen ([`SplitConfig`] with `dynamic:
 /// false`) and once live. The initial split is deliberately lopsided —
 /// most of the quota sits in the FS buffer cache, which under NCache
 /// only ever sees NCache-miss traffic — so the live controller's job is
@@ -1006,14 +1007,14 @@ pub fn adaptive_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
         };
         let mut rig: NfsRig = x.rig(ServerMode::NCache, params, rec, None);
         let fh = rig.create_file("hot", FILE);
-        rig.enable_adaptive(ncache::SplitConfig {
+        rig.enable_adaptive(SplitConfig {
             dynamic: variant == "adaptive",
             epoch_ops: 16,
             step_blocks: 128,
             hysteresis: 12,
             cooldown_epochs: 2,
             min_fs_blocks: 64,
-            min_ncache_bytes: 64 * ncache::adaptive::QUOTA_BLOCK,
+            min_ncache_bytes: 64 * simfs::BLOCK_SIZE as u64,
             ghost_blocks: 4096,
         });
         let opts = SessionsOptions {
@@ -1241,7 +1242,7 @@ pub static ALL: [Experiment; 15] = {
         row("fig6a",          None,                   [Y, Y, N], |x| fig6a(x).to_string()),
         row("fig6b",          None,                   [Y, Y, N], |x| fig6b(x).to_string()),
         row("fig7",           None,                   [Y, Y, N], |x| fig7(x).to_string()),
-        row("ablations",      None,                   [Y, N, N], |x| crate::ablations::render(x.scale)),
+        row("ablations",      None,                   [Y, N, N], crate::ablations::render),
     ]
 };
 

@@ -31,6 +31,7 @@
 //! bench iterate.
 
 pub mod ablations;
+pub mod adaptive;
 mod engine;
 pub mod executor;
 pub mod experiments;

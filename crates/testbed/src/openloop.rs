@@ -64,14 +64,10 @@ pub struct OpenLoopResult {
     /// Delivered payload over the full run, MB/s (decimal). Under
     /// overload this flattens at capacity while latency keeps growing.
     pub goodput_mbs: f64,
-    /// Completed operations per second of simulated run time.
-    pub ops_per_sec: f64,
     /// Foreground operations completed.
     pub ops: u64,
     /// Payload bytes delivered.
     pub payload_bytes: u64,
-    /// Simulated instant the last chain drained.
-    pub elapsed: SimTime,
     /// Most requests simultaneously in flight (arrived, not completed).
     pub peak_inflight: u64, // test-api: the zero-load tests' evidence that no two requests overlap
     /// End-to-end request latency, quantile-queryable.
@@ -97,13 +93,11 @@ pub struct OpenLoopResult {
     pub max_attempts: u64, // test-api: the retry tests' bound of 1 + the per-request budget
 }
 
-/// The open-loop completion sink: a quantile-queryable latency histogram
-/// and per-stage totals over every admitted request, deadline accounting
-/// and the `openloop.*` recorder counters.
+/// The open-loop completion sink: per-stage totals over every admitted
+/// request, deadline accounting and the `openloop.*` recorder counters.
 #[derive(Default)]
 struct OpenLoopSink {
     rec: obs::Recorder,
-    latency: obs::Histogram,
     /// Queue and service totals by [`STAGE_NAMES`] slot, `None` for a
     /// stage no delivered request went through.
     stage_totals: [Option<(u64, u64)>; STAGE_NAMES.len()],
@@ -111,12 +105,11 @@ struct OpenLoopSink {
 }
 
 impl Sink for OpenLoopSink {
-    fn delivered(&mut self, _sid: usize, now: SimTime, flight: &Flight, late: bool) {
+    fn delivered(&mut self, _now: SimTime, flight: &Flight, late: bool) {
         if late {
             self.deadline_exceeded += 1;
             self.rec.add_counter("openloop.deadline_exceeded", 1);
         }
-        self.latency.record(now.since(flight.start).as_nanos());
         for st in &flight.stages {
             let t = self.stage_totals[st.slot].get_or_insert((0, 0));
             t.0 += st.queue_ns;
@@ -182,12 +175,10 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
             .collect();
         OpenLoopResult {
             goodput_mbs: w.totals.meter.megabytes_per_sec(elapsed),
-            ops_per_sec: w.totals.meter.ops_per_sec(elapsed),
             ops: w.totals.meter.ops(),
             payload_bytes: w.totals.meter.bytes(),
-            elapsed,
             peak_inflight: w.totals.peak_inflight,
-            latency: w.sink.latency.snapshot(),
+            latency: w.totals.latency.snapshot(),
             stages,
             deadline_exceeded: w.sink.deadline_exceeded,
             shed: w.totals.shed,
@@ -334,7 +325,6 @@ mod tests {
         // Queue time dominates under overload; it is absent unloaded.
         let queued: u64 = heavy.stages.iter().map(|s| s.queue_ns).sum();
         assert!(queued > 0);
-        assert!(heavy.elapsed > SimTime::ZERO);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! generic over the application — the server type behind the small [`App`]
 //! trait — and owns the wiring, the fault plan, the sessions (a client and
 //! its link) and the one faulted exchange loop, the one op body, the
-//! control and adaptive planes, the recorder, the metrics report and the
-//! [`RigDriver`] the timing engines drive. What is NFS about the NFS rig
+//! control plane, the hooks of the adaptive plane ([`crate::adaptive`]),
+//! the recorder, the metrics report and the [`RigDriver`] the timing
+//! engines drive. What is NFS about the NFS rig
 //! (files, READ/WRITE/GETATTR, the xid accept test and base) is in
 //! [`crate::nfs_rig`]; what is HTTP about the web rig (pages, GET, the
 //! status accept test) is in [`crate::khttpd_rig`].
@@ -20,6 +21,7 @@ use sim::costs::CostModel;
 use sim::{FaultKind, FaultLink, FaultPlan, FaultSpec, SplitMix64};
 use simfs::{Filesystem, FsParams, Ino};
 
+use crate::adaptive::SplitController;
 use crate::executor::derive_seed;
 use crate::runner::{DriverOp, RigDriver, FRAME_OVERHEAD};
 use crate::timing::{Observation, OpMeter, Transport};
@@ -373,7 +375,8 @@ pub struct Rig<A: App> {
     armed: Option<(FaultSpec, u64)>,
     /// Every session's recovery actions, summed.
     counters: FaultCounters,
-    adaptive: Option<ncache::SplitController>,
+    /// The adaptive split plane, when installed ([`Rig::enable_adaptive`]).
+    pub(crate) adaptive: Option<SplitController>,
     /// The storage I/O of the request being metered: emptied after each
     /// request, never shrunk, so metering one allocates no list.
     io: Vec<IoRecord>,
@@ -484,35 +487,6 @@ impl<A: App> Rig<A> {
         self.server.control_stats()
     }
 
-    /// Installs the adaptive cache-split plane (DESIGN.md §16): ghost LRU
-    /// tails on the FS buffer cache and (under the NCache build) the
-    /// NCache pool, plus the epoch-aligned [`ncache::SplitController`]
-    /// seeded with the caches' *current* capacities. With `dynamic: false`
-    /// the controller is frozen —
-    /// ghosts observe but quotas never move and nothing is emitted, so
-    /// the installation is byte-for-byte unobservable.
-    pub fn enable_adaptive(&mut self, cfg: ncache::SplitConfig) {
-        let fs = self.server.fs_mut();
-        fs.enable_cache_ghost(cfg.ghost_blocks);
-        let fs_blocks = fs.cache_capacity() as u64;
-        let ncache_bytes = match self.server.module() {
-            Some(m) => {
-                let m = m.borrow();
-                m.enable_ghost(cfg.ghost_blocks);
-                m.pool_capacity()
-            }
-            // Without the NCache pool there is no donor and the
-            // nc ghost never fires: the controller stays put.
-            None => 0,
-        };
-        self.adaptive = Some(ncache::SplitController::new(cfg, fs_blocks, ncache_bytes));
-    }
-
-    /// The installed split controller, if any.
-    pub fn adaptive_controller(&self) -> Option<&ncache::SplitController> { // test-api: the adaptive oracle reads the controller
-        self.adaptive.as_ref()
-    }
-
     /// The client-side recovery counters, summed over every session (all
     /// zero without faults).
     pub fn fault_counters(&self) -> FaultCounters {
@@ -526,11 +500,6 @@ impl<A: App> Rig<A> {
         self.ledgers.app.attach_recorder(&rec);
         self.ledgers.storage.attach_recorder(&rec);
         self.server.set_recorder(rec);
-    }
-
-    /// The rig's recorder (disabled unless [`Self::set_recorder`] ran).
-    pub fn recorder(&self) -> &obs::Recorder {
-        self.server.recorder()
     }
 
     /// Snapshots every stats struct in the rig into one unified report.
@@ -553,8 +522,8 @@ impl<A: App> Rig<A> {
         if let Some(control) = self.server.control_stats() {
             report.add_snapshot("control", &control);
         }
-        if let Some(c) = self.adaptive.as_ref().filter(|c| c.is_dynamic()) {
-            report.add_snapshot("adaptive", &c.split_stats());
+        if let Some(c) = &self.adaptive {
+            c.report(&mut report);
         }
         report
     }
@@ -770,52 +739,12 @@ impl<A: App> RigDriver for Rig<A> {
         self.adaptive.as_ref().map(|c| c.config().epoch_ops)
     }
 
-    /// One controller epoch: samples cumulative cache + ghost counters,
-    /// lets the controller window them and decide, and applies any quota
-    /// move *eagerly* — the FS cache evicts (flushing dirty victims)
-    /// down to its new capacity and the NCache pool sheds clean chunks,
-    /// all inside the tick, never lazily mid-request. Storage I/O issued
-    /// by resize writebacks is drained from the store's log so it is
-    /// charged to no request's burst (both engines tick at identical
-    /// op-count boundaries, so both drain identically).
+    /// One controller epoch: the controller samples, decides and applies
+    /// (`SplitController::tick_host`, in [`crate::adaptive`]).
     fn adaptive_tick(&mut self) {
-        let Some(controller) = self.adaptive.as_mut() else {
-            return;
-        };
-        let fs = self.server.fs_mut();
-        let fs_stats = fs.cache_stats();
-        let fs_ghost = fs.cache_ghost_stats().unwrap_or_default();
-        let (nc_stats, nc_ghost) = match self.server.module() {
-            Some(m) => {
-                let m = m.borrow();
-                (m.stats(), m.ghost_stats().unwrap_or_default())
-            }
-            None => Default::default(),
-        };
-        let resize = controller.tick(ncache::SplitSample {
-            fs_hits: fs_stats.hits,
-            fs_misses: fs_stats.misses,
-            fs_ghost_hits: fs_ghost.hits,
-            nc_hits: nc_stats.hits,
-            nc_misses: nc_stats.lookups - nc_stats.hits,
-            nc_ghost_hits: nc_ghost.hits,
-        });
-        if controller.is_dynamic() {
-            let w = controller.window();
-            if w.fs_ghost_hits > 0 {
-                self.server.recorder().add_counter("ghost.hit.fs", w.fs_ghost_hits);
-            }
-            if w.nc_ghost_hits > 0 {
-                self.server.recorder().add_counter("ghost.hit.ncache", w.nc_ghost_hits);
-            }
+        if let Some(c) = &mut self.adaptive {
+            c.tick_host(&mut self.server);
         }
-        let Some(resize) = resize else { return };
-        self.server.fs_mut().set_cache_capacity(resize.fs_blocks as usize);
-        if let Some(m) = self.server.module() {
-            m.borrow().set_pool_capacity(resize.ncache_bytes);
-        }
-        let _ = self.server.fs_mut().store_mut().take_io_log();
-        self.server.recorder().add_counter("adaptive.resize", 1);
     }
 }
 

@@ -154,9 +154,6 @@ pub struct RunResult {
     pub payload_bytes: u64,
     /// Mean request latency.
     pub mean_latency: Duration, // test-api: lifecycle's Little's-law bound
-    /// 99th-percentile request latency, interpolated within one
-    /// sub-bucket ([`obs::HistogramSnapshot::quantile`]).
-    pub p99_latency: Duration,
     /// Per-interval throughput samples over the run (≤ 32 buckets;
     /// empty when no foreground operation completed).
     pub timeline: Vec<TimelineSample>,
@@ -203,17 +200,15 @@ fn build_timeline(samples: &[(u64, u64)], elapsed_ns: u64) -> Vec<TimelineSample
     out
 }
 
-/// The shared-queue completion sink: request latency plus the raw
-/// completion samples `(t_ns, payload)` the timeline is bucketed from.
+/// The shared-queue completion sink: the raw completion samples
+/// `(t_ns, payload)` the timeline is bucketed from.
 #[derive(Default)]
 struct RunSink {
-    latency: obs::Histogram,
     samples: Vec<(u64, u64)>,
 }
 
 impl Sink for RunSink {
-    fn delivered(&mut self, _sid: usize, now: SimTime, flight: &Flight, _late: bool) {
-        self.latency.record(now.since(flight.start).as_nanos());
+    fn delivered(&mut self, now: SimTime, flight: &Flight, _late: bool) {
         self.samples.push((now.as_nanos(), flight.payload));
     }
 }
@@ -243,7 +238,7 @@ pub fn run<R: RigDriver>(
     w.run();
 
     let elapsed = w.totals.end;
-    let latency = std::mem::take(&mut w.sink.latency).into_snapshot();
+    let latency = std::mem::take(&mut w.totals.latency).into_snapshot();
     let timeline = build_timeline(&w.sink.samples, elapsed.as_nanos());
     for s in &timeline {
         rec.set_now(s.t_ns);
@@ -263,7 +258,6 @@ pub fn run<R: RigDriver>(
         ops: w.totals.meter.ops(),
         payload_bytes: w.totals.meter.bytes(),
         mean_latency: Duration::from_nanos(latency.mean()),
-        p99_latency: Duration::from_nanos(latency.quantile(0.99)),
         timeline,
     }
 }

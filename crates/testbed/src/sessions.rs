@@ -34,7 +34,7 @@ pub use crate::openloop::{
     run_open_loop, run_open_loop_at, OpenLoopOptions, OpenLoopResult,
 };
 
-use crate::engine::{Arrivals, Flight, Sink, Walker};
+use crate::engine::{Arrivals, Walker};
 use crate::executor::run_cells;
 use crate::nfs_rig::NfsRig;
 use crate::rig::{App, NodeLedgers, Session};
@@ -69,8 +69,6 @@ pub struct SessionsResult {
     pub ops: u64,
     /// Payload bytes delivered.
     pub payload_bytes: u64,
-    /// Operations completed per session, indexed by session id.
-    pub per_session_ops: Vec<u64>,
     /// 99th-percentile request latency, interpolated within one
     /// sub-bucket ([`obs::HistogramSnapshot::quantile`]).
     pub p99_latency: Duration,
@@ -80,20 +78,6 @@ pub struct SessionsResult {
     pub shed: u64,
     /// Tier counters when the run used a tiered backend.
     pub tier: Option<TierStats>,
-}
-
-/// The per-session completion sink: request latency and how many
-/// operations each session got through.
-struct SessionSink {
-    latency: obs::Histogram,
-    per_session_ops: Vec<u64>,
-}
-
-impl Sink for SessionSink {
-    fn delivered(&mut self, sid: usize, now: SimTime, flight: &Flight, _late: bool) {
-        self.latency.record(now.since(flight.start).as_nanos());
-        self.per_session_ops[sid] += 1;
-    }
 }
 
 /// Runs `sessions` (one operation stream per session) against `rig`.
@@ -113,26 +97,21 @@ pub fn run_sessions<R: RigDriver + 'static>(
 ) -> (R, SessionsResult) {
     let n = sessions.len();
     let result = {
-        let sink = SessionSink {
-            latency: obs::Histogram::new(),
-            per_session_ops: vec![0; n],
-        };
         let arrivals = Arrivals::per_session(sessions);
-        let mut w = Walker::new(&mut rig, arrivals, sink, 1, opts.tier);
+        let mut w = Walker::new(&mut rig, arrivals, (), 1, opts.tier);
         w.hook = hook;
         for sid in 0..n {
             w.issue(SimTime::ZERO, sid);
         }
         w.run();
         let elapsed = w.totals.end;
-        let latency = std::mem::take(&mut w.sink.latency).into_snapshot();
+        let latency = std::mem::take(&mut w.totals.latency).into_snapshot();
         SessionsResult {
             throughput_mbs: w.totals.meter.megabytes_per_sec(elapsed),
             ops_per_sec: w.totals.meter.ops_per_sec(elapsed),
             elapsed,
             ops: w.totals.meter.ops(),
             payload_bytes: w.totals.meter.bytes(),
-            per_session_ops: w.sink.per_session_ops,
             p99_latency: Duration::from_nanos(latency.quantile(0.99)),
             shed: w.totals.shed,
             tier: w.hw.array.tier_stats(),
@@ -568,9 +547,18 @@ mod tests {
         let sessions: Vec<_> = (0..16)
             .map(|sid| session_reads(fh, sid, 8, 16 << 10, 2 << 20))
             .collect();
-        let (_rig, r) = run_nfs_sessions(rig, sessions, &SessionsOptions::default());
+        // Count each session's executions through the hook, which runs
+        // on the way into and out of every one.
+        let counts = std::rc::Rc::new(std::cell::RefCell::new(vec![0u64; 16]));
+        let seen = std::rc::Rc::clone(&counts);
+        let mut swap = nfs_session_clients(&rig, 16);
+        let hook: SessionHook<NfsRig> = Box::new(move |rig, sid| {
+            swap(rig, sid);
+            seen.borrow_mut()[sid] += 1;
+        });
+        let (_rig, r) = run_sessions(rig, sessions, &SessionsOptions::default(), Some(hook));
         assert_eq!(r.ops, 16 * 8);
-        assert_eq!(r.per_session_ops, vec![8u64; 16]);
+        assert_eq!(*counts.borrow(), vec![2 * 8u64; 16], "eight ops per session");
         assert_eq!(r.payload_bytes, 16 * 8 * (16 << 10));
         assert!(r.throughput_mbs > 0.0);
         assert!(r.elapsed > SimTime::ZERO);
@@ -962,7 +950,7 @@ mod tests {
         // Substitution off, or checksum inheritance off, used to keep every
         // lane op on the exclusive path: the deferred transmit could not
         // reproduce either ablation. With the one in-step hook every warm
-        // READ of all three `ablation_mechanisms` configs is a shared-guard
+        // READ of all three mechanisms-ablation configs is a shared-guard
         // hit, and none takes the module's mutex.
         for (substitution, csum_inherit) in [(true, true), (true, false), (false, true)] {
             let build = || {

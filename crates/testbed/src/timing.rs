@@ -69,8 +69,6 @@ pub fn coalesce(io: &[IoRecord]) -> Vec<StorageBurst> {
 pub struct Observation {
     /// The application server's ledger delta.
     pub app: LedgerSnapshot,
-    /// The storage server's ledger delta.
-    pub storage: LedgerSnapshot,
     /// NCache management operations (lookups + insertions + remaps).
     pub ncache_ops: u64,
     /// Packets substituted at the driver hook.
@@ -95,8 +93,8 @@ pub struct Observation {
 /// whichever engine ran it.
 ///
 /// The mechanism is per-thread attribution: a ledger window
-/// ([`netbuf::CopyLedger::begin_window`]) over the application and storage
-/// ledgers and the two caches' op tally ([`sim::epoch::take_tally`]). Each
+/// ([`netbuf::CopyLedger::begin_window`]) over the application ledger and
+/// the two caches' op tally ([`sim::epoch::take_tally`]). Each
 /// accumulates exactly this thread's charges, and every charge of an
 /// operation — the transmit hook's included, which runs inside the server
 /// step on every path — happens on the thread that runs it, so the bracket
@@ -109,13 +107,12 @@ pub(crate) struct OpMeter(());
 
 impl OpMeter {
     /// Opens the bracket: drains whatever earlier work left on this
-    /// thread's tally and opens the ledger windows. Everything here is
+    /// thread's tally and opens the ledger window. Everything here is
     /// the calling thread's own, so a lane may open its bracket before it
     /// takes the core lock — waiting charges nothing.
     pub(crate) fn open(ledgers: &NodeLedgers) -> OpMeter {
         let _ = sim::epoch::take_tally();
         ledgers.app.begin_window();
-        ledgers.storage.begin_window();
         OpMeter(())
     }
 
@@ -136,7 +133,6 @@ impl OpMeter {
     ) -> Observation {
         let tally = sim::epoch::take_tally();
         Observation {
-            storage: ledgers.storage.end_window(),
             app: ledgers.app.end_window(),
             bufcache_ops: tally.fs,
             ncache_ops: tally.ncache,

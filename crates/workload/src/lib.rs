@@ -67,13 +67,6 @@ pub enum NfsOp {
 }
 
 impl NfsOp {
-    /// Payload bytes this operation moves.
-    pub fn payload_len(&self) -> u64 {
-        match self {
-            NfsOp::Read { len, .. } | NfsOp::Write { len, .. } => u64::from(*len),
-            _ => 0,
-        }
-    }
 }
 
 /// One HTTP request issued by a web workload.
@@ -81,23 +74,5 @@ impl NfsOp {
 pub struct HttpOp {
     /// Page path (matches a file created at setup).
     pub path: String,
-    /// The page's size (for verification).
-    pub size: u64,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn op_classification() {
-        let r = NfsOp::Read {
-            file: FileId(0),
-            offset: 0,
-            len: 4096,
-        };
-        let g = NfsOp::Getattr { file: FileId(0) };
-        assert_eq!(r.payload_len(), 4096);
-        assert_eq!(g.payload_len(), 0);
-    }
-}

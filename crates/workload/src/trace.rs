@@ -129,15 +129,6 @@ impl TracePlayer {
         Ok(TracePlayer::new(parse_trace(text)?))
     }
 
-    /// Total ops in the trace.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 impl Iterator for TracePlayer {
@@ -205,7 +196,6 @@ mod tests {
     fn player_replays_in_order() {
         let ops: Vec<NfsOp> = SeqRead::new(FileId(0), 16 << 10, 4 << 10).collect();
         let mut player = TracePlayer::new(ops.clone());
-        assert_eq!(player.len(), 4);
         assert_eq!(player.ops.len() - player.at, 4);
         let replayed: Vec<NfsOp> = player.by_ref().collect();
         assert_eq!(replayed, ops);
@@ -224,6 +214,6 @@ mod tests {
     #[test]
     fn empty_trace() {
         let player = TracePlayer::from_text("").expect("valid");
-        assert!(player.is_empty());
+        assert_eq!(player.count(), 0);
     }
 }

@@ -31,10 +31,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings -D unreachable_p
 echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-# The one hit walk's two differential properties at two pinned seeds each.
+# The one hit walk's two differential properties, and the split
+# controller's ghost and quota properties, at two pinned seeds each.
 for SEED in 0x5eed0001 0x5eed0002; do
     CHECK_SEED="$SEED" cargo test -q --offline -p simfs --test resident_walk_equivalence
     CHECK_SEED="$SEED" cargo test -q --offline -p check --test substitution_equivalence
+    CHECK_SEED="$SEED" cargo test -q --offline -p check --test adaptive_property
 done
 
 echo "== benchmark workspace gate (benchmark/check.sh) =="

@@ -26,13 +26,13 @@
 //!   sequential across shard counts — byte-exact, resizes included.
 //! - **The windowed signal tracks phase shifts.** At rig level, a
 //!   workload phase change must show up in the controller's per-epoch
-//!   window within two epochs, even while the cumulative hit ratio
-//!   still remembers the old phase.
+//!   window of ghost hits within two epochs, even while the cumulative
+//!   count still remembers the old phase.
 
-use ncache_repro::ncache::adaptive::QUOTA_BLOCK;
-use ncache_repro::ncache::SplitConfig;
 use ncache_repro::servers::ServerMode;
 use ncache_repro::sim::FaultSpec;
+use ncache_repro::simfs::BLOCK_SIZE;
+use ncache_repro::testbed::adaptive::SplitConfig;
 use ncache_repro::testbed::executor;
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 use ncache_repro::testbed::runner::DriverOp;
@@ -138,7 +138,7 @@ fn cold_config() -> SplitConfig {
         hysteresis: 1,
         cooldown_epochs: 1,
         min_fs_blocks: 16,
-        min_ncache_bytes: 16 * QUOTA_BLOCK,
+        min_ncache_bytes: 16 * BLOCK_SIZE as u64,
         ghost_blocks: 4096,
     }
 }
@@ -453,74 +453,53 @@ fn resizing_sequential_runs_are_shard_invariant() {
 
 #[test]
 fn phase_shift_registers_in_the_windowed_signal_within_two_epochs() {
-    let (mut rig, hot) = warm_build(ServerMode::NCache, 1, None);
-    rig.enable_adaptive(SplitConfig {
-        epoch_ops: 8,
-        ..SplitConfig::adaptive()
-    });
-    // Phase A: 32 rounds of pure re-reads of the warmed file — every
-    // lookup hits the NCache, and the last epoch's window says so.
-    let lanes = 4usize;
-    let phase_a: Vec<Vec<DriverOp>> = (0..lanes)
-        .map(|lane| {
-            (0..32u32)
-                .map(|k| DriverOp::Read {
-                    fh: hot,
-                    offset: ((lane as u32 * 8 + k % 8) % 32) * SPAN,
-                    len: SPAN,
-                })
-                .collect()
-        })
-        .collect();
-    let (mut rig, _) = run_nfs_sessions(rig, phase_a, &SessionsOptions::default());
-    let window = rig.adaptive_controller().expect("controller").window();
-    assert_eq!(
-        window.nc_hit_permille(),
-        1000,
-        "phase A window is all NCache hits: {window:?}"
+    // Phase A: the cold cyclic scan. Its second cycle misses every chunk
+    // the small NCache evicted in the first, and each miss lands in the
+    // NCache's ghost tail; the FS cache holds the whole file and never
+    // evicts, so its ghost stays silent.
+    let (rig, fh) = cold_build(1, Some(cold_config()));
+    let (rig, _) = run_nfs_sessions(rig, cold_sessions(fh), &SessionsOptions::default());
+    let ctl = rig.adaptive_controller().expect("controller");
+    let window = ctl.window();
+    assert!(
+        window.nc_ghost_hits > 0,
+        "phase A window holds NCache ghost hits: {window:?}"
     );
-    assert_eq!(window.nc_misses, 0, "phase A window has no misses");
+    assert_eq!(
+        window.fs_ghost_hits, 0,
+        "the FS cache never evicts: {window:?}"
+    );
+    let remembered = ctl.split_stats().nc_ghost_hits;
 
-    // Phase B: sixteen rounds — exactly two epochs — of never-repeated
-    // reads from a fresh sparse file (a written file would pre-populate
-    // the NCache's LBN half and keep hitting via remap). The
-    // *cumulative* NCache hit ratio still remembers phase A, but the
-    // window must fill with misses.
-    let cold = rig.create_sparse_file("shifted", 1 << 20);
-    let phase_b: Vec<Vec<DriverOp>> = (0..lanes)
+    // Phase B: sixteen rounds — exactly two epochs — of re-reads of the
+    // span each lane read last. Every block is resident in both caches,
+    // so nothing misses and no ghost is probed: the window must empty
+    // while the cumulative count still remembers phase A.
+    let phase_b: Vec<Vec<DriverOp>> = (0..COLD_LANES as u32)
         .map(|lane| {
-            (0..16u32)
-                .map(|k| DriverOp::Read {
-                    fh: cold,
-                    offset: (lane as u32 * 16 + k) * SPAN,
-                    len: SPAN,
-                })
-                .collect()
+            let last = lane * COLD_SPANS * SPAN + (COLD_SPANS - 1) * SPAN;
+            vec![
+                DriverOp::Read {
+                    fh,
+                    offset: last,
+                    len: SPAN
+                };
+                16
+            ]
         })
         .collect();
     let (rig, _) = run_nfs_sessions(rig, phase_b, &SessionsOptions::default());
     let ctl = rig.adaptive_controller().expect("controller");
     let window = ctl.window();
-    // Every miss op also scores assembly hits on the chunks it just
-    // inserted, so even an all-miss epoch floors near 500‰ rather than
-    // zero. The claim under test: the *window* has dropped to that
-    // floor — a full epoch of misses deep — while the *cumulative*
-    // ratio still sits a phase above it.
-    assert!(
-        window.nc_hit_permille() <= 600,
-        "two epochs after the shift the window has collapsed: {window:?}"
+    assert_eq!(
+        window.nc_ghost_hits + window.fs_ghost_hits,
+        0,
+        "two epochs after the shift the window is empty"
     );
-    assert!(
-        window.nc_misses >= 64,
-        "the window is full of phase-B misses: {window:?}"
+    assert_eq!(
+        ctl.split_stats().nc_ghost_hits,
+        remembered,
+        "the cumulative count remembers phase A"
     );
-    let module = rig.module().expect("NCache build");
-    let stats = module.borrow().stats();
-    let cumulative = stats.hits * 1000 / stats.lookups;
-    assert!(
-        cumulative >= window.nc_hit_permille() + 100,
-        "the cumulative ratio still remembers phase A: \
-         cumulative {cumulative}‰ vs window {:?}",
-        window
-    );
+    assert!(remembered > 0);
 }

@@ -24,7 +24,7 @@
 //! Every `repro` golden is one row of [`goldens`] and is rendered through
 //! the experiment registry, exactly as `repro` renders it.
 
-use ncache_repro::ncache::SplitConfig;
+use ncache_repro::testbed::adaptive::SplitConfig;
 use ncache_repro::servers::hooks::render_table1;
 use ncache_repro::servers::{ControlConfig, ServerMode};
 use ncache_repro::sim::FaultSpec;

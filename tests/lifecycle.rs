@@ -124,7 +124,6 @@ fn runner_reports_latency() {
         .collect();
     let r = run(&mut rig, ops, &RunOptions::default());
     assert!(r.mean_latency > Duration::ZERO);
-    assert!(r.p99_latency >= r.mean_latency / 2, "p99 is a high quantile");
     // Sanity: Little's law-ish bound — latency × throughput cannot exceed
     // outstanding work by much.
     let implied = r.mean_latency.as_secs_f64() * r.ops_per_sec;

@@ -88,9 +88,9 @@ fn placeholders_store_their_stamp_and_zeros_store_nothing() {
     let fs = rig.server_mut().fs_mut();
     fs.set_cache_capacity(0);
     fs.set_cache_capacity(64);
-    let hits = rig.server_mut().fs_mut().store().stats().second_level_hits;
+    let hits = rig.server_mut().fs_mut().store_mut().stats().second_level_hits;
     rig.read(fh, 0, 2 * WRITE as u32);
-    let store = rig.server_mut().fs_mut().store().stats();
+    let store = rig.server_mut().fs_mut().store_mut().stats();
     assert!(
         store.second_level_hits - hits >= 2 * (WRITE / BLOCK) as u64,
         "read-ahead too"

@@ -679,8 +679,9 @@ fn ident_at(s: &str) -> Option<&str> {
 }
 
 /// The fields `line` reads: each `.name` that is not a method call or an assignment's
-/// target, unless the line writes `name` too or starts a `name:` initialiser — a line
-/// that folds a field into its namesake (`x.n += y.n`, `n: x.n - y.n`) reads nothing.
+/// target (indexed too: `x.n[i] = …`, `x.n[i] += …`), unless the line writes `name` too
+/// or starts a `name:` initialiser — a line that folds a field into its namesake
+/// (`x.n += y.n`, `n: x.n - y.n`) reads nothing.
 fn field_reads(line: &str) -> Vec<&str> {
     let (mut read, mut written) = (Vec::new(), Vec::new());
     for (at, _) in line.match_indices('.') {
@@ -688,11 +689,22 @@ fn field_reads(line: &str) -> Vec<&str> {
             continue;
         };
         let after = line[at + 1 + name.len()..].trim_start();
+        let mut place = after;
+        while let Some(inner) = place.strip_prefix('[') {
+            let mut depth = 1;
+            let Some(close) = inner.find(|c| {
+                depth += (c == '[') as i32 - (c == ']') as i32;
+                depth == 0
+            }) else {
+                break;
+            };
+            place = inner[close + 1..].trim_start();
+        }
         let ops = ["+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="];
         if after.starts_with('(') || after.starts_with("::") || line[..at].ends_with('.') {
             continue;
-        } else if after.starts_with('=') && !after.starts_with("==")
-            || ops.iter().any(|op| after.starts_with(op))
+        } else if place.starts_with('=') && !place.starts_with("==")
+            || ops.iter().any(|op| place.starts_with(op))
         {
             written.push(name);
         } else {
@@ -1028,6 +1040,27 @@ fn a_field_only_written_folded_or_tested_has_no_reader() {
             vec![at(7, "pub stale: u64, // test-api: read below")]
         )
     );
+}
+
+#[test]
+fn an_indexed_write_is_no_read() {
+    let lib = concat!(
+        "pub struct S {\n    pub set: Vec<u64>,\n    pub bumped: Vec<u64>,\n",
+        "    pub nested: Vec<Vec<u64>>,\n    pub read: Vec<u64>,\n}\n",
+        "impl S {\n    pub fn f(&mut self, i: usize) -> u64 {\n",
+        "        self.set[i] = 1;\n        self.bumped[i] += 1;\n",
+        "        self.nested[i][self.read[i] as usize] = 2;\n        self.read[i] == 0\n    }\n}\n",
+    );
+    let srcs = [("crates/x/src/lib.rs".into(), lib.into())];
+    let at = |n: usize, line: &str| format!("crates/x/src/lib.rs:{n}: {line}");
+    let [bare, marked, stale] = field_surface(&srcs, &[]);
+    let want = [
+        at(2, "pub set: Vec<u64>,"),
+        at(3, "pub bumped: Vec<u64>,"),
+        at(4, "pub nested: Vec<Vec<u64>>,"),
+    ];
+    assert_eq!(bare, want);
+    assert_eq!((marked, stale), (vec![], vec![]));
 }
 
 #[test]

@@ -58,7 +58,7 @@ R 0 8192 4096
 L 0
 ";
     let player = TracePlayer::from_text(text).expect("valid trace");
-    assert_eq!(player.len(), 5);
+    assert_eq!(player.clone().count(), 5);
 
     let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
     let fh = rig.create_file("traced", 64 << 10);
