@@ -12,6 +12,7 @@
 //! repro --faults-sweep                         # completion/recovery vs loss rate
 //! repro --clients-sweep --shards 8 --threads 4 # client scaling, sharded cache
 //! repro --overload-sweep --latency-report      # open-loop tails + attribution
+//! repro --overload-ablation                    # control plane off vs on
 //! repro --validate-trace t.json
 //! ```
 //!
@@ -24,9 +25,9 @@
 //! entry, so regressions in either the library's host performance or the
 //! modelled shapes show up in CI.
 //!
-//! What can be selected, what each selector's modifiers are and which flags
-//! each experiment honours all come from the registry,
-//! `testbed::experiments::ALL`; this file holds no per-experiment code.
+//! What can be selected and which flags each experiment honours both come
+//! from the registry, `testbed::experiments::ALL`; this file holds no
+//! per-experiment code.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -105,13 +106,12 @@ fn print_metrics(rec: &obs::Recorder) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
+        let selectors: Vec<String> = ALL.iter().map(|e| format!("[--{}]", e.selector)).collect();
         println!(
             "repro — regenerate the evaluation of 'Network-Centric Buffer \
              Cache Organization' (ICDCS 2005)\n\n\
-             usage: repro [--paper] [--table1] [--table2] [--fig4] [--fig5] \
-             [--fig6a] [--fig6b] [--fig7] [--ablations] [--faults-sweep] \
-             [--clients-sweep] [--overload-sweep] [--adaptive-sweep]\n       \
-             [--threads N] [--shards N] [--parallel-lanes] [--lane-oracle] \
+             usage: repro [--paper] {}\n       \
+             [--threads N] [--shards N] \
              [--trace FILE] [--metrics] [--latency-report] \
              [--faults SPEC] [--seed N] [--validate-trace FILE]\n\n\
              With no selector, every experiment runs. --paper uses the \
@@ -121,23 +121,11 @@ fn main() -> ExitCode {
              \x20              (default: NCACHE_THREADS, then the machine's\n\
              \x20              available parallelism); output is identical at\n\
              \x20              every thread count\n\
-             --shards N     NCache shard count for --clients-sweep and\n\
-             \x20              --overload-sweep\n\
-             \x20              (default 1); sharding only partitions the key\n\
-             \x20              space, so output is identical at every shard\n\
-             \x20              count\n\
-             --parallel-lanes\n\
-             \x20              run --clients-sweep on the lane-parallel\n\
-             \x20              engine: each cell's sessions execute\n\
-             \x20              concurrently on --threads host threads over a\n\
-             \x20              warmed hot set; output is byte-identical at\n\
-             \x20              every thread count and to --lane-oracle;\n\
-             \x20              combines with --faults (the reference is then\n\
-             \x20              the --threads 1 run: faulted draws are\n\
-             \x20              per-lane, not sequential)\n\
-             --lane-oracle  run the --parallel-lanes workload through the\n\
-             \x20              sequential engine instead — the byte-exact\n\
-             \x20              reference the CI gate diffs against\n\
+             --shards N     NCache shard count for --clients-sweep,\n\
+             \x20              --overload-sweep, --overload-ablation and\n\
+             \x20              --adaptive-sweep (default 1); sharding only\n\
+             \x20              partitions the key space, so output is\n\
+             \x20              identical at every shard count\n\
              --trace FILE   write a Chrome trace (chrome://tracing, Perfetto)\n\
              \x20              of the selected experiments to FILE, plus a\n\
              \x20              line-delimited JSON event stream to FILE with a\n\
@@ -149,13 +137,14 @@ fn main() -> ExitCode {
              \x20              p50/p99/p999 tails and the NCache build's\n\
              \x20              per-stage latency shares; byte-identical at\n\
              \x20              every --threads and --shards value\n\
-             --protected    with --overload-sweep: run the overload control\n\
-             \x20              ablation instead — the NCache build under a\n\
-             \x20              mixed read/write open loop with per-request\n\
-             \x20              deadlines, once with the control plane off and\n\
-             \x20              once with admission control, backpressure and\n\
-             \x20              client retry budgets on; prints on-time\n\
-             \x20              goodput, tails and request outcomes\n\
+             --overload-ablation\n\
+             \x20              run the overload control ablation: the NCache\n\
+             \x20              build under a mixed read/write open loop with\n\
+             \x20              per-request deadlines, once with the control\n\
+             \x20              plane off and once with admission control,\n\
+             \x20              backpressure and client retry budgets on;\n\
+             \x20              prints on-time goodput, tails and request\n\
+             \x20              outcomes\n\
              --adaptive-sweep\n\
              \x20              run the static-vs-adaptive cache-split ablation:\n\
              \x20              the NCache build under a phase-changing Zipf\n\
@@ -179,7 +168,8 @@ fn main() -> ExitCode {
              \x20              same seed + spec replays byte-identically at\n\
              \x20              any thread count\n\
              --validate-trace FILE\n\
-             \x20              schema-check a trace written by --trace and exit"
+             \x20              schema-check a trace written by --trace and exit",
+            selectors.join(" ")
         );
         return ExitCode::SUCCESS;
     }
@@ -192,7 +182,6 @@ fn main() -> ExitCode {
     let mut seed_given = false;
     let mut trace_path: Option<String> = None;
     let mut selectors: Vec<&str> = Vec::new();
-    let mut modifiers: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -247,22 +236,14 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            // Everything else is a selector or a modifier the registry
-            // holds, or an error: a misspelt selector must not run nothing
-            // and exit 0.
+            // Everything else is a selector the registry holds, or an
+            // error: a misspelt selector must not run nothing and exit 0.
             other => {
                 let name = other.strip_prefix("--");
-                let modifier = ALL
-                    .iter()
-                    .filter_map(|e| e.modifier)
-                    .find(|m| Some(*m) == name);
                 if let Some(e) = ALL.iter().find(|e| Some(e.selector) == name) {
                     selectors.push(e.selector);
-                } else if let Some(m) = modifier {
-                    modifiers.push(m);
                 } else {
-                    let plain = ALL.iter().filter(|e| e.modifier.is_none());
-                    let known: Vec<&str> = plain.map(|e| e.selector).collect();
+                    let known: Vec<&str> = ALL.iter().map(|e| e.selector).collect();
                     eprintln!(
                         "error: unknown argument {other}; the selectors are --{}",
                         known.join(" --")
@@ -272,42 +253,31 @@ fn main() -> ExitCode {
             }
         }
     }
-    let chosen = chosen(&selectors, &modifiers);
+    let chosen = chosen(&selectors);
 
     // A flag no chosen experiment honours is an error, for the reason a
     // misspelt selector is: the run would print what it prints without the
     // flag, and a gate comparing two such outputs passes. (`--threads` and
     // `--shards` are exempt: every experiment's output is invariant in
     // them, so ignoring one is unobservable.)
-    type Honours = fn(&Experiment, &str) -> bool;
-    // Every variant of a selector honours that selector's modifiers: of
-    // several given, the registry's last row runs (`experiments::chosen`).
-    let variant: Honours = |e, flag| {
-        let modifies = |r: &Experiment| r.selector == e.selector && r.modifier == Some(flag);
-        e.modifier.is_some() && ALL.iter().any(modifies)
-    };
-    let faulted: Honours = |e, _| e.faulted;
-    let traced: Honours = |e, _| e.traced;
-    let mut given: Vec<(&str, Honours)> = modifiers.iter().map(|&m| (m, variant)).collect();
-    for (flag, on, honours) in [
+    type Honours = fn(&Experiment) -> bool;
+    let faulted: Honours = |e| e.faulted;
+    let traced: Honours = |e| e.traced;
+    let given = [
         ("faults", x.faults.is_some(), faulted),
         ("seed", seed_given, faulted),
         ("trace", trace_path.is_some(), traced),
         ("metrics", metrics, traced),
         ("latency-report", latency_report, traced),
-    ] {
-        if on {
-            given.push((flag, honours));
-        }
-    }
+    ];
     let names = |rows: &[&Experiment]| {
-        let names: Vec<String> = rows.iter().map(|e| e.name()).collect();
+        let names: Vec<&str> = rows.iter().map(|e| e.selector).collect();
         names.join(", ")
     };
-    for (flag, honours) in given {
-        let (with, without): (Vec<_>, Vec<_>) = chosen.iter().partition(|e| honours(e, flag));
+    for (flag, _, honours) in given.into_iter().filter(|g| g.1) {
+        let (with, without): (Vec<_>, Vec<_>) = chosen.iter().partition(|e| honours(e));
         if with.is_empty() {
-            let by: Vec<_> = ALL.iter().filter(|e| honours(e, flag)).collect();
+            let by: Vec<_> = ALL.iter().filter(|e| honours(e)).collect();
             let by = names(&by);
             eprintln!("error: --{flag} is honoured only by {by}; none of them is selected");
             return ExitCode::FAILURE;
@@ -325,10 +295,10 @@ fn main() -> ExitCode {
     for e in chosen {
         let t0 = Instant::now();
         if let (true, Some(spec)) = (e.faulted, &x.faults) {
-            eprintln!("[{} under faults: {spec:?}, seed {}]", e.name(), x.seed);
+            eprintln!("[{} under faults: {spec:?}, seed {}]", e.selector, x.seed);
         }
         println!("{}", (e.render)(&x));
-        eprintln!("[{} in {:.1?}]\n", e.name(), t0.elapsed());
+        eprintln!("[{} in {:.1?}]\n", e.selector, t0.elapsed());
     }
 
     if metrics {

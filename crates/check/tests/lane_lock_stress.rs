@@ -9,8 +9,8 @@
 //! The property drives both: readers and writers at 2, 4 and 8 threads —
 //! more threads than this host has CPUs at the upper end, the `taskset -c
 //! 0` situation — in scoped threads re-created every round, the way the
-//! round-synchronized lane engine re-creates its workers, so counter
-//! slots are released and re-claimed between rounds.
+//! executor re-creates its workers on every call, so counter slots are
+//! released and re-claimed between rounds.
 //!
 //! Writers keep two fields equal under the write guard (with a
 //! `yield_now` between the two stores, inviting a reader in); every read

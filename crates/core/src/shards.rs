@@ -100,12 +100,12 @@ pub struct NetCacheShards {
     /// Totals of every [`NetCacheShards::transmit`], lane-striped so
     /// concurrent lanes count on their own lines.
     substitutions: Arc<LaneCounters<3>>,
-    /// The buffer replies are resolved into, kept between replies: the
+    /// The buffers replies are resolved into, kept between replies: the
     /// resolution is moved into the reply's own chain and the emptied
     /// buffer filed back here, so resolving a reply allocates nothing once
-    /// the buffer has grown to a reply's length. A lane that finds it
-    /// taken by another resolves into a fresh one.
-    resolve_buf: Arc<Mutex<Vec<Segment>>>,
+    /// there is one buffer per concurrent resolution, each grown to a
+    /// reply's length.
+    resolve_bufs: Arc<Mutex<Vec<Vec<Segment>>>>,
 }
 
 impl NetCacheShards {
@@ -130,25 +130,26 @@ impl NetCacheShards {
             fho_first: Arc::new(std::sync::atomic::AtomicBool::new(true)),
             seq,
             substitutions: Arc::default(),
-            resolve_buf: Arc::default(),
+            resolve_bufs: Arc::default(),
         }
     }
 
-    /// The resolution buffer, empty — or a fresh one while another lane
-    /// holds it.
+    /// A filed resolution buffer, empty — or a fresh one while every
+    /// filed buffer is out.
     pub(crate) fn take_resolve_buf(&self) -> Vec<Segment> {
-        self.resolve_buf
-            .try_lock()
-            .map(|mut buf| std::mem::take(&mut *buf))
-            .unwrap_or_default()
+        self.bufs().pop().unwrap_or_default()
     }
 
     /// Files an emptied resolution buffer for the next reply.
     pub(crate) fn file_resolve_buf(&self, buf: Vec<Segment>) {
         debug_assert!(buf.is_empty(), "a filed resolution buffer holds no segment");
-        if let Ok(mut slot) = self.resolve_buf.try_lock() {
-            *slot = buf;
-        }
+        self.bufs().push(buf);
+    }
+
+    fn bufs(&self) -> std::sync::MutexGuard<'_, Vec<Vec<Segment>>> {
+        self.resolve_bufs
+            .lock()
+            .expect("resolution buffers poisoned")
     }
 
     /// Shared access to one shard: lookups, resolves, and every pure

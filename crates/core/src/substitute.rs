@@ -84,8 +84,8 @@ fn refill(
 /// A reply's placeholders resolved ahead of transmission — the commit
 /// point of a READ (DESIGN.md §9.2): the payload that takes their place at
 /// the driver boundary, and what resolving it did. The value travels with
-/// the reply; the payload's buffer is the shard set's resolution buffer,
-/// which goes back to it emptied once spliced.
+/// the reply; the payload's buffer is one of the shard set's resolution
+/// buffers, which goes back to it emptied once spliced.
 #[derive(Debug)]
 pub struct Resolved {
     payload: Vec<Segment>,
@@ -276,11 +276,18 @@ mod tests {
         assert_eq!(substitute_payload(&mut pkt, &c).substituted, 3);
         let buf = c.take_resolve_buf();
         assert!(buf.is_empty() && buf.capacity() >= 3, "kept for the next reply");
+        let fresh = c.take_resolve_buf();
         assert_eq!(
-            c.take_resolve_buf().capacity(),
+            fresh.capacity(),
             0,
             "while one resolution holds it, another gets a fresh one"
         );
+        // Both go back: two concurrent resolutions keep two buffers.
+        c.file_resolve_buf(fresh);
+        c.file_resolve_buf(buf);
+        assert!(c.take_resolve_buf().capacity() >= 3);
+        assert_eq!(c.take_resolve_buf().capacity(), 0);
+        assert_eq!(c.take_resolve_buf().capacity(), 0, "no third was filed");
     }
 
     #[test]

@@ -293,8 +293,8 @@ impl AdmissionGate {
 /// rejection, not `1 + budget`. Nothing rejected, the bucket stays full
 /// and is never consulted.
 ///
-/// Sized by measurement on the overload ablation (`repro --overload-sweep
-/// --protected`): of 10, 20, 30 and 60 tokens, 30 is the smallest that
+/// Sized by measurement on the overload ablation (`repro
+/// --overload-ablation`): of 10, 20, 30 and 60 tokens, 30 is the smallest that
 /// leaves every 16 KiB row below 2x capacity exactly as it was without a
 /// bucket. gRPC's default of 10 and a bucket of 20 drain on the 1.0x
 /// burst and lose goodput there; 60 gives back goodput at 2x.

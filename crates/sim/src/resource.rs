@@ -55,11 +55,6 @@ impl Resource {
         }
     }
 
-    /// The resource's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Emits every subsequent busy interval (server slot plus exact
     /// `[start, done)` in simulated time) on `rec`.
     pub fn set_recorder(&mut self, rec: obs::Recorder) {

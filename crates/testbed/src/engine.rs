@@ -379,8 +379,7 @@ impl Arrivals<'_> {
     /// Op rounds executed once `issued` operations have been — the unit
     /// controller epochs are measured in (an open loop has none, so it
     /// never ticks). Per session that is the slowest unfinished session's
-    /// count, so a tick lands on the op-count boundary the
-    /// round-synchronized parallel engine barriers on: deterministic,
+    /// count, so a tick lands on an op-count boundary: deterministic,
     /// never mid-request.
     fn rounds(&self, issued: u64) -> u64 {
         match self {

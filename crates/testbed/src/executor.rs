@@ -6,7 +6,7 @@
 //! seed derived solely from its cell index, and records into its own
 //! `obs::Recorder`. (The lane-parallel sessions engine reuses the same
 //! worker loop with *session lanes* as the cells — see
-//! `sessions::run_nfs_sessions_parallel`.) Workers pull cells from a
+//! `sessions::run_nfs_sessions_parallel_timed`.) Workers pull cells from a
 //! shared cursor;
 //! results land in per-cell slots and are merged **in cell order**, so the
 //! output — tables, metrics, trace bytes — is identical at any thread

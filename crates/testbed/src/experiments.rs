@@ -22,7 +22,7 @@ use crate::nfs_rig::{FaultCounters, NfsRig, NfsRigParams};
 use crate::openloop::{run_open_loop, zipf_reads, OpenLoopOptions};
 use crate::rig::{App, Rig};
 use crate::runner::{run, DriverOp, RigDriver, RunOptions};
-use crate::sessions::{run_nfs_sessions, run_nfs_sessions_parallel, SessionsOptions};
+use crate::sessions::{run_nfs_sessions, SessionsOptions};
 
 /// Experiment sizing. `quick()` runs in seconds for tests and CI;
 /// `paper()` uses the paper's parameters (2 GB all-miss file, 250 MB-1 GB
@@ -105,8 +105,7 @@ pub struct Exp<'a> {
     /// `traced` rows. Cells never write to it directly, they record into
     /// private recorders that are absorbed into it in cell order.
     pub rec: Option<&'a obs::Recorder>,
-    /// Worker threads for the cells, and lane threads under
-    /// [`Lanes::Threads`].
+    /// Worker threads for the cells.
     pub threads: usize,
     /// NCache shard count of the client-scaling, overload and adaptive rigs.
     /// Sharding only partitions the cache's key space.
@@ -230,10 +229,10 @@ fn seq_ops(fh: u64, total: u64, req: u32) -> Vec<DriverOp> {
 /// READ size of the client-scaling, overload and adaptive workloads.
 const SPAN: u32 = 16 << 10;
 
-/// The hot file of the warmed sweeps: strictly below the 8 MiB fs buffer
-/// cache (and far below the NCache), so once [`warm`]ed it fits every
-/// build's cache and nothing evicts mid-run — the sweeps over it measure
-/// queueing and scheduling, not eviction.
+/// The hot file of the overload experiments: strictly below the 8 MiB fs
+/// buffer cache (and far below the NCache), so once [`warm`]ed it fits
+/// every build's cache and nothing evicts mid-run — the sweeps over it
+/// measure queueing and scheduling, not eviction.
 fn hot_file(scale: &Scale) -> u64 {
     scale.allhit_file.min(4 << 20)
 }
@@ -690,67 +689,6 @@ pub fn clients_sweep(x: &Exp) -> (SeriesTable, SeriesTable) {
     (thr, hits)
 }
 
-/// Root seed for the lane-parallel client sweep: it derives the epoch
-/// tie ranks, so a fixed value makes stdout reproducible run over run.
-/// (Under faults each session's link plan derives from the rig's seed.)
-pub const CLIENTS_SWEEP_LANE_SEED: u64 = 7;
-
-/// The engine [`clients_sweep_warmed`] runs each cell's sessions on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lanes {
-    /// The sequential sessions engine — the oracle the CI diff gate
-    /// compares against.
-    Oracle,
-    /// The lane-parallel engine on this many host threads.
-    Threads(usize),
-}
-
-/// [`clients_sweep`] on the lane-parallel engine: the same `(mode,
-/// clients)` cells, but each cell warms the shared file first and then
-/// runs its sessions concurrently on [`Lanes::Threads`] host threads.
-/// [`Lanes::Oracle`] routes the identical warmed workload through the
-/// sequential engine.
-///
-/// The warm pass pins the whole hot set before any lane starts, and the
-/// hot set is held strictly below every cache capacity so nothing
-/// evicts mid-run. That is the commutativity discipline under which the
-/// parallel engine is byte-exact, so the printed tables are identical
-/// for the oracle and for every thread count. Cells run one after another
-/// — the parallelism under test is *inside* each cell — and untraced.
-///
-/// `x.faults` arms every cell's rig with the spec under `x.seed`. Each
-/// session's link then draws from its own plan, derived from `x.seed` and
-/// the session index, whichever engine runs it — so a faulted sweep has
-/// the same oracle as a clean one: the printed tables of
-/// [`Lanes::Oracle`] and of every thread count are identical.
-pub fn clients_sweep_warmed(x: &Exp, lanes: Lanes) -> (SeriesTable, SeriesTable) {
-    let mut thr = SeriesTable::new(
-        "Client scaling, warmed hot set: delivered throughput (MB/s)",
-        "clients",
-    );
-    let mut hits = SeriesTable::new(
-        "Client scaling, warmed hot set: server cache hit ratio",
-        "clients",
-    );
-    let file = hot_file(x.scale);
-    for (mode, clients) in per_mode(CLIENTS_SWEEP_POINTS) {
-        let mut rig: NfsRig = x.rig(mode, x.sharded(), None, Some(x.seed));
-        let fh = rig.create_file("shared", file);
-        warm(&mut rig, fh, file, 64 << 10);
-        let sessions = client_sessions(fh, file, clients);
-        let opts = SessionsOptions::default();
-        let (mut rig, r) = match lanes {
-            Lanes::Threads(n) => {
-                run_nfs_sessions_parallel(rig, sessions, &opts, n, CLIENTS_SWEEP_LANE_SEED)
-            }
-            Lanes::Oracle => run_nfs_sessions(rig, sessions, &opts),
-        };
-        thr.put(clients as f64, mode.label(), r.throughput_mbs);
-        hits.put(clients as f64, mode.label(), hit_ratio(&mut rig));
-    }
-    (thr, hits)
-}
-
 /// Offered-load factors swept by [`overload_sweep`], as multiples of each
 /// build's measured closed-loop capacity: from half load to twice past
 /// saturation.
@@ -1168,9 +1106,6 @@ pub fn render_table2(rows: &[CopyCountRow]) -> String {
 pub struct Experiment {
     /// The `repro --<selector>` that runs it.
     pub selector: &'static str,
-    /// The `repro --<modifier>` that picks this variant of the selector
-    /// (`None`: the selector's plain form).
-    pub modifier: Option<&'static str>,
     /// Whether a `repro` with no selector runs it.
     pub in_default_run: bool,
     /// Whether it records into [`Exp::rec`] (`--trace`, `--metrics`,
@@ -1180,16 +1115,6 @@ pub struct Experiment {
     pub faulted: bool,
     /// Runs it and returns exactly the text `repro` prints for it.
     pub render: fn(&Exp) -> String,
-}
-
-impl Experiment {
-    /// `selector`, or `selector+modifier`.
-    pub fn name(&self) -> String {
-        match self.modifier {
-            Some(modifier) => format!("{}+{modifier}", self.selector),
-            None => self.selector.to_string(),
-        }
-    }
 }
 
 fn two((a, b): (SeriesTable, SeriesTable)) -> String {
@@ -1202,13 +1127,11 @@ fn three((a, b, c): (SeriesTable, SeriesTable, SeriesTable)) -> String {
 
 const fn row(
     selector: &'static str,
-    modifier: Option<&'static str>,
     [in_default_run, traced, faulted]: [bool; 3],
     render: fn(&Exp) -> String,
 ) -> Experiment {
     Experiment {
         selector,
-        modifier,
         in_default_run,
         traced,
         faulted,
@@ -1217,48 +1140,39 @@ const fn row(
 }
 
 /// The evaluation, once: every experiment in `repro`'s print order.
-/// `repro` derives its selectors, its modifier checks and its dispatch
-/// from this list; the golden files, the equivalence suite and the figures
+/// `repro` derives its selectors, its flag checks and its dispatch from
+/// this list; the golden files, the equivalence suite and the figures
 /// bench iterate it. Adding an experiment is one function above and one
 /// row here.
 #[rustfmt::skip]
-pub static ALL: [Experiment; 15] = {
+pub static ALL: [Experiment; 13] = {
     const Y: bool = true;
     const N: bool = false;
-    //   selector           modifier                [default, traced, faulted]  render
+    //   selector              [default, traced, faulted]  render
     [
         // Table 1 (the modification footprint) is the servers crate's own inventory.
-        row("table1",         None,                   [Y, N, N], |_| servers::hooks::render_table1()),
-        row("table2",         None,                   [Y, Y, Y], |x| render_table2(&table2(x))),
-        row("faults-sweep",   None,                   [N, Y, Y], |x| two(fault_sweep(x))),
-        row("clients-sweep",  None,                   [N, Y, N], |x| two(clients_sweep(x))),
-        row("clients-sweep",  Some("parallel-lanes"), [N, N, Y], |x| two(clients_sweep_warmed(x, Lanes::Threads(x.threads)))),
-        row("clients-sweep",  Some("lane-oracle"),    [N, N, Y], |x| two(clients_sweep_warmed(x, Lanes::Oracle))),
-        row("overload-sweep", None,                   [N, Y, N], |x| three(overload_sweep(x))),
-        row("overload-sweep", Some("protected"),      [N, Y, N], |x| three(overload_ablation(x))),
-        row("adaptive-sweep", None,                   [N, Y, N], |x| three(adaptive_ablation(x))),
-        row("fig4",           None,                   [Y, Y, N], |x| two(fig4(x))),
-        row("fig5",           None,                   [Y, Y, N], |x| two(fig5(x))),
-        row("fig6a",          None,                   [Y, Y, N], |x| fig6a(x).to_string()),
-        row("fig6b",          None,                   [Y, Y, N], |x| fig6b(x).to_string()),
-        row("fig7",           None,                   [Y, Y, N], |x| fig7(x).to_string()),
-        row("ablations",      None,                   [Y, N, N], crate::ablations::render),
+        row("table1",            [Y, N, N], |_| servers::hooks::render_table1()),
+        row("table2",            [Y, Y, Y], |x| render_table2(&table2(x))),
+        row("faults-sweep",      [N, Y, Y], |x| two(fault_sweep(x))),
+        row("clients-sweep",     [N, Y, N], |x| two(clients_sweep(x))),
+        row("overload-sweep",    [N, Y, N], |x| three(overload_sweep(x))),
+        row("overload-ablation", [N, Y, N], |x| three(overload_ablation(x))),
+        row("adaptive-sweep",    [N, Y, N], |x| three(adaptive_ablation(x))),
+        row("fig4",              [Y, Y, N], |x| two(fig4(x))),
+        row("fig5",              [Y, Y, N], |x| two(fig5(x))),
+        row("fig6a",             [Y, Y, N], |x| fig6a(x).to_string()),
+        row("fig6b",             [Y, Y, N], |x| fig6b(x).to_string()),
+        row("fig7",              [Y, Y, N], |x| fig7(x).to_string()),
+        row("ablations",         [Y, N, N], crate::ablations::render),
     ]
 };
 
-/// The rows of [`ALL`] a command line runs, in print order. No selector
-/// runs the default set. A selector runs its plain row, or — when one of
-/// its modifiers is given — the modified one; of several given modifiers
-/// the last row wins (`--lane-oracle` is the `--parallel-lanes` workload
-/// on the other engine).
-pub fn chosen(selectors: &[&str], modifiers: &[&str]) -> Vec<&'static Experiment> {
-    let given = |e: &Experiment| e.modifier.is_none_or(|m| modifiers.contains(&m));
-    let runs = |e: &&Experiment| {
-        if selectors.is_empty() {
-            return e.in_default_run;
-        }
-        let row = ALL.iter().rfind(|r| r.selector == e.selector && given(r));
-        selectors.contains(&e.selector) && row.is_some_and(|r| r.modifier == e.modifier)
+/// The rows of [`ALL`] a command line runs, in print order: the rows its
+/// selectors name, or the default set when it names none.
+pub fn chosen(selectors: &[&str]) -> Vec<&'static Experiment> {
+    let runs = |e: &&Experiment| match selectors {
+        [] => e.in_default_run,
+        _ => selectors.contains(&e.selector),
     };
     ALL.iter().filter(runs).collect()
 }
@@ -1440,38 +1354,17 @@ mod tests {
 
     #[test]
     fn the_registry_is_well_formed() {
-        for (i, e) in ALL.iter().enumerate() {
-            let twins = ALL.iter().filter(|o| o.name() == e.name()).count();
-            assert_eq!(
-                twins,
-                1,
-                "{}: (selector, modifier) pairs are unique",
-                e.name()
-            );
-            if e.modifier.is_some() {
-                assert!(
-                    !e.in_default_run,
-                    "{}: a modified row is never a default",
-                    e.name()
-                );
-                let plain = ALL[..i]
-                    .iter()
-                    .any(|o| o.selector == e.selector && o.modifier.is_none());
-                assert!(
-                    plain,
-                    "{}: its selector has a plain row before it",
-                    e.name()
-                );
-            }
+        for e in &ALL {
+            let twins = ALL.iter().filter(|o| o.selector == e.selector).count();
+            assert_eq!(twins, 1, "{}: selectors are unique", e.selector);
         }
     }
 
     #[test]
-    fn a_command_line_chooses_one_row_per_selector() {
-        let names =
-            |s: &[&str], m: &[&str]| chosen(s, m).iter().map(|e| e.name()).collect::<Vec<_>>();
+    fn a_command_line_chooses_its_selectors_rows() {
+        let names = |s: &[&str]| chosen(s).iter().map(|e| e.selector).collect::<Vec<_>>();
         assert_eq!(
-            names(&[], &[]),
+            names(&[]),
             [
                 "table1",
                 "table2",
@@ -1484,15 +1377,11 @@ mod tests {
             ]
         );
         // Print order is the registry's, not the command line's.
-        assert_eq!(names(&["fig4", "table2"], &[]), ["table2", "fig4"]);
-        assert_eq!(names(&["overload-sweep"], &[]), ["overload-sweep"]);
+        assert_eq!(names(&["fig4", "table2"]), ["table2", "fig4"]);
+        assert_eq!(names(&["overload-sweep"]), ["overload-sweep"]);
         assert_eq!(
-            names(&["overload-sweep", "clients-sweep"], &["protected"]),
-            ["clients-sweep", "overload-sweep+protected"]
-        );
-        assert_eq!(
-            names(&["clients-sweep"], &["parallel-lanes", "lane-oracle"]),
-            ["clients-sweep+lane-oracle"]
+            names(&["overload-ablation", "clients-sweep"]),
+            ["clients-sweep", "overload-ablation"]
         );
     }
 }

@@ -732,9 +732,9 @@ impl<A: App> RigDriver for Rig<A> {
     }
 
     /// The controller's epoch length in ops per session-round, when one
-    /// is installed. The session engines tick on exactly these op-count
+    /// is installed. The sequential engines tick on exactly these op-count
     /// boundaries — frozen controllers included, because a frozen tick is
-    /// read-only and must stay unobservable under either schedule.
+    /// read-only and must stay unobservable.
     fn adaptive_epoch(&self) -> Option<u64> {
         self.adaptive.as_ref().map(|c| c.config().epoch_ops)
     }

@@ -85,7 +85,8 @@ pub trait RigDriver {
     /// split controller is installed (the default). When `Some(L)`, the
     /// engines call [`RigDriver::adaptive_tick`] after every `L`
     /// functional executions — a deterministic op-count boundary, never
-    /// mid-request, identical between the sequential and parallel engines.
+    /// mid-request. The lane-parallel engine refuses a rig with a
+    /// controller.
     fn adaptive_epoch(&self) -> Option<u64> {
         None
     }

@@ -147,18 +147,16 @@ pub fn run_nfs_sessions(
 /// in program order.
 type LaneOutcome = Vec<(Observation, u64)>;
 
-/// What the functional phase cost and touched: the wall clock the
-/// benchmarks report, and the exact (noise-free) lock evidence behind it.
-#[derive(Clone, Copy, Debug)]
-pub struct FunctionalPhase {
+/// What the functional phase cost: the wall clock the benchmarks report.
+struct FunctionalPhase {
     /// Wall-clock time of the functional phase alone.
-    pub wall: std::time::Duration,
-    /// Acquisitions of the core lock.
-    pub core: LockCounters,
-    /// Borrows of the NCache module's mutex taken while lanes were
-    /// running (zero without a module).
-    pub module_borrows: u64, // test-api: evidence that lanes never take the module mutex
+    wall: std::time::Duration,
 }
+
+/// The exact (noise-free) lock evidence behind a functional phase's wall
+/// clock: the core lock's acquisitions, and the borrows of the NCache
+/// module's mutex taken while lanes were running (zero without a module).
+type Locks = (LockCounters, u64);
 
 /// Shared handles every lane needs. Everything here is either behind the
 /// core lock (`core`) or internally synchronized (ledgers).
@@ -179,7 +177,11 @@ struct LaneContext<'a> {
 /// Runs the same workload as [`run_nfs_sessions`], executing the session
 /// lanes concurrently on up to `threads` host threads, then replays the
 /// recorded per-operation observations through the sequential event
-/// engine for timing.
+/// engine for timing. Also returns the wall-clock time of the functional
+/// phase alone (the part that actually runs on `threads` host threads):
+/// the timing phase replays through the sequential event engine whatever
+/// the thread count, so measuring end-to-end wall clock would bury the
+/// parallel speedup under a serial term.
 ///
 /// The run is two-phase:
 ///
@@ -213,25 +215,9 @@ struct LaneContext<'a> {
 /// Panics if the rig's server has an overload control plane installed:
 /// lanes report no load to the gate (nothing calls `set_load` in the
 /// functional phase) and the replay cannot re-issue a retried operation, so admission
-/// decisions cannot be made to agree with [`run_nfs_sessions`]. Run
+/// decisions cannot be made to agree with [`run_nfs_sessions`]. Panics,
+/// too, if the rig carries a split controller: lanes never tick it. Run
 /// controlled workloads through the sequential engine.
-pub fn run_nfs_sessions_parallel(
-    rig: NfsRig,
-    sessions: Vec<Vec<DriverOp>>,
-    opts: &SessionsOptions,
-    threads: usize,
-    seed: u64,
-) -> (NfsRig, SessionsResult) {
-    let (rig, result, _) = run_nfs_sessions_parallel_observed(rig, sessions, opts, threads, seed);
-    (rig, result)
-}
-
-/// [`run_nfs_sessions_parallel`], also returning the wall-clock time of
-/// the functional phase alone (the part that actually runs on `threads`
-/// host threads). The timing phase replays through the sequential event
-/// engine whatever the thread count, so measuring end-to-end wall clock
-/// would bury the parallel speedup under a serial term; benchmarks and
-/// the CI speedup gate use this entry point.
 pub fn run_nfs_sessions_parallel_timed(
     rig: NfsRig,
     sessions: Vec<Vec<DriverOp>>,
@@ -244,9 +230,9 @@ pub fn run_nfs_sessions_parallel_timed(
     (rig, result, phase.wall)
 }
 
-/// [`run_nfs_sessions_parallel`], also returning what the functional
-/// phase cost and which locks it took (see [`FunctionalPhase`]).
-pub fn run_nfs_sessions_parallel_observed(
+/// [`run_nfs_sessions_parallel_timed`], returning what the functional
+/// phase cost.
+fn run_nfs_sessions_parallel_observed(
     rig: NfsRig,
     sessions: Vec<Vec<DriverOp>>,
     opts: &SessionsOptions,
@@ -254,7 +240,7 @@ pub fn run_nfs_sessions_parallel_observed(
     seed: u64,
 ) -> (NfsRig, SessionsResult, FunctionalPhase) {
     let rec = NfsRig::recorder(&rig).clone();
-    let (rig, outcomes, phase) = functional_phase(rig, &sessions, threads, seed);
+    let (rig, outcomes, phase, _) = functional_phase(rig, &sessions, threads, seed);
     let replay = ReplayRig {
         rec,
         lanes: outcomes.into_iter().map(VecDeque::from).collect(),
@@ -265,7 +251,7 @@ pub fn run_nfs_sessions_parallel_observed(
     (rig, result, phase)
 }
 
-/// Phase one of [`run_nfs_sessions_parallel`]: runs every lane to
+/// Phase one of [`run_nfs_sessions_parallel_timed`]: runs every lane to
 /// completion on up to `threads` host threads and moves the stamp clocks
 /// past every stamp the lanes drew.
 fn functional_phase(
@@ -273,11 +259,16 @@ fn functional_phase(
     sessions: &[Vec<DriverOp>],
     threads: usize,
     seed: u64,
-) -> (NfsRig, Vec<LaneOutcome>, FunctionalPhase) {
+) -> (NfsRig, Vec<LaneOutcome>, FunctionalPhase, Locks) {
     assert!(
         rig.control_stats().is_none(),
         "the lane-parallel engine requires a rig without a control plane: \
          lanes report no load to the gate and the replay cannot re-issue a retried op"
+    );
+    assert!(
+        rig.adaptive_epoch().is_none(),
+        "the lane-parallel engine requires a rig without a split controller: \
+         lanes never tick it"
     );
     let n = sessions.len();
     let module = rig.module();
@@ -295,32 +286,19 @@ fn functional_phase(
         ledgers,
         residue,
     };
-    let adaptive_epoch = cx.core.read().adaptive_epoch();
     let module_borrows = || module.as_ref().map_or(0, sim::Shared::borrows);
     let borrows_before = module_borrows();
     let functional_start = std::time::Instant::now();
-    match adaptive_epoch.filter(|&l| l > 0) {
-        // No controller: the free-running path, each lane start to finish.
-        None => {
-            run_cells(threads, n, |lane| {
-                let mut st = lanes[lane].lock().expect("lane state poisoned");
-                for (k, op) in sessions[lane].iter().enumerate() {
-                    st.run_op(&cx, lane, ties[lane], k, op);
-                }
-            });
+    run_cells(threads, n, |lane| {
+        let mut st = lanes[lane].lock().expect("lane state poisoned");
+        for (k, op) in sessions[lane].iter().enumerate() {
+            st.run_op(&cx, lane, ties[lane], k, op);
         }
-        // A controller is installed: run round-synchronized so ticks
-        // land on exactly the op-count boundaries the sequential
-        // engine's round rule fires on — a barrier after every round,
-        // a tick (under the exclusive core lock, no lane running)
-        // after every `l` rounds.
-        Some(l) => run_lanes_rounds(&cx, sessions, &lanes, &ties, threads, l),
-    }
+    });
     let phase = FunctionalPhase {
         wall: functional_start.elapsed(),
-        core: core.counters(),
-        module_borrows: module_borrows() - borrows_before,
     };
+    let locks = (core.counters(), module_borrows() - borrows_before);
     let mut rig = core.into_inner();
     let outcomes = lanes
         .into_iter()
@@ -337,7 +315,7 @@ fn functional_phase(
     rig.server_mut()
         .fs_mut()
         .advance_cache_seq_past(sim::epoch::stamp_base(max_epochs, 0));
-    (rig, outcomes, phase)
+    (rig, outcomes, phase, locks)
 }
 
 /// A lane's private mutable state: everything an operation updates that
@@ -365,41 +343,6 @@ impl LaneState {
         let done = run_lane_op(cx, &mut self.session, op, residue);
         drop(window);
         self.recorded.push(done);
-    }
-}
-
-/// Round-synchronized variant of the functional phase, used when the rig
-/// carries an adaptive controller. Round `k` runs operation `k` of every
-/// lane (concurrently, inside the same epoch windows the free-running
-/// path uses), then barriers; after every `l` rounds the controller
-/// ticks under the exclusive core lock with no lane in flight. The
-/// sequential engine's round rule fires its ticks on the same op-count
-/// boundaries, so resizes land at identical points in the merged stamp
-/// order and the cache observables stay byte-identical.
-fn run_lanes_rounds(
-    cx: &LaneContext<'_>,
-    sessions: &[Vec<DriverOp>],
-    lanes: &[Mutex<LaneState>],
-    ties: &[u64],
-    threads: usize,
-    l: u64,
-) {
-    let max_ops = sessions.iter().map(Vec::len).max().unwrap_or(0);
-    for k in 0..max_ops {
-        // run_cells is the barrier: it returns only when every lane has
-        // finished its round-k operation (lanes already past their last
-        // op are no-ops this round).
-        run_cells(threads, lanes.len(), |lane| {
-            if let Some(op) = sessions[lane].get(k) {
-                lanes[lane]
-                    .lock()
-                    .expect("lane state poisoned")
-                    .run_op(cx, lane, ties[lane], k, op);
-            }
-        });
-        if (k as u64 + 1).is_multiple_of(l) {
-            cx.core.write().adaptive_tick();
-        }
     }
 }
 
@@ -654,7 +597,7 @@ mod tests {
                 run_nfs_sessions(rig_seq, sessions_for(fh), &SessionsOptions::default());
             let (rig_par, fh_par) = build();
             assert_eq!(fh, fh_par);
-            let (rig_par, par) = run_nfs_sessions_parallel(
+            let (rig_par, par, _) = run_nfs_sessions_parallel_timed(
                 rig_par,
                 sessions_for(fh),
                 &SessionsOptions::default(),
@@ -693,18 +636,12 @@ mod tests {
         let sessions: Vec<_> = (0..8)
             .map(|sid| session_reads(fh, sid, 12, 8 << 10, 2 << 20))
             .collect();
-        let (_rig, r, phase) = run_nfs_sessions_parallel_observed(
-            rig,
-            sessions,
-            &SessionsOptions::default(),
-            2,
-            3,
-        );
-        assert_eq!(r.ops, 8 * 12);
-        assert_eq!(phase.core.writes, 0, "an all-hit run has no exclusive op");
-        // One shared acquisition per op, plus the adaptive-epoch query.
-        assert_eq!(phase.core.reads, 8 * 12 + 1);
-        assert_eq!(phase.module_borrows, 0, "lanes never touch the module mutex");
+        let (_rig, outcomes, _, (core, module_borrows)) = functional_phase(rig, &sessions, 2, 3);
+        assert_eq!(outcomes.iter().map(Vec::len).sum::<usize>(), 8 * 12);
+        assert_eq!(core.writes, 0, "an all-hit run has no exclusive op");
+        // One shared acquisition per op.
+        assert_eq!(core.reads, 8 * 12);
+        assert_eq!(module_borrows, 0, "lanes never touch the module mutex");
         let substituted = module.borrow().substitution_totals().substituted;
         assert_eq!(
             substituted - substituted_before,
@@ -721,8 +658,13 @@ mod tests {
             let sessions: Vec<_> = (0..8)
                 .map(|sid| session_reads(fh, sid, 6, 16 << 10, 2 << 20))
                 .collect();
-            let (rig, r) =
-                run_nfs_sessions_parallel(rig, sessions, &SessionsOptions::default(), threads, 11);
+            let (rig, r, _) = run_nfs_sessions_parallel_timed(
+                rig,
+                sessions,
+                &SessionsOptions::default(),
+                threads,
+                11,
+            );
             let stats = rig.module().expect("ncache rig").borrow().stats();
             (r, stats)
         };
@@ -749,8 +691,8 @@ mod tests {
             let sessions: Vec<_> = (0..4)
                 .map(|sid| session_reads(fh, sid, 4, 16 << 10, 1 << 20))
                 .collect();
-            let (mut rig, r) =
-                run_nfs_sessions_parallel(rig, sessions, &SessionsOptions::default(), threads, 5);
+            let (mut rig, r, _) =
+                run_nfs_sessions_parallel_timed(rig, sessions, &SessionsOptions::default(), threads, 5);
             let retries = rig.fault_counters();
             let requests = rig.server_mut().stats().requests;
             (r, retries, requests)
@@ -785,7 +727,21 @@ mod tests {
                     .collect()
             })
             .collect();
-        run_nfs_sessions_parallel(rig, sessions, &SessionsOptions::default(), 2, 7);
+        run_nfs_sessions_parallel_timed(rig, sessions, &SessionsOptions::default(), 2, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a rig without a split controller")]
+    fn lanes_refuse_a_rig_with_a_split_controller() {
+        // Lanes never tick a controller; the sequential engine ticks it
+        // on op-round boundaries, so the two would disagree on every
+        // resize.
+        let (mut rig, fh) = rig_with_file(ServerMode::NCache, 1);
+        rig.enable_adaptive(crate::adaptive::SplitConfig::adaptive());
+        let sessions: Vec<_> = (0..2)
+            .map(|sid| session_reads(fh, sid, 2, 4 << 10, 2 << 20))
+            .collect();
+        run_nfs_sessions_parallel_timed(rig, sessions, &SessionsOptions::default(), 2, 7);
     }
 
     #[test]
@@ -838,8 +794,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let (_, outcomes, phase) = functional_phase(rig, &sessions, threads, 0x0B5E);
-            assert_eq!(phase.core.writes, LANES * OPS, "every op takes the exclusive slow path");
+            let (_, outcomes, _, (core, _)) = functional_phase(rig, &sessions, threads, 0x0B5E);
+            assert_eq!(core.writes, LANES * OPS, "every op takes the exclusive slow path");
             outcomes
         };
         for shards in [1usize, 8] {
@@ -934,8 +890,8 @@ mod tests {
         let (oracle, _) = run_sessions(recording, sessions(fh), &SessionsOptions::default(), Some(hook));
         for threads in [1usize, 2] {
             let (rig, fh) = build();
-            let (_, outcomes, phase) = functional_phase(rig, &sessions(fh), threads, 0x5EED);
-            assert_eq!(phase.core.writes, LANES as u64, "only the WRITEs are exclusive");
+            let (_, outcomes, _, (core, _)) = functional_phase(rig, &sessions(fh), threads, 0x5EED);
+            assert_eq!(core.writes, LANES as u64, "only the WRITEs are exclusive");
             for (lane, (want, got)) in oracle.lanes.iter().zip(&outcomes).enumerate() {
                 assert_eq!(got.len(), want.len());
                 for (k, (want, got)) in want.iter().zip(got).enumerate() {
@@ -968,16 +924,13 @@ mod tests {
             let (rig, fh) = build();
             let (_, seq) = run_nfs_sessions(rig, sessions(fh), &SessionsOptions::default());
             let (rig, fh) = build();
-            let (_, par, phase) = run_nfs_sessions_parallel_observed(
-                rig,
-                sessions(fh),
-                &SessionsOptions::default(),
-                2,
-                5,
-            );
+            let (_, par, _) =
+                run_nfs_sessions_parallel_timed(rig, sessions(fh), &SessionsOptions::default(), 2, 5);
             assert_eq!(seq, par, "{at}");
-            assert_eq!(phase.core.writes, 0, "{at}: every READ a shared-guard hit");
-            assert_eq!(phase.module_borrows, 0, "{at}: no module mutex");
+            let (rig, fh) = build();
+            let (_, _, _, (core, module_borrows)) = functional_phase(rig, &sessions(fh), 2, 5);
+            assert_eq!(core.writes, 0, "{at}: every READ a shared-guard hit");
+            assert_eq!(module_borrows, 0, "{at}: no module mutex");
         }
     }
 

@@ -102,8 +102,10 @@ echo "fault sweep identical at 1 and $NT threads"
 # Multi-session correctness under loss rides the same smoke: 16
 # interleaved client sessions, overlapping writes, every build config.
 cargo test -q --release --offline --test multi_client
-# The differential oracle suite's faulted half: per-lane seed-derived
-# fault plans must reproduce exactly across thread counts.
+# The lane-parallel engine against its sequential oracle, clean and under
+# three fault specs, at threads {1,2,N} x shards {1,8} x 6 and 64 lanes:
+# every session's link draws from a plan derived from the rig's seed and
+# the session index, whichever engine runs it.
 cargo test -q --release --offline --test concurrent_oracle
 # The timing engine's event order (rejections, backoffs and same-instant
 # ties included) against the digests recorded in tests/golden.
@@ -128,12 +130,12 @@ grep -q "bottleneck" "$TRACE_DIR/overload.txt"
 grep -q "Unified metrics summary" "$TRACE_DIR/overload.txt"
 echo "overload sweep + latency report + metrics identical at threads {1,$NT} and shards {1,8}"
 
-echo "== overload control plane (repro --overload-sweep --protected) =="
+echo "== overload control plane (repro --overload-ablation) =="
 # The protected-vs-unprotected ablation runs both variants off identical
 # offered schedules; admission decisions, retry backoffs, and shedding
 # are all seed-derived, so its stdout must also be byte-identical across
 # thread and shard counts.
-diff_matrix ablation --overload-sweep --protected
+diff_matrix ablation --overload-ablation
 echo "overload ablation identical at threads {1,$NT} and shards {1,8}"
 # The robustness gate: at 2x capacity the protected server must deliver
 # at least the unprotected goodput at every request size (the control
@@ -179,38 +181,6 @@ END {
     exit bad
 }' "$TRACE_DIR/adaptive.txt"
 echo "adaptive goodput >= static on every post-shift segment"
-
-echo "== concurrent data plane (parallel vs sequential, identical stdout, clean and under loss) =="
-# The lane-parallel engine runs each cell's sessions on real threads
-# over the sharded cache; its stdout must be byte-identical to the
-# sequential oracle on the same warmed workload, across the full
-# threads {1,2,N} x shards {1,8} matrix — on a clean link and under
-# loss, where every session's link draws from a plan derived from the
-# rig's seed and the session index, whichever engine runs it. Wall-clock
-# per run goes to stderr only, so stdout stays diff-stable.
-lanes_run() { # lanes_run OUT THREADS SHARDS [extra args...]
-    local out="$1" t="$2" s="$3"; shift 3
-    local t0 t1
-    t0="$(date +%s%N)"
-    repro --clients-sweep --parallel-lanes --threads "$t" --shards "$s" "$@" \
-        2>/dev/null > "$out"
-    t1="$(date +%s%N)"
-    echo "parallel lanes threads=$t shards=$s $*: $(( (t1 - t0) / 1000000 )) ms" >&2
-}
-for FAULTS in "" "--faults loss=0.02 --seed 7"; do
-    TAG="${FAULTS:+_loss}"
-    # shellcheck disable=SC2086 # FAULTS is a list of words
-    repro --clients-sweep --lane-oracle $FAULTS 2>/dev/null > "$TRACE_DIR/lanes_oracle$TAG.txt"
-    test -s "$TRACE_DIR/lanes_oracle$TAG.txt"
-    for S in 1 8; do
-        for T in 1 2 "$NT"; do
-            # shellcheck disable=SC2086
-            lanes_run "$TRACE_DIR/lanes${TAG}_t${T}_s${S}.txt" "$T" "$S" $FAULTS
-            cmp "$TRACE_DIR/lanes_oracle$TAG.txt" "$TRACE_DIR/lanes${TAG}_t${T}_s${S}.txt"
-        done
-    done
-    echo "parallel lanes identical to the sequential oracle at threads {1,2,$NT} x shards {1,8}${FAULTS:+ ($FAULTS)}"
-done
 
 echo "== perf gate (figures bench vs committed BENCH_figures.json) =="
 BENCH_JSON_DIR="$TRACE_DIR" BENCH_SAMPLES=5 \

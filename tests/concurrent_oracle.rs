@@ -1,6 +1,6 @@
 //! The concurrent data plane against its sequential byte-exact oracle.
 //!
-//! `run_nfs_sessions_parallel` executes session lanes on real threads;
+//! `run_nfs_sessions_parallel_timed` executes session lanes on real threads;
 //! the untouched sequential engine `run_nfs_sessions` is the oracle.
 //! Under the commutativity discipline (warmed file, reads in a
 //! read-only region, writes once to disjoint per-lane blocks, no
@@ -15,6 +15,10 @@
 //!   [`MetricsReport`];
 //! - final file bytes and final cache residency.
 //!
+//! Each point runs at two lane counts: six, and 64 — above the
+//! `sim::sync::LANE_SLOTS` counter stripes, with ten times the sessions
+//! sharing each stripe.
+//!
 //! Faulted points (loss, duplicates, reorders, delays and truncation on
 //! the client⇄server link) reconcile against the same oracle: each
 //! session's link draws from a plan derived from the rig's seed and the
@@ -28,17 +32,23 @@ use ncache_repro::testbed::executor;
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 use ncache_repro::testbed::runner::DriverOp;
 use ncache_repro::testbed::sessions::{
-    run_nfs_sessions, run_nfs_sessions_parallel, SessionsOptions, SessionsResult,
+    run_nfs_sessions, run_nfs_sessions_parallel_timed, SessionsOptions, SessionsResult,
 };
 
-/// Workload file size; ample cache capacity on default rig parameters
-/// (8 MiB fs cache, 64 MiB NCache), so nothing evicts mid-run.
-const FILE: u64 = 1 << 20;
 const SPAN: u32 = 16 << 10;
-const LANES: usize = 6;
+/// The lane counts every grid point runs at.
+const LANES: [usize; 2] = [6, 64];
 const SEED: u64 = 0xD1FF;
 
-fn build(mode: ServerMode, shards: usize, spec: Option<&FaultSpec>) -> (NfsRig, u64) {
+/// Workload file size: a lower half holding every lane's private block
+/// run, at least 512 KiB, and an equal read-only upper half. Ample cache
+/// capacity on default rig parameters (8 MiB fs cache, 64 MiB NCache), so
+/// nothing evicts mid-run.
+fn file_size(lanes: usize) -> u64 {
+    2 * (lanes as u64 * 2 * u64::from(SPAN)).max(512 << 10)
+}
+
+fn build(mode: ServerMode, shards: usize, spec: Option<&FaultSpec>, file: u64) -> (NfsRig, u64) {
     let params = NfsRigParams {
         shards,
         ..NfsRigParams::default()
@@ -47,11 +57,11 @@ fn build(mode: ServerMode, shards: usize, spec: Option<&FaultSpec>) -> (NfsRig, 
         Some(spec) => NfsRig::new_faulted(mode, params, spec, 0xC0FFEE),
         None => NfsRig::new(mode, params),
     };
-    let fh = rig.create_file("oracle", FILE);
+    let fh = rig.create_file("oracle", file);
     // Warm every block (and NCache chunk): per-op hit/miss outcomes are
     // then independent of which lane touches a block first.
     let mut off = 0u64;
-    while off < FILE {
+    while off < file {
         rig.read(fh, off as u32, 64 << 10);
         off += 64 << 10;
     }
@@ -61,23 +71,28 @@ fn build(mode: ServerMode, shards: usize, spec: Option<&FaultSpec>) -> (NfsRig, 
 /// Per-lane streams: reads confined to the (read-only) upper half of
 /// the file, one write into the lane's private block run in the lower
 /// half, and a getattr. Any interleaving of different lanes' operations
-/// commutes on every counted observable.
-fn sessions(fh: u64) -> Vec<Vec<DriverOp>> {
-    (0..LANES)
+/// commutes on every counted observable. The writes together dirty at
+/// most 128 blocks, half the server's write-behind threshold: the flush
+/// lands on whichever op crosses it, and which op that is belongs to the
+/// schedule.
+fn sessions(fh: u64, lanes: usize) -> Vec<Vec<DriverOp>> {
+    let upper = (file_size(lanes) / 2) as u32;
+    let write = SPAN.min(4096 * (128 / lanes) as u32);
+    (0..lanes)
         .map(|lane| {
             let mut ops = Vec::new();
             for k in 0..4 {
                 let slot = ((lane * 7 + k * 3) % 28) as u32;
                 ops.push(DriverOp::Read {
                     fh,
-                    offset: (FILE / 2) as u32 + slot * SPAN,
+                    offset: upper + slot * SPAN,
                     len: SPAN,
                 });
             }
             ops.push(DriverOp::Write {
                 fh,
                 offset: lane as u32 * (2 * SPAN),
-                len: SPAN,
+                len: write,
             });
             ops.push(DriverOp::Getattr { fh });
             ops
@@ -98,7 +113,7 @@ struct Outcome {
 }
 
 /// `warmed` is the rig's retransmit count when the sessions started.
-fn observe(mut rig: NfsRig, fh: u64, result: SessionsResult, warmed: u64) -> Outcome {
+fn observe(mut rig: NfsRig, fh: u64, lanes: usize, result: SessionsResult, warmed: u64) -> Outcome {
     let report = rig.metrics_report().render();
     let retransmits = rig.fault_counters().retransmits - warmed;
     let (cache_chunks, cache_bytes) = rig.module().map_or((0, 0), |m| {
@@ -108,11 +123,12 @@ fn observe(mut rig: NfsRig, fh: u64, result: SessionsResult, warmed: u64) -> Out
     // Read-back mutates counters, so it happens after the report; both
     // engines' rigs take the identical read sequence.
     let mut file_bytes = Vec::new();
-    for lane in 0..LANES as u32 {
+    for lane in 0..lanes as u32 {
         file_bytes.push(rig.read(fh, lane * (2 * SPAN), SPAN));
     }
+    let upper = (file_size(lanes) / 2) as u32;
     for slot in 0..4u32 {
-        file_bytes.push(rig.read(fh, (FILE / 2) as u32 + slot * SPAN, SPAN));
+        file_bytes.push(rig.read(fh, upper + slot * SPAN, SPAN));
     }
     Outcome {
         result,
@@ -124,29 +140,35 @@ fn observe(mut rig: NfsRig, fh: u64, result: SessionsResult, warmed: u64) -> Out
     }
 }
 
-fn run_sequential(mode: ServerMode, shards: usize, spec: Option<&FaultSpec>) -> Outcome {
-    let (rig, fh) = build(mode, shards, spec);
+fn run_sequential(
+    mode: ServerMode,
+    shards: usize,
+    spec: Option<&FaultSpec>,
+    lanes: usize,
+) -> Outcome {
+    let (rig, fh) = build(mode, shards, spec, file_size(lanes));
     let warmed = rig.fault_counters().retransmits;
-    let (rig, result) = run_nfs_sessions(rig, sessions(fh), &SessionsOptions::default());
-    observe(rig, fh, result, warmed)
+    let (rig, result) = run_nfs_sessions(rig, sessions(fh, lanes), &SessionsOptions::default());
+    observe(rig, fh, lanes, result, warmed)
 }
 
 fn run_parallel(
     mode: ServerMode,
     shards: usize,
     spec: Option<&FaultSpec>,
+    lanes: usize,
     threads: usize,
 ) -> Outcome {
-    let (rig, fh) = build(mode, shards, spec);
+    let (rig, fh) = build(mode, shards, spec, file_size(lanes));
     let warmed = rig.fault_counters().retransmits;
-    let (rig, result) = run_nfs_sessions_parallel(
+    let (rig, result, _) = run_nfs_sessions_parallel_timed(
         rig,
-        sessions(fh),
+        sessions(fh, lanes),
         &SessionsOptions::default(),
         threads,
         SEED,
     );
-    observe(rig, fh, result, warmed)
+    observe(rig, fh, lanes, result, warmed)
 }
 
 fn assert_reconciled(oracle: &Outcome, got: &Outcome, what: &str) {
@@ -172,14 +194,16 @@ fn grid() -> Vec<(ServerMode, usize)> {
 fn clean_runs_reconcile_against_the_sequential_oracle() {
     let max = executor::thread_count(None).max(3);
     for (mode, shards) in grid() {
-        let oracle = run_sequential(mode, shards, None);
-        for threads in [1, 2, max] {
-            let got = run_parallel(mode, shards, None, threads);
-            assert_reconciled(
-                &oracle,
-                &got,
-                &format!("{mode:?}/shards={shards}/threads={threads}"),
-            );
+        for lanes in LANES {
+            let oracle = run_sequential(mode, shards, None, lanes);
+            for threads in [1, 2, max] {
+                let got = run_parallel(mode, shards, None, lanes, threads);
+                assert_reconciled(
+                    &oracle,
+                    &got,
+                    &format!("{mode:?}/shards={shards}/lanes={lanes}/threads={threads}"),
+                );
+            }
         }
     }
 }
@@ -198,24 +222,24 @@ fn latency_reports_reconcile_against_the_sequential_oracle() {
     };
     let max = executor::thread_count(None).max(3);
     for (mode, shards) in grid() {
-        let (mut rig, fh) = build(mode, shards, None);
+        let (mut rig, fh) = build(mode, shards, None, file_size(LANES[0]));
         let rec = Recorder::new();
         rec.enable(TraceConfig::default());
         rig.set_recorder(rec.clone());
-        let _ = run_nfs_sessions(rig, sessions(fh), &SessionsOptions::default());
+        let _ = run_nfs_sessions(rig, sessions(fh, LANES[0]), &SessionsOptions::default());
         let oracle = render(&rec);
         assert!(
             oracle.contains("bottleneck"),
             "{mode:?}: oracle report names a bottleneck:\n{oracle}"
         );
         for threads in [1, 2, max] {
-            let (mut rig, fh) = build(mode, shards, None);
+            let (mut rig, fh) = build(mode, shards, None, file_size(LANES[0]));
             let rec = Recorder::new();
             rec.enable(TraceConfig::default());
             rig.set_recorder(rec.clone());
-            let _ = run_nfs_sessions_parallel(
+            let _ = run_nfs_sessions_parallel_timed(
                 rig,
-                sessions(fh),
+                sessions(fh, LANES[0]),
                 &SessionsOptions::default(),
                 threads,
                 SEED,
@@ -242,15 +266,17 @@ fn faulted_runs_reconcile_against_the_sequential_oracle() {
     ] {
         let faults = FaultSpec::parse(spec).expect("spec");
         for (mode, shards) in grid() {
-            let oracle = run_sequential(mode, shards, Some(&faults));
-            retransmits += oracle.retransmits;
-            for threads in [1, 2, max] {
-                let got = run_parallel(mode, shards, Some(&faults), threads);
-                assert_reconciled(
-                    &oracle,
-                    &got,
-                    &format!("{mode:?}/shards={shards}/{spec}/threads={threads}"),
-                );
+            for lanes in LANES {
+                let oracle = run_sequential(mode, shards, Some(&faults), lanes);
+                retransmits += oracle.retransmits;
+                for threads in [1, 2, max] {
+                    let got = run_parallel(mode, shards, Some(&faults), lanes, threads);
+                    assert_reconciled(
+                        &oracle,
+                        &got,
+                        &format!("{mode:?}/shards={shards}/lanes={lanes}/{spec}/threads={threads}"),
+                    );
+                }
             }
         }
     }

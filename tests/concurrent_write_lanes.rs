@@ -25,7 +25,7 @@ use ncache_repro::obs::{Recorder, StatsSnapshot, TraceConfig};
 use ncache_repro::servers::ServerMode;
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 use ncache_repro::testbed::runner::DriverOp;
-use ncache_repro::testbed::sessions::{run_nfs_sessions_parallel, SessionsOptions};
+use ncache_repro::testbed::sessions::{run_nfs_sessions_parallel_timed, SessionsOptions};
 
 const BLOCK: u32 = 4096;
 const SPAN: u32 = 4 * BLOCK;
@@ -114,7 +114,7 @@ fn run(shards: usize, threads: usize, rec: Option<&Recorder>) -> (Exact, LedgerS
     for off in (0..FILE as u32).step_by(64 << 10) {
         rig.read(fh, off, 64 << 10);
     }
-    let (mut rig, result) = run_nfs_sessions_parallel(
+    let (mut rig, result, _) = run_nfs_sessions_parallel_timed(
         rig,
         sessions(fh),
         &SessionsOptions::default(),

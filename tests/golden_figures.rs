@@ -13,10 +13,8 @@
 //! `table2_faulted.txt` (`repro --table2 --faults loss=0.05 --seed 7`, both
 //! rigs' fault loops), `faults_sweep.txt` (`--faults-sweep`),
 //! `clients_sweep.txt` (`--clients-sweep`, the per-session op meter),
-//! `clients_sweep_lanes.txt` (`--clients-sweep --parallel-lanes --threads
-//! 2`, the lane meter), `overload_sweep.txt` (`--overload-sweep`, the open
-//! loop), `overload_ablation.txt` (`--overload-sweep --protected`,
-//! rejection detection), `adaptive_sweep.txt` (`--adaptive-sweep`, the
+//! `overload_sweep.txt` (`--overload-sweep`, the open loop),
+//! `overload_ablation.txt` (`--overload-ablation`, rejection detection), `adaptive_sweep.txt` (`--adaptive-sweep`, the
 //! split controller over the tiered backend), and one rendered
 //! `metrics_report()` per rig with every conditional section present
 //! (`metrics_{nfs,khttpd}.txt`: the test below is the generator).
@@ -44,9 +42,9 @@ fn assert_golden(name: &str, rendered: String) {
 const SEED: u64 = 7;
 
 /// One row per golden file that is a `repro` stdout: `(file, selector,
-/// modifier, the run it was captured from)`. The default-run files come
-/// from the bare run; the rest were captured at two workers.
-fn goldens(scale: &Scale) -> Vec<(&'static str, &'static str, Option<&'static str>, Exp<'_>)> {
+/// the run it was captured from)`. The default-run files come from the
+/// bare run; the rest were captured at two workers.
+fn goldens(scale: &Scale) -> Vec<(&'static str, &'static str, Exp<'_>)> {
     let bare = Exp::new(scale);
     let two = Exp { threads: 2, ..bare };
     let lossy = Exp {
@@ -54,20 +52,19 @@ fn goldens(scale: &Scale) -> Vec<(&'static str, &'static str, Option<&'static st
         ..two
     };
     vec![
-        ("table2", "table2", None, bare),
-        ("fig4", "fig4", None, bare),
-        ("fig5", "fig5", None, bare),
-        ("fig6a", "fig6a", None, bare),
-        ("fig6b", "fig6b", None, bare),
-        ("fig7", "fig7", None, bare),
-        ("ablations", "ablations", None, bare),
-        ("table2_faulted", "table2", None, lossy),
-        ("faults_sweep", "faults-sweep", None, two),
-        ("clients_sweep", "clients-sweep", None, two),
-        ("clients_sweep_lanes", "clients-sweep", Some("parallel-lanes"), two),
-        ("overload_sweep", "overload-sweep", None, two),
-        ("overload_ablation", "overload-sweep", Some("protected"), two),
-        ("adaptive_sweep", "adaptive-sweep", None, two),
+        ("table2", "table2", bare),
+        ("fig4", "fig4", bare),
+        ("fig5", "fig5", bare),
+        ("fig6a", "fig6a", bare),
+        ("fig6b", "fig6b", bare),
+        ("fig7", "fig7", bare),
+        ("ablations", "ablations", bare),
+        ("table2_faulted", "table2", lossy),
+        ("faults_sweep", "faults-sweep", two),
+        ("clients_sweep", "clients-sweep", two),
+        ("overload_sweep", "overload-sweep", two),
+        ("overload_ablation", "overload-ablation", two),
+        ("adaptive_sweep", "adaptive-sweep", two),
     ]
 }
 
@@ -76,9 +73,9 @@ fn goldens(scale: &Scale) -> Vec<(&'static str, &'static str, Option<&'static st
 fn assert_matches(file: &str) {
     let scale = Scale::quick();
     let rows = goldens(&scale);
-    let (_, selector, modifier, x) = rows.iter().find(|g| g.0 == file).expect("a golden row");
-    let run = chosen(&[selector], modifier.as_slice());
-    assert_eq!(run.len(), 1, "{file}: {selector} {modifier:?} is one registry row");
+    let (_, selector, x) = rows.iter().find(|g| g.0 == file).expect("a golden row");
+    let run = chosen(&[selector]);
+    assert_eq!(run.len(), 1, "{file}: {selector} is one registry row");
     assert_golden(file, (run[0].render)(x));
 }
 
@@ -133,11 +130,6 @@ fn clients_sweep_matches_the_committed_tables() {
 }
 
 #[test]
-fn clients_sweep_lanes_matches_the_committed_tables() {
-    assert_matches("clients_sweep_lanes");
-}
-
-#[test]
 fn overload_sweep_matches_the_committed_tables() {
     assert_matches("overload_sweep");
 }
@@ -159,7 +151,7 @@ fn the_default_run_prints_table1_then_the_goldens_in_registry_order() {
     // through `scripts/ci.sh`.
     let scale = Scale::quick();
     let x = Exp::new(&scale);
-    let printed: String = chosen(&[], &[])
+    let printed: String = chosen(&[])
         .iter()
         .map(|e| format!("{}\n", (e.render)(&x)))
         .collect();

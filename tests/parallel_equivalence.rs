@@ -53,7 +53,7 @@ fn observe(
 fn every_experiment_is_thread_count_invariant() {
     let max = executor::thread_count(None).max(3);
     for e in &ALL {
-        let name = e.name();
+        let name = e.selector;
         let base = observe(e, 1, 1);
         // The registry's `traced` flag is what `repro` rejects `--trace`
         // on: it must say exactly whether the row records anything.
@@ -94,7 +94,7 @@ fn untraced_runs_match_the_single_threaded_tables() {
         ..Exp::new(&scale)
     };
     for e in &ALL {
-        let name = e.name();
+        let name = e.selector;
         let reference = (e.render)(&base);
         let wide = (e.render)(&Exp { threads: 16, ..base });
         assert_eq!(reference, wide, "{name}: untraced output diverged");
@@ -113,7 +113,7 @@ fn latency_report_is_thread_and_shard_invariant() {
         let rec = Recorder::new();
         rec.enable(TraceConfig::default());
         let scale = scale();
-        let sweep = chosen(&["overload-sweep"], &[])[0];
+        let sweep = chosen(&["overload-sweep"])[0];
         (sweep.render)(&Exp {
             rec: Some(&rec),
             threads,
