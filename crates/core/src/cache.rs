@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use netbuf::key::{CacheKey, Fho, Lbn};
 use netbuf::{BufPool, SegChain, Segment};
-use sim::{mix64, LaneCounters, RecencyClass, RecencyMap, Resident};
+use sim::{mix64, LaneCounters, RecencyClass, RecencyHead, RecencyMap, Resident};
 
 use sim::GhostLru;
 use crate::chunk::Chunk;
@@ -184,6 +184,9 @@ impl RecencyClass<CacheKey> for Chunk {
 
 /// A resident chunk with its recency stamps.
 pub(crate) type Entry = Resident<Chunk>;
+
+/// A reclaimable chunk named by its settled stamp, key and slot.
+pub(crate) type Victim = RecencyHead<CacheKey>;
 
 // Counter indices into a cache's [`LaneCounters`], one per
 // [`NetCacheStats`] field.
@@ -516,25 +519,22 @@ impl NetCache {
     /// ([`RecencyMap::head`]), so the victim is exactly the chunk one
     /// eagerly ordered index over every reclaimable chunk would have
     /// picked.
-    fn lru_victim(&mut self, clean_only: bool) -> Option<(u64, CacheKey)> {
+    fn lru_victim(&mut self, clean_only: bool) -> Option<Victim> {
         let clean = self.map.head(CLEAN);
         if clean_only {
             return clean;
         }
         let dirty = self.map.head(DIRTY_LBN);
-        [clean, dirty]
-            .into_iter()
-            .flatten()
-            .min_by_key(|&(stamp, _)| stamp)
+        [clean, dirty].into_iter().flatten().min_by_key(|h| h.stamp)
     }
 
     /// This cache's least-recently-used *reclaimable* chunk (clean, or
-    /// dirty LBN) as `(sequence number, key)`, or `None` when every
-    /// resident chunk is a pinned dirty FHO entry. The shard set takes the
-    /// minimum across shards as the global victim and hands it back to
+    /// dirty LBN), or `None` when every resident chunk is a pinned dirty
+    /// FHO entry. The shard set takes the minimum stamp across shards as
+    /// the global victim and hands it back to
     /// [`NetCache::reclaim_victim`]. Takes `&mut` because it settles the
     /// lazy recency index (see [`NetCache::lru_victim`]).
-    pub(crate) fn reclaimable_head(&mut self) -> Option<(u64, CacheKey)> {
+    pub(crate) fn reclaimable_head(&mut self) -> Option<Victim> {
         self.lru_victim(false)
     }
 
@@ -544,7 +544,7 @@ impl NetCache {
     /// writebacks (writeback timing belongs to request chains, not to the
     /// controller).
     pub(crate) fn clean_head_seq(&mut self) -> Option<u64> {
-        self.lru_victim(true).map(|(seq, _)| seq)
+        self.lru_victim(true).map(|h| h.stamp)
     }
 
     /// Bytes a chunk of `len` payload bytes pins (payload + descriptor).
@@ -570,46 +570,39 @@ impl NetCache {
     /// [`CacheFull`] when every resident chunk is an unremapped dirty FHO
     /// entry.
     pub(crate) fn reclaim_one(&mut self) -> Result<Option<WritebackChunk>, CacheFull> {
-        let (seq, key) = self.lru_victim(false).ok_or(CacheFull)?;
-        Ok(self.evict(seq, key))
+        let victim = self.lru_victim(false).ok_or(CacheFull)?;
+        Ok(self
+            .reclaim_victim(victim)
+            .expect("a head just named is live"))
     }
 
-    /// Reclaims the chunk a [`NetCache::reclaimable_head`] scan returned,
-    /// without searching for it again: `Some` is what
-    /// [`NetCache::reclaim_one`] would have produced. `None` means the
+    /// Reclaims the chunk a [`NetCache::reclaimable_head`] scan named, by
+    /// its slot, without searching for it again: ghost record, counters,
+    /// and the writeback if it was a dirty LBN chunk. `None` means the
     /// scan's answer expired before the lock came back — a racing lane
-    /// removed, replaced or promoted the chunk — and the caller rescans.
-    /// (On one thread it never does.)
-    pub(crate) fn reclaim_victim(
-        &mut self,
-        seq: u64,
-        key: CacheKey,
-    ) -> Option<Option<WritebackChunk>> {
-        (self.map.settled(&key)? == seq).then(|| self.evict(seq, key))
-    }
-
-    /// Removes the victim `key`, settled at `seq`: ghost record, counters,
-    /// and the writeback if it was a dirty LBN chunk.
-    fn evict(&mut self, seq: u64, key: CacheKey) -> Option<WritebackChunk> {
+    /// removed, replaced, re-filed or promoted the chunk — and the caller
+    /// rescans. (On one thread it never does.)
+    pub(crate) fn reclaim_victim(&mut self, victim: Victim) -> Option<Option<WritebackChunk>> {
+        let chunk = self.map.take(victim)?;
+        let RecencyHead { stamp, key, .. } = victim;
         if let Some(g) = &self.ghost {
-            g.lock().expect("ghost poisoned").record(ghost_key(key), seq);
+            g.lock()
+                .expect("ghost poisoned")
+                .record(ghost_key(key), stamp);
         }
-        let chunk = self.remove_entry(key).expect("victim is resident");
-        if chunk.is_dirty() {
-            self.stats.add(EVICTED_DIRTY, 1);
-            let lbn = match key {
-                CacheKey::Lbn(l) => l,
-                CacheKey::Fho(_) => unreachable!("dirty FHO chunks are never victims"),
-            };
-            Some(WritebackChunk {
-                lbn,
-                segs: chunk.share_segments(),
-                len: chunk.len(),
-            })
-        } else {
+        if !chunk.is_dirty() {
             self.stats.add(EVICTED_CLEAN, 1);
-            None
+            return Some(None);
         }
+        self.stats.add(EVICTED_DIRTY, 1);
+        let CacheKey::Lbn(lbn) = key else {
+            unreachable!("dirty FHO chunks are never victims");
+        };
+        Some(Some(WritebackChunk {
+            lbn,
+            segs: chunk.share_segments(),
+            len: chunk.len(),
+        }))
     }
 
     /// Reclaims the least-recently-used *clean* chunk (LBN or FHO),
@@ -618,10 +611,12 @@ impl NetCache {
     /// then leaves the overshoot for the demand path to drain. Never
     /// produces a writeback.
     pub(crate) fn reclaim_one_clean(&mut self) -> bool {
-        let Some((seq, key)) = self.lru_victim(true) else {
+        let Some(victim) = self.lru_victim(true) else {
             return false;
         };
-        let writeback = self.evict(seq, key);
+        let writeback = self
+            .reclaim_victim(victim)
+            .expect("a head just named is live");
         debug_assert!(writeback.is_none(), "clean victim selection");
         true
     }

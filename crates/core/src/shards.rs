@@ -386,17 +386,14 @@ impl NetCacheShards {
             match self.pool.pin(need) {
                 Ok(p) => break p,
                 Err(_) => {
-                    let (seq, key, shard) = (0..self.shards.len())
-                        .filter_map(|i| {
-                            let (seq, key) = self.write(i).reclaimable_head()?;
-                            Some((seq, key, i))
-                        })
-                        .min_by_key(|&(seq, ..)| seq)
+                    let (victim, shard) = (0..self.shards.len())
+                        .filter_map(|i| Some((self.write(i).reclaimable_head()?, i)))
+                        .min_by_key(|(victim, _)| victim.stamp)
                         .ok_or(CacheFull)?;
                     // `None`: a racing lane got to the victim between the
                     // scan and the lock; rescan. (Unreachable on one
                     // thread: the scan just saw it.)
-                    if let Some(Some(wb)) = self.write(shard).reclaim_victim(seq, key) {
+                    if let Some(Some(wb)) = self.write(shard).reclaim_victim(victim) {
                         writebacks.push(wb);
                     }
                 }

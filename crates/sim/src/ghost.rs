@@ -67,8 +67,7 @@ impl GhostLru {
         }
         self.members.insert(key, (), stamp);
         while self.members.len() > self.cap {
-            let (_, oldest) = self.members.head(0).expect("non-empty over cap");
-            self.members.remove(&oldest);
+            self.members.pop_head(0).expect("non-empty over cap");
         }
     }
 

@@ -61,7 +61,7 @@ pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
 pub use ghost::GhostLru;
 pub use hash::{mix64, MixMap};
-pub use recency::{RecencyClass, RecencyMap, Resident};
+pub use recency::{RecencyClass, RecencyHead, RecencyMap, Resident};
 pub use resource::Resource;
 pub use rng::SplitMix64;
 pub use sync::{LaneCounters, LaneLock, Shared};

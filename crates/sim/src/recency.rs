@@ -24,16 +24,29 @@
 //!   outnumber live filings, the heap is compacted in place, so it never
 //!   holds more than twice its live entries.
 //!
-//! A filing is live while its entry exists, is in the heap's class and is
-//! filed under the filing's stamp and generation. The generation counts an
-//! entry's filings: an entry that leaves a class and comes back under an
+//! The entries live in an arena of slots behind a key → slot index, and a
+//! filing names its entry by slot: `(stamp, slot, generation)`, 16 bytes
+//! whatever the key. A slot's generation counts its filings, and keeps
+//! counting when the slot is vacated and reused, so a filing is live
+//! exactly while its slot's generation equals the filing's. Telling a
+//! tombstone from a live filing is one indexed load, never a hash probe.
+//! That also covers an entry that leaves a class and comes back under an
 //! unchanged stamp (a block made dirty and flushed clean with no hit in
-//! between) is a new filing, and its old tombstone never passes for it.
+//! between): it is a new filing, and its old tombstone never passes for
+//! it. Vacant slots are chained through the arena itself, so an index at
+//! its high-water mark reuses slots without allocating.
+//!
+//! A victim is taken by slot: [`RecencyMap::head`] names the head with a
+//! [`RecencyHead`], and [`RecencyMap::take`] removes that entry together
+//! with its filing at the top of the heap, or refuses if the entry was
+//! removed, replaced, re-filed or promoted since the head was named.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::Hash;
+use std::mem;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -63,8 +76,6 @@ pub struct Resident<V> {
     stamp: AtomicU64,
     /// The stamp the entry is filed under; lags `stamp` until settled.
     filed: u64,
-    /// The generation of the entry's current filing.
-    filing: u32,
 }
 
 impl<V> Resident<V> {
@@ -79,14 +90,6 @@ impl<V> Resident<V> {
     #[inline]
     pub fn promote(&self, stamp: u64) {
         self.stamp.fetch_max(stamp, Relaxed);
-    }
-
-    /// Whether `f` is this entry's current filing in `class`.
-    fn holds<K>(&self, class: usize, f: &Filing<K>) -> bool
-    where
-        V: RecencyClass<K>,
-    {
-        self.filed == f.stamp && self.filing == f.filing && self.value.class(&f.key) == Some(class)
     }
 }
 
@@ -109,34 +112,66 @@ impl<V: fmt::Debug> fmt::Debug for Resident<V> {
     }
 }
 
-/// One filing: a key under the stamp and generation it was filed at.
+/// The end of the vacant-slot chain.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the arena.
+struct Slot<K, V> {
+    /// The generation of the slot's current filing. It is bumped for
+    /// every new filing and when the slot is vacated, so it never goes
+    /// back to a generation a heap may still hold a tombstone of.
+    filing: u32,
+    state: State<K, V>,
+}
+
+enum State<K, V> {
+    /// A resident entry under its key.
+    Full(K, Resident<V>),
+    /// Vacant; the next vacant slot, or [`NIL`].
+    Free(u32),
+}
+
+/// One filing: a slot under the stamp and generation it was filed at.
 #[derive(Clone, Copy)]
-struct Filing<K> {
+struct Filing {
     stamp: u64,
-    key: K,
+    slot: u32,
     filing: u32,
 }
 
 // Ordered by stamp alone, and reversed: `BinaryHeap` keeps its greatest
 // element on top, and the least recent filing is the one wanted there.
-impl<K> PartialEq for Filing<K> {
+impl PartialEq for Filing {
     fn eq(&self, other: &Self) -> bool {
         self.stamp == other.stamp
     }
 }
 
-impl<K> Eq for Filing<K> {}
+impl Eq for Filing {}
 
-impl<K> PartialOrd for Filing<K> {
+impl PartialOrd for Filing {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<K> Ord for Filing<K> {
+impl Ord for Filing {
     fn cmp(&self, other: &Self) -> Ordering {
         other.stamp.cmp(&self.stamp)
     }
+}
+
+/// The least recent entry of a class, as [`RecencyMap::head`] named it:
+/// its stamp and key, and the slot and generation it was filed under,
+/// by which [`RecencyMap::take`] finds it again without a probe.
+#[derive(Clone, Copy, Debug)]
+pub struct RecencyHead<K> {
+    /// The entry's true (and filed) stamp.
+    pub stamp: u64,
+    /// The entry's key.
+    pub key: K,
+    slot: u32,
+    filing: u32,
 }
 
 /// A keyed map of entries ordered by recency within each of `C` classes
@@ -153,20 +188,27 @@ impl<K> Ord for Filing<K> {
 /// }
 /// map.get(&10).expect("resident").promote(7);
 /// map.remove(&11);
-/// assert_eq!(map.head(0), Some((3, 12)), "10 was promoted past 12");
-/// assert_eq!(map.live(0), 2);
+/// let head = map.head(0).expect("two entries");
+/// assert_eq!((head.stamp, head.key), (3, 12), "10 was promoted past 12");
+/// assert_eq!(map.take(head), Some(()));
+/// assert_eq!(map.pop_head(0), Some((7, 10, ())));
 /// assert_eq!(map.check(), Ok(()));
 /// ```
 pub struct RecencyMap<K, V, const C: usize> {
-    entries: MixMap<K, Resident<V>>,
-    heaps: [BinaryHeap<Filing<K>>; C],
+    index: MixMap<K, u32>,
+    slots: Vec<Slot<K, V>>,
+    /// The first vacant slot, or [`NIL`].
+    free: u32,
+    heaps: [BinaryHeap<Filing>; C],
     live: [usize; C],
 }
 
 impl<K, V, const C: usize> Default for RecencyMap<K, V, C> {
     fn default() -> Self {
         RecencyMap {
-            entries: MixMap::default(),
+            index: MixMap::default(),
+            slots: Vec::new(),
+            free: NIL,
             heaps: std::array::from_fn(|_| BinaryHeap::new()),
             live: [0; C],
         }
@@ -176,20 +218,48 @@ impl<K, V, const C: usize> Default for RecencyMap<K, V, C> {
 impl<K, V, const C: usize> fmt::Debug for RecencyMap<K, V, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RecencyMap")
-            .field("entries", &self.entries.len())
+            .field("entries", &self.index.len())
+            .field("slots", &self.slots.len())
             .field("live", &self.live)
             .field("filed", &self.heaps.each_ref().map(BinaryHeap::len))
             .finish()
     }
 }
 
-/// The entry `f` files, if `f` is its current filing in `class`.
-fn filed_entry<'m, K: Hash + Eq, V: RecencyClass<K>>(
-    entries: &'m MixMap<K, Resident<V>>,
-    class: usize,
-    f: &Filing<K>,
-) -> Option<&'m Resident<V>> {
-    entries.get(&f.key).filter(|e| e.holds(class, f))
+/// The entry in slot `at`, which the index names.
+fn resident<K, V>(slots: &[Slot<K, V>], at: u32) -> &Resident<V> {
+    match &slots[at as usize].state {
+        State::Full(_, e) => e,
+        State::Free(_) => unreachable!("the index names a vacant slot"),
+    }
+}
+
+/// Puts `state` in a vacant slot, the first of the `free` chain or a new
+/// one, and returns the slot. A vacant slot's generation was bumped when
+/// it was vacated, so no heap holds a filing of it yet.
+fn occupy<K, V>(slots: &mut Vec<Slot<K, V>>, free: &mut u32, state: State<K, V>) -> u32 {
+    if *free == NIL {
+        slots.push(Slot { filing: 0, state });
+        return u32::try_from(slots.len() - 1)
+            .ok()
+            .filter(|&at| at != NIL)
+            .expect("fewer than 2^32 - 1 entries");
+    }
+    let at = *free;
+    let State::Free(next) = mem::replace(&mut slots[at as usize].state, state) else {
+        unreachable!("the vacant chain names a full slot");
+    };
+    *free = next;
+    at
+}
+
+/// The key and entry `f` files, if `f` is its slot's current filing.
+fn filed_entry<'s, K, V>(slots: &'s [Slot<K, V>], f: &Filing) -> Option<(&'s K, &'s Resident<V>)> {
+    let slot = &slots[f.slot as usize];
+    match &slot.state {
+        State::Full(key, e) if slot.filing == f.filing => Some((key, e)),
+        _ => None,
+    }
 }
 
 impl<K, V, const C: usize> RecencyMap<K, V, C>
@@ -204,23 +274,23 @@ where
 
     /// Entries resident.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether no entry is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Whether `key` is resident.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
+        self.index.contains_key(key)
     }
 
     /// The entry under `key`. A plain probe: nothing is promoted.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&Resident<V>> {
-        self.entries.get(key)
+        self.index.get(key).map(|&at| resident(&self.slots, at))
     }
 
     /// Entries of `class`.
@@ -232,68 +302,117 @@ where
     /// class under it. Returns the value it replaced, if any.
     pub fn insert(&mut self, key: K, value: V, stamp: u64) -> Option<V> {
         let class = value.class(&key);
-        let resident = Resident {
+        let entry = Resident {
             value,
             stamp: AtomicU64::new(stamp),
             filed: stamp,
-            filing: 0,
         };
-        let replaced = self.entries.insert(key, resident);
-        let mut filing = 0;
-        if let Some(old) = &replaced {
-            // The replaced entry's filing may still lie in a heap under
-            // the same key: a new generation tells the two apart.
-            filing = old.filing.wrapping_add(1);
-            self.entries.get_mut(&key).expect("just inserted").filing = filing;
-        }
-        self.file(class, stamp, key, filing);
-        replaced.map(|old| {
-            self.unfile(old.value.class(&key));
-            old.value
-        })
+        let state = State::Full(key, entry);
+        let (at, replaced) = match self.index.entry(key) {
+            Entry::Occupied(o) => {
+                // A replacement is a new filing of the same slot.
+                let slot = &mut self.slots[*o.get() as usize];
+                slot.filing = slot.filing.wrapping_add(1);
+                (*o.get(), Some(mem::replace(&mut slot.state, state)))
+            }
+            Entry::Vacant(v) => (
+                *v.insert(occupy(&mut self.slots, &mut self.free, state)),
+                None,
+            ),
+        };
+        self.file(class, stamp, at, self.slots[at as usize].filing);
+        let State::Full(_, old) = replaced? else {
+            unreachable!("the index names a vacant slot");
+        };
+        self.retire(old.value.class(&key));
+        Some(old.value)
     }
 
     /// Removes the entry under `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let old = self.entries.remove(key)?;
-        self.unfile(old.value.class(key));
-        Some(old.value)
+        let at = self.index.remove(key)?;
+        Some(self.vacate(at))
+    }
+
+    /// Removes the entry `head` named, with its filing, and returns its
+    /// value: what [`RecencyMap::remove`] of its key would return. `None`
+    /// if the entry was removed, replaced, re-filed or promoted since —
+    /// the head has expired and the caller asks again.
+    pub fn take(&mut self, head: RecencyHead<K>) -> Option<V> {
+        let f = Filing {
+            stamp: head.stamp,
+            slot: head.slot,
+            filing: head.filing,
+        };
+        let (key, e) = filed_entry(&self.slots, &f).filter(|(_, e)| e.stamp() == head.stamp)?;
+        let class = e.value.class(key).expect("a filed entry has a class");
+        let heap = &mut self.heaps[class];
+        if heap
+            .peek()
+            .is_some_and(|top| top.slot == f.slot && top.filing == f.filing)
+        {
+            heap.pop();
+        }
+        self.index.remove(&head.key);
+        Some(self.vacate(head.slot))
+    }
+
+    /// Removes the least recent entry of `class` ([`RecencyMap::head`]) as
+    /// `(stamp, key, value)`, or `None` when the class is empty.
+    pub fn pop_head(&mut self, class: usize) -> Option<(u64, K, V)> {
+        let head = self.head(class)?;
+        let value = self.take(head).expect("a head just named is live");
+        Some((head.stamp, head.key, value))
     }
 
     /// Changes the value under `key` through `f`. If its class changed,
     /// the entry is filed in its new class under its true stamp, as a new
     /// filing. `None` when `key` is not resident.
     pub fn update<R>(&mut self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
-        let e = self.entries.get_mut(key)?;
+        let at = *self.index.get(key)?;
+        let slot = &mut self.slots[at as usize];
+        let State::Full(_, e) = &mut slot.state else {
+            unreachable!("the index names a vacant slot");
+        };
         let was = e.value.class(key);
         let out = f(&mut e.value);
         let now = e.value.class(key);
         if now != was {
-            e.filed = e.stamp.load(Relaxed);
-            e.filing = e.filing.wrapping_add(1);
-            let (stamp, filing) = (e.filed, e.filing);
-            self.unfile(was);
-            self.file(now, stamp, *key, filing);
+            e.filed = *e.stamp.get_mut();
+            let stamp = e.filed;
+            slot.filing = slot.filing.wrapping_add(1);
+            let filing = slot.filing;
+            self.retire(was);
+            self.file(now, stamp, at, filing);
         }
         Some(out)
     }
 
-    /// The least recent entry of `class` as `(stamp, key)`, or `None` when
-    /// the class is empty. Settles the top filing until it is filed under
-    /// its entry's true stamp: a tombstone is dropped, a promoted entry is
-    /// re-filed under its true stamp. The head stays filed.
-    pub fn head(&mut self, class: usize) -> Option<(u64, K)> {
-        let entries = &mut self.entries;
+    /// The least recent entry of `class`, or `None` when the class is
+    /// empty. Settles the top filing until it is filed under its entry's
+    /// true stamp: a tombstone is dropped, a promoted entry is re-filed
+    /// under its true stamp. The head stays filed until it is taken.
+    pub fn head(&mut self, class: usize) -> Option<RecencyHead<K>> {
+        let slots = &mut self.slots;
         let heap = &mut self.heaps[class];
         loop {
             let mut top = heap.peek_mut()?;
-            let Some(entry) = entries.get_mut(&top.key).filter(|e| e.holds(class, &top)) else {
+            let slot = &mut slots[top.slot as usize];
+            if slot.filing != top.filing {
                 PeekMut::pop(top);
                 continue;
+            }
+            let State::Full(key, entry) = &mut slot.state else {
+                unreachable!("a vacant slot's generation matches no filing");
             };
-            let stamp = entry.stamp.load(Relaxed);
+            let stamp = *entry.stamp.get_mut();
             if stamp == top.stamp {
-                return Some((stamp, top.key));
+                return Some(RecencyHead {
+                    stamp,
+                    key: *key,
+                    slot: top.slot,
+                    filing: top.filing,
+                });
             }
             entry.filed = stamp;
             // Sifts down when `top` drops: the stamp only grew.
@@ -301,40 +420,49 @@ where
         }
     }
 
-    /// The stamp of the entry under `key` if it is filed in a class under
-    /// its true stamp — what [`RecencyMap::head`] would name it by.
-    pub fn settled(&self, key: &K) -> Option<u64> {
-        self.entries
-            .get(key)
-            .filter(|e| e.value.class(key).is_some() && e.filed == e.stamp())
-            .map(|e| e.filed)
-    }
-
     /// Every entry of `class` as `(true stamp, key)`, in no particular
     /// order.
     pub fn members(&self, class: usize) -> impl Iterator<Item = (u64, K)> + '_ {
         self.heaps[class]
             .iter()
-            .filter_map(move |f| filed_entry(&self.entries, class, f).map(|e| (e.stamp(), f.key)))
+            .filter_map(move |f| filed_entry(&self.slots, f).map(|(&key, e)| (e.stamp(), key)))
     }
 
-    /// Files `key` in `class`, if it has one.
-    fn file(&mut self, class: Option<usize>, stamp: u64, key: K, filing: u32) {
+    /// Vacates slot `at`, which the index no longer names, and retires
+    /// its filing. Returns the entry's value.
+    fn vacate(&mut self, at: u32) -> V {
+        let slot = &mut self.slots[at as usize];
+        let State::Full(key, old) = mem::replace(&mut slot.state, State::Free(self.free)) else {
+            unreachable!("a vacated slot was full");
+        };
+        slot.filing = slot.filing.wrapping_add(1);
+        self.free = at;
+        self.retire(old.value.class(&key));
+        old.value
+    }
+
+    /// Files slot `at` in `class`, if it has one.
+    fn file(&mut self, class: Option<usize>, stamp: u64, at: u32, filing: u32) {
         if let Some(class) = class {
-            self.heaps[class].push(Filing { stamp, key, filing });
+            self.heaps[class].push(Filing {
+                stamp,
+                slot: at,
+                filing,
+            });
             self.live[class] += 1;
         }
     }
 
-    /// Notes that one live filing of `class` died. Once tombstones
-    /// outnumber live filings, compacts the heap in place.
-    fn unfile(&mut self, class: Option<usize>) {
+    /// Notes that one live filing of `class` died (its slot's generation
+    /// has moved on). Once tombstones outnumber live filings, compacts the
+    /// heap in place.
+    fn retire(&mut self, class: Option<usize>) {
         let Some(class) = class else { return };
         self.live[class] -= 1;
         let heap = &mut self.heaps[class];
         if heap.len() - self.live[class] > self.live[class] {
-            let entries = &self.entries;
-            heap.retain(|f| filed_entry(entries, class, f).is_some());
+            let slots = &self.slots;
+            heap.retain(|f| filed_entry(slots, f).is_some());
             debug_assert_eq!(
                 heap.len(),
                 self.live[class],
@@ -343,10 +471,11 @@ where
         }
     }
 
-    /// Checks the index against the entries: no entry is filed past its
-    /// true stamp; in each class, every member is filed live exactly once,
-    /// under its filed stamp, nothing else is live, the live count is
-    /// exact, and tombstones do not outnumber live filings.
+    /// Checks the index against the entries: the key index and the arena
+    /// agree, and the vacant chain holds exactly the vacant slots; no entry
+    /// is filed past its true stamp; in each class, every member is filed
+    /// live exactly once, under its filed stamp, nothing else is live, the
+    /// live count is exact, and tombstones do not outnumber live filings.
     ///
     /// # Errors
     ///
@@ -355,15 +484,35 @@ where
     where
         K: fmt::Debug,
     {
-        if let Some((key, e)) = self.entries.iter().find(|(_, e)| e.filed > e.stamp()) {
+        let (mut at, mut vacant) = (self.free, 0);
+        while at != NIL && vacant <= self.slots.len() {
+            let Some(State::Free(next)) = self.slots.get(at as usize).map(|s| &s.state) else {
+                return Err(format!("the vacant chain reaches slot {at}, which is full"));
+            };
+            (at, vacant) = (*next, vacant + 1);
+        }
+        let own = |(key, &at): (&K, &u32)| matches!(self.slots.get(at as usize), Some(Slot { state: State::Full(k, _), .. }) if k == key);
+        let indexed = self.index.iter().filter(|&entry| own(entry)).count();
+        if indexed != self.index.len() || indexed + vacant != self.slots.len() {
+            return Err(format!(
+                "{} slots: {indexed} of {} keys indexed to their own, {vacant} chained vacant",
+                self.slots.len(),
+                self.index.len()
+            ));
+        }
+        let full: Vec<(&K, &Resident<V>)> = self
+            .index
+            .iter()
+            .map(|(key, &at)| (key, resident(&self.slots, at)))
+            .collect();
+        if let Some((key, e)) = full.iter().find(|(_, e)| e.filed > e.stamp()) {
             return Err(format!("{key:?} filed under {} past its stamp", e.filed));
         }
         for class in 0..C {
             let heap = &self.heaps[class];
             let mut filed: Vec<(u64, K)> = heap
                 .iter()
-                .filter(|f| filed_entry(&self.entries, class, f).is_some())
-                .map(|f| (f.stamp, f.key))
+                .filter_map(|f| filed_entry(&self.slots, f).map(|(&key, _)| (f.stamp, key)))
                 .collect();
             filed.sort_unstable_by_key(|&(stamp, _)| stamp);
             let live = self.live[class];
@@ -380,14 +529,10 @@ where
                 ));
             }
             let mut members = 0;
-            for (key, e) in self
-                .entries
-                .iter()
-                .filter(|(k, e)| e.value.class(k) == Some(class))
-            {
+            for (key, e) in full.iter().filter(|(k, e)| e.value.class(k) == Some(class)) {
                 members += 1;
                 match filed.binary_search_by_key(&e.filed, |&(stamp, _)| stamp) {
-                    Ok(at) if filed[at].1 == *key => {}
+                    Ok(at) if filed[at].1 == **key => {}
                     _ => {
                         return Err(format!(
                             "class {class}: {key:?} is not filed live under stamp {}",

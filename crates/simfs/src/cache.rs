@@ -383,10 +383,10 @@ impl BufferCache {
     /// iSCSI write sequence).
     pub fn flush_oldest(&mut self, n: usize, out: &mut Vec<Writeback>) {
         for _ in 0..n {
-            let Some((_, lbn)) = self.map.head(DIRTY) else {
+            let Some(head) = self.map.head(DIRTY) else {
                 break;
             };
-            out.push(self.clean(lbn));
+            out.push(self.clean(head.key));
         }
     }
 
@@ -431,11 +431,10 @@ impl BufferCache {
             // Within clean blocks, data goes before metadata — modelling
             // the kernel's separate inode/dentry caches, which page data
             // does not displace.
-            let (seq, lbn) = [CLEAN_DATA, CLEAN_META, DIRTY]
+            let (seq, lbn, entry) = [CLEAN_DATA, CLEAN_META, DIRTY]
                 .into_iter()
-                .find_map(|class| self.map.head(class))
+                .find_map(|class| self.map.pop_head(class))
                 .expect("a non-empty cache has a filed block");
-            let entry = self.map.remove(&lbn).expect("the head is resident");
             self.record_ghost(lbn, seq);
             let class = if entry.class == BlockClass::Meta {
                 "meta"

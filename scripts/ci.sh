@@ -31,12 +31,14 @@ cargo clippy --offline --workspace --all-targets -- -D warnings -D unreachable_p
 echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-# The one hit walk's two differential properties, and the split
-# controller's ghost and quota properties, at two pinned seeds each.
+# The one hit walk's two differential properties, the split
+# controller's ghost and quota properties, and the recency map against
+# its eager LRU model, at two pinned seeds each.
 for SEED in 0x5eed0001 0x5eed0002; do
     CHECK_SEED="$SEED" cargo test -q --offline -p simfs --test resident_walk_equivalence
     CHECK_SEED="$SEED" cargo test -q --offline -p check --test substitution_equivalence
     CHECK_SEED="$SEED" cargo test -q --offline -p check --test adaptive_property
+    CHECK_SEED="$SEED" cargo test -q --offline -p check --test recency_model
 done
 
 echo "== benchmark workspace gate (benchmark/check.sh) =="

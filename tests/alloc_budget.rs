@@ -115,14 +115,14 @@ fn cold_nfs(mode: ServerMode) -> (NfsRig, u64) {
     (rig, fh)
 }
 
-/// 64 cold 4 KiB READs in steady state: every block misses the buffer
+/// `reads` cold 4 KiB READs in steady state: every block misses the buffer
 /// cache *and* the network-centric cache (the file is 16x both), so each
 /// request walks initiator -> target -> Data-In -> `on_data_in`, and every
 /// insert evicts — the per-block shape of `nfs_miss` (Baseline has no
 /// network-centric cache and ships junk, but misses the same). Counted as
 /// a batch because the caches' recency heaps grow or compact every few
 /// inserts, not every insert; the batch total repeats to the digit.
-fn miss_read_allocs(mode: ServerMode) -> u64 {
+fn miss_read_allocs(mode: ServerMode, reads: u32) -> u64 {
     let (mut rig, fh) = cold_nfs(mode);
     // Several passes over the caches' capacity: both are evicting, and
     // the placeholder blocks they drop are coming back as slabs.
@@ -143,7 +143,7 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
     };
     let (initiator, target) = pools(&mut rig);
     let n = allocs(|| {
-        for blk in 701..765 {
+        for blk in 701..701 + reads {
             rig.read(fh, blk * BLOCK, BLOCK);
         }
     });
@@ -159,7 +159,10 @@ fn miss_read_allocs(mode: ServerMode) -> u64 {
         (initiator.allocs, target.allocs),
         "{mode}: a steady-state miss takes no fresh slab"
     );
-    assert!(target_after.recycles - target.recycles >= 64, "{mode}");
+    assert!(
+        target_after.recycles - target.recycles >= u64::from(reads),
+        "{mode}"
+    );
     assert_eq!(initiator_after.recycles, initiator.recycles, "{mode}");
     n
 }
@@ -318,14 +321,25 @@ fn allocations_per_request_are_pinned() {
     // What is left is the client's copy of the data, one per READ in both
     // builds (two while the fetched blocks were a fresh vector).
     assert_eq!(
-        miss_read_allocs(ServerMode::NCache),
+        miss_read_allocs(ServerMode::NCache, 64),
         65,
         "64 one-block all-miss READs"
     );
     assert_eq!(
-        miss_read_allocs(ServerMode::Baseline),
+        miss_read_allocs(ServerMode::Baseline, 64),
         65,
         "64 one-block all-miss READs, Baseline"
+    );
+    // Four times the batch adds only the client's copies: at capacity the
+    // caches' recency indexes reuse the slots their victims vacate, so
+    // neither the slot arena, nor the key index, nor a heap grows.
+    assert_eq!(
+        (
+            miss_read_allocs(ServerMode::NCache, 256),
+            miss_read_allocs(ServerMode::Baseline, 256)
+        ),
+        (257, 257),
+        "256 one-block all-miss READs (ncache, baseline)"
     );
     // So a 32 KiB all-miss READ — eight blocks fetched, eight chunks
     // admitted, eight evicted — allocates no more than the all-hit READ:
