@@ -39,7 +39,7 @@ fn main() {
         let mut g = h.group("figures");
         g.sample_size(10);
         for e in &ALL {
-            g.bench(e.selector, || (e.render)(&exp));
+            g.bench(e.selector, || (e.run)(&exp).to_string());
         }
     }
 

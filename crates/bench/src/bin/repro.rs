@@ -297,7 +297,7 @@ fn main() -> ExitCode {
         if let (true, Some(spec)) = (e.faulted, &x.faults) {
             eprintln!("[{} under faults: {spec:?}, seed {}]", e.selector, x.seed);
         }
-        println!("{}", (e.render)(&x));
+        println!("{}", (e.run)(&x));
         eprintln!("[{} in {:.1?}]\n", e.selector, t0.elapsed());
     }
 

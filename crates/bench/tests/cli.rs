@@ -77,6 +77,23 @@ fn a_flag_some_chosen_experiments_ignore_is_named_on_stderr() {
 }
 
 #[test]
+fn the_latency_report_names_a_bottleneck() {
+    // The cheapest traced selector whose cells record pipeline stages.
+    let out = repro(&["--adaptive-sweep", "--latency-report"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let titled = stdout.contains("# Latency attribution report\n");
+    let named = stdout
+        .lines()
+        .any(|l| l.trim_start().starts_with("bottleneck "));
+    assert!(titled && named, "no report naming a bottleneck:\n{stdout}");
+}
+
+#[test]
 fn help_mentions_every_selector_the_registry_holds() {
     let out = repro(&["--help"]);
     assert!(out.status.success());

@@ -85,7 +85,6 @@ pub struct Disk {
     model: DiskModel,
     free_at: SimTime,
     next_seq_block: Option<u64>,
-    busy: Duration,
     requests: u64,
     blocks_moved: u64,
 }
@@ -97,7 +96,6 @@ impl Disk {
             model,
             free_at: SimTime::ZERO,
             next_seq_block: None,
-            busy: Duration::ZERO,
             requests: 0,
             blocks_moved: 0,
         }
@@ -121,19 +119,9 @@ impl Disk {
         let done = begin + demand;
         self.free_at = done;
         self.next_seq_block = Some(start_block + blocks);
-        self.busy += demand;
         self.requests += 1;
         self.blocks_moved += blocks;
         (begin, done)
-    }
-
-    /// Utilization over `[0, elapsed_until]`.
-    pub fn utilization(&self, elapsed_until: SimTime) -> f64 {
-        if elapsed_until == SimTime::ZERO {
-            return 0.0;
-        }
-        let overhang = self.free_at.saturating_since(elapsed_until);
-        (self.busy.saturating_sub(overhang).as_secs_f64() / elapsed_until.as_secs_f64()).min(1.0)
     }
 
     /// Total blocks moved.
@@ -233,16 +221,6 @@ mod tests {
         let rate = bytes as f64 / t.as_secs_f64();
         // First I/O pays positioning; the rest stream. Expect ≥95% of 37 MB/s.
         assert!(rate > 0.95 * m.media_bytes_per_sec, "rate = {rate}");
-    }
-
-    #[test]
-    fn utilization_tracks_busy_fraction() {
-        let mut d = Disk::new(DiskModel::dtla_307075());
-        let c = io(&mut d, SimTime::ZERO, 0, 8);
-        let idle_until = c + Duration::from_millis(100);
-        let u = d.utilization(idle_until);
-        assert!(u > 0.0 && u < 0.5);
-        assert_eq!(d.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

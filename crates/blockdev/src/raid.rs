@@ -87,15 +87,6 @@ impl Raid0 {
         }
         (begin.unwrap_or(now), done)
     }
-
-    /// Mean member-disk utilization over `[0, elapsed_until]`.
-    pub fn utilization(&self, elapsed_until: SimTime) -> f64 {
-        self.disks
-            .iter()
-            .map(|d| d.utilization(elapsed_until))
-            .sum::<f64>()
-            / self.disks.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -198,13 +189,5 @@ mod tests {
         // io() returns exactly the completion half.
         let mut c = Raid0::new(DiskModel::dtla_307075(), 4, 16);
         assert_eq!(c.io(SimTime::ZERO, 0, 64), d1);
-    }
-
-    #[test]
-    fn utilization_averages_members() {
-        let mut a = Raid0::new(DiskModel::dtla_307075(), 2, 16);
-        let c = a.io(SimTime::ZERO, 0, 16); // one disk busy, one idle
-        let u = a.utilization(c);
-        assert!(u > 0.0 && u <= 0.5 + 1e-9);
     }
 }

@@ -237,13 +237,6 @@ impl TieredArray {
             fault_fallback: false,
         }
     }
-
-    /// Combined utilization of the busier device over `[0, elapsed]`.
-    pub fn utilization(&self, elapsed_until: SimTime) -> f64 {
-        self.slow
-            .utilization(elapsed_until)
-            .max(self.fast.utilization(elapsed_until))
-    }
 }
 
 #[cfg(test)]

@@ -110,13 +110,6 @@ impl Backend {
         }
     }
 
-    pub(crate) fn utilization(&self, elapsed_until: SimTime) -> f64 {
-        match self {
-            Backend::Flat(array) => array.utilization(elapsed_until),
-            Backend::Tiered(t) => t.utilization(elapsed_until),
-        }
-    }
-
     pub(crate) fn tier_stats(&self) -> Option<TierStats> {
         match self {
             Backend::Flat(_) => None,

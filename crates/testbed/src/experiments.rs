@@ -1101,6 +1101,46 @@ pub fn render_table2(rows: &[CopyCountRow]) -> String {
     out
 }
 
+/// What one experiment prints: its tables, which a claim can read cell by
+/// cell, or text laid out its own way.
+pub enum Printed {
+    /// The experiment's tables in print order, a blank line between two.
+    Tables(Vec<SeriesTable>),
+    /// Text in a layout of its own: Tables 1 and 2, and the ablations,
+    /// whose tables are interleaved with lines that are not tables.
+    Text(String),
+}
+
+impl std::fmt::Display for Printed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Printed::Text(text) => f.write_str(text),
+            Printed::Tables(tables) => {
+                let tables: Vec<String> = tables.iter().map(ToString::to_string).collect();
+                f.write_str(&tables.join("\n"))
+            }
+        }
+    }
+}
+
+impl From<SeriesTable> for Printed {
+    fn from(a: SeriesTable) -> Self {
+        Printed::Tables(vec![a])
+    }
+}
+
+impl From<(SeriesTable, SeriesTable)> for Printed {
+    fn from((a, b): (SeriesTable, SeriesTable)) -> Self {
+        Printed::Tables(vec![a, b])
+    }
+}
+
+impl From<(SeriesTable, SeriesTable, SeriesTable)> for Printed {
+    fn from((a, b, c): (SeriesTable, SeriesTable, SeriesTable)) -> Self {
+        Printed::Tables(vec![a, b, c])
+    }
+}
+
 /// One row of the evaluation's registry: an experiment as `repro` selects,
 /// runs and prints it.
 pub struct Experiment {
@@ -1113,29 +1153,22 @@ pub struct Experiment {
     pub traced: bool,
     /// Whether it honours [`Exp::faults`] and [`Exp::seed`].
     pub faulted: bool,
-    /// Runs it and returns exactly the text `repro` prints for it.
-    pub render: fn(&Exp) -> String,
-}
-
-fn two((a, b): (SeriesTable, SeriesTable)) -> String {
-    format!("{a}\n{b}")
-}
-
-fn three((a, b, c): (SeriesTable, SeriesTable, SeriesTable)) -> String {
-    format!("{a}\n{b}\n{c}")
+    /// Runs it and returns what `repro` prints for it: the output's
+    /// `Display` is exactly the text.
+    pub run: fn(&Exp) -> Printed,
 }
 
 const fn row(
     selector: &'static str,
     [in_default_run, traced, faulted]: [bool; 3],
-    render: fn(&Exp) -> String,
+    run: fn(&Exp) -> Printed,
 ) -> Experiment {
     Experiment {
         selector,
         in_default_run,
         traced,
         faulted,
-        render,
+        run,
     }
 }
 
@@ -1148,22 +1181,22 @@ const fn row(
 pub static ALL: [Experiment; 13] = {
     const Y: bool = true;
     const N: bool = false;
-    //   selector              [default, traced, faulted]  render
+    //   selector              [default, traced, faulted]  run
     [
         // Table 1 (the modification footprint) is the servers crate's own inventory.
-        row("table1",            [Y, N, N], |_| servers::hooks::render_table1()),
-        row("table2",            [Y, Y, Y], |x| render_table2(&table2(x))),
-        row("faults-sweep",      [N, Y, Y], |x| two(fault_sweep(x))),
-        row("clients-sweep",     [N, Y, N], |x| two(clients_sweep(x))),
-        row("overload-sweep",    [N, Y, N], |x| three(overload_sweep(x))),
-        row("overload-ablation", [N, Y, N], |x| three(overload_ablation(x))),
-        row("adaptive-sweep",    [N, Y, N], |x| three(adaptive_ablation(x))),
-        row("fig4",              [Y, Y, N], |x| two(fig4(x))),
-        row("fig5",              [Y, Y, N], |x| two(fig5(x))),
-        row("fig6a",             [Y, Y, N], |x| fig6a(x).to_string()),
-        row("fig6b",             [Y, Y, N], |x| fig6b(x).to_string()),
-        row("fig7",              [Y, Y, N], |x| fig7(x).to_string()),
-        row("ablations",         [Y, N, N], crate::ablations::render),
+        row("table1",            [Y, N, N], |_| Printed::Text(servers::hooks::render_table1())),
+        row("table2",            [Y, Y, Y], |x| Printed::Text(render_table2(&table2(x)))),
+        row("faults-sweep",      [N, Y, Y], |x| fault_sweep(x).into()),
+        row("clients-sweep",     [N, Y, N], |x| clients_sweep(x).into()),
+        row("overload-sweep",    [N, Y, N], |x| overload_sweep(x).into()),
+        row("overload-ablation", [N, Y, N], |x| overload_ablation(x).into()),
+        row("adaptive-sweep",    [N, Y, N], |x| adaptive_ablation(x).into()),
+        row("fig4",              [Y, Y, N], |x| fig4(x).into()),
+        row("fig5",              [Y, Y, N], |x| fig5(x).into()),
+        row("fig6a",             [Y, Y, N], |x| fig6a(x).into()),
+        row("fig6b",             [Y, Y, N], |x| fig6b(x).into()),
+        row("fig7",              [Y, Y, N], |x| fig7(x).into()),
+        row("ablations",         [Y, N, N], |x| Printed::Text(crate::ablations::render(x))),
     ]
 };
 

@@ -145,8 +145,6 @@ pub struct RunResult {
     pub storage_cpu_util: f64,
     /// Application-server transmit-link utilization.
     pub app_tx_util: f64, // test-api: the NIC test's evidence that one link saturates
-    /// Mean member-disk utilization of the array.
-    pub disk_util: f64,
     /// Simulated wall-clock of the run.
     pub elapsed: SimTime,
     /// Operations completed.
@@ -157,7 +155,7 @@ pub struct RunResult {
     pub mean_latency: Duration, // test-api: lifecycle's Little's-law bound
     /// Per-interval throughput samples over the run (≤ 32 buckets;
     /// empty when no foreground operation completed).
-    pub timeline: Vec<TimelineSample>,
+    pub timeline: Vec<TimelineSample>, // test-api: the runner's tests' evidence that it buckets every op
 }
 
 /// One interval of a run's completion-driven timeline.
@@ -254,7 +252,6 @@ pub fn run<R: RigDriver>(
         app_cpu_util: w.hw.app_cpu.utilization(elapsed),
         storage_cpu_util: w.hw.stor_cpu.utilization(elapsed),
         app_tx_util: w.hw.app_tx.utilization(elapsed),
-        disk_util: w.hw.array.utilization(elapsed),
         elapsed,
         ops: w.totals.meter.ops(),
         payload_bytes: w.totals.meter.bytes(),

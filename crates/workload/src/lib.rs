@@ -12,9 +12,6 @@
 //!   working-set size swept for Figure 6(a).
 //! * [`zipf`] — the Zipf sampler behind it (Breslau et al., the paper's
 //!   citation for web popularity).
-//! * [`trace`] — a small NFS trace format plus an Active-Trace-Player-like
-//!   replayer (the paper drives its micro-benchmarks with synthetic traces
-//!   through ATP).
 //! * [`arrivals`] — seeded open-loop arrival schedules (Poisson
 //!   inter-arrivals at a constant rate) for driving the testbed past
 //!   saturation.
@@ -25,7 +22,6 @@ pub mod arrivals;
 pub mod micro;
 pub mod specsfs;
 pub mod specweb;
-pub mod trace;
 pub mod zipf;
 
 /// A file within the benchmark file set (index into the set created at
@@ -64,9 +60,6 @@ pub enum NfsOp {
         /// Target file.
         file: FileId,
     },
-}
-
-impl NfsOp {
 }
 
 /// One HTTP request issued by a web workload.

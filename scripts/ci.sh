@@ -84,8 +84,9 @@ diff_matrix() {
 }
 
 echo "== observability smoke (repro --table2 --metrics --trace) =="
-repro --table2 --metrics --trace "$TRACE_DIR/table2.json" > "$TRACE_DIR/stdout.txt"
-grep -q "Unified metrics summary" "$TRACE_DIR/stdout.txt"
+# What --metrics prints is tier-1's (crates/bench/tests/cli.rs); this rung
+# checks that the traces it writes beside it validate.
+repro --table2 --metrics --trace "$TRACE_DIR/table2.json" > /dev/null
 repro --validate-trace "$TRACE_DIR/table2.json"
 repro --validate-trace "$TRACE_DIR/table2.jsonl"
 
@@ -127,9 +128,6 @@ echo "== overload observatory (repro --overload-sweep --latency-report --metrics
 # recorder counter — must be byte-identical across thread and shard
 # counts.
 diff_matrix overload --overload-sweep --latency-report --metrics
-grep -q "Latency attribution report" "$TRACE_DIR/overload.txt"
-grep -q "bottleneck" "$TRACE_DIR/overload.txt"
-grep -q "Unified metrics summary" "$TRACE_DIR/overload.txt"
 echo "overload sweep + latency report + metrics identical at threads {1,$NT} and shards {1,8}"
 
 echo "== overload control plane (repro --overload-ablation) =="
@@ -139,27 +137,9 @@ echo "== overload control plane (repro --overload-ablation) =="
 # thread and shard counts.
 diff_matrix ablation --overload-ablation
 echo "overload ablation identical at threads {1,$NT} and shards {1,8}"
-# The robustness gate: at 2x capacity the protected server must deliver
-# at least the unprotected goodput at every request size (the control
-# plane's reason to exist — in practice it holds a multiple; see
-# EXPERIMENTS.md). Columns are `<variant>-<size>`; a size missing from
-# the table fails the gate like a protected column that trails.
-awk -v sizes="16K 4K" '/^# Overload ablation: delivered/ { t = 1; next }
-t && !hdr { for (i = 2; i <= NF; i++) col[$i] = i; hdr = 1; next }
-t && $1 == "2.0" {
-    found = 1
-    n = split(sizes, want, " ")
-    for (k = 1; k <= n; k++) {
-        u = col["unprotected-" want[k]]; p = col["protected-" want[k]]
-        if (!u || !p) { printf "no %s columns in the goodput table\n", want[k] > "/dev/stderr"; exit 2 }
-        printf "goodput at 2.0x, %s: unprotected %s vs protected %s MB/s\n", want[k], $u, $p
-        if (!($p >= $u)) bad = 1
-    }
-    exit bad
-}
-END { if (!found) { print "no 2.0x goodput row found" > "/dev/stderr"; exit 2 } }' \
-    "$TRACE_DIR/ablation.txt"
-echo "protected goodput at 2x capacity >= unprotected at every request size"
+# What the tables claim (protected beats unprotected goodput in every cell
+# but three pinned ones) is tier-1's: tests/golden_figures.rs reads it off
+# the golden tables, so this rung checks determinism only.
 
 echo "== adaptive cache split (repro --adaptive-sweep) =="
 # Static (frozen controller) vs adaptive split over the phase-changing
@@ -168,21 +148,8 @@ echo "== adaptive cache split (repro --adaptive-sweep) =="
 # sweep's stdout must be byte-identical across thread and shard counts.
 diff_matrix adaptive --adaptive-sweep
 echo "adaptive sweep identical at threads {1,$NT} and shards {1,8}"
-# The adaptation gate: on every post-phase-shift segment (4-6) the
-# adaptive split must deliver at least the static split's goodput (the
-# windowed ghost signal's reason to exist; see EXPERIMENTS.md).
-awk '/^# Adaptive split ablation: delivered/ { t = 1; next }
-/^#/ { t = 0 }
-t && $1 + 0 >= 4 {
-    rows += 1
-    printf "goodput at segment %s: static %s vs adaptive %s MB/s\n", $1, $2, $3
-    if ($3 + 0 < $2 + 0) bad = 1
-}
-END {
-    if (rows < 3) { print "missing post-shift goodput rows" > "/dev/stderr"; exit 2 }
-    exit bad
-}' "$TRACE_DIR/adaptive.txt"
-echo "adaptive goodput >= static on every post-shift segment"
+# Its claim (adaptive beats static goodput on all six segments) is
+# tier-1's, read off the golden tables in tests/golden_figures.rs.
 
 echo "== perf gate (figures bench vs committed BENCH_figures.json) =="
 BENCH_JSON_DIR="$TRACE_DIR" BENCH_SAMPLES=5 \

@@ -27,7 +27,7 @@
 //!   sim-time event timelines, counters/histograms, Chrome-trace and
 //!   JSONL exporters (see the Observability section of DESIGN.md).
 //! * [`workload`] — all-miss/all-hit micro-benchmarks, SPECsfs- and
-//!   SPECweb99-like generators, and the trace player.
+//!   SPECweb99-like generators, Zipf and open-loop arrival draws.
 //! * [`testbed`] — wires nodes together and regenerates every figure and
 //!   table of the paper's evaluation (see EXPERIMENTS.md).
 //!

@@ -21,12 +21,25 @@
 //!
 //! Every `repro` golden is one row of [`goldens`] and is rendered through
 //! the experiment registry, exactly as `repro` renders it.
+//!
+//! The same tables carry the claims: each figure's shape (`tests/claims`,
+//! which `tests/figures_shape.rs` applies at a tiny scale too) and each
+//! extension's one falsifiable claim (the `*_claim` functions below), read
+//! off the cells the golden pins, so a re-blessed golden must still hold
+//! its claim and no experiment runs twice.
 
-use ncache_repro::testbed::adaptive::SplitConfig;
+mod claims;
+
+use claims::cell;
 use ncache_repro::servers::hooks::render_table1;
 use ncache_repro::servers::{ControlConfig, ServerMode};
+use ncache_repro::sim::stats::SeriesTable;
 use ncache_repro::sim::FaultSpec;
-use ncache_repro::testbed::experiments::{chosen, Exp, Scale};
+use ncache_repro::testbed::adaptive::SplitConfig;
+use ncache_repro::testbed::experiments::{
+    chosen, Exp, Printed, Scale, CLIENTS_SWEEP_POINTS, FAULT_SWEEP_LOSS, OVERLOAD_ABLATION_SIZES,
+    OVERLOAD_SWEEP_FACTORS,
+};
 use ncache_repro::testbed::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use ncache_repro::testbed::nfs_rig::{NfsRig, NfsRigParams};
 use ncache_repro::testbed::runner::RigDriver;
@@ -68,15 +81,142 @@ fn goldens(scale: &Scale) -> Vec<(&'static str, &'static str, Exp<'_>)> {
     ]
 }
 
-/// Renders `file`'s row of [`goldens`] through the registry and holds it
-/// to the committed file.
-fn assert_matches(file: &str) {
+/// Renders `file`'s row of [`goldens`] through the registry, holds it to
+/// the committed file, and returns what it printed.
+fn assert_matches(file: &str) -> Printed {
     let scale = Scale::quick();
     let rows = goldens(&scale);
     let (_, selector, x) = rows.iter().find(|g| g.0 == file).expect("a golden row");
     let run = chosen(&[selector]);
     assert_eq!(run.len(), 1, "{file}: {selector} is one registry row");
-    assert_golden(file, (run[0].render)(x));
+    let printed = (run[0].run)(x);
+    assert_golden(file, printed.to_string());
+    printed
+}
+
+/// [`assert_matches`] for a row that prints `N` tables: the tables.
+fn golden_tables<const N: usize>(file: &str) -> [SeriesTable; N] {
+    let Printed::Tables(tables) = assert_matches(file) else {
+        panic!("{file} prints text, not tables");
+    };
+    let n = tables.len();
+    tables
+        .try_into()
+        .unwrap_or_else(|_| panic!("{file} prints {n} tables, not {N}"))
+}
+
+/// The three builds' series names.
+const BUILDS: [&str; 3] = ["original", "ncache", "baseline"];
+
+/// The fault model's claim: every build completes every request at every
+/// swept loss rate (up to 10 %), and a clean link takes no recovery action.
+fn fault_model_claim(done: &SeriesTable, recovery: &SeriesTable) {
+    for loss in FAULT_SWEEP_LOSS {
+        assert!(loss <= 0.10, "the claim covers loss up to 10 %, not {loss}");
+        for build in BUILDS {
+            let pct = cell(done, loss * 100.0, build);
+            assert_eq!(pct, 100.0, "{build} completes every request at loss {loss}");
+        }
+    }
+    for build in BUILDS {
+        let actions = cell(recovery, 0.0, build);
+        assert_eq!(
+            actions, 0.0,
+            "{build} recovers from nothing on a clean link"
+        );
+    }
+}
+
+/// Client scaling's claim: NCache delivers at least Original's throughput
+/// at every client count, and sixteen sessions deliver at least twice one
+/// session's throughput on every build. Baseline falls below Original at
+/// 256 clients, so no claim compares the two.
+fn client_scaling_claim(thr: &SeriesTable) {
+    for clients in CLIENTS_SWEEP_POINTS.map(|c| c as f64) {
+        let (orig, nc) = (cell(thr, clients, "original"), cell(thr, clients, "ncache"));
+        assert!(
+            nc >= orig,
+            "at {clients} clients NCache {nc} < Original {orig}"
+        );
+    }
+    for build in BUILDS {
+        let (one, sixteen) = (cell(thr, 1.0, build), cell(thr, 16.0, build));
+        assert!(
+            sixteen >= 2.0 * one,
+            "{build}: 16 clients {sixteen} < 2 x 1 client {one}"
+        );
+    }
+}
+
+/// The open loop's claim: NCache's goodput is at least Original's at every
+/// offered factor, and past saturation the queue shows in the tail: every
+/// build's p99 at 2.0x capacity is above its p99 at 0.8x.
+fn open_loop_claim(goodput: &SeriesTable, tails: &SeriesTable) {
+    for factor in OVERLOAD_SWEEP_FACTORS {
+        let (orig, nc) = (
+            cell(goodput, factor, "original"),
+            cell(goodput, factor, "ncache"),
+        );
+        assert!(
+            nc >= orig,
+            "at {factor}x NCache {nc} < Original {orig} MB/s"
+        );
+    }
+    for build in BUILDS {
+        let p99 = format!("{build} p99");
+        let (under, over) = (cell(tails, 0.8, &p99), cell(tails, 2.0, &p99));
+        assert!(
+            over > under,
+            "{build}: p99 at 2.0x {over} us <= at 0.8x {under} us"
+        );
+    }
+}
+
+/// The `(size, offered factor)` cells where the control plane's claim
+/// fails today. A change that mends one must take it out of this list.
+const CONTROL_PLANE_TRAILS: [(&str, f64); 3] = [("16K", 1.0), ("16K", 1.2), ("4K", 1.0)];
+
+/// The control plane's claim: with admission control, backpressure and
+/// retry budgets on, on-time goodput beats the unprotected server's in
+/// every `(size, offered factor)` cell but exactly [`CONTROL_PLANE_TRAILS`],
+/// where the protected server keeps at least 94 % of it.
+fn control_plane_claim(goodput: &SeriesTable) {
+    let mut trails = Vec::new();
+    for (_, size) in OVERLOAD_ABLATION_SIZES {
+        for factor in OVERLOAD_SWEEP_FACTORS {
+            let unprotected = cell(goodput, factor, &format!("unprotected-{size}"));
+            let protected = cell(goodput, factor, &format!("protected-{size}"));
+            if protected <= unprotected {
+                trails.push((size, factor));
+                assert!(
+                    protected >= 0.94 * unprotected,
+                    "{size} at {factor}x: protected {protected} < 94 % of {unprotected} MB/s"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        trails, CONTROL_PLANE_TRAILS,
+        "the cells where protected goodput does not beat unprotected: near capacity the \
+         fixed 12-slot in-flight bound (`overload_ablation`'s `max_inflight`) rejects \
+         requests that would have finished inside their deadline"
+    );
+}
+
+/// The adaptive split's claim, NetCAS's (PAPERS.md): under a working set
+/// that shifts at segment 4, on a tiered backend, a split steered by
+/// measured ghost hits delivers more goodput than the static split in
+/// every one of the six segments.
+fn adaptive_split_claim(goodput: &SeriesTable) {
+    assert_eq!(goodput.xs(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "six segments");
+    for segment in goodput.xs() {
+        let fixed = cell(goodput, segment, "static");
+        let adaptive = cell(goodput, segment, "adaptive");
+        assert!(
+            adaptive > fixed,
+            "segment {segment}: adaptive {adaptive} <= static {fixed} MB/s"
+        );
+    }
 }
 
 #[test]
@@ -86,27 +226,32 @@ fn table2_matches_the_committed_table() {
 
 #[test]
 fn fig4_matches_the_committed_series() {
-    assert_matches("fig4");
+    let [thr, cpu] = golden_tables("fig4");
+    claims::fig4(&thr, &cpu);
 }
 
 #[test]
 fn fig5_matches_the_committed_series() {
-    assert_matches("fig5");
+    let [cpu1, thr2] = golden_tables("fig5");
+    claims::fig5(&cpu1, &thr2);
 }
 
 #[test]
 fn fig6a_matches_the_committed_series() {
-    assert_matches("fig6a");
+    let [thr] = golden_tables("fig6a");
+    claims::fig6a(&thr);
 }
 
 #[test]
 fn fig6b_matches_the_committed_series() {
-    assert_matches("fig6b");
+    let [thr] = golden_tables("fig6b");
+    claims::fig6b(&thr);
 }
 
 #[test]
 fn fig7_matches_the_committed_table() {
-    assert_matches("fig7");
+    let [table] = golden_tables("fig7");
+    claims::fig7(&table);
 }
 
 #[test]
@@ -121,27 +266,32 @@ fn table2_faulted_matches_the_committed_table() {
 
 #[test]
 fn faults_sweep_matches_the_committed_tables() {
-    assert_matches("faults_sweep");
+    let [done, recovery] = golden_tables("faults_sweep");
+    fault_model_claim(&done, &recovery);
 }
 
 #[test]
 fn clients_sweep_matches_the_committed_tables() {
-    assert_matches("clients_sweep");
+    let [thr, _hits] = golden_tables("clients_sweep");
+    client_scaling_claim(&thr);
 }
 
 #[test]
 fn overload_sweep_matches_the_committed_tables() {
-    assert_matches("overload_sweep");
+    let [goodput, tails, _shares] = golden_tables("overload_sweep");
+    open_loop_claim(&goodput, &tails);
 }
 
 #[test]
 fn overload_ablation_matches_the_committed_tables() {
-    assert_matches("overload_ablation");
+    let [goodput, _tails, _outcomes] = golden_tables("overload_ablation");
+    control_plane_claim(&goodput);
 }
 
 #[test]
 fn adaptive_sweep_matches_the_committed_tables() {
-    assert_matches("adaptive_sweep");
+    let [goodput, _hits, _residency] = golden_tables("adaptive_sweep");
+    adaptive_split_claim(&goodput);
 }
 
 #[test]
@@ -153,7 +303,7 @@ fn the_default_run_prints_table1_then_the_goldens_in_registry_order() {
     let x = Exp::new(&scale);
     let printed: String = chosen(&[])
         .iter()
-        .map(|e| format!("{}\n", (e.render)(&x)))
+        .map(|e| format!("{}\n", (e.run)(&x)))
         .collect();
     let mut expected = format!("{}\n", render_table1());
     for file in ["table2", "fig4", "fig5", "fig6a", "fig6b", "fig7", "ablations"] {

@@ -39,12 +39,13 @@ fn observe(
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
     let scale = scale();
-    let rendered = (e.render)(&Exp {
+    let rendered = (e.run)(&Exp {
         rec: Some(&rec),
         threads,
         shards,
         ..Exp::new(&scale)
-    });
+    })
+    .to_string();
     let chrome = export_chrome_trace(&rec.events());
     (rendered, rec.counters(), chrome)
 }
@@ -95,10 +96,14 @@ fn untraced_runs_match_the_single_threaded_tables() {
     };
     for e in &ALL {
         let name = e.selector;
-        let reference = (e.render)(&base);
-        let wide = (e.render)(&Exp { threads: 16, ..base });
+        let reference = (e.run)(&base).to_string();
+        let wide = (e.run)(&Exp {
+            threads: 16,
+            ..base
+        })
+        .to_string();
         assert_eq!(reference, wide, "{name}: untraced output diverged");
-        let sharded = (e.render)(&Exp { shards: 8, ..base });
+        let sharded = (e.run)(&Exp { shards: 8, ..base }).to_string();
         assert_eq!(reference, sharded, "{name}: output diverged at 8 shards");
     }
 }
@@ -114,7 +119,7 @@ fn latency_report_is_thread_and_shard_invariant() {
         rec.enable(TraceConfig::default());
         let scale = scale();
         let sweep = chosen(&["overload-sweep"])[0];
-        (sweep.render)(&Exp {
+        (sweep.run)(&Exp {
             rec: Some(&rec),
             threads,
             shards,
@@ -149,5 +154,9 @@ fn identical_rigs_produce_equal_run_results() {
             .collect();
         run(&mut rig, ops, &RunOptions::default())
     };
-    assert_eq!(measure(), measure());
+    let first = measure();
+    // The run counts each READ once, with the bytes it returned.
+    assert_eq!((first.ops, first.payload_bytes), (16, 128 << 10));
+    assert!(first.throughput_mbs > 0.0);
+    assert_eq!(first, measure());
 }

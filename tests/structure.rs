@@ -298,12 +298,17 @@ checks! {
     ]
     /// One evaluation (DESIGN.md §4): one `pub fn name(x: &Exp)` per experiment, one cell
     /// sweep (`Exp::sweep`), one list (`experiments::ALL`) that `repro` dispatches from.
+    /// What an experiment claims is a tier-1 assertion over its tables
+    /// (`tests/golden_figures.rs`): no `scripts/ci.sh` gate greps or awks the stdout it
+    /// captured (`$TRACE_DIR/*.txt`), on the line that names the file or the one that
+    /// closes an awk program.
     one_evaluation: [
         ("crates/testbed/src/experiments.rs", "run_cells( // dup-ok"),
         ("crates/testbed/src/experiments.rs",
             "pub fn *_with( | pub fn *_faulted( | pub fn *_impl( // dup-ok"),
         ("crates/bench/src/bin/repro.rs", "SELECTORS // dup-ok"),
         ("crates/bench/src/bin/repro.rs", "experiments::*( // dup-ok"),
+        ("scripts/ci.sh", r#"grep *.txt | awk *.txt | }' "$TRACE_DIR/ | }' \"#),
         (concat!("crates/testbed/src/experiments.rs crates/testbed/src/ablations.rs",
             " crates/bench/src/bin/repro.rs crates/bench/benches/figures.rs"), ""),
     ]
