@@ -10,7 +10,7 @@
 //! repro --table2 --metrics    # also print the unified metrics summary
 //! repro --table2 --faults loss=0.05 --seed 7   # Table 2 under fault injection
 //! repro --faults-sweep                         # completion/recovery vs loss rate
-//! repro --clients-sweep --shards 8 --threads 4 # client scaling, sharded cache
+//! repro --clients-sweep --threads 4            # client scaling
 //! repro --overload-sweep --latency-report      # open-loop tails + attribution
 //! repro --overload-ablation                    # control plane off vs on
 //! repro --validate-trace t.json
@@ -21,9 +21,9 @@
 //! This is one of the bench crate's two entry points: it regenerates every
 //! table and figure of the paper's evaluation and prints them in the
 //! paper's layout. The other is `cargo bench -p ncache-bench`, which times
-//! the core data-plane operations and one scaled-down run per registry
-//! entry, so regressions in either the library's host performance or the
-//! modelled shapes show up in CI.
+//! one scaled-down run per registry entry, so a host-time regression of an
+//! experiment shows up in CI. The data plane's host time, layer by layer,
+//! is the host-time benchmark's (`benchmark/`).
 //!
 //! What can be selected and which flags each experiment honours both come
 //! from the registry, `testbed::experiments::ALL`; this file holds no
@@ -111,7 +111,7 @@ fn main() -> ExitCode {
             "repro — regenerate the evaluation of 'Network-Centric Buffer \
              Cache Organization' (ICDCS 2005)\n\n\
              usage: repro [--paper] {}\n       \
-             [--threads N] [--shards N] \
+             [--threads N] \
              [--trace FILE] [--metrics] [--latency-report] \
              [--faults SPEC] [--seed N] [--validate-trace FILE]\n\n\
              With no selector, every experiment runs. --paper uses the \
@@ -121,11 +121,6 @@ fn main() -> ExitCode {
              \x20              (default: NCACHE_THREADS, then the machine's\n\
              \x20              available parallelism); output is identical at\n\
              \x20              every thread count\n\
-             --shards N     NCache shard count for --clients-sweep,\n\
-             \x20              --overload-sweep, --overload-ablation and\n\
-             \x20              --adaptive-sweep (default 1); sharding only\n\
-             \x20              partitions the key space, so output is\n\
-             \x20              identical at every shard count\n\
              --trace FILE   write a Chrome trace (chrome://tracing, Perfetto)\n\
              \x20              of the selected experiments to FILE, plus a\n\
              \x20              line-delimited JSON event stream to FILE with a\n\
@@ -136,7 +131,7 @@ fn main() -> ExitCode {
              \x20              0.5-2.0x of it; prints delivered goodput,\n\
              \x20              p50/p99/p999 tails and the NCache build's\n\
              \x20              per-stage latency shares; byte-identical at\n\
-             \x20              every --threads and --shards value\n\
+             \x20              every --threads value\n\
              --overload-ablation\n\
              \x20              run the overload control ablation: the NCache\n\
              \x20              build under a mixed read/write open loop with\n\
@@ -152,7 +147,7 @@ fn main() -> ExitCode {
              \x20              with the split controller frozen and once live;\n\
              \x20              prints per-segment goodput, NCache hit ratio and\n\
              \x20              fast-tier residency; byte-identical at every\n\
-             \x20              --threads and --shards value\n\
+             \x20              --threads value\n\
              --metrics      print the unified metrics summary after the run\n\
              --latency-report\n\
              \x20              print the latency attribution report after the\n\
@@ -213,13 +208,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => x.shards = n,
-                _ => {
-                    eprintln!("error: --shards needs a positive numeric argument");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--trace" => match it.next() {
                 Some(p) => trace_path = Some(p.clone()),
                 None => {
@@ -257,9 +245,9 @@ fn main() -> ExitCode {
 
     // A flag no chosen experiment honours is an error, for the reason a
     // misspelt selector is: the run would print what it prints without the
-    // flag, and a gate comparing two such outputs passes. (`--threads` and
-    // `--shards` are exempt: every experiment's output is invariant in
-    // them, so ignoring one is unobservable.)
+    // flag, and a gate comparing two such outputs passes. (`--threads` is
+    // exempt: every experiment's output is invariant in it, so ignoring it
+    // is unobservable.)
     type Honours = fn(&Experiment) -> bool;
     let faulted: Honours = |e| e.faulted;
     let traced: Honours = |e| e.traced;

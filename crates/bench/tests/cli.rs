@@ -20,7 +20,7 @@ fn known_selectors_run() {
     for args in [
         &["--table1"][..],
         &["--table2", "--threads", "1"],
-        &["--clients-sweep", "--shards", "8"],
+        &["--clients-sweep", "--threads", "2"],
         // The seed is the fault sweep's root seed with or without a spec.
         &["--faults-sweep", "--seed", "9"],
     ] {
@@ -43,18 +43,19 @@ fn unknown_selectors_are_rejected() {
         &["--clients-sweep", "--faults", "loss=0.2"],
         &["--ablations", "--trace", "t.json"],
         // Gone: the lane engine's two modes, whose stdout equalled the
-        // sequential engine's, and the modifier `--overload-ablation`
-        // replaced.
+        // sequential engine's, the modifier `--overload-ablation`
+        // replaced, and the shard count, which no output could show.
         &["--clients-sweep", "--parallel-lanes"],
         &["--clients-sweep", "--lane-oracle"],
         &["--overload-sweep", "--protected"],
+        &["--clients-sweep", "--shards", "8"],
     ] {
         let out = repro(args);
         assert!(!out.status.success(), "{args:?} must fail");
         assert!(out.stdout.is_empty(), "{args:?} must run nothing");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.starts_with("error: "), "{args:?}: {err}");
-        let gone = ["--parallel-lanes", "--lane-oracle", "--protected"];
+        let gone = ["--parallel-lanes", "--lane-oracle", "--protected", "--shards"];
         if let Some(flag) = args.iter().find(|a| gone.contains(a)) {
             assert!(err.starts_with(&format!("error: unknown argument {flag};")), "{args:?}: {err}");
         }
@@ -101,7 +102,7 @@ fn help_mentions_every_selector_the_registry_holds() {
     for e in &ALL {
         assert!(help.contains(&format!("[--{}]", e.selector)), "--{} missing", e.selector);
     }
-    for gone in ["--parallel-lanes", "--lane-oracle", "--protected"] {
+    for gone in ["--parallel-lanes", "--lane-oracle", "--protected", "--shards"] {
         assert!(!help.contains(gone), "{gone} is no flag");
     }
 }

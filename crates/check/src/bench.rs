@@ -2,11 +2,10 @@
 //! replacement).
 //!
 //! Shape mirrors criterion's enough that a bench file migrates
-//! mechanically: a [`Harness`] per bench binary, [`Group`]s with
-//! `bench` / `bench_batched` functions, per-group sample counts and byte
-//! throughput. Each measurement auto-calibrates an inner iteration count
-//! so sub-microsecond operations are timed over batches, then reports
-//! median and p95 over the samples.
+//! mechanically: a [`Harness`] per bench binary, [`Group`]s with a
+//! `bench` function and per-group sample counts. Each measurement
+//! auto-calibrates an inner iteration count so sub-microsecond operations
+//! are timed over batches, then reports median and p95 over the samples.
 //!
 //! [`Harness::finish`] writes `BENCH_<name>.json` (at the workspace root
 //! by default; `BENCH_JSON_DIR` overrides, created if missing — note a
@@ -45,17 +44,10 @@ pub struct BenchResult {
     pub max_ns: u64,
     /// Mean nanoseconds per iteration.
     pub mean_ns: u64,
-    /// Bytes processed per iteration, when declared (for MB/s derivation).
-    pub throughput_bytes: Option<u64>,
 }
 
 impl BenchResult {
-    fn from_samples(
-        name: String,
-        inner_iters: u64,
-        mut per_iter_ns: Vec<u64>,
-        throughput_bytes: Option<u64>,
-    ) -> Self {
+    fn from_samples(name: String, inner_iters: u64, mut per_iter_ns: Vec<u64>) -> Self {
         per_iter_ns.sort_unstable();
         let n = per_iter_ns.len();
         assert!(n > 0, "no samples");
@@ -75,17 +67,7 @@ impl BenchResult {
             min_ns: per_iter_ns[0],
             max_ns: per_iter_ns[n - 1],
             mean_ns,
-            throughput_bytes,
         }
-    }
-
-    /// Derived MB/s at the median, when a byte throughput was declared.
-    pub fn mbps(&self) -> Option<f64> {
-        let bytes = self.throughput_bytes?;
-        if self.median_ns == 0 {
-            return None;
-        }
-        Some(bytes as f64 / (self.median_ns as f64 / 1e9) / 1e6)
     }
 }
 
@@ -111,8 +93,7 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Creates a harness named after the bench binary (`dataplane`,
-    /// `figures`, ...).
+    /// Creates a harness named after the bench binary (`figures`, ...).
     pub fn new(name: impl Into<String>) -> Self {
         Harness {
             name: name.into(),
@@ -144,7 +125,6 @@ impl Harness {
             name: name.into(),
             samples: 30,
             warmup: 3,
-            throughput_bytes: None,
         }
     }
 
@@ -202,12 +182,6 @@ fn render_json(
             r.name, r.samples, r.inner_iters, r.median_ns, r.p95_ns, r.min_ns, r.max_ns,
             r.mean_ns
         ));
-        if let Some(b) = r.throughput_bytes {
-            out.push_str(&format!(", \"throughput_bytes\": {b}"));
-            if let Some(mbps) = r.mbps() {
-                out.push_str(&format!(", \"mbps\": {mbps:.2}"));
-            }
-        }
         out.push('}');
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
@@ -229,13 +203,12 @@ fn render_json(
     out
 }
 
-/// A named group of benches sharing sample-count and throughput settings.
+/// A named group of benches sharing a sample count.
 pub struct Group<'a> {
     harness: &'a mut Harness,
     name: String,
     samples: u32,
     warmup: u32,
-    throughput_bytes: Option<u64>,
 }
 
 impl Group<'_> {
@@ -243,13 +216,6 @@ impl Group<'_> {
     /// `sample_size`). `BENCH_SAMPLES` overrides globally.
     pub fn sample_size(&mut self, samples: u32) -> &mut Self {
         self.samples = samples.max(2);
-        self
-    }
-
-    /// Declares bytes processed per iteration for subsequent benches in
-    /// this group (criterion's `Throughput::Bytes`).
-    pub fn throughput_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.throughput_bytes = Some(bytes);
         self
     }
 
@@ -293,49 +259,14 @@ impl Group<'_> {
         self.record(name, inner, per_iter);
     }
 
-    /// Times `routine` over inputs built by `setup`, excluding setup time
-    /// (criterion's `iter_batched`).
-    pub fn bench_batched<S, T>(
-        &mut self,
-        name: &str,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-    ) {
-        // Calibrate on one untimed run.
-        let probe = setup();
-        let start = Instant::now();
-        black_box(routine(probe));
-        let probe_ns = (start.elapsed().as_nanos() as u64).max(1);
-        let inner = (TARGET_SAMPLE_NS / probe_ns).clamp(1, 256);
-        for _ in 0..self.warmup {
-            black_box(routine(setup()));
-        }
-        let samples = self.effective_samples();
-        let mut per_iter = Vec::with_capacity(samples as usize);
-        for _ in 0..samples {
-            let inputs: Vec<S> = (0..inner).map(|_| setup()).collect();
-            let start = Instant::now();
-            for s in inputs {
-                black_box(routine(s));
-            }
-            per_iter.push((start.elapsed().as_nanos() as u64 / inner).max(1));
-        }
-        self.record(name, inner, per_iter);
-    }
-
     fn record(&mut self, name: &str, inner: u64, per_iter: Vec<u64>) {
         let full = format!("{}/{}", self.name, name);
-        let r = BenchResult::from_samples(full, inner, per_iter, self.throughput_bytes);
-        let tput = r
-            .mbps()
-            .map(|m| format!("  {m:.1} MB/s"))
-            .unwrap_or_default();
+        let r = BenchResult::from_samples(full, inner, per_iter);
         println!(
-            "bench {:<40} median {:>10}  p95 {:>10}{}",
+            "bench {:<40} median {:>10}  p95 {:>10}",
             r.name,
             human_ns(r.median_ns),
-            human_ns(r.p95_ns),
-            tput
+            human_ns(r.p95_ns)
         );
         self.harness.results.push(r);
     }
@@ -347,14 +278,12 @@ mod tests {
 
     #[test]
     fn stats_over_known_samples() {
-        let r = BenchResult::from_samples("g/f".into(), 1, (1..=100).collect(), Some(1_000));
+        let r = BenchResult::from_samples("g/f".into(), 1, (1..=100).collect());
         assert_eq!(r.median_ns, 50); // (50 + 51) / 2
         assert_eq!(r.p95_ns, 95);
         assert_eq!(r.min_ns, 1);
         assert_eq!(r.max_ns, 100);
         assert_eq!(r.mean_ns, 50);
-        let mbps = r.mbps().expect("throughput set");
-        assert!((mbps - 20_000.0).abs() < 1e-6, "1000 B / 50 ns = 20000 MB/s, got {mbps}");
     }
 
     #[test]
@@ -369,15 +298,14 @@ mod tests {
             }
             x
         });
-        g.bench_batched("batched", || vec![1u8; 64], |v| v.iter().sum::<u8>());
-        assert_eq!(h.results.len(), 2);
+        assert_eq!(h.results.len(), 1);
         assert!(h.results.iter().all(|r| r.median_ns >= 1));
         assert_eq!(h.results[0].name, "unit/spin");
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let r = BenchResult::from_samples("a/b".into(), 2, vec![10, 20, 30], None);
+        let r = BenchResult::from_samples("a/b".into(), 2, vec![10, 20, 30]);
         let json = render_json("t", None, &[r], &[]);
         assert!(json.contains("\"name\": \"a/b\""));
         assert!(json.contains("\"median_ns\": 20"));
@@ -388,7 +316,7 @@ mod tests {
 
     #[test]
     fn json_embeds_metrics() {
-        let r = BenchResult::from_samples("a/b".into(), 2, vec![10, 20, 30], None);
+        let r = BenchResult::from_samples("a/b".into(), 2, vec![10, 20, 30]);
         let metrics = vec![
             ("cache.hits".to_string(), 42.0),
             ("throughput_mbs".to_string(), 12.5),

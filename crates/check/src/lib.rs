@@ -35,10 +35,11 @@
 //!
 //! # Benchmarking
 //!
-//! [`bench::Harness`] times functions with warmup and calibrated batching,
-//! reports median/p95, and writes `BENCH_<name>.json` at the workspace
-//! root for trajectory tracking across runs. See the `ncache-bench` crate
-//! for the per-table/per-figure benches built on it.
+//! [`bench::Harness`] times closures with warmup and a calibrated inner
+//! iteration count, reports median/p95, and writes `BENCH_<name>.json` at
+//! the workspace root for trajectory tracking across runs. Its one user is
+//! the `ncache-bench` crate's `figures` bench (one bench per registry row);
+//! the data plane's host time is the host-time benchmark's (`benchmark/`).
 
 pub mod bench;
 pub mod gen;

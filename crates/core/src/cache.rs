@@ -253,7 +253,7 @@ impl NetCache {
     /// A cache pinning memory from `pool`; each chunk additionally pins
     /// `per_chunk_overhead` bytes of descriptor memory (the metadata cost
     /// visible in Figure 6(a)'s working-set sweep).
-    pub fn new(pool: BufPool, per_chunk_overhead: u64) -> Self {
+    pub fn new(pool: BufPool, per_chunk_overhead: u64) -> Self { // test-api: the plain cache shard_equivalence holds the shard set to
         Self::with_seq_source(pool, per_chunk_overhead, SeqSource::default())
     }
 

@@ -64,7 +64,7 @@ pub(crate) fn mechanism_rig(substitution: bool, csum_inherit: bool) -> NfsRig {
     let config = NcacheConfig {
         substitution,
         csum_inherit,
-        ..NcacheConfig::with_capacity(g.ncache_bytes).with_shards(g.shards)
+        ..NcacheConfig::with_capacity(g.ncache_bytes)
     };
     NfsRig::assemble(ServerMode::NCache, g.fs, config)
 }
@@ -92,7 +92,7 @@ fn fs_share_run(budget: u64, working_set: u64, requests: usize, share_pct: u64) 
         ncache_bytes: (budget - fs_bytes).max(1 << 20),
         read_ahead_blocks: 8,
         inode_count: 64 << 10,
-        shards: 1,
+        ..KhttpdRigParams::default()
     };
     let mut rig = KhttpdRig::new(ServerMode::NCache, params);
     let set = workload::specweb::PageSet::with_working_set(working_set);

@@ -93,10 +93,10 @@ impl Default for Scale {
 
 /// What one run of the evaluation is given. Every experiment takes `&Exp`;
 /// [`Exp::new`] is the bare run and struct update sets the rest: `Exp {
-/// threads: 1, shards: 8, ..Exp::new(&scale) }`. Only `scale`, `faults` and
-/// `seed` can change a table — `rec`, `threads` and `shards` are
-/// unobservable in every experiment's output by construction, and the
-/// equivalence suite holds every row of [`ALL`] to that.
+/// threads: 1, ..Exp::new(&scale) }`. Only `scale`, `faults` and `seed`
+/// can change a table — `rec` and `threads` are unobservable in every
+/// experiment's output by construction, and the equivalence suite holds
+/// every row of [`ALL`] to that.
 #[derive(Clone, Copy)]
 pub struct Exp<'a> {
     /// Experiment sizing.
@@ -107,9 +107,6 @@ pub struct Exp<'a> {
     pub rec: Option<&'a obs::Recorder>,
     /// Worker threads for the cells.
     pub threads: usize,
-    /// NCache shard count of the client-scaling, overload and adaptive rigs.
-    /// Sharding only partitions the cache's key space.
-    pub shards: usize,
     /// The fault spec (`repro --faults`), honoured by the registry's
     /// `faulted` rows: their rigs are armed with it. `None` runs fault-free.
     pub faults: Option<FaultSpec>,
@@ -119,13 +116,12 @@ pub struct Exp<'a> {
 
 impl<'a> Exp<'a> {
     /// The bare run at `scale`: untraced, [`executor::thread_count`]`(None)`
-    /// workers, one shard, no faults, the CLI's default seed.
+    /// workers, no faults, the CLI's default seed.
     pub fn new(scale: &'a Scale) -> Self {
         Exp {
             scale,
             rec: None,
             threads: executor::thread_count(None),
-            shards: 1,
             faults: None,
             seed: 7,
         }
@@ -181,14 +177,6 @@ impl<'a> Exp<'a> {
         }
         rig
     }
-
-    /// The default NFS geometry at this run's shard count.
-    fn sharded(&self) -> NfsRigParams {
-        NfsRigParams {
-            shards: self.shards,
-            ..NfsRigParams::default()
-        }
-    }
 }
 
 /// One cell per `(build, axis point)`, builds outermost: the order the
@@ -209,7 +197,7 @@ fn nfs_params_for(scale_bytes: u64, read_ahead_blocks: u64) -> NfsRigParams {
         ncache_bytes: 64 << 20,
         read_ahead_blocks,
         inode_count: 8 << 10,
-        shards: 1,
+        ..NfsRigParams::default()
     }
 }
 
@@ -378,7 +366,7 @@ fn khttpd_params(working_set: u64, cache_bytes: u64, mode: ServerMode) -> Khttpd
         ncache_bytes: ncache_bytes.max(1 << 20),
         read_ahead_blocks: 8,
         inode_count: 64 << 10,
-        shards: 1,
+        ..KhttpdRigParams::default()
     }
 }
 
@@ -663,9 +651,8 @@ fn client_sessions(fh: u64, file: u64, clients: usize) -> Vec<Vec<DriverOp>> {
 /// request, against a shared hot file. Returns `(throughput, hit ratio)`
 /// tables over the client axis. One cell per `(mode, clients)`; the
 /// multi-session engine interleaves each cell's sessions
-/// deterministically, and sharding only partitions the cache's key space,
-/// so stdout is byte-identical at any `threads` and any `shards` — the CI
-/// determinism gate diffs exactly that.
+/// deterministically, so stdout is byte-identical at any `threads` — the
+/// CI determinism gate diffs exactly that.
 pub fn clients_sweep(x: &Exp) -> (SeriesTable, SeriesTable) {
     let mut thr = SeriesTable::new("Client scaling: delivered throughput (MB/s)", "clients");
     let mut hits = SeriesTable::new("Client scaling: server cache hit ratio", "clients");
@@ -675,7 +662,7 @@ pub fn clients_sweep(x: &Exp) -> (SeriesTable, SeriesTable) {
     let results = x.sweep(
         &per_mode(CLIENTS_SWEEP_POINTS),
         |_, (mode, clients), rec| {
-            let mut rig: NfsRig = x.rig(mode, x.sharded(), rec, None);
+            let mut rig: NfsRig = x.rig(mode, NfsRigParams::default(), rec, None);
             let fh = rig.create_file("shared", file);
             let sessions = client_sessions(fh, file, clients);
             let (mut rig, r) = run_nfs_sessions(rig, sessions, &SessionsOptions::default());
@@ -712,7 +699,7 @@ fn overload_rig(
     rec: Option<&obs::Recorder>,
 ) -> (NfsRig, u64, u64, f64) {
     let file = hot_file(x.scale);
-    let mut rig: NfsRig = x.rig(mode, x.sharded(), rec, None);
+    let mut rig: NfsRig = x.rig(mode, NfsRigParams::default(), rec, None);
     let fh = rig.create_file("hot", file);
     warm(&mut rig, fh, file, len);
     let _ = rig.server_mut().fs_mut().store_mut().take_io_log();
@@ -745,7 +732,7 @@ fn put_tails(
 /// cell per `(mode, factor)`; the open-loop engine is single-threaded
 /// inside each cell and the cells are seeded by position, so the tables
 /// (and an attached recorder's histograms, absorbed in cell order) are
-/// byte-identical at any `threads` and any `shards`.
+/// byte-identical at any `threads`.
 pub fn overload_sweep(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
     let axis = "offered/capacity";
     let mut goodput = SeriesTable::new("Overload sweep: delivered goodput (MB/s)", axis);
@@ -805,7 +792,7 @@ pub const OVERLOAD_ABLATION_SIZES: [(u32, &str); 2] = [(SPAN, "16K"), (4 << 10, 
 /// (p50/p99, µs), and request outcomes (shed / deadline-exceeded /
 /// retransmissions / gate rejections). One cell per `(size, variant,
 /// factor)`, each single-threaded inside and seeded by position, so the
-/// tables are byte-identical at any `threads` and any `shards`.
+/// tables are byte-identical at any `threads`.
 pub fn overload_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
     let axis = "offered/capacity";
     let mut goodput = SeriesTable::new("Overload ablation: delivered on-time goodput (MB/s)", axis);
@@ -914,7 +901,7 @@ pub const ADAPTIVE_ABLATION_SEED: u64 = 37;
 /// (blocks at segment end; the backend — placement map included — is
 /// rebuilt per segment, so residency is per-segment, not cumulative). One
 /// cell per variant, each single-threaded inside and seeded by position,
-/// so the tables are byte-identical at any `threads` and any `shards`.
+/// so the tables are byte-identical at any `threads`.
 pub fn adaptive_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
     let axis = "segment";
     let mut goodput = SeriesTable::new("Adaptive split ablation: delivered goodput (MB/s)", axis);
@@ -941,7 +928,7 @@ pub fn adaptive_ablation(x: &Exp) -> (SeriesTable, SeriesTable, SeriesTable) {
             // Lopsided on purpose: 4 MiB FS cache + 2 MiB NCache pool.
             fs_cache_blocks: 1024,
             ncache_bytes: 2 << 20,
-            ..x.sharded()
+            ..NfsRigParams::default()
         };
         let mut rig: NfsRig = x.rig(ServerMode::NCache, params, rec, None);
         let fh = rig.create_file("hot", FILE);
@@ -1214,10 +1201,9 @@ pub fn chosen(selectors: &[&str]) -> Vec<&'static Experiment> {
 mod tests {
     use super::*;
 
-    fn at(scale: &Scale, threads: usize, shards: usize) -> Exp<'_> {
+    fn at(scale: &Scale, threads: usize) -> Exp<'_> {
         Exp {
             threads,
-            shards,
             ..Exp::new(scale)
         }
     }
@@ -1291,16 +1277,14 @@ mod tests {
     }
 
     #[test]
-    fn overload_sweep_is_thread_and_shard_invariant() {
+    fn overload_sweep_is_thread_count_invariant() {
         let scale = Scale {
             overload_requests: 64,
             ..Scale::quick()
         };
-        let base = overload_sweep(&at(&scale, 1, 1));
-        let threaded = overload_sweep(&at(&scale, 4, 1));
+        let base = overload_sweep(&at(&scale, 1));
+        let threaded = overload_sweep(&at(&scale, 4));
         assert_eq!(base, threaded, "identical at any thread count");
-        let sharded = overload_sweep(&at(&scale, 4, 8));
-        assert_eq!(base, sharded, "identical at any shard count");
         let (_, tails, shares) = base;
         // Open-loop overload makes the tail grow: past saturation, p999
         // must dominate its half-load value on every build.
@@ -1323,7 +1307,7 @@ mod tests {
     }
 
     #[test]
-    fn overload_ablation_is_thread_and_shard_invariant() {
+    fn overload_ablation_is_thread_count_invariant() {
         // Needs enough arrivals for the unprotected backlog to outgrow
         // the deadline (the collapse the ablation exists to show); at 2x
         // the queue passes 24 service times after ~48 arrivals.
@@ -1331,11 +1315,9 @@ mod tests {
             overload_requests: 192,
             ..Scale::quick()
         };
-        let base = overload_ablation(&at(&scale, 1, 1));
-        let threaded = overload_ablation(&at(&scale, 4, 1));
+        let base = overload_ablation(&at(&scale, 1));
+        let threaded = overload_ablation(&at(&scale, 4));
         assert_eq!(base, threaded, "identical at any thread count");
-        let sharded = overload_ablation(&at(&scale, 4, 8));
-        assert_eq!(base, sharded, "identical at any shard count");
         let (goodput, _, outcomes) = base;
         // The headline claim of the control plane: past saturation the
         // protected server delivers at least the unprotected goodput.
@@ -1372,13 +1354,11 @@ mod tests {
     }
 
     #[test]
-    fn clients_sweep_is_thread_and_shard_invariant() {
+    fn clients_sweep_is_thread_count_invariant() {
         let scale = Scale::quick();
-        let base = clients_sweep(&at(&scale, 1, 1));
-        let threaded = clients_sweep(&at(&scale, 4, 1));
+        let base = clients_sweep(&at(&scale, 1));
+        let threaded = clients_sweep(&at(&scale, 4));
         assert_eq!(base, threaded, "identical at any thread count");
-        let sharded = clients_sweep(&at(&scale, 4, 8));
-        assert_eq!(base, sharded, "identical at any shard count");
         // The axis is the monotone client count.
         let xs = base.0.xs();
         assert!(xs.windows(2).all(|w| w[0] < w[1]), "client axis monotone");

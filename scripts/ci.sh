@@ -6,7 +6,7 @@
 #   scripts/ci.sh          # build + test + lint, whole workspace, plus the
 #                          # benchmark workspace's own gate
 #   BENCH=1 scripts/ci.sh  # additionally run the bench harness once
-#                          # (emits BENCH_dataplane.json / BENCH_figures.json)
+#                          # (emits BENCH_figures.json)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,26 +61,21 @@ NT="$(nproc 2>/dev/null || echo 4)"
 if [[ "$NT" -lt 4 ]]; then NT=4; fi
 
 # diff_matrix LABEL SELECTOR-ARGS...: the determinism gate. Runs the
-# selector at --threads 1 --shards 1 (the reference, kept as
-# $TRACE_DIR/LABEL.txt and required to have printed something, so a
-# selector that ran nothing cannot pass) and at every other cell of
-# threads {1,$NT} x shards {1,8}; each must reproduce the reference's
-# stdout byte for byte. Selectors that ignore --shards just run twice more:
-# repro rejects a flag no chosen experiment honours, but --threads and
-# --shards are exempt from that check, because every experiment's output
-# is invariant in them and ignoring one is therefore unobservable.
+# selector at --threads 1 (the reference, kept as $TRACE_DIR/LABEL.txt and
+# required to have printed something, so a selector that ran nothing
+# cannot pass) and at --threads $NT, which must reproduce the reference's
+# stdout byte for byte. repro rejects a flag no chosen experiment honours,
+# but --threads is exempt from that check: every experiment's output is
+# invariant in it, so ignoring it is unobservable. The NCache shard count
+# is no flag; the rig-level suites (shard_equivalence, range_model,
+# concurrent_oracle, ...) hold it unobservable.
 diff_matrix() {
-    local label="$1" t s
+    local label="$1"
     shift
-    repro "$@" --threads 1 --shards 1 2>/dev/null > "$TRACE_DIR/$label.txt"
+    repro "$@" --threads 1 2>/dev/null > "$TRACE_DIR/$label.txt"
     test -s "$TRACE_DIR/$label.txt"
-    for t in 1 "$NT"; do
-        for s in 1 8; do
-            if [[ "$t" == 1 && "$s" == 1 ]]; then continue; fi
-            repro "$@" --threads "$t" --shards "$s" 2>/dev/null > "$TRACE_DIR/${label}_cell.txt"
-            cmp "$TRACE_DIR/$label.txt" "$TRACE_DIR/${label}_cell.txt"
-        done
-    done
+    repro "$@" --threads "$NT" 2>/dev/null > "$TRACE_DIR/${label}_wide.txt"
+    cmp "$TRACE_DIR/$label.txt" "$TRACE_DIR/${label}_wide.txt"
 }
 
 echo "== observability smoke (repro --table2 --metrics --trace) =="
@@ -114,29 +109,27 @@ cargo test -q --release --offline --test concurrent_oracle
 # ties included) against the digests recorded in tests/golden.
 cargo test -q --release --offline --test trace_digests
 
-echo "== shard determinism (repro --clients-sweep, shards x threads) =="
-# Sharding the cache and threading the executor must both be
-# unobservable: the client-scaling tables are byte-identical across
-# shard counts 1 vs 8 and thread counts 1 vs N.
+echo "== client-scaling determinism (repro --clients-sweep, 1 vs N threads) =="
+# Threading the executor must be unobservable: the client-scaling tables
+# are byte-identical at thread counts 1 and N.
 diff_matrix clients --clients-sweep
-echo "clients sweep identical at shards {1,8} and threads {1,$NT}"
+echo "clients sweep identical at threads {1,$NT}"
 
 echo "== overload observatory (repro --overload-sweep --latency-report --metrics) =="
 # The open-loop sweep and its latency-attribution report are read off
-# merged recorder histograms whose shard absorb is exact, so stdout —
+# merged recorder histograms whose cell absorb is exact, so stdout —
 # goodput, tail quantiles, stage shares, the rendered report AND every
-# recorder counter — must be byte-identical across thread and shard
-# counts.
+# recorder counter — must be byte-identical across thread counts.
 diff_matrix overload --overload-sweep --latency-report --metrics
-echo "overload sweep + latency report + metrics identical at threads {1,$NT} and shards {1,8}"
+echo "overload sweep + latency report + metrics identical at threads {1,$NT}"
 
 echo "== overload control plane (repro --overload-ablation) =="
 # The protected-vs-unprotected ablation runs both variants off identical
 # offered schedules; admission decisions, retry backoffs, and shedding
 # are all seed-derived, so its stdout must also be byte-identical across
-# thread and shard counts.
+# thread counts.
 diff_matrix ablation --overload-ablation
-echo "overload ablation identical at threads {1,$NT} and shards {1,8}"
+echo "overload ablation identical at threads {1,$NT}"
 # What the tables claim (protected beats unprotected goodput in every cell
 # but three pinned ones) is tier-1's: tests/golden_figures.rs reads it off
 # the golden tables, so this rung checks determinism only.
@@ -145,9 +138,9 @@ echo "== adaptive cache split (repro --adaptive-sweep) =="
 # Static (frozen controller) vs adaptive split over the phase-changing
 # Zipf workload on the tiered backend. Controller ticks are epoch-
 # aligned to op rounds and ghost stamps are schedule-invariant, so the
-# sweep's stdout must be byte-identical across thread and shard counts.
+# sweep's stdout must be byte-identical across thread counts.
 diff_matrix adaptive --adaptive-sweep
-echo "adaptive sweep identical at threads {1,$NT} and shards {1,8}"
+echo "adaptive sweep identical at threads {1,$NT}"
 # Its claim (adaptive beats static goodput on all six segments) is
 # tier-1's, read off the golden tables in tests/golden_figures.rs.
 

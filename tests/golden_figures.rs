@@ -297,20 +297,16 @@ fn adaptive_sweep_matches_the_committed_tables() {
 #[test]
 fn the_default_run_prints_table1_then_the_goldens_in_registry_order() {
     // `repro` with no selector `println!`s every default row in registry
-    // order; pinning that here pins the print order in-process, not only
-    // through `scripts/ci.sh`.
+    // order. Pin that order, and render only table1: every other row is a
+    // golden captured from the bare run, whose bytes its own test pins.
+    let rows = chosen(&[]);
+    let order: Vec<&str> = rows.iter().map(|e| e.selector).collect();
+    assert_eq!(
+        order,
+        ["table1", "table2", "fig4", "fig5", "fig6a", "fig6b", "fig7", "ablations"]
+    );
     let scale = Scale::quick();
-    let x = Exp::new(&scale);
-    let printed: String = chosen(&[])
-        .iter()
-        .map(|e| format!("{}\n", (e.run)(&x)))
-        .collect();
-    let mut expected = format!("{}\n", render_table1());
-    for file in ["table2", "fig4", "fig5", "fig6a", "fig6b", "fig7", "ablations"] {
-        let path = format!("{}/tests/golden/{file}.txt", env!("CARGO_MANIFEST_DIR"));
-        expected.push_str(&std::fs::read_to_string(&path).expect("golden file"));
-    }
-    assert_eq!(printed, expected);
+    assert_eq!((rows[0].run)(&Exp::new(&scale)).to_string(), render_table1());
 }
 
 /// The load the admission gate is told about ahead of op `k` of the fixed

@@ -1,10 +1,11 @@
 //! Executor invariants: every row of the experiment registry
 //! (`experiments::ALL`, everything `repro` can print) must produce
-//! byte-identical output at any worker count and any shard count. Cells
-//! own their rigs, their seeds, and their recorders; the merge happens in
-//! cell order — so the rendered tables, the recorder's counters, and the
-//! exported Chrome trace at N threads and 8 shards must equal the
-//! single-threaded, single-shard run exactly.
+//! byte-identical output at any worker count. Cells own their rigs, their
+//! seeds, and their recorders; the merge happens in cell order — so the
+//! rendered tables, the recorder's counters, and the exported Chrome trace
+//! at N threads must equal the single-threaded run exactly. (The NCache
+//! shard count is a rig parameter, not a knob of a run; `shard_equivalence`
+//! and the rig-level suites hold it unobservable.)
 
 use ncache_repro::obs::{export_chrome_trace, Recorder, TraceConfig};
 use ncache_repro::testbed::executor;
@@ -28,13 +29,12 @@ fn scale() -> Scale {
     }
 }
 
-/// Runs one registry row traced at `threads` workers over `shards` cache
-/// shards, returning everything an observer can see: the rendered tables,
-/// the merged counters, and the exported Chrome trace bytes.
+/// Runs one registry row traced at `threads` workers, returning everything
+/// an observer can see: the rendered tables, the merged counters, and the
+/// exported Chrome trace bytes.
 fn observe(
     e: &Experiment,
     threads: usize,
-    shards: usize,
 ) -> (String, std::collections::BTreeMap<String, u64>, String) {
     let rec = Recorder::new();
     rec.enable(TraceConfig::default());
@@ -42,7 +42,6 @@ fn observe(
     let rendered = (e.run)(&Exp {
         rec: Some(&rec),
         threads,
-        shards,
         ..Exp::new(&scale)
     })
     .to_string();
@@ -55,7 +54,7 @@ fn every_experiment_is_thread_count_invariant() {
     let max = executor::thread_count(None).max(3);
     for e in &ALL {
         let name = e.selector;
-        let base = observe(e, 1, 1);
+        let base = observe(e, 1);
         // The registry's `traced` flag is what `repro` rejects `--trace`
         // on: it must say exactly whether the row records anything.
         assert_eq!(
@@ -66,19 +65,19 @@ fn every_experiment_is_thread_count_invariant() {
         if !e.traced {
             continue;
         }
-        for (threads, shards) in [(2, 1), (max, 1), (max, 8)] {
-            let got = observe(e, threads, shards);
+        for threads in [2, max] {
+            let got = observe(e, threads);
             assert_eq!(
                 base.0, got.0,
-                "{name}: rendered tables diverged at {threads} threads, {shards} shards"
+                "{name}: rendered tables diverged at {threads} threads"
             );
             assert_eq!(
                 base.1, got.1,
-                "{name}: recorder counters diverged at {threads} threads, {shards} shards"
+                "{name}: recorder counters diverged at {threads} threads"
             );
             assert_eq!(
                 base.2, got.2,
-                "{name}: Chrome trace bytes diverged at {threads} threads, {shards} shards"
+                "{name}: Chrome trace bytes diverged at {threads} threads"
             );
         }
     }
@@ -87,8 +86,7 @@ fn every_experiment_is_thread_count_invariant() {
 #[test]
 fn untraced_runs_match_the_single_threaded_tables() {
     // The recorder-free path takes the same cells through the same merge;
-    // check every row's rendered output at an oversubscribed worker count,
-    // and again with the cache sharded eight ways.
+    // check every row's rendered output at an oversubscribed worker count.
     let scale = scale();
     let base = Exp {
         threads: 1,
@@ -103,18 +101,16 @@ fn untraced_runs_match_the_single_threaded_tables() {
         })
         .to_string();
         assert_eq!(reference, wide, "{name}: untraced output diverged");
-        let sharded = (e.run)(&Exp { shards: 8, ..base }).to_string();
-        assert_eq!(reference, sharded, "{name}: output diverged at 8 shards");
     }
 }
 
 #[test]
-fn latency_report_is_thread_and_shard_invariant() {
+fn latency_report_is_thread_count_invariant() {
     // The rendered latency-attribution report — tail quantiles per data
     // path plus per-stage queue/service shares — is read off the merged
     // recorder histograms, so it must come out byte-identical however
-    // the overload sweep's cells are scheduled or the cache is sharded.
-    let report_for = |threads: usize, shards: usize| {
+    // the overload sweep's cells are scheduled.
+    let report_for = |threads: usize| {
         let rec = Recorder::new();
         rec.enable(TraceConfig::default());
         let scale = scale();
@@ -122,19 +118,17 @@ fn latency_report_is_thread_and_shard_invariant() {
         (sweep.run)(&Exp {
             rec: Some(&rec),
             threads,
-            shards,
             ..Exp::new(&scale)
         });
         let mut report = ncache_repro::obs::MetricsReport::new();
         report.add_latency(&rec.histograms());
         report.render()
     };
-    let base = report_for(1, 1);
+    let base = report_for(1);
     assert!(base.contains("bottleneck"), "report names a bottleneck:\n{base}");
     assert!(base.contains("p999"), "report carries tail quantiles:\n{base}");
     let max = executor::thread_count(None).max(3);
-    assert_eq!(base, report_for(max, 1), "latency report diverged across threads");
-    assert_eq!(base, report_for(max, 8), "latency report diverged across shards");
+    assert_eq!(base, report_for(max), "latency report diverged across threads");
 }
 
 #[test]

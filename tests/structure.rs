@@ -301,7 +301,7 @@ checks! {
     /// What an experiment claims is a tier-1 assertion over its tables
     /// (`tests/golden_figures.rs`): no `scripts/ci.sh` gate greps or awks the stdout it
     /// captured (`$TRACE_DIR/*.txt`), on the line that names the file or the one that
-    /// closes an awk program.
+    /// closes an awk program. The shard count is no knob of a run: only rig params set it.
     one_evaluation: [
         ("crates/testbed/src/experiments.rs", "run_cells( // dup-ok"),
         ("crates/testbed/src/experiments.rs",
@@ -309,6 +309,8 @@ checks! {
         ("crates/bench/src/bin/repro.rs", "SELECTORS // dup-ok"),
         ("crates/bench/src/bin/repro.rs", "experiments::*( // dup-ok"),
         ("scripts/ci.sh", r#"grep *.txt | awk *.txt | }' "$TRACE_DIR/ | }' \"#),
+        (concat!("crates/testbed/src/experiments.rs crates/testbed/src/ablations.rs",
+            " crates/bench/src/bin/repro.rs"), "shards"),
         (concat!("crates/testbed/src/experiments.rs crates/testbed/src/ablations.rs",
             " crates/bench/src/bin/repro.rs crates/bench/benches/figures.rs"), ""),
     ]
