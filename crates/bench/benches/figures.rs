@@ -8,7 +8,7 @@
 
 use check::bench::Harness;
 use servers::ServerMode;
-use testbed::experiments::{self, Exp, Scale, ALL};
+use testbed::experiments::{Exp, Scale, ALL};
 use testbed::nfs_rig::{NfsRig, NfsRigParams};
 use testbed::runner::DriverOp;
 use testbed::sessions::{run_nfs_sessions_parallel_timed, SessionsOptions};
@@ -73,99 +73,6 @@ fn main() {
             }
             acc
         });
-    }
-
-    // The client-scaling curve itself goes into the metrics block: one
-    // monotone clients_sweep.clients.{n}.* entry per axis point, so each
-    // BENCH_figures.json carries the throughput/hit-ratio curve.
-    {
-        let (thr, hits) = experiments::clients_sweep(&exp);
-        for (i, x) in thr.xs().iter().enumerate() {
-            let clients = *x as u64;
-            h.metric(format!("clients_sweep.axis.{i}"), *x);
-            for series in ["original", "ncache", "baseline"] {
-                if let Some(v) = thr.get(*x, series) {
-                    h.metric(
-                        format!("clients_sweep.clients.{clients}.throughput_mbs.{series}"),
-                        v,
-                    );
-                }
-                if let Some(v) = hits.get(*x, series) {
-                    h.metric(
-                        format!("clients_sweep.clients.{clients}.hit_ratio.{series}"),
-                        v,
-                    );
-                }
-            }
-        }
-    }
-
-    // The overload observatory's curves land in the JSON too: per
-    // offered-load factor, delivered goodput and p50/p99/p999 per build,
-    // plus the NCache build's per-stage latency shares.
-    {
-        let (goodput, tails, shares) = experiments::overload_sweep(&exp);
-        let labelled = [
-            ("overload.goodput_mbs", &goodput),
-            ("overload.latency_us", &tails),
-            ("overload.stage_share", &shares),
-        ];
-        for (prefix, table) in labelled {
-            for x in table.xs() {
-                for series in table.series() {
-                    if let Some(v) = table.get(x, series) {
-                        let s = series.replace(' ', "_");
-                        h.metric(format!("{prefix}.{x}.{s}"), v);
-                    }
-                }
-            }
-        }
-    }
-
-    // The control-plane ablation's 16 KiB curves: delivered goodput and
-    // p99 per variant and offered-load factor, plus the protected
-    // variant's shed ratio (requests abandoned per request offered) — the
-    // cost side of the goodput the gate preserves under overload.
-    {
-        let (goodput, tails, outcomes) = experiments::overload_ablation(&exp);
-        for variant in ["unprotected", "protected"] {
-            for x in goodput.xs() {
-                if let Some(v) = goodput.get(x, &format!("{variant}-16K")) {
-                    h.metric(format!("overload.{variant}.goodput_mbs.{x}"), v);
-                }
-                if let Some(v) = tails.get(x, &format!("{variant}-16K p99")) {
-                    h.metric(format!("overload.{variant}.p99_us.{x}"), v);
-                }
-            }
-        }
-        let offered = (outcomes.xs().len() * scale.overload_requests) as f64;
-        let shed: f64 = outcomes
-            .xs()
-            .iter()
-            .filter_map(|&x| outcomes.get(x, "protected-16K shed"))
-            .sum();
-        h.metric("control.shed_ratio", shed / offered.max(1.0));
-    }
-
-    // The adaptive-split ablation's curves: per phase segment, delivered
-    // goodput and NCache hit ratio for the frozen ("static") and live
-    // ("dynamic") controller, plus fast-tier residency — how much work
-    // the backend tier is left holding under each split.
-    {
-        let (goodput, hits, residency) = experiments::adaptive_ablation(&exp);
-        for (series, label) in [("static", "static"), ("adaptive", "dynamic")] {
-            for x in goodput.xs() {
-                if let Some(v) = goodput.get(x, series) {
-                    h.metric(format!("adaptive.{label}.goodput_mbs.{x}"), v);
-                }
-                if let Some(v) = hits.get(x, series) {
-                    h.metric(format!("adaptive.{label}.hit_ratio.{x}"), v);
-                }
-                if let Some(v) = residency.get(x, series) {
-                    h.metric(format!("tier.fast_residency.{label}.{x}"), v);
-                }
-            }
-        }
     }
 
     // Functional-phase wall clock of the lane-parallel engine on a
@@ -244,19 +151,6 @@ fn main() {
         h.metric("sessions.parallel_ratio_t2_t1", ratios[ROUNDS / 2]);
         let tmax = best(walls.last().expect("at least one thread count"));
         h.metric("sessions.parallel_speedup", best(&walls[0]) / tmax);
-    }
-
-    // Embed one traced Table 2 pass's counters as the run's metrics
-    // snapshot, so each BENCH_figures.json carries the workload shape
-    // (copies, cache activity, substitutions) next to the timings.
-    let rec = obs::Recorder::new();
-    rec.enable(obs::TraceConfig::default());
-    experiments::table2(&Exp {
-        rec: Some(&rec),
-        ..exp
-    });
-    for (name, value) in rec.counters() {
-        h.metric(format!("table2.{name}"), value as f64);
     }
 
     h.finish();

@@ -23,7 +23,7 @@ use std::ops::Range;
 use ncache::{HttpTxTracker, NcacheModule, NetCacheShards, Resolved, TxDisposition};
 use netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
 use netbuf::{CopyLedger, NetBuf, SegChain, Segment};
-use simfs::fs::{LogicalBlock, ResidentWalk};
+use simfs::fs::{logical_step, LogicalBlock, ResidentWalk};
 use simfs::inode::Inode;
 use simfs::{Filesystem, FsError, Ino};
 
@@ -380,7 +380,7 @@ impl ServerHost {
             return Ok(Some(self.serve_hit(hit, reply, attrs)));
         }
         let mut blocks = std::mem::take(&mut self.fetched);
-        self.fs.read_logical_per_block_into(ino, offset, len, &mut blocks)?;
+        self.fs.walk_per_block(ino, offset, len, logical_step(&mut blocks))?;
         let read = match self.resolve_fetched(&blocks) {
             Ok(pending) => Some(RangeRead {
                 len: attach_blocks(reply, blocks.iter().map(|b| (&b.seg, b.valid_len))),

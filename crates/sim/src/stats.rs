@@ -115,12 +115,12 @@ impl SeriesTable {
     }
 
     /// All x-values in insertion order.
-    pub fn xs(&self) -> Vec<f64> {
+    pub fn xs(&self) -> Vec<f64> { // test-api: the typed figure claims walk a table's axis
         self.rows.iter().map(|(x, _)| *x).collect()
     }
 
     /// All series names in insertion order.
-    pub fn series(&self) -> &[String] {
+    pub fn series(&self) -> &[String] { // test-api: the overload sweep's test sums every stage's share
         &self.columns
     }
 }

@@ -129,20 +129,26 @@ pub const WALK_BLOCKS: usize = 32;
 /// second-level block each (plus one of slack).
 const WALK_METAS: usize = 6;
 
-/// One data block of a [`ResidentWalk`], in file order.
+/// One data block of a read range, in file order: what a read's
+/// per-block step is handed, by the [`ResidentWalk`] and by
+/// [`Filesystem::walk_per_block`] alike.
 #[derive(Clone, Copy, Debug)]
 pub struct WalkBlock<'a> {
     /// File block index.
     pub file_index: u64,
-    /// Volume block address.
-    pub lbn: u64,
-    /// The cached block, by reference.
+    /// Volume block address, or `None` for an unallocated hole (never in
+    /// a resident walk).
+    pub lbn: Option<u64>,
+    /// The cached block, by reference (all zeros for a hole).
     pub seg: &'a Segment,
     /// Where the walked range starts inside this block (non-zero only in
     /// the first block of an unaligned range).
     pub in_off: usize,
     /// Bytes of this block inside the walked range and the file.
     pub len: usize,
+    /// Blocks of the range from this one to its end: a step that builds
+    /// a list sizes it from the first block's.
+    pub rest: usize,
 }
 
 /// A fully resident range, probed but not yet counted (see
@@ -200,11 +206,6 @@ impl<'a> ResidentWalk<'a> {
         &self.inode
     }
 
-    /// Data blocks in the range.
-    pub fn block_count(&self) -> usize {
-        self.blocks
-    }
-
     /// The range's data blocks in file order.
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = WalkBlock<'a>> + Clone + '_ {
         let first = self.offset / BLOCK_SIZE as u64;
@@ -214,10 +215,11 @@ impl<'a> ResidentWalk<'a> {
             let in_off = if i == 0 { head } else { 0 };
             WalkBlock {
                 file_index: first + i as u64,
-                lbn,
+                lbn: Some(lbn),
                 seg: block.seg(),
                 in_off,
                 len: (head + self.len - i * BLOCK_SIZE - in_off).min(BLOCK_SIZE - in_off),
+                rest: self.blocks - i,
             }
         })
     }
@@ -437,10 +439,7 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NoSpace`] as applicable.
     pub fn create(&mut self, parent: Ino, name: &str) -> Result<Ino, FsError> {
         dir::validate_name(name)?;
-        let mut dnode = self.load_inode(parent)?;
-        if dnode.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
+        let mut dnode = self.load_as(parent, FileType::Directory)?;
         if self.dir_find(&dnode, name)?.is_some() {
             return Err(FsError::Exists);
         }
@@ -458,10 +457,7 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NotFound`] if absent; [`FsError::NotADirectory`] if
     /// `parent` is not a directory.
     pub fn lookup(&mut self, parent: Ino, name: &str) -> Result<Ino, FsError> {
-        let dnode = self.load_inode(parent)?;
-        if dnode.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
+        let dnode = self.load_as(parent, FileType::Directory)?;
         match self.dir_find(&dnode, name)? {
             Some((_, _, ino)) => Ok(ino),
             None => Err(FsError::NotFound),
@@ -483,10 +479,7 @@ impl<S: BlockStore> Filesystem<S> {
     ///
     /// [`FsError::NotADirectory`] if `parent` is not a directory.
     pub fn readdir(&mut self, parent: Ino) -> Result<Vec<DirEntry>, FsError> {
-        let dnode = self.load_inode(parent)?;
-        if dnode.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
+        let dnode = self.load_as(parent, FileType::Directory)?;
         let mut out = Vec::new();
         for idx in 0..dnode.size_blocks() {
             if let Some(lbn) = self.map_block_mut(&dnode, idx)? {
@@ -505,15 +498,9 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NotFound`] if absent; [`FsError::NotAFile`] if the entry
     /// is a directory (directories cannot be unlinked in this subset).
     pub fn remove(&mut self, parent: Ino, name: &str) -> Result<(), FsError> {
-        let dnode = self.load_inode(parent)?;
-        if dnode.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
+        let dnode = self.load_as(parent, FileType::Directory)?;
         let (blk_idx, slot, ino) = self.dir_find(&dnode, name)?.ok_or(FsError::NotFound)?;
-        let victim = self.load_inode(ino)?;
-        if victim.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
+        let victim = self.load_as(ino, FileType::Regular)?;
         // Clear the directory slot.
         let lbn = self
             .map_block_mut(&dnode, blk_idx)?
@@ -534,7 +521,8 @@ impl<S: BlockStore> Filesystem<S> {
         Ok(())
     }
 
-    // ----- physical (copying) data paths -----
+    // ----- data paths: one read walk and one write walk; each interface
+    // supplies only its per-block step (a copy, or a key moved) -----
 
     /// Reads up to `out.len()` bytes at `offset`, physically copying each
     /// covered block out of the buffer cache (charged to the ledger).
@@ -545,37 +533,12 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NotAFile`] on directories; [`FsError::NotFound`] on free
     /// inodes.
     pub fn read(&mut self, ino: Ino, offset: u64, out: &mut [u8]) -> Result<usize, FsError> {
-        if let Some(walk) = self.walk_resident(ino, offset, out.len()) {
-            let mut done = 0usize;
-            walk.commit(|b| {
-                b.seg.read_at(b.in_off, &mut out[done..done + b.len]);
-                self.ledger.charge_payload_copy(b.len as u64);
-                done += b.len;
-            });
-            return Ok(done);
-        }
-        let inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
-        if offset >= inode.size {
-            return Ok(0);
-        }
-        let len = out.len().min((inode.size - offset) as usize);
-        let mut done = 0usize;
-        while done < len {
-            let pos = offset + done as u64;
-            let blk = pos / BLOCK_SIZE as u64;
-            let in_off = (pos % BLOCK_SIZE as u64) as usize;
-            let take = (BLOCK_SIZE - in_off).min(len - done);
-            match self.map_and_fetch(&inode, blk)? {
-                Some(seg) => seg.read_at(in_off, &mut out[done..done + take]),
-                None => out[done..done + take].fill(0),
-            }
-            self.ledger.charge_payload_copy(take as u64);
-            done += take;
-        }
-        Ok(len)
+        let mut done = 0;
+        self.read_range(ino, offset, out.len(), |ledger, b| {
+            b.seg.read_at(b.in_off, &mut out[done..done + b.len]);
+            ledger.charge_payload_copy(b.len as u64);
+            done += b.len;
+        })
     }
 
     /// Writes `data` at `offset`, physically copying it into the buffer
@@ -586,32 +549,19 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NotAFile`], [`FsError::NoSpace`], or
     /// [`FsError::InvalidRange`] beyond the maximum file size.
     pub fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> Result<(), FsError> {
-        let mut inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = offset + done as u64;
-            let blk = pos / BLOCK_SIZE as u64;
-            let in_off = (pos % BLOCK_SIZE as u64) as usize;
-            let take = (BLOCK_SIZE - in_off).min(data.len() - done);
-            let (lbn, fresh) = self.map_block_alloc(ino, &mut inode, blk)?;
+        let mut done = 0;
+        let len = data.len() as u64;
+        self.write_range(ino, offset, len, |fs, lbn, fresh, in_off, take| {
             let mut block = if take == BLOCK_SIZE || fresh {
                 vec![0u8; BLOCK_SIZE]
             } else {
-                self.read_block_cached(lbn, BlockClass::Data).to_vec()
+                fs.read_block_cached(lbn, BlockClass::Data).to_vec()
             };
             block[in_off..in_off + take].copy_from_slice(&data[done..done + take]);
-            self.ledger.charge_payload_copy(take as u64);
-            self.write_block_cached(lbn, BlockClass::Data, Segment::from_vec(block));
+            fs.ledger.charge_payload_copy(take as u64);
+            fs.write_block_cached(lbn, BlockClass::Data, Segment::from_vec(block));
             done += take;
-        }
-        if offset + data.len() as u64 > inode.size {
-            inode.size = offset + data.len() as u64;
-        }
-        inode.mtime += 1;
-        self.store_inode(ino, &inode)
+        })
     }
 
     /// sendfile: copies file bytes straight from the buffer cache into an
@@ -628,37 +578,13 @@ impl<S: BlockStore> Filesystem<S> {
         len: usize,
         out: &mut NetBuf,
     ) -> Result<usize, FsError> {
-        if let Some(walk) = self.walk_resident(ino, offset, len) {
-            out.reserve_segments(walk.block_count());
-            walk.commit(|b| out.append_vec(b.seg.slice(b.in_off, b.len).to_vec()));
-            return Ok(walk.len);
-        }
-        let inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
-        if offset >= inode.size {
-            return Ok(0);
-        }
-        let len = len.min((inode.size - offset) as usize);
-        // One segment per block touched: size the chain once.
-        out.reserve_segments(((offset % BLOCK_SIZE as u64) as usize + len).div_ceil(BLOCK_SIZE));
-        let mut done = 0usize;
-        while done < len {
-            let pos = offset + done as u64;
-            let blk = pos / BLOCK_SIZE as u64;
-            let in_off = (pos % BLOCK_SIZE as u64) as usize;
-            let take = (BLOCK_SIZE - in_off).min(len - done);
-            match self.map_and_fetch(&inode, blk)? {
-                Some(seg) => out.append_vec(seg.slice(in_off, take).to_vec()),
-                None => out.append_vec(vec![0u8; take]),
-            }
-            done += take;
-        }
-        Ok(len)
+        self.read_range(ino, offset, len, |_, b| {
+            // One segment per block touched: the chain is sized once, at
+            // the first block.
+            out.reserve_segments(b.rest);
+            out.append_vec(b.seg.slice(b.in_off, b.len).to_vec());
+        })
     }
-
-    // ----- logical (key-moving) data paths: the NCache interfaces -----
 
     /// Reads blocks *by reference*: no payload bytes move; the returned
     /// segments share storage with the buffer cache. Under the NCache
@@ -678,73 +604,74 @@ impl<S: BlockStore> Filesystem<S> {
         if !offset.is_multiple_of(BLOCK_SIZE as u64) {
             return Err(FsError::InvalidRange);
         }
-        if let Some(walk) = self.walk_resident(ino, offset, len) {
-            let mut out = Vec::with_capacity(walk.block_count());
-            walk.commit(|b| {
-                self.ledger.charge_logical_copy();
-                out.push(LogicalBlock {
-                    lbn: Some(b.lbn),
-                    seg: b.seg.clone(),
-                    valid_len: b.len,
-                });
-            });
-            return Ok(out);
-        }
         let mut out = Vec::new();
-        self.read_logical_per_block_into(ino, offset, len, &mut out)?;
+        self.read_range(ino, offset, len, logical_step(&mut out))?;
         Ok(out)
     }
 
-    /// [`Filesystem::read_logical`] one block at a time, each mapped,
-    /// looked up and — on a miss — fetched on its own, appending to `out`
-    /// (a list the caller keeps between requests grows nothing): the path
-    /// whenever some block is not resident, and the reference the resident
-    /// walk is held to where all are.
-    ///
-    /// # Errors
-    ///
-    /// As [`Filesystem::read_logical`]; `out` may then hold the blocks
-    /// fetched before the error.
-    pub fn read_logical_per_block_into(
+    /// The read of `[offset, offset + len)`, clipped at end of file: a
+    /// fully resident range through [`Filesystem::walk_resident`], any
+    /// other through [`Filesystem::walk_per_block`], `each` seeing every
+    /// block right after its counted access. Returns the bytes read.
+    fn read_range(
         &mut self,
         ino: Ino,
         offset: u64,
         len: usize,
-        out: &mut Vec<LogicalBlock>,
-    ) -> Result<(), FsError> {
-        if !offset.is_multiple_of(BLOCK_SIZE as u64) {
-            return Err(FsError::InvalidRange);
+        mut each: impl FnMut(&CopyLedger, WalkBlock<'_>),
+    ) -> Result<usize, FsError> {
+        if let Some(walk) = self.walk_resident(ino, offset, len) {
+            walk.commit(|b| each(&self.ledger, b));
+            return Ok(walk.len);
         }
-        let inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
-        if offset >= inode.size {
-            return Ok(());
-        }
-        let len = len.min((inode.size - offset) as usize);
+        self.walk_per_block(ino, offset, len, each)
+    }
+
+    /// The read walk, one block at a time: loads the inode and clips the
+    /// range at end of file, then maps each block and looks it up — on a
+    /// miss fetching it and its read-ahead window; a hole reads as zeros —
+    /// and hands it to `each`, with the ledger, right after that access.
+    /// The path whenever some block is not resident (the keyed READ's
+    /// miss path takes it directly), and the reference the resident walk
+    /// is held to where all are. Returns the bytes read.
+    ///
+    /// # Errors
+    ///
+    /// As [`Filesystem::read`]; `each` has then seen the blocks fetched
+    /// before the error.
+    pub fn walk_per_block(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        mut each: impl FnMut(&CopyLedger, WalkBlock<'_>),
+    ) -> Result<usize, FsError> {
+        let inode = self.load_as(ino, FileType::Regular)?;
+        let len = len.min(inode.size.saturating_sub(offset) as usize);
         let first = offset / BLOCK_SIZE as u64;
-        let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
-        out.reserve(nblocks as usize);
-        for i in 0..nblocks {
-            let blk = first + i;
-            let valid = (len - (i as usize * BLOCK_SIZE)).min(BLOCK_SIZE);
-            let lbn = self.map_block_mut(&inode, blk)?;
+        let head = (offset % BLOCK_SIZE as u64) as usize;
+        let blocks = if len == 0 { 0 } else { (head + len).div_ceil(BLOCK_SIZE) };
+        for i in 0..blocks {
+            let file_index = first + i as u64;
+            let in_off = if i == 0 { head } else { 0 };
+            let lbn = self.map_block_mut(&inode, file_index)?;
             let seg = match lbn {
-                Some(l) => {
-                    let s = self.fetch_block(&inode, blk, l)?;
-                    self.ledger.charge_logical_copy();
-                    s
-                }
+                Some(l) => self.fetch_block(&inode, file_index, l)?,
                 None => Segment::zeroed(BLOCK_SIZE),
             };
-            out.push(LogicalBlock {
-                lbn,
-                seg,
-                valid_len: valid,
-            });
+            each(
+                &self.ledger,
+                WalkBlock {
+                    file_index,
+                    lbn,
+                    seg: &seg,
+                    in_off,
+                    len: (head + len - i * BLOCK_SIZE - in_off).min(BLOCK_SIZE - in_off),
+                    rest: blocks - i,
+                },
+            );
         }
-        Ok(())
+        Ok(len)
     }
 
     /// The resident walk — the one hit path every read interface shares.
@@ -819,20 +746,13 @@ impl<S: BlockStore> Filesystem<S> {
         len: usize,
         stamps: &[KeyStamp],
     ) -> Result<(), FsError> {
-        if !offset.is_multiple_of(BLOCK_SIZE as u64) {
+        let blocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
+        if !offset.is_multiple_of(BLOCK_SIZE as u64) || stamps.len() as u64 != blocks {
             return Err(FsError::InvalidRange);
         }
-        let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
-        if stamps.len() as u64 != nblocks {
-            return Err(FsError::InvalidRange);
-        }
-        let mut inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
-        let first = offset / BLOCK_SIZE as u64;
-        for (i, stamp) in stamps.iter().enumerate() {
-            let (lbn, _) = self.map_block_alloc(ino, &mut inode, first + i as u64)?;
+        let mut stamps = stamps.iter();
+        self.write_range(ino, offset, len as u64, |fs, lbn, _, _, _| {
+            let stamp = stamps.next().expect("one stamp per block, checked");
             // Stamp the block with its LBN identity as well: after the
             // flush remaps the FHO entry into the LBN cache, replies
             // composed from this placeholder must still resolve (§3.4's
@@ -844,16 +764,11 @@ impl<S: BlockStore> Filesystem<S> {
             };
             // A block that stores its stamp and nothing else, on a
             // recycled store: writing the stamp is the only byte work.
-            let block = self.stamps.placeholder(&stamp, BLOCK_SIZE);
-            self.ledger.charge_logical_copy();
-            self.ledger.charge_header_bytes(KeyStamp::LEN as u64);
-            self.write_block_cached(lbn, BlockClass::Data, block);
-        }
-        if offset + len as u64 > inode.size {
-            inode.size = offset + len as u64;
-        }
-        inode.mtime += 1;
-        self.store_inode(ino, &inode)
+            let block = fs.stamps.placeholder(&stamp, BLOCK_SIZE);
+            fs.ledger.charge_logical_copy();
+            fs.ledger.charge_header_bytes(KeyStamp::LEN as u64);
+            fs.write_block_cached(lbn, BlockClass::Data, block);
+        })
     }
 
     /// Allocates blocks for `[0, size)` and sets the file size *without
@@ -866,16 +781,32 @@ impl<S: BlockStore> Filesystem<S> {
     ///
     /// As [`Filesystem::write`].
     pub fn allocate(&mut self, ino: Ino, size: u64) -> Result<(), FsError> {
-        let mut inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
+        self.write_range(ino, 0, size, |_, _, _, _, _| {})
+    }
+
+    /// The write walk: loads the inode, maps each block of `[offset,
+    /// offset + len)` for writing, allocating it if need be, and hands
+    /// `each` the block's LBN, whether it was just allocated, and where
+    /// (`in_off`) and how many bytes of it the range covers; then grows
+    /// the file to cover the range and stores the inode with a new mtime.
+    fn write_range(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        len: u64,
+        mut each: impl FnMut(&mut Self, u64, bool, usize, usize),
+    ) -> Result<(), FsError> {
+        let mut inode = self.load_as(ino, FileType::Regular)?;
+        let end = offset + len;
+        let mut pos = offset;
+        while pos < end {
+            let in_off = (pos % BLOCK_SIZE as u64) as usize;
+            let take = ((BLOCK_SIZE - in_off) as u64).min(end - pos) as usize;
+            let (lbn, fresh) = self.map_block_alloc(ino, &mut inode, pos / BLOCK_SIZE as u64)?;
+            each(self, lbn, fresh, in_off, take);
+            pos += take as u64;
         }
-        for blk in 0..size.div_ceil(BLOCK_SIZE as u64) {
-            self.map_block_alloc(ino, &mut inode, blk)?;
-        }
-        if size > inode.size {
-            inode.size = size;
-        }
+        inode.size = inode.size.max(end);
         inode.mtime += 1;
         self.store_inode(ino, &inode)
     }
@@ -950,10 +881,7 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NotAFile`] on directories; [`FsError::NotFound`] on free
     /// inodes.
     pub fn set_size(&mut self, ino: Ino, size: u64) -> Result<(), FsError> { // test-api: alloc_budget pins the inode update
-        let mut inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
+        let mut inode = self.load_as(ino, FileType::Regular)?;
         inode.size = size;
         self.store_inode(ino, &inode)
     }
@@ -971,6 +899,18 @@ impl<S: BlockStore> Filesystem<S> {
         let lbn = self.inode_lbn(ino);
         let seg = self.read_block_cached(lbn, BlockClass::Meta);
         decode_inode(seg.as_slice(), ino).map_err(|_| FsError::NotFound)
+    }
+
+    /// [`Self::load_inode`], failing unless the inode is of type `ftype`:
+    /// [`FsError::NotAFile`] where a file is wanted, else
+    /// [`FsError::NotADirectory`].
+    fn load_as(&mut self, ino: Ino, ftype: FileType) -> Result<Inode, FsError> {
+        let inode = self.load_inode(ino)?;
+        match ftype {
+            _ if inode.ftype == ftype => Ok(inode),
+            FileType::Regular => Err(FsError::NotAFile),
+            FileType::Directory => Err(FsError::NotADirectory),
+        }
     }
 
     fn store_inode(&mut self, ino: Ino, inode: &Inode) -> Result<(), FsError> {
@@ -992,9 +932,15 @@ impl<S: BlockStore> Filesystem<S> {
     }
 
     fn read_block_cached(&mut self, lbn: u64, class: BlockClass) -> Segment {
-        if let Some(seg) = self.cache.get(lbn) {
-            return seg;
+        match self.cache.get(lbn) {
+            Some(seg) => seg,
+            None => self.admit(lbn, class),
         }
+    }
+
+    /// Reads `lbn` from the store into the cache, clean and uncounted (the
+    /// caller has just missed it, or found it absent), and returns it.
+    fn admit(&mut self, lbn: u64, class: BlockClass) -> Segment {
         let seg = self.store.read_block(lbn, class);
         let wb = self.cache.insert(lbn, seg.clone(), class, false);
         self.do_writebacks(wb);
@@ -1096,15 +1042,12 @@ impl<S: BlockStore> Filesystem<S> {
                         l
                     }
                 };
-                let mid = {
-                    let seg = self.read_block_cached(root, BlockClass::Meta);
-                    match nonzero(ptr_at(seg.as_slice(), outer)) {
-                        Some(l) => l,
-                        None => {
-                            let l = self.alloc_indirect()?;
-                            self.set_ptr(root, outer, l);
-                            l
-                        }
+                let mid = match self.ptr(Some(root), outer) {
+                    Some(l) => l,
+                    None => {
+                        let l = self.alloc_indirect()?;
+                        self.set_ptr(root, outer, l);
+                        l
                     }
                 };
                 self.alloc_in_indirect(mid, inner)
@@ -1113,8 +1056,7 @@ impl<S: BlockStore> Filesystem<S> {
     }
 
     fn alloc_in_indirect(&mut self, ind_lbn: u64, slot: usize) -> Result<(u64, bool), FsError> {
-        let seg = self.read_block_cached(ind_lbn, BlockClass::Meta);
-        if let Some(l) = nonzero(ptr_at(seg.as_slice(), slot)) {
+        if let Some(l) = self.ptr(Some(ind_lbn), slot) {
             return Ok((l, false));
         }
         let l = self.alloc_block()?;
@@ -1135,58 +1077,35 @@ impl<S: BlockStore> Filesystem<S> {
         self.write_block_cached(ind_lbn, BlockClass::Meta, Segment::from_vec(block));
     }
 
-    /// Maps then fetches a block for reading, with read-ahead on miss.
-    fn map_and_fetch(&mut self, inode: &Inode, blk: u64) -> Result<Option<Segment>, FsError> {
-        match self.map_block_mut(inode, blk)? {
-            Some(lbn) => Ok(Some(self.fetch_block(inode, blk, lbn)?)),
-            None => Ok(None),
-        }
-    }
-
     /// Read-only block mapping that may consult the store for indirect
     /// blocks (hence `&mut self`).
     fn map_block_mut(&mut self, inode: &Inode, blk: u64) -> Result<Option<u64>, FsError> {
-        match block_path(blk)? {
-            BlockPath::Direct { slot } => Ok(nonzero(inode.direct[slot])),
-            BlockPath::Single { slot } => {
-                let ind = match nonzero(inode.single) {
-                    Some(l) => l,
-                    None => return Ok(None),
-                };
-                let seg = self.read_block_cached(ind, BlockClass::Meta);
-                Ok(nonzero(ptr_at(seg.as_slice(), slot)))
-            }
+        Ok(match block_path(blk)? {
+            BlockPath::Direct { slot } => nonzero(inode.direct[slot]),
+            BlockPath::Single { slot } => self.ptr(nonzero(inode.single), slot),
             BlockPath::Double {
                 which,
                 outer,
                 inner,
             } => {
-                let root = match nonzero(inode.double[which]) {
-                    Some(l) => l,
-                    None => return Ok(None),
-                };
-                let seg = self.read_block_cached(root, BlockClass::Meta);
-                let mid = match nonzero(ptr_at(seg.as_slice(), outer)) {
-                    Some(l) => l,
-                    None => return Ok(None),
-                };
-                let seg = self.read_block_cached(mid, BlockClass::Meta);
-                Ok(nonzero(ptr_at(seg.as_slice(), inner)))
+                let mid = self.ptr(nonzero(inode.double[which]), outer);
+                self.ptr(mid, inner)
             }
-        }
+        })
+    }
+
+    /// Pointer `slot` of indirect block `lbn`, read through the cache;
+    /// `None` for a hole (`lbn` or the pointer unallocated).
+    fn ptr(&mut self, lbn: Option<u64>, slot: usize) -> Option<u64> {
+        let seg = self.read_block_cached(lbn?, BlockClass::Meta);
+        nonzero(ptr_at(seg.as_slice(), slot))
     }
 
     fn fetch_block(&mut self, inode: &Inode, blk: u64, lbn: u64) -> Result<Segment, FsError> {
         if let Some(seg) = self.cache.get(lbn) {
             return Ok(seg);
         }
-        // Miss: fetch the block and its read-ahead window.
-        let seg = {
-            let s = self.store.read_block(lbn, BlockClass::Data);
-            let wb = self.cache.insert(lbn, s.clone(), BlockClass::Data, false);
-            self.do_writebacks(wb);
-            s
-        };
+        let seg = self.admit(lbn, BlockClass::Data);
         let last = inode.size_blocks();
         for ahead in 1..=self.read_ahead {
             let nblk = blk + ahead;
@@ -1195,9 +1114,7 @@ impl<S: BlockStore> Filesystem<S> {
             }
             if let Some(nlbn) = self.map_block_mut(inode, nblk)? {
                 if !self.cache.contains(nlbn) {
-                    let s = self.store.read_block(nlbn, BlockClass::Data);
-                    let wb = self.cache.insert(nlbn, s, BlockClass::Data, false);
-                    self.do_writebacks(wb);
+                    self.admit(nlbn, BlockClass::Data);
                 }
             }
         }
@@ -1291,6 +1208,24 @@ impl<S: BlockStore> Filesystem<S> {
             }
         }
         Ok(())
+    }
+}
+
+/// The logical copy's per-block step, appending each block to `out` by
+/// reference and charging one logical copy per mapped block (a hole moves
+/// nothing): [`Filesystem::read_logical`]'s, and the keyed READ's over
+/// [`Filesystem::walk_per_block`].
+pub fn logical_step(out: &mut Vec<LogicalBlock>) -> impl FnMut(&CopyLedger, WalkBlock<'_>) + '_ {
+    move |ledger: &CopyLedger, b: WalkBlock<'_>| {
+        out.reserve(b.rest);
+        if b.lbn.is_some() {
+            ledger.charge_logical_copy();
+        }
+        out.push(LogicalBlock {
+            lbn: b.lbn,
+            seg: b.seg.clone(),
+            valid_len: b.len,
+        });
     }
 }
 
@@ -1569,7 +1504,7 @@ mod tests {
         let snaps = [a.ledger().snapshot(), b.ledger().snapshot(), c.ledger().snapshot()];
         let _ = take_tally().fs;
         let mut blocks_a = Vec::new();
-        a.read_logical_per_block_into(fa, offset, len, &mut blocks_a).expect("read");
+        a.walk_per_block(fa, offset, len, logical_step(&mut blocks_a)).expect("read");
         let attr_a = a.getattr(fa).expect("getattr");
         let tally_a = take_tally().fs;
         let blocks_b = b.read_logical(fb, offset, len).expect("read");
@@ -1586,7 +1521,7 @@ mod tests {
         assert_eq!(blocks_a.len(), 17);
         assert_eq!(blocks_a, blocks_b);
         for (x, y) in blocks_a.iter().zip(&blocks_c) {
-            assert_eq!((x.lbn, &x.seg, x.valid_len), (Some(y.1), &y.2, y.3));
+            assert_eq!((x.lbn, &x.seg, x.valid_len), (y.1, &y.2, y.3));
         }
         assert!(blocks_c.windows(2).all(|w| w[1].0 == w[0].0 + 1), "commit walks file blocks in order");
         assert_eq!((&attr_a, &attr_a), (&attr_b, &attr_c));

@@ -20,7 +20,13 @@
 //!   and the key-moving logical interfaces
 //!   ([`fs::Filesystem::read_logical`], [`fs::Filesystem::write_logical`])
 //!   that the NCache configuration uses — blocks then hold a
-//!   [`netbuf::key::KeyStamp`] plus junk instead of payload.
+//!   [`netbuf::key::KeyStamp`] plus junk instead of payload. The FS walks
+//!   a range once per direction: every read (and
+//!   [`fs::Filesystem::sendfile_into`]) is one walk — the resident walk
+//!   on an all-hit range, [`fs::Filesystem::walk_per_block`] otherwise —
+//!   and every write (and [`fs::Filesystem::allocate`]) one allocating
+//!   walk. The interfaces differ only in the per-block step: a block's
+//!   payload copied, or its key moved.
 //!
 //! Every block the FS touches is classified metadata vs regular data
 //! ([`store::BlockClass`]), which is the inode-type context the iSCSI

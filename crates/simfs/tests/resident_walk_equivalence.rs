@@ -1,28 +1,31 @@
-//! The resident walk against the per-block read it batches.
+//! The resident walk against the per-block walk it batches.
 //!
-//! `Filesystem::read_logical` serves a fully resident range through one
+//! Every read interface — `Filesystem::read_logical`, `read` and
+//! `sendfile_into` — serves a fully resident range through one
 //! probe-then-commit walk (`walk_resident`): every block probed once,
 //! uncounted, then all the accesses counted in one go. The reference is
-//! the loop it replaced on that case and still runs on every other —
-//! `read_logical_per_block_into`, one counted map + lookup (+ fetch) per
-//! block — on a twin file system fed the identical history. For random files
-//! (direct, single- and double-indirect ranges, holes, a partial tail),
-//! random aligned reads, and both recency clocks (the plain counter and a
-//! lane's epoch window), the two must agree on everything observable: the
-//! returned blocks, the cache counters, the per-thread op tally, the
-//! ledger, the recorder's event sequence, and — the stamps, which nothing
-//! exposes directly — the order in which blocks fall out when the cache is
-//! then shrunk one block at a time. A range the walk cannot serve (a cold
-//! block, a hole) must come back `None` with all of those untouched.
+//! the walk it replaced on that case and still runs on every other —
+//! `walk_per_block`, one counted map + lookup (+ fetch) per block — with
+//! the same per-block step, on a twin file system fed the identical
+//! history. For random files (direct, single- and double-indirect ranges,
+//! holes, a partial tail), random reads (block-aligned through
+//! `read_logical`, at any byte offset through the copying two), and both
+//! recency clocks (the plain counter and a lane's epoch window), the two
+//! must agree on everything observable: the returned blocks or bytes, the
+//! cache counters, the per-thread op tally, the ledger, the recorder's
+//! event sequence, and — the stamps, which nothing exposes directly — the
+//! order in which blocks fall out when the cache is then shrunk one block
+//! at a time. A range the walk cannot serve (a cold block, a hole) must
+//! come back `None` with all of those untouched.
 //!
 //! (In `simfs` rather than beside the other differential properties in
 //! `crates/check/tests`: `check` has no edge to this crate.)
 
 use check::gen::*;
 use check::{prop_assert, prop_assert_eq, property, PropResult};
-use netbuf::CopyLedger;
-use simfs::fs::{LogicalBlock, WALK_BLOCKS};
+use netbuf::{CopyLedger, NetBuf};
 use sim::epoch::take_tally;
+use simfs::fs::{logical_step, LogicalBlock, WALK_BLOCKS};
 use simfs::{Filesystem, FsError, FsParams, Ino, MemStore, BLOCK_SIZE};
 
 type Fs = Filesystem<MemStore>;
@@ -85,10 +88,60 @@ impl Side {
     }
 }
 
-/// The per-block reference read, into a list of its own.
-fn per_block(fs: &mut Fs, file: Ino, offset: u64, len: usize) -> Result<Vec<LogicalBlock>, FsError> {
-    let mut out = Vec::new();
-    fs.read_logical_per_block_into(file, offset, len, &mut out).map(|()| out)
+/// What a read returns: `read_logical`'s blocks, or the bytes `read` and
+/// `sendfile_into` delivered, with the count each reported.
+#[derive(Debug, PartialEq)]
+enum Read {
+    Blocks(Vec<LogicalBlock>),
+    Bytes(usize, Vec<u8>),
+}
+
+/// Reads `[offset, offset + len)` of `side`'s file through interface
+/// `via` (0 `read_logical`, 1 `read`, 2 `sendfile_into`) — or, as the
+/// `reference`, through the per-block walk with that interface's
+/// per-block step.
+fn read_via(
+    side: &mut Side,
+    reference: bool,
+    via: usize,
+    offset: u64,
+    len: usize,
+) -> Result<Read, FsError> {
+    let (fs, file) = (&mut side.fs, side.file);
+    match via {
+        0 if reference => {
+            let mut out = Vec::new();
+            fs.walk_per_block(file, offset, len, logical_step(&mut out))?;
+            Ok(Read::Blocks(out))
+        }
+        0 => fs.read_logical(file, offset, len).map(Read::Blocks),
+        1 => {
+            let mut buf = vec![0u8; len];
+            let n = if reference {
+                let mut done = 0;
+                fs.walk_per_block(file, offset, len, |ledger, b| {
+                    b.seg.read_at(b.in_off, &mut buf[done..done + b.len]);
+                    ledger.charge_payload_copy(b.len as u64);
+                    done += b.len;
+                })?
+            } else {
+                fs.read(file, offset, &mut buf)?
+            };
+            Ok(Read::Bytes(n, buf))
+        }
+        _ => {
+            let mut pkt = NetBuf::new(&side.ledger);
+            let n = if reference {
+                fs.walk_per_block(file, offset, len, |_, b| {
+                    pkt.reserve_segments(b.rest);
+                    pkt.append_vec(b.seg.slice(b.in_off, b.len).to_vec());
+                })?
+            } else {
+                fs.sendfile_into(file, offset, len, &mut pkt)?
+            };
+            Ok(Read::Bytes(n, pkt.copy_payload_to_vec()))
+        }
+    }
 }
 
 /// Runs `f` as lane 3's `k`-th operation when `windowed` — the recency
@@ -127,7 +180,7 @@ property! {
     fn prop_resident_walk_matches_the_per_block_read(
         extents in vec_of((ints(0usize..STARTS.len()), ints(1u64..24)), 1..5),
         tail in ints(0u64..BS),
-        reads in vec_of((ints(0usize..STARTS.len()), ints(0u64..12), ints(1usize..(WALK_BLOCKS + 4) * BLOCK_SIZE)), 1..12),
+        reads in vec_of((ints(0usize..3), ints(0usize..STARTS.len()), ints(0u64..12), ints(0u64..BS), ints(1usize..(WALK_BLOCKS + 4) * BLOCK_SIZE)), 1..12),
         (windowed, synced) in (any_bool(), any_bool()),
         cold in ints(0u64..24),
     ) {
@@ -138,8 +191,9 @@ property! {
         let _ = reference.fs.getattr(reference.file);
 
         let mut walked = 0;
-        for (k, &(start, skip, len)) in reads.iter().enumerate() {
-            let offset = (STARTS[start] + skip) * BS;
+        for (k, &(via, start, skip, head, len)) in reads.iter().enumerate() {
+            // `read_logical` takes block-aligned ranges only.
+            let offset = (STARTS[start] + skip) * BS + if via == 0 { 0 } else { head };
             let _ = take_tally().fs;
             let before = (subject.fs.cache_stats(), subject.ledger.snapshot(), subject.rec.events().len());
             let served = subject.fs.walk_resident(subject.file, offset, len).is_some();
@@ -150,17 +204,19 @@ property! {
             );
             walked += usize::from(served);
             let (got, got_tally) = in_window(windowed, k, || {
-                (subject.fs.read_logical(subject.file, offset, len), take_tally().fs)
+                (read_via(subject, false, via, offset, len), take_tally().fs)
             });
             let (want, want_tally) = in_window(windowed, k, || {
-                (per_block(&mut reference.fs, reference.file, offset, len), take_tally().fs)
+                (read_via(reference, true, via, offset, len), take_tally().fs)
             });
-            prop_assert_eq!(&got, &want, "read {} blocks", k);
+            prop_assert_eq!(&got, &want, "read {} via {}", k, via);
             prop_assert_eq!(got_tally, want_tally, "read {} op tally", k);
             if served {
-                let blocks = got.expect("a served range reads");
-                prop_assert!(blocks.iter().all(|b| b.lbn.is_some()), "no holes in a walk");
-                prop_assert!(blocks.len() <= WALK_BLOCKS);
+                prop_assert!(got.is_ok(), "a served range reads");
+                if let Ok(Read::Blocks(blocks)) = &got {
+                    prop_assert!(blocks.iter().all(|b| b.lbn.is_some()), "no holes in a walk");
+                    prop_assert!(blocks.len() <= WALK_BLOCKS);
+                }
             }
             sides_agree(subject, reference, "read")?;
         }
@@ -175,8 +231,8 @@ property! {
             let offset = cold.saturating_sub(2) * BS;
             prop_assert!(subject.fs.walk_resident(subject.file, offset, 4 * BLOCK_SIZE).is_none());
             sides_agree(subject, reference, "refused walk")?;
-            let got = subject.fs.read_logical(subject.file, offset, 4 * BLOCK_SIZE);
-            let want = per_block(&mut reference.fs, reference.file, offset, 4 * BLOCK_SIZE);
+            let got = read_via(subject, false, 0, offset, 4 * BLOCK_SIZE);
+            let want = read_via(reference, true, 0, offset, 4 * BLOCK_SIZE);
             prop_assert_eq!(got, want, "the per-block fallback");
             sides_agree(subject, reference, "fallback")?;
         }

@@ -19,23 +19,11 @@ use ncache::NcacheConfig;
 use servers::ServerMode;
 use sim::stats::SeriesTable;
 
-use crate::experiments::Exp;
+use crate::experiments::{seq_reads, Exp};
 use crate::khttpd_rig::{KhttpdRig, KhttpdRigParams};
 use crate::nfs_rig::{NfsRig, NfsRigParams};
 use crate::rig::Geometry;
 use crate::runner::{run, DriverOp, RigDriver, RunOptions};
-
-// Not `experiments::seq_ops`: that clips a trailing partial READ to EOF,
-// this drops it, and the two differ whenever `req` does not divide `total`.
-fn seq_reads(fh: u64, total: u64, req: u32) -> Vec<DriverOp> {
-    (0..total / u64::from(req))
-        .map(|i| DriverOp::Read {
-            fh,
-            offset: (i * u64::from(req)) as u32,
-            len: req,
-        })
-        .collect()
-}
 
 /// Ablation 1 + 2: all-hit NFS (2 NICs, 32 KB requests) with substitution
 /// and checksum inheritance set as given; returns `[MB/s, CPU %]`.

@@ -10,10 +10,10 @@
 use servers::ServerMode;
 use sim::stats::SeriesTable;
 use sim::FaultSpec;
-use workload::micro::{SeqRead, HTTP_REQUEST_SIZES, NFS_REQUEST_SIZES};
+use workload::micro::{HTTP_REQUEST_SIZES, NFS_REQUEST_SIZES};
 use workload::specsfs::{SpecSfs, SpecSfsParams};
 use workload::specweb::{PageSet, SpecWeb};
-use workload::{FileId, NfsOp};
+use workload::NfsOp;
 
 use crate::adaptive::SplitConfig;
 use crate::executor::{self, derive_seed, run_cells};
@@ -201,15 +201,16 @@ fn nfs_params_for(scale_bytes: u64, read_ahead_blocks: u64) -> NfsRigParams {
     }
 }
 
-fn seq_ops(fh: u64, total: u64, req: u32) -> Vec<DriverOp> {
-    SeqRead::new(FileId(0), total, req)
-        .map(|op| match op {
-            NfsOp::Read { offset, len, .. } => DriverOp::Read {
-                fh,
-                offset: offset as u32,
-                len,
-            },
-            _ => unreachable!("SeqRead only reads"),
+/// One READ of `req` bytes per whole `req`-byte window of `[0, total)`,
+/// in file order: the micro-benchmarks' sequential stream (§5.3). A
+/// partial tail window is left out; every experiment reads a file that
+/// is a multiple of its request size.
+pub(crate) fn seq_reads(fh: u64, total: u64, req: u32) -> Vec<DriverOp> {
+    (0..total / u64::from(req))
+        .map(|i| DriverOp::Read {
+            fh,
+            offset: (i * u64::from(req)) as u32,
+            len: req,
         })
         .collect()
 }
@@ -288,7 +289,7 @@ pub fn fig4(x: &Exp) -> (SeriesTable, SeriesTable) {
             concurrency: 64,
             ..RunOptions::default()
         };
-        let result = run(&mut rig, seq_ops(fh, file, req), &opts);
+        let result = run(&mut rig, seq_reads(fh, file, req), &opts);
         (result.throughput_mbs, result.app_cpu_util)
     });
     for ((mode, req), (mbs, util)) in results {
@@ -322,11 +323,11 @@ pub fn fig5(x: &Exp) -> (SeriesTable, SeriesTable) {
         let mut rig: NfsRig = x.rig(mode, params, rec, None);
         let fh = rig.create_file("hotfile", file);
         // Warm pass (functional only, untimed).
-        for op in seq_ops(fh, file, req) {
+        for op in seq_reads(fh, file, req) {
             rig.run_op(&op);
         }
         let ops: Vec<DriverOp> = (0..x.scale.allhit_passes)
-            .flat_map(|_| seq_ops(fh, file, req))
+            .flat_map(|_| seq_reads(fh, file, req))
             .collect();
         let opts = RunOptions {
             nics,
@@ -478,9 +479,9 @@ pub fn fig7(x: &Exp) -> SeriesTable {
             .map(|name| rig.create_sparse_file(name, scale.specsfs_file_size))
             .collect();
         rig.quiesce();
-        // Warm pass: sequentially touch every file (functional only). The
-        // last READ of a file is not clipped to EOF here — the server
-        // clips — so this is not `seq_ops`.
+        // Warm pass: sequentially touch every file (functional only). A
+        // file's partial tail window is read too — the server clips — so
+        // this is not `seq_reads`.
         for &fh in &fhs {
             for off in (0..scale.specsfs_file_size).step_by(64 << 10) {
                 rig.run_op(&DriverOp::Read {

@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 //! Workload generators for the paper's evaluation (§5.3).
 //!
-//! * [`micro`] — the two micro-benchmarks: sequentially reading a big file
-//!   (*all-miss*) and repeatedly accessing a small hot set (*all-hit*).
+//! * [`micro`] — the request sizes of the two micro-benchmarks,
+//!   sequentially reading a big file (*all-miss*) and repeatedly accessing
+//!   a small hot set (*all-hit*), and of Figure 6(b).
 //! * [`specsfs`] — a SPECsfs-V3-like NFS op mix: small-request-dominated
 //!   size distribution, 5:1 read:write ratio, and a configurable
 //!   percentage of regular-data (vs metadata) operations — the x-axis of

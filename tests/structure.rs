@@ -242,12 +242,17 @@ checks! {
         (RECENCY, ""),
     ]
     /// One hit walk, one range path (DESIGN.md §9.2, §15): one resident walk, one
-    /// keyed READ body for NFS, kHTTPd and the lane hit path (`read_keyed`), one
-    /// commit point, one block admission loop for every NCache WRITE.
+    /// per-block read walk and one allocating write walk in the file system, each
+    /// interface supplying only its per-block step; one keyed READ body for NFS,
+    /// kHTTPd and the lane hit path (`read_keyed`), one commit point, one block
+    /// admission loop for every NCache WRITE.
     one_hit_walk_one_range_path: [
         ("crates/simfs/src/fs.rs", concat!(r"fn probe_read\b | fn read_logical_shared\b",
             r" | fn peek_inode\b | fn peek_map_block\b | fn map_block_shared\b",
             r" | fn walk_block_path\b | fn get_resident\b | fn read_resident\b")),
+        ("crates/simfs/src/fs.rs", r"fn map_and_fetch\b | fn read_logical_per_block_into\b"),
+        ("crates/simfs/src/fs.rs", ".fetch_block("),
+        ("crates/simfs/src/fs.rs", ".map_block_alloc("),
         (ALL, concat!(r"fn unaligned_ncache_write\b | fn page_hit\b",
             r" | fn page_fetched\b | fn on_flush_write\b")),
         (SERVERS, ".walk_resident( | :walk_resident( // walk-ok"),
